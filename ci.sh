@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+# The benchmark is a package of its own (outside the workspace) that
+# compiles against the engine's public API; build it so a signature change
+# that breaks its pinned list (benchmark/README.md) fails here, not in the
+# driver. Output goes to benchmark/target (git-ignored).
+echo "==> benchmark package builds against the engine"
+cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Chaos gate: end-to-end queries under randomized-but-replayable DFS fault
 # plans (the proptest shim seeds from the test name, so this is a fixed
 # schedule). Part of the workspace run above; repeated here so a chaos

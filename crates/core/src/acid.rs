@@ -30,15 +30,14 @@
 //! preemption token and all. Old snapshot files are retained, not
 //! deleted, so readers that pinned an earlier generation keep working.
 
-use crate::metastore::{Metastore, TableInfo};
+use crate::metastore::{Metastore, PinnedSnapshot, TableInfo};
 use hive_common::config::keys;
 use hive_common::{CancelToken, HiveConf, HiveError, Result, Row, Schema, Value};
 use hive_dfs::Dfs;
 use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
 use hive_formats::delta::{
-    decode_delete_file, encode_delete_file, is_acid_path, load_delete_set, load_snapshot,
-    manifest_path, DeleteKey, DeleteSet, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX,
-    MANIFEST_PREFIX,
+    decode_delete_file, encode_delete_file, is_acid_path, manifest_path, DeleteKey, DeleteSet,
+    TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
 };
 use hive_formats::{create_writer, open_reader, FormatKind, ReadOptions, WriteOptions};
 use hive_mapreduce::MrEngine;
@@ -124,20 +123,23 @@ fn lookup(metastore: &Metastore, table: &str) -> Result<TableInfo> {
         .ok_or_else(|| HiveError::Metastore(format!("unknown table `{table}`")))
 }
 
-/// The snapshot a new transaction builds on: the newest valid manifest,
-/// or — for a table that has never committed one — the existing data
-/// files as the initial base. ACID-prefixed names are excluded from that
-/// raw listing: their visibility is the manifest's call, and there is no
-/// manifest.
-fn current_snapshot(dfs: &Dfs, location: &str) -> Result<TableSnapshot> {
-    Ok(match load_snapshot(dfs, location)? {
-        Some(snap) => snap,
-        None => TableSnapshot::initial(
-            dfs.list(location)
-                .into_iter()
-                .filter(|p| !is_acid_path(p))
-                .collect(),
-        ),
+/// The state a new transaction builds on: the metastore's pin of the
+/// newest valid manifest, or — for a table that has never committed one —
+/// the existing data files as the initial base. ACID-prefixed names are
+/// excluded from that raw listing: their visibility is the manifest's
+/// call, and there is no manifest.
+fn current_snapshot(dfs: &Dfs, metastore: &Metastore, info: &TableInfo) -> Result<PinnedSnapshot> {
+    Ok(match metastore.pin_snapshot(dfs, info)? {
+        Some(pinned) => pinned,
+        None => PinnedSnapshot {
+            snapshot: Arc::new(TableSnapshot::initial(
+                dfs.list(&info.location)
+                    .into_iter()
+                    .filter(|p| !is_acid_path(p))
+                    .collect(),
+            )),
+            deletes: Arc::default(),
+        },
     })
 }
 
@@ -147,12 +149,18 @@ fn current_snapshot(dfs: &Dfs, location: &str) -> Result<TableSnapshot> {
 /// high-water mark (including a manifest that failed validation) — all
 /// invisible to readers, all deleted here. Files of *older* snapshots are
 /// untouched: a reader that pinned one is still scanning them.
-fn recover(dfs: &Dfs, location: &str, tmp: &str) -> Result<TableSnapshot> {
+fn recover(
+    dfs: &Dfs,
+    metastore: &Metastore,
+    info: &TableInfo,
+    tmp: &str,
+) -> Result<PinnedSnapshot> {
     for p in dfs.list(tmp) {
         dfs.delete(&p);
     }
-    let snap = current_snapshot(dfs, location)?;
-    for p in dfs.list(location) {
+    let pinned = current_snapshot(dfs, metastore, info)?;
+    let snap = &pinned.snapshot;
+    for p in dfs.list(&info.location) {
         let name = p.rsplit('/').next().unwrap_or("");
         let txn_of = |prefix: &str| {
             name.strip_prefix(prefix)
@@ -174,7 +182,7 @@ fn recover(dfs: &Dfs, location: &str, tmp: &str) -> Result<TableSnapshot> {
             dfs.delete(&p);
         }
     }
-    Ok(snap)
+    Ok(pinned)
 }
 
 /// Write `bytes` to `path` and barrier: the bytes must be back-readable
@@ -469,11 +477,12 @@ where
                 ..Default::default()
             },
         )?;
+        let masked = deletes.for_path(&path);
         let mut ordinal = 0u64;
         while let Some(row) = reader.next_row()? {
             let ord = ordinal;
             ordinal += 1;
-            if deletes.contains(&path, ord) {
+            if masked.binary_search(&ord).is_ok() {
                 continue;
             }
             visit(&path, ord, row)?;
@@ -500,7 +509,7 @@ pub fn execute_insert(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, &info.location, &tmp)?;
+    let snap = recover(dfs, metastore, &info, &tmp)?.snapshot;
     let txn_id = snap.last_txn + 1;
 
     crash_point(conf, "writer.before.delta.temp")?;
@@ -510,7 +519,7 @@ pub fn execute_insert(
     let delta = format!("{}{DELTA_PREFIX}{txn_id:010}", info.location);
     install(dfs, conf, &tmp_delta, &delta, "writer", "delta")?;
 
-    let mut next = snap.clone();
+    let mut next = TableSnapshot::clone(&snap);
     next.version += 1;
     next.last_txn = txn_id;
     next.deltas.push((txn_id, delta));
@@ -547,8 +556,10 @@ pub fn execute_delete(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, &info.location, &tmp)?;
-    let existing = load_delete_set(dfs, &snap)?;
+    let PinnedSnapshot {
+        snapshot: snap,
+        deletes: existing,
+    } = recover(dfs, metastore, &info, &tmp)?;
 
     let mut keys: Vec<DeleteKey> = Vec::new();
     scan_live_rows(
@@ -571,7 +582,7 @@ pub fn execute_delete(
     let txn_id = snap.last_txn + 1;
     let del_path = install_delete_file(dfs, conf, &info, &tmp, txn_id, &keys, "writer")?;
 
-    let mut next = snap.clone();
+    let mut next = TableSnapshot::clone(&snap);
     next.version += 1;
     next.last_txn = txn_id;
     next.deletes.push((txn_id, del_path));
@@ -612,8 +623,10 @@ pub fn execute_update(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, &info.location, &tmp)?;
-    let existing = load_delete_set(dfs, &snap)?;
+    let PinnedSnapshot {
+        snapshot: snap,
+        deletes: existing,
+    } = recover(dfs, metastore, &info, &tmp)?;
 
     let mut keys: Vec<DeleteKey> = Vec::new();
     let mut rewritten: Vec<Row> = Vec::new();
@@ -650,7 +663,7 @@ pub fn execute_update(
     install(dfs, conf, &tmp_delta, &delta, "writer", "delta")?;
     let del_path = install_delete_file(dfs, conf, &info, &tmp, txn_id, &keys, "writer")?;
 
-    let mut next = snap.clone();
+    let mut next = TableSnapshot::clone(&snap);
     next.version += 1;
     next.last_txn = txn_id;
     next.deltas.push((txn_id, delta));
@@ -702,7 +715,7 @@ pub fn execute_compact(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, &info.location, &tmp)?;
+    let snap = recover(dfs, metastore, &info, &tmp)?.snapshot;
     compact_snapshot(dfs, conf, metastore, registry, &info, &snap, mode, cancel)
 }
 
@@ -739,7 +752,17 @@ fn compact_snapshot(
         CompactMode::Minor => {
             // Fold every live delta row into one merged delta, applying the
             // delta-addressed delete keys as we go.
-            let deletes = load_delete_set(dfs, snap)?;
+            // The caller holds the table lock and `snap` is the committed
+            // snapshot, so the metastore's pin is a pin of `snap`.
+            let deletes = match metastore.pin_snapshot(dfs, info)? {
+                Some(pinned) if *pinned.snapshot == *snap => pinned.deletes,
+                _ => {
+                    return Err(HiveError::Internal(format!(
+                        "`{}` moved off snapshot {} under its table lock",
+                        info.name, snap.version
+                    )))
+                }
+            };
             let mut merged: Vec<Row> = Vec::new();
             for (_, path) in &snap.deltas {
                 if let Some(c) = cancel {
@@ -755,11 +778,12 @@ fn compact_snapshot(
                         ..Default::default()
                     },
                 )?;
+                let masked = deletes.for_path(path);
                 let mut ordinal = 0u64;
                 while let Some(row) = reader.next_row()? {
                     let ord = ordinal;
                     ordinal += 1;
-                    if deletes.contains(path, ord) {
+                    if masked.binary_search(&ord).is_ok() {
                         continue;
                     }
                     merged.push(row);
@@ -777,8 +801,8 @@ fn compact_snapshot(
             // with the old deltas.
             let base_keys: Vec<DeleteKey> = deletes
                 .iter()
-                .filter(|(p, _)| snap.base.contains(p))
-                .cloned()
+                .filter(|(p, _)| snap.base.iter().any(|b| b == p))
+                .map(|(p, o)| (p.to_string(), o))
                 .collect();
             if !base_keys.is_empty() {
                 let del_path =

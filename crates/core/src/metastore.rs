@@ -5,11 +5,14 @@
 
 use hive_common::{HiveError, Result, Schema};
 use hive_dfs::Dfs;
-use hive_formats::delta::{is_acid_path, load_delete_set, load_snapshot};
-use hive_formats::{AcidOverlay, FormatKind};
+use hive_formats::delta::{
+    is_acid_path, list_manifests, load_delete_files, load_snapshot_stamped, FileStamp,
+};
+use hive_formats::{AcidOverlay, DeleteSet, FormatKind, TableSnapshot};
+use hive_obs::MetricsRegistry;
 use hive_planner::{Catalog, TableMeta};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,6 +26,28 @@ pub struct TableInfo {
     pub location: String,
 }
 
+/// The committed state of an ACID table as one statement sees it: the
+/// governing manifest and the union of its delete files.
+#[derive(Debug, Clone)]
+pub struct PinnedSnapshot {
+    pub snapshot: Arc<TableSnapshot>,
+    pub deletes: Arc<DeleteSet>,
+}
+
+/// The last pin of one table location, with the stamp of every file it
+/// was decoded from. Each half is reusable exactly while its stamps still
+/// match the filesystem, so no entry ever needs invalidating: a commit
+/// lists a newer manifest, a tamper or overwrite bumps a generation, and
+/// either way the stale half stops matching.
+struct CachedPin {
+    /// The newest listed manifest, which decoded to `snapshot`.
+    manifest: FileStamp,
+    snapshot: Arc<TableSnapshot>,
+    /// The files `deletes` is the union of: `snapshot.deletes`, stamped.
+    delete_files: Vec<FileStamp>,
+    deletes: Arc<DeleteSet>,
+}
+
 /// The metastore. Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct Metastore {
@@ -32,14 +57,22 @@ pub struct Metastore {
     /// keys entries on it, so plans compiled against an older catalog
     /// become unreachable the moment a table appears or disappears.
     generation: Arc<AtomicU64>,
+    /// Snapshot pins by table location (see [`CachedPin`]).
+    pins: Arc<Mutex<HashMap<String, Arc<CachedPin>>>>,
+    /// Where `acid.snapshot.*` is recorded.
+    metrics: MetricsRegistry,
 }
 
 impl Metastore {
-    pub fn new(dfs: Dfs) -> Metastore {
+    /// A metastore over `dfs`, recording `acid.snapshot.*` into `metrics`
+    /// (the server's registry).
+    pub fn new(dfs: Dfs, metrics: MetricsRegistry) -> Metastore {
         Metastore {
             dfs,
             tables: Arc::new(RwLock::new(BTreeMap::new())),
             generation: Arc::new(AtomicU64::new(0)),
+            pins: Arc::new(Mutex::new(HashMap::new())),
+            metrics,
         }
     }
 
@@ -76,6 +109,7 @@ impl Metastore {
     pub fn drop_table(&self, name: &str) -> bool {
         let key = name.to_ascii_lowercase();
         if let Some(info) = self.tables.write().remove(&key) {
+            self.pins.lock().remove(&info.location);
             for f in self.dfs.list(&info.location) {
                 self.dfs.delete(&f);
             }
@@ -107,30 +141,107 @@ impl Metastore {
             .map(|t| self.dfs.list(&t.location))
             .unwrap_or_default()
     }
+
+    /// Pin the committed state of the ACID table `info`: the newest valid
+    /// manifest and the union of its delete files, or `None` for a table
+    /// that has never committed a transaction. Files are read through
+    /// `dfs` (the caller's statement scope), and only those whose stamp
+    /// moved since the last pin: a statement that follows no commit reads
+    /// nothing, one that follows an INSERT reads one manifest, one that
+    /// follows a DELETE reads one manifest and one delete file.
+    ///
+    /// Nothing is stored from a load that failed, nor from one that had
+    /// to skip a manifest it could not read or verify: the skip may have
+    /// been a transient fault, and the manifest it hid is still the
+    /// newest listed, so its stamp would vouch for the wrong snapshot.
+    pub fn pin_snapshot(&self, dfs: &Dfs, info: &TableInfo) -> Result<Option<PinnedSnapshot>> {
+        let Some(newest) = list_manifests(dfs, &info.location).into_iter().next() else {
+            return Ok(None);
+        };
+        let holds = |(path, generation): &FileStamp| dfs.generation(path) == Some(*generation);
+        let cached = self.pins.lock().get(&info.location).cloned();
+
+        let fresh = cached
+            .as_ref()
+            .filter(|c| c.manifest.0 == newest && holds(&c.manifest));
+        let (manifest, snapshot) = match fresh {
+            Some(c) => (Some(c.manifest.clone()), Arc::clone(&c.snapshot)),
+            None => match load_snapshot_stamped(dfs, &info.location)? {
+                Some((snap, stamp)) => (stamp, Arc::new(snap)),
+                None => return Ok(None),
+            },
+        };
+
+        // How much of the cached delete set this snapshot can keep: all of
+        // it when the stamped files are a prefix of the snapshot's delete
+        // list (equal after an INSERT, one short after a DELETE), none
+        // otherwise (compaction rewrote the list).
+        let reusable = cached.as_ref().filter(|c| {
+            c.delete_files.len() <= snapshot.deletes.len()
+                && c.delete_files
+                    .iter()
+                    .zip(&snapshot.deletes)
+                    .all(|(stamp, (_, path))| stamp.0 == *path && holds(stamp))
+        });
+        let (mut delete_files, mut deletes) = match reusable {
+            Some(c) => (c.delete_files.clone(), Arc::clone(&c.deletes)),
+            None => (Vec::new(), Arc::new(DeleteSet::default())),
+        };
+        let missing = &snapshot.deletes[delete_files.len()..];
+        if !missing.is_empty() {
+            delete_files.extend(load_delete_files(
+                dfs,
+                missing,
+                Arc::make_mut(&mut deletes),
+            )?);
+        }
+
+        let outcome = if fresh.is_some() && missing.is_empty() {
+            "acid.snapshot.cache_hits"
+        } else {
+            if let Some(manifest) = manifest {
+                self.pins.lock().insert(
+                    info.location.clone(),
+                    Arc::new(CachedPin {
+                        manifest,
+                        snapshot: Arc::clone(&snapshot),
+                        delete_files,
+                        deletes: Arc::clone(&deletes),
+                    }),
+                );
+            }
+            "acid.snapshot.loads"
+        };
+        self.metrics
+            .counter_with(outcome, &[("table", &info.name)])
+            .inc();
+        Ok(Some(PinnedSnapshot { snapshot, deletes }))
+    }
 }
 
 impl Catalog for Metastore {
     fn table(&self, name: &str) -> Option<TableMeta> {
         let info = self.get(name)?;
-        if let Ok(Some(snap)) = load_snapshot(&self.dfs, &info.location) {
+        // The second pin attempt rides out a first-touch injected read
+        // fault, same as a task retry would.
+        let pinned = self
+            .pin_snapshot(&self.dfs, &info)
+            .or_else(|_| self.pin_snapshot(&self.dfs, &info))
+            .ok()?;
+        if let Some(PinnedSnapshot { snapshot, deletes }) = pinned {
             // ACID table: the manifest, not the directory listing, decides
             // which files a reader sees. Pin this snapshot here — every
             // job the plan produces scans exactly these files with exactly
-            // this delete mask, whatever commits land meanwhile. The
-            // second load attempt rides out a first-touch injected read
-            // fault, same as a task retry would.
-            let deletes = load_delete_set(&self.dfs, &snap)
-                .or_else(|_| load_delete_set(&self.dfs, &snap))
-                .ok()?;
-            let paths = snap.scan_paths();
+            // this delete mask, whatever commits land meanwhile.
+            let paths = snapshot.scan_paths();
             let size_bytes = paths.iter().map(|p| self.dfs.len(p).unwrap_or(0)).sum();
             // A base-only, delete-free snapshot (fresh after a major
             // compaction) needs no merge-on-read: scans of it get the full
             // vectorized + SARG path back, same as a plain table.
-            let acid = (!snap.deltas.is_empty() || !deletes.is_empty()).then(|| AcidOverlay {
-                snapshot_gen: snap.version,
-                delta_paths: snap.deltas.iter().map(|(_, p)| p.clone()).collect(),
-                deletes: std::sync::Arc::new(deletes),
+            let acid = (!snapshot.deltas.is_empty() || !deletes.is_empty()).then(|| AcidOverlay {
+                snapshot_gen: snapshot.version,
+                delta_paths: snapshot.deltas.iter().map(|(_, p)| p.clone()).collect(),
+                deletes,
             });
             return Some(TableMeta {
                 name: info.name.clone(),
@@ -166,7 +277,7 @@ mod tests {
     #[test]
     fn create_get_drop() {
         let dfs = Dfs::with_defaults();
-        let ms = Metastore::new(dfs.clone());
+        let ms = Metastore::new(dfs.clone(), MetricsRegistry::new());
         let schema = Schema::parse(&[("a", "bigint")]).unwrap();
         ms.create_table("T1", schema.clone(), FormatKind::Orc)
             .unwrap();
@@ -188,7 +299,7 @@ mod tests {
     #[test]
     fn catalog_view() {
         let dfs = Dfs::with_defaults();
-        let ms = Metastore::new(dfs);
+        let ms = Metastore::new(dfs, MetricsRegistry::new());
         ms.create_table(
             "x",
             Schema::parse(&[("a", "bigint")]).unwrap(),

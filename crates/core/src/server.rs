@@ -84,7 +84,7 @@ impl HiveServer {
         // the shared cache (0 = bypass); they never resize it, so
         // concurrent statements cannot clobber each other's budget.
         dfs.set_cache_capacity(defaults.get_i64(keys::IO_CACHE_BYTES)? as u64);
-        let metastore = Metastore::new(dfs.clone());
+        let metastore = Metastore::new(dfs.clone(), metrics.clone());
         Ok(HiveServer {
             inner: Arc::new(ServerInner {
                 dfs,

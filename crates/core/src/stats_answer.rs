@@ -53,7 +53,7 @@ pub fn try_answer(
     // ACID tables must answer through merge-on-read: footer statistics are
     // per-file, blind to delete masks, and the raw listing they would be
     // merged over is not the manifest's view of the table.
-    if hive_formats::delta::load_snapshot(dfs, &info.location)?.is_some() {
+    if metastore.pin_snapshot(dfs, &info)?.is_some() {
         return Ok(None);
     }
 

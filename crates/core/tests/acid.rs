@@ -496,3 +496,326 @@ fn text_tables_support_the_full_dml_surface() {
     hive.execute("ALTER TABLE t COMPACT 'major'").unwrap();
     assert_eq!(count(&mut hive), 10);
 }
+
+// ---------------------------------------------------------------------------
+// Snapshot pinning: the metastore keeps the last decoded snapshot and
+// delete set per table, reusable while the files they came from keep their
+// DFS stamps. These tests are that cache's invalidation argument.
+
+/// Result rows of a `SELECT k, v` as sorted `(k, v)` pairs.
+fn to_pairs(rows: Vec<Row>) -> Vec<(i64, i64)> {
+    let mut out: Vec<(i64, i64)> = rows
+        .iter()
+        .map(|r| match (&r[0], &r[1]) {
+            (Value::Int(k), Value::Int(v)) => (*k, *v),
+            other => panic!("unexpected row {other:?}"),
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+fn pairs(server: &hive_core::HiveServer) -> Vec<(i64, i64)> {
+    to_pairs(server.execute("SELECT k, v FROM t").unwrap().rows)
+}
+
+fn base_pairs() -> Vec<(i64, i64)> {
+    let mut out: Vec<(i64, i64)> = (0..30).map(|i| (i % 6, i)).collect();
+    out.sort_unstable();
+    out
+}
+
+fn snapshot_counters(server: &hive_core::HiveServer) -> (u64, u64) {
+    let s = server.metrics().snapshot();
+    let of = |name| s.counter(name, &[("table", "t")]).unwrap_or(0);
+    (of("acid.snapshot.loads"), of("acid.snapshot.cache_hits"))
+}
+
+/// (a) Every commit and every compaction is visible to the very next
+/// statement of *another* session on the same server, whose previous read
+/// left the cache warm.
+#[test]
+fn commits_are_visible_to_the_next_statement_of_another_session() {
+    let mut writer = acid_session();
+    let server = writer.server().clone();
+    let mut reader = server.new_session();
+    let mut model = base_pairs();
+    let mut read = |want: &[(i64, i64)], after: &str| {
+        let got = to_pairs(reader.execute("SELECT k, v FROM t").unwrap().rows);
+        assert_eq!(got, want, "other session's read after {after}");
+    };
+    read(&model, "load");
+    for step in 0..12i64 {
+        writer
+            .execute(&format!("INSERT INTO t VALUES ({}, {step})", 100 + step))
+            .unwrap();
+        model.push((100 + step, step));
+        model.sort_unstable();
+        read(&model, "INSERT");
+        read(&model, "a second, cache-served read");
+
+        writer
+            .execute(&format!("UPDATE t SET v = v + 1000 WHERE k = {}", step % 6))
+            .unwrap();
+        for p in model.iter_mut().filter(|p| p.0 == step % 6) {
+            p.1 += 1000;
+        }
+        model.sort_unstable();
+        read(&model, "UPDATE");
+
+        writer
+            .execute(&format!("DELETE FROM t WHERE k = {}", 100 + step - 1))
+            .unwrap();
+        model.retain(|p| p.0 != 100 + step - 1);
+        read(&model, "DELETE");
+
+        if step % 4 == 1 {
+            writer.execute("ALTER TABLE t COMPACT 'minor'").unwrap();
+            read(&model, "minor compaction");
+        }
+        if step % 4 == 3 {
+            writer.execute("ALTER TABLE t COMPACT 'major'").unwrap();
+            read(&model, "major compaction");
+        }
+    }
+}
+
+/// Observability: one load per commit, hits after it — and nothing at all
+/// registered for a server that never resolved an ACID table.
+#[test]
+fn a_select_burst_between_commits_is_one_load_then_hits() {
+    let mut hive = acid_session();
+    let server = hive.server().clone();
+    assert_eq!(count(&mut hive), 30);
+    assert!(
+        !server
+            .metrics()
+            .snapshot()
+            .counters
+            .keys()
+            .any(|k| k.render().starts_with("acid.snapshot.")),
+        "a plain-table statement registered acid.snapshot.*"
+    );
+
+    hive.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    let (loads, hits) = snapshot_counters(&server);
+    for _ in 0..10 {
+        assert_eq!(count(&mut hive), 31);
+    }
+    let (loads_after, hits_after) = snapshot_counters(&server);
+    assert_eq!(
+        (loads_after - loads, hits_after - hits),
+        (1, 9),
+        "10 SELECTs after one commit"
+    );
+
+    // The next commit's own pin is still a hit; the read after it loads.
+    hive.execute("DELETE FROM t WHERE k = 100").unwrap();
+    assert_eq!(count(&mut hive), 30);
+    assert_eq!(count(&mut hive), 30);
+    let (loads_end, hits_end) = snapshot_counters(&server);
+    assert_eq!((loads_end - loads_after, hits_end - hits_after), (1, 2));
+}
+
+/// (b) Tampering with a file the cache was built from moves its DFS
+/// generation, so the very next statement behaves exactly as an uncached
+/// one: a corrupt manifest is skipped and the older one governs, a corrupt
+/// delete file is an error — never the cached copy.
+#[test]
+fn tampered_files_are_never_served_from_the_cache() {
+    let hive = acid_session();
+    let server = hive.server().clone();
+    let dfs = server.dfs();
+    server.execute("DELETE FROM t WHERE k = 0").unwrap();
+    let before = pairs(&server);
+    server.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    let after = pairs(&server);
+    assert_eq!(pairs(&server), after, "warm read");
+    let snap = load_snapshot(dfs, "/warehouse/t/").unwrap().unwrap();
+    assert_eq!((snap.version, snap.deletes.len()), (2, 1));
+
+    // Manifest 2, cached: flip a byte → manifest 1 governs; flip it back →
+    // manifest 2 again.
+    let manifest = "/warehouse/t/_manifest_0000000002";
+    dfs.corrupt_stored(manifest, 20, 0x40).unwrap();
+    assert_eq!(pairs(&server), before, "the older manifest must govern");
+    assert_eq!(pairs(&server), before);
+    dfs.corrupt_stored(manifest, 20, 0x40).unwrap();
+    assert_eq!(pairs(&server), after, "restored manifest must govern again");
+
+    // The delete file, cached: flip a byte → reads and writes fail with the
+    // DFS checksum error; flip it back → both work.
+    let delete_file = snap.deletes[0].1.as_str();
+    dfs.corrupt_stored(delete_file, 16, 0x01).unwrap();
+    assert!(server.execute("SELECT k, v FROM t").is_err());
+    let err = server.execute("DELETE FROM t WHERE k = 1").unwrap_err();
+    assert!(
+        matches!(err, hive_common::HiveError::Corrupt(_)),
+        "expected the checksum failure, got {err}"
+    );
+    dfs.corrupt_stored(delete_file, 16, 0x01).unwrap();
+    assert_eq!(pairs(&server), after);
+    server.execute("DELETE FROM t WHERE k = 1").unwrap();
+    assert!(pairs(&server).iter().all(|p| p.0 != 1));
+}
+
+/// (c) A load that dies on an injected first-touch read fault stores
+/// nothing; the retry reads the file for real and only then is there
+/// something to hit.
+#[test]
+fn a_faulted_load_leaves_no_entry_and_the_retry_succeeds() {
+    let hive = acid_session();
+    let server = hive.server().clone();
+    server.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    let after_insert = pairs(&server);
+    server.execute("DELETE FROM t WHERE k = 0").unwrap();
+    // The new manifest reaches the block cache (reads served from there
+    // are past fault injection); the new delete file has never been read.
+    load_snapshot(server.dfs(), "/warehouse/t/")
+        .unwrap()
+        .unwrap();
+
+    let conf = hive_common::HiveConf::new()
+        .with("dfs.fault.read.error.rate", "1.0")
+        .with("dfs.fault.seed", "7");
+    let faulty = server
+        .dfs()
+        .for_statement(hive_dfs::FaultPlan::from_conf(&conf).unwrap(), true);
+    let metastore = server.metastore();
+    let info = metastore.get("t").unwrap();
+    let counters = snapshot_counters(&server);
+
+    let err = metastore.pin_snapshot(&faulty, &info).unwrap_err();
+    assert!(matches!(err, hive_common::HiveError::Transient(_)), "{err}");
+    assert_eq!(
+        snapshot_counters(&server),
+        counters,
+        "a failure counts as neither"
+    );
+
+    // Same handle, second touch: the fault is spent.
+    let pinned = metastore.pin_snapshot(&faulty, &info).unwrap().unwrap();
+    assert_eq!(pinned.snapshot.version, 2);
+    assert_eq!(pinned.deletes.len(), 5);
+    assert_eq!(
+        snapshot_counters(&server),
+        (counters.0 + 1, counters.1),
+        "the retry had to load: the failed attempt stored nothing"
+    );
+    metastore.pin_snapshot(&faulty, &info).unwrap().unwrap();
+    assert_eq!(snapshot_counters(&server), (counters.0 + 1, counters.1 + 1));
+    let want: Vec<(i64, i64)> = after_insert.into_iter().filter(|p| p.0 != 0).collect();
+    assert_eq!(pairs(&server), want);
+}
+
+/// (d) Dropping a table evicts its pin, and a same-named table re-created
+/// over the same paths (`_manifest_0000000001`, `delete_0000000002`) gets
+/// fresh DFS generations anyway: the old snapshot is unreachable twice
+/// over.
+#[test]
+fn a_recreated_table_never_sees_the_dropped_tables_pin() {
+    let mut hive = acid_session();
+    let server = hive.server().clone();
+    hive.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    hive.execute("DELETE FROM t WHERE k < 3").unwrap();
+    assert_eq!(pairs(&server).len(), 16);
+
+    assert!(server.metastore().drop_table("t"));
+    assert!(server.execute("SELECT k, v FROM t").is_err());
+    hive.execute("CREATE TABLE t (k BIGINT, v BIGINT) STORED AS orc")
+        .unwrap();
+    hive.load_rows(
+        "t",
+        (0..4).map(|i| Row::new(vec![Value::Int(i), Value::Int(-i)])),
+    )
+    .unwrap();
+    assert_eq!(pairs(&server), vec![(0, 0), (1, -1), (2, -2), (3, -3)]);
+    hive.execute("INSERT INTO t VALUES (7, 7)").unwrap();
+    assert_eq!(pairs(&server).len(), 5);
+    hive.execute("DELETE FROM t WHERE k = 2").unwrap();
+    assert_eq!(pairs(&server), vec![(0, 0), (1, -1), (3, -3), (7, 7)]);
+}
+
+/// (e) Four readers against one writer for 200 commits: every read is the
+/// model at *some* committed version — a stale pin would be an old version
+/// (allowed only while it is current), a torn one a hybrid (never).
+#[test]
+fn concurrent_reads_always_equal_some_committed_version() {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier, Mutex};
+
+    let hive = acid_session();
+    let server = hive.server().clone();
+    // Every state the table has ever committed, published *before* the
+    // statement that commits it runs (a reader may see it any time after).
+    let versions = Arc::new(Mutex::new(BTreeSet::from([base_pairs()])));
+    let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(5));
+
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let (server, versions, done, start) = (
+                server.clone(),
+                Arc::clone(&versions),
+                Arc::clone(&done),
+                Arc::clone(&start),
+            );
+            std::thread::spawn(move || {
+                start.wait();
+                let mut reads = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    let got = pairs(&server);
+                    assert!(
+                        versions.lock().unwrap().contains(&got),
+                        "read {reads} matches no committed version: {got:?}"
+                    );
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+
+    start.wait();
+    let mut model = base_pairs();
+    let commit = |sql: String, model: &Vec<(i64, i64)>| {
+        versions.lock().unwrap().insert(model.clone());
+        server.execute(&sql).unwrap();
+    };
+    for i in 0..200i64 {
+        match i % 5 {
+            0..=2 => {
+                model.push((1000 + i, i));
+                model.sort_unstable();
+                commit(format!("INSERT INTO t VALUES ({}, {i})", 1000 + i), &model);
+            }
+            3 => {
+                for p in model.iter_mut().filter(|p| p.0 == 1000 + i - 1) {
+                    p.1 += 5000;
+                }
+                model.sort_unstable();
+                commit(
+                    format!("UPDATE t SET v = v + 5000 WHERE k = {}", 1000 + i - 1),
+                    &model,
+                );
+            }
+            _ => {
+                model.retain(|p| p.0 != 1000 + i - 4);
+                commit(format!("DELETE FROM t WHERE k = {}", 1000 + i - 4), &model);
+            }
+        }
+        if i % 40 == 39 {
+            let mode = if i % 80 == 39 { "minor" } else { "major" };
+            commit(format!("ALTER TABLE t COMPACT '{mode}'"), &model);
+        }
+    }
+    done.store(true, Ordering::SeqCst);
+    let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(reads > 0);
+    assert_eq!(pairs(&server), model);
+    let snap = load_snapshot(server.dfs(), "/warehouse/t/")
+        .unwrap()
+        .unwrap();
+    assert_eq!(snap.version, 205, "200 DML commits + 5 compactions");
+}

@@ -188,6 +188,80 @@ fn kill_anywhere_during_compaction_is_never_visible() {
     }
 }
 
+/// The two matrices above start every cell on a fresh server, so the
+/// metastore's snapshot pins are always cold. This runs both on ONE
+/// long-lived server, twice back to back: every crash lands on a table
+/// whose pin is warm from the statements before it, and the second pass
+/// starts on the cache the first one left. A twin server that executes
+/// exactly the statements that committed is the old-or-new reference.
+#[test]
+fn crash_matrices_hold_twice_over_on_one_warm_server() {
+    let crashy = seeded_with_history();
+    let twin = seeded_with_history();
+    let (server, reference) = (crashy.server().clone(), twin.server().clone());
+    let in_step = |when: &str| {
+        let visible = select_all(&crashy);
+        assert_eq!(
+            visible,
+            select_all(&twin),
+            "{when}: visible rows are neither old nor new snapshot"
+        );
+        assert_eq!(select_all(&crashy), visible, "{when}: cache-served re-read");
+    };
+    for pass in 0..2 {
+        for (idx, &point) in WRITER_CRASH_POINTS.iter().enumerate() {
+            // Fresh keys per cell, so every op changes the table.
+            let k = 900 + pass * WRITER_CRASH_POINTS.len() + idx;
+            for op in [
+                format!("INSERT INTO t VALUES ({k}, 1), ({k}, 2)"),
+                "UPDATE t SET v = v + 1000 WHERE k = 3".to_string(),
+                format!("DELETE FROM t WHERE k = {k}"),
+            ] {
+                let when = format!("pass {pass}: {op} killed at {point}");
+                let committed = match server.execute_with(&op, &[("hive.txn.crash.point", point)]) {
+                    Ok(_) => true,
+                    Err(e) => {
+                        assert!(matches!(e, HiveError::Crashed(_)), "{when}: {e}");
+                        point == "writer.after.manifest.rename"
+                    }
+                };
+                if committed {
+                    reference.execute(&op).unwrap();
+                }
+                in_step(&when);
+                // "Restart": the retry (or any later statement) recovers.
+                if committed {
+                    server.execute("DELETE FROM t WHERE k < 0").unwrap();
+                } else {
+                    server.execute(&op).unwrap();
+                    reference.execute(&op).unwrap();
+                }
+                in_step(&format!("{when}, after restart"));
+                assert!(server.dfs().list("/tmp/txn/").is_empty(), "{when}");
+            }
+        }
+        for mode in ["minor", "major"] {
+            let sql = format!("ALTER TABLE t COMPACT '{mode}'");
+            for &point in COMPACTOR_CRASH_POINTS {
+                let when = format!("pass {pass}: {mode} compaction killed at {point}");
+                // Something to fold, so no cell is the nothing-to-do path.
+                for srv in [&server, &reference] {
+                    srv.execute("INSERT INTO t VALUES (2, 901)").unwrap();
+                    srv.execute("DELETE FROM t WHERE k = 2").unwrap();
+                }
+                match server.execute_with(&sql, &[("hive.txn.crash.point", point)]) {
+                    Ok(_) => {}
+                    Err(e) => assert!(matches!(e, HiveError::Crashed(_)), "{when}: {e}"),
+                }
+                in_step(&when);
+                server.execute(&sql).unwrap();
+                in_step(&format!("{when}, after a clean retry"));
+                assert!(server.dfs().list("/tmp/txn/").is_empty(), "{when}");
+            }
+        }
+    }
+}
+
 /// A lost rename acknowledgement (the rename happened, the reply didn't)
 /// must not abort the commit, and must never double-apply it.
 #[test]

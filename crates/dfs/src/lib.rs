@@ -24,6 +24,7 @@ pub use stats::{IoScope, IoScopeGuard, IoSnapshot, IoStats};
 use hive_common::{HiveError, Result};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -500,22 +501,14 @@ impl Dfs {
 
     /// All paths with the given prefix, sorted (used to list a "directory").
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner
-            .files
-            .read()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect()
+        let files = self.inner.files.read();
+        under(&files, prefix).map(|(k, _)| k.clone()).collect()
     }
 
     /// Total bytes under a path prefix.
     pub fn size_of(&self, prefix: &str) -> u64 {
-        self.inner
-            .files
-            .read()
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
+        let files = self.inner.files.read();
+        under(&files, prefix)
             .map(|(_, f)| f.data.len() as u64)
             .sum()
     }
@@ -658,6 +651,19 @@ impl Dfs {
         self.inner.cache.invalidate_path(&path, generation);
         self.bump_data_gen(&path);
     }
+}
+
+/// The namespace entries whose path starts with `prefix`. Paths sharing a
+/// prefix are contiguous in the ordered map, so this seeks to the first
+/// and stops at the first that does not match: O(log n + matches), where
+/// filtering every key is O(n) in a namespace that only grows.
+fn under<'a>(
+    files: &'a BTreeMap<String, Arc<FileEntry>>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a String, &'a Arc<FileEntry>)> {
+    files
+        .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(k, _)| k.starts_with(prefix))
 }
 
 fn block_for(f: &FileEntry, offset: u64) -> Option<&BlockInfo> {
@@ -1578,6 +1584,57 @@ mod tests {
         assert!(fs.exists("/t/iso-clean"), "faulted rename moved nothing");
         clean.rename("/t/iso-clean", "/t/moved").unwrap();
         assert!(fs.exists("/t/moved"));
+    }
+
+    #[test]
+    fn listing_seeks_to_the_prefix_and_matches_a_full_filter() {
+        let fs = small_fs();
+        for (i, p) in [
+            "/a",
+            "/w/t",
+            "/w/t/_manifest_0000000001",
+            "/w/t/_manifest_0000000002",
+            "/w/t/delta_0000000001",
+            "/w/t/part-00000",
+            "/w/t0",
+            "/w/t2/part-00000",
+            "/w/t\u{ff}/x",
+            "/w/u/part-00000",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut w = fs.create(p);
+            w.write(&vec![0u8; i + 1]);
+            w.close();
+        }
+        let all = fs.list("");
+        assert_eq!(all.len(), 10);
+        for prefix in [
+            "",
+            "/",
+            "/w/t",
+            "/w/t/",
+            "/w/t/_manifest_",
+            "/w/t/_manifest_0000000002",
+            "/w/t2/",
+            "/w/t9",
+            "/z",
+        ] {
+            let filtered: Vec<String> = all
+                .iter()
+                .filter(|k| k.starts_with(prefix))
+                .cloned()
+                .collect();
+            assert_eq!(fs.list(prefix), filtered, "list({prefix:?})");
+            let bytes: u64 = filtered.iter().map(|k| fs.len(k).unwrap()).sum();
+            assert_eq!(fs.size_of(prefix), bytes, "size_of({prefix:?})");
+        }
+        assert_eq!(
+            fs.list("/w/t/").len(),
+            4,
+            "siblings /w/t, /w/t0, /w/t2/ stay out"
+        );
     }
 
     #[test]

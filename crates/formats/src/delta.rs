@@ -17,7 +17,7 @@
 
 use hive_common::{HiveError, Result};
 use hive_dfs::{crc, Dfs};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Basename prefix of snapshot manifests: `_manifest_<version>`.
@@ -180,6 +180,16 @@ pub fn manifest_path(location: &str, version: u64) -> String {
 /// that fail to parse or CRC-verify are skipped — a torn manifest never
 /// happened; the previous one still defines the table.
 pub fn load_snapshot(dfs: &Dfs, location: &str) -> Result<Option<TableSnapshot>> {
+    Ok(load_snapshot_stamped(dfs, location)?.map(|(snap, _)| snap))
+}
+
+/// A file as one load saw it: its path and the DFS generation of the bytes
+/// that were read. The DFS bumps a path's generation on every publish,
+/// rename-over, or tamper, so an unchanged stamp means unchanged bytes.
+pub type FileStamp = (String, u64);
+
+/// Manifest paths under `location`, newest version first.
+pub fn list_manifests(dfs: &Dfs, location: &str) -> Vec<String> {
     let prefix = format!("{location}{MANIFEST_PREFIX}");
     let mut versions: Vec<(u64, String)> = dfs
         .list(&prefix)
@@ -191,13 +201,26 @@ pub fn load_snapshot(dfs: &Dfs, location: &str) -> Result<Option<TableSnapshot>>
         })
         .collect();
     versions.sort_unstable_by_key(|v| std::cmp::Reverse(v.0));
-    for (_, path) in versions {
+    versions.into_iter().map(|(_, p)| p).collect()
+}
+
+/// [`load_snapshot`], plus the governing manifest's stamp when that
+/// manifest is the newest one listed. Only then is the snapshot a function
+/// of that one file, reusable for as long as the head of
+/// [`list_manifests`] carries the same stamp; after a skip the stamp is
+/// `None`, because the skipped manifest may read fine next time.
+pub fn load_snapshot_stamped(
+    dfs: &Dfs,
+    location: &str,
+) -> Result<Option<(TableSnapshot, Option<FileStamp>)>> {
+    for (skipped, path) in list_manifests(dfs, location).into_iter().enumerate() {
         let mut reader = dfs.open(&path, None)?;
+        let generation = reader.generation();
         let Ok(bytes) = reader.read_all() else {
             continue; // tampered manifest: skip, an older one governs
         };
         if let Ok(snap) = TableSnapshot::decode(&bytes) {
-            return Ok(Some(snap));
+            return Ok(Some((snap, (skipped == 0).then_some((path, generation)))));
         }
     }
     Ok(None)
@@ -259,53 +282,98 @@ pub fn decode_delete_file(bytes: &[u8]) -> Result<Vec<DeleteKey>> {
 }
 
 /// The union of a snapshot's delete files: which `(path, ordinal)` rows
-/// the merge-on-read scan must mask.
+/// the merge-on-read scan must mask. Indexed by path — one sorted,
+/// deduplicated ordinal list per data file — so a scan resolves its file's
+/// slice once ([`DeleteSet::for_path`]) and every probe after that is a
+/// binary search over plain `u64`s.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DeleteSet {
-    keys: BTreeSet<DeleteKey>,
+    /// No entry is empty: a path appears once it has a masked row.
+    by_path: BTreeMap<String, Vec<u64>>,
 }
 
 impl DeleteSet {
-    pub fn insert(&mut self, path: String, ordinal: u64) {
-        self.keys.insert((path, ordinal));
+    /// Masked ordinals of `path`, ascending; empty for an unmasked file.
+    pub fn for_path(&self, path: &str) -> &[u64] {
+        self.by_path.get(path).map_or(&[], Vec::as_slice)
     }
 
     pub fn contains(&self, path: &str, ordinal: u64) -> bool {
-        self.keys.contains(&(path.to_string(), ordinal))
+        self.for_path(path).binary_search(&ordinal).is_ok()
     }
 
     /// Deleted ordinals of `path` inside `[start, start + len)`, ascending.
     /// One ranged probe per batch run keeps selected[]-level masking
     /// O(log n + hits) instead of O(batch size) point lookups.
     pub fn masked_in(&self, path: &str, start: u64, len: u64) -> impl Iterator<Item = u64> + '_ {
-        let lo = (path.to_string(), start);
-        let hi = (path.to_string(), start.saturating_add(len));
-        self.keys.range(lo..hi).map(|(_, ord)| *ord)
+        ordinals_in(self.for_path(path), start, len).iter().copied()
     }
 
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.by_path.values().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.by_path.is_empty()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &DeleteKey> {
-        self.keys.iter()
+    /// Every key, ordered by path then ordinal.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.by_path
+            .iter()
+            .flat_map(|(path, ords)| ords.iter().map(move |&o| (path.as_str(), o)))
     }
 }
 
-/// Read and union every delete file of `snapshot`.
-pub fn load_delete_set(dfs: &Dfs, snapshot: &TableSnapshot) -> Result<DeleteSet> {
-    let mut set = DeleteSet::default();
-    for (_, path) in &snapshot.deletes {
-        let bytes = dfs.open(path, None)?.read_all()?;
-        for (file, ordinal) in decode_delete_file(&bytes)? {
-            set.insert(file, ordinal);
+impl Extend<DeleteKey> for DeleteSet {
+    /// Union `keys` in. Only the ordinal lists of the paths `keys` names
+    /// are re-sorted, so folding one more delete file into a copy of the
+    /// set costs that file's keys, not the whole set's.
+    fn extend<I: IntoIterator<Item = DeleteKey>>(&mut self, keys: I) {
+        let mut added: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        for (path, ordinal) in keys {
+            added.entry(path).or_default().push(ordinal);
+        }
+        for (path, mut ords) in added {
+            let list = self.by_path.entry(path).or_default();
+            list.append(&mut ords);
+            list.sort_unstable();
+            list.dedup();
         }
     }
-    Ok(set)
+}
+
+impl FromIterator<DeleteKey> for DeleteSet {
+    fn from_iter<I: IntoIterator<Item = DeleteKey>>(keys: I) -> DeleteSet {
+        let mut set = DeleteSet::default();
+        set.extend(keys);
+        set
+    }
+}
+
+/// The part of an ascending ordinal list inside `[start, start + len)`.
+pub fn ordinals_in(ordinals: &[u64], start: u64, len: u64) -> &[u64] {
+    let end = start.saturating_add(len);
+    let lo = ordinals.partition_point(|&o| o < start);
+    let hi = lo + ordinals[lo..].partition_point(|&o| o < end);
+    &ordinals[lo..hi]
+}
+
+/// Read and CRC-verify the delete files `files` names, folding their keys
+/// into `set`. Returns each file's stamp, in order.
+pub fn load_delete_files(
+    dfs: &Dfs,
+    files: &[(u64, String)],
+    set: &mut DeleteSet,
+) -> Result<Vec<FileStamp>> {
+    let mut stamps = Vec::with_capacity(files.len());
+    for (_, path) in files {
+        let mut reader = dfs.open(path, None)?;
+        let generation = reader.generation();
+        set.extend(decode_delete_file(&reader.read_all()?)?);
+        stamps.push((path.clone(), generation));
+    }
+    Ok(stamps)
 }
 
 /// The merge-on-read overlay a planner attaches to an ACID table's scan:
@@ -405,6 +473,18 @@ mod tests {
         let loaded = load_snapshot(&dfs, "/w/t/").unwrap().unwrap();
         assert_eq!(loaded.version, 2, "torn manifest 3 must be invisible");
         assert!(load_snapshot(&dfs, "/w/empty/").unwrap().is_none());
+
+        // A walk that skipped a manifest vouches for nothing; one whose
+        // newest listed manifest governs is stamped with that file.
+        let (_, stamp) = load_snapshot_stamped(&dfs, "/w/t/").unwrap().unwrap();
+        assert_eq!(stamp, None);
+        dfs.delete(&manifest_path("/w/t/", 3));
+        let (snap2, stamp) = load_snapshot_stamped(&dfs, "/w/t/").unwrap().unwrap();
+        let newest = manifest_path("/w/t/", 2);
+        assert_eq!(snap2.version, 2);
+        assert_eq!(list_manifests(&dfs, "/w/t/")[0], newest);
+        let generation = dfs.generation(&newest).unwrap();
+        assert_eq!(stamp, Some((newest, generation)));
     }
 
     #[test]
@@ -421,9 +501,15 @@ mod tests {
         let mut w = dfs.create("/w/t/delete_6");
         w.write(&encode_delete_file(&keys));
         w.close();
-        let mut s = snap();
-        s.deletes = vec![(6, "/w/t/delete_6".into())];
-        let set = load_delete_set(&dfs, &s).unwrap();
+        let mut set = DeleteSet::default();
+        let stamps = load_delete_files(&dfs, &snap().deletes, &mut set).unwrap();
+        assert_eq!(
+            stamps,
+            vec![(
+                "/w/t/delete_6".to_string(),
+                dfs.generation("/w/t/delete_6").unwrap()
+            )]
+        );
         assert_eq!(set.len(), 2);
         assert!(set.contains("/w/t/part-00000", 4));
         assert!(!set.contains("/w/t/part-00000", 5));

@@ -5,6 +5,7 @@ use crate::job::{JobInput, JobOutput, JobSpec, ReducePipelineFactory, SideInput}
 use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row, Value};
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_exec::graph::{Message, ShuffleRecord};
+use hive_formats::delta::ordinals_in;
 use hive_formats::{open_reader, ReadOptions, TableWriter};
 use hive_obs::profile::merge_profiles;
 use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
@@ -912,6 +913,9 @@ impl MrEngine {
 
             let overlay = split.input.overlay.as_ref();
             let in_delta = overlay.is_some_and(|o| o.is_delta(&split.path));
+            // Masked ordinals of this split's file, resolved once: every
+            // probe below is a binary search in this slice.
+            let masked = overlay.map(|o| o.deletes.for_path(&split.path));
             match pipeline.vector.get(&split.input.alias) {
                 Some(stage) => {
                     // Batch-native scan path (paper Section 6.5): reader
@@ -932,15 +936,13 @@ impl MrEngine {
                         let more = reader.next_batch(&mut batch)?;
                         if batch.size > 0 {
                             batches_read += 1;
-                            if let Some(o) = overlay {
+                            if let Some(masked) = masked {
                                 // Physical ordinal runs of this batch: the
                                 // reader's skip-aware runs when it tracks
                                 // them (ORC), else sequential counting
                                 // (whole-file scans of other formats).
-                                let runs: Vec<(u64, u64)> = match reader.batch_ordinal_runs() {
-                                    Some(r) => r.to_vec(),
-                                    None => vec![(seq_ord, batch.size as u64)],
-                                };
+                                let sequential = [(seq_ord, batch.size as u64)];
+                                let runs = reader.batch_ordinal_runs().unwrap_or(&sequential);
                                 debug_assert_eq!(
                                     runs.iter().map(|r| r.1).sum::<u64>(),
                                     batch.size as u64,
@@ -949,10 +951,10 @@ impl MrEngine {
                                 seq_ord += batch.size as u64;
                                 let mut drop: Vec<usize> = Vec::new();
                                 let mut base = 0usize;
-                                for (start, len) in runs {
+                                for &(start, len) in runs {
                                     drop.extend(
-                                        o.deletes
-                                            .masked_in(&split.path, start, len)
+                                        ordinals_in(masked, start, len)
+                                            .iter()
                                             .map(|ord| base + (ord - start) as usize),
                                     );
                                     base += len as usize;
@@ -998,10 +1000,10 @@ impl MrEngine {
                     // overlay). Masked rows never enter the graph.
                     let mut seq_ord = 0u64;
                     while let Some(row) = reader.next_row()? {
-                        if let Some(o) = overlay {
+                        if let Some(masked) = masked {
                             let ord = reader.last_row_ordinal().unwrap_or(seq_ord);
                             seq_ord += 1;
-                            if o.deletes.contains(&split.path, ord) {
+                            if masked.binary_search(&ord).is_ok() {
                                 rows_masked += 1;
                                 continue;
                             }

@@ -2,6 +2,8 @@
 
 use hive_common::Schema;
 use hive_formats::{AcidOverlay, FormatKind};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Everything the planner needs to know about a table.
 #[derive(Debug, Clone)]
@@ -22,6 +24,35 @@ pub struct TableMeta {
 /// Resolution of table names, implemented by the metastore.
 pub trait Catalog {
     fn table(&self, name: &str) -> Option<TableMeta>;
+}
+
+/// One statement's view of a catalog: each table name is resolved against
+/// the wrapped catalog at most once and every later lookup — by any
+/// planner pass, for any alias — gets that same answer. A catalog whose
+/// tables move between calls (the metastore pins whatever ACID snapshot is
+/// newest) therefore cannot hand one statement two snapshots of a table.
+pub struct PinnedCatalog<'a> {
+    inner: &'a dyn Catalog,
+    pinned: RefCell<BTreeMap<String, Option<TableMeta>>>,
+}
+
+impl<'a> PinnedCatalog<'a> {
+    pub fn new(inner: &'a dyn Catalog) -> PinnedCatalog<'a> {
+        PinnedCatalog {
+            inner,
+            pinned: RefCell::default(),
+        }
+    }
+}
+
+impl Catalog for PinnedCatalog<'_> {
+    fn table(&self, name: &str) -> Option<TableMeta> {
+        self.pinned
+            .borrow_mut()
+            .entry(name.to_ascii_lowercase())
+            .or_insert_with(|| self.inner.table(name))
+            .clone()
+    }
 }
 
 /// An in-memory catalog for tests.

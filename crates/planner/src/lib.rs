@@ -31,7 +31,7 @@ pub mod plan;
 pub mod semantic;
 pub mod vectorize;
 
-pub use catalog::{Catalog, TableMeta};
+pub use catalog::{Catalog, PinnedCatalog, TableMeta};
 pub use compile::{compile, CompiledQuery};
 pub use plan::{AggCall, PlanGraph, PlanNode, PlanOp};
 pub use semantic::{translate, Translation};
@@ -45,6 +45,9 @@ pub fn plan_query(
     catalog: &dyn Catalog,
     conf: &HiveConf,
 ) -> Result<CompiledQuery> {
+    // One resolution per table for the whole statement: join reordering
+    // and translation must agree on sizes, files and ACID snapshot.
+    let catalog = &PinnedCatalog::new(catalog);
     let stmt = if conf.get_bool(hive_common::config::keys::CBO_ENABLE)? {
         let mut reordered = stmt.clone();
         cbo::reorder_joins(&mut reordered, catalog);
@@ -52,7 +55,7 @@ pub fn plan_query(
     } else {
         std::borrow::Cow::Borrowed(stmt)
     };
-    let mut t = translate(&stmt, catalog, conf)?;
+    let mut t = semantic::translate_pinned(&stmt, catalog, conf)?;
     if conf.get_bool(hive_common::config::keys::AUTO_CONVERT_JOIN)? {
         mapjoin::convert_map_joins(&mut t.graph, conf)?;
     }

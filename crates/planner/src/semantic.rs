@@ -5,7 +5,7 @@
 //! storage-level PPD), ReduceSink insertion for joins and aggregations, and
 //! the map-side/reduce-side aggregation split.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, PinnedCatalog};
 use crate::plan::{
     agg_output_type, expr_type, AggCall, ColumnInfo, GroupByPhase, PlanGraph, PlanOp,
 };
@@ -74,6 +74,17 @@ impl Rel {
 
 /// Translate a SELECT into an operator DAG ending in a FileSink.
 pub fn translate(stmt: &SelectStmt, catalog: &dyn Catalog, conf: &HiveConf) -> Result<Translation> {
+    translate_pinned(stmt, &PinnedCatalog::new(catalog), conf)
+}
+
+/// [`translate`] against a catalog the caller already pinned. The passes
+/// below look tables up by name, some once per column reference; the pin
+/// makes that one catalog resolution per table.
+pub(crate) fn translate_pinned(
+    stmt: &SelectStmt,
+    catalog: &PinnedCatalog<'_>,
+    conf: &HiveConf,
+) -> Result<Translation> {
     let mut g = PlanGraph::default();
     let (rel, order_by, limit, names) = plan_select(&mut g, stmt, catalog, conf)?;
     let schema = rel.schema();
