@@ -19,6 +19,11 @@ cargo test -q --workspace --offline
 # driver. Output goes to benchmark/target (git-ignored).
 echo "==> benchmark package builds against the engine"
 cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+# The benchmark sets knobs *by string*, so a removed key compiles and only
+# fails at run time: its own tests (unit tests + a --quick smoke run of
+# every workload) catch that here, not in the driver.
+echo "==> benchmark package tests (knobs it sets by name still exist)"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 # Chaos gate: end-to-end queries under randomized-but-replayable DFS fault
 # plans (the proptest shim seeds from the test name, so this is a fixed
@@ -60,7 +65,8 @@ diff target/metrics-1.json results/metrics-snapshot.json
 
 # Join-bench gate: a tiny-scale run of the map-join benchmark must plan the
 # vectorized operator, emit schema-valid BENCH_joins.json, and show the
-# vectorized join's measured CPU below row mode's (--check exits non-zero
+# vectorized join's measured CPU below the row engine's
+# (hive.vectorized.execution.enabled=false; --check exits non-zero
 # otherwise).
 echo "==> vectorized map-join bench gate"
 HIVE_BENCH_SF=0.02 cargo run -q --release -p hive-bench --bin bench_joins --offline -- --check
@@ -88,7 +94,8 @@ echo "==> workload management bench gate"
 HIVE_BENCH_SF=0.02 cargo run -q --release -p hive-bench --bin bench_wm --offline -- --check
 
 # ACID gate: merge-on-read must actually read deltas and mask deletes with
-# identical accounting in batch-native and row mode, SARG index skipping
+# identical accounting in batch-native and row mode
+# (hive.vectorized.execution.enabled=false), SARG index skipping
 # must stay active under the overlay, the vectorized merge must beat the
 # row-mode merge by at least 1.3x, the merged and post-compaction answers
 # must be identical, and a major compaction must bring scan time back

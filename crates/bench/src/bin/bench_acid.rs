@@ -8,9 +8,9 @@
 //! 1. `base` — the freshly loaded table, no manifest: the full vectorized
 //!    + SARG scan path.
 //! 2. `merge_on_read_row` — after a burst of transactional churn (INSERT
-//!    deltas, an UPDATE, a DELETE), with `hive.vectorized.execution.acid.
+//!    deltas, an UPDATE, a DELETE), with `hive.vectorized.execution.
 //!    enabled=false`: base + deltas walked row at a time, deletes masked
-//!    per row — the pre-vectorization merge path.
+//!    per row — the row engine's merge path.
 //! 3. `merge_on_read_vectorized` — the same churned snapshot, batch-native:
 //!    deltas merged batch-wise, delete masks applied to the `selected[]`
 //!    lane by skip-aware file ordinal.
@@ -168,7 +168,7 @@ fn main() {
     let merged_row = run_phase(
         "merge_on_read_row",
         &server,
-        &[(keys::VECTORIZED_ACID_ENABLED, "false")],
+        &[(keys::VECTORIZED_ENABLED, "false")],
     );
     let merged = run_phase("merge_on_read_vectorized", &server, &[]);
     assert_eq!(

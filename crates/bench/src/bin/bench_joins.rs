@@ -1,7 +1,7 @@
-//! Map-join benchmark: the vectorized map-join (batch-at-a-time probing of
-//! a once-built hash table) against the row-mode map-join (per-row
-//! formatted string keys) on the same ORC data with the scan vectorized in
-//! both configurations — the join operator is the only difference.
+//! Map-join benchmark: the batch-native map-join pipeline (vectorized scan
+//! probing a once-built hash table a batch at a time) against the row
+//! engine (`hive.vectorized.execution.enabled=false`: row scan, per-row
+//! formatted string keys) on the same ORC data.
 //!
 //! Writes `results/BENCH_joins.json` (validated against
 //! `results/bench_joins.schema.json`) and, with `--check`, exits non-zero
@@ -22,13 +22,12 @@ const QUERY: &str = "SELECT customer.name, COUNT(*) AS n, SUM(orders.total) AS r
 /// so scheduler noise cannot fail the gate.
 const RUNS: usize = 3;
 
-fn join_session(vectorize_mapjoin: bool) -> HiveSession {
+fn join_session(vectorize: bool) -> HiveSession {
     let mut s = bench_session_with_block(1 << 20);
     s.set(keys::ORC_STRIPE_SIZE, format!("{}", 1 << 20));
-    s.set(keys::VECTORIZED_ENABLED, "true");
     s.set(
-        keys::VECTORIZED_MAPJOIN_ENABLED,
-        if vectorize_mapjoin { "true" } else { "false" },
+        keys::VECTORIZED_ENABLED,
+        if vectorize { "true" } else { "false" },
     );
     // Paper-shaped fact/dimension pair: sf 1.0 → 1.5M orders, 100k
     // customers (TPC-H-ish row counts), floored so tiny ci smoke scales

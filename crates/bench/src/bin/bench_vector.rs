@@ -2,7 +2,7 @@
 //! filter + group-by aggregation over ORC, run batch-native (the scan
 //! feeds `VectorizedRowBatch`es straight through VectorFilter and the
 //! fused VectorGroupBySink) against the row-at-a-time operator pipeline
-//! (`hive.vectorized.enabled=false`) on identical data.
+//! (`hive.vectorized.execution.enabled=false`) on identical data.
 //!
 //! Writes `results/BENCH_vector.json` (validated against
 //! `results/bench_vector.schema.json`) and, with `--check`, exits

@@ -158,6 +158,8 @@ impl<T: KnobValue> Knob<T> {
 /// Type-erased view of one knob for the registry table, validation, and
 /// README generation.
 pub struct KnobInfo {
+    /// Identifier of the knob's `knobs::` / `keys::` constants.
+    pub ident: &'static str,
     pub name: &'static str,
     pub type_name: &'static str,
     pub default_raw: &'static str,
@@ -219,6 +221,7 @@ macro_rules! knobs {
             pub static ALL: &[KnobInfo] = &[
                 $(
                     KnobInfo {
+                        ident: stringify!($NAME),
                         name: $key,
                         type_name: <$ty as super::KnobValue>::TYPE_NAME,
                         default_raw: $default,
@@ -254,17 +257,10 @@ knobs! {
     ORC_DICT_THRESHOLD: f64 = "hive.exec.orc.dictionary.key.size.threshold", "0.8", range(0.0, 1.0);
     /// General-purpose codec: `none`, `snappy`, or `zlib`.
     ORC_COMPRESS: String = "hive.exec.orc.default.compress", "none", values("none", "snappy", "zlib");
-    /// Compression unit size in bytes (paper default: 256 KB).
-    ORC_COMPRESS_UNIT: u64 = "hive.exec.orc.compress.unit", "262144";
     /// Pad stripes so each fits in a single DFS block (Section 4.1).
     ORC_BLOCK_PADDING: bool = "hive.exec.orc.default.block.padding", "true";
-    /// Fraction of task memory available to concurrent ORC writers
-    /// (paper: half the task memory).
-    ORC_MEMORY_POOL: f64 = "hive.exec.orc.memory.pool", "0.5", range(0.0, 1.0);
     /// Push predicates down to the storage reader (enables Fig. 10's PPD).
     OPT_PPD_STORAGE: bool = "hive.optimize.index.filter", "true";
-    /// RCFile row-group size in bytes (paper: 4 MB).
-    RCFILE_ROWGROUP_SIZE: u64 = "hive.io.rcfile.record.buffer.size", "4194304";
     /// Enable the Correlation Optimizer (Section 5.2).
     OPT_CORRELATION: bool = "hive.optimize.correlation", "true";
     /// Convert Reduce Joins to Map Joins when the small side fits.
@@ -273,55 +269,15 @@ knobs! {
     MAPJOIN_SMALLTABLE_SIZE: u64 = "hive.mapjoin.smalltable.filesize", "25000000";
     /// Merge Map-only jobs into their child job (Section 5.1).
     MERGE_MAPONLY_JOBS: bool = "hive.optimize.merge.maponly.jobs", "true";
-    /// Total-hash-table bytes threshold guarding the merge (Section 5.1).
-    MERGE_MAPONLY_THRESHOLD: u64 = "hive.auto.convert.join.noconditionaltask.size", "10000000";
-    /// Enable vectorized execution (Section 6).
+    /// Enable vectorized execution (Section 6). The one vectorization
+    /// switch: off runs every operator row-at-a-time (Fig. 12's baseline).
     VECTORIZED_ENABLED: bool = "hive.vectorized.execution.enabled", "true";
-    /// Vectorize eligible Map Joins: build the small-side hash table once,
-    /// probe it a batch at a time (inner + binary left-outer; other shapes
-    /// keep the row-mode fallback). Requires vectorized execution.
-    VECTORIZED_MAPJOIN_ENABLED: bool = "hive.vectorized.execution.mapjoin.enabled", "true";
-    /// Per-operator vectorization gates. Turning one off breaks the batch
-    /// chain at that operator: upstream stays vectorized, a single
-    /// RowBridge crosses to row mode, and everything downstream (including
-    /// otherwise-eligible operators) runs row-mode.
-    VECTORIZED_FILTER_ENABLED: bool = "hive.vectorized.execution.filter.enabled", "true";
-    /// Vectorize Select projections (see filter gate for chain semantics).
-    VECTORIZED_SELECT_ENABLED: bool = "hive.vectorized.execution.select.enabled", "true";
-    /// Vectorize map-side hash aggregation into the fused batch
-    /// aggregate-and-shuffle sink. Requires the reducesink gate.
-    VECTORIZED_GROUPBY_ENABLED: bool = "hive.vectorized.execution.groupby.enabled", "true";
-    /// Vectorize the shuffle boundary: serialize key/value pairs straight
-    /// from batches without materializing intermediate rows.
-    VECTORIZED_REDUCESINK_ENABLED: bool = "hive.vectorized.execution.reducesink.enabled", "true";
-    /// Run ACID merge-on-read scans batch-native: deltas are merged as
-    /// batches and delete masks are applied to the `selected[]` lane by
-    /// file ordinal. When off, scans of transactional tables fall back to
-    /// the row-at-a-time merge path.
-    VECTORIZED_ACID_ENABLED: bool = "hive.vectorized.execution.acid.enabled", "true";
     /// Cost-based join reordering (the paper's Section 9 outlook).
     CBO_ENABLE: bool = "hive.cbo.enable", "false";
     /// Answer COUNT/MIN/MAX/SUM-only queries from ORC file statistics
     /// without running a job (paper §4.2: file-level statistics "are also
     /// used to answer simple aggregation queries").
     COMPUTE_USING_STATS: bool = "hive.compute.query.using.stats", "false";
-    /// Rows per vectorized batch (paper default: 1024).
-    VECTORIZED_BATCH_SIZE: u64 = "hive.vectorized.batch.size", "1024";
-    /// Default table file format when `CREATE TABLE` does not pin one.
-    DEFAULT_FILEFORMAT: String = "hive.default.fileformat", "orc",
-        values("text", "textfile", "seq", "sequencefile", "rcfile", "rc", "orc", "orcfile");
-    /// DFS block size in bytes (paper cluster: 512 MB).
-    DFS_BLOCK_SIZE: u64 = "dfs.block.size", "536870912";
-    /// DFS replication factor.
-    DFS_REPLICATION: u64 = "dfs.replication", "3";
-    /// Simulated cluster: number of worker nodes (paper: 10 slaves).
-    CLUSTER_NODES: u64 = "mapreduce.cluster.nodes", "10";
-    /// Simulated cluster: concurrent task slots per node (paper: 3).
-    CLUSTER_SLOTS_PER_NODE: u64 = "mapreduce.cluster.slots.per.node", "3";
-    /// Number of reduce tasks per job unless the plan pins one.
-    REDUCE_TASKS: u64 = "mapreduce.job.reduces", "10";
-    /// Memory available to one task in bytes (m1.xlarge-ish scaled down).
-    TASK_MEMORY: u64 = "mapreduce.task.memory.bytes", "1073741824";
     /// Run independent jobs of a query DAG concurrently (Hive's
     /// `hive.exec.parallel`; Hive defaults it off, and so do we).
     EXEC_PARALLEL: bool = "hive.exec.parallel", "false";
@@ -373,9 +329,6 @@ knobs! {
     MAP_MAX_ATTEMPTS: u64 = "mapred.map.max.attempts", "4", range(1.0, 100.0);
     /// Maximum attempts per reduce task.
     REDUCE_MAX_ATTEMPTS: u64 = "mapred.reduce.max.attempts", "4", range(1.0, 100.0);
-    /// Base of the exponential sim-time backoff between task attempts, in
-    /// simulated seconds (attempt k waits `base * 2^k`).
-    TASK_RETRY_BACKOFF_S: f64 = "mapred.task.retry.backoff.s", "1.0";
     /// Retryable task failures a node may cause before it is blacklisted
     /// from replica selection (Hadoop's `mapred.max.tracker.failures`).
     MAX_TRACKER_FAILURES: u64 = "mapred.max.tracker.failures", "3";
@@ -398,11 +351,6 @@ knobs! {
     /// metadata cache — restoring uncached scan behavior exactly, without
     /// affecting concurrent statements.
     IO_CACHE_BYTES: u64 = "hive.io.cache.bytes", "33554432";
-    /// Cache decoded ORC file footers, stripe footers, and row-index
-    /// statistics across readers, keyed by `(path, file generation)` so an
-    /// overwritten file can never serve stale metadata. Effective only
-    /// while `hive.io.cache.bytes` is non-zero.
-    ORC_CACHE_METADATA: bool = "hive.orc.cache.metadata", "true";
     /// Workload-management resource plan: `;`-separated pools, each
     /// `name:share=<slots>[,priority=<p>]` (priority defaults to 0; higher
     /// preempts lower). Total server concurrency is the sum of shares.
@@ -417,23 +365,12 @@ knobs! {
     /// Tenant identity of a session; the workload manager's mapping rules
     /// match it to a resource pool.
     SESSION_USER: String = "hive.session.user", "";
-    /// Preempt a statement borrowing beyond its pool's share when a
-    /// statement of a higher-priority under-share pool is queued. The
-    /// victim stops at its next cancellation checkpoint, re-queues at the
-    /// front of its pool, and re-runs from scratch — it never returns
-    /// partial results. Only meaningful with a multi-pool resource plan.
-    SERVER_WM_PREEMPTION: bool = "hive.server.wm.preemption.enabled", "true";
-    /// Times one statement may be preempted before it becomes immune and
-    /// runs to completion (starvation bound for low-priority pools).
-    SERVER_WM_PREEMPTION_LIMIT: u64 = "hive.server.wm.preemption.limit", "8", range(1.0, 1000.0);
     /// Cache compiled query plans in the server, keyed on normalized SQL +
     /// a planning-knob fingerprint + the metastore and DFS generations, so
     /// repeat statement shapes skip parse/plan entirely. DDL and data
     /// overwrites bump a generation and make cached plans structurally
     /// unreachable (PR 5's cache-invalidation pattern).
     PLAN_CACHE_ENABLED: bool = "hive.query.plan.cache.enabled", "false";
-    /// Maximum cached plans (least-recently-used eviction).
-    PLAN_CACHE_SIZE: u64 = "hive.query.plan.cache.size", "64", range(1.0, 65536.0);
     /// Armed crash point for ACID chaos tests: when a writer or compactor
     /// reaches the named point of its commit protocol it dies there with a
     /// non-retryable `Crashed` error, skipping all cleanup — `kill -9` at a
@@ -450,9 +387,6 @@ knobs! {
     /// per-index-group bloom filters for (pruning equality and IN
     /// predicates that min/max stats cannot). Empty = no bloom filters.
     ORC_BLOOM_FILTER_COLUMNS: String = "hive.orc.bloom.filter.columns", "";
-    /// Target false-positive probability of ORC bloom filters; lower
-    /// means bigger filters and fewer wasted group reads.
-    ORC_BLOOM_FILTER_FPP: f64 = "hive.orc.bloom.filter.fpp", "0.05", range(0.001, 0.5);
     /// Comma-separated column names: replica k+1 of each ORC file is
     /// written with its rows sorted on the k-th name (HAIL-style
     /// per-replica sort orders; replica 1 always keeps insertion order).
@@ -673,13 +607,10 @@ mod tests {
         assert_eq!(c.get(knobs::ORC_STRIPE_SIZE), 256 << 20);
         assert_eq!(c.get(knobs::ORC_ROW_INDEX_STRIDE), 10_000);
         assert_eq!(c.get(knobs::ORC_DICT_THRESHOLD), 0.8);
-        assert_eq!(c.get(knobs::RCFILE_ROWGROUP_SIZE), 4 << 20);
-        assert_eq!(c.get(knobs::VECTORIZED_BATCH_SIZE), 1024);
-        assert_eq!(c.get(knobs::CLUSTER_NODES), 10);
-        assert_eq!(c.get(knobs::CLUSTER_SLOTS_PER_NODE), 3);
+        assert!(c.get(knobs::VECTORIZED_ENABLED));
         // String shims agree with the typed registry.
         assert_eq!(c.get_usize(keys::ORC_STRIPE_SIZE).unwrap(), 256 << 20);
-        assert_eq!(c.get_usize(keys::VECTORIZED_BATCH_SIZE).unwrap(), 1024);
+        assert_eq!(c.get_usize(keys::ORC_ROW_INDEX_STRIDE).unwrap(), 10_000);
     }
 
     #[test]
@@ -710,9 +641,9 @@ mod tests {
         let mut c = HiveConf::new();
         c.set(keys::VECTORIZED_ENABLED, "false");
         assert!(!c.get(knobs::VECTORIZED_ENABLED));
-        let c2 = HiveConf::new().with_knob(knobs::CLUSTER_NODES, 4);
-        assert_eq!(c2.get(knobs::CLUSTER_NODES), 4);
-        assert_eq!(c2.get_usize(keys::CLUSTER_NODES).unwrap(), 4);
+        let c2 = HiveConf::new().with_knob(knobs::MAP_MAX_ATTEMPTS, 7);
+        assert_eq!(c2.get(knobs::MAP_MAX_ATTEMPTS), 7);
+        assert_eq!(c2.get_usize(keys::MAP_MAX_ATTEMPTS).unwrap(), 7);
     }
 
     #[test]
@@ -767,9 +698,9 @@ mod tests {
     fn validate_catches_smuggled_overrides() {
         let c = HiveConf::new().with("hive.no.such.key", "1");
         assert!(matches!(c.validate(), Err(HiveError::UnknownKnob { .. })));
-        let c2 = HiveConf::new().with(keys::VECTORIZED_BATCH_SIZE, "many");
+        let c2 = HiveConf::new().with(keys::ORC_ROW_INDEX_STRIDE, "many");
         assert!(c2.validate().is_err());
-        let c3 = HiveConf::new().with(keys::VECTORIZED_BATCH_SIZE, "512");
+        let c3 = HiveConf::new().with(keys::ORC_ROW_INDEX_STRIDE, "512");
         assert!(c3.validate().is_ok());
     }
 
@@ -795,9 +726,9 @@ mod tests {
 
     #[test]
     fn effective_merges_defaults_and_overrides() {
-        let c = HiveConf::new().with(keys::CLUSTER_NODES, "4");
+        let c = HiveConf::new().with(keys::MAP_MAX_ATTEMPTS, "7");
         let eff = c.effective();
-        assert_eq!(eff[keys::CLUSTER_NODES], "4");
-        assert_eq!(eff[keys::CLUSTER_SLOTS_PER_NODE], "3");
+        assert_eq!(eff[keys::MAP_MAX_ATTEMPTS], "7");
+        assert_eq!(eff[keys::REDUCE_MAX_ATTEMPTS], "4");
     }
 }

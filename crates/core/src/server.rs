@@ -57,6 +57,9 @@ pub struct HiveServer {
     inner: Arc<ServerInner>,
 }
 
+/// Maximum compiled plans the server caches (least-recently-used eviction).
+const PLAN_CACHE_SIZE: usize = 64;
+
 // The whole point of the server: one process, many querying threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -72,12 +75,11 @@ impl HiveServer {
         metrics: MetricsRegistry,
     ) -> Result<HiveServer> {
         defaults.validate()?;
-        // The resource plan and plan-cache capacity are process state,
-        // resolved once from the server defaults; sessions cannot resize
-        // pools mid-flight (they *can* opt statements in and out of the
-        // plan cache, which only gates participation).
-        let wm = WorkloadManager::new(ResourcePlan::from_conf(&defaults)?, &defaults)?;
-        let plan_cache = PlanCache::new(defaults.get_i64(keys::PLAN_CACHE_SIZE)? as usize);
+        // The resource plan is process state, resolved once from the
+        // server defaults; sessions cannot resize pools mid-flight (they
+        // *can* opt statements in and out of the plan cache).
+        let wm = WorkloadManager::new(ResourcePlan::from_conf(&defaults)?);
+        let plan_cache = PlanCache::new(PLAN_CACHE_SIZE);
         // The block cache's byte budget is process state, sized once here
         // from the server defaults. Per-session / per-query
         // `hive.io.cache.bytes` values only opt a statement in or out of

@@ -15,6 +15,12 @@ use hive_formats::orc::MemoryManager;
 use hive_formats::{create_writer, FormatKind, WriteOptions};
 use hive_obs::{MetricsRegistry, MetricsSnapshot};
 
+/// Memory available to one task in bytes (m1.xlarge-ish scaled down).
+const TASK_MEMORY: u64 = 1 << 30;
+/// Fraction of task memory available to concurrent ORC writers (paper
+/// Section 4.4: half the task memory).
+const ORC_MEMORY_POOL: f64 = 0.5;
+
 /// A Hive session over a simulated cluster.
 ///
 /// ```
@@ -251,10 +257,7 @@ impl HiveSession {
             .ok_or_else(|| HiveError::Metastore(format!("unknown table `{table}`")))?;
         let part = self.metastore().table_files(table).len();
         let path = format!("{}part-{part:05}", info.location);
-        let memory = MemoryManager::for_task_memory(
-            self.conf.get_i64(keys::TASK_MEMORY)? as u64,
-            self.conf.get_f64(keys::ORC_MEMORY_POOL)?,
-        );
+        let memory = MemoryManager::for_task_memory(TASK_MEMORY, ORC_MEMORY_POOL);
         let mut w = create_writer(
             self.dfs(),
             &path,

@@ -89,8 +89,7 @@ pub fn try_answer(
     let opts = OrcReadOptions {
         // Footer reads share the metadata cache with scans (both tiers key
         // off `hive.io.cache.bytes` as the master switch).
-        cache_metadata: conf.get_bool(hive_common::config::keys::ORC_CACHE_METADATA)?
-            && conf.get_i64(hive_common::config::keys::IO_CACHE_BYTES)? > 0,
+        cache_metadata: conf.get_i64(hive_common::config::keys::IO_CACHE_BYTES)? > 0,
         ..Default::default()
     };
     for path in &files {

@@ -35,8 +35,8 @@
 //! [`HiveError::Preempted`] at the next engine checkpoint, the server
 //! releases its slot and re-queues it *at the front* of its pool with its
 //! original ticket, and it re-runs from scratch (never partial results).
-//! A statement preempted `hive.server.wm.preemption.limit` times becomes
-//! immune and runs to completion.
+//! A statement preempted [`PREEMPTION_LIMIT`] times becomes immune and
+//! runs to completion.
 
 use hive_common::config::{keys, knobs};
 use hive_common::{CancelToken, HiveConf, HiveError, Result};
@@ -207,7 +207,7 @@ struct Running {
     pool: usize,
     cancel: Arc<CancelToken>,
     /// Times this statement has already been preempted; at
-    /// `preemption_limit` it becomes immune.
+    /// [`PREEMPTION_LIMIT`] it becomes immune.
     preempt_count: u64,
 }
 
@@ -247,11 +247,13 @@ pub struct Requeue {
     pub preempt_count: u64,
 }
 
+/// Times one statement may be preempted before it becomes immune and runs
+/// to completion (starvation bound for low-priority pools).
+pub const PREEMPTION_LIMIT: u64 = 8;
+
 /// The admission layer: resource pools, FIFO-fair queues, preemption.
 pub struct WorkloadManager {
     plan: ResourcePlan,
-    preemption_enabled: bool,
-    preemption_limit: u64,
     state: Mutex<WmState>,
     cv: Condvar,
     /// High-water mark of concurrently admitted statements.
@@ -265,11 +267,9 @@ pub struct WorkloadManager {
 }
 
 impl WorkloadManager {
-    pub fn new(plan: ResourcePlan, conf: &HiveConf) -> Result<WorkloadManager> {
+    pub fn new(plan: ResourcePlan) -> WorkloadManager {
         let n = plan.pools.len();
-        Ok(WorkloadManager {
-            preemption_enabled: conf.get_bool(keys::SERVER_WM_PREEMPTION)?,
-            preemption_limit: conf.get_i64(keys::SERVER_WM_PREEMPTION_LIMIT)?.max(1) as u64,
+        WorkloadManager {
             plan,
             state: Mutex::new(WmState {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -281,7 +281,7 @@ impl WorkloadManager {
             admitted: AtomicU64::new(0),
             preemptions: AtomicU64::new(0),
             requeues: AtomicU64::new(0),
-        })
+        }
     }
 
     pub fn plan(&self) -> &ResourcePlan {
@@ -408,14 +408,11 @@ impl WorkloadManager {
     /// one is warranted: all slots taken, and some strictly-lower-priority
     /// pool is running over its share. The victim is the most recently
     /// admitted statement of the lowest-priority over-share pool; immune
-    /// statements (preempted `preemption_limit` times already) and ones
+    /// statements (preempted [`PREEMPTION_LIMIT`] times already) and ones
     /// already cancelled are skipped, and cancellations still unwinding
     /// count against the pool's deficit so one waiter doesn't shoot a new
     /// victim on every spurious wakeup.
     fn maybe_preempt(&self, st: &mut WmState, pool: usize) {
-        if !self.preemption_enabled {
-            return;
-        }
         let spec = &self.plan.pools[pool];
         let deficit = spec.share as i64 - st.active[pool] as i64;
         if deficit <= 0 || st.total_active < self.plan.total_slots() {
@@ -436,7 +433,7 @@ impl WorkloadManager {
             .filter(|(_, r)| {
                 self.plan.pools[r.pool].priority < spec.priority
                     && st.active[r.pool] > self.plan.pools[r.pool].share
-                    && r.preempt_count < self.preemption_limit
+                    && r.preempt_count < PREEMPTION_LIMIT
                     && !r.cancel.is_cancelled()
             })
             // Lowest-priority pool; within it, the most recently admitted
@@ -503,7 +500,7 @@ mod tests {
             .with(keys::SERVER_WM_PLAN, plan)
             .with(keys::SERVER_WM_MAPPING, mapping)
             .with(keys::SERVER_MAX_CONCURRENT, max);
-        WorkloadManager::new(ResourcePlan::from_conf(&c).unwrap(), &c).unwrap()
+        WorkloadManager::new(ResourcePlan::from_conf(&c).unwrap())
     }
 
     #[test]

@@ -350,13 +350,12 @@ fn explain_analyze_acid_lines_are_gated_on_acid_state() {
     );
 }
 
-/// The vectorized-ACID guarantee: with every gate on, merge-on-read chains
-/// are batch-native end to end — the runtime profile shows Vector*
-/// operators and ZERO RowBridge crossings even while the scan is merging
-/// live deltas and masking deletes. Turning
-/// `hive.vectorized.execution.acid.enabled` off must restore the
-/// row-at-a-time merge path (no vectorized operators, no bridge — the
-/// chain simply is not built) and return byte-identical rows.
+/// The vectorized-ACID guarantee: merge-on-read chains are batch-native
+/// end to end — the runtime profile shows Vector* operators and ZERO
+/// RowBridge crossings even while the scan is merging live deltas and
+/// masking deletes. Turning `hive.vectorized.execution.enabled` off must
+/// run the row-at-a-time merge path (no vectorized operators, no bridge —
+/// the chain simply is not built) and return byte-identical rows.
 #[test]
 fn acid_chains_vectorize_with_zero_row_bridges() {
     let mut hive = acid_session();
@@ -400,7 +399,7 @@ fn acid_chains_vectorize_with_zero_row_bridges() {
             "merge-on-read lines missing for {sql}:\n{profile}"
         );
 
-        hive.set(keys::VECTORIZED_ACID_ENABLED, "false");
+        hive.set(keys::VECTORIZED_ENABLED, "false");
         let row_rows = sorted(hive.execute(sql).unwrap().rows);
         let row_profile = hive
             .execute(&format!("EXPLAIN ANALYZE {sql}"))
@@ -409,16 +408,54 @@ fn acid_chains_vectorize_with_zero_row_bridges() {
             .unwrap();
         assert!(
             !row_profile.contains("Vector") && !row_profile.contains("RowBridge"),
-            "acid knob off must fall back to pure row mode for {sql}:\n{row_profile}"
+            "vectorization off must run pure row mode for {sql}:\n{row_profile}"
         );
         assert!(
             row_profile.contains("acid: snapshot_gen="),
             "row-mode merge lost its acid lines for {sql}:\n{row_profile}"
         );
-        hive.set(keys::VECTORIZED_ACID_ENABLED, "true");
+        hive.set(keys::VECTORIZED_ENABLED, "true");
 
         assert_eq!(vec_rows, row_rows, "modes disagree for {sql}");
     }
+}
+
+/// A map-joined ACID table honours its delete set: the broadcast side is
+/// masked by file ordinal like any scan, so `big JOIN small_acid` returns
+/// the same rows whether the join converts or shuffles.
+#[test]
+fn map_joined_acid_table_masks_its_deletes() {
+    let mut hive = acid_session();
+    hive.execute("CREATE TABLE dim (k BIGINT, name STRING) STORED AS orc")
+        .unwrap();
+    hive.execute("INSERT INTO dim VALUES (0, 'zero'), (1, 'one'), (2, 'two')")
+        .unwrap();
+    hive.execute("DELETE FROM dim WHERE k = 1").unwrap();
+
+    let sql = "SELECT t.v, dim.name FROM t JOIN dim ON (t.k = dim.k) WHERE t.v < 3";
+    let plan = hive.execute(&format!("EXPLAIN {sql}")).unwrap();
+    assert!(
+        plan.explain.as_deref().unwrap_or("").contains("MapJoin"),
+        "join did not convert: {:?}",
+        plan.explain
+    );
+    let map_join = sorted(hive.execute(sql).unwrap().rows);
+    hive.set(keys::VECTORIZED_ENABLED, "false");
+    let row_map_join = sorted(hive.execute(sql).unwrap().rows);
+    hive.set(keys::VECTORIZED_ENABLED, "true");
+    hive.set(keys::AUTO_CONVERT_JOIN, "false");
+    let reduce_join = sorted(hive.execute(sql).unwrap().rows);
+
+    let live = vec![
+        Row::new(vec![Value::Int(0), Value::String("zero".into())]),
+        Row::new(vec![Value::Int(2), Value::String("two".into())]),
+    ];
+    assert_eq!(reduce_join, live);
+    assert_eq!(map_join, live, "map join resurrected a deleted row");
+    assert_eq!(
+        row_map_join, live,
+        "row-mode map join resurrected a deleted row"
+    );
 }
 
 #[test]

@@ -60,7 +60,7 @@ fn seeded_with_history() -> HiveSession {
 }
 
 /// Every chaos read runs BOTH execution modes — the default batch-native
-/// merge and the row-at-a-time path (`hive.vectorized.execution.acid.
+/// merge and the row-at-a-time path (`hive.vectorized.execution.
 /// enabled=false`) — and they must agree before either counts as "the
 /// visible snapshot". This folds the vectorized reader into every
 /// crash-point assertion below: at any writer/compactor death, vectorized
@@ -69,10 +69,7 @@ fn select_all(hive: &HiveSession) -> Vec<Row> {
     let vec_rows = sorted(hive.server().execute("SELECT k, v FROM t").unwrap().rows);
     let row_rows = sorted(
         hive.server()
-            .execute_with(
-                "SELECT k, v FROM t",
-                &[(keys::VECTORIZED_ACID_ENABLED, "false")],
-            )
+            .execute_with("SELECT k, v FROM t", &[(keys::VECTORIZED_ENABLED, "false")])
             .unwrap()
             .rows,
     );
@@ -442,7 +439,7 @@ fn salvaged_corrupt_stripes_keep_delete_masks_aligned() {
         sorted(r.rows)
     };
     let vec_rows = read(&[]);
-    let row_rows = read(&[(keys::VECTORIZED_ACID_ENABLED, "false")]);
+    let row_rows = read(&[(keys::VECTORIZED_ENABLED, "false")]);
     assert_eq!(vec_rows, row_rows, "salvage + masks diverge across modes");
     assert!(!vec_rows.is_empty(), "salvage lost every row");
     for row in &vec_rows {

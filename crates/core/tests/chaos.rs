@@ -308,7 +308,7 @@ proptest! {
                 .set(keys::MAP_MAX_ATTEMPTS, "12")
                 .set(keys::REDUCE_MAX_ATTEMPTS, "12")
                 .set(
-                    keys::VECTORIZED_MAPJOIN_ENABLED,
+                    keys::VECTORIZED_ENABLED,
                     if vectorize { "true" } else { "false" },
                 )
                 .set(keys::EXEC_SIM_DETERMINISTIC_CPU, "true");
@@ -337,9 +337,10 @@ proptest! {
 // Same salvage contract for a whole vectorized map chain: a
 // filter + expression + partial-aggregate pipeline over corrupt ORC files
 // must skip the same rows and produce the same degraded answer whether it
-// runs batch-native or in row-mode fallback (`hive.vectorized.enabled`
-// off). Reader-level salvage counts are compared too, so the EXPLAIN
-// ANALYZE scan profile agrees between the modes as well.
+// runs batch-native or in row-mode fallback
+// (`hive.vectorized.execution.enabled` off). Reader-level salvage counts
+// are compared too, so the EXPLAIN ANALYZE scan profile agrees between
+// the modes as well.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -633,12 +633,11 @@ fn multiway_outer_join_different_keys_stays_left_deep() {
 #[test]
 fn non_vectorizable_join_shapes_fall_back_to_row_mode() {
     // A RIGHT OUTER map-join shape is outside the vectorized map-join's
-    // (inner + left-outer) support: with the knob on it must silently run
-    // in row mode and match the knob-off answer.
+    // (inner + left-outer) support: with vectorization on the join must
+    // silently run in row mode and match the all-row-mode answer.
     let sql = "SELECT small1.key, small1.value1, big1.value1 FROM small1 \
                RIGHT JOIN big1 ON (small1.key = big1.key) WHERE big1.value1 < 20";
     let mut on = session();
-    on.set(keys::VECTORIZED_MAPJOIN_ENABLED, "true");
     let r_on = on.execute(sql).unwrap();
     let analyze = on.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
     let text = analyze.explain.expect("EXPLAIN ANALYZE sets explain text");
@@ -647,7 +646,7 @@ fn non_vectorizable_join_shapes_fall_back_to_row_mode() {
         "right-outer join must not vectorize:\n{text}"
     );
     let mut off = session();
-    off.set(keys::VECTORIZED_MAPJOIN_ENABLED, "false");
+    off.set(keys::VECTORIZED_ENABLED, "false");
     let r_off = off.execute(sql).unwrap();
     assert_eq!(sorted(r_on.rows), sorted(r_off.rows));
 }

@@ -247,18 +247,10 @@ pub fn all_tables(
 /// Create + load every TPC-H table into a session.
 pub fn load(session: &mut hive_core::HiveSession, sf: f64, seed: u64) -> Result<()> {
     for (name, schema, rows) in all_tables(sf, seed) {
-        session.create_table(name, schema, default_format(session))?;
+        session.create_table(name, schema, hive_formats::FormatKind::Orc)?;
         session.load_rows(name, rows)?;
     }
     Ok(())
-}
-
-fn default_format(session: &hive_core::HiveSession) -> hive_formats::FormatKind {
-    session
-        .conf()
-        .get_raw("hive.default.fileformat")
-        .and_then(|s| hive_formats::FormatKind::parse(s).ok())
-        .unwrap_or(hive_formats::FormatKind::Orc)
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ pub fn create_writer(
             dfs,
             path,
             schema,
-            conf.get_usize(keys::RCFILE_ROWGROUP_SIZE)?,
+            crate::rcfile::DEFAULT_ROW_GROUP_SIZE,
             compression,
         )),
         FormatKind::Orc => {
@@ -101,7 +101,6 @@ pub fn create_writer(
                 row_index_stride: conf.get_usize(keys::ORC_ROW_INDEX_STRIDE)?,
                 dictionary_threshold: conf.get_f64(keys::ORC_DICT_THRESHOLD)?,
                 compression,
-                compress_unit: conf.get_usize(keys::ORC_COMPRESS_UNIT)?,
                 block_padding: conf.get_bool(keys::ORC_BLOCK_PADDING)?,
                 bloom_columns: resolve_columns(
                     conf.get_raw(keys::ORC_BLOOM_FILTER_COLUMNS).unwrap_or(""),
@@ -110,8 +109,7 @@ pub fn create_writer(
                 .into_iter()
                 .map(|(i, _)| i)
                 .collect(),
-                bloom_fpp: conf.get_f64(keys::ORC_BLOOM_FILTER_FPP)?,
-                sort_column: String::new(),
+                ..OrcWriterOptions::default()
             };
             // Per-replica sort orders apply to table data only: scratch
             // files (shuffle intermediates, ACID txn staging under /tmp/)
@@ -209,9 +207,8 @@ pub fn open_reader(
                 split: opts.split,
                 skip_corrupt: conf.get_bool(keys::ORC_SKIP_CORRUPT)?,
                 // `hive.io.cache.bytes=0` is the master switch for both
-                // cache tiers; metadata caching piggybacks on it.
-                cache_metadata: conf.get_bool(keys::ORC_CACHE_METADATA)?
-                    && conf.get_i64(keys::IO_CACHE_BYTES)? > 0,
+                // cache tiers; metadata caching follows it.
+                cache_metadata: conf.get_i64(keys::IO_CACHE_BYTES)? > 0,
                 variant: opts.variant,
             },
         )?),

@@ -77,11 +77,27 @@ impl<K: Eq + Hash + Clone, V> SfMap<K, V> {
     /// another thread fills the same key; if that fill fails (or panics),
     /// a waiter becomes the next filler.
     pub fn get_or_fill(&self, key: K, fill: impl FnOnce() -> Result<V>) -> Result<(Arc<V>, bool)> {
+        self.get_or_fill_hooked(key, fill, |_| {}, |_, _| {})
+    }
+
+    /// [`SfMap::get_or_fill`] with two hooks that run under the map lock:
+    /// `on_hit` sees a cached value about to be served, `on_publish` sees
+    /// the map right after a freshly filled value went in.
+    fn get_or_fill_hooked(
+        &self,
+        key: K,
+        fill: impl FnOnce() -> Result<V>,
+        on_hit: impl FnOnce(&V),
+        on_publish: impl FnOnce(&mut HashMap<K, Slot<V>>, &V),
+    ) -> Result<(Arc<V>, bool)> {
         {
             let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 match m.get(&key) {
-                    Some(Slot::Ready(v)) => return Ok((Arc::clone(v), true)),
+                    Some(Slot::Ready(v)) => {
+                        on_hit(v);
+                        return Ok((Arc::clone(v), true));
+                    }
                     Some(Slot::Pending) => {
                         m = self.cv.wait(m).unwrap_or_else(|e| e.into_inner());
                     }
@@ -99,7 +115,12 @@ impl<K: Eq + Hash + Clone, V> SfMap<K, V> {
         };
         let v = Arc::new(fill()?); // on error/panic the guard cleans up
         let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        m.insert(key, Slot::Ready(Arc::clone(&v)));
+        // Publish only while our own claim marker is still in place; were
+        // it gone, the value is returned uncached.
+        if matches!(m.get(&key), Some(Slot::Pending)) {
+            m.insert(key, Slot::Ready(Arc::clone(&v)));
+            on_publish(&mut m, &v);
+        }
         guard.armed = false;
         drop(m);
         self.cv.notify_all();
@@ -129,6 +150,8 @@ pub struct FileMeta {
     pub footer: FileFooter,
     pub stripe_footers: SfMap<u64, StripeFooter>,
     pub indexes: SfMap<u64, Vec<Vec<ColumnStatistics>>>,
+    /// LRU stamp, owned by the global file cache.
+    stamp: AtomicU64,
 }
 
 impl FileMeta {
@@ -138,31 +161,16 @@ impl FileMeta {
             footer,
             stripe_footers: SfMap::default(),
             indexes: SfMap::default(),
+            stamp: AtomicU64::new(0),
         }
     }
 }
 
 type FileKey = (u64, String, u64); // (dfs instance, path, generation)
 
-enum FileSlot {
-    Pending,
-    /// Meta plus its LRU stamp.
-    Ready(Arc<FileMeta>, u64),
-}
-
-struct FileCache {
-    inner: Mutex<HashMap<FileKey, FileSlot>>,
-    cv: Condvar,
-    clock: AtomicU64,
-}
-
-fn global() -> &'static FileCache {
-    static CACHE: OnceLock<FileCache> = OnceLock::new();
-    CACHE.get_or_init(|| FileCache {
-        inner: Mutex::new(HashMap::new()),
-        cv: Condvar::new(),
-        clock: AtomicU64::new(0),
-    })
+fn global() -> &'static SfMap<FileKey, FileMeta> {
+    static CACHE: OnceLock<SfMap<FileKey, FileMeta>> = OnceLock::new();
+    CACHE.get_or_init(SfMap::default)
 }
 
 /// Fetch (or build, single-flight) the decoded metadata for one generation
@@ -175,96 +183,43 @@ pub fn file_meta(
     generation: u64,
     open: impl FnOnce() -> Result<FileMeta>,
 ) -> Result<(Arc<FileMeta>, bool)> {
-    let cache = global();
-    let key: FileKey = (dfs_id, path.to_string(), generation);
-    {
-        let mut m = cache.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match m.get_mut(&key) {
-                Some(FileSlot::Ready(meta, stamp)) => {
-                    *stamp = cache.clock.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(meta), true));
-                }
-                Some(FileSlot::Pending) => {
-                    m = cache.cv.wait(m).unwrap_or_else(|e| e.into_inner());
-                }
-                None => {
-                    m.insert(key.clone(), FileSlot::Pending);
-                    break;
-                }
-            }
-        }
-    }
-    let mut guard = FilePendingGuard {
-        cache,
-        key: key.clone(),
-        armed: true,
+    static CLOCK: AtomicU64 = AtomicU64::new(0);
+    let touch = |meta: &FileMeta| {
+        meta.stamp
+            .store(CLOCK.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed)
     };
-    let meta = Arc::new(open()?); // on error/panic the guard cleans up
-    let mut m = cache.inner.lock().unwrap_or_else(|e| e.into_inner());
-    // Older generations of this path are unreachable now; drop their
-    // *Ready* entries only. A Pending marker of an older generation
-    // belongs to a fill still in flight — removing it would let that fill
-    // resurrect a stale entry unchecked and make its waiters (who wake to
-    // find no marker) redo the decode.
-    m.retain(|(d, p, g), slot| {
-        !(*d == dfs_id && p == path && *g < generation && matches!(slot, FileSlot::Ready(..)))
-    });
-    // Publish only while our own claim marker is still in place; if it
-    // was pruned by a newer generation's insert, this generation is
-    // already unreachable and the decoded meta is returned uncached.
-    if matches!(m.get(&key), Some(FileSlot::Pending)) {
-        let stamp = cache.clock.fetch_add(1, Ordering::Relaxed);
-        m.insert(key, FileSlot::Ready(Arc::clone(&meta), stamp));
-        while m.len() > MAX_CACHED_FILES {
-            let victim = m
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    FileSlot::Ready(_, stamp) => Some((*stamp, k.clone())),
-                    FileSlot::Pending => None,
-                })
-                .min();
-            let Some((_, k)) = victim else { break };
-            m.remove(&k);
-        }
-    }
-    guard.armed = false;
-    drop(m);
-    cache.cv.notify_all();
-    Ok((meta, false))
-}
-
-/// RAII twin of [`PendingGuard`] for the global file cache: drops the
-/// claimed marker and wakes waiters unless the fill published.
-struct FilePendingGuard {
-    cache: &'static FileCache,
-    key: FileKey,
-    armed: bool,
-}
-
-impl Drop for FilePendingGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut m = self.cache.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(m.get(&self.key), Some(FileSlot::Pending)) {
-            m.remove(&self.key);
-        }
-        drop(m);
-        self.cache.cv.notify_all();
-    }
+    global().get_or_fill_hooked(
+        (dfs_id, path.to_string(), generation),
+        open,
+        touch,
+        |m, meta| {
+            touch(meta);
+            // Older generations of this path are unreachable now; drop
+            // their *Ready* entries only. A Pending marker of an older
+            // generation belongs to a fill still in flight — removing it
+            // would make its waiters (who wake to find no marker) redo the
+            // decode.
+            m.retain(|(d, p, g), slot| {
+                !(*d == dfs_id && p == path && *g < generation && matches!(slot, Slot::Ready(_)))
+            });
+            while m.len() > MAX_CACHED_FILES {
+                let victim = m
+                    .iter()
+                    .filter_map(|(k, s)| match s {
+                        Slot::Ready(v) => Some((v.stamp.load(Ordering::Relaxed), k.clone())),
+                        Slot::Pending => None,
+                    })
+                    .min();
+                let Some((_, k)) = victim else { break };
+                m.remove(&k);
+            }
+        },
+    )
 }
 
 /// Ready file entries currently cached (test hook).
 pub fn cached_files() -> usize {
-    global()
-        .inner
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .values()
-        .filter(|s| matches!(s, FileSlot::Ready(..)))
-        .count()
+    global().len()
 }
 
 #[cfg(test)]

@@ -43,6 +43,10 @@ pub const DEFAULT_ROW_INDEX_STRIDE: usize = 10_000;
 /// Default compression unit (paper: 256 KB).
 pub const DEFAULT_COMPRESS_UNIT: usize = 256 << 10;
 
+/// Target false-positive probability of bloom filters; lower means bigger
+/// filters and fewer wasted group reads.
+pub const DEFAULT_BLOOM_FPP: f64 = 0.05;
+
 /// The kinds of physical streams a column can own (paper Section 4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {

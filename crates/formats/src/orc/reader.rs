@@ -50,10 +50,11 @@ pub struct OrcReadOptions {
     /// skip stripes (or individual index groups) whose bytes fail checksum
     /// or decode, and count the rows lost in [`ReadCounters::rows_skipped`].
     pub skip_corrupt: bool,
-    /// `hive.orc.cache.metadata`: share decoded footers, stripe footers,
-    /// and row-index statistics through the process-wide metadata cache,
-    /// keyed by `(dfs instance, path, file generation)`. When false the
-    /// reader decodes privately, exactly as before the cache existed.
+    /// Share decoded footers, stripe footers, and row-index statistics
+    /// through the process-wide metadata cache, keyed by `(dfs instance,
+    /// path, file generation)`; sessions turn it on whenever
+    /// `hive.io.cache.bytes` is non-zero. When false the reader decodes
+    /// privately.
     pub cache_metadata: bool,
     /// Which sorted copy of the file to read (`0` = the base file in
     /// insertion order; `k > 0` = the replica-slot-`k` variant chosen by

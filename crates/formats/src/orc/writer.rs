@@ -14,7 +14,7 @@ use crate::orc::stats::ColumnStatistics;
 use crate::orc::{
     encode_file_footer, encode_postscript, encode_stripe_footer, frame_chunk, ChunkInfo,
     ColumnEncoding, ColumnStreams, FileFooter, PostScript, StreamInfo, StreamKind, StripeFooter,
-    StripeInfo, DEFAULT_COMPRESS_UNIT, DEFAULT_ROW_INDEX_STRIDE,
+    StripeInfo, DEFAULT_BLOOM_FPP, DEFAULT_COMPRESS_UNIT, DEFAULT_ROW_INDEX_STRIDE,
 };
 use crate::TableWriter;
 use hive_codec::block::Compression;
@@ -56,7 +56,7 @@ impl Default for OrcWriterOptions {
             compress_unit: DEFAULT_COMPRESS_UNIT,
             block_padding: true,
             bloom_columns: Vec::new(),
-            bloom_fpp: 0.05,
+            bloom_fpp: DEFAULT_BLOOM_FPP,
             sort_column: String::new(),
         }
     }

@@ -6,10 +6,10 @@ use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row, V
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_exec::graph::{Message, ShuffleRecord};
 use hive_formats::delta::ordinals_in;
-use hive_formats::{open_reader, ReadOptions, TableWriter};
+use hive_formats::{open_reader, ReadOptions, TableReader, TableWriter};
 use hive_obs::profile::merge_profiles;
 use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
-use hive_vector::VectorizedRowBatch;
+use hive_vector::{VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -137,12 +137,9 @@ struct Split<'a> {
     variant: usize,
 }
 
-/// Retry budget for one task kind, from `mapred.*.max.attempts`.
-struct RetryPolicy {
-    max_attempts: u32,
-    /// Base of the exponential sim-time backoff between attempts.
-    backoff_s: f64,
-}
+/// Base of the exponential sim-time backoff between task attempts, in
+/// simulated seconds (attempt k waits `base * 2^k`).
+const TASK_RETRY_BACKOFF_S: f64 = 1.0;
 
 /// What came out of running one task through the attempt loop: the final
 /// result plus everything the failed attempts cost.
@@ -167,6 +164,21 @@ impl<T> TaskOutcome<T> {
             backoff_s: 0.0,
         }
     }
+}
+
+/// ACID merge-on-read, row at a time: whether the row `reader` just
+/// returned is masked by its file's delete ordinals. Ordinals address
+/// *physical* rows of the file (masked ones included) so they line up with
+/// the delete keys. Readers that skip data report true ordinals;
+/// sequential counting in `seq_ord` covers the rest (those formats are
+/// scanned whole-file under an overlay).
+fn row_is_masked(masked: Option<&[u64]>, reader: &dyn TableReader, seq_ord: &mut u64) -> bool {
+    let Some(masked) = masked else {
+        return false;
+    };
+    let ord = reader.last_row_ordinal().unwrap_or(*seq_ord);
+    *seq_ord += 1;
+    masked.binary_search(&ord).is_ok()
 }
 
 /// Best-effort text of a panic payload.
@@ -282,11 +294,8 @@ impl MrEngine {
     }
 
     /// Per-phase retry budget from `mapred.{map,reduce}.max.attempts`.
-    fn retry_policy(&self, attempts_key: &str) -> Result<RetryPolicy> {
-        Ok(RetryPolicy {
-            max_attempts: self.conf.get_usize(attempts_key)?.max(1) as u32,
-            backoff_s: self.conf.get_f64(keys::TASK_RETRY_BACKOFF_S)?.max(0.0),
-        })
+    fn max_attempts(&self, attempts_key: &str) -> Result<u32> {
+        Ok(self.conf.get_usize(attempts_key)?.max(1) as u32)
     }
 
     /// Nodes a task may cause to fail before they stop being scheduled.
@@ -327,8 +336,8 @@ impl MrEngine {
     /// The task-attempt loop: run one task under `catch_unwind`, retrying
     /// retryable failures (including panics, which Hadoop retries like any
     /// crashed task JVM) with exponential simulated backoff, up to the
-    /// policy's budget. Never panics; never aborts the process.
-    fn run_attempts<T, F>(&self, i: usize, policy: &RetryPolicy, run: &F) -> TaskOutcome<T>
+    /// `max_attempts` budget. Never panics; never aborts the process.
+    fn run_attempts<T, F>(&self, i: usize, max_attempts: u32, run: &F) -> TaskOutcome<T>
     where
         F: Fn(usize, u32) -> Result<T> + Sync,
     {
@@ -362,10 +371,10 @@ impl MrEngine {
             }))
             .unwrap_or_else(|payload| Err(HiveError::TaskFailed(panic_message(payload.as_ref()))));
             match result {
-                Err(e) if e.is_retryable() && attempt + 1 < policy.max_attempts => {
+                Err(e) if e.is_retryable() && attempt + 1 < max_attempts => {
                     failed_io = failed_io.plus(&scope.snapshot());
                     failed_wall_s += t0.elapsed().as_secs_f64();
-                    backoff_s += policy.backoff_s * (1u64 << attempt.min(16)) as f64;
+                    backoff_s += TASK_RETRY_BACKOFF_S * (1u64 << attempt.min(16)) as f64;
                     attempt += 1;
                 }
                 result => {
@@ -388,14 +397,16 @@ impl MrEngine {
     /// the outcome is identical to running the tasks sequentially. A worker
     /// thread dying (impossible short of `abort`, since attempts are caught)
     /// surfaces as `TaskFailed` outcomes, never a process abort.
-    fn run_tasks<T, F>(&self, n: usize, policy: &RetryPolicy, run: F) -> Vec<TaskOutcome<T>>
+    fn run_tasks<T, F>(&self, n: usize, max_attempts: u32, run: F) -> Vec<TaskOutcome<T>>
     where
         T: Send,
         F: Fn(usize, u32) -> Result<T> + Sync,
     {
         let threads = self.worker_threads().min(n).max(1);
         if threads == 1 {
-            return (0..n).map(|i| self.run_attempts(i, policy, &run)).collect();
+            return (0..n)
+                .map(|i| self.run_attempts(i, max_attempts, &run))
+                .collect();
         }
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<TaskOutcome<T>>> = (0..n).map(|_| None).collect();
@@ -409,7 +420,7 @@ impl MrEngine {
                             if i >= n {
                                 break;
                             }
-                            out.push((i, self.run_attempts(i, policy, &run)));
+                            out.push((i, self.run_attempts(i, max_attempts, &run)));
                         }
                         out
                     })
@@ -630,14 +641,14 @@ impl MrEngine {
             name: spec.name.clone(),
             ..Default::default()
         };
-        let map_policy = self.retry_policy(keys::MAP_MAX_ATTEMPTS)?;
+        let map_attempts = self.max_attempts(keys::MAP_MAX_ATTEMPTS)?;
 
         // --- Side inputs (distributed cache), retried like a task ------
         // (a transient DFS fault while building the cache must not kill
         // the query). Scoped attribution instead of global snapshot
         // deltas: another job may be running concurrently on this DFS
         // (`hive.exec.parallel`).
-        let side_outcome = self.run_attempts(0, &map_policy, &|_i, _attempt| {
+        let side_outcome = self.run_attempts(0, map_attempts, &|_i, _attempt| {
             let scope = IoScope::new();
             let loaded = {
                 let _g = scope.enter();
@@ -667,7 +678,7 @@ impl MrEngine {
         // Each task builds its own pipeline and writes into task-local
         // partition buffers; the merge below is ordered by task index, so
         // results are identical whatever the worker interleaving was.
-        let outcomes = self.run_tasks(splits.len(), &map_policy, |task_idx, attempt| {
+        let outcomes = self.run_tasks(splits.len(), map_attempts, |task_idx, attempt| {
             let node = self.pick_map_node(&splits[task_idx], attempt);
             let result =
                 self.run_map_task(spec, &splits[task_idx], task_idx, node, &side, num_reducers);
@@ -793,18 +804,18 @@ impl MrEngine {
         report.sim_map_s = self.cost.schedule(&map_durations) + side_delay_s;
 
         // --- Reduce phase: partitions fan out to the pool the same way. -
-        let reduce_policy = self.retry_policy(keys::REDUCE_MAX_ATTEMPTS)?;
+        let reduce_attempts = self.max_attempts(keys::REDUCE_MAX_ATTEMPTS)?;
         let mut reduce_durations = Vec::new();
         if let Some(reduce_factory) = &spec.reduce_factory {
             report.reduce_tasks = num_reducers;
             let handoff: Vec<Mutex<Vec<ShuffleRecord>>> =
                 partitions.into_iter().map(Mutex::new).collect();
-            let reduce_outcomes = self.run_tasks(handoff.len(), &reduce_policy, |r, attempt| {
+            let reduce_outcomes = self.run_tasks(handoff.len(), reduce_attempts, |r, attempt| {
                 // A retryable attempt gets a *clone* so a failed attempt
                 // leaves the partition intact for the re-shuffle; the last
                 // allowed attempt may consume it.
                 let mut guard = handoff[r].lock().unwrap_or_else(|e| e.into_inner());
-                let partition = if attempt + 1 >= reduce_policy.max_attempts {
+                let partition = if attempt + 1 >= reduce_attempts {
                     std::mem::take(&mut *guard)
                 } else {
                     guard.clone()
@@ -932,7 +943,7 @@ impl MrEngine {
                     let mut seq_ord = 0u64;
                     loop {
                         let mut batch =
-                            VectorizedRowBatch::new(&stage.batch_types, stage.batch_size)?;
+                            VectorizedRowBatch::new(&stage.batch_types, DEFAULT_BATCH_SIZE)?;
                         let more = reader.next_batch(&mut batch)?;
                         if batch.size > 0 {
                             batches_read += 1;
@@ -992,21 +1003,12 @@ impl MrEngine {
                             split.input.alias
                         ))
                     })?;
-                    // ACID merge-on-read: ordinals address *physical* rows
-                    // of the file (masked ones included) so they line up
-                    // with the delete keys. Readers that skip data report
-                    // true ordinals; sequential counting covers the rest
-                    // (those formats are scanned whole-file under an
-                    // overlay). Masked rows never enter the graph.
+                    // Masked rows never enter the graph.
                     let mut seq_ord = 0u64;
                     while let Some(row) = reader.next_row()? {
-                        if let Some(masked) = masked {
-                            let ord = reader.last_row_ordinal().unwrap_or(seq_ord);
-                            seq_ord += 1;
-                            if masked.binary_search(&ord).is_ok() {
-                                rows_masked += 1;
-                                continue;
-                            }
+                        if row_is_masked(masked, reader.as_ref(), &mut seq_ord) {
+                            rows_masked += 1;
+                            continue;
                         }
                         rows_processed += 1;
                         if in_delta {
@@ -1206,8 +1208,13 @@ impl MrEngine {
                         ..Default::default()
                     },
                 )?;
+                // Deleted rows of an ACID table never enter the hash table.
+                let masked = s.overlay.as_ref().map(|o| o.deletes.for_path(&path));
+                let mut seq_ord = 0u64;
                 while let Some(row) = reader.next_row()? {
-                    rows.push(row);
+                    if !row_is_masked(masked, reader.as_ref(), &mut seq_ord) {
+                        rows.push(row);
+                    }
                 }
                 rows_skipped += reader.rows_skipped();
             }

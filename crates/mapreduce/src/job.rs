@@ -36,6 +36,9 @@ pub struct SideInput {
     pub format: FormatKind,
     pub schema: Schema,
     pub projection: Option<Vec<usize>>,
+    /// ACID merge-on-read overlay of the small table: masked rows never
+    /// enter the hash table.
+    pub overlay: Option<AcidOverlay>,
 }
 
 /// The batch-mode entry of the map pipeline for one input alias (paper
@@ -46,7 +49,6 @@ pub struct SideInput {
 pub struct VectorStage {
     /// Column types of the scan batch.
     pub batch_types: Vec<DataType>,
-    pub batch_size: usize,
     /// Graph node batches are pushed into.
     pub root: usize,
     /// Last vectorized node of the alias's chain (scan profile reads its

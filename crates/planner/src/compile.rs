@@ -36,6 +36,10 @@ use std::sync::Arc;
 
 static QUERY_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// Total hash-table bytes a fragment's Map Joins may hold before the
+/// Section 5.1 merge of Map-only jobs is refused (Hive's default, 10 MB).
+const MERGE_MAPONLY_THRESHOLD: u64 = 10_000_000;
+
 /// A fully compiled query. Cloneable (job pipeline factories are shared
 /// `Arc`s) so the server's plan cache can reuse one compilation across
 /// executions; see [`CompiledQuery::rebase`].
@@ -239,6 +243,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                             format: s.table.format,
                             schema: s.table.schema.clone(),
                             projection: Some(s.projection.clone()),
+                            overlay: s.table.acid.clone(),
                         });
                     }
                 }
@@ -268,14 +273,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         };
 
         // ----- JobSpec inputs and factories. ------------------------------
-        let vectorize_on = conf.get_bool(keys::VECTORIZED_ENABLED)?;
-        let vectorize_mapjoin = conf.get_bool(keys::VECTORIZED_MAPJOIN_ENABLED)?;
-        let vectorize_filter = conf.get_bool(keys::VECTORIZED_FILTER_ENABLED)?;
-        let vectorize_select = conf.get_bool(keys::VECTORIZED_SELECT_ENABLED)?;
-        let vectorize_groupby = conf.get_bool(keys::VECTORIZED_GROUPBY_ENABLED)?;
-        let vectorize_reducesink = conf.get_bool(keys::VECTORIZED_REDUCESINK_ENABLED)?;
-        let vectorize_acid = conf.get_bool(keys::VECTORIZED_ACID_ENABLED)?;
-        let batch_size = conf.get_usize(keys::VECTORIZED_BATCH_SIZE)?;
+        let vectorize = conf.get_bool(keys::VECTORIZED_ENABLED)?;
         let mut job_inputs = Vec::new();
         for mi in &map_inputs {
             match (mi.scan, &mi.intermediate) {
@@ -331,14 +329,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
             nodes: g.nodes.clone(),
             inputs: map_inputs.clone(),
             num_reducers,
-            vectorize: vectorize_on,
-            vectorize_mapjoin,
-            vectorize_filter,
-            vectorize_select,
-            vectorize_groupby,
-            vectorize_reducesink,
-            vectorize_acid,
-            batch_size,
+            vectorize,
         });
         let map_factory: MapPipelineFactory = {
             let spec = map_spec.clone();
@@ -456,7 +447,6 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
 
     // (b) The Section 5.1 merging rule.
     let merge = conf.get_bool(keys::MERGE_MAPONLY_JOBS)?;
-    let threshold = conf.get_usize(keys::MERGE_MAPONLY_THRESHOLD)? as u64;
     let frag_of = fragments(g);
     // Total hash-table bytes per fragment.
     let mut side_bytes: BTreeMap<usize, u64> = BTreeMap::new();
@@ -468,7 +458,7 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
         }
     }
     for mj in g.find(|n| matches!(n.op, PlanOp::MapJoin { .. })) {
-        let cut_here = !merge || side_bytes[&frag_of[&mj]] > threshold;
+        let cut_here = !merge || side_bytes[&frag_of[&mj]] > MERGE_MAPONLY_THRESHOLD;
         if !cut_here {
             continue;
         }
@@ -727,13 +717,6 @@ struct MapBuildSpec {
     inputs: Vec<MapInput>,
     num_reducers: usize,
     vectorize: bool,
-    vectorize_mapjoin: bool,
-    vectorize_filter: bool,
-    vectorize_select: bool,
-    vectorize_groupby: bool,
-    vectorize_reducesink: bool,
-    vectorize_acid: bool,
-    batch_size: usize,
 }
 
 impl MapBuildSpec {
@@ -745,33 +728,17 @@ impl MapBuildSpec {
             // Vectorization applies to single-sink table-scan chains.
             let mut remaining: Vec<usize> = mi.nodes.clone();
             let mut chain: Option<vectorize::VectorizedChain> = None;
-            // ACID scans vectorize like any other (gated by the acid
-            // knob): the engine unselects deleted ordinals from each batch
-            // before it enters the pipeline, so the mask survives the
-            // batch-native path.
-            let acid_scan = mi.scan.is_some_and(|s| {
-                matches!(&self.nodes[s].op, PlanOp::TableScan { table, .. } if table.acid.is_some())
-            });
-            if self.vectorize
-                && mi.scan.is_some()
-                && (!acid_scan || self.vectorize_acid)
-                && mi.rs_tags.len() <= 1
-            {
+            // ACID scans vectorize like any other: the engine unselects
+            // deleted ordinals from each batch before it enters the
+            // pipeline, so the mask survives the batch-native path.
+            if self.vectorize && mi.scan.is_some() && mi.rs_tags.len() <= 1 {
                 let view = vectorize::MapInputView {
                     scan: mi.scan,
                     nodes: &mi.nodes,
                     rs_tags: &mi.rs_tags,
                 };
-                let opts = vectorize::VectorizeOpts {
-                    batch_size: self.batch_size,
-                    num_reducers: self.num_reducers.max(1),
-                    mapjoin: self.vectorize_mapjoin,
-                    filter: self.vectorize_filter,
-                    select: self.vectorize_select,
-                    groupby: self.vectorize_groupby,
-                    reducesink: self.vectorize_reducesink,
-                };
-                if let Some(c) = vectorize::try_vectorize(&self.nodes, &view, side, &opts)? {
+                let num_reducers = self.num_reducers.max(1);
+                if let Some(c) = vectorize::try_vectorize(&self.nodes, &view, side, num_reducers)? {
                     remaining.retain(|n| !c.consumed.contains(n));
                     chain = Some(c);
                 }
@@ -789,7 +756,6 @@ impl MapBuildSpec {
                 let (&root, &terminal) = (ids.first().unwrap(), ids.last().unwrap());
                 stage = Some(hive_mapreduce::job::VectorStage {
                     batch_types: c.batch_types,
-                    batch_size: self.batch_size,
                     root,
                     terminal,
                 });

@@ -135,8 +135,7 @@ mod tests {
         let tweaked = HiveConf::new()
             .with(keys::SERVER_MAX_CONCURRENT, "7")
             .with(keys::SESSION_USER, "ann")
-            .with(keys::PLAN_CACHE_ENABLED, "true")
-            .with(keys::PLAN_CACHE_SIZE, "8");
+            .with(keys::PLAN_CACHE_ENABLED, "true");
         assert_eq!(knob_fingerprint(&base), knob_fingerprint(&tweaked));
     }
 

@@ -18,6 +18,10 @@ use hive_formats::{PredicateLeaf, PredicateOp, SearchArgument};
 use hive_ql::{BinOp, Expr, JoinKind, SelectStmt, TableRef, UnOp};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Reduce tasks per shuffle unless the plan pins another count (a global
+/// aggregate pins one), sized to the paper's 10-node cluster.
+const REDUCE_TASKS: usize = 10;
+
 /// A translated query: the operator DAG plus the driver-side finishing
 /// steps (final sort and limit; see DESIGN.md on ORDER BY handling).
 #[derive(Debug, Clone)]
@@ -203,7 +207,6 @@ fn plan_select(
                 "join without an equality condition is not supported".into(),
             ));
         }
-        let num_reducers = conf.get_usize(keys::REDUCE_TASKS)?.max(1);
         let kind = match join.kind {
             JoinKind::Inner => JoinType::Inner,
             JoinKind::LeftOuter => JoinType::LeftOuter,
@@ -221,7 +224,7 @@ fn plan_select(
                     .enumerate()
                     .all(|(i, (l, _))| matches!(l, ExprNode::Column(c) if s.equiv[i].contains(c)))
         }) {
-            merge_outer_join(g, state, &mut acc, right, &equi, num_reducers)?;
+            merge_outer_join(g, state, &mut acc, right, &equi, REDUCE_TASKS)?;
             continue;
         }
         let nk = equi.len();
@@ -236,7 +239,7 @@ fn plan_select(
                 (col(l), col(r))
             })
             .collect();
-        acc = add_reduce_join(g, acc, right, &equi, kind, num_reducers)?;
+        acc = add_reduce_join(g, acc, right, &equi, kind, REDUCE_TASKS)?;
         let mergeable = kind != JoinType::Inner && residual.is_empty();
         for r in residual {
             let pred = resolve_owned(r, &acc)?;
@@ -290,7 +293,7 @@ fn plan_select(
     let has_agg = !agg_calls.is_empty() || !stmt.group_by.is_empty();
 
     let (final_rel, group_subst): (Rel, Option<GroupSubst>) = if has_agg {
-        let (rel, subst) = add_aggregation(g, acc, &stmt.group_by, &agg_calls, conf)?;
+        let (rel, subst) = add_aggregation(g, acc, &stmt.group_by, &agg_calls)?;
         (rel, Some(subst))
     } else {
         (acc, None)
@@ -974,7 +977,6 @@ fn add_aggregation(
     input: Rel,
     group_by: &[Expr],
     agg_calls: &[Expr],
-    conf: &HiveConf,
 ) -> Result<(Rel, GroupSubst)> {
     let nk = group_by.len();
     let mut key_exprs = Vec::with_capacity(nk);
@@ -1053,11 +1055,7 @@ fn add_aggregation(
     );
 
     // Shuffle on the group keys.
-    let num_reducers = if nk == 0 {
-        1
-    } else {
-        conf.get_usize(keys::REDUCE_TASKS)?.max(1)
-    };
+    let num_reducers = if nk == 0 { 1 } else { REDUCE_TASKS };
     let rs_keys: Vec<ExprNode> = (0..nk).map(ExprNode::col).collect();
     let rs_values: Vec<ExprNode> = (nk..nk + calls.len()).map(ExprNode::col).collect();
     let rs = g.add(

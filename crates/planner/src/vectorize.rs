@@ -13,8 +13,6 @@
 //! shuffle sink (`VectorReduceSink`, or the fused `VectorGroupBySink`); a
 //! partially vectorized chain ends in exactly one `RowBridge`, where rows
 //! re-enter the row-mode graph at the first non-vectorizable operator.
-//! Per-operator gates (`hive.vectorized.execution.<op>.enabled`) break the
-//! chain at the gated operator, falling back the same way.
 
 use crate::plan::{GroupByPhase, PlanNode, PlanOp};
 use hive_common::{DataType, HiveError, Result, Row, Value};
@@ -30,6 +28,7 @@ use hive_vector::expressions as vx;
 use hive_vector::expressions::VectorExpression;
 use hive_vector::mapjoin::{KeyPart, MapJoinHashTable, MapJoinKind, VectorMapJoinOperator};
 use hive_vector::operators::{VectorFilterOperator, VectorSelectOperator};
+use hive_vector::DEFAULT_BATCH_SIZE;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The compiler's view of one map input handed to the vectorizer.
@@ -40,18 +39,6 @@ pub struct MapInputView<'a> {
     pub nodes: &'a [usize],
     /// ReduceSink plan node → shuffle tag.
     pub rs_tags: &'a BTreeMap<usize, usize>,
-}
-
-/// Vectorizer configuration derived from the session knobs.
-pub struct VectorizeOpts {
-    pub batch_size: usize,
-    pub num_reducers: usize,
-    /// The `hive.vectorized.execution.<op>.enabled` per-operator gates.
-    pub mapjoin: bool,
-    pub filter: bool,
-    pub select: bool,
-    pub groupby: bool,
-    pub reducesink: bool,
 }
 
 /// A compiled batch-native chain: exec-graph operators to run in order,
@@ -87,7 +74,6 @@ fn seal_pending_join(
     pending: &mut Option<PendingJoin>,
     operators: &mut [Option<Box<dyn Operator>>],
     out_types: &[DataType],
-    batch_size: usize,
 ) -> Result<()> {
     if let Some(pj) = pending.take() {
         let op = VectorMapJoinOperator::new(
@@ -98,7 +84,7 @@ fn seal_pending_join(
             pj.table,
             pj.build_width,
             out_types,
-            batch_size,
+            DEFAULT_BATCH_SIZE,
         )?;
         operators[pj.slot] = Some(Box::new(VectorOpAdapter::new(Box::new(op))));
     }
@@ -112,7 +98,7 @@ pub fn try_vectorize(
     nodes: &[PlanNode],
     input: &MapInputView<'_>,
     side: &HashMap<String, Vec<Row>>,
-    opts: &VectorizeOpts,
+    num_reducers: usize,
 ) -> Result<Option<VectorizedChain>> {
     let Some(scan_id) = input.scan else {
         return Ok(None);
@@ -138,7 +124,7 @@ pub fn try_vectorize(
         types: scan_types,
         pending: Vec::new(),
     };
-    let out = compile_chain(nodes, input, side, opts, c, scan_id)?;
+    let out = compile_chain(nodes, input, side, num_reducers, c, scan_id)?;
     if out.consumed.is_empty() {
         return Ok(None);
     }
@@ -153,7 +139,7 @@ fn compile_chain(
     nodes: &[PlanNode],
     input: &MapInputView<'_>,
     side: &HashMap<String, Vec<Row>>,
-    opts: &VectorizeOpts,
+    num_reducers: usize,
     mut c: VecCompiler,
     start: usize,
 ) -> Result<VectorizedChain> {
@@ -180,7 +166,7 @@ fn compile_chain(
         }
         let n = next[0];
         match &nodes[n].op {
-            PlanOp::Filter { predicate } if opts.filter => {
+            PlanOp::Filter { predicate } => {
                 let Some(f) = c.compile_filter(predicate)? else {
                     break;
                 };
@@ -194,7 +180,7 @@ fn compile_chain(
                 consumed.insert(n);
                 cur = n;
             }
-            PlanOp::Select { exprs } if opts.select => {
+            PlanOp::Select { exprs } => {
                 let Some(outputs) = c.compile_values(exprs)? else {
                     break;
                 };
@@ -213,7 +199,7 @@ fn compile_chain(
                 phase: GroupByPhase::MapHash,
                 keys,
                 aggs,
-            } if opts.groupby && opts.reducesink => {
+            } => {
                 // Fused partial-aggregate + reduce-sink: requires the
                 // in-chain child to be a plain (non-degenerate) ReduceSink,
                 // which is the planner's invariant shape for map-side
@@ -271,7 +257,7 @@ fn compile_chain(
                     rs_keys.clone(),
                     rs_values.clone(),
                     tag,
-                    opts.num_reducers,
+                    num_reducers,
                 ))));
                 consumed.insert(n);
                 consumed.insert(rs_n);
@@ -283,7 +269,7 @@ fn compile_chain(
                 values,
                 degenerate: true,
                 ..
-            } if opts.select => {
+            } => {
                 // A degenerate sink is a plain projection (keys ++ values);
                 // the chain continues through it in batch mode.
                 let mut exprs: Vec<ExprNode> = keys.clone();
@@ -307,7 +293,7 @@ fn compile_chain(
                 values,
                 degenerate: false,
                 ..
-            } if opts.reducesink => {
+            } => {
                 let Some(key_columns) = c.compile_values(keys)? else {
                     break;
                 };
@@ -321,21 +307,21 @@ fn compile_chain(
                     key_columns,
                     value_columns,
                     tag,
-                    opts.num_reducers,
+                    num_reducers,
                 ))));
                 consumed.insert(n);
                 ended_in_sink = true;
                 break;
             }
             PlanOp::MapJoin { sides } => {
-                let Some(pj) = prepare_mapjoin(nodes, side, opts, &mut c, n, sides)? else {
+                let Some(pj) = prepare_mapjoin(nodes, side, &mut c, n, sides)? else {
                     break; // row-mode fallback for the join and everything after
                 };
                 // This segment's types are final now (the new join's key
                 // scratch included): seal the previous join, freeze the
                 // scan batch types, and reseed the compiler against the
                 // join's output batch.
-                seal_pending_join(&mut pending_join, &mut operators, &c.types, opts.batch_size)?;
+                seal_pending_join(&mut pending_join, &mut operators, &c.types)?;
                 if scan_types.is_none() {
                     scan_types = Some(c.types.clone());
                 }
@@ -374,7 +360,7 @@ fn compile_chain(
         operators.push(Some(Box::new(RowBridgeOperator::new(output_columns))));
     }
     // The last segment's types are final: seal the trailing join (if any).
-    seal_pending_join(&mut pending_join, &mut operators, &c.types, opts.batch_size)?;
+    seal_pending_join(&mut pending_join, &mut operators, &c.types)?;
     let batch_types = scan_types.unwrap_or(c.types);
     let operators: Vec<Box<dyn Operator>> = operators
         .into_iter()
@@ -395,12 +381,11 @@ fn compile_chain(
 fn prepare_mapjoin(
     nodes: &[PlanNode],
     side: &HashMap<String, Vec<Row>>,
-    opts: &VectorizeOpts,
     c: &mut VecCompiler,
     n: usize,
     sides: &[crate::plan::MapJoinSide],
 ) -> Result<Option<PendingJoin>> {
-    if !opts.mapjoin || sides.len() != 1 {
+    if sides.len() != 1 {
         return Ok(None);
     }
     let s = &sides[0];

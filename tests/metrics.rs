@@ -220,7 +220,7 @@ fn explain_analyze_acid_scan_goldens() {
     assert!(vec_text.contains("Vector"), "{vec_text}");
     assert!(!vec_text.contains("RowBridge"), "{vec_text}");
     let row_text = analyze_acid_text(SQL, |hive| {
-        hive.try_set("hive.vectorized.execution.acid.enabled", "false")
+        hive.try_set("hive.vectorized.execution.enabled", "false")
             .unwrap();
     });
     assert!(
@@ -360,39 +360,49 @@ fn fallback_boundaries_cross_exactly_one_row_bridge() {
     // Fully vectorized chains have no batch→row crossing at all.
     let text = analyze_text(JOIN_AGG, false);
     assert_eq!(text.matches("RowBridge").count(), 0, "{text}");
-    // A mid-chain gate breaks the chain at that operator: upstream stays
-    // vectorized and exactly ONE RowBridge crosses into row mode.
-    for knob in [
-        "hive.vectorized.execution.mapjoin.enabled",
-        "hive.vectorized.execution.groupby.enabled",
-        "hive.vectorized.execution.reducesink.enabled",
+    // A shape the vectorizer rejects mid-chain breaks the chain at that
+    // operator: upstream stays vectorized and exactly ONE RowBridge
+    // crosses into row mode.
+    for (shape, sql) in [
+        (
+            "modulo probe key",
+            "SELECT customer.name, orders.total FROM orders \
+             JOIN customer ON (orders.okey % 100 = customer.cust) WHERE orders.total > 100.0",
+        ),
+        (
+            "modulo projection",
+            "SELECT okey % 3 AS b, total FROM orders WHERE total > 100.0",
+        ),
+        (
+            "modulo group key",
+            "SELECT cust % 7 AS b, COUNT(*) AS n FROM orders WHERE total > 50.0 GROUP BY cust % 7",
+        ),
     ] {
-        let text = analyze_text_conf(JOIN_AGG, |hive| {
-            hive.try_set(knob, "false").unwrap();
-        });
-        assert_eq!(text.matches("RowBridge").count(), 1, "{knob} off:\n{text}");
-        assert!(text.contains("Vector"), "{knob} off:\n{text}");
+        let text = analyze_text(sql, false);
+        assert_eq!(text.matches("RowBridge").count(), 1, "{shape}:\n{text}");
+        assert!(text.contains("Vector"), "{shape}:\n{text}");
     }
-    // Gating the FIRST operator of a chain leaves nothing to vectorize:
-    // the whole input falls back to row mode — no bridge, no vector ops.
-    let text = analyze_text_conf(JOIN_AGG, |hive| {
-        hive.try_set("hive.vectorized.execution.select.enabled", "false")
-            .unwrap();
-    });
+    // A rejected FIRST operator leaves nothing to vectorize: the whole
+    // input falls back to row mode — no bridge, no vector ops.
+    let text = analyze_text(
+        "SELECT cust, COUNT(*) AS n FROM orders WHERE cust % 7 = 1 GROUP BY cust",
+        false,
+    );
     assert_eq!(text.matches("RowBridge").count(), 0, "{text}");
     assert!(!text.contains("Vector"), "{text}");
 }
 
 #[test]
-fn explain_analyze_mapjoin_knob_off_golden() {
-    // Same query with hive.vectorized.execution.mapjoin.enabled=false:
-    // the join runs in row mode (no VectorMapJoin operator in the profile)
-    // while the scan side stays vectorized.
+fn explain_analyze_row_mapjoin_golden() {
+    // The map-join query with hive.vectorized.execution.enabled=false: the
+    // row engine's scan, MapJoinOperator and hash aggregation, with the
+    // same plan and the same logical row counts as the vectorized golden.
     let text = analyze_text_conf(JOIN_AGG, |hive| {
-        hive.try_set("hive.vectorized.execution.mapjoin.enabled", "false")
+        hive.try_set("hive.vectorized.execution.enabled", "false")
             .unwrap();
     });
-    assert!(!text.contains("VectorMapJoin"), "{text}");
+    assert!(!text.contains("Vector"), "{text}");
+    assert!(text.contains("MapJoinOperator"), "{text}");
     assert_golden("explain_analyze_row_mapjoin.txt", &text);
 }
 
@@ -621,6 +631,81 @@ fn unknown_knob_errors_carry_suggestions() {
         other => panic!("expected UnknownKnob, got {other}"),
     }
     assert!(err.to_string().contains("did you mean"), "{err}");
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The registry holds no knob nothing reads: each entry's constant name or
+/// key string occurs in non-test source (`crates/*/src`, `src/`) outside
+/// the registry itself. A knob `SET` accepts but no code consults fails
+/// here instead of sitting in the README table.
+#[test]
+fn every_registered_knob_is_read_by_non_test_source() {
+    assert_eq!(knobs::ALL.len(), 44);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut files);
+        }
+    }
+    let registry = root.join("crates/common/src/config.rs");
+    let sources: Vec<String> = files
+        .iter()
+        .filter(|f| **f != registry)
+        .map(|f| {
+            let text = std::fs::read_to_string(f).unwrap();
+            // Unit-test modules sit at the end of a file; drop them.
+            let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+            text[..end].to_string()
+        })
+        .collect();
+    for k in knobs::ALL {
+        assert!(
+            sources
+                .iter()
+                .any(|s| s.contains(k.ident) || s.contains(k.name)),
+            "knob `{}` ({}) is read by no non-test source file",
+            k.name,
+            k.ident
+        );
+    }
+}
+
+#[test]
+fn per_operator_gates_are_unknown_and_suggest_the_master_switch() {
+    let mut hive = HiveSession::in_memory();
+    for op in [
+        "filter",
+        "select",
+        "groupby",
+        "reducesink",
+        "mapjoin",
+        "acid",
+    ] {
+        let key = format!("hive.vectorized.execution.{op}.enabled");
+        match hive.try_set(&key, "false").map(|_| ()).unwrap_err() {
+            HiveError::UnknownKnob { suggestions, .. } => assert!(
+                suggestions
+                    .iter()
+                    .any(|s| s == "hive.vectorized.execution.enabled"),
+                "{key}: {suggestions:?}"
+            ),
+            other => panic!("{key}: expected UnknownKnob, got {other}"),
+        }
+    }
 }
 
 #[test]

@@ -492,7 +492,7 @@ fn join_session(
     };
     let mut hive = hive::HiveSession::in_memory();
     hive.set(
-        hive::common::config::keys::VECTORIZED_MAPJOIN_ENABLED,
+        hive::common::config::keys::VECTORIZED_ENABLED,
         if vectorize { "true" } else { "false" },
     );
     hive.execute(&format!(
