@@ -113,6 +113,19 @@ HIVE_BENCH_SF=0.02 cargo run -q --release -p hive-bench --bin bench_acid --offli
 echo "==> data skipping bench gate"
 HIVE_BENCH_SF=0.02 cargo run -q --release -p hive-bench --bin bench_skip --offline -- --check
 
+# Size: non-test, non-comment, non-blank lines per crate (a file counts up
+# to its first `#[cfg(test)]`). The figure CHANGES.md quotes for "did this
+# PR subtract"; printed, not gated.
+echo "==> engine size (non-test, non-comment lines under crates/*/src + src/)"
+for d in crates/*/src src; do
+    find "$d" -name '*.rs' -print0 | sort -z | xargs -0 awk -v d="$d" '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { printf "%-22s %6d\n", d, n }'
+done | awk '{ total += $2; print "    " $0 } END { printf "    %-22s %6d\n", "total", total }'
+
 if [[ "${1:-}" == "--release" ]]; then
     echo "==> cargo build --release"
     cargo build --release --workspace --offline

@@ -34,15 +34,15 @@ use crate::metastore::{Metastore, PinnedSnapshot, TableInfo};
 use hive_common::config::keys;
 use hive_common::{CancelToken, HiveConf, HiveError, Result, Row, Schema, Value};
 use hive_dfs::Dfs;
-use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
+use hive_exec::expr::{cast_value, ExprNode};
 use hive_formats::delta::{
     decode_delete_file, encode_delete_file, is_acid_path, manifest_path, DeleteKey, DeleteSet,
-    TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
+    LiveReader, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
 };
 use hive_formats::{create_writer, open_reader, FormatKind, ReadOptions, WriteOptions};
 use hive_mapreduce::MrEngine;
 use hive_obs::MetricsRegistry;
-use hive_planner::plan_query;
+use hive_planner::{plan_query, semantic::lower_dml};
 use hive_ql::{CompactMode, DeleteStmt, InsertStmt, UpdateStmt};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -313,107 +313,6 @@ fn publish_manifest(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Expression resolution: the QL AST against the table schema, compiled to
-// the row engine's `ExprNode`. DML predicates and SET expressions are
-// scalar-only — aggregates have no meaning against a single row.
-
-fn bin_op(op: hive_ql::BinOp) -> BinaryOp {
-    match op {
-        hive_ql::BinOp::Add => BinaryOp::Add,
-        hive_ql::BinOp::Subtract => BinaryOp::Subtract,
-        hive_ql::BinOp::Multiply => BinaryOp::Multiply,
-        hive_ql::BinOp::Divide => BinaryOp::Divide,
-        hive_ql::BinOp::Modulo => BinaryOp::Modulo,
-        hive_ql::BinOp::Eq => BinaryOp::Eq,
-        hive_ql::BinOp::NotEq => BinaryOp::NotEq,
-        hive_ql::BinOp::Lt => BinaryOp::Lt,
-        hive_ql::BinOp::LtEq => BinaryOp::LtEq,
-        hive_ql::BinOp::Gt => BinaryOp::Gt,
-        hive_ql::BinOp::GtEq => BinaryOp::GtEq,
-        hive_ql::BinOp::And => BinaryOp::And,
-        hive_ql::BinOp::Or => BinaryOp::Or,
-    }
-}
-
-fn un_op(op: hive_ql::UnOp) -> UnaryOp {
-    match op {
-        hive_ql::UnOp::Neg => UnaryOp::Neg,
-        hive_ql::UnOp::Not => UnaryOp::Not,
-    }
-}
-
-fn resolve(e: &hive_ql::Expr, schema: &Schema) -> Result<ExprNode> {
-    use hive_ql::Expr as E;
-    Ok(match e {
-        E::Column { name, .. } => ExprNode::col(schema.index_of(name)?),
-        E::Literal(v) => ExprNode::lit(v.clone()),
-        E::Binary { op, left, right } => ExprNode::Binary {
-            op: bin_op(*op),
-            left: Box::new(resolve(left, schema)?),
-            right: Box::new(resolve(right, schema)?),
-        },
-        E::Unary { op, expr } => ExprNode::Unary {
-            op: un_op(*op),
-            expr: Box::new(resolve(expr, schema)?),
-        },
-        E::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => ExprNode::Between {
-            expr: Box::new(resolve(expr, schema)?),
-            lo: Box::new(resolve(lo, schema)?),
-            hi: Box::new(resolve(hi, schema)?),
-            negated: *negated,
-        },
-        E::IsNull { expr, negated } => ExprNode::IsNull {
-            expr: Box::new(resolve(expr, schema)?),
-            negated: *negated,
-        },
-        E::InList {
-            expr,
-            list,
-            negated,
-        } => ExprNode::InList {
-            expr: Box::new(resolve(expr, schema)?),
-            list: list
-                .iter()
-                .map(|x| resolve(x, schema))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        E::Cast { expr, target } => ExprNode::Cast {
-            expr: Box::new(resolve(expr, schema)?),
-            target: target.clone(),
-        },
-        E::Case {
-            branches,
-            else_value,
-        } => ExprNode::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((resolve(c, schema)?, resolve(v, schema)?)))
-                .collect::<Result<_>>()?,
-            else_value: match else_value {
-                Some(v) => Some(Box::new(resolve(v, schema)?)),
-                None => None,
-            },
-        },
-        E::Function { name, .. } => {
-            return Err(HiveError::Plan(format!(
-                "function `{name}` is not allowed in DML expressions"
-            )));
-        }
-        E::Star => {
-            return Err(HiveError::Plan(
-                "`*` is not allowed in DML expressions".into(),
-            ));
-        }
-    })
-}
-
 fn matches(pred: &Option<ExprNode>, row: &Row) -> Result<bool> {
     match pred {
         Some(p) => p.eval_predicate(row),
@@ -439,7 +338,7 @@ fn literal_rows(ins: &InsertStmt, schema: &Schema) -> Result<Vec<Row>> {
                 .iter()
                 .zip(schema.fields())
                 .map(|(e, f)| {
-                    let v = resolve(e, schema)?.eval(&empty)?;
+                    let v = lower_dml(e, schema)?.eval(&empty)?;
                     cast_value(&v, &f.data_type)
                 })
                 .collect::<Result<Vec<Value>>>()?;
@@ -448,14 +347,13 @@ fn literal_rows(ins: &InsertStmt, schema: &Schema) -> Result<Vec<Row>> {
         .collect()
 }
 
-/// Visit every live row of `snap` — base files then deltas, physical row
-/// order, delete-masked rows skipped — exactly the order and visibility a
-/// merge-on-read scan produces.
+/// Visit every live row of `paths`, in order, as `(path, ordinal, row)` —
+/// exactly the order and visibility a merge-on-read scan produces.
 fn scan_live_rows<F>(
     dfs: &Dfs,
     conf: &HiveConf,
     info: &TableInfo,
-    snap: &TableSnapshot,
+    paths: &[String],
     deletes: &DeleteSet,
     cancel: Option<&Arc<CancelToken>>,
     mut visit: F,
@@ -463,29 +361,18 @@ fn scan_live_rows<F>(
 where
     F: FnMut(&str, u64, Row) -> Result<()>,
 {
-    for path in snap.scan_paths() {
+    for path in paths {
         if let Some(c) = cancel {
             c.check()?;
         }
-        let mut reader = open_reader(
-            dfs,
-            &path,
-            &info.schema,
-            conf,
-            &ReadOptions {
-                format: info.format,
-                ..Default::default()
-            },
-        )?;
-        let masked = deletes.for_path(&path);
-        let mut ordinal = 0u64;
-        while let Some(row) = reader.next_row()? {
-            let ord = ordinal;
-            ordinal += 1;
-            if masked.binary_search(&ord).is_ok() {
-                continue;
-            }
-            visit(&path, ord, row)?;
+        let opts = ReadOptions {
+            format: info.format,
+            ..Default::default()
+        };
+        let reader = open_reader(dfs, path, &info.schema, conf, &opts)?;
+        let mut live = LiveReader::new(reader, Some((deletes, path)));
+        while let Some((ord, row)) = live.next_row()? {
+            visit(path, ord, row)?;
         }
     }
     Ok(())
@@ -551,7 +438,7 @@ pub fn execute_delete(
     let pred = del
         .predicate
         .as_ref()
-        .map(|e| resolve(e, &info.schema))
+        .map(|e| lower_dml(e, &info.schema))
         .transpose()?;
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
@@ -566,7 +453,7 @@ pub fn execute_delete(
         dfs,
         conf,
         &info,
-        &snap,
+        &snap.scan_paths(),
         &existing,
         cancel,
         |path, ord, row| {
@@ -613,12 +500,12 @@ pub fn execute_update(
     let pred = upd
         .predicate
         .as_ref()
-        .map(|e| resolve(e, schema))
+        .map(|e| lower_dml(e, schema))
         .transpose()?;
     let sets: Vec<(usize, ExprNode)> = upd
         .sets
         .iter()
-        .map(|(name, e)| Ok((schema.index_of(name)?, resolve(e, schema)?)))
+        .map(|(name, e)| Ok((schema.index_of(name)?, lower_dml(e, schema)?)))
         .collect::<Result<_>>()?;
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
@@ -634,7 +521,7 @@ pub fn execute_update(
         dfs,
         conf,
         &info,
-        &snap,
+        &snap.scan_paths(),
         &existing,
         cancel,
         |path, ord, row| {
@@ -764,31 +651,19 @@ fn compact_snapshot(
                 }
             };
             let mut merged: Vec<Row> = Vec::new();
-            for (_, path) in &snap.deltas {
-                if let Some(c) = cancel {
-                    c.check()?;
-                }
-                let mut reader = open_reader(
-                    dfs,
-                    path,
-                    &info.schema,
-                    conf,
-                    &ReadOptions {
-                        format: info.format,
-                        ..Default::default()
-                    },
-                )?;
-                let masked = deletes.for_path(path);
-                let mut ordinal = 0u64;
-                while let Some(row) = reader.next_row()? {
-                    let ord = ordinal;
-                    ordinal += 1;
-                    if masked.binary_search(&ord).is_ok() {
-                        continue;
-                    }
+            let delta_paths: Vec<String> = snap.deltas.iter().map(|(_, p)| p.clone()).collect();
+            scan_live_rows(
+                dfs,
+                conf,
+                info,
+                &delta_paths,
+                &deletes,
+                cancel,
+                |_, _, row| {
                     merged.push(row);
-                }
-            }
+                    Ok(())
+                },
+            )?;
             if !merged.is_empty() {
                 let tmp_delta = format!("{tmp}{DELTA_PREFIX}{txn_id:010}");
                 write_rows_checked(dfs, conf, &tmp_delta, &info.schema, info.format, &merged)?;
@@ -940,7 +815,7 @@ mod tests {
             left: Box::new(hive_ql::Expr::col("k")),
             right: Box::new(hive_ql::Expr::Literal(Value::Int(3))),
         };
-        let node = resolve(&e, &schema).unwrap();
+        let node = lower_dml(&e, &schema).unwrap();
         assert!(node
             .eval_predicate(&Row::new(vec![Value::Int(3), Value::String("x".into())]))
             .unwrap());
@@ -953,8 +828,8 @@ mod tests {
             args: vec![hive_ql::Expr::col("k")],
             distinct: false,
         };
-        assert!(resolve(&agg, &schema).is_err());
+        assert!(lower_dml(&agg, &schema).is_err());
         // Unknown columns are a plan error, not a panic.
-        assert!(resolve(&hive_ql::Expr::col("nope"), &schema).is_err());
+        assert!(lower_dml(&hive_ql::Expr::col("nope"), &schema).is_err());
     }
 }

@@ -745,6 +745,48 @@ fn a_faulted_load_leaves_no_entry_and_the_retry_succeeds() {
     assert_eq!(pairs(&server), want);
 }
 
+/// A transient read fault is not a torn manifest. The newest manifest has
+/// never been read when a writer's first touch of it faults: skipping it
+/// as if its commit never happened would hand `recover` an older snapshot
+/// — or none — and with it every later file to delete as an orphan. The
+/// writer must fail `Transient` (or ride the fault out and commit on top);
+/// either way the commit it could not read is still there afterwards.
+#[test]
+fn a_transient_manifest_read_fault_never_rolls_a_writer_back() {
+    let hive = acid_session();
+    let server = hive.server().clone();
+    server.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    let after_insert = pairs(&server);
+    // Commit 2; nothing has read its manifest or its delete file yet.
+    server.execute("DELETE FROM t WHERE k = 0").unwrap();
+    let mut want: Vec<(i64, i64)> = after_insert.into_iter().filter(|p| p.0 != 0).collect();
+
+    let outcome = server.execute_with(
+        "INSERT INTO t VALUES (200, 2)",
+        &[
+            ("dfs.fault.read.error.rate", "1.0"),
+            ("dfs.fault.seed", "7"),
+        ],
+    );
+    match outcome {
+        Err(e) => assert!(matches!(e, hive_common::HiveError::Transient(_)), "{e}"),
+        Ok(_) => {
+            want.push((200, 2));
+            want.sort_unstable();
+        }
+    }
+    assert_eq!(pairs(&server), want, "the DELETE's commit was rolled back");
+    let snap = load_snapshot(server.dfs(), "/warehouse/t/")
+        .unwrap()
+        .unwrap();
+    assert!(
+        snap.version >= 2,
+        "manifest chain rewound to {}",
+        snap.version
+    );
+    assert_eq!(snap.deletes.len(), 1);
+}
+
 /// (d) Dropping a table evicts its pin, and a same-named table re-created
 /// over the same paths (`_manifest_0000000001`, `delete_0000000002`) gets
 /// fresh DFS generations anyway: the old snapshot is unreachable twice

@@ -384,6 +384,36 @@ proptest! {
     }
 }
 
+/// A session whose ORC files are many small stripes (100-row index
+/// stride) over 4 KB DFS blocks, so one corrupt block costs index groups
+/// mid-file, not the table, and ordinals span many groups — and the table
+/// `c(k, v, s)` with `v` = the row's position in the base file. Unique
+/// strings defeat dictionary encoding so the file is large and a corrupt
+/// mid-file block misses the footer tail.
+fn many_stripe_table(nrows: i64) -> HiveSession {
+    let mut hive = HiveSession::with_dfs_config(hive_dfs::DfsConfig {
+        block_size: 4 << 10,
+        replication: 2,
+        nodes: 4,
+    });
+    hive.set(keys::ORC_STRIPE_SIZE, "16384")
+        .set(keys::ORC_ROW_INDEX_STRIDE, "100");
+    hive.execute("CREATE TABLE c (k BIGINT, v BIGINT, s STRING) STORED AS orc")
+        .unwrap();
+    hive.load_rows(
+        "c",
+        (0..nrows).map(|i| {
+            Row::new(vec![
+                Value::Int(i % 17),
+                Value::Int(i),
+                Value::String(format!("unique-row-padding-{i:024}")),
+            ])
+        }),
+    )
+    .unwrap();
+    hive
+}
+
 /// Salvage × delete-mask interaction: when `hive.exec.orc.skip.corrupt.
 /// data` drops corrupt index groups from a base file that live delete
 /// masks address, the masked ordinals must stay aligned — every stripe and
@@ -394,30 +424,7 @@ proptest! {
 #[test]
 fn salvaged_corrupt_stripes_keep_delete_masks_aligned() {
     const NROWS: i64 = 8000;
-    let mut hive = HiveSession::with_dfs_config(hive_dfs::DfsConfig {
-        block_size: 4 << 10,
-        replication: 2,
-        nodes: 4,
-    });
-    // Small stripes and a 100-row index stride: one corrupt 4 KB block
-    // costs index groups, not the table, and ordinals span many groups.
-    hive.set(keys::ORC_STRIPE_SIZE, "16384")
-        .set(keys::ORC_ROW_INDEX_STRIDE, "100");
-    hive.execute("CREATE TABLE c (k BIGINT, v BIGINT, s STRING) STORED AS orc")
-        .unwrap();
-    // Unique strings defeat dictionary encoding so the file is large and
-    // the corrupt mid-file block misses the footer tail.
-    hive.load_rows(
-        "c",
-        (0..NROWS).map(|i| {
-            Row::new(vec![
-                Value::Int(i % 17),
-                Value::Int(i),
-                Value::String(format!("unique-row-padding-{i:024}")),
-            ])
-        }),
-    )
-    .unwrap();
+    let mut hive = many_stripe_table(NROWS);
     // Mask every 17th row — deletes spread across every stripe.
     hive.execute("DELETE FROM c WHERE k = 5").unwrap();
     // Corrupt the base file at rest AFTER the delete committed.
@@ -455,6 +462,160 @@ fn salvaged_corrupt_stripes_keep_delete_masks_aligned() {
             "deleted row resurrected after salvage — delete mask misaligned"
         );
     }
+}
+
+/// `SELECT k, v FROM c` under corrupt-data salvage, in both execution
+/// modes (which must agree), as sorted `(k, v)` pairs.
+fn salvaged_pairs(hive: &HiveSession) -> Vec<(i64, i64)> {
+    let read = |vectorized: &str| {
+        let r = hive
+            .server()
+            .execute_with(
+                "SELECT k, v FROM c",
+                &[
+                    (keys::ORC_SKIP_CORRUPT, "true"),
+                    (keys::VECTORIZED_ENABLED, vectorized),
+                ],
+            )
+            .unwrap();
+        let mut pairs: Vec<(i64, i64)> = r
+            .rows
+            .iter()
+            .map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap()))
+            .collect();
+        pairs.sort_unstable_by_key(|p| (p.1, p.0));
+        pairs
+    };
+    let vec_pairs = read("true");
+    assert_eq!(vec_pairs, read("false"), "modes disagree under salvage");
+    vec_pairs
+}
+
+/// Salvage × DML: a DELETE or UPDATE that runs with `hive.exec.orc.skip.
+/// corrupt.data=true` over a base file with a salvaged stripe must record
+/// each matching row's *true* file ordinal. Counting the rows the reader
+/// happened to return instead shifts every key after the corrupt region
+/// by the salvaged row count, and the statement masks rows it never
+/// matched.
+#[test]
+fn dml_after_a_salvaged_stripe_masks_exactly_the_rows_it_matched() {
+    const NROWS: i64 = 8000;
+    let hive = many_stripe_table(NROWS);
+    // First commit: a snapshot exists, so the base keeps its identity.
+    hive.server().execute("DELETE FROM c WHERE v = 0").unwrap();
+    let snap = load_snapshot(hive.dfs(), "/warehouse/c/").unwrap().unwrap();
+    let base = snap.base[0].clone();
+    let len = hive.dfs().len(&base).unwrap();
+    hive.dfs().corrupt_stored(&base, len / 2, 0x5a).unwrap();
+
+    let salvage = [(keys::ORC_SKIP_CORRUPT, "true")];
+    let mut model = salvaged_pairs(&hive);
+    let lost: Vec<i64> = (1..NROWS)
+        .filter(|v| model.binary_search_by_key(v, |p| p.1).is_err())
+        .collect();
+    assert!(
+        !lost.is_empty(),
+        "corruption cost no rows — fixture no longer covers salvage"
+    );
+    let after = *lost.last().unwrap();
+    assert!(
+        after < NROWS - 1500,
+        "salvaged region reaches the end of the file; nothing lies after it"
+    );
+
+    // DELETE rows that all sit after the salvaged stripe.
+    let deleted = hive
+        .server()
+        .execute_with(
+            &format!("DELETE FROM c WHERE v > {after} AND k = 5"),
+            &salvage,
+        )
+        .unwrap();
+    let gone = model.iter().filter(|p| p.1 > after && p.0 == 5).count();
+    assert!(gone > 50);
+    assert_eq!(deleted.rows[0][0], Value::Int(gone as i64));
+    model.retain(|p| !(p.1 > after && p.0 == 5));
+    assert_eq!(
+        salvaged_pairs(&hive),
+        model,
+        "DELETE masked rows it did not match"
+    );
+
+    // UPDATE more of them: the old versions must be the ones masked.
+    hive.server()
+        .execute_with(
+            &format!("UPDATE c SET k = 99 WHERE v > {after} AND k = 3"),
+            &salvage,
+        )
+        .unwrap();
+    for p in model.iter_mut().filter(|p| p.1 > after && p.0 == 3) {
+        p.0 = 99;
+    }
+    assert_eq!(
+        salvaged_pairs(&hive),
+        model,
+        "UPDATE masked rows it did not match"
+    );
+
+    // A major compaction under salvage rewrites exactly what was visible.
+    hive.server()
+        .execute_with("ALTER TABLE c COMPACT 'major'", &salvage)
+        .unwrap();
+    assert_eq!(
+        salvaged_pairs(&hive),
+        model,
+        "major compaction changed the table"
+    );
+}
+
+/// The same contract for minor compaction: folding a delta that has a
+/// salvaged stripe must apply the delete keys addressing it by true
+/// ordinal, so the merged delta holds exactly the rows a reader saw.
+#[test]
+fn minor_compaction_over_a_salvaged_delta_keeps_its_delete_keys_aligned() {
+    const BASE: i64 = 200;
+    const DELTA: i64 = 4000;
+    let mut hive = many_stripe_table(BASE);
+    // One big multi-stripe delta (written under the session's small-stripe
+    // knobs), then delete keys spread across it.
+    let tuples: Vec<String> = (BASE..BASE + DELTA)
+        .map(|i| format!("({}, {i}, 'unique-row-padding-{i:024}')", i % 17))
+        .collect();
+    hive.execute(&format!("INSERT INTO c VALUES {}", tuples.join(", ")))
+        .unwrap();
+    hive.server().execute("DELETE FROM c WHERE k = 5").unwrap();
+    let snap = load_snapshot(hive.dfs(), "/warehouse/c/").unwrap().unwrap();
+    let delta = snap.deltas[0].1.clone();
+    let len = hive.dfs().len(&delta).unwrap();
+    assert!(len > 64 << 10, "fixture delta too small ({len} bytes)");
+    hive.dfs().corrupt_stored(&delta, len / 2, 0x5a).unwrap();
+
+    let model = salvaged_pairs(&hive);
+    let lost = (BASE..BASE + DELTA)
+        .filter(|v| v % 17 != 5 && model.binary_search_by_key(v, |p| p.1).is_err())
+        .count();
+    assert!(
+        lost > 0,
+        "corruption cost no rows — fixture no longer covers salvage"
+    );
+    assert!(model.iter().all(|p| p.0 != 5));
+
+    hive.server()
+        .execute_with(
+            "ALTER TABLE c COMPACT 'minor'",
+            &[(keys::ORC_SKIP_CORRUPT, "true")],
+        )
+        .unwrap();
+    let snap = load_snapshot(hive.dfs(), "/warehouse/c/").unwrap().unwrap();
+    assert_eq!(snap.deltas.len(), 1);
+    assert_ne!(snap.deltas[0].1, delta, "the delta was not folded");
+    // The merged delta is clean: salvage has nothing left to drop, and
+    // every row a reader saw before the fold is still there — no more.
+    assert_eq!(
+        salvaged_pairs(&hive),
+        model,
+        "minor compaction misapplied delete keys"
+    );
 }
 
 /// Satellite 2 at the server level: a statement's write-fault plan rides

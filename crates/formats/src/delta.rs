@@ -15,8 +15,10 @@
 //! newest *valid* manifest defines the snapshot; publishing a manifest via
 //! atomic rename is therefore the commit point of every transaction.
 
-use hive_common::{HiveError, Result};
+use crate::TableReader;
+use hive_common::{HiveError, Result, Row};
 use hive_dfs::{crc, Dfs};
+use hive_vector::VectorizedRowBatch;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -178,7 +180,11 @@ pub fn manifest_path(location: &str, version: u64) -> String {
 /// Load the newest *valid* snapshot under `location`, or `None` when the
 /// table has never committed a transaction (non-ACID so far). Manifests
 /// that fail to parse or CRC-verify are skipped — a torn manifest never
-/// happened; the previous one still defines the table.
+/// happened; the previous one still defines the table. Only bad *data*
+/// is a torn manifest: any other read failure (a transient fault, say)
+/// propagates, because skipping a committed manifest over it would hand
+/// a writer's recovery the previous snapshot and with it a licence to
+/// delete the newest commit's files as orphans.
 pub fn load_snapshot(dfs: &Dfs, location: &str) -> Result<Option<TableSnapshot>> {
     Ok(load_snapshot_stamped(dfs, location)?.map(|(snap, _)| snap))
 }
@@ -216,8 +222,11 @@ pub fn load_snapshot_stamped(
     for (skipped, path) in list_manifests(dfs, location).into_iter().enumerate() {
         let mut reader = dfs.open(&path, None)?;
         let generation = reader.generation();
-        let Ok(bytes) = reader.read_all() else {
-            continue; // tampered manifest: skip, an older one governs
+        let bytes = match reader.read_all() {
+            Ok(bytes) => bytes,
+            // Tampered manifest: skip, an older one governs.
+            Err(e) if e.is_data_corruption() => continue,
+            Err(e) => return Err(e),
         };
         if let Ok(snap) = TableSnapshot::decode(&bytes) {
             return Ok(Some((snap, (skipped == 0).then_some((path, generation)))));
@@ -284,8 +293,8 @@ pub fn decode_delete_file(bytes: &[u8]) -> Result<Vec<DeleteKey>> {
 /// The union of a snapshot's delete files: which `(path, ordinal)` rows
 /// the merge-on-read scan must mask. Indexed by path — one sorted,
 /// deduplicated ordinal list per data file — so a scan resolves its file's
-/// slice once ([`DeleteSet::for_path`]) and every probe after that is a
-/// binary search over plain `u64`s.
+/// slice once (when its [`LiveReader`] opens) and every probe after that is
+/// a binary search over plain `u64`s.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DeleteSet {
     /// No entry is empty: a path appears once it has a masked row.
@@ -294,19 +303,12 @@ pub struct DeleteSet {
 
 impl DeleteSet {
     /// Masked ordinals of `path`, ascending; empty for an unmasked file.
-    pub fn for_path(&self, path: &str) -> &[u64] {
+    pub(crate) fn for_path(&self, path: &str) -> &[u64] {
         self.by_path.get(path).map_or(&[], Vec::as_slice)
     }
 
     pub fn contains(&self, path: &str, ordinal: u64) -> bool {
         self.for_path(path).binary_search(&ordinal).is_ok()
-    }
-
-    /// Deleted ordinals of `path` inside `[start, start + len)`, ascending.
-    /// One ranged probe per batch run keeps selected[]-level masking
-    /// O(log n + hits) instead of O(batch size) point lookups.
-    pub fn masked_in(&self, path: &str, start: u64, len: u64) -> impl Iterator<Item = u64> + '_ {
-        ordinals_in(self.for_path(path), start, len).iter().copied()
     }
 
     pub fn len(&self) -> usize {
@@ -351,12 +353,110 @@ impl FromIterator<DeleteKey> for DeleteSet {
     }
 }
 
-/// The part of an ascending ordinal list inside `[start, start + len)`.
-pub fn ordinals_in(ordinals: &[u64], start: u64, len: u64) -> &[u64] {
+/// The part of an ascending ordinal list inside `[start, start + len)`:
+/// one ranged probe per batch run keeps selected[]-level masking
+/// O(log n + hits) instead of O(batch size) point lookups.
+pub(crate) fn ordinals_in(ordinals: &[u64], start: u64, len: u64) -> &[u64] {
     let end = start.saturating_add(len);
     let lo = ordinals.partition_point(|&o| o < start);
     let hi = lo + ordinals[lo..].partition_point(|&o| o < end);
     &ordinals[lo..hi]
+}
+
+/// The merge-on-read cursor: one file's reader with that file's delete
+/// mask applied, so a deleted row never escapes it. Queries (batch and row
+/// mode), map-join side loads, DML scans and minor compaction all read
+/// through this type and nothing else consults a [`DeleteSet`].
+///
+/// **Ordinal contract.** A delete key addresses a row by its *physical*
+/// position in its file, masked rows included. Readers that skip data
+/// (ORC: splits, predicate pushdown, corrupt-data salvage) report true
+/// ordinals via [`TableReader::last_row_ordinal`] /
+/// [`TableReader::batch_ordinal_runs`]; for readers that track none, this
+/// cursor counts rows sequentially — correct only for a whole-file scan,
+/// which is why such formats are never split under an overlay.
+pub struct LiveReader<'a> {
+    reader: Box<dyn TableReader + 'a>,
+    /// Masked ordinals of the file, ascending. Empty: a pass-through.
+    masked: &'a [u64],
+    /// The sequential fallback clock: physical rows returned so far.
+    seq_ord: u64,
+    rows_masked: u64,
+    /// Per-batch scratch: physical batch indexes to unselect.
+    drop: Vec<usize>,
+}
+
+impl<'a> LiveReader<'a> {
+    /// Wrap `reader`, masking the rows `mask`'s set records for its path;
+    /// `None` (a plain table, or an overlay-free snapshot) masks nothing.
+    pub fn new(
+        reader: Box<dyn TableReader + 'a>,
+        mask: Option<(&'a DeleteSet, &str)>,
+    ) -> LiveReader<'a> {
+        LiveReader {
+            reader,
+            masked: mask.map_or(&[], |(set, path)| set.for_path(path)),
+            seq_ord: 0,
+            rows_masked: 0,
+            drop: Vec::new(),
+        }
+    }
+
+    /// The next live row and its physical ordinal in the file.
+    pub fn next_row(&mut self) -> Result<Option<(u64, Row)>> {
+        while let Some(row) = self.reader.next_row()? {
+            let ord = self.reader.last_row_ordinal().unwrap_or(self.seq_ord);
+            self.seq_ord += 1;
+            if self.masked.binary_search(&ord).is_ok() {
+                self.rows_masked += 1;
+                continue;
+            }
+            return Ok(Some((ord, row)));
+        }
+        Ok(None)
+    }
+
+    /// Fill `batch` from the reader and unselect its masked rows, which
+    /// stay in the column buffers but are never visited downstream. Returns
+    /// the reader's answer, so a batch whose every row was masked comes
+    /// back empty with `true`.
+    pub fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
+        let more = self.reader.next_batch(batch)?;
+        if self.masked.is_empty() || batch.size == 0 {
+            return Ok(more);
+        }
+        let sequential = [(self.seq_ord, batch.size as u64)];
+        let runs = self.reader.batch_ordinal_runs().unwrap_or(&sequential);
+        debug_assert_eq!(
+            runs.iter().map(|r| r.1).sum::<u64>(),
+            batch.size as u64,
+            "ordinal runs must cover the whole batch"
+        );
+        self.seq_ord += batch.size as u64;
+        self.drop.clear();
+        let mut base = 0usize;
+        for &(start, len) in runs {
+            self.drop.extend(
+                ordinals_in(self.masked, start, len)
+                    .iter()
+                    .map(|ord| base + (ord - start) as usize),
+            );
+            base += len as usize;
+        }
+        self.rows_masked += self.drop.len() as u64;
+        batch.unselect_rows(&self.drop);
+        Ok(more)
+    }
+
+    /// Rows the mask has dropped so far.
+    pub fn rows_masked(&self) -> u64 {
+        self.rows_masked
+    }
+
+    /// The wrapped reader, for its read-side statistics.
+    pub fn inner(&self) -> &dyn TableReader {
+        self.reader.as_ref()
+    }
 }
 
 /// Read and CRC-verify the delete files `files` names, folding their keys
@@ -403,6 +503,8 @@ impl AcidOverlay {
 mod tests {
     use super::*;
     use hive_dfs::DfsConfig;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn fs() -> Dfs {
         Dfs::new(DfsConfig {
@@ -522,5 +624,115 @@ mod tests {
         assert!(is_acid_path("/w/t/delete_00006"));
         assert!(is_acid_path("/w/t/base_0000000003"));
         assert!(!is_acid_path("/w/t/part-00000"));
+    }
+
+    // The path-indexed set against the representation it replaced (a
+    // `BTreeSet<(String, u64)>`), and the delete-file image pinned byte for
+    // byte. These cases probe the crate-private slice API (`for_path`,
+    // `ordinals_in`) that only `LiveReader` may use, so they live here.
+
+    const PATHS: [&str; 4] = [
+        "/w/t/part-00000",
+        "/w/t/part-00001",
+        "/w/t/delta_0000000005",
+        "/w/t2/part-00000",
+    ];
+
+    /// Ordinals clustered low (so ranges straddle hits and duplicates
+    /// occur) with the extremes mixed in.
+    fn ordinal() -> BoxedStrategy<u64> {
+        prop_oneof![
+            6 => 0u64..200,
+            1 => Just(u64::MAX),
+            1 => Just(u64::MAX - 1),
+            1 => any::<u64>(),
+        ]
+        .boxed()
+    }
+
+    fn keys() -> impl Strategy<Value = Vec<DeleteKey>> {
+        proptest::collection::vec((0usize..3, ordinal()), 0..300).prop_map(|ks| {
+            ks.into_iter()
+                .map(|(p, o)| (PATHS[p].to_string(), o))
+                .collect()
+        })
+    }
+
+    /// What `BTreeSet<(String, u64)>::range` answered for one ranged probe.
+    fn naive_masked_in(naive: &BTreeSet<DeleteKey>, path: &str, start: u64, len: u64) -> Vec<u64> {
+        let lo = (path.to_string(), start);
+        let hi = (path.to_string(), start.saturating_add(len));
+        naive.range(lo..hi).map(|(_, o)| *o).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn path_indexed_set_agrees_with_a_naive_btreeset(
+            first in keys(),
+            second in keys(),
+            probes in proptest::collection::vec((0usize..4, ordinal(), ordinal()), 1..40),
+        ) {
+            // Built in two steps, the way the metastore extends a cached set
+            // with one more delete file.
+            let mut set: DeleteSet = first.iter().cloned().collect();
+            set.extend(second.iter().cloned());
+            let naive: BTreeSet<DeleteKey> = first.iter().chain(&second).cloned().collect();
+
+            prop_assert_eq!(set.len(), naive.len());
+            prop_assert_eq!(set.is_empty(), naive.is_empty());
+            let listed: Vec<DeleteKey> = set.iter().map(|(p, o)| (p.to_string(), o)).collect();
+            let expected: Vec<DeleteKey> = naive.iter().cloned().collect();
+            prop_assert_eq!(listed, expected, "iter order");
+            let one_shot: DeleteSet = first.iter().chain(&second).cloned().collect();
+            prop_assert_eq!(&one_shot, &set, "extension equals a single build");
+
+            for (p, a, b) in probes {
+                // PATHS[3] is never a key: the unmasked-file case.
+                let path = PATHS[p];
+                prop_assert_eq!(set.contains(path, a), naive.contains(&(path.to_string(), a)));
+                // Empty, straddling and saturating ranges.
+                for (start, len) in [(a, 0), (a, b), (a.min(b), a.max(b) - a.min(b)), (a, u64::MAX), (0, a)] {
+                    prop_assert_eq!(
+                        ordinals_in(set.for_path(path), start, len),
+                        &naive_masked_in(&naive, path, start, len)[..],
+                        "ordinals_in({}, {}, {})", path, start, len);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn delete_files_round_trip(ks in keys()) {
+            prop_assert_eq!(decode_delete_file(&encode_delete_file(&ks)).unwrap(), ks);
+        }
+    }
+
+    /// The on-disk image of a delete file, as PR 12's parent wrote it:
+    /// insertion order kept, duplicates kept, `<ordinal>\t<path>` lines,
+    /// CRC32 trailer over everything before it.
+    #[test]
+    fn delete_file_image_is_pinned() {
+        let keys: Vec<DeleteKey> = vec![
+            ("/w/t/part-00000".into(), 4),
+            ("/w/t/delta_0000000005".into(), 0),
+            ("/w/t/part-00000".into(), u64::MAX),
+            ("/w/t/part-00000".into(), 4),
+        ];
+        let golden: &[u8] = b"hivedelete v1\n\
+            4\t/w/t/part-00000\n\
+            0\t/w/t/delta_0000000005\n\
+            18446744073709551615\t/w/t/part-00000\n\
+            4\t/w/t/part-00000\n\
+            crc f9d28882\n";
+        assert_eq!(encode_delete_file(&keys), golden);
+        assert_eq!(decode_delete_file(golden).unwrap(), keys);
+
+        let set: DeleteSet = keys.into_iter().collect();
+        assert_eq!(set.len(), 3, "the duplicate key collapses");
+        assert_eq!(set.for_path("/w/t/part-00000"), &[4, u64::MAX]);
+        assert_eq!(set.for_path("/w/t/absent"), &[] as &[u64]);
     }
 }

@@ -1004,11 +1004,10 @@ impl TableReader for OrcReader {
                 }
                 continue;
             }
-            let projection = self.projection.clone();
-            let mut vals = Vec::with_capacity(projection.len());
+            let mut vals = Vec::with_capacity(self.projection.len());
             let mut failed = None;
-            for &p in &projection {
-                let col = self.tree.top_level(p);
+            for i in 0..self.projection.len() {
+                let col = self.tree.top_level(self.projection[i]);
                 match self.read_value(col) {
                     Ok(v) => vals.push(v),
                     Err(e) => {

@@ -325,8 +325,13 @@ pub fn binary_deserialize_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
 
 /// Binary-serialize a whole row.
 pub fn binary_serialize_row(row: &Row, out: &mut Vec<u8>) {
-    hive_codec::varint::write_unsigned(out, row.len() as u64);
-    for v in row.values() {
+    binary_serialize_values(row.values(), out);
+}
+
+/// [`binary_serialize_row`] for a row held as a bare value slice.
+pub fn binary_serialize_values(values: &[Value], out: &mut Vec<u8>) {
+    hive_codec::varint::write_unsigned(out, values.len() as u64);
+    for v in values {
         binary_serialize_value(v, out);
     }
 }

@@ -1,113 +1,173 @@
-//! The path-indexed [`DeleteSet`] against the representation it replaced
-//! (a `BTreeSet<(String, u64)>`), and the delete-file image pinned byte
-//! for byte: the set is rebuilt from these files on every snapshot load,
-//! so neither its answers nor the bytes it is loaded from may drift.
+//! The merge-on-read cursor ([`LiveReader`]) against a naive "materialize
+//! every row, then drop the deleted ones" model — over ORC with
+//! predicate-pruned index groups and a split range (the reader's skip-aware
+//! ordinals), and over text (the cursor's sequential fallback). The
+//! [`DeleteSet`] itself (its crate-private slice probes, the delete-file
+//! codec and its pinned image) is tested beside it in `src/delta.rs`.
 
-use hive_formats::delta::{
-    decode_delete_file, encode_delete_file, ordinals_in, DeleteKey, DeleteSet,
+use hive_common::config::keys;
+use hive_common::{HiveConf, Row, Schema, Value};
+use hive_dfs::{Dfs, DfsConfig};
+use hive_formats::delta::{DeleteSet, LiveReader};
+use hive_formats::{
+    create_writer, open_reader, FormatKind, PredicateLeaf, ReadOptions, SearchArgument,
+    WriteOptions,
 };
+use hive_vector::VectorizedRowBatch;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
-const PATHS: [&str; 4] = [
-    "/w/t/part-00000",
-    "/w/t/part-00001",
-    "/w/t/delta_0000000005",
-    "/w/t2/part-00000",
-];
+const NROWS: i64 = 3000;
+const FILE: &str = "/w/live/part-00000";
 
-/// Ordinals clustered low (so ranges straddle hits and duplicates occur)
-/// with the extremes mixed in.
-fn ordinal() -> BoxedStrategy<u64> {
-    prop_oneof![
-        6 => 0u64..200,
-        1 => Just(u64::MAX),
-        1 => Just(u64::MAX - 1),
-        1 => any::<u64>(),
-    ]
-    .boxed()
+fn schema() -> Schema {
+    Schema::parse(&[("ord", "bigint"), ("k", "bigint"), ("pad", "string")]).unwrap()
 }
 
-fn keys() -> impl Strategy<Value = Vec<DeleteKey>> {
-    proptest::collection::vec((0usize..3, ordinal()), 0..300).prop_map(|ks| {
-        ks.into_iter()
-            .map(|(p, o)| (PATHS[p].to_string(), o))
-            .collect()
-    })
+/// Column 0 is the row's own physical ordinal, so every row a reader
+/// returns says where in the file it came from. Column 1 is constant
+/// within an index group and cycles across groups, so a range on it prunes
+/// a scattered set of groups inside every stripe.
+fn fixture(format: FormatKind) -> (Dfs, HiveConf) {
+    let dfs = Dfs::new(DfsConfig {
+        block_size: 1 << 20,
+        replication: 1,
+        nodes: 2,
+    });
+    // Many small stripes and index groups: a split range and a sarg each
+    // cut the file at many places.
+    let conf = HiveConf::new()
+        .with(keys::ORC_STRIPE_SIZE, "32768")
+        .with(keys::ORC_ROW_INDEX_STRIDE, "50");
+    let opts = WriteOptions {
+        format,
+        ..Default::default()
+    };
+    let mut w = create_writer(&dfs, FILE, &schema(), &conf, &opts).unwrap();
+    for i in 0..NROWS {
+        w.write_row(&Row::new(vec![
+            Value::Int(i),
+            Value::Int((i / 50) % 7),
+            Value::String(format!("padding-{i:020}")),
+        ]))
+        .unwrap();
+    }
+    w.close().unwrap();
+    (dfs, conf)
 }
 
-/// What `BTreeSet<(String, u64)>::range` answered for one ranged probe.
-fn naive_masked_in(naive: &BTreeSet<DeleteKey>, path: &str, start: u64, len: u64) -> Vec<u64> {
-    let lo = (path.to_string(), start);
-    let hi = (path.to_string(), start.saturating_add(len));
-    naive.range(lo..hi).map(|(_, o)| *o).collect()
+/// Drive one cursor to the end in both modes and check each against the
+/// model: the rows a bare reader returns under the same options, minus
+/// those whose ordinal (= column 0) the set masks for this file. Returns
+/// how many physical rows the options let through.
+fn check_against_model(dfs: &Dfs, conf: &HiveConf, opts: &ReadOptions, set: &DeleteSet) -> usize {
+    let open = || open_reader(dfs, FILE, &schema(), conf, opts).unwrap();
+    let mut physical = Vec::new();
+    let mut bare = open();
+    while let Some(row) = bare.next_row().unwrap() {
+        physical.push(row);
+    }
+    let ord_of = |r: &Row| r[0].as_int().unwrap() as u64;
+    let live: Vec<&Row> = physical
+        .iter()
+        .filter(|r| !set.contains(FILE, ord_of(r)))
+        .collect();
+    let masked = (physical.len() - live.len()) as u64;
+
+    let mut by_row = LiveReader::new(open(), Some((set, FILE)));
+    let mut got = Vec::new();
+    while let Some((ord, row)) = by_row.next_row().unwrap() {
+        assert_eq!(ord, ord_of(&row), "reported ordinal is the row's position");
+        got.push(row);
+    }
+    assert_eq!(got.iter().collect::<Vec<_>>(), live, "next_row rows");
+    assert_eq!(by_row.rows_masked(), masked, "next_row rows_masked");
+
+    let mut by_batch = LiveReader::new(open(), Some((set, FILE)));
+    let columns: Vec<_> = schema()
+        .fields()
+        .iter()
+        .map(|f| f.data_type.clone())
+        .enumerate()
+        .collect();
+    let types: Vec<_> = columns.iter().map(|(_, t)| t.clone()).collect();
+    let mut batch = VectorizedRowBatch::new(&types, 64).unwrap();
+    let mut got = Vec::new();
+    loop {
+        let more = by_batch.next_batch(&mut batch).unwrap();
+        got.extend(hive_vector::row_convert::batch_to_rows(&batch, &columns));
+        if !more {
+            break;
+        }
+    }
+    assert_eq!(got.iter().collect::<Vec<_>>(), live, "next_batch rows");
+    assert_eq!(by_batch.rows_masked(), masked, "next_batch rows_masked");
+
+    // No mask at all is a pass-through.
+    let mut plain = LiveReader::new(open(), None);
+    let mut n = 0;
+    while plain.next_row().unwrap().is_some() {
+        n += 1;
+    }
+    assert_eq!((n, plain.rows_masked()), (physical.len(), 0));
+    physical.len()
+}
+
+/// Delete keys for FILE clustered so whole batches and whole index groups
+/// get masked, plus keys of another file that must not leak in.
+fn file_keys() -> impl Strategy<Value = DeleteSet> {
+    (
+        proptest::collection::vec(0u64..NROWS as u64 + 50, 0..400),
+        proptest::collection::vec((0u64..NROWS as u64, 1u64..130), 0..4),
+    )
+        .prop_map(|(points, runs)| {
+            let runs = runs.into_iter().flat_map(|(s, n)| s..s + n);
+            points
+                .into_iter()
+                .chain(runs)
+                .flat_map(|o| {
+                    [
+                        (FILE.to_string(), o),
+                        ("/w/live/part-00001".to_string(), o / 2),
+                    ]
+                })
+                .collect()
+        })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
+    // ORC: the sarg prunes index groups, the split range drops stripes,
+    // and the surviving rows must still be masked by their true ordinals.
     #[test]
-    fn path_indexed_set_agrees_with_a_naive_btreeset(
-        first in keys(),
-        second in keys(),
-        probes in proptest::collection::vec((0usize..4, ordinal(), ordinal()), 1..40),
+    fn live_reader_matches_the_model_over_pruned_and_split_orc(
+        set in file_keys(),
+        lo in 0i64..7,
+        span in 0i64..4,
+        cut in (0u64..4, 1u64..=4),
     ) {
-        // Built in two steps, the way the metastore extends a cached set
-        // with one more delete file.
-        let mut set: DeleteSet = first.iter().cloned().collect();
-        set.extend(second.iter().cloned());
-        let naive: BTreeSet<DeleteKey> = first.iter().chain(&second).cloned().collect();
-
-        prop_assert_eq!(set.len(), naive.len());
-        prop_assert_eq!(set.is_empty(), naive.is_empty());
-        let listed: Vec<DeleteKey> = set.iter().map(|(p, o)| (p.to_string(), o)).collect();
-        let expected: Vec<DeleteKey> = naive.iter().cloned().collect();
-        prop_assert_eq!(listed, expected, "iter order");
-        let one_shot: DeleteSet = first.iter().chain(&second).cloned().collect();
-        prop_assert_eq!(&one_shot, &set, "extension equals a single build");
-
-        for (p, a, b) in probes {
-            // PATHS[3] is never a key: the unmasked-file case.
-            let path = PATHS[p];
-            prop_assert_eq!(set.contains(path, a), naive.contains(&(path.to_string(), a)));
-            // Empty, straddling and saturating ranges.
-            for (start, len) in [(a, 0), (a, b), (a.min(b), a.max(b) - a.min(b)), (a, u64::MAX), (0, a)] {
-                let got: Vec<u64> = set.masked_in(path, start, len).collect();
-                prop_assert_eq!(&got, &naive_masked_in(&naive, path, start, len),
-                    "masked_in({}, {}, {})", path, start, len);
-                prop_assert_eq!(ordinals_in(set.for_path(path), start, len), &got[..]);
-            }
-        }
+        let (dfs, conf) = fixture(FormatKind::Orc);
+        let len = dfs.len(FILE).unwrap();
+        let opts = ReadOptions {
+            format: FormatKind::Orc,
+            sarg: Some(SearchArgument::new(vec![PredicateLeaf::between(
+                1,
+                Value::Int(lo),
+                Value::Int(lo + span),
+            )])),
+            split: Some((len * cut.0 / 4, len * (cut.0 + cut.1).min(4) / 4)),
+            ..Default::default()
+        };
+        let physical = check_against_model(&dfs, &conf, &opts, &set);
+        prop_assert!(physical < NROWS as usize, "fixture no longer skips anything");
     }
 
+    // Text tracks no ordinals: the cursor's own sequential clock must
+    // line up with the file's row order on a whole-file scan.
     #[test]
-    fn delete_files_round_trip(ks in keys()) {
-        prop_assert_eq!(decode_delete_file(&encode_delete_file(&ks)).unwrap(), ks);
+    fn live_reader_matches_the_model_over_text(set in file_keys()) {
+        let (dfs, conf) = fixture(FormatKind::Text);
+        let opts = ReadOptions { format: FormatKind::Text, ..Default::default() };
+        prop_assert_eq!(check_against_model(&dfs, &conf, &opts, &set), NROWS as usize);
     }
-}
-
-/// The on-disk image of a delete file, as the parent commit wrote it:
-/// insertion order kept, duplicates kept, `<ordinal>\t<path>` lines, CRC32
-/// trailer over everything before it.
-#[test]
-fn delete_file_image_is_pinned() {
-    let keys: Vec<DeleteKey> = vec![
-        ("/w/t/part-00000".into(), 4),
-        ("/w/t/delta_0000000005".into(), 0),
-        ("/w/t/part-00000".into(), u64::MAX),
-        ("/w/t/part-00000".into(), 4),
-    ];
-    let golden: &[u8] = b"hivedelete v1\n\
-        4\t/w/t/part-00000\n\
-        0\t/w/t/delta_0000000005\n\
-        18446744073709551615\t/w/t/part-00000\n\
-        4\t/w/t/part-00000\n\
-        crc f9d28882\n";
-    assert_eq!(encode_delete_file(&keys), golden);
-    assert_eq!(decode_delete_file(golden).unwrap(), keys);
-
-    let set: DeleteSet = keys.into_iter().collect();
-    assert_eq!(set.len(), 3, "the duplicate key collapses");
-    assert_eq!(set.for_path("/w/t/part-00000"), &[4, u64::MAX]);
-    assert_eq!(set.for_path("/w/t/absent"), &[] as &[u64]);
 }

@@ -5,8 +5,8 @@ use crate::job::{JobInput, JobOutput, JobSpec, ReducePipelineFactory, SideInput}
 use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row, Value};
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_exec::graph::{Message, ShuffleRecord};
-use hive_formats::delta::ordinals_in;
-use hive_formats::{open_reader, ReadOptions, TableReader, TableWriter};
+use hive_formats::delta::LiveReader;
+use hive_formats::{open_reader, ReadOptions, TableWriter};
 use hive_obs::profile::merge_profiles;
 use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
 use hive_vector::{VectorizedRowBatch, DEFAULT_BATCH_SIZE};
@@ -164,21 +164,6 @@ impl<T> TaskOutcome<T> {
             backoff_s: 0.0,
         }
     }
-}
-
-/// ACID merge-on-read, row at a time: whether the row `reader` just
-/// returned is masked by its file's delete ordinals. Ordinals address
-/// *physical* rows of the file (masked ones included) so they line up with
-/// the delete keys. Readers that skip data report true ordinals;
-/// sequential counting in `seq_ord` covers the rest (those formats are
-/// scanned whole-file under an overlay).
-fn row_is_masked(masked: Option<&[u64]>, reader: &dyn TableReader, seq_ord: &mut u64) -> bool {
-    let Some(masked) = masked else {
-        return false;
-    };
-    let ord = reader.last_row_ordinal().unwrap_or(*seq_ord);
-    *seq_ord += 1;
-    masked.binary_search(&ord).is_ok()
 }
 
 /// Best-effort text of a panic payload.
@@ -891,13 +876,19 @@ impl MrEngine {
             split: Some((split.start, split.end)),
             variant: split.variant,
         };
-        let mut reader = open_reader(
-            &self.dfs,
-            &split.path,
-            &split.input.schema,
-            &self.conf,
-            &reader_opts,
-        )?;
+        // Every scan reads through the merge-on-read cursor; without an
+        // overlay it masks nothing.
+        let overlay = split.input.overlay.as_ref();
+        let mut reader = LiveReader::new(
+            open_reader(
+                &self.dfs,
+                &split.path,
+                &split.input.schema,
+                &self.conf,
+                &reader_opts,
+            )?,
+            overlay.map(|o| (&*o.deletes, split.path.as_str())),
+        );
 
         let mut partitions: Vec<Vec<ShuffleRecord>> =
             (0..num_reducers).map(|_| Vec::new()).collect();
@@ -906,7 +897,6 @@ impl MrEngine {
         let mut rows_processed = 0u64;
         let mut batches_read = 0u64;
         let mut delta_rows_read = 0u64;
-        let mut rows_masked = 0u64;
         {
             let graph = &mut pipeline.graph;
             let mut on_shuffle = |rec: ShuffleRecord| {
@@ -922,11 +912,7 @@ impl MrEngine {
             };
             let mut on_output = |row: Row| task_out.push(row);
 
-            let overlay = split.input.overlay.as_ref();
             let in_delta = overlay.is_some_and(|o| o.is_delta(&split.path));
-            // Masked ordinals of this split's file, resolved once: every
-            // probe below is a binary search in this slice.
-            let masked = overlay.map(|o| o.deletes.for_path(&split.path));
             match pipeline.vector.get(&split.input.alias) {
                 Some(stage) => {
                     // Batch-native scan path (paper Section 6.5): reader
@@ -935,61 +921,32 @@ impl MrEngine {
                     // batch per iteration keeps the Arc unshared, so the
                     // first operator's copy-on-write is a no-op.
                     //
-                    // ACID merge-on-read stays batch-native too: deleted
-                    // ordinals are unselected before the batch enters the
-                    // graph, so masked rows are never materialized and all
-                    // counters see logical (post-mask) rows — identical to
-                    // row mode.
-                    let mut seq_ord = 0u64;
+                    // Deleted ordinals are already unselected when the
+                    // batch arrives, so all counters see logical
+                    // (post-mask) rows — identical to row mode. A batch
+                    // counts as read even when the mask emptied it.
                     loop {
                         let mut batch =
                             VectorizedRowBatch::new(&stage.batch_types, DEFAULT_BATCH_SIZE)?;
+                        let masked_before = reader.rows_masked();
                         let more = reader.next_batch(&mut batch)?;
-                        if batch.size > 0 {
+                        if batch.size > 0 || reader.rows_masked() > masked_before {
                             batches_read += 1;
-                            if let Some(masked) = masked {
-                                // Physical ordinal runs of this batch: the
-                                // reader's skip-aware runs when it tracks
-                                // them (ORC), else sequential counting
-                                // (whole-file scans of other formats).
-                                let sequential = [(seq_ord, batch.size as u64)];
-                                let runs = reader.batch_ordinal_runs().unwrap_or(&sequential);
-                                debug_assert_eq!(
-                                    runs.iter().map(|r| r.1).sum::<u64>(),
-                                    batch.size as u64,
-                                    "ordinal runs must cover the whole batch"
-                                );
-                                seq_ord += batch.size as u64;
-                                let mut drop: Vec<usize> = Vec::new();
-                                let mut base = 0usize;
-                                for &(start, len) in runs {
-                                    drop.extend(
-                                        ordinals_in(masked, start, len)
-                                            .iter()
-                                            .map(|ord| base + (ord - start) as usize),
-                                    );
-                                    base += len as usize;
-                                }
-                                if !drop.is_empty() {
-                                    rows_masked += drop.len() as u64;
-                                    batch.unselect_rows(&drop);
-                                }
+                        }
+                        if batch.size > 0 {
+                            rows_processed += batch.size as u64;
+                            if in_delta {
+                                delta_rows_read += batch.size as u64;
                             }
-                            if batch.size > 0 {
-                                rows_processed += batch.size as u64;
-                                if in_delta {
-                                    delta_rows_read += batch.size as u64;
-                                }
-                                graph.push(
-                                    stage.root,
-                                    Message::Batch {
-                                        batch: Arc::new(batch),
-                                        tag: 0,
-                                    },
-                                    &mut on_shuffle,
-                                    &mut on_output,
-                                )?;
-                            }
+                            graph.push(
+                                stage.root,
+                                Message::Batch {
+                                    batch: Arc::new(batch),
+                                    tag: 0,
+                                },
+                                &mut on_shuffle,
+                                &mut on_output,
+                            )?;
                         }
                         if !more {
                             break;
@@ -1003,13 +960,7 @@ impl MrEngine {
                             split.input.alias
                         ))
                     })?;
-                    // Masked rows never enter the graph.
-                    let mut seq_ord = 0u64;
-                    while let Some(row) = reader.next_row()? {
-                        if row_is_masked(masked, reader.as_ref(), &mut seq_ord) {
-                            rows_masked += 1;
-                            continue;
-                        }
+                    while let Some((_, row)) = reader.next_row()? {
                         rows_processed += 1;
                         if in_delta {
                             delta_rows_read += 1;
@@ -1039,8 +990,8 @@ impl MrEngine {
             task_out.clear();
         }
 
-        let rows_skipped = reader.rows_skipped();
-        let read_stats = reader.read_stats();
+        let rows_skipped = reader.inner().rows_skipped();
+        let read_stats = reader.inner().read_stats();
         // Selected-lane flow through this alias's vectorized chain: logical
         // rows into its first node vs. out of its last vectorized node.
         let (vector_rows_in, vector_rows_out) = pipeline
@@ -1070,7 +1021,7 @@ impl MrEngine {
             groups_bloom_pruned: read_stats.groups_bloom_pruned,
             bloom_corrupt: read_stats.bloom_corrupt,
             delta_rows_read,
-            rows_masked,
+            rows_masked: reader.rows_masked(),
             ..Default::default()
         };
         // Vectorized operators are ordinary graph nodes now, so one profile
@@ -1108,11 +1059,13 @@ impl MrEngine {
         r: usize,
         mut partition: Vec<ShuffleRecord>,
     ) -> Result<ReduceTaskResult> {
+        // Serialized size of the partition; one scratch buffer for all records.
+        let mut buf = Vec::new();
         let shuffle_bytes: u64 = partition
             .iter()
             .map(|rec| {
-                let mut buf = Vec::new();
-                hive_formats::serde::binary_serialize_row(&Row::new(rec.key.clone()), &mut buf);
+                buf.clear();
+                hive_formats::serde::binary_serialize_values(&rec.key, &mut buf);
                 hive_formats::serde::binary_serialize_row(&rec.value, &mut buf);
                 buf.len() as u64 + 8
             })
@@ -1197,26 +1150,25 @@ impl MrEngine {
         for s in sides {
             let mut rows = Vec::new();
             for path in self.expand_paths(&s.paths) {
-                let mut reader = open_reader(
-                    &self.dfs,
-                    &path,
-                    &s.schema,
-                    &self.conf,
-                    &ReadOptions {
-                        format: s.format,
-                        projection: s.projection.clone(),
-                        ..Default::default()
-                    },
-                )?;
                 // Deleted rows of an ACID table never enter the hash table.
-                let masked = s.overlay.as_ref().map(|o| o.deletes.for_path(&path));
-                let mut seq_ord = 0u64;
-                while let Some(row) = reader.next_row()? {
-                    if !row_is_masked(masked, reader.as_ref(), &mut seq_ord) {
-                        rows.push(row);
-                    }
+                let mut reader = LiveReader::new(
+                    open_reader(
+                        &self.dfs,
+                        &path,
+                        &s.schema,
+                        &self.conf,
+                        &ReadOptions {
+                            format: s.format,
+                            projection: s.projection.clone(),
+                            ..Default::default()
+                        },
+                    )?,
+                    s.overlay.as_ref().map(|o| (&*o.deletes, path.as_str())),
+                );
+                while let Some((_, row)) = reader.next_row()? {
+                    rows.push(row);
                 }
-                rows_skipped += reader.rows_skipped();
+                rows_skipped += reader.inner().rows_skipped();
             }
             out.insert(s.alias.clone(), rows);
         }

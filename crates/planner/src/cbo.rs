@@ -84,36 +84,16 @@ fn size_of(tref: &TableRef, catalog: &dyn Catalog) -> u64 {
 /// Unqualified references cannot be attributed without full resolution, so
 /// they conservatively pin the expression (treated as out of scope).
 fn condition_in_scope(e: &Expr, scope: &BTreeSet<String>) -> bool {
-    match e {
-        Expr::Column { table: Some(t), .. } => scope.contains(&t.to_ascii_lowercase()),
-        Expr::Column { table: None, .. } => false,
-        Expr::Literal(_) | Expr::Star => true,
-        Expr::Binary { left, right, .. } => {
-            condition_in_scope(left, scope) && condition_in_scope(right, scope)
+    let mut inside = true;
+    e.walk(&mut |x| {
+        if let Expr::Column { table, .. } = x {
+            inside &= table
+                .as_ref()
+                .is_some_and(|t| scope.contains(&t.to_ascii_lowercase()));
         }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => condition_in_scope(expr, scope),
-        Expr::Function { args, .. } => args.iter().all(|a| condition_in_scope(a, scope)),
-        Expr::Between { expr, lo, hi, .. } => {
-            condition_in_scope(expr, scope)
-                && condition_in_scope(lo, scope)
-                && condition_in_scope(hi, scope)
-        }
-        Expr::IsNull { expr, .. } => condition_in_scope(expr, scope),
-        Expr::InList { expr, list, .. } => {
-            condition_in_scope(expr, scope) && list.iter().all(|l| condition_in_scope(l, scope))
-        }
-        Expr::Case {
-            branches,
-            else_value,
-        } => {
-            branches
-                .iter()
-                .all(|(c, v)| condition_in_scope(c, scope) && condition_in_scope(v, scope))
-                && else_value
-                    .as_ref()
-                    .is_none_or(|x| condition_in_scope(x, scope))
-        }
-    }
+        inside
+    });
+    inside
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::plan::{
     agg_output_type, expr_type, AggCall, ColumnInfo, GroupByPhase, PlanGraph, PlanOp,
 };
 use hive_common::config::keys;
-use hive_common::{DataType, HiveConf, HiveError, Result, Value};
+use hive_common::{DataType, HiveConf, HiveError, Result, Schema, Value};
 use hive_exec::agg::{parse_agg_function, AggFunction};
 use hive_exec::expr::{BinaryOp, ExprNode, UnaryOp};
 use hive_exec::operators::JoinType;
@@ -242,7 +242,7 @@ fn plan_select(
         acc = add_reduce_join(g, acc, right, &equi, kind, REDUCE_TASKS)?;
         let mergeable = kind != JoinType::Inner && residual.is_empty();
         for r in residual {
-            let pred = resolve_owned(r, &acc)?;
+            let pred = resolve(r, &acc)?;
             let schema = acc.schema();
             let f = g.add(PlanOp::Filter { predicate: pred }, schema, vec![acc.node]);
             acc.node = f;
@@ -303,7 +303,7 @@ fn plan_select(
     let mut final_rel = final_rel;
     if let Some(h) = &stmt.having {
         let pred = match &group_subst {
-            Some(s) => resolve_with_groups(h, s, &final_rel)?,
+            Some(s) => resolve_with_groups(h, s)?,
             None => resolve(h, &final_rel)?,
         };
         let schema = final_rel.schema();
@@ -329,7 +329,7 @@ fn plan_select(
             continue;
         }
         let e = match &group_subst {
-            Some(s) => resolve_with_groups(&p.expr, s, &final_rel)?,
+            Some(s) => resolve_with_groups(&p.expr, s)?,
             None => resolve(&p.expr, &final_rel)?,
         };
         let t = expr_type(&e, &final_rel.schema())?;
@@ -400,76 +400,41 @@ fn collect_columns(
     catalog: &dyn Catalog,
     used: &mut BTreeMap<String, BTreeSet<String>>,
 ) {
-    match e {
-        Expr::Column { table, name } => {
-            let name_l = name.to_ascii_lowercase();
-            match table {
-                Some(t) => {
-                    used.entry(t.to_ascii_lowercase())
-                        .or_default()
-                        .insert(name_l);
-                }
-                None => {
-                    // Attribute to whichever binding's table has the column.
-                    for (binding, tref) in bindings {
-                        let has = match tref {
-                            TableRef::Table { name: tname, .. } => catalog
-                                .table(tname)
-                                .map(|m| m.schema.index_of(name).is_ok())
-                                .unwrap_or(false),
-                            TableRef::Subquery { query, .. } => query.projections.iter().any(|p| {
-                                p.alias.as_deref().map(|a| a.eq_ignore_ascii_case(name)).unwrap_or(
-                                    matches!(&p.expr, Expr::Column { name: n, .. } if n.eq_ignore_ascii_case(name)),
-                                )
-                            }),
-                        };
-                        if has {
-                            used.entry(binding.to_ascii_lowercase())
-                                .or_default()
-                                .insert(name_l.clone());
-                        }
+    e.walk(&mut |x| {
+        let Expr::Column { table, name } = x else {
+            return true;
+        };
+        let name_l = name.to_ascii_lowercase();
+        match table {
+            Some(t) => {
+                used.entry(t.to_ascii_lowercase())
+                    .or_default()
+                    .insert(name_l);
+            }
+            None => {
+                // Attribute to whichever binding's table has the column.
+                for (binding, tref) in bindings {
+                    let has = match tref {
+                        TableRef::Table { name: tname, .. } => catalog
+                            .table(tname)
+                            .map(|m| m.schema.index_of(name).is_ok())
+                            .unwrap_or(false),
+                        TableRef::Subquery { query, .. } => query.projections.iter().any(|p| {
+                            p.alias.as_deref().map(|a| a.eq_ignore_ascii_case(name)).unwrap_or(
+                                matches!(&p.expr, Expr::Column { name: n, .. } if n.eq_ignore_ascii_case(name)),
+                            )
+                        }),
+                    };
+                    if has {
+                        used.entry(binding.to_ascii_lowercase())
+                            .or_default()
+                            .insert(name_l.clone());
                     }
                 }
             }
         }
-        Expr::Binary { left, right, .. } => {
-            collect_columns(left, bindings, catalog, used);
-            collect_columns(right, bindings, catalog, used);
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_columns(expr, bindings, catalog, used)
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_columns(a, bindings, catalog, used);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_columns(expr, bindings, catalog, used);
-            collect_columns(lo, bindings, catalog, used);
-            collect_columns(hi, bindings, catalog, used);
-        }
-        Expr::IsNull { expr, .. } => collect_columns(expr, bindings, catalog, used),
-        Expr::InList { expr, list, .. } => {
-            collect_columns(expr, bindings, catalog, used);
-            for l in list {
-                collect_columns(l, bindings, catalog, used);
-            }
-        }
-        Expr::Case {
-            branches,
-            else_value,
-        } => {
-            for (c, v) in branches {
-                collect_columns(c, bindings, catalog, used);
-                collect_columns(v, bindings, catalog, used);
-            }
-            if let Some(e) = else_value {
-                collect_columns(e, bindings, catalog, used);
-            }
-        }
-        Expr::Literal(_) | Expr::Star => {}
-    }
+        true
+    });
 }
 
 /// The single binding `e` references, or None (zero or several).
@@ -562,22 +527,67 @@ fn plan_table_ref(
     }
 }
 
-/// Resolve an AST expression against a relation.
-fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
+/// Lower an AST expression to the row engine's [`ExprNode`] — the only
+/// function that builds one from a `hive_ql::Expr`, and the extension point
+/// for anything that must see every lowered expression.
+///
+/// `leaf` is asked about each node before its structure is lowered:
+/// `Some(node)` stands in for that whole sub-tree, `None` lets the lowering
+/// continue into it. Columns, functions and `*` mean something only in a
+/// context — a relation, a table schema, an aggregation output — so the hook
+/// must answer them; one it leaves unanswered is an error.
+///
+/// A negated numeric literal folds to a plain `Literal` here, once: the
+/// parser leaves `-181` as `Neg(181)`, and everything downstream (sarg
+/// extraction, the col-scalar vector templates) matches on `Literal` alone.
+pub fn lower(
+    e: &Expr,
+    leaf: &mut dyn FnMut(&Expr) -> Result<Option<ExprNode>>,
+) -> Result<ExprNode> {
+    if let Some(node) = leaf(e)? {
+        return Ok(node);
+    }
+    let mut sub = |x: &Expr| lower(x, leaf);
     Ok(match e {
-        Expr::Column { table, name } => ExprNode::Column(rel.lookup(table.as_deref(), name)?),
         Expr::Literal(v) => ExprNode::Literal(v.clone()),
         Expr::Binary { op, left, right } => ExprNode::Binary {
-            op: convert_binop(*op),
-            left: Box::new(resolve(left, rel)?),
-            right: Box::new(resolve(right, rel)?),
-        },
-        Expr::Unary { op, expr } => ExprNode::Unary {
             op: match op {
-                UnOp::Neg => UnaryOp::Neg,
-                UnOp::Not => UnaryOp::Not,
+                BinOp::Add => BinaryOp::Add,
+                BinOp::Subtract => BinaryOp::Subtract,
+                BinOp::Multiply => BinaryOp::Multiply,
+                BinOp::Divide => BinaryOp::Divide,
+                BinOp::Modulo => BinaryOp::Modulo,
+                BinOp::Eq => BinaryOp::Eq,
+                BinOp::NotEq => BinaryOp::NotEq,
+                BinOp::Lt => BinaryOp::Lt,
+                BinOp::LtEq => BinaryOp::LtEq,
+                BinOp::Gt => BinaryOp::Gt,
+                BinOp::GtEq => BinaryOp::GtEq,
+                BinOp::And => BinaryOp::And,
+                BinOp::Or => BinaryOp::Or,
             },
-            expr: Box::new(resolve(expr, rel)?),
+            left: Box::new(sub(left)?),
+            right: Box::new(sub(right)?),
+        },
+        Expr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => match sub(expr)? {
+            ExprNode::Literal(Value::Int(i)) if i.checked_neg().is_some() => {
+                ExprNode::Literal(Value::Int(-i))
+            }
+            ExprNode::Literal(Value::Double(d)) => ExprNode::Literal(Value::Double(-d)),
+            inner => ExprNode::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(inner),
+            },
+        },
+        Expr::Unary {
+            op: UnOp::Not,
+            expr,
+        } => ExprNode::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(sub(expr)?),
         },
         Expr::Between {
             expr,
@@ -585,13 +595,13 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
             hi,
             negated,
         } => ExprNode::Between {
-            expr: Box::new(resolve(expr, rel)?),
-            lo: Box::new(resolve(lo, rel)?),
-            hi: Box::new(resolve(hi, rel)?),
+            expr: Box::new(sub(expr)?),
+            lo: Box::new(sub(lo)?),
+            hi: Box::new(sub(hi)?),
             negated: *negated,
         },
         Expr::IsNull { expr, negated } => ExprNode::IsNull {
-            expr: Box::new(resolve(expr, rel)?),
+            expr: Box::new(sub(expr)?),
             negated: *negated,
         },
         Expr::InList {
@@ -599,15 +609,12 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
             list,
             negated,
         } => ExprNode::InList {
-            expr: Box::new(resolve(expr, rel)?),
-            list: list
-                .iter()
-                .map(|l| resolve(l, rel))
-                .collect::<Result<_>>()?,
+            expr: Box::new(sub(expr)?),
+            list: list.iter().map(&mut sub).collect::<Result<_>>()?,
             negated: *negated,
         },
         Expr::Cast { expr, target } => ExprNode::Cast {
-            expr: Box::new(resolve(expr, rel)?),
+            expr: Box::new(sub(expr)?),
             target: target.clone(),
         },
         Expr::Case {
@@ -616,13 +623,19 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
         } => ExprNode::Case {
             branches: branches
                 .iter()
-                .map(|(c, v)| Ok((resolve(c, rel)?, resolve(v, rel)?)))
+                .map(|(c, v)| Ok((sub(c)?, sub(v)?)))
                 .collect::<Result<_>>()?,
             else_value: match else_value {
-                Some(e) => Some(Box::new(resolve(e, rel)?)),
+                Some(x) => Some(Box::new(sub(x)?)),
                 None => None,
             },
         },
+        Expr::Column { table, name } => {
+            return Err(HiveError::Semantic(format!(
+                "unknown column `{}{name}`",
+                table.as_ref().map(|t| format!("{t}.")).unwrap_or_default()
+            )))
+        }
         Expr::Function { name, .. } => {
             return Err(HiveError::Semantic(format!(
                 "function `{name}` is not valid here (aggregates need GROUP BY context; \
@@ -633,26 +646,31 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
     })
 }
 
-fn resolve_owned(e: &Expr, rel: &Rel) -> Result<ExprNode> {
-    resolve(e, rel)
+/// Resolve an AST expression against a relation: columns bind by
+/// (qualifier, name) to the relation's output positions.
+fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
+    lower(e, &mut |x| match x {
+        Expr::Column { table, name } => rel
+            .lookup(table.as_deref(), name)
+            .map(|i| Some(ExprNode::Column(i))),
+        _ => Ok(None),
+    })
 }
 
-fn convert_binop(op: BinOp) -> BinaryOp {
-    match op {
-        BinOp::Add => BinaryOp::Add,
-        BinOp::Subtract => BinaryOp::Subtract,
-        BinOp::Multiply => BinaryOp::Multiply,
-        BinOp::Divide => BinaryOp::Divide,
-        BinOp::Modulo => BinaryOp::Modulo,
-        BinOp::Eq => BinaryOp::Eq,
-        BinOp::NotEq => BinaryOp::NotEq,
-        BinOp::Lt => BinaryOp::Lt,
-        BinOp::LtEq => BinaryOp::LtEq,
-        BinOp::Gt => BinaryOp::Gt,
-        BinOp::GtEq => BinaryOp::GtEq,
-        BinOp::And => BinaryOp::And,
-        BinOp::Or => BinaryOp::Or,
-    }
+/// Lower a DML predicate or SET expression over the table's own schema.
+/// These are scalar-only: against a single row an aggregate has no
+/// meaning, and neither does `*`.
+pub fn lower_dml(e: &Expr, schema: &Schema) -> Result<ExprNode> {
+    lower(e, &mut |x| match x {
+        Expr::Column { name, .. } => Ok(Some(ExprNode::col(schema.index_of(name)?))),
+        Expr::Function { name, .. } => Err(HiveError::Plan(format!(
+            "function `{name}` is not allowed in DML expressions"
+        ))),
+        Expr::Star => Err(HiveError::Plan(
+            "`*` is not allowed in DML expressions".into(),
+        )),
+        _ => Ok(None),
+    })
 }
 
 /// Extract a SearchArgument from scan-level conjuncts and attach it
@@ -672,24 +690,6 @@ fn attach_sarg(g: &mut PlanGraph, rel: &Rel, pred: &ExprNode) {
     }
 }
 
-/// A literal usable in a sarg leaf: plain literals, plus negated numeric
-/// literals — the parser keeps `-181` as `Neg(181)`, and a pushed-down
-/// range like `v BETWEEN -181 AND -121` must not lose its sarg over it.
-fn sarg_literal(e: &ExprNode) -> Option<Value> {
-    match e {
-        ExprNode::Literal(v) => Some(v.clone()),
-        ExprNode::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => match &**expr {
-            ExprNode::Literal(Value::Int(i)) => Some(Value::Int(-i)),
-            ExprNode::Literal(Value::Double(d)) => Some(Value::Double(-d)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<PredicateLeaf>) {
     match e {
         ExprNode::Binary {
@@ -703,24 +703,18 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
         ExprNode::Binary { op, left, right } => {
             let mapped = |i: usize| projection.get(i).copied();
             let (col, lit, op) = match (&**left, &**right) {
-                (ExprNode::Column(i), rhs) => match sarg_literal(rhs) {
-                    Some(v) => (mapped(*i), v, *op),
-                    None => return,
-                },
-                (lhs, ExprNode::Column(i)) => match sarg_literal(lhs) {
-                    Some(v) => {
-                        // Flip the comparison: lit OP col ≡ col OP' lit.
-                        let flipped = match op {
-                            BinaryOp::Lt => BinaryOp::Gt,
-                            BinaryOp::LtEq => BinaryOp::GtEq,
-                            BinaryOp::Gt => BinaryOp::Lt,
-                            BinaryOp::GtEq => BinaryOp::LtEq,
-                            other => *other,
-                        };
-                        (mapped(*i), v, flipped)
-                    }
-                    None => return,
-                },
+                (ExprNode::Column(i), ExprNode::Literal(v)) => (mapped(*i), v.clone(), *op),
+                (ExprNode::Literal(v), ExprNode::Column(i)) => {
+                    // Flip the comparison: lit OP col ≡ col OP' lit.
+                    let flipped = match op {
+                        BinaryOp::Lt => BinaryOp::Gt,
+                        BinaryOp::LtEq => BinaryOp::GtEq,
+                        BinaryOp::Gt => BinaryOp::Lt,
+                        BinaryOp::GtEq => BinaryOp::LtEq,
+                        other => *other,
+                    };
+                    (mapped(*i), v.clone(), flipped)
+                }
                 _ => return,
             };
             let Some(col) = col else { return };
@@ -741,13 +735,11 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
             hi,
             negated: false,
         } => {
-            if let ExprNode::Column(i) = &**expr {
-                if let (Some(col), Some(l), Some(h)) = (
-                    projection.get(*i).copied(),
-                    sarg_literal(lo),
-                    sarg_literal(hi),
-                ) {
-                    out.push(PredicateLeaf::between(col, l, h));
+            if let (ExprNode::Column(i), ExprNode::Literal(l), ExprNode::Literal(h)) =
+                (&**expr, &**lo, &**hi)
+            {
+                if let Some(col) = projection.get(*i).copied() {
+                    out.push(PredicateLeaf::between(col, l.clone(), h.clone()));
                 }
             }
         }
@@ -772,7 +764,13 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
             negated: false,
         } => {
             if let ExprNode::Column(i) = &**expr {
-                let values: Option<Vec<_>> = list.iter().map(sarg_literal).collect();
+                let values: Option<Vec<_>> = list
+                    .iter()
+                    .map(|e| match e {
+                        ExprNode::Literal(v) => Some(v.clone()),
+                        _ => None,
+                    })
+                    .collect();
                 if let (Some(col), Some(values)) = (projection.get(*i).copied(), values) {
                     out.push(PredicateLeaf::in_list(col, values));
                 }
@@ -1122,158 +1120,57 @@ fn add_aggregation(
 /// Resolve an expression over the aggregation output: group expressions and
 /// aggregate calls become column references; anything else must be composed
 /// of them.
-fn resolve_with_groups(e: &Expr, subst: &GroupSubst, out_rel: &Rel) -> Result<ExprNode> {
-    // An aggregate call?
-    if let Expr::Function { name, args, .. } = e {
-        let star = matches!(args.first(), Some(Expr::Star));
-        if let Some(f) = parse_agg_function(name, star) {
-            let arg = if star || args.is_empty() {
-                None
-            } else {
-                Some(resolve(&args[0], &subst.input_rel)?)
-            };
-            for (af, aarg, idx) in &subst.aggs {
-                if *af == f && *aarg == arg {
-                    return Ok(ExprNode::col(*idx));
-                }
-            }
-            return Err(HiveError::Semantic(format!(
-                "aggregate `{name}` was not collected during planning"
-            )));
-        }
-    }
-    // A group expression (structurally, after resolution)?
-    if let Ok(resolved) = resolve(e, &subst.input_rel) {
-        for (ge, idx) in &subst.groups {
-            if *ge == resolved {
-                return Ok(ExprNode::col(*idx));
+fn resolve_with_groups(e: &Expr, subst: &GroupSubst) -> Result<ExprNode> {
+    lower(e, &mut |x| {
+        // An aggregate call?
+        if let Expr::Function { name, args, .. } = x {
+            let star = matches!(args.first(), Some(Expr::Star));
+            if let Some(f) = parse_agg_function(name, star) {
+                let arg = if star || args.is_empty() {
+                    None
+                } else {
+                    Some(resolve(&args[0], &subst.input_rel)?)
+                };
+                return subst
+                    .aggs
+                    .iter()
+                    .find(|(af, aarg, _)| *af == f && *aarg == arg)
+                    .map(|(_, _, idx)| Some(ExprNode::col(*idx)))
+                    .ok_or_else(|| {
+                        HiveError::Semantic(format!(
+                            "aggregate `{name}` was not collected during planning"
+                        ))
+                    });
             }
         }
-        // A bare column that is not grouped is an error; composite
-        // expressions may still decompose below.
-        if matches!(e, Expr::Column { .. }) {
-            return Err(HiveError::Semantic(format!(
-                "column {e:?} is neither grouped nor aggregated"
-            )));
+        // A group expression (structurally, after resolution)?
+        if let Ok(resolved) = resolve(x, &subst.input_rel) {
+            if let Some((_, idx)) = subst.groups.iter().find(|(ge, _)| *ge == resolved) {
+                return Ok(Some(ExprNode::col(*idx)));
+            }
+            // A bare column that is not grouped is an error; composite
+            // expressions may still decompose below.
+            if matches!(x, Expr::Column { .. }) {
+                return Err(HiveError::Semantic(format!(
+                    "column {x:?} is neither grouped nor aggregated"
+                )));
+            }
         }
-    }
-    // Recurse structurally.
-    Ok(match e {
-        Expr::Literal(v) => ExprNode::Literal(v.clone()),
-        Expr::Binary { op, left, right } => ExprNode::Binary {
-            op: convert_binop(*op),
-            left: Box::new(resolve_with_groups(left, subst, out_rel)?),
-            right: Box::new(resolve_with_groups(right, subst, out_rel)?),
-        },
-        Expr::Unary { op, expr } => ExprNode::Unary {
-            op: match op {
-                UnOp::Neg => UnaryOp::Neg,
-                UnOp::Not => UnaryOp::Not,
-            },
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => ExprNode::Between {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            lo: Box::new(resolve_with_groups(lo, subst, out_rel)?),
-            hi: Box::new(resolve_with_groups(hi, subst, out_rel)?),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => ExprNode::IsNull {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => ExprNode::InList {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            list: list
-                .iter()
-                .map(|l| resolve_with_groups(l, subst, out_rel))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Cast { expr, target } => ExprNode::Cast {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            target: target.clone(),
-        },
-        Expr::Case {
-            branches,
-            else_value,
-        } => ExprNode::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    Ok((
-                        resolve_with_groups(c, subst, out_rel)?,
-                        resolve_with_groups(v, subst, out_rel)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_value: match else_value {
-                Some(x) => Some(Box::new(resolve_with_groups(x, subst, out_rel)?)),
-                None => None,
-            },
-        },
-        other => {
-            return Err(HiveError::Semantic(format!(
-                "cannot resolve {other:?} over the aggregation output"
-            )))
-        }
+        Ok(None)
     })
 }
 
+/// Collect the distinct aggregate calls of `e`, outermost first (an
+/// aggregate's own arguments are not searched).
 fn collect_agg_calls(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Function { name, args, .. } => {
-            let star = matches!(args.first(), Some(Expr::Star));
-            if parse_agg_function(name, star).is_some() {
-                if !out.contains(e) {
-                    out.push(e.clone());
-                }
-                return;
-            }
-            for a in args {
-                collect_agg_calls(a, out);
-            }
+    e.walk(&mut |x| {
+        let is_agg = matches!(x, Expr::Function { name, args, .. }
+            if parse_agg_function(name, matches!(args.first(), Some(Expr::Star))).is_some());
+        if is_agg && !out.contains(x) {
+            out.push(x.clone());
         }
-        Expr::Binary { left, right, .. } => {
-            collect_agg_calls(left, out);
-            collect_agg_calls(right, out);
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => collect_agg_calls(expr, out),
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_agg_calls(expr, out);
-            collect_agg_calls(lo, out);
-            collect_agg_calls(hi, out);
-        }
-        Expr::IsNull { expr, .. } => collect_agg_calls(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_agg_calls(expr, out);
-            for l in list {
-                collect_agg_calls(l, out);
-            }
-        }
-        Expr::Case {
-            branches,
-            else_value,
-        } => {
-            for (c, v) in branches {
-                collect_agg_calls(c, out);
-                collect_agg_calls(v, out);
-            }
-            if let Some(e) = else_value {
-                collect_agg_calls(e, out);
-            }
-        }
-        _ => {}
-    }
+        !is_agg
+    });
 }
 
 /// Resolve one ORDER BY item to a final-output column index.
@@ -1293,7 +1190,7 @@ fn resolve_order_item(
     }
     // By matching the projected expression.
     let resolved = match subst {
-        Some(s) => resolve_with_groups(e, s, final_rel)?,
+        Some(s) => resolve_with_groups(e, s)?,
         None => resolve(e, final_rel)?,
     };
     if let Some(i) = out_exprs.iter().position(|x| *x == resolved) {
@@ -1302,4 +1199,164 @@ fn resolve_order_item(
     Err(HiveError::Semantic(format!(
         "ORDER BY expression {e:?} is not in the select list"
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::{StaticCatalog, TableMeta};
+    use hive_ql::{parse, Statement};
+
+    /// Lower with columns bound by position in `names`.
+    fn lower_over(e: &Expr, names: &[&str]) -> Result<ExprNode> {
+        lower(e, &mut |x| match x {
+            Expr::Column { name, .. } => Ok(names
+                .iter()
+                .position(|n| n.eq_ignore_ascii_case(name))
+                .map(ExprNode::col)),
+            _ => Ok(None),
+        })
+    }
+
+    fn where_of(sql: &str) -> Expr {
+        let Statement::Select(stmt) = parse(sql).unwrap() else {
+            panic!("expected select")
+        };
+        stmt.where_clause.unwrap()
+    }
+
+    fn neg(e: Expr) -> Expr {
+        Expr::Unary {
+            op: UnOp::Neg,
+            expr: Box::new(e),
+        }
+    }
+
+    #[test]
+    fn negated_numeric_literals_fold_to_plain_literals() {
+        let int = |i| Expr::Literal(Value::Int(i));
+        let lit = |v| Ok::<_, HiveError>(ExprNode::Literal(v));
+        assert_eq!(lower_over(&neg(int(3)), &[]), lit(Value::Int(-3)));
+        let dbl = Expr::Literal(Value::Double(2.5));
+        assert_eq!(lower_over(&neg(neg(dbl)), &[]), lit(Value::Double(2.5)));
+        // The parser's own spelling of a negative literal, nested in a range.
+        let ExprNode::Between { lo, hi, .. } = lower_over(
+            &where_of("SELECT v FROM t WHERE v BETWEEN -181 AND -121"),
+            &["v"],
+        )
+        .unwrap() else {
+            panic!("expected BETWEEN")
+        };
+        assert_eq!(
+            (*lo, *hi),
+            (
+                ExprNode::lit(Value::Int(-181)),
+                ExprNode::lit(Value::Int(-121))
+            )
+        );
+
+        // Only literals fold: a negated column stays an operator...
+        assert_eq!(
+            lower_over(&neg(Expr::col("v")), &["v"]).unwrap(),
+            ExprNode::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(ExprNode::col(0)),
+            }
+        );
+        // ...as does the one integer whose negation does not exist, while
+        // its neighbour folds.
+        assert_eq!(
+            lower_over(&neg(int(i64::MAX)), &[]),
+            lit(Value::Int(-i64::MAX))
+        );
+        assert_eq!(
+            lower_over(&neg(int(i64::MIN)), &[]).unwrap(),
+            ExprNode::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(ExprNode::lit(Value::Int(i64::MIN))),
+            }
+        );
+        // Non-numeric operands are left for the evaluator to reject.
+        assert!(matches!(
+            lower_over(&neg(Expr::Literal(Value::Null)), &[]).unwrap(),
+            ExprNode::Unary { .. }
+        ));
+    }
+
+    #[test]
+    fn a_pushed_down_negative_range_keeps_its_sarg() {
+        let catalog = StaticCatalog {
+            tables: vec![TableMeta {
+                name: "t".into(),
+                schema: Schema::parse(&[("k", "bigint"), ("v", "bigint")]).unwrap(),
+                format: hive_formats::FormatKind::Orc,
+                paths: vec!["/w/t/part-0".into()],
+                size_bytes: 1 << 20,
+                acid: None,
+            }],
+        };
+        let Statement::Select(stmt) =
+            parse("SELECT v FROM t WHERE v BETWEEN -181 AND -121 AND -7 < v AND v IN (-130, -125)")
+                .unwrap()
+        else {
+            panic!("expected select")
+        };
+        let t = translate(&stmt, &catalog, &HiveConf::new()).unwrap();
+        let sarg = t
+            .graph
+            .nodes
+            .iter()
+            .find_map(|n| match &n.op {
+                PlanOp::TableScan { sarg, .. } => sarg.clone(),
+                _ => None,
+            })
+            .expect("the scan lost its sarg");
+        assert_eq!(
+            sarg.leaves,
+            vec![
+                PredicateLeaf::between(1, Value::Int(-181), Value::Int(-121)),
+                PredicateLeaf::new(1, PredicateOp::GreaterThan, Some(Value::Int(-7))),
+                PredicateLeaf::in_list(1, vec![Value::Int(-130), Value::Int(-125)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_leaf_hook_stands_in_for_whole_subtrees_and_must_answer_leaves() {
+        // A hook answer replaces the sub-tree it was asked about.
+        let e = where_of("SELECT v FROM t WHERE (v BETWEEN 1 AND 2) AND k = 3");
+        let node = lower(&e, &mut |x| match x {
+            Expr::Between { .. } => Ok(Some(ExprNode::col(9))),
+            Expr::Column { .. } => Ok(Some(ExprNode::col(0))),
+            _ => Ok(None),
+        })
+        .unwrap();
+        let ExprNode::Binary { left, .. } = node else {
+            panic!("expected AND")
+        };
+        assert_eq!(*left, ExprNode::col(9));
+        // Leaves nobody answered are semantic errors, not panics.
+        for sql in [
+            "SELECT v FROM t WHERE nope = 1",
+            "SELECT v FROM t WHERE upper(v) = 1",
+        ] {
+            let err = lower_over(&where_of(sql), &["v"]).unwrap_err();
+            assert!(matches!(err, HiveError::Semantic(_)), "{sql}: {err}");
+        }
+    }
+
+    #[test]
+    fn dml_expressions_are_scalar_only() {
+        let schema = Schema::parse(&[("k", "bigint"), ("v", "string")]).unwrap();
+        let ok = lower_dml(
+            &where_of("SELECT k FROM t WHERE k = -3 AND v IS NOT NULL"),
+            &schema,
+        );
+        assert!(ok.is_ok());
+        let agg = where_of("SELECT k FROM t WHERE sum(k) > 1");
+        assert!(matches!(lower_dml(&agg, &schema), Err(HiveError::Plan(_))));
+        let star = Expr::binary(BinOp::Eq, Expr::Star, Expr::Literal(Value::Int(1)));
+        assert!(matches!(lower_dml(&star, &schema), Err(HiveError::Plan(_))));
+        assert!(lower_dml(&Expr::col("nope"), &schema).is_err());
+    }
 }

@@ -464,34 +464,6 @@ fn prepare_mapjoin(
     }))
 }
 
-/// Fold a (possibly unary-negated) numeric literal down to a plain value,
-/// so `-10` compiles through the same col-scalar templates as `10`.
-fn fold_literal(e: &ExprNode) -> Option<Value> {
-    match e {
-        ExprNode::Literal(v) => Some(v.clone()),
-        ExprNode::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => match fold_literal(expr)? {
-            Value::Int(x) => Some(Value::Int(-x)),
-            Value::Double(x) => Some(Value::Double(-x)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Normalize a possibly-negated literal node to a plain `Literal` so the
-/// scalar template matches below see `-10` the same as `10`.
-fn normalized(e: &ExprNode) -> std::borrow::Cow<'_, ExprNode> {
-    match fold_literal(e) {
-        Some(v) if !matches!(e, ExprNode::Literal(_)) => {
-            std::borrow::Cow::Owned(ExprNode::Literal(v))
-        }
-        _ => std::borrow::Cow::Borrowed(e),
-    }
-}
-
 fn is_vector_type(t: &DataType) -> bool {
     matches!(
         t,
@@ -625,9 +597,6 @@ impl VecCompiler {
                 op: UnaryOp::Neg,
                 expr,
             } => {
-                if let Some(v) = fold_literal(e) {
-                    return self.compile_value(&ExprNode::Literal(v));
-                }
                 let Some((col, t)) = self.compile_value(expr)? else {
                     return Ok(None);
                 };
@@ -680,9 +649,9 @@ impl VecCompiler {
             return Ok(None);
         }
         // Scalar fast paths (the paper's col-scalar templates).
-        let scalar = match fold_literal(right) {
-            Some(Value::Int(x)) => Some((x as f64, true)),
-            Some(Value::Double(x)) => Some((x, false)),
+        let scalar = match right {
+            ExprNode::Literal(Value::Int(x)) => Some((*x as f64, true)),
+            ExprNode::Literal(Value::Double(x)) => Some((*x, false)),
             _ => None,
         };
         let Some((lcol, lt)) = self.compile_value(left)? else {
@@ -990,8 +959,7 @@ impl VecCompiler {
                 let Some((col, t)) = self.compile_value(expr)? else {
                     return Ok(None);
                 };
-                let (lo, hi) = (normalized(lo), normalized(hi));
-                match (vtype(&t), &*lo, &*hi) {
+                match (vtype(&t), &**lo, &**hi) {
                     (
                         VType::Long,
                         ExprNode::Literal(Value::Int(a)),
@@ -1093,8 +1061,7 @@ impl VecCompiler {
         let Some((lcol, lt)) = self.compile_value(left)? else {
             return Ok(None);
         };
-        let right = normalized(right);
-        match &*right {
+        match right {
             ExprNode::Literal(Value::String(s)) if vtype(&lt) == VType::Bytes => {
                 let scalar = s.as_bytes().to_vec();
                 Ok(Some(match op {
@@ -1192,7 +1159,7 @@ impl VecCompiler {
             }
             _ => {
                 // Column-column filters (long/double subset).
-                let Some((rcol, rt)) = self.compile_value(&right)? else {
+                let Some((rcol, rt)) = self.compile_value(right)? else {
                     return Ok(None);
                 };
                 match (vtype(&lt), vtype(&rt), op) {

@@ -251,36 +251,52 @@ impl Expr {
         }
     }
 
-    /// Whether this expression tree contains an aggregate call.
-    pub fn has_aggregate(&self) -> bool {
+    /// Direct sub-expressions, in source order — the one place that knows
+    /// which variants nest. Every traversal outside the parser goes through
+    /// this (or [`Expr::walk`] on top of it), so a new variant is taught to
+    /// all of them here.
+    pub fn children(&self) -> Vec<&Expr> {
         match self {
-            Expr::Function { name, .. }
-                if matches!(name.as_str(), "sum" | "count" | "avg" | "min" | "max") =>
-            {
-                true
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Star => Vec::new(),
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                vec![expr]
             }
-            Expr::Function { args, .. } => args.iter().any(Expr::has_aggregate),
-            Expr::Binary { left, right, .. } => left.has_aggregate() || right.has_aggregate(),
-            Expr::Unary { expr, .. } => expr.has_aggregate(),
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.has_aggregate() || lo.has_aggregate() || hi.has_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.has_aggregate(),
+            Expr::Function { args, .. } => args.iter().collect(),
+            Expr::Between { expr, lo, hi, .. } => vec![expr, lo, hi],
             Expr::InList { expr, list, .. } => {
-                expr.has_aggregate() || list.iter().any(Expr::has_aggregate)
+                std::iter::once(&**expr).chain(list.iter()).collect()
             }
-            Expr::Cast { expr, .. } => expr.has_aggregate(),
             Expr::Case {
                 branches,
                 else_value,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.has_aggregate() || v.has_aggregate())
-                    || else_value.as_ref().is_some_and(|e| e.has_aggregate())
-            }
-            _ => false,
+            } => branches
+                .iter()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_value.as_deref())
+                .collect(),
         }
+    }
+
+    /// Pre-order walk: `visit` sees every node and answers whether to
+    /// descend into that node's children.
+    pub fn walk<'a, F: FnMut(&'a Expr) -> bool>(&'a self, visit: &mut F) {
+        if visit(self) {
+            for child in self.children() {
+                child.walk(visit);
+            }
+        }
+    }
+
+    /// Whether this expression tree contains an aggregate call.
+    pub fn has_aggregate(&self) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            found |= matches!(e, Expr::Function { name, .. }
+                if matches!(name.as_str(), "sum" | "count" | "avg" | "min" | "max"));
+            !found
+        });
+        found
     }
 
     /// Split a conjunction into its AND-ed factors.
@@ -325,6 +341,111 @@ mod tests {
         let nested = Expr::binary(BinOp::Add, agg, Expr::Literal(Value::Int(1)));
         assert!(nested.has_aggregate());
         assert!(!Expr::col("x").has_aggregate());
+    }
+
+    /// One sample per variant with distinct marker sub-expressions, and
+    /// the children each must yield. `variant_of` has no wildcard arm, so a
+    /// new variant fails to compile here until it gets a sample — and the
+    /// sample fails unless `children()` reaches its sub-expressions.
+    #[test]
+    fn children_yield_each_subexpression_exactly_once() {
+        fn variant_of(e: &Expr) -> usize {
+            match e {
+                Expr::Column { .. } => 0,
+                Expr::Literal(_) => 1,
+                Expr::Binary { .. } => 2,
+                Expr::Unary { .. } => 3,
+                Expr::Function { .. } => 4,
+                Expr::Between { .. } => 5,
+                Expr::IsNull { .. } => 6,
+                Expr::InList { .. } => 7,
+                Expr::Star => 8,
+                Expr::Cast { .. } => 9,
+                Expr::Case { .. } => 10,
+            }
+        }
+        let m = |i: i64| Expr::Literal(Value::Int(i));
+        let b = |i: i64| Box::new(m(i));
+        let samples: Vec<(Expr, Vec<Expr>)> = vec![
+            (Expr::qcol("t", "c"), vec![]),
+            (m(0), vec![]),
+            (Expr::binary(BinOp::Add, m(1), m(2)), vec![m(1), m(2)]),
+            (
+                Expr::Unary {
+                    op: UnOp::Neg,
+                    expr: b(1),
+                },
+                vec![m(1)],
+            ),
+            (
+                Expr::Function {
+                    name: "f".into(),
+                    args: vec![m(1), m(2), Expr::Star],
+                    distinct: false,
+                },
+                vec![m(1), m(2), Expr::Star],
+            ),
+            (
+                Expr::Between {
+                    expr: b(1),
+                    lo: b(2),
+                    hi: b(3),
+                    negated: true,
+                },
+                vec![m(1), m(2), m(3)],
+            ),
+            (
+                Expr::IsNull {
+                    expr: b(1),
+                    negated: false,
+                },
+                vec![m(1)],
+            ),
+            (
+                Expr::InList {
+                    expr: b(1),
+                    list: vec![m(2), m(3)],
+                    negated: false,
+                },
+                vec![m(1), m(2), m(3)],
+            ),
+            (Expr::Star, vec![]),
+            (
+                Expr::Cast {
+                    expr: b(1),
+                    target: DataType::Double,
+                },
+                vec![m(1)],
+            ),
+            (
+                Expr::Case {
+                    branches: vec![(m(1), m(2)), (m(3), m(4))],
+                    else_value: Some(b(5)),
+                },
+                vec![m(1), m(2), m(3), m(4), m(5)],
+            ),
+        ];
+        let mut seen: Vec<usize> = samples.iter().map(|(e, _)| variant_of(e)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..=10).collect::<Vec<_>>(), "one sample per variant");
+        for (e, want) in &samples {
+            let got: Vec<Expr> = e.children().into_iter().cloned().collect();
+            assert_eq!(&got, want, "children of {e:?}");
+        }
+        // walk = pre-order over children, pruned where the visitor says so.
+        let tree = Expr::binary(BinOp::And, samples[5].0.clone(), samples[10].0.clone());
+        let mut visited = 0;
+        tree.walk(&mut |_| {
+            visited += 1;
+            true
+        });
+        assert_eq!(visited, 1 + (1 + 3) + (1 + 5));
+        let mut visited = 0;
+        tree.walk(&mut |e| {
+            visited += 1;
+            !matches!(e, Expr::Case { .. })
+        });
+        assert_eq!(visited, 1 + (1 + 3) + 1);
     }
 
     #[test]
