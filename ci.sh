@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+# The vector/row expression differentials once more in the profile the
+# benchmark measures: integer overflow (debug panics, release wraps) and
+# float folding are exactly where a debug-only test run and a release
+# binary can part ways. The kernels' own overflow/zero-divide unit tests
+# ride along.
+echo "==> vector vs row differentials under --release"
+cargo test -q --release --offline --test properties vectorized_
+cargo test -q --release --offline -p hive-vector expressions::
+
 # The benchmark is a package of its own (outside the workspace) that
 # compiles against the engine's public API; build it so a signature change
 # that breaks its pinned list (benchmark/README.md) fails here, not in the

@@ -5,9 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hive_common::{DataType, Row, Value};
 use hive_exec::expr::{BinaryOp, ExprNode};
-use hive_vector::expressions::{
-    DoubleColMultiplyDoubleColumn, FilterDoubleColumnBetween, VectorExpression,
-};
+use hive_vector::expressions::{arith, filter_between, ArithOp, Operand};
 use hive_vector::{ColumnVector, VectorizedRowBatch};
 use std::hint::black_box;
 
@@ -75,16 +73,19 @@ fn bench_vectorized(c: &mut Criterion) {
                 batch_size,
             )
             .unwrap();
-            let filter = FilterDoubleColumnBetween {
-                column: 1,
-                lo: 0.05,
-                hi: 0.07,
-            };
-            let mul = DoubleColMultiplyDoubleColumn {
-                left_column: 0,
-                right_column: 1,
-                output_column: 2,
-            };
+            let filter = filter_between(
+                Operand::DoubleCol(1),
+                Operand::DoubleScalar(0.05),
+                Operand::DoubleScalar(0.07),
+            )
+            .unwrap();
+            let mul = arith(
+                ArithOp::Multiply,
+                Operand::DoubleCol(0),
+                Operand::DoubleCol(1),
+                2,
+            )
+            .unwrap();
             b.iter(|| {
                 let mut sum = 0.0;
                 let mut off = 0;

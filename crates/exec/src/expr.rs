@@ -111,7 +111,7 @@ impl ExprNode {
                 match op {
                     UnaryOp::Neg => match v {
                         Value::Null => Ok(Value::Null),
-                        Value::Int(x) => Ok(Value::Int(-x)),
+                        Value::Int(x) => Ok(Value::Int(x.wrapping_neg())),
                         Value::Double(x) => Ok(Value::Double(-x)),
                         other => Err(HiveError::Type(format!("cannot negate {other}"))),
                     },

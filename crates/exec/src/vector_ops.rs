@@ -352,15 +352,17 @@ mod tests {
 
     #[test]
     fn adapter_filter_then_bridge_counts_logical_rows() {
-        use hive_vector::expressions::filters::FilterLongColGreaterLongScalar;
+        use hive_vector::expressions::{filter_compare, CmpOp, Operand};
 
         let mut g = OperatorGraph::new();
         let f = g.add(Box::new(VectorOpAdapter::new(Box::new(
             VectorFilterOperator {
-                predicate: Box::new(FilterLongColGreaterLongScalar {
-                    column: 0,
-                    scalar: 2,
-                }),
+                predicate: filter_compare(
+                    CmpOp::Greater,
+                    Operand::LongCol(0),
+                    Operand::LongScalar(2),
+                )
+                .unwrap(),
             },
         ))));
         let br = g.add(Box::new(RowBridgeOperator::new(vec![(0, DataType::Int)])));

@@ -120,13 +120,6 @@ pub trait TableReader {
         None
     }
 
-    /// Rows dropped by corrupt-data degradation
-    /// (`hive.exec.orc.skip.corrupt.data`). Formats without salvage
-    /// support never skip anything.
-    fn rows_skipped(&self) -> u64 {
-        0
-    }
-
     /// Read-side statistics (stripe/index-group pruning, salvage). Only
     /// ORC reports non-zero values; other formats use the default.
     fn read_stats(&self) -> ReadStats {

@@ -23,7 +23,7 @@ use crate::orc::{
     decode_file_footer, decode_postscript, decode_stripe_footer, deframe_chunk, ColumnEncoding,
     StreamKind, StripeFooter, StripeInfo,
 };
-use crate::TableReader;
+use crate::{ReadStats, TableReader};
 use hive_codec::{bitfield, byte_rle, int_rle};
 use hive_common::{ColumnTree, DataType, HiveError, Result, Row, Schema, Value};
 use hive_dfs::{Dfs, DfsReader, NodeId};
@@ -48,7 +48,7 @@ pub struct OrcReadOptions {
     pub split: Option<(u64, u64)>,
     /// `hive.exec.orc.skip.corrupt.data`: instead of failing the read,
     /// skip stripes (or individual index groups) whose bytes fail checksum
-    /// or decode, and count the rows lost in [`ReadCounters::rows_skipped`].
+    /// or decode, and count the rows lost in [`ReadStats::rows_skipped`].
     pub skip_corrupt: bool,
     /// Share decoded footers, stripe footers, and row-index statistics
     /// through the process-wide metadata cache, keyed by `(dfs instance,
@@ -61,31 +61,6 @@ pub struct OrcReadOptions {
     /// replica-aware split planning). Variants carry their own DFS
     /// generations, so every cache tier stays copy-safe automatically.
     pub variant: usize,
-}
-
-/// Skipping counters for experiments and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadCounters {
-    pub stripes_total: u64,
-    pub stripes_read: u64,
-    pub groups_total: u64,
-    pub groups_read: u64,
-    /// Rows dropped by corrupt-data degradation (`skip_corrupt`).
-    pub rows_skipped: u64,
-    /// File footer (+ postscript) metadata cache hits/misses. Always zero
-    /// when `cache_metadata` is off.
-    pub footer_cache_hits: u64,
-    pub footer_cache_misses: u64,
-    /// Stripe footer and row-index metadata cache hits/misses. Always zero
-    /// when `cache_metadata` is off.
-    pub index_cache_hits: u64,
-    pub index_cache_misses: u64,
-    /// Index groups that survived min/max statistics but were pruned by a
-    /// bloom-filter probe on an equality/IN literal.
-    pub groups_bloom_pruned: u64,
-    /// Bloom sections that failed their CRC or decode and degraded to
-    /// stats-only selection ("read the group" — never a wrong answer).
-    pub bloom_corrupt: u64,
 }
 
 /// Decoded data of one column for the selected groups of a stripe.
@@ -170,7 +145,9 @@ pub struct OrcReader {
     last_ord: Option<u64>,
     /// Ordinal runs of the rows filled by the most recent `next_batch`.
     batch_runs: Vec<(u64, u64)>,
-    pub counters: ReadCounters,
+    /// Skipping, salvage and metadata-cache counters; what `read_stats()`
+    /// returns.
+    pub counters: ReadStats,
 }
 
 impl OrcReader {
@@ -236,7 +213,7 @@ impl OrcReader {
                 needed[id] = true;
             }
         }
-        let mut counters = ReadCounters {
+        let mut counters = ReadStats {
             stripes_total: meta.footer.stripes.len() as u64,
             ..Default::default()
         };
@@ -1099,24 +1076,8 @@ impl TableReader for OrcReader {
         Some(&self.batch_runs)
     }
 
-    fn rows_skipped(&self) -> u64 {
-        self.counters.rows_skipped
-    }
-
-    fn read_stats(&self) -> crate::ReadStats {
-        crate::ReadStats {
-            stripes_total: self.counters.stripes_total,
-            stripes_read: self.counters.stripes_read,
-            groups_total: self.counters.groups_total,
-            groups_read: self.counters.groups_read,
-            rows_skipped: self.counters.rows_skipped,
-            footer_cache_hits: self.counters.footer_cache_hits,
-            footer_cache_misses: self.counters.footer_cache_misses,
-            index_cache_hits: self.counters.index_cache_hits,
-            index_cache_misses: self.counters.index_cache_misses,
-            groups_bloom_pruned: self.counters.groups_bloom_pruned,
-            bloom_corrupt: self.counters.bloom_corrupt,
-        }
+    fn read_stats(&self) -> ReadStats {
+        self.counters
     }
 }
 

@@ -259,7 +259,7 @@ fn skip_corrupt_data_degrades_instead_of_failing() {
         last_a = a;
         survived += 1;
     }
-    let skipped = r.rows_skipped();
+    let skipped = r.read_stats().rows_skipped;
     assert!(skipped > 0, "the corrupt block must cost some rows");
     assert!(
         skipped < nrows as u64,
@@ -314,9 +314,12 @@ fn skip_corrupt_data_vectorized_matches_row_reader() {
     }
 
     assert_eq!(vec_values, row_values, "vectorized salvage diverged");
-    assert_eq!(vec_reader.rows_skipped(), row_reader.rows_skipped());
     assert_eq!(
-        vec_values.len() as u64 + vec_reader.rows_skipped(),
+        vec_reader.read_stats().rows_skipped,
+        row_reader.read_stats().rows_skipped
+    );
+    assert_eq!(
+        vec_values.len() as u64 + vec_reader.read_stats().rows_skipped,
         nrows as u64
     );
 }

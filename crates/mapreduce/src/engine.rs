@@ -990,8 +990,8 @@ impl MrEngine {
             task_out.clear();
         }
 
-        let rows_skipped = reader.inner().rows_skipped();
         let read_stats = reader.inner().read_stats();
+        let rows_skipped = read_stats.rows_skipped;
         // Selected-lane flow through this alias's vectorized chain: logical
         // rows into its first node vs. out of its last vectorized node.
         let (vector_rows_in, vector_rows_out) = pipeline
@@ -1168,7 +1168,7 @@ impl MrEngine {
                 while let Some((_, row)) = reader.next_row()? {
                     rows.push(row);
                 }
-                rows_skipped += reader.inner().rows_skipped();
+                rows_skipped += reader.inner().read_stats().rows_skipped;
             }
             out.insert(s.alias.clone(), rows);
         }

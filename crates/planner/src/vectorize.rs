@@ -14,7 +14,7 @@
 //! partially vectorized chain ends in exactly one `RowBridge`, where rows
 //! re-enter the row-mode graph at the first non-vectorizable operator.
 
-use crate::plan::{GroupByPhase, PlanNode, PlanOp};
+use crate::plan::{expr_type, ColumnInfo, GroupByPhase, PlanNode, PlanOp};
 use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_exec::agg::AggFunction;
 use hive_exec::expr::{BinaryOp, ExprNode, UnaryOp};
@@ -25,7 +25,7 @@ use hive_exec::vector_ops::{
 };
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
 use hive_vector::expressions as vx;
-use hive_vector::expressions::VectorExpression;
+use hive_vector::expressions::{Lane, Operand, VectorExpression};
 use hive_vector::mapjoin::{KeyPart, MapJoinHashTable, MapJoinKind, VectorMapJoinOperator};
 use hive_vector::operators::{VectorFilterOperator, VectorSelectOperator};
 use hive_vector::DEFAULT_BATCH_SIZE;
@@ -114,16 +114,11 @@ pub fn try_vectorize(
         .iter()
         .map(|&i| table.schema.field(i).data_type.clone())
         .collect();
-    if !scan_types.iter().all(is_vector_type) {
+    if !scan_types.iter().all(|t| Lane::of(t).is_some()) {
         return Ok(None);
     }
 
-    let c = VecCompiler {
-        layout: (0..scan_types.len()).collect(),
-        layout_types: scan_types.clone(),
-        types: scan_types,
-        pending: Vec::new(),
-    };
+    let c = VecCompiler::over(scan_types, &nodes[scan_id].schema);
     let out = compile_chain(nodes, input, side, num_reducers, c, scan_id)?;
     if out.consumed.is_empty() {
         return Ok(None);
@@ -135,12 +130,12 @@ pub fn try_vectorize(
 /// batch-native graph operators. The chain ends either in a shuffle sink
 /// (fully vectorized map task) or in a single `RowBridge` where row mode
 /// takes over.
-fn compile_chain(
-    nodes: &[PlanNode],
+fn compile_chain<'a>(
+    nodes: &'a [PlanNode],
     input: &MapInputView<'_>,
     side: &HashMap<String, Vec<Row>>,
     num_reducers: usize,
-    mut c: VecCompiler,
+    mut c: VecCompiler<'a>,
     start: usize,
 ) -> Result<VectorizedChain> {
     let input_nodes = input.nodes;
@@ -174,24 +169,17 @@ fn compile_chain(
                 children.push(f);
                 operators.push(Some(Box::new(VectorOpAdapter::new(Box::new(
                     VectorFilterOperator {
-                        predicate: Box::new(vx::FilterAnd { children }),
+                        predicate: vx::filter_and(children),
                     },
                 )))));
                 consumed.insert(n);
                 cur = n;
             }
             PlanOp::Select { exprs } => {
-                let Some(outputs) = c.compile_values(exprs)? else {
+                let Some(select) = c.project(exprs, &nodes[n].schema)? else {
                     break;
                 };
-                let expressions = c.drain_pending();
-                operators.push(Some(Box::new(VectorOpAdapter::new(Box::new(
-                    VectorSelectOperator {
-                        expressions,
-                        output_columns: outputs.clone(),
-                    },
-                )))));
-                c.set_layout(outputs);
+                operators.push(Some(select));
                 consumed.insert(n);
                 cur = n;
             }
@@ -223,32 +211,12 @@ fn compile_chain(
                 else {
                     break;
                 };
-                let mut key_cols = Vec::with_capacity(keys.len());
-                let mut ok = true;
-                for k in keys {
-                    match c.compile_value(k)? {
-                        Some((col, _)) => key_cols.push(col),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                let mut specs = Vec::with_capacity(aggs.len());
-                if ok {
-                    for a in aggs {
-                        match c.compile_agg(a)? {
-                            Some(s) => specs.push(s),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !ok {
+                let Some(key_cols) = all(keys.iter().map(|k| c.value(k)))? else {
                     break;
-                }
+                };
+                let Some(specs) = all(aggs.iter().map(|a| c.compile_agg(a)))? else {
+                    break;
+                };
                 let expressions = c.drain_pending();
                 let tag = input.rs_tags.get(&rs_n).copied().unwrap_or(0);
                 operators.push(Some(Box::new(VectorGroupBySinkOperator::new(
@@ -274,17 +242,10 @@ fn compile_chain(
                 // the chain continues through it in batch mode.
                 let mut exprs: Vec<ExprNode> = keys.clone();
                 exprs.extend(values.iter().cloned());
-                let Some(outputs) = c.compile_values(&exprs)? else {
+                let Some(select) = c.project(&exprs, &nodes[n].schema)? else {
                     break;
                 };
-                let expressions = c.drain_pending();
-                operators.push(Some(Box::new(VectorOpAdapter::new(Box::new(
-                    VectorSelectOperator {
-                        expressions,
-                        output_columns: outputs.clone(),
-                    },
-                )))));
-                c.set_layout(outputs);
+                operators.push(Some(select));
                 consumed.insert(n);
                 cur = n;
             }
@@ -294,10 +255,10 @@ fn compile_chain(
                 degenerate: false,
                 ..
             } => {
-                let Some(key_columns) = c.compile_values(keys)? else {
+                let Some(key_columns) = c.typed_values(keys)? else {
                     break;
                 };
-                let Some(value_columns) = c.compile_values(values)? else {
+                let Some(value_columns) = c.typed_values(values)? else {
                     break;
                 };
                 let expressions = c.drain_pending();
@@ -325,22 +286,15 @@ fn compile_chain(
                 if scan_types.is_none() {
                     scan_types = Some(c.types.clone());
                 }
-                let mut out_types: Vec<DataType> =
-                    pj.stream_columns.iter().map(|(_, t)| t.clone()).collect();
-                out_types.extend(
-                    nodes[n].schema[pj.stream_columns.len()..]
-                        .iter()
-                        .map(|ci| ci.data_type.clone()),
-                );
+                let out_types: Vec<DataType> = nodes[n]
+                    .schema
+                    .iter()
+                    .map(|ci| ci.data_type.clone())
+                    .collect();
                 let slot = operators.len();
                 operators.push(None);
                 pending_join = Some(PendingJoin { slot, ..pj });
-                c = VecCompiler {
-                    layout: (0..out_types.len()).collect(),
-                    layout_types: out_types.clone(),
-                    types: out_types,
-                    pending: Vec::new(),
-                };
+                c = VecCompiler::over(out_types, &nodes[n].schema);
                 consumed.insert(n);
                 cur = n;
             }
@@ -351,12 +305,7 @@ fn compile_chain(
     if !ended_in_sink && !consumed.is_empty() {
         // The single batch→row crossing: bridge the current layout into
         // the row-mode graph.
-        let output_columns: Vec<(usize, DataType)> = c
-            .layout
-            .iter()
-            .copied()
-            .zip(c.layout_types.iter().cloned())
-            .collect();
+        let output_columns = c.layout_columns();
         operators.push(Some(Box::new(RowBridgeOperator::new(output_columns))));
     }
     // The last segment's types are final: seal the trailing join (if any).
@@ -381,7 +330,7 @@ fn compile_chain(
 fn prepare_mapjoin(
     nodes: &[PlanNode],
     side: &HashMap<String, Vec<Row>>,
-    c: &mut VecCompiler,
+    c: &mut VecCompiler<'_>,
     n: usize,
     sides: &[crate::plan::MapJoinSide],
 ) -> Result<Option<PendingJoin>> {
@@ -397,21 +346,14 @@ fn prepare_mapjoin(
     // The join's output: the streamed layout followed by the stored build
     // row (keys ++ projected columns). All must be primitive.
     let stream_width = c.layout.len();
-    let build_types: Vec<DataType> = nodes[n].schema[stream_width..]
-        .iter()
-        .map(|ci| ci.data_type.clone())
-        .collect();
-    if build_types.len() != s.width || !build_types.iter().all(is_vector_type) {
+    let build = &nodes[n].schema[stream_width..];
+    if build.len() != s.width || !build.iter().all(|ci| Lane::of(&ci.data_type).is_some()) {
         return Ok(None);
     }
     // Probe keys over the current layout.
-    let mut key_columns = Vec::with_capacity(s.stream_keys.len());
-    for k in &s.stream_keys {
-        match c.compile_value(k)? {
-            Some(out) => key_columns.push(out),
-            None => return Ok(None),
-        }
-    }
+    let Some(key_columns) = c.typed_values(&s.stream_keys)? else {
+        return Ok(None);
+    };
     let key_expressions = c.drain_pending();
 
     // Build the hash table from the broadcast side, mirroring the row
@@ -447,12 +389,7 @@ fn prepare_mapjoin(
         table.entry(key).or_default().push(Row::new(vals));
     }
 
-    let stream_columns: Vec<(usize, DataType)> = c
-        .layout
-        .iter()
-        .copied()
-        .zip(c.layout_types.iter().cloned())
-        .collect();
+    let stream_columns = c.layout_columns();
     Ok(Some(PendingJoin {
         slot: 0, // assigned by the caller
         kind,
@@ -464,45 +401,42 @@ fn prepare_mapjoin(
     }))
 }
 
-fn is_vector_type(t: &DataType) -> bool {
-    matches!(
-        t,
-        DataType::Int
-            | DataType::Boolean
-            | DataType::Timestamp
-            | DataType::Double
-            | DataType::String
-    )
+/// Collect `Ok(Some(_))` items; the first `None` (not vectorizable) or
+/// error ends the walk.
+fn all<T>(items: impl Iterator<Item = Result<Option<T>>>) -> Result<Option<Vec<T>>> {
+    items.collect::<Result<Option<Vec<T>>>>()
 }
 
 /// Compiles row-mode expression trees into vectorized expression chains.
-struct VecCompiler {
+///
+/// The compiler decides what is the planner's business — which operand is a
+/// scalar, when a long operand must be widened to double, which scratch
+/// column holds a result, how AND / OR / IN / BETWEEN decompose — and asks
+/// `hive_vector::expressions` for every kernel. Mid-expression it tracks
+/// lanes only (the physical column's); every `DataType` comes from
+/// [`expr_type`] over the input plan node's schema.
+struct VecCompiler<'a> {
     /// Logical column → physical batch column.
     layout: Vec<usize>,
-    layout_types: Vec<DataType>,
+    /// Schema of the plan node whose output the expressions read.
+    schema: &'a [ColumnInfo],
     /// Physical batch column types (scan + scratch).
     types: Vec<DataType>,
     /// Accumulated expressions awaiting attachment to an operator.
     pending: Vec<Box<dyn VectorExpression>>,
 }
 
-/// Vector-level type of a physical column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VType {
-    Long,
-    Double,
-    Bytes,
-}
-
-fn vtype(t: &DataType) -> VType {
-    match t {
-        DataType::Double => VType::Double,
-        DataType::String => VType::Bytes,
-        _ => VType::Long,
+impl<'a> VecCompiler<'a> {
+    /// A compiler over a fresh batch whose columns are `schema`'s, in order.
+    fn over(types: Vec<DataType>, schema: &'a [ColumnInfo]) -> VecCompiler<'a> {
+        VecCompiler {
+            layout: (0..types.len()).collect(),
+            schema,
+            types,
+            pending: Vec::new(),
+        }
     }
-}
 
-impl VecCompiler {
     fn scratch(&mut self, t: DataType) -> usize {
         self.types.push(t);
         self.types.len() - 1
@@ -512,415 +446,172 @@ impl VecCompiler {
         std::mem::take(&mut self.pending)
     }
 
-    /// Compile a list of value expressions; `None` when any fails.
-    fn compile_values(&mut self, exprs: &[ExprNode]) -> Result<Option<Vec<(usize, DataType)>>> {
-        let mut outputs = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            match self.compile_value(e)? {
-                Some(out) => outputs.push(out),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(outputs))
+    /// Push a catalogue answer; `None` (no kernel) passes through.
+    fn emit(&mut self, e: Option<Box<dyn VectorExpression>>, out: usize) -> Option<usize> {
+        self.pending.push(e?);
+        Some(out)
     }
 
-    /// Reset the logical layout to the given physical columns (after a
-    /// projection changed the row shape).
-    fn set_layout(&mut self, outputs: Vec<(usize, DataType)>) {
-        self.layout = outputs.iter().map(|(i, _)| *i).collect();
-        self.layout_types = outputs.into_iter().map(|(_, t)| t).collect();
+    /// The current logical row: physical column + logical type per column.
+    fn layout_columns(&self) -> Vec<(usize, DataType)> {
+        debug_assert_eq!(self.layout.len(), self.schema.len());
+        let typed = self.layout.iter().zip(self.schema);
+        typed
+            .map(|(&col, ci)| (col, ci.data_type.clone()))
+            .collect()
     }
 
-    /// Compile a value expression; returns its physical column + type.
-    fn compile_value(&mut self, e: &ExprNode) -> Result<Option<(usize, DataType)>> {
-        Ok(match e {
-            ExprNode::Column(i) => {
-                let Some(&col) = self.layout.get(*i) else {
-                    return Err(HiveError::Plan(format!("column {i} out of layout")));
-                };
-                Some((col, self.layout_types[*i].clone()))
-            }
-            ExprNode::Literal(v) => match v {
-                Value::Int(x) => {
-                    let out = self.scratch(DataType::Int);
-                    self.pending.push(Box::new(vx::ConstantExpression::Long {
-                        output: out,
-                        value: *x,
-                    }));
-                    Some((out, DataType::Int))
-                }
-                Value::Double(x) => {
-                    let out = self.scratch(DataType::Double);
-                    self.pending.push(Box::new(vx::ConstantExpression::Double {
-                        output: out,
-                        value: *x,
-                    }));
-                    Some((out, DataType::Double))
-                }
-                Value::String(s) => {
-                    let out = self.scratch(DataType::String);
-                    self.pending.push(Box::new(vx::ConstantExpression::Bytes {
-                        output: out,
-                        value: s.as_bytes().to_vec(),
-                    }));
-                    Some((out, DataType::String))
-                }
-                Value::Boolean(b) => {
-                    let out = self.scratch(DataType::Boolean);
-                    self.pending.push(Box::new(vx::ConstantExpression::Long {
-                        output: out,
-                        value: *b as i64,
-                    }));
-                    Some((out, DataType::Boolean))
-                }
-                _ => None,
+    /// Compile value expressions to physical column + logical type (shuffle
+    /// keys and values, join keys, projections); `None` when any fails.
+    fn typed_values(&mut self, exprs: &[ExprNode]) -> Result<Option<Vec<(usize, DataType)>>> {
+        all(exprs.iter().map(|e| {
+            let Some(col) = self.value(e)? else {
+                return Ok(None);
+            };
+            Ok(Some((col, expr_type(e, self.schema)?)))
+        }))
+    }
+
+    /// Compile a projection into a `VectorSelect` and move the compiler onto
+    /// its output (`schema`: the projecting plan node's).
+    fn project(
+        &mut self,
+        exprs: &[ExprNode],
+        schema: &'a [ColumnInfo],
+    ) -> Result<Option<Box<dyn Operator>>> {
+        let Some(output_columns) = self.typed_values(exprs)? else {
+            return Ok(None);
+        };
+        self.layout = output_columns.iter().map(|(col, _)| *col).collect();
+        self.schema = schema;
+        Ok(Some(Box::new(VectorOpAdapter::new(Box::new(
+            VectorSelectOperator {
+                expressions: self.drain_pending(),
+                output_columns,
             },
-            ExprNode::Cast { expr, target } => {
-                let Some((col, t)) = self.compile_value(expr)? else {
+        )))))
+    }
+
+    /// A physical column as a kernel operand of the column's lane.
+    fn col(&self, col: usize) -> Operand {
+        let lane = Lane::of(&self.types[col]).expect("batch columns are vectorizable");
+        Operand::col(lane, col)
+    }
+
+    /// Compile a value expression; returns the physical column holding it.
+    fn value(&mut self, e: &ExprNode) -> Result<Option<usize>> {
+        if let ExprNode::Column(i) = e {
+            let col = self.layout.get(*i).copied();
+            return col
+                .map(Some)
+                .ok_or_else(|| HiveError::Plan(format!("column {i} out of layout")));
+        }
+        // The one type rule: the result's type, hence its scratch column.
+        let out_type = expr_type(e, self.schema)?;
+        Ok(match e {
+            ExprNode::Literal(v) => {
+                let Some(scalar) = scalar(v) else {
                     return Ok(None);
                 };
-                match (vtype(&t), vtype(target)) {
-                    (a, b) if a == b => Some((col, target.clone())),
-                    (VType::Long, VType::Double) => Some((self.widen(col), DataType::Double)),
-                    (VType::Double, VType::Long) => {
-                        let out = self.scratch(DataType::Int);
-                        self.pending.push(Box::new(vx::CastDoubleToLong {
-                            input_column: col,
-                            output_column: out,
-                        }));
-                        Some((out, target.clone()))
-                    }
-                    _ => None,
+                let out = self.scratch(out_type);
+                self.emit(vx::constant(scalar, out), out)
+            }
+            ExprNode::Cast { expr, .. } => {
+                let (Some(col), Some(to)) = (self.value(expr)?, Lane::of(&out_type)) else {
+                    return Ok(None);
+                };
+                let from = self.col(col);
+                if from.lane() == to {
+                    return Ok(Some(col));
                 }
+                let out = self.scratch(out_type);
+                self.emit(vx::cast(from, to, out), out)
             }
             ExprNode::Unary {
                 op: UnaryOp::Neg,
                 expr,
             } => {
-                let Some((col, t)) = self.compile_value(expr)? else {
+                let Some(col) = self.value(expr)? else {
                     return Ok(None);
                 };
-                match vtype(&t) {
-                    VType::Long => {
-                        let out = self.scratch(t.clone());
-                        self.pending.push(Box::new(vx::LongColMultiplyLongScalar {
-                            input_column: col,
-                            output_column: out,
-                            scalar: -1,
-                        }));
-                        Some((out, t))
-                    }
-                    VType::Double => {
-                        let out = self.scratch(DataType::Double);
-                        self.pending
-                            .push(Box::new(vx::DoubleColMultiplyDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: -1.0,
-                            }));
-                        Some((out, DataType::Double))
-                    }
-                    VType::Bytes => None,
-                }
+                let out = self.scratch(out_type);
+                self.emit(vx::negate(self.col(col), out), out)
             }
-            ExprNode::Binary { op, left, right } => self.compile_binary(*op, left, right)?,
+            ExprNode::Binary { op, left, right } => {
+                let Some(op) = binary_op(*op) else {
+                    return Ok(None);
+                };
+                let Some((l, r)) = self.operands(left, right, Lane::of(&out_type))? else {
+                    return Ok(None);
+                };
+                let out = self.scratch(out_type);
+                let kernel = match op {
+                    Binary::Arith(op) => vx::arith(op, l, r, out),
+                    Binary::Cmp(op) => vx::compare(op, l, r, out),
+                };
+                self.emit(kernel, out)
+            }
             _ => None,
         })
     }
 
-    fn widen(&mut self, col: usize) -> usize {
-        let out = self.scratch(DataType::Double);
-        self.pending.push(Box::new(vx::CastLongToDouble {
-            input_column: col,
-            output_column: out,
-        }));
-        out
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn compile_binary(
+    /// Classify a binary operator's operands: the right side may be a scalar
+    /// (the paper's col-scalar templates), the left is always a column.
+    fn operands(
         &mut self,
-        op: BinaryOp,
         left: &ExprNode,
         right: &ExprNode,
-    ) -> Result<Option<(usize, DataType)>> {
-        use BinaryOp::*;
-        if matches!(op, And | Or | Modulo) {
-            return Ok(None);
-        }
-        // Scalar fast paths (the paper's col-scalar templates).
-        let scalar = match right {
-            ExprNode::Literal(Value::Int(x)) => Some((*x as f64, true)),
-            ExprNode::Literal(Value::Double(x)) => Some((*x, false)),
-            _ => None,
-        };
-        let Some((lcol, lt)) = self.compile_value(left)? else {
+        result: Option<Lane>,
+    ) -> Result<Option<(Operand, Operand)>> {
+        let (Some(l), Some(r)) = (self.value(left)?, self.operand(right)?) else {
             return Ok(None);
         };
+        let [l, r] = self.same_lane([self.col(l), r], result);
+        Ok(Some((l, r)))
+    }
 
-        if matches!(op, Add | Subtract | Multiply | Divide) {
-            if let Some((sval, s_is_int)) = scalar {
-                // Column ⊕ scalar.
-                let want_double = op == Divide || vtype(&lt) == VType::Double || !s_is_int;
-                if vtype(&lt) == VType::Bytes {
-                    return Ok(None);
-                }
-                return Ok(Some(if want_double {
-                    let col = if vtype(&lt) == VType::Long {
-                        self.widen(lcol)
-                    } else {
-                        lcol
-                    };
-                    let out = self.scratch(DataType::Double);
-                    let e: Box<dyn VectorExpression> = match op {
-                        Add => Box::new(vx::DoubleColAddDoubleScalar {
-                            input_column: col,
-                            output_column: out,
-                            scalar: sval,
-                        }),
-                        Subtract => Box::new(vx::DoubleColSubtractDoubleScalar {
-                            input_column: col,
-                            output_column: out,
-                            scalar: sval,
-                        }),
-                        Multiply => Box::new(vx::DoubleColMultiplyDoubleScalar {
-                            input_column: col,
-                            output_column: out,
-                            scalar: sval,
-                        }),
-                        Divide => Box::new(vx::DoubleColDivideDoubleScalar {
-                            input_column: col,
-                            output_column: out,
-                            scalar: sval,
-                        }),
-                        _ => unreachable!(),
-                    };
-                    self.pending.push(e);
-                    (out, DataType::Double)
-                } else {
-                    let out = self.scratch(DataType::Int);
-                    let s = sval as i64;
-                    let e: Box<dyn VectorExpression> = match op {
-                        Add => Box::new(vx::LongColAddLongScalar {
-                            input_column: lcol,
-                            output_column: out,
-                            scalar: s,
-                        }),
-                        Subtract => Box::new(vx::LongColSubtractLongScalar {
-                            input_column: lcol,
-                            output_column: out,
-                            scalar: s,
-                        }),
-                        Multiply => Box::new(vx::LongColMultiplyLongScalar {
-                            input_column: lcol,
-                            output_column: out,
-                            scalar: s,
-                        }),
-                        _ => unreachable!(),
-                    };
-                    self.pending.push(e);
-                    (out, DataType::Int)
-                }));
-            }
-            // Column ⊕ column.
-            let Some((rcol, rt)) = self.compile_value(right)? else {
-                return Ok(None);
-            };
-            if vtype(&lt) == VType::Bytes || vtype(&rt) == VType::Bytes {
-                return Ok(None);
-            }
-            let want_double =
-                op == Divide || vtype(&lt) == VType::Double || vtype(&rt) == VType::Double;
-            return Ok(Some(if want_double {
-                let l = if vtype(&lt) == VType::Long {
-                    self.widen(lcol)
-                } else {
-                    lcol
-                };
-                let r = if vtype(&rt) == VType::Long {
-                    self.widen(rcol)
-                } else {
-                    rcol
-                };
+    /// Kernels are same-lane: when any operand (or the operator's `result`)
+    /// is double, the long operands are widened to meet it.
+    fn same_lane<const N: usize>(
+        &mut self,
+        operands: [Operand; N],
+        result: Option<Lane>,
+    ) -> [Operand; N] {
+        let double = |lane| lane == Lane::Double;
+        if result.is_some_and(double) || operands.iter().any(|o| double(o.lane())) {
+            operands.map(|o| self.widen(o))
+        } else {
+            operands
+        }
+    }
+
+    /// A literal as a scalar operand, anything else as its column.
+    fn operand(&mut self, e: &ExprNode) -> Result<Option<Operand>> {
+        if let ExprNode::Literal(v) = e {
+            return Ok(scalar(v));
+        }
+        Ok(self.value(e)?.map(|col| self.col(col)))
+    }
+
+    /// Long → double: a scalar converts in place, a column through a cast
+    /// into a scratch column. Other operands pass through.
+    fn widen(&mut self, o: Operand) -> Operand {
+        match o {
+            Operand::LongScalar(x) => Operand::DoubleScalar(x as f64),
+            Operand::LongCol(_) => {
                 let out = self.scratch(DataType::Double);
-                let e: Box<dyn VectorExpression> = match op {
-                    Add => Box::new(vx::DoubleColAddDoubleColumn {
-                        left_column: l,
-                        right_column: r,
-                        output_column: out,
-                    }),
-                    Subtract => Box::new(vx::DoubleColSubtractDoubleColumn {
-                        left_column: l,
-                        right_column: r,
-                        output_column: out,
-                    }),
-                    Multiply => Box::new(vx::DoubleColMultiplyDoubleColumn {
-                        left_column: l,
-                        right_column: r,
-                        output_column: out,
-                    }),
-                    Divide => Box::new(vx::DoubleColDivideDoubleColumn {
-                        left_column: l,
-                        right_column: r,
-                        output_column: out,
-                    }),
-                    _ => unreachable!(),
-                };
-                self.pending.push(e);
-                (out, DataType::Double)
-            } else {
-                let out = self.scratch(DataType::Int);
-                let e: Box<dyn VectorExpression> = match op {
-                    Add => Box::new(vx::LongColAddLongColumn {
-                        left_column: lcol,
-                        right_column: rcol,
-                        output_column: out,
-                    }),
-                    Subtract => Box::new(vx::LongColSubtractLongColumn {
-                        left_column: lcol,
-                        right_column: rcol,
-                        output_column: out,
-                    }),
-                    Multiply => Box::new(vx::LongColMultiplyLongColumn {
-                        left_column: lcol,
-                        right_column: rcol,
-                        output_column: out,
-                    }),
-                    _ => unreachable!(),
-                };
-                self.pending.push(e);
-                (out, DataType::Int)
-            }));
-        }
-
-        // Comparisons producing boolean columns.
-        if matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq) {
-            if let Some((sval, s_is_int)) = scalar {
-                let out = self.scratch(DataType::Boolean);
-                let e: Option<Box<dyn VectorExpression>> = match vtype(&lt) {
-                    VType::Long if s_is_int => {
-                        let s = sval as i64;
-                        Some(match op {
-                            Eq => Box::new(vx::LongColEqualLongScalar {
-                                input_column: lcol,
-                                output_column: out,
-                                scalar: s,
-                            }),
-                            NotEq => Box::new(vx::LongColNotEqualLongScalar {
-                                input_column: lcol,
-                                output_column: out,
-                                scalar: s,
-                            }),
-                            Lt => Box::new(vx::LongColLessLongScalar {
-                                input_column: lcol,
-                                output_column: out,
-                                scalar: s,
-                            }),
-                            LtEq => Box::new(vx::LongColLessEqualLongScalar {
-                                input_column: lcol,
-                                output_column: out,
-                                scalar: s,
-                            }),
-                            Gt => Box::new(vx::LongColGreaterLongScalar {
-                                input_column: lcol,
-                                output_column: out,
-                                scalar: s,
-                            }),
-                            GtEq => Box::new(vx::LongColGreaterEqualLongScalar {
-                                input_column: lcol,
-                                output_column: out,
-                                scalar: s,
-                            }),
-                            _ => unreachable!(),
-                        })
-                    }
-                    VType::Double | VType::Long => {
-                        let col = if vtype(&lt) == VType::Long {
-                            self.widen(lcol)
-                        } else {
-                            lcol
-                        };
-                        Some(match op {
-                            Eq => Box::new(vx::DoubleColEqualDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: sval,
-                            }),
-                            NotEq => Box::new(vx::DoubleColNotEqualDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: sval,
-                            }),
-                            Lt => Box::new(vx::DoubleColLessDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: sval,
-                            }),
-                            LtEq => Box::new(vx::DoubleColLessEqualDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: sval,
-                            }),
-                            Gt => Box::new(vx::DoubleColGreaterDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: sval,
-                            }),
-                            GtEq => Box::new(vx::DoubleColGreaterEqualDoubleScalar {
-                                input_column: col,
-                                output_column: out,
-                                scalar: sval,
-                            }),
-                            _ => unreachable!(),
-                        })
-                    }
-                    VType::Bytes => None,
-                };
-                if let Some(e) = e {
-                    self.pending.push(e);
-                    return Ok(Some((out, DataType::Boolean)));
-                }
-                return Ok(None);
+                self.pending.extend(vx::cast(o, Lane::Double, out));
+                Operand::DoubleCol(out)
             }
-            let Some((rcol, rt)) = self.compile_value(right)? else {
-                return Ok(None);
-            };
-            if vtype(&lt) == VType::Long && vtype(&rt) == VType::Long {
-                let out = self.scratch(DataType::Boolean);
-                let e: Option<Box<dyn VectorExpression>> = match op {
-                    Eq => Some(Box::new(vx::LongColEqualLongColumn {
-                        left_column: lcol,
-                        right_column: rcol,
-                        output_column: out,
-                    })),
-                    Lt => Some(Box::new(vx::LongColLessLongColumn {
-                        left_column: lcol,
-                        right_column: rcol,
-                        output_column: out,
-                    })),
-                    Gt => Some(Box::new(vx::LongColGreaterLongColumn {
-                        left_column: lcol,
-                        right_column: rcol,
-                        output_column: out,
-                    })),
-                    _ => None,
-                };
-                if let Some(e) = e {
-                    self.pending.push(e);
-                    return Ok(Some((out, DataType::Boolean)));
-                }
-            }
-            return Ok(None);
+            other => other,
         }
-        Ok(None)
     }
 
     /// Compile a predicate into an in-place filter expression.
     fn compile_filter(&mut self, e: &ExprNode) -> Result<Option<Box<dyn VectorExpression>>> {
-        use BinaryOp::*;
         Ok(match e {
             ExprNode::Binary {
-                op: And,
+                op: op @ (BinaryOp::And | BinaryOp::Or),
                 left,
                 right,
             } => {
@@ -928,27 +619,19 @@ impl VecCompiler {
                 else {
                     return Ok(None);
                 };
-                Some(Box::new(vx::FilterAnd {
-                    children: vec![l, r],
-                }))
+                Some(match op {
+                    BinaryOp::And => vx::filter_and(vec![l, r]),
+                    _ => vx::filter_or(vec![l, r]),
+                })
             }
-            ExprNode::Binary {
-                op: Or,
-                left,
-                right,
-            } => {
-                let (Some(l), Some(r)) = (self.compile_filter(left)?, self.compile_filter(right)?)
-                else {
+            ExprNode::Binary { op, left, right } => {
+                let Some(Binary::Cmp(op)) = binary_op(*op) else {
                     return Ok(None);
                 };
-                Some(Box::new(vx::FilterOr {
-                    children: vec![l, r],
-                }))
-            }
-            ExprNode::Binary { op, left, right }
-                if matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq) =>
-            {
-                self.compile_cmp_filter(*op, left, right)?
+                let Some((l, r)) = self.operands(left, right, None)? else {
+                    return Ok(None);
+                };
+                vx::filter_compare(op, l, r)
             }
             ExprNode::Between {
                 expr,
@@ -956,270 +639,58 @@ impl VecCompiler {
                 hi,
                 negated: false,
             } => {
-                let Some((col, t)) = self.compile_value(expr)? else {
+                let (Some(col), Some(lo), Some(hi)) =
+                    (self.value(expr)?, self.operand(lo)?, self.operand(hi)?)
+                else {
                     return Ok(None);
                 };
-                match (vtype(&t), &**lo, &**hi) {
-                    (
-                        VType::Long,
-                        ExprNode::Literal(Value::Int(a)),
-                        ExprNode::Literal(Value::Int(b)),
-                    ) => Some(Box::new(vx::FilterLongColumnBetween {
-                        column: col,
-                        lo: *a,
-                        hi: *b,
-                    })),
-                    (VType::Double, ExprNode::Literal(la), ExprNode::Literal(lb)) => {
-                        let (Some(a), Some(b)) = (la.as_double(), lb.as_double()) else {
-                            return Ok(None);
-                        };
-                        Some(Box::new(vx::FilterDoubleColumnBetween {
-                            column: col,
-                            lo: a,
-                            hi: b,
-                        }))
-                    }
-                    (VType::Long, ExprNode::Literal(la), ExprNode::Literal(lb)) => {
-                        let (Some(a), Some(b)) = (la.as_double(), lb.as_double()) else {
-                            return Ok(None);
-                        };
-                        let wide = self.widen(col);
-                        Some(Box::new(vx::FilterDoubleColumnBetween {
-                            column: wide,
-                            lo: a,
-                            hi: b,
-                        }))
-                    }
-                    (
-                        VType::Bytes,
-                        ExprNode::Literal(Value::String(a)),
-                        ExprNode::Literal(Value::String(b)),
-                    ) => Some(Box::new(vx::FilterAnd {
-                        children: vec![
-                            Box::new(vx::FilterBytesColGreaterEqualBytesScalar {
-                                column: col,
-                                scalar: a.as_bytes().to_vec(),
-                            }),
-                            Box::new(vx::FilterBytesColLessEqualBytesScalar {
-                                column: col,
-                                scalar: b.as_bytes().to_vec(),
-                            }),
-                        ],
-                    })),
-                    _ => None,
-                }
+                let [col, lo, hi] = self.same_lane([self.col(col), lo, hi], None);
+                vx::filter_between(col, lo, hi)
             }
-            ExprNode::IsNull { expr, negated } => {
-                let Some((col, _)) = self.compile_value(expr)? else {
-                    return Ok(None);
-                };
-                Some(Box::new(vx::FilterIsNull {
-                    column: col,
-                    negated: *negated,
-                }))
-            }
+            ExprNode::IsNull { expr, negated } => self
+                .value(expr)?
+                .map(|col| vx::filter_is_null(col, *negated)),
             ExprNode::InList {
                 expr,
                 list,
                 negated: false,
             } => {
                 // col IN (a, b, ...) → OR of equality filters.
-                let mut children: Vec<Box<dyn VectorExpression>> = Vec::with_capacity(list.len());
-                for item in list {
-                    let eq = ExprNode::Binary {
-                        op: Eq,
-                        left: Box::new((**expr).clone()),
-                        right: Box::new(item.clone()),
-                    };
-                    let Some(f) = self.compile_filter(&eq)? else {
-                        return Ok(None);
-                    };
-                    children.push(f);
-                }
-                Some(Box::new(vx::FilterOr { children }))
+                let equalities = list.iter().map(|item| {
+                    let eq = ExprNode::binary(BinaryOp::Eq, (**expr).clone(), item.clone());
+                    self.compile_filter(&eq)
+                });
+                all(equalities)?.map(vx::filter_or)
             }
-            ExprNode::Column(_) => {
-                let Some((col, t)) = self.compile_value(e)? else {
-                    return Ok(None);
-                };
-                if vtype(&t) != VType::Long {
-                    return Ok(None);
-                }
-                Some(Box::new(vx::FilterBoolColumn { column: col }))
-            }
+            ExprNode::Column(_) => match self.value(e)? {
+                Some(col) => vx::filter_bool(self.col(col)),
+                None => None,
+            },
             _ => None,
         })
     }
 
-    fn compile_cmp_filter(
-        &mut self,
-        op: BinaryOp,
-        left: &ExprNode,
-        right: &ExprNode,
-    ) -> Result<Option<Box<dyn VectorExpression>>> {
-        use BinaryOp::*;
-        let Some((lcol, lt)) = self.compile_value(left)? else {
-            return Ok(None);
-        };
-        match right {
-            ExprNode::Literal(Value::String(s)) if vtype(&lt) == VType::Bytes => {
-                let scalar = s.as_bytes().to_vec();
-                Ok(Some(match op {
-                    Eq => Box::new(vx::FilterBytesColEqualBytesScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    NotEq => Box::new(vx::FilterBytesColNotEqualBytesScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    Lt => Box::new(vx::FilterBytesColLessBytesScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    LtEq => Box::new(vx::FilterBytesColLessEqualBytesScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    Gt => Box::new(vx::FilterBytesColGreaterBytesScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    GtEq => Box::new(vx::FilterBytesColGreaterEqualBytesScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    _ => return Ok(None),
-                }))
-            }
-            ExprNode::Literal(Value::Int(x)) if vtype(&lt) == VType::Long => {
-                let scalar = *x;
-                Ok(Some(match op {
-                    Eq => Box::new(vx::FilterLongColEqualLongScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    NotEq => Box::new(vx::FilterLongColNotEqualLongScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    Lt => Box::new(vx::FilterLongColLessLongScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    LtEq => Box::new(vx::FilterLongColLessEqualLongScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    Gt => Box::new(vx::FilterLongColGreaterLongScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    GtEq => Box::new(vx::FilterLongColGreaterEqualLongScalar {
-                        column: lcol,
-                        scalar,
-                    }),
-                    _ => return Ok(None),
-                }))
-            }
-            ExprNode::Literal(v) if v.as_double().is_some() && vtype(&lt) != VType::Bytes => {
-                let scalar = v.as_double().unwrap();
-                let col = if vtype(&lt) == VType::Long {
-                    self.widen(lcol)
-                } else {
-                    lcol
-                };
-                Ok(Some(match op {
-                    Eq => Box::new(vx::FilterDoubleColEqualDoubleScalar {
-                        column: col,
-                        scalar,
-                    }),
-                    NotEq => Box::new(vx::FilterDoubleColNotEqualDoubleScalar {
-                        column: col,
-                        scalar,
-                    }),
-                    Lt => Box::new(vx::FilterDoubleColLessDoubleScalar {
-                        column: col,
-                        scalar,
-                    }),
-                    LtEq => Box::new(vx::FilterDoubleColLessEqualDoubleScalar {
-                        column: col,
-                        scalar,
-                    }),
-                    Gt => Box::new(vx::FilterDoubleColGreaterDoubleScalar {
-                        column: col,
-                        scalar,
-                    }),
-                    GtEq => Box::new(vx::FilterDoubleColGreaterEqualDoubleScalar {
-                        column: col,
-                        scalar,
-                    }),
-                    _ => return Ok(None),
-                }))
-            }
-            _ => {
-                // Column-column filters (long/double subset).
-                let Some((rcol, rt)) = self.compile_value(right)? else {
-                    return Ok(None);
-                };
-                match (vtype(&lt), vtype(&rt), op) {
-                    (VType::Long, VType::Long, Eq) => {
-                        Ok(Some(Box::new(vx::FilterLongColEqualLongColumn {
-                            left_column: lcol,
-                            right_column: rcol,
-                        })))
-                    }
-                    (VType::Long, VType::Long, Lt) => {
-                        Ok(Some(Box::new(vx::FilterLongColLessLongColumn {
-                            left_column: lcol,
-                            right_column: rcol,
-                        })))
-                    }
-                    (VType::Long, VType::Long, Gt) => {
-                        Ok(Some(Box::new(vx::FilterLongColGreaterLongColumn {
-                            left_column: lcol,
-                            right_column: rcol,
-                        })))
-                    }
-                    (VType::Double, VType::Double, Lt) => {
-                        Ok(Some(Box::new(vx::FilterDoubleColLessDoubleColumn {
-                            left_column: lcol,
-                            right_column: rcol,
-                        })))
-                    }
-                    (VType::Double, VType::Double, Gt) => {
-                        Ok(Some(Box::new(vx::FilterDoubleColGreaterDoubleColumn {
-                            left_column: lcol,
-                            right_column: rcol,
-                        })))
-                    }
-                    _ => Ok(None),
-                }
-            }
-        }
-    }
-
     /// Map a row-mode aggregate onto a vectorized AggSpec.
     fn compile_agg(&mut self, a: &crate::plan::AggCall) -> Result<Option<AggSpec>> {
-        let (col, t) = match &a.arg {
-            None => (None, None),
-            Some(arg) => match self.compile_value(arg)? {
-                Some((c, t)) => (Some(c), Some(t)),
+        let col = match &a.arg {
+            None => None,
+            Some(arg) => match self.value(arg)? {
+                Some(c) => Some(c),
                 None => return Ok(None),
             },
         };
-        let kind = match (a.function, t.as_ref().map(vtype)) {
+        let kind = match (a.function, col.map(|c| self.col(c).lane())) {
             (AggFunction::CountStar, _) => AggKind::CountStar,
             (AggFunction::Count, _) => AggKind::Count,
-            (AggFunction::Sum, Some(VType::Long)) => AggKind::SumLong,
-            (AggFunction::Sum, Some(VType::Double)) => AggKind::SumDouble,
-            (AggFunction::Avg, Some(VType::Long | VType::Double)) => AggKind::Avg,
-            (AggFunction::Min, Some(VType::Long)) => AggKind::MinLong,
-            (AggFunction::Min, Some(VType::Double)) => AggKind::MinDouble,
-            (AggFunction::Min, Some(VType::Bytes)) => AggKind::MinBytes,
-            (AggFunction::Max, Some(VType::Long)) => AggKind::MaxLong,
-            (AggFunction::Max, Some(VType::Double)) => AggKind::MaxDouble,
-            (AggFunction::Max, Some(VType::Bytes)) => AggKind::MaxBytes,
+            (AggFunction::Sum, Some(Lane::Long)) => AggKind::SumLong,
+            (AggFunction::Sum, Some(Lane::Double)) => AggKind::SumDouble,
+            (AggFunction::Avg, Some(Lane::Long | Lane::Double)) => AggKind::Avg,
+            (AggFunction::Min, Some(Lane::Long)) => AggKind::MinLong,
+            (AggFunction::Min, Some(Lane::Double)) => AggKind::MinDouble,
+            (AggFunction::Min, Some(Lane::Bytes)) => AggKind::MinBytes,
+            (AggFunction::Max, Some(Lane::Long)) => AggKind::MaxLong,
+            (AggFunction::Max, Some(Lane::Double)) => AggKind::MaxDouble,
+            (AggFunction::Max, Some(Lane::Bytes)) => AggKind::MaxBytes,
             _ => return Ok(None),
         };
         Ok(Some(AggSpec {
@@ -1227,4 +698,39 @@ impl VecCompiler {
             input_column: col,
         }))
     }
+}
+
+/// A literal the kernels take as a scalar operand, at full width.
+fn scalar(v: &Value) -> Option<Operand> {
+    match v {
+        Value::Int(x) => Some(Operand::LongScalar(*x)),
+        Value::Boolean(b) => Some(Operand::LongScalar(*b as i64)),
+        Value::Double(x) => Some(Operand::DoubleScalar(*x)),
+        Value::String(s) => Some(Operand::BytesScalar(s.as_bytes().to_vec())),
+        _ => None,
+    }
+}
+
+/// The row engine's operator as the kernel catalogue names it; `None` for
+/// the operators that never vectorize in value or comparison position.
+enum Binary {
+    Arith(vx::ArithOp),
+    Cmp(vx::CmpOp),
+}
+
+fn binary_op(op: BinaryOp) -> Option<Binary> {
+    use Binary::*;
+    Some(match op {
+        BinaryOp::Add => Arith(vx::ArithOp::Add),
+        BinaryOp::Subtract => Arith(vx::ArithOp::Subtract),
+        BinaryOp::Multiply => Arith(vx::ArithOp::Multiply),
+        BinaryOp::Divide => Arith(vx::ArithOp::Divide),
+        BinaryOp::Eq => Cmp(vx::CmpOp::Equal),
+        BinaryOp::NotEq => Cmp(vx::CmpOp::NotEqual),
+        BinaryOp::Lt => Cmp(vx::CmpOp::Less),
+        BinaryOp::LtEq => Cmp(vx::CmpOp::LessEqual),
+        BinaryOp::Gt => Cmp(vx::CmpOp::Greater),
+        BinaryOp::GtEq => Cmp(vx::CmpOp::GreaterEqual),
+        BinaryOp::Modulo | BinaryOp::And | BinaryOp::Or => return None,
+    })
 }

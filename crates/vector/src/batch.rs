@@ -7,11 +7,34 @@ use hive_common::{DataType, HiveError, Result};
 /// allows one row batch to fit in the processor cache."
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// A column of `i64` values. Represents "all varieties of integers, boolean
-/// and timestamp data types" (paper Figure 7).
+/// The three physical representations a column can take (paper Figure 7).
+/// Every vectorizable [`DataType`] maps onto exactly one; this mapping is the
+/// engine's only definition of "vectorizable type".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// `i64`: "all varieties of integers, boolean and timestamp data types".
+    Long,
+    Double,
+    Bytes,
+}
+
+impl Lane {
+    /// The lane carrying values of `dt`; `None` for complex types (the
+    /// vectorization validator rejects plans touching them, as Hive's does).
+    pub fn of(dt: &DataType) -> Option<Lane> {
+        match dt {
+            DataType::Int | DataType::Boolean | DataType::Timestamp => Some(Lane::Long),
+            DataType::Double => Some(Lane::Double),
+            DataType::String => Some(Lane::Bytes),
+            _ => None,
+        }
+    }
+}
+
+/// A column of fixed-width values (`i64` or `f64`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LongColumnVector {
-    pub vector: Vec<i64>,
+pub struct PrimitiveColumnVector<T> {
+    pub vector: Vec<T>,
     /// Per-row null flags; only meaningful when `no_nulls` is false.
     pub null: Vec<bool>,
     /// Set by the reader when the column is known null-free in this batch,
@@ -21,14 +44,12 @@ pub struct LongColumnVector {
     pub is_repeating: bool,
 }
 
+/// A column of `i64` values. Represents "all varieties of integers, boolean
+/// and timestamp data types" (paper Figure 7).
+pub type LongColumnVector = PrimitiveColumnVector<i64>;
+
 /// A column of `f64` values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DoubleColumnVector {
-    pub vector: Vec<f64>,
-    pub null: Vec<bool>,
-    pub no_nulls: bool,
-    pub is_repeating: bool,
-}
+pub type DoubleColumnVector = PrimitiveColumnVector<f64>;
 
 /// A column of byte strings, stored arena-style: one shared buffer plus
 /// per-row `(start, length)` — no per-row allocation in the hot path.
@@ -42,70 +63,63 @@ pub struct BytesColumnVector {
     pub is_repeating: bool,
 }
 
-macro_rules! scalar_vector_impl {
-    ($t:ty, $name:ident) => {
-        impl $name {
-            pub fn with_capacity(n: usize) -> $name {
-                $name {
-                    vector: vec![Default::default(); n],
-                    null: vec![false; n],
-                    no_nulls: true,
-                    is_repeating: false,
-                }
-            }
-
-            /// Value at logical row `i`, honouring `is_repeating`.
-            #[inline]
-            pub fn value(&self, i: usize) -> $t {
-                if self.is_repeating {
-                    self.vector[0]
-                } else {
-                    self.vector[i]
-                }
-            }
-
-            /// Null flag at logical row `i`, honouring flags.
-            #[inline]
-            pub fn is_null(&self, i: usize) -> bool {
-                if self.no_nulls {
-                    false
-                } else if self.is_repeating {
-                    self.null[0]
-                } else {
-                    self.null[i]
-                }
-            }
-
-            /// Reset flags for reuse by a reader filling the batch.
-            pub fn reset(&mut self) {
-                self.no_nulls = true;
-                self.is_repeating = false;
-                self.null.iter_mut().for_each(|n| *n = false);
-            }
-
-            /// Expand a repeating vector into explicit per-row values
-            /// over the first `n` rows (needed before in-place mutation).
-            pub fn flatten(&mut self, n: usize) {
-                if self.is_repeating {
-                    let v = self.vector[0];
-                    let nl = self.null[0];
-                    if self.vector.len() < n {
-                        self.vector.resize(n, Default::default());
-                    }
-                    if self.null.len() < n {
-                        self.null.resize(n, false);
-                    }
-                    self.vector[..n].iter_mut().for_each(|x| *x = v);
-                    self.null[..n].iter_mut().for_each(|x| *x = nl);
-                    self.is_repeating = false;
-                }
-            }
+impl<T: Copy + Default> PrimitiveColumnVector<T> {
+    pub fn with_capacity(n: usize) -> Self {
+        PrimitiveColumnVector {
+            vector: vec![T::default(); n],
+            null: vec![false; n],
+            no_nulls: true,
+            is_repeating: false,
         }
-    };
-}
+    }
 
-scalar_vector_impl!(i64, LongColumnVector);
-scalar_vector_impl!(f64, DoubleColumnVector);
+    /// Value at logical row `i`, honouring `is_repeating`.
+    #[inline]
+    pub fn value(&self, i: usize) -> T {
+        if self.is_repeating {
+            self.vector[0]
+        } else {
+            self.vector[i]
+        }
+    }
+
+    /// Null flag at logical row `i`, honouring flags.
+    #[inline]
+    pub fn is_null(&self, i: usize) -> bool {
+        if self.no_nulls {
+            false
+        } else if self.is_repeating {
+            self.null[0]
+        } else {
+            self.null[i]
+        }
+    }
+
+    /// Reset flags for reuse by a reader filling the batch.
+    pub fn reset(&mut self) {
+        self.no_nulls = true;
+        self.is_repeating = false;
+        self.null.iter_mut().for_each(|n| *n = false);
+    }
+
+    /// Expand a repeating vector into explicit per-row values
+    /// over the first `n` rows (needed before in-place mutation).
+    pub fn flatten(&mut self, n: usize) {
+        if self.is_repeating {
+            let v = self.vector[0];
+            let nl = self.null[0];
+            if self.vector.len() < n {
+                self.vector.resize(n, T::default());
+            }
+            if self.null.len() < n {
+                self.null.resize(n, false);
+            }
+            self.vector[..n].iter_mut().for_each(|x| *x = v);
+            self.null[..n].iter_mut().for_each(|x| *x = nl);
+            self.is_repeating = false;
+        }
+    }
+}
 
 impl BytesColumnVector {
     pub fn with_capacity(n: usize) -> BytesColumnVector {
@@ -164,18 +178,14 @@ pub enum ColumnVector {
 }
 
 impl ColumnVector {
-    /// Allocate a vector suited to `dt` with room for `n` rows. Complex
-    /// types are not vectorizable (the vectorization validator rejects
-    /// plans touching them, as Hive's does).
+    /// Allocate a vector suited to `dt` with room for `n` rows.
     pub fn for_type(dt: &DataType, n: usize) -> Result<ColumnVector> {
-        match dt {
-            DataType::Int | DataType::Boolean | DataType::Timestamp => {
-                Ok(ColumnVector::Long(LongColumnVector::with_capacity(n)))
-            }
-            DataType::Double => Ok(ColumnVector::Double(DoubleColumnVector::with_capacity(n))),
-            DataType::String => Ok(ColumnVector::Bytes(BytesColumnVector::with_capacity(n))),
-            other => Err(HiveError::Execution(format!(
-                "type {other} is not vectorizable"
+        match Lane::of(dt) {
+            Some(Lane::Long) => Ok(ColumnVector::Long(LongColumnVector::with_capacity(n))),
+            Some(Lane::Double) => Ok(ColumnVector::Double(DoubleColumnVector::with_capacity(n))),
+            Some(Lane::Bytes) => Ok(ColumnVector::Bytes(BytesColumnVector::with_capacity(n))),
+            None => Err(HiveError::Execution(format!(
+                "type {dt} is not vectorizable"
             ))),
         }
     }

@@ -1,60 +1,53 @@
-//! Type-cast expressions. The planner inserts casts so arithmetic templates
-//! only need same-type variants (long⊕long, double⊕double).
+//! Type-cast expressions. The planner inserts casts so arithmetic and
+//! comparison kernels only need same-lane variants (long⊕long,
+//! double⊕double).
 
 use crate::batch::VectorizedRowBatch;
-use crate::expressions::arith::two_cols;
+use crate::expressions::arith::{map_col, Prim};
 use crate::expressions::VectorExpression;
 use hive_common::Result;
+use std::marker::PhantomData;
 
-/// Widen a long column into a double column.
-pub struct CastLongToDouble {
-    pub input_column: usize,
-    pub output_column: usize,
+/// Lane conversion with SQL CAST semantics, as in the row engine's
+/// `cast_value`: long → double widens, double → long truncates toward zero.
+pub trait CastTo<U>: Prim {
+    fn cast(self) -> U;
 }
 
-impl VectorExpression for CastLongToDouble {
+impl CastTo<f64> for i64 {
+    #[inline(always)]
+    fn cast(self) -> f64 {
+        self as f64
+    }
+}
+
+impl CastTo<i64> for f64 {
+    #[inline(always)]
+    fn cast(self) -> i64 {
+        self as i64
+    }
+}
+
+/// Convert a column of lane `T` into a scratch column of lane `U`.
+pub struct Cast<T, U> {
+    input_column: usize,
+    output_column: usize,
+    lanes: PhantomData<(T, U)>,
+}
+
+impl<T: CastTo<U>, U: Prim> Cast<T, U> {
+    pub fn new(input_column: usize, output_column: usize) -> Self {
+        Cast {
+            input_column,
+            output_column,
+            lanes: PhantomData,
+        }
+    }
+}
+
+impl<T: CastTo<U>, U: Prim> VectorExpression for Cast<T, U> {
     fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
-        let n = batch.size;
-        if n == 0 {
-            return Ok(());
-        }
-        let VectorizedRowBatch {
-            selected,
-            selected_in_use,
-            columns,
-            ..
-        } = batch;
-        let sel_in_use = *selected_in_use;
-        let (inp, out) = two_cols(columns, self.input_column, self.output_column);
-        let inp = inp.as_long()?;
-        let out = out.as_double_mut()?;
-        if inp.is_repeating {
-            out.vector[0] = inp.vector[0] as f64;
-            out.null[0] = !inp.no_nulls && inp.null[0];
-            out.is_repeating = true;
-            out.no_nulls = inp.no_nulls;
-            return Ok(());
-        }
-        out.is_repeating = false;
-        out.no_nulls = inp.no_nulls;
-        if sel_in_use {
-            for &i in &selected[..n] {
-                out.vector[i] = inp.vector[i] as f64;
-            }
-            if !inp.no_nulls {
-                for &i in &selected[..n] {
-                    out.null[i] = inp.null[i];
-                }
-            }
-        } else {
-            for i in 0..n {
-                out.vector[i] = inp.vector[i] as f64;
-            }
-            if !inp.no_nulls {
-                out.null[..n].copy_from_slice(&inp.null[..n]);
-            }
-        }
-        Ok(())
+        map_col(batch, self.input_column, self.output_column, T::cast)
     }
 
     fn output_column(&self) -> Option<usize> {
@@ -63,104 +56,40 @@ impl VectorExpression for CastLongToDouble {
 
     fn name(&self) -> String {
         format!(
-            "CastLongToDouble({}) -> {}",
-            self.input_column, self.output_column
-        )
-    }
-}
-
-/// Truncate a double column into a long column (SQL CAST semantics:
-/// truncation toward zero).
-pub struct CastDoubleToLong {
-    pub input_column: usize,
-    pub output_column: usize,
-}
-
-impl VectorExpression for CastDoubleToLong {
-    fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
-        let n = batch.size;
-        if n == 0 {
-            return Ok(());
-        }
-        let VectorizedRowBatch {
-            selected,
-            selected_in_use,
-            columns,
-            ..
-        } = batch;
-        let sel_in_use = *selected_in_use;
-        let (inp, out) = two_cols(columns, self.input_column, self.output_column);
-        let inp = inp.as_double()?;
-        let out = out.as_long_mut()?;
-        if inp.is_repeating {
-            out.vector[0] = inp.vector[0] as i64;
-            out.null[0] = !inp.no_nulls && inp.null[0];
-            out.is_repeating = true;
-            out.no_nulls = inp.no_nulls;
-            return Ok(());
-        }
-        out.is_repeating = false;
-        out.no_nulls = inp.no_nulls;
-        if sel_in_use {
-            for &i in &selected[..n] {
-                out.vector[i] = inp.vector[i] as i64;
-            }
-            if !inp.no_nulls {
-                for &i in &selected[..n] {
-                    out.null[i] = inp.null[i];
-                }
-            }
-        } else {
-            for i in 0..n {
-                out.vector[i] = inp.vector[i] as i64;
-            }
-            if !inp.no_nulls {
-                out.null[..n].copy_from_slice(&inp.null[..n]);
-            }
-        }
-        Ok(())
-    }
-
-    fn output_column(&self) -> Option<usize> {
-        Some(self.output_column)
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "CastDoubleToLong({}) -> {}",
-            self.input_column, self.output_column
+            "Cast{}To{}({}) -> {}",
+            T::LANE,
+            U::LANE,
+            self.input_column,
+            self.output_column
         )
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::expressions::testutil::batch_with;
+    use crate::expressions::Operand::*;
+    use crate::expressions::{cast, Lane};
     use hive_common::DataType;
 
     #[test]
     fn long_to_double_and_back() {
         let mut b = batch_with(&[1, -2, 3], &[]);
         let d = b.add_scratch(&DataType::Double).unwrap();
-        CastLongToDouble {
-            input_column: 0,
-            output_column: d,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        cast(LongCol(0), Lane::Double, d)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         assert_eq!(
             &b.columns[d].as_double().unwrap().vector[..3],
             &[1.0, -2.0, 3.0]
         );
 
         let l = b.add_scratch(&DataType::Int).unwrap();
-        CastDoubleToLong {
-            input_column: d,
-            output_column: l,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        cast(DoubleCol(d), Lane::Long, l)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         assert_eq!(&b.columns[l].as_long().unwrap().vector[..3], &[1, -2, 3]);
     }
 
@@ -169,12 +98,10 @@ mod tests {
         let mut b = batch_with(&[], &[1.9, -1.9, 0.5]);
         b.size = 3;
         let l = b.add_scratch(&DataType::Int).unwrap();
-        CastDoubleToLong {
-            input_column: 1,
-            output_column: l,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        cast(DoubleCol(1), Lane::Long, l)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         assert_eq!(&b.columns[l].as_long().unwrap().vector[..3], &[1, -1, 0]);
     }
 
@@ -183,12 +110,10 @@ mod tests {
         let mut b = batch_with(&[9, 0, 0], &[]);
         b.columns[0].as_long_mut().unwrap().is_repeating = true;
         let d = b.add_scratch(&DataType::Double).unwrap();
-        CastLongToDouble {
-            input_column: 0,
-            output_column: d,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        cast(LongCol(0), Lane::Double, d)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         let out = b.columns[d].as_double().unwrap();
         assert!(out.is_repeating);
         assert_eq!(out.value(2), 9.0);

@@ -1,196 +1,70 @@
-//! Comparison expressions producing a boolean output column — the second of
-//! the paper's "two sets of implementations" for comparisons (Section 6.2):
-//! used when a predicate appears in value position (SELECT list, join keys)
-//! rather than filter position.
+//! Comparison operators. Section 6.2's "two sets of implementations" for
+//! comparisons share them: in value position (SELECT list, join keys)
+//! [`Test`] turns one into a [`BinOp`] whose 0/1 long output column the
+//! arithmetic kernels fill; in filter position `filters.rs` narrows the
+//! selection with it.
 
-use crate::batch::VectorizedRowBatch;
-use crate::expressions::arith::two_cols;
-use crate::expressions::VectorExpression;
-use hive_common::Result;
+use crate::expressions::arith::{BinOp, Prim};
+use std::marker::PhantomData;
 
-macro_rules! bool_col_op_scalar {
-    ($name:ident, $acc:ident, $ty:ty, $op:tt) => {
-        /// `column ⋈ scalar` as a 0/1 long output column (NULL in → NULL out).
-        pub struct $name {
-            pub input_column: usize,
-            pub output_column: usize,
-            pub scalar: $ty,
-        }
+/// A comparison as a zero-sized type; `V` is `i64`, `f64` or `[u8]`
+/// (lexicographic, matching Hive's binary collation).
+pub trait Cmp: Send + Sync + 'static {
+    const NAME: &'static str;
+    const SYM: &'static str;
+    fn test<V: PartialOrd + ?Sized>(a: &V, b: &V) -> bool;
+}
 
-        impl VectorExpression for $name {
-            fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
-                let n = batch.size;
-                if n == 0 {
-                    return Ok(());
-                }
-                let VectorizedRowBatch {
-                    selected,
-                    selected_in_use,
-                    columns,
-                    ..
-                } = batch;
-                let sel_in_use = *selected_in_use;
-                let (inp, out) = two_cols(columns, self.input_column, self.output_column);
-                let inp = inp.$acc()?;
-                let out = out.as_long_mut()?;
-                let scalar = self.scalar;
-                if inp.is_repeating {
-                    out.vector[0] = (inp.vector[0] $op scalar) as i64;
-                    out.null[0] = !inp.no_nulls && inp.null[0];
-                    out.is_repeating = true;
-                    out.no_nulls = inp.no_nulls;
-                    return Ok(());
-                }
-                out.is_repeating = false;
-                out.no_nulls = inp.no_nulls;
-                if sel_in_use {
-                    for &i in &selected[..n] {
-                        out.vector[i] = (inp.vector[i] $op scalar) as i64;
-                    }
-                    if !inp.no_nulls {
-                        for &i in &selected[..n] {
-                            out.null[i] = inp.null[i];
-                        }
-                    }
-                } else {
-                    for i in 0..n {
-                        out.vector[i] = (inp.vector[i] $op scalar) as i64;
-                    }
-                    if !inp.no_nulls {
-                        out.null[..n].copy_from_slice(&inp.null[..n]);
-                    }
-                }
-                Ok(())
-            }
+macro_rules! cmp_op {
+    ($name:ident, $sym:tt) => {
+        pub struct $name;
 
-            fn output_column(&self) -> Option<usize> {
-                Some(self.output_column)
-            }
-
-            fn name(&self) -> String {
-                format!(
-                    "{}({} {} {}) -> {}",
-                    stringify!($name),
-                    self.input_column,
-                    stringify!($op),
-                    self.scalar,
-                    self.output_column
-                )
+        impl Cmp for $name {
+            const NAME: &'static str = stringify!($name);
+            const SYM: &'static str = stringify!($sym);
+            #[inline(always)]
+            fn test<V: PartialOrd + ?Sized>(a: &V, b: &V) -> bool {
+                a $sym b
             }
         }
     };
 }
 
-bool_col_op_scalar!(LongColEqualLongScalar, as_long, i64, ==);
-bool_col_op_scalar!(LongColNotEqualLongScalar, as_long, i64, !=);
-bool_col_op_scalar!(LongColLessLongScalar, as_long, i64, <);
-bool_col_op_scalar!(LongColLessEqualLongScalar, as_long, i64, <=);
-bool_col_op_scalar!(LongColGreaterLongScalar, as_long, i64, >);
-bool_col_op_scalar!(LongColGreaterEqualLongScalar, as_long, i64, >=);
-bool_col_op_scalar!(DoubleColEqualDoubleScalar, as_double, f64, ==);
-bool_col_op_scalar!(DoubleColNotEqualDoubleScalar, as_double, f64, !=);
-bool_col_op_scalar!(DoubleColLessDoubleScalar, as_double, f64, <);
-bool_col_op_scalar!(DoubleColLessEqualDoubleScalar, as_double, f64, <=);
-bool_col_op_scalar!(DoubleColGreaterDoubleScalar, as_double, f64, >);
-bool_col_op_scalar!(DoubleColGreaterEqualDoubleScalar, as_double, f64, >=);
+cmp_op!(Equal, ==);
+cmp_op!(NotEqual, !=);
+cmp_op!(Less, <);
+cmp_op!(LessEqual, <=);
+cmp_op!(Greater, >);
+cmp_op!(GreaterEqual, >=);
 
-/// `left ⋈ right` between two long columns as a 0/1 long output.
-macro_rules! bool_col_op_col_long {
-    ($name:ident, $op:tt) => {
-        pub struct $name {
-            pub left_column: usize,
-            pub right_column: usize,
-            pub output_column: usize,
-        }
+/// `left ⋈ right` as a 0/1 long (NULL in → NULL out).
+pub struct Test<C>(PhantomData<C>);
 
-        impl VectorExpression for $name {
-            fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
-                let n = batch.size;
-                if n == 0 {
-                    return Ok(());
-                }
-                let max = batch.max_size.max(n);
-                batch.columns[self.left_column].as_long_mut()?.flatten(max);
-                batch.columns[self.right_column].as_long_mut()?.flatten(max);
-                let VectorizedRowBatch {
-                    selected,
-                    selected_in_use,
-                    columns,
-                    ..
-                } = batch;
-                let sel_in_use = *selected_in_use;
-                let (l, r, out) = crate::expressions::arith::three_cols(
-                    columns,
-                    self.left_column,
-                    self.right_column,
-                    self.output_column,
-                );
-                let l = l.as_long()?;
-                let r = r.as_long()?;
-                let out = out.as_long_mut()?;
-                out.is_repeating = false;
-                out.no_nulls = l.no_nulls && r.no_nulls;
-                if sel_in_use {
-                    for &i in &selected[..n] {
-                        out.vector[i] = (l.vector[i] $op r.vector[i]) as i64;
-                        if !out.no_nulls {
-                            out.null[i] =
-                                (!l.no_nulls && l.null[i]) || (!r.no_nulls && r.null[i]);
-                        }
-                    }
-                } else {
-                    for i in 0..n {
-                        out.vector[i] = (l.vector[i] $op r.vector[i]) as i64;
-                    }
-                    if !out.no_nulls {
-                        for i in 0..n {
-                            out.null[i] =
-                                (!l.no_nulls && l.null[i]) || (!r.no_nulls && r.null[i]);
-                        }
-                    }
-                }
-                Ok(())
-            }
-
-            fn output_column(&self) -> Option<usize> {
-                Some(self.output_column)
-            }
-
-            fn name(&self) -> String {
-                format!(
-                    "{}({} {} {}) -> {}",
-                    stringify!($name),
-                    self.left_column,
-                    stringify!($op),
-                    self.right_column,
-                    self.output_column
-                )
-            }
-        }
-    };
+impl<T: Prim, C: Cmp> BinOp<T> for Test<C> {
+    type Out = i64;
+    const NAME: &'static str = C::NAME;
+    const SYM: &'static str = C::SYM;
+    #[inline(always)]
+    fn apply(a: T, b: T) -> i64 {
+        C::test(&a, &b) as i64
+    }
 }
-
-bool_col_op_col_long!(LongColEqualLongColumn, ==);
-bool_col_op_col_long!(LongColLessLongColumn, <);
-bool_col_op_col_long!(LongColGreaterLongColumn, >);
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::expressions::testutil::batch_with;
+    use crate::expressions::Operand::*;
+    use crate::expressions::{compare, CmpOp};
     use hive_common::DataType;
 
     #[test]
     fn boolean_output_column() {
         let mut b = batch_with(&[1, 5, 9], &[]);
         let out = b.add_scratch(&DataType::Boolean).unwrap();
-        LongColGreaterLongScalar {
-            input_column: 0,
-            output_column: out,
-            scalar: 4,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        compare(CmpOp::Greater, LongCol(0), LongScalar(4), out)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         assert_eq!(&b.columns[out].as_long().unwrap().vector[..3], &[0, 1, 1]);
     }
 
@@ -203,13 +77,10 @@ mod tests {
             c.null[0] = true;
         }
         let out = b.add_scratch(&DataType::Boolean).unwrap();
-        LongColLessLongScalar {
-            input_column: 0,
-            output_column: out,
-            scalar: 100,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        compare(CmpOp::Less, LongCol(0), LongScalar(100), out)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         let o = b.columns[out].as_long().unwrap();
         assert!(o.is_null(0));
         assert!(!o.is_null(1));
@@ -222,13 +93,23 @@ mod tests {
         let c2 = b.add_scratch(&DataType::Int).unwrap();
         b.columns[c2].as_long_mut().unwrap().vector[..3].copy_from_slice(&[3, 3, 3]);
         let out = b.add_scratch(&DataType::Boolean).unwrap();
-        LongColEqualLongColumn {
-            left_column: 0,
-            right_column: c2,
-            output_column: out,
-        }
-        .evaluate(&mut b)
-        .unwrap();
+        compare(CmpOp::Equal, LongCol(0), LongCol(c2), out)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
         assert_eq!(&b.columns[out].as_long().unwrap().vector[..3], &[0, 0, 1]);
+    }
+
+    #[test]
+    fn int_scalars_compare_with_all_64_bits() {
+        // 2^53 and 2^53 + 1 collapse to one f64; they must not compare equal.
+        let big = 9_007_199_254_740_993i64;
+        let mut b = batch_with(&[big - 1, big, big + 1], &[]);
+        let out = b.add_scratch(&DataType::Boolean).unwrap();
+        compare(CmpOp::Equal, LongCol(0), LongScalar(big), out)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
+        assert_eq!(&b.columns[out].as_long().unwrap().vector[..3], &[0, 1, 0]);
     }
 }

@@ -3,7 +3,9 @@
 //! Datasets are processed as [`VectorizedRowBatch`]es — by default 1024 rows,
 //! chosen so a batch fits in the processor cache. Each column of a batch is a
 //! typed [`ColumnVector`]; expressions are implemented per type combination
-//! ("templates", here Rust macros) as tight loops over the vectors with:
+//! ("templates", here kernels generic over a lane and a zero-sized operator,
+//! built through the catalogue in [`expressions`]) as tight loops over the
+//! vectors with:
 //!
 //! * a `selected[]` array tracking surviving rows without branches,
 //! * a `no_nulls` flag that lets expressions skip null checks entirely,
@@ -19,8 +21,8 @@ pub mod operators;
 pub mod row_convert;
 
 pub use batch::{
-    BytesColumnVector, ColumnVector, DoubleColumnVector, LongColumnVector, VectorizedRowBatch,
-    DEFAULT_BATCH_SIZE,
+    BytesColumnVector, ColumnVector, DoubleColumnVector, Lane, LongColumnVector,
+    PrimitiveColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE,
 };
 pub use expressions::VectorExpression;
 pub use mapjoin::{KeyPart, MapJoinHashTable, MapJoinKind, VectorMapJoinOperator};

@@ -91,17 +91,15 @@ impl VectorOperator for VectorSelectOperator {
 mod tests {
     use super::*;
     use crate::aggregates::{AggKind, AggSpec, VectorHashAggregator};
-    use crate::expressions::filters::FilterLongColGreaterLongScalar;
     use crate::expressions::testutil::batch_with;
+    use crate::expressions::{filter_compare, CmpOp, Operand};
     use hive_common::Value;
 
     #[test]
     fn filter_narrows_selection_in_place() {
         let mut op = VectorFilterOperator {
-            predicate: Box::new(FilterLongColGreaterLongScalar {
-                column: 0,
-                scalar: 2,
-            }),
+            predicate: filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2))
+                .unwrap(),
         };
         let mut emitted = Vec::new();
         let mut out = |b: VectorizedRowBatch| emitted.push(b);
@@ -116,10 +114,8 @@ mod tests {
         // SELECT SUM(a), COUNT(*) WHERE a > 2 over [1,2,3,4,5] → (12, 3):
         // the narrowed selection feeds the typed hash aggregator directly.
         let mut filter = VectorFilterOperator {
-            predicate: Box::new(FilterLongColGreaterLongScalar {
-                column: 0,
-                scalar: 2,
-            }),
+            predicate: filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2))
+                .unwrap(),
         };
         let mut agg = VectorHashAggregator::new(
             vec![],

@@ -1,22 +1,16 @@
 //! Conversions between rows and batches, used at vectorization boundaries
 //! (shuffle edges, the generic row-source fallback reader, and tests).
 
-use crate::batch::{ColumnVector, VectorizedRowBatch};
+use crate::batch::{ColumnVector, Lane, VectorizedRowBatch};
 use hive_common::{DataType, HiveError, Result, Row, Schema, Value};
 
 /// Whether a schema is vectorizable (primitive scalar columns only) — the
 /// check the vectorization validator performs per-table.
 pub fn is_vectorizable(schema: &Schema) -> bool {
-    schema.fields().iter().all(|f| {
-        matches!(
-            f.data_type,
-            DataType::Int
-                | DataType::Boolean
-                | DataType::Timestamp
-                | DataType::Double
-                | DataType::String
-        )
-    })
+    schema
+        .fields()
+        .iter()
+        .all(|f| Lane::of(&f.data_type).is_some())
 }
 
 /// Write `rows[start..start+n]` into `batch` (resetting it first).

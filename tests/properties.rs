@@ -232,7 +232,7 @@ proptest! {
         threshold in any::<i16>(),
     ) {
         use hive::exec::expr::{BinaryOp, ExprNode};
-        use hive::vector::expressions::{FilterLongColGreaterLongScalar, VectorExpression};
+        use hive::vector::expressions::{filter_compare, CmpOp, Operand};
         use hive::vector::{ColumnVector, VectorizedRowBatch};
 
         let n = vals.len();
@@ -264,7 +264,8 @@ proptest! {
             }
         }
         batch.size = n;
-        FilterLongColGreaterLongScalar { column: 0, scalar: threshold as i64 }
+        filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(threshold as i64))
+            .unwrap()
             .evaluate(&mut batch)
             .unwrap();
         let vec_selected: Vec<usize> = batch.iter_selected().collect();
@@ -276,7 +277,7 @@ proptest! {
         vals in proptest::collection::vec((-10_000i64..10_000, -10_000i64..10_000), 1..300),
     ) {
         use hive::exec::expr::{BinaryOp, ExprNode};
-        use hive::vector::expressions::{LongColMultiplyLongColumn, VectorExpression};
+        use hive::vector::expressions::{arith, ArithOp, Operand};
         use hive::vector::{ColumnVector, VectorizedRowBatch};
 
         let n = vals.len();
@@ -301,7 +302,8 @@ proptest! {
             }
         }
         batch.size = n;
-        LongColMultiplyLongColumn { left_column: 0, right_column: 1, output_column: 2 }
+        arith(ArithOp::Multiply, Operand::LongCol(0), Operand::LongCol(1), 2)
+            .unwrap()
             .evaluate(&mut batch)
             .unwrap();
         let vec_out: Vec<i64> = (0..n)
@@ -367,7 +369,7 @@ proptest! {
         b in any::<i16>(),
     ) {
         use hive::exec::expr::ExprNode;
-        use hive::vector::expressions::{FilterLongColumnBetween, VectorExpression};
+        use hive::vector::expressions::{filter_between, Operand};
         use hive::vector::{ColumnVector, VectorizedRowBatch};
 
         let (lo, hi) = (a.min(b) as i64, a.max(b) as i64);
@@ -394,7 +396,10 @@ proptest! {
             }
         }
         batch.size = n;
-        FilterLongColumnBetween { column: 0, lo, hi }.evaluate(&mut batch).unwrap();
+        filter_between(Operand::LongCol(0), Operand::LongScalar(lo), Operand::LongScalar(hi))
+            .unwrap()
+            .evaluate(&mut batch)
+            .unwrap();
         prop_assert_eq!(batch.iter_selected().collect::<Vec<_>>(), row_sel);
     }
 
@@ -748,6 +753,303 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Kernel catalogue vs the row interpreter: every (constructor, operator,
+// operand shape) `hive_vector::expressions` answers `Some` for is evaluated
+// over edge values with nulls × `selected_in_use` × repeating inputs and
+// must agree with `ExprNode::eval` cell for cell. It lives here because
+// hive-vector cannot see hive-exec; which shapes exist is pinned inside
+// hive-vector (`the_catalogue_is_exactly_this_table`).
+// ---------------------------------------------------------------------------
+
+mod catalogue {
+    use super::*;
+    use hive::exec::expr::{BinaryOp, ExprNode, UnaryOp};
+    use hive::vector::expressions::{self as vx, ArithOp, CmpOp, Lane, Operand, VectorExpression};
+    use hive::vector::row_convert::{get_value, rows_to_batch};
+    use hive::vector::{ColumnVector, PrimitiveColumnVector, VectorizedRowBatch};
+
+    const BIG: i64 = 9_007_199_254_740_993; // 2^53 + 1: not an f64
+
+    /// `t (a BIGINT, b BIGINT, x DOUBLE, y DOUBLE, s STRING)`: edge values
+    /// cycled with co-prime periods so pairs of columns see every mix.
+    fn rows() -> Vec<Row> {
+        let longs = [0, -1, 1, 7, BIG, BIG - 1, i64::MAX, i64::MIN];
+        let doubles = [0.0, -0.0, 1.5, -2.25, 7.0, 1e300, -1e300, BIG as f64];
+        let texts = ["", "g1", "g2", "g20", "h"];
+        let cell = |i: usize, period: usize, v: Value| {
+            if i % period == period - 1 {
+                Value::Null
+            } else {
+                v
+            }
+        };
+        (0..63usize)
+            .map(|i| {
+                Row::new(vec![
+                    cell(i, 9, Value::Int(longs[i % 8])),
+                    cell(i, 7, Value::Int(longs[(i / 8 + i) % 8])),
+                    cell(i, 9, Value::Double(doubles[i % 8])),
+                    cell(i, 5, Value::Double(doubles[(i / 8 + 3 * i) % 8])),
+                    cell(i, 6, Value::String(texts[i % 5].to_string())),
+                ])
+            })
+            .collect()
+    }
+
+    const TYPES: [DataType; 8] = [
+        DataType::Int,
+        DataType::Int,
+        DataType::Double,
+        DataType::Double,
+        DataType::String,
+        DataType::Int,     // 5: long scratch
+        DataType::Double,  // 6: double scratch
+        DataType::Boolean, // 7: boolean scratch
+    ];
+
+    /// How the batch presents the rows: all of them or a selected subset,
+    /// and optionally one input column collapsed to `(column, source row)`.
+    #[derive(Debug, Clone, Copy)]
+    struct Layout {
+        selected: bool,
+        repeating: Option<(usize, usize)>,
+    }
+
+    fn layouts() -> Vec<Layout> {
+        let mut out = Vec::new();
+        for selected in [false, true] {
+            out.push(Layout {
+                selected,
+                repeating: None,
+            });
+            for col in 0..5 {
+                // Row 3 holds values everywhere; rows 8/6/4/5 hold the first NULL
+                // of columns 0 and 2 / 1 / 3 / 4.
+                for src in [3, [8, 6, 8, 4, 5][col]] {
+                    out.push(Layout {
+                        selected,
+                        repeating: Some((col, src)),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The batch for `layout`, plus the rows it logically holds (by physical
+    /// index) and the valid physical indexes.
+    fn batch(layout: Layout) -> (VectorizedRowBatch, Vec<Row>, Vec<usize>) {
+        let mut logical = rows();
+        let mut b = VectorizedRowBatch::new(&TYPES, logical.len()).unwrap();
+        rows_to_batch(&logical, &mut b).unwrap();
+        if let Some((col, src)) = layout.repeating {
+            let v = logical[src][col].clone();
+            for r in &mut logical {
+                let mut vals = r.values().to_vec();
+                vals[col] = v.clone();
+                *r = Row::new(vals);
+            }
+            fn collapse<T: Copy>(c: &mut PrimitiveColumnVector<T>, src: usize) {
+                (c.vector[0], c.null[0], c.is_repeating) = (c.vector[src], c.null[src], true);
+            }
+            match &mut b.columns[col] {
+                ColumnVector::Long(c) => collapse(c, src),
+                ColumnVector::Double(c) => collapse(c, src),
+                ColumnVector::Bytes(c) => {
+                    (c.start[0], c.length[0], c.null[0]) =
+                        (c.start[src], c.length[src], c.null[src]);
+                    c.is_repeating = true;
+                }
+            }
+        }
+        let valid: Vec<usize> = if layout.selected {
+            let keep: Vec<usize> = (0..logical.len()).filter(|i| i % 3 != 1).collect();
+            b.selected[..keep.len()].copy_from_slice(&keep);
+            b.selected_in_use = true;
+            b.size = keep.len();
+            keep
+        } else {
+            (0..logical.len()).collect()
+        };
+        (b, logical, valid)
+    }
+
+    /// The row-mode expression reading the same operand.
+    fn node(o: &Operand) -> ExprNode {
+        match o {
+            Operand::LongCol(c) | Operand::DoubleCol(c) | Operand::BytesCol(c) => ExprNode::col(*c),
+            Operand::LongScalar(x) => ExprNode::lit(Value::Int(*x)),
+            Operand::DoubleScalar(x) => ExprNode::lit(Value::Double(*x)),
+            Operand::BytesScalar(s) => {
+                ExprNode::lit(Value::String(String::from_utf8(s.clone()).unwrap()))
+            }
+        }
+    }
+
+    fn arith_node(op: ArithOp) -> BinaryOp {
+        match op {
+            ArithOp::Add => BinaryOp::Add,
+            ArithOp::Subtract => BinaryOp::Subtract,
+            ArithOp::Multiply => BinaryOp::Multiply,
+            ArithOp::Divide => BinaryOp::Divide,
+        }
+    }
+
+    fn cmp_node(op: CmpOp) -> BinaryOp {
+        match op {
+            CmpOp::Equal => BinaryOp::Eq,
+            CmpOp::NotEqual => BinaryOp::NotEq,
+            CmpOp::Less => BinaryOp::Lt,
+            CmpOp::LessEqual => BinaryOp::LtEq,
+            CmpOp::Greater => BinaryOp::Gt,
+            CmpOp::GreaterEqual => BinaryOp::GtEq,
+        }
+    }
+
+    /// A value kernel writing `out` must equal `expr` on every valid row.
+    fn check_value(kernel: &dyn VectorExpression, out: usize, expr: &ExprNode) -> usize {
+        for layout in layouts() {
+            let (mut b, logical, valid) = batch(layout);
+            kernel.evaluate(&mut b).unwrap();
+            for &i in &valid {
+                let got = get_value(&b.columns[out], i, &TYPES[out]);
+                let want = expr.eval(&logical[i]).unwrap();
+                assert_eq!(
+                    got,
+                    want,
+                    "{} row {i} {:?} {layout:?}",
+                    kernel.name(),
+                    logical[i]
+                );
+            }
+        }
+        1
+    }
+
+    /// A filter kernel must keep exactly the valid rows `expr` accepts.
+    fn check_filter(kernel: &dyn VectorExpression, expr: &ExprNode) -> usize {
+        for layout in layouts() {
+            let (mut b, logical, valid) = batch(layout);
+            kernel.evaluate(&mut b).unwrap();
+            let want: Vec<usize> = valid
+                .into_iter()
+                .filter(|&i| expr.eval_predicate(&logical[i]).unwrap())
+                .collect();
+            let got: Vec<usize> = b.iter_selected().collect();
+            assert_eq!(got, want, "{} {layout:?}", kernel.name());
+        }
+        1
+    }
+
+    #[test]
+    fn vectorized_catalogue_matches_row_expressions() {
+        use Operand::*;
+        let columns = [
+            LongCol(0),
+            LongCol(1),
+            DoubleCol(2),
+            DoubleCol(3),
+            BytesCol(4),
+        ];
+        let mut operands = columns.to_vec();
+        operands.extend([0, -1, 7, BIG, i64::MAX].map(LongScalar));
+        operands.extend([0.0, -1.0, 7.0, 2.5, 1e300].map(DoubleScalar));
+        operands.extend(["", "g2", "g20"].map(|s| BytesScalar(s.as_bytes().to_vec())));
+        // Scratch column per result lane (no kernel writes bytes).
+        let out_of = |lane: Lane| if lane == Lane::Double { 6 } else { 5 };
+
+        let mut checked = 0;
+        for (c, l) in columns.iter().enumerate() {
+            for r in &operands {
+                for op in ArithOp::ALL {
+                    let out = out_of(l.lane());
+                    if let Some(k) = vx::arith(op, l.clone(), r.clone(), out) {
+                        let e = ExprNode::binary(arith_node(op), node(l), node(r));
+                        checked += check_value(&*k, out, &e);
+                    }
+                }
+                for op in CmpOp::ALL {
+                    let e = ExprNode::binary(cmp_node(op), node(l), node(r));
+                    if let Some(k) = vx::compare(op, l.clone(), r.clone(), 7) {
+                        checked += check_value(&*k, 7, &e);
+                        // The same comparison through a boolean column in
+                        // filter position.
+                        let bridged = vx::filter_and(vec![k, vx::filter_bool(LongCol(7)).unwrap()]);
+                        checked += check_filter(&*bridged, &e);
+                    }
+                    if let Some(k) = vx::filter_compare(op, l.clone(), r.clone()) {
+                        checked += check_filter(&*k, &e);
+                    }
+                }
+                for hi in &operands {
+                    if let Some(k) = vx::filter_between(l.clone(), r.clone(), hi.clone()) {
+                        let e = ExprNode::Between {
+                            expr: Box::new(node(l)),
+                            lo: Box::new(node(r)),
+                            hi: Box::new(node(hi)),
+                            negated: false,
+                        };
+                        checked += check_filter(&*k, &e);
+                    }
+                }
+            }
+            for (to, target) in [
+                (Lane::Long, DataType::Int),
+                (Lane::Double, DataType::Double),
+            ] {
+                if let Some(k) = vx::cast(l.clone(), to, out_of(to)) {
+                    let e = ExprNode::Cast {
+                        expr: Box::new(node(l)),
+                        target,
+                    };
+                    checked += check_value(&*k, out_of(to), &e);
+                }
+            }
+            if let Some(k) = vx::negate(l.clone(), out_of(l.lane())) {
+                let e = ExprNode::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(node(l)),
+                };
+                checked += check_value(&*k, out_of(l.lane()), &e);
+            }
+            for negated in [false, true] {
+                let e = ExprNode::IsNull {
+                    expr: Box::new(node(l)),
+                    negated,
+                };
+                checked += check_filter(&*vx::filter_is_null(c, negated), &e);
+            }
+        }
+        for s in &operands {
+            if s.lane() != Lane::Bytes {
+                if let Some(k) = vx::constant(s.clone(), out_of(s.lane())) {
+                    checked += check_value(&*k, out_of(s.lane()), &node(s));
+                }
+            }
+        }
+        // OR / AND structure over two kernels of different lanes.
+        let (p, q) = (
+            || vx::filter_compare(CmpOp::Greater, LongCol(0), LongScalar(0)).unwrap(),
+            || vx::filter_compare(CmpOp::Less, DoubleCol(3), DoubleScalar(2.5)).unwrap(),
+        );
+        let pe = ExprNode::binary(BinaryOp::Gt, ExprNode::col(0), ExprNode::lit(Value::Int(0)));
+        let qe = ExprNode::binary(
+            BinaryOp::Lt,
+            ExprNode::col(3),
+            ExprNode::lit(Value::Double(2.5)),
+        );
+        let or = ExprNode::binary(BinaryOp::Or, pe.clone(), qe.clone());
+        checked += check_filter(&*vx::filter_or(vec![p(), q()]), &or);
+        let and = ExprNode::binary(BinaryOp::And, pe, qe);
+        checked += check_filter(&*vx::filter_and(vec![p(), q()]), &and);
+
+        // Guards the walk itself: a constructor that starts answering `None`
+        // for everything would otherwise pass vacuously.
+        assert!(checked > 600, "only {checked} kernels were exercised");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Differential row-vs-vector FULL-QUERY harness: random filter + expression
 // + group-by pipelines over nullable data must produce identical results in
 // batch-native and row mode, and the EXPLAIN ANALYZE profiles must agree on
@@ -755,15 +1057,38 @@ proptest! {
 // whole reduce side, and the result cardinality.
 // ---------------------------------------------------------------------------
 
+/// Literals where the two engines can part ways: zero divisors of both
+/// lanes, a negative, an integer `f64` cannot hold (2^53 + 1), one that
+/// overflows any product, and a string bound.
+const EDGE_LITERALS: [&str; 6] = [
+    "0",
+    "0.0",
+    "-1",
+    "9007199254740993",
+    "9223372036854775807",
+    "'g2'",
+];
+
 /// One random full-query shape over `t (k BIGINT, v BIGINT, d DOUBLE,
-/// s STRING)`: a WHERE template (0 = none) plus either a grouped aggregate
-/// (over an int or string key) or an expression projection.
-fn full_query(filter: usize, th: i64, shape: usize) -> String {
+/// s STRING)`: a WHERE template (0 = none) plus a grouped aggregate (over an
+/// int or string key) or an expression projection. `lit` picks the edge
+/// literal the arithmetic / comparison templates use, in WHERE *and*
+/// SELECT-list position; a template over a numeric column reads the string
+/// bound as `0`, one over `s` reads a numeric literal as `'g2'`.
+fn full_query(filter: usize, th: i64, shape: usize, lit: usize) -> String {
+    let quoted = EDGE_LITERALS[lit].starts_with('\'');
+    let num = if quoted { "0" } else { EDGE_LITERALS[lit] };
+    let text = if quoted { EDGE_LITERALS[lit] } else { "'g2'" };
     let w = match filter {
         1 => format!(" WHERE v > {th}"),
         2 => format!(" WHERE v + k < {th}"),
         3 => format!(" WHERE v BETWEEN {th} AND {}", th + 250),
         4 => " WHERE d IS NOT NULL".to_string(),
+        5 => format!(" WHERE d / {num} > 1"),
+        6 => format!(" WHERE d / (k - k) > 1 OR v + {num} > k"),
+        7 => format!(" WHERE v * {num} < {th} AND k IN (0, 3, {th})"),
+        8 => format!(" WHERE s >= {text} OR v = {num}"),
+        9 => format!(" WHERE s BETWEEN 'g1' AND {text} AND d <= {num}"),
         _ => String::new(),
     };
     match shape {
@@ -772,7 +1097,15 @@ fn full_query(filter: usize, th: i64, shape: usize) -> String {
              AVG(d) AS ad FROM t{w} GROUP BY k"
         ),
         1 => format!("SELECT s, COUNT(*) AS n, SUM(v) AS sv FROM t{w} GROUP BY s"),
-        _ => format!("SELECT k, v * 2 AS v2, v + k AS vk, d FROM t{w}"),
+        2 => format!("SELECT k, v * 2 AS v2, v + k AS vk, d FROM t{w}"),
+        3 => format!(
+            "SELECT k, v + {num} AS a, v - {num} AS b, v * {num} AS m, d / {num} AS q, \
+             d / (k - k) AS z, v / k AS r, -v AS neg, d * {num} AS dm FROM t{w}"
+        ),
+        _ => format!(
+            "SELECT v = {num} AS e, v <> {num} AS ne, v > {num} AS g, d <= {num} AS le, \
+             d >= {num} AS ge, k < v AS lt, v + {num} > k AS c FROM t{w}"
+        ),
     }
 }
 
@@ -861,16 +1194,17 @@ fn profile_row_counts(text: &str) -> (u64, u64, Vec<(u64, u64)>, Vec<(String, u6
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
     fn vectorized_full_queries_match_row_mode(
         rows in full_query_rows_strategy(),
-        filter in 0usize..5,
+        filter in 0usize..10,
         th in -300i64..300,
-        shape in 0usize..3,
+        shape in 0usize..5,
+        lit in 0usize..EDGE_LITERALS.len(),
     ) {
-        let sql = full_query(filter, th, shape);
+        let sql = full_query(filter, th, shape, lit);
 
         let mut vec_s = full_query_session(&rows, true);
         let vec_rows = vec_s.execute(&sql).unwrap().rows;
