@@ -13,14 +13,20 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
-# The vector/row expression differentials once more in the profile the
-# benchmark measures: integer overflow (debug panics, release wraps) and
-# float folding are exactly where a debug-only test run and a release
-# binary can part ways. The kernels' own overflow/zero-divide unit tests
-# ride along.
+# The vector/row differentials (expressions, and GROUP BY over every key
+# lane and aggregate kind) once more in the profile the benchmark measures:
+# integer overflow (debug panics, release wraps) and float folding are
+# exactly where a debug-only test run and a release binary can part ways.
+# The kernels' own overflow/zero-divide unit tests ride along.
 echo "==> vector vs row differentials under --release"
 cargo test -q --release --offline --test properties vectorized_
 cargo test -q --release --offline -p hive-vector expressions::
+
+# The property vectorized GROUP BY's speed rests on, in the optimized
+# build: once a batch's groups exist, process() allocates nothing (its own
+# test binary: it installs a counting global allocator).
+echo "==> vectorized GROUP BY steady state allocates nothing"
+cargo test -q --release --offline -p hive-vector --test groupby_steady_state_allocs
 
 # The benchmark is a package of its own (outside the workspace) that
 # compiles against the engine's public API; build it so a signature change

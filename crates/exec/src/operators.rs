@@ -212,15 +212,14 @@ impl GroupByOperator {
         }
     }
 
-    fn fresh_states(&self) -> Vec<RowAggState> {
-        self.aggs
-            .iter()
+    fn fresh_states(aggs: &[AggSpec]) -> Vec<RowAggState> {
+        aggs.iter()
             .map(|a| RowAggState::new(a.function, a.mode))
             .collect()
     }
 
-    fn update_states(&self, states: &mut [RowAggState], row: &Row) -> Result<()> {
-        for (spec, state) in self.aggs.iter().zip(states.iter_mut()) {
+    fn update_states(aggs: &[AggSpec], states: &mut [RowAggState], row: &Row) -> Result<()> {
+        for (spec, state) in aggs.iter().zip(states.iter_mut()) {
             let v = match &spec.arg {
                 Some(e) => e.eval(row)?,
                 None => Value::Null, // COUNT(*) ignores it
@@ -257,29 +256,21 @@ impl Operator for GroupByOperator {
                 for e in &self.key_exprs {
                     key.push(e.eval(&row)?);
                 }
-                match self.mode {
+                let aggs = &self.aggs;
+                let (_, states) = match self.mode {
+                    // One table lookup per row; the states update in place.
                     GroupByMode::Hash => {
                         let hkey: Vec<String> = key.iter().map(|v| format!("{v:?}")).collect();
-                        if !self.hash.contains_key(&hkey) {
-                            let states = self.fresh_states();
-                            self.hash.insert(hkey.clone(), (key, states));
-                        }
-                        let (_, states) = self.hash.get_mut(&hkey).unwrap();
-                        let mut tmp = std::mem::take(states);
-                        self.update_states(&mut tmp, &row)?;
-                        self.hash.get_mut(&hkey).unwrap().1 = tmp;
+                        let fresh = || (key, Self::fresh_states(aggs));
+                        self.hash.entry(hkey).or_insert_with(fresh)
                     }
-                    GroupByMode::Streaming => {
-                        // Rows of one key group arrive between Start/End
-                        // signals, so the first row's key names the group.
-                        if self.current.is_none() {
-                            self.current = Some((key, self.fresh_states()));
-                        }
-                        let (k, mut states) = self.current.take().unwrap();
-                        self.update_states(&mut states, &row)?;
-                        self.current = Some((k, states));
-                    }
-                }
+                    // Rows of one key group arrive between Start/End
+                    // signals, so the first row's key names the group.
+                    GroupByMode::Streaming => self
+                        .current
+                        .get_or_insert_with(|| (key, Self::fresh_states(aggs))),
+                };
+                Self::update_states(aggs, states, &row)?;
                 Ok(vec![])
             }
             Message::Batch { .. } => Err(HiveError::Execution(

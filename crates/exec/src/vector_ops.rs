@@ -432,10 +432,10 @@ mod tests {
         let mut op = VectorGroupBySinkOperator::new(
             vec![],
             VectorHashAggregator::new(
-                vec![0],
+                vec![(0, DataType::Int)],
                 vec![AggSpec {
                     kind: AggKind::CountStar,
-                    input_column: None,
+                    input: None,
                 }],
             ),
             vec![ExprNode::Column(0)],
@@ -470,7 +470,7 @@ mod tests {
                 vec![],
                 vec![AggSpec {
                     kind: AggKind::CountStar,
-                    input_column: None,
+                    input: None,
                 }],
             ),
             vec![],

@@ -211,7 +211,7 @@ fn compile_chain<'a>(
                 else {
                     break;
                 };
-                let Some(key_cols) = all(keys.iter().map(|k| c.value(k)))? else {
+                let Some(key_cols) = c.typed_values(keys)? else {
                     break;
                 };
                 let Some(specs) = all(aggs.iter().map(|a| c.compile_agg(a)))? else {
@@ -672,14 +672,14 @@ impl<'a> VecCompiler<'a> {
 
     /// Map a row-mode aggregate onto a vectorized AggSpec.
     fn compile_agg(&mut self, a: &crate::plan::AggCall) -> Result<Option<AggSpec>> {
-        let col = match &a.arg {
+        let input = match &a.arg {
             None => None,
             Some(arg) => match self.value(arg)? {
-                Some(c) => Some(c),
+                Some(c) => Some((c, expr_type(arg, self.schema)?)),
                 None => return Ok(None),
             },
         };
-        let kind = match (a.function, col.map(|c| self.col(c).lane())) {
+        let kind = match (a.function, input.as_ref().map(|(c, _)| self.col(*c).lane())) {
             (AggFunction::CountStar, _) => AggKind::CountStar,
             (AggFunction::Count, _) => AggKind::Count,
             (AggFunction::Sum, Some(Lane::Long)) => AggKind::SumLong,
@@ -693,10 +693,7 @@ impl<'a> VecCompiler<'a> {
             (AggFunction::Max, Some(Lane::Bytes)) => AggKind::MaxBytes,
             _ => return Ok(None),
         };
-        Ok(Some(AggSpec {
-            kind,
-            input_column: col,
-        }))
+        Ok(Some(AggSpec { kind, input }))
     }
 }
 

@@ -1,10 +1,29 @@
-//! Vectorized aggregation: tight-loop global aggregates and a hash
-//! group-by over batches, the vectorized counterpart of Hive's
-//! GroupByOperator for queries like TPC-H q1/q6 (paper Section 7.4).
+//! Vectorized aggregation, the batch-native counterpart of Hive's
+//! GroupByOperator for queries like TPC-H q1/q6 (paper Section 7.4). A
+//! batch passes through three stages, and none of them allocates, hashes a
+//! heap key or dispatches on a type per row (DESIGN.md §16):
+//!
+//! 1. **Resolve** (`key_wrapper.rs`, skipped without GROUP BY keys): the
+//!    batch's key columns become `gids`, one dense group id per selected
+//!    row.
+//! 2. **Update** (`Acc`): state is struct-of-arrays per aggregate, grown
+//!    once per batch. Each aggregate dispatches once per batch on its kind
+//!    and input lane, then runs one loop `acc[gids[j]] op= v[sel[j]]` with
+//!    the `selected_in_use` / `no_nulls` / `is_repeating` branches hoisted
+//!    (`Rows::each`). A group's values are added in selected-row order,
+//!    as the row engine adds them, so sums are bit-identical across modes.
+//!    The loops are generic over `Groups`: without keys every row updates
+//!    group 0 and the same code compiles to a straight reduction.
+//! 3. **Finish**: one row per group in first-seen order — deterministic per
+//!    task, and the reducer sorts by key. Keys and long MIN/MAX render
+//!    through their logical type (`row_convert::long_value`), so a BOOLEAN
+//!    or TIMESTAMP shuffles exactly as the row engine's would.
 
-use crate::batch::{ColumnVector, VectorizedRowBatch};
-use hive_common::{HiveError, Result, Row, Value};
-use std::collections::HashMap;
+use crate::batch::{ColumnVector, PrimitiveColumnVector, Rows, VectorizedRowBatch};
+use crate::key_wrapper::KeyWrapper;
+use crate::row_convert::{bytes_value, long_value};
+use hive_common::{DataType, HiveError, Result, Row, Value};
+use std::cmp::Ordering;
 
 /// Which aggregate function to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,171 +43,215 @@ pub enum AggKind {
     Avg,
 }
 
-/// One aggregate to compute: the function plus its input column
-/// (`None` only for COUNT(*)).
+/// One aggregate to compute: the function plus its input column and that
+/// column's logical type (`None` only for COUNT(*)).
 #[derive(Debug, Clone)]
 pub struct AggSpec {
     pub kind: AggKind,
-    pub input_column: Option<usize>,
+    pub input: Option<(usize, DataType)>,
 }
 
-/// Running state of a single aggregate within one group.
-#[derive(Debug, Clone)]
-pub enum AggState {
-    Count(i64),
-    SumLong { sum: i64, seen: bool },
-    SumDouble { sum: f64, seen: bool },
-    MinLong(Option<i64>),
-    MaxLong(Option<i64>),
-    MinDouble(Option<f64>),
-    MaxDouble(Option<f64>),
-    MinBytes(Option<Vec<u8>>),
-    MaxBytes(Option<Vec<u8>>),
-    Avg { sum: f64, count: i64 },
+/// Which group the `j`-th visited row updates. The update loops are generic
+/// over this, so GROUP BY and global aggregation share one set of loops.
+trait Groups: Copy {
+    /// One group takes every row: dense sums may reduce the vector first.
+    const GLOBAL: bool;
+    fn at(self, j: usize) -> usize;
 }
 
-impl AggState {
-    fn new(kind: AggKind) -> AggState {
-        match kind {
-            AggKind::CountStar | AggKind::Count => AggState::Count(0),
-            AggKind::SumLong => AggState::SumLong {
-                sum: 0,
-                seen: false,
-            },
-            AggKind::SumDouble => AggState::SumDouble {
-                sum: 0.0,
-                seen: false,
-            },
-            AggKind::MinLong => AggState::MinLong(None),
-            AggKind::MaxLong => AggState::MaxLong(None),
-            AggKind::MinDouble => AggState::MinDouble(None),
-            AggKind::MaxDouble => AggState::MaxDouble(None),
-            AggKind::MinBytes => AggState::MinBytes(None),
-            AggKind::MaxBytes => AggState::MaxBytes(None),
-            AggKind::Avg => AggState::Avg { sum: 0.0, count: 0 },
-        }
+impl Groups for &[u32] {
+    const GLOBAL: bool = false;
+    #[inline(always)]
+    fn at(self, j: usize) -> usize {
+        self[j] as usize
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Global;
+
+impl Groups for Global {
+    const GLOBAL: bool = true;
+    #[inline(always)]
+    fn at(self, _: usize) -> usize {
+        0
+    }
+}
+
+/// `acc[g] += v` over the non-NULL rows, in row order. The global dense case
+/// keeps its straight reduction: the batch's sum first, then one add.
+#[inline(always)]
+fn sum<T: Copy + Default, G: Groups>(
+    (acc, seen): (&mut [T], &mut [bool]),
+    v: &PrimitiveColumnVector<T>,
+    (rows, groups): (Rows, G),
+    add: impl Fn(T, T) -> T,
+) {
+    if G::GLOBAL && rows.dense() {
+        let batch_sum = v.vector[..rows.n]
+            .iter()
+            .fold(T::default(), |s, &x| add(s, x));
+        (acc[0], seen[0]) = (add(acc[0], batch_sum), true);
+    } else {
+        rows.each(|j, i| {
+            let g = groups.at(j);
+            (acc[g], seen[g]) = (add(acc[g], v.vector[i]), true);
+        });
+    }
+}
+
+/// `acc[g] = pick(acc[g], v)` (MIN / MAX) over the non-NULL rows.
+#[inline(always)]
+fn extreme<T: Copy, G: Groups>(
+    (acc, seen): (&mut [T], &mut [bool]),
+    v: &PrimitiveColumnVector<T>,
+    (rows, groups): (Rows, G),
+    pick: impl Fn(T, T) -> T,
+) {
+    rows.each(|j, i| {
+        let (g, x) = (groups.at(j), v.vector[i]);
+        (acc[g], seen[g]) = (if seen[g] { pick(acc[g], x) } else { x }, true);
+    });
+}
+
+/// One aggregate's state for every group, struct-of-arrays: group `g` owns
+/// index `g` of the arrays its kind uses, the others stay empty.
+#[derive(Default)]
+struct Acc {
+    /// Counts (COUNT, AVG), long sums, long extremes.
+    longs: Vec<i64>,
+    /// Double sums (SUM, AVG), double extremes.
+    doubles: Vec<f64>,
+    /// The group met a non-NULL input; SUM / MIN / MAX are NULL until then.
+    seen: Vec<bool>,
+    /// MIN / MAX over strings: the extreme so far, owned.
+    bytes: Vec<Option<Vec<u8>>>,
+}
+
+impl Acc {
+    fn grow(&mut self, kind: AggKind, groups: usize) {
+        use AggKind::*;
+        let (longs, doubles, bytes) = match kind {
+            CountStar | Count | SumLong | MinLong | MaxLong => (groups, 0, 0),
+            SumDouble | MinDouble | MaxDouble => (0, groups, 0),
+            Avg => (groups, groups, 0),
+            MinBytes | MaxBytes => (0, 0, groups),
+        };
+        self.longs.resize(longs, 0);
+        self.doubles.resize(doubles, 0.0);
+        self.bytes.resize(bytes, None);
+        self.seen.resize(groups, false);
     }
 
-    /// Map-side partial value (what travels through the shuffle): AVG
-    /// becomes a struct(sum, count); everything else matches its final
-    /// value shape.
-    pub fn partial(&self) -> Value {
-        match self {
-            AggState::Avg { sum, count } => {
-                Value::Struct(vec![Value::Double(*sum), Value::Int(*count)])
+    /// Fold one batch in: one dispatch on (kind, input lane), then one loop.
+    fn update<G: Groups>(
+        &mut self,
+        spec: &AggSpec,
+        batch: &VectorizedRowBatch,
+        groups: G,
+    ) -> Result<()> {
+        use AggKind::*;
+        let col = match (spec.kind, &spec.input) {
+            (CountStar, _) => {
+                (0..batch.size).for_each(|j| self.longs[groups.at(j)] += 1);
+                return Ok(());
             }
-            other => other.finish(),
-        }
-    }
-
-    /// Final SQL value of this state.
-    pub fn finish(&self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int(*n),
-            AggState::SumLong { sum, seen } => {
-                if *seen {
-                    Value::Int(*sum)
-                } else {
-                    Value::Null
+            (_, Some((c, _))) => &batch.columns[*c],
+            (_, None) => {
+                return Err(HiveError::Execution(
+                    "aggregate missing input column".into(),
+                ))
+            }
+        };
+        let rows = Rows::of(batch, col);
+        let (on, longs, doubles) = ((rows, groups), &mut self.longs[..], &mut self.doubles[..]);
+        match spec.kind {
+            CountStar | Count => rows.each(|j, _| longs[groups.at(j)] += 1),
+            SumLong => sum(
+                (longs, &mut self.seen),
+                col.as_long()?,
+                on,
+                i64::wrapping_add,
+            ),
+            SumDouble => sum((doubles, &mut self.seen), col.as_double()?, on, |a, b| {
+                a + b
+            }),
+            MinLong => extreme((longs, &mut self.seen), col.as_long()?, on, i64::min),
+            MaxLong => extreme((longs, &mut self.seen), col.as_long()?, on, i64::max),
+            MinDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, f64::min),
+            MaxDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, f64::max),
+            Avg => {
+                let mut add = |j, x: f64| {
+                    let g = groups.at(j);
+                    (doubles[g], longs[g]) = (doubles[g] + x, longs[g] + 1);
+                };
+                match col {
+                    ColumnVector::Long(v) => rows.each(|j, i| add(j, v.vector[i] as f64)),
+                    _ => {
+                        let v = col.as_double()?;
+                        rows.each(|j, i| add(j, v.vector[i]))
+                    }
                 }
             }
-            AggState::SumDouble { sum, seen } => {
-                if *seen {
-                    Value::Double(*sum)
+            MinBytes | MaxBytes => {
+                let v = col.as_bytes()?;
+                let better = if spec.kind == MinBytes {
+                    Ordering::Less
                 } else {
-                    Value::Null
-                }
+                    Ordering::Greater
+                };
+                rows.each(|j, i| {
+                    let (x, cur) = (v.value(i), &mut self.bytes[groups.at(j)]);
+                    if cur.as_deref().is_none_or(|cur| x.cmp(cur) == better) {
+                        *cur = Some(x.to_vec());
+                    }
+                });
             }
-            AggState::MinLong(v) | AggState::MaxLong(v) => v.map(Value::Int).unwrap_or(Value::Null),
-            AggState::MinDouble(v) | AggState::MaxDouble(v) => {
-                v.map(Value::Double).unwrap_or(Value::Null)
-            }
-            AggState::MinBytes(v) | AggState::MaxBytes(v) => v
-                .as_ref()
-                .map(|b| Value::String(String::from_utf8_lossy(b).into_owned()))
-                .unwrap_or(Value::Null),
-            AggState::Avg { sum, count } => {
-                if *count > 0 {
-                    Value::Double(sum / *count as f64)
-                } else {
-                    Value::Null
-                }
-            }
+        }
+        Ok(())
+    }
+
+    /// Group `g`'s value: final, or the map-side partial that travels
+    /// through the shuffle (AVG as `struct(sum, count)`, the rest alike).
+    fn value(&self, spec: &AggSpec, g: usize, partial: bool) -> Value {
+        use AggKind::*;
+        let if_seen = |v: Value| if self.seen[g] { v } else { Value::Null };
+        match (spec.kind, &spec.input) {
+            (CountStar | Count, _) => Value::Int(self.longs[g]),
+            (SumLong, _) => if_seen(Value::Int(self.longs[g])),
+            (MinLong | MaxLong, Some((_, dt))) => if_seen(long_value(self.longs[g], dt)),
+            (SumDouble | MinDouble | MaxDouble, _) => if_seen(Value::Double(self.doubles[g])),
+            (MinBytes | MaxBytes, _) => self.bytes[g].as_deref().map_or(Value::Null, bytes_value),
+            (Avg, _) if partial => Value::Struct(vec![
+                Value::Double(self.doubles[g]),
+                Value::Int(self.longs[g]),
+            ]),
+            (Avg, _) if self.longs[g] > 0 => Value::Double(self.doubles[g] / self.longs[g] as f64),
+            (Avg | MinLong | MaxLong, _) => Value::Null,
         }
     }
 }
 
-/// A hashable group key extracted from one batch row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyPart {
-    Null,
-    Long(i64),
-    /// f64 bits — NaN-sensitive but deterministic grouping.
-    Double(u64),
-    Bytes(Vec<u8>),
-}
-
-impl KeyPart {
-    pub fn to_value(&self) -> Value {
-        match self {
-            KeyPart::Null => Value::Null,
-            KeyPart::Long(v) => Value::Int(*v),
-            KeyPart::Double(bits) => Value::Double(f64::from_bits(*bits)),
-            KeyPart::Bytes(b) => Value::String(String::from_utf8_lossy(b).into_owned()),
-        }
-    }
-}
-
-fn key_part(col: &ColumnVector, i: usize) -> KeyPart {
-    if col.is_null(i) {
-        return KeyPart::Null;
-    }
-    match col {
-        ColumnVector::Long(v) => KeyPart::Long(v.value(i)),
-        ColumnVector::Double(v) => KeyPart::Double(v.value(i).to_bits()),
-        ColumnVector::Bytes(v) => KeyPart::Bytes(v.value(i).to_vec()),
-    }
-}
-
-/// Hash aggregation over vectorized batches.
-///
-/// With no group-by keys the aggregator runs tight per-vector loops (the
-/// common scan-heavy case of q1/q6's map side after filtering); with keys it
-/// extracts a key per selected row and updates that group's states.
+/// Hash aggregation over vectorized batches: [`process`](Self::process)
+/// every batch, then `finish` (or `finish_partial` on the map side).
 pub struct VectorHashAggregator {
-    key_columns: Vec<usize>,
+    /// `None` for a global aggregate: one group, which always exists.
+    keys: Option<KeyWrapper>,
     specs: Vec<AggSpec>,
-    groups: HashMap<Vec<KeyPart>, Vec<AggState>>,
-    /// Fast path state when `key_columns` is empty.
-    global: Option<Vec<AggState>>,
+    accs: Vec<Acc>,
 }
 
 impl VectorHashAggregator {
-    pub fn new(key_columns: Vec<usize>, specs: Vec<AggSpec>) -> VectorHashAggregator {
-        let global = if key_columns.is_empty() {
-            Some(specs.iter().map(|s| AggState::new(s.kind)).collect())
-        } else {
-            None
-        };
-        VectorHashAggregator {
-            key_columns,
-            specs,
-            groups: HashMap::new(),
-            global,
+    /// `key_columns`: batch column and logical type of each GROUP BY key.
+    pub fn new(key_columns: Vec<(usize, DataType)>, specs: Vec<AggSpec>) -> VectorHashAggregator {
+        let mut accs: Vec<Acc> = specs.iter().map(|_| Acc::default()).collect();
+        let keys = (!key_columns.is_empty()).then(|| KeyWrapper::new(key_columns));
+        if keys.is_none() {
+            for (spec, acc) in specs.iter().zip(&mut accs) {
+                acc.grow(spec.kind, 1);
+            }
         }
-    }
-
-    pub fn num_groups(&self) -> usize {
-        if self.global.is_some() {
-            1
-        } else {
-            self.groups.len()
-        }
-    }
-
-    /// Approximate memory footprint (for hash-side spill decisions).
-    pub fn memory_size(&self) -> usize {
-        self.groups.len() * (64 + self.specs.len() * 24 + self.key_columns.len() * 24)
+        VectorHashAggregator { keys, specs, accs }
     }
 
     /// Consume one batch.
@@ -196,30 +259,14 @@ impl VectorHashAggregator {
         if batch.size == 0 {
             return Ok(());
         }
-        if self.global.is_some() {
-            let mut states = self.global.take().unwrap();
-            for (spec, state) in self.specs.iter().zip(states.iter_mut()) {
-                update_vectorized(spec, state, batch)?;
-            }
-            self.global = Some(states);
-            return Ok(());
-        }
-        // Keyed path: per-row key extraction.
-        let nspecs = self.specs.len();
-        for i in batch.iter_selected() {
-            let key: Vec<KeyPart> = self
-                .key_columns
-                .iter()
-                .map(|&c| key_part(&batch.columns[c], i))
-                .collect();
-            let states = self.groups.entry(key).or_insert_with(|| {
-                (0..nspecs)
-                    .map(|k| AggState::new(self.specs[k].kind))
-                    .collect()
-            });
-            for (spec, state) in self.specs.iter().zip(states.iter_mut()) {
-                update_one(spec, state, batch, i)?;
-            }
+        let Some(keys) = &mut self.keys else {
+            let mut global = self.specs.iter().zip(&mut self.accs);
+            return global.try_for_each(|(spec, acc)| acc.update(spec, batch, Global));
+        };
+        let (gids, groups) = keys.resolve(batch)?;
+        for (spec, acc) in self.specs.iter().zip(&mut self.accs) {
+            acc.grow(spec.kind, groups);
+            acc.update(spec, batch, gids)?;
         }
         Ok(())
     }
@@ -234,270 +281,43 @@ impl VectorHashAggregator {
         self.finish_rows(true)
     }
 
+    /// Groups leave in first-seen order.
     fn finish_rows(self, partial: bool) -> Vec<Row> {
-        let render = if partial {
-            AggState::partial
-        } else {
-            AggState::finish
+        let groups = self.keys.as_ref().map_or(1, KeyWrapper::num_groups);
+        let row = |g| {
+            let mut values: Vec<Value> = self.keys.iter().flat_map(|k| k.key_values(g)).collect();
+            let aggs = self.specs.iter().zip(&self.accs);
+            values.extend(aggs.map(|(spec, acc)| acc.value(spec, g, partial)));
+            Row::new(values)
         };
-        let mut out = Vec::new();
-        if let Some(states) = self.global {
-            out.push(Row::new(states.iter().map(render).collect()));
-            return out;
-        }
-        let mut entries: Vec<_> = self.groups.into_iter().collect();
-        // Deterministic output order for tests and reducers.
-        entries.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
-        for (key, states) in entries {
-            let mut vals: Vec<Value> = key.iter().map(KeyPart::to_value).collect();
-            vals.extend(states.iter().map(render));
-            out.push(Row::new(vals));
-        }
-        out
+        (0..groups).map(row).collect()
     }
-}
-
-/// Tight-loop update of one aggregate over a whole batch (global case).
-fn update_vectorized(
-    spec: &AggSpec,
-    state: &mut AggState,
-    batch: &VectorizedRowBatch,
-) -> Result<()> {
-    let n = batch.size;
-    if let (AggKind::CountStar, AggState::Count(c)) = (spec.kind, &mut *state) {
-        *c += n as i64;
-        return Ok(());
-    }
-    let col_idx = spec
-        .input_column
-        .ok_or_else(|| HiveError::Execution("aggregate missing input column".into()))?;
-    let col = &batch.columns[col_idx];
-    match (spec.kind, state) {
-        (AggKind::Count, AggState::Count(c)) => {
-            for i in batch.iter_selected() {
-                *c += !col.is_null(i) as i64;
-            }
-        }
-        (AggKind::SumLong, AggState::SumLong { sum, seen }) => {
-            let v = col.as_long()?;
-            // The hot inner loops: no-null + unselected is pure vector sum.
-            if v.no_nulls && !batch.selected_in_use && !v.is_repeating {
-                let mut s = 0i64;
-                for x in &v.vector[..n] {
-                    s = s.wrapping_add(*x);
-                }
-                *sum = sum.wrapping_add(s);
-                *seen = true;
-            } else {
-                for i in batch.iter_selected() {
-                    if !v.is_null(i) {
-                        *sum = sum.wrapping_add(v.value(i));
-                        *seen = true;
-                    }
-                }
-            }
-        }
-        (AggKind::SumDouble, AggState::SumDouble { sum, seen }) => {
-            let v = col.as_double()?;
-            if v.no_nulls && !batch.selected_in_use && !v.is_repeating {
-                let mut s = 0.0f64;
-                for x in &v.vector[..n] {
-                    s += *x;
-                }
-                *sum += s;
-                *seen = true;
-            } else {
-                for i in batch.iter_selected() {
-                    if !v.is_null(i) {
-                        *sum += v.value(i);
-                        *seen = true;
-                    }
-                }
-            }
-        }
-        (AggKind::Avg, AggState::Avg { sum, count }) => match col {
-            ColumnVector::Long(v) => {
-                for i in batch.iter_selected() {
-                    if !v.is_null(i) {
-                        *sum += v.value(i) as f64;
-                        *count += 1;
-                    }
-                }
-            }
-            ColumnVector::Double(v) => {
-                for i in batch.iter_selected() {
-                    if !v.is_null(i) {
-                        *sum += v.value(i);
-                        *count += 1;
-                    }
-                }
-            }
-            _ => return Err(HiveError::Execution("AVG over non-numeric column".into())),
-        },
-        (AggKind::MinLong, AggState::MinLong(m)) => {
-            let v = col.as_long()?;
-            for i in batch.iter_selected() {
-                if !v.is_null(i) {
-                    let x = v.value(i);
-                    *m = Some(m.map_or(x, |cur| cur.min(x)));
-                }
-            }
-        }
-        (AggKind::MaxLong, AggState::MaxLong(m)) => {
-            let v = col.as_long()?;
-            for i in batch.iter_selected() {
-                if !v.is_null(i) {
-                    let x = v.value(i);
-                    *m = Some(m.map_or(x, |cur| cur.max(x)));
-                }
-            }
-        }
-        (AggKind::MinDouble, AggState::MinDouble(m)) => {
-            let v = col.as_double()?;
-            for i in batch.iter_selected() {
-                if !v.is_null(i) {
-                    let x = v.value(i);
-                    *m = Some(m.map_or(x, |cur| cur.min(x)));
-                }
-            }
-        }
-        (AggKind::MaxDouble, AggState::MaxDouble(m)) => {
-            let v = col.as_double()?;
-            for i in batch.iter_selected() {
-                if !v.is_null(i) {
-                    let x = v.value(i);
-                    *m = Some(m.map_or(x, |cur| cur.max(x)));
-                }
-            }
-        }
-        (AggKind::MinBytes, AggState::MinBytes(m)) => {
-            let v = col.as_bytes()?;
-            for i in batch.iter_selected() {
-                if !v.is_null(i) {
-                    let x = v.value(i);
-                    if m.as_deref().is_none_or(|cur| x < cur) {
-                        *m = Some(x.to_vec());
-                    }
-                }
-            }
-        }
-        (AggKind::MaxBytes, AggState::MaxBytes(m)) => {
-            let v = col.as_bytes()?;
-            for i in batch.iter_selected() {
-                if !v.is_null(i) {
-                    let x = v.value(i);
-                    if m.as_deref().is_none_or(|cur| x > cur) {
-                        *m = Some(x.to_vec());
-                    }
-                }
-            }
-        }
-        (kind, _) => {
-            return Err(HiveError::Execution(format!(
-                "aggregate state mismatch for {kind:?}"
-            )))
-        }
-    }
-    Ok(())
-}
-
-/// Per-row update (keyed case).
-fn update_one(
-    spec: &AggSpec,
-    state: &mut AggState,
-    batch: &VectorizedRowBatch,
-    i: usize,
-) -> Result<()> {
-    if let (AggKind::CountStar, AggState::Count(c)) = (spec.kind, &mut *state) {
-        *c += 1;
-        return Ok(());
-    }
-    let col = &batch.columns[spec
-        .input_column
-        .ok_or_else(|| HiveError::Execution("aggregate missing input column".into()))?];
-    if col.is_null(i) {
-        return Ok(());
-    }
-    match (spec.kind, state, col) {
-        (AggKind::Count, AggState::Count(c), _) => *c += 1,
-        (AggKind::SumLong, AggState::SumLong { sum, seen }, ColumnVector::Long(v)) => {
-            *sum = sum.wrapping_add(v.value(i));
-            *seen = true;
-        }
-        (AggKind::SumDouble, AggState::SumDouble { sum, seen }, ColumnVector::Double(v)) => {
-            *sum += v.value(i);
-            *seen = true;
-        }
-        (AggKind::SumDouble, AggState::SumDouble { sum, seen }, ColumnVector::Long(v)) => {
-            *sum += v.value(i) as f64;
-            *seen = true;
-        }
-        (AggKind::Avg, AggState::Avg { sum, count }, ColumnVector::Long(v)) => {
-            *sum += v.value(i) as f64;
-            *count += 1;
-        }
-        (AggKind::Avg, AggState::Avg { sum, count }, ColumnVector::Double(v)) => {
-            *sum += v.value(i);
-            *count += 1;
-        }
-        (AggKind::MinLong, AggState::MinLong(m), ColumnVector::Long(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.min(x)));
-        }
-        (AggKind::MaxLong, AggState::MaxLong(m), ColumnVector::Long(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.max(x)));
-        }
-        (AggKind::MinDouble, AggState::MinDouble(m), ColumnVector::Double(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.min(x)));
-        }
-        (AggKind::MaxDouble, AggState::MaxDouble(m), ColumnVector::Double(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.max(x)));
-        }
-        (AggKind::MinBytes, AggState::MinBytes(m), ColumnVector::Bytes(v)) => {
-            let x = v.value(i);
-            if m.as_deref().is_none_or(|cur| x < cur) {
-                *m = Some(x.to_vec());
-            }
-        }
-        (AggKind::MaxBytes, AggState::MaxBytes(m), ColumnVector::Bytes(v)) => {
-            let x = v.value(i);
-            if m.as_deref().is_none_or(|cur| x > cur) {
-                *m = Some(x.to_vec());
-            }
-        }
-        (kind, _, _) => {
-            return Err(HiveError::Execution(format!(
-                "aggregate/column type mismatch for {kind:?}"
-            )))
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::AggKind::*;
     use super::*;
     use crate::expressions::testutil::batch_with;
-    use hive_common::DataType;
+    use crate::row_convert::{get_value, rows_to_batch};
+    use std::collections::BTreeMap;
+
+    fn spec(kind: AggKind, input: Option<(usize, DataType)>) -> AggSpec {
+        AggSpec { kind, input }
+    }
+
+    fn long(c: usize) -> Option<(usize, DataType)> {
+        Some((c, DataType::Int))
+    }
+
+    fn double(c: usize) -> Option<(usize, DataType)> {
+        Some((c, DataType::Double))
+    }
 
     #[test]
     fn global_sum_count() {
-        let mut agg = VectorHashAggregator::new(
-            vec![],
-            vec![
-                AggSpec {
-                    kind: AggKind::SumLong,
-                    input_column: Some(0),
-                },
-                AggSpec {
-                    kind: AggKind::CountStar,
-                    input_column: None,
-                },
-            ],
-        );
+        let mut agg =
+            VectorHashAggregator::new(vec![], vec![spec(SumLong, long(0)), spec(CountStar, None)]);
         let b = batch_with(&[1, 2, 3, 4], &[]);
         agg.process(&b).unwrap();
         agg.process(&b).unwrap();
@@ -513,45 +333,29 @@ mod tests {
         b.selected[0] = 0;
         b.selected[1] = 3;
         b.size = 2;
-        let mut agg = VectorHashAggregator::new(
-            vec![],
-            vec![AggSpec {
-                kind: AggKind::SumLong,
-                input_column: Some(0),
-            }],
-        );
+        let mut agg = VectorHashAggregator::new(vec![], vec![spec(SumLong, long(0))]);
         agg.process(&b).unwrap();
         assert_eq!(agg.finish()[0].values(), &[Value::Int(50)]);
     }
 
     #[test]
     fn keyed_grouping() {
-        let mut b = batch_with(&[1, 2, 1, 2, 1], &[10.0, 20.0, 30.0, 40.0, 50.0]);
-        b.size = 5;
+        let b = batch_with(&[2, 1, 2, 1, 2], &[10.0, 20.0, 30.0, 40.0, 50.0]);
         let mut agg = VectorHashAggregator::new(
-            vec![0],
-            vec![
-                AggSpec {
-                    kind: AggKind::SumDouble,
-                    input_column: Some(1),
-                },
-                AggSpec {
-                    kind: AggKind::CountStar,
-                    input_column: None,
-                },
-            ],
+            vec![(0, DataType::Int)],
+            vec![spec(SumDouble, double(1)), spec(CountStar, None)],
         );
         agg.process(&b).unwrap();
         let rows = agg.finish();
         assert_eq!(rows.len(), 2);
-        // Sorted deterministic order: key 1 then key 2.
+        // First-seen order: key 2 founded its group before key 1.
         assert_eq!(
             rows[0].values(),
-            &[Value::Int(1), Value::Double(90.0), Value::Int(3)]
+            &[Value::Int(2), Value::Double(90.0), Value::Int(3)]
         );
         assert_eq!(
             rows[1].values(),
-            &[Value::Int(2), Value::Double(60.0), Value::Int(2)]
+            &[Value::Int(1), Value::Double(60.0), Value::Int(2)]
         );
     }
 
@@ -566,22 +370,10 @@ mod tests {
         let mut agg = VectorHashAggregator::new(
             vec![],
             vec![
-                AggSpec {
-                    kind: AggKind::SumLong,
-                    input_column: Some(0),
-                },
-                AggSpec {
-                    kind: AggKind::Count,
-                    input_column: Some(0),
-                },
-                AggSpec {
-                    kind: AggKind::CountStar,
-                    input_column: None,
-                },
-                AggSpec {
-                    kind: AggKind::Avg,
-                    input_column: Some(0),
-                },
+                spec(SumLong, long(0)),
+                spec(Count, long(0)),
+                spec(CountStar, None),
+                spec(Avg, long(0)),
             ],
         );
         agg.process(&b).unwrap();
@@ -608,33 +400,16 @@ mod tests {
             c.set(1, b"a");
             c.set(2, b"z");
         }
+        let string = Some((sc, DataType::String));
         let mut agg = VectorHashAggregator::new(
             vec![],
             vec![
-                AggSpec {
-                    kind: AggKind::MinLong,
-                    input_column: Some(0),
-                },
-                AggSpec {
-                    kind: AggKind::MaxLong,
-                    input_column: Some(0),
-                },
-                AggSpec {
-                    kind: AggKind::MinDouble,
-                    input_column: Some(1),
-                },
-                AggSpec {
-                    kind: AggKind::MaxDouble,
-                    input_column: Some(1),
-                },
-                AggSpec {
-                    kind: AggKind::MinBytes,
-                    input_column: Some(sc),
-                },
-                AggSpec {
-                    kind: AggKind::MaxBytes,
-                    input_column: Some(sc),
-                },
+                spec(MinLong, long(0)),
+                spec(MaxLong, long(0)),
+                spec(MinDouble, double(1)),
+                spec(MaxDouble, double(1)),
+                spec(MinBytes, string.clone()),
+                spec(MaxBytes, string),
             ],
         );
         agg.process(&b).unwrap();
@@ -654,19 +429,8 @@ mod tests {
 
     #[test]
     fn empty_input_sums_are_null() {
-        let agg = VectorHashAggregator::new(
-            vec![],
-            vec![
-                AggSpec {
-                    kind: AggKind::SumLong,
-                    input_column: Some(0),
-                },
-                AggSpec {
-                    kind: AggKind::CountStar,
-                    input_column: None,
-                },
-            ],
-        );
+        let agg =
+            VectorHashAggregator::new(vec![], vec![spec(SumLong, long(0)), spec(CountStar, None)]);
         let r = agg.finish();
         assert_eq!(r[0].values(), &[Value::Null, Value::Int(0)]);
     }
@@ -679,15 +443,392 @@ mod tests {
             c.no_nulls = false;
             c.null[2] = true;
         }
-        let mut agg = VectorHashAggregator::new(
-            vec![0],
-            vec![AggSpec {
-                kind: AggKind::CountStar,
-                input_column: None,
-            }],
-        );
+        let mut agg =
+            VectorHashAggregator::new(vec![(0, DataType::Int)], vec![spec(CountStar, None)]);
         agg.process(&b).unwrap();
         let rows = agg.finish();
         assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].values(), &[Value::Null, Value::Int(1)]);
+    }
+
+    // ---- the keyed path against a naive reference -------------------------
+
+    /// Column layout of the table-driven tests: four key candidates (one per
+    /// lane, plus strings long enough to be interned) and three inputs.
+    const K_LONG: usize = 0;
+    const K_DOUBLE: usize = 1;
+    const K_SHORT: usize = 2;
+    const K_INTERNED: usize = 3;
+    const V: usize = 4;
+    const D: usize = 5;
+    const S: usize = 6;
+
+    fn types() -> Vec<DataType> {
+        use DataType::*;
+        vec![Int, Double, String, String, Int, Double, String]
+    }
+
+    /// Every `AggKind`, over nullable inputs.
+    fn all_specs() -> Vec<AggSpec> {
+        let string = Some((S, DataType::String));
+        vec![
+            spec(CountStar, None),
+            spec(Count, string.clone()),
+            spec(SumLong, long(V)),
+            spec(SumDouble, double(D)),
+            spec(Avg, long(V)),
+            spec(Avg, double(D)),
+            spec(MinLong, long(V)),
+            spec(MaxLong, long(V)),
+            spec(MinDouble, double(D)),
+            spec(MaxDouble, double(D)),
+            spec(MinBytes, string.clone()),
+            spec(MaxBytes, string),
+        ]
+    }
+
+    /// Deterministic rows: keys from narrow domains so groups collide, every
+    /// input NULL now and then. `salt` shifts the domains between batches.
+    fn batch(n: usize, salt: usize) -> VectorizedRowBatch {
+        let opt = |i: usize, v: Value| if i % 7 == 3 { Value::Null } else { v };
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let x = (i * 7 + salt * 3) % 5;
+                Row::new(vec![
+                    Value::Int(x as i64 - 2),
+                    Value::Double(x as f64 / 2.0),
+                    Value::String(format!("k{x}")),
+                    Value::String(format!("interned-key-{x}")),
+                    opt(i, Value::Int((i * 31 % 17) as i64 - 8)),
+                    opt(i + 1, Value::Double((i * 13 % 11) as f64 / 4.0)),
+                    opt(i + 2, Value::String(format!("s{}", i * 5 % 23))),
+                ])
+            })
+            .collect();
+        let mut b = VectorizedRowBatch::new(&types(), n).unwrap();
+        rows_to_batch(&rows, &mut b).unwrap();
+        b
+    }
+
+    fn set_nulls(col: &mut ColumnVector, pick: impl Fn(usize) -> bool) {
+        let set = |null: &mut [bool], no_nulls: &mut bool| {
+            *no_nulls = false;
+            null.iter_mut().enumerate().for_each(|(i, n)| *n = pick(i));
+        };
+        match col {
+            ColumnVector::Long(v) => set(&mut v.null, &mut v.no_nulls),
+            ColumnVector::Double(v) => set(&mut v.null, &mut v.no_nulls),
+            ColumnVector::Bytes(v) => set(&mut v.null, &mut v.no_nulls),
+        }
+    }
+
+    fn set_repeating(col: &mut ColumnVector) {
+        match col {
+            ColumnVector::Long(v) => v.is_repeating = true,
+            ColumnVector::Double(v) => v.is_repeating = true,
+            ColumnVector::Bytes(v) => v.is_repeating = true,
+        }
+    }
+
+    fn select_odd_rows(b: &mut VectorizedRowBatch) {
+        let odd: Vec<usize> = (0..b.size).filter(|i| i % 2 == 1).collect();
+        b.selected[..odd.len()].copy_from_slice(&odd);
+        b.selected_in_use = true;
+        b.size = odd.len();
+    }
+
+    /// One aggregate recomputed from its group's input values in row order.
+    fn naive(kind: AggKind, inputs: &[Value]) -> Value {
+        let vals: Vec<&Value> = inputs.iter().filter(|v| !v.is_null()).collect();
+        let ints = || vals.iter().map(|v| v.as_int().unwrap());
+        let doubles = || vals.iter().map(|v| v.as_double().unwrap());
+        let pick = |want: Ordering| {
+            let better = |a: &Value, b: &Value| b.sql_cmp(a) == want;
+            let best = vals.iter().copied();
+            best.reduce(|a, b| if better(a, b) { b } else { a })
+                .cloned()
+        };
+        match kind {
+            CountStar => Value::Int(inputs.len() as i64),
+            Count => Value::Int(vals.len() as i64),
+            _ if vals.is_empty() => Value::Null,
+            SumLong => Value::Int(ints().fold(0, i64::wrapping_add)),
+            SumDouble => Value::Double(doubles().fold(0.0, |s, x| s + x)),
+            Avg => Value::Double(doubles().fold(0.0, |s, x| s + x) / vals.len() as f64),
+            MinLong | MinDouble | MinBytes => pick(Ordering::Less).unwrap(),
+            MaxLong | MaxDouble | MaxBytes => pick(Ordering::Greater).unwrap(),
+        }
+    }
+
+    /// The naive oracle: a `BTreeMap` entry per distinct key, as the row
+    /// engine's values; rows come back sorted by the key's `Debug` string.
+    fn reference(
+        keys: &[(usize, DataType)],
+        specs: &[AggSpec],
+        batches: &[VectorizedRowBatch],
+    ) -> Vec<Row> {
+        let mut groups: BTreeMap<String, (Vec<Value>, Vec<Vec<Value>>)> = BTreeMap::new();
+        for b in batches {
+            for i in b.iter_selected() {
+                let cell = |(c, dt): &(usize, DataType)| get_value(&b.columns[*c], i, dt);
+                let key: Vec<Value> = keys.iter().map(cell).collect();
+                let (_, inputs) = groups
+                    .entry(format!("{key:?}"))
+                    .or_insert_with(|| (key, vec![vec![]; specs.len()]));
+                for (s, seen) in specs.iter().zip(inputs) {
+                    seen.push(s.input.as_ref().map_or(Value::Int(1), cell));
+                }
+            }
+        }
+        let row = |(key, inputs): (Vec<Value>, Vec<Vec<Value>>)| {
+            let aggs = specs.iter().zip(&inputs).map(|(s, i)| naive(s.kind, i));
+            Row::new(key.into_iter().chain(aggs).collect())
+        };
+        groups.into_values().map(row).collect()
+    }
+
+    fn by_key(mut rows: Vec<Row>, keys: usize) -> Vec<Row> {
+        rows.sort_by_key(|r| format!("{:?}", &r.values()[..keys]));
+        rows
+    }
+
+    fn check(keys: &[(usize, DataType)], batches: &[VectorizedRowBatch], what: &str) {
+        let specs = all_specs();
+        let mut agg = VectorHashAggregator::new(keys.to_vec(), specs.clone());
+        for b in batches {
+            agg.process(b).unwrap();
+        }
+        let got = by_key(agg.finish(), keys.len());
+        assert_eq!(got, reference(keys, &specs, batches), "{what}");
+    }
+
+    #[test]
+    fn every_key_lane_null_mode_and_batch_shape_matches_the_reference() {
+        let key_types = types();
+        let mut checked = 0;
+        for key in [K_LONG, K_DOUBLE, K_SHORT, K_INTERNED] {
+            for nulls in ["none", "some", "all"] {
+                for repeating in [false, true] {
+                    for selected in [false, true] {
+                        let batches: Vec<VectorizedRowBatch> = (0..3)
+                            .map(|salt| {
+                                let mut b = batch(64, salt);
+                                match nulls {
+                                    "some" => set_nulls(&mut b.columns[key], |i| i % 3 == salt),
+                                    "all" => set_nulls(&mut b.columns[key], |_| true),
+                                    _ => {}
+                                }
+                                if repeating {
+                                    set_repeating(&mut b.columns[key]);
+                                }
+                                if selected {
+                                    select_odd_rows(&mut b);
+                                }
+                                b
+                            })
+                            .collect();
+                        let what = format!(
+                            "key column {key}, nulls: {nulls}, repeating: {repeating}, \
+                             selected_in_use: {selected}"
+                        );
+                        check(&[(key, key_types[key].clone())], &batches, &what);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 48);
+    }
+
+    #[test]
+    fn multi_key_tuples_with_nulls_in_any_position_match_the_reference() {
+        let t = types();
+        let keys: Vec<(usize, DataType)> = [K_SHORT, K_LONG, K_DOUBLE, K_INTERNED]
+            .iter()
+            .map(|&c| (c, t[c].clone()))
+            .collect();
+        let batches: Vec<VectorizedRowBatch> = (0..4)
+            .map(|salt| {
+                let mut b = batch(97, salt);
+                // A NULL long key next to a real 0, a NULL string next to "".
+                set_nulls(&mut b.columns[K_LONG], |i| i % 5 == 1);
+                set_nulls(&mut b.columns[K_INTERNED], |i| i % 4 == salt);
+                if salt == 2 {
+                    set_repeating(&mut b.columns[K_DOUBLE]);
+                    select_odd_rows(&mut b);
+                }
+                b
+            })
+            .collect();
+        for n in 1..=keys.len() {
+            check(&keys[..n], &batches, &format!("{n} keys"));
+        }
+    }
+
+    #[test]
+    fn input_columns_that_repeat_or_are_all_null_match_the_reference() {
+        let keys = [(K_LONG, DataType::Int)];
+        for selected in [false, true] {
+            let mut b = batch(50, 1);
+            set_repeating(&mut b.columns[V]);
+            set_nulls(&mut b.columns[D], |_| true);
+            set_repeating(&mut b.columns[S]);
+            set_nulls(&mut b.columns[S], |_| true);
+            if selected {
+                select_odd_rows(&mut b);
+            }
+            check(&keys, &[b.clone()], "repeating / all-null inputs, keyed");
+            check(&[], &[b], "repeating / all-null inputs, global");
+        }
+        let mut b = batch(50, 2);
+        set_repeating(&mut b.columns[D]);
+        set_nulls(&mut b.columns[V], |i| i % 2 == 0);
+        check(&[], &[batch(50, 0), b], "global");
+    }
+
+    #[test]
+    fn groups_founded_in_later_batches_grow_the_accumulators() {
+        // Batch b brings keys b*10..b*10+20: half known, half new.
+        let specs = vec![spec(CountStar, None), spec(SumLong, long(0))];
+        let mut agg = VectorHashAggregator::new(vec![(0, DataType::Int)], specs);
+        for b in 0..6i64 {
+            let keys: Vec<i64> = (b * 10..b * 10 + 20).collect();
+            agg.process(&batch_with(&keys, &[])).unwrap();
+        }
+        let rows = agg.finish();
+        assert_eq!(rows.len(), 70);
+        for (k, r) in rows.iter().enumerate() {
+            let times = if (10..60).contains(&k) { 2 } else { 1 };
+            let k = k as i64;
+            assert_eq!(
+                r.values(),
+                &[Value::Int(k), Value::Int(times), Value::Int(k * times)]
+            );
+        }
+    }
+
+    #[test]
+    fn more_groups_than_sixteen_bits_of_ids() {
+        let specs = vec![spec(CountStar, None), spec(MaxLong, long(0))];
+        let mut agg = VectorHashAggregator::new(vec![(0, DataType::Int)], specs);
+        let groups = 70_000i64;
+        // Scattered keys, twice: the second pass must find every group again.
+        for _pass in 0..2 {
+            for start in (0..groups).step_by(1000) {
+                let keys: Vec<i64> = (start..start + 1000).map(|k| k * 7919).collect();
+                agg.process(&batch_with(&keys, &[])).unwrap();
+            }
+        }
+        let rows = agg.finish();
+        assert_eq!(rows.len(), groups as usize);
+        for (k, r) in rows.iter().enumerate() {
+            let key = Value::Int(k as i64 * 7919);
+            assert_eq!(r.values(), &[key.clone(), Value::Int(2), key]);
+        }
+    }
+
+    #[test]
+    fn double_keys_group_by_bits() {
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let d = [0.0, -0.0, f64::NAN, nan2, 0.0, f64::NAN, -0.0, nan2, 1.5];
+        let b = batch_with(&[], &d);
+        let mut agg =
+            VectorHashAggregator::new(vec![(1, DataType::Double)], vec![spec(CountStar, None)]);
+        agg.process(&b).unwrap();
+        let got: Vec<(u64, i64)> = agg
+            .finish()
+            .iter()
+            .map(|r| match r.values() {
+                [Value::Double(k), Value::Int(n)] => (k.to_bits(), *n),
+                other => panic!("unexpected row {other:?}"),
+            })
+            .collect();
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(
+            got,
+            [
+                (bits(0.0), 2),
+                (bits(-0.0), 2),
+                (bits(f64::NAN), 2),
+                (bits(nan2), 2),
+                (bits(1.5), 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn emission_is_first_seen_order_and_repeats_across_runs() {
+        let t = types();
+        let keys = vec![(K_INTERNED, t[K_INTERNED].clone()), (K_LONG, DataType::Int)];
+        let run = || {
+            let mut agg = VectorHashAggregator::new(keys.clone(), vec![spec(CountStar, None)]);
+            for salt in 0..3 {
+                agg.process(&batch(40, salt)).unwrap();
+            }
+            agg.finish_partial()
+        };
+        let first = run();
+        // First-seen: the first row's key leads, whatever its sort position.
+        let b = batch(40, 0);
+        let lead: Vec<Value> = keys
+            .iter()
+            .map(|(c, dt)| get_value(&b.columns[*c], 0, dt))
+            .collect();
+        assert_eq!(&first[0].values()[..2], &lead[..]);
+        assert!(first.len() > 1 && (0..5).all(|_| run() == first));
+    }
+
+    #[test]
+    fn boolean_and_timestamp_keep_their_logical_type() {
+        use DataType::{Boolean, Timestamp};
+        let rows: Vec<Row> = [(true, 1000), (false, 2000), (true, 3000)]
+            .iter()
+            .map(|&(b, ts)| Row::new(vec![Value::Boolean(b), Value::Timestamp(ts)]))
+            .collect();
+        let mut b = VectorizedRowBatch::new(&[Boolean, Timestamp], 4).unwrap();
+        rows_to_batch(&rows, &mut b).unwrap();
+        // GROUP BY b with MIN/MAX(ts); then GROUP BY ts with MIN/MAX(b).
+        let mut by_bool = VectorHashAggregator::new(
+            vec![(0, Boolean)],
+            vec![
+                spec(MinLong, Some((1, Timestamp))),
+                spec(MaxLong, Some((1, Timestamp))),
+            ],
+        );
+        by_bool.process(&b).unwrap();
+        assert_eq!(
+            by_bool.finish_partial(),
+            vec![
+                Row::new(vec![
+                    Value::Boolean(true),
+                    Value::Timestamp(1000),
+                    Value::Timestamp(3000)
+                ]),
+                Row::new(vec![
+                    Value::Boolean(false),
+                    Value::Timestamp(2000),
+                    Value::Timestamp(2000)
+                ]),
+            ]
+        );
+        let mut by_ts = VectorHashAggregator::new(
+            vec![(1, Timestamp)],
+            vec![spec(MinLong, Some((0, Boolean))), spec(CountStar, None)],
+        );
+        by_ts.process(&b).unwrap();
+        assert_eq!(
+            by_ts.finish()[0].values(),
+            &[Value::Timestamp(1000), Value::Boolean(true), Value::Int(1)]
+        );
+    }
+
+    #[test]
+    fn a_key_column_of_the_wrong_lane_is_an_error() {
+        let b = batch_with(&[1, 2], &[1.0, 2.0]);
+        let mut agg =
+            VectorHashAggregator::new(vec![(1, DataType::Int)], vec![spec(CountStar, None)]);
+        assert!(agg.process(&b).is_err());
+        let mut agg = VectorHashAggregator::new(vec![], vec![spec(SumLong, double(1))]);
+        assert!(agg.process(&b).is_err());
     }
 }

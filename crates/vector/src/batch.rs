@@ -240,6 +240,25 @@ impl ColumnVector {
         }
     }
 
+    /// The per-row null flags, or `None` when the vector is known null-free
+    /// (`no_nulls`) — the form a loop wants to hoist its null branch on.
+    pub fn nulls(&self) -> Option<&[bool]> {
+        let (no_nulls, null) = match self {
+            ColumnVector::Long(v) => (v.no_nulls, &v.null),
+            ColumnVector::Double(v) => (v.no_nulls, &v.null),
+            ColumnVector::Bytes(v) => (v.no_nulls, &v.null),
+        };
+        (!no_nulls).then_some(null)
+    }
+
+    pub fn is_repeating(&self) -> bool {
+        match self {
+            ColumnVector::Long(v) => v.is_repeating,
+            ColumnVector::Double(v) => v.is_repeating,
+            ColumnVector::Bytes(v) => v.is_repeating,
+        }
+    }
+
     pub fn reset(&mut self) {
         match self {
             ColumnVector::Long(v) => v.reset(),
@@ -339,6 +358,55 @@ impl VectorizedRowBatch {
     }
 }
 
+/// The rows one hoisted loop visits: the first `n` selected rows of a batch,
+/// seen through one column's null flags and `is_repeating`.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    pub(crate) n: usize,
+    pub(crate) selected: Option<&'a [usize]>,
+    pub(crate) nulls: Option<&'a [bool]>,
+    pub(crate) repeating: bool,
+}
+
+impl<'a> Rows<'a> {
+    pub(crate) fn of(batch: &'a VectorizedRowBatch, col: &'a ColumnVector) -> Rows<'a> {
+        Rows {
+            n: batch.size,
+            selected: batch.selected_in_use.then_some(&batch.selected),
+            nulls: col.nulls(),
+            repeating: col.is_repeating(),
+        }
+    }
+
+    /// No selection, no NULLs, not repeating: the loop is `0..n`.
+    pub(crate) fn dense(self) -> bool {
+        self.selected.is_none() && self.nulls.is_none() && !self.repeating
+    }
+
+    /// Call `f(j, i)` for each visited row whose value is not NULL: `j` is
+    /// its position in the selection, `i` its physical row (0 for a
+    /// repeating vector). Every per-batch branch is hoisted out of the loop
+    /// (paper Figure 8), so `f` is the whole loop body.
+    #[inline(always)]
+    pub(crate) fn each(self, mut f: impl FnMut(usize, usize)) {
+        let n = self.n;
+        match (self.selected, self.nulls) {
+            (_, nulls) if self.repeating => {
+                if !nulls.is_some_and(|null| null[0]) {
+                    (0..n).for_each(|j| f(j, 0));
+                }
+            }
+            (None, None) => (0..n).for_each(|i| f(i, i)),
+            (None, Some(null)) => (0..n).filter(|&i| !null[i]).for_each(|i| f(i, i)),
+            (Some(sel), None) => sel[..n].iter().enumerate().for_each(|(j, &i)| f(j, i)),
+            (Some(sel), Some(null)) => {
+                let valid = sel[..n].iter().enumerate().filter(|(_, &i)| !null[i]);
+                valid.for_each(|(j, &i)| f(j, i));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +479,34 @@ mod tests {
         // Masking everything empties the batch.
         b.unselect_rows(&[1, 4]);
         assert_eq!(b.size, 0);
+    }
+
+    #[test]
+    fn rows_visit_selected_non_null_values() {
+        let mut b = VectorizedRowBatch::new(&[DataType::Int], 8).unwrap();
+        b.size = 5;
+        let visit = |b: &VectorizedRowBatch| {
+            let mut seen = Vec::new();
+            Rows::of(b, &b.columns[0]).each(|j, i| seen.push((j, i)));
+            seen
+        };
+        assert!(Rows::of(&b, &b.columns[0]).dense());
+        assert_eq!(visit(&b), [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+        {
+            let c = b.columns[0].as_long_mut().unwrap();
+            c.no_nulls = false;
+            c.null[1] = true;
+        }
+        assert_eq!(visit(&b), [(0, 0), (2, 2), (3, 3), (4, 4)]);
+        b.selected_in_use = true;
+        b.selected[..3].copy_from_slice(&[1, 2, 4]);
+        b.size = 3;
+        assert_eq!(visit(&b), [(1, 2), (2, 4)], "j is the selection position");
+        // Repeating: row 0 stands for every row, its null flag included.
+        b.columns[0].as_long_mut().unwrap().is_repeating = true;
+        assert_eq!(visit(&b), [(0, 0), (1, 0), (2, 0)]);
+        b.columns[0].as_long_mut().unwrap().null[0] = true;
+        assert_eq!(visit(&b), []);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 pub mod aggregates;
 pub mod batch;
 pub mod expressions;
+mod key_wrapper;
 pub mod mapjoin;
 pub mod operators;
 pub mod row_convert;

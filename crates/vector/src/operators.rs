@@ -93,7 +93,7 @@ mod tests {
     use crate::aggregates::{AggKind, AggSpec, VectorHashAggregator};
     use crate::expressions::testutil::batch_with;
     use crate::expressions::{filter_compare, CmpOp, Operand};
-    use hive_common::Value;
+    use hive_common::{DataType, Value};
 
     #[test]
     fn filter_narrows_selection_in_place() {
@@ -122,11 +122,11 @@ mod tests {
             vec![
                 AggSpec {
                     kind: AggKind::SumLong,
-                    input_column: Some(0),
+                    input: Some((0, DataType::Int)),
                 },
                 AggSpec {
                     kind: AggKind::CountStar,
-                    input_column: None,
+                    input: None,
                 },
             ],
         );

@@ -68,15 +68,26 @@ pub fn get_value(col: &ColumnVector, i: usize, dt: &DataType) -> Value {
     if col.is_null(i) {
         return Value::Null;
     }
-    match (col, dt) {
-        (ColumnVector::Long(v), DataType::Boolean) => Value::Boolean(v.value(i) != 0),
-        (ColumnVector::Long(v), DataType::Timestamp) => Value::Timestamp(v.value(i)),
-        (ColumnVector::Long(v), _) => Value::Int(v.value(i)),
-        (ColumnVector::Double(v), _) => Value::Double(v.value(i)),
-        (ColumnVector::Bytes(v), _) => {
-            Value::String(String::from_utf8_lossy(v.value(i)).into_owned())
-        }
+    match col {
+        ColumnVector::Long(v) => long_value(v.value(i), dt),
+        ColumnVector::Double(v) => Value::Double(v.value(i)),
+        ColumnVector::Bytes(v) => bytes_value(v.value(i)),
     }
+}
+
+/// A long-lane value as the logical type it carries: the one place that
+/// knows long vectors hold ints, booleans and timestamps alike.
+pub fn long_value(v: i64, dt: &DataType) -> Value {
+    match dt {
+        DataType::Boolean => Value::Boolean(v != 0),
+        DataType::Timestamp => Value::Timestamp(v),
+        _ => Value::Int(v),
+    }
+}
+
+/// A bytes-lane value as a SQL string.
+pub fn bytes_value(b: &[u8]) -> Value {
+    Value::String(String::from_utf8_lossy(b).into_owned())
 }
 
 /// Materialize the valid rows of `batch`, projecting `columns` with their

@@ -1,0 +1,193 @@
+//! Pins the property the speed of vectorized GROUP BY depends on: once a
+//! batch's groups exist, `process()` allocates nothing — no key is copied,
+//! no state is boxed, every scratch buffer is reused. A counting global
+//! allocator observes it; this file is its own test binary so no other test
+//! runs under that allocator.
+
+use hive_common::{DataType, Row, Value};
+use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
+use hive_vector::row_convert::rows_to_batch;
+use hive_vector::VectorizedRowBatch;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter bump, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const ROWS: usize = 1000;
+const TYPES: [DataType; 7] = [
+    DataType::Int,
+    DataType::Double,
+    DataType::String,
+    DataType::String,
+    DataType::Int,
+    DataType::Double,
+    DataType::String,
+];
+
+/// Keys: a long, a double, a self-coding short string and an interned long
+/// one, NULL now and then — every batch holds the same 7 x 5 x 3 x 4 key
+/// combinations its rows can reach. Inputs (`v`, `d`, `s`) vary with `salt`.
+fn batch(salt: usize) -> VectorizedRowBatch {
+    let nullable = |i: usize, every: usize, v: Value| {
+        if i.is_multiple_of(every) {
+            Value::Null
+        } else {
+            v
+        }
+    };
+    let rows: Vec<Row> = (0..ROWS)
+        .map(|i| {
+            Row::new(vec![
+                nullable(i, 11, Value::Int((i % 7) as i64 - 3)),
+                nullable(i, 13, Value::Double((i % 5) as f64 / 2.0)),
+                Value::String(format!("f{}", i % 3)),
+                nullable(i, 17, Value::String(format!("a-key-long-enough-{}", i % 4))),
+                nullable(
+                    i + salt,
+                    5,
+                    Value::Int((i * 31 + salt * 7) as i64 % 1000 - 500),
+                ),
+                nullable(
+                    i + salt,
+                    6,
+                    Value::Double((i * 17 + salt) as f64 % 64.0 / 4.0),
+                ),
+                nullable(
+                    i + salt,
+                    7,
+                    Value::String(format!("s{:03}", (i * 37 + salt * 11) % 500)),
+                ),
+            ])
+        })
+        .collect();
+    let mut b = VectorizedRowBatch::new(&TYPES, ROWS).unwrap();
+    rows_to_batch(&rows, &mut b).unwrap();
+    if salt % 2 == 1 {
+        // Odd batches arrive filtered: `selected_in_use` on.
+        let kept: Vec<usize> = (0..ROWS).filter(|i| i % 9 != 4).collect();
+        b.selected[..kept.len()].copy_from_slice(&kept);
+        b.selected_in_use = true;
+        b.size = kept.len();
+    }
+    b
+}
+
+fn keys() -> Vec<(usize, DataType)> {
+    (0..4).map(|c| (c, TYPES[c].clone())).collect()
+}
+
+fn spec(kind: AggKind, column: usize) -> AggSpec {
+    AggSpec {
+        kind,
+        input: Some((column, TYPES[column].clone())),
+    }
+}
+
+#[test]
+fn known_groups_cost_no_allocation() {
+    use AggKind::*;
+    let mut specs = vec![AggSpec {
+        kind: CountStar,
+        input: None,
+    }];
+    specs.extend([Count, SumLong, MinLong, MaxLong, Avg].map(|k| spec(k, 4)));
+    specs.extend([Count, SumDouble, MinDouble, MaxDouble, Avg].map(|k| spec(k, 5)));
+    specs.push(spec(Count, 6));
+    let batches: Vec<VectorizedRowBatch> = (0..4).map(batch).collect();
+    let mut agg = VectorHashAggregator::new(keys(), specs);
+    let counted = allocations_during(|| drop(std::hint::black_box(vec![0u8; 64])));
+    assert_eq!(counted, 1, "the counting allocator is the one in use");
+    // Warm-up: the unfiltered batch 0 founds every group.
+    agg.process(&batches[0]).unwrap();
+    let allocations = allocations_during(|| {
+        for round in 0..100 {
+            agg.process(&batches[round % 4]).unwrap();
+        }
+    });
+    assert_eq!(allocations, 0, "steady-state process() must not allocate");
+    let groups = agg.finish_partial();
+    assert!(groups.len() > 300, "only {} groups", groups.len());
+    let rows: i64 = groups.iter().map(|g| g.values()[4].as_int().unwrap()).sum();
+    let replayed: usize = (0..100).map(|round| batches[round % 4].size).sum();
+    let expected = batches[0].size + replayed;
+    assert_eq!(rows as usize, expected, "COUNT(*) saw every selected row");
+}
+
+#[test]
+fn string_extremes_allocate_only_when_adopted() {
+    use AggKind::*;
+    let batches: Vec<VectorizedRowBatch> = (0..4).map(batch).collect();
+    let mut agg = VectorHashAggregator::new(keys(), vec![spec(MinBytes, 6), spec(MaxBytes, 6)]);
+    agg.process(&batches[0]).unwrap();
+
+    // Replay what MIN / MAX must adopt: per group, in row order.
+    let mut extremes: HashMap<String, (Option<String>, Option<String>)> = HashMap::new();
+    let mut adoptions = 0u64;
+    let mut replay = |b: &VectorizedRowBatch, count: bool| {
+        let cell = |c: usize, i: usize| {
+            let col = &b.columns[c];
+            hive_vector::row_convert::get_value(col, i, &TYPES[c])
+        };
+        for i in b.iter_selected() {
+            let key = format!("{:?}", (0..4).map(|c| cell(c, i)).collect::<Vec<_>>());
+            let Value::String(s) = cell(6, i) else {
+                continue;
+            };
+            let (min, max) = extremes.entry(key).or_default();
+            if min.as_ref().is_none_or(|m| s < *m) {
+                *min = Some(s.clone());
+                adoptions += count as u64;
+            }
+            if max.as_ref().is_none_or(|m| s > *m) {
+                *max = Some(s);
+                adoptions += count as u64;
+            }
+        }
+    };
+    replay(&batches[0], false);
+    for round in 0..100 {
+        replay(&batches[round % 4], true);
+    }
+
+    let allocations = allocations_during(|| {
+        for round in 0..100 {
+            agg.process(&batches[round % 4]).unwrap();
+        }
+    });
+    assert!(adoptions > 0, "the batches must move some extremes");
+    assert!(
+        allocations <= adoptions,
+        "{allocations} allocations for {adoptions} adopted extremes"
+    );
+}

@@ -1069,13 +1069,22 @@ const EDGE_LITERALS: [&str; 6] = [
     "'g2'",
 ];
 
+/// GROUP BY key sets of the every-aggregate shape: one to three keys over
+/// every lane — long (`k`, `v`, and `b` / `ts`, which must keep their
+/// logical type through the shuffle), double and string.
+const GROUP_KEYS: [&str; 12] = [
+    "k", "v", "d", "s", "b", "ts", "b, ts", "s, k", "d, b", "k, s, b", "ts, d, v", "v, s, ts",
+];
+
 /// One random full-query shape over `t (k BIGINT, v BIGINT, d DOUBLE,
-/// s STRING)`: a WHERE template (0 = none) plus a grouped aggregate (over an
-/// int or string key) or an expression projection. `lit` picks the edge
+/// s STRING, b BOOLEAN, ts TIMESTAMP)`: a WHERE template (0 = none, which
+/// leaves `selected_in_use` off) plus a grouped aggregate (over an int or
+/// string key, or — shapes 5 and up — every aggregate kind over
+/// `GROUP_KEYS[group]`) or an expression projection. `lit` picks the edge
 /// literal the arithmetic / comparison templates use, in WHERE *and*
 /// SELECT-list position; a template over a numeric column reads the string
 /// bound as `0`, one over `s` reads a numeric literal as `'g2'`.
-fn full_query(filter: usize, th: i64, shape: usize, lit: usize) -> String {
+fn full_query(filter: usize, th: i64, shape: usize, lit: usize, group: usize) -> String {
     let quoted = EDGE_LITERALS[lit].starts_with('\'');
     let num = if quoted { "0" } else { EDGE_LITERALS[lit] };
     let text = if quoted { EDGE_LITERALS[lit] } else { "'g2'" };
@@ -1102,9 +1111,16 @@ fn full_query(filter: usize, th: i64, shape: usize, lit: usize) -> String {
             "SELECT k, v + {num} AS a, v - {num} AS b, v * {num} AS m, d / {num} AS q, \
              d / (k - k) AS z, v / k AS r, -v AS neg, d * {num} AS dm FROM t{w}"
         ),
-        _ => format!(
+        4 => format!(
             "SELECT v = {num} AS e, v <> {num} AS ne, v > {num} AS g, d <= {num} AS le, \
              d >= {num} AS ge, k < v AS lt, v + {num} > k AS c FROM t{w}"
+        ),
+        _ => format!(
+            "SELECT {keys}, COUNT(*) AS n, COUNT(s) AS ns, SUM(v) AS sv, SUM(d) AS sd, \
+             AVG(v) AS av, AVG(d) AS ad, MIN(v) AS nv, MAX(v) AS xv, MIN(d) AS nd, \
+             MAX(d) AS xd, MIN(s) AS nst, MAX(s) AS xst, MIN(b) AS nb, MAX(b) AS xb, \
+             MIN(ts) AS nts, MAX(ts) AS xts FROM t{w} GROUP BY {keys}",
+            keys = GROUP_KEYS[group]
         ),
     }
 }
@@ -1122,8 +1138,15 @@ fn full_query_rows_strategy() -> impl Strategy<Value = Vec<Row>> {
         4 => (0u8..5).prop_map(|x| Value::String(format!("g{x}"))),
         1 => Just(Value::Null)
     ];
+    let b = prop_oneof![4 => any::<bool>().prop_map(Value::Boolean), 1 => Just(Value::Null)];
+    let ts = prop_oneof![
+        4 => (0i64..6).prop_map(|x| Value::Timestamp(x * 86_400_000)),
+        1 => Just(Value::Null)
+    ];
+    // The strategy shim stops at 4-tuples: nest.
     proptest::collection::vec(
-        (k, v, d, s).prop_map(|(k, v, d, s)| Row::new(vec![k, v, d, s])),
+        ((k, v, d), (s, b, ts))
+            .prop_map(|((k, v, d), (s, b, ts))| Row::new(vec![k, v, d, s, b, ts])),
         1..220,
     )
 }
@@ -1140,8 +1163,11 @@ fn full_query_session(rows: &[Row], vectorize: bool) -> hive::HiveSession {
         hive::common::config::keys::VECTORIZED_ENABLED,
         if vectorize { "true" } else { "false" },
     );
-    hive.execute("CREATE TABLE t (k BIGINT, v BIGINT, d DOUBLE, s STRING) STORED AS orc")
-        .unwrap();
+    hive.execute(
+        "CREATE TABLE t (k BIGINT, v BIGINT, d DOUBLE, s STRING, b BOOLEAN, ts TIMESTAMP) \
+         STORED AS orc",
+    )
+    .unwrap();
     hive.load_rows("t", rows.iter().cloned()).unwrap();
     hive
 }
@@ -1201,10 +1227,11 @@ proptest! {
         rows in full_query_rows_strategy(),
         filter in 0usize..10,
         th in -300i64..300,
-        shape in 0usize..5,
+        shape in 0usize..8,
         lit in 0usize..EDGE_LITERALS.len(),
+        group in 0usize..GROUP_KEYS.len(),
     ) {
-        let sql = full_query(filter, th, shape, lit);
+        let sql = full_query(filter, th, shape, lit, group);
 
         let mut vec_s = full_query_session(&rows, true);
         let vec_rows = vec_s.execute(&sql).unwrap().rows;
@@ -1307,6 +1334,12 @@ fn acid_query(filter: usize, th: i64, shape: usize) -> String {
             w("")
         ),
         1 => format!("SELECT k, v * 2 AS v2, v + k AS vk FROM t{}", w("")),
+        // Two keys (one of them also an input) and every long aggregate.
+        3 => format!(
+            "SELECT v, k, COUNT(*) AS n, COUNT(v) AS nv, SUM(k) AS sk, AVG(v) AS av, \
+             AVG(k) AS ak, MIN(k) AS mn, MAX(v) AS mx FROM t{} GROUP BY v, k",
+            w("")
+        ),
         _ => format!(
             "SELECT d.name, COUNT(*) AS n, SUM(t.v) AS sv FROM t \
              JOIN d ON (t.k = d.key){} GROUP BY d.name",
@@ -1455,7 +1488,7 @@ proptest! {
             (0usize..3, 0i64..1000, -400i64..400), 1..6),
         filter in 0usize..4,
         th in -300i64..300,
-        shape in 0usize..3,
+        shape in 0usize..4,
     ) {
         let sql = acid_query(filter, th, shape);
         let mut vec_s = acid_diff_session(&base, true);
