@@ -78,6 +78,16 @@ run_cli 8 target/metrics-8.json
 diff target/metrics-1.json target/metrics-8.json
 diff target/metrics-1.json results/metrics-snapshot.json
 
+# Key-rule gate (hive_common::key), through the real binary: GROUP BY a
+# DOUBLE holding NaN and 0.0 (52 groups, NaN one of them), ORDER BY it in
+# both directions (NaN last / first) and an INT = DOUBLE join, each under
+# vectorization on/off x map-join/reduce-join, must print the checked-in
+# transcript (the script sets the deterministic clock, so the timing lines
+# are stable too).
+echo "==> hive-cli key-rule gate (NaN GROUP BY / ORDER BY, INT = DOUBLE join)"
+cargo run -q --bin hive-cli --offline <tests/golden/key_rule_cli.sql 2>/dev/null |
+    diff - tests/golden/key_rule_cli.txt
+
 # Join-bench gate: a tiny-scale run of the map-join benchmark must plan the
 # vectorized operator, emit schema-valid BENCH_joins.json, and show the
 # vectorized join's measured CPU below the row engine's

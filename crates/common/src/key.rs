@@ -1,0 +1,210 @@
+//! The key rule: when two keys are the same key, and which comes first.
+//!
+//! Everything that groups, joins, partitions or sorts by a key — the row
+//! engine's hash tables, the shuffle's partitioner, sort and group cut, the
+//! driver's `ORDER BY`, the sorted-replica writer, and (through
+//! [`double_bits`]) the vector engine's `u64` key lanes — takes its answer
+//! from here (DESIGN.md "Keys"):
+//!
+//! * keys are **typed**: values of different variants are never equal and
+//!   order by a fixed rank, NULL first;
+//! * a double is its [`double_bits`]: every NaN is one value that sorts
+//!   after `+inf`, and `-0.0` sorts before (and apart from) `0.0`;
+//! * [`cmp`] is a total order, [`Key`]'s `==` is `cmp == Equal`, and equal
+//!   keys have equal [`hash`]es.
+//!
+//! Predicates, MIN/MAX and SARGs keep [`Value::sql_cmp`]: comparing two
+//! values of a query is not the same question as identifying a key.
+
+use crate::value::Value;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+
+/// The bit pattern a key double is identified by: `to_bits`, with every NaN
+/// folded onto one pattern.
+#[inline]
+pub fn double_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Variants in their key order; NULL sorts first.
+fn rank(v: &Value) -> u8 {
+    match v {
+        Value::Null => 0,
+        Value::Boolean(_) => 1,
+        Value::Int(_) => 2,
+        Value::Double(_) => 3,
+        Value::String(_) => 4,
+        Value::Timestamp(_) => 5,
+        Value::Array(_) => 6,
+        Value::Map(_) => 7,
+        Value::Struct(_) => 8,
+        Value::Union(..) => 9,
+    }
+}
+
+/// The total order of single key values.
+pub fn cmp_value(a: &Value, b: &Value) -> Ordering {
+    use Value::*;
+    match (a, b) {
+        (Null, Null) => Ordering::Equal,
+        (Boolean(a), Boolean(b)) => a.cmp(b),
+        (Int(a), Int(b)) | (Timestamp(a), Timestamp(b)) => a.cmp(b),
+        (Double(a), Double(b)) => {
+            f64::from_bits(double_bits(*a)).total_cmp(&f64::from_bits(double_bits(*b)))
+        }
+        (String(a), String(b)) => a.cmp(b),
+        (Array(a), Array(b)) | (Struct(a), Struct(b)) => cmp(a, b),
+        (Map(a), Map(b)) => {
+            let pair = |((ak, av), (bk, bv)): (&(Value, Value), &(Value, Value))| {
+                cmp_value(ak, bk).then_with(|| cmp_value(av, bv))
+            };
+            let differing = a.iter().zip(b).map(pair).find(|c| c.is_ne());
+            differing.unwrap_or(a.len().cmp(&b.len()))
+        }
+        (Union(at, a), Union(bt, b)) => at.cmp(bt).then_with(|| cmp_value(a, b)),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// The total order of keys: column by column, a prefix before its extension.
+pub fn cmp(a: &[Value], b: &[Value]) -> Ordering {
+    let differing = a
+        .iter()
+        .zip(b)
+        .map(|(x, y)| cmp_value(x, y))
+        .find(|c| c.is_ne());
+    differing.unwrap_or(a.len().cmp(&b.len()))
+}
+
+/// A hash that is stable across processes and runs (FNV-1a style mixing), so
+/// the reducer a key lands on — and with it every simulated "distributed"
+/// run — is reproducible. Keys equal under [`cmp`] hash alike.
+pub fn hash(key: &[Value]) -> u64 {
+    let mut state = 0xcbf29ce484222325;
+    key.iter().for_each(|v| hash_value(v, &mut state));
+    state
+}
+
+fn hash_value(v: &Value, state: &mut u64) {
+    let mut mix = |v: u64| *state = (*state ^ v).wrapping_mul(0x100000001b3);
+    match v {
+        Value::Null => mix(0xdead),
+        Value::Boolean(b) => mix(0x10 + *b as u64),
+        Value::Int(v) | Value::Timestamp(v) => mix(*v as u64),
+        Value::Double(v) => mix(double_bits(*v)),
+        Value::String(s) => {
+            s.bytes().for_each(|b| mix(b as u64));
+            mix(0x517);
+        }
+        Value::Array(items) | Value::Struct(items) => {
+            items.iter().for_each(|it| hash_value(it, state))
+        }
+        Value::Map(entries) => entries.iter().for_each(|(k, v)| {
+            hash_value(k, state);
+            hash_value(v, state);
+        }),
+        Value::Union(tag, v) => {
+            mix(*tag as u64);
+            hash_value(v, state);
+        }
+    }
+}
+
+/// A key as hash tables and sorts hold it: `Eq`, `Ord` and `Hash` are
+/// [`cmp`] and [`hash`].
+#[derive(Debug, Clone, Default)]
+pub struct Key(pub Vec<Value>);
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        cmp(&self.0, &other.0).is_eq()
+    }
+}
+
+impl Eq for Key {}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        cmp(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(hash(&self.0));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    #[test]
+    fn nan_is_one_value_sorted_last_and_zeros_stay_apart() {
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let d = |x: f64| [Value::Double(x)];
+        assert_eq!(cmp(&d(f64::NAN), &d(-nan2)), Ordering::Equal);
+        assert_eq!(hash(&d(f64::NAN)), hash(&d(-nan2)));
+        assert_eq!(cmp(&d(f64::INFINITY), &d(-f64::NAN)), Ordering::Less);
+        assert_eq!(cmp(&d(-0.0), &d(0.0)), Ordering::Less);
+        assert_eq!(cmp(&[Value::Null], &d(f64::NEG_INFINITY)), Ordering::Less);
+    }
+
+    #[test]
+    fn keys_are_typed() {
+        assert_ne!(Key(vec![Value::Int(1)]), Key(vec![Value::Double(1.0)]));
+        assert_ne!(Key(vec![Value::Int(1)]), Key(vec![Value::Boolean(true)]));
+        assert_ne!(Key(vec![Value::Int(1)]), Key(vec![Value::Timestamp(1)]));
+    }
+
+    #[test]
+    fn key_comparison_orders_groups() {
+        assert_eq!(
+            cmp(
+                &[Value::Int(1), Value::Int(2)],
+                &[Value::Int(1), Value::Int(3)]
+            ),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp(&[Value::Null], &[Value::Int(0)]),
+            Ordering::Less,
+            "nulls first"
+        );
+        assert_eq!(
+            cmp(&[Value::Int(1)], &[Value::Int(1), Value::Null]),
+            Ordering::Less,
+            "a prefix before its extension"
+        );
+    }
+
+    #[test]
+    fn hash_is_deterministic_and_discriminating() {
+        let s = |x: &str| [Value::String(x.into())];
+        assert_eq!(hash(&s("hello")), hash(&s("hello")));
+        assert_ne!(hash(&s("hello")), hash(&s("hellp")));
+    }
+
+    #[test]
+    fn a_hash_map_finds_every_nan_under_one_key() {
+        let mut m: HashMap<Key, u32> = HashMap::new();
+        for x in [f64::NAN, -f64::NAN, 0.0, -0.0, 0.0] {
+            *m.entry(Key(vec![Value::Double(x)])).or_default() += 1;
+        }
+        assert_eq!(m[&Key(vec![Value::Double(f64::NAN)])], 2);
+        assert_eq!(m[&Key(vec![Value::Double(0.0)])], 2);
+        assert_eq!(m[&Key(vec![Value::Double(-0.0)])], 1);
+    }
+}

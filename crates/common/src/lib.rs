@@ -7,6 +7,7 @@
 pub mod cancel;
 pub mod config;
 pub mod error;
+pub mod key;
 pub mod row;
 pub mod schema;
 pub mod types;
@@ -15,6 +16,7 @@ pub mod value;
 pub use cancel::CancelToken;
 pub use config::HiveConf;
 pub use error::{HiveError, Result};
+pub use key::Key;
 pub use row::Row;
 pub use schema::{ColumnNode, ColumnTree, Field, Schema};
 pub use types::DataType;

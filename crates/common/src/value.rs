@@ -127,48 +127,6 @@ impl Value {
             Value::Union(_, v) => 1 + v.heap_size(),
         }
     }
-
-    /// A stable hash for shuffle partitioning — deliberately independent of
-    /// the process so simulated "distributed" runs are reproducible.
-    pub fn shuffle_hash(&self, state: &mut u64) {
-        fn mix(state: &mut u64, v: u64) {
-            // FNV-1a style mixing: stable across platforms and runs.
-            *state ^= v;
-            *state = state.wrapping_mul(0x100000001b3);
-        }
-        match self {
-            Value::Null => mix(state, 0xdead),
-            Value::Boolean(b) => mix(state, 0x10 + *b as u64),
-            Value::Int(v) | Value::Timestamp(v) => mix(state, *v as u64),
-            Value::Double(v) => mix(state, v.to_bits()),
-            Value::String(s) => {
-                for b in s.as_bytes() {
-                    mix(state, *b as u64);
-                }
-                mix(state, 0x517);
-            }
-            Value::Array(items) => {
-                for it in items {
-                    it.shuffle_hash(state);
-                }
-            }
-            Value::Map(entries) => {
-                for (k, v) in entries {
-                    k.shuffle_hash(state);
-                    v.shuffle_hash(state);
-                }
-            }
-            Value::Struct(fields) => {
-                for f in fields {
-                    f.shuffle_hash(state);
-                }
-            }
-            Value::Union(tag, v) => {
-                mix(state, *tag as u64);
-                v.shuffle_hash(state);
-            }
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -237,18 +195,6 @@ mod tests {
     fn cross_numeric_comparison_widens() {
         assert_eq!(Value::Int(2).sql_cmp(&Value::Double(2.5)), Ordering::Less);
         assert_eq!(Value::Double(2.0).sql_cmp(&Value::Int(2)), Ordering::Equal);
-    }
-
-    #[test]
-    fn shuffle_hash_is_deterministic_and_discriminating() {
-        let mut h1 = 0xcbf29ce484222325u64;
-        let mut h2 = 0xcbf29ce484222325u64;
-        Value::String("hello".into()).shuffle_hash(&mut h1);
-        Value::String("hello".into()).shuffle_hash(&mut h2);
-        assert_eq!(h1, h2);
-        let mut h3 = 0xcbf29ce484222325u64;
-        Value::String("hellp".into()).shuffle_hash(&mut h3);
-        assert_ne!(h1, h3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::metastore::Metastore;
 use crate::plan_cache::{PlanCache, PlanCacheKey};
 use hive_common::config::keys;
-use hive_common::{CancelToken, HiveConf, HiveError, Result, Row};
+use hive_common::{key, CancelToken, HiveConf, HiveError, Result, Row};
 use hive_dfs::{Dfs, FaultPlan, IoScope};
 use hive_mapreduce::{DagReport, MrEngine};
 use hive_obs::{MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot, SpanKind, Trace};
@@ -328,7 +328,7 @@ fn execute_select(
     if !compiled.order_by.is_empty() {
         rows.sort_by(|a, b| {
             for &(idx, asc) in &compiled.order_by {
-                let c = a[idx].sql_cmp(&b[idx]);
+                let c = key::cmp_value(&a[idx], &b[idx]);
                 let c = if asc { c } else { c.reverse() };
                 if c != std::cmp::Ordering::Equal {
                     return c;

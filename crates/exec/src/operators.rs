@@ -11,8 +11,25 @@
 use crate::agg::{AggFunction, AggMode, RowAggState};
 use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
-use hive_common::{HiveError, Result, Row, Value};
+use hive_common::{HiveError, Key, Result, Row, Value};
 use std::collections::HashMap;
+
+/// A row sent to the operator's only child.
+fn forward(row: Row) -> Emit {
+    Emit::Forward {
+        child_slot: 0,
+        msg: Message::Row { row, tag: 0 },
+    }
+}
+
+/// Evaluate key expressions over `row` into `key`, reusing its allocation.
+fn eval_key(exprs: &[ExprNode], row: &Row, key: &mut Vec<Value>) -> Result<()> {
+    key.clear();
+    for e in exprs {
+        key.push(e.eval(row)?);
+    }
+    Ok(())
+}
 
 /// Broadcasts everything to all children — the fan-out point used when a
 /// merged table scan feeds several chains (input correlation).
@@ -197,7 +214,9 @@ pub struct GroupByOperator {
     pub key_exprs: Vec<ExprNode>,
     pub aggs: Vec<AggSpec>,
     mode: GroupByMode,
-    hash: HashMap<Vec<String>, (Vec<Value>, Vec<RowAggState>)>,
+    hash: HashMap<Key, Vec<RowAggState>>,
+    /// The probe key of the hash table, reused from row to row.
+    scratch: Key,
     current: Option<(Vec<Value>, Vec<RowAggState>)>,
 }
 
@@ -208,6 +227,7 @@ impl GroupByOperator {
             aggs,
             mode,
             hash: HashMap::new(),
+            scratch: Key::default(),
             current: None,
         }
     }
@@ -229,15 +249,10 @@ impl GroupByOperator {
         Ok(())
     }
 
-    fn result_row(key: &[Value], states: &[RowAggState]) -> Row {
-        let mut vals: Vec<Value> = key.to_vec();
-        vals.extend(states.iter().map(RowAggState::output));
-        Row::new(vals)
-    }
-
-    /// Approximate hash-table footprint.
-    pub fn memory_size(&self) -> usize {
-        self.hash.len() * (64 + self.aggs.len() * 96)
+    /// A finished group as the row sent downstream: key ++ aggregates.
+    fn result((mut key, states): (Vec<Value>, Vec<RowAggState>)) -> Emit {
+        key.extend(states.iter().map(RowAggState::output));
+        forward(Row::new(key))
     }
 }
 
@@ -252,25 +267,32 @@ impl Operator for GroupByOperator {
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
             Message::Row { row, .. } => {
-                let mut key = Vec::with_capacity(self.key_exprs.len());
-                for e in &self.key_exprs {
-                    key.push(e.eval(&row)?);
-                }
                 let aggs = &self.aggs;
-                let (_, states) = match self.mode {
-                    // One table lookup per row; the states update in place.
+                match self.mode {
+                    // One table lookup per row of a known group; the states
+                    // update in place. A key is cloned when it founds one.
                     GroupByMode::Hash => {
-                        let hkey: Vec<String> = key.iter().map(|v| format!("{v:?}")).collect();
-                        let fresh = || (key, Self::fresh_states(aggs));
-                        self.hash.entry(hkey).or_insert_with(fresh)
+                        eval_key(&self.key_exprs, &row, &mut self.scratch.0)?;
+                        if let Some(states) = self.hash.get_mut(&self.scratch) {
+                            Self::update_states(aggs, states, &row)?;
+                        } else {
+                            let mut states = Self::fresh_states(aggs);
+                            Self::update_states(aggs, &mut states, &row)?;
+                            self.hash.insert(self.scratch.clone(), states);
+                        }
                     }
                     // Rows of one key group arrive between Start/End
                     // signals, so the first row's key names the group.
-                    GroupByMode::Streaming => self
-                        .current
-                        .get_or_insert_with(|| (key, Self::fresh_states(aggs))),
-                };
-                Self::update_states(aggs, states, &row)?;
+                    GroupByMode::Streaming => {
+                        if self.current.is_none() {
+                            let mut key = Vec::with_capacity(self.key_exprs.len());
+                            eval_key(&self.key_exprs, &row, &mut key)?;
+                            self.current = Some((key, Self::fresh_states(aggs)));
+                        }
+                        let (_, states) = self.current.as_mut().expect("set just above");
+                        Self::update_states(aggs, states, &row)?;
+                    }
+                }
                 Ok(vec![])
             }
             Message::Batch { .. } => Err(HiveError::Execution(
@@ -282,54 +304,26 @@ impl Operator for GroupByOperator {
                 }
                 Ok(vec![Emit::Broadcast(Message::StartGroup)])
             }
+            // Only a streaming group-by has a current group to finish.
             Message::EndGroup => {
-                let mut emits = Vec::new();
-                if matches!(self.mode, GroupByMode::Streaming) {
-                    if let Some((key, states)) = self.current.take() {
-                        emits.push(Emit::Forward {
-                            child_slot: 0,
-                            msg: Message::Row {
-                                row: Self::result_row(&key, &states),
-                                tag: 0,
-                            },
-                        });
-                    }
-                }
+                let mut emits: Vec<Emit> =
+                    self.current.take().map(Self::result).into_iter().collect();
                 emits.push(Emit::Broadcast(Message::EndGroup));
                 Ok(emits)
             }
         }
     }
 
+    /// The hash table leaves in key order; a streaming group-by has at most
+    /// a trailing group left (defensive; drivers end every group).
     fn close(&mut self) -> Result<Vec<Emit>> {
-        let mut emits = Vec::new();
-        match self.mode {
-            GroupByMode::Hash => {
-                let mut entries: Vec<_> = self.hash.drain().collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                for (_, (key, states)) in entries {
-                    emits.push(Emit::Forward {
-                        child_slot: 0,
-                        msg: Message::Row {
-                            row: Self::result_row(&key, &states),
-                            tag: 0,
-                        },
-                    });
-                }
-            }
-            GroupByMode::Streaming => {
-                if let Some((key, states)) = self.current.take() {
-                    emits.push(Emit::Forward {
-                        child_slot: 0,
-                        msg: Message::Row {
-                            row: Self::result_row(&key, &states),
-                            tag: 0,
-                        },
-                    });
-                }
-            }
-        }
-        Ok(emits)
+        let mut groups: Vec<_> = self.hash.drain().collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        let groups = groups.into_iter().map(|(key, states)| (key.0, states));
+        Ok(groups
+            .chain(self.current.take())
+            .map(Self::result)
+            .collect())
     }
 }
 
@@ -352,98 +346,68 @@ pub struct CommonJoinOperator {
     pub join_type: JoinType,
     /// Row width per input (to build null sides for outer joins).
     pub widths: Vec<usize>,
+    /// Every input row starts with this many join-key columns.
+    nk: usize,
     buffers: Vec<Vec<Row>>,
 }
 
 impl CommonJoinOperator {
-    pub fn new(n_inputs: usize, join_type: JoinType, widths: Vec<usize>) -> CommonJoinOperator {
+    pub fn new(
+        n_inputs: usize,
+        join_type: JoinType,
+        widths: Vec<usize>,
+        nk: usize,
+    ) -> CommonJoinOperator {
         assert_eq!(widths.len(), n_inputs);
         CommonJoinOperator {
             n_inputs,
             join_type,
             widths,
+            nk,
             buffers: vec![Vec::new(); n_inputs],
         }
     }
 
     fn emit_group(&mut self) -> Result<Vec<Emit>> {
-        let mut out = Vec::new();
+        let inner = self.join_type == JoinType::Inner;
+        if !inner && self.n_inputs != 2 {
+            return Err(HiveError::Execution(
+                "outer joins must be binary in this engine".into(),
+            ));
+        }
         let buffers = &self.buffers;
-        let any_empty = buffers.iter().any(Vec::is_empty);
-        match self.join_type {
-            JoinType::Inner => {
-                if !any_empty {
-                    // Cross product across all inputs.
-                    let mut acc: Vec<Row> = vec![Row::default()];
-                    for buf in buffers {
-                        let mut next = Vec::with_capacity(acc.len() * buf.len());
-                        for a in &acc {
-                            for b in buf {
-                                next.push(a.concat(b));
-                            }
-                        }
-                        acc = next;
-                    }
-                    for row in acc {
-                        out.push(Emit::Forward {
-                            child_slot: 0,
-                            msg: Message::Row { row, tag: 0 },
-                        });
-                    }
+        // The shuffle groups NULL keys like any other key, but a join key
+        // with a NULL in it matches nothing (the map joins neither store
+        // nor find one): such a group's rows join as if every other input
+        // were empty. A group has one key, so its first row tells.
+        let first = buffers.iter().flatten().next();
+        let null_key = first.is_some_and(|r| r.values()[..self.nk].iter().any(Value::is_null));
+        let matched = !null_key && !buffers.iter().any(Vec::is_empty);
+        // Cross product across all inputs.
+        let mut joined: Vec<Row> = Vec::new();
+        if matched {
+            joined.push(Row::default());
+            for buf in buffers {
+                let mut wider = Vec::with_capacity(joined.len() * buf.len());
+                for a in &joined {
+                    wider.extend(buf.iter().map(|b| a.concat(b)));
                 }
+                joined = wider;
             }
-            JoinType::LeftOuter | JoinType::RightOuter | JoinType::FullOuter => {
-                if self.n_inputs != 2 {
-                    return Err(HiveError::Execution(
-                        "outer joins must be binary in this engine".into(),
-                    ));
-                }
-                let (l, r) = (&buffers[0], &buffers[1]);
-                let null_l = Row::new(vec![Value::Null; self.widths[0]]);
-                let null_r = Row::new(vec![Value::Null; self.widths[1]]);
-                if !l.is_empty() && !r.is_empty() {
-                    for a in l {
-                        for b in r {
-                            out.push(Emit::Forward {
-                                child_slot: 0,
-                                msg: Message::Row {
-                                    row: a.concat(b),
-                                    tag: 0,
-                                },
-                            });
-                        }
-                    }
-                } else if !l.is_empty()
-                    && matches!(self.join_type, JoinType::LeftOuter | JoinType::FullOuter)
-                {
-                    for a in l {
-                        out.push(Emit::Forward {
-                            child_slot: 0,
-                            msg: Message::Row {
-                                row: a.concat(&null_r),
-                                tag: 0,
-                            },
-                        });
-                    }
-                } else if !r.is_empty()
-                    && matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter)
-                {
-                    for b in r {
-                        out.push(Emit::Forward {
-                            child_slot: 0,
-                            msg: Message::Row {
-                                row: null_l.concat(b),
-                                tag: 0,
-                            },
-                        });
-                    }
-                }
+        } else if !inner {
+            let null_l = Row::new(vec![Value::Null; self.widths[0]]);
+            let null_r = Row::new(vec![Value::Null; self.widths[1]]);
+            if matches!(self.join_type, JoinType::LeftOuter | JoinType::FullOuter) {
+                joined.extend(buffers[0].iter().map(|a| a.concat(&null_r)));
+            }
+            if matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter) {
+                joined.extend(buffers[1].iter().map(|b| null_l.concat(b)));
             }
         }
         for buf in &mut self.buffers {
             buf.clear();
         }
-        Ok(out)
+        Ok(joined.into_iter().map(forward).collect())
     }
 }
 
@@ -484,7 +448,7 @@ impl Operator for CommonJoinOperator {
 
 /// One small table of a Map Join: rows grouped by their join key.
 pub struct MapJoinTable {
-    pub rows_by_key: HashMap<Vec<String>, Vec<Row>>,
+    rows_by_key: HashMap<Key, Vec<Row>>,
     pub width: usize,
     pub join_type: JoinType,
     /// Key expressions over the *stream* (big side) row as it looks when it
@@ -493,43 +457,27 @@ pub struct MapJoinTable {
 }
 
 impl MapJoinTable {
-    /// Build the hash table from the small side's rows.
+    /// Build the hash table from the prepared small side: each row is its
+    /// `nk` key columns (none NULL — a NULL key never matches) followed by
+    /// the small table's columns, and is stored whole.
     pub fn build(
-        rows: &[Row],
-        key_exprs: &[ExprNode],
+        rows: Vec<Row>,
+        nk: usize,
         stream_keys: Vec<ExprNode>,
         join_type: JoinType,
         width: usize,
-    ) -> Result<MapJoinTable> {
-        let mut rows_by_key: HashMap<Vec<String>, Vec<Row>> = HashMap::new();
+    ) -> MapJoinTable {
+        let mut rows_by_key: HashMap<Key, Vec<Row>> = HashMap::new();
         for row in rows {
-            let mut key = Vec::with_capacity(key_exprs.len());
-            let mut has_null = false;
-            for e in key_exprs {
-                let v = e.eval(row)?;
-                has_null |= v.is_null();
-                key.push(format!("{v:?}"));
-            }
-            if has_null {
-                continue; // NULL keys never match
-            }
-            rows_by_key.entry(key).or_default().push(row.clone());
+            let key = Key(row.values()[..nk].to_vec());
+            rows_by_key.entry(key).or_default().push(row);
         }
-        Ok(MapJoinTable {
+        MapJoinTable {
             rows_by_key,
             width,
             join_type,
             key_exprs: stream_keys,
-        })
-    }
-
-    /// Approximate footprint, for the small-table threshold checks.
-    pub fn memory_size(&self) -> usize {
-        self.rows_by_key
-            .values()
-            .flat_map(|rows| rows.iter().map(Row::heap_size))
-            .sum::<usize>()
-            + self.rows_by_key.len() * 48
+        }
     }
 }
 
@@ -539,6 +487,17 @@ impl MapJoinTable {
 /// pipelined fashion".
 pub struct MapJoinOperator {
     pub tables: Vec<MapJoinTable>,
+    /// The probe key, reused from row to row and table to table.
+    scratch: Key,
+}
+
+impl MapJoinOperator {
+    pub fn new(tables: Vec<MapJoinTable>) -> MapJoinOperator {
+        MapJoinOperator {
+            tables,
+            scratch: Key::default(),
+        }
+    }
 }
 
 impl Operator for MapJoinOperator {
@@ -554,17 +513,12 @@ impl Operator for MapJoinOperator {
                 for t in &self.tables {
                     let mut next = Vec::with_capacity(acc.len());
                     for big in acc {
-                        let mut key = Vec::with_capacity(t.key_exprs.len());
-                        let mut has_null = false;
-                        for e in &t.key_exprs {
-                            let v = e.eval(&big)?;
-                            has_null |= v.is_null();
-                            key.push(format!("{v:?}"));
-                        }
-                        let matches = if has_null {
+                        eval_key(&t.key_exprs, &big, &mut self.scratch.0)?;
+                        // A NULL key never matches.
+                        let matches = if self.scratch.0.iter().any(Value::is_null) {
                             None
                         } else {
-                            t.rows_by_key.get(&key)
+                            t.rows_by_key.get(&self.scratch)
                         };
                         match matches {
                             Some(small_rows) => {
@@ -781,6 +735,87 @@ mod tests {
     }
 
     #[test]
+    fn hash_keys_follow_the_key_rule() {
+        // GROUP BY: one NaN whatever its payload, -0.0 apart from 0.0, and
+        // groups leave in key order (NaN last).
+        let nan2 = -f64::from_bits(f64::NAN.to_bits() | 1);
+        let mut g = OperatorGraph::new();
+        let gb = g.add(Box::new(GroupByOperator::new(
+            vec![ExprNode::col(0)],
+            vec![AggSpec {
+                function: AggFunction::CountStar,
+                mode: AggMode::Partial,
+                arg: None,
+            }],
+            GroupByMode::Hash,
+        )));
+        let fs = g.add(Box::new(FileSinkOperator));
+        g.connect(gb, fs, None);
+        let d = |x: f64| Row::new(vec![Value::Double(x)]);
+        let keys = [f64::NAN, 0.0, nan2, -0.0, 1.5, f64::NAN];
+        let (out, _) = run_rows(&mut g, gb, keys.map(d).to_vec());
+        let got: Vec<(u64, i64)> = out
+            .iter()
+            .map(|r| (r[0].as_double().unwrap().to_bits(), r[1].as_int().unwrap()))
+            .collect();
+        let bits = f64::to_bits;
+        assert_eq!(
+            got,
+            [
+                (bits(-0.0), 1),
+                (bits(0.0), 1),
+                (bits(1.5), 1),
+                (bits(f64::NAN), 3)
+            ]
+        );
+
+        // Map join: NaN finds NaN; an INT key never finds a DOUBLE key.
+        let stored = vec![d(f64::NAN).concat(&row(&[7])), d(1.0).concat(&row(&[8]))];
+        let t = MapJoinTable::build(stored, 1, vec![ExprNode::col(0)], JoinType::Inner, 2);
+        let mut g = OperatorGraph::new();
+        let mj = g.add(Box::new(MapJoinOperator::new(vec![t])));
+        let fs = g.add(Box::new(FileSinkOperator));
+        g.connect(mj, fs, None);
+        let (out, _) = run_rows(&mut g, mj, vec![d(nan2), row(&[1]), d(1.0)]);
+        let payloads: Vec<i64> = out.iter().map(|r| r[2].as_int().unwrap()).collect();
+        assert_eq!(payloads, [7, 8]);
+    }
+
+    #[test]
+    fn reduce_join_never_matches_a_null_key() {
+        // One key column leads every row; the shuffle hands the NULL keys of
+        // both inputs over as one group.
+        let keyed = |k: Value, v: i64| Row::new(vec![k, Value::Int(v)]);
+        let joined = |join_type: JoinType, key: Value| -> Vec<Row> {
+            let mut j = CommonJoinOperator::new(2, join_type, vec![2, 2], 1);
+            for (tag, v) in [(0, 10), (1, 20)] {
+                let row = keyed(key.clone(), v);
+                j.receive(Message::Row { row, tag }).unwrap();
+            }
+            let emits = j.receive(Message::EndGroup).unwrap();
+            let rows = emits.into_iter().filter_map(|e| match e {
+                Emit::Forward {
+                    msg: Message::Row { row, .. },
+                    ..
+                } => Some(row),
+                _ => None,
+            });
+            rows.collect()
+        };
+        let null = Value::Null;
+        let pad = Row::new(vec![Value::Null; 2]);
+        let (l, r) = (keyed(null.clone(), 10), keyed(null.clone(), 20));
+        assert_eq!(joined(JoinType::Inner, Value::Int(1)).len(), 1);
+        assert_eq!(joined(JoinType::Inner, null.clone()), []);
+        assert_eq!(joined(JoinType::LeftOuter, null.clone()), [l.concat(&pad)]);
+        assert_eq!(joined(JoinType::RightOuter, null.clone()), [pad.concat(&r)]);
+        assert_eq!(
+            joined(JoinType::FullOuter, null),
+            [l.concat(&pad), pad.concat(&r)]
+        );
+    }
+
+    #[test]
     fn streaming_group_by_uses_group_signals() {
         let mut g = OperatorGraph::new();
         let gb = g.add(Box::new(GroupByOperator::new(
@@ -854,6 +889,7 @@ mod tests {
             2,
             JoinType::Inner,
             vec![2, 1],
+            0,
         )));
         let fs = g.add(Box::new(FileSinkOperator));
         g.connect(j, fs, None);
@@ -905,6 +941,7 @@ mod tests {
             2,
             JoinType::LeftOuter,
             vec![2, 1],
+            0,
         )));
         let fs2 = g2.add(Box::new(FileSinkOperator));
         g2.connect(j2, fs2, None);
@@ -932,26 +969,23 @@ mod tests {
         // Two small tables, like M-JoinOp-1 / M-JoinOp-2 in Figure 4(b).
         let small1 = vec![row(&[1, 100]), row(&[2, 200])];
         let small2 = vec![row(&[7, 700])];
+        // Each stored row's first column is its key.
         let t1 = MapJoinTable::build(
-            &small1,
-            &[ExprNode::col(0)],
+            small1,
+            1,
             vec![ExprNode::col(0)], // big1.skey1 is col 0
             JoinType::Inner,
             2,
-        )
-        .unwrap();
+        );
         let t2 = MapJoinTable::build(
-            &small2,
-            &[ExprNode::col(0)],
+            small2,
+            1,
             vec![ExprNode::col(1)], // big1.skey2 is col 1
             JoinType::Inner,
             2,
-        )
-        .unwrap();
+        );
         let mut g = OperatorGraph::new();
-        let mj = g.add(Box::new(MapJoinOperator {
-            tables: vec![t1, t2],
-        }));
+        let mj = g.add(Box::new(MapJoinOperator::new(vec![t1, t2])));
         let fs = g.add(Box::new(FileSinkOperator));
         g.connect(mj, fs, None);
         let (out, _) = run_rows(
@@ -1070,7 +1104,7 @@ mod tests {
 
     #[test]
     fn join_clears_buffers_between_groups() {
-        let mut j = CommonJoinOperator::new(2, JoinType::Inner, vec![1, 1]);
+        let mut j = CommonJoinOperator::new(2, JoinType::Inner, vec![1, 1], 0);
         j.receive(Message::Row {
             row: row(&[1]),
             tag: 0,

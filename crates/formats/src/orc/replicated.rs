@@ -14,7 +14,7 @@
 use crate::orc::memory::MemoryManager;
 use crate::orc::writer::{OrcWriter, OrcWriterOptions};
 use crate::TableWriter;
-use hive_common::{Result, Row, Schema};
+use hive_common::{key, Result, Row, Schema};
 use hive_dfs::Dfs;
 
 /// ORC writer that additionally publishes one sorted copy of the file
@@ -82,7 +82,7 @@ impl TableWriter for ReplicatedOrcWriter {
         for (slot0, (col, name)) in self.sort_columns.iter().enumerate() {
             let slot = slot0 + 1;
             let mut sorted: Vec<&Row> = self.rows.iter().collect();
-            sorted.sort_by(|a, b| a[*col].sql_cmp(&b[*col]));
+            sorted.sort_by(|a, b| key::cmp_value(&a[*col], &b[*col]));
             let tmp = format!("/tmp/orc-variant{}.v{slot}", self.path);
             let mut opts = self.options.clone();
             opts.sort_column = name.clone();

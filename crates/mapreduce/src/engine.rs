@@ -2,7 +2,7 @@
 
 use crate::cost::{CostModel, TaskWork};
 use crate::job::{JobInput, JobOutput, JobSpec, ReducePipelineFactory, SideInput};
-use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row, Value};
+use hive_common::{config::keys, key, CancelToken, HiveConf, HiveError, Result, Row, Value};
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_exec::graph::{Message, ShuffleRecord};
 use hive_formats::delta::LiveReader;
@@ -902,11 +902,7 @@ impl MrEngine {
             let mut on_shuffle = |rec: ShuffleRecord| {
                 shuffle_records += 1;
                 if num_reducers > 0 {
-                    let mut h: u64 = 0xcbf29ce484222325;
-                    for k in &rec.key {
-                        k.shuffle_hash(&mut h);
-                    }
-                    let p = (h % num_reducers as u64) as usize;
+                    let p = (key::hash(&rec.key) % num_reducers as u64) as usize;
                     partitions[p].push(rec);
                 }
             };
@@ -1076,7 +1072,7 @@ impl MrEngine {
         // ordering within a key group. The sort is stable and the input
         // order is the deterministic task-index merge, so reduce input
         // order matches sequential execution exactly.
-        partition.sort_by(|a, b| cmp_keys(&a.key, &b.key).then(a.tag.cmp(&b.tag)));
+        partition.sort_by(|a, b| key::cmp(&a.key, &b.key).then(a.tag.cmp(&b.tag)));
 
         let scope = IoScope::new();
         let io_guard = scope.enter();
@@ -1094,7 +1090,7 @@ impl MrEngine {
             for rec in partition {
                 let new_group = current_key
                     .as_ref()
-                    .is_none_or(|k| cmp_keys(k, &rec.key) != Ordering::Equal);
+                    .is_none_or(|k| key::cmp(k, &rec.key).is_ne());
                 if new_group {
                     if current_key.is_some() {
                         graph.push(root, Message::EndGroup, &mut on_shuffle, &mut on_output)?;
@@ -1314,17 +1310,6 @@ impl MrEngine {
     }
 }
 
-/// Element-wise SQL comparison of shuffle keys.
-pub fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        let c = x.sql_cmp(y);
-        if c != Ordering::Equal {
-            return c;
-        }
-    }
-    a.len().cmp(&b.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1424,7 +1409,7 @@ mod tests {
         let schema = write_table(&dfs, &conf, "/t/mr1", 1000);
         let engine = MrEngine::new(dfs, conf);
         let (report, mut rows) = engine.run_job(&group_sum_job(schema, "/t/mr1")).unwrap();
-        rows.sort_by(|a, b| a[0].sql_cmp(&b[0]));
+        rows.sort_by(|a, b| key::cmp_value(&a[0], &b[0]));
         assert_eq!(rows.len(), 10);
         // Group k: sum of {k, k+10, ..., k+990} = 100*k + 10*4950.
         for k in 0..10i64 {
@@ -1517,21 +1502,5 @@ mod tests {
         let total: i64 = rows.iter().map(|r| r[1].as_int().unwrap()).sum();
         assert_eq!(total, (0..100i64).sum::<i64>());
         assert!(dag.sim_total_s > dag.jobs[1].sim_total_s);
-    }
-
-    #[test]
-    fn key_comparison_orders_groups() {
-        assert_eq!(
-            cmp_keys(
-                &[Value::Int(1), Value::Int(2)],
-                &[Value::Int(1), Value::Int(3)]
-            ),
-            Ordering::Less
-        );
-        assert_eq!(
-            cmp_keys(&[Value::Null], &[Value::Int(0)]),
-            Ordering::Less,
-            "nulls first"
-        );
     }
 }

@@ -251,7 +251,7 @@ fn reduce_retry_preserves_partitions_and_results() {
         .run_job(&group_sum_job(schema, "/warehouse/redo/", 1))
         .unwrap();
     assert!(report.task_retries >= 1);
-    rows.sort_by(|a, b| hive_mapreduce::engine::cmp_keys(a.values(), b.values()));
+    rows.sort_by(|a, b| hive_common::key::cmp(a.values(), b.values()));
     assert_eq!(rows.len(), 23);
     let total: i64 = rows.iter().map(|r| r[1].as_int().unwrap()).sum();
     assert_eq!(

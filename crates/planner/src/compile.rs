@@ -22,9 +22,8 @@ use crate::plan::{GroupByPhase, PlanGraph, PlanNode, PlanOp};
 use crate::semantic::Translation;
 use crate::vectorize;
 use hive_common::config::keys;
-use hive_common::{HiveConf, HiveError, Result, Row, Value};
+use hive_common::{HiveConf, HiveError, Result, Row};
 use hive_exec::agg::AggMode;
-use hive_exec::expr::ExprNode;
 use hive_exec::graph::OperatorGraph;
 use hive_exec::operators as ops;
 use hive_mapreduce::job::{
@@ -890,37 +889,15 @@ impl MapBuildSpec {
             PlanOp::MapJoin { sides } => {
                 let mut tables = Vec::with_capacity(sides.len());
                 for s in sides {
-                    let rows = side.get(&s.alias).ok_or_else(|| {
-                        HiveError::Execution(format!("side input `{}` missing", s.alias))
-                    })?;
-                    // Apply the build filter and prepend key columns so the
-                    // stored row layout is keys ++ columns.
-                    let mut built = Vec::with_capacity(rows.len());
-                    for r in rows {
-                        if let Some(f) = &s.build_filter {
-                            if !f.eval_predicate(r)? {
-                                continue;
-                            }
-                        }
-                        let mut vals: Vec<Value> = Vec::with_capacity(s.width);
-                        for k in &s.build_keys {
-                            vals.push(k.eval(r)?);
-                        }
-                        vals.extend(r.values().iter().cloned());
-                        built.push(Row::new(vals));
-                    }
-                    // Hash on the prepended key columns.
-                    let nk = s.build_keys.len();
-                    let hash_keys: Vec<ExprNode> = (0..nk).map(ExprNode::col).collect();
                     tables.push(ops::MapJoinTable::build(
-                        &built,
-                        &hash_keys,
+                        s.build_rows(side)?,
+                        s.build_keys.len(),
                         s.stream_keys.clone(),
                         s.join_type,
                         s.width,
-                    )?);
+                    ));
                 }
-                Box::new(ops::MapJoinOperator { tables })
+                Box::new(ops::MapJoinOperator::new(tables))
             }
             PlanOp::ReduceSink {
                 keys,
@@ -1004,10 +981,15 @@ impl ReduceBuildSpec {
                         ops::GroupByMode::Streaming,
                     ))
                 }
-                PlanOp::Join { kind, input_widths } => Box::new(ops::CommonJoinOperator::new(
+                PlanOp::Join {
+                    kind,
+                    input_widths,
+                    nk,
+                } => Box::new(ops::CommonJoinOperator::new(
                     input_widths.len(),
                     *kind,
                     input_widths.clone(),
+                    *nk,
                 )),
                 // A degenerate RS executes as a projection in place.
                 PlanOp::ReduceSink {

@@ -3,11 +3,12 @@
 //! boundary.
 
 use crate::catalog::TableMeta;
-use hive_common::{DataType, HiveError, Result};
+use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_exec::agg::AggFunction;
 use hive_exec::expr::{BinaryOp, ExprNode};
 use hive_exec::operators::JoinType;
 use hive_formats::SearchArgument;
+use std::collections::HashMap;
 
 /// A named, typed output column of a plan operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +68,36 @@ pub struct MapJoinSide {
     pub width: usize,
 }
 
+impl MapJoinSide {
+    /// The build side as both engines hash it: this side's broadcast rows
+    /// that pass `build_filter`, each prefixed with its evaluated build
+    /// keys (stored layout: keys ++ columns). A row with a NULL key is left
+    /// out: a NULL key never matches.
+    pub fn build_rows(&self, side: &HashMap<String, Vec<Row>>) -> Result<Vec<Row>> {
+        let rows = side
+            .get(&self.alias)
+            .ok_or_else(|| HiveError::Execution(format!("side input `{}` missing", self.alias)))?;
+        let mut built = Vec::with_capacity(rows.len());
+        for r in rows {
+            if let Some(f) = &self.build_filter {
+                if !f.eval_predicate(r)? {
+                    continue;
+                }
+            }
+            let mut vals: Vec<Value> = Vec::with_capacity(self.width);
+            for k in &self.build_keys {
+                vals.push(k.eval(r)?);
+            }
+            if vals.iter().any(Value::is_null) {
+                continue;
+            }
+            vals.extend(r.values().iter().cloned());
+            built.push(Row::new(vals));
+        }
+        Ok(built)
+    }
+}
+
 /// A plan operator.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
@@ -104,6 +135,8 @@ pub enum PlanOp {
         kind: JoinType,
         /// Input row widths (key + value), in tag order.
         input_widths: Vec<usize>,
+        /// Join-key columns leading every input row.
+        nk: usize,
     },
     /// Map-side join; the single parent is the big-table stream.
     MapJoin {
@@ -294,7 +327,9 @@ impl PlanGraph {
                     aggs.len()
                 ));
             }
-            PlanOp::Join { kind, input_widths } => {
+            PlanOp::Join {
+                kind, input_widths, ..
+            } => {
                 out.push_str(&format!(" {:?} {} inputs", kind, input_widths.len()));
             }
             PlanOp::MapJoin { sides } => {

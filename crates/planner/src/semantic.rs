@@ -782,12 +782,31 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
 
 /// Split a join condition into equi-key pairs `(left_expr, right_expr)`
 /// and residual conjuncts.
+///
+/// Keys are typed (`hive_common::key`): an INT key never equals a DOUBLE
+/// key. This being the one place key pairs are made, an INT = DOUBLE pair
+/// has its INT side cast to DOUBLE here, so both sides shuffle, hash and
+/// vectorize as one type. Any other type mismatch is left alone and never
+/// matches.
 #[allow(clippy::type_complexity)]
 fn split_join_condition<'a>(
     on: &'a Expr,
     left: &Rel,
     right: &Rel,
 ) -> Result<(Vec<(ExprNode, ExprNode)>, Vec<&'a Expr>)> {
+    let (left_schema, right_schema) = (left.schema(), right.schema());
+    let to_double = |e: ExprNode| ExprNode::Cast {
+        expr: Box::new(e),
+        target: DataType::Double,
+    };
+    let typed_alike = |l: ExprNode, r: ExprNode| {
+        let types = (expr_type(&l, &left_schema)?, expr_type(&r, &right_schema)?);
+        Ok::<_, HiveError>(match types {
+            (DataType::Int, DataType::Double) => (to_double(l), r),
+            (DataType::Double, DataType::Int) => (l, to_double(r)),
+            _ => (l, r),
+        })
+    };
     let mut equi = Vec::new();
     let mut residual = Vec::new();
     for conj in on.conjuncts() {
@@ -799,11 +818,11 @@ fn split_join_condition<'a>(
         {
             // Try (a over left, b over right), then flipped.
             if let (Ok(l), Ok(r)) = (resolve(a, left), resolve(b, right)) {
-                equi.push((l, r));
+                equi.push(typed_alike(l, r)?);
                 continue;
             }
             if let (Ok(l), Ok(r)) = (resolve(b, left), resolve(a, right)) {
-                equi.push((l, r));
+                equi.push(typed_alike(l, r)?);
                 continue;
             }
         }
@@ -951,6 +970,7 @@ fn add_reduce_join(
         PlanOp::Join {
             kind,
             input_widths: vec![nk + left.cols.len(), nk + right.cols.len()],
+            nk,
         },
         schema,
         vec![rs_l, rs_r],

@@ -26,7 +26,7 @@ use hive_exec::vector_ops::{
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
 use hive_vector::expressions as vx;
 use hive_vector::expressions::{Lane, Operand, VectorExpression};
-use hive_vector::mapjoin::{KeyPart, MapJoinHashTable, MapJoinKind, VectorMapJoinOperator};
+use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 use hive_vector::operators::{VectorFilterOperator, VectorSelectOperator};
 use hive_vector::DEFAULT_BATCH_SIZE;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -66,7 +66,7 @@ struct PendingJoin {
     key_expressions: Vec<Box<dyn VectorExpression>>,
     key_columns: Vec<(usize, DataType)>,
     stream_columns: Vec<(usize, DataType)>,
-    table: MapJoinHashTable,
+    table: MapJoinTable,
     build_width: usize,
 }
 
@@ -350,44 +350,19 @@ fn prepare_mapjoin(
     if build.len() != s.width || !build.iter().all(|ci| Lane::of(&ci.data_type).is_some()) {
         return Ok(None);
     }
-    // Probe keys over the current layout.
+    // Probe keys over the current layout. Key lanes are typed, so each must
+    // have its build key's type: BOOLEAN never meets INT through a shared
+    // long lane.
     let Some(key_columns) = c.typed_values(&s.stream_keys)? else {
         return Ok(None);
     };
-    let key_expressions = c.drain_pending();
-
-    // Build the hash table from the broadcast side, mirroring the row
-    // engine: filter, evaluate build keys, skip NULL keys, store the row as
-    // keys ++ columns. A key value the typed-key space cannot represent
-    // falls back to row mode.
-    let Some(rows) = side.get(&s.alias) else {
+    let key_types: Vec<DataType> = key_columns.iter().map(|(_, dt)| dt.clone()).collect();
+    let build_key_types = build[..key_types.len()].iter().map(|ci| &ci.data_type);
+    if !key_types.iter().eq(build_key_types) {
         return Ok(None);
-    };
-    let mut table = MapJoinHashTable::new();
-    for r in rows {
-        if let Some(f) = &s.build_filter {
-            if !f.eval_predicate(r)? {
-                continue;
-            }
-        }
-        let mut key = Vec::with_capacity(s.build_keys.len());
-        let mut vals: Vec<Value> = Vec::with_capacity(s.width);
-        let mut null_key = false;
-        for k in &s.build_keys {
-            let v = k.eval(r)?;
-            match KeyPart::from_value(&v) {
-                Ok(Some(part)) => key.push(part),
-                Ok(None) => null_key = true,
-                Err(_) => return Ok(None),
-            }
-            vals.push(v);
-        }
-        if null_key {
-            continue;
-        }
-        vals.extend(r.values().iter().cloned());
-        table.entry(key).or_default().push(Row::new(vals));
     }
+    let key_expressions = c.drain_pending();
+    let table = MapJoinTable::build(&key_types, s.build_rows(side)?)?;
 
     let stream_columns = c.layout_columns();
     Ok(Some(PendingJoin {

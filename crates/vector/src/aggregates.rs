@@ -728,7 +728,8 @@ mod tests {
     }
 
     #[test]
-    fn double_keys_group_by_bits() {
+    fn double_keys_group_by_the_key_rule() {
+        // One NaN whatever its payload; -0.0 and 0.0 apart (`key::double_bits`).
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
         let d = [0.0, -0.0, f64::NAN, nan2, 0.0, f64::NAN, -0.0, nan2, 1.5];
         let b = batch_with(&[], &d);
@@ -749,8 +750,7 @@ mod tests {
             [
                 (bits(0.0), 2),
                 (bits(-0.0), 2),
-                (bits(f64::NAN), 2),
-                (bits(nan2), 2),
+                (bits(f64::NAN), 4),
                 (bits(1.5), 1)
             ]
         );

@@ -1,18 +1,23 @@
-//! The key wrapper of vectorized GROUP BY — stage 1 of keyed aggregation
-//! (`aggregates.rs`, DESIGN.md §16), Hive's `VectorHashKeyWrapperBatch`: a
-//! batch's key columns in, one dense group id per selected row out.
+//! The key wrapper of the vector engine, Hive's `VectorHashKeyWrapperBatch`:
+//! a batch's key columns in, one dense id per selected row out. Keyed
+//! aggregation resolves its groups through it (`aggregates.rs`, DESIGN.md
+//! §16) and the map join its build and probe keys (`mapjoin.rs`).
 //!
-//! Each key column becomes one fixed-width `u64` lane — the long value, the
-//! `f64` bits (so `-0.0`, `0.0` and every NaN group by bits), or a bytes code
-//! from the column's [`Interner`] — and NULL is a bit in a trailing mask
-//! lane. The lane tuple is hashed in place and looked up in a [`HashIndex`],
-//! which confirms a candidate against the stored tuple: a hash match alone
-//! never identifies a group. A key is copied, once, only when it founds a
-//! group; a batch of known groups allocates nothing.
+//! This is the vector engine's representation of the key rule in
+//! `hive_common::key` (DESIGN.md "Keys"): each key column becomes one
+//! fixed-width `u64` lane — the long value, the double's `key::double_bits`
+//! (one NaN; `-0.0` and `0.0` apart), or a bytes code from the column's
+//! [`Interner`] — and NULL is a bit in a trailing mask lane. Lanes are typed
+//! by the key's `DataType`, which both users fix per wrapper, so two tuples
+//! are equal exactly when `key::cmp` calls their keys equal. The lane tuple
+//! is hashed in place and looked up in a [`HashIndex`], which confirms a
+//! candidate against the stored tuple: a hash match alone never identifies a
+//! key. [`KeyWrapper::resolve`] copies a key, once, when it is first seen;
+//! [`KeyWrapper::find`] only looks. A batch of known keys allocates nothing.
 
 use crate::batch::{ColumnVector, Lane, Rows, VectorizedRowBatch};
 use crate::row_convert::{bytes_value, long_value};
-use hive_common::{DataType, HiveError, Result, Value};
+use hive_common::{key, DataType, HiveError, Result, Value};
 
 /// A cheap multiplicative hash over 64-bit words (the FxHash step). The
 /// finishing fold-and-multiply makes every input bit reach the bits that
@@ -49,21 +54,35 @@ impl HashIndex {
         }
     }
 
-    /// The id of the key with this `hash` that `eq` confirms — or the next
-    /// dense id and `true`, upon which the caller appends the key to its
-    /// store. Linear probing; the load factor stays at or below one half,
-    /// and only an insertion ever allocates.
+    /// Linear probing for the key with this `hash` that `eq` confirms: its
+    /// id, or else the empty slot that ends its probe chain.
     #[inline]
-    fn find_or_insert(&mut self, hash: u32, mut eq: impl FnMut(usize) -> bool) -> (usize, bool) {
+    fn probe(
+        &self,
+        hash: u32,
+        mut eq: impl FnMut(usize) -> bool,
+    ) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut at = hash as usize & mask;
         loop {
             match self.slots[at] {
-                (_, EMPTY) => break,
-                (h, id) if h == hash && eq(id as usize) => return (id as usize, false),
+                (_, EMPTY) => return Err(at),
+                (h, id) if h == hash && eq(id as usize) => return Ok(id as usize),
                 _ => at = (at + 1) & mask,
             }
         }
+    }
+
+    /// The id of the key with this `hash` that `eq` confirms — or the next
+    /// dense id and `true`, upon which the caller appends the key to its
+    /// store. The load factor stays at or below one half, and only an
+    /// insertion ever allocates.
+    #[inline]
+    fn find_or_insert(&mut self, hash: u32, eq: impl FnMut(usize) -> bool) -> (usize, bool) {
+        let at = match self.probe(hash, eq) {
+            Ok(id) => return (id, false),
+            Err(at) => at,
+        };
         self.slots[at] = (hash, self.len as u32);
         self.len += 1;
         if self.len * 2 > self.slots.len() {
@@ -94,6 +113,8 @@ struct Interner {
 }
 
 const LONG: u64 = 0xFF << 56;
+/// The code of a long value the interner does not hold: no stored key has it.
+const ABSENT: u64 = u64::MAX;
 
 impl Interner {
     fn new() -> Interner {
@@ -104,14 +125,20 @@ impl Interner {
         }
     }
 
+    /// The code of `b`. A long value not seen before is interned when
+    /// `intern` is set and is [`ABSENT`] otherwise.
     #[inline]
-    fn code(&mut self, b: &[u8]) -> u64 {
+    fn code(&mut self, b: &[u8], intern: bool) -> u64 {
         if b.len() < 8 {
             return word(b) | (b.len() as u64) << 56;
         }
         let hash = hash_words(b.chunks(8).map(word).chain([b.len() as u64]));
         let (arena, offsets) = (&self.arena, &self.offsets);
         let eq = |id: usize| arena[offsets[id]..offsets[id + 1]] == *b;
+        if !intern {
+            let found = self.index.probe(hash, eq);
+            return found.map_or(ABSENT, |id| LONG | id as u64);
+        }
         let (id, new) = self.index.find_or_insert(hash, eq);
         if new {
             self.arena.extend_from_slice(b);
@@ -129,7 +156,7 @@ impl Interner {
     }
 }
 
-/// Group keys resolved so far. Group `g`'s key is the `width`-lane tuple at
+/// The keys resolved so far. Key `g` is the `width`-lane tuple at
 /// `store[g * width..]`: one lane per key column, then one NULL bit per
 /// column in the trailing mask lanes (a NULL key's own lane is 0).
 pub(crate) struct KeyWrapper {
@@ -144,6 +171,9 @@ pub(crate) struct KeyWrapper {
     lanes: Vec<u64>,
     gids: Vec<u32>,
 }
+
+/// What [`KeyWrapper::find`] answers for a row whose key is not stored.
+pub(crate) const MISS: u32 = u32::MAX;
 
 impl KeyWrapper {
     /// `keys`: batch column and logical type of each key, at least one.
@@ -163,19 +193,32 @@ impl KeyWrapper {
         self.index.len
     }
 
-    /// The group id of each selected row of `batch` (which has at least
-    /// one), in selection order, and the number of groups so far; ids are
-    /// dense and count up in first-seen order.
-    pub(crate) fn resolve(&mut self, batch: &VectorizedRowBatch) -> Result<(&[u32], usize)> {
-        let (w, nk) = (self.width, self.keys.len());
-        let lanes = &mut self.lanes;
-        // A key set that is all `is_repeating` is one tuple: one probe.
+    /// Batch column and logical type of each key.
+    pub(crate) fn keys(&self) -> &[(usize, DataType)] {
+        &self.keys
+    }
+
+    /// Read the keys from these batch columns from now on (a map join's
+    /// build and probe batches place the same keys differently).
+    pub(crate) fn rebind(&mut self, columns: impl IntoIterator<Item = usize>) {
+        for ((c, _), column) in self.keys.iter_mut().zip(columns) {
+            *c = column;
+        }
+    }
+
+    /// Whether every key column of `batch` repeats: the batch holds one key.
+    pub(crate) fn one_key(&self, batch: &VectorizedRowBatch) -> bool {
         let repeating = |(c, _): &(usize, DataType)| batch.columns[*c].is_repeating();
-        let n = if self.keys.iter().all(repeating) {
-            1
-        } else {
-            batch.size
-        };
+        self.keys.iter().all(repeating)
+    }
+
+    /// Write the key tuple of each selected row of `batch` into `lanes`
+    /// (one tuple for a batch of [one key](Self::one_key)). Unseen long
+    /// strings are interned only when `intern` is set.
+    fn fill(&mut self, batch: &VectorizedRowBatch, intern: bool) -> Result<()> {
+        let (w, nk) = (self.width, self.keys.len());
+        let n = if self.one_key(batch) { 1 } else { batch.size };
+        let lanes = &mut self.lanes;
         lanes.clear();
         lanes.resize(n * w, 0);
         for (k, ((c, dt), interner)) in self.keys.iter().zip(&mut self.interners).enumerate() {
@@ -189,14 +232,14 @@ impl KeyWrapper {
                     rows.each(|j, i| lanes[j * w + k] = v.vector[i] as u64)
                 }
                 (ColumnVector::Double(v), Some(Lane::Double)) => {
-                    rows.each(|j, i| lanes[j * w + k] = v.vector[i].to_bits())
+                    rows.each(|j, i| lanes[j * w + k] = key::double_bits(v.vector[i]))
                 }
                 (ColumnVector::Bytes(v), Some(Lane::Bytes)) => {
-                    rows.each(|j, i| lanes[j * w + k] = interner.code(v.value(i)))
+                    rows.each(|j, i| lanes[j * w + k] = interner.code(v.value(i), intern))
                 }
                 _ => {
                     return Err(HiveError::Execution(format!(
-                        "group key column {c} does not carry a {dt}"
+                        "key column {c} does not carry a {dt}"
                     )))
                 }
             }
@@ -209,9 +252,17 @@ impl KeyWrapper {
                 every_row.each(|j, i| lanes[j * w + lane] |= (null[i] as u64) << bit);
             }
         }
-        let (index, store) = (&mut self.index, &mut self.store);
+        Ok(())
+    }
+
+    /// The id of each selected row's key (`batch` has at least one row), in
+    /// selection order, and the number of keys so far; ids are dense and
+    /// count up in first-seen order.
+    pub(crate) fn resolve(&mut self, batch: &VectorizedRowBatch) -> Result<(&[u32], usize)> {
+        self.fill(batch, true)?;
+        let (w, index, store) = (self.width, &mut self.index, &mut self.store);
         self.gids.clear();
-        self.gids.extend(lanes.chunks_exact(w).map(|tuple| {
+        self.gids.extend(self.lanes.chunks_exact(w).map(|tuple| {
             let stored = |g: usize| store[g * w..][..w] == *tuple;
             let (g, new) = index.find_or_insert(hash_words(tuple.iter().copied()), stored);
             if new {
@@ -221,6 +272,29 @@ impl KeyWrapper {
         }));
         self.gids.resize(batch.size, self.gids[0]);
         Ok((&self.gids, self.index.len))
+    }
+
+    /// The id of each selected row's key, in selection order, or [`MISS`]
+    /// where the key was never resolved or has a NULL part (a join key with
+    /// a NULL in it matches nothing). Looks only: no key and no string is
+    /// stored.
+    pub(crate) fn find(&mut self, batch: &VectorizedRowBatch) -> Result<&[u32]> {
+        self.gids.clear();
+        if batch.size == 0 {
+            return Ok(&self.gids);
+        }
+        self.fill(batch, false)?;
+        let (w, nk, index, store) = (self.width, self.keys.len(), &self.index, &self.store);
+        self.gids.extend(self.lanes.chunks_exact(w).map(|tuple| {
+            if tuple[nk..].iter().any(|&mask| mask != 0) {
+                return MISS;
+            }
+            let stored = |g: usize| store[g * w..][..w] == *tuple;
+            let found = index.probe(hash_words(tuple.iter().copied()), stored);
+            found.map_or(MISS, |g| g as u32)
+        }));
+        self.gids.resize(batch.size, self.gids[0]);
+        Ok(&self.gids)
     }
 
     /// Group `g`'s key, as the values the row engine would shuffle.
@@ -289,6 +363,152 @@ mod tests {
         }
     }
 
+    /// `find` against the key rule itself: over every key lane (and all of
+    /// them as one five-column key), a probe row's id is the first resolved
+    /// row with a `key::cmp`-equal key, or MISS when there is none or the
+    /// key has a NULL part — and looking stores nothing.
+    #[test]
+    fn find_agrees_with_the_key_rule_and_stores_nothing() {
+        use crate::row_convert::rows_to_batch;
+        use hive_common::Row;
+        use DataType::*;
+        let types = [Int, Boolean, Timestamp, Double, String];
+        let nan2 = -f64::from_bits(f64::NAN.to_bits() | 1);
+        let row = |k: i64, b: bool, ts: i64, d: f64, s: &str| {
+            Row::new(vec![
+                Value::Int(k),
+                Value::Boolean(b),
+                Value::Timestamp(ts),
+                Value::Double(d),
+                Value::String(s.into()),
+            ])
+        };
+        let nulls = || Row::new(vec![Value::Null; 5]);
+        let batch_of = |rows: &[Row]| {
+            let mut b = VectorizedRowBatch::new(&types, rows.len()).unwrap();
+            rows_to_batch(rows, &mut b).unwrap();
+            b
+        };
+        let known = [
+            row(1, true, 5, 1.5, "interned-key-0"),
+            row(2, false, 6, f64::NAN, "ab"),
+            nulls(), // a key `resolve` stores, and `find` still never matches
+            row(0, false, 0, 0.0, ""),
+        ];
+        // (scenario, probe rows, every column `is_repeating`, selection)
+        type Scenario = (&'static str, Vec<Row>, bool, Option<Vec<usize>>);
+        let scenarios: [Scenario; 7] = [
+            (
+                "known",
+                vec![known[1].clone(), known[0].clone(), known[3].clone()],
+                false,
+                None,
+            ),
+            (
+                "NaN payloads and zeros",
+                vec![row(2, false, 6, nan2, "ab"), row(0, false, 0, -0.0, "")],
+                false,
+                None,
+            ),
+            (
+                "unknown short string",
+                vec![row(7, true, 9, 2.5, "zz"), known[0].clone()],
+                false,
+                None,
+            ),
+            (
+                "unknown long string",
+                vec![row(1, true, 5, 1.5, "interned-key-9"), known[0].clone()],
+                false,
+                None,
+            ),
+            (
+                "NULL part",
+                vec![nulls(), known[0].clone(), nulls()],
+                false,
+                None,
+            ),
+            (
+                "all is_repeating",
+                vec![known[0].clone(), known[1].clone(), known[1].clone()],
+                true,
+                None,
+            ),
+            (
+                "selected_in_use",
+                vec![
+                    known[0].clone(),
+                    nulls(),
+                    known[3].clone(),
+                    known[1].clone(),
+                ],
+                false,
+                Some(vec![3, 1, 2]),
+            ),
+        ];
+        let mut key_sets: Vec<Vec<usize>> = (0..types.len()).map(|c| vec![c]).collect();
+        key_sets.push((0..types.len()).collect());
+        for columns in key_sets {
+            let keys = columns.iter().map(|&c| (c, types[c].clone())).collect();
+            let mut wrapper = KeyWrapper::new(keys);
+            let key_of =
+                |r: &Row| -> Vec<Value> { columns.iter().map(|&c| r[c].clone()).collect() };
+            // The oracle's store: distinct keys in first-seen order.
+            let mut stored: Vec<Vec<Value>> = Vec::new();
+            for r in &known {
+                if !stored.iter().any(|k| key::cmp(k, &key_of(r)).is_eq()) {
+                    stored.push(key_of(r));
+                }
+            }
+            wrapper.resolve(&batch_of(&known)).unwrap();
+            assert_eq!(wrapper.num_groups(), stored.len(), "{columns:?}");
+            let sizes = |w: &KeyWrapper| {
+                let interned = |i: &Interner| (i.index.len, i.arena.len());
+                (
+                    w.num_groups(),
+                    w.store.len(),
+                    w.interners.iter().map(interned).collect::<Vec<_>>(),
+                )
+            };
+            let before = sizes(&wrapper);
+            for (what, rows, repeating, selection) in &scenarios {
+                let mut b = batch_of(rows);
+                let mut visited: Vec<usize> = (0..rows.len()).collect();
+                if *repeating {
+                    b.columns.iter_mut().for_each(|c| match c {
+                        ColumnVector::Long(v) => v.is_repeating = true,
+                        ColumnVector::Double(v) => v.is_repeating = true,
+                        ColumnVector::Bytes(v) => v.is_repeating = true,
+                    });
+                    visited.iter_mut().for_each(|i| *i = 0);
+                }
+                if let Some(sel) = selection {
+                    b.selected[..sel.len()].copy_from_slice(sel);
+                    b.selected_in_use = true;
+                    b.size = sel.len();
+                    visited = sel.clone();
+                }
+                let expect: Vec<u32> = visited
+                    .iter()
+                    .map(|&i| {
+                        let k = key_of(&rows[i]);
+                        let found = stored.iter().position(|s| key::cmp(s, &k).is_eq());
+                        let matchable = !k.iter().any(Value::is_null);
+                        found.filter(|_| matchable).map_or(MISS, |g| g as u32)
+                    })
+                    .collect();
+                assert_eq!(wrapper.find(&b).unwrap(), expect, "{what} over {columns:?}");
+                assert_eq!(
+                    sizes(&wrapper),
+                    before,
+                    "{what} over {columns:?} stored something"
+                );
+            }
+            let empty = VectorizedRowBatch::new(&types, 4).unwrap();
+            assert!(wrapper.find(&empty).unwrap().is_empty());
+        }
+    }
+
     #[test]
     fn interner_codes_are_equal_exactly_when_the_bytes_are() {
         let mut interner = Interner::new();
@@ -312,12 +532,13 @@ mod tests {
         .iter()
         .map(|s| s.as_bytes().to_vec())
         .collect();
-        let codes: Vec<u64> = values.iter().map(|v| interner.code(v)).collect();
+        let codes: Vec<u64> = values.iter().map(|v| interner.code(v, true)).collect();
         for (a, ca) in values.iter().zip(&codes) {
             for (b, cb) in values.iter().zip(&codes) {
                 assert_eq!(a == b, ca == cb, "{a:?} vs {b:?}");
             }
-            assert_eq!(interner.code(a), *ca, "codes are stable");
+            assert_eq!(interner.code(a, true), *ca, "codes are stable");
+            assert_eq!(interner.code(a, false), *ca, "looking finds the same code");
             assert_eq!(interner.value(*ca), bytes_value(a));
         }
         // Only the values of eight bytes and more were stored.

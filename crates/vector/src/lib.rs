@@ -26,5 +26,5 @@ pub use batch::{
     PrimitiveColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE,
 };
 pub use expressions::VectorExpression;
-pub use mapjoin::{KeyPart, MapJoinHashTable, MapJoinKind, VectorMapJoinOperator};
+pub use mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 pub use operators::{VectorFilterOperator, VectorOperator, VectorSelectOperator};

@@ -2,19 +2,23 @@
 //! is built once from the broadcast small side; probe batches flow through
 //! without row materialization until the join output itself.
 //!
-//! Probing is `selected[]`-aware and has an `is_repeating` fast path: when
-//! every key column of a batch repeats, one lookup serves the whole batch
-//! (the benefit run-length-encoded storage hands to execution). This is the
-//! one re-batching operator: it consumes probe batches and emits freshly
+//! Build and probe keys go through the same [`KeyWrapper`] that resolves
+//! GROUP BY keys (`key_wrapper.rs`; the key rule is DESIGN.md "Keys"): the
+//! build side's key columns are resolved, a batch at a time, to dense ids
+//! that index the stored rows, and a probe batch is one `find` — typed `u64`
+//! lanes, no per-row key object, a NULL key part matching nothing, and one
+//! lookup for a batch whose key columns all repeat (the benefit
+//! run-length-encoded storage hands to execution). This is the one
+//! re-batching operator: it consumes probe batches and emits freshly
 //! assembled output batches (stream columns ++ build columns), so a join
 //! followed by vectorized filters/aggregates never leaves batch mode.
 
-use crate::batch::{ColumnVector, VectorizedRowBatch};
+use crate::batch::{ColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use crate::expressions::VectorExpression;
+use crate::key_wrapper::{KeyWrapper, MISS};
 use crate::operators::VectorOperator;
 use crate::row_convert::set_value;
 use hive_common::{DataType, HiveError, Result, Row, Value};
-use std::collections::HashMap;
 
 /// Join shapes the vectorized operator supports; everything else keeps the
 /// row-mode fallback.
@@ -22,62 +26,6 @@ use std::collections::HashMap;
 pub enum MapJoinKind {
     Inner,
     LeftOuter,
-}
-
-/// One typed component of a join key. Distinct variants never compare
-/// equal, mirroring the row engine's typed key semantics (an integer key
-/// never matches a boolean or double key).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyPart {
-    Long(i64),
-    Bool(bool),
-    Ts(i64),
-    /// `f64::to_bits`, with every NaN normalized to one pattern so all NaNs
-    /// compare equal (as the row engine's key formatting makes them).
-    Double(u64),
-    Bytes(Vec<u8>),
-}
-
-fn double_bits(x: f64) -> u64 {
-    if x.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        x.to_bits()
-    }
-}
-
-impl KeyPart {
-    /// Convert a build-side value. `Ok(None)` means a NULL key (the row
-    /// never matches); `Err` means the type is not joinable vectorized.
-    pub fn from_value(v: &Value) -> Result<Option<KeyPart>> {
-        Ok(match v {
-            Value::Null => None,
-            Value::Int(x) => Some(KeyPart::Long(*x)),
-            Value::Boolean(b) => Some(KeyPart::Bool(*b)),
-            Value::Timestamp(x) => Some(KeyPart::Ts(*x)),
-            Value::Double(x) => Some(KeyPart::Double(double_bits(*x))),
-            Value::String(s) => Some(KeyPart::Bytes(s.as_bytes().to_vec())),
-            other => {
-                return Err(HiveError::Execution(format!(
-                    "value {other} is not a vectorizable join key"
-                )))
-            }
-        })
-    }
-}
-
-/// Read one probe key part from a batch column; `None` is a NULL key.
-fn probe_key_part(col: &ColumnVector, i: usize, dt: &DataType) -> Option<KeyPart> {
-    if col.is_null(i) {
-        return None;
-    }
-    Some(match (col, dt) {
-        (ColumnVector::Long(v), DataType::Boolean) => KeyPart::Bool(v.value(i) != 0),
-        (ColumnVector::Long(v), DataType::Timestamp) => KeyPart::Ts(v.value(i)),
-        (ColumnVector::Long(v), _) => KeyPart::Long(v.value(i)),
-        (ColumnVector::Double(v), _) => KeyPart::Double(double_bits(v.value(i))),
-        (ColumnVector::Bytes(v), _) => KeyPart::Bytes(v.value(i).to_vec()),
-    })
 }
 
 /// Copy one cell between same-shaped column vectors, honouring nulls and
@@ -99,87 +47,86 @@ fn copy_cell(src: &ColumnVector, i: usize, dst: &mut ColumnVector, j: usize) -> 
     Ok(())
 }
 
-/// The small-side hash table: typed key parts → stored rows laid out as
-/// build keys ++ projected build columns (the row engine's layout).
-pub type MapJoinHashTable = HashMap<Vec<KeyPart>, Vec<Row>>;
-
-/// Batch-at-a-time hash join against a broadcast small side.
-pub struct VectorMapJoinOperator {
-    pub kind: MapJoinKind,
-    /// Expressions computing probe-key scratch columns (run per batch).
-    pub key_expressions: Vec<Box<dyn VectorExpression>>,
-    /// Batch column index + logical type of each probe key.
-    pub key_columns: Vec<(usize, DataType)>,
-    /// Batch column index + logical type of each streamed output column.
-    pub stream_columns: Vec<(usize, DataType)>,
-    table: MapJoinHashTable,
-    /// Width of a stored build row (for null padding on outer misses).
-    build_width: usize,
-    out_types: Vec<DataType>,
-    batch_size: usize,
-    out: VectorizedRowBatch,
+/// The small-side hash table: a key's dense id → its stored rows, laid out
+/// as build keys ++ projected build columns (the row engine's layout).
+pub struct MapJoinTable {
+    keys: KeyWrapper,
+    rows_by_gid: Vec<Vec<Row>>,
     build_rows: u64,
-    probe_batches: u64,
-    repeat_probes: u64,
 }
 
-impl VectorMapJoinOperator {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        kind: MapJoinKind,
-        key_expressions: Vec<Box<dyn VectorExpression>>,
-        key_columns: Vec<(usize, DataType)>,
-        stream_columns: Vec<(usize, DataType)>,
-        table: MapJoinHashTable,
-        build_width: usize,
-        out_batch_types: &[DataType],
-        batch_size: usize,
-    ) -> Result<VectorMapJoinOperator> {
-        let build_rows = table.values().map(|v| v.len() as u64).sum();
-        Ok(VectorMapJoinOperator {
-            kind,
-            key_expressions,
-            key_columns,
-            stream_columns,
-            table,
-            build_width,
-            out_types: out_batch_types.to_vec(),
-            batch_size,
-            out: VectorizedRowBatch::new(out_batch_types, batch_size)?,
+impl MapJoinTable {
+    /// Build the table from the prepared small side: each row starts with
+    /// its key columns (of `key_types`, none NULL — a NULL key never
+    /// matches) and is stored whole.
+    pub fn build(key_types: &[DataType], rows: Vec<Row>) -> Result<MapJoinTable> {
+        let mut keys = KeyWrapper::new(key_types.iter().cloned().enumerate().collect());
+        let mut batch = VectorizedRowBatch::new(key_types, DEFAULT_BATCH_SIZE)?;
+        let mut gids = Vec::with_capacity(rows.len());
+        for chunk in rows.chunks(batch.max_size) {
+            batch.reset();
+            for (r, row) in chunk.iter().enumerate() {
+                for (c, col) in batch.columns.iter_mut().enumerate() {
+                    set_value(col, r, &row[c])?;
+                }
+            }
+            batch.size = chunk.len();
+            gids.extend_from_slice(keys.resolve(&batch)?.0);
+        }
+        let build_rows = rows.len() as u64;
+        let mut rows_by_gid = vec![Vec::new(); keys.num_groups()];
+        for (g, row) in gids.into_iter().zip(rows) {
+            rows_by_gid[g as usize].push(row);
+        }
+        Ok(MapJoinTable {
+            keys,
+            rows_by_gid,
             build_rows,
-            probe_batches: 0,
-            repeat_probes: 0,
         })
     }
+}
 
-    /// Append one output row: stream columns from `batch[i]`, then the
+/// The output side of the join: assembles stream columns ++ build columns
+/// into fresh batches.
+struct JoinOutput {
+    /// Batch column index + logical type of each streamed output column.
+    stream_columns: Vec<(usize, DataType)>,
+    /// Width of a stored build row (for null padding on outer misses).
+    build_width: usize,
+    types: Vec<DataType>,
+    batch_size: usize,
+    batch: VectorizedRowBatch,
+}
+
+impl JoinOutput {
+    /// Append one output row: stream columns from `probe[i]`, then the
     /// build row (or nulls on a preserved-side miss). Flushes when full.
     fn emit(
         &mut self,
-        batch: &VectorizedRowBatch,
+        probe: &VectorizedRowBatch,
         i: usize,
         build: Option<&Row>,
         out: &mut dyn FnMut(VectorizedRowBatch),
     ) -> Result<()> {
-        let j = self.out.size;
+        let j = self.batch.size;
         for (o, (c, _)) in self.stream_columns.iter().enumerate() {
-            copy_cell(&batch.columns[*c], i, &mut self.out.columns[o], j)?;
+            copy_cell(&probe.columns[*c], i, &mut self.batch.columns[o], j)?;
         }
         let base = self.stream_columns.len();
         match build {
             Some(row) => {
                 for (o, v) in row.values().iter().enumerate() {
-                    set_value(&mut self.out.columns[base + o], j, v)?;
+                    set_value(&mut self.batch.columns[base + o], j, v)?;
                 }
             }
             None => {
                 for o in 0..self.build_width {
-                    set_value(&mut self.out.columns[base + o], j, &Value::Null)?;
+                    set_value(&mut self.batch.columns[base + o], j, &Value::Null)?;
                 }
             }
         }
-        self.out.size = j + 1;
-        if self.out.size == self.out.max_size {
+        self.batch.size = j + 1;
+        if self.batch.size == self.batch.max_size {
             self.flush(out)?;
         }
         Ok(())
@@ -188,90 +135,60 @@ impl VectorMapJoinOperator {
     /// Hand the buffered output batch to `out`, replacing it with a fresh
     /// empty one.
     fn flush(&mut self, out: &mut dyn FnMut(VectorizedRowBatch)) -> Result<()> {
-        if self.out.size > 0 {
-            let fresh = VectorizedRowBatch::new(&self.out_types, self.batch_size)?;
-            out(std::mem::replace(&mut self.out, fresh));
+        if self.batch.size > 0 {
+            let fresh = VectorizedRowBatch::new(&self.types, self.batch_size)?;
+            out(std::mem::replace(&mut self.batch, fresh));
         }
         Ok(())
-    }
-
-    /// Look up the matches for the key at probe row `i`, or `None` when any
-    /// key part is NULL (a NULL key never matches).
-    fn matches_at(&self, batch: &VectorizedRowBatch, i: usize, key: &mut Vec<KeyPart>) -> bool {
-        key.clear();
-        for (c, dt) in &self.key_columns {
-            match probe_key_part(&batch.columns[*c], i, dt) {
-                Some(part) => key.push(part),
-                None => return false,
-            }
-        }
-        true
     }
 }
 
-impl VectorMapJoinOperator {
-    /// Probe every selected row of `batch`. The table is passed back in so
-    /// match slices borrow it while `self` stays mutably borrowable.
-    fn probe_all(
-        &mut self,
-        table: &MapJoinHashTable,
-        batch: &VectorizedRowBatch,
-        out: &mut dyn FnMut(VectorizedRowBatch),
-    ) -> Result<()> {
-        // is_repeating fast path: every key column repeats → one lookup
-        // serves the whole batch.
-        let all_repeating = !self.key_columns.is_empty()
-            && self
-                .key_columns
-                .iter()
-                .all(|(c, _)| match &batch.columns[*c] {
-                    ColumnVector::Long(v) => v.is_repeating,
-                    ColumnVector::Double(v) => v.is_repeating,
-                    ColumnVector::Bytes(v) => v.is_repeating,
-                });
-        let mut key = Vec::with_capacity(self.key_columns.len());
-        if all_repeating && batch.size > 0 {
-            self.repeat_probes += 1;
-            let matches = if self.matches_at(batch, 0, &mut key) {
-                table.get(&key)
-            } else {
-                None
-            };
-            match (matches, self.kind) {
-                (None, MapJoinKind::Inner) => {}
-                (None, MapJoinKind::LeftOuter) => {
-                    for i in batch.iter_selected() {
-                        self.emit(batch, i, None, out)?;
-                    }
-                }
-                (Some(rows), _) => {
-                    for i in batch.iter_selected() {
-                        for row in rows {
-                            self.emit(batch, i, Some(row), out)?;
-                        }
-                    }
-                }
-            }
-            return Ok(());
-        }
+/// Batch-at-a-time hash join against a broadcast small side.
+pub struct VectorMapJoinOperator {
+    pub kind: MapJoinKind,
+    /// Expressions computing probe-key scratch columns (run per batch).
+    pub key_expressions: Vec<Box<dyn VectorExpression>>,
+    table: MapJoinTable,
+    output: JoinOutput,
+    probe_batches: u64,
+    repeat_probes: u64,
+}
 
-        for i in batch.iter_selected() {
-            let matches = if self.matches_at(batch, i, &mut key) {
-                table.get(&key)
-            } else {
-                None
-            };
-            match (matches, self.kind) {
-                (Some(rows), _) => {
-                    for row in rows {
-                        self.emit(batch, i, Some(row), out)?;
-                    }
-                }
-                (None, MapJoinKind::LeftOuter) => self.emit(batch, i, None, out)?,
-                (None, MapJoinKind::Inner) => {}
-            }
+impl VectorMapJoinOperator {
+    /// `key_columns`: batch column index + logical type of each probe key;
+    /// the types must be the build keys' (lanes are typed by them).
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        kind: MapJoinKind,
+        key_expressions: Vec<Box<dyn VectorExpression>>,
+        key_columns: Vec<(usize, DataType)>,
+        stream_columns: Vec<(usize, DataType)>,
+        mut table: MapJoinTable,
+        build_width: usize,
+        out_batch_types: &[DataType],
+        batch_size: usize,
+    ) -> Result<VectorMapJoinOperator> {
+        let built = table.keys.keys().iter().map(|(_, dt)| dt);
+        if !key_columns.iter().map(|(_, dt)| dt).eq(built) {
+            return Err(HiveError::Execution(
+                "map-join probe keys are not typed like the build keys".into(),
+            ));
         }
-        Ok(())
+        table.keys.rebind(key_columns.iter().map(|(c, _)| *c));
+        Ok(VectorMapJoinOperator {
+            kind,
+            key_expressions,
+            table,
+            output: JoinOutput {
+                stream_columns,
+                build_width,
+                types: out_batch_types.to_vec(),
+                batch_size,
+                batch: VectorizedRowBatch::new(out_batch_types, batch_size)?,
+            },
+            probe_batches: 0,
+            repeat_probes: 0,
+        })
     }
 }
 
@@ -285,14 +202,25 @@ impl VectorOperator for VectorMapJoinOperator {
             e.evaluate(batch)?;
         }
         self.probe_batches += 1;
-        // Detach the table so match slices and `emit` coexist borrow-wise.
-        let table = std::mem::take(&mut self.table);
-        let result = self.probe_all(&table, batch, out);
-        self.table = table;
-        result?;
+        let MapJoinTable {
+            keys, rows_by_gid, ..
+        } = &mut self.table;
+        if batch.size > 0 && keys.one_key(batch) {
+            self.repeat_probes += 1;
+        }
+        let gids = keys.find(batch)?;
+        for (&g, i) in gids.iter().zip(batch.iter_selected()) {
+            if g != MISS {
+                for row in &rows_by_gid[g as usize] {
+                    self.output.emit(batch, i, Some(row), out)?;
+                }
+            } else if self.kind == MapJoinKind::LeftOuter {
+                self.output.emit(batch, i, None, out)?;
+            }
+        }
         // Flush the partial tail too: output batches never straddle input
         // batches, so there is no buffered state between `process` calls.
-        self.flush(out)?;
+        self.output.flush(out)?;
         Ok(false)
     }
 
@@ -306,7 +234,7 @@ impl VectorOperator for VectorMapJoinOperator {
     fn profile_detail(&self) -> Vec<(String, u64)> {
         vec![
             ("probe_batches".to_string(), self.probe_batches),
-            ("build_rows".to_string(), self.build_rows),
+            ("build_rows".to_string(), self.table.build_rows),
             ("repeat_probes".to_string(), self.repeat_probes),
         ]
     }
@@ -317,17 +245,11 @@ mod tests {
     use super::*;
     use crate::row_convert::{batch_to_rows, rows_to_batch};
 
-    fn table_from(rows: &[(i64, &str)]) -> MapJoinHashTable {
-        let mut t = MapJoinHashTable::new();
-        for (k, name) in rows {
-            t.entry(vec![KeyPart::Long(*k)])
-                .or_default()
-                .push(Row::new(vec![
-                    Value::Int(*k),
-                    Value::String((*name).to_string()),
-                ]));
-        }
-        t
+    fn table_from(rows: &[(i64, &str)]) -> MapJoinTable {
+        let stored = |(k, name): &(i64, &str)| {
+            Row::new(vec![Value::Int(*k), Value::String((*name).to_string())])
+        };
+        MapJoinTable::build(&[DataType::Int], rows.iter().map(stored).collect()).unwrap()
     }
 
     const OUT_COLS: [(usize, DataType); 4] = [
@@ -460,22 +382,61 @@ mod tests {
             .any(|(k, v)| k == "repeat_probes" && *v == 1));
     }
 
+    /// A one-column DOUBLE probe against a DOUBLE-keyed table whose stored
+    /// rows are just their key; returns the matched keys' bit patterns.
+    fn probe_doubles(build: &[f64], probe: &[f64]) -> Vec<u64> {
+        let row = |x: &f64| Row::new(vec![Value::Double(*x)]);
+        let table = MapJoinTable::build(&[DataType::Double], build.iter().map(row).collect());
+        let types = [DataType::Double, DataType::Double];
+        let mut op = VectorMapJoinOperator::new(
+            MapJoinKind::Inner,
+            vec![],
+            vec![(0, DataType::Double)],
+            vec![(0, DataType::Double)],
+            table.unwrap(),
+            1,
+            &types,
+            8,
+        )
+        .unwrap();
+        let mut batch = VectorizedRowBatch::new(&types[..1], 8).unwrap();
+        rows_to_batch(&probe.iter().map(row).collect::<Vec<_>>(), &mut batch).unwrap();
+        let mut matched = Vec::new();
+        let cols = [(1, DataType::Double)];
+        let mut out = |b: VectorizedRowBatch| {
+            for r in batch_to_rows(&b, &cols) {
+                matched.push(r[0].as_double().unwrap().to_bits());
+            }
+        };
+        op.process(&mut batch, &mut out).unwrap();
+        matched
+    }
+
     #[test]
-    fn key_parts_are_typed() {
-        assert_ne!(
-            KeyPart::from_value(&Value::Int(1)).unwrap(),
-            KeyPart::from_value(&Value::Boolean(true)).unwrap()
-        );
-        assert_eq!(KeyPart::from_value(&Value::Null).unwrap(), None);
-        assert!(KeyPart::from_value(&Value::Array(vec![])).is_err());
-        // NaN normalizes; -0.0 and 0.0 stay distinct (Debug-string parity).
+    fn keys_are_typed() {
+        // Lanes are typed by the key's DataType: an INT-keyed table cannot
+        // be probed by a BOOLEAN (or DOUBLE) column through a shared lane.
+        for probe in [DataType::Boolean, DataType::Timestamp, DataType::Double] {
+            let op = VectorMapJoinOperator::new(
+                MapJoinKind::Inner,
+                vec![],
+                vec![(0, probe.clone())],
+                vec![(0, probe.clone())],
+                table_from(&[(1, "one")]),
+                2,
+                &[probe.clone(), DataType::Int, DataType::String],
+                4,
+            );
+            assert!(op.is_err(), "{probe} probe against an INT build key");
+        }
+        let arr = DataType::Array(Box::new(DataType::Int));
+        assert!(MapJoinTable::build(&[arr], vec![]).is_err());
+        // NaN is one key; -0.0 and 0.0 stay distinct (the key rule).
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
         assert_eq!(
-            KeyPart::from_value(&Value::Double(f64::NAN)).unwrap(),
-            KeyPart::from_value(&Value::Double(-f64::NAN)).unwrap()
+            probe_doubles(&[f64::NAN, 0.0], &[-nan2, -0.0, 0.0, 1.0]),
+            [f64::NAN.to_bits(), 0.0f64.to_bits()]
         );
-        assert_ne!(
-            KeyPart::from_value(&Value::Double(0.0)).unwrap(),
-            KeyPart::from_value(&Value::Double(-0.0)).unwrap()
-        );
+        assert_eq!(probe_doubles(&[-0.0], &[0.0, -0.0]), [(-0.0f64).to_bits()]);
     }
 }

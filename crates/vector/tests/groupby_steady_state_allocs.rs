@@ -1,13 +1,15 @@
 //! Pins the property the speed of vectorized GROUP BY depends on: once a
 //! batch's groups exist, `process()` allocates nothing — no key is copied,
-//! no state is boxed, every scratch buffer is reused. A counting global
-//! allocator observes it; this file is its own test binary so no other test
-//! runs under that allocator.
+//! no state is boxed, every scratch buffer is reused — and the same for the
+//! map join's probe, which resolves keys through the same wrapper. A
+//! counting global allocator observes it; this file is its own test binary
+//! so no other test runs under that allocator.
 
 use hive_common::{DataType, Row, Value};
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
+use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 use hive_vector::row_convert::rows_to_batch;
-use hive_vector::VectorizedRowBatch;
+use hive_vector::{VectorOperator, VectorizedRowBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -189,5 +191,62 @@ fn string_extremes_allocate_only_when_adopted() {
     assert!(
         allocations <= adoptions,
         "{allocations} allocations for {adoptions} adopted extremes"
+    );
+}
+
+#[test]
+fn map_join_probes_that_miss_cost_no_allocation() {
+    // Build keys the probe batches come close to but never hold: a known
+    // long with an unknown double, known leading parts with an interned
+    // string nobody stored, and so on. Looking must not intern the probe's
+    // long strings either.
+    let stored = |k: i64, d: f64, f: &str, a: &str| {
+        let key = [
+            Value::Int(k),
+            Value::Double(d),
+            Value::String(f.into()),
+            Value::String(a.into()),
+        ];
+        Row::new(
+            key.into_iter()
+                .chain([Value::String("payload".into())])
+                .collect(),
+        )
+    };
+    let build = vec![
+        stored(1, 9.5, "f1", "a-key-long-enough-1"),
+        stored(1, 0.5, "f9", "a-key-long-enough-1"),
+        stored(1, 0.5, "f1", "a-key-nobody-probes-for"),
+        stored(99, 0.5, "f1", "a-key-long-enough-1"),
+    ];
+    let table = MapJoinTable::build(&TYPES[..4], build).unwrap();
+    let mut out_types = vec![DataType::Int];
+    out_types.extend_from_slice(&TYPES[..4]);
+    out_types.push(DataType::String);
+    let mut join = VectorMapJoinOperator::new(
+        MapJoinKind::Inner,
+        vec![],
+        keys(),
+        vec![(4, DataType::Int)],
+        table,
+        5,
+        &out_types,
+        ROWS,
+    )
+    .unwrap();
+    let mut batches: Vec<VectorizedRowBatch> = (0..4).map(batch).collect();
+    let mut emitted = 0usize;
+    let mut count = |b: VectorizedRowBatch| emitted += b.size;
+    // Warm-up: the first probe sizes the wrapper's two scratch buffers.
+    join.process(&mut batches[0], &mut count).unwrap();
+    let allocations = allocations_during(|| {
+        for round in 0..100 {
+            join.process(&mut batches[round % 4], &mut count).unwrap();
+        }
+    });
+    assert_eq!(emitted, 0, "no probe key is a build key");
+    assert_eq!(
+        allocations, 0,
+        "a probe batch that misses must not allocate"
     );
 }

@@ -241,3 +241,80 @@ fn unnecessary_map_phase_elimination_shape() {
     assert_eq!(merged.rows, unmerged.rows);
     assert!(merged.report.sim_total_s < unmerged.report.sim_total_s);
 }
+
+/// The key rule (`hive_common::key`) end to end: NaN is one group and one
+/// sort position (last), `0.0` keeps its own group, and an INT key joins a
+/// DOUBLE key — with identical rows whichever engine runs the map side and
+/// whichever join strategy the planner picks.
+#[test]
+fn key_rule_holds_across_engines_and_join_strategies() {
+    // 300 rows in three files: 92 NaN scattered among 4 `0.0` and the 50
+    // values 1.0..=50.0.
+    let nan2 = -f64::from_bits(f64::NAN.to_bits() | 1);
+    let mut values = (1..=50).cycle().map(f64::from);
+    let d: Vec<f64> = (0..300)
+        .map(|i| match i {
+            10 | 110 | 200 | 290 => 0.0,
+            _ if i % 3 == 0 && i < 276 => [f64::NAN, nan2][i % 2],
+            _ => values.next().unwrap(),
+        })
+        .collect();
+    assert_eq!(d.iter().filter(|x| x.is_nan()).count(), 92);
+
+    let mut answers = Vec::new();
+    for (vectorized, map_join) in [(true, true), (true, false), (false, true), (false, false)] {
+        let on_off = |on| if on { "true" } else { "false" };
+        let mut s = HiveSession::in_memory();
+        s.set(keys::VECTORIZED_ENABLED, on_off(vectorized));
+        s.set(keys::AUTO_CONVERT_JOIN, on_off(map_join));
+        for ddl in [
+            "CREATE TABLE nanny (id BIGINT, d DOUBLE) STORED AS orc",
+            "CREATE TABLE a (k BIGINT) STORED AS orc",
+            "CREATE TABLE b (d DOUBLE, name STRING) STORED AS orc",
+        ] {
+            s.execute(ddl).unwrap();
+        }
+        for (file, chunk) in d.chunks(100).enumerate() {
+            let row = |(i, x): (usize, &f64)| {
+                Row::new(vec![Value::Int((file * 100 + i) as i64), Value::Double(*x)])
+            };
+            s.load_rows("nanny", chunk.iter().enumerate().map(row))
+                .unwrap();
+        }
+        s.load_rows("a", (1..=7).map(|k| Row::new(vec![Value::Int(k)])))
+            .unwrap();
+        let b_row = |k: i64| {
+            Row::new(vec![
+                Value::Double(k as f64),
+                Value::String(format!("n{k}")),
+            ])
+        };
+        s.load_rows("b", (1..=7).map(b_row)).unwrap();
+        let mut run = |sql: &str| -> Vec<String> {
+            let rows = s.execute(sql).unwrap().rows;
+            let cells = |r: &Row| r.values().iter().map(Value::to_string).collect::<Vec<_>>();
+            rows.iter().map(|r| cells(r).join(" ")).collect()
+        };
+        let ctx = format!("vectorized={vectorized} map_join={map_join}");
+
+        let groups = run("SELECT d, COUNT(*) FROM nanny GROUP BY d ORDER BY d");
+        assert_eq!(groups.len(), 52, "{ctx}: {groups:?}");
+        assert_eq!(groups[0], "0.0 4", "{ctx}");
+        assert_eq!(groups[1], "1.0 5", "{ctx}");
+        assert_eq!(groups[51], "NaN 92", "{ctx}");
+
+        let first = run("SELECT d FROM nanny ORDER BY d LIMIT 5");
+        assert_eq!(first, ["0.0", "0.0", "0.0", "0.0", "1.0"], "{ctx}");
+        let last = run("SELECT d FROM nanny ORDER BY d DESC LIMIT 5");
+        assert_eq!(last, ["NaN"; 5], "{ctx}");
+
+        let joined = run("SELECT a.k, b.d, b.name FROM a JOIN b ON (a.k = b.d) ORDER BY a.k");
+        let expect: Vec<String> = (1..=7).map(|k| format!("{k} {k}.0 n{k}")).collect();
+        assert_eq!(joined, expect, "{ctx}");
+        let flipped = run("SELECT a.k, b.name FROM b JOIN a ON (b.d = a.k) ORDER BY a.k");
+        assert_eq!(flipped.len(), 7, "{ctx}: {flipped:?}");
+
+        answers.push((groups, first, last, joined, flipped));
+    }
+    assert!(answers.iter().all(|a| *a == answers[0]));
+}

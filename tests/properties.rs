@@ -9,7 +9,7 @@
 //!   expressions on arbitrary data — the equivalence Fig. 12 rests on.
 
 use hive::codec::block::{BlockCodec, Compression, DeflateLikeCodec, NoneCodec, SnappyLikeCodec};
-use hive::common::{DataType, Row, Schema, Value};
+use hive::common::{key, DataType, Key, Row, Schema, Value};
 use hive::dfs::{Dfs, DfsConfig};
 use hive::formats::orc::reader::{OrcReadOptions, OrcReader};
 use hive::formats::orc::writer::{OrcWriter, OrcWriterOptions};
@@ -314,19 +314,81 @@ proptest! {
 
     #[test]
     fn shuffle_key_comparison_is_total_order(
-        a in proptest::collection::vec(any::<i32>(), 0..4),
-        b in proptest::collection::vec(any::<i32>(), 0..4),
-        c in proptest::collection::vec(any::<i32>(), 0..4),
+        a in key_strategy(),
+        b in key_strategy(),
+        c in key_strategy(),
     ) {
-        use hive::mapreduce::engine::cmp_keys;
-        let ka: Vec<Value> = a.into_iter().map(|v| Value::Int(v as i64)).collect();
-        let kb: Vec<Value> = b.into_iter().map(|v| Value::Int(v as i64)).collect();
-        let kc: Vec<Value> = c.into_iter().map(|v| Value::Int(v as i64)).collect();
-        // Antisymmetry and transitivity (spot checks).
-        prop_assert_eq!(cmp_keys(&ka, &kb), cmp_keys(&kb, &ka).reverse());
-        if cmp_keys(&ka, &kb).is_le() && cmp_keys(&kb, &kc).is_le() {
-            prop_assert!(cmp_keys(&ka, &kc).is_le());
+        use std::cmp::Ordering;
+        // A total order: reflexive, antisymmetric, transitive.
+        prop_assert_eq!(key::cmp(&a, &a), Ordering::Equal);
+        prop_assert_eq!(key::cmp(&a, &b), key::cmp(&b, &a).reverse());
+        if key::cmp(&a, &b).is_le() && key::cmp(&b, &c).is_le() {
+            prop_assert!(key::cmp(&a, &c).is_le(), "{:?} {:?} {:?}", a, b, c);
         }
+        // One rule: `Key`'s equality is the order's, and equal keys hash alike.
+        let (ka, kb) = (Key(a.clone()), Key(b.clone()));
+        prop_assert_eq!(key::cmp(&a, &b) == Ordering::Equal, ka == kb);
+        prop_assert_eq!(ka.cmp(&kb), key::cmp(&a, &b));
+        if ka == kb {
+            prop_assert_eq!(key::hash(&a), key::hash(&b), "{:?} {:?}", a, b);
+        }
+    }
+}
+
+/// One key column's value: every key type, NULL, two NaN payloads, both
+/// zeros, the empty string, and strings on both sides of the vector engine's
+/// 8-byte interning threshold.
+fn key_value_pool() -> Vec<Value> {
+    let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+    let doubles = [0.0, -0.0, f64::NAN, -nan2, 1.5, -2.25, f64::INFINITY];
+    let strings = ["", "a", "ab", "1234567", "12345678", "interned-key-0"];
+    let mut pool = vec![Value::Null, Value::Boolean(false), Value::Boolean(true)];
+    pool.extend([-1, 0, 1, i64::MAX].map(Value::Int));
+    pool.extend([0, 1].map(Value::Timestamp));
+    pool.extend(doubles.map(Value::Double));
+    pool.extend(strings.map(|s| Value::String(s.into())));
+    pool
+}
+
+/// Keys of zero to three columns over [`key_value_pool`].
+fn key_strategy() -> impl Strategy<Value = Vec<Value>> {
+    let pool = key_value_pool();
+    let value = (0..pool.len()).prop_map(move |i| pool[i].clone());
+    proptest::collection::vec(value, 0..4)
+}
+
+/// `key::hash` decides which reducer a key goes to, so every non-NaN key
+/// must hash exactly as it did before the rule moved into `hive_common::key`
+/// (values recorded from the previous `Value::shuffle_hash`): partition
+/// assignment, un-`ORDER`ed row order and the goldens depend on it.
+#[test]
+fn key_hash_of_non_nan_keys_is_pinned() {
+    use Value::*;
+    let s = |x: &str| String(x.into());
+    let pinned: [(Vec<Value>, u64); 20] = [
+        (vec![], 0xcbf29ce484222325),
+        (vec![Null], 0xb03e204c8774ce18),
+        (vec![Boolean(false)], 0xaf63cd4c8601d30f),
+        (vec![Boolean(true)], 0xaf63cc4c8601d15c),
+        (vec![Int(0)], 0xaf63bd4c8601b7df),
+        (vec![Int(-1)], 0x509c41b379fe466e),
+        (vec![Int(42)], 0xaf63a74c8601927d),
+        (vec![Int(i64::MAX)], 0xd09c41b379fe466e),
+        (vec![Timestamp(86_400_000)], 0x91bfbd473aa40bdf),
+        (vec![Double(0.0)], 0xaf63bd4c8601b7df),
+        (vec![Double(-0.0)], 0x2f63bd4c8601b7df),
+        (vec![Double(1.5)], 0xd02bbd4c8601b7df),
+        (vec![Double(f64::INFINITY)], 0x0293bd4c8601b7df),
+        (vec![s("")], 0xaf66ca4c8606e6f6),
+        (vec![s("a")], 0x0898f107b53ff261),
+        (vec![s("interned-key-0")], 0x4e0d8ffbcb768828),
+        (vec![Int(7), s("g2")], 0x2ce33065e5c8494c),
+        (vec![Null, Double(-2.25), Boolean(true)], 0x7f43b847e0a466bb),
+        (vec![s("ab"), s("c")], 0x9e856b483666fa21),
+        (vec![s("a"), s("bc")], 0xb0a95476f1ab463b),
+    ];
+    for (k, hash) in pinned {
+        assert_eq!(key::hash(&k), hash, "{k:?}");
     }
 }
 
@@ -435,10 +497,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential row-vs-vector map-join harness: arbitrary build/probe tables
-// (nulls, duplicate keys, empty sides) must produce byte-identical sorted
-// results through the row-mode and vectorized map-join operators, and the
-// vectorized run must actually have used the vectorized operator.
+// Differential join harness: arbitrary build/probe tables (nulls, duplicate
+// keys, empty sides, NaN and -0.0 keys, one- and two-column keys, an INT
+// key joined to a DOUBLE key) must produce identical sorted results through
+// the row-mode and vectorized map-join operators *and* the reduce-side join
+// — three consumers of the one key rule — and the vectorized map-join run
+// must actually have used the vectorized operator.
 // ---------------------------------------------------------------------------
 
 /// Join keys from a narrow per-type pool so duplicates, matches, misses and
@@ -452,13 +516,19 @@ fn join_key_strategy(dt: &DataType) -> BoxedStrategy<Value> {
             Just(Value::String("bb".into())),
             Just(Value::String("ccc".into())),
             Just(Value::String(String::new())),
+            Just(Value::String("interned-key-0".into())),
+            Just(Value::String("interned-key-1".into())),
         ]
         .boxed(),
         DataType::Timestamp => (0i64..4).prop_map(Value::Timestamp).boxed(),
         DataType::Double => prop_oneof![
             Just(Value::Double(0.0)),
+            Just(Value::Double(-0.0)),
+            Just(Value::Double(1.0)),
             Just(Value::Double(1.5)),
             Just(Value::Double(-2.25)),
+            Just(Value::Double(f64::NAN)),
+            Just(Value::Double(-f64::NAN)),
         ]
         .boxed(),
         _ => unreachable!("join-key types only"),
@@ -466,7 +536,18 @@ fn join_key_strategy(dt: &DataType) -> BoxedStrategy<Value> {
     prop_oneof![4 => non_null, 1 => Just(Value::Null)].boxed()
 }
 
-fn join_tables_strategy() -> impl Strategy<Value = (DataType, Vec<Value>, Vec<Value>)> {
+/// Key column types of the probe and the build table, and their key rows.
+type JoinTables = (
+    Vec<DataType>,
+    Vec<DataType>,
+    Vec<Vec<Value>>,
+    Vec<Vec<Value>>,
+);
+
+/// Three shapes: one key column of any key type on both sides, the same
+/// plus a BIGINT second key column, and an INT probe key against a DOUBLE
+/// build key (`split_join_condition` casts the INT side).
+fn join_tables_strategy() -> impl Strategy<Value = JoinTables> {
     let dt = prop_oneof![
         Just(DataType::Int),
         Just(DataType::Boolean),
@@ -474,70 +555,82 @@ fn join_tables_strategy() -> impl Strategy<Value = (DataType, Vec<Value>, Vec<Va
         Just(DataType::Timestamp),
         Just(DataType::Double),
     ];
-    dt.prop_flat_map(|dt| {
-        let build = proptest::collection::vec(join_key_strategy(&dt), 0..16);
-        let probe = proptest::collection::vec(join_key_strategy(&dt), 1..120);
-        (Just(dt), build, probe)
+    let types = (dt, 0usize..3).prop_map(|(dt, shape)| match shape {
+        0 => (vec![dt.clone()], vec![dt]),
+        1 => (vec![dt.clone(), DataType::Int], vec![dt, DataType::Int]),
+        _ => (vec![DataType::Int], vec![DataType::Double]),
+    });
+    types.prop_flat_map(|(probe_types, build_types)| {
+        let keys = |types: &[DataType]| types.iter().map(join_key_strategy).collect::<Vec<_>>();
+        let build = proptest::collection::vec(keys(&build_types), 0..16);
+        let probe = proptest::collection::vec(keys(&probe_types), 1..120);
+        (Just(probe_types), Just(build_types), build, probe)
     })
 }
 
 fn join_session(
-    build: &[Value],
-    probe: &[Value],
-    dt: &DataType,
+    (probe_types, build_types, build, probe): &JoinTables,
     vectorize: bool,
+    map_join: bool,
 ) -> hive::HiveSession {
-    let sql_type = match dt {
-        DataType::Int => "BIGINT",
-        DataType::Boolean => "BOOLEAN",
-        DataType::String => "STRING",
-        DataType::Timestamp => "TIMESTAMP",
-        DataType::Double => "DOUBLE",
-        _ => unreachable!(),
+    let columns = |types: &[DataType]| -> String {
+        let sql_type = |dt: &DataType| match dt {
+            DataType::Int => "BIGINT",
+            DataType::Boolean => "BOOLEAN",
+            DataType::String => "STRING",
+            DataType::Timestamp => "TIMESTAMP",
+            DataType::Double => "DOUBLE",
+            _ => unreachable!(),
+        };
+        let column = |(i, dt)| format!("k{i} {}, ", sql_type(dt));
+        types.iter().enumerate().map(column).collect()
     };
+    let on_off = |on| if on { "true" } else { "false" };
     let mut hive = hive::HiveSession::in_memory();
     hive.set(
         hive::common::config::keys::VECTORIZED_ENABLED,
-        if vectorize { "true" } else { "false" },
+        on_off(vectorize),
     );
-    hive.execute(&format!(
-        "CREATE TABLE build_t (k {sql_type}, name STRING) STORED AS orc"
-    ))
-    .unwrap();
-    hive.load_rows(
+    hive.set(
+        hive::common::config::keys::AUTO_CONVERT_JOIN,
+        on_off(map_join),
+    );
+    let mut load =
+        |table: &str, ddl: String, keys: &[Vec<Value>], tail: &dyn Fn(usize) -> Value| {
+            hive.execute(&ddl).unwrap();
+            let row = |(i, k): (usize, &Vec<Value>)| {
+                Row::new(k.iter().cloned().chain([tail(i)]).collect())
+            };
+            hive.load_rows(table, keys.iter().enumerate().map(row))
+                .unwrap();
+        };
+    load(
         "build_t",
-        build
-            .iter()
-            .enumerate()
-            .map(|(i, k)| Row::new(vec![k.clone(), Value::String(format!("b{i}"))])),
-    )
-    .unwrap();
-    hive.execute(&format!(
-        "CREATE TABLE probe_t (k {sql_type}, id BIGINT) STORED AS orc"
-    ))
-    .unwrap();
-    hive.load_rows(
+        format!(
+            "CREATE TABLE build_t ({}name STRING) STORED AS orc",
+            columns(build_types)
+        ),
+        build,
+        &|i| Value::String(format!("b{i}")),
+    );
+    load(
         "probe_t",
-        probe
-            .iter()
-            .enumerate()
-            .map(|(i, k)| Row::new(vec![k.clone(), Value::Int(i as i64)])),
-    )
-    .unwrap();
+        format!(
+            "CREATE TABLE probe_t ({}id BIGINT) STORED AS orc",
+            columns(probe_types)
+        ),
+        probe,
+        &|i| Value::Int(i as i64),
+    );
     hive
 }
 
-fn sorted_rows(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.values().iter().zip(b.values()) {
-            let c = x.sql_cmp(y);
-            if c != std::cmp::Ordering::Equal {
-                return c;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    rows
+/// Rows as keys in key order: results compare by the key rule (NaN equals
+/// NaN, `-0.0` differs from `0.0`), whatever order the engine returned.
+fn sorted_rows(rows: Vec<Row>) -> Vec<Key> {
+    let mut keys: Vec<Key> = rows.into_iter().map(|r| Key(r.into_values())).collect();
+    keys.sort();
+    keys
 }
 
 // ---------------------------------------------------------------------------
@@ -615,7 +708,7 @@ proptest! {
     ) {
         // Reference: a fresh single-use session per query — nothing shared,
         // nothing cached across statements.
-        let expected: Vec<Vec<Row>> = batch
+        let expected: Vec<Vec<Key>> = batch
             .iter()
             .map(|&(t, th)| {
                 let mut fresh = cache_builder(true).build().unwrap();
@@ -1080,7 +1173,8 @@ const GROUP_KEYS: [&str; 12] = [
 /// s STRING, b BOOLEAN, ts TIMESTAMP)`: a WHERE template (0 = none, which
 /// leaves `selected_in_use` off) plus a grouped aggregate (over an int or
 /// string key, or — shapes 5 and up — every aggregate kind over
-/// `GROUP_KEYS[group]`) or an expression projection. `lit` picks the edge
+/// `GROUP_KEYS[group]`, shape 7 without the extremes of `d`) or an
+/// expression projection. `lit` picks the edge
 /// literal the arithmetic / comparison templates use, in WHERE *and*
 /// SELECT-list position; a template over a numeric column reads the string
 /// bound as `0`, one over `s` reads a numeric literal as `'g2'`.
@@ -1117,10 +1211,16 @@ fn full_query(filter: usize, th: i64, shape: usize, lit: usize, group: usize) ->
         ),
         _ => format!(
             "SELECT {keys}, COUNT(*) AS n, COUNT(s) AS ns, SUM(v) AS sv, SUM(d) AS sd, \
-             AVG(v) AS av, AVG(d) AS ad, MIN(v) AS nv, MAX(v) AS xv, MIN(d) AS nd, \
-             MAX(d) AS xd, MIN(s) AS nst, MAX(s) AS xst, MIN(b) AS nb, MAX(b) AS xb, \
+             AVG(v) AS av, AVG(d) AS ad, MIN(v) AS nv, MAX(v) AS xv, {extremes_of_d}\
+             MIN(s) AS nst, MAX(s) AS xst, MIN(b) AS nb, MAX(b) AS xb, \
              MIN(ts) AS nts, MAX(ts) AS xts FROM t{w} GROUP BY {keys}",
-            keys = GROUP_KEYS[group]
+            keys = GROUP_KEYS[group],
+            // Shape 7 compares no `d`, so its data keeps its NaNs.
+            extremes_of_d = if shape == 7 {
+                ""
+            } else {
+                "MIN(d) AS nd, MAX(d) AS xd, "
+            }
         ),
     }
 }
@@ -1131,8 +1231,11 @@ fn full_query_rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     let k = prop_oneof![4 => (0i64..8).prop_map(Value::Int), 1 => Just(Value::Null)];
     let v = prop_oneof![4 => (-500i64..500).prop_map(Value::Int), 1 => Just(Value::Null)];
     let d = prop_oneof![
-        4 => (-64i32..64).prop_map(|x| Value::Double(x as f64 / 4.0)),
-        1 => Just(Value::Null)
+        8 => (-64i32..64).prop_map(|x| Value::Double(x as f64 / 4.0)),
+        2 => Just(Value::Null),
+        1 => Just(Value::Double(-0.0)),
+        1 => Just(Value::Double(f64::NAN)),
+        1 => Just(Value::Double(-f64::from_bits(f64::NAN.to_bits() | 1))),
     ];
     let s = prop_oneof![
         4 => (0u8..5).prop_map(|x| Value::String(format!("g{x}"))),
@@ -1232,6 +1335,23 @@ proptest! {
         group in 0usize..GROUP_KEYS.len(),
     ) {
         let sql = full_query(filter, th, shape, lit, group);
+        // NaN is a *key* here (GROUP BY d, and whatever SUM / AVG carry it):
+        // a statement that compares `d` — in a predicate, MIN or MAX — gets
+        // its NaNs replaced, because what a comparison makes of NaN is
+        // `sql_cmp`'s rule, not the key rule (the engines still differ
+        // there: ROADMAP 6(a)).
+        let compares_d = matches!(shape, 3..=6) || filter == 9;
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|r| match r[2] {
+                Value::Double(x) if x.is_nan() && compares_d => {
+                    let mut vals = r.into_values();
+                    vals[2] = Value::Double(0.75);
+                    Row::new(vals)
+                }
+                _ => r,
+            })
+            .collect();
 
         let mut vec_s = full_query_session(&rows, true);
         let vec_rows = vec_s.execute(&sql).unwrap().rows;
@@ -1240,9 +1360,14 @@ proptest! {
             .unwrap()
             .explain
             .unwrap();
+        // The one statement here with no vectorized operator at all: shape
+        // 4's `v + 0.0 > k` is a double col-col comparison in value position,
+        // a kernel the catalogue lacks (ROADMAP "Catalogue gaps"), and
+        // without a WHERE there is no VectorFilter ahead of it either.
+        let known_gap = filter == 0 && shape == 4 && EDGE_LITERALS[lit] == "0.0";
         prop_assert!(
-            vec_text.contains("Vector"),
-            "query silently fell back to row mode:\n{vec_text}"
+            vec_text.contains("Vector") || known_gap,
+            "query silently fell back to row mode on {sql}:\n{vec_text}"
         );
 
         let mut row_s = full_query_session(&rows, false);
@@ -1516,33 +1641,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn vectorized_mapjoin_matches_row_mapjoin(
-        (dt, build, probe) in join_tables_strategy(),
-    ) {
+    fn vectorized_mapjoin_matches_row_mapjoin(tables in join_tables_strategy()) {
+        let on: Vec<String> = (0..tables.0.len())
+            .map(|i| format!("probe_t.k{i} = build_t.k{i}"))
+            .collect();
         for join in ["JOIN", "LEFT JOIN"] {
             let sql = format!(
-                "SELECT probe_t.id, probe_t.k, build_t.name FROM probe_t \
-                 {join} build_t ON (probe_t.k = build_t.k)"
+                "SELECT probe_t.id, probe_t.k0, build_t.name FROM probe_t \
+                 {join} build_t ON ({})",
+                on.join(" AND ")
             );
-            let mut vec_s = join_session(&build, &probe, &dt, true);
-            let vec_rows = vec_s.execute(&sql).unwrap().rows;
-            let analyze = vec_s
-                .execute(&format!("EXPLAIN ANALYZE {sql}"))
-                .unwrap()
-                .explain
-                .expect("EXPLAIN ANALYZE sets explain text");
-            prop_assert!(
-                analyze.contains("VectorMapJoin"),
-                "{join}: plan silently fell back to row mode:\n{analyze}"
-            );
-            let mut row_s = join_session(&build, &probe, &dt, false);
-            let row_rows = row_s.execute(&sql).unwrap().rows;
-            prop_assert_eq!(
-                sorted_rows(vec_rows),
-                sorted_rows(row_rows),
-                "{} over {:?} build={} probe={}",
-                join, dt, build.len(), probe.len()
-            );
+            // map-join x reduce-join x row x vector: one answer.
+            let mut answers = Vec::new();
+            for (vectorize, map_join) in [(true, true), (false, true), (true, false), (false, false)] {
+                let mut s = join_session(&tables, vectorize, map_join);
+                answers.push(sorted_rows(s.execute(&sql).unwrap().rows));
+                if vectorize && map_join {
+                    let analyze = s
+                        .execute(&format!("EXPLAIN ANALYZE {sql}"))
+                        .unwrap()
+                        .explain
+                        .expect("EXPLAIN ANALYZE sets explain text");
+                    prop_assert!(
+                        analyze.contains("VectorMapJoin"),
+                        "{join}: plan silently fell back to row mode:\n{analyze}"
+                    );
+                }
+                prop_assert_eq!(
+                    &answers[0],
+                    answers.last().unwrap(),
+                    "{} over {:?} = {:?}, vectorize={} map_join={}",
+                    join, tables.0, tables.1, vectorize, map_join
+                );
+            }
         }
     }
 }
@@ -1754,7 +1885,7 @@ proptest! {
         b in -400i64..400,
     ) {
         let sql = skip_query(shape, a, b);
-        let mut baseline: Option<(Vec<Row>, u64, u64)> = None;
+        let mut baseline: Option<(Vec<Key>, u64, u64)> = None;
         for (bloom, replica) in SKIP_COMBOS {
             let mut s = skip_session(&rows, bloom, replica);
             // Salvage is physical and per copy: the sorted replicas lay
@@ -1855,7 +1986,7 @@ proptest! {
         b in -400i64..400,
     ) {
         let sql = skip_query(shape, a, b);
-        let mut baseline: Option<(Vec<u64>, Vec<Row>, Vec<Row>)> = None;
+        let mut baseline: Option<(Vec<u64>, Vec<Key>, Vec<Key>)> = None;
         for (bloom, replica) in SKIP_COMBOS {
             let mut s = skip_session(&rows, bloom, replica);
             let dml_counts: Vec<u64> = history
