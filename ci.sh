@@ -88,6 +88,16 @@ echo "==> hive-cli key-rule gate (NaN GROUP BY / ORDER BY, INT = DOUBLE join)"
 cargo run -q --bin hive-cli --offline <tests/golden/key_rule_cli.sql 2>/dev/null |
     diff - tests/golden/key_rule_cli.txt
 
+# Binder gate (hive_planner::scope), through the real binary on the demo
+# tables: a reference the scope cannot bind is `[semantic] unknown column`
+# in SELECT, DML and the stats-answered path (stderr is part of the
+# transcript), the DML it rejected changed nothing, and a WHERE conjunct on
+# the null-supplying side of an outer join filters the joined rows — under
+# vectorization on/off x map-join/reduce-join.
+echo "==> hive-cli binder gate (unbound references, outer-join WHERE placement)"
+cargo run -q --bin hive-cli --offline -- --demo <tests/golden/binder_cli.sql 2>&1 |
+    diff - tests/golden/binder_cli.txt
+
 # Join-bench gate: a tiny-scale run of the map-join benchmark must plan the
 # vectorized operator, emit schema-valid BENCH_joins.json, and show the
 # vectorized join's measured CPU below the row engine's

@@ -338,7 +338,7 @@ fn literal_rows(ins: &InsertStmt, schema: &Schema) -> Result<Vec<Row>> {
                 .iter()
                 .zip(schema.fields())
                 .map(|(e, f)| {
-                    let v = lower_dml(e, schema)?.eval(&empty)?;
+                    let v = lower_dml(e, &ins.table, schema)?.eval(&empty)?;
                     cast_value(&v, &f.data_type)
                 })
                 .collect::<Result<Vec<Value>>>()?;
@@ -438,7 +438,7 @@ pub fn execute_delete(
     let pred = del
         .predicate
         .as_ref()
-        .map(|e| lower_dml(e, &info.schema))
+        .map(|e| lower_dml(e, &info.name, &info.schema))
         .transpose()?;
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
@@ -500,12 +500,12 @@ pub fn execute_update(
     let pred = upd
         .predicate
         .as_ref()
-        .map(|e| lower_dml(e, schema))
+        .map(|e| lower_dml(e, &info.name, schema))
         .transpose()?;
     let sets: Vec<(usize, ExprNode)> = upd
         .sets
         .iter()
-        .map(|(name, e)| Ok((schema.index_of(name)?, lower_dml(e, schema)?)))
+        .map(|(name, e)| Ok((schema.index_of(name)?, lower_dml(e, &info.name, schema)?)))
         .collect::<Result<_>>()?;
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
@@ -815,7 +815,7 @@ mod tests {
             left: Box::new(hive_ql::Expr::col("k")),
             right: Box::new(hive_ql::Expr::Literal(Value::Int(3))),
         };
-        let node = lower_dml(&e, &schema).unwrap();
+        let node = lower_dml(&e, "t", &schema).unwrap();
         assert!(node
             .eval_predicate(&Row::new(vec![Value::Int(3), Value::String("x".into())]))
             .unwrap());
@@ -828,8 +828,8 @@ mod tests {
             args: vec![hive_ql::Expr::col("k")],
             distinct: false,
         };
-        assert!(lower_dml(&agg, &schema).is_err());
+        assert!(lower_dml(&agg, "t", &schema).is_err());
         // Unknown columns are a plan error, not a panic.
-        assert!(lower_dml(&hive_ql::Expr::col("nope"), &schema).is_err());
+        assert!(lower_dml(&hive_ql::Expr::col("nope"), "t", &schema).is_err());
     }
 }

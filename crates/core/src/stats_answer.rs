@@ -13,6 +13,7 @@ use hive_common::{HiveConf, Result, Row, Value};
 use hive_dfs::Dfs;
 use hive_formats::orc::reader::{OrcReadOptions, OrcReader};
 use hive_formats::FormatKind;
+use hive_planner::scope::Scope;
 use hive_ql::{Expr, SelectStmt, TableRef};
 
 /// One recognizable aggregate over a top-level column.
@@ -57,7 +58,9 @@ pub fn try_answer(
         return Ok(None);
     }
 
-    // Recognize the projections.
+    // Recognize the projections; columns resolve as the planner would
+    // resolve them, against the FROM item under its binding.
+    let scope = Scope::of_table(stmt.from.binding(), &info.schema);
     let mut aggs = Vec::with_capacity(stmt.projections.len());
     let mut names = Vec::with_capacity(stmt.projections.len());
     for (i, p) in stmt.projections.iter().enumerate() {
@@ -71,10 +74,16 @@ pub fn try_answer(
         };
         let agg = match (fname.as_str(), args.as_slice()) {
             ("count", [Expr::Star]) => StatAgg::CountStar,
-            ("count", [Expr::Column { name: c, .. }]) => StatAgg::Count(info.schema.index_of(c)?),
-            ("min", [Expr::Column { name: c, .. }]) => StatAgg::Min(info.schema.index_of(c)?),
-            ("max", [Expr::Column { name: c, .. }]) => StatAgg::Max(info.schema.index_of(c)?),
-            ("sum", [Expr::Column { name: c, .. }]) => StatAgg::Sum(info.schema.index_of(c)?),
+            (f, [Expr::Column { table, name }]) => {
+                let over: fn(usize) -> StatAgg = match f {
+                    "count" => StatAgg::Count,
+                    "min" => StatAgg::Min,
+                    "max" => StatAgg::Max,
+                    "sum" => StatAgg::Sum,
+                    _ => return Ok(None),
+                };
+                over(scope.bind(table.as_deref(), name)?.1)
+            }
             _ => return Ok(None),
         };
         names.push(p.alias.clone().unwrap_or_else(|| format!("_c{i}")));

@@ -137,6 +137,55 @@ fn delete_masks_rows_without_touching_data() {
     assert_eq!(again.version, snap.version);
 }
 
+/// DML resolves columns against the target table alone, under its own
+/// name: a reference qualified by anything else used to have its qualifier
+/// ignored (`DELETE ... WHERE other.k = 2` deleted rows), and statistics
+/// answered `MAX(zz.v)` from the footers.
+#[test]
+fn dml_and_stats_answers_reject_references_outside_their_one_table_scope() {
+    let mut hive = acid_session();
+    let before = select_all(&mut hive);
+    for sql in [
+        "DELETE FROM t WHERE other.k = 2",
+        "UPDATE t SET v = 0 WHERE nope.k = 3",
+        "UPDATE t SET v = other.v + 1 WHERE k = 3",
+        "DELETE FROM t WHERE t.nope = 2",
+    ] {
+        let err = hive.execute(sql).unwrap_err();
+        assert!(
+            err.to_string().contains("[semantic] unknown column"),
+            "{sql}: {err}"
+        );
+        assert_eq!(select_all(&mut hive), before, "{sql} changed data");
+    }
+    assert!(
+        load_snapshot(hive.dfs(), "/warehouse/t/")
+            .unwrap()
+            .is_none(),
+        "a rejected statement must not commit"
+    );
+
+    hive.set(keys::COMPUTE_USING_STATS, "true");
+    for sql in ["SELECT MAX(zz.v) FROM t", "SELECT MAX(t.v) FROM t x"] {
+        let err = hive.execute(sql).unwrap_err();
+        assert!(err.to_string().contains("unknown column"), "{sql}: {err}");
+    }
+    let max = |hive: &mut HiveSession, sql: &str| hive.execute(sql).unwrap().rows[0][0].clone();
+    assert_eq!(max(&mut hive, "SELECT MAX(t.v) FROM t"), Value::Int(29));
+    assert_eq!(max(&mut hive, "SELECT MAX(x.v) FROM t x"), Value::Int(29));
+    let answered = hive.server().metrics().snapshot();
+    let answered = answered.counter("query.stats_answered", &[]);
+    assert_eq!(answered, Some(2), "both came from the footers");
+    hive.set(keys::COMPUTE_USING_STATS, "false");
+
+    // The table's own name still qualifies.
+    let r = hive.execute("UPDATE t SET v = t.v + 100 WHERE t.k = 3 AND v < 6");
+    assert_eq!(r.unwrap().rows, vec![Row::new(vec![Value::Int(1)])]);
+    let r = hive.execute("DELETE FROM t WHERE t.k = 2").unwrap();
+    assert_eq!(r.rows, vec![Row::new(vec![Value::Int(5)])]);
+    assert_eq!(count(&mut hive), 25);
+}
+
 #[test]
 fn compaction_preserves_results_and_shrinks_the_chain() {
     let mut hive = acid_session();

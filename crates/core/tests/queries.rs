@@ -296,12 +296,20 @@ fn cbo_join_reordering_preserves_results_and_helps_mapjoins() {
     // Written in a hostile order: the big-big join first, the small joins
     // last. With CBO on, the small tables hoist ahead and become map joins
     // in the first job's map phase instead of post-shuffle jobs.
-    let sql = "SELECT big1.key, COUNT(*) AS n FROM big1 \
-               JOIN big2 ON (big1.key = big2.key) \
-               JOIN small1 ON (big1.skey1 = small1.key) \
-               JOIN small2 ON (big1.skey2 = small2.key) \
-               GROUP BY big1.key ORDER BY big1.key";
-    let run = |cbo: &str| {
+    let qualified = "SELECT big1.key, COUNT(*) AS n FROM big1 \
+                     JOIN big2 ON (big1.key = big2.key) \
+                     JOIN small1 ON (big1.skey1 = small1.key) \
+                     JOIN small2 ON (big1.skey2 = small2.key) \
+                     GROUP BY big1.key ORDER BY big1.key";
+    // The same statement with every reference that can go unqualified
+    // (`skey1`, `skey2` exist in big1 only) left so: the reorder works on
+    // bound references, so the spelling cannot matter.
+    let unqualified = "SELECT big1.key, COUNT(*) AS n FROM big1 \
+                       JOIN big2 ON (big1.key = big2.key) \
+                       JOIN small1 ON (skey1 = small1.key) \
+                       JOIN small2 ON (skey2 = small2.key) \
+                       GROUP BY big1.key ORDER BY big1.key";
+    let run = |sql: &str, cbo: &str| {
         let mut s = session();
         let small_max = s
             .metastore()
@@ -311,15 +319,19 @@ fn cbo_join_reordering_preserves_results_and_helps_mapjoins() {
             .set("hive.cbo.enable", cbo);
         s.execute(sql).unwrap()
     };
-    let off = run("false");
-    let on = run("true");
-    assert_eq!(on.rows, off.rows, "CBO must not change results");
-    assert!(
-        on.report.jobs.len() < off.report.jobs.len(),
-        "CBO should shrink the job DAG here: {} vs {}",
-        on.report.jobs.len(),
-        off.report.jobs.len()
-    );
+    let baseline = run(qualified, "false");
+    for sql in [qualified, unqualified] {
+        let off = run(sql, "false");
+        let on = run(sql, "true");
+        assert_eq!(off.rows, baseline.rows, "{sql}");
+        assert_eq!(on.rows, baseline.rows, "CBO must not change results: {sql}");
+        assert!(
+            on.report.jobs.len() < off.report.jobs.len(),
+            "CBO should shrink the job DAG here: {} vs {} for {sql}",
+            on.report.jobs.len(),
+            off.report.jobs.len()
+        );
+    }
 }
 
 #[test]

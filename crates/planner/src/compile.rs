@@ -18,7 +18,7 @@
 //!   (Section 6.4).
 
 use crate::correlation::fragments;
-use crate::plan::{GroupByPhase, PlanGraph, PlanNode, PlanOp};
+use crate::plan::{AggCall, GroupByPhase, PlanGraph, PlanNode, PlanOp};
 use crate::semantic::Translation;
 use crate::vectorize;
 use hive_common::config::keys;
@@ -623,19 +623,11 @@ fn build_maponly_input(
     nodes: &[usize],
     intermediates: &HashMap<usize, String>,
 ) -> Result<Vec<MapInput>> {
-    // Source: the unique node without in-fragment parents.
-    let mut sources = Vec::new();
-    for &n in nodes {
-        let parents = &g.node(n).parents;
-        if parents.is_empty() {
-            sources.push(n);
-        } else if parents
-            .iter()
-            .all(|&p| matches!(g.node(p).op, PlanOp::IntermediateCut))
-        {
-            sources.push(n);
-        }
-    }
+    // Source: the unique node without in-fragment parents (none at all,
+    // or cuts only).
+    let is_cut = |&p: &usize| matches!(g.node(p).op, PlanOp::IntermediateCut);
+    let is_source = |&&n: &&usize| g.node(n).parents.iter().all(is_cut);
+    let sources: Vec<usize> = nodes.iter().filter(is_source).copied().collect();
     if sources.len() != 1 {
         return Err(HiveError::Plan(format!(
             "map-only job must have exactly one source, found {}",
@@ -710,6 +702,129 @@ fn chain_nodes(g: &PlanGraph, source: usize, sink: usize) -> Vec<usize> {
 // Exec-graph construction
 // ---------------------------------------------------------------------------
 
+/// Where a plan node is about to run: a map task (which knows its side
+/// tables, shuffle tags and reducer count) or a reduce task.
+enum Phase<'a> {
+    Map {
+        spec: &'a MapBuildSpec,
+        side: &'a HashMap<String, Vec<Row>>,
+    },
+    Reduce,
+}
+
+/// Lower one plan node to its row-mode operator for `phase` — the only
+/// `PlanOp` → row operator mapping. An operator its phase cannot run is a
+/// plan error.
+fn row_operator(
+    nodes: &[PlanNode],
+    n: usize,
+    phase: &Phase,
+) -> Result<Box<dyn hive_exec::graph::Operator>> {
+    let group_by = |keys: &[_], aggs: &[AggCall], mode, table| {
+        let spec = |a: &AggCall| ops::AggSpec {
+            function: a.function,
+            mode,
+            arg: a.arg.clone(),
+        };
+        ops::GroupByOperator::new(keys.to_vec(), aggs.iter().map(spec).collect(), table)
+    };
+    Ok(match (&nodes[n].op, phase) {
+        (PlanOp::Filter { predicate }, _) => Box::new(ops::FilterOperator {
+            predicate: predicate.clone(),
+        }),
+        (PlanOp::Select { exprs }, _) => Box::new(ops::SelectOperator {
+            exprs: exprs.clone(),
+        }),
+        (PlanOp::Limit(k), _) => Box::new(ops::LimitOperator::new(*k)),
+        // A degenerate RS executes as a projection in place.
+        (
+            PlanOp::ReduceSink {
+                keys,
+                values,
+                degenerate: true,
+                ..
+            },
+            _,
+        ) => Box::new(ops::SelectOperator {
+            exprs: keys.iter().chain(values).cloned().collect(),
+        }),
+        (PlanOp::ReduceSink { keys, values, .. }, Phase::Map { spec, .. }) => {
+            let tag = spec.inputs.iter().find_map(|mi| mi.rs_tags.get(&n));
+            Box::new(ops::ReduceSinkOperator {
+                key_exprs: keys.clone(),
+                value_exprs: values.clone(),
+                tag: tag.copied().unwrap_or(0),
+                num_reducers: spec.num_reducers.max(1),
+            })
+        }
+        // Sinks: FileSink collects; a Cut, or an RS leaving a reduce task,
+        // writes the job's intermediate output.
+        (PlanOp::FileSink | PlanOp::IntermediateCut, _)
+        | (PlanOp::ReduceSink { .. }, Phase::Reduce) => Box::new(ops::FileSinkOperator),
+        (PlanOp::GroupBy { phase, keys, aggs }, Phase::Map { .. })
+            if *phase == GroupByPhase::MapHash =>
+        {
+            Box::new(group_by(
+                keys,
+                aggs,
+                AggMode::Partial,
+                ops::GroupByMode::Hash,
+            ))
+        }
+        (PlanOp::GroupBy { phase, keys, aggs }, Phase::Reduce)
+            if *phase != GroupByPhase::MapHash =>
+        {
+            let mode = match phase {
+                GroupByPhase::ReduceMerge => AggMode::Final,
+                _ => AggMode::Complete,
+            };
+            Box::new(group_by(keys, aggs, mode, ops::GroupByMode::Streaming))
+        }
+        (PlanOp::MapJoin { sides }, Phase::Map { side, .. }) => {
+            let mut tables = Vec::with_capacity(sides.len());
+            for s in sides {
+                tables.push(ops::MapJoinTable::build(
+                    s.build_rows(side)?,
+                    s.build_keys.len(),
+                    s.stream_keys.clone(),
+                    s.join_type,
+                    s.width,
+                ));
+            }
+            Box::new(ops::MapJoinOperator::new(tables))
+        }
+        (
+            PlanOp::Join {
+                kind,
+                input_widths,
+                nk,
+            },
+            Phase::Reduce,
+        ) => Box::new(ops::CommonJoinOperator::new(
+            input_widths.len(),
+            *kind,
+            input_widths.clone(),
+            *nk,
+        )),
+        (
+            op @ (PlanOp::TableScan { .. }
+            | PlanOp::GroupBy { .. }
+            | PlanOp::MapJoin { .. }
+            | PlanOp::Join { .. }),
+            _,
+        ) => {
+            let phase = match phase {
+                Phase::Map { .. } => "Map",
+                Phase::Reduce => "Reduce",
+            };
+            return Err(HiveError::Plan(format!(
+                "{} cannot run in a {phase} phase",
+                op.kind_name()
+            )));
+        }
+    })
+}
+
 /// Captured state for building map pipelines per task.
 struct MapBuildSpec {
     nodes: Vec<PlanNode>,
@@ -767,9 +882,10 @@ impl MapBuildSpec {
             let mut exec_of: HashMap<usize, usize> = HashMap::new();
             let order = topo(&self.nodes, &remaining);
             for &n in &order {
-                if let Some(op) = self.make_map_op(n, side)? {
-                    let id = graph.add(op);
-                    exec_of.insert(n, id);
+                // The scan is the task's reader, not an operator.
+                if !matches!(self.nodes[n].op, PlanOp::TableScan { .. }) {
+                    let phase = Phase::Map { spec: self, side };
+                    exec_of.insert(n, graph.add(row_operator(&self.nodes, n, &phase)?));
                 }
             }
             // Edges.
@@ -854,85 +970,6 @@ impl MapBuildSpec {
             vector,
         })
     }
-
-    /// Translate one map-side plan node into an exec operator.
-    fn make_map_op(
-        &self,
-        n: usize,
-        side: &HashMap<String, Vec<Row>>,
-    ) -> Result<Option<Box<dyn hive_exec::graph::Operator>>> {
-        let node = &self.nodes[n];
-        Ok(Some(match &node.op {
-            PlanOp::TableScan { .. } => return Ok(None),
-            PlanOp::Filter { predicate } => Box::new(ops::FilterOperator {
-                predicate: predicate.clone(),
-            }),
-            PlanOp::Select { exprs } => Box::new(ops::SelectOperator {
-                exprs: exprs.clone(),
-            }),
-            PlanOp::Limit(k) => Box::new(ops::LimitOperator::new(*k)),
-            PlanOp::GroupBy {
-                phase: GroupByPhase::MapHash,
-                keys,
-                aggs,
-            } => Box::new(ops::GroupByOperator::new(
-                keys.clone(),
-                aggs.iter()
-                    .map(|a| ops::AggSpec {
-                        function: a.function,
-                        mode: AggMode::Partial,
-                        arg: a.arg.clone(),
-                    })
-                    .collect(),
-                ops::GroupByMode::Hash,
-            )),
-            PlanOp::MapJoin { sides } => {
-                let mut tables = Vec::with_capacity(sides.len());
-                for s in sides {
-                    tables.push(ops::MapJoinTable::build(
-                        s.build_rows(side)?,
-                        s.build_keys.len(),
-                        s.stream_keys.clone(),
-                        s.join_type,
-                        s.width,
-                    ));
-                }
-                Box::new(ops::MapJoinOperator::new(tables))
-            }
-            PlanOp::ReduceSink {
-                keys,
-                values,
-                degenerate,
-                ..
-            } => {
-                if *degenerate {
-                    let mut exprs = keys.clone();
-                    exprs.extend(values.iter().cloned());
-                    Box::new(ops::SelectOperator { exprs })
-                } else {
-                    let tag = self
-                        .inputs
-                        .iter()
-                        .find_map(|mi| mi.rs_tags.get(&n))
-                        .copied()
-                        .unwrap_or(0);
-                    Box::new(ops::ReduceSinkOperator {
-                        key_exprs: keys.clone(),
-                        value_exprs: values.clone(),
-                        tag,
-                        num_reducers: self.num_reducers.max(1),
-                    })
-                }
-            }
-            PlanOp::FileSink | PlanOp::IntermediateCut => Box::new(ops::FileSinkOperator),
-            PlanOp::GroupBy { .. } | PlanOp::Join { .. } => {
-                return Err(HiveError::Plan(format!(
-                    "{} cannot run in a Map phase",
-                    node.op.kind_name()
-                )))
-            }
-        }))
-    }
 }
 
 /// Captured state for building reduce pipelines per task.
@@ -950,71 +987,7 @@ impl ReduceBuildSpec {
 
         // 1. Operators.
         for &n in &order {
-            let node = &self.nodes[n];
-            let op: Box<dyn hive_exec::graph::Operator> = match &node.op {
-                PlanOp::Filter { predicate } => Box::new(ops::FilterOperator {
-                    predicate: predicate.clone(),
-                }),
-                PlanOp::Select { exprs } => Box::new(ops::SelectOperator {
-                    exprs: exprs.clone(),
-                }),
-                PlanOp::Limit(k) => Box::new(ops::LimitOperator::new(*k)),
-                PlanOp::GroupBy { phase, keys, aggs } => {
-                    let mode = match phase {
-                        GroupByPhase::ReduceMerge => AggMode::Final,
-                        GroupByPhase::ReduceComplete => AggMode::Complete,
-                        GroupByPhase::MapHash => {
-                            return Err(HiveError::Plan(
-                                "map-side GroupBy in a Reduce phase".into(),
-                            ))
-                        }
-                    };
-                    Box::new(ops::GroupByOperator::new(
-                        keys.clone(),
-                        aggs.iter()
-                            .map(|a| ops::AggSpec {
-                                function: a.function,
-                                mode,
-                                arg: a.arg.clone(),
-                            })
-                            .collect(),
-                        ops::GroupByMode::Streaming,
-                    ))
-                }
-                PlanOp::Join {
-                    kind,
-                    input_widths,
-                    nk,
-                } => Box::new(ops::CommonJoinOperator::new(
-                    input_widths.len(),
-                    *kind,
-                    input_widths.clone(),
-                    *nk,
-                )),
-                // A degenerate RS executes as a projection in place.
-                PlanOp::ReduceSink {
-                    keys,
-                    values,
-                    degenerate: true,
-                    ..
-                } => {
-                    let mut exprs = keys.clone();
-                    exprs.extend(values.iter().cloned());
-                    Box::new(ops::SelectOperator { exprs })
-                }
-                // Sinks: FileSink collects; a sink RS or Cut writes the
-                // job's intermediate output.
-                PlanOp::FileSink | PlanOp::ReduceSink { .. } | PlanOp::IntermediateCut => {
-                    Box::new(ops::FileSinkOperator)
-                }
-                PlanOp::TableScan { .. } | PlanOp::MapJoin { .. } => {
-                    return Err(HiveError::Plan(format!(
-                        "{} cannot run in a Reduce phase",
-                        node.op.kind_name()
-                    )))
-                }
-            };
-            exec_of.insert(n, graph.add(op));
+            exec_of.insert(n, graph.add(row_operator(&self.nodes, n, &Phase::Reduce)?));
         }
 
         // 2. A Mux in front of every major operator (paper Figure 5).

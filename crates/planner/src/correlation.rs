@@ -365,7 +365,7 @@ fn sink_fragments(g: &PlanGraph, scan: usize, frag: &BTreeMap<usize, usize>) -> 
 pub fn fragments(g: &PlanGraph) -> BTreeMap<usize, usize> {
     let n = g.nodes.len();
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+    fn find(parent: &mut [usize], x: usize) -> usize {
         let mut r = x;
         while parent[r] != r {
             r = parent[r];

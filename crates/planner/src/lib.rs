@@ -1,9 +1,3 @@
-#![allow(
-    clippy::needless_range_loop,
-    clippy::if_same_then_else,
-    clippy::only_used_in_recursion,
-    clippy::ptr_arg
-)]
 //! The query planner (paper Sections 2, 5 and 6.4).
 //!
 //! The planner walks the AST, assembles an operator tree with
@@ -22,12 +16,12 @@
 //! — and finally compiles the tree into a DAG of MapReduce jobs.
 
 pub mod catalog;
-pub mod cbo;
 pub mod compile;
 pub mod correlation;
 pub mod fingerprint;
 pub mod mapjoin;
 pub mod plan;
+pub mod scope;
 pub mod semantic;
 pub mod vectorize;
 
@@ -45,17 +39,7 @@ pub fn plan_query(
     catalog: &dyn Catalog,
     conf: &HiveConf,
 ) -> Result<CompiledQuery> {
-    // One resolution per table for the whole statement: join reordering
-    // and translation must agree on sizes, files and ACID snapshot.
-    let catalog = &PinnedCatalog::new(catalog);
-    let stmt = if conf.get_bool(hive_common::config::keys::CBO_ENABLE)? {
-        let mut reordered = stmt.clone();
-        cbo::reorder_joins(&mut reordered, catalog);
-        std::borrow::Cow::Owned(reordered)
-    } else {
-        std::borrow::Cow::Borrowed(stmt)
-    };
-    let mut t = semantic::translate_pinned(&stmt, catalog, conf)?;
+    let mut t = semantic::translate(stmt, catalog, conf)?;
     if conf.get_bool(hive_common::config::keys::AUTO_CONVERT_JOIN)? {
         mapjoin::convert_map_joins(&mut t.graph, conf)?;
     }

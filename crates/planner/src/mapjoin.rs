@@ -177,11 +177,8 @@ fn convert(
     };
     // MapJoin raw output: [stream_keys, stream_cols, build_keys, build_cols].
     let mut mj_schema = sel_schema.clone();
-    for i in 0..nk {
-        mj_schema.push(ColumnInfo::new(
-            format!("_bkey{i}"),
-            sel_schema[i].data_type.clone(),
-        ));
+    for (i, key) in sel_schema[..nk].iter().enumerate() {
+        mj_schema.push(ColumnInfo::new(format!("_bkey{i}"), key.data_type.clone()));
     }
     let small_schema: Vec<ColumnInfo> = {
         let PlanOp::TableScan {

@@ -1,22 +1,24 @@
 //! Semantic analysis: AST → resolved operator DAG.
 //!
-//! Performs name resolution against the catalog, column pruning into table
-//! scans, predicate pushdown (including SearchArgument extraction for
-//! storage-level PPD), ReduceSink insertion for joins and aggregations, and
-//! the map-side/reduce-side aggregation split.
+//! Binds the statement against its scope ([`crate::scope`]), then builds
+//! the operator tree from the bound form: column pruning into table scans,
+//! predicate pushdown (including SearchArgument extraction for
+//! storage-level PPD), cost-based join ordering, ReduceSink insertion for
+//! joins and aggregations, and the map-side/reduce-side aggregation split.
 
 use crate::catalog::{Catalog, PinnedCatalog};
 use crate::plan::{
     agg_output_type, expr_type, AggCall, ColumnInfo, GroupByPhase, PlanGraph, PlanOp,
 };
+use crate::scope::{bind_select, has_star, output_name, Bound, BoundJoin, Scope, Source};
 use hive_common::config::keys;
 use hive_common::{DataType, HiveConf, HiveError, Result, Schema, Value};
 use hive_exec::agg::{parse_agg_function, AggFunction};
 use hive_exec::expr::{BinaryOp, ExprNode, UnaryOp};
 use hive_exec::operators::JoinType;
 use hive_formats::{PredicateLeaf, PredicateOp, SearchArgument};
-use hive_ql::{BinOp, Expr, JoinKind, SelectStmt, TableRef, UnOp};
-use std::collections::{BTreeMap, BTreeSet};
+use hive_ql::{BinOp, Expr, JoinKind, SelectStmt, UnOp};
+use std::collections::BTreeSet;
 
 /// Reduce tasks per shuffle unless the plan pins another count (a global
 /// aggregate pins one), sized to the paper's 10-node cluster.
@@ -34,11 +36,13 @@ pub struct Translation {
     pub output_names: Vec<String>,
 }
 
-/// A relation under construction: a plan node plus its column bindings.
+/// A relation under construction: a plan node plus, per output column, the
+/// bound reference that names it.
 #[derive(Debug, Clone)]
 struct Rel {
     node: usize,
-    /// Per output column: (binding, column name, type).
+    /// Per output column: (binding, column name, type). Columns no
+    /// reference can name (join keys, aggregates) have no binding.
     cols: Vec<(Option<String>, String, DataType)>,
 }
 
@@ -50,47 +54,19 @@ impl Rel {
             .collect()
     }
 
-    /// Find a column by (optional) qualifier and name.
-    fn lookup(&self, table: Option<&str>, name: &str) -> Result<usize> {
-        let name_l = name.to_ascii_lowercase();
-        let mut hits = Vec::new();
-        for (i, (binding, cname, _)) in self.cols.iter().enumerate() {
-            if cname.to_ascii_lowercase() != name_l {
-                continue;
-            }
-            match (table, binding) {
-                (Some(t), Some(b)) if t.eq_ignore_ascii_case(b) => hits.push(i),
-                (None, _) => hits.push(i),
-                _ => {}
-            }
-        }
-        match hits.len() {
-            0 => Err(HiveError::Semantic(format!(
-                "unknown column `{}{}`",
-                table.map(|t| format!("{t}.")).unwrap_or_default(),
-                name
-            ))),
-            1 => Ok(hits[0]),
-            _ => Err(HiveError::Semantic(format!("ambiguous column `{name}`"))),
-        }
+    fn filtered(mut self, g: &mut PlanGraph, predicate: ExprNode) -> Rel {
+        self.node = g.add(PlanOp::Filter { predicate }, self.schema(), vec![self.node]);
+        self
     }
 }
 
-/// Translate a SELECT into an operator DAG ending in a FileSink.
+/// Translate a SELECT into an operator DAG ending in a FileSink. The
+/// catalog is pinned for the statement: however many FROM items name a
+/// table, it is resolved once and scanned at one snapshot.
 pub fn translate(stmt: &SelectStmt, catalog: &dyn Catalog, conf: &HiveConf) -> Result<Translation> {
-    translate_pinned(stmt, &PinnedCatalog::new(catalog), conf)
-}
-
-/// [`translate`] against a catalog the caller already pinned. The passes
-/// below look tables up by name, some once per column reference; the pin
-/// makes that one catalog resolution per table.
-pub(crate) fn translate_pinned(
-    stmt: &SelectStmt,
-    catalog: &PinnedCatalog<'_>,
-    conf: &HiveConf,
-) -> Result<Translation> {
+    let bound = bind_select(stmt, &PinnedCatalog::new(catalog))?;
     let mut g = PlanGraph::default();
-    let (rel, order_by, limit, names) = plan_select(&mut g, stmt, catalog, conf)?;
+    let (rel, order_by, limit, names) = plan_select(&mut g, bound, conf)?;
     let schema = rel.schema();
     g.add(PlanOp::FileSink, schema, vec![rel.node]);
     Ok(Translation {
@@ -104,92 +80,76 @@ pub(crate) fn translate_pinned(
 #[allow(clippy::type_complexity)]
 fn plan_select(
     g: &mut PlanGraph,
-    stmt: &SelectStmt,
-    catalog: &dyn Catalog,
+    mut bound: Bound,
     conf: &HiveConf,
 ) -> Result<(Rel, Vec<(usize, bool)>, Option<u64>, Vec<String>)> {
-    // ------ 1. Column-usage pre-pass for scan pruning. -----------------
-    let bindings = collect_bindings(stmt);
-    let mut used: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    {
-        let mut record = |e: &Expr| collect_columns(e, &bindings, catalog, &mut used);
-        for p in &stmt.projections {
-            record(&p.expr);
-        }
-        for j in &stmt.joins {
-            record(&j.on);
-        }
-        if let Some(w) = &stmt.where_clause {
-            record(w);
-        }
-        for e in &stmt.group_by {
-            record(e);
-        }
-        if let Some(h) = &stmt.having {
-            record(h);
-        }
-        for o in &stmt.order_by {
-            record(&o.expr);
-        }
-        // SELECT * needs everything.
-        if stmt
-            .projections
-            .iter()
-            .any(|p| matches!(p.expr, Expr::Star))
-        {
-            for (binding, tref) in &bindings {
-                if let TableRef::Table { name, .. } = tref {
-                    if let Some(meta) = catalog.table(name) {
-                        let set = used.entry(binding.clone()).or_default();
-                        for f in meta.schema.fields() {
-                            set.insert(f.name.to_ascii_lowercase());
-                        }
-                    }
-                }
-            }
+    if conf.get_bool(keys::CBO_ENABLE)? {
+        reorder_joins(&mut bound);
+    }
+    let scope = &bound.scope;
+
+    // ------ 1. Column pruning: the bound references per entry. ----------
+    let mut used = vec![BTreeSet::new(); bound.sources.len()];
+    for (entry, column) in bound.exprs().flat_map(|e| scope.refs(e)) {
+        used[entry].insert(column);
+    }
+    if has_star(&bound.projections) {
+        for (entry, columns) in used.iter_mut().enumerate() {
+            columns.extend(0..scope.columns(entry).len());
         }
     }
 
-    // ------ 2. WHERE split by binding. ---------------------------------
-    let empty_where = Expr::Literal(Value::Boolean(true));
-    let where_expr = stmt.where_clause.as_ref().unwrap_or(&empty_where);
-    let mut per_binding: BTreeMap<String, Vec<&Expr>> = BTreeMap::new();
-    let mut post_join: Vec<&Expr> = Vec::new();
-    for conj in where_expr.conjuncts() {
-        if matches!(conj, Expr::Literal(Value::Boolean(true))) {
-            continue;
+    // ------ 2. WHERE placement. ------------------------------------------
+    // A conjunct over exactly one entry runs at that entry's scan, unless
+    // an outer join can null-extend the entry's rows: its own join is
+    // LEFT/FULL, or a later one is RIGHT/FULL. Filtering below such a join
+    // would turn rows it should drop into NULL-padded ones, so those — and
+    // conjuncts over zero or several entries — run after the joins.
+    let mut null_supplying = vec![false; bound.sources.len()];
+    let mut earlier = vec![0];
+    for j in &bound.joins {
+        if matches!(j.kind, JoinKind::RightOuter | JoinKind::FullOuter) {
+            earlier.iter().for_each(|&e| null_supplying[e] = true);
         }
-        match owning_binding(conj, &bindings, catalog) {
-            Some(b) => per_binding.entry(b).or_default().push(conj),
-            None => post_join.push(conj),
+        null_supplying[j.entry] = matches!(j.kind, JoinKind::LeftOuter | JoinKind::FullOuter);
+        earlier.push(j.entry);
+    }
+    let mut pushed: Vec<Vec<&Expr>> = vec![Vec::new(); bound.sources.len()];
+    let mut post_join: Vec<&Expr> = Vec::new();
+    for conj in bound.filter.iter().flat_map(Expr::conjuncts) {
+        if matches!(conj, Expr::Literal(Value::Boolean(true))) {
+            continue; // filters nothing
+        }
+        let entries = scope.entries_of(conj);
+        match entries.first() {
+            Some(&e) if entries.len() == 1 && !null_supplying[e] => pushed[e].push(conj),
+            _ => post_join.push(conj),
         }
     }
 
     // ------ 3. Base relations with pushed-down filters. -----------------
-    let build_rel = |g: &mut PlanGraph, tref: &TableRef| -> Result<Rel> {
-        let binding = tref.binding().to_string();
-        let mut rel = plan_table_ref(g, tref, catalog, conf, used.get(&binding))?;
-        if let Some(conjs) = per_binding.get(&binding) {
-            // Storage-level pushdown into the scan, then a residual Filter
-            // (ORC may return whole index groups; the Filter stays correct).
-            let pred = conjs
-                .iter()
-                .map(|e| resolve(e, &rel))
-                .collect::<Result<Vec<_>>>()?
-                .into_iter()
-                .reduce(|a, b| ExprNode::binary(BinaryOp::And, a, b))
-                .unwrap();
-            if conf.get_bool(keys::OPT_PPD_STORAGE).unwrap_or(true) {
-                attach_sarg(g, &rel, &pred);
-            }
-            let schema = rel.schema();
-            let f = g.add(PlanOp::Filter { predicate: pred }, schema, vec![rel.node]);
-            rel.node = f;
+    let mut sources: Vec<Option<Source>> = bound.sources.into_iter().map(Some).collect();
+    let mut build_rel = |g: &mut PlanGraph, entry: usize| -> Result<Rel> {
+        let source = sources[entry].take().expect("each entry is planned once");
+        let rel = plan_source(g, source, scope.binding(entry), &used[entry], conf)?;
+        // Storage-level pushdown into the scan, then a residual Filter
+        // (ORC may return whole index groups; the Filter stays correct).
+        let Some(pred) = pushed[entry]
+            .iter()
+            .map(|e| resolve(e, &rel))
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .reduce(|a, b| ExprNode::binary(BinaryOp::And, a, b))
+        else {
+            return Ok(rel);
+        };
+        if conf.get_bool(keys::OPT_PPD_STORAGE).unwrap_or(true) {
+            attach_sarg(g, &rel, &pred);
         }
-        Ok(rel)
+        Ok(rel.filtered(g, pred))
     };
 
-    let mut acc = build_rel(g, &stmt.from)?;
+    let mut acc = build_rel(g, 0)?;
 
     // ------ 4. Joins (left-deep chain of binary reduce joins). ----------
     //
@@ -199,9 +159,11 @@ fn plan_select(
     // "outer joins must be binary" error as a typed HiveError at run time
     // instead of silently producing a wrong left-deep answer.
     let mut outer_merge: Option<OuterMerge> = None;
-    for join in &stmt.joins {
-        let right = build_rel(g, &join.table)?;
-        let (equi, residual) = split_join_condition(&join.on, &acc, &right)?;
+    let mut joined = BTreeSet::from([0]);
+    for join in &bound.joins {
+        let right = build_rel(g, join.entry)?;
+        let (equi, residual) = split_join_condition(scope, join, &joined, &acc, &right)?;
+        joined.insert(join.entry);
         if equi.is_empty() {
             return Err(HiveError::Semantic(
                 "join without an equality condition is not supported".into(),
@@ -243,9 +205,7 @@ fn plan_select(
         let mergeable = kind != JoinType::Inner && residual.is_empty();
         for r in residual {
             let pred = resolve(r, &acc)?;
-            let schema = acc.schema();
-            let f = g.add(PlanOp::Filter { predicate: pred }, schema, vec![acc.node]);
-            acc.node = f;
+            acc = acc.filtered(g, pred);
         }
         outer_merge = mergeable.then(|| {
             // Columns of the joined layout [_lkeys, l_cols, _rkeys, r_cols]
@@ -274,253 +234,183 @@ fn plan_select(
     // ------ 5. Post-join WHERE conjuncts. --------------------------------
     for conj in post_join {
         let pred = resolve(conj, &acc)?;
-        let schema = acc.schema();
-        let f = g.add(PlanOp::Filter { predicate: pred }, schema, vec![acc.node]);
-        acc.node = f;
+        acc = acc.filtered(g, pred);
     }
 
     // ------ 6. Aggregation. ----------------------------------------------
-    let mut agg_calls: Vec<Expr> = Vec::new();
-    for p in &stmt.projections {
-        collect_agg_calls(&p.expr, &mut agg_calls);
+    let mut agg_calls: Vec<&Expr> = Vec::new();
+    let projected = bound.projections.iter().map(|p| &p.expr);
+    let ordered = bound.order_by.iter().map(|o| &o.expr);
+    for e in projected.chain(&bound.having).chain(ordered) {
+        collect_agg_calls(e, &mut agg_calls);
     }
-    if let Some(h) = &stmt.having {
-        collect_agg_calls(h, &mut agg_calls);
-    }
-    for o in &stmt.order_by {
-        collect_agg_calls(&o.expr, &mut agg_calls);
-    }
-    let has_agg = !agg_calls.is_empty() || !stmt.group_by.is_empty();
+    let has_agg = !agg_calls.is_empty() || !bound.group_by.is_empty();
 
-    let (final_rel, group_subst): (Rel, Option<GroupSubst>) = if has_agg {
-        let (rel, subst) = add_aggregation(g, acc, &stmt.group_by, &agg_calls)?;
+    let (mut final_rel, group_subst) = if has_agg {
+        let (rel, subst) = add_aggregation(g, acc, &bound.group_by, &agg_calls)?;
         (rel, Some(subst))
     } else {
         (acc, None)
     };
+    // Over an aggregation, expressions are composed of its outputs; without
+    // one, of the joined relation's columns.
+    let resolve_final = |e: &Expr, rel: &Rel| match &group_subst {
+        Some(s) => resolve_with_groups(e, s),
+        None => resolve(e, rel),
+    };
 
     // ------ 7. HAVING. -----------------------------------------------------
-    let mut final_rel = final_rel;
-    if let Some(h) = &stmt.having {
-        let pred = match &group_subst {
-            Some(s) => resolve_with_groups(h, s)?,
-            None => resolve(h, &final_rel)?,
-        };
-        let schema = final_rel.schema();
-        let f = g.add(
-            PlanOp::Filter { predicate: pred },
-            schema,
-            vec![final_rel.node],
-        );
-        final_rel.node = f;
+    if let Some(h) = &bound.having {
+        let pred = resolve_final(h, &final_rel)?;
+        final_rel = final_rel.filtered(g, pred);
     }
 
     // ------ 8. Final projection. ------------------------------------------
     let mut out_exprs = Vec::new();
     let mut out_cols = Vec::new();
-    let mut out_names = Vec::new();
-    for (i, p) in stmt.projections.iter().enumerate() {
+    for (i, p) in bound.projections.iter().enumerate() {
         if matches!(p.expr, Expr::Star) {
-            for (c, (b, n, t)) in final_rel.cols.iter().enumerate() {
+            for (c, (_, n, t)) in final_rel.cols.iter().enumerate() {
                 out_exprs.push(ExprNode::col(c));
-                out_cols.push((b.clone(), n.clone(), t.clone()));
-                out_names.push(n.clone());
+                out_cols.push((None, n.clone(), t.clone()));
             }
             continue;
         }
-        let e = match &group_subst {
-            Some(s) => resolve_with_groups(&p.expr, s)?,
-            None => resolve(&p.expr, &final_rel)?,
-        };
+        let e = resolve_final(&p.expr, &final_rel)?;
         let t = expr_type(&e, &final_rel.schema())?;
-        let name = p.alias.clone().unwrap_or_else(|| match &p.expr {
-            Expr::Column { name, .. } => name.clone(),
-            _ => format!("_c{i}"),
-        });
         out_exprs.push(e);
-        out_cols.push((None, name.clone(), t));
-        out_names.push(name);
+        out_cols.push((None, output_name(i, p), t));
     }
-    let out_schema: Vec<ColumnInfo> = out_cols
-        .iter()
-        .map(|(_, n, t)| ColumnInfo::new(n.clone(), t.clone()))
-        .collect();
-    let sel = g.add(
+    let out_names: Vec<String> = out_cols.iter().map(|(_, n, _)| n.clone()).collect();
+    let mut result = Rel {
+        node: final_rel.node,
+        cols: out_cols,
+    };
+    result.node = g.add(
         PlanOp::Select {
             exprs: out_exprs.clone(),
         },
-        out_schema,
+        result.schema(),
         vec![final_rel.node],
     );
-    let mut result = Rel {
-        node: sel,
-        cols: out_cols,
-    };
 
     // ------ 9. ORDER BY: resolve to output positions (driver-side sort). --
     let mut order_by = Vec::new();
-    for o in &stmt.order_by {
-        let idx = resolve_order_item(
-            &o.expr,
-            stmt,
-            &out_names,
-            &group_subst,
-            &final_rel,
-            &out_exprs,
-        )?;
+    for o in &bound.order_by {
+        let idx = match &o.expr {
+            // Binding left it unqualified: it names an output column.
+            Expr::Column { table: None, name } => out_names
+                .iter()
+                .position(|n| n.eq_ignore_ascii_case(name))
+                .ok_or_else(|| HiveError::Semantic(format!("unknown column `{name}`")))?,
+            // Anything else must be one of the projected expressions.
+            e => {
+                let resolved = resolve_final(e, &final_rel)?;
+                out_exprs
+                    .iter()
+                    .position(|x| *x == resolved)
+                    .ok_or_else(|| {
+                        HiveError::Semantic(format!(
+                            "ORDER BY expression {e:?} is not in the select list"
+                        ))
+                    })?
+            }
+        };
         order_by.push((idx, o.ascending));
     }
 
     // ------ 10. LIMIT (plan-level only when no final sort is pending). ----
-    let limit = stmt.limit;
-    if let Some(n) = limit {
-        if order_by.is_empty() {
-            let schema = result.schema();
-            let l = g.add(PlanOp::Limit(n), schema, vec![result.node]);
-            result.node = l;
-        }
+    if let Some(n) = bound.limit.filter(|_| order_by.is_empty()) {
+        result.node = g.add(PlanOp::Limit(n), result.schema(), vec![result.node]);
     }
 
-    Ok((result, order_by, limit, out_names))
+    Ok((result, order_by, bound.limit, out_names))
 }
 
-/// Collect `(binding, table_ref)` pairs from the FROM clause.
-fn collect_bindings(stmt: &SelectStmt) -> Vec<(String, TableRef)> {
-    let mut out = vec![(stmt.from.binding().to_string(), stmt.from.clone())];
-    for j in &stmt.joins {
-        out.push((j.table.binding().to_string(), j.table.clone()));
+/// Cost-based join ordering (paper §9: "Hive has introduced cost based
+/// optimizer. Currently its used to do join ordering"), behind
+/// `hive.cbo.enable`: the classic greedy heuristic over a left-deep
+/// inner-join chain. At each step, among the joins whose ON condition only
+/// mentions entries already joined, the smallest table goes next — small
+/// tables join early, shrink intermediate results and (downstream) turn
+/// into Map Joins. Any outer join freezes the written order.
+fn reorder_joins(bound: &mut Bound) {
+    if bound.joins.len() < 2 || bound.joins.iter().any(|j| j.kind != JoinKind::Inner) {
+        return;
     }
-    out
-}
-
-/// Record every column reference of `e` against its owning binding.
-fn collect_columns(
-    e: &Expr,
-    bindings: &[(String, TableRef)],
-    catalog: &dyn Catalog,
-    used: &mut BTreeMap<String, BTreeSet<String>>,
-) {
-    e.walk(&mut |x| {
-        let Expr::Column { table, name } = x else {
-            return true;
+    let (scope, sources) = (&bound.scope, &bound.sources);
+    let size = |j: &BoundJoin| match &sources[j.entry] {
+        Source::Table(meta) => meta.size_bytes,
+        // Derived tables: unknown, order them last.
+        Source::Query(_) => u64::MAX,
+    };
+    let mut joined = BTreeSet::from([0]);
+    let mut remaining = std::mem::take(&mut bound.joins);
+    while !remaining.is_empty() {
+        let placeable = |j: &BoundJoin| {
+            let mut mentioned = scope.entries_of(&j.on).into_iter();
+            mentioned.all(|e| e == j.entry || joined.contains(&e))
         };
-        let name_l = name.to_ascii_lowercase();
-        match table {
-            Some(t) => {
-                used.entry(t.to_ascii_lowercase())
-                    .or_default()
-                    .insert(name_l);
-            }
-            None => {
-                // Attribute to whichever binding's table has the column.
-                for (binding, tref) in bindings {
-                    let has = match tref {
-                        TableRef::Table { name: tname, .. } => catalog
-                            .table(tname)
-                            .map(|m| m.schema.index_of(name).is_ok())
-                            .unwrap_or(false),
-                        TableRef::Subquery { query, .. } => query.projections.iter().any(|p| {
-                            p.alias.as_deref().map(|a| a.eq_ignore_ascii_case(name)).unwrap_or(
-                                matches!(&p.expr, Expr::Column { name: n, .. } if n.eq_ignore_ascii_case(name)),
-                            )
-                        }),
-                    };
-                    if has {
-                        used.entry(binding.to_ascii_lowercase())
-                            .or_default()
-                            .insert(name_l.clone());
-                    }
-                }
-            }
-        }
-        true
-    });
-}
-
-/// The single binding `e` references, or None (zero or several).
-fn owning_binding(
-    e: &Expr,
-    bindings: &[(String, TableRef)],
-    catalog: &dyn Catalog,
-) -> Option<String> {
-    let mut used: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    collect_columns(e, bindings, catalog, &mut used);
-    let refs: Vec<&String> = used
-        .iter()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(k, _)| k)
-        .collect();
-    if refs.len() == 1 {
-        Some(refs[0].clone())
-    } else {
-        None
+        let candidates = remaining.iter().enumerate().filter(|(_, j)| placeable(j));
+        let Some((pick, _)) = candidates.min_by_key(|&(i, j)| (size(j), i)) else {
+            // Conditions that reach past what is joined so far: keep the
+            // written order for the rest.
+            bound.joins.append(&mut remaining);
+            break;
+        };
+        let next = remaining.remove(pick);
+        joined.insert(next.entry);
+        bound.joins.push(next);
     }
 }
 
-/// Plan a FROM-clause table reference.
-fn plan_table_ref(
+/// Plan one scope entry's source under its binding, scanning only the
+/// `used` columns of a table (all of them when none is referenced).
+fn plan_source(
     g: &mut PlanGraph,
-    tref: &TableRef,
-    catalog: &dyn Catalog,
+    source: Source,
+    binding: &str,
+    used: &BTreeSet<usize>,
     conf: &HiveConf,
-    used: Option<&BTreeSet<String>>,
 ) -> Result<Rel> {
-    match tref {
-        TableRef::Table { name, alias } => {
-            let meta = catalog
-                .table(name)
-                .ok_or_else(|| HiveError::Semantic(format!("unknown table `{name}`")))?;
-            let binding = alias.clone().unwrap_or_else(|| name.clone());
-            // Column pruning: only the referenced columns are scanned.
-            let projection: Vec<usize> = match used {
-                Some(set) if !set.is_empty() => meta
-                    .schema
-                    .fields()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| set.contains(&f.name.to_ascii_lowercase()))
-                    .map(|(i, _)| i)
-                    .collect(),
-                _ => (0..meta.schema.len()).collect(),
-            };
-            let projection = if projection.is_empty() {
-                vec![0] // always scan something (COUNT(*)-only queries)
+    match source {
+        Source::Table(meta) => {
+            let projection: Vec<usize> = if used.is_empty() {
+                (0..meta.schema.len()).collect()
             } else {
-                projection
+                used.iter().copied().collect()
             };
             let cols: Vec<(Option<String>, String, DataType)> = projection
                 .iter()
                 .map(|&i| {
                     let f = meta.schema.field(i);
-                    (Some(binding.clone()), f.name.clone(), f.data_type.clone())
+                    let binding = Some(binding.to_string());
+                    (binding, f.name.clone(), f.data_type.clone())
                 })
                 .collect();
-            let schema: Vec<ColumnInfo> = cols
-                .iter()
-                .map(|(_, n, t)| ColumnInfo::new(n.clone(), t.clone()))
-                .collect();
-            let node = g.add(
+            let mut rel = Rel { node: 0, cols };
+            rel.node = g.add(
                 PlanOp::TableScan {
-                    alias: binding.clone(),
+                    alias: binding.to_string(),
                     table: meta,
                     projection,
                     sarg: None,
                 },
-                schema,
+                rel.schema(),
                 vec![],
             );
-            Ok(Rel { node, cols })
+            Ok(rel)
         }
-        TableRef::Subquery { query, alias } => {
-            let (mut rel, order, _limit, _names) = plan_select(g, query, catalog, conf)?;
-            if !order.is_empty() {
+        Source::Query(query) => {
+            if !query.order_by.is_empty() {
                 return Err(HiveError::Semantic(
                     "ORDER BY in FROM-clause subqueries is not supported".into(),
                 ));
             }
+            let (mut rel, ..) = plan_select(g, *query, conf)?;
             // Re-bind output columns under the subquery alias.
             for c in rel.cols.iter_mut() {
-                c.0 = Some(alias.clone());
+                c.0 = Some(binding.to_string());
             }
             Ok(rel)
         }
@@ -646,23 +536,30 @@ pub fn lower(
     })
 }
 
-/// Resolve an AST expression against a relation: columns bind by
-/// (qualifier, name) to the relation's output positions.
+/// Lower a bound expression over a relation: each reference is the output
+/// column carrying that same `(binding, column)`.
 fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
-    lower(e, &mut |x| match x {
-        Expr::Column { table, name } => rel
-            .lookup(table.as_deref(), name)
-            .map(|i| Some(ExprNode::Column(i))),
-        _ => Ok(None),
+    lower(e, &mut |x| {
+        let Expr::Column { table, name } = x else {
+            return Ok(None);
+        };
+        let at =
+            |(b, n, _): &(Option<String>, String, DataType)| b.is_some() && b == table && n == name;
+        Ok(rel.cols.iter().position(at).map(ExprNode::Column))
     })
 }
 
-/// Lower a DML predicate or SET expression over the table's own schema.
-/// These are scalar-only: against a single row an aggregate has no
-/// meaning, and neither does `*`.
-pub fn lower_dml(e: &Expr, schema: &Schema) -> Result<ExprNode> {
+/// Lower a DML predicate or SET expression over the target table: its
+/// scope is that one table under its own name, so any other qualifier is
+/// an unknown column. These are scalar-only: against a single row an
+/// aggregate has no meaning, and neither does `*`.
+pub fn lower_dml(e: &Expr, table: &str, schema: &Schema) -> Result<ExprNode> {
+    let scope = Scope::of_table(table, schema);
     lower(e, &mut |x| match x {
-        Expr::Column { name, .. } => Ok(Some(ExprNode::col(schema.index_of(name)?))),
+        Expr::Column { table, name } => {
+            let (_, column) = scope.bind(table.as_deref(), name)?;
+            Ok(Some(ExprNode::col(column)))
+        }
         Expr::Function { name, .. } => Err(HiveError::Plan(format!(
             "function `{name}` is not allowed in DML expressions"
         ))),
@@ -780,8 +677,10 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
     }
 }
 
-/// Split a join condition into equi-key pairs `(left_expr, right_expr)`
-/// and residual conjuncts.
+/// Split a join's condition into equi-key pairs `(left_expr, right_expr)`
+/// and residual conjuncts. `a = b` is a key pair when one operand mentions
+/// only entries already `joined` and the other only the join's own entry
+/// (an operand mentioning none sits on either side).
 ///
 /// Keys are typed (`hive_common::key`): an INT key never equals a DOUBLE
 /// key. This being the one place key pairs are made, an INT = DOUBLE pair
@@ -790,7 +689,9 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
 /// matches.
 #[allow(clippy::type_complexity)]
 fn split_join_condition<'a>(
-    on: &'a Expr,
+    scope: &Scope,
+    join: &'a BoundJoin,
+    joined: &BTreeSet<usize>,
     left: &Rel,
     right: &Rel,
 ) -> Result<(Vec<(ExprNode, ExprNode)>, Vec<&'a Expr>)> {
@@ -799,34 +700,32 @@ fn split_join_condition<'a>(
         expr: Box::new(e),
         target: DataType::Double,
     };
-    let typed_alike = |l: ExprNode, r: ExprNode| {
-        let types = (expr_type(&l, &left_schema)?, expr_type(&r, &right_schema)?);
-        Ok::<_, HiveError>(match types {
-            (DataType::Int, DataType::Double) => (to_double(l), r),
-            (DataType::Double, DataType::Int) => (l, to_double(r)),
-            _ => (l, r),
-        })
+    let own = BTreeSet::from([join.entry]);
+    let sides = |l: &Expr, r: &Expr| {
+        scope.entries_of(l).is_subset(joined) && scope.entries_of(r).is_subset(&own)
     };
     let mut equi = Vec::new();
     let mut residual = Vec::new();
-    for conj in on.conjuncts() {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left: a,
-            right: b,
-        } = conj
-        {
-            // Try (a over left, b over right), then flipped.
-            if let (Ok(l), Ok(r)) = (resolve(a, left), resolve(b, right)) {
-                equi.push(typed_alike(l, r)?);
-                continue;
-            }
-            if let (Ok(l), Ok(r)) = (resolve(b, left), resolve(a, right)) {
-                equi.push(typed_alike(l, r)?);
-                continue;
-            }
-        }
-        residual.push(conj);
+    for conj in join.on.conjuncts() {
+        let pair = match conj {
+            Expr::Binary {
+                op: BinOp::Eq,
+                left: a,
+                right: b,
+            } => [(a, b), (b, a)].into_iter().find(|(l, r)| sides(l, r)),
+            _ => None,
+        };
+        let Some(pair) = pair else {
+            residual.push(conj);
+            continue;
+        };
+        let (l, r) = (resolve(pair.0, left)?, resolve(pair.1, right)?);
+        let types = (expr_type(&l, &left_schema)?, expr_type(&r, &right_schema)?);
+        equi.push(match types {
+            (DataType::Int, DataType::Double) => (to_double(l), r),
+            (DataType::Double, DataType::Int) => (l, to_double(r)),
+            _ => (l, r),
+        });
     }
     Ok((equi, residual))
 }
@@ -952,15 +851,15 @@ fn add_reduce_join(
         vec![right.node],
     );
 
-    let mut cols: Vec<(Option<String>, String, DataType)> = Vec::new();
-    for i in 0..nk {
-        cols.push((None, format!("_lkey{i}"), key_types[i].clone()));
-    }
-    cols.extend(left.cols.iter().cloned());
-    for i in 0..nk {
-        cols.push((None, format!("_rkey{i}"), key_types[i].clone()));
-    }
-    cols.extend(right.cols.iter().cloned());
+    let key_cols = |side: &'static str| {
+        let named = key_types.iter().enumerate();
+        named.map(move |(i, t)| (None, format!("_{side}key{i}"), t.clone()))
+    };
+    let cols: Vec<(Option<String>, String, DataType)> = key_cols("l")
+        .chain(left.cols.iter().cloned())
+        .chain(key_cols("r"))
+        .chain(right.cols.iter().cloned())
+        .collect();
     let schema: Vec<ColumnInfo> = cols
         .iter()
         .map(|(_, n, t)| ColumnInfo::new(n.clone(), t.clone()))
@@ -978,24 +877,23 @@ fn add_reduce_join(
     Ok(Rel { node: join, cols })
 }
 
-/// The substitution context built by aggregation planning.
-#[derive(Debug, Clone)]
-struct GroupSubst {
-    /// Resolved group expressions (over the pre-GBY rel) → output position.
-    groups: Vec<(ExprNode, usize)>,
-    /// Aggregate calls: (function, resolved arg) → output position.
-    aggs: Vec<(AggFunction, Option<ExprNode>, usize)>,
-    /// The pre-aggregation relation (for resolving inner expressions).
-    input_rel: Rel,
+/// The substitution context built by aggregation planning: the bound
+/// group expressions and aggregate calls, each with the column of the
+/// aggregation's output that carries it.
+#[derive(Debug)]
+struct GroupSubst<'a> {
+    groups: &'a [Expr],
+    /// Output columns `groups.len()..` in this order.
+    aggs: &'a [&'a Expr],
 }
 
 /// Insert map-side hash GBY → RS → reduce-side merge GBY.
-fn add_aggregation(
+fn add_aggregation<'a>(
     g: &mut PlanGraph,
     input: Rel,
-    group_by: &[Expr],
-    agg_calls: &[Expr],
-) -> Result<(Rel, GroupSubst)> {
+    group_by: &'a [Expr],
+    agg_calls: &'a [&'a Expr],
+) -> Result<(Rel, GroupSubst<'a>)> {
     let nk = group_by.len();
     let mut key_exprs = Vec::with_capacity(nk);
     let mut key_infos = Vec::with_capacity(nk);
@@ -1011,7 +909,6 @@ fn add_aggregation(
     }
 
     let mut calls = Vec::with_capacity(agg_calls.len());
-    let mut subst_aggs = Vec::new();
     for (i, e) in agg_calls.iter().enumerate() {
         let Expr::Function {
             name,
@@ -1039,7 +936,6 @@ fn add_aggregation(
             None => None,
         };
         let out_type = agg_output_type(function, arg_type.as_ref());
-        subst_aggs.push((function, arg.clone(), nk + i));
         calls.push(AggCall {
             function,
             arg,
@@ -1065,7 +961,7 @@ fn add_aggregation(
     let map_gby = g.add(
         PlanOp::GroupBy {
             phase: GroupByPhase::MapHash,
-            keys: key_exprs.clone(),
+            keys: key_exprs,
             aggs: calls.clone(),
         },
         map_schema.clone(),
@@ -1120,13 +1016,8 @@ fn add_aggregation(
         .map(|c| (None, c.name.clone(), c.data_type.clone()))
         .collect();
     let subst = GroupSubst {
-        groups: key_exprs
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (e, i))
-            .collect(),
-        aggs: subst_aggs,
-        input_rel: input,
+        groups: group_by,
+        aggs: agg_calls,
     };
     Ok((
         Rel {
@@ -1137,88 +1028,37 @@ fn add_aggregation(
     ))
 }
 
-/// Resolve an expression over the aggregation output: group expressions and
-/// aggregate calls become column references; anything else must be composed
-/// of them.
+/// Lower a bound expression over the aggregation output: a sub-tree equal
+/// to a group expression or a collected aggregate call is that output
+/// column; anything else must be composed of them.
 fn resolve_with_groups(e: &Expr, subst: &GroupSubst) -> Result<ExprNode> {
     lower(e, &mut |x| {
-        // An aggregate call?
-        if let Expr::Function { name, args, .. } = x {
-            let star = matches!(args.first(), Some(Expr::Star));
-            if let Some(f) = parse_agg_function(name, star) {
-                let arg = if star || args.is_empty() {
-                    None
-                } else {
-                    Some(resolve(&args[0], &subst.input_rel)?)
-                };
-                return subst
-                    .aggs
-                    .iter()
-                    .find(|(af, aarg, _)| *af == f && *aarg == arg)
-                    .map(|(_, _, idx)| Some(ExprNode::col(*idx)))
-                    .ok_or_else(|| {
-                        HiveError::Semantic(format!(
-                            "aggregate `{name}` was not collected during planning"
-                        ))
-                    });
-            }
+        if let Some(i) = subst.groups.iter().position(|g| g == x) {
+            return Ok(Some(ExprNode::col(i)));
         }
-        // A group expression (structurally, after resolution)?
-        if let Ok(resolved) = resolve(x, &subst.input_rel) {
-            if let Some((_, idx)) = subst.groups.iter().find(|(ge, _)| *ge == resolved) {
-                return Ok(Some(ExprNode::col(*idx)));
-            }
-            // A bare column that is not grouped is an error; composite
-            // expressions may still decompose below.
-            if matches!(x, Expr::Column { .. }) {
-                return Err(HiveError::Semantic(format!(
-                    "column {x:?} is neither grouped nor aggregated"
-                )));
-            }
+        if let Some(i) = subst.aggs.iter().position(|a| *a == x) {
+            return Ok(Some(ExprNode::col(subst.groups.len() + i)));
         }
-        Ok(None)
+        match x {
+            Expr::Column { .. } => Err(HiveError::Semantic(format!(
+                "column {x:?} is neither grouped nor aggregated"
+            ))),
+            _ => Ok(None),
+        }
     })
 }
 
 /// Collect the distinct aggregate calls of `e`, outermost first (an
 /// aggregate's own arguments are not searched).
-fn collect_agg_calls(e: &Expr, out: &mut Vec<Expr>) {
+fn collect_agg_calls<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     e.walk(&mut |x| {
         let is_agg = matches!(x, Expr::Function { name, args, .. }
             if parse_agg_function(name, matches!(args.first(), Some(Expr::Star))).is_some());
-        if is_agg && !out.contains(x) {
-            out.push(x.clone());
+        if is_agg && !out.contains(&x) {
+            out.push(x);
         }
         !is_agg
     });
-}
-
-/// Resolve one ORDER BY item to a final-output column index.
-fn resolve_order_item(
-    e: &Expr,
-    _stmt: &SelectStmt,
-    out_names: &[String],
-    subst: &Option<GroupSubst>,
-    final_rel: &Rel,
-    out_exprs: &[ExprNode],
-) -> Result<usize> {
-    // By alias / output name.
-    if let Expr::Column { table: None, name } = e {
-        if let Some(i) = out_names.iter().position(|n| n.eq_ignore_ascii_case(name)) {
-            return Ok(i);
-        }
-    }
-    // By matching the projected expression.
-    let resolved = match subst {
-        Some(s) => resolve_with_groups(e, s)?,
-        None => resolve(e, final_rel)?,
-    };
-    if let Some(i) = out_exprs.iter().position(|x| *x == resolved) {
-        return Ok(i);
-    }
-    Err(HiveError::Semantic(format!(
-        "ORDER BY expression {e:?} is not in the select list"
-    )))
 }
 
 #[cfg(test)]
@@ -1368,15 +1208,121 @@ mod tests {
     #[test]
     fn dml_expressions_are_scalar_only() {
         let schema = Schema::parse(&[("k", "bigint"), ("v", "string")]).unwrap();
-        let ok = lower_dml(
-            &where_of("SELECT k FROM t WHERE k = -3 AND v IS NOT NULL"),
-            &schema,
-        );
+        let dml = |e: &Expr| lower_dml(e, "t", &schema);
+        let ok = dml(&where_of(
+            "SELECT k FROM t WHERE k = -3 AND t.v IS NOT NULL",
+        ));
         assert!(ok.is_ok());
         let agg = where_of("SELECT k FROM t WHERE sum(k) > 1");
-        assert!(matches!(lower_dml(&agg, &schema), Err(HiveError::Plan(_))));
+        assert!(matches!(dml(&agg), Err(HiveError::Plan(_))));
         let star = Expr::binary(BinOp::Eq, Expr::Star, Expr::Literal(Value::Int(1)));
-        assert!(matches!(lower_dml(&star, &schema), Err(HiveError::Plan(_))));
-        assert!(lower_dml(&Expr::col("nope"), &schema).is_err());
+        assert!(matches!(dml(&star), Err(HiveError::Plan(_))));
+        // The scope is the one table: nothing else can qualify a column.
+        for unknown in [Expr::col("nope"), Expr::qcol("other", "k")] {
+            assert!(matches!(dml(&unknown), Err(HiveError::Semantic(_))));
+        }
+    }
+
+    /// The join order `hive.cbo.enable` picks, as bindings.
+    fn reordered(catalog: &StaticCatalog, sql: &str) -> Vec<String> {
+        let Statement::Select(stmt) = parse(sql).unwrap() else {
+            panic!("expected select")
+        };
+        let mut bound = bind_select(&stmt, catalog).unwrap();
+        reorder_joins(&mut bound);
+        let binding = |j: &BoundJoin| bound.scope.binding(j.entry).to_string();
+        bound.joins.iter().map(binding).collect()
+    }
+
+    /// (name, columns, bytes).
+    type Sized<'a> = (&'a str, &'a [(&'a str, &'a str)], u64);
+
+    fn sized_tables(tables: &[Sized]) -> StaticCatalog {
+        let table = |&(name, cols, size): &Sized| TableMeta {
+            name: name.into(),
+            schema: Schema::parse(cols).unwrap(),
+            format: hive_formats::FormatKind::Orc,
+            paths: vec![],
+            size_bytes: size,
+            acid: None,
+        };
+        StaticCatalog {
+            tables: tables.iter().map(table).collect(),
+        }
+    }
+
+    fn kv_tables() -> StaticCatalog {
+        let kv: &[(&str, &str)] = &[("k", "bigint"), ("v", "bigint")];
+        sized_tables(&[
+            ("huge", kv, 1 << 40),
+            ("big", kv, 1 << 30),
+            ("mid", kv, 1 << 20),
+            ("tiny", kv, 1 << 10),
+        ])
+    }
+
+    #[test]
+    fn smallest_table_joins_first() {
+        let order = reordered(
+            &kv_tables(),
+            "SELECT huge.k FROM huge \
+             JOIN big ON (huge.k = big.k) \
+             JOIN tiny ON (huge.k = tiny.k) \
+             JOIN mid ON (huge.k = mid.k)",
+        );
+        assert_eq!(order, vec!["tiny", "mid", "big"]);
+    }
+
+    #[test]
+    fn scope_constraints_are_respected() {
+        // tiny's condition depends on big, so big must come first even
+        // though tiny is smaller.
+        let order = reordered(
+            &kv_tables(),
+            "SELECT huge.k FROM huge \
+             JOIN big ON (huge.k = big.k) \
+             JOIN tiny ON (big.v = tiny.k)",
+        );
+        assert_eq!(order, vec!["big", "tiny"]);
+    }
+
+    #[test]
+    fn outer_joins_freeze_the_order() {
+        let order = reordered(
+            &kv_tables(),
+            "SELECT huge.k FROM huge \
+             JOIN big ON (huge.k = big.k) \
+             LEFT JOIN tiny ON (huge.k = tiny.k)",
+        );
+        assert_eq!(order, vec!["big", "tiny"], "written order preserved");
+    }
+
+    #[test]
+    fn unqualified_conditions_reorder_like_qualified_ones() {
+        // q27 style: every column name belongs to one table, nothing is
+        // qualified — the reorder sees the same entries the analyzer does.
+        let catalog = sized_tables(&[
+            (
+                "sales",
+                &[("s_item", "bigint"), ("s_store", "bigint")],
+                1 << 40,
+            ),
+            (
+                "item",
+                &[("i_id", "bigint"), ("i_brand", "bigint")],
+                1 << 30,
+            ),
+            ("brand", &[("b_id", "bigint")], 1 << 10),
+            ("store", &[("st_id", "bigint")], 1 << 20),
+        ]);
+        let order = reordered(
+            &catalog,
+            "SELECT s_item FROM sales \
+             JOIN item ON (s_item = i_id) \
+             JOIN brand ON (i_brand = b_id) \
+             JOIN store ON (s_store = st_id)",
+        );
+        // store hoists over item; brand still waits for item.
+        assert_eq!(order, vec!["store", "item", "brand"]);
     }
 }

@@ -278,6 +278,30 @@ impl Expr {
         }
     }
 
+    /// [`Expr::children`], mutably — for rewrites that keep the tree's shape.
+    pub fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Star => Vec::new(),
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                vec![expr]
+            }
+            Expr::Function { args, .. } => args.iter_mut().collect(),
+            Expr::Between { expr, lo, hi, .. } => vec![expr, lo, hi],
+            Expr::InList { expr, list, .. } => std::iter::once(&mut **expr)
+                .chain(list.iter_mut())
+                .collect(),
+            Expr::Case {
+                branches,
+                else_value,
+            } => branches
+                .iter_mut()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_value.as_deref_mut())
+                .collect(),
+        }
+    }
+
     /// Pre-order walk: `visit` sees every node and answers whether to
     /// descend into that node's children.
     pub fn walk<'a, F: FnMut(&'a Expr) -> bool>(&'a self, visit: &mut F) {
@@ -431,6 +455,13 @@ mod tests {
         for (e, want) in &samples {
             let got: Vec<Expr> = e.children().into_iter().cloned().collect();
             assert_eq!(&got, want, "children of {e:?}");
+            let got_mut: Vec<Expr> = e
+                .clone()
+                .children_mut()
+                .into_iter()
+                .map(|c| c.clone())
+                .collect();
+            assert_eq!(&got_mut, want, "children_mut of {e:?}");
         }
         // walk = pre-order over children, pruned where the visitor says so.
         let tree = Expr::binary(BinOp::And, samples[5].0.clone(), samples[10].0.clone());

@@ -318,3 +318,80 @@ fn key_rule_holds_across_engines_and_join_strategies() {
     }
     assert!(answers.iter().all(|a| *a == answers[0]));
 }
+
+/// Name binding end to end: a reference the scope cannot bind is an error —
+/// never a silently dropped predicate or an ignored qualifier — and a WHERE
+/// conjunct on the null-supplying side of an outer join filters the joined
+/// rows, whichever engine and join strategy run the plan.
+#[test]
+fn unbound_references_fail_and_outer_join_filters_run_after_the_join() {
+    for (vectorized, map_join) in [(true, true), (true, false), (false, true), (false, false)] {
+        let on_off = |on| if on { "true" } else { "false" };
+        let mut s = HiveSession::in_memory();
+        s.set(keys::VECTORIZED_ENABLED, on_off(vectorized));
+        s.set(keys::AUTO_CONVERT_JOIN, on_off(map_join));
+        s.execute("CREATE TABLE a (k BIGINT) STORED AS orc")
+            .unwrap();
+        s.execute("CREATE TABLE b (k BIGINT, name STRING) STORED AS orc")
+            .unwrap();
+        s.execute("INSERT INTO a VALUES (1), (2), (3), (4)")
+            .unwrap();
+        s.execute("INSERT INTO b VALUES (1, 'x'), (2, 'y')")
+            .unwrap();
+        let ctx = format!("vectorized={vectorized} map_join={map_join}");
+        let mut run = |sql: &str| -> Vec<String> {
+            let rows = s.execute(sql).unwrap().rows;
+            let cells = |r: &Row| r.values().iter().map(Value::to_string).collect::<Vec<_>>();
+            let mut lines: Vec<String> = rows.iter().map(|r| cells(r).join(" ")).collect();
+            lines.sort();
+            lines
+        };
+        let on = "ON (a.k = b.k)";
+        for (sql, want) in [
+            (
+                format!("SELECT a.k, b.name FROM a LEFT OUTER JOIN b {on} WHERE b.name = 'x'"),
+                vec!["1 x"],
+            ),
+            (
+                format!("SELECT a.k, b.name FROM a LEFT OUTER JOIN b {on} WHERE b.name IS NULL"),
+                vec!["3 NULL", "4 NULL"],
+            ),
+            (
+                format!("SELECT a.k, b.name FROM a FULL OUTER JOIN b {on} WHERE a.k > 3"),
+                vec!["4 NULL"],
+            ),
+            (
+                format!("SELECT a.k, b.name FROM b RIGHT OUTER JOIN a {on} WHERE b.name = 'x'"),
+                vec!["1 x"],
+            ),
+            // The preserved side: pushed to the scan as before, same answer.
+            (
+                format!("SELECT a.k, b.name FROM a LEFT OUTER JOIN b {on} WHERE a.k > 1"),
+                vec!["2 y", "3 NULL", "4 NULL"],
+            ),
+        ] {
+            assert_eq!(run(&sql), want, "{ctx}: {sql}");
+        }
+
+        for sql in [
+            "SELECT COUNT(*) FROM a WHERE zz.k > 1000000",
+            "SELECT COUNT(*) FROM a t WHERE a.k > 1000000",
+            "DELETE FROM a WHERE other.k = 2",
+            "UPDATE b SET name = 'z' WHERE nope.k = 1",
+        ] {
+            let err = s.execute(sql).expect_err(sql).to_string();
+            assert!(
+                err.contains("[semantic] unknown column"),
+                "{ctx}: {sql}: {err}"
+            );
+        }
+        s.set(keys::COMPUTE_USING_STATS, "true");
+        assert!(s.execute("SELECT MAX(zz.k) FROM a").is_err(), "{ctx}");
+        s.set(keys::COMPUTE_USING_STATS, "false");
+        // Nothing was deleted or updated on the way.
+        let mut run = |sql: &str| s.execute(sql).unwrap().rows.len();
+        assert_eq!(run("SELECT k FROM a"), 4, "{ctx}");
+        assert_eq!(run("SELECT k FROM b WHERE name = 'z'"), 0, "{ctx}");
+        assert_eq!(run("SELECT k FROM a WHERE a.k > 1000000"), 0, "{ctx}");
+    }
+}

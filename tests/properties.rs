@@ -15,6 +15,7 @@ use hive::formats::orc::reader::{OrcReadOptions, OrcReader};
 use hive::formats::orc::writer::{OrcWriter, OrcWriterOptions};
 use hive::formats::{PredicateLeaf, SearchArgument, TableReader, TableWriter};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 fn small_dfs() -> Dfs {
     Dfs::new(DfsConfig {
@@ -1674,6 +1675,211 @@ proptest! {
                     join, tables.0, tables.1, vectorize, map_join
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Planner oracles. The four (vectorize, map-join) engines run one plan, so
+// agreeing with each other says nothing about the plan: outer joins under a
+// WHERE are checked against the definition (nested loop, NULL-extend, then
+// filter), and a statement's plan and rows must not depend on how its
+// column references are spelled.
+// ---------------------------------------------------------------------------
+
+const ALL_ENGINES: [(bool, bool); 4] = [(true, true), (false, true), (true, false), (false, false)];
+
+/// One side's WHERE conjunct over its non-key column (`probe_t.id`,
+/// `build_t.name`), as SQL text and as the predicate it denotes; a NULL
+/// operand fails every comparison.
+#[allow(clippy::type_complexity)]
+fn side_predicate(
+    column: &str,
+    literal: Value,
+    op: usize,
+) -> Option<(String, Box<dyn Fn(&Value) -> bool>)> {
+    let quoted = match &literal {
+        Value::String(s) => format!("'{s}'"),
+        other => other.to_string(),
+    };
+    let compares = move |ord: fn(Ordering) -> bool| -> Box<dyn Fn(&Value) -> bool> {
+        Box::new(move |v| !matches!(v, Value::Null) && ord(key::cmp_value(v, &literal)))
+    };
+    Some(match op {
+        1 => (
+            format!("{column} IS NULL"),
+            Box::new(|v| matches!(v, Value::Null)),
+        ),
+        2 => (format!("{column} = {quoted}"), compares(Ordering::is_eq)),
+        3 => (format!("{column} > {quoted}"), compares(Ordering::is_gt)),
+        _ => return None,
+    })
+}
+
+/// `SELECT probe_t.id, probe_t.k0, build_t.name` over `probe_t <join>
+/// build_t` on every key column, by definition: all pairs whose keys are
+/// equal under the key rule (a NULL part equals nothing; the INT side of an
+/// INT = DOUBLE pair compares as DOUBLE), unmatched rows of a preserved
+/// side NULL-extended, and only then `keep`.
+fn join_oracle(tables: &JoinTables, join: &str, keep: &dyn Fn(&Value, &Value) -> bool) -> Vec<Key> {
+    let (probe_types, build_types, build, probe) = tables;
+    let widen = probe_types != build_types;
+    let key_of = |k: &[Value], widen: bool| {
+        let part = |v: &Value| match v {
+            Value::Int(i) if widen => Value::Double(*i as f64),
+            v => v.clone(),
+        };
+        (!k.contains(&Value::Null)).then(|| Key(k.iter().map(part).collect()))
+    };
+    let (keep_probe, keep_build) = (
+        join != "JOIN" && join != "RIGHT JOIN",
+        join.starts_with(['R', 'F']),
+    );
+    let name = |j: usize| Value::String(format!("b{j}"));
+    let mut build_matched = vec![false; build.len()];
+    let mut rows = Vec::new();
+    for (i, p) in probe.iter().enumerate() {
+        let id = Value::Int(i as i64);
+        let pk = key_of(p, widen);
+        let matches: Vec<usize> = (0..build.len())
+            .filter(|&j| pk.is_some() && pk == key_of(&build[j], false))
+            .collect();
+        for &j in &matches {
+            build_matched[j] = true;
+            rows.push(vec![id.clone(), p[0].clone(), name(j)]);
+        }
+        if matches.is_empty() && keep_probe {
+            rows.push(vec![id, p[0].clone(), Value::Null]);
+        }
+    }
+    for j in (0..build.len()).filter(|&j| keep_build && !build_matched[j]) {
+        rows.push(vec![Value::Null, Value::Null, name(j)]);
+    }
+    rows.retain(|r| keep(&r[0], &r[2]));
+    sorted_rows(rows.into_iter().map(Row::new).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn outer_joins_under_a_where_match_the_nested_loop_oracle(
+        tables in join_tables_strategy(),
+        (probe_op, build_op, c) in (0usize..4, 0usize..4, 0i64..12),
+    ) {
+        let probe_pred = side_predicate("probe_t.id", Value::Int(c), probe_op);
+        let build_pred = side_predicate("build_t.name", Value::String(format!("b{c}")), build_op);
+        let conjuncts = [&probe_pred, &build_pred].into_iter().flatten();
+        let conjuncts: Vec<&str> = conjuncts.map(|(sql, _)| sql.as_str()).collect();
+        let filter = match conjuncts.is_empty() {
+            true => String::new(),
+            false => format!(" WHERE {}", conjuncts.join(" AND ")),
+        };
+        let keep = |id: &Value, name: &Value| {
+            probe_pred.as_ref().is_none_or(|(_, p)| p(id))
+                && build_pred.as_ref().is_none_or(|(_, p)| p(name))
+        };
+        let on: Vec<String> = (0..tables.0.len())
+            .map(|i| format!("probe_t.k{i} = build_t.k{i}"))
+            .collect();
+        for (vectorize, map_join) in ALL_ENGINES {
+            let mut s = join_session(&tables, vectorize, map_join);
+            for join in ["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"] {
+                let sql = format!(
+                    "SELECT probe_t.id, probe_t.k0, build_t.name FROM probe_t \
+                     {join} build_t ON ({}){filter}",
+                    on.join(" AND ")
+                );
+                prop_assert_eq!(
+                    sorted_rows(s.execute(&sql).unwrap().rows),
+                    join_oracle(&tables, join, &keep),
+                    "{} over {:?} = {:?}, vectorize={} map_join={}",
+                    sql, tables.0, tables.1, vectorize, map_join
+                );
+            }
+        }
+    }
+}
+
+/// `sql` with every bare occurrence of one of `columns` spelled
+/// `qualifier.column` (select aliases — the word after `AS` — and string
+/// literals are left alone).
+fn qualify(sql: &str, columns: &[&str], qualifier: &str) -> String {
+    let mut out = String::new();
+    let (mut in_quote, mut after_as) = (false, false);
+    let mut rest = sql;
+    while let Some(c) = rest.chars().next() {
+        let word_len = match in_quote || !(c.is_ascii_alphabetic() || c == '_') {
+            true => 0,
+            false => rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len()),
+        };
+        if word_len == 0 {
+            in_quote ^= c == '\'';
+            out.push(c);
+            rest = &rest[c.len_utf8()..];
+            continue;
+        }
+        let word = &rest[..word_len];
+        if columns.contains(&word) && !after_as && !out.ends_with('.') {
+            out.push_str(qualifier);
+            out.push('.');
+        }
+        out.push_str(word);
+        after_as = word == "AS";
+        rest = &rest[word_len..];
+    }
+    out
+}
+
+/// The plan text and the sorted rows of `sql`.
+fn plan_and_rows(s: &mut hive::HiveSession, sql: &str) -> hive::common::Result<(String, Vec<Key>)> {
+    let plan = s.execute(&format!("EXPLAIN {sql}"))?.explain;
+    Ok((
+        plan.expect("EXPLAIN sets explain text"),
+        sorted_rows(s.execute(sql)?.rows),
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn qualifying_every_column_changes_neither_plan_nor_rows(
+        rows in full_query_rows_strategy(),
+        (filter, th, shape) in (0usize..10, -400i64..400, 0usize..8),
+        (lit, group) in (0usize..EDGE_LITERALS.len(), 0usize..GROUP_KEYS.len()),
+        tables in join_tables_strategy(),
+        join in 0usize..4,
+    ) {
+        let written = full_query(filter, th, shape, lit, group);
+        let columns = ["k", "v", "d", "s", "b", "ts"];
+        let mut s = full_query_session(&rows, true);
+        let plain = plan_and_rows(&mut s, &written).unwrap();
+        let qualified = qualify(&written, &columns, "t");
+        prop_assert!(qualified != written);
+        let respelled = plan_and_rows(&mut s, &qualified).unwrap();
+        prop_assert_eq!(&respelled, &plain, "{}", qualified);
+        let bogus = qualify(&written, &columns, "zz");
+        prop_assert!(plan_and_rows(&mut s, &bogus).is_err(), "{}", bogus);
+
+        // The join shapes: `id` and `name` exist on one side each, so they
+        // may go unqualified; the key columns exist on both and may not.
+        let join = ["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"][join];
+        let spelled = |probe: &str, build: &str| format!(
+            "SELECT {probe}id, probe_t.k0, {build}name FROM probe_t {join} build_t \
+             ON (probe_t.k0 = build_t.k0) WHERE {probe}id > 2 AND {build}name > 'b1'"
+        );
+        for (vectorize, map_join) in ALL_ENGINES {
+            let mut s = join_session(&tables, vectorize, map_join);
+            let qualified = plan_and_rows(&mut s, &spelled("probe_t.", "build_t.")).unwrap();
+            prop_assert_eq!(&plan_and_rows(&mut s, &spelled("", "")).unwrap(), &qualified);
+            prop_assert!(plan_and_rows(&mut s, &spelled("build_t.", "build_t.")).is_err());
+            let dropped = spelled("probe_t.", "build_t.").replace("WHERE probe_t.", "WHERE zz.");
+            prop_assert!(plan_and_rows(&mut s, &dropped).is_err(), "{}", dropped);
+            let ambiguous = "SELECT k0 FROM probe_t JOIN build_t ON (probe_t.k0 = build_t.k0)";
+            prop_assert!(plan_and_rows(&mut s, ambiguous).is_err());
         }
     }
 }
