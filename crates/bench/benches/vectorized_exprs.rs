@@ -26,7 +26,7 @@ fn price_disc() -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Row engine: WHERE disc BETWEEN 0.05 AND 0.07 → SUM(price * disc).
-fn bench_row_mode(c: &mut Criterion) {
+fn row_mode(c: &mut Criterion) {
     let (prices, discounts) = price_disc();
     let rows: Vec<Row> = prices
         .iter()
@@ -61,7 +61,7 @@ fn bench_row_mode(c: &mut Criterion) {
 }
 
 /// Vectorized engine: the same kernel over 1024-row batches.
-fn bench_vectorized(c: &mut Criterion) {
+fn vectorized(c: &mut Criterion) {
     let (prices, discounts) = price_disc();
     let mut g = c.benchmark_group("q6_kernel");
     g.throughput(Throughput::Elements(N as u64));
@@ -115,5 +115,5 @@ fn bench_vectorized(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_row_mode, bench_vectorized);
+criterion_group!(benches, row_mode, vectorized);
 criterion_main!(benches);

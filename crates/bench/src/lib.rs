@@ -11,48 +11,15 @@
 //!
 //! Scale is controlled by `HIVE_BENCH_SF` (TPC scale factor fraction,
 //! default 0.01) and `HIVE_BENCH_SSDB_STEP` (SS-DB grid step, default 100).
+//!
+//! These binaries and the Criterion benches under `benches/` reproduce the
+//! paper's exhibits on the simulated cluster clock; nothing here gates CI.
+//! How fast the engine is on this host is the business of the wall-clock
+//! benchmark in `/benchmark` (see its README), and the invariants of the
+//! later subsystems are tests (DESIGN.md §19).
 
-use hive_core::{HiveSession, QueryResult};
+use hive_core::HiveSession;
 use hive_dfs::DfsConfig;
-
-/// What one best-of-runs measurement sweep produced.
-pub struct RunStats {
-    /// Minimum measured CPU over the runs.
-    pub best_cpu_s: f64,
-    /// Minimum simulated elapsed over the runs.
-    pub best_sim_s: f64,
-    /// Mean simulated elapsed over the runs.
-    pub mean_sim_s: f64,
-    /// The last run's full result (rows and report counters).
-    pub last: QueryResult,
-}
-
-/// Best-of-runs measurement (the `bench_vector` convention, shared by all
-/// the gated harnesses): execute a query `runs` times and keep the
-/// minimum measured CPU and simulated elapsed — host noise only ever
-/// makes a run slower, so the minimum is the clean signal a regression
-/// gate can trust. The mean simulated elapsed and the last result ride
-/// along for harnesses that need them.
-pub fn measure_runs(runs: usize, mut exec: impl FnMut() -> QueryResult) -> RunStats {
-    assert!(runs > 0, "measure_runs needs at least one run");
-    let mut best_cpu_s = f64::INFINITY;
-    let mut best_sim_s = f64::INFINITY;
-    let mut sum_sim_s = 0.0;
-    let mut last = None;
-    for _ in 0..runs {
-        let r = exec();
-        best_cpu_s = best_cpu_s.min(r.report.cpu_seconds);
-        best_sim_s = best_sim_s.min(r.report.sim_total_s);
-        sum_sim_s += r.report.sim_total_s;
-        last = Some(r);
-    }
-    RunStats {
-        best_cpu_s,
-        best_sim_s,
-        mean_sim_s: sum_sim_s / runs as f64,
-        last: last.expect("runs > 0"),
-    }
-}
 
 /// TPC scale factor for harness runs (paper: 300; default here: 0.01).
 pub fn scale_factor() -> f64 {

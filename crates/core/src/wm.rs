@@ -630,6 +630,74 @@ mod tests {
         wm.release(&a);
     }
 
+    /// The fairness guarantee as grant *order*, no clock involved: with
+    /// every slot held by etl (two of them borrowed) and more etl already
+    /// parked, an interactive arrival costs exactly one preemption — the
+    /// youngest borrower — and takes the reclaimed slot ahead of every
+    /// etl statement that was waiting before it arrived.
+    #[test]
+    fn interactive_arrival_overtakes_parked_etl_after_one_preemption() {
+        let wm = Arc::new(wm_with(
+            "interactive:share=2,priority=10;etl:share=2",
+            "",
+            "8",
+        ));
+        let (interactive, etl) = (0, 1);
+        let running: Vec<_> = (0..4).map(|_| wm.admit(etl, None)).collect();
+        assert!(running.iter().all(|g| !g.queued), "idle slots are lent");
+
+        // Each waiter records its label when granted, then hands its grant
+        // back over the join handle.
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let waiter = |pool: usize, label: &'static str| {
+            let (wm, order) = (Arc::clone(&wm), Arc::clone(&order));
+            thread::spawn(move || {
+                let g = wm.admit(pool, None);
+                order.lock().unwrap().push(label);
+                g
+            })
+        };
+        let mut parked = Vec::new();
+        for (i, label) in ["etl-0", "etl-1"].into_iter().enumerate() {
+            parked.push(waiter(etl, label));
+            while wm.queue_depth(etl) < i + 1 {
+                thread::yield_now();
+            }
+        }
+        let arrival = waiter(interactive, "interactive");
+        while wm.preemptions_fired() == 0 {
+            thread::yield_now();
+        }
+        let cancelled: Vec<bool> = running.iter().map(|g| g.cancel.is_cancelled()).collect();
+        assert_eq!(cancelled, [false, false, false, true], "youngest borrower");
+        assert!(
+            order.lock().unwrap().is_empty(),
+            "a full server grants nothing"
+        );
+
+        // The victim unwinds: that one release is all the arrival needs.
+        wm.release_preempted(&running[3]);
+        while order.lock().unwrap().is_empty() {
+            thread::yield_now();
+        }
+        assert_eq!(*order.lock().unwrap(), ["interactive"]);
+        let g = arrival.join().unwrap();
+        assert!(g.queued);
+        assert_eq!(wm.queue_depth(etl), 2, "parked etl waiters were overtaken");
+        assert_eq!(wm.preemptions_fired(), 1);
+
+        // Drain: the parked etl statements then run in ticket order.
+        wm.release(&g);
+        let mut parked = parked.into_iter().map(|h| h.join().unwrap());
+        let g0 = parked.next().unwrap();
+        assert_eq!(*order.lock().unwrap(), ["interactive", "etl-0"]);
+        for g in running[..3].iter().chain([&g0]) {
+            wm.release(g);
+        }
+        wm.release(&parked.next().unwrap());
+        assert_eq!(wm.preemptions_fired(), 1);
+    }
+
     #[test]
     fn preemption_respects_priority_and_immunity() {
         // Equal priorities: never preempt.

@@ -230,6 +230,105 @@ fn compaction_preserves_results_and_shrinks_the_chain() {
     assert_eq!(count(&mut hive), want.len() as i64 + 1);
 }
 
+/// Merge-on-read keeps what the plain scan had, and compaction gives the
+/// rest back — all on counters and the deterministic clock. Over a table
+/// of 20 index groups a SARG-filtered aggregate must still prune groups
+/// while the overlay is live, read deltas and mask rows with the same
+/// accounting vectorized and row mode, and after a major compaction pay no
+/// merge at all and be back within 10 % of the pre-churn scan's time.
+#[test]
+fn sarg_prunes_under_the_overlay_and_compaction_restores_the_scan() {
+    const SQL: &str = "SELECT cust, COUNT(*) AS n, SUM(total) AS rev FROM orders \
+         WHERE okey >= 15000 GROUP BY cust ORDER BY cust";
+    let mut hive = HiveSession::builder()
+        .knob(hive_common::config::knobs::EXEC_SIM_DETERMINISTIC_CPU, true)
+        .build()
+        .unwrap();
+    // No block cache: every scan below is a cold one, so their simulated
+    // times compare like with like.
+    hive.set(keys::IO_CACHE_BYTES, "0")
+        .set(keys::ORC_ROW_INDEX_STRIDE, "1000");
+    hive.execute("CREATE TABLE orders (okey BIGINT, cust BIGINT, total DOUBLE) STORED AS orc")
+        .unwrap();
+    hive.load_rows(
+        "orders",
+        (0..20_000i64).map(|i| {
+            Row::new(vec![
+                Value::Int(i),
+                Value::Int(i % 100),
+                Value::Double((i % 500) as f64 / 2.0),
+            ])
+        }),
+    )
+    .unwrap();
+
+    /// `(groups_read, groups_total, delta_rows_read, rows_masked)`.
+    fn scan_counters(r: &hive_core::QueryResult) -> (u64, u64, u64, u64) {
+        r.report.jobs.iter().fold((0, 0, 0, 0), |acc, j| {
+            (
+                acc.0 + j.scan.groups_read,
+                acc.1 + j.scan.groups_total,
+                acc.2 + j.scan.delta_rows_read,
+                acc.3 + j.scan.rows_masked,
+            )
+        })
+    }
+
+    let base = hive.execute(SQL).unwrap();
+    let (read, total, delta_rows, masked) = scan_counters(&base);
+    assert!(total >= 20 && read < total, "groups={read}/{total}");
+    assert_eq!((delta_rows, masked), (0, 0));
+
+    for c in 0..4i64 {
+        let values: Vec<String> = (0..50)
+            .map(|i| {
+                let okey = 20_000 + c * 50 + i;
+                format!("({okey}, {}, {}.5)", okey % 100, okey % 500)
+            })
+            .collect();
+        hive.execute(&format!("INSERT INTO orders VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    hive.execute("UPDATE orders SET total = total + 1.0 WHERE cust = 7")
+        .unwrap();
+    hive.execute("DELETE FROM orders WHERE cust = 13").unwrap();
+
+    let merged = hive.execute(SQL).unwrap();
+    hive.set(keys::VECTORIZED_ENABLED, "false");
+    let merged_row = hive.execute(SQL).unwrap();
+    hive.set(keys::VECTORIZED_ENABLED, "true");
+    assert_ne!(merged.rows, base.rows, "churn must be visible to the scan");
+    assert_eq!(merged.rows, merged_row.rows);
+    let (read, total, delta_rows, masked) = scan_counters(&merged);
+    assert!(
+        read < total,
+        "SARG pruned nothing under the overlay: groups={read}/{total}"
+    );
+    assert!(delta_rows > 0 && masked > 0, "{delta_rows} / {masked}");
+    assert_eq!(
+        scan_counters(&merged_row),
+        scan_counters(&merged),
+        "merge accounting differs across modes"
+    );
+
+    hive.execute("ALTER TABLE orders COMPACT 'major'").unwrap();
+    let post = hive.execute(SQL).unwrap();
+    assert_eq!(post.rows, merged.rows, "compaction changed the answer");
+    let (read, total, delta_rows, masked) = scan_counters(&post);
+    assert_eq!(
+        (delta_rows, masked),
+        (0, 0),
+        "compacted scan still pays the merge"
+    );
+    assert!(read < total, "groups={read}/{total}");
+    assert!(
+        post.report.sim_total_s <= 1.10 * base.report.sim_total_s,
+        "post-compaction scan {}s vs pre-churn {}s",
+        post.report.sim_total_s,
+        base.report.sim_total_s
+    );
+}
+
 #[test]
 fn auto_compaction_triggers_at_the_delta_threshold() {
     let mut hive = acid_session();

@@ -129,8 +129,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
     // Classify each fragment.
     struct FragInfo {
         nodes: Vec<usize>,
-        /// RS nodes in other fragments whose child is here.
-        feeding_rs: Vec<usize>,
         /// RS nodes here whose child is elsewhere.
         sink_rs: Vec<usize>,
         sink_cuts: Vec<usize>,
@@ -140,7 +138,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
     for (&f, nodes) in &members {
         let mut info = FragInfo {
             nodes: nodes.clone(),
-            feeding_rs: Vec::new(),
             sink_rs: Vec::new(),
             sink_cuts: Vec::new(),
             has_fs: false,
@@ -154,23 +151,10 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                 PlanOp::FileSink => info.has_fs = true,
                 _ => {}
             }
-            for &p in &g.node(n).parents {
-                if matches!(
-                    g.node(p).op,
-                    PlanOp::ReduceSink {
-                        degenerate: false,
-                        ..
-                    }
-                ) && frag_of.get(&p) != Some(&f)
-                {
-                    info.feeding_rs.push(p);
-                }
-            }
         }
-        info.feeding_rs.sort_unstable();
-        info.feeding_rs.dedup();
         infos.insert(f, info);
     }
+    let feeding = feeding_by_fragment(&g, &frag_of);
 
     // Topological order of fragments along boundary edges.
     let frag_order = order_fragments(&g, &frag_of, &infos.keys().copied().collect::<Vec<_>>());
@@ -182,7 +166,8 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
 
     for f in frag_order {
         let info = &infos[&f];
-        let is_reduce = !info.feeding_rs.is_empty();
+        let feeding_rs = feeding.get(&f).map_or(&[][..], Vec::as_slice);
+        let is_reduce = !feeding_rs.is_empty();
         if !is_reduce && !info.has_fs && info.sink_cuts.is_empty() {
             // A pure map fragment: executed as part of a shuffle job.
             continue;
@@ -224,7 +209,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
 
         // ----- Map side. -------------------------------------------------
         let map_inputs = if is_reduce {
-            build_map_inputs(&g, &frag_of, &info.feeding_rs, &intermediates)?
+            build_map_inputs(&g, &frag_of, &feeding, feeding_rs, &intermediates)?
         } else {
             // Map-only job: the fragment itself is the map side.
             build_maponly_input(&g, &info.nodes, &intermediates)?
@@ -252,14 +237,14 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         // num_reducers: agree across feeding RSs.
         let num_reducers = if is_reduce {
             let mut n = 0usize;
-            for &rs in &info.feeding_rs {
+            for &rs in feeding_rs {
                 let PlanOp::ReduceSink { num_reducers, .. } = &g.node(rs).op else {
                     unreachable!()
                 };
                 n = n.max(*num_reducers);
             }
             // A global aggregation (empty keys) forces one reducer.
-            for &rs in &info.feeding_rs {
+            for &rs in feeding_rs {
                 if let PlanOp::ReduceSink { keys, .. } = &g.node(rs).op {
                     if keys.is_empty() {
                         n = 1;
@@ -339,7 +324,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
             let spec = Arc::new(ReduceBuildSpec {
                 nodes: g.nodes.clone(),
                 fragment: info.nodes.clone(),
-                feeding_rs: info.feeding_rs.clone(),
+                feeding_rs: feeding_rs.to_vec(),
             });
             Some(Arc::new(move || spec.build()))
         } else {
@@ -377,6 +362,36 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
     })
 }
 
+/// Fragment → the non-degenerate ReduceSinks of *other* fragments it
+/// consumes, sorted by id (the shuffle-tag order). A fragment with an entry
+/// runs on the reduce side of a shuffle; one without is map-side.
+fn feeding_by_fragment(
+    g: &PlanGraph,
+    frag_of: &BTreeMap<usize, usize>,
+) -> BTreeMap<usize, Vec<usize>> {
+    let mut feeding: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for node in g.nodes.iter().filter(|n| n.alive) {
+        let f = frag_of[&node.id];
+        for &p in &node.parents {
+            if matches!(
+                g.node(p).op,
+                PlanOp::ReduceSink {
+                    degenerate: false,
+                    ..
+                }
+            ) && frag_of.get(&p) != Some(&f)
+            {
+                feeding.entry(f).or_default().push(p);
+            }
+        }
+    }
+    for rs in feeding.values_mut() {
+        rs.sort_unstable();
+        rs.dedup();
+    }
+    feeding
+}
+
 /// Insert IntermediateCuts: (a) mandatory boundaries before Map-phase-only
 /// operators (MapJoin, map-side GroupBy) that ended up downstream of a
 /// Reduce phase — Hive materializes a temp file there and continues in the
@@ -387,26 +402,7 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
     //     fragment structure.
     loop {
         let frag_of = fragments(g);
-        let mut receives: std::collections::BTreeSet<usize> = Default::default();
-        for node in &g.nodes {
-            if !node.alive {
-                continue;
-            }
-            for &p in &node.parents {
-                if matches!(
-                    g.node(p).op,
-                    PlanOp::ReduceSink {
-                        degenerate: false,
-                        ..
-                    }
-                ) && frag_of.get(&p) != frag_of.get(&node.id)
-                {
-                    if let Some(&f) = frag_of.get(&node.id) {
-                        receives.insert(f);
-                    }
-                }
-            }
-        }
+        let feeding = feeding_by_fragment(g, &frag_of);
         let mut target = None;
         for node in &g.nodes {
             if !node.alive {
@@ -421,7 +417,7 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
                     }
             );
             if map_phase_only
-                && frag_of.get(&node.id).is_some_and(|f| receives.contains(f))
+                && feeding.contains_key(&frag_of[&node.id])
                 && !node
                     .parents
                     .iter()
@@ -529,6 +525,7 @@ fn order_fragments(g: &PlanGraph, frag_of: &BTreeMap<usize, usize>, frags: &[usi
 fn build_map_inputs(
     g: &PlanGraph,
     frag_of: &BTreeMap<usize, usize>,
+    feeding: &BTreeMap<usize, Vec<usize>>,
     feeding_rs: &[usize],
     intermediates: &HashMap<usize, String>,
 ) -> Result<Vec<MapInput>> {
@@ -536,21 +533,7 @@ fn build_map_inputs(
     let mut inputs: Vec<MapInput> = Vec::new();
     for (tag, &rs) in feeding_rs.iter().enumerate() {
         // Where does this RS's data come from?
-        let rs_frag = frag_of[&rs];
-        let rs_frag_is_reduce = g.nodes.iter().any(|n| {
-            n.alive
-                && frag_of.get(&n.id) == Some(&rs_frag)
-                && n.parents.iter().any(|&p| {
-                    matches!(
-                        g.node(p).op,
-                        PlanOp::ReduceSink {
-                            degenerate: false,
-                            ..
-                        }
-                    ) && frag_of.get(&p) != Some(&rs_frag)
-                })
-        });
-        if rs_frag_is_reduce {
+        if feeding.contains_key(&frag_of[&rs]) {
             // The RS executes over the previous job's intermediate output.
             let prefix = intermediates.get(&rs).ok_or_else(|| {
                 HiveError::Plan("intermediate path missing for reduce-side RS".into())

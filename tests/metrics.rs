@@ -306,6 +306,31 @@ fn explain_analyze_skipping_goldens() {
         "knob-off profile grew skipping lines:\n{off}"
     );
     assert_golden("explain_analyze_skipping_off.txt", &off);
+
+    // What the two goldens are for, stated so it survives a regeneration:
+    // bloom filters prune at least one group that min/max kept, and bloom +
+    // replica read at least 1.5x fewer bytes than stats-only pruning.
+    let number_after = |text: &str, label: &str| -> u64 {
+        let at = text
+            .find(label)
+            .unwrap_or_else(|| panic!("no `{label}` in:\n{text}"));
+        let digits = text[at + label.len()..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("no number after `{label}` in:\n{text}"))
+    };
+    assert!(number_after(&on, "groups_bloom_pruned=") >= 1, "{on}");
+    let (on_bytes, off_bytes) = (
+        number_after(&on, "io: read="),
+        number_after(&off, "io: read="),
+    );
+    assert!(
+        on_bytes * 3 <= off_bytes * 2,
+        "bloom+replica read {on_bytes}B, stats-only {off_bytes}B: less than 1.5x apart"
+    );
 }
 
 #[test]
