@@ -25,11 +25,16 @@ cargo test -q --workspace --offline
 echo "==> vector vs row differentials under --release"
 cargo test -q --release --offline -p hive --test properties vectorized_
 cargo test -q --release --offline -p hive-vector expressions::
+# ... and the batch reader with deferred columns against the row reader
+# (slice arithmetic over stripe buffers: debug builds bounds-check and
+# overflow-check what release builds only bounds-check).
+cargo test -q --release --offline -p hive-formats --test orc_roundtrip deferred
 
-# The property vectorized GROUP BY's speed rests on, in the optimized
-# build: once a batch's groups exist, process() allocates nothing (its own
-# test binary: it installs a counting global allocator).
-echo "==> vectorized GROUP BY steady state allocates nothing"
+# The properties the scan's and vectorized GROUP BY's speed rest on, in the
+# optimized build: next_batch + the root filter over one stripe, and
+# process() once a batch's groups exist, allocate nothing (its own test
+# binary: it installs a counting global allocator).
+echo "==> scan loop and vectorized GROUP BY steady state allocate nothing"
 cargo test -q --release --offline -p hive-vector --test groupby_steady_state_allocs
 
 # The benchmark is a package of its own (outside the workspace) that
@@ -89,13 +94,17 @@ cargo run -q --bin hive-cli --offline -- --demo <tests/golden/binder_cli.sql 2>&
 # criterion / proptest / rand / parking_lot shims). CHANGES.md quotes both
 # for "did this PR subtract"; printed, not gated.
 echo "==> size (non-test, non-comment lines under crates/*/src + src/)"
-for d in crates/*/src src; do
-    find "$d" -name '*.rs' -print0 | sort -z | xargs -0 awk -v d="$d" '
+# Lines of directory $2 under root $1, labelled $2.
+size_of() {
+    find "$1/$2" -name '*.rs' -print0 | sort -z | xargs -0 awk -v d="$2" '
         FNR == 1 { in_tests = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
         { n++ }
         END { printf "%-22s %6d\n", d, n }'
+}
+for d in crates/*/src src; do
+    size_of . "$d"
 done | awk '
     { print "    " $0 }
     $1 ~ /^crates\/(bench|criterion|proptest|rand|parking_lot)\/src$/ { harness += $2; next }
@@ -104,6 +113,17 @@ done | awk '
         printf "    %-22s %6d\n", "engine", engine
         printf "    %-22s %6d\n", "harness + shims", harness
     }'
+# Per crate, the parent commit -> this tree, for the crates that differ: what
+# a PR's "before -> after" in CHANGES.md quotes.
+if before=$(mktemp -d) && git archive HEAD~1 crates src 2>/dev/null | tar -x -C "$before"; then
+    for d in crates/*/src src; do
+        [[ -d "$before/$d" ]] || continue
+        was=$(size_of "$before" "$d")
+        now=$(size_of . "$d")
+        [[ "$was" == "$now" ]] || echo "    $was -> ${now##* }"
+    done
+fi
+rm -rf "${before:-}"
 
 if [[ "${1:-}" == "--release" ]]; then
     echo "==> cargo build --release"

@@ -164,18 +164,9 @@ impl<'a> IntRleDecoder<'a> {
         self.run_remaining > 0 || self.literals_remaining > 0 || self.pos < self.buf.len()
     }
 
-    #[allow(clippy::should_implement_trait)] // fallible cursor, not an Iterator
-    pub fn next(&mut self) -> Result<i64> {
-        if self.run_remaining > 0 {
-            let v = self.run_value;
-            self.run_value = self.run_value.wrapping_add(self.run_delta);
-            self.run_remaining -= 1;
-            return Ok(v);
-        }
-        if self.literals_remaining > 0 {
-            self.literals_remaining -= 1;
-            return varint::read_signed(self.buf, &mut self.pos);
-        }
+    /// Read the next group's control header: a run (base + delta) or a
+    /// count of literals to follow.
+    fn read_header(&mut self) -> Result<()> {
         let control = *self
             .buf
             .get(self.pos)
@@ -188,7 +179,68 @@ impl<'a> IntRleDecoder<'a> {
         } else {
             self.literals_remaining = 256 - control as usize;
         }
+        Ok(())
+    }
+
+    #[allow(clippy::should_implement_trait)] // fallible cursor, not an Iterator
+    pub fn next(&mut self) -> Result<i64> {
+        if self.run_remaining > 0 {
+            let v = self.run_value;
+            self.run_value = self.run_value.wrapping_add(self.run_delta);
+            self.run_remaining -= 1;
+            return Ok(v);
+        }
+        if self.literals_remaining > 0 {
+            self.literals_remaining -= 1;
+            return varint::read_signed(self.buf, &mut self.pos);
+        }
+        self.read_header()?;
         self.next()
+    }
+
+    /// Append the next `n` values to `out`, a group at a time: a run is an
+    /// arithmetic fill, a group of literals is decoded into a block and
+    /// appended whole. Fails exactly where `n` calls of [`next`](Self::next)
+    /// would, with the same error, and `out` is then good for nothing. `n`
+    /// may come from untrusted metadata: nothing is reserved ahead of the
+    /// bytes that back it.
+    pub fn decode_into<T: RleValue>(&mut self, n: usize, out: &mut Vec<T>) -> Result<()> {
+        let mut left = n;
+        while left > 0 {
+            if self.run_remaining == 0 && self.literals_remaining == 0 {
+                self.read_header()?;
+            }
+            if self.run_remaining > 0 {
+                let take = self.run_remaining.min(left);
+                let (base, delta) = (self.run_value, self.run_delta);
+                let value = |k: i64| T::from_i64(base.wrapping_add(delta.wrapping_mul(k)));
+                out.extend((0..take as i64).map(value));
+                self.run_value = base.wrapping_add(delta.wrapping_mul(take as i64));
+                self.run_remaining -= take;
+                left -= take;
+            } else {
+                let take = self.literals_remaining.min(left);
+                let mut block = [T::from_i64(0); MAX_LITERAL];
+                let mut pos = self.pos;
+                for slot in &mut block[..take] {
+                    *slot = T::from_i64(varint::read_signed(self.buf, &mut pos)?);
+                }
+                self.pos = pos;
+                out.extend_from_slice(&block[..take]);
+                self.literals_remaining -= take;
+                left -= take;
+            }
+        }
+        Ok(())
+    }
+
+    /// Values left in the group being decoded, reading the next group's
+    /// header when the last one is used up.
+    fn group_len(&mut self) -> Result<usize> {
+        if self.run_remaining == 0 && self.literals_remaining == 0 {
+            self.read_header()?;
+        }
+        Ok(self.run_remaining + self.literals_remaining)
     }
 
     /// Skip `n` values (used by index-group seeks).
@@ -222,12 +274,36 @@ fn control_delta(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(b as i8 as i64)
 }
 
+/// What [`IntRleDecoder::decode_into`] can decode into: the stream's `i64`,
+/// or the `u32` a dictionary-id stream's values are used as.
+pub trait RleValue: Copy {
+    fn from_i64(v: i64) -> Self;
+}
+
+impl RleValue for i64 {
+    #[inline(always)]
+    fn from_i64(v: i64) -> i64 {
+        v
+    }
+}
+
+impl RleValue for u32 {
+    #[inline(always)]
+    fn from_i64(v: i64) -> u32 {
+        v as u32
+    }
+}
+
 /// One-shot decode.
 pub fn decode(buf: &[u8]) -> Result<Vec<i64>> {
     let mut d = IntRleDecoder::new(buf);
-    let mut out = Vec::new();
+    // Short runs and two-byte literals, the common shapes, are two bytes a
+    // value or more: room for that many up front saves the regrowth, and is
+    // bounded by the input whatever its counts claim.
+    let mut out = Vec::with_capacity(buf.len() / 2);
     while d.has_next() {
-        out.push(d.next()?);
+        let n = d.group_len()?;
+        d.decode_into(n, &mut out)?;
     }
     Ok(out)
 }

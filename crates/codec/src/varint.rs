@@ -33,7 +33,21 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Read an unsigned varint from `buf` starting at `*pos`, advancing it.
+#[inline]
 pub fn read_unsigned(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    // Ten bytes hold any u64: with that many left, one bounds check covers
+    // the whole value. The byte-wise loop below reads the tail of a buffer
+    // and reports the errors (the same value for the same bytes).
+    if let Some(window) = buf.get(*pos..).and_then(|rest| rest.first_chunk::<10>()) {
+        let mut result: u64 = 0;
+        for (i, &byte) in window.iter().enumerate() {
+            result |= ((byte & 0x7f) as u64) << (7 * i);
+            if byte & 0x80 == 0 {
+                *pos += i + 1;
+                return Ok(result);
+            }
+        }
+    }
     let mut result: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -53,6 +67,7 @@ pub fn read_unsigned(buf: &[u8], pos: &mut usize) -> Result<u64> {
 }
 
 /// Read a zigzag-encoded signed varint.
+#[inline]
 pub fn read_signed(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(unzigzag(read_unsigned(buf, pos)?))
 }

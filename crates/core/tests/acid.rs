@@ -568,6 +568,79 @@ fn acid_chains_vectorize_with_zero_row_bridges() {
     }
 }
 
+/// A q6-shaped statement — a conjunction over a dictionary string and two
+/// doubles, an aggregate over a column the filter never reads — on a table
+/// with live deltas and deletes. The batch scan fills the first conjunct's
+/// column, unselects the deleted ordinals, and materializes the rest for the
+/// rows each conjunct keeps; it must return what the row-mode merge returns,
+/// with the same merge accounting.
+#[test]
+fn q6_shaped_scan_over_deltas_and_deletes_matches_row_mode() {
+    const SQL: &str = "SELECT SUM(price * discount) AS revenue, COUNT(*) AS n FROM lines \
+         WHERE shipdate >= '1994-01-01' AND shipdate < '1995-01-01' \
+         AND discount BETWEEN 0.05 AND 0.07 AND quantity < 24";
+    let mut hive = HiveSession::builder()
+        .knob(hive_common::config::knobs::EXEC_SIM_DETERMINISTIC_CPU, true)
+        .build()
+        .unwrap();
+    hive.set(keys::ORC_ROW_INDEX_STRIDE, "500");
+    hive.execute(
+        "CREATE TABLE lines (id BIGINT, quantity DOUBLE, price DOUBLE, discount DOUBLE, \
+         shipdate STRING) STORED AS orc",
+    )
+    .unwrap();
+    let line = |i: i64| {
+        let (year, day) = (1992 + i % 7, 1 + i % 28);
+        vec![
+            Value::Int(i),
+            Value::Double((i % 50) as f64),
+            Value::Double(900.0 + (i % 1000) as f64 / 4.0),
+            Value::Double((i % 11) as f64 / 100.0),
+            Value::String(format!("{year}-{:02}-{day:02}", 1 + i % 12)),
+        ]
+    };
+    hive.load_rows("lines", (0..6000).map(|i| Row::new(line(i))))
+        .unwrap();
+    for c in 0..3i64 {
+        let values: Vec<String> = (0..40)
+            .map(|i| {
+                let v = line(6000 + c * 40 + i);
+                format!("({}, {}, {}, {}, '{}')", v[0], v[1], v[2], v[3], v[4])
+            })
+            .collect();
+        hive.execute(&format!("INSERT INTO lines VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    hive.execute("UPDATE lines SET discount = 0.06 WHERE id < 300")
+        .unwrap();
+    hive.execute("DELETE FROM lines WHERE quantity = 7.0")
+        .unwrap();
+
+    let vectorized = hive.execute(SQL).unwrap();
+    let profile = hive.execute(&format!("EXPLAIN ANALYZE {SQL}")).unwrap();
+    let profile = profile.explain.unwrap();
+    assert!(
+        profile.contains("VectorFilter[") && !profile.contains("RowBridge"),
+        "{profile}"
+    );
+    hive.set(keys::VECTORIZED_ENABLED, "false");
+    let by_row = hive.execute(SQL).unwrap();
+    let merge = |r: &hive_core::QueryResult| {
+        let scans = r.report.jobs.iter().map(|j| &j.scan);
+        scans.fold((0, 0), |acc, s| {
+            (acc.0 + s.delta_rows_read, acc.1 + s.rows_masked)
+        })
+    };
+    let (delta_rows, masked) = merge(&vectorized);
+    assert!(delta_rows > 0 && masked > 0, "{delta_rows} / {masked}");
+    assert_eq!(merge(&by_row), (delta_rows, masked));
+    assert_eq!(vectorized.rows, by_row.rows);
+    let Value::Int(n) = vectorized.rows[0][1] else {
+        panic!("COUNT(*) is an int");
+    };
+    assert!(n > 50, "the predicate keeps {n} rows: too few to mean much");
+}
+
 /// A map-joined ACID table honours its delete set: the broadcast side is
 /// masked by file ordinal like any scan, so `big JOIN small_acid` returns
 /// the same rows whether the join converts or shuffles.

@@ -149,7 +149,11 @@ impl BlockCache {
             h = h.wrapping_mul(0x100000001b3);
         }
         h ^= key.2.wrapping_mul(0x9e3779b97f4a7c15);
-        &self.shards[(h % SHARDS as u64) as usize]
+        // Fold and multiply, then index by the high half: the offset's
+        // product has its low bits zero whenever the offset's are, so
+        // without this an aligned sweep of one file fills one shard.
+        h = (h ^ (h >> 32)).wrapping_mul(0x9e3779b97f4a7c15);
+        &self.shards[((h >> 32) % SHARDS as u64) as usize]
     }
 
     /// Look up `key`; on miss, claim the fill slot (single-flight). Blocks
@@ -302,6 +306,28 @@ mod tests {
             Lookup::Hit(_) => panic!("expected fill, got hit"),
             Lookup::Bypass => panic!("expected fill, got bypass"),
         }
+    }
+
+    #[test]
+    fn aligned_offsets_of_one_file_spread_over_every_shard() {
+        let c = BlockCache::new();
+        let mut per_shard = [0usize; SHARDS];
+        for i in 0..1024u64 {
+            let k = key(
+                "/warehouse/lineitem/part-00000",
+                3,
+                i * 4096,
+                (i + 1) * 4096,
+            );
+            let shard = c.shard_of(&k) as *const ShardLock;
+            let at = c.shards.iter().position(|s| std::ptr::eq(s, shard));
+            per_shard[at.expect("shard_of answers one of the cache's shards")] += 1;
+        }
+        let mean = 1024 / SHARDS;
+        assert!(
+            per_shard.iter().all(|&n| n > 0 && n <= 2 * mean),
+            "4 KiB-aligned sweep landed as {per_shard:?}"
+        );
     }
 
     #[test]

@@ -824,6 +824,16 @@ impl DfsBuf {
         DfsBuf(BufRepr::Shared(bytes))
     }
 
+    /// The bytes behind a shared handle a decoder can keep windows into:
+    /// the block cache's own allocation on a hit, this read's otherwise.
+    /// Never copies.
+    pub fn into_shared(self) -> Arc<Vec<u8>> {
+        match self.0 {
+            BufRepr::Owned(v) => Arc::new(v),
+            BufRepr::Shared(a) => a,
+        }
+    }
+
     /// Extract an owned vector; copies only when the bytes are shared
     /// with the block cache.
     pub fn into_vec(self) -> Vec<u8> {

@@ -71,6 +71,9 @@ pub enum Emit {
     Shuffle(ShuffleRecord),
     /// Leave the task toward the query output / file sink.
     Output(Row),
+    /// This operator consumed the batch and passes it nowhere: the driver
+    /// that pushed it may refill it ([`OperatorGraph::take_spent`]).
+    Spent(Arc<VectorizedRowBatch>),
 }
 
 /// A push-based operator.
@@ -111,6 +114,10 @@ pub struct OperatorGraph {
     rows_out: Vec<u64>,
     /// Measured nanoseconds in `receive`/`close`, per operator.
     cpu_ns: Vec<u64>,
+    /// The first batch an operator reported [`Emit::Spent`] since the last
+    /// `push`: the pushed batch itself, which is consumed before any batch
+    /// made from it is.
+    spent: Option<Arc<VectorizedRowBatch>>,
 }
 
 // The parallel task runtime moves whole pipelines onto pool workers, so the
@@ -134,6 +141,7 @@ impl OperatorGraph {
             rows_in: Vec::new(),
             rows_out: Vec::new(),
             cpu_ns: Vec::new(),
+            spent: None,
         }
     }
 
@@ -188,8 +196,15 @@ impl OperatorGraph {
         output: &mut dyn FnMut(Row),
     ) -> Result<()> {
         let mut queue: VecDeque<(usize, Message)> = VecDeque::new();
+        self.spent = None;
         queue.push_back((root, msg));
         self.run(&mut queue, shuffle, output)
+    }
+
+    /// The batch of the last `push`, once the graph is done with it and if
+    /// no operator kept a reference: the caller's to reset and refill.
+    pub fn take_spent(&mut self) -> Option<VectorizedRowBatch> {
+        Arc::try_unwrap(self.spent.take()?).ok()
     }
 
     fn run(
@@ -225,6 +240,12 @@ impl OperatorGraph {
                                 "operator #{op_id} has no child slot {child_slot}"
                             ))
                         })?;
+                    // Deferred columns end at the stage's root filter: no
+                    // operator hands a batch on with some.
+                    debug_assert!(
+                        !matches!(&msg, Message::Batch { batch, .. } if batch.has_deferred()),
+                        "operator #{op_id} forwarded a batch with deferred columns"
+                    );
                     self.rows_out[op_id] += msg.logical_rows();
                     queue.push_back((child, apply_tag(msg, tag_override)));
                 }
@@ -243,6 +264,9 @@ impl OperatorGraph {
                 Emit::Output(row) => {
                     self.rows_out[op_id] += 1;
                     output(row);
+                }
+                Emit::Spent(batch) => {
+                    self.spent.get_or_insert(batch);
                 }
             }
         }

@@ -68,12 +68,14 @@ impl Operator for VectorOpAdapter {
                     };
                     self.inner.process(b, &mut out)?
                 };
-                if flows && shared.size > 0 {
-                    emits.push(Emit::Forward {
+                emits.push(if flows && shared.size > 0 {
+                    Emit::Forward {
                         child_slot: 0,
                         msg: Message::Batch { batch: shared, tag },
-                    });
-                }
+                    }
+                } else {
+                    Emit::Spent(shared)
+                });
                 Ok(emits)
             }
             Message::Row { .. } => Err(wiring_bug(&self.name(), "row")),
@@ -131,13 +133,12 @@ impl Operator for RowBridgeOperator {
         match msg {
             Message::Batch { batch, tag } => {
                 self.batches += 1;
-                Ok(batch_to_rows(&batch, &self.output_columns)
-                    .into_iter()
-                    .map(|row| Emit::Forward {
-                        child_slot: 0,
-                        msg: Message::Row { row, tag },
-                    })
-                    .collect())
+                let rows = batch_to_rows(&batch, &self.output_columns);
+                let rows = rows.into_iter().map(|row| Emit::Forward {
+                    child_slot: 0,
+                    msg: Message::Row { row, tag },
+                });
+                Ok(rows.chain([Emit::Spent(batch)]).collect())
             }
             Message::Row { .. } => Err(wiring_bug("RowBridge", "row")),
             signal => Ok(vec![Emit::Broadcast(signal)]),
@@ -194,7 +195,7 @@ impl Operator for VectorReduceSinkOperator {
                 for e in &self.expressions {
                     e.evaluate(b)?;
                 }
-                let mut emits = Vec::with_capacity(b.size);
+                let mut emits = Vec::with_capacity(b.size + 1);
                 for i in b.iter_selected() {
                     let key = self
                         .key_columns
@@ -213,6 +214,7 @@ impl Operator for VectorReduceSinkOperator {
                         num_reducers: self.num_reducers,
                     }));
                 }
+                emits.push(Emit::Spent(shared));
                 Ok(emits)
             }
             Message::Row { .. } => Err(wiring_bug(&self.name(), "row")),
@@ -284,7 +286,7 @@ impl Operator for VectorGroupBySinkOperator {
                 }
                 self.rows_seen += b.size as u64;
                 self.aggregator.process(b)?;
-                Ok(vec![])
+                Ok(vec![Emit::Spent(shared)])
             }
             Message::Row { .. } => Err(wiring_bug(&self.name(), "row")),
             _ => Ok(vec![]),
@@ -356,14 +358,10 @@ mod tests {
 
         let mut g = OperatorGraph::new();
         let f = g.add(Box::new(VectorOpAdapter::new(Box::new(
-            VectorFilterOperator {
-                predicate: filter_compare(
-                    CmpOp::Greater,
-                    Operand::LongCol(0),
-                    Operand::LongScalar(2),
-                )
-                .unwrap(),
-            },
+            VectorFilterOperator::new(
+                filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2))
+                    .unwrap(),
+            ),
         ))));
         let br = g.add(Box::new(RowBridgeOperator::new(vec![(0, DataType::Int)])));
         let s = g.add(Box::new(crate::operators::FileSinkOperator));
@@ -415,7 +413,11 @@ mod tests {
                 tag: 0,
             })
             .unwrap();
-        assert_eq!(emits.len(), 2);
+        assert_eq!(emits.len(), 3);
+        assert!(
+            matches!(emits[2], Emit::Spent(_)),
+            "then hands the batch back"
+        );
         match &emits[0] {
             Emit::Shuffle(rec) => {
                 assert_eq!(rec.key, vec![Value::Int(7)]);
@@ -449,7 +451,10 @@ mod tests {
                 tag: 0,
             })
             .unwrap();
-        assert!(emits.is_empty(), "partials only surface at close");
+        assert!(
+            matches!(emits[..], [Emit::Spent(_)]),
+            "partials only surface at close"
+        );
         let flushed = op.close().unwrap();
         assert_eq!(flushed.len(), 2);
         match &flushed[0] {

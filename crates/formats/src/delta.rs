@@ -448,6 +448,12 @@ impl<'a> LiveReader<'a> {
         Ok(more)
     }
 
+    /// See [`TableReader::defer_all_but`]. Unselecting masked rows touches no
+    /// column, so a deferred batch passes through this cursor unchanged.
+    pub fn defer_all_but(&mut self, first: &[usize]) {
+        self.reader.defer_all_but(first);
+    }
+
     /// Rows the mask has dropped so far.
     pub fn rows_masked(&self) -> u64 {
         self.rows_masked

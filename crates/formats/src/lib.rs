@@ -70,6 +70,12 @@ pub struct ReadStats {
     /// Bloom sections that failed CRC/decode and degraded to stats-only
     /// group selection.
     pub bloom_corrupt: u64,
+    /// Values written into batch columns (ORC's native batch reader only):
+    /// rows times columns when every column is filled for every row, less
+    /// when columns are deferred and filled only for the rows a filter kept.
+    /// Not rendered by EXPLAIN: tests read it to see the laziness as a
+    /// count, not a time.
+    pub values_materialized: u64,
 }
 
 /// A row-at-a-time reader over one file. Projection is applied by the
@@ -99,6 +105,14 @@ pub trait TableReader {
         batch.size = n;
         Ok(n > 0)
     }
+
+    /// Called once, before the first `next_batch`, by a caller whose batches
+    /// go straight into a `VectorFilterOperator`: fill only the batch
+    /// columns `first` (what the filter reads first) and leave the others
+    /// *deferred* on the batch, for the filter to materialize for the rows
+    /// it keeps (see `VectorizedRowBatch`). A reader may ignore this and fill
+    /// everything, as all but ORC's do.
+    fn defer_all_but(&mut self, _first: &[usize]) {}
 
     /// Physical file ordinal of the row most recently returned by
     /// `next_row` — *skip-aware*: stripes and index groups the reader

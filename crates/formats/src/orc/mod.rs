@@ -33,6 +33,7 @@ pub use writer::{OrcWriter, OrcWriterOptions};
 use hive_codec::block::Compression;
 use hive_codec::varint;
 use hive_common::{DataType, HiveError, Result};
+use std::borrow::Cow;
 
 /// Magic bytes at the very end of the postscript.
 pub const MAGIC: &[u8; 4] = b"ORC1";
@@ -452,21 +453,24 @@ pub(crate) fn frame_chunk(raw: &[u8], compression: Compression, unit: usize) -> 
     out
 }
 
-/// Inverse of [`frame_chunk`].
-pub(crate) fn deframe_chunk(framed: &[u8], compression: Compression) -> Result<Vec<u8>> {
+/// Inverse of [`frame_chunk`]. A chunk stored as one uncompressed unit — every
+/// chunk of an uncompressed file up to the unit size — comes back borrowed:
+/// the unit's body, which is then the tail of `framed`.
+pub(crate) fn deframe_chunk(framed: &[u8], compression: Compression) -> Result<Cow<'_, [u8]>> {
     let codec = compression.codec();
-    let mut out = Vec::with_capacity(framed.len() * 2);
+    let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < framed.len() {
         let raw_len = varint::read_unsigned(framed, &mut pos)? as usize;
         let body_len = varint::read_unsigned(framed, &mut pos)? as usize;
         let flag = read_byte(framed, &mut pos)?;
-        if pos + body_len > framed.len() {
+        if body_len > framed.len() - pos {
             return Err(HiveError::Format("compression unit truncated".into()));
         }
         let body = &framed[pos..pos + body_len];
         pos += body_len;
         match flag {
+            0 if out.is_empty() && pos == framed.len() => return Ok(Cow::Borrowed(body)),
             0 => out.extend_from_slice(body),
             1 => {
                 let c = codec
@@ -476,12 +480,15 @@ pub(crate) fn deframe_chunk(framed: &[u8], compression: Compression) -> Result<V
                 if raw.len() != raw_len {
                     return Err(HiveError::Format("compression unit length mismatch".into()));
                 }
+                if out.is_empty() && pos == framed.len() {
+                    return Ok(Cow::Owned(raw));
+                }
                 out.extend_from_slice(&raw);
             }
             other => return Err(HiveError::Format(format!("bad unit flag {other}"))),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -581,8 +588,24 @@ mod tests {
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         for comp in [Compression::None, Compression::Snappy, Compression::Zlib] {
             let framed = frame_chunk(&data, comp, 16 << 10);
-            assert_eq!(deframe_chunk(&framed, comp).unwrap(), data, "{comp}");
+            assert_eq!(*deframe_chunk(&framed, comp).unwrap(), data[..], "{comp}");
         }
+    }
+
+    #[test]
+    fn one_stored_unit_deframes_without_a_copy() {
+        let data: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+        let framed = frame_chunk(&data, Compression::None, 16 << 10);
+        let Cow::Borrowed(body) = deframe_chunk(&framed, Compression::None).unwrap() else {
+            panic!("a single stored unit must come back borrowed");
+        };
+        assert_eq!(body, &framed[framed.len() - data.len()..]);
+        assert_eq!(body, &data[..]);
+        // Two units have to be stitched together.
+        let framed = frame_chunk(&data, Compression::None, 4 << 10);
+        let stitched = deframe_chunk(&framed, Compression::None).unwrap();
+        assert!(matches!(stitched, Cow::Owned(_)));
+        assert_eq!(*stitched, data[..]);
     }
 
     #[test]
@@ -599,6 +622,9 @@ mod tests {
         let framed = frame_chunk(&data, Compression::Snappy, 4 << 10);
         // Stored-raw framing must not blow up size by more than the headers.
         assert!(framed.len() < data.len() + 64);
-        assert_eq!(deframe_chunk(&framed, Compression::Snappy).unwrap(), data);
+        assert_eq!(
+            *deframe_chunk(&framed, Compression::Snappy).unwrap(),
+            data[..]
+        );
     }
 }

@@ -12,10 +12,23 @@
 //! 3. only the streams of projected columns are read — including *child*
 //!    columns of complex types, which RCFile cannot do.
 //!
-//! The reader doubles as the **vectorized reader** (Section 6.5): decoded
-//! column buffers are copied straight into `VectorizedRowBatch` column
-//! vectors, with the `no_nulls` flag set when a column had no PRESENT
-//! stream.
+//! The reader doubles as the **vectorized reader** (Section 6.5): a stripe's
+//! decoded columns go straight into `VectorizedRowBatch` column vectors,
+//! with the `no_nulls` flag set when a column had no PRESENT stream.
+//!
+//! **Eager what can fail, lazy what cannot.** Loading a stripe reads and
+//! decodes everything that can go wrong — integer RLE, dictionary ids and
+//! lengths, PRESENT bits, the length of a double stream — so corruption
+//! surfaces there (or, for counts that disagree, in the `next_batch` that
+//! meets them) and salvage under `skip_corrupt` sees it. What is left is
+//! copying: the loaded stripe is immutable and `Arc`-shared
+//! ([`StripeData`]), one routine ([`Wanted::gather`]) writes a column's
+//! values for the rows that are wanted, doubles are decoded by it straight
+//! from the stream's bytes, and strings are not copied at all — a bytes
+//! vector refers to the stripe's dictionary or string data. A reader told
+//! to ([`TableReader::defer_all_but`]) runs that routine only for the
+//! columns a filter reads first and leaves the rest of the batch deferred,
+//! to be filled through [`ColumnSource`] for the rows the filter keeps.
 
 use crate::orc::sarg::{SearchArgument, TruthValue};
 use crate::orc::stats::ColumnStatistics;
@@ -27,7 +40,13 @@ use crate::{ReadStats, TableReader};
 use hive_codec::{bitfield, byte_rle, int_rle};
 use hive_common::{ColumnTree, DataType, HiveError, Result, Row, Schema, Value};
 use hive_dfs::{Dfs, DfsReader, NodeId};
-use hive_vector::{ColumnVector, VectorizedRowBatch};
+use hive_vector::{
+    BytesColumnVector, ColumnSource, ColumnVector, Dictionary, PrimitiveColumnVector,
+    VectorizedRowBatch,
+};
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Options controlling an ORC read.
@@ -63,19 +82,98 @@ pub struct OrcReadOptions {
     pub variant: usize,
 }
 
+/// A chunk's deframed bytes as a window of a shared buffer. For a chunk
+/// stored as one uncompressed unit the buffer is the stream read itself —
+/// the block cache's allocation, on a hit — and nothing was copied.
+struct Window {
+    buffer: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl std::ops::Deref for Window {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buffer[self.range.clone()]
+    }
+}
+
+impl Window {
+    /// Deframe the chunk at `framed` of `buffer`.
+    fn deframe(
+        buffer: &Arc<Vec<u8>>,
+        framed: Range<usize>,
+        compression: hive_codec::block::Compression,
+    ) -> Result<Window> {
+        let chunk = buffer
+            .get(framed.clone())
+            .ok_or_else(|| HiveError::Format("chunk range exceeds stream".into()))?;
+        Ok(match deframe_chunk(chunk, compression)? {
+            Cow::Borrowed(body) => Window {
+                buffer: Arc::clone(buffer),
+                range: framed.end - body.len()..framed.end,
+            },
+            Cow::Owned(raw) => Window {
+                range: 0..raw.len(),
+                buffer: Arc::new(raw),
+            },
+        })
+    }
+}
+
+/// A double column's values as the stream has them: little-endian bytes, a
+/// window per chunk, decoded only into the batch that wants them.
+#[derive(Default)]
+struct Doubles {
+    chunks: Vec<Window>,
+    /// Values in chunks `0..=c`.
+    ends: Vec<usize>,
+}
+
+impl Doubles {
+    fn len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Chunk `c`: its bytes, and the values `first..end` they hold.
+    #[inline]
+    fn chunk(&self, c: usize) -> (&[u8], usize, usize) {
+        let first = if c == 0 { 0 } else { self.ends[c - 1] };
+        (&self.chunks[c], first, self.ends[c])
+    }
+
+    fn get(&self, k: usize) -> Option<f64> {
+        let c = self.ends.partition_point(|&end| end <= k);
+        (c < self.chunks.len()).then(|| {
+            let (bytes, first, _) = self.chunk(c);
+            le_doubles(&bytes[(k - first) * 8..][..8])
+                .next()
+                .expect("one value")
+        })
+    }
+}
+
+/// The doubles little-endian `bytes` hold.
+#[inline(always)]
+fn le_doubles(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    let value = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("eight bytes"));
+    bytes.chunks_exact(8).map(value)
+}
+
 /// Decoded data of one column for the selected groups of a stripe.
 enum DecodedData {
     Longs(Vec<i64>),
     Bools(Vec<bool>),
-    Doubles(Vec<f64>),
+    Doubles(Doubles),
+    /// Every id is an entry of `dictionary`: checked when decoded.
     StringsDict {
-        dict: Arc<Vec<Vec<u8>>>,
+        dictionary: Arc<Dictionary>,
         ids: Vec<u32>,
     },
     StringsDirect {
-        data: Vec<u8>,
-        /// (start, len) per value.
-        offsets: Vec<(usize, usize)>,
+        data: Arc<Vec<u8>>,
+        /// Value `k` is `data[bounds[k]..bounds[k + 1]]`: checked when
+        /// decoded.
+        bounds: Vec<u32>,
     },
     Lengths(Vec<i64>),
     Tags(Vec<u8>),
@@ -83,34 +181,285 @@ enum DecodedData {
     None,
 }
 
+/// Presence bits of a column, and for each position the number of values
+/// before it: where a row's value is, without walking the rows before it.
+struct Present {
+    bits: Vec<bool>,
+    /// `rank[r]` = set bits among `bits[..r]`; one entry more than `bits`.
+    rank: Vec<u32>,
+}
+
+impl Present {
+    fn new(bits: Vec<bool>) -> Present {
+        let mut rank = Vec::with_capacity(bits.len() + 1);
+        let mut set = 0u32;
+        rank.push(0);
+        rank.extend(bits.iter().map(|&b| {
+            set += b as u32;
+            set
+        }));
+        Present { bits, rank }
+    }
+
+    /// Corrupted counts read as "present" past the end of the stream; the
+    /// value accessors report the structural error.
+    #[inline]
+    fn bit(&self, r: usize) -> bool {
+        self.bits.get(r).copied().unwrap_or(true)
+    }
+
+    #[inline]
+    fn rank(&self, r: usize) -> usize {
+        match self.rank.get(r) {
+            Some(&before) => before as usize,
+            None => self.rank[self.bits.len()] as usize + (r - self.bits.len()),
+        }
+    }
+}
+
 struct DecodedColumn {
     /// Presence bits (None = no nulls in the read span).
-    present: Option<Vec<bool>>,
+    present: Option<Present>,
     data: DecodedData,
-    present_idx: usize,
-    data_idx: usize,
 }
 
 impl DecodedColumn {
-    /// Next presence bit; corrupted counts read as "present" and the data
-    /// accessors below report the structural error.
-    fn next_present(&mut self) -> bool {
-        match &self.present {
-            Some(p) => {
-                let v = p.get(self.present_idx).copied().unwrap_or(true);
-                self.present_idx += 1;
-                v
+    /// Whether rows `first_row..first_row + n` can go into `out`: the lanes
+    /// agree and every non-NULL row has a value behind it. This is where
+    /// corrupt counts surface, before any row of the batch is handed out.
+    fn check(&self, first_row: usize, n: usize, out: &ColumnVector) -> Result<()> {
+        let available = match (&self.data, out) {
+            (DecodedData::Longs(v), ColumnVector::Long(_)) => v.len(),
+            (DecodedData::Bools(v), ColumnVector::Long(_)) => v.len(),
+            (DecodedData::Doubles(d), ColumnVector::Double(_)) => d.len(),
+            (DecodedData::StringsDict { ids, .. }, ColumnVector::Bytes(_)) => ids.len(),
+            (DecodedData::StringsDirect { bounds, .. }, ColumnVector::Bytes(_)) => bounds.len() - 1,
+            _ => {
+                return Err(HiveError::Execution(
+                    "column type is not vectorizable".into(),
+                ))
             }
-            None => {
-                self.present_idx += 1;
-                true
+        };
+        let end = first_row + n;
+        let needed = self.present.as_ref().map_or(end, |p| p.rank(end));
+        if needed > available {
+            return Err(HiveError::Format(
+                "value stream shorter than row count (corrupt counts)".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The decoded columns of one cursor's rows. Immutable once loaded: the
+/// reader's cursor and every batch with columns still deferred share it.
+struct StripeData {
+    /// By tree column; `None` where the projection needs nothing.
+    cols: Vec<Option<DecodedColumn>>,
+    /// The tree column behind each batch column (the projection, in order).
+    batch_cols: Vec<usize>,
+    /// The reader's count of values written into batches.
+    materialized: Arc<AtomicU64>,
+}
+
+/// The rows of a batch one fill writes: `0..n`, or the `n` that `selected`
+/// lists; the batch's row 0 is the stripe data's row `first_row`.
+struct Wanted<'a> {
+    present: Option<&'a Present>,
+    first_row: usize,
+    n: usize,
+    selected: Option<&'a [usize]>,
+}
+
+impl Wanted<'_> {
+    /// The one fill routine. Calls `put(i, k, len)` for runs that together
+    /// cover the wanted rows: batch rows `i..i + len` take the column's
+    /// values `k..k + len`, or row `i` is NULL (flagged here) when `k` is
+    /// `None`. Without presence bits a batch, or the span of a selection
+    /// that keeps a good part of it, is one run — a copy at memory speed,
+    /// cheaper than picking values out one at a time even if most are never
+    /// looked at — and a sparse selection is a run per row. With presence
+    /// bits rows come one by one, each value found by its rank.
+    #[inline(always)]
+    fn gather(
+        self,
+        null: &mut [bool],
+        no_nulls: &mut bool,
+        mut put: impl FnMut(usize, Option<usize>, usize),
+    ) -> usize {
+        let first_row = self.first_row;
+        *no_nulls = self.present.is_none();
+        let span = self
+            .selected
+            .map_or(self.n, |s| s.last().map_or(0, |&last| last + 1));
+        match (self.present, self.selected) {
+            (None, Some(selected)) if selected.len() < span / DENSE => {
+                selected
+                    .iter()
+                    .for_each(|&i| put(i, Some(first_row + i), 1));
+                selected.len()
+            }
+            (None, _) => {
+                put(0, Some(first_row), span);
+                span
+            }
+            (Some(present), _) => {
+                let mut row = |i: usize| {
+                    let set = present.bit(first_row + i);
+                    null[i] = !set;
+                    put(i, set.then(|| present.rank(first_row + i)), 1);
+                };
+                match self.selected {
+                    Some(selected) => selected.iter().for_each(|&i| row(i)),
+                    None => (0..self.n).for_each(row),
+                }
+                self.selected.map_or(self.n, <[usize]>::len)
             }
         }
     }
 }
 
+/// A selection that keeps at least one row in `DENSE` of its span is filled
+/// as the span. From a cold stripe buffer a run costs ~1 ns a value and a
+/// single value 9–20 ns (600 k `lineitem` rows; above one row in eight every
+/// cache line of a double column is fetched either way), so up to here the
+/// run is never the dearer of the two.
+const DENSE: usize = 4;
+
+/// `dst = src`, without a call into `memcpy` for the single value a sparse
+/// selection asks for at a time.
+#[inline(always)]
+fn copy_run<T>(dst: &mut [T], mut src: impl ExactSizeIterator<Item = T>) {
+    match dst {
+        [one] => *one = src.next().expect("as long as dst"),
+        _ => dst.iter_mut().zip(src).for_each(|(d, s)| *d = s),
+    }
+}
+
+impl ColumnSource for StripeData {
+    fn fill(
+        &self,
+        first_row: usize,
+        column: usize,
+        n: usize,
+        selected: Option<&[usize]>,
+        out: &mut ColumnVector,
+    ) {
+        // `next_batch` checked column, lanes and counts for the whole batch.
+        let dc = self.cols[self.batch_cols[column]].as_ref();
+        let dc = dc.expect("a projected column is decoded");
+        let wanted = Wanted {
+            present: dc.present.as_ref(),
+            first_row,
+            n,
+            selected,
+        };
+        let written = match (&dc.data, out) {
+            (DecodedData::Longs(src), ColumnVector::Long(v)) => {
+                let (vector, null, no_nulls) = primitive_parts(v);
+                wanted.gather(null, no_nulls, |i, k, len| match k {
+                    Some(k) => copy_run(&mut vector[i..i + len], src[k..k + len].iter().copied()),
+                    None => vector[i] = 0,
+                })
+            }
+            (DecodedData::Bools(src), ColumnVector::Long(v)) => {
+                let (vector, null, no_nulls) = primitive_parts(v);
+                wanted.gather(null, no_nulls, |i, k, len| match k {
+                    Some(k) => {
+                        let src = src[k..k + len].iter().map(|&b| b as i64);
+                        copy_run(&mut vector[i..i + len], src)
+                    }
+                    None => vector[i] = 0,
+                })
+            }
+            (DecodedData::Doubles(src), ColumnVector::Double(v)) => {
+                let (vector, null, no_nulls) = primitive_parts(v);
+                // Wanted rows ascend, so their values do: walk the chunks,
+                // `bytes` holding values `first..end` of chunk `c - 1`.
+                let (mut c, mut bytes, mut first, mut end) = (0, &[][..], 0, 0);
+                wanted.gather(null, no_nulls, |mut i, k, len| {
+                    let Some(mut k) = k else {
+                        return vector[i] = 0.0;
+                    };
+                    let stop = k + len;
+                    while k < stop {
+                        while k >= end {
+                            (bytes, first, end) = src.chunk(c);
+                            c += 1;
+                        }
+                        let take = end.min(stop) - k;
+                        let run = &bytes[(k - first) * 8..][..take * 8];
+                        copy_run(&mut vector[i..i + take], le_doubles(run));
+                        (i, k) = (i + take, k + take);
+                    }
+                })
+            }
+            (DecodedData::StringsDict { dictionary, ids }, ColumnVector::Bytes(v)) => {
+                v.refer_to_dictionary(Arc::clone(dictionary));
+                let (start, length, entry, null, no_nulls) = bytes_parts(v);
+                wanted.gather(null, no_nulls, |i, k, len| match k {
+                    Some(k) => {
+                        let spans = ids[k..k + len].iter().map(|&e| dictionary.span(e as usize));
+                        copy_run(&mut entry[i..i + len], ids[k..k + len].iter().copied());
+                        let out = start[i..i + len].iter_mut().zip(&mut length[i..i + len]);
+                        out.zip(spans).for_each(|((s, l), span)| (*s, *l) = span);
+                    }
+                    None => (start[i], length[i]) = (0, 0),
+                })
+            }
+            (DecodedData::StringsDirect { data, bounds }, ColumnVector::Bytes(v)) => {
+                v.refer_to(Arc::clone(data));
+                let (start, length, _, null, no_nulls) = bytes_parts(v);
+                wanted.gather(null, no_nulls, |i, k, len| match k {
+                    Some(k) => {
+                        let spans = bounds[k..k + len + 1]
+                            .windows(2)
+                            .map(|b| (b[0], b[1] - b[0]));
+                        let out = start[i..i + len].iter_mut().zip(&mut length[i..i + len]);
+                        out.zip(spans).for_each(|((s, l), span)| (*s, *l) = span);
+                    }
+                    None => (start[i], length[i]) = (0, 0),
+                })
+            }
+            _ => unreachable!("next_batch checked the column's lane"),
+        };
+        // A statistic: publishes nothing.
+        self.materialized
+            .fetch_add(written as u64, Ordering::Relaxed);
+    }
+}
+
+/// A primitive vector about to be filled, split into what `gather` flags
+/// and what its `put` writes.
+fn primitive_parts<T>(v: &mut PrimitiveColumnVector<T>) -> (&mut [T], &mut [bool], &mut bool) {
+    v.is_repeating = false;
+    (&mut v.vector, &mut v.null, &mut v.no_nulls)
+}
+
+/// A bytes vector about to be filled, split likewise: `start`, `length`,
+/// `ids`, then the flags.
+fn bytes_parts(
+    v: &mut BytesColumnVector,
+) -> (&mut [u32], &mut [u32], &mut [u32], &mut [bool], &mut bool) {
+    v.is_repeating = false;
+    let BytesColumnVector {
+        start,
+        length,
+        ids,
+        null,
+        no_nulls,
+        ..
+    } = v;
+    (start, length, ids, null, no_nulls)
+}
+
 struct StripeCursor {
-    cols: Vec<Option<DecodedColumn>>,
+    data: Arc<StripeData>,
+    /// The row reader's place in each column: (presence bits, values) read.
+    at: Vec<(usize, usize)>,
+    /// The batch reader's place: rows handed out. (A cursor is read by rows
+    /// or by batches, never both.)
+    row: usize,
     rows_remaining: u64,
     /// Contiguous `(start ordinal, rows)` runs covering the cursor's rows
     /// in read order. Ordinals are absolute within the file and skip-aware:
@@ -145,8 +494,14 @@ pub struct OrcReader {
     last_ord: Option<u64>,
     /// Ordinal runs of the rows filled by the most recent `next_batch`.
     batch_runs: Vec<(u64, u64)>,
+    /// The batch columns `next_batch` fills itself when told to leave the
+    /// others deferred; `None`: it fills them all.
+    fill_first: Option<Vec<usize>>,
+    /// Values written into batches so far — by `next_batch`, and through
+    /// the stripe data by whoever materialized a deferred column.
+    materialized: Arc<AtomicU64>,
     /// Skipping, salvage and metadata-cache counters; what `read_stats()`
-    /// returns.
+    /// returns (with `values_materialized` filled in).
     pub counters: ReadStats,
 }
 
@@ -238,6 +593,8 @@ impl OrcReader {
             next_stripe_ord: 0,
             last_ord: None,
             batch_runs: Vec::new(),
+            fill_first: None,
+            materialized: Arc::new(AtomicU64::new(0)),
             counters,
         })
     }
@@ -581,8 +938,15 @@ impl OrcReader {
                 _ => segments.push((start, rows)),
             }
         }
+        let top_level = self.projection.iter().map(|&p| self.tree.top_level(p));
         Ok(StripeCursor {
-            cols,
+            data: Arc::new(StripeData {
+                cols,
+                batch_cols: top_level.collect(),
+                materialized: Arc::clone(&self.materialized),
+            }),
+            at: vec![(0, 0); self.tree.len()],
+            row: 0,
             rows_remaining: rows_selected,
             segments,
         })
@@ -603,7 +967,7 @@ impl OrcReader {
 
         // Gather the raw (deframed) bytes of one stream for selected groups,
         // returning per-chunk (raw bytes, value count).
-        let mut read_stream = |kind: StreamKind| -> Result<Option<Vec<(Vec<u8>, u64)>>> {
+        let mut read_stream = |kind: StreamKind| -> Result<Option<Vec<(Window, u64)>>> {
             let Some(idx) = cs.streams.iter().position(|s| s.kind == kind) else {
                 return Ok(None);
             };
@@ -617,12 +981,10 @@ impl OrcReader {
                 );
             if all_groups || stripe_global {
                 // One contiguous read for the whole stream.
-                let bytes = self.reader.read_at(base, info.len as usize)?;
+                let bytes = self.reader.read_at(base, info.len as usize)?.into_shared();
                 for c in &info.chunks {
-                    let framed = bytes
-                        .get(c.offset as usize..(c.offset.saturating_add(c.len)) as usize)
-                        .ok_or_else(|| HiveError::Format("chunk range exceeds stream".into()))?;
-                    out.push((deframe_chunk(framed, compression)?, c.values));
+                    let framed = c.offset as usize..c.offset.saturating_add(c.len) as usize;
+                    out.push((Window::deframe(&bytes, framed, compression)?, c.values));
                 }
             } else {
                 // Coalesce runs of adjacent selected groups into single
@@ -651,13 +1013,12 @@ impl OrcReader {
                     }
                     let run_len = (run_end - first.offset) as usize;
                     let bytes = self.reader.read_at(base + first.offset, run_len)?;
+                    let bytes = bytes.into_shared();
                     for &g in &selected[i..=j] {
                         let c = &info.chunks[g];
                         let rel = c.offset.wrapping_sub(first.offset) as usize;
-                        let framed = bytes
-                            .get(rel..rel.saturating_add(c.len as usize))
-                            .ok_or_else(|| HiveError::Format("chunk range exceeds run".into()))?;
-                        out.push((deframe_chunk(framed, compression)?, c.values));
+                        let framed = rel..rel.saturating_add(c.len as usize);
+                        out.push((Window::deframe(&bytes, framed, compression)?, c.values));
                     }
                     i = j + 1;
                 }
@@ -665,133 +1026,78 @@ impl OrcReader {
             Ok(Some(out))
         };
 
-        // PRESENT stream.
         let present = match read_stream(StreamKind::Present)? {
-            Some(chunks) => {
-                let mut bits = Vec::new();
-                for (raw, n) in &chunks {
-                    bits.extend(bitfield::decode(raw, *n as usize)?);
-                }
-                Some(bits)
-            }
+            Some(chunks) => Some(Present::new(decode_bits(&chunks)?)),
             None => None,
         };
-
         let data = match dt {
             DataType::Int | DataType::Timestamp => {
-                let mut vals = Vec::new();
-                if let Some(chunks) = read_stream(StreamKind::Data)? {
-                    for (raw, n) in &chunks {
-                        decode_ints_into(raw, *n as usize, &mut vals)?;
-                    }
-                }
-                DecodedData::Longs(vals)
+                DecodedData::Longs(decode_ints(read_stream(StreamKind::Data)?)?)
             }
             DataType::Boolean => {
-                let mut vals = Vec::new();
-                if let Some(chunks) = read_stream(StreamKind::Data)? {
-                    for (raw, n) in &chunks {
-                        vals.extend(bitfield::decode(raw, *n as usize)?);
-                    }
-                }
-                DecodedData::Bools(vals)
+                let chunks = read_stream(StreamKind::Data)?.unwrap_or_default();
+                DecodedData::Bools(decode_bits(&chunks)?)
             }
             DataType::Double => {
-                let mut vals = Vec::new();
-                if let Some(chunks) = read_stream(StreamKind::Data)? {
-                    for (raw, n) in &chunks {
-                        if raw.len() < *n as usize * 8 {
-                            return Err(HiveError::Format("double stream truncated".into()));
-                        }
-                        for i in 0..*n as usize {
-                            let mut b = [0u8; 8];
-                            b.copy_from_slice(&raw[i * 8..i * 8 + 8]);
-                            vals.push(f64::from_le_bytes(b));
-                        }
-                    }
+                let mut vals = Doubles::default();
+                for (mut raw, n) in read_stream(StreamKind::Data)?.unwrap_or_default() {
+                    let bytes = (n as usize).checked_mul(8).filter(|&b| b <= raw.len());
+                    let bytes =
+                        bytes.ok_or_else(|| HiveError::Format("double stream truncated".into()))?;
+                    raw.range.end = raw.range.start + bytes;
+                    vals.ends.push(vals.len() + n as usize);
+                    vals.chunks.push(raw);
                 }
                 DecodedData::Doubles(vals)
             }
             DataType::String => match &cs.encoding {
                 Some(ColumnEncoding::Dictionary { size }) => {
-                    let dict_bytes = read_stream(StreamKind::DictionaryData)?
-                        .and_then(|mut v| v.pop())
-                        .map(|(b, _)| b)
-                        .unwrap_or_default();
-                    let dict_lens = read_stream(StreamKind::DictionaryLength)?
-                        .and_then(|mut v| v.pop())
-                        .map(|(b, _)| b)
-                        .unwrap_or_default();
-                    let mut lens = Vec::new();
-                    decode_ints_into(&dict_lens, *size as usize, &mut lens)?;
-                    let mut entries = Vec::with_capacity(lens.len());
-                    let mut off = 0usize;
-                    for &l in &lens {
-                        let l = l as usize;
-                        if off + l > dict_bytes.len() {
-                            return Err(HiveError::Format("dictionary truncated".into()));
-                        }
-                        entries.push(dict_bytes[off..off + l].to_vec());
-                        off += l;
-                    }
-                    let mut ids = Vec::new();
-                    if let Some(chunks) = read_stream(StreamKind::Data)? {
-                        for (raw, n) in &chunks {
-                            let mut tmp = Vec::new();
-                            decode_ints_into(raw, *n as usize, &mut tmp)?;
-                            ids.extend(tmp.into_iter().map(|x| x as u32));
-                        }
+                    // Stripe-global streams, one chunk each: the entries back
+                    // to back, and their lengths.
+                    let blob = read_stream(StreamKind::DictionaryData)?.and_then(|mut v| v.pop());
+                    let (blob, within) = match blob {
+                        Some((w, _)) => (w.buffer, w.range),
+                        None => (Arc::new(Vec::new()), 0..0),
+                    };
+                    let mut lens = read_stream(StreamKind::DictionaryLength)?;
+                    lens.iter_mut().flatten().for_each(|c| c.1 = *size);
+                    let bounds = bounds_of(&decode_ints(lens)?, within)
+                        .ok_or_else(|| HiveError::Format("dictionary truncated".into()))?;
+                    let dictionary = Dictionary::new(blob, bounds)?;
+                    let ids: Vec<u32> = decode_ints(read_stream(StreamKind::Data)?)?;
+                    if ids.iter().any(|&id| id as usize >= dictionary.len()) {
+                        return Err(HiveError::Format(
+                            "dictionary id out of range (corrupt)".into(),
+                        ));
                     }
                     DecodedData::StringsDict {
-                        dict: Arc::new(entries),
+                        dictionary: Arc::new(dictionary),
                         ids,
                     }
                 }
                 _ => {
-                    let mut data_bytes = Vec::new();
-                    let mut lens: Vec<i64> = Vec::new();
-                    if let Some(chunks) = read_stream(StreamKind::Data)? {
-                        for (raw, _) in &chunks {
-                            data_bytes.extend_from_slice(raw);
-                        }
+                    let mut data = Vec::new();
+                    for (raw, _) in read_stream(StreamKind::Data)?.iter().flatten() {
+                        data.extend_from_slice(raw);
                     }
-                    if let Some(chunks) = read_stream(StreamKind::Length)? {
-                        for (raw, n) in &chunks {
-                            decode_ints_into(raw, *n as usize, &mut lens)?;
-                        }
-                    }
-                    let mut offsets = Vec::with_capacity(lens.len());
-                    let mut off = 0usize;
-                    for &l in &lens {
-                        offsets.push((off, l as usize));
-                        off += l as usize;
-                    }
-                    if off > data_bytes.len() {
-                        return Err(HiveError::Format("string data truncated".into()));
-                    }
+                    let lens: Vec<i64> = decode_ints(read_stream(StreamKind::Length)?)?;
+                    let bounds = bounds_of(&lens, 0..data.len())
+                        .ok_or_else(|| HiveError::Format("string data truncated".into()))?;
                     DecodedData::StringsDirect {
-                        data: data_bytes,
-                        offsets,
+                        data: Arc::new(data),
+                        bounds,
                     }
                 }
             },
             DataType::Array(_) | DataType::Map(_, _) => {
-                let mut vals = Vec::new();
-                if let Some(chunks) = read_stream(StreamKind::Length)? {
-                    for (raw, n) in &chunks {
-                        decode_ints_into(raw, *n as usize, &mut vals)?;
-                    }
-                }
-                DecodedData::Lengths(vals)
+                DecodedData::Lengths(decode_ints(read_stream(StreamKind::Length)?)?)
             }
             DataType::Union(_) => {
                 let mut vals = Vec::new();
-                if let Some(chunks) = read_stream(StreamKind::Tags)? {
-                    for (raw, n) in &chunks {
-                        let mut d = byte_rle::ByteRleDecoder::new(raw);
-                        for _ in 0..*n {
-                            vals.push(d.next()?);
-                        }
+                for (raw, n) in read_stream(StreamKind::Tags)?.iter().flatten() {
+                    let mut d = byte_rle::ByteRleDecoder::new(raw);
+                    for _ in 0..*n {
+                        vals.push(d.next()?);
                     }
                 }
                 DecodedData::Tags(vals)
@@ -799,20 +1105,16 @@ impl OrcReader {
             DataType::Struct(_) => DecodedData::None,
         };
 
-        Ok(DecodedColumn {
-            present,
-            data,
-            present_idx: 0,
-            data_idx: 0,
-        })
+        Ok(DecodedColumn { present, data })
     }
 
     /// Recursively materialize the next value of column `col`.
     fn read_value(&mut self, col: usize) -> Result<Value> {
-        let non_null = self.current.as_mut().unwrap().cols[col]
-            .as_mut()
-            .ok_or_else(|| HiveError::Format("column not decoded".into()))?
-            .next_present();
+        // Corrupted counts read as "present"; the value accessors below
+        // report the structural error.
+        let (dc, at) = self.cursor(col)?;
+        let non_null = dc.present.as_ref().is_none_or(|p| p.bit(at.0));
+        at.0 += 1;
         if !non_null {
             return Ok(Value::Null);
         }
@@ -821,45 +1123,44 @@ impl OrcReader {
             DataType::Int => Ok(Value::Int(self.take_long(col)?)),
             DataType::Timestamp => Ok(Value::Timestamp(self.take_long(col)?)),
             DataType::Boolean => {
-                let dc = self.cursor(col)?;
+                let (dc, at) = self.cursor(col)?;
                 let DecodedData::Bools(v) = &dc.data else {
                     return Err(HiveError::Format("expected bool data".into()));
                 };
-                let x = *v.get(dc.data_idx).ok_or_else(|| {
+                let x = *v.get(at.1).ok_or_else(|| {
                     HiveError::Format("bool stream exhausted (corrupt counts)".into())
                 })?;
-                dc.data_idx += 1;
+                at.1 += 1;
                 Ok(Value::Boolean(x))
             }
             DataType::Double => {
-                let dc = self.cursor(col)?;
+                let (dc, at) = self.cursor(col)?;
                 let DecodedData::Doubles(v) = &dc.data else {
                     return Err(HiveError::Format("expected double data".into()));
                 };
-                let x = *v.get(dc.data_idx).ok_or_else(|| {
+                let x = v.get(at.1).ok_or_else(|| {
                     HiveError::Format("double stream exhausted (corrupt counts)".into())
                 })?;
-                dc.data_idx += 1;
+                at.1 += 1;
                 Ok(Value::Double(x))
             }
             DataType::String => {
-                let dc = self.cursor(col)?;
+                let (dc, at) = self.cursor(col)?;
                 let corrupt =
                     || HiveError::Format("string stream exhausted (corrupt counts)".into());
                 let s = match &dc.data {
-                    DecodedData::StringsDict { dict, ids } => {
-                        let id = *ids.get(dc.data_idx).ok_or_else(corrupt)? as usize;
-                        let entry = dict.get(id).ok_or_else(corrupt)?;
-                        String::from_utf8_lossy(entry).into_owned()
+                    DecodedData::StringsDict { dictionary, ids } => {
+                        let id = *ids.get(at.1).ok_or_else(corrupt)? as usize;
+                        String::from_utf8_lossy(dictionary.entry(id)).into_owned()
                     }
-                    DecodedData::StringsDirect { data, offsets } => {
-                        let (off, len) = *offsets.get(dc.data_idx).ok_or_else(corrupt)?;
-                        let bytes = data.get(off..off.saturating_add(len)).ok_or_else(corrupt)?;
+                    DecodedData::StringsDirect { data, bounds } => {
+                        let span = bounds.get(at.1..at.1 + 2).ok_or_else(corrupt)?;
+                        let bytes = &data[span[0] as usize..span[1] as usize];
                         String::from_utf8_lossy(bytes).into_owned()
                     }
                     _ => return Err(HiveError::Format("expected string data".into())),
                 };
-                dc.data_idx += 1;
+                at.1 += 1;
                 Ok(Value::String(s))
             }
             DataType::Array(_) => {
@@ -893,14 +1194,14 @@ impl OrcReader {
             }
             DataType::Union(_) => {
                 let tag = {
-                    let dc = self.cursor(col)?;
+                    let (dc, at) = self.cursor(col)?;
                     let DecodedData::Tags(v) = &dc.data else {
                         return Err(HiveError::Format("expected union tags".into()));
                     };
-                    let t = *v.get(dc.data_idx).ok_or_else(|| {
+                    let t = *v.get(at.1).ok_or_else(|| {
                         HiveError::Format("tag stream exhausted (corrupt counts)".into())
                     })?;
-                    dc.data_idx += 1;
+                    at.1 += 1;
                     t
                 };
                 let child = *self
@@ -914,33 +1215,35 @@ impl OrcReader {
         }
     }
 
-    fn cursor(&mut self, col: usize) -> Result<&mut DecodedColumn> {
-        self.current.as_mut().unwrap().cols[col]
-            .as_mut()
-            .ok_or_else(|| HiveError::Format("column not decoded".into()))
+    /// Column `col` of the current cursor and the row reader's place in it.
+    fn cursor(&mut self, col: usize) -> Result<(&DecodedColumn, &mut (usize, usize))> {
+        let cur = self.current.as_mut().unwrap();
+        let dc = cur.data.cols[col].as_ref();
+        let dc = dc.ok_or_else(|| HiveError::Format("column not decoded".into()))?;
+        Ok((dc, &mut cur.at[col]))
     }
 
     fn take_long(&mut self, col: usize) -> Result<i64> {
-        let dc = self.cursor(col)?;
+        let (dc, at) = self.cursor(col)?;
         let DecodedData::Longs(v) = &dc.data else {
             return Err(HiveError::Format("expected long data".into()));
         };
         let x = *v
-            .get(dc.data_idx)
+            .get(at.1)
             .ok_or_else(|| HiveError::Format("long stream exhausted (corrupt counts)".into()))?;
-        dc.data_idx += 1;
+        at.1 += 1;
         Ok(x)
     }
 
     fn take_length(&mut self, col: usize) -> Result<usize> {
-        let dc = self.cursor(col)?;
+        let (dc, at) = self.cursor(col)?;
         let DecodedData::Lengths(v) = &dc.data else {
             return Err(HiveError::Format("expected length data".into()));
         };
         let x = *v
-            .get(dc.data_idx)
+            .get(at.1)
             .ok_or_else(|| HiveError::Format("length stream exhausted (corrupt counts)".into()))?;
-        dc.data_idx += 1;
+        at.1 += 1;
         // A corrupted length could be negative or absurdly large; either
         // would make the collection loops allocate unboundedly.
         if !(0..=(1 << 24)).contains(&x) {
@@ -1017,6 +1320,8 @@ impl TableReader for OrcReader {
 
     /// The native vectorized reader: fills column vectors directly from the
     /// decoded stripe buffers — only valid for primitive projected columns.
+    /// After [`defer_all_but`](TableReader::defer_all_but) it fills the
+    /// columns named there and hands the rest over deferred.
     fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
         'refill: loop {
             batch.reset();
@@ -1035,21 +1340,36 @@ impl TableReader for OrcReader {
             }
             let cur = self.current.as_mut().unwrap();
             let n = (cur.rows_remaining as usize).min(batch.max_size);
-            for (out_idx, &p) in self.projection.iter().enumerate() {
-                let col_id = self.tree.top_level(p);
-                let dc = cur.cols[col_id]
-                    .as_mut()
-                    .ok_or_else(|| HiveError::Format("column not decoded".into()))?;
-                if let Err(e) = fill_vector(dc, &mut batch.columns[out_idx], n) {
+            let data = &cur.data;
+            // Everything that can fail, for every column, before any is filled.
+            for (out_idx, &col_id) in data.batch_cols.iter().enumerate() {
+                let checked = match &data.cols[col_id] {
+                    Some(dc) => dc.check(cur.row, n, &batch.columns[out_idx]),
+                    None => Err(HiveError::Format("column not decoded".into())),
+                };
+                if let Err(e) = checked {
                     if self.absorb_corruption(&e) {
                         continue 'refill;
                     }
                     return Err(e);
                 }
             }
+            let columns = 0..data.batch_cols.len();
+            match &self.fill_first {
+                None => columns.for_each(|c| data.fill(cur.row, c, n, None, &mut batch.columns[c])),
+                Some(first) => {
+                    for &c in first {
+                        data.fill(cur.row, c, n, None, &mut batch.columns[c]);
+                    }
+                    let source = Arc::clone(data) as Arc<dyn ColumnSource>;
+                    batch.defer(source, cur.row, columns.filter(|c| !first.contains(c)));
+                }
+            }
+            cur.row += n;
             cur.rows_remaining -= n as u64;
             // Record which ordinal runs these n physical rows cover.
-            let mut runs: Vec<(u64, u64)> = Vec::with_capacity(2);
+            let runs = &mut self.batch_runs;
+            runs.clear();
             let mut left = n as u64;
             while left > 0 {
                 let seg = &mut cur.segments[0];
@@ -1063,9 +1383,16 @@ impl TableReader for OrcReader {
                 }
             }
             batch.size = n;
-            self.batch_runs = runs;
             return Ok(n > 0);
         }
+    }
+
+    fn defer_all_but(&mut self, first: &[usize]) {
+        let mut first: Vec<usize> = first.to_vec();
+        first.retain(|&c| c < self.projection.len());
+        first.sort_unstable();
+        first.dedup();
+        self.fill_first = Some(first);
     }
 
     fn last_row_ordinal(&self) -> Option<u64> {
@@ -1077,168 +1404,47 @@ impl TableReader for OrcReader {
     }
 
     fn read_stats(&self) -> ReadStats {
-        self.counters
+        ReadStats {
+            values_materialized: self.materialized.load(Ordering::Relaxed),
+            ..self.counters
+        }
     }
 }
 
-/// Copy `n` values of a decoded column into a column vector, handling nulls
-/// and setting `no_nulls` when the column had no PRESENT stream.
-fn fill_vector(dc: &mut DecodedColumn, out: &mut ColumnVector, n: usize) -> Result<()> {
-    // Corrupt counts must surface as errors, not slice panics.
-    let available = match &dc.data {
-        DecodedData::Longs(v) => v.len(),
-        DecodedData::Bools(v) => v.len(),
-        DecodedData::Doubles(v) => v.len(),
-        DecodedData::StringsDict { ids, .. } => ids.len(),
-        DecodedData::StringsDirect { offsets, .. } => offsets.len(),
-        DecodedData::Lengths(v) => v.len(),
-        DecodedData::Tags(v) => v.len(),
-        DecodedData::None => 0,
-    };
-    // Collect presence for these n rows first.
-    let mut nulls: Option<Vec<bool>> = None;
-    let mut non_null = n;
-    if dc.present.is_some() {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(!dc.next_present());
-        }
-        non_null = v.iter().filter(|x| !**x).count();
-        nulls = Some(v);
-    } else {
-        dc.present_idx += n;
+/// The integers of a stream (none, if the stream is absent): each chunk
+/// holds exactly as many as its count says.
+fn decode_ints<T: int_rle::RleValue>(chunks: Option<Vec<(Window, u64)>>) -> Result<Vec<T>> {
+    let mut vals = Vec::new();
+    for (raw, n) in chunks.iter().flatten() {
+        int_rle::IntRleDecoder::new(raw).decode_into(*n as usize, &mut vals)?;
     }
-    if dc.data_idx + non_null > available {
-        return Err(HiveError::Format(
-            "value stream shorter than row count (corrupt counts)".into(),
-        ));
-    }
-    match (&dc.data, out) {
-        (DecodedData::Longs(src), ColumnVector::Long(v)) => {
-            v.is_repeating = false;
-            match &nulls {
-                None => {
-                    v.no_nulls = true;
-                    v.vector[..n].copy_from_slice(&src[dc.data_idx..dc.data_idx + n]);
-                    dc.data_idx += n;
-                }
-                Some(nulls) => {
-                    v.no_nulls = false;
-                    for i in 0..n {
-                        v.null[i] = nulls[i];
-                        v.vector[i] = if nulls[i] {
-                            0
-                        } else {
-                            let x = src[dc.data_idx];
-                            dc.data_idx += 1;
-                            x
-                        };
-                    }
-                }
-            }
-        }
-        (DecodedData::Bools(src), ColumnVector::Long(v)) => {
-            v.is_repeating = false;
-            match &nulls {
-                None => {
-                    v.no_nulls = true;
-                    for i in 0..n {
-                        v.vector[i] = src[dc.data_idx + i] as i64;
-                    }
-                    dc.data_idx += n;
-                }
-                Some(nulls) => {
-                    v.no_nulls = false;
-                    for i in 0..n {
-                        v.null[i] = nulls[i];
-                        v.vector[i] = if nulls[i] {
-                            0
-                        } else {
-                            let x = src[dc.data_idx] as i64;
-                            dc.data_idx += 1;
-                            x
-                        };
-                    }
-                }
-            }
-        }
-        (DecodedData::Doubles(src), ColumnVector::Double(v)) => {
-            v.is_repeating = false;
-            match &nulls {
-                None => {
-                    v.no_nulls = true;
-                    v.vector[..n].copy_from_slice(&src[dc.data_idx..dc.data_idx + n]);
-                    dc.data_idx += n;
-                }
-                Some(nulls) => {
-                    v.no_nulls = false;
-                    for i in 0..n {
-                        v.null[i] = nulls[i];
-                        v.vector[i] = if nulls[i] {
-                            0.0
-                        } else {
-                            let x = src[dc.data_idx];
-                            dc.data_idx += 1;
-                            x
-                        };
-                    }
-                }
-            }
-        }
-        (DecodedData::StringsDict { dict, ids }, ColumnVector::Bytes(v)) => {
-            v.is_repeating = false;
-            v.no_nulls = nulls.is_none();
-            for i in 0..n {
-                let is_null = nulls.as_ref().is_some_and(|x| x[i]);
-                if is_null {
-                    v.null[i] = true;
-                    v.start[i] = 0;
-                    v.length[i] = 0;
-                } else {
-                    let id = ids[dc.data_idx] as usize;
-                    let entry = dict.get(id).ok_or_else(|| {
-                        HiveError::Format("dictionary id out of range (corrupt)".into())
-                    })?;
-                    v.set(i, entry);
-                    dc.data_idx += 1;
-                }
-            }
-        }
-        (DecodedData::StringsDirect { data, offsets }, ColumnVector::Bytes(v)) => {
-            v.is_repeating = false;
-            v.no_nulls = nulls.is_none();
-            for i in 0..n {
-                let is_null = nulls.as_ref().is_some_and(|x| x[i]);
-                if is_null {
-                    v.null[i] = true;
-                    v.start[i] = 0;
-                    v.length[i] = 0;
-                } else {
-                    let (off, len) = offsets[dc.data_idx];
-                    let bytes = data.get(off..off.saturating_add(len)).ok_or_else(|| {
-                        HiveError::Format("string bytes out of range (corrupt)".into())
-                    })?;
-                    v.set(i, bytes);
-                    dc.data_idx += 1;
-                }
-            }
-        }
-        _ => {
-            return Err(HiveError::Execution(
-                "column type is not vectorizable".into(),
-            ))
-        }
-    }
-    Ok(())
+    Ok(vals)
 }
 
-/// Decode exactly `n` integers from an int-RLE chunk.
-fn decode_ints_into(raw: &[u8], n: usize, out: &mut Vec<i64>) -> Result<()> {
-    let mut d = int_rle::IntRleDecoder::new(raw);
-    for _ in 0..n {
-        out.push(d.next()?);
+/// The bits of a bit-field stream's chunks.
+fn decode_bits(chunks: &[(Window, u64)]) -> Result<Vec<bool>> {
+    let mut bits = Vec::new();
+    for (raw, n) in chunks {
+        bits.extend(bitfield::decode(raw, *n as usize)?);
     }
-    Ok(())
+    Ok(bits)
+}
+
+/// Where values of lengths `lens`, laid back to back over `within` of a
+/// buffer, begin and end — as offsets a bytes vector can hold. `None` when a
+/// length is negative or the values do not fit (corrupt).
+fn bounds_of(lens: &[i64], within: Range<usize>) -> Option<Vec<u32>> {
+    let mut at = within.start;
+    let mut bounds = Vec::with_capacity(lens.len() + 1);
+    bounds.push(u32::try_from(at).ok()?);
+    for &len in lens {
+        at = at.checked_add(usize::try_from(len).ok()?)?;
+        if at > within.end {
+            return None;
+        }
+        bounds.push(u32::try_from(at).ok()?);
+    }
+    Some(bounds)
 }
 
 /// Decode the index section: per column, per group statistics.

@@ -649,3 +649,285 @@ fn block_padding_reduces_remote_reads() {
         "alignment must cut remote reads: padded {padded} vs unpadded {unpadded}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Deferred columns against the row reader
+// ---------------------------------------------------------------------------
+
+/// What one run of [`deferred_read_against_rows`] came across.
+#[derive(Default, Debug)]
+struct Met {
+    rows: usize,
+    stripes: u64,
+    /// Batches whose rows lie in two or more ordinal runs.
+    straddling_batches: usize,
+    /// Rows lost to `skip_corrupt` salvage.
+    rows_skipped: u64,
+    /// Batches a later step left without a row.
+    emptied_batches: usize,
+    dictionary_columns: usize,
+    direct_columns: usize,
+}
+
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random file — nullable long / double / boolean / timestamp columns,
+/// strings that come out dictionary-encoded, direct, or one then the other,
+/// columns without a NULL and columns of nothing else, several stripes — read
+/// the way a map task does: a reader that defers all but a filter's first
+/// columns, a mask of pre-unselected rows (the ACID delete mask's shape),
+/// then conjunct by conjunct `materialize` + a narrower selection, then
+/// `materialize_all`. At every step every filled column must equal the row
+/// reader's value (`next_row`: the oracle, which is never lazy) at every row
+/// still selected, under the same projection, search argument and
+/// `skip_corrupt` salvage, and the two must agree on which rows exist.
+fn deferred_read_against_rows(seed: u64, nrows: usize, batch_size: usize) -> Met {
+    let mut rng = SplitMix(seed);
+    let mut met = Met::default();
+    let fs = Dfs::new(DfsConfig {
+        block_size: 2 << 10,
+        replication: 1,
+        nodes: 2,
+    });
+
+    // Column 0 is an ascending key for the search argument to cut on.
+    let kinds: Vec<usize> = (0..2 + rng.below(5)).map(|_| rng.below(7)).collect();
+    let null_modes: Vec<usize> = kinds.iter().map(|_| rng.below(4)).collect();
+    let type_name = |kind: usize| match kind {
+        0 => "bigint",
+        1 => "double",
+        2 => "boolean",
+        3 => "timestamp",
+        _ => "string",
+    };
+    let mut fields = vec![("k".to_string(), "bigint")];
+    fields.extend(
+        kinds
+            .iter()
+            .enumerate()
+            .map(|(c, &k)| (format!("c{c}"), type_name(k))),
+    );
+    let fields: Vec<(&str, &str)> = fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let schema = Schema::parse(&fields).unwrap();
+    let cell = |rng: &mut SplitMix, r: usize, kind: usize, nulls: usize| {
+        // 0 and 1: no NULL; 2: a fifth; 3: nothing but.
+        if nulls == 3 || (nulls == 2 && rng.below(5) == 0) {
+            return Value::Null;
+        }
+        match kind {
+            0 => Value::Int(rng.next() as i64 >> rng.below(60)),
+            1 => Value::Double((rng.next() % 10_000) as f64 / 7.0 - 500.0),
+            2 => Value::Boolean(rng.below(2) == 0),
+            3 => Value::Timestamp(1_400_000_000_000 + (rng.next() % 1_000_000) as i64),
+            4 => Value::String(format!("dict-{}", rng.below(7))),
+            5 => Value::String(format!("direct-{r}-{}", rng.next() % 1000)),
+            // Dictionary-encoded in the file's first stripes, direct after.
+            _ if r < nrows / 2 => Value::String(format!("lo-{}", rng.below(4))),
+            _ => Value::String(format!("hi-{r}-{}", rng.next())),
+        }
+    };
+    let rows: Vec<Row> = (0..nrows)
+        .map(|r| {
+            let mut vals = vec![Value::Int(r as i64 * 3)];
+            for (&kind, &nulls) in kinds.iter().zip(&null_modes) {
+                vals.push(cell(&mut rng, r, kind, nulls));
+            }
+            Row::new(vals)
+        })
+        .collect();
+    let opts = OrcWriterOptions {
+        stripe_size: (4 + rng.below(12)) << 10,
+        row_index_stride: 16 + rng.below(40),
+        compression: [Compression::None, Compression::Snappy, Compression::Zlib][rng.below(3)],
+        compress_unit: 1 << 10,
+        ..Default::default()
+    };
+    write_orc(&fs, "/orc/deferred", &schema, opts, rows.into_iter());
+
+    // A projection in any order, sometimes a search argument that leaves
+    // gaps between the index groups read, sometimes a corrupt block.
+    let mut projection: Vec<usize> = (0..schema.len()).filter(|_| rng.below(4) > 0).collect();
+    if projection.is_empty() {
+        projection.push(rng.below(schema.len()));
+    }
+    for i in (1..projection.len()).rev() {
+        projection.swap(i, rng.below(i + 1));
+    }
+    let sarg = (rng.below(2) == 0).then(|| {
+        let keys = (0..2 + rng.below(6)).map(|_| Value::Int(rng.below(nrows) as i64 * 3));
+        SearchArgument::new(vec![PredicateLeaf::in_list(0, keys.collect())])
+    });
+    let corrupt = rng.below(3) == 0;
+    if corrupt {
+        let len = fs.len("/orc/deferred").unwrap();
+        let at = rng.next() % (len * 4 / 5);
+        fs.corrupt_stored("/orc/deferred", at, 0x5a).unwrap();
+    }
+    let read_opts = || OrcReadOptions {
+        projection: Some(projection.clone()),
+        sarg: sarg.clone(),
+        use_index: true,
+        skip_corrupt: corrupt,
+        ..Default::default()
+    };
+
+    // The oracle: rows by physical ordinal.
+    let Ok(mut by_row) = OrcReader::open(&fs, "/orc/deferred", read_opts()) else {
+        return met; // the corrupt byte hit the file tail: nothing opens
+    };
+    let mut oracle: Vec<(u64, Row)> = Vec::new();
+    while let Some(row) = by_row.next_row().unwrap() {
+        oracle.push((by_row.last_row_ordinal().unwrap(), row));
+    }
+
+    let types: Vec<DataType> = projection
+        .iter()
+        .map(|&c| schema.field(c).data_type.clone())
+        .collect();
+    let ncols = types.len();
+    // Which columns the reader fills, which each conjunct asks for; the rest
+    // is left to `materialize_all`.
+    let step_of: Vec<usize> = (0..ncols).map(|_| rng.below(5)).collect();
+    let first: Vec<usize> = (0..ncols).filter(|&c| step_of[c] == 0).collect();
+    let mut by_batch = OrcReader::open(&fs, "/orc/deferred", read_opts()).unwrap();
+    by_batch.defer_all_but(&first);
+    let mut batch = VectorizedRowBatch::new(&types, batch_size).unwrap();
+    let mut next = 0usize; // oracle row the batch's row 0 is
+    let mask = rng.below(2) == 0;
+    while by_batch.next_batch(&mut batch).unwrap() {
+        let runs = by_batch.batch_ordinal_runs().unwrap().to_vec();
+        met.straddling_batches += (runs.len() > 1) as usize;
+        let ordinals: Vec<u64> = runs.iter().flat_map(|&(s, n)| s..s + n).collect();
+        assert_eq!(ordinals.len(), batch.size, "runs cover the batch");
+        let expect = &oracle[next..next + batch.size];
+        let same = ordinals.iter().eq(expect.iter().map(|(ord, _)| ord));
+        assert!(same, "the two readers disagree on which rows exist");
+        next += batch.size;
+        let check = |batch: &VectorizedRowBatch, filled: &[usize], what: &str| {
+            for i in batch.iter_selected() {
+                for &c in filled {
+                    let got = hive_vector::row_convert::get_value(&batch.columns[c], i, &types[c]);
+                    let (ord, row) = &expect[i];
+                    assert_eq!(
+                        got, row[c],
+                        "{what}: column {c} at ordinal {ord} (seed {seed})"
+                    );
+                }
+            }
+        };
+        let narrow = |batch: &mut VectorizedRowBatch, rng: &mut SplitMix, keep_one_in: usize| {
+            let all = keep_one_in == 0;
+            let drop: Vec<usize> = batch
+                .iter_selected()
+                .filter(|_| all || rng.below(keep_one_in) > 0)
+                .collect();
+            batch.unselect_rows(&drop);
+        };
+        if mask {
+            let drop: Vec<usize> = (0..batch.size).filter(|_| rng.below(5) == 0).collect();
+            batch.unselect_rows(&drop);
+        }
+        let mut filled = first.clone();
+        check(&batch, &filled, "first columns");
+        for step in 1..4 {
+            let asks: Vec<usize> = (0..ncols).filter(|&c| step_of[c] == step).collect();
+            batch.materialize(&asks);
+            filled.extend(asks);
+            check(&batch, &filled, "after a conjunct's columns");
+            // Keep about all, half, a tenth, or none.
+            let keep_one_in = [50, 2, 10, 0][rng.below(4)];
+            let before = batch.size;
+            narrow(&mut batch, &mut rng, keep_one_in);
+            met.emptied_batches += (before > 0 && batch.size == 0) as usize;
+        }
+        batch.materialize_all();
+        assert!(!batch.has_deferred());
+        check(
+            &batch,
+            &(0..ncols).collect::<Vec<_>>(),
+            "after materialize_all",
+        );
+        for (c, col) in batch.columns.iter().enumerate() {
+            let hive_vector::ColumnVector::Bytes(v) = col else {
+                continue;
+            };
+            let filled_here = batch.size > 0 || first.contains(&c);
+            match v.dictionary() {
+                Some(_) => met.dictionary_columns += 1,
+                None if filled_here => met.direct_columns += 1,
+                None => {}
+            }
+        }
+    }
+    assert_eq!(next, oracle.len(), "the batch reader ended early");
+    let (stats, row_stats) = (by_batch.read_stats(), by_row.read_stats());
+    assert_eq!(stats.rows_skipped, row_stats.rows_skipped);
+    assert!(stats.values_materialized <= (ncols * oracle.len()) as u64);
+    assert_eq!(row_stats.values_materialized, 0, "rows are not batches");
+    met.rows = oracle.len();
+    met.stripes = stats.stripes_read;
+    met.rows_skipped = stats.rows_skipped;
+    met
+}
+
+mod deferred {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn deferred_read_equals_the_row_reader_at_every_surviving_row(
+            seed in any::<u64>(),
+            nrows in 150usize..1500,
+            batch_size in 17usize..300,
+        ) {
+            deferred_read_against_rows(seed, nrows, batch_size);
+        }
+    }
+
+    /// The property above is only worth its name if its cases reach the
+    /// situations it is about.
+    #[test]
+    fn the_deferred_read_cases_cover_what_they_claim() {
+        let mut total = Met::default();
+        let mut multi_stripe = 0;
+        for seed in 0..40u64 {
+            let met =
+                deferred_read_against_rows(seed, 400 + 20 * seed as usize, 64 + seed as usize);
+            multi_stripe += (met.stripes >= 2) as usize;
+            total.rows += met.rows;
+            total.straddling_batches += met.straddling_batches;
+            total.rows_skipped += met.rows_skipped;
+            total.emptied_batches += met.emptied_batches;
+            total.dictionary_columns += met.dictionary_columns;
+            total.direct_columns += met.direct_columns;
+        }
+        assert!(
+            multi_stripe >= 20,
+            "{multi_stripe} of 40 files had two stripes: {total:?}"
+        );
+        assert!(total.straddling_batches > 0, "{total:?}");
+        assert!(total.rows_skipped > 0, "{total:?}");
+        assert!(total.emptied_batches > 0, "{total:?}");
+        assert!(
+            total.dictionary_columns > 0 && total.direct_columns > 0,
+            "{total:?}"
+        );
+    }
+}

@@ -913,17 +913,23 @@ impl MrEngine {
                 Some(stage) => {
                     // Batch-native scan path (paper Section 6.5): reader
                     // batches go straight into the operator graph as shared
-                    // `Batch` messages — no row materialization. A fresh
-                    // batch per iteration keeps the Arc unshared, so the
-                    // first operator's copy-on-write is a no-op.
+                    // `Batch` messages — no row materialization. The batch
+                    // goes in as the only reference to it, so the first
+                    // operator's copy-on-write is a no-op, and comes back
+                    // spent to be refilled: a new one is allocated only when
+                    // an operator kept a reference.
                     //
                     // Deleted ordinals are already unselected when the
                     // batch arrives, so all counters see logical
                     // (post-mask) rows — identical to row mode. A batch
                     // counts as read even when the mask emptied it.
+                    if let Some(first) = &stage.first_columns {
+                        reader.defer_all_but(first);
+                    }
+                    let (types, size) = (&stage.batch_types, DEFAULT_BATCH_SIZE);
+                    let fresh = || VectorizedRowBatch::new(types, size);
+                    let mut batch = fresh()?;
                     loop {
-                        let mut batch =
-                            VectorizedRowBatch::new(&stage.batch_types, DEFAULT_BATCH_SIZE)?;
                         let masked_before = reader.rows_masked();
                         let more = reader.next_batch(&mut batch)?;
                         if batch.size > 0 || reader.rows_masked() > masked_before {
@@ -943,6 +949,11 @@ impl MrEngine {
                                 &mut on_shuffle,
                                 &mut on_output,
                             )?;
+                            let spent = graph.take_spent();
+                            batch = match spent.filter(|b| b.has_layout(types, size)) {
+                                Some(spent) => spent,
+                                None => fresh()?,
+                            };
                         }
                         if !more {
                             break;

@@ -54,6 +54,10 @@ pub struct VectorStage {
     /// Last vectorized node of the alias's chain (scan profile reads its
     /// logical row counters).
     pub terminal: usize,
+    /// Set when `root` is a `VectorFilter`: the batch columns its predicate
+    /// reads first. The engine has the reader fill only those; the filter
+    /// materializes the others for the rows it keeps.
+    pub first_columns: Option<Vec<usize>>,
 }
 
 /// The per-task map pipeline: one operator graph with one entry root per

@@ -855,6 +855,7 @@ impl MapBuildSpec {
                     batch_types: c.batch_types,
                     root,
                     terminal,
+                    first_columns: c.first_columns,
                 });
                 if c.bridged {
                     bridge = Some((terminal, c.consumed));

@@ -53,6 +53,11 @@ pub struct VectorizedChain {
     /// When true the chain's last operator is the `RowBridge`, whose rows
     /// must be routed into the row-mode graph at the fallback entry.
     pub bridged: bool,
+    /// When the chain's first operator is a filter: the scan-batch columns
+    /// its predicate reads first. The reader fills those and defers the rest
+    /// to the filter (`VectorFilterOperator`), which fills them for the rows
+    /// it keeps. `None`: the reader fills every column.
+    pub first_columns: Option<Vec<usize>>,
 }
 
 /// A map-join whose output batch types aren't final yet: downstream
@@ -147,6 +152,7 @@ fn compile_chain<'a>(
     // (map join); until then scratch columns keep extending it.
     let mut scan_types: Option<Vec<DataType>> = None;
     let mut pending_join: Option<PendingJoin> = None;
+    let mut first_columns: Option<Vec<usize>> = None;
 
     loop {
         // The chain must be linear within this input.
@@ -167,11 +173,11 @@ fn compile_chain<'a>(
                 };
                 let mut children: Vec<Box<dyn VectorExpression>> = c.drain_pending();
                 children.push(f);
-                operators.push(Some(Box::new(VectorOpAdapter::new(Box::new(
-                    VectorFilterOperator {
-                        predicate: vx::filter_and(children),
-                    },
-                )))));
+                let filter = VectorFilterOperator::new(vx::filter_and(children));
+                if operators.is_empty() {
+                    first_columns = Some(filter.first_columns().to_vec());
+                }
+                operators.push(Some(Box::new(VectorOpAdapter::new(Box::new(filter)))));
                 consumed.insert(n);
                 cur = n;
             }
@@ -320,6 +326,7 @@ fn compile_chain<'a>(
         consumed,
         batch_types,
         bridged: !ended_in_sink,
+        first_columns,
     })
 }
 

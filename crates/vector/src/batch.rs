@@ -1,6 +1,8 @@
 //! Row batches and typed column vectors (paper Figures 6 and 7).
 
 use hive_common::{DataType, HiveError, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default rows per batch; the paper: "By default, this number is set to
 /// 1024, which was carefully chosen to minimize overhead and typically
@@ -51,8 +53,71 @@ pub type LongColumnVector = PrimitiveColumnVector<i64>;
 /// A column of `f64` values.
 pub type DoubleColumnVector = PrimitiveColumnVector<f64>;
 
-/// A column of byte strings, stored arena-style: one shared buffer plus
-/// per-row `(start, length)` — no per-row allocation in the hot path.
+/// A string column's dictionary as a stripe stores it: the entries back to
+/// back in one shared buffer. A bytes vector filled from one keeps it (and
+/// each row's entry id) beside the values, so a kernel can decide an *entry*
+/// once instead of a row every time; [`Dictionary::id`] is what such a memo
+/// is keyed by.
+#[derive(Debug, PartialEq)]
+pub struct Dictionary {
+    id: u64,
+    blob: Arc<Vec<u8>>,
+    /// Entry `e` is `blob[bounds[e]..bounds[e + 1]]`.
+    bounds: Vec<u32>,
+}
+
+impl Dictionary {
+    /// `bounds`: the entries' start offsets in `blob`, then the last one's
+    /// end. Rejects bounds that do not ascend or that leave the blob, so
+    /// [`entry`](Self::entry) never meets a range it cannot slice.
+    pub fn new(blob: Arc<Vec<u8>>, bounds: Vec<u32>) -> Result<Dictionary> {
+        let within = bounds.last().is_some_and(|&end| end as usize <= blob.len());
+        if !within || !bounds.is_sorted() {
+            return Err(HiveError::Format("dictionary truncated".into()));
+        }
+        // Never reused within the process, unlike the allocation's address:
+        // a memo keyed by it cannot mistake the next stripe's dictionary for
+        // this one. Publishes nothing, hence `Relaxed`.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Ok(Dictionary {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            blob,
+            bounds,
+        })
+    }
+
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    #[inline]
+    pub fn entry(&self, e: usize) -> &[u8] {
+        &self.blob[self.bounds[e] as usize..self.bounds[e + 1] as usize]
+    }
+
+    /// Entry `e` as the `(start, length)` a vector referring to this
+    /// dictionary stores for it.
+    #[inline]
+    pub fn span(&self, e: usize) -> (u32, u32) {
+        (self.bounds[e], self.bounds[e + 1] - self.bounds[e])
+    }
+}
+
+/// A column of byte strings: per-row `(start, length)` into one buffer — no
+/// per-row allocation in the hot path. The buffer is the vector's own arena
+/// (`data`, what [`set`](Self::set) appends to: Hive's `setVal`) or, after
+/// [`refer_to`](Self::refer_to), a buffer someone else owns and keeps
+/// immutable (Hive's `setRef`): the ORC reader's stripe data, shared through
+/// the `Arc`, never copied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BytesColumnVector {
     pub data: Vec<u8>,
@@ -61,6 +126,13 @@ pub struct BytesColumnVector {
     pub null: Vec<bool>,
     pub no_nulls: bool,
     pub is_repeating: bool,
+    /// The buffer `start`/`length` address instead of `data`, when set.
+    shared: Option<Arc<Vec<u8>>>,
+    /// The dictionary the values came from, when they came from one.
+    dictionary: Option<Arc<Dictionary>>,
+    /// Row `i`'s entry in that dictionary (meaningless for a NULL row, and
+    /// without a dictionary).
+    pub ids: Vec<u32>,
 }
 
 impl<T: Copy + Default> PrimitiveColumnVector<T> {
@@ -95,11 +167,15 @@ impl<T: Copy + Default> PrimitiveColumnVector<T> {
         }
     }
 
-    /// Reset flags for reuse by a reader filling the batch.
+    /// Reset flags for reuse by a reader filling the batch. Whoever writes a
+    /// null flag also clears `no_nulls`, so a vector last used with
+    /// `no_nulls` set has no flag to clear.
     pub fn reset(&mut self) {
+        if !self.no_nulls {
+            self.null.fill(false);
+        }
         self.no_nulls = true;
         self.is_repeating = false;
-        self.null.iter_mut().for_each(|n| *n = false);
     }
 
     /// Expand a repeating vector into explicit per-row values
@@ -130,6 +206,9 @@ impl BytesColumnVector {
             null: vec![false; n],
             no_nulls: true,
             is_repeating: false,
+            shared: None,
+            dictionary: None,
+            ids: vec![0; n],
         }
     }
 
@@ -139,7 +218,8 @@ impl BytesColumnVector {
         let idx = if self.is_repeating { 0 } else { i };
         let s = self.start[idx] as usize;
         let l = self.length[idx] as usize;
-        &self.data[s..s + l]
+        let buffer = self.shared.as_ref().map_or(&self.data, |shared| &**shared);
+        &buffer[s..s + l]
     }
 
     #[inline]
@@ -153,19 +233,42 @@ impl BytesColumnVector {
         }
     }
 
-    /// Append `bytes` as the value of row `i`.
+    /// Append `bytes` to the vector's own arena as the value of row `i`.
     pub fn set(&mut self, i: usize, bytes: &[u8]) {
+        debug_assert!(self.shared.is_none(), "this vector refers to a buffer");
         let s = self.data.len() as u32;
         self.data.extend_from_slice(bytes);
         self.start[i] = s;
         self.length[i] = bytes.len() as u32;
     }
 
+    /// From now until `reset`, `start`/`length` are ranges of `buffer`.
+    pub fn refer_to(&mut self, buffer: Arc<Vec<u8>>) {
+        self.data.clear();
+        self.shared = Some(buffer);
+    }
+
+    /// From now until `reset`, values are entries of `dictionary`: row `i`
+    /// holds entry `ids[i]` and `start`/`length` its [`Dictionary::span`].
+    pub fn refer_to_dictionary(&mut self, dictionary: Arc<Dictionary>) {
+        self.refer_to(Arc::clone(&dictionary.blob));
+        self.dictionary = Some(dictionary);
+    }
+
+    /// The dictionary the values are entries of, and each row's entry id.
+    pub fn dictionary(&self) -> Option<(&Dictionary, &[u32])> {
+        self.dictionary.as_deref().map(|d| (d, &self.ids[..]))
+    }
+
     pub fn reset(&mut self) {
         self.data.clear();
+        self.shared = None;
+        self.dictionary = None;
+        if !self.no_nulls {
+            self.null.fill(false);
+        }
         self.no_nulls = true;
         self.is_repeating = false;
-        self.null.iter_mut().for_each(|n| *n = false);
     }
 }
 
@@ -268,6 +371,39 @@ impl ColumnVector {
     }
 }
 
+/// Where a batch's deferred columns are filled from: the reader's decoded
+/// stripe, shared and immutable.
+pub trait ColumnSource: Send + Sync {
+    /// Write `column` of the batch whose row 0 is this source's row
+    /// `first_row`: rows `0..n`, or only the `n` rows `selected` lists.
+    /// Cannot fail — whatever could was checked before the batch was handed
+    /// out.
+    fn fill(
+        &self,
+        first_row: usize,
+        column: usize,
+        n: usize,
+        selected: Option<&[usize]>,
+        out: &mut ColumnVector,
+    );
+}
+
+/// A batch's [`ColumnSource`] and the source row its row 0 is.
+#[derive(Clone)]
+struct Source(Arc<dyn ColumnSource>, usize);
+
+impl std::fmt::Debug for Source {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Source(row {})", self.1)
+    }
+}
+
+impl PartialEq for Source {
+    fn eq(&self, other: &Source) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) && self.1 == other.1
+    }
+}
+
 /// A batch of rows (paper Figure 6).
 ///
 /// When `selected_in_use` is true, only the first `size` entries of
@@ -275,6 +411,16 @@ impl ColumnVector {
 /// expressions shrink the selection in place rather than copying data —
 /// "the array selected[] ... is used to keep track of valid rows without a
 /// branch instruction".
+///
+/// **Deferred columns.** A reader asked to (`TableReader::defer_all_but`)
+/// fills only the columns a filter's first step reads and leaves the rest
+/// *deferred*: their vectors hold nothing until [`materialize`]d, and then
+/// only for the rows still selected. Invariant: a batch has deferred columns
+/// only between such a reader and the end of its stage's root
+/// `VectorFilterOperator`, which materializes what the predicate left for
+/// the survivors. No other operator ever sees one.
+///
+/// [`materialize`]: VectorizedRowBatch::materialize
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorizedRowBatch {
     pub selected_in_use: bool,
@@ -284,6 +430,10 @@ pub struct VectorizedRowBatch {
     pub columns: Vec<ColumnVector>,
     /// Allocation size of the batch.
     pub max_size: usize,
+    /// Columns not filled yet, and where from; `source` is set exactly
+    /// while `deferred` is non-empty.
+    deferred: Vec<usize>,
+    source: Option<Source>,
 }
 
 impl VectorizedRowBatch {
@@ -299,7 +449,70 @@ impl VectorizedRowBatch {
             size: 0,
             columns,
             max_size,
+            deferred: Vec::with_capacity(types.len()),
+            source: None,
         })
+    }
+
+    /// Whether this batch is what [`new`](Self::new) makes for these
+    /// arguments: it can then stand in for a new one, once reset.
+    pub fn has_layout(&self, types: &[DataType], max_size: usize) -> bool {
+        let lanes = self.columns.iter().map(|c| match c {
+            ColumnVector::Long(_) => Lane::Long,
+            ColumnVector::Double(_) => Lane::Double,
+            ColumnVector::Bytes(_) => Lane::Bytes,
+        });
+        self.max_size == max_size && lanes.map(Some).eq(types.iter().map(Lane::of))
+    }
+
+    /// Leave `columns` unfilled: `source` writes them on demand, this
+    /// batch's row 0 being its row `first_row`.
+    pub fn defer(
+        &mut self,
+        source: Arc<dyn ColumnSource>,
+        first_row: usize,
+        columns: impl IntoIterator<Item = usize>,
+    ) {
+        self.deferred.clear();
+        self.deferred.extend(columns);
+        self.source = (!self.deferred.is_empty()).then_some(Source(source, first_row));
+    }
+
+    pub fn has_deferred(&self) -> bool {
+        !self.deferred.is_empty()
+    }
+
+    /// Fill those of `columns` that are still deferred, for the rows now
+    /// selected (for none, when none is).
+    pub fn materialize(&mut self, columns: &[usize]) {
+        for &column in columns {
+            if let Some(at) = self.deferred.iter().position(|&d| d == column) {
+                self.deferred.swap_remove(at);
+                self.fill(column);
+            }
+        }
+        if self.deferred.is_empty() {
+            self.source = None;
+        }
+    }
+
+    /// Fill every column still deferred, for the rows now selected.
+    pub fn materialize_all(&mut self) {
+        while let Some(column) = self.deferred.pop() {
+            self.fill(column);
+        }
+        self.source = None;
+    }
+
+    fn fill(&mut self, column: usize) {
+        let Some(Source(source, first_row)) = &self.source else {
+            return;
+        };
+        if self.size > 0 {
+            let selected = self.selected_in_use.then(|| &self.selected[..self.size]);
+            let out = &mut self.columns[column];
+            source.fill(*first_row, column, self.size, selected, out);
+        }
     }
 
     /// Iterate the valid row indexes. (Hot paths hand-roll the two loops to
@@ -345,6 +558,8 @@ impl VectorizedRowBatch {
     pub fn reset(&mut self) {
         self.selected_in_use = false;
         self.size = 0;
+        self.deferred.clear();
+        self.source = None;
         for c in &mut self.columns {
             c.reset();
         }
@@ -450,6 +665,139 @@ mod tests {
         assert_eq!(v.value(0), b"alpha");
         assert_eq!(v.value(1), b"");
         assert_eq!(v.value(2), b"beta");
+    }
+
+    #[test]
+    fn bytes_by_reference_and_dictionary_entries() {
+        let blob = Arc::new(b"__appleplum".to_vec());
+        let dictionary = Arc::new(Dictionary::new(Arc::clone(&blob), vec![2, 7, 7, 11]).unwrap());
+        assert_eq!(dictionary.len(), 3);
+        assert_eq!(dictionary.entry(0), b"apple");
+        assert_eq!(dictionary.entry(1), b"");
+        assert_eq!(dictionary.span(2), (7, 4));
+        let other = Dictionary::new(Arc::clone(&blob), vec![0, 2]).unwrap();
+        assert_ne!(
+            dictionary.id(),
+            other.id(),
+            "an id is never handed out twice"
+        );
+        for bad in [vec![], vec![3, 2], vec![0, 12]] {
+            assert!(Dictionary::new(Arc::clone(&blob), bad).is_err());
+        }
+
+        let mut v = BytesColumnVector::with_capacity(3);
+        v.set(0, b"owned");
+        assert!(v.dictionary().is_none());
+        v.reset();
+        v.refer_to_dictionary(Arc::clone(&dictionary));
+        for (i, e) in [2u32, 0, 1].into_iter().enumerate() {
+            v.ids[i] = e;
+            (v.start[i], v.length[i]) = dictionary.span(e as usize);
+        }
+        assert_eq!(
+            [v.value(0), v.value(1), v.value(2)],
+            [&b"plum"[..], b"apple", b""]
+        );
+        let (d, ids) = v.dictionary().unwrap();
+        assert_eq!((d.id(), &ids[..3]), (dictionary.id(), &[2, 0, 1][..]));
+        v.reset();
+        assert!(v.dictionary().is_none(), "reset lets go of the buffer");
+        v.refer_to(blob);
+        (v.start[0], v.length[0]) = (0, 2);
+        assert_eq!(v.value(0), b"__");
+        v.reset();
+        v.set(0, b"own again");
+        assert_eq!(v.value(0), b"own again");
+    }
+
+    #[test]
+    fn reset_clears_null_flags_only_when_some_were_set() {
+        let mut v = LongColumnVector::with_capacity(4);
+        (v.null[2], v.no_nulls) = (true, false);
+        v.reset();
+        assert_eq!((v.null[2], v.no_nulls), (false, true));
+        let mut b = BytesColumnVector::with_capacity(4);
+        (b.null[1], b.no_nulls, b.is_repeating) = (true, false, true);
+        b.reset();
+        assert_eq!(
+            (b.null[1], b.no_nulls, b.is_repeating),
+            (false, true, false)
+        );
+    }
+
+    /// A source whose column `c` holds `100 * c + row`.
+    struct Counting(std::sync::Mutex<Vec<(usize, usize)>>);
+
+    impl ColumnSource for Counting {
+        fn fill(
+            &self,
+            first_row: usize,
+            column: usize,
+            n: usize,
+            selected: Option<&[usize]>,
+            out: &mut ColumnVector,
+        ) {
+            self.0.lock().unwrap().push((column, n));
+            let v = out.as_long_mut().unwrap();
+            let rows: Vec<usize> = selected.map_or((0..n).collect(), <[usize]>::to_vec);
+            assert_eq!(rows.len(), n);
+            for i in rows {
+                v.vector[i] = (100 * column + first_row + i) as i64;
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_columns_fill_once_for_the_rows_then_selected() {
+        let source = Arc::new(Counting(Default::default()));
+        let mut b = VectorizedRowBatch::new(&vec![DataType::Int; 4], 8).unwrap();
+        b.size = 6;
+        b.defer(Arc::clone(&source) as Arc<dyn ColumnSource>, 10, [1, 2, 3]);
+        assert!(b.has_deferred());
+        b.materialize(&[0, 2]);
+        assert_eq!(
+            *source.0.lock().unwrap(),
+            [(2, 6)],
+            "column 0 was never deferred"
+        );
+        assert_eq!(b.columns[2].as_long().unwrap().vector[5], 215);
+        b.unselect_rows(&[0, 2, 4]);
+        b.materialize(&[2, 1]);
+        assert_eq!(
+            source.0.lock().unwrap()[1..],
+            [(1, 3)],
+            "2 is not filled again"
+        );
+        let c1 = &b.columns[1].as_long().unwrap().vector;
+        assert_eq!([c1[0], c1[1], c1[3], c1[5]], [0, 111, 113, 115]);
+        assert!(b.has_deferred());
+        b.materialize_all();
+        assert!(!b.has_deferred());
+        assert_eq!(source.0.lock().unwrap()[2..], [(3, 3)]);
+
+        // No row left: nothing is filled, and nothing stays deferred.
+        b.reset();
+        b.size = 4;
+        b.defer(Arc::clone(&source) as Arc<dyn ColumnSource>, 0, [0, 1]);
+        b.unselect_rows(&[0, 1, 2, 3]);
+        b.materialize(&[0]);
+        b.materialize_all();
+        assert!(!b.has_deferred());
+        assert_eq!(source.0.lock().unwrap().len(), 3);
+        // `reset` drops what a caller never asked for.
+        b.defer(Arc::clone(&source) as Arc<dyn ColumnSource>, 0, [0]);
+        b.reset();
+        assert!(!b.has_deferred());
+        assert_eq!(Arc::strong_count(&source), 1);
+    }
+
+    #[test]
+    fn layout_check_is_by_lane_and_capacity() {
+        let b = VectorizedRowBatch::new(&[DataType::Int, DataType::String], 8).unwrap();
+        assert!(b.has_layout(&[DataType::Timestamp, DataType::String], 8));
+        assert!(!b.has_layout(&[DataType::Int, DataType::String], 16));
+        assert!(!b.has_layout(&[DataType::Int, DataType::Double], 8));
+        assert!(!b.has_layout(&[DataType::Int], 8));
     }
 
     #[test]

@@ -196,6 +196,10 @@ impl<T: Prim, K: BinOp<T>> VectorExpression for ColScalar<T, K> {
         })
     }
 
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.input_column]
+    }
+
     fn output_column(&self) -> Option<usize> {
         Some(self.output_column)
     }
@@ -291,6 +295,10 @@ impl<T: Prim, K: BinOp<T>> VectorExpression for ColCol<T, K> {
         Ok(())
     }
 
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.left_column, self.right_column]
+    }
+
     fn output_column(&self) -> Option<usize> {
         Some(self.output_column)
     }
@@ -328,6 +336,10 @@ impl VectorExpression for DoubleColMultiplyDoubleColumn {
     #[inline]
     fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
         self.kernel().evaluate(batch)
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        self.kernel().inputs()
     }
 
     fn output_column(&self) -> Option<usize> {

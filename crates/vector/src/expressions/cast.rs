@@ -50,6 +50,10 @@ impl<T: CastTo<U>, U: Prim> VectorExpression for Cast<T, U> {
         map_col(batch, self.input_column, self.output_column, T::cast)
     }
 
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.input_column]
+    }
+
     fn output_column(&self) -> Option<usize> {
         Some(self.output_column)
     }

@@ -8,10 +8,13 @@ use crate::expressions::arith::Prim;
 use crate::expressions::compare::{Cmp, NotEqual};
 use crate::expressions::VectorExpression;
 use hive_common::Result;
+use std::cell::RefCell;
 use std::marker::PhantomData;
 
 /// Narrow the selection to the rows where `keep(i)` holds, with the
-/// `selected_in_use` branch hoisted out of the loop.
+/// `selected_in_use` branch hoisted out of the loop. Every row is stored
+/// and the cursor advances only past the kept ones, so the loop body has no
+/// branch on `keep` to mispredict ("without a branch instruction", §6.2).
 #[inline(always)]
 fn retain(
     selected: &mut [usize],
@@ -24,17 +27,13 @@ fn retain(
     if *selected_in_use {
         for j in 0..n {
             let i = selected[j];
-            if keep(i) {
-                selected[new_size] = i;
-                new_size += 1;
-            }
+            selected[new_size] = i;
+            new_size += keep(i) as usize;
         }
     } else {
         for i in 0..n {
-            if keep(i) {
-                selected[new_size] = i;
-                new_size += 1;
-            }
+            selected[new_size] = i;
+            new_size += keep(i) as usize;
         }
         *selected_in_use = true;
     }
@@ -86,6 +85,10 @@ impl<T: Prim, C: Cmp> VectorExpression for FilterColScalar<T, C> {
             });
         }
         Ok(())
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.column]
     }
 
     fn name(&self) -> String {
@@ -150,6 +153,10 @@ impl<T: Prim, C: Cmp> VectorExpression for FilterColCol<T, C> {
         Ok(())
     }
 
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.left_column, self.right_column]
+    }
+
     fn name(&self) -> String {
         format!(
             "Filter{lane}Col{}{lane}Column({} {} {})",
@@ -199,6 +206,10 @@ impl<T: Prim> VectorExpression for FilterColumnBetween<T> {
         Ok(())
     }
 
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.column]
+    }
+
     fn name(&self) -> String {
         format!(
             "Filter{}ColumnBetween({} in [{}, {}])",
@@ -211,11 +222,21 @@ impl<T: Prim> VectorExpression for FilterColumnBetween<T> {
 }
 
 /// Keep rows where the byte-string comparison holds (NULL fails).
+///
+/// A vector that carries its dictionary has each *entry* compared at most
+/// once per dictionary — `verdicts` remembers the answer — and its rows are
+/// a table lookup; a vector without one compares row by row.
 pub struct FilterBytesColScalar<C> {
     column: usize,
     scalar: Vec<u8>,
     op: PhantomData<C>,
+    /// `(dictionary id, verdict per entry)`: 0 not compared yet, else
+    /// `PASS`/`FAIL`. An expression is `Send`, not `Sync`: one task owns it.
+    verdicts: RefCell<(Option<u64>, Vec<u8>)>,
 }
+
+const FAIL: u8 = 1;
+const PASS: u8 = 2;
 
 impl<C: Cmp> FilterBytesColScalar<C> {
     pub fn new(column: usize, scalar: Vec<u8>) -> Self {
@@ -223,6 +244,7 @@ impl<C: Cmp> FilterBytesColScalar<C> {
             column,
             scalar,
             op: PhantomData,
+            verdicts: RefCell::new((None, Vec::new())),
         }
     }
 }
@@ -247,10 +269,37 @@ impl<C: Cmp> VectorExpression for FilterBytesColScalar<C> {
             }
             return Ok(());
         }
-        retain(selected, selected_in_use, size, |i| {
-            !col.is_null(i) && C::test(col.value(i), scalar)
-        });
+        let Some((dictionary, ids)) = col.dictionary() else {
+            retain(selected, selected_in_use, size, |i| {
+                !col.is_null(i) && C::test(col.value(i), scalar)
+            });
+            return Ok(());
+        };
+        let mut memo = self.verdicts.borrow_mut();
+        let (known, verdicts) = &mut *memo;
+        if *known != Some(dictionary.id()) {
+            *known = Some(dictionary.id());
+            verdicts.clear();
+            verdicts.resize(dictionary.len(), 0);
+        }
+        let verdicts = verdicts.as_mut_slice();
+        let mut passes = |i: usize| {
+            let e = ids[i] as usize;
+            if verdicts[e] == 0 {
+                let pass = C::test(dictionary.entry(e), scalar);
+                verdicts[e] = if pass { PASS } else { FAIL };
+            }
+            verdicts[e] == PASS
+        };
+        match columns[self.column].nulls() {
+            None => retain(selected, selected_in_use, size, passes),
+            Some(null) => retain(selected, selected_in_use, size, |i| !null[i] && passes(i)),
+        }
         Ok(())
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.column]
     }
 
     fn name(&self) -> String {
@@ -264,20 +313,40 @@ impl<C: Cmp> VectorExpression for FilterBytesColScalar<C> {
 }
 
 /// Logical AND of filters: children run sequentially, each narrowing the
-/// selection further — AND needs no extra mechanism in this model.
+/// selection further — AND needs no extra mechanism in this model. On a
+/// batch with deferred columns, each child's columns are materialized just
+/// before it runs: only for the rows its predecessors kept.
 pub struct FilterAnd {
-    pub children: Vec<Box<dyn VectorExpression>>,
+    children: Vec<Box<dyn VectorExpression>>,
+    /// `needs()` of each child.
+    needs: Vec<Vec<usize>>,
+}
+
+impl FilterAnd {
+    pub fn new(children: Vec<Box<dyn VectorExpression>>) -> FilterAnd {
+        let needs = children.iter().map(|c| c.needs()).collect();
+        FilterAnd { children, needs }
+    }
 }
 
 impl VectorExpression for FilterAnd {
     fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
-        for c in &self.children {
+        for (c, needs) in self.children.iter().zip(&self.needs) {
             if batch.size == 0 {
                 return Ok(());
             }
+            batch.materialize(needs);
             c.evaluate(batch)?;
         }
         Ok(())
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        union_of_inputs(&self.children)
+    }
+
+    fn needs(&self) -> Vec<usize> {
+        self.needs.first().cloned().unwrap_or_default()
     }
 
     fn name(&self) -> String {
@@ -290,6 +359,13 @@ impl VectorExpression for FilterAnd {
                 .join(", ")
         )
     }
+}
+
+fn union_of_inputs(children: &[Box<dyn VectorExpression>]) -> Vec<usize> {
+    let mut all: Vec<usize> = children.iter().flat_map(|c| c.inputs()).collect();
+    all.sort_unstable();
+    all.dedup();
+    all
 }
 
 /// Logical OR of filters: each child runs against the original selection;
@@ -324,6 +400,12 @@ impl VectorExpression for FilterOr {
         Ok(())
     }
 
+    /// Every branch runs against the selection the disjunction was given, so
+    /// all of them — `needs` is `inputs` — must be filled for it beforehand.
+    fn inputs(&self) -> Vec<usize> {
+        union_of_inputs(&self.children)
+    }
+
     fn name(&self) -> String {
         format!(
             "FilterOr[{}]",
@@ -345,6 +427,10 @@ pub struct FilterBoolColumn {
 impl VectorExpression for FilterBoolColumn {
     fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()> {
         FilterColScalar::<i64, NotEqual>::new(self.column, 0).evaluate(batch)
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.column]
     }
 
     fn name(&self) -> String {
@@ -376,6 +462,10 @@ impl VectorExpression for FilterIsNull {
             col.is_null(i) != negated
         });
         Ok(())
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.column]
     }
 
     fn name(&self) -> String {
@@ -508,6 +598,93 @@ mod tests {
         .evaluate(&mut b)
         .unwrap();
         assert_eq!(selected_of(&b), vec![0, 1]);
+    }
+
+    /// A bytes column over `dictionary` holding its entries `ids`, row `null`
+    /// NULL.
+    fn dictionary_batch(
+        dictionary: &std::sync::Arc<crate::batch::Dictionary>,
+        ids: &[u32],
+        null: Option<usize>,
+    ) -> crate::batch::VectorizedRowBatch {
+        let types = [hive_common::DataType::String];
+        let mut b = crate::batch::VectorizedRowBatch::new(&types, ids.len()).unwrap();
+        b.size = ids.len();
+        let col = b.columns[0].as_bytes_mut().unwrap();
+        col.refer_to_dictionary(std::sync::Arc::clone(dictionary));
+        for (i, &e) in ids.iter().enumerate() {
+            col.ids[i] = e;
+            (col.start[i], col.length[i]) = dictionary.span(e as usize);
+        }
+        if let Some(i) = null {
+            (col.null[i], col.no_nulls) = (true, false);
+        }
+        b
+    }
+
+    #[test]
+    fn dictionary_entries_are_decided_once_and_per_dictionary() {
+        use crate::batch::Dictionary;
+        use std::sync::Arc;
+        let dictionary = |words: &[&str]| {
+            let blob: Vec<u8> = words.concat().into_bytes();
+            let mut bounds = vec![0u32];
+            bounds.extend(words.iter().scan(0, |at, w| {
+                *at += w.len() as u32;
+                Some(*at)
+            }));
+            Arc::new(Dictionary::new(Arc::new(blob), bounds).unwrap())
+        };
+        let fruit = dictionary(&["apple", "banana", "cherry"]);
+        let f = filter_compare(
+            CmpOp::LessEqual,
+            BytesCol(0),
+            BytesScalar(b"banana".to_vec()),
+        )
+        .unwrap();
+        let mut b = dictionary_batch(&fruit, &[2, 0, 1, 1, 2, 0], Some(3));
+        f.evaluate(&mut b).unwrap();
+        assert_eq!(selected_of(&b), vec![1, 2, 5], "NULL fails");
+        // A second batch over the same dictionary, already filtered.
+        let mut b = dictionary_batch(&fruit, &[1, 2, 0, 0], None);
+        b.unselect_rows(&[2]);
+        f.evaluate(&mut b).unwrap();
+        assert_eq!(selected_of(&b), vec![0, 3]);
+        // The next stripe's dictionary orders its entries differently: what
+        // was learnt about entry 0 of the last one must not be used.
+        let veg = dictionary(&["carrot", "avocado"]);
+        let mut b = dictionary_batch(&veg, &[0, 1, 0], None);
+        f.evaluate(&mut b).unwrap();
+        assert_eq!(selected_of(&b), vec![1]);
+        // A vector without a dictionary takes the per-row path.
+        let mut b = dictionary_batch(&veg, &[0, 1, 0], None);
+        b.columns[0].as_bytes_mut().unwrap().reset();
+        for (i, w) in [&b"b"[..], b"c", b"a"].into_iter().enumerate() {
+            b.columns[0].as_bytes_mut().unwrap().set(i, w);
+        }
+        f.evaluate(&mut b).unwrap();
+        assert_eq!(selected_of(&b), vec![0, 2]);
+    }
+
+    #[test]
+    fn conjunction_reports_its_first_step_and_disjunction_every_input() {
+        use crate::expressions::{cast, filter_and, Lane};
+        let leaf = |c| filter_compare(CmpOp::Less, LongCol(c), LongScalar(5)).unwrap();
+        let and = filter_and(vec![leaf(3), leaf(1), leaf(3)]);
+        assert_eq!((and.needs(), and.inputs()), (vec![3], vec![1, 3]));
+        let or = filter_or(vec![filter_and(vec![leaf(2), leaf(0)]), leaf(4)]);
+        assert_eq!(or.needs(), vec![0, 2, 4], "every branch sees the same rows");
+        let nested = filter_and(vec![filter_and(vec![leaf(6), leaf(7)]), or]);
+        assert_eq!(nested.needs(), vec![6]);
+        // A scratch-producing step in front: what *it* reads comes first.
+        let widened = filter_and(vec![
+            cast(LongCol(0), Lane::Double, 2).unwrap(),
+            filter_compare(CmpOp::Less, DoubleCol(2), DoubleCol(1)).unwrap(),
+        ]);
+        assert_eq!(
+            (widened.needs(), widened.inputs()),
+            (vec![0], vec![0, 1, 2])
+        );
     }
 
     #[test]

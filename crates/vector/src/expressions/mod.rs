@@ -55,6 +55,18 @@ pub trait VectorExpression: Send {
     /// Evaluate over the valid rows of `batch`.
     fn evaluate(&self, batch: &mut VectorizedRowBatch) -> Result<()>;
 
+    /// Every batch column this expression reads, nested expressions
+    /// included (not the scratch column it writes).
+    fn inputs(&self) -> Vec<usize>;
+
+    /// The columns that must hold their values when `evaluate` is called on
+    /// a batch with deferred columns. All of `inputs`, except for a
+    /// conjunction: it materializes each later conjunct's columns itself,
+    /// for the rows the earlier ones kept, and so needs only its first's.
+    fn needs(&self) -> Vec<usize> {
+        self.inputs()
+    }
+
     /// Scratch column holding this expression's result; `None` for filters
     /// (their result is the mutated selection).
     fn output_column(&self) -> Option<usize> {
@@ -207,7 +219,7 @@ pub fn compare(op: CmpOp, lhs: Operand, rhs: Operand, out: usize) -> Option<Expr
             by_op!(CmpOp::* = op, K => ColScalar::<f64, Test<K>>::new(c, s, out))
         }
         (LongCol(l), LongCol(r)) => {
-            by_op!(CmpOp::{Equal, Less, Greater} = op, K => ColCol::<i64, Test<K>>::new(l, r, out))
+            by_op!(CmpOp::* = op, K => ColCol::<i64, Test<K>>::new(l, r, out))
         }
         _ => return None,
     })
@@ -227,10 +239,10 @@ pub fn filter_compare(op: CmpOp, lhs: Operand, rhs: Operand) -> Option<Expr> {
             by_op!(CmpOp::* = op, K => FilterBytesColScalar::<K>::new(c, s))
         }
         (LongCol(l), LongCol(r)) => {
-            by_op!(CmpOp::{Equal, Less, Greater} = op, K => FilterColCol::<i64, K>::new(l, r))
+            by_op!(CmpOp::* = op, K => FilterColCol::<i64, K>::new(l, r))
         }
         (DoubleCol(l), DoubleCol(r)) => {
-            by_op!(CmpOp::{Less, Greater} = op, K => FilterColCol::<f64, K>::new(l, r))
+            by_op!(CmpOp::* = op, K => FilterColCol::<f64, K>::new(l, r))
         }
         _ => return None,
     })
@@ -281,7 +293,7 @@ pub fn identity(column: usize) -> Expr {
 
 /// Conjunction: children run in order, each narrowing the selection.
 pub fn filter_and(children: Vec<Expr>) -> Expr {
-    boxed(FilterAnd { children })
+    boxed(FilterAnd::new(children))
 }
 
 /// Disjunction: the union of what each child keeps.
@@ -311,6 +323,10 @@ pub(crate) struct IdentityExpression {
 impl VectorExpression for IdentityExpression {
     fn evaluate(&self, _batch: &mut VectorizedRowBatch) -> Result<()> {
         Ok(())
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        vec![self.column]
     }
 
     fn output_column(&self) -> Option<usize> {
@@ -373,6 +389,10 @@ impl VectorExpression for ConstantExpression {
             },
         }
         Ok(())
+    }
+
+    fn inputs(&self) -> Vec<usize> {
+        Vec::new()
     }
 
     fn output_column(&self) -> Option<usize> {
@@ -510,14 +530,14 @@ mod tests {
         let all_cmp = "Equal NotEqual Less LessEqual Greater GreaterEqual";
         let want = [
             "arith LongCol LongCol: Add Subtract Multiply".to_string(),
-            "compare LongCol LongCol: Equal Less Greater".to_string(),
-            "filter_compare LongCol LongCol: Equal Less Greater".to_string(),
+            format!("compare LongCol LongCol: {all_cmp}"),
+            format!("filter_compare LongCol LongCol: {all_cmp}"),
             "arith LongCol LongScalar: Add Subtract Multiply".to_string(),
             format!("compare LongCol LongScalar: {all_cmp}"),
             format!("filter_compare LongCol LongScalar: {all_cmp}"),
             "filter_between LongCol LongScalar: Between".to_string(),
             "arith DoubleCol DoubleCol: Add Subtract Multiply Divide".to_string(),
-            "filter_compare DoubleCol DoubleCol: Less Greater".to_string(),
+            format!("filter_compare DoubleCol DoubleCol: {all_cmp}"),
             "arith DoubleCol DoubleScalar: Add Subtract Multiply Divide".to_string(),
             format!("compare DoubleCol DoubleScalar: {all_cmp}"),
             format!("filter_compare DoubleCol DoubleScalar: {all_cmp}"),

@@ -15,7 +15,7 @@
 //! key. [`KeyWrapper::resolve`] copies a key, once, when it is first seen;
 //! [`KeyWrapper::find`] only looks. A batch of known keys allocates nothing.
 
-use crate::batch::{ColumnVector, Lane, Rows, VectorizedRowBatch};
+use crate::batch::{ColumnVector, Dictionary, Lane, Rows, VectorizedRowBatch};
 use crate::row_convert::{bytes_value, long_value};
 use hive_common::{key, DataType, HiveError, Result, Value};
 
@@ -110,6 +110,11 @@ struct Interner {
     /// Value `id` is `arena[offsets[id]..offsets[id + 1]]`.
     offsets: Vec<usize>,
     index: HashIndex,
+    /// `(dictionary id, code per entry)` for the dictionary the column's
+    /// vectors last carried: an entry of eight bytes or more is hashed and
+    /// looked up once per dictionary, not once per row. 0 (the code of the
+    /// empty string, which is never long) marks an entry not coded yet.
+    entry_codes: (Option<u64>, Vec<u64>),
 }
 
 const LONG: u64 = 0xFF << 56;
@@ -122,7 +127,32 @@ impl Interner {
             arena: Vec::new(),
             offsets: vec![0],
             index: HashIndex::new(),
+            entry_codes: (None, Vec::new()),
         }
+    }
+
+    /// The code of entry `e` of `dictionary`, as [`code`](Self::code) would
+    /// answer for its bytes.
+    #[inline]
+    fn code_of_entry(&mut self, dictionary: &Dictionary, e: usize, intern: bool) -> u64 {
+        let b = dictionary.entry(e);
+        if b.len() < 8 {
+            return self.code(b, intern);
+        }
+        if self.entry_codes.0 != Some(dictionary.id()) {
+            self.entry_codes.0 = Some(dictionary.id());
+            self.entry_codes.1.clear();
+            self.entry_codes.1.resize(dictionary.len(), 0);
+        }
+        if self.entry_codes.1[e] == 0 {
+            let code = self.code(b, intern);
+            if code == ABSENT {
+                // Not a fact about the entry: a later `resolve` may store it.
+                return ABSENT;
+            }
+            self.entry_codes.1[e] = code;
+        }
+        self.entry_codes.1[e]
     }
 
     /// The code of `b`. A long value not seen before is interned when
@@ -234,9 +264,13 @@ impl KeyWrapper {
                 (ColumnVector::Double(v), Some(Lane::Double)) => {
                     rows.each(|j, i| lanes[j * w + k] = key::double_bits(v.vector[i]))
                 }
-                (ColumnVector::Bytes(v), Some(Lane::Bytes)) => {
-                    rows.each(|j, i| lanes[j * w + k] = interner.code(v.value(i), intern))
-                }
+                (ColumnVector::Bytes(v), Some(Lane::Bytes)) => match v.dictionary() {
+                    Some((dictionary, ids)) => rows.each(|j, i| {
+                        let e = ids[i] as usize;
+                        lanes[j * w + k] = interner.code_of_entry(dictionary, e, intern)
+                    }),
+                    None => rows.each(|j, i| lanes[j * w + k] = interner.code(v.value(i), intern)),
+                },
                 _ => {
                     return Err(HiveError::Execution(format!(
                         "key column {c} does not carry a {dt}"
@@ -507,6 +541,41 @@ mod tests {
             let empty = VectorizedRowBatch::new(&types, 4).unwrap();
             assert!(wrapper.find(&empty).unwrap().is_empty());
         }
+    }
+
+    #[test]
+    fn dictionary_entries_code_like_their_bytes_and_long_ones_only_once() {
+        use std::sync::Arc;
+        let words: [&[u8]; 4] = [b"N", b"a-key-long-enough-0", b"", b"a-key-long-enough-1"];
+        let dictionary = |order: [usize; 4]| {
+            let mut bounds = vec![0u32];
+            let mut blob = Vec::new();
+            for w in order.map(|o| words[o]) {
+                blob.extend_from_slice(w);
+                bounds.push(blob.len() as u32);
+            }
+            Dictionary::new(Arc::new(blob), bounds).unwrap()
+        };
+        let (first, second) = (dictionary([0, 1, 2, 3]), dictionary([3, 2, 1, 0]));
+        let mut interner = Interner::new();
+        // Looking only: a long entry nobody stored is ABSENT, and stays
+        // codable — the miss is not remembered as the entry's code.
+        assert_eq!(interner.code_of_entry(&first, 1, false), ABSENT);
+        for (d, order) in [
+            (&first, [0, 1, 2, 3]),
+            (&second, [3, 2, 1, 0]),
+            (&first, [0, 1, 2, 3]),
+        ] {
+            for (e, o) in order.into_iter().enumerate() {
+                let by_bytes = interner.code(words[o], true);
+                assert_eq!(interner.code_of_entry(d, e, true), by_bytes);
+                assert_eq!(interner.code_of_entry(d, e, false), by_bytes);
+            }
+        }
+        assert_eq!(
+            interner.index.len, 2,
+            "two long values, whatever their entry ids"
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub mod operators;
 pub mod row_convert;
 
 pub use batch::{
-    BytesColumnVector, ColumnVector, DoubleColumnVector, Lane, LongColumnVector,
-    PrimitiveColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE,
+    BytesColumnVector, ColumnSource, ColumnVector, Dictionary, DoubleColumnVector, Lane,
+    LongColumnVector, PrimitiveColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE,
 };
 pub use expressions::VectorExpression;
 pub use mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};

@@ -42,8 +42,28 @@ pub trait VectorOperator: Send {
 }
 
 /// Applies a compiled filter expression, shrinking the selection in place.
+///
+/// This is the one operator that accepts a batch with deferred columns (see
+/// [`VectorizedRowBatch`]): as its stage's root it sits right behind the
+/// reader. It hands the batch on complete — whatever the predicate did not
+/// need is materialized for the survivors, or not at all when none is left.
 pub struct VectorFilterOperator {
-    pub predicate: Box<dyn VectorExpression>,
+    predicate: Box<dyn VectorExpression>,
+    /// The predicate's `needs()`.
+    needs: Vec<usize>,
+}
+
+impl VectorFilterOperator {
+    pub fn new(predicate: Box<dyn VectorExpression>) -> VectorFilterOperator {
+        let needs = predicate.needs();
+        VectorFilterOperator { predicate, needs }
+    }
+
+    /// The batch columns the predicate's first step reads: what a deferring
+    /// reader still has to fill itself.
+    pub fn first_columns(&self) -> &[usize] {
+        &self.needs
+    }
 }
 
 impl VectorOperator for VectorFilterOperator {
@@ -52,7 +72,9 @@ impl VectorOperator for VectorFilterOperator {
         batch: &mut VectorizedRowBatch,
         _out: &mut dyn FnMut(VectorizedRowBatch),
     ) -> Result<bool> {
+        batch.materialize(&self.needs);
         self.predicate.evaluate(batch)?;
+        batch.materialize_all();
         Ok(true)
     }
 
@@ -97,10 +119,9 @@ mod tests {
 
     #[test]
     fn filter_narrows_selection_in_place() {
-        let mut op = VectorFilterOperator {
-            predicate: filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2))
-                .unwrap(),
-        };
+        let mut op = VectorFilterOperator::new(
+            filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2)).unwrap(),
+        );
         let mut emitted = Vec::new();
         let mut out = |b: VectorizedRowBatch| emitted.push(b);
         let mut b = batch_with(&[1, 2, 3, 4, 5], &[]);
@@ -109,14 +130,83 @@ mod tests {
         assert_eq!(b.iter_selected().collect::<Vec<_>>(), vec![2, 3, 4]);
     }
 
+    /// Column `c`, row `r` holds `r + 10 * c`; records every fill.
+    struct Recording(std::sync::Mutex<Vec<(usize, Vec<usize>)>>);
+
+    impl crate::batch::ColumnSource for Recording {
+        fn fill(
+            &self,
+            first_row: usize,
+            column: usize,
+            n: usize,
+            selected: Option<&[usize]>,
+            out: &mut crate::batch::ColumnVector,
+        ) {
+            let rows: Vec<usize> = selected.map_or((0..n).collect(), <[usize]>::to_vec);
+            let v = out.as_long_mut().unwrap();
+            rows.iter()
+                .for_each(|&i| v.vector[i] = (first_row + i + 10 * column) as i64);
+            self.0.lock().unwrap().push((column, rows));
+        }
+    }
+
+    /// The deferred-column invariant: the root filter materializes each
+    /// conjunct's columns for the rows still selected just before evaluating
+    /// it, and whatever it hands on has no deferred column left.
+    #[test]
+    fn filter_materializes_per_conjunct_and_hands_on_a_complete_batch() {
+        use crate::expressions::filter_and;
+        use std::sync::Arc;
+        let less = |c, x| filter_compare(CmpOp::Less, Operand::LongCol(c), Operand::LongScalar(x));
+        // c0 < 4 AND c1 < 12 over c0 = r, c1 = r + 10, c2 = r + 20 (unread).
+        let mut op =
+            VectorFilterOperator::new(filter_and(vec![less(0, 4).unwrap(), less(1, 12).unwrap()]));
+        assert_eq!(op.first_columns(), [0]);
+        let source = Arc::new(Recording(Default::default()));
+        let types = vec![DataType::Int; 3];
+        let deferred_batch = |first: &[usize]| {
+            let mut b = VectorizedRowBatch::new(&types, 8).unwrap();
+            b.size = 6;
+            let shared = Arc::clone(&source) as Arc<dyn crate::batch::ColumnSource>;
+            b.defer(shared, 0, (0..3).filter(|c| !first.contains(c)));
+            b
+        };
+        let mut out = |_b: VectorizedRowBatch| {};
+        // A reader that deferred even the first conjunct's column is served.
+        let mut b = deferred_batch(&[]);
+        assert!(op.process(&mut b, &mut out).unwrap());
+        assert!(!b.has_deferred());
+        assert_eq!(b.iter_selected().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(
+            *source.0.lock().unwrap(),
+            [
+                (0, (0..6).collect::<Vec<_>>()),
+                (1, vec![0, 1, 2, 3]),
+                (2, vec![0, 1])
+            ]
+        );
+        assert_eq!(b.columns[2].as_long().unwrap().vector[..2], [20, 21]);
+        // No survivor: the later conjunct's and the unread column stay empty.
+        source.0.lock().unwrap().clear();
+        let mut none =
+            VectorFilterOperator::new(filter_and(vec![less(0, 0).unwrap(), less(1, 12).unwrap()]));
+        let mut b = deferred_batch(&[]);
+        none.process(&mut b, &mut out).unwrap();
+        assert_eq!((b.size, b.has_deferred()), (0, false));
+        assert_eq!(
+            source.0.lock().unwrap().len(),
+            1,
+            "only column 0 was filled"
+        );
+    }
+
     #[test]
     fn filter_then_aggregate_on_batches() {
         // SELECT SUM(a), COUNT(*) WHERE a > 2 over [1,2,3,4,5] → (12, 3):
         // the narrowed selection feeds the typed hash aggregator directly.
-        let mut filter = VectorFilterOperator {
-            predicate: filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2))
-                .unwrap(),
-        };
+        let mut filter = VectorFilterOperator::new(
+            filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(2)).unwrap(),
+        );
         let mut agg = VectorHashAggregator::new(
             vec![],
             vec![

@@ -1,9 +1,11 @@
 //! Pins the property the speed of vectorized GROUP BY depends on: once a
 //! batch's groups exist, `process()` allocates nothing — no key is copied,
 //! no state is boxed, every scratch buffer is reused — and the same for the
-//! map join's probe, which resolves keys through the same wrapper. A
-//! counting global allocator observes it; this file is its own test binary
-//! so no other test runs under that allocator.
+//! map join's probe, which resolves keys through the same wrapper, and for
+//! the scan loop in front of them: the ORC reader's `next_batch` into the
+//! stage's root filter, batch after batch of one stripe. A counting global
+//! allocator observes it; this file is its own test binary so no other test
+//! runs under that allocator.
 
 use hive_common::{DataType, Row, Value};
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
@@ -248,5 +250,107 @@ fn map_join_probes_that_miss_cost_no_allocation() {
     assert_eq!(
         allocations, 0,
         "a probe batch that misses must not allocate"
+    );
+}
+
+#[test]
+fn scan_loop_over_one_stripe_costs_no_allocation() {
+    use hive_common::Schema;
+    use hive_dfs::{Dfs, DfsConfig};
+    use hive_formats::orc::reader::{OrcReadOptions, OrcReader};
+    use hive_formats::orc::writer::{OrcWriter, OrcWriterOptions};
+    use hive_formats::{TableReader, TableWriter};
+    use hive_vector::expressions::{filter_and, filter_between, filter_compare, CmpOp, Operand};
+    use hive_vector::VectorFilterOperator;
+
+    // One stripe of several index groups: a dictionary string the filter
+    // reads first, two doubles it reads after, a nullable long and a direct
+    // string it never reads.
+    let schema = Schema::parse(&[
+        ("day", "string"),
+        ("discount", "double"),
+        ("quantity", "double"),
+        ("id", "bigint"),
+        ("note", "string"),
+    ])
+    .unwrap();
+    let dfs = Dfs::new(DfsConfig {
+        block_size: 1 << 20,
+        replication: 1,
+        nodes: 1,
+    });
+    let opts = OrcWriterOptions {
+        row_index_stride: 1500,
+        ..Default::default()
+    };
+    let mut w: Box<dyn TableWriter> =
+        Box::new(OrcWriter::create(&dfs, "/t/scan", &schema, opts, None));
+    const N: usize = 9000;
+    for i in 0..N {
+        w.write_row(&Row::new(vec![
+            Value::String(format!("1994-01-{:02}", 1 + (i * 7) % 28)),
+            Value::Double((i % 11) as f64 / 100.0),
+            Value::Double((i % 50) as f64),
+            if i % 9 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i as i64)
+            },
+            Value::String(format!("note-{i}-{}", i * 31 % 977)),
+        ]))
+        .unwrap();
+    }
+    w.close().unwrap();
+
+    let bytes = |s: &str| Operand::BytesScalar(s.as_bytes().to_vec());
+    let mut filter = VectorFilterOperator::new(filter_and(vec![
+        filter_compare(
+            CmpOp::GreaterEqual,
+            Operand::BytesCol(0),
+            bytes("1994-01-05"),
+        )
+        .unwrap(),
+        filter_compare(CmpOp::Less, Operand::BytesCol(0), bytes("1994-01-20")).unwrap(),
+        filter_between(
+            Operand::DoubleCol(1),
+            Operand::DoubleScalar(0.03),
+            Operand::DoubleScalar(0.07),
+        )
+        .unwrap(),
+        filter_compare(
+            CmpOp::Less,
+            Operand::DoubleCol(2),
+            Operand::DoubleScalar(24.0),
+        )
+        .unwrap(),
+    ]));
+    let types: Vec<DataType> = schema
+        .fields()
+        .iter()
+        .map(|f| f.data_type.clone())
+        .collect();
+    let mut batch = VectorizedRowBatch::new(&types, 1024).unwrap();
+    let mut reader = OrcReader::open(&dfs, "/t/scan", OrcReadOptions::default()).unwrap();
+    reader.defer_all_but(filter.first_columns());
+    let mut emitted = |_b: VectorizedRowBatch| {};
+    // Warm-up: the first batch loads the stripe and sizes the filter's
+    // per-dictionary memo.
+    assert!(reader.next_batch(&mut batch).unwrap());
+    filter.process(&mut batch, &mut emitted).unwrap();
+    let (mut batches, mut kept, mut read) = (0, batch.size, 1024);
+    let allocations = allocations_during(|| {
+        while reader.next_batch(&mut batch).unwrap() {
+            read += batch.size;
+            filter.process(&mut batch, &mut emitted).unwrap();
+            assert!(!batch.has_deferred());
+            batches += 1;
+            kept += batch.size;
+        }
+    });
+    assert_eq!((read, batches), (N, 8), "one stripe, nine batches");
+    assert!(kept > 200 && kept < N / 4, "{kept} rows kept");
+    assert_eq!(
+        allocations, 0,
+        "steady-state next_batch + root filter must not allocate"
     );
 }

@@ -25,6 +25,60 @@ fn small_dfs() -> Dfs {
     })
 }
 
+/// `decode_into`, asked for the stream's values in pieces of `splits` sizes
+/// (cycled), against `next()` one value at a time — on a whole stream or a
+/// truncated one: the same values, and where `next()` fails the piece that
+/// reaches that value fails with the same error. The one-shot `decode` and
+/// the `u32` form the dictionary-id path uses must agree too.
+fn int_rle_bulk_matches_next(enc: &[u8], splits: &[usize]) {
+    use hive::codec::int_rle::{decode, IntRleDecoder};
+    let mut one_by_one = IntRleDecoder::new(enc);
+    let mut expect: Vec<i64> = Vec::new();
+    let mut error = None;
+    while one_by_one.has_next() {
+        match one_by_one.next() {
+            Ok(v) => expect.push(v),
+            Err(e) => {
+                error = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    match (decode(enc), &error) {
+        (Ok(all), None) => assert_eq!(all, expect),
+        (Err(e), Some(expected)) => assert_eq!(&e.to_string(), expected),
+        (got, _) => panic!("decode gave {got:?}, next() {error:?}"),
+    }
+    // Ask for one value more than there is when the stream ends cleanly: the
+    // piece that runs off the end must say so, as `next()` would.
+    let total = expect.len() + 1;
+    let end_error = error.unwrap_or_else(|| one_by_one.next().unwrap_err().to_string());
+    let (mut bulk, mut narrow) = (IntRleDecoder::new(enc), IntRleDecoder::new(enc));
+    let (mut got, mut ids): (Vec<i64>, Vec<u32>) = (Vec::new(), Vec::new());
+    let mut asked = 0;
+    for &piece in splits.iter().cycle() {
+        let piece = piece.min(total - asked);
+        let before = got.len();
+        let (wide, thin) = (
+            bulk.decode_into(piece, &mut got),
+            narrow.decode_into(piece, &mut ids),
+        );
+        asked += piece;
+        if asked <= expect.len() {
+            wide.unwrap();
+            thin.unwrap();
+            assert_eq!(got[before..], expect[before..asked]);
+            continue;
+        }
+        assert_eq!(wide.unwrap_err().to_string(), end_error);
+        assert_eq!(thin.unwrap_err().to_string(), end_error);
+        break;
+    }
+    let whole_pieces = ids.len().min(expect.len());
+    let as_ids = expect[..whole_pieces].iter().map(|&v| v as u32);
+    assert!(ids[..whole_pieces].iter().copied().eq(as_ids));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -38,14 +92,22 @@ proptest! {
     }
 
     #[test]
-    fn int_rle_round_trips(vals in proptest::collection::vec(any::<i64>(), 0..2000)) {
+    fn int_rle_round_trips(
+        vals in proptest::collection::vec(any::<i64>(), 0..2000),
+        splits in proptest::collection::vec(1usize..300, 1..8),
+        cut in any::<u16>(),
+    ) {
         let enc = hive::codec::int_rle::encode(&vals);
         prop_assert_eq!(hive::codec::int_rle::decode(&enc).unwrap(), vals);
+        int_rle_bulk_matches_next(&enc, &splits);
+        int_rle_bulk_matches_next(&enc[..cut as usize % (enc.len() + 1)], &splits);
     }
 
     #[test]
     fn int_rle_round_trips_runs(
-        runs in proptest::collection::vec((any::<i32>(), -3i64..=3, 1usize..100), 0..20)
+        runs in proptest::collection::vec((any::<i32>(), -3i64..=3, 1usize..100), 0..20),
+        splits in proptest::collection::vec(1usize..300, 1..8),
+        cut in any::<u16>(),
     ) {
         // Run-shaped data (base + small delta) exercises the run encoder.
         let mut vals = Vec::new();
@@ -58,6 +120,8 @@ proptest! {
         }
         let enc = hive::codec::int_rle::encode(&vals);
         prop_assert_eq!(hive::codec::int_rle::decode(&enc).unwrap(), vals);
+        int_rle_bulk_matches_next(&enc, &splits);
+        int_rle_bulk_matches_next(&enc[..cut as usize % (enc.len() + 1)], &splits);
     }
 
     #[test]
@@ -93,6 +157,107 @@ proptest! {
 }
 
 /// An arbitrary primitive value of a given type (possibly null).
+/// String predicates through the ORC batch reader: column `d` is
+/// dictionary-encoded with a dictionary that differs from stripe to stripe,
+/// column `f` is dictionary-encoded in the first stripes and direct in the
+/// later ones, and one kernel instance per operator — whatever it remembers
+/// about a dictionary — runs over every batch of the scan. Each must keep
+/// exactly the rows the row engine's predicate keeps.
+fn string_filters_match_row_filters(words: &[(u8, u8)], literal: u8) {
+    use hive::exec::expr::{BinaryOp, ExprNode};
+    use hive::vector::expressions::{filter_compare, CmpOp, Operand};
+    use hive::vector::VectorizedRowBatch;
+
+    let n = words.len();
+    let schema = Schema::parse(&[("d", "string"), ("f", "string")]).unwrap();
+    let word = |w: u8| format!("w{:02}", w);
+    let rows: Vec<Row> = words
+        .iter()
+        .enumerate()
+        .map(|(r, &(w, null))| {
+            // Later stripes draw from a shifted vocabulary: another dictionary.
+            let d = match null {
+                0 => Value::Null,
+                _ => Value::String(word((w + (r * 4 / n) as u8 * 5) % 12)),
+            };
+            let f = if r < n / 2 {
+                Value::String(word(w))
+            } else {
+                Value::String(format!("{}-{r}", word(w)))
+            };
+            Row::new(vec![d, f])
+        })
+        .collect();
+    let dfs = small_dfs();
+    let opts = OrcWriterOptions {
+        stripe_size: 2 << 10,
+        row_index_stride: 50,
+        ..Default::default()
+    };
+    let mut w: Box<dyn TableWriter> =
+        Box::new(OrcWriter::create(&dfs, "/p/strings", &schema, opts, None));
+    rows.iter().for_each(|r| w.write_row(r).unwrap());
+    w.close().unwrap();
+
+    let ops = [
+        (CmpOp::Equal, BinaryOp::Eq),
+        (CmpOp::NotEqual, BinaryOp::NotEq),
+        (CmpOp::Less, BinaryOp::Lt),
+        (CmpOp::LessEqual, BinaryOp::LtEq),
+        (CmpOp::Greater, BinaryOp::Gt),
+        (CmpOp::GreaterEqual, BinaryOp::GtEq),
+    ];
+    let literal = word(literal);
+    for column in 0..2 {
+        let kernels: Vec<_> = ops
+            .iter()
+            .map(|(op, _)| {
+                let scalar = Operand::BytesScalar(literal.clone().into_bytes());
+                filter_compare(*op, Operand::BytesCol(column), scalar).unwrap()
+            })
+            .collect();
+        let mut kept: Vec<Vec<usize>> = vec![Vec::new(); ops.len()];
+        let mut reader = OrcReader::open(&dfs, "/p/strings", OrcReadOptions::default()).unwrap();
+        let types = [DataType::String, DataType::String];
+        let mut batch = VectorizedRowBatch::new(&types, 64).unwrap();
+        let (mut base, mut dictionaries, mut direct) = (0, Vec::new(), 0);
+        while reader.next_batch(&mut batch).unwrap() {
+            let physical = batch.size;
+            match batch.columns[column].as_bytes().unwrap().dictionary() {
+                Some((d, _)) if dictionaries.last() != Some(&d.id()) => dictionaries.push(d.id()),
+                Some(_) => {}
+                None => direct += 1,
+            }
+            for (kernel, kept) in kernels.iter().zip(&mut kept) {
+                let mut b = batch.clone();
+                kernel.evaluate(&mut b).unwrap();
+                kept.extend(b.iter_selected().map(|i| base + i));
+            }
+            base += physical;
+        }
+        assert_eq!(base, n);
+        assert!(
+            dictionaries.len() >= 2,
+            "only {} dictionaries",
+            dictionaries.len()
+        );
+        // (A last stripe of a few rows may store even `d` directly.)
+        assert!(column == 0 || direct > 0, "`f` turns direct half way");
+        for ((_, op), kept) in ops.iter().zip(&kept) {
+            let lit = ExprNode::lit(Value::String(literal.clone()));
+            let predicate = ExprNode::binary(*op, ExprNode::col(column), lit);
+            let keeps = |r: &&usize| predicate.eval_predicate(&rows[**r]).unwrap();
+            let expect: Vec<usize> = (0..n)
+                .collect::<Vec<_>>()
+                .iter()
+                .filter(keeps)
+                .copied()
+                .collect();
+            assert_eq!(kept, &expect, "{op:?} on column {column}");
+        }
+    }
+}
+
 fn value_strategy(dt: &DataType) -> BoxedStrategy<Value> {
     let non_null: BoxedStrategy<Value> = match dt {
         DataType::Int => any::<i64>().prop_map(Value::Int).boxed(),
@@ -231,10 +396,14 @@ proptest! {
     fn vectorized_filter_matches_row_filter(
         vals in proptest::collection::vec((any::<i16>(), any::<bool>()), 1..500),
         threshold in any::<i16>(),
+        words in proptest::collection::vec((0u8..12, 0u8..7), 200..900),
+        literal in 0u8..12,
     ) {
         use hive::exec::expr::{BinaryOp, ExprNode};
         use hive::vector::expressions::{filter_compare, CmpOp, Operand};
         use hive::vector::{ColumnVector, VectorizedRowBatch};
+
+        string_filters_match_row_filters(&words, literal);
 
         let n = vals.len();
         // Row mode.
