@@ -49,6 +49,17 @@ cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark package tests (knobs it sets by name still exist)"
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
+# Compaction cleans what it made obsolete, so acid_mixed's space_amp (DFS
+# bytes under /warehouse/ over live text bytes, after a compaction) is a
+# count, not a timer: ~0.7 at --quick, 5.07 when compaction kept every
+# file it obsoleted.
+echo "==> acid_mixed space_amp with compaction cleaning (<= 1.5)"
+space_amp=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --quick --workload acid_mixed --rounds 3 |
+    awk '$1 == "acid_mixed" && $2 == "space_amp" { print $3 }')
+echo "    space_amp $space_amp"
+awk -v v="$space_amp" 'BEGIN { exit !(v != "" && v <= 1.5) }'
+
 # End-to-end --metrics-json stability: the same statement stream through the
 # real CLI binary must produce byte-identical snapshots at 1 and 8 worker
 # threads under the deterministic clock, and the snapshot must match the

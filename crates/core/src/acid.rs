@@ -18,7 +18,9 @@
 //!
 //! A writer killed anywhere in that sequence leaves only scratch files
 //! and unreferenced warehouse files, both swept by [`recover`] the next
-//! time anyone locks the table. The deterministic crash-point registry
+//! time anyone locks the table. A writer builds only on the newest listed
+//! manifest: if that one does not verify, the transaction fails `Corrupt`
+//! and deletes nothing. The deterministic crash-point registry
 //! ([`WRITER_CRASH_POINTS`], [`COMPACTOR_CRASH_POINTS`]) lets tests kill
 //! a transaction at every step via `hive.txn.crash.point` and prove
 //! exactly that.
@@ -27,8 +29,14 @@
 //! chain into one delta (+ one base-only delete file); major rewrites the
 //! table into a fresh `base_<txn>` by running a full merge-on-read scan
 //! through the MapReduce engine — task scheduling, workload-management
-//! preemption token and all. Old snapshot files are retained, not
-//! deleted, so readers that pinned an earlier generation keep working.
+//! preemption token and all.
+//!
+//! A compaction commits, then cleans: still under the table lock, it
+//! deletes every file its snapshot does not name and every manifest below
+//! its own ([`sweep`]). Reads take no lock; a [`ReadLease`] held for the
+//! length of each statement is what keeps the clean off the files a read
+//! pinned. While a lease older than the compaction's commit is live, the
+//! clean waits, and the next transaction's [`recover`] runs it.
 
 use crate::metastore::{Metastore, PinnedSnapshot, TableInfo};
 use hive_common::config::keys;
@@ -37,7 +45,7 @@ use hive_dfs::Dfs;
 use hive_exec::expr::{cast_value, ExprNode};
 use hive_formats::delta::{
     decode_delete_file, encode_delete_file, is_acid_path, manifest_path, DeleteKey, DeleteSet,
-    LiveReader, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
+    Fallback, LiveReader, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
 };
 use hive_formats::{create_writer, open_reader, FormatKind, ReadOptions, WriteOptions};
 use hive_mapreduce::MrEngine;
@@ -45,7 +53,7 @@ use hive_obs::MetricsRegistry;
 use hive_planner::{plan_query, semantic::lower_dml};
 use hive_ql::{CompactMode, DeleteStmt, InsertStmt, UpdateStmt};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Every crash point on the DML write path, in execution order. Tests
@@ -74,6 +82,8 @@ pub const COMPACTOR_CRASH_POINTS: &[&str] = &[
     "compactor.after.manifest.temp",
     "compactor.before.manifest.rename",
     "compactor.after.manifest.rename",
+    "compactor.before.clean",
+    "compactor.mid.clean",
 ];
 
 /// Deterministic crash injection: when `hive.txn.crash.point` names the
@@ -88,11 +98,50 @@ pub fn crash_point(conf: &HiveConf, name: &str) -> Result<()> {
     Ok(())
 }
 
-/// Table write locks. One writer or compactor per table at a time; the
-/// manifest chain makes reads lock-free (they just pin a snapshot).
+/// Table write locks and read leases. One writer or compactor per table at
+/// a time; the manifest chain makes reads lock-free (they just pin a
+/// snapshot), and a read's lease keeps a compaction's clean off the files
+/// it pinned.
 #[derive(Default)]
 pub struct TxnManager {
     locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
+    leases: Mutex<Leases>,
+}
+
+#[derive(Default)]
+struct Leases {
+    /// Ticked by every lease and every compaction commit, so a lease whose
+    /// tick is below a commit's was taken before that commit.
+    clock: u64,
+    /// Ticks of the leases still held.
+    live: BTreeSet<u64>,
+    /// Per table location, the committed compaction whose clean has not
+    /// run: its manifest version and its commit's tick. Only touched under
+    /// that table's lock.
+    pending: HashMap<String, (u64, u64)>,
+}
+
+impl Leases {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// A statement-scoped read lease: until it drops, no compaction that
+/// commits after it was taken deletes anything (see `sweep`). Every
+/// `SELECT`/`EXPLAIN` holds one from before it plans until it returns; a
+/// caller that runs `plan_query` + `run_dag` itself takes one from
+/// `HiveServer::read_lease`.
+pub struct ReadLease<'a> {
+    leases: &'a Mutex<Leases>,
+    tick: u64,
+}
+
+impl Drop for ReadLease<'_> {
+    fn drop(&mut self) {
+        self.leases.lock().live.remove(&self.tick);
+    }
 }
 
 impl TxnManager {
@@ -106,6 +155,40 @@ impl TxnManager {
             .entry(location.to_string())
             .or_default()
             .clone()
+    }
+
+    /// A lease for one read, held until the returned guard drops.
+    pub fn read_lease(&self) -> ReadLease<'_> {
+        let mut leases = self.leases.lock();
+        let tick = leases.tick();
+        leases.live.insert(tick);
+        ReadLease {
+            leases: &self.leases,
+            tick,
+        }
+    }
+
+    /// Record that a compaction of `location` just committed `version`:
+    /// its clean is pending until [`TxnManager::due_clean`] says otherwise.
+    fn compaction_committed(&self, location: &str, version: u64) {
+        let mut leases = self.leases.lock();
+        let tick = leases.tick();
+        leases.pending.insert(location.to_string(), (version, tick));
+    }
+
+    /// The version of `location`'s pending compaction when its clean may
+    /// run now: no lease taken before its commit is still live. A pending
+    /// version beyond the table's `current` one belongs to a dropped table
+    /// that once lived there and never fires.
+    fn due_clean(&self, location: &str, current: u64) -> Option<u64> {
+        let leases = self.leases.lock();
+        let &(version, committed) = leases.pending.get(location)?;
+        let unleased = leases.live.first().is_none_or(|&oldest| oldest > committed);
+        (unleased && version <= current).then_some(version)
+    }
+
+    fn cleaned(&self, location: &str) {
+        self.leases.lock().pending.remove(location);
     }
 }
 
@@ -124,12 +207,12 @@ fn lookup(metastore: &Metastore, table: &str) -> Result<TableInfo> {
 }
 
 /// The state a new transaction builds on: the metastore's pin of the
-/// newest valid manifest, or — for a table that has never committed one —
-/// the existing data files as the initial base. ACID-prefixed names are
-/// excluded from that raw listing: their visibility is the manifest's
-/// call, and there is no manifest.
+/// newest listed manifest (`Corrupt` if it does not verify), or — for a
+/// table that has never committed one — the existing data files as the
+/// initial base. ACID-prefixed names are excluded from that raw listing:
+/// their visibility is the manifest's call, and there is no manifest.
 fn current_snapshot(dfs: &Dfs, metastore: &Metastore, info: &TableInfo) -> Result<PinnedSnapshot> {
-    Ok(match metastore.pin_snapshot(dfs, info)? {
+    Ok(match metastore.pin_snapshot(dfs, info, Fallback::Refuse)? {
         Some(pinned) => pinned,
         None => PinnedSnapshot {
             snapshot: Arc::new(TableSnapshot::initial(
@@ -143,46 +226,82 @@ fn current_snapshot(dfs: &Dfs, metastore: &Metastore, info: &TableInfo) -> Resul
     })
 }
 
-/// Crash recovery, run under the table lock before every transaction.
-/// The protocol guarantees a died writer left only (a) scratch files and
-/// (b) warehouse files tagged with a transaction id beyond the committed
-/// high-water mark (including a manifest that failed validation) — all
-/// invisible to readers, all deleted here. Files of *older* snapshots are
-/// untouched: a reader that pinned one is still scanning them.
+/// Crash recovery, run under the table lock before every transaction: pin
+/// the snapshot to build on (nothing is deleted if that fails), empty the
+/// commit scratch space, and [`sweep`] the table directory.
 fn recover(
     dfs: &Dfs,
+    conf: &HiveConf,
     metastore: &Metastore,
     info: &TableInfo,
     tmp: &str,
+    txn: &TxnManager,
 ) -> Result<PinnedSnapshot> {
+    let pinned = current_snapshot(dfs, metastore, info)?;
     for p in dfs.list(tmp) {
         dfs.delete(&p);
     }
-    let pinned = current_snapshot(dfs, metastore, info)?;
-    let snap = &pinned.snapshot;
-    for p in dfs.list(&info.location) {
-        let name = p.rsplit('/').next().unwrap_or("");
-        let txn_of = |prefix: &str| {
-            name.strip_prefix(prefix)
-                .and_then(|s| s.parse::<u64>().ok())
-        };
-        let stale = if let Some(v) = txn_of(MANIFEST_PREFIX) {
-            // A manifest newer than the loaded snapshot exists only if it
-            // failed CRC/parse validation — a torn commit that never was.
-            v > snap.version
-        } else if let Some(t) = txn_of(DELTA_PREFIX)
-            .or_else(|| txn_of(DELETE_PREFIX))
-            .or_else(|| txn_of(BASE_PREFIX))
-        {
-            t > snap.last_txn
-        } else {
-            false
-        };
-        if stale {
-            dfs.delete(&p);
+    sweep(dfs, conf, info, &pinned.snapshot, txn)?;
+    Ok(pinned)
+}
+
+/// The one deletion rule, run under the table lock by every transaction's
+/// recovery and by a compaction right after its commit, over `snap`, the
+/// newest manifest's snapshot. Of the files under the table's location, it
+/// deletes
+///
+///  * always: orphans of a died writer — files tagged with a transaction id
+///    beyond `snap.last_txn`, which no manifest names and so no lease can
+///    reach;
+///  * once the table's pending compaction clean is due (no lease older
+///    than its commit is live): every other file `snap` does not name —
+///    the old base (pre-ACID `part-*` files included), folded deltas and
+///    delete files, leftovers of an interrupted clean — and every manifest
+///    below the compaction's. The manifests of DML since then stay: each
+///    names a subset of `snap`'s files, so a reader that cannot verify the
+///    newest one still has the one before to fall back to.
+fn sweep(
+    dfs: &Dfs,
+    conf: &HiveConf,
+    info: &TableInfo,
+    snap: &TableSnapshot,
+    txn: &TxnManager,
+) -> Result<()> {
+    let floor = txn.due_clean(&info.location, snap.version);
+    let named: HashSet<&String> = snap
+        .base
+        .iter()
+        .chain(snap.deltas.iter().chain(&snap.deletes).map(|(_, p)| p))
+        .collect();
+    let stale: Vec<String> = dfs
+        .list(&info.location)
+        .into_iter()
+        .filter(|p| {
+            let name = p.rsplit('/').next().unwrap_or("");
+            let number = |prefix: &str| {
+                name.strip_prefix(prefix)
+                    .and_then(|s| s.parse::<u64>().ok())
+            };
+            if let Some(v) = number(MANIFEST_PREFIX) {
+                return floor.is_some_and(|f| v < f);
+            }
+            let orphan = [DELTA_PREFIX, DELETE_PREFIX, BASE_PREFIX]
+                .into_iter()
+                .filter_map(number)
+                .any(|t| t > snap.last_txn);
+            !named.contains(p) && (orphan || floor.is_some())
+        })
+        .collect();
+    for (i, p) in stale.iter().enumerate() {
+        dfs.delete(p);
+        if i == 0 && floor.is_some() {
+            crash_point(conf, "compactor.mid.clean")?;
         }
     }
-    Ok(pinned)
+    if floor.is_some() {
+        txn.cleaned(&info.location);
+    }
+    Ok(())
 }
 
 /// Write `bytes` to `path` and barrier: the bytes must be back-readable
@@ -396,7 +515,7 @@ pub fn execute_insert(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, metastore, &info, &tmp)?.snapshot;
+    let snap = recover(dfs, conf, metastore, &info, &tmp, txn)?.snapshot;
     let txn_id = snap.last_txn + 1;
 
     crash_point(conf, "writer.before.delta.temp")?;
@@ -418,7 +537,7 @@ pub fn execute_insert(
     registry
         .counter_with("acid.rows_written", &[("op", "insert")])
         .add(rows.len() as u64);
-    maybe_auto_compact(dfs, conf, metastore, registry, &info, &next, cancel)?;
+    maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next, cancel)?;
     Ok(rows.len() as u64)
 }
 
@@ -446,7 +565,7 @@ pub fn execute_delete(
     let PinnedSnapshot {
         snapshot: snap,
         deletes: existing,
-    } = recover(dfs, metastore, &info, &tmp)?;
+    } = recover(dfs, conf, metastore, &info, &tmp, txn)?;
 
     let mut keys: Vec<DeleteKey> = Vec::new();
     scan_live_rows(
@@ -513,7 +632,7 @@ pub fn execute_update(
     let PinnedSnapshot {
         snapshot: snap,
         deletes: existing,
-    } = recover(dfs, metastore, &info, &tmp)?;
+    } = recover(dfs, conf, metastore, &info, &tmp, txn)?;
 
     let mut keys: Vec<DeleteKey> = Vec::new();
     let mut rewritten: Vec<Row> = Vec::new();
@@ -563,7 +682,7 @@ pub fn execute_update(
     registry
         .counter_with("acid.rows_written", &[("op", "update")])
         .add(rewritten.len() as u64);
-    maybe_auto_compact(dfs, conf, metastore, registry, &info, &next, cancel)?;
+    maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next, cancel)?;
     Ok(keys.len() as u64)
 }
 
@@ -602,20 +721,23 @@ pub fn execute_compact(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, metastore, &info, &tmp)?.snapshot;
-    compact_snapshot(dfs, conf, metastore, registry, &info, &snap, mode, cancel)
+    let snap = recover(dfs, conf, metastore, &info, &tmp, txn)?.snapshot;
+    compact_snapshot(
+        dfs, conf, metastore, registry, txn, &info, &snap, mode, cancel,
+    )
 }
 
 /// One compaction transaction over an already-recovered snapshot, caller
-/// holding the table lock. Files of the old snapshot are retained — a
-/// reader that pinned it mid-compaction keeps scanning them; only a later
-/// transaction's recovery of *uncommitted* files deletes anything.
+/// holding the table lock: commit, then clean ([`sweep`]) what the new
+/// snapshot made obsolete — at once when no read lease predates the
+/// commit, else on a later transaction's recovery.
 #[allow(clippy::too_many_arguments)]
 fn compact_snapshot(
     dfs: &Dfs,
     conf: &HiveConf,
     metastore: &Metastore,
     registry: &MetricsRegistry,
+    txn: &TxnManager,
     info: &TableInfo,
     snap: &TableSnapshot,
     mode: CompactMode,
@@ -641,7 +763,7 @@ fn compact_snapshot(
             // delta-addressed delete keys as we go.
             // The caller holds the table lock and `snap` is the committed
             // snapshot, so the metastore's pin is a pin of `snap`.
-            let deletes = match metastore.pin_snapshot(dfs, info)? {
+            let deletes = match metastore.pin_snapshot(dfs, info, Fallback::Refuse)? {
                 Some(pinned) if *pinned.snapshot == *snap => pinned.deletes,
                 _ => {
                     return Err(HiveError::Internal(format!(
@@ -704,6 +826,9 @@ fn compact_snapshot(
         }
     }
     publish_manifest(dfs, conf, &info.location, &tmp, &next, "compactor")?;
+    txn.compaction_committed(&info.location, next.version);
+    crash_point(conf, "compactor.before.clean")?;
+    sweep(dfs, conf, info, &next, txn)?;
     let mode_label = match mode {
         CompactMode::Minor => "minor",
         CompactMode::Major => "major",
@@ -750,11 +875,13 @@ fn read_table_rows(
 /// `hive.compactor.delta.threshold` and `hive.compactor.auto.enabled` is
 /// on. Runs inline under the same table lock — the DML's commit already
 /// happened, so a crash here loses only the compaction.
+#[allow(clippy::too_many_arguments)]
 fn maybe_auto_compact(
     dfs: &Dfs,
     conf: &HiveConf,
     metastore: &Metastore,
     registry: &MetricsRegistry,
+    txn: &TxnManager,
     info: &TableInfo,
     snap: &TableSnapshot,
     cancel: Option<&Arc<CancelToken>>,
@@ -771,6 +898,7 @@ fn maybe_auto_compact(
         conf,
         metastore,
         registry,
+        txn,
         info,
         snap,
         CompactMode::Minor,

@@ -2,6 +2,7 @@
 //! the place where execution reports become observability artifacts: a
 //! structured trace, registry metrics, and `EXPLAIN ANALYZE` renderings.
 
+use crate::acid::TxnManager;
 use crate::metastore::Metastore;
 use crate::plan_cache::{PlanCache, PlanCacheKey};
 use hive_common::config::keys;
@@ -108,7 +109,15 @@ pub fn run_statement(
     );
     let dfs = &scoped;
     registry.counter("query.count").inc();
-    match parse(sql)? {
+    let stmt = parse(sql)?;
+    // A read pins a snapshot when it plans and scans that snapshot's files
+    // afterwards; its lease keeps a compaction's clean off them meanwhile.
+    // Writers read under the table lock and need none.
+    let _lease = match &stmt {
+        Statement::Select(_) | Statement::Explain { .. } => ctx.txn.map(TxnManager::read_lease),
+        _ => None,
+    };
+    match stmt {
         Statement::Select(stmt) => execute_select(sql, &stmt, dfs, conf, metastore, registry, ctx),
         Statement::CreateTable(ct) => {
             let schema = hive_common::Schema::new(

@@ -11,7 +11,7 @@ pub mod session;
 pub mod stats_answer;
 pub mod wm;
 
-pub use acid::{crash_point, TxnManager, COMPACTOR_CRASH_POINTS, WRITER_CRASH_POINTS};
+pub use acid::{crash_point, ReadLease, TxnManager, COMPACTOR_CRASH_POINTS, WRITER_CRASH_POINTS};
 pub use driver::{QueryMetrics, QueryResult, StatementCtx};
 pub use metastore::{Metastore, TableInfo};
 pub use plan_cache::{PlanCache, PlanCacheKey};

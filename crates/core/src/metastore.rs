@@ -6,7 +6,7 @@
 use hive_common::{HiveError, Result, Schema};
 use hive_dfs::Dfs;
 use hive_formats::delta::{
-    is_acid_path, list_manifests, load_delete_files, load_snapshot_stamped, FileStamp,
+    is_acid_path, list_manifests, load_delete_files, load_snapshot_stamped, Fallback, FileStamp,
 };
 use hive_formats::{AcidOverlay, DeleteSet, FormatKind, TableSnapshot};
 use hive_obs::MetricsRegistry;
@@ -151,10 +151,16 @@ impl Metastore {
     /// follows a DELETE reads one manifest and one delete file.
     ///
     /// Nothing is stored from a load that failed, nor from one that had
-    /// to skip a manifest it could not read or verify: the skip may have
-    /// been a transient fault, and the manifest it hid is still the
-    /// newest listed, so its stamp would vouch for the wrong snapshot.
-    pub fn pin_snapshot(&self, dfs: &Dfs, info: &TableInfo) -> Result<Option<PinnedSnapshot>> {
+    /// to skip a manifest it could not verify: the manifest it skipped is
+    /// still the newest listed, so its stamp would vouch for the wrong
+    /// snapshot. Readers pass [`Fallback::Older`], a transaction under its
+    /// table lock [`Fallback::Refuse`].
+    pub fn pin_snapshot(
+        &self,
+        dfs: &Dfs,
+        info: &TableInfo,
+        fallback: Fallback,
+    ) -> Result<Option<PinnedSnapshot>> {
         let Some(newest) = list_manifests(dfs, &info.location).into_iter().next() else {
             return Ok(None);
         };
@@ -166,7 +172,7 @@ impl Metastore {
             .filter(|c| c.manifest.0 == newest && holds(&c.manifest));
         let (manifest, snapshot) = match fresh {
             Some(c) => (Some(c.manifest.clone()), Arc::clone(&c.snapshot)),
-            None => match load_snapshot_stamped(dfs, &info.location)? {
+            None => match load_snapshot_stamped(dfs, &info.location, fallback)? {
                 Some((snap, stamp)) => (stamp, Arc::new(snap)),
                 None => return Ok(None),
             },
@@ -220,14 +226,14 @@ impl Metastore {
 }
 
 impl Catalog for Metastore {
-    fn table(&self, name: &str) -> Option<TableMeta> {
-        let info = self.get(name)?;
+    fn table(&self, name: &str) -> Result<Option<TableMeta>> {
+        let Some(info) = self.get(name) else {
+            return Ok(None);
+        };
         // The second pin attempt rides out a first-touch injected read
         // fault, same as a task retry would.
-        let pinned = self
-            .pin_snapshot(&self.dfs, &info)
-            .or_else(|_| self.pin_snapshot(&self.dfs, &info))
-            .ok()?;
+        let pin = || self.pin_snapshot(&self.dfs, &info, Fallback::Older);
+        let pinned = pin().or_else(|_| pin())?;
         if let Some(PinnedSnapshot { snapshot, deletes }) = pinned {
             // ACID table: the manifest, not the directory listing, decides
             // which files a reader sees. Pin this snapshot here — every
@@ -243,16 +249,16 @@ impl Catalog for Metastore {
                 delta_paths: snapshot.deltas.iter().map(|(_, p)| p.clone()).collect(),
                 deletes,
             });
-            return Some(TableMeta {
+            return Ok(Some(TableMeta {
                 name: info.name.clone(),
                 schema: info.schema.clone(),
                 format: info.format,
                 paths,
                 size_bytes,
                 acid,
-            });
+            }));
         }
-        Some(TableMeta {
+        Ok(Some(TableMeta {
             name: info.name.clone(),
             schema: info.schema.clone(),
             format: info.format,
@@ -266,7 +272,7 @@ impl Catalog for Metastore {
                 .collect(),
             size_bytes: self.dfs.size_of(&info.location),
             acid: None,
-        })
+        }))
     }
 }
 
@@ -306,7 +312,7 @@ mod tests {
             FormatKind::Text,
         )
         .unwrap();
-        let meta = Catalog::table(&ms, "X").unwrap();
+        let meta = Catalog::table(&ms, "X").unwrap().unwrap();
         assert_eq!(meta.name, "x");
         assert_eq!(meta.format, FormatKind::Text);
     }

@@ -15,6 +15,7 @@
 //! front of their pool and re-run from scratch, so callers only ever see
 //! complete results.
 
+use crate::acid::ReadLease;
 use crate::driver::{run_statement, QueryResult, StatementCtx};
 use crate::metastore::Metastore;
 use crate::plan_cache::PlanCache;
@@ -206,6 +207,14 @@ impl HiveServer {
     /// The admission layer: resource pools, queues, preemption counters.
     pub fn workload_manager(&self) -> &WorkloadManager {
         &self.inner.wm
+    }
+
+    /// A read lease for a caller that plans and runs a query itself
+    /// (`plan_query` + `run_dag`) instead of through `execute`: while it
+    /// is held, no compaction that commits after it deletes the files the
+    /// plan pinned. Statements run through the server hold their own.
+    pub fn read_lease(&self) -> ReadLease<'_> {
+        self.inner.txn.read_lease()
     }
 
     /// The process-wide prepared-plan cache (participation is per

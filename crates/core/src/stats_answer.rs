@@ -11,6 +11,7 @@
 use crate::metastore::Metastore;
 use hive_common::{HiveConf, Result, Row, Value};
 use hive_dfs::Dfs;
+use hive_formats::delta::Fallback;
 use hive_formats::orc::reader::{OrcReadOptions, OrcReader};
 use hive_formats::FormatKind;
 use hive_planner::scope::Scope;
@@ -54,7 +55,10 @@ pub fn try_answer(
     // ACID tables must answer through merge-on-read: footer statistics are
     // per-file, blind to delete masks, and the raw listing they would be
     // merged over is not the manifest's view of the table.
-    if metastore.pin_snapshot(dfs, &info)?.is_some() {
+    if metastore
+        .pin_snapshot(dfs, &info, Fallback::Older)?
+        .is_some()
+    {
         return Ok(None);
     }
 

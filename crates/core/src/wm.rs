@@ -410,8 +410,9 @@ impl WorkloadManager {
     /// admitted statement of the lowest-priority over-share pool; immune
     /// statements (preempted [`PREEMPTION_LIMIT`] times already) and ones
     /// already cancelled are skipped, and cancellations still unwinding
-    /// count against the pool's deficit so one waiter doesn't shoot a new
-    /// victim on every spurious wakeup.
+    /// count against what the pool can use — its deficit, but never more
+    /// slots than it has waiters — so one waiter doesn't shoot a new victim
+    /// on every spurious wakeup.
     fn maybe_preempt(&self, st: &mut WmState, pool: usize) {
         let spec = &self.plan.pools[pool];
         let deficit = spec.share as i64 - st.active[pool] as i64;
@@ -423,7 +424,7 @@ impl WorkloadManager {
             .iter()
             .filter(|r| r.cancel.is_cancelled())
             .count() as i64;
-        if pending >= deficit {
+        if pending >= deficit.min(st.queues[pool].len() as i64) {
             return;
         }
         let victim = st
@@ -696,6 +697,28 @@ mod tests {
         }
         wm.release(&parked.next().unwrap());
         assert_eq!(wm.preemptions_fired(), 1);
+    }
+
+    /// A pool two slots short but with one waiter can use one slot: a
+    /// second dispatch of that waiter (a spurious wakeup) fires nothing
+    /// while the first victim is still unwinding.
+    #[test]
+    fn preemptions_in_flight_are_bounded_by_the_pools_waiters() {
+        let wm = wm_with("interactive:share=2,priority=10;etl:share=2", "", "8");
+        let (interactive, etl) = (0, 1);
+        let running: Vec<_> = (0..4).map(|_| wm.admit(etl, None)).collect();
+        {
+            let mut st = wm.state.lock().unwrap();
+            st.queues[interactive].push_back(99);
+            wm.maybe_preempt(&mut st, interactive);
+            wm.maybe_preempt(&mut st, interactive);
+        }
+        assert_eq!(wm.preemptions_fired(), 1, "one waiter, one victim");
+        let cancelled = running.iter().filter(|g| g.cancel.is_cancelled()).count();
+        assert_eq!(cancelled, 1);
+        for g in &running {
+            wm.release(g);
+        }
     }
 
     #[test]

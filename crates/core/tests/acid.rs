@@ -3,9 +3,11 @@
 //! surface. The kill-anywhere crash suite lives in `acid_chaos.rs`.
 
 use hive_common::config::keys;
-use hive_common::{Row, Value};
+use hive_common::{HiveError, Row, Value};
 use hive_core::{HiveSession, StatementCtx};
-use hive_formats::delta::load_snapshot;
+use hive_dfs::Dfs;
+use hive_formats::delta::{load_snapshot, manifest_path, Fallback};
+use std::collections::BTreeSet;
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort_by(|a, b| {
@@ -39,6 +41,18 @@ fn acid_session() -> HiveSession {
 
 fn select_all(hive: &mut HiveSession) -> Vec<Row> {
     sorted(hive.execute("SELECT k, v FROM t").unwrap().rows)
+}
+
+/// The table directory holds exactly the current snapshot's files and the
+/// manifests from version `since` (the last compaction's, or 1) on:
+/// nothing a compaction made obsolete, no orphan.
+fn assert_only_the_chain(dfs: &Dfs, location: &str, since: u64) {
+    let snap = load_snapshot(dfs, location).unwrap().unwrap();
+    let mut want: BTreeSet<String> = snap.scan_paths().into_iter().collect();
+    want.extend(snap.deletes.iter().map(|(_, p)| p.clone()));
+    want.extend((since..=snap.version).map(|v| manifest_path(location, v)));
+    let got: BTreeSet<String> = dfs.list(location).into_iter().collect();
+    assert_eq!(got, want, "files beside the chain since version {since}");
 }
 
 fn count(hive: &mut HiveSession) -> i64 {
@@ -230,6 +244,50 @@ fn compaction_preserves_results_and_shrinks_the_chain() {
     assert_eq!(count(&mut hive), want.len() as i64 + 1);
 }
 
+/// Space as a count, not a timer: three `acid_mixed`-shaped cycles. Between
+/// compactions each commit adds exactly its own files; after each major
+/// compaction the directory is its base and its manifest, byte for byte.
+#[test]
+fn each_major_compaction_leaves_only_its_base_and_its_manifest() {
+    let mut hive = acid_session();
+    let dfs = hive.dfs().clone();
+    let location = "/warehouse/t/";
+    let commit = |hive: &mut HiveSession, sql: &str, files: usize| {
+        let before = dfs.list(location).len();
+        hive.execute(sql).unwrap();
+        assert_eq!(dfs.list(location).len(), before + files, "{sql}");
+    };
+    for cycle in 0..3i64 {
+        for i in 0..4 {
+            let k = 1000 + cycle * 10 + i;
+            // A delta and a manifest.
+            commit(
+                &mut hive,
+                &format!("INSERT INTO t VALUES ({k}, {cycle})"),
+                2,
+            );
+        }
+        // A delta, a delete file and a manifest.
+        commit(&mut hive, "UPDATE t SET v = v + 1 WHERE k = 1", 3);
+        // A delete file and a manifest.
+        let sql = format!("DELETE FROM t WHERE k = {}", 1000 + cycle * 10);
+        commit(&mut hive, &sql, 2);
+
+        hive.execute("ALTER TABLE t COMPACT 'major'").unwrap();
+        let snap = load_snapshot(&dfs, location).unwrap().unwrap();
+        let (base, manifest) = (&snap.base[0], manifest_path(location, snap.version));
+        let mut want = vec![base.clone(), manifest.clone()];
+        want.sort();
+        assert_eq!(dfs.list(location), want, "cycle {cycle}");
+        assert_eq!(
+            dfs.size_of(location),
+            dfs.len(base).unwrap() + dfs.len(&manifest).unwrap(),
+            "cycle {cycle}"
+        );
+    }
+    assert_eq!(count(&mut hive), 30 + 3 * 3);
+}
+
 /// Merge-on-read keeps what the plain scan had, and compaction gives the
 /// rest back — all on counters and the deterministic clock. Over a table
 /// of 20 index groups a SARG-filtered aggregate must still prune groups
@@ -371,6 +429,44 @@ fn pinned_plan_reads_its_snapshot_after_a_later_commit() {
     let engine = hive_mapreduce::MrEngine::new(server.dfs().clone(), server.defaults().clone());
     let (_report, rows) = engine.run_dag(&compiled.jobs).unwrap();
     assert_eq!(sorted(rows), old, "pinned snapshot drifted");
+}
+
+/// The same guarantee across the files a compaction obsoletes: a plan
+/// pinned under a read lease keeps every file it pinned through a major
+/// compaction and a later commit (whose recovery would run the clean), and
+/// reads its own rows. Once the lease drops, the next commit leaves only
+/// the new chain.
+#[test]
+fn pinned_plan_reads_its_snapshot_across_a_compaction_and_its_clean() {
+    let mut hive = acid_session();
+    hive.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    hive.execute("DELETE FROM t WHERE k = 0").unwrap();
+    let old = select_all(&mut hive);
+    let server = hive.server().clone();
+    let location = "/warehouse/t/";
+
+    let lease = server.read_lease();
+    let hive_ql::Statement::Select(stmt) = hive_ql::parse("SELECT k, v FROM t").unwrap() else {
+        unreachable!()
+    };
+    let compiled = hive_planner::plan_query(&stmt, server.metastore(), server.defaults()).unwrap();
+    let pinned_files = server.dfs().list(location);
+
+    hive.execute("ALTER TABLE t COMPACT 'major'").unwrap();
+    hive.execute("DELETE FROM t WHERE k = 100").unwrap();
+    assert_ne!(select_all(&mut hive), old);
+    for f in &pinned_files {
+        assert!(server.dfs().exists(f), "`{f}` cleaned under a live lease");
+    }
+    let engine = hive_mapreduce::MrEngine::new(server.dfs().clone(), server.defaults().clone());
+    let (_report, rows) = engine.run_dag(&compiled.jobs).unwrap();
+    assert_eq!(sorted(rows), old, "pinned snapshot drifted");
+
+    drop(lease);
+    hive.execute("INSERT INTO t VALUES (101, 2)").unwrap();
+    // The compaction committed version 3.
+    assert_only_the_chain(server.dfs(), location, 3);
+    assert!(pinned_files.iter().all(|f| !server.dfs().exists(f)));
 }
 
 /// Satellite: a cached plan must be invalidated by a committed UPDATE (and
@@ -943,7 +1039,9 @@ fn a_faulted_load_leaves_no_entry_and_the_retry_succeeds() {
     let info = metastore.get("t").unwrap();
     let counters = snapshot_counters(&server);
 
-    let err = metastore.pin_snapshot(&faulty, &info).unwrap_err();
+    let err = metastore
+        .pin_snapshot(&faulty, &info, Fallback::Older)
+        .unwrap_err();
     assert!(matches!(err, hive_common::HiveError::Transient(_)), "{err}");
     assert_eq!(
         snapshot_counters(&server),
@@ -952,7 +1050,10 @@ fn a_faulted_load_leaves_no_entry_and_the_retry_succeeds() {
     );
 
     // Same handle, second touch: the fault is spent.
-    let pinned = metastore.pin_snapshot(&faulty, &info).unwrap().unwrap();
+    let pinned = metastore
+        .pin_snapshot(&faulty, &info, Fallback::Older)
+        .unwrap()
+        .unwrap();
     assert_eq!(pinned.snapshot.version, 2);
     assert_eq!(pinned.deletes.len(), 5);
     assert_eq!(
@@ -960,7 +1061,10 @@ fn a_faulted_load_leaves_no_entry_and_the_retry_succeeds() {
         (counters.0 + 1, counters.1),
         "the retry had to load: the failed attempt stored nothing"
     );
-    metastore.pin_snapshot(&faulty, &info).unwrap().unwrap();
+    metastore
+        .pin_snapshot(&faulty, &info, Fallback::Older)
+        .unwrap()
+        .unwrap();
     assert_eq!(snapshot_counters(&server), (counters.0 + 1, counters.1 + 1));
     let want: Vec<(i64, i64)> = after_insert.into_iter().filter(|p| p.0 != 0).collect();
     assert_eq!(pairs(&server), want);
@@ -1006,6 +1110,38 @@ fn a_transient_manifest_read_fault_never_rolls_a_writer_back() {
         snap.version
     );
     assert_eq!(snap.deletes.len(), 1);
+}
+
+/// A writer never builds on a manifest it cannot verify. With the table's
+/// only manifest flipped at rest, the next INSERT fails `Corrupt` and
+/// deletes nothing, and a reader fails `Corrupt` too instead of taking the
+/// directory for a plain pre-ACID table; once the byte is flipped back
+/// every row is there and the table takes writes again.
+#[test]
+fn a_corrupt_newest_manifest_fails_the_writer_and_loses_nothing() {
+    let hive = acid_session();
+    let server = hive.server().clone();
+    let dfs = server.dfs();
+    server.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+    let want = pairs(&server);
+    let files = dfs.list("/warehouse/t/");
+
+    let manifest = "/warehouse/t/_manifest_0000000001";
+    dfs.corrupt_stored(manifest, 20, 0x40).unwrap();
+    let err = server.execute("INSERT INTO t VALUES (200, 2)").unwrap_err();
+    assert!(matches!(err, HiveError::Corrupt(_)), "{err}");
+    assert_eq!(
+        dfs.list("/warehouse/t/"),
+        files,
+        "the failed writer deleted files"
+    );
+    let err = server.execute("SELECT k, v FROM t").unwrap_err();
+    assert!(matches!(err, HiveError::Corrupt(_)), "{err}");
+
+    dfs.corrupt_stored(manifest, 20, 0x40).unwrap();
+    assert_eq!(pairs(&server), want);
+    server.execute("INSERT INTO t VALUES (200, 2)").unwrap();
+    assert_eq!(pairs(&server).len(), want.len() + 1);
 }
 
 /// (d) Dropping a table evicts its pin, and a same-named table re-created
@@ -1118,4 +1254,10 @@ fn concurrent_reads_always_equal_some_committed_version() {
         .unwrap()
         .unwrap();
     assert_eq!(snap.version, 205, "200 DML commits + 5 compactions");
+
+    // With the readers gone, the next commit runs whatever clean their
+    // leases held off: nothing outside the chain since the last compaction
+    // (version 205) remains.
+    server.execute("INSERT INTO t VALUES (5000, 0)").unwrap();
+    assert_only_the_chain(server.dfs(), "/warehouse/t/", 205);
 }

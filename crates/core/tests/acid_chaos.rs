@@ -11,9 +11,10 @@
 
 use hive_common::config::keys;
 use hive_common::{HiveError, Row, Value};
-use hive_core::{HiveSession, COMPACTOR_CRASH_POINTS, WRITER_CRASH_POINTS};
-use hive_formats::delta::load_snapshot;
+use hive_core::{HiveServer, HiveSession, COMPACTOR_CRASH_POINTS, WRITER_CRASH_POINTS};
+use hive_formats::delta::{load_snapshot, manifest_path};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort_by(|a, b| {
@@ -57,6 +58,19 @@ fn seeded_with_history() -> HiveSession {
     hive.execute("INSERT INTO t VALUES (503, 503)").unwrap();
     hive.execute("DELETE FROM t WHERE k = 2").unwrap();
     hive
+}
+
+/// After a restart, `t`'s directory is exactly the current snapshot's files
+/// plus the manifests from version `since` (the last compaction's, or 1):
+/// no orphan of the crash, nothing an interrupted clean left behind.
+fn assert_only_the_chain(server: &HiveServer, since: u64, when: &str) {
+    let location = "/warehouse/t/";
+    let snap = load_snapshot(server.dfs(), location).unwrap().unwrap();
+    let mut want: BTreeSet<String> = snap.scan_paths().into_iter().collect();
+    want.extend(snap.deletes.iter().map(|(_, p)| p.clone()));
+    want.extend((since..=snap.version).map(|v| manifest_path(location, v)));
+    let got: BTreeSet<String> = server.dfs().list(location).into_iter().collect();
+    assert_eq!(got, want, "{when}: files beside the chain");
 }
 
 /// Every chaos read runs BOTH execution modes — the default batch-native
@@ -141,13 +155,15 @@ fn kill_at_every_writer_crash_point_yields_old_or_new_snapshot() {
                 server.dfs().list("/tmp/txn/").is_empty(),
                 "{op} at {point}: recovery left scratch files"
             );
+            assert_only_the_chain(&server, 1, &format!("{op} after restart at {point}"));
         }
     }
 }
 
 /// Satellite 3, compactor half: compaction is content-neutral, so killing
-/// it at ANY point — before or after its own commit — must leave the
-/// visible rows untouched. A clean retry then finishes the job.
+/// it at ANY point — before or after its own commit, or while it cleans —
+/// must leave the visible rows untouched. A clean retry then finishes the
+/// job, its own clean included.
 #[test]
 fn kill_anywhere_during_compaction_is_never_visible() {
     for mode in ["minor", "major"] {
@@ -177,6 +193,8 @@ fn kill_anywhere_during_compaction_is_never_visible() {
             let snap = load_snapshot(server.dfs(), "/warehouse/t/")
                 .unwrap()
                 .unwrap();
+            let when = format!("{mode} retried after {point}");
+            assert_only_the_chain(&server, snap.version, &when);
             if mode == "major" {
                 assert_eq!(snap.base.len(), 1, "{point}");
                 assert!(snap.deltas.is_empty() && snap.deletes.is_empty(), "{point}");
@@ -205,6 +223,8 @@ fn crash_matrices_hold_twice_over_on_one_warm_server() {
         );
         assert_eq!(select_all(&crashy), visible, "{when}: cache-served re-read");
     };
+    // The last compaction's version: the oldest manifest a restart keeps.
+    let mut since = 1;
     for pass in 0..2 {
         for (idx, &point) in WRITER_CRASH_POINTS.iter().enumerate() {
             // Fresh keys per cell, so every op changes the table.
@@ -235,6 +255,7 @@ fn crash_matrices_hold_twice_over_on_one_warm_server() {
                 }
                 in_step(&format!("{when}, after restart"));
                 assert!(server.dfs().list("/tmp/txn/").is_empty(), "{when}");
+                assert_only_the_chain(&server, since, &when);
             }
         }
         for mode in ["minor", "major"] {
@@ -254,6 +275,11 @@ fn crash_matrices_hold_twice_over_on_one_warm_server() {
                 server.execute(&sql).unwrap();
                 in_step(&format!("{when}, after a clean retry"));
                 assert!(server.dfs().list("/tmp/txn/").is_empty(), "{when}");
+                since = load_snapshot(server.dfs(), "/warehouse/t/")
+                    .unwrap()
+                    .unwrap()
+                    .version;
+                assert_only_the_chain(&server, since, &when);
             }
         }
     }

@@ -10,10 +10,11 @@
 //! is what makes crash recovery trivial — orphans from a died writer are
 //! invisible garbage, never partial state.
 //!
-//! Every manifest carries its own CRC32 trailer. A torn manifest (the
-//! write died mid-stream) fails its checksum and is skipped, so the
-//! newest *valid* manifest defines the snapshot; publishing a manifest via
-//! atomic rename is therefore the commit point of every transaction.
+//! Every manifest carries its own CRC32 trailer. A reader skips one that
+//! fails it, so the newest *valid* manifest defines the snapshot it sees;
+//! a writer refuses to build on anything but the newest listed one
+//! ([`Fallback`]). Publishing a manifest via atomic rename is therefore
+//! the commit point of every transaction.
 
 use crate::TableReader;
 use hive_common::{HiveError, Result, Row};
@@ -177,16 +178,27 @@ pub fn manifest_path(location: &str, version: u64) -> String {
     format!("{location}{MANIFEST_PREFIX}{version:010}")
 }
 
-/// Load the newest *valid* snapshot under `location`, or `None` when the
-/// table has never committed a transaction (non-ACID so far). Manifests
-/// that fail to parse or CRC-verify are skipped — a torn manifest never
-/// happened; the previous one still defines the table. Only bad *data*
-/// is a torn manifest: any other read failure (a transient fault, say)
-/// propagates, because skipping a committed manifest over it would hand
-/// a writer's recovery the previous snapshot and with it a licence to
-/// delete the newest commit's files as orphans.
+/// Load the snapshot a reader sees under `location` ([`Fallback::Older`]),
+/// or `None` when the table has never committed a transaction (non-ACID
+/// so far).
 pub fn load_snapshot(dfs: &Dfs, location: &str) -> Result<Option<TableSnapshot>> {
-    Ok(load_snapshot_stamped(dfs, location)?.map(|(snap, _)| snap))
+    Ok(load_snapshot_stamped(dfs, location, Fallback::Older)?.map(|(snap, _)| snap))
+}
+
+/// What a load does with a manifest that still does not verify when read
+/// a second time (a checksum failure, or an image that does not decode).
+/// The re-read clears a first-touch wire flip; at-rest corruption stays.
+/// Only bad *data* counts: any other read failure (a transient fault, say)
+/// propagates either way. A table whose listed manifests all fail is
+/// `Corrupt` either way, never a manifest-less pre-ACID table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fallback {
+    /// Readers: skip it, the next older manifest that verifies governs.
+    Older,
+    /// Writers: fail `Corrupt`. A writer builds only on the newest listed
+    /// manifest — building on an older one would hand recovery a licence
+    /// to delete the newest commit's files as orphans.
+    Refuse,
 }
 
 /// A file as one load saw it: its path and the DFS generation of the bytes
@@ -210,7 +222,8 @@ pub fn list_manifests(dfs: &Dfs, location: &str) -> Vec<String> {
     versions.into_iter().map(|(_, p)| p).collect()
 }
 
-/// [`load_snapshot`], plus the governing manifest's stamp when that
+/// The snapshot of the newest manifest that verifies, within what
+/// `fallback` allows, plus the governing manifest's stamp when that
 /// manifest is the newest one listed. Only then is the snapshot a function
 /// of that one file, reusable for as long as the head of
 /// [`list_manifests`] carries the same stamp; after a skip the stamp is
@@ -218,21 +231,47 @@ pub fn list_manifests(dfs: &Dfs, location: &str) -> Vec<String> {
 pub fn load_snapshot_stamped(
     dfs: &Dfs,
     location: &str,
+    fallback: Fallback,
 ) -> Result<Option<(TableSnapshot, Option<FileStamp>)>> {
-    for (skipped, path) in list_manifests(dfs, location).into_iter().enumerate() {
-        let mut reader = dfs.open(&path, None)?;
-        let generation = reader.generation();
-        let bytes = match reader.read_all() {
-            Ok(bytes) => bytes,
-            // Tampered manifest: skip, an older one governs.
-            Err(e) if e.is_data_corruption() => continue,
+    let manifests = list_manifests(dfs, location);
+    for (skipped, path) in manifests.iter().enumerate() {
+        match read_manifest(dfs, path) {
+            Ok((snap, generation)) => {
+                return Ok(Some((
+                    snap,
+                    (skipped == 0).then(|| (path.clone(), generation)),
+                )))
+            }
+            Err(e) if e.is_data_corruption() && fallback == Fallback::Older => continue,
             Err(e) => return Err(e),
-        };
-        if let Ok(snap) = TableSnapshot::decode(&bytes) {
-            return Ok(Some((snap, (skipped == 0).then_some((path, generation)))));
         }
     }
-    Ok(None)
+    if manifests.is_empty() {
+        return Ok(None);
+    }
+    Err(HiveError::Corrupt(format!(
+        "no manifest under `{location}` verifies"
+    )))
+}
+
+/// Read and decode one manifest, reading it once more if the first image
+/// does not verify. A failure to verify twice is `Corrupt`.
+fn read_manifest(dfs: &Dfs, path: &str) -> Result<(TableSnapshot, u64)> {
+    let attempt = || -> Result<(TableSnapshot, u64)> {
+        let mut reader = dfs.open(path, None)?;
+        let generation = reader.generation();
+        Ok((TableSnapshot::decode(&reader.read_all()?)?, generation))
+    };
+    match attempt() {
+        Err(e) if e.is_data_corruption() => attempt().map_err(|e| {
+            if e.is_data_corruption() {
+                HiveError::Corrupt(format!("manifest `{path}` does not verify: {e}"))
+            } else {
+                e
+            }
+        }),
+        loaded => loaded,
+    }
 }
 
 /// The key of one masked-out row: the file that holds it and the row's
@@ -584,15 +623,32 @@ mod tests {
 
         // A walk that skipped a manifest vouches for nothing; one whose
         // newest listed manifest governs is stamped with that file.
-        let (_, stamp) = load_snapshot_stamped(&dfs, "/w/t/").unwrap().unwrap();
+        let (_, stamp) = load_snapshot_stamped(&dfs, "/w/t/", Fallback::Older)
+            .unwrap()
+            .unwrap();
         assert_eq!(stamp, None);
+        // A writer never builds on anything but the newest listed manifest.
+        let err = load_snapshot_stamped(&dfs, "/w/t/", Fallback::Refuse).unwrap_err();
+        assert!(matches!(err, HiveError::Corrupt(_)), "{err}");
         dfs.delete(&manifest_path("/w/t/", 3));
-        let (snap2, stamp) = load_snapshot_stamped(&dfs, "/w/t/").unwrap().unwrap();
-        let newest = manifest_path("/w/t/", 2);
-        assert_eq!(snap2.version, 2);
-        assert_eq!(list_manifests(&dfs, "/w/t/")[0], newest);
-        let generation = dfs.generation(&newest).unwrap();
-        assert_eq!(stamp, Some((newest, generation)));
+        for fallback in [Fallback::Older, Fallback::Refuse] {
+            let (snap2, stamp) = load_snapshot_stamped(&dfs, "/w/t/", fallback)
+                .unwrap()
+                .unwrap();
+            let newest = manifest_path("/w/t/", 2);
+            assert_eq!(snap2.version, 2);
+            assert_eq!(list_manifests(&dfs, "/w/t/")[0], newest);
+            let generation = dfs.generation(&newest).unwrap();
+            assert_eq!(stamp, Some((newest, generation)));
+        }
+
+        // Manifests listed but none verifies: corrupt, not a plain table.
+        dfs.corrupt_stored(&manifest_path("/w/t/", 2), 20, 0x40)
+            .unwrap();
+        dfs.corrupt_stored(&manifest_path("/w/t/", 1), 20, 0x40)
+            .unwrap();
+        let err = load_snapshot(&dfs, "/w/t/").unwrap_err();
+        assert!(matches!(err, HiveError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The planner's view of the metastore.
 
-use hive_common::Schema;
+use hive_common::{Result, Schema};
 use hive_formats::{AcidOverlay, FormatKind};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -21,9 +21,11 @@ pub struct TableMeta {
     pub acid: Option<AcidOverlay>,
 }
 
-/// Resolution of table names, implemented by the metastore.
+/// Resolution of table names, implemented by the metastore. `Ok(None)`:
+/// no such table; `Err`: the table exists but its metadata cannot be read
+/// (a corrupt manifest chain, a read fault).
 pub trait Catalog {
-    fn table(&self, name: &str) -> Option<TableMeta>;
+    fn table(&self, name: &str) -> Result<Option<TableMeta>>;
 }
 
 /// One statement's view of a catalog: each table name is resolved against
@@ -46,12 +48,14 @@ impl<'a> PinnedCatalog<'a> {
 }
 
 impl Catalog for PinnedCatalog<'_> {
-    fn table(&self, name: &str) -> Option<TableMeta> {
-        self.pinned
-            .borrow_mut()
-            .entry(name.to_ascii_lowercase())
-            .or_insert_with(|| self.inner.table(name))
-            .clone()
+    fn table(&self, name: &str) -> Result<Option<TableMeta>> {
+        let key = name.to_ascii_lowercase();
+        if let Some(meta) = self.pinned.borrow().get(&key) {
+            return Ok(meta.clone());
+        }
+        let meta = self.inner.table(name)?;
+        self.pinned.borrow_mut().insert(key, meta.clone());
+        Ok(meta)
     }
 }
 
@@ -62,11 +66,12 @@ pub struct StaticCatalog {
 }
 
 impl Catalog for StaticCatalog {
-    fn table(&self, name: &str) -> Option<TableMeta> {
+    fn table(&self, name: &str) -> Result<Option<TableMeta>> {
         let lower = name.to_ascii_lowercase();
-        self.tables
+        Ok(self
+            .tables
             .iter()
             .find(|t| t.name.to_ascii_lowercase() == lower)
-            .cloned()
+            .cloned())
     }
 }

@@ -219,17 +219,15 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         let mut side_inputs = Vec::new();
         for mi in &map_inputs {
             for &n in &mi.nodes {
-                if let PlanOp::MapJoin { sides } = &g.node(n).op {
-                    for s in sides {
-                        side_inputs.push(SideInput {
-                            alias: s.alias.clone(),
-                            paths: s.table.paths.clone(),
-                            format: s.table.format,
-                            schema: s.table.schema.clone(),
-                            projection: Some(s.projection.clone()),
-                            overlay: s.table.acid.clone(),
-                        });
-                    }
+                if let PlanOp::MapJoin(s) = &g.node(n).op {
+                    side_inputs.push(SideInput {
+                        alias: s.alias.clone(),
+                        paths: s.table.paths.clone(),
+                        format: s.table.format,
+                        schema: s.table.schema.clone(),
+                        projection: Some(s.projection.clone()),
+                        overlay: s.table.acid.clone(),
+                    });
                 }
             }
         }
@@ -410,7 +408,7 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
             }
             let map_phase_only = matches!(
                 node.op,
-                PlanOp::MapJoin { .. }
+                PlanOp::MapJoin(_)
                     | PlanOp::GroupBy {
                         phase: GroupByPhase::MapHash,
                         ..
@@ -445,14 +443,12 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
     let frag_of = fragments(g);
     // Total hash-table bytes per fragment.
     let mut side_bytes: BTreeMap<usize, u64> = BTreeMap::new();
-    for n in g.find(|n| matches!(n.op, PlanOp::MapJoin { .. })) {
-        if let PlanOp::MapJoin { sides } = &g.node(n).op {
-            let f = frag_of[&n];
-            *side_bytes.entry(f).or_default() +=
-                sides.iter().map(|s| s.table.size_bytes).sum::<u64>();
+    for n in g.find(|n| matches!(n.op, PlanOp::MapJoin(_))) {
+        if let PlanOp::MapJoin(s) = &g.node(n).op {
+            *side_bytes.entry(frag_of[&n]).or_default() += s.table.size_bytes;
         }
     }
-    for mj in g.find(|n| matches!(n.op, PlanOp::MapJoin { .. })) {
+    for mj in g.find(|n| matches!(n.op, PlanOp::MapJoin(_))) {
         let cut_here = !merge || side_bytes[&frag_of[&mj]] > MERGE_MAPONLY_THRESHOLD;
         if !cut_here {
             continue;
@@ -763,18 +759,14 @@ fn row_operator(
             };
             Box::new(group_by(keys, aggs, mode, ops::GroupByMode::Streaming))
         }
-        (PlanOp::MapJoin { sides }, Phase::Map { side, .. }) => {
-            let mut tables = Vec::with_capacity(sides.len());
-            for s in sides {
-                tables.push(ops::MapJoinTable::build(
-                    s.build_rows(side)?,
-                    s.build_keys.len(),
-                    s.stream_keys.clone(),
-                    s.join_type,
-                    s.width,
-                ));
-            }
-            Box::new(ops::MapJoinOperator::new(tables))
+        (PlanOp::MapJoin(s), Phase::Map { side, .. }) => {
+            Box::new(ops::MapJoinOperator::new(vec![ops::MapJoinTable::build(
+                s.build_rows(side)?,
+                s.build_keys.len(),
+                s.stream_keys.clone(),
+                s.join_type,
+                s.width,
+            )]))
         }
         (
             PlanOp::Join {
@@ -792,7 +784,7 @@ fn row_operator(
         (
             op @ (PlanOp::TableScan { .. }
             | PlanOp::GroupBy { .. }
-            | PlanOp::MapJoin { .. }
+            | PlanOp::MapJoin(_)
             | PlanOp::Join { .. }),
             _,
         ) => {

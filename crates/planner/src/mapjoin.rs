@@ -196,13 +196,7 @@ fn convert(
             .collect()
     };
     mj_schema.extend(small_schema);
-    let mj = g.add(
-        PlanOp::MapJoin {
-            sides: vec![mj_side],
-        },
-        mj_schema.clone(),
-        vec![sel],
-    );
+    let mj = g.add(PlanOp::MapJoin(mj_side), mj_schema.clone(), vec![sel]);
 
     // 3. Restore the original join's column order if the build side was
     //    the join's left input.

@@ -139,9 +139,7 @@ pub enum PlanOp {
         nk: usize,
     },
     /// Map-side join; the single parent is the big-table stream.
-    MapJoin {
-        sides: Vec<MapJoinSide>,
-    },
+    MapJoin(MapJoinSide),
     Limit(u64),
     /// A forced job boundary: the producing job writes an intermediate
     /// file here and the consumer re-reads it. Inserted after MapJoins when
@@ -159,7 +157,7 @@ impl PlanOp {
             PlanOp::ReduceSink { .. } => "ReduceSink",
             PlanOp::GroupBy { .. } => "GroupBy",
             PlanOp::Join { .. } => "Join",
-            PlanOp::MapJoin { .. } => "MapJoin",
+            PlanOp::MapJoin(_) => "MapJoin",
             PlanOp::Limit(_) => "Limit",
             PlanOp::IntermediateCut => "IntermediateCut",
             PlanOp::FileSink => "FileSink",
@@ -332,9 +330,8 @@ impl PlanGraph {
             } => {
                 out.push_str(&format!(" {:?} {} inputs", kind, input_widths.len()));
             }
-            PlanOp::MapJoin { sides } => {
-                let names: Vec<&str> = sides.iter().map(|s| s.alias.as_str()).collect();
-                out.push_str(&format!(" small: {names:?}"));
+            PlanOp::MapJoin(small) => {
+                out.push_str(&format!(" small: [{:?}]", small.alias));
             }
             _ => {}
         }

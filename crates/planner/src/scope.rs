@@ -203,7 +203,7 @@ pub(crate) fn bind_select(stmt: &SelectStmt, catalog: &dyn Catalog) -> Result<Bo
         let (entry, source) = match tref {
             TableRef::Table { name, .. } => {
                 let meta = catalog
-                    .table(name)
+                    .table(name)?
                     .ok_or_else(|| HiveError::Semantic(format!("unknown table `{name}`")))?;
                 (Entry::of_table(binding, &meta.schema), Source::Table(meta))
             }

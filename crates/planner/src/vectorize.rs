@@ -280,8 +280,8 @@ fn compile_chain<'a>(
                 ended_in_sink = true;
                 break;
             }
-            PlanOp::MapJoin { sides } => {
-                let Some(pj) = prepare_mapjoin(nodes, side, &mut c, n, sides)? else {
+            PlanOp::MapJoin(s) => {
+                let Some(pj) = prepare_mapjoin(nodes, side, &mut c, n, s)? else {
                     break; // row-mode fallback for the join and everything after
                 };
                 // This segment's types are final now (the new join's key
@@ -339,12 +339,8 @@ fn prepare_mapjoin(
     side: &HashMap<String, Vec<Row>>,
     c: &mut VecCompiler<'_>,
     n: usize,
-    sides: &[crate::plan::MapJoinSide],
+    s: &crate::plan::MapJoinSide,
 ) -> Result<Option<PendingJoin>> {
-    if sides.len() != 1 {
-        return Ok(None);
-    }
-    let s = &sides[0];
     let kind = match s.join_type {
         JoinType::Inner => MapJoinKind::Inner,
         JoinType::LeftOuter => MapJoinKind::LeftOuter,

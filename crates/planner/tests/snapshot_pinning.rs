@@ -27,7 +27,7 @@ impl MovingCatalog {
 }
 
 impl Catalog for MovingCatalog {
-    fn table(&self, name: &str) -> Option<TableMeta> {
+    fn table(&self, name: &str) -> hive_common::Result<Option<TableMeta>> {
         let name = name.to_ascii_lowercase();
         let version = {
             let mut calls = self.calls.borrow_mut();
@@ -36,14 +36,14 @@ impl Catalog for MovingCatalog {
             *n
         };
         if !["t", "u"].contains(&name.as_str()) {
-            return None;
+            return Ok(None);
         }
         let delta_paths: Vec<String> = (1..=version)
             .map(|txn| format!("/w/{name}/delta_{txn:010}"))
             .collect();
         let mut paths = vec![format!("/w/{name}/part-00000")];
         paths.extend(delta_paths.iter().cloned());
-        Some(TableMeta {
+        Ok(Some(TableMeta {
             schema: Schema::parse(&[
                 ("k", "bigint"),
                 ("a", "bigint"),
@@ -63,7 +63,7 @@ impl Catalog for MovingCatalog {
                 deletes: Arc::default(),
             }),
             name,
-        })
+        }))
     }
 }
 
