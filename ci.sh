@@ -89,6 +89,16 @@ echo "==> hive-cli key-rule gate (NaN GROUP BY / ORDER BY, INT = DOUBLE join)"
 cargo run -q --bin hive-cli --offline <tests/golden/key_rule_cli.sql 2>/dev/null |
     diff - tests/golden/key_rule_cli.txt
 
+# Value-rule gate (values compare by the key rule), through the real binary:
+# over NaN and -0.0 rows with a bloom on the column, `d = 5.0`, `d > 40`,
+# `d <> 1.0`, `d = NaN`, `d = 0`, MIN/MAX, a mixed BETWEEN, GROUP BY d and an
+# INT = DOUBLE join meeting -0.0 print the same rows under vectorization
+# on/off x map-join/reduce-join, with stats-answered aggregates and storage
+# pushdown each switched on and off across the blocks.
+echo "==> hive-cli value-rule gate (NaN and -0.0 in predicates, MIN/MAX, joins)"
+cargo run -q --bin hive-cli --offline <tests/golden/value_rule_cli.sql 2>/dev/null |
+    diff - tests/golden/value_rule_cli.txt
+
 # Binder gate (hive_planner::scope), through the real binary on the demo
 # tables: a reference the scope cannot bind is `[semantic] unknown column`
 # in SELECT, DML and the stats-answered path (stderr is part of the

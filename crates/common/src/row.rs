@@ -55,11 +55,6 @@ impl Row {
         values.extend_from_slice(&other.values);
         Row { values }
     }
-
-    /// Approximate heap footprint; used by operator memory accounting.
-    pub fn heap_size(&self) -> usize {
-        24 + self.values.iter().map(Value::heap_size).sum::<usize>()
-    }
 }
 
 impl From<Vec<Value>> for Row {

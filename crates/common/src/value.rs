@@ -1,5 +1,6 @@
 //! Runtime values flowing through SerDes and row-mode operators.
 
+use crate::key;
 use crate::types::DataType;
 use std::cmp::Ordering;
 use std::fmt;
@@ -88,44 +89,10 @@ impl Value {
         }
     }
 
-    /// SQL comparison semantics: NULL compares less than everything (the
-    /// ordering Hive uses when sorting); cross-numeric comparisons widen to
-    /// f64; otherwise values compare within their own type.
+    /// [`key::compare`]: the one order of values. Kept for callers outside
+    /// the engine.
     pub fn sql_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Boolean(a), Boolean(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Timestamp(a), Timestamp(b)) => a.cmp(b),
-            (String(a), String(b)) => a.cmp(b),
-            (Double(a), Double(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (a, b) => match (a.as_double(), b.as_double()) {
-                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-                _ => format!("{a}").cmp(&format!("{b}")),
-            },
-        }
-    }
-
-    /// Approximate in-memory footprint in bytes; used by hash-join and
-    /// group-by memory accounting.
-    pub fn heap_size(&self) -> usize {
-        match self {
-            Value::Null | Value::Boolean(_) => 1,
-            Value::Int(_) | Value::Double(_) | Value::Timestamp(_) => 8,
-            Value::String(s) => 24 + s.len(),
-            Value::Array(items) => 24 + items.iter().map(Value::heap_size).sum::<usize>(),
-            Value::Map(entries) => {
-                24 + entries
-                    .iter()
-                    .map(|(k, v)| k.heap_size() + v.heap_size())
-                    .sum::<usize>()
-            }
-            Value::Struct(fields) => 24 + fields.iter().map(Value::heap_size).sum::<usize>(),
-            Value::Union(_, v) => 1 + v.heap_size(),
-        }
+        key::compare(self, other)
     }
 }
 
@@ -186,15 +153,16 @@ mod tests {
     #[test]
     fn null_sorts_first() {
         let mut vals = [Value::Int(3), Value::Null, Value::Int(-1)];
-        vals.sort_by(|a, b| a.sql_cmp(b));
+        vals.sort_by(key::compare);
         assert_eq!(vals[0], Value::Null);
         assert_eq!(vals[1], Value::Int(-1));
     }
 
     #[test]
     fn cross_numeric_comparison_widens() {
-        assert_eq!(Value::Int(2).sql_cmp(&Value::Double(2.5)), Ordering::Less);
-        assert_eq!(Value::Double(2.0).sql_cmp(&Value::Int(2)), Ordering::Equal);
+        let cmp = key::compare;
+        assert_eq!(cmp(&Value::Int(2), &Value::Double(2.5)), Ordering::Less);
+        assert_eq!(cmp(&Value::Double(2.0), &Value::Int(2)), Ordering::Equal);
     }
 
     #[test]
@@ -209,12 +177,5 @@ mod tests {
             Value::Map(vec![(Value::String("k".into()), Value::Int(9))]).to_string(),
             "{k:9}"
         );
-    }
-
-    #[test]
-    fn heap_size_grows_with_content() {
-        let small = Value::String("a".into()).heap_size();
-        let big = Value::String("a".repeat(100)).heap_size();
-        assert!(big > small);
     }
 }

@@ -10,15 +10,7 @@ use hive_formats::delta::{load_snapshot, manifest_path, Fallback};
 use std::collections::BTreeSet;
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort_by(|a, b| {
-        for (x, y) in a.values().iter().zip(b.values()) {
-            let c = x.sql_cmp(y);
-            if c != std::cmp::Ordering::Equal {
-                return c;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    rows.sort_by(|a, b| hive_common::key::cmp(a.values(), b.values()));
     rows
 }
 

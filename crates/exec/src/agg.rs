@@ -2,7 +2,7 @@
 //! map-side GroupByOperators produce *partial* states that travel through
 //! the shuffle as plain values; reduce-side GroupByOperators merge them.
 
-use hive_common::{HiveError, Result, Value};
+use hive_common::{key, HiveError, Result, Value};
 
 /// The aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,24 +95,16 @@ impl RowAggState {
                 self.count += 1;
                 self.seen = true;
             }
+            // The extreme is kept canonical: which of two equal values
+            // (`-0.0`, `0.0`) a split met first does not show.
             AggFunction::Min => {
-                if !v.is_null()
-                    && self
-                        .min
-                        .as_ref()
-                        .is_none_or(|m| v.sql_cmp(m) == std::cmp::Ordering::Less)
-                {
-                    self.min = Some(v.clone());
+                if !v.is_null() && self.min.as_ref().is_none_or(|m| key::compare(v, m).is_lt()) {
+                    self.min = Some(key::canonical(v.clone()));
                 }
             }
             AggFunction::Max => {
-                if !v.is_null()
-                    && self
-                        .max
-                        .as_ref()
-                        .is_none_or(|m| v.sql_cmp(m) == std::cmp::Ordering::Greater)
-                {
-                    self.max = Some(v.clone());
+                if !v.is_null() && self.max.as_ref().is_none_or(|m| key::compare(v, m).is_gt()) {
+                    self.max = Some(key::canonical(v.clone()));
                 }
             }
         }

@@ -6,6 +6,7 @@
 //! the paper's Section 3 attributes to the row engine. Keep it this way:
 //! it is the measured baseline.
 
+use hive_common::key::compare;
 use hive_common::{DataType, HiveError, Result, Row, Value};
 use std::cmp::Ordering;
 
@@ -137,8 +138,7 @@ impl ExprNode {
                 if lo.is_null() || hi.is_null() {
                     return Ok(Value::Null);
                 }
-                let inside =
-                    v.sql_cmp(&lo) != Ordering::Less && v.sql_cmp(&hi) != Ordering::Greater;
+                let inside = compare(&v, &lo).is_ge() && compare(&v, &hi).is_le();
                 Ok(Value::Boolean(inside != *negated))
             }
             ExprNode::IsNull { expr, negated } => {
@@ -161,7 +161,7 @@ impl ExprNode {
                         saw_null = true;
                         continue;
                     }
-                    if v.sql_cmp(&it) == Ordering::Equal {
+                    if compare(&v, &it).is_eq() {
                         return Ok(Value::Boolean(!*negated));
                     }
                 }
@@ -220,7 +220,7 @@ fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     if matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq) {
-        let ord = l.sql_cmp(r);
+        let ord = compare(l, r);
         let b = match op {
             Eq => ord == Ordering::Equal,
             NotEq => ord != Ordering::Equal,

@@ -11,7 +11,7 @@
 use crate::agg::{AggFunction, AggMode, RowAggState};
 use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
-use hive_common::{HiveError, Key, Result, Row, Value};
+use hive_common::{key, HiveError, Key, Result, Row, Value};
 use std::collections::HashMap;
 
 /// A row sent to the operator's only child.
@@ -22,11 +22,12 @@ fn forward(row: Row) -> Emit {
     }
 }
 
-/// Evaluate key expressions over `row` into `key`, reusing its allocation.
-fn eval_key(exprs: &[ExprNode], row: &Row, key: &mut Vec<Value>) -> Result<()> {
-    key.clear();
+/// Evaluate key expressions over `row` into `out`, reusing its allocation.
+/// Keys are canonical from here on (`key::canonical`).
+fn eval_key(exprs: &[ExprNode], row: &Row, out: &mut Vec<Value>) -> Result<()> {
+    out.clear();
     for e in exprs {
-        key.push(e.eval(row)?);
+        out.push(key::canonical(e.eval(row)?));
     }
     Ok(())
 }
@@ -155,9 +156,7 @@ impl Operator for ReduceSinkOperator {
         match msg {
             Message::Row { row, .. } => {
                 let mut key = Vec::with_capacity(self.key_exprs.len());
-                for e in &self.key_exprs {
-                    key.push(e.eval(&row)?);
-                }
+                eval_key(&self.key_exprs, &row, &mut key)?;
                 let mut value = Vec::with_capacity(self.value_exprs.len());
                 for e in &self.value_exprs {
                     value.push(e.eval(&row)?);
@@ -221,14 +220,17 @@ pub struct GroupByOperator {
 }
 
 impl GroupByOperator {
+    /// A global aggregate's reducer starts with its one group open, so one
+    /// that meets no row still answers SQL's `COUNT(*) = 0, SUM = NULL`.
     pub fn new(key_exprs: Vec<ExprNode>, aggs: Vec<AggSpec>, mode: GroupByMode) -> GroupByOperator {
+        let global = key_exprs.is_empty() && matches!(mode, GroupByMode::Streaming);
         GroupByOperator {
+            current: global.then(|| (Vec::new(), Self::fresh_states(&aggs))),
             key_exprs,
             aggs,
             mode,
             hash: HashMap::new(),
             scratch: Key::default(),
-            current: None,
         }
     }
 
@@ -315,7 +317,8 @@ impl Operator for GroupByOperator {
     }
 
     /// The hash table leaves in key order; a streaming group-by has at most
-    /// a trailing group left (defensive; drivers end every group).
+    /// a trailing group left (a global aggregate's that met no row, or
+    /// defensively: drivers end every group).
     fn close(&mut self) -> Result<Vec<Emit>> {
         let mut groups: Vec<_> = self.hash.drain().collect();
         groups.sort_by(|a, b| a.0.cmp(&b.0));
@@ -481,20 +484,20 @@ impl MapJoinTable {
     }
 }
 
-/// Map Join: the big table streams through; each small table was built
-/// into a hash table at task setup. Several Map Joins merged into one Map
-/// phase (paper Section 5.1) are just several tables here, probed "in a
-/// pipelined fashion".
+/// Map Join: the big table streams through; the small table was built into
+/// a hash table at task setup. Several Map Joins merged into one Map phase
+/// (paper Section 5.1) are a chain of these, probed "in a pipelined
+/// fashion".
 pub struct MapJoinOperator {
-    pub tables: Vec<MapJoinTable>,
-    /// The probe key, reused from row to row and table to table.
+    pub table: MapJoinTable,
+    /// The probe key, reused from row to row.
     scratch: Key,
 }
 
 impl MapJoinOperator {
-    pub fn new(tables: Vec<MapJoinTable>) -> MapJoinOperator {
+    pub fn new(table: MapJoinTable) -> MapJoinOperator {
         MapJoinOperator {
-            tables,
+            table,
             scratch: Key::default(),
         }
     }
@@ -502,41 +505,28 @@ impl MapJoinOperator {
 
 impl Operator for MapJoinOperator {
     fn name(&self) -> String {
-        format!("MapJoinOperator({} tables)", self.tables.len())
+        "MapJoinOperator(1 tables)".into()
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
             Message::Row { row, tag } => {
-                // Probe tables in order, expanding matches as we go.
-                let mut acc = vec![row];
-                for t in &self.tables {
-                    let mut next = Vec::with_capacity(acc.len());
-                    for big in acc {
-                        eval_key(&t.key_exprs, &big, &mut self.scratch.0)?;
-                        // A NULL key never matches.
-                        let matches = if self.scratch.0.iter().any(Value::is_null) {
-                            None
-                        } else {
-                            t.rows_by_key.get(&self.scratch)
-                        };
-                        match matches {
-                            Some(small_rows) => {
-                                for s in small_rows {
-                                    next.push(big.concat(s));
-                                }
-                            }
-                            None => {
-                                if matches!(t.join_type, JoinType::LeftOuter | JoinType::FullOuter)
-                                {
-                                    next.push(big.concat(&Row::new(vec![Value::Null; t.width])));
-                                }
-                            }
-                        }
+                let t = &self.table;
+                eval_key(&t.key_exprs, &row, &mut self.scratch.0)?;
+                // A NULL key never matches.
+                let matches = if self.scratch.0.iter().any(Value::is_null) {
+                    None
+                } else {
+                    t.rows_by_key.get(&self.scratch)
+                };
+                let joined = match matches {
+                    Some(small_rows) => small_rows.iter().map(|s| row.concat(s)).collect(),
+                    None if matches!(t.join_type, JoinType::LeftOuter | JoinType::FullOuter) => {
+                        vec![row.concat(&Row::new(vec![Value::Null; t.width]))]
                     }
-                    acc = next;
-                }
-                Ok(acc
+                    None => Vec::new(),
+                };
+                Ok(joined
                     .into_iter()
                     .map(|row| Emit::Forward {
                         child_slot: 0,
@@ -736,8 +726,8 @@ mod tests {
 
     #[test]
     fn hash_keys_follow_the_key_rule() {
-        // GROUP BY: one NaN whatever its payload, -0.0 apart from 0.0, and
-        // groups leave in key order (NaN last).
+        // GROUP BY: one NaN whatever its payload, -0.0 is 0.0 (and prints
+        // so), and groups leave in key order (NaN last).
         let nan2 = -f64::from_bits(f64::NAN.to_bits() | 1);
         let mut g = OperatorGraph::new();
         let gb = g.add(Box::new(GroupByOperator::new(
@@ -759,21 +749,13 @@ mod tests {
             .map(|r| (r[0].as_double().unwrap().to_bits(), r[1].as_int().unwrap()))
             .collect();
         let bits = f64::to_bits;
-        assert_eq!(
-            got,
-            [
-                (bits(-0.0), 1),
-                (bits(0.0), 1),
-                (bits(1.5), 1),
-                (bits(f64::NAN), 3)
-            ]
-        );
+        assert_eq!(got, [(bits(0.0), 2), (bits(1.5), 1), (bits(f64::NAN), 3)]);
 
         // Map join: NaN finds NaN; an INT key never finds a DOUBLE key.
         let stored = vec![d(f64::NAN).concat(&row(&[7])), d(1.0).concat(&row(&[8]))];
         let t = MapJoinTable::build(stored, 1, vec![ExprNode::col(0)], JoinType::Inner, 2);
         let mut g = OperatorGraph::new();
-        let mj = g.add(Box::new(MapJoinOperator::new(vec![t])));
+        let mj = g.add(Box::new(MapJoinOperator::new(t)));
         let fs = g.add(Box::new(FileSinkOperator));
         g.connect(mj, fs, None);
         let (out, _) = run_rows(&mut g, mj, vec![d(nan2), row(&[1]), d(1.0)]);
@@ -985,12 +967,14 @@ mod tests {
             2,
         );
         let mut g = OperatorGraph::new();
-        let mj = g.add(Box::new(MapJoinOperator::new(vec![t1, t2])));
+        let mj1 = g.add(Box::new(MapJoinOperator::new(t1)));
+        let mj2 = g.add(Box::new(MapJoinOperator::new(t2)));
         let fs = g.add(Box::new(FileSinkOperator));
-        g.connect(mj, fs, None);
+        g.connect(mj1, mj2, None);
+        g.connect(mj2, fs, None);
         let (out, _) = run_rows(
             &mut g,
-            mj,
+            mj1,
             vec![row(&[1, 7, 42]), row(&[9, 7, 43]), row(&[2, 8, 44])],
         );
         // Row 1 matches both; row 2 misses small1; row 3 misses small2.

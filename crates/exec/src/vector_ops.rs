@@ -17,7 +17,7 @@
 
 use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
-use hive_common::{DataType, HiveError, Result, Row};
+use hive_common::{key, DataType, HiveError, Result, Row};
 use hive_vector::aggregates::VectorHashAggregator;
 use hive_vector::row_convert::{batch_to_rows, get_value};
 use hive_vector::{VectorExpression, VectorOperator, VectorizedRowBatch};
@@ -200,7 +200,7 @@ impl Operator for VectorReduceSinkOperator {
                     let key = self
                         .key_columns
                         .iter()
-                        .map(|(c, dt)| get_value(&b.columns[*c], i, dt))
+                        .map(|(c, dt)| key::canonical(get_value(&b.columns[*c], i, dt)))
                         .collect();
                     let value = self
                         .value_columns

@@ -16,7 +16,7 @@
 //! pruning — never a wrong answer, never a panic.
 
 use hive_codec::varint;
-use hive_common::{HiveError, Result, Value};
+use hive_common::{key, HiveError, Result, Value};
 use hive_dfs::crc;
 
 /// One bloom filter: a bit array probed with `k` double-hashed positions.
@@ -124,10 +124,11 @@ pub fn hash_i64(v: i64) -> u64 {
     hash_bytes(&v.to_le_bytes())
 }
 
+/// A double hashes as the key rule identifies it (`key::double_bits`), so
+/// writer and probe agree on values the rule calls equal: `-0.0` and `0.0`,
+/// and every NaN.
 pub fn hash_f64(v: f64) -> u64 {
-    // Normalize -0.0 to 0.0 so writer and probe agree on equal values.
-    let v = if v == 0.0 { 0.0 } else { v };
-    hash_bytes(&v.to_bits().to_le_bytes())
+    hash_bytes(&key::double_bits(v).to_le_bytes())
 }
 
 pub fn hash_str(s: &str) -> u64 {

@@ -3,6 +3,7 @@
 //! levels (index group, stripe, file).
 
 use hive_codec::varint;
+use hive_common::key::{self, KeyOrd};
 use hive_common::{HiveError, Result, Value};
 
 /// Statistics for one column over some span (group, stripe or file).
@@ -128,8 +129,8 @@ impl ColumnStatistics {
             ) => {
                 *count += c2;
                 *has_null |= h2;
-                *min = merge_opt(*min, *m2, i64::min);
-                *max = merge_opt(*max, *x2, i64::max);
+                *min = merge_opt(*min, *m2, key::least);
+                *max = merge_opt(*max, *x2, key::greatest);
                 *sum = match (*sum, *s2) {
                     (Some(a), Some(b)) => a.checked_add(b),
                     (a, None) => a,
@@ -154,8 +155,8 @@ impl ColumnStatistics {
             ) => {
                 *count += c2;
                 *has_null |= h2;
-                *min = merge_opt(*min, *m2, f64::min);
-                *max = merge_opt(*max, *x2, f64::max);
+                *min = merge_opt(*min, *m2, key::least);
+                *max = merge_opt(*max, *x2, key::greatest);
                 *sum = match (*sum, *s2) {
                     (Some(a), Some(b)) => Some(a + b),
                     (a, None) => a,
@@ -181,12 +182,12 @@ impl ColumnStatistics {
                 *count += c2;
                 *has_null |= h2;
                 if let Some(m2) = m2 {
-                    if min.as_ref().is_none_or(|m| m2 < m) {
+                    if min.as_ref().is_none_or(|m| m2.key_lt(m)) {
                         *min = Some(m2.clone());
                     }
                 }
                 if let Some(x2) = x2 {
-                    if max.as_ref().is_none_or(|x| x2 > x) {
+                    if max.as_ref().is_none_or(|x| x.key_lt(x2)) {
                         *max = Some(x2.clone());
                     }
                 }

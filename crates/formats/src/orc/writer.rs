@@ -20,6 +20,7 @@ use crate::TableWriter;
 use hive_codec::block::Compression;
 use hive_codec::dictionary::{DictionaryBuilder, StringEncoding};
 use hive_codec::{bitfield, byte_rle, int_rle, varint};
+use hive_common::key::{self, KeyOrd};
 use hive_common::{ColumnTree, DataType, HiveError, Result, Row, Schema, Value};
 use hive_dfs::{Dfs, DfsWriter};
 
@@ -773,8 +774,8 @@ fn int_stats(vals: &[i64], has_null: bool) -> ColumnStatistics {
     let mut max = None;
     let mut sum: Option<i64> = Some(0);
     for &v in vals {
-        min = Some(min.map_or(v, |m: i64| m.min(v)));
-        max = Some(max.map_or(v, |m: i64| m.max(v)));
+        min = Some(min.map_or(v, |m| key::least(m, v)));
+        max = Some(max.map_or(v, |m| key::greatest(m, v)));
         sum = sum.and_then(|s| s.checked_add(v));
     }
     ColumnStatistics::Int {
@@ -786,13 +787,16 @@ fn int_stats(vals: &[i64], has_null: bool) -> ColumnStatistics {
     }
 }
 
+/// Min and max by the key order, canonical: a span holding a NaN reports max
+/// NaN, so SARGs and stats-answered MAX stay sound.
 fn double_stats(vals: &[f64], has_null: bool) -> ColumnStatistics {
     let mut min = None;
     let mut max = None;
     let mut sum = 0.0;
     for &v in vals {
-        min = Some(min.map_or(v, |m: f64| m.min(v)));
-        max = Some(max.map_or(v, |m: f64| m.max(v)));
+        let v_key = f64::from_bits(key::double_bits(v));
+        min = Some(min.map_or(v_key, |m| key::least(m, v_key)));
+        max = Some(max.map_or(v_key, |m| key::greatest(m, v_key)));
         sum += v;
     }
     ColumnStatistics::Double {
@@ -812,10 +816,10 @@ fn string_stats(buf: &ColumnBuffer, s: usize, e: usize, has_null: bool) -> Colum
     let mut total = 0u64;
     for &id in ids {
         let v: &[u8] = &entries[id as usize];
-        if min.is_none_or(|m| v < m) {
+        if min.is_none_or(|m| v.key_lt(m)) {
             min = Some(v);
         }
-        if max.is_none_or(|m| v > m) {
+        if max.is_none_or(|m| m.key_lt(v)) {
             max = Some(v);
         }
         total += v.len() as u64;

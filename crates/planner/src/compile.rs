@@ -760,13 +760,13 @@ fn row_operator(
             Box::new(group_by(keys, aggs, mode, ops::GroupByMode::Streaming))
         }
         (PlanOp::MapJoin(s), Phase::Map { side, .. }) => {
-            Box::new(ops::MapJoinOperator::new(vec![ops::MapJoinTable::build(
+            Box::new(ops::MapJoinOperator::new(ops::MapJoinTable::build(
                 s.build_rows(side)?,
                 s.build_keys.len(),
                 s.stream_keys.clone(),
                 s.join_type,
                 s.width,
-            )]))
+            )))
         }
         (
             PlanOp::Join {

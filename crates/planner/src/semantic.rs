@@ -14,7 +14,7 @@ use crate::scope::{bind_select, has_star, output_name, Bound, BoundJoin, Scope, 
 use hive_common::config::keys;
 use hive_common::{DataType, HiveConf, HiveError, Result, Schema, Value};
 use hive_exec::agg::{parse_agg_function, AggFunction};
-use hive_exec::expr::{BinaryOp, ExprNode, UnaryOp};
+use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
 use hive_exec::operators::JoinType;
 use hive_formats::{PredicateLeaf, PredicateOp, SearchArgument};
 use hive_ql::{BinOp, Expr, JoinKind, SelectStmt, UnOp};
@@ -255,7 +255,7 @@ fn plan_select(
     // Over an aggregation, expressions are composed of its outputs; without
     // one, of the joined relation's columns.
     let resolve_final = |e: &Expr, rel: &Rel| match &group_subst {
-        Some(s) => resolve_with_groups(e, s),
+        Some(s) => resolve_with_groups(e, s, &rel.schema()),
         None => resolve(e, rel),
     };
 
@@ -430,18 +430,22 @@ fn plan_source(
 /// A negated numeric literal folds to a plain `Literal` here, once: the
 /// parser leaves `-181` as `Neg(181)`, and everything downstream (sarg
 /// extraction, the col-scalar vector templates) matches on `Literal` alone.
+///
+/// Operands are typed here too (`typed`), against `input`: the schema
+/// the leaf hook's columns index.
 pub fn lower(
     e: &Expr,
+    input: &[ColumnInfo],
     leaf: &mut dyn FnMut(&Expr) -> Result<Option<ExprNode>>,
 ) -> Result<ExprNode> {
     if let Some(node) = leaf(e)? {
         return Ok(node);
     }
-    let mut sub = |x: &Expr| lower(x, leaf);
+    let mut sub = |x: &Expr| lower(x, input, leaf);
     Ok(match e {
         Expr::Literal(v) => ExprNode::Literal(v.clone()),
-        Expr::Binary { op, left, right } => ExprNode::Binary {
-            op: match op {
+        Expr::Binary { op, left, right } => {
+            let op = match op {
                 BinOp::Add => BinaryOp::Add,
                 BinOp::Subtract => BinaryOp::Subtract,
                 BinOp::Multiply => BinaryOp::Multiply,
@@ -455,10 +459,16 @@ pub fn lower(
                 BinOp::GtEq => BinaryOp::GtEq,
                 BinOp::And => BinaryOp::And,
                 BinOp::Or => BinaryOp::Or,
-            },
-            left: Box::new(sub(left)?),
-            right: Box::new(sub(right)?),
-        },
+            };
+            let mut pair = [sub(left)?, sub(right)?];
+            use BinaryOp::*;
+            if !matches!(op, And | Or) {
+                let arith = matches!(op, Add | Subtract | Multiply | Divide | Modulo);
+                typed(arith, &mut pair, input)?;
+            }
+            let [l, r] = pair;
+            ExprNode::binary(op, l, r)
+        }
         Expr::Unary {
             op: UnOp::Neg,
             expr,
@@ -484,12 +494,17 @@ pub fn lower(
             lo,
             hi,
             negated,
-        } => ExprNode::Between {
-            expr: Box::new(sub(expr)?),
-            lo: Box::new(sub(lo)?),
-            hi: Box::new(sub(hi)?),
-            negated: *negated,
-        },
+        } => {
+            let mut operands = [sub(expr)?, sub(lo)?, sub(hi)?];
+            typed(false, &mut operands, input)?;
+            let [expr, lo, hi] = operands.map(Box::new);
+            ExprNode::Between {
+                expr,
+                lo,
+                hi,
+                negated: *negated,
+            }
+        }
         Expr::IsNull { expr, negated } => ExprNode::IsNull {
             expr: Box::new(sub(expr)?),
             negated: *negated,
@@ -498,15 +513,19 @@ pub fn lower(
             expr,
             list,
             negated,
-        } => ExprNode::InList {
-            expr: Box::new(sub(expr)?),
-            list: list.iter().map(&mut sub).collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Cast { expr, target } => ExprNode::Cast {
-            expr: Box::new(sub(expr)?),
-            target: target.clone(),
-        },
+        } => {
+            let tested = std::iter::once(&**expr).chain(list);
+            let mut operands: Vec<ExprNode> = tested.map(&mut sub).collect::<Result<_>>()?;
+            typed(false, &mut operands, input)?;
+            let list = operands.split_off(1);
+            let expr = Box::new(operands.pop().expect("the tested operand"));
+            ExprNode::InList {
+                expr,
+                list,
+                negated: *negated,
+            }
+        }
+        Expr::Cast { expr, target } => cast(sub(expr)?, target)?,
         Expr::Case {
             branches,
             else_value,
@@ -536,10 +555,64 @@ pub fn lower(
     })
 }
 
+/// The typing rule (DESIGN.md §18). Arithmetic takes numbers. A comparison
+/// (`=`, `<`, …, BETWEEN, IN) takes operands of one type, or numbers (an INT
+/// meets a DOUBLE as a DOUBLE, one pair at a time), or strings and numbers,
+/// each STRING then cast to DOUBLE (Hive's rule). The NULL literal meets any
+/// type. Anything else — `v + TRUE`, BOOLEAN against BIGINT — is a
+/// `[semantic]` error here, so no engine decides it alone.
+fn typed(arith: bool, operands: &mut [ExprNode], input: &[ColumnInfo]) -> Result<()> {
+    let mut types = Vec::with_capacity(operands.len());
+    for e in operands.iter() {
+        types.push(match e {
+            ExprNode::Literal(Value::Null) => None,
+            e => Some(expr_type(e, input)?),
+        });
+    }
+    let known: Vec<&DataType> = types.iter().flatten().collect();
+    let number = |t: &&DataType| matches!(t, DataType::Int | DataType::Double);
+    let one_type = !arith && known.windows(2).all(|w| w[0] == w[1]);
+    if one_type || known.iter().all(number) {
+        return Ok(());
+    }
+    if arith || !known.iter().all(|t| number(t) || **t == DataType::String) {
+        let names: Vec<String> = known.iter().map(|t| t.to_string()).collect();
+        let what = if arith {
+            "arithmetic over"
+        } else {
+            "comparing"
+        };
+        let names = names.join(" and ");
+        return Err(HiveError::Semantic(format!(
+            "type mismatch: {what} {names}"
+        )));
+    }
+    for (e, t) in operands.iter_mut().zip(types) {
+        if t == Some(DataType::String) {
+            let string = std::mem::replace(e, ExprNode::Literal(Value::Null));
+            *e = cast(string, &DataType::Double)?;
+        }
+    }
+    Ok(())
+}
+
+/// `CAST(e AS target)`, folded to a literal when `e` is one (as a negated
+/// literal is): `d = CAST('NaN' AS DOUBLE)` and `d = '5'` then reach SARGs,
+/// blooms and the col-scalar kernels like any literal comparison.
+fn cast(e: ExprNode, target: &DataType) -> Result<ExprNode> {
+    Ok(match e {
+        ExprNode::Literal(v) => ExprNode::Literal(cast_value(&v, target)?),
+        e => ExprNode::Cast {
+            expr: Box::new(e),
+            target: target.clone(),
+        },
+    })
+}
+
 /// Lower a bound expression over a relation: each reference is the output
 /// column carrying that same `(binding, column)`.
 fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
-    lower(e, &mut |x| {
+    lower(e, &rel.schema(), &mut |x| {
         let Expr::Column { table, name } = x else {
             return Ok(None);
         };
@@ -555,7 +628,12 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
 /// aggregate has no meaning, and neither does `*`.
 pub fn lower_dml(e: &Expr, table: &str, schema: &Schema) -> Result<ExprNode> {
     let scope = Scope::of_table(table, schema);
-    lower(e, &mut |x| match x {
+    let input: Vec<ColumnInfo> = schema
+        .fields()
+        .iter()
+        .map(|f| ColumnInfo::new(f.name.clone(), f.data_type.clone()))
+        .collect();
+    lower(e, &input, &mut |x| match x {
         Expr::Column { table, name } => {
             let (_, column) = scope.bind(table.as_deref(), name)?;
             Ok(Some(ExprNode::col(column)))
@@ -683,10 +761,10 @@ fn collect_sarg_leaves(e: &ExprNode, projection: &[usize], out: &mut Vec<Predica
 /// (an operand mentioning none sits on either side).
 ///
 /// Keys are typed (`hive_common::key`): an INT key never equals a DOUBLE
-/// key. This being the one place key pairs are made, an INT = DOUBLE pair
-/// has its INT side cast to DOUBLE here, so both sides shuffle, hash and
-/// vectorize as one type. Any other type mismatch is left alone and never
-/// matches.
+/// key. This being the one place key pairs are made, a pair of two types
+/// the typing rule (`typed`) lets meet — INT, DOUBLE and STRING — has its
+/// non-DOUBLE sides cast to DOUBLE here, so both sides shuffle, hash and
+/// vectorize as one type. Any other mismatch is a `[semantic]` error.
 #[allow(clippy::type_complexity)]
 fn split_join_condition<'a>(
     scope: &Scope,
@@ -696,10 +774,11 @@ fn split_join_condition<'a>(
     right: &Rel,
 ) -> Result<(Vec<(ExprNode, ExprNode)>, Vec<&'a Expr>)> {
     let (left_schema, right_schema) = (left.schema(), right.schema());
-    let to_double = |e: ExprNode| ExprNode::Cast {
-        expr: Box::new(e),
-        target: DataType::Double,
+    let to_double = |e: ExprNode, t: &DataType| match t {
+        DataType::Double => Ok(e),
+        _ => cast(e, &DataType::Double),
     };
+    let meets = |t: &DataType| matches!(t, DataType::Int | DataType::Double | DataType::String);
     let own = BTreeSet::from([join.entry]);
     let sides = |l: &Expr, r: &Expr| {
         scope.entries_of(l).is_subset(joined) && scope.entries_of(r).is_subset(&own)
@@ -720,12 +799,15 @@ fn split_join_condition<'a>(
             continue;
         };
         let (l, r) = (resolve(pair.0, left)?, resolve(pair.1, right)?);
-        let types = (expr_type(&l, &left_schema)?, expr_type(&r, &right_schema)?);
-        equi.push(match types {
-            (DataType::Int, DataType::Double) => (to_double(l), r),
-            (DataType::Double, DataType::Int) => (l, to_double(r)),
-            _ => (l, r),
-        });
+        let (lt, rt) = (expr_type(&l, &left_schema)?, expr_type(&r, &right_schema)?);
+        if lt == rt {
+            equi.push((l, r));
+        } else if meets(&lt) && meets(&rt) {
+            equi.push((to_double(l, &lt)?, to_double(r, &rt)?));
+        } else {
+            let mismatch = format!("type mismatch: joining {lt} and {rt}");
+            return Err(HiveError::Semantic(mismatch));
+        }
     }
     Ok((equi, residual))
 }
@@ -1028,11 +1110,11 @@ fn add_aggregation<'a>(
     ))
 }
 
-/// Lower a bound expression over the aggregation output: a sub-tree equal
-/// to a group expression or a collected aggregate call is that output
-/// column; anything else must be composed of them.
-fn resolve_with_groups(e: &Expr, subst: &GroupSubst) -> Result<ExprNode> {
-    lower(e, &mut |x| {
+/// Lower a bound expression over the aggregation output (`output`): a
+/// sub-tree equal to a group expression or a collected aggregate call is
+/// that output column; anything else must be composed of them.
+fn resolve_with_groups(e: &Expr, subst: &GroupSubst, output: &[ColumnInfo]) -> Result<ExprNode> {
+    lower(e, output, &mut |x| {
         if let Some(i) = subst.groups.iter().position(|g| g == x) {
             return Ok(Some(ExprNode::col(i)));
         }
@@ -1067,9 +1149,13 @@ mod tests {
     use crate::catalog::{StaticCatalog, TableMeta};
     use hive_ql::{parse, Statement};
 
-    /// Lower with columns bound by position in `names`.
+    /// Lower with BIGINT columns bound by position in `names`.
     fn lower_over(e: &Expr, names: &[&str]) -> Result<ExprNode> {
-        lower(e, &mut |x| match x {
+        let input: Vec<ColumnInfo> = names
+            .iter()
+            .map(|n| ColumnInfo::new(*n, DataType::Int))
+            .collect();
+        lower(e, &input, &mut |x| match x {
             Expr::Column { name, .. } => Ok(names
                 .iter()
                 .position(|n| n.eq_ignore_ascii_case(name))
@@ -1185,7 +1271,8 @@ mod tests {
     fn the_leaf_hook_stands_in_for_whole_subtrees_and_must_answer_leaves() {
         // A hook answer replaces the sub-tree it was asked about.
         let e = where_of("SELECT v FROM t WHERE (v BETWEEN 1 AND 2) AND k = 3");
-        let node = lower(&e, &mut |x| match x {
+        let input = [ColumnInfo::new("k", DataType::Int)];
+        let node = lower(&e, &input, &mut |x| match x {
             Expr::Between { .. } => Ok(Some(ExprNode::col(9))),
             Expr::Column { .. } => Ok(Some(ExprNode::col(0))),
             _ => Ok(None),

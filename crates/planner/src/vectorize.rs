@@ -622,8 +622,17 @@ impl<'a> VecCompiler<'a> {
                 else {
                     return Ok(None);
                 };
-                let [col, lo, hi] = self.same_lane([self.col(col), lo, hi], None);
-                vx::filter_between(col, lo, hi)
+                let col = self.col(col);
+                if col.lane() == lo.lane() && col.lane() == hi.lane() {
+                    return Ok(vx::filter_between(col, lo, hi));
+                }
+                // Mixed lanes: two comparisons, each widening only its own
+                // pair, as the row engine compares them.
+                let [c, lo] = self.same_lane([col.clone(), lo], None);
+                let above = vx::filter_compare(vx::CmpOp::GreaterEqual, c, lo);
+                let [c, hi] = self.same_lane([col, hi], None);
+                let below = vx::filter_compare(vx::CmpOp::LessEqual, c, hi);
+                above.zip(below).map(|(a, b)| vx::filter_and(vec![a, b]))
             }
             ExprNode::IsNull { expr, negated } => self
                 .value(expr)?

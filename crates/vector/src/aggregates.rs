@@ -22,8 +22,8 @@
 use crate::batch::{ColumnVector, PrimitiveColumnVector, Rows, VectorizedRowBatch};
 use crate::key_wrapper::KeyWrapper;
 use crate::row_convert::{bytes_value, long_value};
+use hive_common::key::{self, greatest, least, KeyOrd};
 use hive_common::{DataType, HiveError, Result, Row, Value};
-use std::cmp::Ordering;
 
 /// Which aggregate function to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,10 +176,10 @@ impl Acc {
             SumDouble => sum((doubles, &mut self.seen), col.as_double()?, on, |a, b| {
                 a + b
             }),
-            MinLong => extreme((longs, &mut self.seen), col.as_long()?, on, i64::min),
-            MaxLong => extreme((longs, &mut self.seen), col.as_long()?, on, i64::max),
-            MinDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, f64::min),
-            MaxDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, f64::max),
+            MinLong => extreme((longs, &mut self.seen), col.as_long()?, on, least),
+            MaxLong => extreme((longs, &mut self.seen), col.as_long()?, on, greatest),
+            MinDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, least),
+            MaxDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, greatest),
             Avg => {
                 let mut add = |j, x: f64| {
                     let g = groups.at(j);
@@ -195,14 +195,11 @@ impl Acc {
             }
             MinBytes | MaxBytes => {
                 let v = col.as_bytes()?;
-                let better = if spec.kind == MinBytes {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
+                let min = spec.kind == MinBytes;
                 rows.each(|j, i| {
                     let (x, cur) = (v.value(i), &mut self.bytes[groups.at(j)]);
-                    if cur.as_deref().is_none_or(|cur| x.cmp(cur) == better) {
+                    let better = |cur: &[u8]| if min { x.key_lt(cur) } else { cur.key_lt(x) };
+                    if cur.as_deref().is_none_or(better) {
                         *cur = Some(x.to_vec());
                     }
                 });
@@ -220,7 +217,8 @@ impl Acc {
             (CountStar | Count, _) => Value::Int(self.longs[g]),
             (SumLong, _) => if_seen(Value::Int(self.longs[g])),
             (MinLong | MaxLong, Some((_, dt))) => if_seen(long_value(self.longs[g], dt)),
-            (SumDouble | MinDouble | MaxDouble, _) => if_seen(Value::Double(self.doubles[g])),
+            (SumDouble, _) => if_seen(Value::Double(self.doubles[g])),
+            (MinDouble | MaxDouble, _) => if_seen(key::canonical(Value::Double(self.doubles[g]))),
             (MinBytes | MaxBytes, _) => self.bytes[g].as_deref().map_or(Value::Null, bytes_value),
             (Avg, _) if partial => Value::Struct(vec![
                 Value::Double(self.doubles[g]),
@@ -300,6 +298,7 @@ mod tests {
     use super::*;
     use crate::expressions::testutil::batch_with;
     use crate::row_convert::{get_value, rows_to_batch};
+    use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
     fn spec(kind: AggKind, input: Option<(usize, DataType)>) -> AggSpec {
@@ -543,7 +542,7 @@ mod tests {
         let ints = || vals.iter().map(|v| v.as_int().unwrap());
         let doubles = || vals.iter().map(|v| v.as_double().unwrap());
         let pick = |want: Ordering| {
-            let better = |a: &Value, b: &Value| b.sql_cmp(a) == want;
+            let better = |a: &Value, b: &Value| key::compare(b, a) == want;
             let best = vals.iter().copied();
             best.reduce(|a, b| if better(a, b) { b } else { a })
                 .cloned()
@@ -729,7 +728,7 @@ mod tests {
 
     #[test]
     fn double_keys_group_by_the_key_rule() {
-        // One NaN whatever its payload; -0.0 and 0.0 apart (`key::double_bits`).
+        // One NaN whatever its payload; -0.0 is 0.0 (`key::double_bits`).
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
         let d = [0.0, -0.0, f64::NAN, nan2, 0.0, f64::NAN, -0.0, nan2, 1.5];
         let b = batch_with(&[], &d);
@@ -745,15 +744,7 @@ mod tests {
             })
             .collect();
         let bits = |x: f64| x.to_bits();
-        assert_eq!(
-            got,
-            [
-                (bits(0.0), 2),
-                (bits(-0.0), 2),
-                (bits(f64::NAN), 4),
-                (bits(1.5), 1)
-            ]
-        );
+        assert_eq!(got, [(bits(0.0), 4), (bits(f64::NAN), 4), (bits(1.5), 1)]);
     }
 
     #[test]

@@ -11,12 +11,13 @@
 
 use crate::batch::{ColumnVector, PrimitiveColumnVector, VectorizedRowBatch};
 use crate::expressions::{ConstantExpression, VectorExpression};
+use hive_common::key::KeyOrd;
 use hive_common::Result;
 use std::fmt::Display;
 use std::marker::PhantomData;
 
 /// A fixed-width lane element: ties `i64` / `f64` to their column vector.
-pub trait Prim: Copy + Default + PartialOrd + Display + Send + Sync + 'static {
+pub trait Prim: Copy + Default + KeyOrd + Display + Send + Sync + 'static {
     /// Lane name as it appears in kernel names (`Long`, `Double`).
     const LANE: &'static str;
     fn vector(c: &ColumnVector) -> Result<&PrimitiveColumnVector<Self>>;

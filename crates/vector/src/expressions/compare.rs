@@ -5,37 +5,39 @@
 //! selection with it.
 
 use crate::expressions::arith::{BinOp, Prim};
+use hive_common::key::KeyOrd;
 use std::marker::PhantomData;
 
 /// A comparison as a zero-sized type; `V` is `i64`, `f64` or `[u8]`
-/// (lexicographic, matching Hive's binary collation).
+/// (lexicographic, matching Hive's binary collation), compared by the key
+/// rule (`hive_common::key`): a NaN equals a NaN and is above `+inf`.
 pub trait Cmp: Send + Sync + 'static {
     const NAME: &'static str;
     const SYM: &'static str;
-    fn test<V: PartialOrd + ?Sized>(a: &V, b: &V) -> bool;
+    fn test<V: KeyOrd + ?Sized>(a: &V, b: &V) -> bool;
 }
 
 macro_rules! cmp_op {
-    ($name:ident, $sym:tt) => {
+    ($name:ident, $sym:tt, |$a:ident, $b:ident| $test:expr) => {
         pub struct $name;
 
         impl Cmp for $name {
             const NAME: &'static str = stringify!($name);
             const SYM: &'static str = stringify!($sym);
             #[inline(always)]
-            fn test<V: PartialOrd + ?Sized>(a: &V, b: &V) -> bool {
-                a $sym b
+            fn test<V: KeyOrd + ?Sized>($a: &V, $b: &V) -> bool {
+                $test
             }
         }
     };
 }
 
-cmp_op!(Equal, ==);
-cmp_op!(NotEqual, !=);
-cmp_op!(Less, <);
-cmp_op!(LessEqual, <=);
-cmp_op!(Greater, >);
-cmp_op!(GreaterEqual, >=);
+cmp_op!(Equal, ==, |a, b| a.key_eq(b));
+cmp_op!(NotEqual, !=, |a, b| !a.key_eq(b));
+cmp_op!(Less, <, |a, b| a.key_lt(b));
+cmp_op!(LessEqual, <=, |a, b| a.key_le(b));
+cmp_op!(Greater, >, |a, b| !a.key_le(b));
+cmp_op!(GreaterEqual, >=, |a, b| !a.key_lt(b));
 
 /// `left ⋈ right` as a 0/1 long (NULL in → NULL out).
 pub struct Test<C>(PhantomData<C>);

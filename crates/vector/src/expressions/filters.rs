@@ -5,7 +5,7 @@
 
 use crate::batch::VectorizedRowBatch;
 use crate::expressions::arith::Prim;
-use crate::expressions::compare::{Cmp, NotEqual};
+use crate::expressions::compare::{Cmp, Greater, Less, NotEqual};
 use crate::expressions::VectorExpression;
 use hive_common::Result;
 use std::cell::RefCell;
@@ -191,17 +191,16 @@ impl<T: Prim> VectorExpression for FilterColumnBetween<T> {
             ..
         } = batch;
         let col = T::vector(&columns[self.column])?;
-        let (lo, hi) = (self.lo, self.hi);
+        let (lo, hi) = (&self.lo, &self.hi);
+        let outside = |v: &T| Less::test(v, lo) || Greater::test(v, hi);
         if col.is_repeating {
-            let v = col.vector[0];
-            if col.is_null(0) || v < lo || v > hi {
+            if col.is_null(0) || outside(&col.vector[0]) {
                 *size = 0;
             }
             return Ok(());
         }
         retain(selected, selected_in_use, size, |i| {
-            let v = col.vector[i];
-            (col.no_nulls || !col.null[i]) && v >= lo && v <= hi
+            (col.no_nulls || !col.null[i]) && !outside(&col.vector[i])
         });
         Ok(())
     }

@@ -221,6 +221,9 @@ pub fn compare(op: CmpOp, lhs: Operand, rhs: Operand, out: usize) -> Option<Expr
         (LongCol(l), LongCol(r)) => {
             by_op!(CmpOp::* = op, K => ColCol::<i64, Test<K>>::new(l, r, out))
         }
+        (DoubleCol(l), DoubleCol(r)) => {
+            by_op!(CmpOp::* = op, K => ColCol::<f64, Test<K>>::new(l, r, out))
+        }
         _ => return None,
     })
 }
@@ -537,6 +540,7 @@ mod tests {
             format!("filter_compare LongCol LongScalar: {all_cmp}"),
             "filter_between LongCol LongScalar: Between".to_string(),
             "arith DoubleCol DoubleCol: Add Subtract Multiply Divide".to_string(),
+            format!("compare DoubleCol DoubleCol: {all_cmp}"),
             format!("filter_compare DoubleCol DoubleCol: {all_cmp}"),
             "arith DoubleCol DoubleScalar: Add Subtract Multiply Divide".to_string(),
             format!("compare DoubleCol DoubleScalar: {all_cmp}"),

@@ -431,12 +431,17 @@ mod tests {
         }
         let arr = DataType::Array(Box::new(DataType::Int));
         assert!(MapJoinTable::build(&[arr], vec![]).is_err());
-        // NaN is one key; -0.0 and 0.0 stay distinct (the key rule).
+        // NaN is one key, and -0.0 is 0.0 (the key rule).
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let zero = 0.0f64.to_bits();
         assert_eq!(
             probe_doubles(&[f64::NAN, 0.0], &[-nan2, -0.0, 0.0, 1.0]),
-            [f64::NAN.to_bits(), 0.0f64.to_bits()]
+            [f64::NAN.to_bits(), zero, zero]
         );
-        assert_eq!(probe_doubles(&[-0.0], &[0.0, -0.0]), [(-0.0f64).to_bits()]);
+        let minus_zero = (-0.0f64).to_bits();
+        assert_eq!(
+            probe_doubles(&[-0.0], &[0.0, -0.0]),
+            [minus_zero, minus_zero]
+        );
     }
 }

@@ -520,6 +520,82 @@ fn key_value_pool() -> Vec<Value> {
     pool
 }
 
+/// One value order (DESIGN.md §18): for every pair over [`key_value_pool`]
+/// plus `-inf` and INTs around 2^53, under all six operators, the kernels
+/// (filter and value position, col-scalar and col-col), the row engine and
+/// `key::compare` give one answer. An INT meets a DOUBLE as a DOUBLE: the
+/// kernels get it widened, as the vectorizer widens it.
+#[test]
+fn value_comparison_is_one_rule_in_kernels_rows_and_key() {
+    use hive::exec::expr::{BinaryOp, ExprNode};
+    use hive::vector::expressions::{compare, filter_compare, CmpOp, Lane, Operand};
+    use hive::vector::row_convert::{get_value, rows_to_batch};
+    use hive::vector::VectorizedRowBatch;
+    use std::cmp::Ordering::*;
+
+    let big = 1i64 << 53;
+    let mut pool = key_value_pool();
+    pool.extend([f64::NEG_INFINITY, big as f64].map(Value::Double));
+    pool.extend([big - 1, big, big + 1, -big - 1].map(Value::Int));
+    let ops: [(CmpOp, BinaryOp, &[Ordering]); 6] = [
+        (CmpOp::Equal, BinaryOp::Eq, &[Equal]),
+        (CmpOp::NotEqual, BinaryOp::NotEq, &[Less, Greater]),
+        (CmpOp::Less, BinaryOp::Lt, &[Less]),
+        (CmpOp::LessEqual, BinaryOp::LtEq, &[Less, Equal]),
+        (CmpOp::Greater, BinaryOp::Gt, &[Greater]),
+        (CmpOp::GreaterEqual, BinaryOp::GtEq, &[Greater, Equal]),
+    ];
+    let scalar = |v: &Value| match v {
+        Value::Double(x) => Operand::DoubleScalar(*x),
+        Value::String(s) => Operand::BytesScalar(s.as_bytes().to_vec()),
+        v => Operand::LongScalar(v.as_int().unwrap()),
+    };
+    let mut checked = 0;
+    for a in pool.iter().filter(|v| !v.is_null()) {
+        for b in pool.iter().filter(|v| !v.is_null()) {
+            let widen = |v: &Value| match (v, a.data_type() == b.data_type()) {
+                (Value::Int(x), false) => Value::Double(*x as f64),
+                (v, _) => v.clone(),
+            };
+            let (ka, kb) = (widen(a), widen(b));
+            let (Some(ta), Some(tb)) = (ka.data_type(), kb.data_type()) else {
+                unreachable!()
+            };
+            if ta != tb {
+                continue; // the binder rejects the pair
+            }
+            let lane = Lane::of(&ta).unwrap();
+            let types = [ta.clone(), tb, DataType::Boolean];
+            let mut batch = VectorizedRowBatch::new(&types, 1).unwrap();
+            let row = Row::new(vec![ka, kb.clone(), Value::Boolean(false)]);
+            rows_to_batch(&[row], &mut batch).unwrap();
+            let (col0, col1) = (Operand::col(lane, 0), Operand::col(lane, 1));
+            for (op, row_op, holds) in ops {
+                let rule = holds.contains(&key::compare(a, b));
+                let expr = ExprNode::binary(row_op, ExprNode::col(0), ExprNode::col(1));
+                let row = expr.eval(&Row::new(vec![a.clone(), b.clone()])).unwrap();
+                assert_eq!(row, Value::Boolean(rule), "row {a:?} {op:?} {b:?}");
+                for rhs in [scalar(&kb), col1.clone()] {
+                    if let Some(k) = filter_compare(op, col0.clone(), rhs.clone()) {
+                        let mut filtered = batch.clone();
+                        k.evaluate(&mut filtered).unwrap();
+                        assert_eq!(filtered.size == 1, rule, "{} on {a:?} {b:?}", k.name());
+                        checked += 1;
+                    }
+                    if let Some(k) = compare(op, col0.clone(), rhs, 2) {
+                        let mut valued = batch.clone();
+                        k.evaluate(&mut valued).unwrap();
+                        let got = get_value(&valued.columns[2], 0, &DataType::Boolean);
+                        assert_eq!(got, Value::Boolean(rule), "{} on {a:?} {b:?}", k.name());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 3000, "only {checked} kernel answers were checked");
+}
+
 /// Keys of zero to three columns over [`key_value_pool`].
 fn key_strategy() -> impl Strategy<Value = Vec<Value>> {
     let pool = key_value_pool();
@@ -546,7 +622,7 @@ fn key_hash_of_non_nan_keys_is_pinned() {
         (vec![Int(i64::MAX)], 0xd09c41b379fe466e),
         (vec![Timestamp(86_400_000)], 0x91bfbd473aa40bdf),
         (vec![Double(0.0)], 0xaf63bd4c8601b7df),
-        (vec![Double(-0.0)], 0x2f63bd4c8601b7df),
+        (vec![Double(-0.0)], 0xaf63bd4c8601b7df),
         (vec![Double(1.5)], 0xd02bbd4c8601b7df),
         (vec![Double(f64::INFINITY)], 0x0293bd4c8601b7df),
         (vec![s("")], 0xaf66ca4c8606e6f6),
@@ -1343,8 +1419,8 @@ const GROUP_KEYS: [&str; 12] = [
 /// s STRING, b BOOLEAN, ts TIMESTAMP)`: a WHERE template (0 = none, which
 /// leaves `selected_in_use` off) plus a grouped aggregate (over an int or
 /// string key, or — shapes 5 and up — every aggregate kind over
-/// `GROUP_KEYS[group]`, shape 7 without the extremes of `d`) or an
-/// expression projection. `lit` picks the edge
+/// `GROUP_KEYS[group]`) or an expression projection. `d` holds NaNs and
+/// `-0.0`, which reach predicates, MIN/MAX and keys alike. `lit` picks the edge
 /// literal the arithmetic / comparison templates use, in WHERE *and*
 /// SELECT-list position; a template over a numeric column reads the string
 /// bound as `0`, one over `s` reads a numeric literal as `'g2'`.
@@ -1381,16 +1457,10 @@ fn full_query(filter: usize, th: i64, shape: usize, lit: usize, group: usize) ->
         ),
         _ => format!(
             "SELECT {keys}, COUNT(*) AS n, COUNT(s) AS ns, SUM(v) AS sv, SUM(d) AS sd, \
-             AVG(v) AS av, AVG(d) AS ad, MIN(v) AS nv, MAX(v) AS xv, {extremes_of_d}\
-             MIN(s) AS nst, MAX(s) AS xst, MIN(b) AS nb, MAX(b) AS xb, \
+             AVG(v) AS av, AVG(d) AS ad, MIN(v) AS nv, MAX(v) AS xv, MIN(d) AS nd, \
+             MAX(d) AS xd, MIN(s) AS nst, MAX(s) AS xst, MIN(b) AS nb, MAX(b) AS xb, \
              MIN(ts) AS nts, MAX(ts) AS xts FROM t{w} GROUP BY {keys}",
             keys = GROUP_KEYS[group],
-            // Shape 7 compares no `d`, so its data keeps its NaNs.
-            extremes_of_d = if shape == 7 {
-                ""
-            } else {
-                "MIN(d) AS nd, MAX(d) AS xd, "
-            }
         ),
     }
 }
@@ -1505,24 +1575,6 @@ proptest! {
         group in 0usize..GROUP_KEYS.len(),
     ) {
         let sql = full_query(filter, th, shape, lit, group);
-        // NaN is a *key* here (GROUP BY d, and whatever SUM / AVG carry it):
-        // a statement that compares `d` — in a predicate, MIN or MAX — gets
-        // its NaNs replaced, because what a comparison makes of NaN is
-        // `sql_cmp`'s rule, not the key rule (the engines still differ
-        // there: ROADMAP 6(a)).
-        let compares_d = matches!(shape, 3..=6) || filter == 9;
-        let rows: Vec<Row> = rows
-            .into_iter()
-            .map(|r| match r[2] {
-                Value::Double(x) if x.is_nan() && compares_d => {
-                    let mut vals = r.into_values();
-                    vals[2] = Value::Double(0.75);
-                    Row::new(vals)
-                }
-                _ => r,
-            })
-            .collect();
-
         let mut vec_s = full_query_session(&rows, true);
         let vec_rows = vec_s.execute(&sql).unwrap().rows;
         let vec_text = vec_s
@@ -1530,13 +1582,8 @@ proptest! {
             .unwrap()
             .explain
             .unwrap();
-        // The one statement here with no vectorized operator at all: shape
-        // 4's `v + 0.0 > k` is a double col-col comparison in value position,
-        // a kernel the catalogue lacks (ROADMAP "Catalogue gaps"), and
-        // without a WHERE there is no VectorFilter ahead of it either.
-        let known_gap = filter == 0 && shape == 4 && EDGE_LITERALS[lit] == "0.0";
         prop_assert!(
-            vec_text.contains("Vector") || known_gap,
+            vec_text.contains("Vector"),
             "query silently fell back to row mode on {sql}:\n{vec_text}"
         );
 
