@@ -1,0 +1,191 @@
+//! Split planning and task placement: which byte ranges the map tasks read
+//! and which node each attempt runs on.
+
+use super::MrEngine;
+use crate::job::JobInput;
+use hive_common::{config::keys, Result};
+
+/// One input split: a byte range of one file, with its replica nodes.
+/// Attempt 0 runs data-local on the first replica; retries rotate through
+/// the remaining (non-blacklisted) replicas.
+pub(super) struct Split<'a> {
+    pub(super) input: &'a JobInput,
+    pub(super) path: String,
+    pub(super) start: u64,
+    pub(super) end: u64,
+    replicas: Vec<usize>,
+    /// Which stored copy of the file to read (`0` = base; higher values
+    /// name per-replica sorted copies picked by replica-aware planning).
+    pub(super) variant: usize,
+}
+
+impl MrEngine {
+    /// Node for a map attempt: replicas not currently blacklisted, rotated
+    /// by attempt number (attempt 0 = the data-local first replica, exactly
+    /// the pre-fault-tolerance behaviour).
+    pub(super) fn pick_map_node(&self, split: &Split<'_>, attempt: u32) -> usize {
+        let eligible: Vec<usize> = split
+            .replicas
+            .iter()
+            .copied()
+            .filter(|&n| !self.node_blacklisted(n))
+            .collect();
+        let pool: &[usize] = if eligible.is_empty() {
+            &split.replicas
+        } else {
+            &eligible
+        };
+        if pool.is_empty() {
+            return 0;
+        }
+        pool[attempt as usize % pool.len()]
+    }
+
+    /// Node for a speculative duplicate: prefer another replica that is not
+    /// blacklisted and not a known straggler/dead node (the JobTracker
+    /// knows its slow trackers), else any healthy node in the cluster.
+    pub(super) fn pick_speculative_node(&self, split: &Split<'_>, avoid: usize) -> Option<usize> {
+        let plan = self.dfs.fault_plan();
+        let bad = |n: usize| {
+            n == avoid
+                || self.node_blacklisted(n)
+                || plan
+                    .as_ref()
+                    .is_some_and(|p| p.is_slow(n) || p.is_failing(n))
+        };
+        split
+            .replicas
+            .iter()
+            .copied()
+            .find(|&n| !bad(n))
+            .or_else(|| (0..self.dfs.config().nodes).find(|&n| !bad(n)))
+    }
+
+    /// Expand directory-style entries (trailing `/`) into their part files.
+    pub(super) fn expand_paths(&self, paths: &[String]) -> Vec<String> {
+        let mut out = Vec::new();
+        for p in paths {
+            if p.ends_with('/') {
+                out.extend(self.dfs.list(p));
+            } else {
+                out.push(p.clone());
+            }
+        }
+        out
+    }
+
+    /// Plan input splits. Returns the splits plus one record per file the
+    /// planner steered to a per-replica sorted copy (HAIL-style
+    /// replica-aware planning): among a file's stored variants, the first
+    /// whose sort column matches a pushed-down predicate column wins, so
+    /// min/max + bloom pruning see clustered data. ACID overlays pin
+    /// reads to the base copy — delete ordinals address physical rows of
+    /// variant 0 — and non-ORC formats have no variants.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn compute_splits<'a>(
+        &self,
+        inputs: &'a [JobInput],
+    ) -> Result<(Vec<Split<'a>>, Vec<(String, usize, String)>)> {
+        let replica_selection = self.conf.get_bool(keys::ORC_REPLICA_SELECTION)?;
+        let mut splits = Vec::new();
+        let mut choices = Vec::new();
+        for input in inputs {
+            // Predicate columns by name; a replica sorted on one of them
+            // clusters the matching rows together.
+            let pred_cols: Vec<String> = input
+                .sarg
+                .as_ref()
+                .map(|s| {
+                    s.leaves
+                        .iter()
+                        .filter_map(|l| input.schema.fields().get(l.column))
+                        .map(|f| f.name.clone())
+                        .collect()
+                })
+                .unwrap_or_default();
+            for path in self.expand_paths(&input.paths) {
+                if !self.dfs.exists(&path) {
+                    continue;
+                }
+                let blocks = self.dfs.blocks(&path)?;
+                if blocks.is_empty() || self.dfs.len(&path)? == 0 {
+                    continue;
+                }
+                if replica_selection
+                    && input.format == hive_formats::FormatKind::Orc
+                    && input.overlay.is_none()
+                    && !pred_cols.is_empty()
+                {
+                    if let Some((variant, sort_column)) = self.dfs.select_variant(&path, &pred_cols)
+                    {
+                        for b in self.dfs.variant_blocks(&path, variant)? {
+                            if b.len == 0 {
+                                continue;
+                            }
+                            splits.push(Split {
+                                input,
+                                path: path.clone(),
+                                start: b.offset,
+                                end: b.offset + b.len,
+                                replicas: b.replicas.clone(),
+                                variant,
+                            });
+                        }
+                        choices.push((path.clone(), variant, sort_column));
+                        continue;
+                    }
+                }
+                if input.overlay.is_some() && input.format != hive_formats::FormatKind::Orc {
+                    // ACID merge-on-read over a format whose reader cannot
+                    // report file ordinals: delete keys address rows by
+                    // ordinal within the whole file, so the file cannot be
+                    // carved into block-range splits — one task scans it
+                    // start to end in physical row order. ORC files skip
+                    // this: their reader tracks skip-aware ordinals, so
+                    // they split (and prune) like any other input.
+                    splits.push(Split {
+                        input,
+                        path: path.clone(),
+                        start: 0,
+                        end: self.dfs.len(&path)?,
+                        replicas: blocks[0].replicas.clone(),
+                        variant: 0,
+                    });
+                    continue;
+                }
+                match input.format {
+                    hive_formats::FormatKind::Sequence => {
+                        // No sync markers in this SequenceFile: one split.
+                        splits.push(Split {
+                            input,
+                            path: path.clone(),
+                            start: 0,
+                            end: self.dfs.len(&path)?,
+                            replicas: blocks[0].replicas.clone(),
+                            variant: 0,
+                        });
+                    }
+                    _ => {
+                        for b in blocks {
+                            if b.len == 0 {
+                                continue;
+                            }
+                            // Data-local scheduling: attempt 0 runs on the
+                            // first replica, as Hadoop usually manages to;
+                            // retries rotate through the rest.
+                            splits.push(Split {
+                                input,
+                                path: path.clone(),
+                                start: b.offset,
+                                end: b.offset + b.len,
+                                replicas: b.replicas.clone(),
+                                variant: 0,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        Ok((splits, choices))
+    }
+}
