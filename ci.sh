@@ -30,6 +30,14 @@ cargo test -q --release --offline -p hive-vector expressions::
 # overflow-check what release builds only bounds-check).
 cargo test -q --release --offline -p hive-formats --test orc_roundtrip deferred
 
+# The shuffle's byte encoding (sign flips, the DOUBLE bit twiddle, string
+# escapes) against the key rule, and the scratch lifecycle, once more in the
+# optimized build: byte order and escape arithmetic are where debug and
+# release builds part ways.
+echo "==> shuffle key encoding and query scratch lifecycle under --release"
+cargo test -q --release --offline -p hive --test properties shuffle_key_encoding
+cargo test -q --release --offline -p hive-core --test scratch
+
 # The properties the scan's and vectorized GROUP BY's speed rest on, in the
 # optimized build: next_batch + the root filter over one stripe, and
 # process() once a batch's groups exist, allocate nothing (its own test

@@ -132,7 +132,7 @@ pub fn compare(a: &Value, b: &Value) -> Ordering {
 }
 
 /// Variants in their key order; NULL sorts first.
-fn rank(v: &Value) -> u8 {
+pub fn rank(v: &Value) -> u8 {
     match v {
         Value::Null => 0,
         Value::Boolean(_) => 1,

@@ -8,6 +8,8 @@
 
 use hive_common::{DataType, HiveError, Result, Row, Schema, Value};
 
+pub mod sortable;
+
 /// Hive's default delimiters (ctrl-A / ctrl-B / ctrl-C).
 pub const FIELD_DELIM: u8 = 0x01;
 pub const COLLECTION_DELIM: u8 = 0x02;
@@ -246,8 +248,28 @@ pub fn binary_serialize_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Binary-deserialize one value at `*pos`, advancing it.
+/// Binary-deserialize one value at `*pos`, advancing it. Malformed or
+/// truncated bytes are a `SerDe` error, never a panic, and no collection is
+/// sized beyond the bytes that remain.
 pub fn binary_deserialize_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
+    value_at(buf, pos, 0)
+}
+
+/// Collections nested deeper than this are hostile bytes, not data.
+const MAX_DEPTH: usize = 64;
+
+/// An element count read at `*pos`, as much of it as the remaining bytes
+/// could hold at one byte per element.
+fn count_at(buf: &[u8], pos: &mut usize) -> Result<(usize, usize)> {
+    let n = hive_codec::varint::read_unsigned(buf, pos)?;
+    let n = usize::try_from(n).unwrap_or(usize::MAX);
+    Ok((n, n.min(buf.len() - *pos)))
+}
+
+fn value_at(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
+    if depth > MAX_DEPTH {
+        return Err(HiveError::SerDe("binary value nested too deep".into()));
+    }
     let tag = *buf
         .get(*pos)
         .ok_or_else(|| HiveError::SerDe("binary value truncated".into()))?;
@@ -263,17 +285,16 @@ pub fn binary_deserialize_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
         }
         2 => Ok(Value::Int(hive_codec::varint::read_signed(buf, pos)?)),
         3 => {
-            if *pos + 8 > buf.len() {
-                return Err(HiveError::SerDe("double truncated".into()));
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[*pos..*pos + 8]);
+            let b = buf
+                .get(*pos..)
+                .and_then(|rest| rest.first_chunk::<8>())
+                .ok_or_else(|| HiveError::SerDe("double truncated".into()))?;
             *pos += 8;
-            Ok(Value::Double(f64::from_le_bytes(b)))
+            Ok(Value::Double(f64::from_le_bytes(*b)))
         }
         4 => {
-            let n = hive_codec::varint::read_unsigned(buf, pos)? as usize;
-            if *pos + n > buf.len() {
+            let (n, _) = count_at(buf, pos)?;
+            if n > buf.len() - *pos {
                 return Err(HiveError::SerDe("string truncated".into()));
             }
             let s = String::from_utf8_lossy(&buf[*pos..*pos + n]).into_owned();
@@ -281,41 +302,34 @@ pub fn binary_deserialize_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
             Ok(Value::String(s))
         }
         5 => Ok(Value::Timestamp(hive_codec::varint::read_signed(buf, pos)?)),
-        6 => {
-            let n = hive_codec::varint::read_unsigned(buf, pos)? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
+        6 | 8 => {
+            let (n, cap) = count_at(buf, pos)?;
+            let mut items = Vec::with_capacity(cap);
             for _ in 0..n {
-                items.push(binary_deserialize_value(buf, pos)?);
+                items.push(value_at(buf, pos, depth + 1)?);
             }
-            Ok(Value::Array(items))
+            Ok(if tag == 6 {
+                Value::Array(items)
+            } else {
+                Value::Struct(items)
+            })
         }
         7 => {
-            let n = hive_codec::varint::read_unsigned(buf, pos)? as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 16));
+            let (n, cap) = count_at(buf, pos)?;
+            let mut entries = Vec::with_capacity(cap / 2);
             for _ in 0..n {
-                let k = binary_deserialize_value(buf, pos)?;
-                let v = binary_deserialize_value(buf, pos)?;
+                let k = value_at(buf, pos, depth + 1)?;
+                let v = value_at(buf, pos, depth + 1)?;
                 entries.push((k, v));
             }
             Ok(Value::Map(entries))
-        }
-        8 => {
-            let n = hive_codec::varint::read_unsigned(buf, pos)? as usize;
-            let mut fields = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                fields.push(binary_deserialize_value(buf, pos)?);
-            }
-            Ok(Value::Struct(fields))
         }
         9 => {
             let t = *buf
                 .get(*pos)
                 .ok_or_else(|| HiveError::SerDe("union truncated".into()))?;
             *pos += 1;
-            Ok(Value::Union(
-                t,
-                Box::new(binary_deserialize_value(buf, pos)?),
-            ))
+            Ok(Value::Union(t, Box::new(value_at(buf, pos, depth + 1)?)))
         }
         other => Err(HiveError::SerDe(format!(
             "unknown binary value tag {other}"
@@ -338,12 +352,23 @@ pub fn binary_serialize_values(values: &[Value], out: &mut Vec<u8>) {
 
 /// Binary-deserialize a whole row.
 pub fn binary_deserialize_row(buf: &[u8], pos: &mut usize) -> Result<Row> {
-    let n = hive_codec::varint::read_unsigned(buf, pos)? as usize;
-    let mut vals = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        vals.push(binary_deserialize_value(buf, pos)?);
-    }
+    let mut vals = Vec::new();
+    binary_deserialize_values_into(buf, pos, &mut vals)?;
     Ok(Row::new(vals))
+}
+
+/// [`binary_deserialize_row`], appending the row's values to `out`.
+pub fn binary_deserialize_values_into(
+    buf: &[u8],
+    pos: &mut usize,
+    out: &mut Vec<Value>,
+) -> Result<()> {
+    let (n, cap) = count_at(buf, pos)?;
+    out.reserve(cap);
+    for _ in 0..n {
+        out.push(value_at(buf, pos, 0)?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

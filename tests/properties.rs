@@ -603,6 +603,57 @@ fn key_strategy() -> impl Strategy<Value = Vec<Value>> {
     proptest::collection::vec(value, 0..4)
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    // The shuffle's byte encoding is the key rule (DESIGN.md §20): `memcmp`
+    // over key‖tag answers `key::cmp(..).then(tag)`, and a key decodes to
+    // itself as the rule identifies it.
+    #[test]
+    fn shuffle_key_encoding_is_the_key_rule(
+        a in encoded_key_strategy(),
+        b in encoded_key_strategy(),
+        ta in 0u32..3,
+        tb in 0u32..3,
+    ) {
+        use hive::formats::serde::sortable;
+        let enc = |k: &[Value], tag: u32| {
+            let mut out = Vec::new();
+            sortable::encode_key(k, &mut out);
+            out.extend_from_slice(&tag.to_be_bytes());
+            out
+        };
+        let (ea, eb) = (enc(&a, ta), enc(&b, tb));
+        prop_assert_eq!(ea.cmp(&eb), key::cmp(&a, &b).then(ta.cmp(&tb)), "{:?} {:?}", a, b);
+        let mut pos = 0;
+        let back = sortable::decode_key(&ea, &mut pos).unwrap();
+        prop_assert_eq!(pos, ea.len() - 4);
+        let canonical: Vec<Value> = a.iter().cloned().map(key::canonical).collect();
+        prop_assert_eq!(format!("{back:?}"), format!("{canonical:?}"));
+    }
+}
+
+/// Keys of zero to three columns over [`key_value_pool`] plus what the byte
+/// encoding has to get right: strings holding its terminator and escape
+/// bytes and `\u{ff}`, the INT extremes, TIMESTAMPs beside INTs, and nested
+/// values.
+fn encoded_key_strategy() -> impl Strategy<Value = Vec<Value>> {
+    let mut pool = key_value_pool();
+    let strings = ["\0", "a\0", "a\0b", "a\u{1}", "\u{ff}", "a\u{ff}"];
+    pool.extend(strings.map(|s| Value::String(s.into())));
+    pool.extend([i64::MIN, i64::MIN + 1, -256].map(Value::Int));
+    pool.extend([i64::MIN, -1, i64::MAX].map(Value::Timestamp));
+    pool.extend([
+        Value::Array(vec![Value::Int(1)]),
+        Value::Array(vec![Value::Int(1), Value::Null]),
+        Value::Struct(vec![Value::String("a".into()), Value::Boolean(false)]),
+        Value::Map(vec![(Value::String("k".into()), Value::Int(0))]),
+        Value::Union(1, Box::new(Value::Timestamp(0))),
+    ]);
+    let value = (0..pool.len()).prop_map(move |i| pool[i].clone());
+    proptest::collection::vec(value, 0..4)
+}
+
 /// `key::hash` decides which reducer a key goes to, so every non-NaN key
 /// must hash exactly as it did before the rule moved into `hive_common::key`
 /// (values recorded from the previous `Value::shuffle_hash`): partition
