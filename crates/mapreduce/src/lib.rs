@@ -4,10 +4,11 @@
 //! The engine **really executes** jobs: input splits are read through the
 //! file-format readers, map-side operator graphs process rows (or
 //! vectorized pipelines process batches), ReduceSink records are
-//! partitioned, sorted by `(key, tag)` and pushed through reduce-side
-//! graphs between StartGroup/EndGroup signals, and intermediate job outputs
-//! are written back to the DFS as SequenceFiles — which is exactly why
-//! unnecessary Map-only jobs cost real I/O (paper Section 5.1).
+//! partitioned into byte runs sorted by `(key, tag)`, merged and pushed
+//! through reduce-side graphs between StartGroup/EndGroup signals, and
+//! intermediate job outputs are written back to the DFS as SequenceFiles —
+//! which is exactly why unnecessary Map-only jobs cost real I/O (paper
+//! Section 5.1) — and deleted once no later job of the query reads them.
 //!
 //! On top of the real execution, a calibrated [`cost::CostModel`] converts
 //! the measured work (bytes, seeks, CPU seconds) into *simulated cluster
