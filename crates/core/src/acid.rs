@@ -42,16 +42,20 @@ use crate::metastore::{Metastore, PinnedSnapshot, TableInfo};
 use hive_common::config::keys;
 use hive_common::{CancelToken, HiveConf, HiveError, Result, Row, Schema, Value};
 use hive_dfs::Dfs;
-use hive_exec::expr::{cast_value, ExprNode};
+use hive_exec::expr::cast_value;
 use hive_formats::delta::{
-    decode_delete_file, encode_delete_file, is_acid_path, manifest_path, DeleteKey, DeleteSet,
-    Fallback, LiveReader, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
+    decode_delete_file, encode_delete_file, is_acid_path, manifest_path, DeleteKey, Fallback,
+    LiveReader, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
+    VIRTUAL_COLUMNS,
 };
 use hive_formats::{create_writer, open_reader, FormatKind, ReadOptions, WriteOptions};
-use hive_mapreduce::MrEngine;
+use hive_mapreduce::{DagReport, MrEngine};
 use hive_obs::MetricsRegistry;
-use hive_planner::{plan_query, semantic::lower_dml};
-use hive_ql::{CompactMode, DeleteStmt, InsertStmt, UpdateStmt};
+use hive_planner::catalog::StaticCatalog;
+use hive_planner::{plan_query, semantic::lower};
+use hive_ql::{
+    CompactMode, DeleteStmt, Expr, InsertStmt, SelectItem, SelectStmt, TableRef, UpdateStmt,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -432,14 +436,24 @@ fn publish_manifest(
     Ok(())
 }
 
-fn matches(pred: &Option<ExprNode>, row: &Row) -> Result<bool> {
-    match pred {
-        Some(p) => p.eval_predicate(row),
-        None => Ok(true),
-    }
+/// The snapshot a transaction on `snap` commits before its own files join
+/// it: the next version, under the next transaction id. A manifest at the
+/// end of either counter is `Corrupt`: no writer can build on it.
+fn successor(snap: &TableSnapshot) -> Result<TableSnapshot> {
+    let bump = |n: u64, what: &str| {
+        n.checked_add(1)
+            .ok_or_else(|| HiveError::Corrupt(format!("manifest {what} {n} cannot advance")))
+    };
+    Ok(TableSnapshot {
+        version: bump(snap.version, "version")?,
+        last_txn: bump(snap.last_txn, "txn")?,
+        ..snap.clone()
+    })
 }
 
-/// Materialize INSERT literal tuples as rows, cast to the column types.
+/// Materialize INSERT literal tuples as rows, cast to the column types. A
+/// `VALUES` tuple holds constants: no column, function or `*` means
+/// anything there.
 fn literal_rows(ins: &InsertStmt, schema: &Schema) -> Result<Vec<Row>> {
     let empty = Row::new(Vec::new());
     ins.rows
@@ -457,7 +471,7 @@ fn literal_rows(ins: &InsertStmt, schema: &Schema) -> Result<Vec<Row>> {
                 .iter()
                 .zip(schema.fields())
                 .map(|(e, f)| {
-                    let v = lower_dml(e, &ins.table, schema)?.eval(&empty)?;
+                    let v = lower(e, &[], &mut |_| Ok(None))?.eval(&empty)?;
                     cast_value(&v, &f.data_type)
                 })
                 .collect::<Result<Vec<Value>>>()?;
@@ -466,35 +480,81 @@ fn literal_rows(ins: &InsertStmt, schema: &Schema) -> Result<Vec<Row>> {
         .collect()
 }
 
-/// Visit every live row of `paths`, in order, as `(path, ordinal, row)` —
-/// exactly the order and visibility a merge-on-read scan produces.
-fn scan_live_rows<F>(
+/// `SELECT <projections> FROM <info's table> [WHERE <predicate>]`.
+fn select_from(info: &TableInfo, projections: Vec<Expr>, predicate: Option<Expr>) -> SelectStmt {
+    let item = |expr| SelectItem { expr, alias: None };
+    SelectStmt {
+        projections: projections.into_iter().map(item).collect(),
+        from: TableRef::Table {
+            name: info.name.clone(),
+            alias: None,
+        },
+        joins: Vec::new(),
+        where_clause: predicate,
+        group_by: Vec::new(),
+        having: None,
+        order_by: Vec::new(),
+        limit: None,
+    }
+}
+
+/// `INPUT__FILE__NAME, ROW__ID` (a row's delete key), then `rest`.
+fn keyed(rest: Vec<Expr>) -> Vec<Expr> {
+    let key = VIRTUAL_COLUMNS.iter().map(|(name, _)| Expr::col(name));
+    key.chain(rest).collect()
+}
+
+/// Every column of `info`'s table, by name.
+fn table_columns(info: &TableInfo) -> Vec<Expr> {
+    let fields = info.schema.fields().iter();
+    fields.map(|f| Expr::col(&f.name)).collect()
+}
+
+/// The delete key a DML query row leads with (`INPUT__FILE__NAME,
+/// ROW__ID`), and the rest of the row.
+fn split_key(row: Row) -> Result<(DeleteKey, Vec<Value>)> {
+    let mut values = row.into_values().into_iter();
+    match (values.next(), values.next()) {
+        (Some(Value::String(path)), Some(Value::Int(ordinal))) => {
+            Ok(((path, ordinal as u64), values.collect()))
+        }
+        other => Err(HiveError::Internal(format!(
+            "DML row without a delete key: {other:?}"
+        ))),
+    }
+}
+
+/// Run `stmt`, a SELECT over `info`'s table alone, as an engine job over
+/// exactly `pinned`, the snapshot the caller recovered under the table
+/// lock: base files, then deltas in commit order, each in physical order.
+fn select_pinned(
+    stmt: &SelectStmt,
     dfs: &Dfs,
     conf: &HiveConf,
+    metastore: &Metastore,
     info: &TableInfo,
-    paths: &[String],
-    deletes: &DeleteSet,
+    pinned: &PinnedSnapshot,
     cancel: Option<&Arc<CancelToken>>,
-    mut visit: F,
-) -> Result<()>
-where
-    F: FnMut(&str, u64, Row) -> Result<()>,
-{
-    for path in paths {
-        if let Some(c) = cancel {
-            c.check()?;
-        }
-        let opts = ReadOptions {
-            format: info.format,
-            ..Default::default()
-        };
-        let reader = open_reader(dfs, path, &info.schema, conf, &opts)?;
-        let mut live = LiveReader::new(reader, Some((deletes, path)));
-        while let Some((ord, row)) = live.next_row()? {
-            visit(path, ord, row)?;
-        }
+) -> Result<(DagReport, Vec<Row>)> {
+    let catalog = StaticCatalog {
+        tables: vec![metastore.table_meta(info, pinned)],
+    };
+    let compiled = plan_query(stmt, &catalog, conf)?;
+    let (paths, version) = (pinned.snapshot.scan_paths(), pinned.snapshot.version);
+    let scans_pin = |i: &hive_mapreduce::job::JobInput| {
+        i.paths == paths && i.overlay.as_ref().is_none_or(|o| o.snapshot_gen == version)
+    };
+    if !compiled.jobs.iter().flat_map(|j| &j.inputs).all(scans_pin) {
+        return Err(HiveError::Internal(format!(
+            "a scan of `{}` left snapshot {version}",
+            info.name
+        )));
     }
-    Ok(())
+    let mut engine = MrEngine::new(dfs.clone(), conf.clone());
+    if let Some(c) = cancel {
+        engine = engine.with_cancel(Arc::clone(c));
+    }
+    engine.run_dag(&compiled.jobs)
 }
 
 // ---------------------------------------------------------------------------
@@ -515,8 +575,8 @@ pub fn execute_insert(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, conf, metastore, &info, &tmp, txn)?.snapshot;
-    let txn_id = snap.last_txn + 1;
+    let mut next = successor(&recover(dfs, conf, metastore, &info, &tmp, txn)?.snapshot)?;
+    let txn_id = next.last_txn;
 
     crash_point(conf, "writer.before.delta.temp")?;
     let tmp_delta = format!("{tmp}{DELTA_PREFIX}{txn_id:010}");
@@ -524,10 +584,6 @@ pub fn execute_insert(
     crash_point(conf, "writer.after.delta.temp")?;
     let delta = format!("{}{DELTA_PREFIX}{txn_id:010}", info.location);
     install(dfs, conf, &tmp_delta, &delta, "writer", "delta")?;
-
-    let mut next = TableSnapshot::clone(&snap);
-    next.version += 1;
-    next.last_txn = txn_id;
     next.deltas.push((txn_id, delta));
     publish_manifest(dfs, conf, &info.location, &tmp, &next, "writer")?;
 
@@ -541,9 +597,11 @@ pub fn execute_insert(
     Ok(rows.len() as u64)
 }
 
-/// `DELETE FROM t [WHERE ...]`: scan the live snapshot, record matching
-/// `(file, ordinal)` keys in one delete file, bump the manifest. Row data
-/// is never touched — the mask is the deletion.
+/// `DELETE FROM t [WHERE p]`: find the matching rows with `SELECT
+/// INPUT__FILE__NAME, ROW__ID FROM t [WHERE p]` over the live snapshot,
+/// record the keys it returns in one delete file, bump the manifest. Row
+/// data is never touched — the mask is the deletion. Returns the count and
+/// the query's report.
 pub fn execute_delete(
     del: &DeleteStmt,
     dfs: &Dfs,
@@ -552,45 +610,25 @@ pub fn execute_delete(
     registry: &MetricsRegistry,
     txn: &TxnManager,
     cancel: Option<&Arc<CancelToken>>,
-) -> Result<u64> {
+) -> Result<(u64, DagReport)> {
     let info = lookup(metastore, &del.table)?;
-    let pred = del
-        .predicate
-        .as_ref()
-        .map(|e| lower_dml(e, &info.name, &info.schema))
-        .transpose()?;
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let PinnedSnapshot {
-        snapshot: snap,
-        deletes: existing,
-    } = recover(dfs, conf, metastore, &info, &tmp, txn)?;
+    let pinned = recover(dfs, conf, metastore, &info, &tmp, txn)?;
+    let mut next = successor(&pinned.snapshot)?;
+    let txn_id = next.last_txn;
 
-    let mut keys: Vec<DeleteKey> = Vec::new();
-    scan_live_rows(
-        dfs,
-        conf,
-        &info,
-        &snap.scan_paths(),
-        &existing,
-        cancel,
-        |path, ord, row| {
-            if matches(&pred, &row)? {
-                keys.push((path.to_string(), ord));
-            }
-            Ok(())
-        },
-    )?;
+    let query = select_from(&info, keyed(Vec::new()), del.predicate.clone());
+    let (report, rows) = select_pinned(&query, dfs, conf, metastore, &info, &pinned, cancel)?;
+    let keys: Vec<DeleteKey> = rows
+        .into_iter()
+        .map(|row| Ok(split_key(row)?.0))
+        .collect::<Result<_>>()?;
     if keys.is_empty() {
-        return Ok(0); // nothing matched: no transaction, no new snapshot
+        return Ok((0, report)); // nothing matched: no transaction, no new snapshot
     }
-    let txn_id = snap.last_txn + 1;
     let del_path = install_delete_file(dfs, conf, &info, &tmp, txn_id, &keys, "writer")?;
-
-    let mut next = TableSnapshot::clone(&snap);
-    next.version += 1;
-    next.last_txn = txn_id;
     next.deletes.push((txn_id, del_path));
     publish_manifest(dfs, conf, &info.location, &tmp, &next, "writer")?;
 
@@ -598,13 +636,15 @@ pub fn execute_delete(
         .counter_with("acid.txn.committed", &[("op", "delete")])
         .inc();
     registry.counter("acid.rows_deleted").add(keys.len() as u64);
-    Ok(keys.len() as u64)
+    Ok((keys.len() as u64, report))
 }
 
-/// `UPDATE t SET ... [WHERE ...]`: delete-plus-reinsert in one
-/// transaction — the matching rows are masked by a delete file and their
-/// rewritten versions appended as a delta, published by a single manifest
-/// bump so readers see either all old or all new versions.
+/// `UPDATE t SET c = e, ... [WHERE p]`: delete-plus-reinsert in one
+/// transaction. The query that finds the rows also rewrites them: each
+/// matching row's delete key, then every column with each SET target `c`
+/// replaced by `CAST(e AS <c's type>)`. The rows are masked by a delete
+/// file and their rewritten versions appended as a delta, published by a
+/// single manifest bump so readers see either all old or all new versions.
 pub fn execute_update(
     upd: &UpdateStmt,
     dfs: &Dfs,
@@ -613,53 +653,39 @@ pub fn execute_update(
     registry: &MetricsRegistry,
     txn: &TxnManager,
     cancel: Option<&Arc<CancelToken>>,
-) -> Result<u64> {
+) -> Result<(u64, DagReport)> {
     let info = lookup(metastore, &upd.table)?;
     let schema = &info.schema;
-    let pred = upd
-        .predicate
-        .as_ref()
-        .map(|e| lower_dml(e, &info.name, schema))
-        .transpose()?;
-    let sets: Vec<(usize, ExprNode)> = upd
-        .sets
-        .iter()
-        .map(|(name, e)| Ok((schema.index_of(name)?, lower_dml(e, &info.name, schema)?)))
-        .collect::<Result<_>>()?;
+    let mut columns = table_columns(&info);
+    for (name, e) in &upd.sets {
+        if e.has_aggregate() {
+            return Err(HiveError::Semantic(format!("`{name}` set to an aggregate")));
+        }
+        let c = schema.index_of(name)?;
+        columns[c] = Expr::Cast {
+            expr: Box::new(e.clone()),
+            target: schema.field(c).data_type.clone(),
+        };
+    }
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let PinnedSnapshot {
-        snapshot: snap,
-        deletes: existing,
-    } = recover(dfs, conf, metastore, &info, &tmp, txn)?;
+    let pinned = recover(dfs, conf, metastore, &info, &tmp, txn)?;
+    let mut next = successor(&pinned.snapshot)?;
+    let txn_id = next.last_txn;
 
-    let mut keys: Vec<DeleteKey> = Vec::new();
-    let mut rewritten: Vec<Row> = Vec::new();
-    scan_live_rows(
-        dfs,
-        conf,
-        &info,
-        &snap.scan_paths(),
-        &existing,
-        cancel,
-        |path, ord, row| {
-            if matches(&pred, &row)? {
-                keys.push((path.to_string(), ord));
-                let mut vals: Vec<Value> = row.values().to_vec();
-                for (idx, e) in &sets {
-                    let v = e.eval(&row)?;
-                    vals[*idx] = cast_value(&v, &schema.fields()[*idx].data_type)?;
-                }
-                rewritten.push(Row::new(vals));
-            }
-            Ok(())
-        },
-    )?;
-    if keys.is_empty() {
-        return Ok(0);
+    let query = select_from(&info, keyed(columns), upd.predicate.clone());
+    let (report, rows) = select_pinned(&query, dfs, conf, metastore, &info, &pinned, cancel)?;
+    let mut keys: Vec<DeleteKey> = Vec::with_capacity(rows.len());
+    let mut rewritten: Vec<Row> = Vec::with_capacity(rows.len());
+    for row in rows {
+        let (key, values) = split_key(row)?;
+        keys.push(key);
+        rewritten.push(Row::new(values));
     }
-    let txn_id = snap.last_txn + 1;
+    if keys.is_empty() {
+        return Ok((0, report));
+    }
 
     crash_point(conf, "writer.before.delta.temp")?;
     let tmp_delta = format!("{tmp}{DELTA_PREFIX}{txn_id:010}");
@@ -668,10 +694,6 @@ pub fn execute_update(
     let delta = format!("{}{DELTA_PREFIX}{txn_id:010}", info.location);
     install(dfs, conf, &tmp_delta, &delta, "writer", "delta")?;
     let del_path = install_delete_file(dfs, conf, &info, &tmp, txn_id, &keys, "writer")?;
-
-    let mut next = TableSnapshot::clone(&snap);
-    next.version += 1;
-    next.last_txn = txn_id;
     next.deltas.push((txn_id, delta));
     next.deletes.push((txn_id, del_path));
     publish_manifest(dfs, conf, &info.location, &tmp, &next, "writer")?;
@@ -683,7 +705,7 @@ pub fn execute_update(
         .counter_with("acid.rows_written", &[("op", "update")])
         .add(rewritten.len() as u64);
     maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next, cancel)?;
-    Ok(keys.len() as u64)
+    Ok((keys.len() as u64, report))
 }
 
 /// Write, verify, and install one delete file for `txn_id`.
@@ -721,9 +743,9 @@ pub fn execute_compact(
     let lock = txn.lock_for(&info.location);
     let _guard = lock.lock();
     let tmp = txn_tmp_dir(&info.name);
-    let snap = recover(dfs, conf, metastore, &info, &tmp, txn)?.snapshot;
+    let pinned = recover(dfs, conf, metastore, &info, &tmp, txn)?;
     compact_snapshot(
-        dfs, conf, metastore, registry, txn, &info, &snap, mode, cancel,
+        dfs, conf, metastore, registry, txn, &info, &pinned, mode, cancel,
     )
 }
 
@@ -739,53 +761,44 @@ fn compact_snapshot(
     registry: &MetricsRegistry,
     txn: &TxnManager,
     info: &TableInfo,
-    snap: &TableSnapshot,
+    pinned: &PinnedSnapshot,
     mode: CompactMode,
     cancel: Option<&Arc<CancelToken>>,
 ) -> Result<u64> {
+    let snap = &pinned.snapshot;
     if snap.deltas.is_empty() && snap.deletes.is_empty() && mode == CompactMode::Minor {
         return Ok(0); // nothing to fold
     }
     crash_point(conf, "compactor.before.read")?;
     let tmp = txn_tmp_dir(&info.name);
-    let txn_id = snap.last_txn + 1;
     let mut next = TableSnapshot {
-        version: snap.version + 1,
-        last_txn: txn_id,
-        base: snap.base.clone(),
         deltas: Vec::new(),
         deletes: Vec::new(),
+        ..successor(snap)?
     };
+    let txn_id = next.last_txn;
     let rows_out: u64;
     match mode {
         CompactMode::Minor => {
             // Fold every live delta row into one merged delta, applying the
-            // delta-addressed delete keys as we go.
-            // The caller holds the table lock and `snap` is the committed
-            // snapshot, so the metastore's pin is a pin of `snap`.
-            let deletes = match metastore.pin_snapshot(dfs, info, Fallback::Refuse)? {
-                Some(pinned) if *pinned.snapshot == *snap => pinned.deletes,
-                _ => {
-                    return Err(HiveError::Internal(format!(
-                        "`{}` moved off snapshot {} under its table lock",
-                        info.name, snap.version
-                    )))
-                }
-            };
+            // delta-addressed delete keys as we go. The one direct reader
+            // of table files left: a query cannot scan the deltas without
+            // the base.
             let mut merged: Vec<Row> = Vec::new();
-            let delta_paths: Vec<String> = snap.deltas.iter().map(|(_, p)| p.clone()).collect();
-            scan_live_rows(
-                dfs,
-                conf,
-                info,
-                &delta_paths,
-                &deletes,
-                cancel,
-                |_, _, row| {
+            for (_, path) in &snap.deltas {
+                if let Some(c) = cancel {
+                    c.check()?;
+                }
+                let opts = ReadOptions {
+                    format: info.format,
+                    ..Default::default()
+                };
+                let reader = open_reader(dfs, path, &info.schema, conf, &opts)?;
+                let mut live = LiveReader::new(reader, Some((&*pinned.deletes, path)));
+                while let Some((_, row)) = live.next_row()? {
                     merged.push(row);
-                    Ok(())
-                },
-            )?;
+                }
+            }
             if !merged.is_empty() {
                 let tmp_delta = format!("{tmp}{DELTA_PREFIX}{txn_id:010}");
                 write_rows_checked(dfs, conf, &tmp_delta, &info.schema, info.format, &merged)?;
@@ -796,7 +809,8 @@ fn compact_snapshot(
             // Keys masking *base* rows survive (base files are untouched);
             // keys masking delta rows were applied by the merge and die
             // with the old deltas.
-            let base_keys: Vec<DeleteKey> = deletes
+            let base_keys: Vec<DeleteKey> = pinned
+                .deletes
                 .iter()
                 .filter(|(p, _)| snap.base.iter().any(|b| b == p))
                 .map(|(p, o)| (p.to_string(), o))
@@ -813,7 +827,8 @@ fn compact_snapshot(
             // merge-on-read scan through the MapReduce engine — real task
             // scheduling, and the statement's preemption token polled at
             // every engine checkpoint.
-            let rows = read_table_rows(dfs, conf, metastore, info, cancel)?;
+            let query = select_from(info, table_columns(info), None);
+            let (_, rows) = select_pinned(&query, dfs, conf, metastore, info, pinned, cancel)?;
             next.base = Vec::new();
             if !rows.is_empty() {
                 let tmp_base = format!("{tmp}{BASE_PREFIX}{txn_id:010}");
@@ -840,37 +855,6 @@ fn compact_snapshot(
     Ok(rows_out)
 }
 
-/// All live rows of the table, via a planned-and-executed engine scan
-/// (merge-on-read overlay included): base rows first, then delta rows, in
-/// physical order.
-fn read_table_rows(
-    dfs: &Dfs,
-    conf: &HiveConf,
-    metastore: &Metastore,
-    info: &TableInfo,
-    cancel: Option<&Arc<CancelToken>>,
-) -> Result<Vec<Row>> {
-    let cols: Vec<&str> = info
-        .schema
-        .fields()
-        .iter()
-        .map(|f| f.name.as_str())
-        .collect();
-    let sql = format!("SELECT {} FROM {}", cols.join(", "), info.name);
-    let hive_ql::Statement::Select(stmt) = hive_ql::parse(&sql)? else {
-        return Err(HiveError::Internal(
-            "compaction scan did not parse as SELECT".into(),
-        ));
-    };
-    let compiled = plan_query(&stmt, metastore, conf)?;
-    let mut engine = MrEngine::new(dfs.clone(), conf.clone());
-    if let Some(c) = cancel {
-        engine = engine.with_cancel(Arc::clone(c));
-    }
-    let (_report, rows) = engine.run_dag(&compiled.jobs)?;
-    Ok(rows)
-}
-
 /// After a committed DML: fold the delta chain when it crossed
 /// `hive.compactor.delta.threshold` and `hive.compactor.auto.enabled` is
 /// on. Runs inline under the same table lock — the DML's commit already
@@ -893,6 +877,17 @@ fn maybe_auto_compact(
         return Ok(());
     }
     registry.counter("compaction.auto_triggered").inc();
+    // The caller holds the table lock and just committed `snap`, so the
+    // metastore's pin is a pin of `snap`.
+    let pinned = match metastore.pin_snapshot(dfs, info, Fallback::Refuse)? {
+        Some(pinned) if *pinned.snapshot == *snap => pinned,
+        _ => {
+            return Err(HiveError::Internal(format!(
+                "`{}` moved off snapshot {} under its table lock",
+                info.name, snap.version
+            )))
+        }
+    };
     compact_snapshot(
         dfs,
         conf,
@@ -900,7 +895,7 @@ fn maybe_auto_compact(
         registry,
         txn,
         info,
-        snap,
+        &pinned,
         CompactMode::Minor,
         cancel,
     )?;
@@ -936,28 +931,32 @@ mod tests {
     }
 
     #[test]
-    fn dml_expressions_resolve_against_the_schema() {
+    fn insert_values_are_constants() {
         let schema = Schema::parse(&[("k", "bigint"), ("v", "string")]).unwrap();
-        let e = hive_ql::Expr::Binary {
-            op: hive_ql::BinOp::Eq,
-            left: Box::new(hive_ql::Expr::col("k")),
-            right: Box::new(hive_ql::Expr::Literal(Value::Int(3))),
+        let values = |tuple: Vec<Expr>| {
+            let ins = InsertStmt {
+                table: "t".into(),
+                rows: vec![tuple],
+            };
+            literal_rows(&ins, &schema)
         };
-        let node = lower_dml(&e, "t", &schema).unwrap();
-        assert!(node
-            .eval_predicate(&Row::new(vec![Value::Int(3), Value::String("x".into())]))
-            .unwrap());
-        assert!(!node
-            .eval_predicate(&Row::new(vec![Value::Int(4), Value::String("x".into())]))
-            .unwrap());
-        // Aggregates are meaningless against a single row.
-        let agg = hive_ql::Expr::Function {
+        let sum = Expr::binary(
+            hive_ql::BinOp::Add,
+            Expr::Literal(Value::Int(1)),
+            Expr::Literal(Value::Int(2)),
+        );
+        let rows = values(vec![sum, Expr::Literal(Value::Int(7))]).unwrap();
+        let want = Row::new(vec![Value::Int(3), Value::String("7".into())]);
+        assert_eq!(rows, vec![want], "folded and cast to the column types");
+        // A column, an aggregate or `*` is a semantic error, not a panic.
+        let agg = Expr::Function {
             name: "sum".into(),
-            args: vec![hive_ql::Expr::col("k")],
+            args: vec![Expr::col("k")],
             distinct: false,
         };
-        assert!(lower_dml(&agg, "t", &schema).is_err());
-        // Unknown columns are a plan error, not a panic.
-        assert!(lower_dml(&hive_ql::Expr::col("nope"), "t", &schema).is_err());
+        for bad in [Expr::col("k"), agg, Expr::Star] {
+            let err = values(vec![bad.clone(), bad]).unwrap_err();
+            assert!(matches!(err, HiveError::Semantic(_)), "{err}");
+        }
     }
 }

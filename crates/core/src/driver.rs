@@ -213,26 +213,26 @@ pub fn run_statement(
             let txn = require_txn(ctx)?;
             let n =
                 crate::acid::execute_insert(&ins, dfs, conf, metastore, registry, txn, ctx.cancel)?;
-            Ok(dml_result("rows_inserted", n))
+            Ok(dml_result("rows_inserted", n, DagReport::default()))
         }
         Statement::Update(upd) => {
             let txn = require_txn(ctx)?;
-            let n =
+            let (n, report) =
                 crate::acid::execute_update(&upd, dfs, conf, metastore, registry, txn, ctx.cancel)?;
-            Ok(dml_result("rows_updated", n))
+            Ok(dml_result("rows_updated", n, report))
         }
         Statement::Delete(del) => {
             let txn = require_txn(ctx)?;
-            let n =
+            let (n, report) =
                 crate::acid::execute_delete(&del, dfs, conf, metastore, registry, txn, ctx.cancel)?;
-            Ok(dml_result("rows_deleted", n))
+            Ok(dml_result("rows_deleted", n, report))
         }
         Statement::Compact { table, mode } => {
             let txn = require_txn(ctx)?;
             let n = crate::acid::execute_compact(
                 &table, mode, dfs, conf, metastore, registry, txn, ctx.cancel,
             )?;
-            Ok(dml_result("rows_compacted", n))
+            Ok(dml_result("rows_compacted", n, DagReport::default()))
         }
     }
 }
@@ -246,11 +246,13 @@ fn require_txn<'a>(ctx: &StatementCtx<'a>) -> Result<&'a crate::acid::TxnManager
     })
 }
 
-/// The one-row `rows_affected`-style result every write statement returns.
-fn dml_result(column: &str, n: u64) -> QueryResult {
+/// The one-row `rows_affected`-style result every write statement returns,
+/// with the report of the query that found an UPDATE's or DELETE's rows.
+fn dml_result(column: &str, n: u64, report: DagReport) -> QueryResult {
     QueryResult {
         columns: vec![column.to_string()],
         rows: vec![Row::new(vec![hive_common::Value::Int(n as i64)])],
+        report,
         ..Default::default()
     }
 }

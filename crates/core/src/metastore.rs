@@ -223,6 +223,32 @@ impl Metastore {
             .inc();
         Ok(Some(PinnedSnapshot { snapshot, deletes }))
     }
+
+    /// The planner's view of the ACID table `info` at `pinned`: the
+    /// manifest, not the directory listing, decides which files a reader
+    /// sees, and every job a plan produces scans exactly these files with
+    /// exactly this delete mask, whatever commits land meanwhile.
+    pub fn table_meta(&self, info: &TableInfo, pinned: &PinnedSnapshot) -> TableMeta {
+        let PinnedSnapshot { snapshot, deletes } = pinned;
+        let paths = snapshot.scan_paths();
+        let size_bytes = paths.iter().map(|p| self.dfs.len(p).unwrap_or(0)).sum();
+        // A base-only, delete-free snapshot (fresh after a major
+        // compaction) needs no merge-on-read: scans of it get the full
+        // vectorized + SARG path back, same as a plain table.
+        let acid = (!snapshot.deltas.is_empty() || !deletes.is_empty()).then(|| AcidOverlay {
+            snapshot_gen: snapshot.version,
+            delta_paths: snapshot.deltas.iter().map(|(_, p)| p.clone()).collect(),
+            deletes: Arc::clone(deletes),
+        });
+        TableMeta {
+            name: info.name.clone(),
+            schema: info.schema.clone(),
+            format: info.format,
+            paths,
+            size_bytes,
+            acid,
+        }
+    }
 }
 
 impl Catalog for Metastore {
@@ -233,30 +259,8 @@ impl Catalog for Metastore {
         // The second pin attempt rides out a first-touch injected read
         // fault, same as a task retry would.
         let pin = || self.pin_snapshot(&self.dfs, &info, Fallback::Older);
-        let pinned = pin().or_else(|_| pin())?;
-        if let Some(PinnedSnapshot { snapshot, deletes }) = pinned {
-            // ACID table: the manifest, not the directory listing, decides
-            // which files a reader sees. Pin this snapshot here — every
-            // job the plan produces scans exactly these files with exactly
-            // this delete mask, whatever commits land meanwhile.
-            let paths = snapshot.scan_paths();
-            let size_bytes = paths.iter().map(|p| self.dfs.len(p).unwrap_or(0)).sum();
-            // A base-only, delete-free snapshot (fresh after a major
-            // compaction) needs no merge-on-read: scans of it get the full
-            // vectorized + SARG path back, same as a plain table.
-            let acid = (!snapshot.deltas.is_empty() || !deletes.is_empty()).then(|| AcidOverlay {
-                snapshot_gen: snapshot.version,
-                delta_paths: snapshot.deltas.iter().map(|(_, p)| p.clone()).collect(),
-                deletes,
-            });
-            return Ok(Some(TableMeta {
-                name: info.name.clone(),
-                schema: info.schema.clone(),
-                format: info.format,
-                paths,
-                size_bytes,
-                acid,
-            }));
+        if let Some(pinned) = pin().or_else(|_| pin())? {
+            return Ok(Some(self.table_meta(&info, &pinned)));
         }
         Ok(Some(TableMeta {
             name: info.name.clone(),

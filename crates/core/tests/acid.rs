@@ -164,6 +164,14 @@ fn dml_and_stats_answers_reject_references_outside_their_one_table_scope() {
         );
         assert_eq!(select_all(&mut hive), before, "{sql} changed data");
     }
+    // A DML expression is per row: an aggregate has no meaning there.
+    for sql in [
+        "UPDATE t SET v = sum(v)",
+        "DELETE FROM t WHERE count(*) > 1",
+    ] {
+        let err = hive.execute(sql).unwrap_err();
+        assert!(matches!(err, HiveError::Semantic(_)), "{sql}: {err}");
+    }
     assert!(
         load_snapshot(hive.dfs(), "/warehouse/t/")
             .unwrap()
@@ -1252,4 +1260,197 @@ fn concurrent_reads_always_equal_some_committed_version() {
     // (version 205) remains.
     server.execute("INSERT INTO t VALUES (5000, 0)").unwrap();
     assert_only_the_chain(server.dfs(), "/warehouse/t/", 205);
+}
+
+/// `k` of row `i` in [`skipping_table`]: scattered over 0..509, so a key's
+/// rows land in a few index groups that min/max statistics cannot isolate.
+fn scattered_k(i: i64) -> i64 {
+    (i * 7919) % 509
+}
+
+/// 4 000 rows `(scattered_k(i), i)` in one file of many small stripes over
+/// 4 KB blocks, with a bloom filter on `k` and a replica sorted on `k`.
+fn skipping_table(vectorized: bool) -> HiveSession {
+    let mut hive = HiveSession::builder()
+        .knob(hive_common::config::knobs::EXEC_SIM_DETERMINISTIC_CPU, true)
+        .dfs_config(hive_dfs::DfsConfig {
+            block_size: 4 << 10,
+            replication: 2,
+            nodes: 4,
+        })
+        .build()
+        .unwrap();
+    hive.set(keys::ORC_STRIPE_SIZE, "4000")
+        .set(keys::ORC_ROW_INDEX_STRIDE, "100")
+        .set(keys::ORC_BLOOM_FILTER_COLUMNS, "k")
+        .set(keys::ORC_REPLICA_SORT_COLUMNS, "k")
+        .set(keys::OPT_PPD_STORAGE, "true")
+        .set(keys::VECTORIZED_ENABLED, vectorized.to_string());
+    hive.execute("CREATE TABLE t (k BIGINT, v BIGINT) STORED AS orc")
+        .unwrap();
+    let rows = (0..4000).map(|i| Row::new(vec![Value::Int(scattered_k(i)), Value::Int(i)]));
+    hive.load_rows("t", rows).unwrap();
+    hive
+}
+
+/// The keys of the newest delete file of `t`, as written.
+fn newest_delete_keys(dfs: &Dfs) -> Vec<(String, u64)> {
+    let snap = load_snapshot(dfs, "/warehouse/t/").unwrap().unwrap();
+    let (_, path) = snap.deletes.last().expect("a delete file");
+    let bytes = dfs.open(path, None).unwrap().read_all().unwrap();
+    hive_formats::delta::decode_delete_file(&bytes).unwrap()
+}
+
+/// `INPUT__FILE__NAME` and `ROW__ID` are a row's delete key: over a
+/// multi-stripe ORC table with a bloom filter on `k` and SARG pruning on,
+/// `SELECT INPUT__FILE__NAME, ROW__ID FROM t WHERE k = x` returns exactly
+/// the keys `DELETE FROM t WHERE k = x` then writes — with vectorization
+/// on or off, with a replica sorted on `k` present, and before and after a
+/// major compaction. The keyed scan reads the base copy and still prunes
+/// by bloom.
+#[test]
+fn virtual_columns_are_the_delete_keys() {
+    for vectorized in [true, false] {
+        let mut hive = skipping_table(vectorized);
+        // The sorted replica is there, and serves a plain point lookup.
+        let plain = hive.execute("SELECT v FROM t WHERE k = 7").unwrap();
+        assert!(!plain.report.jobs[0].replica_choices.is_empty());
+
+        for (step, x) in [7i64, 300, 42].into_iter().enumerate() {
+            if step == 2 {
+                hive.execute("ALTER TABLE t COMPACT 'major'").unwrap();
+            }
+            let sql = format!("SELECT INPUT__FILE__NAME, ROW__ID FROM t WHERE k = {x}");
+            let found = hive.execute(&sql).unwrap();
+            let job = &found.report.jobs[0];
+            let when = format!("vectorized={vectorized} step {step}");
+            assert!(job.map_tasks >= 2, "{when}: {} split(s)", job.map_tasks);
+            assert!(job.replica_choices.is_empty(), "{when}: read a sorted copy");
+            assert_eq!(job.scan.batches > 0, vectorized, "{when}: engine");
+            assert!(
+                job.scan.groups_bloom_pruned > 0,
+                "{when}: bloom pruned nothing"
+            );
+            let keys: Vec<(String, u64)> = found
+                .rows
+                .iter()
+                .map(|r| match (&r[0], &r[1]) {
+                    (Value::String(path), Value::Int(ord)) => (path.clone(), *ord as u64),
+                    other => panic!("{when}: not a key: {other:?}"),
+                })
+                .collect();
+            if step == 0 {
+                // Physical ordinals of the one base file.
+                let want: Vec<(String, u64)> = (0..4000)
+                    .filter(|&i| scattered_k(i) == x)
+                    .map(|i| ("/warehouse/t/part-00000".to_string(), i as u64))
+                    .collect();
+                assert_eq!(keys, want, "{when}");
+                // A predicate on the ordinal alone (every real column
+                // deferred in batch mode) finds rows `v = i` by `i`.
+                let by_id = hive.execute("SELECT v FROM t WHERE ROW__ID BETWEEN 998 AND 1001");
+                let v = |i| Row::new(vec![Value::Int(i)]);
+                assert_eq!(by_id.unwrap().rows, (998..=1001).map(v).collect::<Vec<_>>());
+            }
+            assert!(!keys.is_empty(), "{when}");
+
+            let deleted = hive
+                .execute(&format!("DELETE FROM t WHERE k = {x}"))
+                .unwrap();
+            assert_eq!(deleted.rows[0][0], Value::Int(keys.len() as i64), "{when}");
+            assert_eq!(newest_delete_keys(hive.dfs()), keys, "{when}");
+            assert!(hive.execute(&sql).unwrap().rows.is_empty(), "{when}");
+        }
+    }
+}
+
+/// UPDATE and DELETE find their rows with an engine job: one map-only job
+/// with a map task per split, in the statement's report. At 1 and 4 worker
+/// threads they count the same rows and write byte-identical delete files
+/// and deltas.
+#[test]
+fn update_and_delete_run_as_engine_jobs() {
+    let run = |threads: u64| {
+        let mut hive = HiveSession::builder()
+            .knob(hive_common::config::knobs::EXEC_SIM_DETERMINISTIC_CPU, true)
+            .knob(hive_common::config::knobs::EXEC_WORKER_THREADS, threads)
+            .build()
+            .unwrap();
+        hive.execute("CREATE TABLE t (k BIGINT, v BIGINT) STORED AS orc")
+            .unwrap();
+        for file in 0..2i64 {
+            let rows =
+                (0..500).map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(file * 500 + i)]));
+            hive.load_rows("t", rows).unwrap();
+        }
+        let mut counts = Vec::new();
+        for sql in [
+            "UPDATE t SET v = v * 2 WHERE k < 3",
+            "DELETE FROM t WHERE v % 4 = 0",
+        ] {
+            let r = hive.execute(sql).unwrap();
+            let jobs = &r.report.jobs;
+            assert_eq!(jobs.len(), 1, "{sql}");
+            assert!(
+                jobs[0].map_tasks >= 2,
+                "{sql}: {} map task(s)",
+                jobs[0].map_tasks
+            );
+            assert_eq!(jobs[0].reduce_tasks, 0, "{sql}");
+            counts.push(r.rows[0][0].clone());
+        }
+        let dfs = hive.dfs();
+        let snap = load_snapshot(dfs, "/warehouse/t/").unwrap().unwrap();
+        let written: Vec<Vec<u8>> = (snap.deltas.iter().chain(&snap.deletes))
+            .map(|(_, p)| dfs.open(p, None).unwrap().read_all().unwrap())
+            .collect();
+        assert_eq!(written.len(), 3, "one delta, two delete files");
+        (counts, written)
+    };
+    let model: Vec<(i64, i64)> = (0..1000).map(|v| (v % 500 % 7, v)).collect();
+    let updated = model.iter().filter(|(k, _)| *k < 3).count();
+    let v_after = |&(k, v): &(i64, i64)| if k < 3 { v * 2 } else { v };
+    let deleted = model.iter().map(v_after).filter(|v| v % 4 == 0).count();
+    let one = run(1);
+    let want = vec![Value::Int(updated as i64), Value::Int(deleted as i64)];
+    assert_eq!(one.0, want);
+    assert_eq!(one, run(4));
+}
+
+/// A verified manifest at the end of its version or transaction counter
+/// has no successor: every writer fails `Corrupt` on it, and reads go on.
+#[test]
+fn a_manifest_at_the_end_of_its_counters_fails_the_next_writer() {
+    for at_end in ["version", "txn"] {
+        let hive = acid_session();
+        let server = hive.server().clone();
+        let dfs = server.dfs();
+        server.execute("INSERT INTO t VALUES (100, 1)").unwrap();
+        let want = pairs(&server);
+        let mut snap = load_snapshot(dfs, "/warehouse/t/").unwrap().unwrap();
+        match at_end {
+            "version" => snap.version = u64::MAX,
+            _ => {
+                snap.version += 1;
+                snap.last_txn = u64::MAX;
+            }
+        }
+        let mut w = dfs.create(&manifest_path("/warehouse/t/", snap.version));
+        w.write(&snap.encode());
+        w.close();
+        for sql in [
+            "INSERT INTO t VALUES (200, 2)",
+            "UPDATE t SET v = 0 WHERE k = 1",
+            "DELETE FROM t WHERE k = 1",
+            "ALTER TABLE t COMPACT 'minor'",
+            "ALTER TABLE t COMPACT 'major'",
+        ] {
+            let err = server.execute(sql).unwrap_err();
+            assert!(
+                matches!(err, HiveError::Corrupt(_)),
+                "{at_end}: {sql}: {err}"
+            );
+        }
+        assert_eq!(pairs(&server), want, "{at_end}");
+    }
 }

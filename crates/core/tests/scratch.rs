@@ -176,3 +176,66 @@ fn a_compaction_leaves_no_scratch() {
         .rows;
     assert_eq!(rows.len(), 2);
 }
+
+/// A DELETE the workload manager preempts mid-scan commits nothing: it
+/// re-runs from scratch and deletes exactly the model's rows, once.
+#[test]
+fn a_preempted_delete_commits_once_and_leaves_no_scratch() {
+    let server = HiveSession::builder()
+        .set(keys::SERVER_WM_PLAN, "hi:share=1,priority=10;lo:share=1")
+        .unwrap()
+        .set(keys::SERVER_WM_MAPPING, "ann=hi;*=lo")
+        .unwrap()
+        .build_server()
+        .unwrap();
+    let mut session = server.new_session();
+    session
+        .execute("CREATE TABLE t (k BIGINT, v BIGINT) STORED AS orc")
+        .unwrap();
+    // Several files, so the DELETE's scan passes several task checkpoints.
+    for file in 0..6 {
+        let rows = (0..2_000).map(|i| Row::new(vec![Value::Int(i % 50), Value::Int(file)]));
+        session.load_rows("t", rows).unwrap();
+    }
+    let wm = server.workload_manager();
+    let count =
+        |srv: &HiveServer| srv.execute("SELECT COUNT(*) FROM t").unwrap().rows[0][0].clone();
+    let before = count(&server);
+
+    // A lo flood holds both slots, each statement inserting a fresh key's
+    // two rows and deleting them; hi arrivals preempt the borrower.
+    let stop = Arc::new(AtomicBool::new(false));
+    let flood: Vec<_> = (0..3i64)
+        .map(|t| {
+            let (srv, stop) = (server.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let bob = [("hive.session.user", "bob")];
+                let mut key = 1_000_000 * (t + 1);
+                while !stop.load(Ordering::Relaxed) {
+                    let insert = format!("INSERT INTO t VALUES ({key}, 0), ({key}, 1)");
+                    srv.execute_with(&insert, &bob).unwrap();
+                    let delete = format!("DELETE FROM t WHERE k = {key}");
+                    let deleted = srv.execute_with(&delete, &bob).unwrap();
+                    assert_eq!(deleted.rows[0][0], Value::Int(2), "{delete}");
+                    key += 1;
+                }
+            })
+        })
+        .collect();
+    for _ in 0..200 {
+        if wm.requeues() > 0 {
+            break;
+        }
+        while wm.active_count(1) < wm.total_slots() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let ann = [("hive.session.user", "ann")];
+        server.execute_with("SELECT COUNT(*) FROM t", &ann).unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    flood.into_iter().for_each(|h| h.join().unwrap());
+    // Only a DELETE's scan polls the preemption token in this flood.
+    assert!(wm.requeues() >= 1, "no DELETE was preempted");
+    assert_eq!(count(&server), before);
+    assert_eq!(scratch(server.dfs()), Vec::<String>::new());
+}

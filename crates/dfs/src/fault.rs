@@ -73,15 +73,14 @@ pub enum RenameFaultOutcome {
     AckLost,
 }
 
-/// A seeded, deterministic schedule of read faults. Carried by a
+/// A seeded, deterministic schedule of read faults. Carried only by a
 /// statement-scoped [`Dfs`] view ([`Dfs::for_statement`]) — one plan per
-/// query statement, so the first-touch ledger resets between statements
-/// and concurrent statements never see each other's plans — or installed
-/// process-wide via [`Dfs::set_fault_plan`] for direct filesystem users.
+/// statement, so the first-touch ledger resets between statements and
+/// concurrent statements never see each other's plans. An unscoped handle
+/// is healthy.
 ///
 /// [`Dfs`]: crate::Dfs
 /// [`Dfs::for_statement`]: crate::Dfs::for_statement
-/// [`Dfs::set_fault_plan`]: crate::Dfs::set_fault_plan
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,

@@ -103,9 +103,8 @@ pub struct Dfs {
 }
 
 /// Per-statement view riding on a [`Dfs`] handle: the statement's fault
-/// plan (overriding the shared one even when `None` — a scoped statement
-/// is otherwise fault-free) and whether its reads participate in the
-/// shared block cache.
+/// plan (`None`: a healthy cluster) and whether its reads participate in
+/// the shared block cache.
 struct StatementScope {
     fault: Option<Arc<FaultPlan>>,
     cache_enabled: bool,
@@ -115,8 +114,6 @@ struct DfsInner {
     config: DfsConfig,
     files: RwLock<BTreeMap<String, Arc<FileEntry>>>,
     stats: IoStats,
-    /// Active fault-injection plan, if any (`None` = healthy cluster).
-    fault: RwLock<Option<Arc<FaultPlan>>>,
     /// Block-level byte cache (disabled until given a capacity).
     cache: cache::BlockCache,
     /// Source of per-file generations.
@@ -137,7 +134,6 @@ impl Dfs {
                 config,
                 files: RwLock::new(BTreeMap::new()),
                 stats: IoStats::default(),
-                fault: RwLock::new(None),
                 cache: cache::BlockCache::new(),
                 next_gen: AtomicU64::new(1),
                 data_gen: AtomicU64::new(0),
@@ -148,8 +144,8 @@ impl Dfs {
     }
 
     /// A statement-scoped view of this filesystem. `fault` is the
-    /// statement's fault plan (replacing, not layering over, the shared
-    /// one — `None` means this statement sees a healthy cluster), and
+    /// statement's fault plan (`None` means this statement sees a healthy
+    /// cluster), and
     /// `cache_enabled = false` routes every read through this handle (and
     /// its clones) down the uncached path, byte-identical to the pre-cache
     /// engine. The scope travels with `clone()`, so handing the view to an
@@ -228,22 +224,10 @@ impl Dfs {
         }
     }
 
-    /// Install (or clear, with `None`) the shared fault-injection plan.
-    /// Statement execution does not use this: the driver scopes its plan to
-    /// the statement via [`Dfs::for_statement`] so concurrent statements
-    /// cannot fault each other. This setter remains for direct filesystem
-    /// users (tests, tools) exercising one handle at a time.
-    pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *self.inner.fault.write() = plan.map(Arc::new);
-    }
-
-    /// The effective fault plan for this handle: the statement scope's
-    /// plan when scoped (even if that is `None`), else the shared one.
+    /// The fault plan of this handle's statement scope. An unscoped handle
+    /// sees a healthy cluster.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        match &self.scope {
-            Some(scope) => scope.fault.clone(),
-            None => self.inner.fault.read().clone(),
-        }
+        self.scope.as_ref().and_then(|scope| scope.fault.clone())
     }
 
     /// Whether reads through this handle participate in the block cache.
@@ -1244,12 +1228,13 @@ mod tests {
         assert!(r.verified.iter().all(|&v| v));
     }
 
-    fn faulted_fs(fs: &Dfs, set: &[(&str, &str)]) {
+    /// A statement-scoped view of `fs` under the fault plan `set` configures.
+    fn faulted_fs(fs: &Dfs, set: &[(&str, &str)]) -> Dfs {
         let mut conf = hive_common::HiveConf::new();
         for (k, v) in set {
             conf.set(k, *v);
         }
-        fs.set_fault_plan(FaultPlan::from_conf(&conf).unwrap());
+        fs.for_statement(FaultPlan::from_conf(&conf).unwrap(), true)
     }
 
     #[test]
@@ -1258,8 +1243,8 @@ mod tests {
         let mut w = fs.create("/t/fault");
         w.write(&[9u8; 100]);
         w.close();
-        faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
-        let mut r = fs.open("/t/fault", None).unwrap();
+        let faulty = faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
+        let mut r = faulty.open("/t/fault", None).unwrap();
         assert!(matches!(r.read_at(0, 100), Err(HiveError::Transient(_))));
         // First-touch model: the same location succeeds on retry, and the
         // bytes are pristine.
@@ -1272,8 +1257,8 @@ mod tests {
         let mut w = fs.create("/t/wire");
         w.write(&[0xabu8; 100]);
         w.close();
-        faulted_fs(&fs, &[("dfs.fault.corrupt.rate", "1.0")]);
-        let mut r = fs.open("/t/wire", None).unwrap();
+        let faulty = faulted_fs(&fs, &[("dfs.fault.corrupt.rate", "1.0")]);
+        let mut r = faulty.open("/t/wire", None).unwrap();
         assert!(matches!(r.read_at(0, 100), Err(HiveError::Corrupt(_))));
         assert_eq!(r.read_at(0, 100).unwrap(), vec![0xabu8; 100]);
     }
@@ -1285,7 +1270,7 @@ mod tests {
         w.write(&[1u8; 100]);
         w.close();
         let slow = fs.locations("/t/slow", 0).unwrap()[0];
-        faulted_fs(
+        let faulty = faulted_fs(
             &fs,
             &[
                 ("dfs.fault.slow.nodes", &slow.to_string()),
@@ -1293,7 +1278,7 @@ mod tests {
             ],
         );
         let before = fs.stats().snapshot();
-        let mut r = fs.open("/t/slow", Some(slow)).unwrap();
+        let mut r = faulty.open("/t/slow", Some(slow)).unwrap();
         r.read_at(0, 100).unwrap();
         let with_penalty = fs.stats().snapshot().since(&before);
         assert!(with_penalty.sim_penalty_us > 0);
@@ -1301,7 +1286,7 @@ mod tests {
         // A healthy node pays nothing.
         let healthy = (0..4).find(|n| *n != slow).unwrap();
         let before = fs.stats().snapshot();
-        let mut r2 = fs.open("/t/slow", Some(healthy)).unwrap();
+        let mut r2 = faulty.open("/t/slow", Some(healthy)).unwrap();
         r2.read_at(0, 100).unwrap();
         assert_eq!(fs.stats().snapshot().since(&before).sim_penalty_us, 0);
     }
@@ -1312,12 +1297,12 @@ mod tests {
         let mut w = fs.create("/t/dead");
         w.write(&[5u8; 100]);
         w.close();
-        faulted_fs(&fs, &[("dfs.fault.fail.nodes", "2")]);
-        let mut dead = fs.open("/t/dead", Some(2)).unwrap();
+        let faulty = faulted_fs(&fs, &[("dfs.fault.fail.nodes", "2")]);
+        let mut dead = faulty.open("/t/dead", Some(2)).unwrap();
         for _ in 0..3 {
             assert!(matches!(dead.read_at(0, 100), Err(HiveError::Transient(_))));
         }
-        let mut ok = fs.open("/t/dead", Some(0)).unwrap();
+        let mut ok = faulty.open("/t/dead", Some(0)).unwrap();
         assert_eq!(ok.read_at(0, 100).unwrap(), vec![5u8; 100]);
     }
 
@@ -1378,8 +1363,8 @@ mod tests {
         let mut w = fs.create("/t/fpoison");
         w.write(&[7u8; 100]);
         w.close();
-        faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
-        let mut r = fs.open("/t/fpoison", None).unwrap();
+        let faulty = faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
+        let mut r = faulty.open("/t/fpoison", None).unwrap();
         assert!(matches!(r.read_at(0, 100), Err(HiveError::Transient(_))));
         // Nothing cached from the failed attempt...
         assert_eq!(fs.cache_resident_bytes(), 0);
@@ -1387,7 +1372,7 @@ mod tests {
         assert_eq!(r.read_at(0, 100).unwrap(), vec![7u8; 100]);
         assert_eq!(fs.cache_resident_bytes(), 100);
         // Subsequent readers hit without consulting the fault plan at all.
-        let mut r2 = fs.open("/t/fpoison", None).unwrap();
+        let mut r2 = faulty.open("/t/fpoison", None).unwrap();
         assert_eq!(r2.read_at(0, 100).unwrap(), vec![7u8; 100]);
     }
 
@@ -1442,12 +1427,10 @@ mod tests {
         assert_eq!(after.cache_hits + after.cache_misses, 0);
         assert_eq!(after.bytes_remote, 100);
 
-        // A scoped view also shadows any shared plan (scoped statements
-        // are exactly as faulty as their own conf says).
-        faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
-        let mut r = clean.open("/t/scope", None).unwrap();
+        // Only a scope carries a plan: the unscoped handle is healthy.
+        assert!(fs.fault_plan().is_none());
+        let mut r = fs.open("/t/scope", None).unwrap();
         assert!(r.read_at(0, 100).is_ok());
-        fs.set_fault_plan(None);
     }
 
     #[test]
@@ -1522,30 +1505,28 @@ mod tests {
     #[test]
     fn write_fault_fails_publish_then_retry_is_clean() {
         let fs = small_fs();
-        faulted_fs(&fs, &[("dfs.fault.write.error.rate", "1.0")]);
-        let mut w = fs.create("/t/wf");
+        let faulty = faulted_fs(&fs, &[("dfs.fault.write.error.rate", "1.0")]);
+        let mut w = faulty.create("/t/wf");
         w.write(&[1u8; 40]);
         assert!(matches!(w.try_close(), Err(HiveError::Transient(_))));
         assert!(!fs.exists("/t/wf"), "failed publish must leave no file");
         // First-touch: re-driving the same path succeeds.
-        let mut w = fs.create("/t/wf");
+        let mut w = faulty.create("/t/wf");
         w.write(&[1u8; 40]);
         assert_eq!(w.try_close().unwrap(), 40);
-        fs.set_fault_plan(None);
     }
 
     #[test]
     fn torn_write_publishes_a_strict_prefix_and_errors() {
         let fs = small_fs();
-        faulted_fs(&fs, &[("dfs.fault.write.torn.rate", "1.0")]);
-        let mut w = fs.create("/t/torn");
+        let faulty = faulted_fs(&fs, &[("dfs.fault.write.torn.rate", "1.0")]);
+        let mut w = faulty.create("/t/torn");
         w.write(&[9u8; 80]);
         assert!(matches!(w.try_close(), Err(HiveError::Transient(_))));
         // The partial file is visible — that is the fault being modeled —
         // and holds strictly fewer bytes than were written.
         let len = fs.len("/t/torn").unwrap();
         assert!(len < 80, "torn write kept {len} of 80 bytes");
-        fs.set_fault_plan(None);
     }
 
     #[test]
@@ -1554,15 +1535,14 @@ mod tests {
         let mut w = fs.create("/t/src");
         w.write(&[2u8; 30]);
         w.close();
-        faulted_fs(&fs, &[("dfs.fault.rename.ack.lost.rate", "1.0")]);
+        let faulty = faulted_fs(&fs, &[("dfs.fault.rename.ack.lost.rate", "1.0")]);
         assert!(matches!(
-            fs.rename("/t/src", "/t/dst"),
+            faulty.rename("/t/src", "/t/dst"),
             Err(HiveError::Transient(_))
         ));
         // The move actually happened: duplicate-retry handling probes this.
         assert!(!fs.exists("/t/src"));
         assert_eq!(fs.len("/t/dst").unwrap(), 30);
-        fs.set_fault_plan(None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! the commit point of every transaction.
 
 use crate::TableReader;
-use hive_common::{HiveError, Result, Row};
+use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_dfs::{crc, Dfs};
 use hive_vector::VectorizedRowBatch;
 use std::collections::BTreeMap;
@@ -279,6 +279,30 @@ fn read_manifest(dfs: &Dfs, path: &str) -> Result<(TableSnapshot, u64)> {
 /// stable because base and delta files are immutable).
 pub type DeleteKey = (String, u64);
 
+/// The columns every table scan offers beyond its table's own, hidden from
+/// `*`: the file a row was read from and the row's physical ordinal in it —
+/// together, the row's [`DeleteKey`]. A scan projection names
+/// `VIRTUAL_COLUMNS[k]` as column `schema.len() + k`.
+pub const VIRTUAL_COLUMNS: [(&str, DataType); 2] = [
+    ("INPUT__FILE__NAME", DataType::String),
+    ("ROW__ID", DataType::Int),
+];
+
+/// Split a scan projection over a table `width` columns wide into the
+/// columns its reader decodes and the virtual columns (indexes into
+/// [`VIRTUAL_COLUMNS`]) the scan appends to each row after them. Planned
+/// projections are ascending, so the virtual columns trail them.
+pub fn split_projection(
+    projection: Option<&[usize]>,
+    width: usize,
+) -> (Option<Vec<usize>>, Vec<usize>) {
+    let Some(projection) = projection else {
+        return (None, Vec::new());
+    };
+    let (read, virtuals): (Vec<usize>, Vec<usize>) = projection.iter().partition(|&&c| c < width);
+    (Some(read), virtuals.iter().map(|c| c - width).collect())
+}
+
 /// Serialize one delete file's keys with a CRC trailer.
 pub fn encode_delete_file(keys: &[DeleteKey]) -> Vec<u8> {
     let mut body = String::from("hivedelete v1\n");
@@ -404,8 +428,9 @@ pub(crate) fn ordinals_in(ordinals: &[u64], start: u64, len: u64) -> &[u64] {
 
 /// The merge-on-read cursor: one file's reader with that file's delete
 /// mask applied, so a deleted row never escapes it. Queries (batch and row
-/// mode), map-join side loads, DML scans and minor compaction all read
-/// through this type and nothing else consults a [`DeleteSet`].
+/// mode, DML's included), map-join side loads and minor compaction's delta
+/// fold all read through this type and nothing else consults a
+/// [`DeleteSet`].
 ///
 /// **Ordinal contract.** A delete key addresses a row by its *physical*
 /// position in its file, masked rows included. Readers that skip data
@@ -413,7 +438,8 @@ pub(crate) fn ordinals_in(ordinals: &[u64], start: u64, len: u64) -> &[u64] {
 /// ordinals via [`TableReader::last_row_ordinal`] /
 /// [`TableReader::batch_ordinal_runs`]; for readers that track none, this
 /// cursor counts rows sequentially — correct only for a whole-file scan,
-/// which is why such formats are never split under an overlay.
+/// which is why such formats are never split under an overlay, nor when a
+/// scan reads the ordinal as `ROW__ID` ([`VIRTUAL_COLUMNS`]).
 pub struct LiveReader<'a> {
     reader: Box<dyn TableReader + 'a>,
     /// Masked ordinals of the file, ascending. Empty: a pass-through.
@@ -423,6 +449,45 @@ pub struct LiveReader<'a> {
     rows_masked: u64,
     /// Per-batch scratch: physical batch indexes to unselect.
     drop: Vec<usize>,
+    /// The virtual columns produced after the reader's, if any.
+    virtuals: Option<Virtuals>,
+}
+
+/// Which [`VIRTUAL_COLUMNS`] a [`LiveReader`] produces, and for which file.
+struct Virtuals {
+    path: String,
+    /// Batch column of the first one: the reader's own fill those before.
+    first: usize,
+    columns: Vec<usize>,
+}
+
+impl Virtuals {
+    fn value(&self, k: usize, ordinal: u64) -> Value {
+        match k {
+            0 => Value::String(self.path.clone()),
+            _ => Value::Int(ordinal as i64),
+        }
+    }
+
+    /// Fill the virtual columns of a batch's physical rows, which `runs`
+    /// number.
+    fn fill(&self, batch: &mut VectorizedRowBatch, runs: &[(u64, u64)]) -> Result<()> {
+        for (j, &k) in self.columns.iter().enumerate() {
+            let column = &mut batch.columns[self.first + j];
+            if k == 0 {
+                let names = column.as_bytes_mut()?;
+                names.set(0, self.path.as_bytes());
+                names.is_repeating = true;
+                continue;
+            }
+            let ids = &mut column.as_long_mut()?.vector;
+            let ordinals = runs.iter().flat_map(|&(start, len)| start..start + len);
+            for (id, ordinal) in ids.iter_mut().zip(ordinals) {
+                *id = ordinal as i64;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<'a> LiveReader<'a> {
@@ -438,17 +503,35 @@ impl<'a> LiveReader<'a> {
             seq_ord: 0,
             rows_masked: 0,
             drop: Vec::new(),
+            virtuals: None,
         }
+    }
+
+    /// Also produce the virtual `columns` (indexes into
+    /// [`VIRTUAL_COLUMNS`]) of `path`'s rows after the reader's `width`
+    /// columns: appended to every row, filled into the batch columns that
+    /// follow the reader's.
+    pub fn with_virtual(mut self, path: &str, width: usize, columns: Vec<usize>) -> Self {
+        self.virtuals = (!columns.is_empty()).then(|| Virtuals {
+            path: path.to_string(),
+            first: width,
+            columns,
+        });
+        self
     }
 
     /// The next live row and its physical ordinal in the file.
     pub fn next_row(&mut self) -> Result<Option<(u64, Row)>> {
-        while let Some(row) = self.reader.next_row()? {
+        while let Some(mut row) = self.reader.next_row()? {
             let ord = self.reader.last_row_ordinal().unwrap_or(self.seq_ord);
             self.seq_ord += 1;
             if self.masked.binary_search(&ord).is_ok() {
                 self.rows_masked += 1;
                 continue;
+            }
+            if let Some(v) = &self.virtuals {
+                let values = v.columns.iter().map(|&k| v.value(k, ord));
+                row.values_mut().extend(values);
             }
             return Ok(Some((ord, row)));
         }
@@ -461,17 +544,20 @@ impl<'a> LiveReader<'a> {
     /// back empty with `true`.
     pub fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
         let more = self.reader.next_batch(batch)?;
-        if self.masked.is_empty() || batch.size == 0 {
+        let sequential = [(self.seq_ord, batch.size as u64)];
+        self.seq_ord += batch.size as u64;
+        if batch.size == 0 || (self.masked.is_empty() && self.virtuals.is_none()) {
             return Ok(more);
         }
-        let sequential = [(self.seq_ord, batch.size as u64)];
         let runs = self.reader.batch_ordinal_runs().unwrap_or(&sequential);
         debug_assert_eq!(
             runs.iter().map(|r| r.1).sum::<u64>(),
             batch.size as u64,
             "ordinal runs must cover the whole batch"
         );
-        self.seq_ord += batch.size as u64;
+        if let Some(v) = &self.virtuals {
+            v.fill(batch, runs)?;
+        }
         self.drop.clear();
         let mut base = 0usize;
         for &(start, len) in runs {
@@ -770,6 +856,57 @@ mod tests {
         fn delete_files_round_trip(ks in keys()) {
             prop_assert_eq!(decode_delete_file(&encode_delete_file(&ks)).unwrap(), ks);
         }
+    }
+
+    /// `body` under a freshly computed CRC trailer, as a writer of hostile
+    /// bytes would seal it.
+    fn trailered(body: &[u8]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        out.extend(format!("crc {:08x}\n", crc::crc32(body)).into_bytes());
+        out
+    }
+
+    /// Every truncation of `image`'s body and three flips of each of its
+    /// bytes, each re-sealed with a valid CRC so the parser behind the
+    /// checksum sees them: `decode` answers a value or a typed error, never
+    /// a panic.
+    fn survives_hostile_bodies<T>(image: &[u8], decode: impl Fn(&[u8]) -> Result<T>) {
+        let body_len = image[..image.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let body = &image[..body_len];
+        assert!(
+            decode(&trailered(body)).is_ok(),
+            "re-sealing changed the image"
+        );
+        for cut in 0..body.len() {
+            let _ = decode(&trailered(&body[..cut]));
+            let _ = decode(&image[..cut]);
+        }
+        for i in 0..body.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bad = body.to_vec();
+                bad[i] ^= flip;
+                let _ = decode(&trailered(&bad));
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_acid_metadata_is_an_error_not_a_panic() {
+        let mut big = snap();
+        big.version = u64::MAX;
+        big.last_txn = u64::MAX - 1;
+        for s in [snap(), big, TableSnapshot::initial(Vec::new())] {
+            survives_hostile_bodies(&s.encode(), TableSnapshot::decode);
+        }
+        let keys = vec![
+            ("/w/t/part-00000".to_string(), 4u64),
+            ("/w/t/delta_0000000005".to_string(), u64::MAX),
+        ];
+        survives_hostile_bodies(&encode_delete_file(&keys), decode_delete_file);
+        survives_hostile_bodies(&encode_delete_file(&[]), decode_delete_file);
     }
 
     /// The on-disk image of a delete file, as PR 12's parent wrote it:

@@ -9,7 +9,7 @@ use crate::job::{JobOutput, JobSpec, SideInput};
 use hive_common::{HiveError, Result, Row};
 use hive_dfs::{IoScope, IoSnapshot};
 use hive_exec::graph::{Message, ShuffleRecord};
-use hive_formats::delta::LiveReader;
+use hive_formats::delta::{split_projection, LiveReader};
 use hive_formats::{open_reader, ReadOptions};
 use hive_obs::{OpProfile, ScanProfile};
 use hive_vector::{VectorizedRowBatch, DEFAULT_BATCH_SIZE};
@@ -60,9 +60,12 @@ impl MrEngine {
         let t0 = Instant::now();
 
         let mut pipeline = (spec.map_factory)(side)?;
+        let width = split.input.schema.len();
+        let (projection, virtuals) = split_projection(split.input.projection.as_deref(), width);
+        let read_width = projection.as_ref().map_or(width, Vec::len);
         let reader_opts = ReadOptions {
             format: split.input.format,
-            projection: split.input.projection.clone(),
+            projection,
             sarg: split.input.sarg.clone(),
             node: Some(node),
             split: Some((split.start, split.end)),
@@ -80,7 +83,8 @@ impl MrEngine {
                 &reader_opts,
             )?,
             overlay.map(|o| (&*o.deletes, split.path.as_str())),
-        );
+        )
+        .with_virtual(&split.path, read_width, virtuals);
 
         let mut partitions: Vec<RunWriter> =
             (0..num_reducers).map(|_| RunWriter::default()).collect();
@@ -261,8 +265,13 @@ impl MrEngine {
         let mut rows_skipped = 0u64;
         for s in sides {
             let mut rows = Vec::new();
+            let width = s.schema.len();
+            let (projection, virtuals) = split_projection(s.projection.as_deref(), width);
+            let read_width = projection.as_ref().map_or(width, Vec::len);
             for path in self.expand_paths(&s.paths) {
                 // Deleted rows of an ACID table never enter the hash table.
+                // Each file is read whole from its base copy, so ordinals
+                // are physical ones.
                 let mut reader = LiveReader::new(
                     open_reader(
                         &self.dfs,
@@ -271,12 +280,13 @@ impl MrEngine {
                         &self.conf,
                         &ReadOptions {
                             format: s.format,
-                            projection: s.projection.clone(),
+                            projection: projection.clone(),
                             ..Default::default()
                         },
                     )?,
                     s.overlay.as_ref().map(|o| (&*o.deletes, path.as_str())),
-                );
+                )
+                .with_virtual(&path, read_width, virtuals.clone());
                 while let Some((_, row)) = reader.next_row()? {
                     rows.push(row);
                 }

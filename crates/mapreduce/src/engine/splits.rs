@@ -78,9 +78,10 @@ impl MrEngine {
     /// planner steered to a per-replica sorted copy (HAIL-style
     /// replica-aware planning): among a file's stored variants, the first
     /// whose sort column matches a pushed-down predicate column wins, so
-    /// min/max + bloom pruning see clustered data. ACID overlays pin
-    /// reads to the base copy — delete ordinals address physical rows of
-    /// variant 0 — and non-ORC formats have no variants.
+    /// min/max + bloom pruning see clustered data. An input addressed by
+    /// ordinal ([`JobInput::by_ordinal`]) reads the base copy — delete keys
+    /// and `ROW__ID` number the physical rows of variant 0 — and non-ORC
+    /// formats have no variants.
     #[allow(clippy::type_complexity)]
     pub(super) fn compute_splits<'a>(
         &self,
@@ -90,6 +91,7 @@ impl MrEngine {
         let mut splits = Vec::new();
         let mut choices = Vec::new();
         for input in inputs {
+            let by_ordinal = input.by_ordinal();
             // Predicate columns by name; a replica sorted on one of them
             // clusters the matching rows together.
             let pred_cols: Vec<String> = input
@@ -113,7 +115,7 @@ impl MrEngine {
                 }
                 if replica_selection
                     && input.format == hive_formats::FormatKind::Orc
-                    && input.overlay.is_none()
+                    && !by_ordinal
                     && !pred_cols.is_empty()
                 {
                     if let Some((variant, sort_column)) = self.dfs.select_variant(&path, &pred_cols)
@@ -135,13 +137,12 @@ impl MrEngine {
                         continue;
                     }
                 }
-                if input.overlay.is_some() && input.format != hive_formats::FormatKind::Orc {
-                    // ACID merge-on-read over a format whose reader cannot
-                    // report file ordinals: delete keys address rows by
-                    // ordinal within the whole file, so the file cannot be
-                    // carved into block-range splits — one task scans it
-                    // start to end in physical row order. ORC files skip
-                    // this: their reader tracks skip-aware ordinals, so
+                if by_ordinal && input.format != hive_formats::FormatKind::Orc {
+                    // Rows addressed by ordinal within the whole file, over
+                    // a format whose reader cannot report one: the file
+                    // cannot be carved into block-range splits — one task
+                    // scans it start to end in physical row order. ORC files
+                    // skip this: their reader tracks skip-aware ordinals, so
                     // they split (and prune) like any other input.
                     splits.push(Split {
                         input,

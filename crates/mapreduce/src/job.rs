@@ -27,6 +27,19 @@ pub struct JobInput {
     pub overlay: Option<AcidOverlay>,
 }
 
+impl JobInput {
+    /// Whether rows of this input are addressed by physical file ordinal:
+    /// an ACID overlay masks by it, and a projected virtual column
+    /// ([`VIRTUAL_COLUMNS`](hive_formats::delta::VIRTUAL_COLUMNS)) reports
+    /// it. Such a scan reads only base copies, and whole files for formats
+    /// that track no ordinals.
+    pub fn by_ordinal(&self) -> bool {
+        let width = self.schema.len();
+        let projects_virtual = |p: &Vec<usize>| p.iter().any(|&c| c >= width);
+        self.overlay.is_some() || self.projection.as_ref().is_some_and(projects_virtual)
+    }
+}
+
 /// A broadcast ("distributed cache") input: small tables of Map Joins.
 /// The engine materializes the rows once and every map task loads them.
 #[derive(Clone)]

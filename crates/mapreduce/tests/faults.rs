@@ -124,11 +124,12 @@ fn group_sum_job(schema: Schema, dir: &str, poison_first_reduce_calls: usize) ->
 }
 
 /// Run the group-sum job on a fresh cluster under `conf` (fault knobs
-/// included); the fault plan is installed from the same conf.
+/// included), through a statement-scoped view carrying the same conf's
+/// fault plan.
 fn run_group_sum(conf: HiveConf) -> hive_common::Result<(JobReport, Vec<Row>, MrEngine)> {
     let dfs = small_cluster();
     let schema = write_tables(&dfs, &conf, "/warehouse/faulty/");
-    dfs.set_fault_plan(FaultPlan::from_conf(&conf)?);
+    let dfs = dfs.for_statement(FaultPlan::from_conf(&conf)?, true);
     let engine = MrEngine::new(dfs, conf);
     let (report, rows) = engine.run_job(&group_sum_job(schema, "/warehouse/faulty/", 0))?;
     Ok((report, rows, engine))

@@ -59,7 +59,8 @@ impl Catalog for PinnedCatalog<'_> {
     }
 }
 
-/// An in-memory catalog for tests.
+/// A fixed list of tables: test catalogs, and an ACID statement's view of
+/// the one snapshot it pinned under its table lock.
 #[derive(Debug, Default)]
 pub struct StaticCatalog {
     pub tables: Vec<TableMeta>,

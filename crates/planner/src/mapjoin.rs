@@ -180,22 +180,7 @@ fn convert(
     for (i, key) in sel_schema[..nk].iter().enumerate() {
         mj_schema.push(ColumnInfo::new(format!("_bkey{i}"), key.data_type.clone()));
     }
-    let small_schema: Vec<ColumnInfo> = {
-        let PlanOp::TableScan {
-            table, projection, ..
-        } = &g.node(side.scan_id).op
-        else {
-            unreachable!()
-        };
-        projection
-            .iter()
-            .map(|&i| {
-                let f = table.schema.field(i);
-                ColumnInfo::new(f.name.clone(), f.data_type.clone())
-            })
-            .collect()
-    };
-    mj_schema.extend(small_schema);
+    mj_schema.extend(g.node(side.scan_id).schema.clone());
     let mj = g.add(PlanOp::MapJoin(mj_side), mj_schema.clone(), vec![sel]);
 
     // 3. Restore the original join's column order if the build side was

@@ -10,6 +10,7 @@
 
 use crate::catalog::{Catalog, TableMeta};
 use hive_common::{HiveError, Result, Schema};
+use hive_formats::delta::VIRTUAL_COLUMNS;
 use hive_ql::{Expr, JoinKind, OrderItem, SelectItem, SelectStmt, TableRef};
 use std::collections::BTreeSet;
 
@@ -23,7 +24,11 @@ pub struct Scope {
 #[derive(Debug)]
 struct Entry {
     binding: String,
+    /// The columns `*` stands for.
     columns: Vec<String>,
+    /// A scanned table also binds the [`VIRTUAL_COLUMNS`], numbered after
+    /// `columns`.
+    scanned: bool,
 }
 
 impl Entry {
@@ -31,14 +36,22 @@ impl Entry {
         Entry {
             binding: binding.to_string(),
             columns: schema.fields().iter().map(|f| f.name.clone()).collect(),
+            scanned: false,
         }
+    }
+
+    /// Every name a reference can bind, by column number.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        let hidden: &[_] = if self.scanned { &VIRTUAL_COLUMNS } else { &[] };
+        let columns = self.columns.iter().map(String::as_str);
+        columns.chain(hidden.iter().map(|(name, _)| *name))
     }
 }
 
 impl Scope {
-    /// The one-entry scope a DML statement or a statistics-only answer
-    /// resolves against: `binding` hides every other name, the table's own
-    /// included when it is an alias.
+    /// The one-entry scope a statistics-only answer resolves against:
+    /// `binding` hides every other name, the table's own included when it
+    /// is an alias.
     pub fn of_table(binding: &str, schema: &Schema) -> Scope {
         Scope {
             entries: vec![Entry::of_table(binding, schema)],
@@ -55,7 +68,7 @@ impl Scope {
             .enumerate()
             .filter(|(_, e)| qualifier.is_none_or(|q| q.eq_ignore_ascii_case(&e.binding)))
             .flat_map(|(i, e)| {
-                let named = e.columns.iter().enumerate();
+                let named = e.names().enumerate();
                 named
                     .filter(|(_, c)| c.eq_ignore_ascii_case(name))
                     .map(move |(c, _)| (i, c))
@@ -74,6 +87,7 @@ impl Scope {
         &self.entries[entry].binding
     }
 
+    /// The columns `*` stands for in `entry`.
     pub(crate) fn columns(&self, entry: usize) -> &[String] {
         &self.entries[entry].columns
     }
@@ -83,8 +97,11 @@ impl Scope {
         fn rewrite(scope: &Scope, e: &mut Expr) -> Result<()> {
             if let Expr::Column { table, name } = e {
                 let (entry, column) = scope.bind(table.as_deref(), name)?;
-                *table = Some(scope.entries[entry].binding.clone());
-                name.clone_from(&scope.entries[entry].columns[column]);
+                let entry = &scope.entries[entry];
+                *table = Some(entry.binding.clone());
+                if let Some(canonical) = entry.names().nth(column) {
+                    *name = canonical.to_string();
+                }
             }
             e.children_mut()
                 .into_iter()
@@ -205,13 +222,18 @@ pub(crate) fn bind_select(stmt: &SelectStmt, catalog: &dyn Catalog) -> Result<Bo
                 let meta = catalog
                     .table(name)?
                     .ok_or_else(|| HiveError::Semantic(format!("unknown table `{name}`")))?;
-                (Entry::of_table(binding, &meta.schema), Source::Table(meta))
+                let entry = Entry {
+                    scanned: true,
+                    ..Entry::of_table(binding, &meta.schema)
+                };
+                (entry, Source::Table(meta))
             }
             TableRef::Subquery { query, .. } => {
                 let inner = bind_select(query, catalog)?;
                 let entry = Entry {
                     binding: binding.to_string(),
                     columns: inner.output_names(),
+                    scanned: false,
                 };
                 (entry, Source::Query(Box::new(inner)))
             }

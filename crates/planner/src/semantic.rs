@@ -12,10 +12,11 @@ use crate::plan::{
 };
 use crate::scope::{bind_select, has_star, output_name, Bound, BoundJoin, Scope, Source};
 use hive_common::config::keys;
-use hive_common::{DataType, HiveConf, HiveError, Result, Schema, Value};
+use hive_common::{DataType, HiveConf, HiveError, Result, Value};
 use hive_exec::agg::{parse_agg_function, AggFunction};
 use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
 use hive_exec::operators::JoinType;
+use hive_formats::delta::VIRTUAL_COLUMNS;
 use hive_formats::{PredicateLeaf, PredicateOp, SearchArgument};
 use hive_ql::{BinOp, Expr, JoinKind, SelectStmt, UnOp};
 use std::collections::BTreeSet;
@@ -365,7 +366,8 @@ fn reorder_joins(bound: &mut Bound) {
 }
 
 /// Plan one scope entry's source under its binding, scanning only the
-/// `used` columns of a table (all of them when none is referenced).
+/// `used` columns of a table (all of them when none of its own is
+/// referenced). Used virtual columns trail the projection.
 fn plan_source(
     g: &mut PlanGraph,
     source: Source,
@@ -375,17 +377,22 @@ fn plan_source(
 ) -> Result<Rel> {
     match source {
         Source::Table(meta) => {
-            let projection: Vec<usize> = if used.is_empty() {
-                (0..meta.schema.len()).collect()
-            } else {
-                used.iter().copied().collect()
-            };
+            let width = meta.schema.len();
+            let mut projection: Vec<usize> = used.iter().copied().collect();
+            if projection.iter().all(|&i| i >= width) {
+                projection.splice(0..0, 0..width);
+            }
             let cols: Vec<(Option<String>, String, DataType)> = projection
                 .iter()
                 .map(|&i| {
-                    let f = meta.schema.field(i);
-                    let binding = Some(binding.to_string());
-                    (binding, f.name.clone(), f.data_type.clone())
+                    let (name, t) = match meta.schema.fields().get(i) {
+                        Some(f) => (f.name.clone(), f.data_type.clone()),
+                        None => {
+                            let (name, t) = &VIRTUAL_COLUMNS[i - width];
+                            (name.to_string(), t.clone())
+                        }
+                    };
+                    (Some(binding.to_string()), name, t)
                 })
                 .collect();
             let mut rel = Rel { node: 0, cols };
@@ -622,38 +629,22 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
     })
 }
 
-/// Lower a DML predicate or SET expression over the target table: its
-/// scope is that one table under its own name, so any other qualifier is
-/// an unknown column. These are scalar-only: against a single row an
-/// aggregate has no meaning, and neither does `*`.
-pub fn lower_dml(e: &Expr, table: &str, schema: &Schema) -> Result<ExprNode> {
-    let scope = Scope::of_table(table, schema);
-    let input: Vec<ColumnInfo> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnInfo::new(f.name.clone(), f.data_type.clone()))
-        .collect();
-    lower(e, &input, &mut |x| match x {
-        Expr::Column { table, name } => {
-            let (_, column) = scope.bind(table.as_deref(), name)?;
-            Ok(Some(ExprNode::col(column)))
-        }
-        Expr::Function { name, .. } => Err(HiveError::Plan(format!(
-            "function `{name}` is not allowed in DML expressions"
-        ))),
-        Expr::Star => Err(HiveError::Plan(
-            "`*` is not allowed in DML expressions".into(),
-        )),
-        _ => Ok(None),
-    })
-}
-
 /// Extract a SearchArgument from scan-level conjuncts and attach it
-/// (column indexes refer to the *table schema*, pre-projection).
+/// (column indexes refer to the *table schema*, pre-projection). A virtual
+/// column has no statistics to prune by, so it never becomes a leaf.
 fn attach_sarg(g: &mut PlanGraph, rel: &Rel, pred: &ExprNode) {
     let node = rel.node;
-    let projection = match &g.node(node).op {
-        PlanOp::TableScan { projection, .. } => projection.clone(),
+    let projection: Vec<usize> = match &g.node(node).op {
+        PlanOp::TableScan {
+            projection, table, ..
+        } => {
+            let width = table.schema.len();
+            projection
+                .iter()
+                .copied()
+                .take_while(|&c| c < width)
+                .collect()
+        }
         _ => return,
     };
     let mut leaves = Vec::new();
@@ -1147,6 +1138,7 @@ fn collect_agg_calls<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 mod tests {
     use super::*;
     use crate::catalog::{StaticCatalog, TableMeta};
+    use hive_common::Schema;
     use hive_ql::{parse, Statement};
 
     /// Lower with BIGINT columns bound by position in `names`.
@@ -1289,24 +1281,6 @@ mod tests {
         ] {
             let err = lower_over(&where_of(sql), &["v"]).unwrap_err();
             assert!(matches!(err, HiveError::Semantic(_)), "{sql}: {err}");
-        }
-    }
-
-    #[test]
-    fn dml_expressions_are_scalar_only() {
-        let schema = Schema::parse(&[("k", "bigint"), ("v", "string")]).unwrap();
-        let dml = |e: &Expr| lower_dml(e, "t", &schema);
-        let ok = dml(&where_of(
-            "SELECT k FROM t WHERE k = -3 AND t.v IS NOT NULL",
-        ));
-        assert!(ok.is_ok());
-        let agg = where_of("SELECT k FROM t WHERE sum(k) > 1");
-        assert!(matches!(dml(&agg), Err(HiveError::Plan(_))));
-        let star = Expr::binary(BinOp::Eq, Expr::Star, Expr::Literal(Value::Int(1)));
-        assert!(matches!(dml(&star), Err(HiveError::Plan(_))));
-        // The scope is the one table: nothing else can qualify a column.
-        for unknown in [Expr::col("nope"), Expr::qcol("other", "k")] {
-            assert!(matches!(dml(&unknown), Err(HiveError::Semantic(_))));
         }
     }
 

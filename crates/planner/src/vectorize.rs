@@ -108,17 +108,12 @@ pub fn try_vectorize(
     let Some(scan_id) = input.scan else {
         return Ok(None);
     };
-    let PlanOp::TableScan {
-        table, projection, ..
-    } = &nodes[scan_id].op
-    else {
+    if !matches!(nodes[scan_id].op, PlanOp::TableScan { .. }) {
         return Ok(None);
-    };
-    // Validation 1: primitive scan columns only.
-    let scan_types: Vec<DataType> = projection
-        .iter()
-        .map(|&i| table.schema.field(i).data_type.clone())
-        .collect();
+    }
+    // Validation 1: primitive scan columns only (virtual columns included).
+    let scan = nodes[scan_id].schema.iter();
+    let scan_types: Vec<DataType> = scan.map(|c| c.data_type.clone()).collect();
     if !scan_types.iter().all(|t| Lane::of(t).is_some()) {
         return Ok(None);
     }
