@@ -329,8 +329,8 @@ proptest! {
 // Same salvage contract for a whole vectorized map chain: a
 // filter + expression + partial-aggregate pipeline over corrupt ORC files
 // must skip the same rows and produce the same degraded answer whether it
-// runs batch-native or in row-mode fallback
-// (`hive.vectorized.execution.enabled` off). Reader-level salvage counts
+// runs batch-native or in row mode (`hive.vectorized.execution.enabled`
+// off). Reader-level salvage counts
 // are compared too, so the EXPLAIN ANALYZE scan profile agrees between
 // the modes as well.
 proptest! {

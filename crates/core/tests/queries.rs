@@ -327,20 +327,57 @@ fn cbo_join_reordering_preserves_results_and_helps_mapjoins() {
 }
 
 #[test]
-fn unvectorizable_expressions_fall_back_to_row_mode() {
-    // Modulo and CASE are not in the vectorized expression set; the
-    // vectorization validator must reject the chain and the row engine
-    // must produce the same answers it would with vectorization off.
+fn modulo_and_case_vectorize_with_row_mode_answers() {
+    // `%` and CASE have vector kernels: the stage runs batch-native end to
+    // end and answers what the row engine answers.
     let sql = "SELECT value1, CASE WHEN key % 2 = 0 THEN 'even' ELSE 'odd' END AS par \
                FROM big2 WHERE key % 7 = 3 ORDER BY value1 LIMIT 5";
     let mut on = session();
     on.set(keys::VECTORIZED_ENABLED, "true");
     let r_on = on.execute(sql).unwrap();
+    let profile = on.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let profile = profile.explain.unwrap();
+    let map_ops = profile.split("map operators:").nth(1).unwrap();
+    let map_ops = map_ops.split("reduce operators:").next().unwrap();
+    assert!(
+        map_ops
+            .lines()
+            .skip(1)
+            .all(|l| l.trim().starts_with("Vector")),
+        "{profile}"
+    );
     let mut off = session();
     off.set(keys::VECTORIZED_ENABLED, "false");
     let r_off = off.execute(sql).unwrap();
     assert_eq!(r_on.rows, r_off.rows);
     assert_eq!(r_on.rows.len(), 5);
+}
+
+#[test]
+fn case_values_take_one_type() {
+    // An INT branch beside a DOUBLE one is a DOUBLE in every row, in both
+    // engines; a string beside a number is a type error at bind time.
+    for vectorize in ["true", "false"] {
+        let mut hive = session();
+        hive.set(keys::VECTORIZED_ENABLED, vectorize);
+        let r = hive
+            .execute(
+                "SELECT key, CASE WHEN key > 2 THEN key ELSE value1 END AS c FROM big2 \
+                 WHERE key < 5 ORDER BY key",
+            )
+            .unwrap();
+        assert!(!r.rows.is_empty());
+        for row in &r.rows {
+            assert!(matches!(row[1], Value::Double(_)), "{vectorize}: {row:?}");
+        }
+        let err = hive
+            .execute("SELECT CASE WHEN key > 2 THEN key ELSE 'x' END AS c FROM big2")
+            .unwrap_err();
+        assert!(
+            matches!(err, hive_common::HiveError::Semantic(_)),
+            "{vectorize}: {err}"
+        );
+    }
 }
 
 #[test]

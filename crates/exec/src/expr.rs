@@ -249,7 +249,8 @@ fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
                 if *b == 0 {
                     Value::Null
                 } else {
-                    Value::Int(a % b)
+                    // `i64::MIN % -1` overflows; Java (and Hive) answer 0.
+                    Value::Int(a.wrapping_rem(*b))
                 }
             }
             _ => unreachable!(),

@@ -20,5 +20,5 @@ pub use expr::ExprNode;
 pub use graph::{Emit, Message, OperatorGraph, ShuffleRecord};
 pub use operators::*;
 pub use vector_ops::{
-    RowBridgeOperator, VectorGroupBySinkOperator, VectorOpAdapter, VectorReduceSinkOperator,
+    VectorFileSinkOperator, VectorGroupBySinkOperator, VectorOpAdapter, VectorReduceSinkOperator,
 };

@@ -2,14 +2,13 @@
 //!
 //! Vectorized operators from `hive-vector` run as ordinary nodes of the
 //! push-based operator graph, wrapped in [`VectorOpAdapter`], which handles
-//! `Arc` sharing (copy-on-write on mutation) and batch counting. Three
-//! boundary operators complete the protocol:
+//! `Arc` sharing (copy-on-write on mutation) and batch counting. A
+//! vectorized map stage runs batch-native from its scan to its sink, and
+//! ends in one of three sinks, the only places its rows come into existence:
 //!
-//! * [`RowBridgeOperator`] — the *only* batch→row crossing point. A
-//!   vectorized segment that ends before a row-mode operator ends in
-//!   exactly one bridge.
+//! * [`VectorFileSinkOperator`] — a map-only stage's output rows.
 //! * [`VectorReduceSinkOperator`] — emits shuffle records straight from
-//!   batches, so a fully vectorized map task never bridges.
+//!   batches.
 //! * [`VectorGroupBySinkOperator`] — the fused map-side partial
 //!   aggregation + reduce sink: batches stream into a typed vectorized
 //!   hash aggregator, and the (small) per-group partial rows only come
@@ -105,43 +104,39 @@ impl Operator for VectorOpAdapter {
     }
 }
 
-/// The single batch→row crossing point. A vectorized segment that cannot
-/// continue in batch mode (unsupported downstream shape, per-operator gate
-/// off) ends in exactly one bridge, which materializes the selected rows
-/// and forwards them row-mode.
-pub struct RowBridgeOperator {
-    /// Batch column index + logical type of each materialized column.
+/// The output sink of a map-only vectorized stage (FileSink, or the
+/// IntermediateCut a downstream job re-reads): each selected row of the
+/// projected columns leaves the task as an output row.
+pub struct VectorFileSinkOperator {
+    /// Batch column index + logical type of each output column.
     pub output_columns: Vec<(usize, DataType)>,
     batches: u64,
 }
 
-impl RowBridgeOperator {
-    pub fn new(output_columns: Vec<(usize, DataType)>) -> RowBridgeOperator {
-        RowBridgeOperator {
+impl VectorFileSinkOperator {
+    pub fn new(output_columns: Vec<(usize, DataType)>) -> VectorFileSinkOperator {
+        VectorFileSinkOperator {
             output_columns,
             batches: 0,
         }
     }
 }
 
-impl Operator for RowBridgeOperator {
+impl Operator for VectorFileSinkOperator {
     fn name(&self) -> String {
-        "RowBridge".into()
+        "VectorFileSink".into()
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
-            Message::Batch { batch, tag } => {
+            Message::Batch { batch, .. } => {
                 self.batches += 1;
                 let rows = batch_to_rows(&batch, &self.output_columns);
-                let rows = rows.into_iter().map(|row| Emit::Forward {
-                    child_slot: 0,
-                    msg: Message::Row { row, tag },
-                });
+                let rows = rows.into_iter().map(Emit::Output);
                 Ok(rows.chain([Emit::Spent(batch)]).collect())
             }
-            Message::Row { .. } => Err(wiring_bug("RowBridge", "row")),
-            signal => Ok(vec![Emit::Broadcast(signal)]),
+            Message::Row { .. } => Err(wiring_bug("VectorFileSink", "row")),
+            _ => Ok(vec![]),
         }
     }
 
@@ -353,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn adapter_filter_then_bridge_counts_logical_rows() {
+    fn adapter_filter_then_file_sink_counts_logical_rows() {
         use hive_vector::expressions::{filter_compare, CmpOp, Operand};
 
         let mut g = OperatorGraph::new();
@@ -363,10 +358,11 @@ mod tests {
                     .unwrap(),
             ),
         ))));
-        let br = g.add(Box::new(RowBridgeOperator::new(vec![(0, DataType::Int)])));
-        let s = g.add(Box::new(crate::operators::FileSinkOperator));
-        g.connect(f, br, None);
-        g.connect(br, s, None);
+        let s = g.add(Box::new(VectorFileSinkOperator::new(vec![(
+            0,
+            DataType::Int,
+        )])));
+        g.connect(f, s, None);
 
         let mut out = Vec::new();
         g.push(
@@ -389,11 +385,11 @@ mod tests {
                 Row::new(vec![Value::Int(5)]),
             ]
         );
-        // Logical-row accounting: filter 5 in → 3 out; bridge 3 in → 3 out.
+        // Logical-row accounting: filter 5 in → 3 out; sink 3 in → 3 out.
         assert_eq!(g.rows_in_of(f), 5);
         assert_eq!(g.rows_out_of(f), 3);
-        assert_eq!(g.rows_in_of(br), 3);
-        assert_eq!(g.rows_out_of(br), 3);
+        assert_eq!(g.rows_in_of(s), 3);
+        assert_eq!(g.rows_out_of(s), 3);
         let profs = g.profiles();
         assert!(profs[0].detail.contains(&("batches".to_string(), 1)));
     }
@@ -492,8 +488,8 @@ mod tests {
             row: Row::new(vec![]),
             tag: 0,
         };
-        let mut bridge = RowBridgeOperator::new(vec![]);
-        assert!(bridge.receive(row.clone()).is_err());
+        let mut sink = VectorFileSinkOperator::new(vec![]);
+        assert!(sink.receive(row.clone()).is_err());
         let mut rs = VectorReduceSinkOperator::new(vec![], vec![], vec![], 0, 1);
         assert!(rs.receive(row).is_err());
     }

@@ -57,8 +57,8 @@ pub struct SideInput {
 /// The batch-mode entry of the map pipeline for one input alias (paper
 /// Section 6): the engine wraps reader batches in `Message::Batch` and
 /// pushes them straight into the graph at `root`. The vectorized operators
-/// themselves are ordinary graph nodes (adapters, sinks, or a `RowBridge`
-/// fallback into the row-mode suffix).
+/// themselves are ordinary graph nodes, adapters then one sink: the whole
+/// stage runs batch-native, scan to sink.
 pub struct VectorStage {
     /// Column types of the scan batch.
     pub batch_types: Vec<DataType>,

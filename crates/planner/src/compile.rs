@@ -814,49 +814,32 @@ impl MapBuildSpec {
         let mut roots = HashMap::new();
         let mut vector = HashMap::new();
         for mi in &self.inputs {
-            // Vectorization applies to single-sink table-scan chains.
-            let mut remaining: Vec<usize> = mi.nodes.clone();
-            let mut chain: Option<vectorize::VectorizedChain> = None;
-            // ACID scans vectorize like any other: the engine unselects
-            // deleted ordinals from each batch before it enters the
-            // pipeline, so the mask survives the batch-native path.
-            if self.vectorize && mi.scan.is_some() && mi.rs_tags.len() <= 1 {
-                let view = vectorize::MapInputView {
-                    scan: mi.scan,
-                    nodes: &mi.nodes,
-                    rs_tags: &mi.rs_tags,
-                };
-                let num_reducers = self.num_reducers.max(1);
-                if let Some(c) = vectorize::try_vectorize(&self.nodes, &view, side, num_reducers)? {
-                    remaining.retain(|n| !c.consumed.contains(n));
-                    chain = Some(c);
-                }
-            }
-
-            // Add the batch-native chain first (display order: batches flow
-            // scan → ... → sink/bridge), linearly connected.
-            let mut stage: Option<hive_mapreduce::job::VectorStage> = None;
-            let mut bridge: Option<(usize, std::collections::HashSet<usize>)> = None;
-            if let Some(c) = chain {
+            // A stage that vectorizes does so whole, scan to sink. ACID
+            // scans vectorize like any other: the engine unselects deleted
+            // ordinals from each batch before it enters the pipeline.
+            let (stage, tags, reducers) = (&mi.nodes, &mi.rs_tags, self.num_reducers.max(1));
+            let vectorized = self.vectorize.then(|| {
+                vectorize::try_vectorize(&self.nodes, mi.scan, stage, tags, side, reducers)
+            });
+            if let Some(c) = vectorized.transpose()?.flatten() {
+                // Display order: batches flow scan → ... → sink.
                 let ids: Vec<usize> = c.operators.into_iter().map(|op| graph.add(op)).collect();
                 for w in ids.windows(2) {
                     graph.connect(w[0], w[1], None);
                 }
-                let (&root, &terminal) = (ids.first().unwrap(), ids.last().unwrap());
-                stage = Some(hive_mapreduce::job::VectorStage {
+                let stage = hive_mapreduce::job::VectorStage {
                     batch_types: c.batch_types,
-                    root,
-                    terminal,
+                    root: ids[0],
+                    terminal: ids[ids.len() - 1],
                     first_columns: c.first_columns,
-                });
-                if c.bridged {
-                    bridge = Some((terminal, c.consumed));
-                }
+                };
+                vector.insert(mi.alias.clone(), stage);
+                continue; // batches enter at stage.root; no row root
             }
 
-            // Build exec ops for remaining nodes.
+            // Build exec ops for the stage's nodes.
             let mut exec_of: HashMap<usize, usize> = HashMap::new();
-            let order = topo(&self.nodes, &remaining);
+            let order = topo(&self.nodes, &mi.nodes);
             for &n in &order {
                 // The scan is the task's reader, not an operator.
                 if !matches!(self.nodes[n].op, PlanOp::TableScan { .. }) {
@@ -876,67 +859,27 @@ impl MapBuildSpec {
                 }
             }
 
-            if let Some((bridge_id, consumed)) = bridge {
-                // The RowBridge's rows enter the row-mode graph at the
-                // first non-consumed node downstream of the chain.
-                let entry = remaining
+            // Row-mode entry: the scan's exec children, or an intermediate
+            // input's first operator. A shared scan's several children are
+            // fed through a PassThrough fan-out.
+            let heads: Vec<usize> = match mi.scan {
+                Some(scan) => order
                     .iter()
-                    .copied()
-                    .find(|&n| {
-                        self.nodes[n]
-                            .parents
-                            .iter()
-                            .any(|p| consumed.contains(p) || *p == mi.source)
-                    })
-                    .or_else(|| remaining.first().copied())
-                    .ok_or_else(|| HiveError::Plan("bridged chain has no row entry".into()))?;
-                let entry = *exec_of
-                    .get(&entry)
-                    .ok_or_else(|| HiveError::Plan("row entry not materialized".into()))?;
-                graph.connect(bridge_id, entry, None);
-            }
-
-            if let Some(stage) = stage {
-                vector.insert(mi.alias.clone(), stage);
-                continue; // batches enter at stage.root; no row root
-            }
-
-            // Row-mode alias: scan's first exec child, or (for
-            // intermediate inputs) the RS itself.
-            let first = match mi.scan {
-                Some(scan) => {
-                    // First node whose parent is the scan.
-                    order
-                        .iter()
-                        .copied()
-                        .find(|&n| self.nodes[n].parents.contains(&scan))
-                }
-                None => Some(mi.source),
+                    .filter(|&&n| self.nodes[n].parents.contains(&scan))
+                    .filter_map(|n| exec_of.get(n).copied())
+                    .collect(),
+                None => exec_of.get(&mi.source).copied().into_iter().collect(),
             };
-            let first = first.ok_or_else(|| HiveError::Plan("map chain has no entry".into()))?;
-            let root = *exec_of
-                .get(&first)
-                .ok_or_else(|| HiveError::Plan("entry not materialized".into()))?;
-            // Shared scans need a fan-out point: if the scan has several
-            // exec children, interpose a PassThrough.
-            let root = if let Some(scan) = mi.scan {
-                let heads: Vec<usize> = order
-                    .iter()
-                    .copied()
-                    .filter(|&n| self.nodes[n].parents.contains(&scan))
-                    .filter_map(|n| exec_of.get(&n).copied())
-                    .collect();
-                if heads.len() > 1 {
+            let root = match heads[..] {
+                [] => return Err(HiveError::Plan("map chain has no entry".into())),
+                [root] => root,
+                _ => {
                     let tee = graph.add(Box::new(ops::PassThroughOperator));
                     for h in heads {
                         graph.connect(tee, h, None);
                     }
                     tee
-                } else {
-                    root
                 }
-            } else {
-                root
             };
             roots.insert(mi.alias.clone(), root);
         }

@@ -375,16 +375,16 @@ pub fn expr_type(e: &ExprNode, input: &[ColumnInfo]) -> Result<DataType> {
             DataType::Boolean
         }
         ExprNode::Cast { target, .. } => target.clone(),
+        // `semantic::lower` gave every branch and ELSE value one type; a
+        // NULL literal among them has none.
         ExprNode::Case {
             branches,
             else_value,
         } => {
-            if let Some((_, v)) = branches.first() {
-                expr_type(v, input)?
-            } else if let Some(e) = else_value {
-                expr_type(e, input)?
-            } else {
-                DataType::String
+            let mut values = branches.iter().map(|(_, v)| v).chain(else_value.as_deref());
+            match values.find(|v| !matches!(v, ExprNode::Literal(Value::Null))) {
+                Some(v) => expr_type(v, input)?,
+                None => DataType::String,
             }
         }
     })

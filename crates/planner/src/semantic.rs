@@ -536,16 +536,23 @@ pub fn lower(
         Expr::Case {
             branches,
             else_value,
-        } => ExprNode::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((sub(c)?, sub(v)?)))
-                .collect::<Result<_>>()?,
-            else_value: match else_value {
-                Some(x) => Some(Box::new(sub(x)?)),
-                None => None,
-            },
-        },
+        } => {
+            let mut conditions = Vec::with_capacity(branches.len());
+            let mut values = Vec::with_capacity(branches.len() + 1);
+            for (c, v) in branches {
+                conditions.push(sub(c)?);
+                values.push(sub(v)?);
+            }
+            if let Some(x) = else_value {
+                values.push(sub(x)?);
+            }
+            unified(&mut values, input)?;
+            let else_value = else_value.as_ref().and_then(|_| values.pop()).map(Box::new);
+            ExprNode::Case {
+                branches: conditions.into_iter().zip(values).collect(),
+                else_value,
+            }
+        }
         Expr::Column { table, name } => {
             return Err(HiveError::Semantic(format!(
                 "unknown column `{}{name}`",
@@ -569,13 +576,7 @@ pub fn lower(
 /// type. Anything else — `v + TRUE`, BOOLEAN against BIGINT — is a
 /// `[semantic]` error here, so no engine decides it alone.
 fn typed(arith: bool, operands: &mut [ExprNode], input: &[ColumnInfo]) -> Result<()> {
-    let mut types = Vec::with_capacity(operands.len());
-    for e in operands.iter() {
-        types.push(match e {
-            ExprNode::Literal(Value::Null) => None,
-            e => Some(expr_type(e, input)?),
-        });
-    }
+    let types = operand_types(operands, input)?;
     let known: Vec<&DataType> = types.iter().flatten().collect();
     let number = |t: &&DataType| matches!(t, DataType::Int | DataType::Double);
     let one_type = !arith && known.windows(2).all(|w| w[0] == w[1]);
@@ -598,6 +599,40 @@ fn typed(arith: bool, operands: &mut [ExprNode], input: &[ColumnInfo]) -> Result
         if t == Some(DataType::String) {
             let string = std::mem::replace(e, ExprNode::Literal(Value::Null));
             *e = cast(string, &DataType::Double)?;
+        }
+    }
+    Ok(())
+}
+
+/// Each operand's type; `None` for the NULL literal, which has none.
+fn operand_types(operands: &[ExprNode], input: &[ColumnInfo]) -> Result<Vec<Option<DataType>>> {
+    let typed = operands.iter().map(|e| match e {
+        ExprNode::Literal(Value::Null) => Ok(None),
+        e => expr_type(e, input).map(Some),
+    });
+    typed.collect()
+}
+
+/// CASE's values (branches and ELSE) take one type: the type they share, or
+/// DOUBLE for a mix of numbers (each INT cast). A NULL literal takes any
+/// type; any other mix is a `[semantic]` error.
+fn unified(values: &mut [ExprNode], input: &[ColumnInfo]) -> Result<()> {
+    let types = operand_types(values, input)?;
+    let known: Vec<&DataType> = types.iter().flatten().collect();
+    let number = |t: &&DataType| matches!(t, DataType::Int | DataType::Double);
+    if known.windows(2).all(|w| w[0] == w[1]) {
+        return Ok(());
+    } else if !known.iter().all(number) {
+        let names: Vec<String> = known.iter().map(|t| t.to_string()).collect();
+        let names = names.join(" and ");
+        return Err(HiveError::Semantic(format!(
+            "type mismatch: CASE over {names}"
+        )));
+    }
+    for (e, t) in values.iter_mut().zip(types) {
+        if t == Some(DataType::Int) {
+            let int = std::mem::replace(e, ExprNode::Literal(Value::Null));
+            *e = cast(int, &DataType::Double)?;
         }
     }
     Ok(())
@@ -1320,6 +1355,37 @@ mod tests {
             ("mid", kv, 1 << 20),
             ("tiny", kv, 1 << 10),
         ])
+    }
+
+    /// The vector map-join keys its hash table by typed key lanes, so it must
+    /// never see a probe key and a build key of two types: the binder meets
+    /// an INT key with a DOUBLE one as DOUBLE on both sides.
+    #[test]
+    fn int_and_double_join_keys_meet_as_double_on_both_sides() {
+        let catalog = sized_tables(&[
+            ("a", &[("k", "bigint")], 1 << 30),
+            ("b", &[("d", "double"), ("n", "string")], 1 << 10),
+        ]);
+        let Statement::Select(stmt) =
+            parse("SELECT a.k, b.n FROM a JOIN b ON (a.k = b.d)").unwrap()
+        else {
+            panic!("expected select")
+        };
+        let conf = HiveConf::new();
+        let mut t = translate(&stmt, &catalog, &conf).unwrap();
+        crate::mapjoin::convert_map_joins(&mut t.graph, &conf).unwrap();
+        let nodes = &t.graph.nodes;
+        let (n, side) = nodes
+            .iter()
+            .find_map(|n| match &n.op {
+                PlanOp::MapJoin(side) if n.alive => Some((n, side)),
+                _ => None,
+            })
+            .expect("b is small enough to build a map join");
+        let stream = &nodes[n.parents[0]].schema;
+        let probe = expr_type(&side.stream_keys[0], stream).unwrap();
+        let build = &n.schema[stream.len()].data_type;
+        assert_eq!((probe, build), (DataType::Double, &DataType::Double));
     }
 
     #[test]

@@ -6,53 +6,41 @@
 //! replaces each expression tree with corresponding vectorized
 //! expressions."
 //!
-//! Here the pass runs per map-side scan chain: a prefix of
-//! Filter / Select / MapJoin / GroupBy(MapHash) / ReduceSink operators over
-//! primitive columns is replaced by batch-native exec-graph nodes fed by the
-//! format's vectorized reader. A fully vectorized chain ends in a batch
-//! shuffle sink (`VectorReduceSink`, or the fused `VectorGroupBySink`); a
-//! partially vectorized chain ends in exactly one `RowBridge`, where rows
-//! re-enter the row-mode graph at the first non-vectorizable operator.
+//! Here the pass decides once per map stage. A stage that reads a table
+//! through one linear chain of operators over scalar columns (scan and
+//! map-join build sides alike) is vectorized whole, from the batch the
+//! format's reader fills to its sink: the batch shuffle sink
+//! (`VectorReduceSink`, or the fused `VectorGroupBySink`) or, for a map-only
+//! stage, the output sink (`VectorFileSink`). Any other stage — an
+//! intermediate input, a complex column, a shared scan feeding several
+//! sinks — runs in row mode from end to end. Within a vectorizable stage
+//! every operator and expression has a kernel; one that has none is a plan
+//! error, not a row-mode tail.
 
 use crate::plan::{expr_type, ColumnInfo, GroupByPhase, PlanNode, PlanOp};
 use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_exec::agg::AggFunction;
-use hive_exec::expr::{BinaryOp, ExprNode, UnaryOp};
+use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
 use hive_exec::graph::Operator;
 use hive_exec::operators::JoinType;
 use hive_exec::vector_ops::{
-    RowBridgeOperator, VectorGroupBySinkOperator, VectorOpAdapter, VectorReduceSinkOperator,
+    VectorFileSinkOperator, VectorGroupBySinkOperator, VectorOpAdapter, VectorReduceSinkOperator,
 };
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
 use hive_vector::expressions as vx;
 use hive_vector::expressions::{Lane, Operand, VectorExpression};
 use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
-use hive_vector::operators::{VectorFilterOperator, VectorSelectOperator};
-use hive_vector::DEFAULT_BATCH_SIZE;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use hive_vector::operators::{VectorFilterOperator, VectorLimitOperator, VectorSelectOperator};
+use hive_vector::{VectorOperator, DEFAULT_BATCH_SIZE};
+use std::collections::{BTreeMap, HashMap};
 
-/// The compiler's view of one map input handed to the vectorizer.
-pub struct MapInputView<'a> {
-    /// The TableScan plan node, when this input reads a base table.
-    pub scan: Option<usize>,
-    /// Plan node ids belonging to this input's chain.
-    pub nodes: &'a [usize],
-    /// ReduceSink plan node → shuffle tag.
-    pub rs_tags: &'a BTreeMap<usize, usize>,
-}
-
-/// A compiled batch-native chain: exec-graph operators to run in order,
-/// starting from the scan batch.
+/// A compiled batch-native stage: exec-graph operators to run in order,
+/// from the scan batch to the stage's sink.
 pub struct VectorizedChain {
-    /// Graph nodes in chain order (adapters, sinks, possibly a bridge).
+    /// Graph nodes in chain order (adapters, then one sink).
     pub operators: Vec<Box<dyn Operator>>,
-    /// Plan nodes the chain replaces.
-    pub consumed: HashSet<usize>,
     /// Column types of the scan batch the engine allocates.
     pub batch_types: Vec<DataType>,
-    /// When true the chain's last operator is the `RowBridge`, whose rows
-    /// must be routed into the row-mode graph at the fallback entry.
-    pub bridged: bool,
     /// When the chain's first operator is a filter: the scan-batch columns
     /// its predicate reads first. The reader fills those and defers the rest
     /// to the filter (`VectorFilterOperator`), which fills them for the rows
@@ -91,58 +79,57 @@ fn seal_pending_join(
             out_types,
             DEFAULT_BATCH_SIZE,
         )?;
-        operators[pj.slot] = Some(Box::new(VectorOpAdapter::new(Box::new(op))));
+        operators[pj.slot] = Some(adapter(op));
     }
     Ok(())
 }
 
-/// Attempt to vectorize the prefix of a map chain. Returns the compiled
-/// chain, or `None` when validation fails and the whole input stays
-/// row-mode.
+fn adapter(op: impl VectorOperator + 'static) -> Box<dyn Operator> {
+    Box::new(VectorOpAdapter::new(Box::new(op)))
+}
+
+/// Validate a map stage — the plan nodes `stage`, read from the TableScan
+/// `scan` when it reads a table, with shuffle tags `rs_tags` — and vectorize
+/// it whole. `None` — the stage runs in row mode — in exactly three cases:
+/// its input is not a table scan, it touches a non-scalar column (on the
+/// scan or a map-join's build side), or it is not one linear chain (a
+/// shared scan feeding several sinks).
 pub fn try_vectorize(
     nodes: &[PlanNode],
-    input: &MapInputView<'_>,
+    scan: Option<usize>,
+    stage: &[usize],
+    rs_tags: &BTreeMap<usize, usize>,
     side: &HashMap<String, Vec<Row>>,
     num_reducers: usize,
 ) -> Result<Option<VectorizedChain>> {
-    let Some(scan_id) = input.scan else {
+    let Some(scan_id) = scan else {
         return Ok(None);
     };
-    if !matches!(nodes[scan_id].op, PlanOp::TableScan { .. }) {
+    let in_stage = |n: &usize| stage.contains(n);
+    let forks = |&n: &usize| nodes[n].children.iter().filter(|c| in_stage(c)).count() > 1;
+    if stage.iter().any(forks) {
         return Ok(None);
     }
-    // Validation 1: primitive scan columns only (virtual columns included).
-    let scan = nodes[scan_id].schema.iter();
-    let scan_types: Vec<DataType> = scan.map(|c| c.data_type.clone()).collect();
-    if !scan_types.iter().all(|t| Lane::of(t).is_some()) {
+    let scalar = |cols: &[ColumnInfo]| cols.iter().all(|c| Lane::of(&c.data_type).is_some());
+    let build_side = |&n: &usize| match &nodes[n].op {
+        PlanOp::MapJoin(_) => Some(&nodes[n].schema[nodes[nodes[n].parents[0]].schema.len()..]),
+        _ => None,
+    };
+    let mut build_sides = stage.iter().filter_map(build_side);
+    if !scalar(&nodes[scan_id].schema) || !build_sides.all(scalar) {
         return Ok(None);
     }
+    let types = nodes[scan_id].schema.iter().map(|c| c.data_type.clone());
+    let mut c = VecCompiler::over(types.collect(), &nodes[scan_id].schema);
 
-    let c = VecCompiler::over(scan_types, &nodes[scan_id].schema);
-    let out = compile_chain(nodes, input, side, num_reducers, c, scan_id)?;
-    if out.consumed.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(out))
-}
-
-/// Compile the linear operator chain starting below `start` into
-/// batch-native graph operators. The chain ends either in a shuffle sink
-/// (fully vectorized map task) or in a single `RowBridge` where row mode
-/// takes over.
-fn compile_chain<'a>(
-    nodes: &'a [PlanNode],
-    input: &MapInputView<'_>,
-    side: &HashMap<String, Vec<Row>>,
-    num_reducers: usize,
-    mut c: VecCompiler<'a>,
-    start: usize,
-) -> Result<VectorizedChain> {
-    let input_nodes = input.nodes;
+    // The chain below the scan, compiled into batch-native graph operators
+    // up to and including the stage's sink.
+    let next = |n: usize| {
+        let child = nodes[n].children.iter().copied().find(in_stage);
+        child.ok_or_else(|| HiveError::Plan("vectorized map stage ends without a sink".into()))
+    };
     let mut operators: Vec<Option<Box<dyn Operator>>> = Vec::new();
-    let mut consumed: HashSet<usize> = HashSet::new();
-    let mut cur = start;
-    let mut ended_in_sink = false;
+    let mut cur = scan_id;
     // Types of the scan batch: frozen at the first re-batching operator
     // (map join); until then scratch columns keep extending it.
     let mut scan_types: Option<Vec<DataType>> = None;
@@ -150,59 +137,41 @@ fn compile_chain<'a>(
     let mut first_columns: Option<Vec<usize>> = None;
 
     loop {
-        // The chain must be linear within this input.
-        let next: Vec<usize> = nodes[cur]
-            .children
-            .iter()
-            .copied()
-            .filter(|n| input_nodes.contains(n))
-            .collect();
-        if next.len() != 1 {
-            break;
-        }
-        let n = next[0];
+        let n = next(cur)?;
+        cur = n;
         match &nodes[n].op {
             PlanOp::Filter { predicate } => {
-                let Some(f) = c.compile_filter(predicate)? else {
-                    break;
-                };
+                let f = c.compile_filter(predicate)?;
                 let mut children: Vec<Box<dyn VectorExpression>> = c.drain_pending();
                 children.push(f);
                 let filter = VectorFilterOperator::new(vx::filter_and(children));
                 if operators.is_empty() {
                     first_columns = Some(filter.first_columns().to_vec());
                 }
-                operators.push(Some(Box::new(VectorOpAdapter::new(Box::new(filter)))));
-                consumed.insert(n);
-                cur = n;
+                operators.push(Some(adapter(filter)));
             }
             PlanOp::Select { exprs } => {
-                let Some(select) = c.project(exprs, &nodes[n].schema)? else {
-                    break;
-                };
-                operators.push(Some(select));
-                consumed.insert(n);
-                cur = n;
+                operators.push(Some(c.project(exprs, &nodes[n].schema)?));
             }
+            // A degenerate sink is a plain projection (keys ++ values).
+            PlanOp::ReduceSink {
+                keys,
+                values,
+                degenerate: true,
+                ..
+            } => {
+                let exprs: Vec<ExprNode> = keys.iter().chain(values).cloned().collect();
+                operators.push(Some(c.project(&exprs, &nodes[n].schema)?));
+            }
+            PlanOp::Limit(k) => operators.push(Some(adapter(VectorLimitOperator::new(*k)))),
             PlanOp::GroupBy {
                 phase: GroupByPhase::MapHash,
                 keys,
                 aggs,
             } => {
-                // Fused partial-aggregate + reduce-sink: requires the
-                // in-chain child to be a plain (non-degenerate) ReduceSink,
-                // which is the planner's invariant shape for map-side
-                // hash aggregation.
-                let rs: Vec<usize> = nodes[n]
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|x| input_nodes.contains(x))
-                    .collect();
-                if rs.len() != 1 {
-                    break;
-                }
-                let rs_n = rs[0];
+                // Fused partial-aggregate + reduce-sink: the planner's
+                // invariant shape for map-side hash aggregation.
+                let rs_n = next(n)?;
                 let PlanOp::ReduceSink {
                     keys: rs_keys,
                     values: rs_values,
@@ -210,16 +179,15 @@ fn compile_chain<'a>(
                     ..
                 } = &nodes[rs_n].op
                 else {
-                    break;
+                    return Err(HiveError::Plan(
+                        "a map-side GroupBy must feed a ReduceSink".into(),
+                    ));
                 };
-                let Some(key_cols) = c.typed_values(keys)? else {
-                    break;
-                };
-                let Some(specs) = all(aggs.iter().map(|a| c.compile_agg(a)))? else {
-                    break;
-                };
+                let key_cols = c.typed_values(keys)?;
+                let specs = aggs.iter().map(|a| c.compile_agg(a));
+                let specs = specs.collect::<Result<Vec<_>>>()?;
                 let expressions = c.drain_pending();
-                let tag = input.rs_tags.get(&rs_n).copied().unwrap_or(0);
+                let tag = rs_tags.get(&rs_n).copied().unwrap_or(0);
                 operators.push(Some(Box::new(VectorGroupBySinkOperator::new(
                     expressions,
                     VectorHashAggregator::new(key_cols, specs),
@@ -228,42 +196,13 @@ fn compile_chain<'a>(
                     tag,
                     num_reducers,
                 ))));
-                consumed.insert(n);
-                consumed.insert(rs_n);
-                ended_in_sink = true;
                 break;
             }
-            PlanOp::ReduceSink {
-                keys,
-                values,
-                degenerate: true,
-                ..
-            } => {
-                // A degenerate sink is a plain projection (keys ++ values);
-                // the chain continues through it in batch mode.
-                let mut exprs: Vec<ExprNode> = keys.clone();
-                exprs.extend(values.iter().cloned());
-                let Some(select) = c.project(&exprs, &nodes[n].schema)? else {
-                    break;
-                };
-                operators.push(Some(select));
-                consumed.insert(n);
-                cur = n;
-            }
-            PlanOp::ReduceSink {
-                keys,
-                values,
-                degenerate: false,
-                ..
-            } => {
-                let Some(key_columns) = c.typed_values(keys)? else {
-                    break;
-                };
-                let Some(value_columns) = c.typed_values(values)? else {
-                    break;
-                };
+            PlanOp::ReduceSink { keys, values, .. } => {
+                let key_columns = c.typed_values(keys)?;
+                let value_columns = c.typed_values(values)?;
                 let expressions = c.drain_pending();
-                let tag = input.rs_tags.get(&n).copied().unwrap_or(0);
+                let tag = rs_tags.get(&n).copied().unwrap_or(0);
                 operators.push(Some(Box::new(VectorReduceSinkOperator::new(
                     expressions,
                     key_columns,
@@ -271,14 +210,15 @@ fn compile_chain<'a>(
                     tag,
                     num_reducers,
                 ))));
-                consumed.insert(n);
-                ended_in_sink = true;
+                break;
+            }
+            PlanOp::FileSink | PlanOp::IntermediateCut => {
+                let sink = VectorFileSinkOperator::new(c.layout_columns());
+                operators.push(Some(Box::new(sink)));
                 break;
             }
             PlanOp::MapJoin(s) => {
-                let Some(pj) = prepare_mapjoin(nodes, side, &mut c, n, s)? else {
-                    break; // row-mode fallback for the join and everything after
-                };
+                let pj = prepare_mapjoin(nodes, side, &mut c, n, s)?;
                 // This segment's types are final now (the new join's key
                 // scratch included): seal the previous join, freeze the
                 // scan batch types, and reseed the compiler against the
@@ -296,19 +236,16 @@ fn compile_chain<'a>(
                 operators.push(None);
                 pending_join = Some(PendingJoin { slot, ..pj });
                 c = VecCompiler::over(out_types, &nodes[n].schema);
-                consumed.insert(n);
-                cur = n;
             }
-            _ => break,
+            op => {
+                return Err(HiveError::Plan(format!(
+                    "{} cannot run in a vectorized map stage",
+                    op.kind_name()
+                )))
+            }
         }
     }
 
-    if !ended_in_sink && !consumed.is_empty() {
-        // The single batch→row crossing: bridge the current layout into
-        // the row-mode graph.
-        let output_columns = c.layout_columns();
-        operators.push(Some(Box::new(RowBridgeOperator::new(output_columns))));
-    }
     // The last segment's types are final: seal the trailing join (if any).
     seal_pending_join(&mut pending_join, &mut operators, &c.types)?;
     let batch_types = scan_types.unwrap_or(c.types);
@@ -316,54 +253,53 @@ fn compile_chain<'a>(
         .into_iter()
         .map(|o| o.ok_or_else(|| HiveError::Plan("unsealed vectorized join".into())))
         .collect::<Result<_>>()?;
-    Ok(VectorizedChain {
+    Ok(Some(VectorizedChain {
         operators,
-        consumed,
         batch_types,
-        bridged: !ended_in_sink,
         first_columns,
-    })
+    }))
 }
 
-/// Try to vectorize one MapJoin plan node. `Ok(None)` means the shape is
-/// not eligible and the chain should fall back to row mode at this point.
-/// On success the compiler's scratch state includes the probe-key columns;
-/// the operator itself is constructed later (see [`PendingJoin`]).
+/// Compile one MapJoin plan node. The compiler's scratch state then
+/// includes the probe-key columns; the operator itself is constructed
+/// later (see [`PendingJoin`]).
 fn prepare_mapjoin(
     nodes: &[PlanNode],
     side: &HashMap<String, Vec<Row>>,
     c: &mut VecCompiler<'_>,
     n: usize,
     s: &crate::plan::MapJoinSide,
-) -> Result<Option<PendingJoin>> {
+) -> Result<PendingJoin> {
+    // Map-join conversion (`mapjoin.rs`) streams only these two kinds.
     let kind = match s.join_type {
         JoinType::Inner => MapJoinKind::Inner,
         JoinType::LeftOuter => MapJoinKind::LeftOuter,
-        _ => return Ok(None),
+        other => {
+            return Err(HiveError::Plan(format!(
+                "a {other:?} join cannot be a map join"
+            )))
+        }
     };
     // The join's output: the streamed layout followed by the stored build
-    // row (keys ++ projected columns). All must be primitive.
-    let stream_width = c.layout.len();
-    let build = &nodes[n].schema[stream_width..];
-    if build.len() != s.width || !build.iter().all(|ci| Lane::of(&ci.data_type).is_some()) {
-        return Ok(None);
-    }
+    // row (keys ++ projected columns).
+    let build = &nodes[n].schema[c.layout.len()..];
     // Probe keys over the current layout. Key lanes are typed, so each must
-    // have its build key's type: BOOLEAN never meets INT through a shared
-    // long lane.
-    let Some(key_columns) = c.typed_values(&s.stream_keys)? else {
-        return Ok(None);
-    };
+    // have its build key's type; the binder unifies the two sides' key
+    // types (INT meets DOUBLE as DOUBLE), so BOOLEAN never meets INT
+    // through a shared long lane.
+    let key_columns = c.typed_values(&s.stream_keys)?;
     let key_types: Vec<DataType> = key_columns.iter().map(|(_, dt)| dt.clone()).collect();
     let build_key_types = build[..key_types.len()].iter().map(|ci| &ci.data_type);
     if !key_types.iter().eq(build_key_types) {
-        return Ok(None);
+        return Err(HiveError::Plan(
+            "map-join probe and build keys differ in type".into(),
+        ));
     }
     let key_expressions = c.drain_pending();
     let table = MapJoinTable::build(&key_types, s.build_rows(side)?)?;
 
     let stream_columns = c.layout_columns();
-    Ok(Some(PendingJoin {
+    Ok(PendingJoin {
         slot: 0, // assigned by the caller
         kind,
         key_expressions,
@@ -371,20 +307,23 @@ fn prepare_mapjoin(
         stream_columns,
         table,
         build_width: s.width,
-    }))
+    })
 }
 
-/// Collect `Ok(Some(_))` items; the first `None` (not vectorizable) or
-/// error ends the walk.
-fn all<T>(items: impl Iterator<Item = Result<Option<T>>>) -> Result<Option<Vec<T>>> {
-    items.collect::<Result<Option<Vec<T>>>>()
+/// A catalogue answer, or the plan error for a shape it has no kernel for.
+fn kernel(e: Option<Box<dyn VectorExpression>>) -> Result<Box<dyn VectorExpression>> {
+    e.ok_or_else(|| HiveError::Plan("no vector kernel for an expression's operand shape".into()))
+}
+
+fn is_null_literal(e: &ExprNode) -> bool {
+    matches!(e, ExprNode::Literal(Value::Null))
 }
 
 /// Compiles row-mode expression trees into vectorized expression chains.
 ///
 /// The compiler decides what is the planner's business — which operand is a
 /// scalar, when a long operand must be widened to double, which scratch
-/// column holds a result, how AND / OR / IN / BETWEEN decompose — and asks
+/// column holds a result, how IN / BETWEEN decompose — and asks
 /// `hive_vector::expressions` for every kernel. Mid-expression it tracks
 /// lanes only (the physical column's); every `DataType` comes from
 /// [`expr_type`] over the input plan node's schema.
@@ -419,10 +358,10 @@ impl<'a> VecCompiler<'a> {
         std::mem::take(&mut self.pending)
     }
 
-    /// Push a catalogue answer; `None` (no kernel) passes through.
-    fn emit(&mut self, e: Option<Box<dyn VectorExpression>>, out: usize) -> Option<usize> {
-        self.pending.push(e?);
-        Some(out)
+    /// Push a catalogue answer writing scratch column `out`.
+    fn emit(&mut self, e: Option<Box<dyn VectorExpression>>, out: usize) -> Result<usize> {
+        self.pending.push(kernel(e)?);
+        Ok(out)
     }
 
     /// The current logical row: physical column + logical type per column.
@@ -435,14 +374,12 @@ impl<'a> VecCompiler<'a> {
     }
 
     /// Compile value expressions to physical column + logical type (shuffle
-    /// keys and values, join keys, projections); `None` when any fails.
-    fn typed_values(&mut self, exprs: &[ExprNode]) -> Result<Option<Vec<(usize, DataType)>>> {
-        all(exprs.iter().map(|e| {
-            let Some(col) = self.value(e)? else {
-                return Ok(None);
-            };
-            Ok(Some((col, expr_type(e, self.schema)?)))
-        }))
+    /// keys and values, join keys, projections).
+    fn typed_values(&mut self, exprs: &[ExprNode]) -> Result<Vec<(usize, DataType)>> {
+        let typed = exprs
+            .iter()
+            .map(|e| Ok((self.value(e)?, expr_type(e, self.schema)?)));
+        typed.collect()
     }
 
     /// Compile a projection into a `VectorSelect` and move the compiler onto
@@ -451,18 +388,11 @@ impl<'a> VecCompiler<'a> {
         &mut self,
         exprs: &[ExprNode],
         schema: &'a [ColumnInfo],
-    ) -> Result<Option<Box<dyn Operator>>> {
-        let Some(output_columns) = self.typed_values(exprs)? else {
-            return Ok(None);
-        };
-        self.layout = output_columns.iter().map(|(col, _)| *col).collect();
+    ) -> Result<Box<dyn Operator>> {
+        self.layout = exprs.iter().map(|e| self.value(e)).collect::<Result<_>>()?;
         self.schema = schema;
-        Ok(Some(Box::new(VectorOpAdapter::new(Box::new(
-            VectorSelectOperator {
-                expressions: self.drain_pending(),
-                output_columns,
-            },
-        )))))
+        let expressions = self.drain_pending();
+        Ok(adapter(VectorSelectOperator { expressions }))
     }
 
     /// A physical column as a kernel operand of the column's lane.
@@ -471,61 +401,113 @@ impl<'a> VecCompiler<'a> {
         Operand::col(lane, col)
     }
 
+    /// A NULL of type `t` in a fresh scratch column.
+    fn null(&mut self, t: DataType) -> usize {
+        let out = self.scratch(t);
+        self.pending.push(vx::null(out));
+        out
+    }
+
+    /// [`value`](Self::value), with a NULL literal taking type `t` (it has
+    /// none of its own): boolean operands, CASE values.
+    fn value_as(&mut self, e: &ExprNode, t: &DataType) -> Result<usize> {
+        match e {
+            ExprNode::Literal(Value::Null) => Ok(self.null(t.clone())),
+            e => self.value(e),
+        }
+    }
+
     /// Compile a value expression; returns the physical column holding it.
-    fn value(&mut self, e: &ExprNode) -> Result<Option<usize>> {
+    fn value(&mut self, e: &ExprNode) -> Result<usize> {
+        use BinaryOp::*;
         if let ExprNode::Column(i) = e {
             let col = self.layout.get(*i).copied();
-            return col
-                .map(Some)
-                .ok_or_else(|| HiveError::Plan(format!("column {i} out of layout")));
+            return col.ok_or_else(|| HiveError::Plan(format!("column {i} out of layout")));
         }
         // The one type rule: the result's type, hence its scratch column.
         let out_type = expr_type(e, self.schema)?;
-        Ok(match e {
+        match e {
+            ExprNode::Literal(Value::Null) => Ok(self.null(out_type)),
             ExprNode::Literal(v) => {
-                let Some(scalar) = scalar(v) else {
-                    return Ok(None);
-                };
                 let out = self.scratch(out_type);
-                self.emit(vx::constant(scalar, out), out)
+                self.emit(scalar(v).and_then(|s| vx::constant(s, out)), out)
             }
-            ExprNode::Cast { expr, .. } => {
-                let (Some(col), Some(to)) = (self.value(expr)?, Lane::of(&out_type)) else {
-                    return Ok(None);
-                };
-                let from = self.col(col);
-                if from.lane() == to {
-                    return Ok(Some(col));
+            ExprNode::Cast { expr, target } => {
+                let (col, from) = (self.value(expr)?, expr_type(expr, self.schema)?);
+                if from == *target {
+                    return Ok(col);
                 }
-                let out = self.scratch(out_type);
-                self.emit(vx::cast(from, to, out), out)
+                let out = self.scratch(out_type.clone());
+                match (from, target) {
+                    (DataType::Int | DataType::Boolean, DataType::Double)
+                    | (DataType::Double, DataType::Int) => {
+                        let to = Lane::of(target).expect("a number");
+                        self.emit(vx::cast(self.col(col), to, out), out)
+                    }
+                    (from, _) => {
+                        let target = target.clone();
+                        let convert = move |v: &Value| cast_value(v, &target);
+                        let cast = vx::cast_cells(col, from, &out_type, convert, out);
+                        self.emit(Some(cast), out)
+                    }
+                }
             }
-            ExprNode::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => {
-                let Some(col) = self.value(expr)? else {
-                    return Ok(None);
-                };
-                let out = self.scratch(out_type);
-                self.emit(vx::negate(self.col(col), out), out)
-            }
-            ExprNode::Binary { op, left, right } => {
-                let Some(op) = binary_op(*op) else {
-                    return Ok(None);
-                };
-                let Some((l, r)) = self.operands(left, right, Lane::of(&out_type))? else {
-                    return Ok(None);
-                };
+            ExprNode::Unary { op, expr } => {
+                let col = self.value_as(expr, &out_type)?;
                 let out = self.scratch(out_type);
                 let kernel = match op {
+                    UnaryOp::Neg => vx::negate(self.col(col), out),
+                    UnaryOp::Not => vx::not(self.col(col), out),
+                };
+                self.emit(kernel, out)
+            }
+            ExprNode::Binary {
+                op: op @ (And | Or),
+                left,
+                right,
+            } => {
+                let l = self.value_as(left, &DataType::Boolean)?;
+                let r = self.value_as(right, &DataType::Boolean)?;
+                let out = self.scratch(out_type);
+                self.emit(vx::logical(*op == Or, self.col(l), self.col(r), out), out)
+            }
+            // NULL meets an arithmetic or comparison operator as NULL.
+            ExprNode::Binary { left, right, .. }
+                if is_null_literal(left) || is_null_literal(right) =>
+            {
+                Ok(self.null(out_type))
+            }
+            ExprNode::Binary { op, left, right } => {
+                let (l, r) = self.operands(left, right, Lane::of(&out_type))?;
+                let out = self.scratch(out_type);
+                let kernel = match binary_op(*op) {
                     Binary::Arith(op) => vx::arith(op, l, r, out),
                     Binary::Cmp(op) => vx::compare(op, l, r, out),
                 };
                 self.emit(kernel, out)
             }
-            _ => None,
-        })
+            ExprNode::IsNull { expr, negated } => {
+                let col = self.value(expr)?;
+                let out = self.scratch(out_type);
+                self.emit(Some(vx::is_null(col, *negated, out)), out)
+            }
+            ExprNode::Between { .. } | ExprNode::InList { .. } => self.value(&decompose(e)),
+            ExprNode::Case {
+                branches,
+                else_value,
+            } => {
+                let mut pairs = Vec::with_capacity(branches.len());
+                for (cond, v) in branches {
+                    let cond = self.value_as(cond, &DataType::Boolean)?;
+                    pairs.push((cond, self.value_as(v, &out_type)?));
+                }
+                let otherwise = else_value.as_deref().map(|e| self.value_as(e, &out_type));
+                let otherwise = otherwise.transpose()?;
+                let out = self.scratch(out_type.clone());
+                self.emit(Some(vx::case(pairs, otherwise, out_type, out)), out)
+            }
+            ExprNode::Column(_) => unreachable!("handled above"),
+        }
     }
 
     /// Classify a binary operator's operands: the right side may be a scalar
@@ -535,12 +517,10 @@ impl<'a> VecCompiler<'a> {
         left: &ExprNode,
         right: &ExprNode,
         result: Option<Lane>,
-    ) -> Result<Option<(Operand, Operand)>> {
-        let (Some(l), Some(r)) = (self.value(left)?, self.operand(right)?) else {
-            return Ok(None);
-        };
+    ) -> Result<(Operand, Operand)> {
+        let (l, r) = (self.value(left)?, self.operand(right)?);
         let [l, r] = self.same_lane([self.col(l), r], result);
-        Ok(Some((l, r)))
+        Ok((l, r))
     }
 
     /// Kernels are same-lane: when any operand (or the operator's `result`)
@@ -559,11 +539,15 @@ impl<'a> VecCompiler<'a> {
     }
 
     /// A literal as a scalar operand, anything else as its column.
-    fn operand(&mut self, e: &ExprNode) -> Result<Option<Operand>> {
-        if let ExprNode::Literal(v) = e {
-            return Ok(scalar(v));
+    fn operand(&mut self, e: &ExprNode) -> Result<Operand> {
+        if let Some(s) = match e {
+            ExprNode::Literal(v) => scalar(v),
+            _ => None,
+        } {
+            return Ok(s);
         }
-        Ok(self.value(e)?.map(|col| self.col(col)))
+        let col = self.value(e)?;
+        Ok(self.col(col))
     }
 
     /// Long → double: a scalar converts in place, a column through a cast
@@ -580,86 +564,90 @@ impl<'a> VecCompiler<'a> {
         }
     }
 
-    /// Compile a predicate into an in-place filter expression.
-    fn compile_filter(&mut self, e: &ExprNode) -> Result<Option<Box<dyn VectorExpression>>> {
+    /// `l ⋈ r` in filter position: in place where the catalogue has a
+    /// template, else through a scratch boolean.
+    fn filter_compare(
+        &mut self,
+        op: vx::CmpOp,
+        l: Operand,
+        r: Operand,
+    ) -> Result<Box<dyn VectorExpression>> {
+        let [l, r] = self.same_lane([l, r], None);
+        if let Some(f) = vx::filter_compare(op, l.clone(), r.clone()) {
+            return Ok(f);
+        }
+        let out = self.scratch(DataType::Boolean);
+        self.emit(vx::compare(op, l, r, out), out)?;
+        kernel(vx::filter_bool(Operand::LongCol(out)))
+    }
+
+    /// Compile a predicate into a filter expression. Conjunctions,
+    /// disjunctions, comparisons, BETWEEN, IN and IS NULL have in-place
+    /// templates; any other predicate (NOT, NOT BETWEEN, NOT IN, CASE, a
+    /// NULL operand, a boolean column) is compiled as a value and filtered
+    /// on: the one generic rule.
+    fn compile_filter(&mut self, e: &ExprNode) -> Result<Box<dyn VectorExpression>> {
+        let null = |operands: &[&ExprNode]| operands.iter().any(|o| is_null_literal(o));
         Ok(match e {
             ExprNode::Binary {
                 op: op @ (BinaryOp::And | BinaryOp::Or),
                 left,
                 right,
             } => {
-                let (Some(l), Some(r)) = (self.compile_filter(left)?, self.compile_filter(right)?)
-                else {
-                    return Ok(None);
-                };
-                Some(match op {
+                let (l, r) = (self.compile_filter(left)?, self.compile_filter(right)?);
+                match op {
                     BinaryOp::And => vx::filter_and(vec![l, r]),
                     _ => vx::filter_or(vec![l, r]),
-                })
+                }
             }
-            ExprNode::Binary { op, left, right } => {
-                let Some(Binary::Cmp(op)) = binary_op(*op) else {
-                    return Ok(None);
+            ExprNode::Binary { op, left, right } if !null(&[left, right]) => {
+                let Binary::Cmp(op) = binary_op(*op) else {
+                    return self.filter_on_value(e);
                 };
-                let Some((l, r)) = self.operands(left, right, None)? else {
-                    return Ok(None);
-                };
-                vx::filter_compare(op, l, r)
+                let (l, r) = self.operands(left, right, None)?;
+                self.filter_compare(op, l, r)?
             }
             ExprNode::Between {
                 expr,
                 lo,
                 hi,
                 negated: false,
-            } => {
-                let (Some(col), Some(lo), Some(hi)) =
-                    (self.value(expr)?, self.operand(lo)?, self.operand(hi)?)
-                else {
-                    return Ok(None);
-                };
-                let col = self.col(col);
-                if col.lane() == lo.lane() && col.lane() == hi.lane() {
-                    return Ok(vx::filter_between(col, lo, hi));
+            } if !null(&[expr, lo, hi]) => {
+                let col = self.value(expr)?;
+                let (col, lo, hi) = (self.col(col), self.operand(lo)?, self.operand(hi)?);
+                if let Some(f) = vx::filter_between(col.clone(), lo.clone(), hi.clone()) {
+                    return Ok(f);
                 }
                 // Mixed lanes: two comparisons, each widening only its own
                 // pair, as the row engine compares them.
-                let [c, lo] = self.same_lane([col.clone(), lo], None);
-                let above = vx::filter_compare(vx::CmpOp::GreaterEqual, c, lo);
-                let [c, hi] = self.same_lane([col, hi], None);
-                let below = vx::filter_compare(vx::CmpOp::LessEqual, c, hi);
-                above.zip(below).map(|(a, b)| vx::filter_and(vec![a, b]))
+                let above = self.filter_compare(vx::CmpOp::GreaterEqual, col.clone(), lo)?;
+                let below = self.filter_compare(vx::CmpOp::LessEqual, col, hi)?;
+                vx::filter_and(vec![above, below])
             }
-            ExprNode::IsNull { expr, negated } => self
-                .value(expr)?
-                .map(|col| vx::filter_is_null(col, *negated)),
-            ExprNode::InList {
-                expr,
-                list,
-                negated: false,
-            } => {
-                // col IN (a, b, ...) → OR of equality filters.
-                let equalities = list.iter().map(|item| {
-                    let eq = ExprNode::binary(BinaryOp::Eq, (**expr).clone(), item.clone());
-                    self.compile_filter(&eq)
-                });
-                all(equalities)?.map(vx::filter_or)
+            ExprNode::IsNull { expr, negated } => {
+                let col = self.value(expr)?;
+                vx::filter_is_null(col, *negated)
             }
-            ExprNode::Column(_) => match self.value(e)? {
-                Some(col) => vx::filter_bool(self.col(col)),
-                None => None,
-            },
-            _ => None,
+            ExprNode::InList { negated: false, .. } => self.compile_filter(&decompose(e))?,
+            _ => return self.filter_on_value(e),
+        })
+    }
+
+    /// The generic rule: compile the predicate as a value and keep the rows
+    /// where it is TRUE. As in the row engine's WHERE, only a boolean can be.
+    fn filter_on_value(&mut self, e: &ExprNode) -> Result<Box<dyn VectorExpression>> {
+        let col = self.value(e)?;
+        Ok(match expr_type(e, self.schema)? {
+            DataType::Boolean => kernel(vx::filter_bool(self.col(col)))?,
+            _ => vx::filter_or(Vec::new()), // an empty disjunction keeps nothing
         })
     }
 
     /// Map a row-mode aggregate onto a vectorized AggSpec.
-    fn compile_agg(&mut self, a: &crate::plan::AggCall) -> Result<Option<AggSpec>> {
+    fn compile_agg(&mut self, a: &crate::plan::AggCall) -> Result<AggSpec> {
         let input = match &a.arg {
             None => None,
-            Some(arg) => match self.value(arg)? {
-                Some(c) => Some((c, expr_type(arg, self.schema)?)),
-                None => return Ok(None),
-            },
+            Some(arg) => Some((self.value(arg)?, expr_type(arg, self.schema)?)),
         };
         let kind = match (a.function, input.as_ref().map(|(c, _)| self.col(*c).lane())) {
             (AggFunction::CountStar, _) => AggKind::CountStar,
@@ -673,16 +661,71 @@ impl<'a> VecCompiler<'a> {
             (AggFunction::Max, Some(Lane::Long)) => AggKind::MaxLong,
             (AggFunction::Max, Some(Lane::Double)) => AggKind::MaxDouble,
             (AggFunction::Max, Some(Lane::Bytes)) => AggKind::MaxBytes,
-            _ => return Ok(None),
+            (f, lane) => return Err(HiveError::Plan(format!("no {f:?} kernel over {lane:?}"))),
         };
-        Ok(Some(AggSpec { kind, input }))
+        Ok(AggSpec { kind, input })
+    }
+}
+
+/// BETWEEN and IN as the comparisons they stand for: `lo <= e AND e <= hi`
+/// and `e = a OR e = b …`, negated by NOT. A BETWEEN bound that may be NULL
+/// makes the whole test NULL, as in the row engine, which the conjunction
+/// alone would answer FALSE when the other bound fails.
+fn decompose(e: &ExprNode) -> ExprNode {
+    let cmp = |op, l: &ExprNode, r: &ExprNode| ExprNode::binary(op, l.clone(), r.clone());
+    let (test, negated) = match e {
+        ExprNode::Between {
+            expr,
+            lo,
+            hi,
+            negated,
+        } => {
+            let (above, below) = (cmp(BinaryOp::GtEq, expr, lo), cmp(BinaryOp::LtEq, expr, hi));
+            let inside = ExprNode::binary(BinaryOp::And, above, below);
+            let literal = |b: &ExprNode| matches!(b, ExprNode::Literal(v) if !v.is_null());
+            if literal(lo) && literal(hi) {
+                (inside, negated)
+            } else {
+                let is_null = |b: &ExprNode| ExprNode::IsNull {
+                    expr: Box::new(b.clone()),
+                    negated: false,
+                };
+                let unknown = ExprNode::binary(BinaryOp::Or, is_null(lo), is_null(hi));
+                let branches = vec![(unknown, ExprNode::Literal(Value::Null))];
+                let else_value = Some(Box::new(inside));
+                (
+                    ExprNode::Case {
+                        branches,
+                        else_value,
+                    },
+                    negated,
+                )
+            }
+        }
+        ExprNode::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let tests = list.iter().map(|item| cmp(BinaryOp::Eq, expr, item));
+            let any = tests.reduce(|a, b| ExprNode::binary(BinaryOp::Or, a, b));
+            (any.expect("IN lists are not empty"), negated)
+        }
+        _ => unreachable!("only BETWEEN and IN decompose"),
+    };
+    match negated {
+        true => ExprNode::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(test),
+        },
+        false => test,
     }
 }
 
 /// A literal the kernels take as a scalar operand, at full width.
 fn scalar(v: &Value) -> Option<Operand> {
     match v {
-        Value::Int(x) => Some(Operand::LongScalar(*x)),
+        Value::Int(x) | Value::Timestamp(x) => Some(Operand::LongScalar(*x)),
         Value::Boolean(b) => Some(Operand::LongScalar(*b as i64)),
         Value::Double(x) => Some(Operand::DoubleScalar(*x)),
         Value::String(s) => Some(Operand::BytesScalar(s.as_bytes().to_vec())),
@@ -690,26 +733,28 @@ fn scalar(v: &Value) -> Option<Operand> {
     }
 }
 
-/// The row engine's operator as the kernel catalogue names it; `None` for
-/// the operators that never vectorize in value or comparison position.
+/// The row engine's arithmetic or comparison operator as the kernel
+/// catalogue names it (AND / OR are compiled before this is asked).
 enum Binary {
     Arith(vx::ArithOp),
     Cmp(vx::CmpOp),
 }
 
-fn binary_op(op: BinaryOp) -> Option<Binary> {
+fn binary_op(op: BinaryOp) -> Binary {
     use Binary::*;
-    Some(match op {
+    match op {
         BinaryOp::Add => Arith(vx::ArithOp::Add),
         BinaryOp::Subtract => Arith(vx::ArithOp::Subtract),
         BinaryOp::Multiply => Arith(vx::ArithOp::Multiply),
         BinaryOp::Divide => Arith(vx::ArithOp::Divide),
+        BinaryOp::Modulo => Arith(vx::ArithOp::Modulo),
         BinaryOp::Eq => Cmp(vx::CmpOp::Equal),
         BinaryOp::NotEq => Cmp(vx::CmpOp::NotEqual),
         BinaryOp::Lt => Cmp(vx::CmpOp::Less),
         BinaryOp::LtEq => Cmp(vx::CmpOp::LessEqual),
         BinaryOp::Gt => Cmp(vx::CmpOp::Greater),
         BinaryOp::GtEq => Cmp(vx::CmpOp::GreaterEqual),
-        BinaryOp::Modulo | BinaryOp::And | BinaryOp::Or => return None,
-    })
+        // Three-valued logic is `vx::logical`'s, never a lane operator.
+        BinaryOp::And | BinaryOp::Or => unreachable!("AND / OR are compiled as logic"),
+    }
 }

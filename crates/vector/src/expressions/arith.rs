@@ -112,6 +112,31 @@ impl BinOp<f64> for Divide {
     }
 }
 
+/// `x % 0` is NULL, and `i64::MIN % -1` is 0 as in Java (Rust's `%` would
+/// panic on both).
+pub struct Modulo;
+
+macro_rules! modulo {
+    ($t:ty, |$a:ident, $b:ident| $apply:expr) => {
+        impl BinOp<$t> for Modulo {
+            type Out = $t;
+            const NAME: &'static str = "Modulo";
+            const SYM: &'static str = "%";
+            const PARTIAL: bool = true;
+            #[inline(always)]
+            fn apply($a: $t, $b: $t) -> $t {
+                $apply
+            }
+            fn undefined(b: $t) -> bool {
+                b == 0 as $t
+            }
+        }
+    };
+}
+
+modulo!(i64, |a, b| a.checked_rem(b).unwrap_or(0));
+modulo!(f64, |a, b| a % b);
+
 /// Run `f` over the valid row indexes with the `selected_in_use` branch
 /// hoisted out of the loop (Figure 8).
 #[inline(always)]
@@ -583,6 +608,43 @@ mod tests {
                 "{op:?}"
             );
         }
+    }
+
+    #[test]
+    fn modulo_by_zero_is_null_and_i64_min_by_minus_one_is_zero() {
+        let mut b = batch_with(&[7, i64::MIN, -7], &[5.5, -5.5, 1.0]);
+        let s = b.add_scratch(&DataType::Int).unwrap();
+        arith(ArithOp::Modulo, LongCol(0), LongScalar(-1), s)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
+        assert_eq!(&b.columns[s].as_long().unwrap().vector[..3], &[0, 0, 0]);
+        // Column divisors 3, -1, 0.
+        let d = b.add_scratch(&DataType::Int).unwrap();
+        b.columns[d].as_long_mut().unwrap().vector[..3].copy_from_slice(&[3, -1, 0]);
+        let c = b.add_scratch(&DataType::Int).unwrap();
+        arith(ArithOp::Modulo, LongCol(0), LongCol(d), c)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
+        let o = b.columns[c].as_long().unwrap();
+        assert_eq!((o.value(0), o.value(1)), (1, 0));
+        assert!(o.is_null(2) && !o.is_null(1));
+        // Doubles: IEEE remainder, NULL for a zero divisor.
+        let q = b.add_scratch(&DataType::Double).unwrap();
+        arith(ArithOp::Modulo, DoubleCol(1), DoubleScalar(2.0), q)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
+        assert_eq!(
+            &b.columns[q].as_double().unwrap().vector[..3],
+            &[1.5, -1.5, 1.0]
+        );
+        arith(ArithOp::Modulo, DoubleCol(1), DoubleScalar(0.0), q)
+            .unwrap()
+            .evaluate(&mut b)
+            .unwrap();
+        assert!(b.columns[q].as_double().unwrap().is_null(0));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! a column or scalar of a lane) and ask a constructor — [`arith`],
 //! [`compare`], [`filter_compare`], [`filter_between`], [`cast`],
 //! [`constant`], … — which answers `None` when no kernel exists for that
-//! shape (the vectorizer then leaves the expression to the row engine).
+//! shape (the vectorizer then widens, takes another template, or fails the
+//! plan: a vectorized stage has no row-mode tail).
 //! Adding a kernel is one row in one of these constructors; the planner
 //! learns nothing. All kernels are same-lane: widening a long operand to
 //! double is the caller's job (a [`cast`] into a scratch column, or
@@ -28,19 +29,22 @@ mod arith;
 mod cast;
 mod compare;
 mod filters;
+mod per_row;
 
 pub use crate::batch::Lane;
 pub use arith::DoubleColMultiplyDoubleColumn;
 
-use crate::batch::VectorizedRowBatch;
-use arith::{Add, ColCol, ColScalar, Divide, Multiply, Subtract};
+use crate::batch::{ColumnVector, VectorizedRowBatch};
+use crate::row_convert::get_value;
+use arith::{Add, ColCol, ColScalar, Divide, Modulo, Multiply, Subtract};
 use cast::Cast;
 use compare::{Equal, Greater, GreaterEqual, Less, LessEqual, NotEqual, Test};
 use filters::{
     FilterAnd, FilterBoolColumn, FilterBytesColScalar, FilterColCol, FilterColScalar,
     FilterColumnBetween, FilterIsNull, FilterOr,
 };
-use hive_common::Result;
+use hive_common::{DataType, Result, Value};
+use per_row::{compare_bytes, truth, PerRow};
 
 /// `lo <= double column <= hi` by its Hive name: the one filter kernel the
 /// benchmark's q6 replay builds by struct literal (`benchmark/README.md`).
@@ -120,14 +124,16 @@ pub enum ArithOp {
     Subtract,
     Multiply,
     Divide,
+    Modulo,
 }
 
 impl ArithOp {
-    pub const ALL: [ArithOp; 4] = [
+    pub const ALL: [ArithOp; 5] = [
         ArithOp::Add,
         ArithOp::Subtract,
         ArithOp::Multiply,
         ArithOp::Divide,
+        ArithOp::Modulo,
     ];
 }
 
@@ -182,16 +188,16 @@ pub fn arith(op: ArithOp, lhs: Operand, rhs: Operand, out: usize) -> Option<Expr
     use Operand::*;
     Some(match (lhs, rhs) {
         (LongCol(c), LongScalar(s)) => {
-            by_op!(ArithOp::{Add, Subtract, Multiply} = op, K => ColScalar::<i64, K>::new(c, s, out))
+            by_op!(ArithOp::{Add, Subtract, Multiply, Modulo} = op, K => ColScalar::<i64, K>::new(c, s, out))
         }
         (LongCol(l), LongCol(r)) => {
-            by_op!(ArithOp::{Add, Subtract, Multiply} = op, K => ColCol::<i64, K>::new(l, r, out))
+            by_op!(ArithOp::{Add, Subtract, Multiply, Modulo} = op, K => ColCol::<i64, K>::new(l, r, out))
         }
         (DoubleCol(c), DoubleScalar(s)) => {
-            by_op!(ArithOp::{Add, Subtract, Multiply, Divide} = op, K => ColScalar::<f64, K>::new(c, s, out))
+            by_op!(ArithOp::{Add, Subtract, Multiply, Divide, Modulo} = op, K => ColScalar::<f64, K>::new(c, s, out))
         }
         (DoubleCol(l), DoubleCol(r)) => {
-            by_op!(ArithOp::{Add, Subtract, Multiply, Divide} = op, K => ColCol::<f64, K>::new(l, r, out))
+            by_op!(ArithOp::{Add, Subtract, Multiply, Divide, Modulo} = op, K => ColCol::<f64, K>::new(l, r, out))
         }
         _ => return None,
     })
@@ -224,8 +230,60 @@ pub fn compare(op: CmpOp, lhs: Operand, rhs: Operand, out: usize) -> Option<Expr
         (DoubleCol(l), DoubleCol(r)) => {
             by_op!(CmpOp::* = op, K => ColCol::<f64, Test<K>>::new(l, r, out))
         }
+        (BytesCol(l), BytesScalar(s)) => {
+            by_op!(CmpOp::* = op, K => compare_bytes::<K>(l, None, s, out))
+        }
+        (BytesCol(l), BytesCol(r)) => {
+            by_op!(CmpOp::* = op, K => compare_bytes::<K>(l, Some(r), Vec::new(), out))
+        }
         _ => return None,
     })
+}
+
+/// Three-valued `lhs AND rhs` (`or`: OR) of two boolean columns in value
+/// position, into scratch column `out`.
+pub fn logical(or: bool, lhs: Operand, rhs: Operand, out: usize) -> Option<Expr> {
+    let (Operand::LongCol(l), Operand::LongCol(r)) = (lhs, rhs) else {
+        return None;
+    };
+    let name = if or { "ColOrCol" } else { "ColAndCol" };
+    let cell = move |c: &[_], i| Ok(per_row::logical(or, truth(&c[l], i), truth(&c[r], i)));
+    Some(boxed(PerRow::new(name.into(), vec![l, r], out, cell)))
+}
+
+/// `NOT col` of a boolean column in value position (NULL stays NULL).
+pub fn not(col: Operand, out: usize) -> Option<Expr> {
+    compare(CmpOp::Equal, col, Operand::LongScalar(0), out)
+}
+
+/// `column IS [NOT] NULL` in value position: a boolean that is never NULL.
+pub fn is_null(column: usize, negated: bool, out: usize) -> Expr {
+    let name = if negated { "IsNotNull" } else { "IsNull" };
+    let cell = move |c: &[ColumnVector], i| Ok(Value::Boolean(c[column].is_null(i) != negated));
+    boxed(PerRow::new(name.into(), vec![column], out, cell))
+}
+
+/// CASE into scratch column `out`: per row, the value column of the first
+/// branch whose condition column is true, else `otherwise`, else NULL. Every
+/// value column holds logical type `data_type`.
+pub fn case(
+    branches: Vec<(usize, usize)>,
+    otherwise: Option<usize>,
+    data_type: DataType,
+    out: usize,
+) -> Expr {
+    let pairs = branches.iter().flat_map(|&(c, v)| [c, v]);
+    let inputs = pairs.chain(otherwise).collect();
+    let cell = move |c: &[ColumnVector], i| {
+        let hit = branches
+            .iter()
+            .find(|&&(cond, _)| truth(&c[cond], i) == Some(true));
+        Ok(match hit.map(|&(_, v)| v).or(otherwise) {
+            Some(v) => get_value(&c[v], i, &data_type),
+            None => Value::Null,
+        })
+    };
+    boxed(PerRow::new("Case".into(), inputs, out, cell))
 }
 
 /// `lhs ⋈ rhs` in filter position: narrows the selection (NULL fails).
@@ -276,6 +334,26 @@ pub fn cast(col: Operand, to: Lane, out: usize) -> Option<Expr> {
         (Operand::DoubleCol(c), Lane::Long) => Some(boxed(Cast::<f64, i64>::new(c, out))),
         _ => None,
     }
+}
+
+/// Convert `column`, of logical type `from`, to `to` by `convert` (the row
+/// engine's CAST) into scratch column `out`: the casts [`cast`] has no lane
+/// kernel for — into or out of a string, to a boolean.
+pub fn cast_cells(
+    column: usize,
+    from: DataType,
+    to: &DataType,
+    convert: impl Fn(&Value) -> Result<Value> + Send + 'static,
+    out: usize,
+) -> Expr {
+    let name = format!("Cast[{from} -> {to}]");
+    let cell = move |c: &[ColumnVector], i| convert(&get_value(&c[column], i, &from));
+    boxed(PerRow::new(name, vec![column], out, cell))
+}
+
+/// Fill scratch column `out` with NULL (marked repeating: constant-time).
+pub fn null(out: usize) -> Expr {
+    boxed(ConstantExpression::Null { output: out })
 }
 
 /// Fill scratch column `out` with a scalar (marked repeating:
@@ -492,7 +570,7 @@ mod tests {
 
     /// "What vectorizes" is this table: every (constructor, operand shapes)
     /// that has a kernel, with the operators it has one for. A kernel added
-    /// or lost shows up here, not as a silent row-mode fallback.
+    /// or lost shows up here, not as a plan error at query time.
     #[test]
     fn the_catalogue_is_exactly_this_table() {
         let mut got = Vec::new();
@@ -518,6 +596,13 @@ mod tests {
                     some(compare(op, l.clone(), r.clone(), 9), format!("{op:?}"))
                 });
                 row("compare", &l, &r, ops.collect());
+                let ops = [false, true].into_iter().filter_map(|or| {
+                    some(
+                        logical(or, l.clone(), r.clone(), 9),
+                        ["And", "Or"][or as usize].into(),
+                    )
+                });
+                row("logical", &l, &r, ops.collect());
                 let ops = CmpOp::ALL.iter();
                 let ops = ops.filter_map(|&op| {
                     some(filter_compare(op, l.clone(), r.clone()), format!("{op:?}"))
@@ -532,20 +617,23 @@ mod tests {
         }
         let all_cmp = "Equal NotEqual Less LessEqual Greater GreaterEqual";
         let want = [
-            "arith LongCol LongCol: Add Subtract Multiply".to_string(),
+            "arith LongCol LongCol: Add Subtract Multiply Modulo".to_string(),
             format!("compare LongCol LongCol: {all_cmp}"),
+            "logical LongCol LongCol: And Or".to_string(),
             format!("filter_compare LongCol LongCol: {all_cmp}"),
-            "arith LongCol LongScalar: Add Subtract Multiply".to_string(),
+            "arith LongCol LongScalar: Add Subtract Multiply Modulo".to_string(),
             format!("compare LongCol LongScalar: {all_cmp}"),
             format!("filter_compare LongCol LongScalar: {all_cmp}"),
             "filter_between LongCol LongScalar: Between".to_string(),
-            "arith DoubleCol DoubleCol: Add Subtract Multiply Divide".to_string(),
+            "arith DoubleCol DoubleCol: Add Subtract Multiply Divide Modulo".to_string(),
             format!("compare DoubleCol DoubleCol: {all_cmp}"),
             format!("filter_compare DoubleCol DoubleCol: {all_cmp}"),
-            "arith DoubleCol DoubleScalar: Add Subtract Multiply Divide".to_string(),
+            "arith DoubleCol DoubleScalar: Add Subtract Multiply Divide Modulo".to_string(),
             format!("compare DoubleCol DoubleScalar: {all_cmp}"),
             format!("filter_compare DoubleCol DoubleScalar: {all_cmp}"),
             "filter_between DoubleCol DoubleScalar: Between".to_string(),
+            format!("compare BytesCol BytesCol: {all_cmp}"),
+            format!("compare BytesCol BytesScalar: {all_cmp}"),
             format!("filter_compare BytesCol BytesScalar: {all_cmp}"),
             "filter_between BytesCol BytesScalar: Between".to_string(),
         ];
@@ -561,6 +649,7 @@ mod tests {
         assert_eq!(unary(&|o| cast(o, Lane::Long, 9)), ["DoubleCol"]);
         assert_eq!(unary(&|o| cast(o, Lane::Bytes, 9)), [""; 0]);
         assert_eq!(unary(&|o| filter_bool(o)), ["LongCol"]);
+        assert_eq!(unary(&|o| not(o, 9)), ["LongCol"]);
         assert_eq!(
             unary(&|o| constant(o, 9)),
             ["LongScalar", "DoubleScalar", "BytesScalar"]

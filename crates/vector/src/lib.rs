@@ -27,4 +27,6 @@ pub use batch::{
 };
 pub use expressions::VectorExpression;
 pub use mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
-pub use operators::{VectorFilterOperator, VectorOperator, VectorSelectOperator};
+pub use operators::{
+    VectorFilterOperator, VectorLimitOperator, VectorOperator, VectorSelectOperator,
+};

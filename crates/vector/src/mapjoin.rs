@@ -20,8 +20,8 @@ use crate::operators::VectorOperator;
 use crate::row_convert::set_value;
 use hive_common::{DataType, HiveError, Result, Row, Value};
 
-/// Join shapes the vectorized operator supports; everything else keeps the
-/// row-mode fallback.
+/// The join kinds a map join can be (the planner streams the preserved side
+/// of a LEFT OUTER join and converts no other outer join).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapJoinKind {
     Inner,

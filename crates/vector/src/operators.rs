@@ -6,8 +6,9 @@
 //! batch-in/batch-out trait: consume a [`VectorizedRowBatch`] — usually
 //! narrowing its `selected[]` view or filling scratch columns in place —
 //! and optionally emit freshly assembled batches (the map join re-batches
-//! its output). No vectorized operator produces rows; the only batch→row
-//! crossing in the engine is the exec layer's `RowBridgeOperator`.
+//! its output). No vectorized operator produces rows; a stage's rows come
+//! into existence only in its exec-layer sink (shuffle records, or the
+//! output rows of `VectorFileSinkOperator`).
 
 use crate::batch::VectorizedRowBatch;
 use crate::expressions::VectorExpression;
@@ -83,13 +84,11 @@ impl VectorOperator for VectorFilterOperator {
     }
 }
 
-/// Evaluates projection expressions into scratch columns. The projected
-/// output columns (post-evaluation) are recorded in `output_columns`.
+/// Evaluates projection expressions into scratch columns; the compiler
+/// reads the projection from the columns they fill.
 pub struct VectorSelectOperator {
     /// Expressions in topological order (children before parents).
     pub expressions: Vec<Box<dyn VectorExpression>>,
-    /// Batch column index + logical type of each projected output.
-    pub output_columns: Vec<(usize, hive_common::DataType)>,
 }
 
 impl VectorOperator for VectorSelectOperator {
@@ -109,6 +108,36 @@ impl VectorOperator for VectorSelectOperator {
     }
 }
 
+/// A map-side LIMIT: the task's first `limit` selected rows pass, no more.
+pub struct VectorLimitOperator {
+    limit: u64,
+    seen: u64,
+}
+
+impl VectorLimitOperator {
+    pub fn new(limit: u64) -> VectorLimitOperator {
+        VectorLimitOperator { limit, seen: 0 }
+    }
+}
+
+impl VectorOperator for VectorLimitOperator {
+    fn process(
+        &mut self,
+        batch: &mut VectorizedRowBatch,
+        _out: &mut dyn FnMut(VectorizedRowBatch),
+    ) -> Result<bool> {
+        // The valid rows are a prefix of `selected` (or of `0..size`).
+        let keep = (self.limit - self.seen).min(batch.size as u64);
+        batch.size = keep as usize;
+        self.seen += keep;
+        Ok(true)
+    }
+
+    fn name(&self) -> String {
+        format!("VectorLimit({})", self.limit)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +145,22 @@ mod tests {
     use crate::expressions::testutil::batch_with;
     use crate::expressions::{filter_compare, CmpOp, Operand};
     use hive_common::{DataType, Value};
+
+    #[test]
+    fn limit_passes_the_first_selected_rows_across_batches() {
+        let mut limit = VectorLimitOperator::new(3);
+        let mut b = batch_with(&[1, 2, 3, 4], &[]);
+        b.selected_in_use = true;
+        b.selected[..2].copy_from_slice(&[1, 3]);
+        b.size = 2;
+        assert!(limit.process(&mut b, &mut |_| {}).unwrap());
+        assert_eq!(b.iter_selected().collect::<Vec<_>>(), [1, 3]);
+        let mut b = batch_with(&[5, 6, 7], &[]);
+        limit.process(&mut b, &mut |_| {}).unwrap();
+        assert_eq!(b.iter_selected().collect::<Vec<_>>(), [0]);
+        limit.process(&mut b, &mut |_| {}).unwrap();
+        assert_eq!(b.size, 0);
+    }
 
     #[test]
     fn filter_narrows_selection_in_place() {

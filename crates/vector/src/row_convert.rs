@@ -1,5 +1,6 @@
 //! Conversions between rows and batches, used at vectorization boundaries
-//! (shuffle edges, the generic row-source fallback reader, and tests).
+//! (a stage's sinks, shuffle edges, the generic row-source reader, and
+//! tests).
 
 use crate::batch::{ColumnVector, Lane, VectorizedRowBatch};
 use hive_common::{DataType, HiveError, Result, Row, Schema, Value};

@@ -218,15 +218,11 @@ fn explain_analyze_acid_scan_goldens() {
         "{vec_text}"
     );
     assert!(vec_text.contains("Vector"), "{vec_text}");
-    assert!(!vec_text.contains("RowBridge"), "{vec_text}");
     let row_text = analyze_acid_text(SQL, |hive| {
         hive.try_set("hive.vectorized.execution.enabled", "false")
             .unwrap();
     });
-    assert!(
-        !row_text.contains("Vector") && !row_text.contains("RowBridge"),
-        "{row_text}"
-    );
+    assert!(!row_text.contains("Vector"), "{row_text}");
     // The merge accounting is mode-independent by construction: identical
     // acid lines, whether deletes were dropped row by row or unselected
     // from batches by file ordinal.
@@ -338,7 +334,7 @@ fn vectorization_knob_off_matches_pre_vectorization_engine() {
     // `hive.vectorized.execution.enabled=false` must reproduce the row-mode
     // engine byte-for-byte. This golden was captured before the batch-native
     // execution redesign, so matching it proves the knob restores the
-    // pre-vectorization profile exactly (no Vector* operators, no bridge).
+    // pre-vectorization profile exactly (no Vector* operators).
     let text = analyze_text_conf(
         "SELECT cust, COUNT(*) AS n, SUM(total) AS rev FROM orders \
          WHERE total > 50.0 GROUP BY cust ORDER BY cust",
@@ -348,7 +344,6 @@ fn vectorization_knob_off_matches_pre_vectorization_engine() {
         },
     );
     assert!(!text.contains("Vector"), "{text}");
-    assert!(!text.contains("RowBridge"), "{text}");
     assert_golden("explain_analyze_vectorization_off.txt", &text);
 }
 
@@ -378,43 +373,6 @@ fn stats_answered_explain_analyze_has_no_vectorized_profile() {
         .unwrap();
     let text = r.explain.unwrap();
     assert!(text.contains("map operators"), "{text}");
-}
-
-#[test]
-fn fallback_boundaries_cross_exactly_one_row_bridge() {
-    // Fully vectorized chains have no batch→row crossing at all.
-    let text = analyze_text(JOIN_AGG, false);
-    assert_eq!(text.matches("RowBridge").count(), 0, "{text}");
-    // A shape the vectorizer rejects mid-chain breaks the chain at that
-    // operator: upstream stays vectorized and exactly ONE RowBridge
-    // crosses into row mode.
-    for (shape, sql) in [
-        (
-            "modulo probe key",
-            "SELECT customer.name, orders.total FROM orders \
-             JOIN customer ON (orders.okey % 100 = customer.cust) WHERE orders.total > 100.0",
-        ),
-        (
-            "modulo projection",
-            "SELECT okey % 3 AS b, total FROM orders WHERE total > 100.0",
-        ),
-        (
-            "modulo group key",
-            "SELECT cust % 7 AS b, COUNT(*) AS n FROM orders WHERE total > 50.0 GROUP BY cust % 7",
-        ),
-    ] {
-        let text = analyze_text(sql, false);
-        assert_eq!(text.matches("RowBridge").count(), 1, "{shape}:\n{text}");
-        assert!(text.contains("Vector"), "{shape}:\n{text}");
-    }
-    // A rejected FIRST operator leaves nothing to vectorize: the whole
-    // input falls back to row mode — no bridge, no vector ops.
-    let text = analyze_text(
-        "SELECT cust, COUNT(*) AS n FROM orders WHERE cust % 7 = 1 GROUP BY cust",
-        false,
-    );
-    assert_eq!(text.matches("RowBridge").count(), 0, "{text}");
-    assert!(!text.contains("Vector"), "{text}");
 }
 
 #[test]

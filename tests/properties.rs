@@ -1282,6 +1282,7 @@ mod catalogue {
             ArithOp::Subtract => BinaryOp::Subtract,
             ArithOp::Multiply => BinaryOp::Multiply,
             ArithOp::Divide => BinaryOp::Divide,
+            ArithOp::Modulo => BinaryOp::Modulo,
         }
     }
 
@@ -1449,13 +1450,15 @@ mod catalogue {
 
 /// Literals where the two engines can part ways: zero divisors of both
 /// lanes, a negative, an integer `f64` cannot hold (2^53 + 1), one that
-/// overflows any product, and a string bound.
-const EDGE_LITERALS: [&str; 6] = [
+/// overflows any product, `i64::MIN` (whose `% -1` overflows), and a string
+/// bound.
+const EDGE_LITERALS: [&str; 7] = [
     "0",
     "0.0",
     "-1",
     "9007199254740993",
     "9223372036854775807",
+    "(-9223372036854775807 - 1)",
     "'g2'",
 ];
 
@@ -1468,9 +1471,11 @@ const GROUP_KEYS: [&str; 12] = [
 
 /// One random full-query shape over `t (k BIGINT, v BIGINT, d DOUBLE,
 /// s STRING, b BOOLEAN, ts TIMESTAMP)`: a WHERE template (0 = none, which
-/// leaves `selected_in_use` off) plus a grouped aggregate (over an int or
-/// string key, or — shapes 5 and up — every aggregate kind over
-/// `GROUP_KEYS[group]`) or an expression projection. `d` holds NaNs and
+/// leaves `selected_in_use` off; 10 and up: `%`, NOT, NOT BETWEEN, NOT IN,
+/// CASE, NULL and TIMESTAMP operands) plus a grouped aggregate (over an int
+/// or string key, or — shapes 5 to 7 — every aggregate kind over
+/// `GROUP_KEYS[group]`) or an expression projection (8 and up: `%`, logic
+/// and BETWEEN / IN / IS NULL as values, CASE, casts). `d` holds NaNs and
 /// `-0.0`, which reach predicates, MIN/MAX and keys alike. `lit` picks the edge
 /// literal the arithmetic / comparison templates use, in WHERE *and*
 /// SELECT-list position; a template over a numeric column reads the string
@@ -1489,6 +1494,13 @@ fn full_query(filter: usize, th: i64, shape: usize, lit: usize, group: usize) ->
         7 => format!(" WHERE v * {num} < {th} AND k IN (0, 3, {th})"),
         8 => format!(" WHERE s >= {text} OR v = {num}"),
         9 => format!(" WHERE s BETWEEN 'g1' AND {text} AND d <= {num}"),
+        10 => format!(" WHERE v % {num} = k % 3"),
+        11 => format!(" WHERE NOT (v > {th} AND d < {num})"),
+        12 => format!(" WHERE v NOT BETWEEN {th} AND {}", th + 250),
+        13 => format!(" WHERE k NOT IN (0, 3, {th}) AND s NOT IN ({text}, 'g4')"),
+        14 => format!(" WHERE CASE WHEN k > 2 THEN v > {th} ELSE d < {num} END"),
+        15 => format!(" WHERE b OR (v > {th}) = (d IS NULL) OR s < NULL"),
+        16 => format!(" WHERE ts > CAST({th} AS TIMESTAMP) OR k IN (1, NULL)"),
         _ => String::new(),
     };
     match shape {
@@ -1506,12 +1518,30 @@ fn full_query(filter: usize, th: i64, shape: usize, lit: usize, group: usize) ->
             "SELECT v = {num} AS e, v <> {num} AS ne, v > {num} AS g, d <= {num} AS le, \
              d >= {num} AS ge, k < v AS lt, v + {num} > k AS c FROM t{w}"
         ),
-        _ => format!(
+        5..=7 => format!(
             "SELECT {keys}, COUNT(*) AS n, COUNT(s) AS ns, SUM(v) AS sv, SUM(d) AS sd, \
              AVG(v) AS av, AVG(d) AS ad, MIN(v) AS nv, MAX(v) AS xv, MIN(d) AS nd, \
              MAX(d) AS xd, MIN(s) AS nst, MAX(s) AS xst, MIN(b) AS nb, MAX(b) AS xb, \
              MIN(ts) AS nts, MAX(ts) AS xts FROM t{w} GROUP BY {keys}",
             keys = GROUP_KEYS[group],
+        ),
+        8 => format!(
+            "SELECT k, v % {num} AS m, d % {num} AS dm, v % k AS vk, d % (k - 2) AS dk, \
+             ({num} - v + v) % -1 AS mm FROM t{w}"
+        ),
+        9 => format!(
+            "SELECT k, NOT (v > {num}) AS nv, v > 0 AND d < {num} AS a, \
+             v > 0 OR d < {num} AS o, v BETWEEN -5 AND {num} AS bt, \
+             v NOT BETWEEN k AND {num} AS nbt, k IN (1, 2, {num}) AS i, \
+             k NOT IN (1, NULL) AS ni, d IS NULL AS dn, s IS NOT NULL AS sn, \
+             b AND NULL AS bn, s IN ({text}, 'g1') AS si FROM t{w}"
+        ),
+        _ => format!(
+            "SELECT k, CASE WHEN k > 2 THEN v WHEN k > 0 THEN d ELSE {num} END AS c, \
+             CASE WHEN b THEN s ELSE {text} END AS cs, CASE WHEN d > 0 THEN ts END AS ct, \
+             NULL AS z, CAST(86400000 AS TIMESTAMP) AS t1, \
+             ts = CAST(86400000 AS TIMESTAMP) AS te, CAST(d AS STRING) AS ds, \
+             CAST(k AS BOOLEAN) AS kb, s = {num} AS sn FROM t{w}"
         ),
     }
 }
@@ -1619,9 +1649,9 @@ proptest! {
     #[test]
     fn vectorized_full_queries_match_row_mode(
         rows in full_query_rows_strategy(),
-        filter in 0usize..10,
+        filter in 0usize..17,
         th in -300i64..300,
-        shape in 0usize..8,
+        shape in 0usize..11,
         lit in 0usize..EDGE_LITERALS.len(),
         group in 0usize..GROUP_KEYS.len(),
     ) {
@@ -1787,7 +1817,6 @@ fn acid_diff_check(
     vec_s: &mut hive::HiveSession,
     row_s: &mut hive::HiveSession,
     sql: &str,
-    bridges: usize,
     phase: &str,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let vec_rows = vec_s.execute(sql).unwrap().rows;
@@ -1799,17 +1828,6 @@ fn acid_diff_check(
     prop_assert!(
         vec_text.contains("Vector"),
         "{phase}: ACID query fell back to row mode:\n{vec_text}"
-    );
-    // ACID-ness must not add fallback crossings: aggregation chains end in
-    // a vector sink (zero bridges); a map-only projection crosses exactly
-    // the one bridge into the row-mode FileSink that plain tables cross.
-    prop_assert_eq!(
-        vec_text.matches("RowBridge").count(),
-        bridges,
-        "{}: unexpected bridge count on {}:\n{}",
-        phase,
-        sql,
-        vec_text
     );
     let row_rows = row_s.execute(sql).unwrap().rows;
     let row_text = row_s
@@ -1895,13 +1913,12 @@ proptest! {
             let row_n = row_s.execute(&dml).unwrap().rows;
             prop_assert_eq!(vec_n, row_n, "DML disagreed on {}", dml);
         }
-        let bridges = if shape == 1 { 1 } else { 0 };
-        acid_diff_check(&mut vec_s, &mut row_s, &sql, bridges, "pre-compaction")?;
+        acid_diff_check(&mut vec_s, &mut row_s, &sql, "pre-compaction")?;
 
         for s in [&mut vec_s, &mut row_s] {
             s.execute("ALTER TABLE t COMPACT 'major'").unwrap();
         }
-        acid_diff_check(&mut vec_s, &mut row_s, &sql, bridges, "post-compaction")?;
+        acid_diff_check(&mut vec_s, &mut row_s, &sql, "post-compaction")?;
     }
 }
 
@@ -2505,4 +2522,282 @@ proptest! {
             }
         }
     }
+}
+
+/// `i64::MIN % -1` overflows; both engines answer 0, as Java (and Hive) do,
+/// where Rust's `%` panics the task.
+#[test]
+fn vectorized_modulo_of_i64_min_by_minus_one_is_zero() {
+    const SQL: &str = "SELECT (v - 9223372036854775807 - 2) % -1 AS m FROM t WHERE v = 1";
+    for vectorize in [true, false] {
+        let rows = [Row::new(vec![Value::Int(1)]), Row::new(vec![Value::Int(2)])];
+        let mut hive = hive::HiveSession::in_memory();
+        hive.set(
+            hive::common::config::keys::VECTORIZED_ENABLED,
+            if vectorize { "true" } else { "false" },
+        );
+        hive.execute("CREATE TABLE t (v BIGINT) STORED AS orc")
+            .unwrap();
+        hive.load_rows("t", rows).unwrap();
+        let got = hive.execute(SQL).unwrap().rows;
+        assert_eq!(
+            got,
+            [Row::new(vec![Value::Int(0)])],
+            "vectorize={vectorize}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One engine per map stage. Every statement of the full-query corpus, the
+// `tests/metrics.rs` goldens and the benchmark's statement shapes is
+// compiled with vectorization on, and each map stage of each job is built:
+// a stage that reads a table through scalar columns is batch-native from
+// its scan to its sink, and any other stage is row mode throughout.
+// ---------------------------------------------------------------------------
+
+/// The benchmark's statement shapes (`benchmark/src/{scan,join,acid}.rs`),
+/// copied as SQL text. UPDATE and DELETE run as the SELECTs they plan.
+const BENCHMARK_SHAPES: [&str; 12] = [
+    "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, \
+     SUM(l_extendedprice) AS sum_base_price, \
+     SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, \
+     SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge, \
+     AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, \
+     AVG(l_discount) AS avg_disc, COUNT(*) AS count_order FROM lineitem \
+     WHERE l_shipdate <= '1998-09-02' GROUP BY l_returnflag, l_linestatus \
+     ORDER BY l_returnflag, l_linestatus",
+    "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem \
+     WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' \
+     AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
+    "SELECT i_item_id, s_state, AVG(ss_quantity) AS agg1, AVG(ss_list_price) AS agg2, \
+     AVG(ss_coupon_amt) AS agg3, AVG(ss_sales_price) AS agg4 FROM store_sales \
+     JOIN customer_demographics ON (ss_cdemo_sk = cd_demo_sk) \
+     JOIN date_dim ON (ss_sold_date_sk = d_date_sk) \
+     JOIN store ON (ss_store_sk = s_store_sk) JOIN item ON (ss_item_sk = i_item_sk) \
+     WHERE cd_gender = 'M' AND cd_marital_status = 'S' \
+     AND cd_education_status = 'College' AND d_year = 1998 AND s_state IN ('TN', 'SD', 'AL') \
+     GROUP BY i_item_id, s_state ORDER BY i_item_id, s_state LIMIT 100",
+    "SELECT ws1.ws_order_number, COUNT(*) AS line_pairs, \
+     SUM(ws1.ws_ext_ship_cost) AS total_ship_cost, SUM(ws1.ws_net_profit) AS total_net_profit \
+     FROM web_sales ws1 JOIN date_dim ON (ws1.ws_ship_date_sk = d_date_sk) \
+     JOIN customer_address ON (ws1.ws_ship_addr_sk = ca_address_sk) \
+     JOIN web_site ON (ws1.ws_web_site_sk = web_site_sk) \
+     JOIN web_sales ws2 ON (ws1.ws_order_number = ws2.ws_order_number) \
+     JOIN web_returns ON (ws1.ws_order_number = wr_order_number) \
+     WHERE d_date BETWEEN '1995-02-01' AND '1995-04-02' AND ca_state = 'IL' \
+     AND web_company_name = 'pri' AND ws1.ws_warehouse_sk <> ws2.ws_warehouse_sk \
+     GROUP BY ws1.ws_order_number ORDER BY ws1.ws_order_number LIMIT 100",
+    "SELECT o_orderkey, o_totalprice, t.q FROM orders \
+     JOIN (SELECT l_orderkey, SUM(l_quantity) AS q FROM lineitem GROUP BY l_orderkey) t \
+     ON (o_orderkey = t.l_orderkey) WHERE t.q > 150 ORDER BY o_orderkey LIMIT 100",
+    "SELECT l_shipmode, COUNT(*) AS n, SUM(o_totalprice) AS tp FROM orders \
+     JOIN lineitem ON (o_orderkey = l_orderkey) \
+     WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' \
+     GROUP BY l_shipmode ORDER BY l_shipmode",
+    "SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, o_orderdate \
+     FROM lineitem JOIN orders ON (l_orderkey = o_orderkey) \
+     JOIN customer ON (o_custkey = c_custkey) \
+     WHERE c_mktsegment = 'BUILDING' AND o_orderdate < '1995-03-15' \
+     AND l_shipdate > '1995-03-15' GROUP BY l_orderkey, o_orderdate \
+     ORDER BY revenue DESC, l_orderkey LIMIT 10",
+    "SELECT cust, COUNT(*) AS n, SUM(total) AS rev FROM acct \
+     WHERE okey >= 100 GROUP BY cust ORDER BY cust",
+    "SELECT okey, cust, total FROM acct WHERE okey = 7",
+    "SELECT INPUT__FILE__NAME, ROW__ID, okey, cust, total + 1.0 FROM acct WHERE cust = 3",
+    "SELECT INPUT__FILE__NAME, ROW__ID FROM acct WHERE cust = 3",
+    "SELECT okey, cust, total FROM acct",
+];
+
+/// The `tests/metrics.rs` golden statements, copied as SQL text.
+const METRICS_GOLDENS: [&str; 6] = [
+    "SELECT customer.name, COUNT(*) AS n, SUM(orders.total) AS revenue \
+     FROM orders JOIN customer ON (orders.cust = customer.cust) \
+     GROUP BY customer.name ORDER BY customer.name",
+    "SELECT orders.cust, COUNT(*) AS n, SUM(orders.total) AS rev \
+     FROM orders JOIN customer ON (orders.cust = customer.cust) \
+     GROUP BY orders.cust ORDER BY orders.cust",
+    "SELECT cust, COUNT(*) AS n, SUM(total) AS rev FROM orders \
+     WHERE total > 50.0 GROUP BY cust ORDER BY cust",
+    "SELECT cust, COUNT(*) AS n FROM orders WHERE total > 100.0 GROUP BY cust ORDER BY cust",
+    "SELECT okey, vkey, total FROM fact WHERE okey BETWEEN 100 AND 300 AND vkey = 7",
+    "SELECT COUNT(*) FROM orders",
+];
+
+/// Each map stage of `sql` as `hive` compiles it: its job input, whether it
+/// runs batch-native, and the names of the operators it reaches.
+fn map_stages(
+    hive: &hive::HiveSession,
+    sql: &str,
+) -> Vec<(hive::mapreduce::job::JobInput, bool, Vec<String>)> {
+    use hive::common::config::keys;
+    use hive::planner::{compile, correlation, mapjoin, translate};
+    let Ok(hive::ql::Statement::Select(select)) = hive::ql::parse(sql) else {
+        panic!("not a SELECT: {sql}")
+    };
+    let conf = hive.conf();
+    let mut t = translate(&select, hive.metastore(), conf).unwrap();
+    if conf.get_bool(keys::AUTO_CONVERT_JOIN).unwrap() {
+        mapjoin::convert_map_joins(&mut t.graph, conf).unwrap();
+    }
+    if conf.get_bool(keys::OPT_CORRELATION).unwrap() {
+        correlation::optimize(&mut t.graph).unwrap();
+    }
+    let mut stages = Vec::new();
+    for job in compile(&t, conf).unwrap().jobs {
+        let side = job
+            .side_inputs
+            .iter()
+            .map(|s| (s.alias.clone(), Vec::new()));
+        let pipeline = (job.map_factory)(&side.collect()).unwrap();
+        // `#<id> <name> -> [<child>, <child>(tag <t>)]`, by id.
+        let ops: Vec<(String, Vec<usize>)> = pipeline
+            .graph
+            .describe()
+            .iter()
+            .map(|line| {
+                let (head, kids) = line.rsplit_once(" -> [").unwrap();
+                let kids = kids
+                    .trim_end_matches(']')
+                    .split(", ")
+                    .filter(|k| !k.is_empty());
+                let kids = kids.map(|k| k.split('(').next().unwrap().parse().unwrap());
+                (head.split_once(' ').unwrap().1.to_string(), kids.collect())
+            })
+            .collect();
+        for input in &job.inputs {
+            let (root, vectorized) = match pipeline.vector.get(&input.alias) {
+                Some(stage) => (stage.root, true),
+                None => (pipeline.roots[&input.alias], false),
+            };
+            let (mut reached, mut stack) = (std::collections::BTreeSet::new(), vec![root]);
+            while let Some(n) = stack.pop() {
+                if reached.insert(n) {
+                    stack.extend(&ops[n].1);
+                }
+            }
+            let names = reached.iter().map(|&n| ops[n].0.clone()).collect();
+            stages.push((input.clone(), vectorized, names));
+        }
+    }
+    stages
+}
+
+#[test]
+fn vectorized_map_stages_are_one_engine() {
+    let mut corpus: Vec<(hive::HiveSession, Vec<String>)> = Vec::new();
+    let t_rows: Vec<Row> = (0..20i64)
+        .map(|i| {
+            let values = [
+                Value::Int(i % 8),
+                Value::Int(i * 7 - 50),
+                Value::Double(i as f64 / 4.0),
+                Value::String(format!("g{}", i % 5)),
+                Value::Boolean(i % 2 == 0),
+                Value::Timestamp(i * 86_400_000),
+            ];
+            Row::new(values.to_vec())
+        })
+        .collect();
+    let mut statements = Vec::new();
+    for (filter, shape, lit) in itertools_product(17, 11, EDGE_LITERALS.len()) {
+        let group = (filter + shape + lit) % GROUP_KEYS.len();
+        statements.push(full_query(filter, 17, shape, lit, group));
+    }
+    corpus.push((full_query_session(&t_rows, true), statements));
+
+    let mut goldens = hive::HiveSession::in_memory();
+    for ddl in [
+        "CREATE TABLE orders (okey BIGINT, cust BIGINT, total DOUBLE) STORED AS orc",
+        "CREATE TABLE customer (cust BIGINT, name STRING) STORED AS orc",
+        "CREATE TABLE fact (okey BIGINT, vkey BIGINT, total DOUBLE) STORED AS orc",
+    ] {
+        goldens.execute(ddl).unwrap();
+    }
+    let row = |i: i64| {
+        Row::new(vec![
+            Value::Int(i),
+            Value::Int(i % 10),
+            Value::Double(i as f64),
+        ])
+    };
+    goldens.load_rows("orders", (0..50).map(row)).unwrap();
+    goldens.load_rows("fact", (0..50).map(row)).unwrap();
+    let named = |i: i64| Row::new(vec![Value::Int(i), Value::String(format!("c{i}"))]);
+    goldens.load_rows("customer", (0..10).map(named)).unwrap();
+    corpus.push((goldens, METRICS_GOLDENS.map(String::from).to_vec()));
+
+    let mut bench = hive::HiveSession::in_memory();
+    hive::datagen::tpch::load(&mut bench, 0.0005, 7).unwrap();
+    hive::datagen::tpcds::load(&mut bench, 0.0005, 7).unwrap();
+    bench
+        .execute("CREATE TABLE acct (okey BIGINT, cust BIGINT, total DOUBLE) STORED AS orc")
+        .unwrap();
+    bench.load_rows("acct", (0..50).map(row)).unwrap();
+    // A delta and a delete: the ACID statements scan merge-on-read.
+    bench
+        .execute("INSERT INTO acct VALUES (90, 3, 1.5)")
+        .unwrap();
+    bench.execute("DELETE FROM acct WHERE okey = 4").unwrap();
+    corpus.push((bench, BENCHMARK_SHAPES.map(String::from).to_vec()));
+
+    // A complex column keeps the stage that reads it in row mode.
+    let mut nested = hive::HiveSession::in_memory();
+    nested
+        .execute("CREATE TABLE c (k BIGINT, a ARRAY<BIGINT>) STORED AS orc")
+        .unwrap();
+    let nest = |i: i64| Row::new(vec![Value::Int(i), Value::Array(vec![Value::Int(i)])]);
+    nested.load_rows("c", (0..10).map(nest)).unwrap();
+    let statements = [
+        "SELECT k, a FROM c WHERE k > 1",
+        "SELECT k, COUNT(*) FROM c GROUP BY k",
+    ];
+    corpus.push((nested, statements.map(String::from).to_vec()));
+
+    let (mut vector, mut intermediate, mut complex) = (0, 0, 0);
+    for (hive, statements) in &mut corpus {
+        for (map_join, correlation) in [(true, true), (false, true), (true, false)] {
+            hive.set("hive.auto.convert.join", map_join.to_string());
+            hive.set("hive.optimize.correlation", correlation.to_string());
+            for sql in statements.iter() {
+                for (input, vectorized, names) in map_stages(hive, sql) {
+                    let vector_ops = names.iter().filter(|n| n.starts_with("Vector")).count();
+                    let sinks = names.iter().filter(|n| n.contains("Sink")).count();
+                    let width = input.schema.len();
+                    let projected = input
+                        .projection
+                        .clone()
+                        .unwrap_or_else(|| (0..width).collect());
+                    let fields = input.schema.fields();
+                    let scalar = |&c: &usize| c >= width || fields[c].data_type.is_primitive();
+                    let read_complex = !projected.iter().all(scalar);
+                    let reads_table = !input.alias.starts_with("cut#")
+                        && !input.alias.starts_with("intermediate#");
+                    let stage = format!("{} in {sql}: {names:?}", input.alias);
+                    if vectorized {
+                        assert_eq!(vector_ops, names.len(), "mixed stage {stage}");
+                        assert_eq!(sinks, 1, "{stage}");
+                        assert!(reads_table && !read_complex, "{stage}");
+                        vector += 1;
+                    } else {
+                        assert_eq!(vector_ops, 0, "mixed stage {stage}");
+                        // Row mode reads an intermediate, a complex column,
+                        // or is a shared scan feeding several sinks.
+                        assert!(!reads_table || read_complex || sinks > 1, "{stage}");
+                        intermediate += !reads_table as usize;
+                        complex += read_complex as usize;
+                    }
+                }
+            }
+        }
+    }
+    // Each full-query statement alone is a vectorized stage per setting.
+    let full_queries = 3 * 17 * 11 * EDGE_LITERALS.len();
+    assert!(vector > full_queries, "{vector} vectorized stages");
+    assert!(intermediate > 0 && complex > 0, "{intermediate} {complex}");
+}
+
+/// `(a, b, c)` over `0..x × 0..y × 0..z`.
+fn itertools_product(x: usize, y: usize, z: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..x).flat_map(move |a| (0..y).flat_map(move |b| (0..z).map(move |c| (a, b, c))))
 }
