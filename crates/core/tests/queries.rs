@@ -381,6 +381,39 @@ fn case_values_take_one_type() {
 }
 
 #[test]
+fn sum_and_avg_take_numbers_in_both_engines() {
+    // SUM and AVG over a BOOLEAN, a TIMESTAMP or a STRING are type errors at
+    // bind time, vectorized or not; over numbers (and a NULL literal) both
+    // engines answer alike.
+    for vectorize in ["true", "false"] {
+        let mut hive = HiveSession::in_memory();
+        hive.set(keys::VECTORIZED_ENABLED, vectorize);
+        hive.execute("CREATE TABLE t (k BIGINT, b BOOLEAN, ts TIMESTAMP, s STRING) STORED AS orc")
+            .unwrap();
+        hive.execute("INSERT INTO t VALUES (1, true, 1000, 'a'), (2, false, 3000, 'b')")
+            .unwrap();
+        for sql in [
+            "SELECT SUM(b) FROM t",
+            "SELECT AVG(b) FROM t",
+            "SELECT AVG(ts) FROM t",
+            "SELECT SUM(s) FROM t",
+            "SELECT k, SUM(ts) FROM t GROUP BY k",
+        ] {
+            let err = hive.execute(sql).unwrap_err();
+            assert!(
+                matches!(&err, hive_common::HiveError::Semantic(m) if m.contains("type mismatch")),
+                "{vectorize}: {sql}: {err}"
+            );
+        }
+        let r = hive
+            .execute("SELECT SUM(k), AVG(k), SUM(NULL), AVG(NULL) FROM t")
+            .unwrap();
+        let want = [Value::Int(3), Value::Double(1.5), Value::Null, Value::Null];
+        assert_eq!(r.rows[0].values(), want, "{vectorize}");
+    }
+}
+
+#[test]
 fn in_list_and_null_semantics() {
     let mut hive = session();
     let r = hive

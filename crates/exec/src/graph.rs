@@ -31,9 +31,9 @@ pub enum Message {
         batch: Arc<VectorizedRowBatch>,
         tag: usize,
     },
-    /// A new key group is starting (reduce side only).
-    StartGroup,
-    /// The current key group has ended; buffering operators emit results.
+    /// The key groups pushed since the last one have ended (reduce side
+    /// only: one group in row mode, a window of whole groups in batch
+    /// mode); buffering operators emit their results.
     EndGroup,
 }
 
@@ -46,7 +46,7 @@ impl Message {
         match self {
             Message::Row { .. } => 1,
             Message::Batch { batch, .. } => batch.size as u64,
-            Message::StartGroup | Message::EndGroup => 0,
+            Message::EndGroup => 0,
         }
     }
 }

@@ -20,5 +20,6 @@ pub use expr::ExprNode;
 pub use graph::{Emit, Message, OperatorGraph, ShuffleRecord};
 pub use operators::*;
 pub use vector_ops::{
-    VectorFileSinkOperator, VectorGroupBySinkOperator, VectorOpAdapter, VectorReduceSinkOperator,
+    VectorFileSinkOperator, VectorGroupByOperator, VectorGroupBySinkOperator, VectorJoinOperator,
+    VectorOpAdapter, VectorReduceSinkOperator,
 };

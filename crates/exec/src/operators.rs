@@ -283,8 +283,8 @@ impl Operator for GroupByOperator {
                             self.hash.insert(self.scratch.clone(), states);
                         }
                     }
-                    // Rows of one key group arrive between Start/End
-                    // signals, so the first row's key names the group.
+                    // Rows of one key group arrive before its EndGroup,
+                    // so the first row's key names the group.
                     GroupByMode::Streaming => {
                         if self.current.is_none() {
                             let mut key = Vec::with_capacity(self.key_exprs.len());
@@ -300,12 +300,6 @@ impl Operator for GroupByOperator {
             Message::Batch { .. } => Err(HiveError::Execution(
                 "GroupByOperator is row-mode; a batch reaching it is a planner wiring bug".into(),
             )),
-            Message::StartGroup => {
-                if matches!(self.mode, GroupByMode::Streaming) {
-                    self.current = None;
-                }
-                Ok(vec![Emit::Broadcast(Message::StartGroup)])
-            }
             // Only a streaming group-by has a current group to finish.
             Message::EndGroup => {
                 let mut emits: Vec<Emit> =
@@ -434,7 +428,6 @@ impl Operator for CommonJoinOperator {
             Message::Batch { .. } => Err(HiveError::Execution(
                 "JoinOperator is row-mode; a batch reaching it is a planner wiring bug".into(),
             )),
-            Message::StartGroup => Ok(vec![Emit::Broadcast(Message::StartGroup)]),
             Message::EndGroup => {
                 let mut emits = self.emit_group()?;
                 emits.push(Emit::Broadcast(Message::EndGroup));
@@ -539,9 +532,19 @@ impl Operator for MapJoinOperator {
     }
 }
 
+/// A row or batch message with its tag replaced.
+fn retag(msg: Message, tag: usize) -> Message {
+    match msg {
+        Message::Row { row, .. } => Message::Row { row, tag },
+        Message::Batch { batch, .. } => Message::Batch { batch, tag },
+        signal => signal,
+    }
+}
+
 /// DemuxOperator (paper Figure 5): sits right after the Reducer Driver in a
 /// correlation-optimized plan, reassigning new tags back to the original
-/// ("old") tags and dispatching rows to the right major operator.
+/// ("old") tags and dispatching rows to the right major operator. Rows and
+/// batches alike: one pair of Demux/Mux serves both engines.
 pub struct DemuxOperator {
     /// Indexed by incoming (new) tag: `(child_slot, old_tag)`.
     pub routes: Vec<(usize, usize)>,
@@ -554,14 +557,12 @@ impl Operator for DemuxOperator {
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
-            Message::Row { row, tag } => {
+            Message::Row { tag, .. } | Message::Batch { tag, .. } => {
                 let &(child_slot, old_tag) = self.routes.get(tag).ok_or_else(|| {
                     HiveError::Execution(format!("demux has no route for tag {tag}"))
                 })?;
-                Ok(vec![Emit::Forward {
-                    child_slot,
-                    msg: Message::Row { row, tag: old_tag },
-                }])
+                let msg = retag(msg, old_tag);
+                Ok(vec![Emit::Forward { child_slot, msg }])
             }
             // Signals are propagated to the whole tree (paper: "the DemuxOp
             // will propagate this signal to the operator tree").
@@ -571,15 +572,14 @@ impl Operator for DemuxOperator {
 }
 
 /// MuxOperator (paper Figure 5): the single parent of each GroupBy/Join in
-/// an optimized plan. It forwards rows (optionally assigning a tag for its
-/// join child) and coordinates group signals: the child sees EndGroup only
-/// when *all* of the Mux's parents have ended the group.
+/// an optimized plan. It forwards rows and batches (optionally assigning a
+/// tag for its join child) and coordinates group signals: the child sees
+/// EndGroup only when *all* of the Mux's parents have ended the group.
 pub struct MuxOperator {
     pub num_parents: usize,
     /// Tag to assign to forwarded rows (None = preserve; used when the
     /// child is a Join and this Mux funnels one of its inputs).
     pub assign_tag: Option<usize>,
-    starts_seen: usize,
     ends_seen: usize,
 }
 
@@ -588,7 +588,6 @@ impl MuxOperator {
         MuxOperator {
             num_parents: num_parents.max(1),
             assign_tag,
-            starts_seen: 0,
             ends_seen: 0,
         }
     }
@@ -604,24 +603,9 @@ impl Operator for MuxOperator {
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
-            Message::Row { row, tag } => Ok(vec![Emit::Forward {
-                child_slot: 0,
-                msg: Message::Row {
-                    row,
-                    tag: self.assign_tag.unwrap_or(tag),
-                },
-            }]),
-            Message::Batch { .. } => Err(HiveError::Execution(
-                "MuxOperator is row-mode; a batch reaching it is a planner wiring bug".into(),
-            )),
-            Message::StartGroup => {
-                self.starts_seen += 1;
-                if self.starts_seen == self.num_parents {
-                    self.starts_seen = 0;
-                    Ok(vec![Emit::Broadcast(Message::StartGroup)])
-                } else {
-                    Ok(vec![])
-                }
+            Message::Row { tag, .. } | Message::Batch { tag, .. } => {
+                let msg = retag(msg, self.assign_tag.unwrap_or(tag));
+                Ok(vec![Emit::Forward { child_slot: 0, msg }])
             }
             Message::EndGroup => {
                 self.ends_seen += 1;
@@ -815,7 +799,6 @@ mod tests {
         let push = |g: &mut OperatorGraph, m: Message, out: &mut Vec<Row>| {
             g.push(gb, m, &mut |_| {}, &mut |r| out.push(r)).unwrap();
         };
-        push(&mut g, Message::StartGroup, &mut out);
         push(
             &mut g,
             Message::Row {
@@ -833,7 +816,6 @@ mod tests {
             &mut out,
         );
         push(&mut g, Message::EndGroup, &mut out);
-        push(&mut g, Message::StartGroup, &mut out);
         push(
             &mut g,
             Message::Row {
@@ -879,7 +861,6 @@ mod tests {
         let send = |g: &mut OperatorGraph, m: Message, out: &mut Vec<Row>| {
             g.push(j, m, &mut |_| {}, &mut |r| out.push(r)).unwrap();
         };
-        send(&mut g, Message::StartGroup, &mut out);
         send(
             &mut g,
             Message::Row {
@@ -1036,6 +1017,38 @@ mod tests {
     }
 
     #[test]
+    fn demux_and_mux_route_batches_as_rows() {
+        use hive_vector::VectorizedRowBatch;
+        use std::sync::Arc;
+        let batch = Arc::new(VectorizedRowBatch::new(&[], 1).unwrap());
+        let mut demux = DemuxOperator {
+            routes: vec![(0, 0), (1, 1)],
+        };
+        let emits = demux
+            .receive(Message::Batch {
+                batch: Arc::clone(&batch),
+                tag: 1,
+            })
+            .unwrap();
+        let [Emit::Forward {
+            child_slot: 1,
+            msg: Message::Batch { tag: 1, .. },
+        }] = &emits[..]
+        else {
+            panic!("{emits:?}")
+        };
+        let mut mux = MuxOperator::new(1, Some(4));
+        let emits = mux.receive(Message::Batch { batch, tag: 1 }).unwrap();
+        assert!(matches!(
+            &emits[..],
+            [Emit::Forward {
+                msg: Message::Batch { tag: 4, .. },
+                ..
+            }]
+        ));
+    }
+
+    #[test]
     fn mux_assigns_tags() {
         let mut mux = MuxOperator::new(1, Some(5));
         let emits = mux
@@ -1074,16 +1087,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 2, "one copy per child (shared-scan fan-out)");
-    }
-
-    #[test]
-    fn mux_start_signals_also_coordinate() {
-        let mut mux = MuxOperator::new(3, None);
-        assert!(mux.receive(Message::StartGroup).unwrap().is_empty());
-        assert!(mux.receive(Message::StartGroup).unwrap().is_empty());
-        assert_eq!(mux.receive(Message::StartGroup).unwrap().len(), 1);
-        // And the counter resets for the next group.
-        assert!(mux.receive(Message::StartGroup).unwrap().is_empty());
     }
 
     #[test]

@@ -6,20 +6,26 @@
 //! vectorized map stage runs batch-native from its scan to its sink, and
 //! ends in one of three sinks, the only places its rows come into existence:
 //!
-//! * [`VectorFileSinkOperator`] — a map-only stage's output rows.
+//! * [`VectorFileSinkOperator`] — a map-only (or reduce) stage's output rows.
 //! * [`VectorReduceSinkOperator`] — emits shuffle records straight from
 //!   batches.
 //! * [`VectorGroupBySinkOperator`] — the fused map-side partial
 //!   aggregation + reduce sink: batches stream into a typed vectorized
 //!   hash aggregator, and the (small) per-group partial rows only come
 //!   into existence as shuffle records at close.
+//!
+//! A vectorized reduce stage runs from the driver's batches through the
+//! shared Demux / Mux, [`VectorJoinOperator`] and [`VectorGroupByOperator`]
+//! (which answer a window of key groups per `EndGroup`) and the same
+//! adapters, to a `VectorFileSinkOperator`.
 
 use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
+use crate::operators::JoinType;
 use hive_common::{key, DataType, HiveError, Result, Row};
-use hive_vector::aggregates::VectorHashAggregator;
+use hive_vector::aggregates::{VectorHashAggregator, VectorStreamAggregator};
 use hive_vector::row_convert::{batch_to_rows, get_value};
-use hive_vector::{VectorExpression, VectorOperator, VectorizedRowBatch};
+use hive_vector::{VectorExpression, VectorOperator, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use std::sync::Arc;
 
 fn wiring_bug(op: &str, got: &str) -> HiveError {
@@ -104,8 +110,8 @@ impl Operator for VectorOpAdapter {
     }
 }
 
-/// The output sink of a map-only vectorized stage (FileSink, or the
-/// IntermediateCut a downstream job re-reads): each selected row of the
+/// The output sink of a map-only or reduce vectorized stage (FileSink, or
+/// the intermediate a downstream job re-reads): each selected row of the
 /// projected columns leaves the task as an output row.
 pub struct VectorFileSinkOperator {
     /// Batch column index + logical type of each output column.
@@ -325,6 +331,296 @@ impl Operator for VectorGroupBySinkOperator {
             ("batches".to_string(), self.batches),
             ("groups".to_string(), self.groups_out),
         ]
+    }
+}
+
+/// Reduce-side streaming GROUP BY on batches: each window's groups leave as
+/// one batch, keys then aggregates, when its EndGroup arrives (DESIGN.md §16
+/// "The reduce side").
+pub struct VectorGroupByOperator {
+    /// Scratch-column expressions run per batch (group keys + agg inputs).
+    expressions: Vec<Box<dyn VectorExpression>>,
+    aggregator: VectorStreamAggregator,
+    batches: u64,
+}
+
+impl VectorGroupByOperator {
+    pub fn new(
+        expressions: Vec<Box<dyn VectorExpression>>,
+        aggregator: VectorStreamAggregator,
+    ) -> VectorGroupByOperator {
+        VectorGroupByOperator {
+            expressions,
+            aggregator,
+            batches: 0,
+        }
+    }
+}
+
+/// A batch for the operator's only child, unless it has no row.
+fn forward_batch(batch: Option<Arc<VectorizedRowBatch>>) -> Option<Emit> {
+    let batch = batch.filter(|b| b.size > 0)?;
+    let msg = Message::Batch { batch, tag: 0 };
+    Some(Emit::Forward { child_slot: 0, msg })
+}
+
+impl Operator for VectorGroupByOperator {
+    fn name(&self) -> String {
+        "VectorGroupBy(streaming)".into()
+    }
+
+    fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
+        match msg {
+            Message::Batch { mut batch, .. } => {
+                self.batches += 1;
+                if !self.expressions.is_empty() {
+                    let b = Arc::make_mut(&mut batch);
+                    self.expressions.iter().try_for_each(|e| e.evaluate(b))?;
+                }
+                self.aggregator.process(&batch)?;
+                Ok(vec![])
+            }
+            Message::Row { .. } => Err(wiring_bug(&self.name(), "row")),
+            Message::EndGroup => {
+                let out = forward_batch(self.aggregator.finish()?);
+                Ok(out
+                    .into_iter()
+                    .chain([Emit::Broadcast(Message::EndGroup)])
+                    .collect())
+            }
+        }
+    }
+
+    fn close(&mut self) -> Result<Vec<Emit>> {
+        Ok(forward_batch(self.aggregator.close()?)
+            .into_iter()
+            .collect())
+    }
+
+    fn profile_detail(&self) -> Vec<(String, u64)> {
+        vec![("batches".to_string(), self.batches)]
+    }
+}
+
+/// Reduce-side join on batches: buffers each input's batches for the
+/// window and, at its EndGroup, walks the groups by ordinal, writing each
+/// group's joined rows into output batches in the row engine's order. N-way
+/// inner joins and binary outer joins; a group with a NULL key matches
+/// nothing.
+pub struct VectorJoinOperator {
+    join_type: JoinType,
+    nk: usize,
+    /// Per input: the batch columns of its row, in order.
+    inputs: Vec<Vec<usize>>,
+    out_types: Vec<DataType>,
+    buffers: Vec<Vec<Arc<VectorizedRowBatch>>>,
+    /// Per input: the group at hand's rows, as (buffered batch, row).
+    rows: Vec<Vec<(usize, usize)>>,
+    /// The output batch being assembled: per input, the row each output
+    /// row takes (`None`: NULL-padded), and each output row's ordinal.
+    picks: Vec<Vec<Option<(usize, usize)>>>,
+    ordinals: Vec<u32>,
+    batches: u64,
+}
+
+impl VectorJoinOperator {
+    /// `inputs`: per input tag, the batch column of each of its row's
+    /// columns; `out_types`: the joined row's columns, then scratch.
+    pub fn new(
+        join_type: JoinType,
+        nk: usize,
+        inputs: Vec<Vec<usize>>,
+        out_types: Vec<DataType>,
+    ) -> Result<VectorJoinOperator> {
+        if join_type != JoinType::Inner && inputs.len() != 2 {
+            return Err(HiveError::Plan(
+                "outer joins must be binary in this engine".into(),
+            ));
+        }
+        let n = inputs.len();
+        Ok(VectorJoinOperator {
+            join_type,
+            nk,
+            inputs,
+            out_types,
+            buffers: vec![Vec::new(); n],
+            rows: vec![Vec::new(); n],
+            picks: vec![Vec::new(); n],
+            ordinals: Vec::new(),
+            batches: 0,
+        })
+    }
+
+    /// Input `t`'s row at `cursor` (buffered batch, position in its
+    /// selection), as (batch, physical row).
+    fn at(&self, t: usize, (b, p): (usize, usize)) -> Option<(usize, usize)> {
+        let batch = self.buffers[t].get(b)?;
+        let row = if batch.selected_in_use {
+            batch.selected[p]
+        } else {
+            p
+        };
+        Some((b, row))
+    }
+
+    fn ordinal(&self, t: usize, (b, i): (usize, usize)) -> u32 {
+        self.buffers[t][b].ordinals[i]
+    }
+
+    /// Every group of the window, in ordinal order.
+    fn join_window(&mut self, emits: &mut Vec<Emit>) -> Result<()> {
+        let n = self.inputs.len();
+        let mut cursors = vec![(0, 0); n];
+        loop {
+            let heads = (0..n).filter_map(|t| Some(self.ordinal(t, self.at(t, cursors[t])?)));
+            let Some(group) = heads.min() else {
+                return self.flush(emits);
+            };
+            for (t, cursor) in cursors.iter_mut().enumerate() {
+                self.take_group(t, cursor, group);
+            }
+            self.join_group(group, emits)?;
+        }
+    }
+
+    /// Input `t`'s rows of `group` into `rows[t]`, from `cursor` on.
+    fn take_group(&mut self, t: usize, cursor: &mut (usize, usize), group: u32) {
+        self.rows[t].clear();
+        while let Some(at) = self
+            .at(t, *cursor)
+            .filter(|&at| self.ordinal(t, at) == group)
+        {
+            self.rows[t].push(at);
+            let (b, p) = *cursor;
+            *cursor = match p + 1 == self.buffers[t][b].size {
+                true => (b + 1, 0),
+                false => (b, p + 1),
+            };
+        }
+    }
+
+    /// One group's joined rows, as `CommonJoinOperator` orders them: the
+    /// cross product with input 0 outermost, or an outer join's padded rows.
+    fn join_group(&mut self, group: u32, emits: &mut Vec<Emit>) -> Result<()> {
+        let first = (0..self.inputs.len()).find_map(|t| Some((t, *self.rows[t].first()?)));
+        let null_key = first.is_some_and(|(t, (b, i))| {
+            let batch = &self.buffers[t][b];
+            self.inputs[t][..self.nk]
+                .iter()
+                .any(|&c| batch.columns[c].is_null(i))
+        });
+        if !null_key && self.rows.iter().all(|r| !r.is_empty()) {
+            let mut index = vec![0; self.inputs.len()];
+            loop {
+                for (t, &k) in index.iter().enumerate() {
+                    self.picks[t].push(Some(self.rows[t][k]));
+                }
+                self.push_row(group, emits)?;
+                // The last input turns fastest.
+                let mut t = index.len();
+                loop {
+                    if t == 0 {
+                        return Ok(());
+                    }
+                    t -= 1;
+                    index[t] += 1;
+                    if index[t] < self.rows[t].len() {
+                        break;
+                    }
+                    index[t] = 0;
+                }
+            }
+        }
+        use JoinType::*;
+        let (left, right) = (
+            matches!(self.join_type, LeftOuter | FullOuter),
+            matches!(self.join_type, RightOuter | FullOuter),
+        );
+        for (side, keep) in [(0, left), (1, right)] {
+            for k in 0..if keep { self.rows[side].len() } else { 0 } {
+                let row = self.rows[side][k];
+                self.picks[side].push(Some(row));
+                self.picks[1 - side].push(None);
+                self.push_row(group, emits)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Count the output row just picked; a full batch leaves.
+    fn push_row(&mut self, group: u32, emits: &mut Vec<Emit>) -> Result<()> {
+        self.ordinals.push(group);
+        if self.ordinals.len() == DEFAULT_BATCH_SIZE {
+            self.flush(emits)?;
+        }
+        Ok(())
+    }
+
+    /// The picked rows as one output batch.
+    fn flush(&mut self, emits: &mut Vec<Emit>) -> Result<()> {
+        if self.ordinals.is_empty() {
+            return Ok(());
+        }
+        let mut out = VectorizedRowBatch::with_ordinals(&self.out_types, DEFAULT_BATCH_SIZE)?;
+        let mut column = 0;
+        for (t, cols) in self.inputs.iter().enumerate() {
+            for &c in cols {
+                let dst = &mut out.columns[column];
+                for (j, pick) in self.picks[t].iter().enumerate() {
+                    match *pick {
+                        Some((b, i)) => dst.copy_cell(j, &self.buffers[t][b].columns[c], i)?,
+                        None => dst.set_null(j),
+                    }
+                }
+                column += 1;
+            }
+            self.picks[t].clear();
+        }
+        out.size = self.ordinals.len();
+        out.ordinals[..out.size].copy_from_slice(&self.ordinals);
+        self.ordinals.clear();
+        emits.extend(forward_batch(Some(Arc::new(out))));
+        Ok(())
+    }
+}
+
+impl Operator for VectorJoinOperator {
+    fn name(&self) -> String {
+        format!(
+            "VectorJoin({:?}, {} way)",
+            self.join_type,
+            self.inputs.len()
+        )
+    }
+
+    fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
+        match msg {
+            Message::Batch { batch, tag } => {
+                self.batches += 1;
+                let buffer = self.buffers.get_mut(tag).ok_or_else(|| {
+                    HiveError::Execution(format!(
+                        "join received tag {tag}, expected < {}",
+                        self.inputs.len()
+                    ))
+                })?;
+                if batch.size > 0 {
+                    buffer.push(batch);
+                }
+                Ok(vec![])
+            }
+            Message::Row { .. } => Err(wiring_bug(&self.name(), "row")),
+            Message::EndGroup => {
+                let mut emits = Vec::new();
+                self.join_window(&mut emits)?;
+                self.buffers.iter_mut().for_each(Vec::clear);
+                emits.push(Emit::Broadcast(Message::EndGroup));
+                Ok(emits)
+            }
+        }
+    }
+
+    fn profile_detail(&self) -> Vec<(String, u64)> {
+        vec![("batches".to_string(), self.batches)]
     }
 }
 

@@ -7,6 +7,7 @@
 //! the shortcoming ORC removes (paper Section 3, first shortcoming).
 
 use hive_common::{DataType, HiveError, Result, Row, Schema, Value};
+use hive_vector::ColumnVector;
 
 pub mod sortable;
 
@@ -371,6 +372,54 @@ pub fn binary_deserialize_values_into(
     Ok(())
 }
 
+/// [`binary_deserialize_values_into`] into row `row` of `columns`, one
+/// column per value, building no value: a reducer's batch decoding. The row
+/// must have as many values as there are columns, each of a lane its column
+/// holds (an INT widens into a DOUBLE column), or it is a `SerDe` error.
+pub fn binary_deserialize_into_columns(
+    buf: &[u8],
+    pos: &mut usize,
+    columns: &mut [ColumnVector],
+    row: usize,
+) -> Result<()> {
+    let bad = |what: &str| HiveError::SerDe(format!("binary row into columns: {what}"));
+    if hive_codec::varint::read_unsigned(buf, pos)? != columns.len() as u64 {
+        return Err(bad("width"));
+    }
+    for column in columns {
+        let tag = *buf.get(*pos).ok_or_else(|| bad("truncated"))?;
+        *pos += 1;
+        match (tag, column) {
+            (0, column) => column.set_null(row),
+            (1, ColumnVector::Long(v)) => {
+                v.vector[row] = (*buf.get(*pos).ok_or_else(|| bad("truncated"))? != 0) as i64;
+                *pos += 1;
+            }
+            (2 | 5, ColumnVector::Long(v)) => {
+                v.vector[row] = hive_codec::varint::read_signed(buf, pos)?
+            }
+            (2, ColumnVector::Double(v)) => {
+                v.vector[row] = hive_codec::varint::read_signed(buf, pos)? as f64
+            }
+            (3, ColumnVector::Double(v)) => {
+                let b = buf.get(*pos..).and_then(|rest| rest.first_chunk::<8>());
+                v.vector[row] = f64::from_le_bytes(*b.ok_or_else(|| bad("truncated"))?);
+                *pos += 8;
+            }
+            (4, ColumnVector::Bytes(v)) => {
+                let (n, _) = count_at(buf, pos)?;
+                let bytes = buf.get(*pos..).and_then(|rest| rest.get(..n));
+                let bytes = bytes.ok_or_else(|| bad("truncated"))?;
+                *pos += n;
+                (v.start[row], v.length[row]) = (v.data.len() as u32, n as u32);
+                v.data.extend_from_slice(bytes);
+            }
+            _ => return Err(bad("a value does not fit its column")),
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,5 +517,58 @@ mod tests {
         text_serialize(&row, &mut buf);
         let back = text_deserialize(&buf, &schema).unwrap();
         assert_eq!(back, row);
+    }
+
+    /// Column-wise decoding reads what the row decoding reads, and refuses a
+    /// row of another width or a value its column cannot hold.
+    #[test]
+    fn binary_rows_decode_into_columns_as_into_values() {
+        use hive_vector::row_convert::get_value;
+        use hive_vector::VectorizedRowBatch;
+        let types = [
+            DataType::Int,
+            DataType::Double,
+            DataType::String,
+            DataType::Boolean,
+            DataType::Timestamp,
+        ];
+        let rows = [
+            vec![
+                Value::Int(-3),
+                Value::Double(f64::NAN),
+                Value::String("h\u{e9}".into()),
+                Value::Boolean(true),
+                Value::Timestamp(-9),
+            ],
+            vec![
+                Value::Null,
+                Value::Double(-0.0),
+                Value::String(String::new()),
+                Value::Null,
+                Value::Null,
+            ],
+        ];
+        let mut b = VectorizedRowBatch::new(&types, 2).unwrap();
+        for (row, values) in rows.iter().enumerate() {
+            let mut buf = Vec::new();
+            binary_serialize_values(values, &mut buf);
+            binary_deserialize_into_columns(&buf, &mut 0, &mut b.columns, row).unwrap();
+            let back: Vec<Value> = (0..5)
+                .map(|c| get_value(&b.columns[c], row, &types[c]))
+                .collect();
+            assert_eq!(format!("{back:?}"), format!("{values:?}"));
+            assert!(
+                binary_deserialize_into_columns(&buf, &mut 0, &mut b.columns[..4], row).is_err()
+            );
+        }
+        let mut buf = Vec::new();
+        binary_serialize_values(&[Value::String("x".into())], &mut buf);
+        assert!(binary_deserialize_into_columns(&buf, &mut 0, &mut b.columns[..1], 0).is_err());
+        for cut in 0..buf.len() {
+            assert!(
+                binary_deserialize_into_columns(&buf[..cut], &mut 0, &mut b.columns[2..3], 0)
+                    .is_err()
+            );
+        }
     }
 }

@@ -16,6 +16,7 @@
 //!   prefix-free and whatever follows a key never takes part in its order.
 
 use hive_common::{key, HiveError, Result, Value};
+use hive_vector::ColumnVector;
 
 /// Closes a key, a string, a list, a struct and a map.
 const END: u8 = 0;
@@ -95,6 +96,71 @@ fn word(buf: &[u8], pos: &mut usize) -> Result<u64> {
     Ok(u64::from_be_bytes(*bytes))
 }
 
+/// [`decode_key`] into row `row` of `columns`, one column per key value,
+/// building no value: a reducer's batch decoding. Returns how many columns
+/// it wrote. A value its column's lane cannot hold (a complex value, or one
+/// of another lane; an INT widens into a DOUBLE column) is a `SerDe` error.
+pub fn decode_key_into(
+    buf: &[u8],
+    pos: &mut usize,
+    columns: &mut [ColumnVector],
+    row: usize,
+) -> Result<usize> {
+    for (k, column) in columns.iter_mut().enumerate() {
+        let rank = match byte(buf, pos)? {
+            END => return Ok(k),
+            rank => rank - 1,
+        };
+        match (rank, column) {
+            (0, column) => column.set_null(row),
+            (1, ColumnVector::Long(v)) => {
+                v.vector[row] = match byte(buf, pos)? {
+                    b @ (0 | 1) => b as i64,
+                    _ => return Err(bad("boolean byte")),
+                }
+            }
+            (2 | 5, ColumnVector::Long(v)) => v.vector[row] = (word(buf, pos)? ^ SIGN) as i64,
+            (2, ColumnVector::Double(v)) => v.vector[row] = (word(buf, pos)? ^ SIGN) as i64 as f64,
+            (3, ColumnVector::Double(v)) => v.vector[row] = double_at(buf, pos)?,
+            (4, ColumnVector::Bytes(v)) => {
+                let start = v.data.len();
+                string_into(buf, pos, &mut v.data)?;
+                v.start[row] = start as u32;
+                v.length[row] = (v.data.len() - start) as u32;
+            }
+            _ => return Err(bad("key value does not fit its column")),
+        }
+    }
+    match byte(buf, pos)? {
+        END => Ok(columns.len()),
+        _ => Err(bad("more key values than columns")),
+    }
+}
+
+fn double_at(buf: &[u8], pos: &mut usize) -> Result<f64> {
+    let ordered = word(buf, pos)?;
+    let bits = if ordered & SIGN != 0 {
+        ordered ^ SIGN
+    } else {
+        !ordered
+    };
+    Ok(f64::from_bits(bits))
+}
+
+/// A string's bytes, unescaped, appended to `out`.
+fn string_into(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> Result<()> {
+    loop {
+        match byte(buf, pos)? {
+            END => return Ok(()),
+            ESCAPE => match byte(buf, pos)? {
+                b @ (1 | 2) => out.push(b - 1),
+                _ => return Err(bad("string escape")),
+            },
+            b => out.push(b),
+        }
+    }
+}
+
 /// Values up to the closing [`END`].
 fn decode_list(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Vec<Value>> {
     let mut values = Vec::new();
@@ -126,27 +192,10 @@ fn decode_value(rank: u8, buf: &[u8], pos: &mut usize, depth: usize) -> Result<V
             _ => return Err(bad("boolean byte")),
         },
         2 => Value::Int((word(buf, pos)? ^ SIGN) as i64),
-        3 => {
-            let ordered = word(buf, pos)?;
-            let bits = if ordered & SIGN != 0 {
-                ordered ^ SIGN
-            } else {
-                !ordered
-            };
-            Value::Double(f64::from_bits(bits))
-        }
+        3 => Value::Double(double_at(buf, pos)?),
         4 => {
             let mut bytes = Vec::new();
-            loop {
-                match byte(buf, pos)? {
-                    END => break,
-                    ESCAPE => match byte(buf, pos)? {
-                        b @ (1 | 2) => bytes.push(b - 1),
-                        _ => return Err(bad("string escape")),
-                    },
-                    b => bytes.push(b),
-                }
-            }
+            string_into(buf, pos, &mut bytes)?;
             Value::String(String::from_utf8(bytes).map_err(|_| bad("string is not UTF-8"))?)
         }
         5 => Value::Timestamp((word(buf, pos)? ^ SIGN) as i64),
@@ -237,5 +286,61 @@ mod tests {
         ] {
             assert!(decode_key(bytes, &mut 0).is_err(), "{bytes:?}");
         }
+    }
+
+    /// Column-wise decoding reads what `decode_key` reads, value for value
+    /// (an INT widening into a DOUBLE column), and refuses a value its
+    /// column cannot hold.
+    #[test]
+    fn keys_decode_into_columns_as_into_values() {
+        use hive_common::DataType;
+        use hive_vector::row_convert::get_value;
+        use hive_vector::VectorizedRowBatch;
+        let types = [
+            DataType::Int,
+            DataType::Double,
+            DataType::String,
+            DataType::Boolean,
+        ];
+        let s = |x: &str| Value::String(x.into());
+        let keys = [
+            vec![
+                Value::Int(-7),
+                Value::Double(f64::NAN),
+                s("a\0\u{1}b"),
+                Value::Boolean(true),
+            ],
+            vec![Value::Null, Value::Double(-0.0), s(""), Value::Null],
+            vec![
+                Value::Int(i64::MAX),
+                Value::Int(3),
+                Value::Null,
+                Value::Boolean(false),
+            ],
+        ];
+        let mut b = VectorizedRowBatch::new(&types, 4).unwrap();
+        for (row, key) in keys.iter().enumerate() {
+            assert_eq!(
+                decode_key_into(&enc(key), &mut 0, &mut b.columns, row).unwrap(),
+                4
+            );
+            let back: Vec<Value> = (0..4)
+                .map(|c| get_value(&b.columns[c], row, &types[c]))
+                .collect();
+            let mut want = decode_key(&enc(key), &mut 0).unwrap();
+            if let Value::Int(x) = want[1] {
+                want[1] = Value::Double(x as f64);
+            }
+            assert_eq!(format!("{back:?}"), format!("{want:?}"));
+        }
+        // A string where a long lane is, and more values than columns.
+        let bad = enc(&[s("x")]);
+        assert!(decode_key_into(&bad, &mut 0, &mut b.columns[..1], 0).is_err());
+        let long = enc(&[Value::Int(1), Value::Int(2)]);
+        assert!(decode_key_into(&long, &mut 0, &mut b.columns[..1], 0).is_err());
+        assert_eq!(
+            decode_key_into(&long, &mut 0, &mut b.columns, 0).unwrap(),
+            2
+        );
     }
 }

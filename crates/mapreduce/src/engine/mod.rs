@@ -904,7 +904,7 @@ mod tests {
             )));
             let fs = graph.add(Box::new(FileSinkOperator));
             graph.connect(gb, fs, None);
-            Ok((graph, gb))
+            Ok(crate::job::ReducePipeline::rows(graph, gb))
         });
         JobSpec {
             name: "group-sum".into(),

@@ -1,13 +1,17 @@
-//! The reduce task: merge a partition's runs and drive the reduce pipeline
-//! with key-group signals.
+//! The reduce task: merge a partition's runs and drive the reduce pipeline,
+//! with rows and one group signal per key group, or with batches and one
+//! group signal per window of whole groups.
 
 use super::shuffle::{self, Run};
 use super::MrEngine;
-use crate::job::{JobOutput, JobSpec, ReducePipelineFactory};
-use hive_common::{Result, Row, Value};
+use crate::job::{JobOutput, JobSpec, ReducePipeline, ReducePipelineFactory};
+use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_dfs::{IoScope, IoSnapshot};
-use hive_exec::graph::{Message, ShuffleRecord};
+use hive_exec::graph::{Message, OperatorGraph, ShuffleRecord};
 use hive_obs::OpProfile;
+use hive_vector::reduce::ReduceWindow;
+use hive_vector::DEFAULT_BATCH_SIZE;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What one reduce task hands back to the engine.
@@ -21,11 +25,27 @@ pub(super) struct ReduceTaskResult {
     pub(super) op_profiles: Vec<OpProfile>,
 }
 
+/// Where the pushed messages lead: the graph, its root, and the task's
+/// shuffle and output callbacks.
+struct Sink<'a> {
+    graph: &'a mut OperatorGraph,
+    root: usize,
+    on_shuffle: &'a mut dyn FnMut(ShuffleRecord),
+    on_output: &'a mut dyn FnMut(Row),
+}
+
+impl Sink<'_> {
+    fn push(&mut self, msg: Message) -> Result<()> {
+        self.graph
+            .push(self.root, msg, self.on_shuffle, self.on_output)
+    }
+}
+
 impl MrEngine {
     /// One reduce task: merge its partition's runs, drive the reduce
-    /// pipeline with group signals, and write/collect the output. Runs on a
-    /// pool worker; the runs are shared with every other attempt, so a
-    /// failed attempt leaves them for its retry.
+    /// pipeline, and write/collect the output. Runs on a pool worker; the
+    /// runs are shared with every other attempt, so a failed attempt leaves
+    /// them for its retry.
     pub(super) fn run_reduce_task(
         &self,
         spec: &JobSpec,
@@ -37,47 +57,30 @@ impl MrEngine {
         let io_guard = scope.enter();
         let t0 = Instant::now();
         let shuffle_bytes = runs.iter().map(Run::byte_len).sum();
-        let (mut graph, root) = reduce_factory()?;
+        let ReducePipeline {
+            mut graph,
+            root,
+            shuffled,
+            batches,
+        } = reduce_factory()?;
         let mut task_out: Vec<Row> = Vec::new();
-        let mut rows_processed = 0u64;
-        {
-            let mut on_shuffle = |_rec: ShuffleRecord| {
-                // Nested shuffles cannot happen in a single job.
-            };
+        let rows_processed = {
+            // Nested shuffles cannot happen in a single job.
+            let mut on_shuffle = |_rec: ShuffleRecord| {};
             let mut on_output = |row: Row| task_out.push(row);
-            // The reducer driver: detect key-group changes, send
-            // signals, forward rows (paper Section 5.2.2). A group starts
-            // where the key bytes change; its key is decoded once.
-            let mut group: Option<&[u8]> = None;
-            let mut key: Vec<Value> = Vec::new();
-            for rec in shuffle::merge(runs) {
-                rows_processed += 1;
-                if group != Some(rec.key) {
-                    if group.is_some() {
-                        graph.push(root, Message::EndGroup, &mut on_shuffle, &mut on_output)?;
-                    }
-                    graph.push(root, Message::StartGroup, &mut on_shuffle, &mut on_output)?;
-                    group = Some(rec.key);
-                    key = rec.decode_key()?;
-                }
-                // Reduce-side rows are key columns ++ value columns.
-                let mut vals = key.clone();
-                rec.decode_value_into(&mut vals)?;
-                graph.push(
-                    root,
-                    Message::Row {
-                        row: Row::new(vals),
-                        tag: rec.tag,
-                    },
-                    &mut on_shuffle,
-                    &mut on_output,
-                )?;
-            }
-            if group.is_some() {
-                graph.push(root, Message::EndGroup, &mut on_shuffle, &mut on_output)?;
-            }
+            let mut sink = Sink {
+                graph: &mut graph,
+                root,
+                on_shuffle: &mut on_shuffle,
+                on_output: &mut on_output,
+            };
+            let records = match batches {
+                Some(tags) => push_windows(&mut sink, runs, &shuffled, tags)?,
+                None => push_groups(&mut sink, runs)?,
+            };
             graph.finish(&mut on_shuffle, &mut on_output)?;
-        }
+            records
+        };
 
         let mut written = 0u64;
         if !task_out.is_empty() {
@@ -99,4 +102,86 @@ impl MrEngine {
             op_profiles,
         })
     }
+}
+
+/// The row-mode reducer driver (paper Section 5.2.2): rows, each group
+/// ended by a signal. A group starts where the key bytes change; its key is
+/// decoded once. Returns the records pushed.
+fn push_groups(sink: &mut Sink, runs: &[Run]) -> Result<u64> {
+    let (mut group, mut key, mut records) = (None, Vec::new(), 0);
+    for rec in shuffle::merge(runs) {
+        records += 1;
+        if group != Some(rec.key) {
+            if group.is_some() {
+                sink.push(Message::EndGroup)?;
+            }
+            group = Some(rec.key);
+            key = rec.decode_key()?;
+        }
+        // Reduce-side rows are key columns ++ value columns.
+        let mut vals: Vec<Value> = key.clone();
+        rec.decode_value_into(&mut vals)?;
+        let (row, tag) = (Row::new(vals), rec.tag);
+        sink.push(Message::Row { row, tag })?;
+    }
+    if group.is_some() {
+        sink.push(Message::EndGroup)?;
+    }
+    Ok(records)
+}
+
+/// The batch-mode reducer driver: records decode column-wise into one batch
+/// per tag, a window of whole groups at a time ([`ReduceWindow`]), and each
+/// window is pushed as its batches, then one signal. `tags`: per tag, its
+/// key width and batch column types. Returns the records pushed.
+fn push_windows(
+    sink: &mut Sink,
+    runs: &[Run],
+    shuffled: &[Vec<DataType>],
+    tags: Vec<(usize, Vec<DataType>)>,
+) -> Result<u64> {
+    let widths: Vec<(usize, usize)> = tags
+        .iter()
+        .zip(shuffled)
+        .map(|((nk, _), s)| (*nk, s.len()))
+        .collect();
+    let mut window = ReduceWindow::new(
+        tags.into_iter().map(|(_, t)| t).collect(),
+        DEFAULT_BATCH_SIZE,
+    );
+    let (mut group, mut records) = (None, 0);
+    for rec in shuffle::merge(runs) {
+        records += 1;
+        let &(nk, width) = widths
+            .get(rec.tag)
+            .ok_or_else(|| HiveError::Execution(format!("no reduce input for tag {}", rec.tag)))?;
+        let new_group = group != Some(rec.key);
+        if window.closes_before(new_group) {
+            push_window(sink, &mut window)?;
+        }
+        group = Some(rec.key);
+        let (batch, row) = window.next_row(rec.tag, new_group)?;
+        let (keys, values) = batch.columns[..width].split_at_mut(nk);
+        // A key is decoded once per group and batch; the group's next rows
+        // there share it.
+        if row > 0 && batch.ordinals[row - 1] == batch.ordinals[row] {
+            keys.iter_mut().for_each(|c| c.repeat_cell(row, row - 1));
+        } else {
+            rec.decode_key_into(keys, row)?;
+        }
+        rec.decode_value_into_columns(values, row)?;
+    }
+    if !window.is_empty() {
+        push_window(sink, &mut window)?;
+    }
+    Ok(records)
+}
+
+fn push_window(sink: &mut Sink, window: &mut ReduceWindow) -> Result<()> {
+    for (tag, batch) in window.batches() {
+        let batch = Arc::clone(batch);
+        sink.push(Message::Batch { batch, tag })?;
+    }
+    sink.push(Message::EndGroup)?;
+    window.clear()
 }

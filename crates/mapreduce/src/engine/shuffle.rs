@@ -9,9 +9,12 @@
 //! map-task index first: the order a stable sort of the runs' task-index
 //! concatenation gives, which is what reducers have always read.
 
-use hive_common::{key, Result, Value};
+use hive_common::{key, HiveError, Result, Value};
 use hive_exec::graph::ShuffleRecord;
-use hive_formats::serde::{binary_deserialize_values_into, binary_serialize_row, sortable};
+use hive_formats::serde::{
+    binary_deserialize_into_columns, binary_deserialize_values_into, binary_serialize_row, sortable,
+};
+use hive_vector::ColumnVector;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -108,6 +111,27 @@ impl Record<'_> {
     pub(super) fn decode_value_into(&self, out: &mut Vec<Value>) -> Result<()> {
         binary_deserialize_values_into(self.value, &mut 0, out)
     }
+
+    /// The key into row `row` of `columns`, which must be as many as its
+    /// values.
+    pub(super) fn decode_key_into(&self, columns: &mut [ColumnVector], row: usize) -> Result<()> {
+        match sortable::decode_key_into(self.key, &mut 0, columns, row)? {
+            n if n == columns.len() => Ok(()),
+            n => Err(HiveError::SerDe(format!(
+                "a key of {n} values for {} columns",
+                columns.len()
+            ))),
+        }
+    }
+
+    /// The value row into row `row` of `columns`, one column per value.
+    pub(super) fn decode_value_into_columns(
+        &self,
+        columns: &mut [ColumnVector],
+        row: usize,
+    ) -> Result<()> {
+        binary_deserialize_into_columns(self.value, &mut 0, columns, row)
+    }
 }
 
 /// The records of `runs` (one per map task, in task order) in key‖tag
@@ -132,7 +156,7 @@ pub(super) fn merge(runs: &[Run]) -> impl Iterator<Item = Record<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hive_common::{HiveError, Row};
+    use hive_common::Row;
 
     fn record(key: Vec<Value>, tag: usize, v: i64) -> ShuffleRecord {
         ShuffleRecord {

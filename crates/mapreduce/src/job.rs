@@ -88,9 +88,34 @@ pub struct MapPipeline {
 pub type MapPipelineFactory =
     Arc<dyn Fn(&HashMap<String, Vec<Row>>) -> Result<MapPipeline> + Send + Sync>;
 
-/// Builds a fresh reduce pipeline per reduce task: an operator graph plus
-/// the root operator the reducer driver pushes messages into.
-pub type ReducePipelineFactory = Arc<dyn Fn() -> Result<(OperatorGraph, usize)> + Send + Sync>;
+/// The per-task reduce pipeline: the operator graph, the root the reducer
+/// driver pushes into, and what the shuffle hands it.
+pub struct ReducePipeline {
+    pub graph: OperatorGraph,
+    pub root: usize,
+    /// Per shuffle tag: the types of its records' columns, keys then values.
+    pub shuffled: Vec<Vec<DataType>>,
+    /// Set when the stage runs batch-native: per shuffle tag, how many of
+    /// its columns are the key, and the column types of the batches the
+    /// driver decodes its records into (the shuffled columns, then the
+    /// scratch columns the stage's expressions fill).
+    pub batches: Option<Vec<(usize, Vec<DataType>)>>,
+}
+
+impl ReducePipeline {
+    /// A row-mode pipeline: records reach `root` as rows.
+    pub fn rows(graph: OperatorGraph, root: usize) -> ReducePipeline {
+        ReducePipeline {
+            graph,
+            root,
+            shuffled: Vec::new(),
+            batches: None,
+        }
+    }
+}
+
+/// Builds a fresh reduce pipeline per reduce task.
+pub type ReducePipelineFactory = Arc<dyn Fn() -> Result<ReducePipeline> + Send + Sync>;
 
 /// Where a job's output goes.
 #[derive(Debug, Clone, PartialEq, Eq)]

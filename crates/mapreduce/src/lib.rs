@@ -5,7 +5,8 @@
 //! file-format readers, map-side operator graphs process rows (or
 //! vectorized pipelines process batches), ReduceSink records are
 //! partitioned into byte runs sorted by `(key, tag)`, merged and pushed
-//! through reduce-side graphs between StartGroup/EndGroup signals, and
+//! through reduce-side graphs with an EndGroup signal after each key group
+//! (after each window of whole groups when the stage runs on batches), and
 //! intermediate job outputs are written back to the DFS as SequenceFiles —
 //! which is exactly why unnecessary Map-only jobs cost real I/O (paper
 //! Section 5.1) — and deleted once no later job of the query reads them.
@@ -23,6 +24,6 @@ pub mod job;
 pub use cost::{ClusterConfig, CostModel};
 pub use engine::{DagReport, JobReport, MrEngine};
 pub use job::{
-    JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, ReducePipelineFactory,
-    SideInput, VectorStage,
+    JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, ReducePipeline,
+    ReducePipelineFactory, SideInput, VectorStage,
 };

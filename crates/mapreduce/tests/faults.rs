@@ -13,7 +13,7 @@ use hive_exec::operators::{
 };
 use hive_formats::{create_writer, FormatKind, WriteOptions};
 use hive_mapreduce::engine::{JobReport, MrEngine};
-use hive_mapreduce::job::{JobInput, JobOutput, JobSpec, MapPipeline};
+use hive_mapreduce::job::{JobInput, JobOutput, JobSpec, MapPipeline, ReducePipeline};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -102,7 +102,7 @@ fn group_sum_job(schema: Schema, dir: &str, poison_first_reduce_calls: usize) ->
         )));
         let fs = graph.add(Box::new(FileSinkOperator));
         graph.connect(gb, fs, None);
-        Ok((graph, gb))
+        Ok(ReducePipeline::rows(graph, gb))
     });
     JobSpec {
         name: "faulty-group-sum".into(),

@@ -14,7 +14,7 @@ use hive_exec::operators::{
 use hive_formats::orc::memory::MemoryManager;
 use hive_formats::{create_writer, open_reader, FormatKind, ReadOptions, WriteOptions};
 use hive_mapreduce::engine::{JobReport, MrEngine};
-use hive_mapreduce::job::{JobInput, JobOutput, JobSpec, MapPipeline};
+use hive_mapreduce::job::{JobInput, JobOutput, JobSpec, MapPipeline, ReducePipeline};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
@@ -83,7 +83,7 @@ fn group_sum_job(schema: Schema, dir: &str) -> JobSpec {
         )));
         let fs = graph.add(Box::new(FileSinkOperator));
         graph.connect(gb, fs, None);
-        Ok((graph, gb))
+        Ok(ReducePipeline::rows(graph, gb))
     });
     JobSpec {
         name: "stress-group-sum".into(),

@@ -14,7 +14,7 @@
 //!   threshold),
 //! * inserts the Demux/Mux coordination operators into Reduce-side
 //!   operator graphs (Section 5.2.2, Figure 5),
-//! * invokes the vectorization pass on eligible map-side chains
+//! * invokes the vectorization pass on every map and reduce stage
 //!   (Section 6.4).
 
 use crate::correlation::fragments;
@@ -27,7 +27,8 @@ use hive_exec::agg::AggMode;
 use hive_exec::graph::OperatorGraph;
 use hive_exec::operators as ops;
 use hive_mapreduce::job::{
-    JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, ReducePipelineFactory, SideInput,
+    JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, ReducePipeline,
+    ReducePipelineFactory, SideInput,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -323,6 +324,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                 nodes: g.nodes.clone(),
                 fragment: info.nodes.clone(),
                 feeding_rs: feeding_rs.to_vec(),
+                vectorize,
             });
             Some(Arc::new(move || spec.build()))
         } else {
@@ -896,17 +898,38 @@ struct ReduceBuildSpec {
     nodes: Vec<PlanNode>,
     fragment: Vec<usize>,
     feeding_rs: Vec<usize>,
+    vectorize: bool,
 }
 
 impl ReduceBuildSpec {
-    fn build(&self) -> Result<(OperatorGraph, usize)> {
+    fn build(&self) -> Result<ReducePipeline> {
         let mut graph = OperatorGraph::new();
         let mut exec_of: HashMap<usize, usize> = HashMap::new();
         let order = topo(&self.nodes, &self.fragment);
+        let types = |rs: &usize| self.nodes[*rs].schema.iter().map(|c| c.data_type.clone());
+        let shuffled = self
+            .feeding_rs
+            .iter()
+            .map(|rs| types(rs).collect())
+            .collect();
 
-        // 1. Operators.
+        // 1. Operators: the stage vectorizes whole, or runs in row mode.
+        let (nodes, fragment, feeding) = (&self.nodes, &self.fragment, &self.feeding_rs);
+        let vectorized = self
+            .vectorize
+            .then(|| vectorize::try_vectorize_reduce(nodes, fragment, feeding));
+        let (mut vector_ops, batches) = match vectorized.transpose()?.flatten() {
+            Some(v) => (v.operators, Some(v.batches)),
+            None => (HashMap::new(), None),
+        };
         for &n in &order {
-            exec_of.insert(n, graph.add(row_operator(&self.nodes, n, &Phase::Reduce)?));
+            let op = match batches {
+                Some(_) => vector_ops.remove(&n).ok_or_else(|| {
+                    HiveError::Plan(format!("vectorized reduce stage left plan node {n} out"))
+                })?,
+                None => row_operator(&self.nodes, n, &Phase::Reduce)?,
+            };
+            exec_of.insert(n, graph.add(op));
         }
 
         // 2. A Mux in front of every major operator (paper Figure 5).
@@ -972,7 +995,12 @@ impl ReduceBuildSpec {
             }
         }
 
-        Ok((graph, demux))
+        Ok(ReducePipeline {
+            graph,
+            root: demux,
+            shuffled,
+            batches,
+        })
     }
 }
 

@@ -1034,11 +1034,32 @@ fn add_aggregation<'a>(
         let star = matches!(args.first(), Some(Expr::Star));
         let function = parse_agg_function(name, star)
             .ok_or_else(|| HiveError::Semantic(format!("unknown aggregate `{name}`")))?;
-        let arg = if star || args.is_empty() {
+        let mut arg = if star || args.is_empty() {
             None
         } else {
             Some(resolve(&args[0], &input)?)
         };
+        // SUM and AVG add numbers: a NULL literal is typed BIGINT, anything
+        // but a number is rejected.
+        if matches!(function, AggFunction::Sum | AggFunction::Avg) {
+            if let Some(null @ ExprNode::Literal(Value::Null)) = &mut arg {
+                let expr = Box::new(std::mem::replace(null, ExprNode::Literal(Value::Null)));
+                *null = ExprNode::Cast {
+                    expr,
+                    target: DataType::Int,
+                };
+            }
+            let name = name.to_uppercase();
+            let Some(a) = &arg else {
+                return Err(HiveError::Semantic(format!("{name} takes an argument")));
+            };
+            let t = expr_type(a, &input.schema())?;
+            if !matches!(t, DataType::Int | DataType::Double) {
+                return Err(HiveError::Semantic(format!(
+                    "type mismatch: {name} over {t}"
+                )));
+            }
+        }
         let arg_type = match &arg {
             Some(a) => Some(expr_type(a, &input.schema())?),
             None => None,

@@ -13,9 +13,11 @@
 //! (`VectorReduceSink`, or the fused `VectorGroupBySink`) or, for a map-only
 //! stage, the output sink (`VectorFileSink`). Any other stage — an
 //! intermediate input, a complex column, a shared scan feeding several
-//! sinks — runs in row mode from end to end. Within a vectorizable stage
-//! every operator and expression has a kernel; one that has none is a plan
-//! error, not a row-mode tail.
+//! sinks — runs in row mode from end to end. A reduce stage is decided the
+//! same way ([`try_vectorize_reduce`]): batch-native from the merged runs
+//! to its sink when every shuffled column is scalar, row mode otherwise.
+//! Within a vectorizable stage every operator and expression has a kernel;
+//! one that has none is a plan error, not a row-mode tail.
 
 use crate::plan::{expr_type, ColumnInfo, GroupByPhase, PlanNode, PlanOp};
 use hive_common::{DataType, HiveError, Result, Row, Value};
@@ -24,9 +26,10 @@ use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
 use hive_exec::graph::Operator;
 use hive_exec::operators::JoinType;
 use hive_exec::vector_ops::{
-    VectorFileSinkOperator, VectorGroupBySinkOperator, VectorOpAdapter, VectorReduceSinkOperator,
+    VectorFileSinkOperator, VectorGroupByOperator, VectorGroupBySinkOperator, VectorJoinOperator,
+    VectorOpAdapter, VectorReduceSinkOperator,
 };
-use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
+use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator, VectorStreamAggregator};
 use hive_vector::expressions as vx;
 use hive_vector::expressions::{Lane, Operand, VectorExpression};
 use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
@@ -184,7 +187,7 @@ pub fn try_vectorize(
                     ));
                 };
                 let key_cols = c.typed_values(keys)?;
-                let specs = aggs.iter().map(|a| c.compile_agg(a));
+                let specs = aggs.iter().map(|a| c.compile_agg(a, false));
                 let specs = specs.collect::<Result<Vec<_>>>()?;
                 let expressions = c.drain_pending();
                 let tag = rs_tags.get(&rs_n).copied().unwrap_or(0);
@@ -258,6 +261,172 @@ pub fn try_vectorize(
         batch_types,
         first_columns,
     }))
+}
+
+/// A reduce stage compiled batch-native (DESIGN.md §16 "The reduce side").
+pub struct VectorizedReduce {
+    /// The operator of each plan node of the stage.
+    pub operators: HashMap<usize, Box<dyn Operator>>,
+    /// Per feeding ReduceSink, in shuffle-tag order: its key width and the
+    /// column types of the batches the driver decodes its records into.
+    pub batches: Vec<(usize, Vec<DataType>)>,
+}
+
+/// Validate a reduce stage — the plan nodes `fragment`, fed by the
+/// ReduceSinks `feeding_rs` in shuffle-tag order — and vectorize it whole,
+/// from the driver's batches to its sink. `None` — the stage runs in row
+/// mode — exactly when a shuffled column is not scalar (AVG's partial
+/// struct, a complex column). As on the map side, an operator or expression
+/// without a kernel is a plan error.
+///
+/// The stage is compiled in segments, each from where batches are made to
+/// where they end: from the driver's batch of each tag, and from each join
+/// or group-by (they make new batches), through filters, projections and
+/// limits, to a join or group-by input or the sink. A segment's scratch
+/// columns extend the batch its start makes, so a join or group-by is built
+/// once the segment after it is compiled.
+pub fn try_vectorize_reduce(
+    nodes: &[PlanNode],
+    fragment: &[usize],
+    feeding_rs: &[usize],
+) -> Result<Option<VectorizedReduce>> {
+    let scalar = |&rs: &usize| {
+        let columns = nodes[rs].schema.iter();
+        columns
+            .map(|c| Lane::of(&c.data_type))
+            .all(|lane| lane.is_some())
+    };
+    if !feeding_rs.iter().all(scalar) {
+        return Ok(None);
+    }
+    let mut r = ReduceCompiler {
+        nodes,
+        fragment,
+        operators: HashMap::new(),
+        joins: HashMap::new(),
+    };
+    let mut batches = Vec::new();
+    for &rs in feeding_rs {
+        let PlanOp::ReduceSink { keys, .. } = &nodes[rs].op else {
+            return Err(HiveError::Plan(
+                "a reduce stage is fed by ReduceSinks".into(),
+            ));
+        };
+        batches.push((keys.len(), r.batches_of(rs)?));
+    }
+    Ok(Some(VectorizedReduce {
+        operators: r.operators,
+        batches,
+    }))
+}
+
+/// The state of [`try_vectorize_reduce`].
+struct ReduceCompiler<'a> {
+    nodes: &'a [PlanNode],
+    fragment: &'a [usize],
+    operators: HashMap<usize, Box<dyn Operator>>,
+    /// Per join: the batch columns of each input's row compiled so far, by
+    /// input slot.
+    joins: HashMap<usize, Vec<(usize, Vec<usize>)>>,
+}
+
+impl<'a> ReduceCompiler<'a> {
+    /// Compile the stage below `from`, whose batches hold its output
+    /// columns; returns their types, scratch columns included.
+    fn batches_of(&mut self, from: usize) -> Result<Vec<DataType>> {
+        let schema = &self.nodes[from].schema;
+        let types = schema.iter().map(|c| c.data_type.clone()).collect();
+        let mut c = VecCompiler::over(types, schema);
+        self.segment(from, &mut c)?;
+        Ok(c.types)
+    }
+
+    /// Compile the stage below `from`, whose batches `c` describes. Branches
+    /// share the batch, each with scratch columns of its own.
+    fn segment(&mut self, from: usize, c: &mut VecCompiler<'a>) -> Result<()> {
+        let children = self.nodes[from].children.iter().copied();
+        let children: Vec<usize> = children.filter(|n| self.fragment.contains(n)).collect();
+        let (layout, schema) = (c.layout.clone(), c.schema);
+        for n in children {
+            (c.layout, c.schema) = (layout.clone(), schema);
+            self.node(from, n, c)?;
+        }
+        Ok(())
+    }
+
+    fn node(&mut self, parent: usize, n: usize, c: &mut VecCompiler<'a>) -> Result<()> {
+        let node = &self.nodes[n];
+        let op = match &node.op {
+            PlanOp::Filter { predicate } => {
+                let f = c.compile_filter(predicate)?;
+                let mut children = c.drain_pending();
+                children.push(f);
+                adapter(VectorFilterOperator::new(vx::filter_and(children)))
+            }
+            PlanOp::Select { exprs } => c.project(exprs, &node.schema)?,
+            PlanOp::ReduceSink {
+                keys,
+                values,
+                degenerate: true,
+                ..
+            } => {
+                let exprs: Vec<ExprNode> = keys.iter().chain(values).cloned().collect();
+                c.project(&exprs, &node.schema)?
+            }
+            PlanOp::Limit(k) => adapter(VectorLimitOperator::new(*k)),
+            // A reduce stage's output leaves as rows: collected, or written
+            // as the intermediate a later job reads.
+            PlanOp::FileSink | PlanOp::IntermediateCut | PlanOp::ReduceSink { .. } => {
+                let sink = VectorFileSinkOperator::new(c.layout_columns());
+                self.operators.insert(n, Box::new(sink));
+                return Ok(());
+            }
+            PlanOp::Join {
+                kind,
+                input_widths,
+                nk,
+            } => {
+                let slot = node.parents.iter().position(|&p| p == parent).unwrap_or(0);
+                let inputs = self.joins.entry(n).or_default();
+                inputs.push((slot, c.layout.clone()));
+                if inputs.len() < input_widths.len() {
+                    return Ok(());
+                }
+                let mut inputs = self.joins.remove(&n).unwrap_or_default();
+                inputs.sort_by_key(|(slot, _)| *slot);
+                let columns = inputs.into_iter().map(|(_, columns)| columns).collect();
+                let out_types = self.batches_of(n)?;
+                let join = VectorJoinOperator::new(*kind, *nk, columns, out_types)?;
+                self.operators.insert(n, Box::new(join));
+                return Ok(());
+            }
+            PlanOp::GroupBy {
+                phase: phase @ (GroupByPhase::ReduceMerge | GroupByPhase::ReduceComplete),
+                keys,
+                aggs,
+            } => {
+                let keys = c.typed_values(keys)?;
+                let merge = *phase == GroupByPhase::ReduceMerge;
+                let specs = aggs.iter().map(|a| c.compile_agg(a, merge));
+                let specs = specs.collect::<Result<Vec<_>>>()?;
+                let expressions = c.drain_pending();
+                let out_types = self.batches_of(n)?;
+                let aggregator =
+                    VectorStreamAggregator::new(keys, specs, out_types, DEFAULT_BATCH_SIZE)?;
+                let group_by = VectorGroupByOperator::new(expressions, aggregator);
+                self.operators.insert(n, Box::new(group_by));
+                return Ok(());
+            }
+            op => {
+                return Err(HiveError::Plan(format!(
+                    "{} cannot run in a vectorized reduce stage",
+                    op.kind_name()
+                )))
+            }
+        };
+        self.operators.insert(n, op);
+        self.segment(n, c)
+    }
 }
 
 /// Compile one MapJoin plan node. The compiler's scratch state then
@@ -643,13 +812,18 @@ impl<'a> VecCompiler<'a> {
         })
     }
 
-    /// Map a row-mode aggregate onto a vectorized AggSpec.
-    fn compile_agg(&mut self, a: &crate::plan::AggCall) -> Result<AggSpec> {
+    /// Map a row-mode aggregate onto a vectorized AggSpec; `merge`: it
+    /// merges partials (COUNT sums its partial counts, the rest keep their
+    /// kind).
+    fn compile_agg(&mut self, a: &crate::plan::AggCall, merge: bool) -> Result<AggSpec> {
         let input = match &a.arg {
             None => None,
             Some(arg) => Some((self.value(arg)?, expr_type(arg, self.schema)?)),
         };
         let kind = match (a.function, input.as_ref().map(|(c, _)| self.col(*c).lane())) {
+            (AggFunction::CountStar | AggFunction::Count, Some(Lane::Long)) if merge => {
+                AggKind::MergeCount
+            }
             (AggFunction::CountStar, _) => AggKind::CountStar,
             (AggFunction::Count, _) => AggKind::Count,
             (AggFunction::Sum, Some(Lane::Long)) => AggKind::SumLong,

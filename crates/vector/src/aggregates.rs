@@ -21,9 +21,10 @@
 
 use crate::batch::{ColumnVector, PrimitiveColumnVector, Rows, VectorizedRowBatch};
 use crate::key_wrapper::KeyWrapper;
-use crate::row_convert::{bytes_value, long_value};
+use crate::row_convert::{bytes_value, long_value, set_value};
 use hive_common::key::{self, greatest, least, KeyOrd};
 use hive_common::{DataType, HiveError, Result, Row, Value};
+use std::sync::Arc;
 
 /// Which aggregate function to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +32,8 @@ pub enum AggKind {
     CountStar,
     /// COUNT(col): non-null values.
     Count,
+    /// COUNT's reduce-side merge: the sum of the partial counts, 0 over none.
+    MergeCount,
     SumLong,
     SumDouble,
     MinLong,
@@ -132,7 +135,7 @@ impl Acc {
     fn grow(&mut self, kind: AggKind, groups: usize) {
         use AggKind::*;
         let (longs, doubles, bytes) = match kind {
-            CountStar | Count | SumLong | MinLong | MaxLong => (groups, 0, 0),
+            CountStar | Count | MergeCount | SumLong | MinLong | MaxLong => (groups, 0, 0),
             SumDouble | MinDouble | MaxDouble => (0, groups, 0),
             Avg => (groups, groups, 0),
             MinBytes | MaxBytes => (0, 0, groups),
@@ -167,6 +170,10 @@ impl Acc {
         let (on, longs, doubles) = ((rows, groups), &mut self.longs[..], &mut self.doubles[..]);
         match spec.kind {
             CountStar | Count => rows.each(|j, _| longs[groups.at(j)] += 1),
+            MergeCount => {
+                let v = col.as_long()?;
+                rows.each(|j, i| longs[groups.at(j)] += v.vector[i]);
+            }
             SumLong => sum(
                 (longs, &mut self.seen),
                 col.as_long()?,
@@ -208,13 +215,21 @@ impl Acc {
         Ok(())
     }
 
+    /// Forget every group, keeping the arrays' room.
+    fn clear(&mut self) {
+        self.longs.clear();
+        self.doubles.clear();
+        self.seen.clear();
+        self.bytes.clear();
+    }
+
     /// Group `g`'s value: final, or the map-side partial that travels
     /// through the shuffle (AVG as `struct(sum, count)`, the rest alike).
     fn value(&self, spec: &AggSpec, g: usize, partial: bool) -> Value {
         use AggKind::*;
         let if_seen = |v: Value| if self.seen[g] { v } else { Value::Null };
         match (spec.kind, &spec.input) {
-            (CountStar | Count, _) => Value::Int(self.longs[g]),
+            (CountStar | Count | MergeCount, _) => Value::Int(self.longs[g]),
             (SumLong, _) => if_seen(Value::Int(self.longs[g])),
             (MinLong | MaxLong, Some((_, dt))) => if_seen(long_value(self.longs[g], dt)),
             (SumDouble, _) => if_seen(Value::Double(self.doubles[g])),
@@ -289,6 +304,136 @@ impl VectorHashAggregator {
             Row::new(values)
         };
         (0..groups).map(row).collect()
+    }
+}
+
+/// Reduce-side GROUP BY over a reducer's windows (DESIGN.md §16 "The
+/// reduce side"). Rows arrive grouped, and each batch's ordinal lane names
+/// a row's key group, so a group's id is a count of the groups seen before
+/// it in the window: no hashing, no key wrapper. A group's key is copied
+/// from its first row; its states are [`Acc`]'s, updated in row order.
+/// [`finish`](Self::finish) hands the window's result back as one batch:
+/// one row per group that met a row, in group order, keys then aggregates,
+/// each row keeping its group's ordinal.
+pub struct VectorStreamAggregator {
+    /// Input column and logical type of each key.
+    keys: Vec<(usize, DataType)>,
+    specs: Vec<AggSpec>,
+    accs: Vec<Acc>,
+    /// The window's result: keys ++ aggregates ++ the scratch columns of
+    /// whatever reads it. Made by the first window that has one.
+    out: Arc<VectorizedRowBatch>,
+    out_types: Vec<DataType>,
+    batch_size: usize,
+    /// Groups met this window; the ordinal of the last.
+    groups: usize,
+    last: Option<u32>,
+    /// Per visited row of the batch at hand: its group.
+    gids: Vec<u32>,
+    /// A global aggregate that has answered nothing yet: like the row
+    /// engine's, it answers one row even when no row reaches it.
+    seeded: bool,
+}
+
+impl VectorStreamAggregator {
+    pub fn new(
+        keys: Vec<(usize, DataType)>,
+        specs: Vec<AggSpec>,
+        out_types: Vec<DataType>,
+        batch_size: usize,
+    ) -> Result<VectorStreamAggregator> {
+        Ok(VectorStreamAggregator {
+            seeded: keys.is_empty(),
+            keys,
+            accs: specs.iter().map(|_| Acc::default()).collect(),
+            specs,
+            out: Arc::new(VectorizedRowBatch::new(&[], 0)?),
+            out_types,
+            batch_size,
+            groups: 0,
+            last: None,
+            gids: Vec::new(),
+        })
+    }
+
+    /// Fold in one batch of the window.
+    pub fn process(&mut self, batch: &VectorizedRowBatch) -> Result<()> {
+        if batch.size == 0 {
+            return Ok(());
+        }
+        if self.groups == 0 {
+            self.open_window()?;
+        }
+        let out = Arc::get_mut(&mut self.out).expect("opened for this window");
+        self.gids.clear();
+        for i in batch.iter_selected() {
+            let ordinal = batch.ordinals[i];
+            if self.last != Some(ordinal) {
+                if self.groups == out.max_size {
+                    return Err(HiveError::Execution(
+                        "a window holds more groups than a batch".into(),
+                    ));
+                }
+                for (k, (c, _)) in self.keys.iter().enumerate() {
+                    out.columns[k].copy_cell(self.groups, &batch.columns[*c], i)?;
+                }
+                out.ordinals[self.groups] = ordinal;
+                (self.groups, self.last) = (self.groups + 1, Some(ordinal));
+            }
+            self.gids.push(self.groups as u32 - 1);
+        }
+        for (spec, acc) in self.specs.iter().zip(&mut self.accs) {
+            acc.grow(spec.kind, self.groups);
+            acc.update(spec, batch, &self.gids[..])?;
+        }
+        Ok(())
+    }
+
+    /// The result batch, writable and empty: the last window's, unless the
+    /// operators it went to still hold it.
+    fn open_window(&mut self) -> Result<()> {
+        match Arc::get_mut(&mut self.out) {
+            Some(out) if out.max_size == self.batch_size => out.reset(),
+            _ => {
+                let out = VectorizedRowBatch::with_ordinals(&self.out_types, self.batch_size)?;
+                self.out = Arc::new(out);
+            }
+        }
+        Ok(())
+    }
+
+    /// End of a window: its result, if it has one (a group met a row, or a
+    /// global aggregate answers for the first time), and a fresh start.
+    pub fn finish(&mut self) -> Result<Option<Arc<VectorizedRowBatch>>> {
+        if self.groups == 0 {
+            if !self.seeded {
+                return Ok(None);
+            }
+            // The global aggregate over no row: COUNT 0, the rest NULL.
+            self.open_window()?;
+            Arc::get_mut(&mut self.out).expect("opened").ordinals[0] = 0;
+            self.groups = 1;
+        }
+        let out = Arc::get_mut(&mut self.out).expect("opened for this window");
+        let nk = self.keys.len();
+        for (a, (spec, acc)) in self.specs.iter().zip(&mut self.accs).enumerate() {
+            acc.grow(spec.kind, self.groups);
+            for g in 0..self.groups {
+                set_value(&mut out.columns[nk + a], g, &acc.value(spec, g, false))?;
+            }
+            acc.clear();
+        }
+        out.size = self.groups;
+        (self.groups, self.last, self.seeded) = (0, None, false);
+        Ok(Some(Arc::clone(&self.out)))
+    }
+
+    /// End of input: the global aggregate's row if no window ever came.
+    pub fn close(&mut self) -> Result<Option<Arc<VectorizedRowBatch>>> {
+        match self.seeded {
+            true => self.finish(),
+            false => Ok(None),
+        }
     }
 }
 
@@ -550,6 +695,7 @@ mod tests {
         match kind {
             CountStar => Value::Int(inputs.len() as i64),
             Count => Value::Int(vals.len() as i64),
+            MergeCount => Value::Int(ints().sum()),
             _ if vals.is_empty() => Value::Null,
             SumLong => Value::Int(ints().fold(0, i64::wrapping_add)),
             SumDouble => Value::Double(doubles().fold(0.0, |s, x| s + x)),
@@ -821,5 +967,93 @@ mod tests {
         assert!(agg.process(&b).is_err());
         let mut agg = VectorHashAggregator::new(vec![], vec![spec(SumLong, double(1))]);
         assert!(agg.process(&b).is_err());
+    }
+
+    /// A window's batch: `batch_with`'s columns plus an ordinal lane.
+    fn window_batch(vals: &[i64], dvals: &[f64], ordinals: &[u32]) -> VectorizedRowBatch {
+        let mut b = batch_with(vals, dvals);
+        b.ordinals = ordinals.to_vec();
+        b
+    }
+
+    fn window_rows(out: &VectorizedRowBatch, types: &[DataType]) -> Vec<(u32, Vec<Value>)> {
+        let row = |i: usize| {
+            let values = types.iter().enumerate();
+            let values = values.map(|(c, dt)| get_value(&out.columns[c], i, dt));
+            (out.ordinals[i], values.collect())
+        };
+        out.iter_selected().map(row).collect()
+    }
+
+    #[test]
+    fn stream_aggregator_groups_by_ordinal_across_batches_and_windows() {
+        use DataType::*;
+        let out_types = [Int, Int, Int, Double, Double];
+        let specs = vec![
+            spec(CountStar, None),
+            spec(SumLong, long(0)),
+            spec(MaxDouble, double(1)),
+            spec(Avg, long(0)),
+        ];
+        let mut agg =
+            VectorStreamAggregator::new(vec![(0, Int)], specs, out_types.to_vec(), 4).unwrap();
+        // Window 1: groups 0 and 2 meet rows (group 1 was another tag's),
+        // group 2 across two batches; a filtered-out row does not count.
+        let mut first = window_batch(&[5, 5, 8, 8], &[1.0, -0.0, 3.0, 9.0], &[0, 0, 2, 2]);
+        first.selected_in_use = true;
+        first.selected[..3].copy_from_slice(&[0, 1, 2]);
+        first.size = 3;
+        agg.process(&first).unwrap();
+        agg.process(&window_batch(&[8], &[4.0], &[2])).unwrap();
+        let out = agg.finish().unwrap().unwrap();
+        use Value::{Double as D, Int as I};
+        assert_eq!(
+            window_rows(&out, &out_types),
+            [
+                (0, vec![I(5), I(2), I(10), D(1.0), D(5.0)]),
+                (2, vec![I(8), I(2), I(16), D(4.0), D(8.0)]),
+            ]
+        );
+        // Window 2 starts afresh; a window without rows answers nothing.
+        drop(out);
+        assert!(agg.finish().unwrap().is_none());
+        agg.process(&window_batch(&[3], &[-0.0], &[1])).unwrap();
+        let out = agg.finish().unwrap().unwrap();
+        assert_eq!(
+            window_rows(&out, &out_types),
+            [(1, vec![I(3), I(1), I(3), D(0.0), D(3.0)])],
+            "MAX is canonical"
+        );
+        assert!(agg.close().unwrap().is_none());
+    }
+
+    #[test]
+    fn stream_aggregator_merges_partial_counts_and_answers_a_global_row_once() {
+        use DataType::*;
+        let out_types = [Int, Int];
+        let specs = vec![spec(MergeCount, long(0)), spec(SumLong, long(0))];
+        let mut global = VectorStreamAggregator::new(vec![], specs, out_types.to_vec(), 4).unwrap();
+        // No row at all: close answers COUNT 0, SUM NULL, once.
+        let out = global.close().unwrap().unwrap();
+        assert_eq!(
+            window_rows(&out, &out_types),
+            [(0, vec![Value::Int(0), Value::Null])]
+        );
+        assert!(global.close().unwrap().is_none());
+
+        let specs = vec![spec(MergeCount, long(0)), spec(SumLong, long(0))];
+        let mut global = VectorStreamAggregator::new(vec![], specs, out_types.to_vec(), 4).unwrap();
+        global
+            .process(&window_batch(&[3, 4], &[], &[0, 0]))
+            .unwrap();
+        let out = global.finish().unwrap().unwrap();
+        assert_eq!(
+            window_rows(&out, &out_types),
+            [(0, vec![Value::Int(7), Value::Int(7)])]
+        );
+        assert!(
+            global.close().unwrap().is_none(),
+            "answered at its EndGroup"
+        );
     }
 }

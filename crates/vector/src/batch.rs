@@ -369,6 +369,59 @@ impl ColumnVector {
             ColumnVector::Bytes(v) => v.reset(),
         }
     }
+
+    /// Make row `i` NULL. A bytes row also gets an empty range, which any
+    /// buffer holds, for kernels that read a NULL row's value and discard it.
+    pub fn set_null(&mut self, i: usize) {
+        let (null, no_nulls) = match self {
+            ColumnVector::Long(v) => (&mut v.null, &mut v.no_nulls),
+            ColumnVector::Double(v) => (&mut v.null, &mut v.no_nulls),
+            ColumnVector::Bytes(v) => {
+                (v.start[i], v.length[i]) = (0, 0);
+                (&mut v.null, &mut v.no_nulls)
+            }
+        };
+        null[i] = true;
+        *no_nulls = false;
+    }
+
+    /// Write `src`'s row `i` (NULL included) as this vector's row `j`, which
+    /// a reset left non-NULL. The two vectors share a lane.
+    pub fn copy_cell(&mut self, j: usize, src: &ColumnVector, i: usize) -> Result<()> {
+        if src.is_null(i) {
+            self.set_null(j);
+            return Ok(());
+        }
+        match (self, src) {
+            (ColumnVector::Long(d), ColumnVector::Long(s)) => d.vector[j] = s.value(i),
+            (ColumnVector::Double(d), ColumnVector::Double(s)) => d.vector[j] = s.value(i),
+            (ColumnVector::Bytes(d), ColumnVector::Bytes(s)) => d.set(j, s.value(i)),
+            _ => return Err(HiveError::Execution("copy between lanes".into())),
+        }
+        Ok(())
+    }
+
+    /// Row `j` takes row `i`'s value, both rows of this vector: a bytes
+    /// value is shared, not copied.
+    pub fn repeat_cell(&mut self, j: usize, i: usize) {
+        let (null, no_nulls) = match self {
+            ColumnVector::Long(v) => {
+                v.vector[j] = v.vector[i];
+                (&mut v.null, v.no_nulls)
+            }
+            ColumnVector::Double(v) => {
+                v.vector[j] = v.vector[i];
+                (&mut v.null, v.no_nulls)
+            }
+            ColumnVector::Bytes(v) => {
+                (v.start[j], v.length[j]) = (v.start[i], v.length[i]);
+                (&mut v.null, v.no_nulls)
+            }
+        };
+        if !no_nulls {
+            null[j] = null[i];
+        }
+    }
 }
 
 /// Where a batch's deferred columns are filled from: the reader's decoded
@@ -430,6 +483,11 @@ pub struct VectorizedRowBatch {
     pub columns: Vec<ColumnVector>,
     /// Allocation size of the batch.
     pub max_size: usize,
+    /// The group-ordinal lane of a reduce-side batch: physical row `i`
+    /// belongs to its window's key group `ordinals[i]`. Indexed like the
+    /// columns, so operators that only narrow `selected` or fill scratch
+    /// columns carry it through untouched. Empty on the map side.
+    pub ordinals: Vec<u32>,
     /// Columns not filled yet, and where from; `source` is set exactly
     /// while `deferred` is non-empty.
     deferred: Vec<usize>,
@@ -449,9 +507,17 @@ impl VectorizedRowBatch {
             size: 0,
             columns,
             max_size,
+            ordinals: Vec::new(),
             deferred: Vec::with_capacity(types.len()),
             source: None,
         })
+    }
+
+    /// [`new`](Self::new), with a group-ordinal lane.
+    pub fn with_ordinals(types: &[DataType], max_size: usize) -> Result<VectorizedRowBatch> {
+        let mut batch = VectorizedRowBatch::new(types, max_size)?;
+        batch.ordinals = vec![0; max_size];
+        Ok(batch)
     }
 
     /// Whether this batch is what [`new`](Self::new) makes for these

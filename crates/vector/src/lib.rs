@@ -19,6 +19,7 @@ pub mod expressions;
 mod key_wrapper;
 pub mod mapjoin;
 pub mod operators;
+pub mod reduce;
 pub mod row_convert;
 
 pub use batch::{

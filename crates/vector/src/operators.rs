@@ -162,6 +162,40 @@ mod tests {
         assert_eq!(b.size, 0);
     }
 
+    /// Filter, Select and Limit leave a batch's ordinal lane alone: each
+    /// row they pass keeps its group.
+    #[test]
+    fn the_ordinal_lane_passes_filter_select_and_limit() {
+        use crate::expressions::{arith, ArithOp};
+        let mut b = batch_with(&[1, 5, 2, 7, 9], &[]);
+        b.ordinals = vec![0, 0, 1, 2, 2];
+        let scratch = b.add_scratch(&DataType::Int).unwrap();
+        let ordinals =
+            |b: &VectorizedRowBatch| b.iter_selected().map(|i| b.ordinals[i]).collect::<Vec<_>>();
+        let mut filter = VectorFilterOperator::new(
+            filter_compare(CmpOp::Greater, Operand::LongCol(0), Operand::LongScalar(1)).unwrap(),
+        );
+        let double = arith(
+            ArithOp::Multiply,
+            Operand::LongCol(0),
+            Operand::LongScalar(2),
+            scratch,
+        );
+        let mut select = VectorSelectOperator {
+            expressions: vec![double.unwrap()],
+        };
+        let mut limit = VectorLimitOperator::new(3);
+        let mut out = |_b: VectorizedRowBatch| panic!("no operator here re-batches");
+        filter.process(&mut b, &mut out).unwrap();
+        assert_eq!(ordinals(&b), [0, 1, 2, 2]);
+        select.process(&mut b, &mut out).unwrap();
+        assert_eq!(ordinals(&b), [0, 1, 2, 2]);
+        assert_eq!(b.columns[scratch].as_long().unwrap().vector[3], 14);
+        limit.process(&mut b, &mut out).unwrap();
+        assert_eq!(ordinals(&b), [0, 1, 2]);
+        assert_eq!(b.iter_selected().collect::<Vec<_>>(), [1, 2, 3]);
+    }
+
     #[test]
     fn filter_narrows_selection_in_place() {
         let mut op = VectorFilterOperator::new(

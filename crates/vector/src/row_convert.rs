@@ -36,24 +36,7 @@ pub fn set_value(col: &mut ColumnVector, i: usize, val: &Value) -> Result<()> {
         (ColumnVector::Double(v), Value::Double(x)) => v.vector[i] = *x,
         (ColumnVector::Double(v), Value::Int(x)) => v.vector[i] = *x as f64,
         (ColumnVector::Bytes(v), Value::String(s)) => v.set(i, s.as_bytes()),
-        (col, Value::Null) => {
-            match col {
-                ColumnVector::Long(v) => {
-                    v.null[i] = true;
-                    v.no_nulls = false;
-                }
-                ColumnVector::Double(v) => {
-                    v.null[i] = true;
-                    v.no_nulls = false;
-                }
-                ColumnVector::Bytes(v) => {
-                    v.start[i] = 0;
-                    v.length[i] = 0;
-                    v.null[i] = true;
-                    v.no_nulls = false;
-                }
-            };
-        }
+        (col, Value::Null) => col.set_null(i),
         (_, other) => {
             return Err(HiveError::Execution(format!(
                 "value {other} does not fit this column vector"

@@ -3,12 +3,14 @@
 //! no state is boxed, every scratch buffer is reused — and the same for the
 //! map join's probe, which resolves keys through the same wrapper, and for
 //! the scan loop in front of them: the ORC reader's `next_batch` into the
-//! stage's root filter, batch after batch of one stripe. A counting global
+//! stage's root filter, batch after batch of one stripe — and for the
+//! reduce side's streaming GROUP BY, window after window once its result
+//! batch exists. A counting global
 //! allocator observes it; this file is its own test binary so no other test
 //! runs under that allocator.
 
 use hive_common::{DataType, Row, Value};
-use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator};
+use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator, VectorStreamAggregator};
 use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 use hive_vector::row_convert::rows_to_batch;
 use hive_vector::{VectorOperator, VectorizedRowBatch};
@@ -146,6 +148,51 @@ fn known_groups_cost_no_allocation() {
     let replayed: usize = (0..100).map(|round| batches[round % 4].size).sum();
     let expected = batches[0].size + replayed;
     assert_eq!(rows as usize, expected, "COUNT(*) saw every selected row");
+}
+
+#[test]
+fn reduce_group_by_windows_cost_no_allocation() {
+    use AggKind::*;
+    // Each batch is one window of groups of three rows (the filtered ones
+    // lose a row here and there), keyed by a long and an interned string.
+    let mut batches: Vec<VectorizedRowBatch> = (0..4).map(batch).collect();
+    for b in &mut batches {
+        b.ordinals = (0..ROWS as u32).map(|i| i / 3).collect();
+    }
+    let keys = vec![(0, DataType::Int), (3, DataType::String)];
+    let mut specs = vec![AggSpec {
+        kind: CountStar,
+        input: None,
+    }];
+    specs.extend([Count, SumLong, MinLong, MaxLong, Avg, MergeCount].map(|k| spec(k, 4)));
+    specs.extend([SumDouble, MinDouble, MaxDouble].map(|k| spec(k, 5)));
+    // Keys, then each aggregate's output: AVG and the double ones are DOUBLE.
+    let double = [7, 9, 10, 11];
+    let lane = |c| {
+        if double.contains(&c) {
+            DataType::Double
+        } else {
+            DataType::Int
+        }
+    };
+    let mut out_types: Vec<DataType> = (0..2 + specs.len()).map(lane).collect();
+    out_types[1] = DataType::String;
+    let mut agg = VectorStreamAggregator::new(keys, specs, out_types, ROWS).unwrap();
+    let mut groups = 0;
+    let mut window = |agg: &mut VectorStreamAggregator, b: &VectorizedRowBatch| {
+        agg.process(b).unwrap();
+        // The window's result goes downstream and comes back done with.
+        groups += agg.finish().unwrap().expect("a window with rows").size;
+    };
+    // Warm-up: every batch once sizes the states and the key arena.
+    batches.iter().for_each(|b| window(&mut agg, b));
+    let allocations = allocations_during(|| {
+        for round in 0..100 {
+            window(&mut agg, &batches[round % 4]);
+        }
+    });
+    assert_eq!(allocations, 0, "a steady-state window must not allocate");
+    assert!(groups > 100 * 300, "{groups} groups");
 }
 
 #[test]
