@@ -414,6 +414,127 @@ fn sum_and_avg_take_numbers_in_both_engines() {
 }
 
 #[test]
+fn avg_is_sum_over_count_in_both_engines() {
+    // The binder plans AVG(x) as SUM(x as DOUBLE) / COUNT(x): a BIGINT AVG
+    // adds DOUBLEs and never wraps, while SUM of the same values does; an
+    // AVG over no row (or only NULLs) is NULL.
+    for vectorize in ["true", "false"] {
+        let mut hive = HiveSession::in_memory();
+        hive.set(keys::VECTORIZED_ENABLED, vectorize);
+        hive.execute("CREATE TABLE t (k BIGINT, v BIGINT, d DOUBLE) STORED AS orc")
+            .unwrap();
+        hive.execute(
+            "INSERT INTO t VALUES (1, 9223372036854775807, 1.5), \
+             (2, 9223372036854775807, 2.25), (3, NULL, NULL)",
+        )
+        .unwrap();
+        let r = hive
+            .execute("SELECT AVG(v), SUM(v), AVG(d), COUNT(v) FROM t")
+            .unwrap();
+        let printed: Vec<String> = r.rows[0].values().iter().map(Value::to_string).collect();
+        assert_eq!(
+            printed,
+            ["9223372036854776000", "-2", "1.875", "2"],
+            "{vectorize}"
+        );
+        let r = hive.execute("SELECT AVG(v) FROM t WHERE k > 5").unwrap();
+        assert_eq!(r.rows[0].values(), [Value::Null], "{vectorize}");
+        let r = hive
+            .execute("SELECT k, AVG(d) FROM t GROUP BY k ORDER BY k")
+            .unwrap();
+        let avgs: Vec<&Value> = r.rows.iter().map(|row| &row[1]).collect();
+        let want = [Value::Double(1.5), Value::Double(2.25), Value::Null];
+        assert_eq!(avgs, want.iter().collect::<Vec<_>>(), "{vectorize}");
+    }
+}
+
+/// `t(k, v, d, b)` over `(1,10,1.5,true)`, `(2,0,0.0,false)` and a row of
+/// NULLs, in the engine `vectorize` names.
+fn typing_session(vectorize: &str) -> HiveSession {
+    let mut hive = HiveSession::in_memory();
+    hive.set(keys::VECTORIZED_ENABLED, vectorize);
+    hive.execute("CREATE TABLE t (k BIGINT, v BIGINT, d DOUBLE, b BOOLEAN) STORED AS orc")
+        .unwrap();
+    hive.execute(
+        "INSERT INTO t VALUES (1, 10, 1.5, true), (2, 0, 0.0, false), (3, NULL, NULL, NULL)",
+    )
+    .unwrap();
+    hive
+}
+
+fn assert_type_mismatch(hive: &mut HiveSession, sql: &str, vectorize: &str) {
+    let err = hive.execute(sql).unwrap_err();
+    assert!(
+        matches!(&err, hive_common::HiveError::Semantic(m) if m.contains("type mismatch")),
+        "{vectorize}: {sql}: {err}"
+    );
+}
+
+#[test]
+fn not_and_or_and_filters_take_booleans_in_both_engines() {
+    // A non-boolean operand of NOT / AND / OR, or a non-boolean WHERE,
+    // HAVING or ON predicate, is rejected at bind time, so no engine
+    // decides it per row.
+    for vectorize in ["true", "false"] {
+        let mut hive = typing_session(vectorize);
+        for sql in [
+            "SELECT k FROM t WHERE NOT v",
+            "SELECT k, b OR d FROM t",
+            "SELECT k FROM t WHERE b AND v",
+            "SELECT k FROM t WHERE v",
+            "SELECT k FROM t WHERE 1",
+            "SELECT k, COUNT(*) FROM t GROUP BY k HAVING SUM(v)",
+            "SELECT t.k FROM t JOIN t u ON (t.k = u.k AND u.d)",
+        ] {
+            assert_type_mismatch(&mut hive, sql, vectorize);
+        }
+        // BOOLEAN and the NULL literal are predicates.
+        let keys = |hive: &mut HiveSession, sql: &str| {
+            let rows = hive.execute(sql).unwrap().rows;
+            rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&mut hive, "SELECT k FROM t WHERE b"), [Value::Int(1)]);
+        assert_eq!(keys(&mut hive, "SELECT k FROM t WHERE NOT NULL"), []);
+        assert_eq!(
+            keys(&mut hive, "SELECT k FROM t WHERE NULL OR k > 2"),
+            [Value::Int(3)]
+        );
+    }
+}
+
+#[test]
+fn casts_that_cannot_succeed_are_bind_errors() {
+    // A CAST that fails for every non-NULL value of its source type is
+    // rejected at bind time, even where no row would reach it.
+    for vectorize in ["true", "false"] {
+        let mut hive = typing_session(vectorize);
+        for sql in [
+            "SELECT k, CAST(d AS BOOLEAN) FROM t WHERE d = 0.0",
+            "SELECT k, CAST(d AS BOOLEAN) FROM t WHERE k > 100",
+            "SELECT CAST('true' AS BOOLEAN) FROM t",
+            "SELECT CAST(d AS TIMESTAMP) FROM t",
+            "SELECT CAST(b AS TIMESTAMP) FROM t",
+            "SELECT CAST(CAST(k AS TIMESTAMP) AS DOUBLE) FROM t",
+        ] {
+            assert_type_mismatch(&mut hive, sql, vectorize);
+        }
+        let r = hive
+            .execute(
+                "SELECT CAST(v AS BOOLEAN), CAST(b AS DOUBLE), CAST(k AS TIMESTAMP), \
+                 CAST(NULL AS BOOLEAN) FROM t WHERE k = 1",
+            )
+            .unwrap();
+        let want = [
+            Value::Boolean(true),
+            Value::Double(1.0),
+            Value::Timestamp(1),
+            Value::Null,
+        ];
+        assert_eq!(r.rows[0].values(), want, "{vectorize}");
+    }
+}
+
+#[test]
 fn in_list_and_null_semantics() {
     let mut hive = session();
     let r = hive

@@ -285,6 +285,21 @@ fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
+/// Whether a CAST from `from` to `to` can succeed for a non-NULL value: the
+/// table [`cast_value`] applies per value, by source type alone, which the
+/// binder applies to a CAST's operand type (DESIGN.md §18).
+pub fn castable(from: &DataType, to: &DataType) -> bool {
+    use DataType::*;
+    match to {
+        String => true,
+        Int => matches!(from, Int | Double | Boolean | Timestamp | String),
+        Double => matches!(from, Int | Double | Boolean | String),
+        Boolean => matches!(from, Boolean | Int),
+        Timestamp => matches!(from, Int | Timestamp),
+        _ => false,
+    }
+}
+
 /// SQL CAST.
 pub fn cast_value(v: &Value, target: &DataType) -> Result<Value> {
     if v.is_null() {
@@ -339,6 +354,33 @@ mod tests {
             Value::String("abc".into()),
             Value::Null,
         ])
+    }
+
+    #[test]
+    fn castable_is_the_table_cast_value_applies() {
+        let samples = [
+            Value::Boolean(true),
+            Value::Int(1),
+            Value::Double(0.0),
+            Value::String("1".into()),
+            Value::Timestamp(1000),
+            Value::Array(vec![Value::Int(1)]),
+        ];
+        use DataType::*;
+        for v in &samples {
+            let from = v.data_type().unwrap();
+            for to in [
+                Boolean,
+                Int,
+                Double,
+                String,
+                Timestamp,
+                Array(Box::new(Int)),
+            ] {
+                let ok = cast_value(v, &to).is_ok();
+                assert_eq!(castable(&from, &to), ok, "{from} to {to}");
+            }
+        }
     }
 
     #[test]

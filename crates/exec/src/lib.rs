@@ -15,7 +15,7 @@ pub mod graph;
 pub mod operators;
 pub mod vector_ops;
 
-pub use agg::{AggFunction, AggMode, RowAggState};
+pub use agg::{AggFunction, RowAggState};
 pub use expr::ExprNode;
 pub use graph::{Emit, Message, OperatorGraph, ShuffleRecord};
 pub use operators::*;

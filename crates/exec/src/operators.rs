@@ -8,10 +8,10 @@
 //! phase) and **MuxOperator** (coordinate group signals arriving from
 //! several parents before waking its child).
 
-use crate::agg::{AggFunction, AggMode, RowAggState};
+use crate::agg::{AggFunction, RowAggState};
 use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
-use hive_common::{key, HiveError, Key, Result, Row, Value};
+use hive_common::{key, DataType, HiveError, Key, Result, Row, Value};
 use std::collections::HashMap;
 
 /// A row sent to the operator's only child.
@@ -190,13 +190,13 @@ impl Operator for FileSinkOperator {
     }
 }
 
-/// One aggregate of a GroupByOperator: function, mode, input expression
-/// (None for COUNT(*)).
+/// One aggregate of a GroupByOperator: function, input expression (None
+/// for COUNT(*)) and the planned result type.
 #[derive(Clone)]
 pub struct AggSpec {
     pub function: AggFunction,
-    pub mode: AggMode,
     pub arg: Option<ExprNode>,
+    pub output_type: DataType,
 }
 
 /// How the GroupByOperator collects groups.
@@ -208,7 +208,9 @@ pub enum GroupByMode {
     Streaming,
 }
 
-/// Group-by with partial/final aggregate modes.
+/// Group-by: a map-side hash aggregation, a reduce-side merge of its
+/// partials, or a single-stage aggregation of raw rows — the plan's
+/// functions tell them apart.
 pub struct GroupByOperator {
     pub key_exprs: Vec<ExprNode>,
     pub aggs: Vec<AggSpec>,
@@ -236,7 +238,7 @@ impl GroupByOperator {
 
     fn fresh_states(aggs: &[AggSpec]) -> Vec<RowAggState> {
         aggs.iter()
-            .map(|a| RowAggState::new(a.function, a.mode))
+            .map(|a| RowAggState::new(a.function, &a.output_type))
             .collect()
     }
 
@@ -253,7 +255,7 @@ impl GroupByOperator {
 
     /// A finished group as the row sent downstream: key ++ aggregates.
     fn result((mut key, states): (Vec<Value>, Vec<RowAggState>)) -> Emit {
-        key.extend(states.iter().map(RowAggState::output));
+        key.extend(states.iter().map(RowAggState::value));
         forward(Row::new(key))
     }
 }
@@ -685,13 +687,13 @@ mod tests {
             vec![
                 AggSpec {
                     function: AggFunction::Sum,
-                    mode: AggMode::Partial,
                     arg: Some(ExprNode::col(1)),
+                    output_type: DataType::Int,
                 },
                 AggSpec {
                     function: AggFunction::CountStar,
-                    mode: AggMode::Partial,
                     arg: None,
+                    output_type: DataType::Int,
                 },
             ],
             GroupByMode::Hash,
@@ -718,8 +720,8 @@ mod tests {
             vec![ExprNode::col(0)],
             vec![AggSpec {
                 function: AggFunction::CountStar,
-                mode: AggMode::Partial,
                 arg: None,
+                output_type: DataType::Int,
             }],
             GroupByMode::Hash,
         )));
@@ -788,8 +790,8 @@ mod tests {
             vec![ExprNode::col(0)],
             vec![AggSpec {
                 function: AggFunction::Sum,
-                mode: AggMode::Final,
                 arg: Some(ExprNode::col(1)),
+                output_type: DataType::Int,
             }],
             GroupByMode::Streaming,
         )));

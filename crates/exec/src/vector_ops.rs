@@ -231,9 +231,7 @@ impl Operator for VectorReduceSinkOperator {
 
 /// Fused map-side partial group-by + reduce sink: the batch chain ends in a
 /// typed vectorized hash aggregation, and partial results surface only as
-/// shuffle records at close (AVG partials are `struct(sum, count)` values,
-/// which never fit a column vector — the shuffle is the natural row
-/// boundary, and per-group row counts are small).
+/// shuffle records at close (per-group row counts are small).
 pub struct VectorGroupBySinkOperator {
     /// Scratch-column expressions run per batch (group keys + agg inputs).
     pub expressions: Vec<Box<dyn VectorExpression>>,
@@ -304,7 +302,7 @@ impl Operator for VectorGroupBySinkOperator {
             &mut self.aggregator,
             VectorHashAggregator::new(vec![], vec![]),
         );
-        let partials = agg.finish_partial();
+        let partials = agg.finish();
         self.groups_out = partials.len() as u64;
         let mut emits = Vec::with_capacity(partials.len());
         for row in partials {

@@ -897,8 +897,8 @@ mod tests {
                 vec![ExprNode::col(0)],
                 vec![AggSpec {
                     function: hive_exec::agg::AggFunction::Sum,
-                    mode: hive_exec::agg::AggMode::Complete,
                     arg: Some(ExprNode::col(1)),
+                    output_type: hive_common::DataType::Int,
                 }],
                 GroupByMode::Streaming,
             )));

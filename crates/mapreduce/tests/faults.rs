@@ -3,9 +3,9 @@
 //! graceful failure (errors, never panics/aborts) when retries are off.
 
 use hive_common::config::keys;
-use hive_common::{HiveConf, HiveError, Row, Schema, Value};
+use hive_common::{DataType, HiveConf, HiveError, Row, Schema, Value};
 use hive_dfs::{Dfs, DfsConfig, FaultPlan};
-use hive_exec::agg::{AggFunction, AggMode};
+use hive_exec::agg::AggFunction;
 use hive_exec::expr::ExprNode;
 use hive_exec::graph::OperatorGraph;
 use hive_exec::operators::{
@@ -95,8 +95,8 @@ fn group_sum_job(schema: Schema, dir: &str, poison_first_reduce_calls: usize) ->
             vec![ExprNode::col(0)],
             vec![AggSpec {
                 function: AggFunction::Sum,
-                mode: AggMode::Complete,
                 arg: Some(ExprNode::col(1)),
+                output_type: DataType::Int,
             }],
             GroupByMode::Streaming,
         )));

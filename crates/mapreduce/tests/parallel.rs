@@ -3,9 +3,9 @@
 //! MemoryManager, and concurrent readers of one file.
 
 use hive_common::config::keys;
-use hive_common::{HiveConf, Result, Row, Schema, Value};
+use hive_common::{DataType, HiveConf, Result, Row, Schema, Value};
 use hive_dfs::{Dfs, DfsConfig};
-use hive_exec::agg::{AggFunction, AggMode};
+use hive_exec::agg::AggFunction;
 use hive_exec::expr::ExprNode;
 use hive_exec::graph::OperatorGraph;
 use hive_exec::operators::{
@@ -76,8 +76,8 @@ fn group_sum_job(schema: Schema, dir: &str) -> JobSpec {
             vec![ExprNode::col(0)],
             vec![AggSpec {
                 function: AggFunction::Sum,
-                mode: AggMode::Complete,
                 arg: Some(ExprNode::col(1)),
+                output_type: DataType::Int,
             }],
             GroupByMode::Streaming,
         )));

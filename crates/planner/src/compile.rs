@@ -23,7 +23,6 @@ use crate::semantic::Translation;
 use crate::vectorize;
 use hive_common::config::keys;
 use hive_common::{HiveConf, HiveError, Result, Row};
-use hive_exec::agg::AggMode;
 use hive_exec::graph::OperatorGraph;
 use hive_exec::operators as ops;
 use hive_mapreduce::job::{
@@ -701,11 +700,11 @@ fn row_operator(
     n: usize,
     phase: &Phase,
 ) -> Result<Box<dyn hive_exec::graph::Operator>> {
-    let group_by = |keys: &[_], aggs: &[AggCall], mode, table| {
+    let group_by = |keys: &[_], aggs: &[AggCall], table| {
         let spec = |a: &AggCall| ops::AggSpec {
             function: a.function,
-            mode,
             arg: a.arg.clone(),
+            output_type: a.output_type.clone(),
         };
         ops::GroupByOperator::new(keys.to_vec(), aggs.iter().map(spec).collect(), table)
     };
@@ -745,21 +744,12 @@ fn row_operator(
         (PlanOp::GroupBy { phase, keys, aggs }, Phase::Map { .. })
             if *phase == GroupByPhase::MapHash =>
         {
-            Box::new(group_by(
-                keys,
-                aggs,
-                AggMode::Partial,
-                ops::GroupByMode::Hash,
-            ))
+            Box::new(group_by(keys, aggs, ops::GroupByMode::Hash))
         }
         (PlanOp::GroupBy { phase, keys, aggs }, Phase::Reduce)
             if *phase != GroupByPhase::MapHash =>
         {
-            let mode = match phase {
-                GroupByPhase::ReduceMerge => AggMode::Final,
-                _ => AggMode::Complete,
-            };
-            Box::new(group_by(keys, aggs, mode, ops::GroupByMode::Streaming))
+            Box::new(group_by(keys, aggs, ops::GroupByMode::Streaming))
         }
         (PlanOp::MapJoin(s), Phase::Map { side, .. }) => {
             Box::new(ops::MapJoinOperator::new(ops::MapJoinTable::build(

@@ -393,8 +393,7 @@ pub fn expr_type(e: &ExprNode, input: &[ColumnInfo]) -> Result<DataType> {
 /// The result type of an aggregate over an argument type.
 pub fn agg_output_type(f: AggFunction, arg: Option<&DataType>) -> DataType {
     match f {
-        AggFunction::CountStar | AggFunction::Count => DataType::Int,
-        AggFunction::Avg => DataType::Double,
+        AggFunction::CountStar | AggFunction::Count | AggFunction::MergeCount => DataType::Int,
         AggFunction::Sum => match arg {
             Some(DataType::Double) => DataType::Double,
             _ => DataType::Int,
@@ -471,8 +470,8 @@ mod tests {
             DataType::Double
         );
         assert_eq!(
-            agg_output_type(AggFunction::Avg, Some(&DataType::Int)),
-            DataType::Double
+            agg_output_type(AggFunction::MergeCount, Some(&DataType::Int)),
+            DataType::Int
         );
         assert_eq!(
             agg_output_type(AggFunction::Max, Some(&DataType::String)),

@@ -14,7 +14,7 @@ use crate::scope::{bind_select, has_star, output_name, Bound, BoundJoin, Scope, 
 use hive_common::config::keys;
 use hive_common::{DataType, HiveConf, HiveError, Result, Value};
 use hive_exec::agg::{parse_agg_function, AggFunction};
-use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
+use hive_exec::expr::{cast_value, castable, BinaryOp, ExprNode, UnaryOp};
 use hive_exec::operators::JoinType;
 use hive_formats::delta::VIRTUAL_COLUMNS;
 use hive_formats::{PredicateLeaf, PredicateOp, SearchArgument};
@@ -137,7 +137,7 @@ fn plan_select(
         // (ORC may return whole index groups; the Filter stays correct).
         let Some(pred) = pushed[entry]
             .iter()
-            .map(|e| resolve(e, &rel))
+            .map(|e| predicate(e, &rel, "WHERE"))
             .collect::<Result<Vec<_>>>()?
             .into_iter()
             .reduce(|a, b| ExprNode::binary(BinaryOp::And, a, b))
@@ -205,7 +205,7 @@ fn plan_select(
         acc = add_reduce_join(g, acc, right, &equi, kind, REDUCE_TASKS)?;
         let mergeable = kind != JoinType::Inner && residual.is_empty();
         for r in residual {
-            let pred = resolve(r, &acc)?;
+            let pred = predicate(r, &acc, "ON")?;
             acc = acc.filtered(g, pred);
         }
         outer_merge = mergeable.then(|| {
@@ -234,7 +234,7 @@ fn plan_select(
 
     // ------ 5. Post-join WHERE conjuncts. --------------------------------
     for conj in post_join {
-        let pred = resolve(conj, &acc)?;
+        let pred = predicate(conj, &acc, "WHERE")?;
         acc = acc.filtered(g, pred);
     }
 
@@ -263,6 +263,7 @@ fn plan_select(
     // ------ 7. HAVING. -----------------------------------------------------
     if let Some(h) = &bound.having {
         let pred = resolve_final(h, &final_rel)?;
+        boolean(&pred, "HAVING", &final_rel.schema())?;
         final_rel = final_rel.filtered(g, pred);
     }
 
@@ -469,7 +470,12 @@ pub fn lower(
             };
             let mut pair = [sub(left)?, sub(right)?];
             use BinaryOp::*;
-            if !matches!(op, And | Or) {
+            if let And | Or = op {
+                let what = if op == And { "AND" } else { "OR" };
+                for e in &pair {
+                    boolean(e, what, input)?;
+                }
+            } else {
                 let arith = matches!(op, Add | Subtract | Multiply | Divide | Modulo);
                 typed(arith, &mut pair, input)?;
             }
@@ -492,10 +498,14 @@ pub fn lower(
         Expr::Unary {
             op: UnOp::Not,
             expr,
-        } => ExprNode::Unary {
-            op: UnaryOp::Not,
-            expr: Box::new(sub(expr)?),
-        },
+        } => {
+            let e = sub(expr)?;
+            boolean(&e, "NOT", input)?;
+            ExprNode::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(e),
+            }
+        }
         Expr::Between {
             expr,
             lo,
@@ -532,7 +542,18 @@ pub fn lower(
                 negated: *negated,
             }
         }
-        Expr::Cast { expr, target } => cast(sub(expr)?, target)?,
+        Expr::Cast { expr, target } => {
+            let e = sub(expr)?;
+            if !matches!(e, ExprNode::Literal(Value::Null)) {
+                let from = expr_type(&e, input)?;
+                if !castable(&from, target) {
+                    return Err(HiveError::Semantic(format!(
+                        "type mismatch: CAST of {from} to {target}"
+                    )));
+                }
+            }
+            cast(e, target)?
+        }
         Expr::Case {
             branches,
             else_value,
@@ -602,6 +623,28 @@ fn typed(arith: bool, operands: &mut [ExprNode], input: &[ColumnInfo]) -> Result
         }
     }
     Ok(())
+}
+
+/// A WHERE, HAVING or ON predicate, and an operand of NOT, AND or OR, is
+/// BOOLEAN or the NULL literal: anything else is a `[semantic]` error here,
+/// as in Hive, rather than a per-row decision of each engine.
+fn boolean(e: &ExprNode, what: &str, input: &[ColumnInfo]) -> Result<()> {
+    if matches!(e, ExprNode::Literal(Value::Null)) {
+        return Ok(());
+    }
+    match expr_type(e, input)? {
+        DataType::Boolean => Ok(()),
+        t => Err(HiveError::Semantic(format!(
+            "type mismatch: {what} over {t}"
+        ))),
+    }
+}
+
+/// A predicate over a relation: resolved, then held to [`boolean`].
+fn predicate(e: &Expr, rel: &Rel, what: &str) -> Result<ExprNode> {
+    let pred = resolve(e, rel)?;
+    boolean(&pred, what, &rel.schema())?;
+    Ok(pred)
 }
 
 /// Each operand's type; `None` for the NULL literal, which has none.
@@ -986,28 +1029,33 @@ fn add_reduce_join(
 }
 
 /// The substitution context built by aggregation planning: the bound
-/// group expressions and aggregate calls, each with the column of the
-/// aggregation's output that carries it.
+/// group expressions, and each bound aggregate call with the expression
+/// over the aggregation's output that answers it.
 #[derive(Debug)]
 struct GroupSubst<'a> {
     groups: &'a [Expr],
-    /// Output columns `groups.len()..` in this order.
-    aggs: &'a [&'a Expr],
+    /// An output column, or `sum / count` for AVG.
+    aggs: Vec<(&'a Expr, ExprNode)>,
 }
 
-/// Insert map-side hash GBY → RS → reduce-side merge GBY.
+/// Insert map-side hash GBY → RS → reduce-side merge GBY. AVG is planned as
+/// SUM / COUNT here (Calcite's aggregate reduction), so every aggregate the
+/// engines run has a partial equal to its final value: the map side
+/// shuffles scalars, and the merge runs the same functions but for COUNT,
+/// whose partial counts `MergeCount` sums.
 fn add_aggregation<'a>(
     g: &mut PlanGraph,
     input: Rel,
     group_by: &'a [Expr],
     agg_calls: &'a [&'a Expr],
 ) -> Result<(Rel, GroupSubst<'a>)> {
+    let schema = input.schema();
     let nk = group_by.len();
     let mut key_exprs = Vec::with_capacity(nk);
     let mut key_infos = Vec::with_capacity(nk);
     for (i, e) in group_by.iter().enumerate() {
         let r = resolve(e, &input)?;
-        let t = expr_type(&r, &input.schema())?;
+        let t = expr_type(&r, &schema)?;
         let name = match e {
             Expr::Column { name, .. } => name.clone(),
             _ => format!("_gk{i}"),
@@ -1016,8 +1064,10 @@ fn add_aggregation<'a>(
         key_infos.push(ColumnInfo::new(name, t));
     }
 
-    let mut calls = Vec::with_capacity(agg_calls.len());
-    for (i, e) in agg_calls.iter().enumerate() {
+    let mut calls: Vec<AggCall> = Vec::with_capacity(agg_calls.len());
+    let mut answers = Vec::with_capacity(agg_calls.len());
+    let column = |i| ExprNode::col(nk + i);
+    for &e in agg_calls {
         let Expr::Function {
             name,
             args,
@@ -1032,8 +1082,12 @@ fn add_aggregation<'a>(
             ));
         }
         let star = matches!(args.first(), Some(Expr::Star));
-        let function = parse_agg_function(name, star)
-            .ok_or_else(|| HiveError::Semantic(format!("unknown aggregate `{name}`")))?;
+        let avg = name == "avg";
+        let function = match avg {
+            true => AggFunction::Sum,
+            false => parse_agg_function(name, star)
+                .ok_or_else(|| HiveError::Semantic(format!("unknown aggregate `{name}`")))?,
+        };
         let mut arg = if star || args.is_empty() {
             None
         } else {
@@ -1041,7 +1095,7 @@ fn add_aggregation<'a>(
         };
         // SUM and AVG add numbers: a NULL literal is typed BIGINT, anything
         // but a number is rejected.
-        if matches!(function, AggFunction::Sum | AggFunction::Avg) {
+        if function == AggFunction::Sum {
             if let Some(null @ ExprNode::Literal(Value::Null)) = &mut arg {
                 let expr = Box::new(std::mem::replace(null, ExprNode::Literal(Value::Null)));
                 *null = ExprNode::Cast {
@@ -1053,39 +1107,37 @@ fn add_aggregation<'a>(
             let Some(a) = &arg else {
                 return Err(HiveError::Semantic(format!("{name} takes an argument")));
             };
-            let t = expr_type(a, &input.schema())?;
+            let t = expr_type(a, &schema)?;
             if !matches!(t, DataType::Int | DataType::Double) {
                 return Err(HiveError::Semantic(format!(
                     "type mismatch: {name} over {t}"
                 )));
             }
         }
-        let arg_type = match &arg {
-            Some(a) => Some(expr_type(a, &input.schema())?),
-            None => None,
+        let answer = match (avg, arg) {
+            // AVG(x) is SUM(x as DOUBLE) / COUNT(x): a BIGINT AVG adds
+            // DOUBLEs, so it never wraps.
+            (true, Some(a)) => {
+                let addend = match expr_type(&a, &schema)? {
+                    DataType::Double => a.clone(),
+                    _ => cast(a.clone(), &DataType::Double)?,
+                };
+                let sum = shared_call(&mut calls, AggFunction::Sum, Some(addend), &schema)?;
+                let count = shared_call(&mut calls, AggFunction::Count, Some(a), &schema)?;
+                ExprNode::binary(BinaryOp::Divide, column(sum), column(count))
+            }
+            (_, arg) => column(shared_call(&mut calls, function, arg, &schema)?),
         };
-        let out_type = agg_output_type(function, arg_type.as_ref());
-        calls.push(AggCall {
-            function,
-            arg,
-            output_name: format!("_agg{i}"),
-            output_type: out_type,
-        });
+        answers.push((e, answer));
     }
 
-    // Map-side partial aggregation.
-    let mut map_schema = key_infos.clone();
+    // Map-side partial aggregation: its output is the merge's layout.
+    let mut out_schema = key_infos;
     for c in &calls {
-        // Partial AVG travels as a struct(sum, count).
-        let t = if c.function == AggFunction::Avg {
-            DataType::Struct(vec![
-                ("sum".into(), DataType::Double),
-                ("cnt".into(), DataType::Int),
-            ])
-        } else {
-            c.output_type.clone()
-        };
-        map_schema.push(ColumnInfo::new(c.output_name.clone(), t));
+        out_schema.push(ColumnInfo::new(
+            c.output_name.clone(),
+            c.output_type.clone(),
+        ));
     }
     let map_gby = g.add(
         PlanOp::GroupBy {
@@ -1093,7 +1145,7 @@ fn add_aggregation<'a>(
             keys: key_exprs,
             aggs: calls.clone(),
         },
-        map_schema.clone(),
+        out_schema.clone(),
         vec![input.node],
     );
 
@@ -1108,28 +1160,23 @@ fn add_aggregation<'a>(
             num_reducers,
             degenerate: false,
         },
-        map_schema.clone(),
+        out_schema.clone(),
         vec![map_gby],
     );
 
     // Reduce-side merge.
     let merge_calls: Vec<AggCall> = calls
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, c)| AggCall {
-            function: c.function,
+            function: match c.function {
+                AggFunction::CountStar | AggFunction::Count => AggFunction::MergeCount,
+                f => f,
+            },
             arg: Some(ExprNode::col(nk + i)),
-            output_name: c.output_name.clone(),
-            output_type: c.output_type.clone(),
+            ..c
         })
         .collect();
-    let mut out_schema = key_infos.clone();
-    for c in &calls {
-        out_schema.push(ColumnInfo::new(
-            c.output_name.clone(),
-            c.output_type.clone(),
-        ));
-    }
     let merge_gby = g.add(
         PlanOp::GroupBy {
             phase: GroupByPhase::ReduceMerge,
@@ -1141,12 +1188,12 @@ fn add_aggregation<'a>(
     );
 
     let cols: Vec<(Option<String>, String, DataType)> = out_schema
-        .iter()
-        .map(|c| (None, c.name.clone(), c.data_type.clone()))
+        .into_iter()
+        .map(|c| (None, c.name, c.data_type))
         .collect();
     let subst = GroupSubst {
         groups: group_by,
-        aggs: agg_calls,
+        aggs: answers,
     };
     Ok((
         Rel {
@@ -1157,16 +1204,41 @@ fn add_aggregation<'a>(
     ))
 }
 
+/// The position among `calls` of `function(arg)`, collected unless an equal
+/// call already is: `AVG(x)` beside `SUM(x)` adds one COUNT, not a SUM.
+fn shared_call(
+    calls: &mut Vec<AggCall>,
+    function: AggFunction,
+    arg: Option<ExprNode>,
+    input: &[ColumnInfo],
+) -> Result<usize> {
+    if let Some(i) = calls
+        .iter()
+        .position(|c| c.function == function && c.arg == arg)
+    {
+        return Ok(i);
+    }
+    let arg_type = arg.as_ref().map(|a| expr_type(a, input)).transpose()?;
+    calls.push(AggCall {
+        function,
+        output_type: agg_output_type(function, arg_type.as_ref()),
+        arg,
+        output_name: format!("_agg{}", calls.len()),
+    });
+    Ok(calls.len() - 1)
+}
+
 /// Lower a bound expression over the aggregation output (`output`): a
-/// sub-tree equal to a group expression or a collected aggregate call is
-/// that output column; anything else must be composed of them.
+/// sub-tree equal to a group expression is its output column, one equal to
+/// a collected aggregate call is that call's answer; anything else must be
+/// composed of them.
 fn resolve_with_groups(e: &Expr, subst: &GroupSubst, output: &[ColumnInfo]) -> Result<ExprNode> {
     lower(e, output, &mut |x| {
         if let Some(i) = subst.groups.iter().position(|g| g == x) {
             return Ok(Some(ExprNode::col(i)));
         }
-        if let Some(i) = subst.aggs.iter().position(|a| *a == x) {
-            return Ok(Some(ExprNode::col(subst.groups.len() + i)));
+        if let Some((_, answer)) = subst.aggs.iter().find(|(a, _)| *a == x) {
+            return Ok(Some(answer.clone()));
         }
         match x {
             Expr::Column { .. } => Err(HiveError::Semantic(format!(
@@ -1182,7 +1254,8 @@ fn resolve_with_groups(e: &Expr, subst: &GroupSubst, output: &[ColumnInfo]) -> R
 fn collect_agg_calls<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     e.walk(&mut |x| {
         let is_agg = matches!(x, Expr::Function { name, args, .. }
-            if parse_agg_function(name, matches!(args.first(), Some(Expr::Star))).is_some());
+            if name == "avg"
+                || parse_agg_function(name, matches!(args.first(), Some(Expr::Star))).is_some());
         if is_agg && !out.contains(&x) {
             out.push(x);
         }
@@ -1319,9 +1392,12 @@ mod tests {
     fn the_leaf_hook_stands_in_for_whole_subtrees_and_must_answer_leaves() {
         // A hook answer replaces the sub-tree it was asked about.
         let e = where_of("SELECT v FROM t WHERE (v BETWEEN 1 AND 2) AND k = 3");
-        let input = [ColumnInfo::new("k", DataType::Int)];
+        let input = [
+            ColumnInfo::new("k", DataType::Int),
+            ColumnInfo::new("b", DataType::Boolean),
+        ];
         let node = lower(&e, &input, &mut |x| match x {
-            Expr::Between { .. } => Ok(Some(ExprNode::col(9))),
+            Expr::Between { .. } => Ok(Some(ExprNode::col(1))),
             Expr::Column { .. } => Ok(Some(ExprNode::col(0))),
             _ => Ok(None),
         })
@@ -1329,7 +1405,7 @@ mod tests {
         let ExprNode::Binary { left, .. } = node else {
             panic!("expected AND")
         };
-        assert_eq!(*left, ExprNode::col(9));
+        assert_eq!(*left, ExprNode::col(1));
         // Leaves nobody answered are semantic errors, not panics.
         for sql in [
             "SELECT v FROM t WHERE nope = 1",
@@ -1407,6 +1483,56 @@ mod tests {
         let probe = expr_type(&side.stream_keys[0], stream).unwrap();
         let build = &n.schema[stream.len()].data_type;
         assert_eq!((probe, build), (DataType::Double, &DataType::Double));
+    }
+
+    /// TPC-H q1 collects 8 aggregate calls; AVG is SUM / COUNT and shares
+    /// q1's SUM over the same column, so the map side computes 9 scalars.
+    #[test]
+    fn q1_shares_each_avg_sum_with_its_sum() {
+        let cols: &[(&str, &str)] = &[
+            ("l_quantity", "double"),
+            ("l_extendedprice", "double"),
+            ("l_discount", "double"),
+            ("l_tax", "double"),
+            ("l_returnflag", "string"),
+            ("l_linestatus", "string"),
+            ("l_shipdate", "string"),
+        ];
+        let catalog = sized_tables(&[("lineitem", cols, 1 << 30)]);
+        let Statement::Select(stmt) = parse(
+            "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, \
+             SUM(l_extendedprice) AS sum_base_price, \
+             SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, \
+             SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge, \
+             AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, \
+             AVG(l_discount) AS avg_disc, COUNT(*) AS count_order FROM lineitem \
+             WHERE l_shipdate <= '1998-09-02' GROUP BY l_returnflag, l_linestatus \
+             ORDER BY l_returnflag, l_linestatus",
+        )
+        .unwrap() else {
+            panic!("expected select")
+        };
+        let t = translate(&stmt, &catalog, &HiveConf::new()).unwrap();
+        let mut map_aggs = t.graph.nodes.iter().filter_map(|n| match &n.op {
+            PlanOp::GroupBy {
+                phase: GroupByPhase::MapHash,
+                aggs,
+                ..
+            } => Some(aggs),
+            _ => None,
+        });
+        let aggs = map_aggs.next().expect("q1 aggregates on the map side");
+        assert!(map_aggs.next().is_none());
+        let sums_of = |c: usize| {
+            let sum = |a: &&AggCall| a.function == AggFunction::Sum;
+            let of = |a: &&AggCall| a.arg == Some(ExprNode::col(c));
+            aggs.iter().filter(sum).filter(of).count()
+        };
+        assert_eq!(aggs.len(), 9);
+        // The scan projects q1's columns in table order.
+        assert_eq!((sums_of(0), sums_of(1)), (1, 1));
+        let scalar = aggs.iter().all(|a| a.output_type.is_primitive());
+        assert!(scalar, "{aggs:?}");
     }
 
     #[test]

@@ -187,7 +187,7 @@ pub fn try_vectorize(
                     ));
                 };
                 let key_cols = c.typed_values(keys)?;
-                let specs = aggs.iter().map(|a| c.compile_agg(a, false));
+                let specs = aggs.iter().map(|a| c.compile_agg(a));
                 let specs = specs.collect::<Result<Vec<_>>>()?;
                 let expressions = c.drain_pending();
                 let tag = rs_tags.get(&rs_n).copied().unwrap_or(0);
@@ -275,9 +275,8 @@ pub struct VectorizedReduce {
 /// Validate a reduce stage — the plan nodes `fragment`, fed by the
 /// ReduceSinks `feeding_rs` in shuffle-tag order — and vectorize it whole,
 /// from the driver's batches to its sink. `None` — the stage runs in row
-/// mode — exactly when a shuffled column is not scalar (AVG's partial
-/// struct, a complex column). As on the map side, an operator or expression
-/// without a kernel is a plan error.
+/// mode — exactly when a shuffled column is complex. As on the map side, an
+/// operator or expression without a kernel is a plan error.
 ///
 /// The stage is compiled in segments, each from where batches are made to
 /// where they end: from the driver's batch of each tag, and from each join
@@ -401,13 +400,12 @@ impl<'a> ReduceCompiler<'a> {
                 return Ok(());
             }
             PlanOp::GroupBy {
-                phase: phase @ (GroupByPhase::ReduceMerge | GroupByPhase::ReduceComplete),
+                phase: GroupByPhase::ReduceMerge | GroupByPhase::ReduceComplete,
                 keys,
                 aggs,
             } => {
                 let keys = c.typed_values(keys)?;
-                let merge = *phase == GroupByPhase::ReduceMerge;
-                let specs = aggs.iter().map(|a| c.compile_agg(a, merge));
+                let specs = aggs.iter().map(|a| c.compile_agg(a));
                 let specs = specs.collect::<Result<Vec<_>>>()?;
                 let expressions = c.drain_pending();
                 let out_types = self.batches_of(n)?;
@@ -803,32 +801,25 @@ impl<'a> VecCompiler<'a> {
     }
 
     /// The generic rule: compile the predicate as a value and keep the rows
-    /// where it is TRUE. As in the row engine's WHERE, only a boolean can be.
+    /// where it is TRUE. The binder typed it BOOLEAN (or the NULL literal).
     fn filter_on_value(&mut self, e: &ExprNode) -> Result<Box<dyn VectorExpression>> {
-        let col = self.value(e)?;
-        Ok(match expr_type(e, self.schema)? {
-            DataType::Boolean => kernel(vx::filter_bool(self.col(col)))?,
-            _ => vx::filter_or(Vec::new()), // an empty disjunction keeps nothing
-        })
+        let col = self.value_as(e, &DataType::Boolean)?;
+        kernel(vx::filter_bool(self.col(col)))
     }
 
-    /// Map a row-mode aggregate onto a vectorized AggSpec; `merge`: it
-    /// merges partials (COUNT sums its partial counts, the rest keep their
-    /// kind).
-    fn compile_agg(&mut self, a: &crate::plan::AggCall, merge: bool) -> Result<AggSpec> {
+    /// Map a plan aggregate onto a vectorized AggSpec: one kind per
+    /// function and input lane.
+    fn compile_agg(&mut self, a: &crate::plan::AggCall) -> Result<AggSpec> {
         let input = match &a.arg {
             None => None,
             Some(arg) => Some((self.value(arg)?, expr_type(arg, self.schema)?)),
         };
         let kind = match (a.function, input.as_ref().map(|(c, _)| self.col(*c).lane())) {
-            (AggFunction::CountStar | AggFunction::Count, Some(Lane::Long)) if merge => {
-                AggKind::MergeCount
-            }
             (AggFunction::CountStar, _) => AggKind::CountStar,
             (AggFunction::Count, _) => AggKind::Count,
+            (AggFunction::MergeCount, Some(Lane::Long)) => AggKind::MergeCount,
             (AggFunction::Sum, Some(Lane::Long)) => AggKind::SumLong,
             (AggFunction::Sum, Some(Lane::Double)) => AggKind::SumDouble,
-            (AggFunction::Avg, Some(Lane::Long | Lane::Double)) => AggKind::Avg,
             (AggFunction::Min, Some(Lane::Long)) => AggKind::MinLong,
             (AggFunction::Min, Some(Lane::Double)) => AggKind::MinDouble,
             (AggFunction::Min, Some(Lane::Bytes)) => AggKind::MinBytes,

@@ -19,7 +19,7 @@
 //!    through their logical type (`row_convert::long_value`), so a BOOLEAN
 //!    or TIMESTAMP shuffles exactly as the row engine's would.
 
-use crate::batch::{ColumnVector, PrimitiveColumnVector, Rows, VectorizedRowBatch};
+use crate::batch::{PrimitiveColumnVector, Rows, VectorizedRowBatch};
 use crate::key_wrapper::KeyWrapper;
 use crate::row_convert::{bytes_value, long_value, set_value};
 use hive_common::key::{self, greatest, least, KeyOrd};
@@ -42,8 +42,6 @@ pub enum AggKind {
     MaxDouble,
     MinBytes,
     MaxBytes,
-    /// AVG(col) kept as (sum, count) until finalization.
-    Avg,
 }
 
 /// One aggregate to compute: the function plus its input column and that
@@ -82,19 +80,18 @@ impl Groups for Global {
 }
 
 /// `acc[g] += v` over the non-NULL rows, in row order. The global dense case
-/// keeps its straight reduction: the batch's sum first, then one add.
+/// keeps its straight reduction, folded onto the running sum so a DOUBLE
+/// adds in the row engine's order.
 #[inline(always)]
-fn sum<T: Copy + Default, G: Groups>(
+fn sum<T: Copy, G: Groups>(
     (acc, seen): (&mut [T], &mut [bool]),
     v: &PrimitiveColumnVector<T>,
     (rows, groups): (Rows, G),
     add: impl Fn(T, T) -> T,
 ) {
     if G::GLOBAL && rows.dense() {
-        let batch_sum = v.vector[..rows.n]
-            .iter()
-            .fold(T::default(), |s, &x| add(s, x));
-        (acc[0], seen[0]) = (add(acc[0], batch_sum), true);
+        let total = v.vector[..rows.n].iter().fold(acc[0], |s, &x| add(s, x));
+        (acc[0], seen[0]) = (total, true);
     } else {
         rows.each(|j, i| {
             let g = groups.at(j);
@@ -121,9 +118,9 @@ fn extreme<T: Copy, G: Groups>(
 /// index `g` of the arrays its kind uses, the others stay empty.
 #[derive(Default)]
 struct Acc {
-    /// Counts (COUNT, AVG), long sums, long extremes.
+    /// Counts, long sums, long extremes.
     longs: Vec<i64>,
-    /// Double sums (SUM, AVG), double extremes.
+    /// Double sums, double extremes.
     doubles: Vec<f64>,
     /// The group met a non-NULL input; SUM / MIN / MAX are NULL until then.
     seen: Vec<bool>,
@@ -137,7 +134,6 @@ impl Acc {
         let (longs, doubles, bytes) = match kind {
             CountStar | Count | MergeCount | SumLong | MinLong | MaxLong => (groups, 0, 0),
             SumDouble | MinDouble | MaxDouble => (0, groups, 0),
-            Avg => (groups, groups, 0),
             MinBytes | MaxBytes => (0, 0, groups),
         };
         self.longs.resize(longs, 0);
@@ -187,19 +183,6 @@ impl Acc {
             MaxLong => extreme((longs, &mut self.seen), col.as_long()?, on, greatest),
             MinDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, least),
             MaxDouble => extreme((doubles, &mut self.seen), col.as_double()?, on, greatest),
-            Avg => {
-                let mut add = |j, x: f64| {
-                    let g = groups.at(j);
-                    (doubles[g], longs[g]) = (doubles[g] + x, longs[g] + 1);
-                };
-                match col {
-                    ColumnVector::Long(v) => rows.each(|j, i| add(j, v.vector[i] as f64)),
-                    _ => {
-                        let v = col.as_double()?;
-                        rows.each(|j, i| add(j, v.vector[i]))
-                    }
-                }
-            }
             MinBytes | MaxBytes => {
                 let v = col.as_bytes()?;
                 let min = spec.kind == MinBytes;
@@ -223,9 +206,9 @@ impl Acc {
         self.bytes.clear();
     }
 
-    /// Group `g`'s value: final, or the map-side partial that travels
-    /// through the shuffle (AVG as `struct(sum, count)`, the rest alike).
-    fn value(&self, spec: &AggSpec, g: usize, partial: bool) -> Value {
+    /// Group `g`'s value: what the map side shuffles, and what the merge
+    /// answers.
+    fn value(&self, spec: &AggSpec, g: usize) -> Value {
         use AggKind::*;
         let if_seen = |v: Value| if self.seen[g] { v } else { Value::Null };
         match (spec.kind, &spec.input) {
@@ -235,18 +218,13 @@ impl Acc {
             (SumDouble, _) => if_seen(Value::Double(self.doubles[g])),
             (MinDouble | MaxDouble, _) => if_seen(key::canonical(Value::Double(self.doubles[g]))),
             (MinBytes | MaxBytes, _) => self.bytes[g].as_deref().map_or(Value::Null, bytes_value),
-            (Avg, _) if partial => Value::Struct(vec![
-                Value::Double(self.doubles[g]),
-                Value::Int(self.longs[g]),
-            ]),
-            (Avg, _) if self.longs[g] > 0 => Value::Double(self.doubles[g] / self.longs[g] as f64),
-            (Avg | MinLong | MaxLong, _) => Value::Null,
+            (MinLong | MaxLong, None) => Value::Null,
         }
     }
 }
 
 /// Hash aggregation over vectorized batches: [`process`](Self::process)
-/// every batch, then `finish` (or `finish_partial` on the map side).
+/// every batch, then [`finish`](Self::finish).
 pub struct VectorHashAggregator {
     /// `None` for a global aggregate: one group, which always exists.
     keys: Option<KeyWrapper>,
@@ -284,23 +262,14 @@ impl VectorHashAggregator {
         Ok(())
     }
 
-    /// Finish: emit one row per group — key values then aggregate values.
+    /// Finish: one row per group — key values then aggregate values — in
+    /// first-seen order.
     pub fn finish(self) -> Vec<Row> {
-        self.finish_rows(false)
-    }
-
-    /// Finish emitting map-side *partial* states (for the shuffle).
-    pub fn finish_partial(self) -> Vec<Row> {
-        self.finish_rows(true)
-    }
-
-    /// Groups leave in first-seen order.
-    fn finish_rows(self, partial: bool) -> Vec<Row> {
         let groups = self.keys.as_ref().map_or(1, KeyWrapper::num_groups);
         let row = |g| {
             let mut values: Vec<Value> = self.keys.iter().flat_map(|k| k.key_values(g)).collect();
             let aggs = self.specs.iter().zip(&self.accs);
-            values.extend(aggs.map(|(spec, acc)| acc.value(spec, g, partial)));
+            values.extend(aggs.map(|(spec, acc)| acc.value(spec, g)));
             Row::new(values)
         };
         (0..groups).map(row).collect()
@@ -419,7 +388,7 @@ impl VectorStreamAggregator {
         for (a, (spec, acc)) in self.specs.iter().zip(&mut self.accs).enumerate() {
             acc.grow(spec.kind, self.groups);
             for g in 0..self.groups {
-                set_value(&mut out.columns[nk + a], g, &acc.value(spec, g, false))?;
+                set_value(&mut out.columns[nk + a], g, &acc.value(spec, g))?;
             }
             acc.clear();
         }
@@ -441,6 +410,7 @@ impl VectorStreamAggregator {
 mod tests {
     use super::AggKind::*;
     use super::*;
+    use crate::batch::ColumnVector;
     use crate::expressions::testutil::batch_with;
     use crate::row_convert::{get_value, rows_to_batch};
     use std::cmp::Ordering;
@@ -517,19 +487,13 @@ mod tests {
                 spec(SumLong, long(0)),
                 spec(Count, long(0)),
                 spec(CountStar, None),
-                spec(Avg, long(0)),
             ],
         );
         agg.process(&b).unwrap();
         let r = agg.finish();
         assert_eq!(
             r[0].values(),
-            &[
-                Value::Int(4),
-                Value::Int(2),
-                Value::Int(3),
-                Value::Double(2.0)
-            ]
+            &[Value::Int(4), Value::Int(2), Value::Int(3)]
         );
     }
 
@@ -620,8 +584,6 @@ mod tests {
             spec(Count, string.clone()),
             spec(SumLong, long(V)),
             spec(SumDouble, double(D)),
-            spec(Avg, long(V)),
-            spec(Avg, double(D)),
             spec(MinLong, long(V)),
             spec(MaxLong, long(V)),
             spec(MinDouble, double(D)),
@@ -699,7 +661,6 @@ mod tests {
             _ if vals.is_empty() => Value::Null,
             SumLong => Value::Int(ints().fold(0, i64::wrapping_add)),
             SumDouble => Value::Double(doubles().fold(0.0, |s, x| s + x)),
-            Avg => Value::Double(doubles().fold(0.0, |s, x| s + x) / vals.len() as f64),
             MinLong | MinDouble | MinBytes => pick(Ordering::Less).unwrap(),
             MaxLong | MaxDouble | MaxBytes => pick(Ordering::Greater).unwrap(),
         }
@@ -902,7 +863,7 @@ mod tests {
             for salt in 0..3 {
                 agg.process(&batch(40, salt)).unwrap();
             }
-            agg.finish_partial()
+            agg.finish()
         };
         let first = run();
         // First-seen: the first row's key leads, whatever its sort position.
@@ -934,7 +895,7 @@ mod tests {
         );
         by_bool.process(&b).unwrap();
         assert_eq!(
-            by_bool.finish_partial(),
+            by_bool.finish(),
             vec![
                 Row::new(vec![
                     Value::Boolean(true),
@@ -993,7 +954,7 @@ mod tests {
             spec(CountStar, None),
             spec(SumLong, long(0)),
             spec(MaxDouble, double(1)),
-            spec(Avg, long(0)),
+            spec(SumDouble, double(1)),
         ];
         let mut agg =
             VectorStreamAggregator::new(vec![(0, Int)], specs, out_types.to_vec(), 4).unwrap();
@@ -1010,8 +971,8 @@ mod tests {
         assert_eq!(
             window_rows(&out, &out_types),
             [
-                (0, vec![I(5), I(2), I(10), D(1.0), D(5.0)]),
-                (2, vec![I(8), I(2), I(16), D(4.0), D(8.0)]),
+                (0, vec![I(5), I(2), I(10), D(1.0), D(1.0)]),
+                (2, vec![I(8), I(2), I(16), D(4.0), D(7.0)]),
             ]
         );
         // Window 2 starts afresh; a window without rows answers nothing.
@@ -1021,7 +982,7 @@ mod tests {
         let out = agg.finish().unwrap().unwrap();
         assert_eq!(
             window_rows(&out, &out_types),
-            [(1, vec![I(3), I(1), I(3), D(0.0), D(3.0)])],
+            [(1, vec![I(3), I(1), I(3), D(0.0), D(0.0)])],
             "MAX is canonical"
         );
         assert!(agg.close().unwrap().is_none());

@@ -2896,8 +2896,12 @@ fn vectorized_reduce_stages_are_one_engine() {
             }
         }
     }
-    // AVG's partial struct keeps its merging stages in row mode.
-    assert!(vector > 100 && row > 0, "{vector} vector, {row} row stages");
+    // Every shuffled column of the corpus is scalar: AVG's partial is a
+    // SUM and a COUNT column.
+    assert!(
+        vector > 100 && row == 0,
+        "{vector} vector, {row} row stages"
+    );
 }
 
 /// Tables with NULL and duplicate keys on both sides of every join, and
@@ -2963,9 +2967,13 @@ fn reduce_session() -> hive::HiveSession {
 
 /// Reduce-side shapes: joins of every kind (the big key's join output spans
 /// batches), GROUP BY merging partials or aggregating raw rows, HAVING, a
-/// global aggregate over no row, and the q18c and q95 correlated shapes.
-/// No ORDER BY: the rows come back in the order the reducers wrote them.
-const REDUCE_SHAPES: [&str; 19] = [
+/// global aggregate over no row, the q18c and q95 correlated shapes, and
+/// AVG (SUM / COUNT) beside SUM and COUNT of its column, in HAVING and
+/// ORDER BY, over all-NULL groups, correlated, and global over batches of
+/// DOUBLEs whose sums round. ORDER BY is the driver's
+/// sort, which `run_dag` leaves out: the rows come back in the order the
+/// reducers wrote them.
+const REDUCE_SHAPES: [&str; 24] = [
     "SELECT a.k, a.v, a.s, b.w, b.t FROM a JOIN b ON (a.k = b.k)",
     "SELECT a.k, a.v, b.w, c.x FROM a JOIN b ON (a.k = b.k) JOIN c ON (b.k = c.k)",
     "SELECT a.k, a.v, b.w, c.x FROM a JOIN b ON (a.k = b.k) JOIN c ON (a.v = c.x)",
@@ -2989,6 +2997,12 @@ const REDUCE_SHAPES: [&str; 19] = [
     "SELECT a1.k, COUNT(*) AS n, SUM(a1.d) AS sd FROM a a1 JOIN a a2 ON (a1.k = a2.k) \
      JOIN b ON (a1.k = b.k) WHERE a1.v <> a2.v GROUP BY a1.k",
     "SELECT k, COUNT(*) FROM a GROUP BY k LIMIT 3",
+    "SELECT k, AVG(v), SUM(v), COUNT(v), AVG(d), SUM(d), COUNT(d), COUNT(*) FROM a GROUP BY k",
+    "SELECT s, AVG(d) AS ad, AVG(v) FROM a GROUP BY s HAVING AVG(d) > 1.0 ORDER BY ad",
+    "SELECT k, AVG(v), AVG(d), COUNT(v) FROM a WHERE v IS NULL OR k = 2 GROUP BY k",
+    "SELECT a.k, a.v, t.q FROM a JOIN (SELECT k, AVG(w) AS q FROM b GROUP BY k) t \
+     ON (a.k = t.k) WHERE t.q > 5",
+    "SELECT AVG(w / 7 + 0.1), SUM(w / 3), AVG(k) FROM bigr",
 ];
 
 #[test]
