@@ -38,6 +38,17 @@ echo "==> shuffle key encoding and query scratch lifecycle under --release"
 cargo test -q --release --offline -p hive --test properties shuffle_key_encoding
 cargo test -q --release --offline -p hive-core --test scratch
 
+# The cold read path's two kernels against their definitions, in the
+# optimized build the benchmark measures: the slicing-by-16 CRC32 against a
+# bitwise CRC (every length and alignment, split updates), the overcopy
+# Snappy decoder against a bytewise reference (every single-byte mutation
+# of a unit agrees), and a hostile length header as an error, not an abort,
+# in both codecs and through an ORC compression unit.
+echo "==> CRC32 and Snappy kernels against their references under --release"
+cargo test -q --release --offline -p hive-dfs --lib crc::
+cargo test -q --release --offline -p hive-codec --lib -- block::lz:: hostile_length_header
+cargo test -q --release --offline -p hive-formats --lib hostile_length_header
+
 # The properties the scan's and vectorized GROUP BY's speed rest on, in the
 # optimized build: next_batch + the root filter over one stripe, and
 # process() once a batch's groups exist, allocate nothing (its own test

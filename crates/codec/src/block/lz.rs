@@ -106,88 +106,301 @@ pub fn snappy_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Bytes the decoder may write past a tag's output: a short literal or
+/// copy moves a fixed 16 bytes and the next tag overwrites the excess.
+const SLACK: usize = 16;
+
+/// The most output one body byte can stand for: a 3-byte copy tag yields
+/// 64 bytes, a literal byte one.
+const MAX_EXPANSION: u64 = 22;
+
+/// What a tag byte says, so the decoder reads it with one lookup instead of
+/// a branch per tag kind: bits 0..8 the length (for a literal whose length
+/// follows in trailing bytes, the `+ 1` added to them), bits 8..11 the high
+/// offset bits of a `01` copy, bits 11..13 the count of trailing bytes
+/// (0..=2). Zero marks a tag the format does not have: a literal of 62/63
+/// and every `11` tag.
+static TAGS: [u16; 256] = tag_table();
+
+const fn tag_table() -> [u16; 256] {
+    let mut t = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let tag = i as u16;
+        let upper = tag >> 2;
+        t[i] = match tag & 0b11 {
+            0b00 if upper < 60 => upper + 1,
+            0b00 if upper < 62 => 1 | ((upper - 59) << 11),
+            0b01 => ((upper & 0x7) + 4) | ((tag >> 5) << 8) | (1 << 11),
+            0b10 => (upper + 1) | (2 << 11),
+            _ => 0,
+        };
+        i += 1;
+    }
+    t
+}
+
 /// Decompress a buffer produced by [`snappy_compress`].
+///
+/// The output is sized once from the header (which must be no larger than
+/// the body can produce), every tag is checked against it before it
+/// writes, and short literals and copies overcopy into [`SLACK`] bytes
+/// that are truncated at the end.
 pub fn snappy_decompress(buf: &[u8]) -> Result<Vec<u8>> {
     let mut pos = 0usize;
-    let expect = varint::read_unsigned(buf, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(expect);
-    while pos < buf.len() {
-        let tag = buf[pos];
-        pos += 1;
-        match tag & 0b11 {
-            0b00 => {
-                let mut n = (tag >> 2) as usize;
-                if n >= 60 {
-                    let extra = n - 59; // 1 or 2 bytes
-                    if n > 61 {
-                        return Err(HiveError::Codec("bad literal tag".into()));
-                    }
-                    if pos + extra > buf.len() {
-                        return Err(HiveError::Codec("literal length truncated".into()));
-                    }
-                    n = 0;
-                    for (k, &b) in buf[pos..pos + extra].iter().enumerate() {
-                        n |= (b as usize) << (8 * k);
-                    }
-                    pos += extra;
-                }
-                let len = n + 1;
-                if pos + len > buf.len() {
-                    return Err(HiveError::Codec("literal run truncated".into()));
-                }
-                out.extend_from_slice(&buf[pos..pos + len]);
-                pos += len;
-            }
-            0b01 => {
-                if pos >= buf.len() {
-                    return Err(HiveError::Codec("copy tag truncated".into()));
-                }
-                let len = ((tag >> 2) & 0x7) as usize + 4;
-                let offset = (((tag >> 5) as usize) << 8) | buf[pos] as usize;
-                pos += 1;
-                copy_back(&mut out, offset, len)?;
-            }
-            0b10 => {
-                if pos + 2 > buf.len() {
-                    return Err(HiveError::Codec("copy tag truncated".into()));
-                }
-                let len = (tag >> 2) as usize + 1;
-                let offset = buf[pos] as usize | ((buf[pos + 1] as usize) << 8);
-                pos += 2;
-                copy_back(&mut out, offset, len)?;
-            }
-            _ => return Err(HiveError::Codec("unsupported copy tag 0b11".into())),
-        }
-    }
-    if out.len() != expect {
+    let expect = varint::read_unsigned(buf, &mut pos)?;
+    let body = (buf.len() - pos) as u64;
+    let most = body.saturating_mul(MAX_EXPANSION);
+    if expect > most {
         return Err(HiveError::Codec(format!(
-            "decompressed {} bytes, expected {expect}",
-            out.len()
+            "header claims {expect} bytes, a {body}-byte body yields at most {most}"
         )));
     }
+    let expect = expect as usize;
+    let mut out = vec![0u8; expect + SLACK];
+    let mut op = 0usize;
+    while pos < buf.len() {
+        let tag = buf[pos];
+        let literal = tag & 0b11 == 0;
+        let entry = TAGS[tag as usize] as usize;
+        if entry == 0 {
+            return Err(HiveError::Codec(
+                if literal {
+                    "bad literal tag"
+                } else {
+                    "unsupported copy tag 0b11"
+                }
+                .into(),
+            ));
+        }
+        pos += 1;
+        // The tag's 0..=2 trailing bytes, little-endian: read as a masked
+        // word while 4 bytes remain, one by one near the end of the body.
+        let extra = entry >> 11;
+        let trailer = if buf.len() - pos >= 4 {
+            let mut word = [0u8; 4];
+            word.copy_from_slice(&buf[pos..pos + 4]);
+            (u32::from_le_bytes(word) & [0, 0xff, 0xffff][extra]) as usize
+        } else if let Some(bytes) = buf.get(pos..pos + extra) {
+            bytes.iter().rev().fold(0, |w, &b| w << 8 | b as usize)
+        } else {
+            return Err(HiveError::Codec(
+                if literal {
+                    "literal length truncated"
+                } else {
+                    "copy tag truncated"
+                }
+                .into(),
+            ));
+        };
+        pos += extra;
+        if literal {
+            let len = (entry & 0xff) + trailer;
+            if len > expect - op {
+                return Err(overrun(op, len, expect));
+            }
+            if len <= SLACK && buf.len() - pos >= SLACK {
+                out[op..op + SLACK].copy_from_slice(&buf[pos..pos + SLACK]);
+            } else {
+                let run = buf
+                    .get(pos..pos + len)
+                    .ok_or_else(|| HiveError::Codec("literal run truncated".into()))?;
+                out[op..op + len].copy_from_slice(run);
+            }
+            pos += len;
+            op += len;
+            continue;
+        }
+        let len = entry & 0xff;
+        let offset = (entry & 0x700) + trailer;
+        if offset == 0 || offset > op {
+            return Err(HiveError::Codec(format!(
+                "copy offset {offset} out of range (have {op} bytes)"
+            )));
+        }
+        if len > expect - op {
+            return Err(overrun(op, len, expect));
+        }
+        copy_back(&mut out, op, offset, len);
+        op += len;
+    }
+    if op != expect {
+        return Err(HiveError::Codec(format!(
+            "decompressed {op} bytes, expected {expect}"
+        )));
+    }
+    out.truncate(expect);
     Ok(out)
 }
 
-/// Copy `len` bytes from `offset` back in `out`, allowing the overlapping
-/// RLE-style copies LZ77 depends on.
-fn copy_back(out: &mut Vec<u8>, offset: usize, len: usize) -> Result<()> {
-    if offset == 0 || offset > out.len() {
-        return Err(HiveError::Codec(format!(
-            "copy offset {offset} out of range (have {} bytes)",
-            out.len()
-        )));
+fn overrun(op: usize, len: usize, expect: usize) -> HiveError {
+    HiveError::Codec(format!(
+        "a {len}-byte tag at output byte {op} overruns the {expect} bytes expected"
+    ))
+}
+
+/// Copy `len` bytes from `offset` back of `op` to `op`, with the
+/// overlapping RLE-style copies LZ77 depends on. The caller has checked
+/// `offset <= op` and `op + len <= out.len() - SLACK`.
+fn copy_back(out: &mut [u8], op: usize, offset: usize, len: usize) {
+    let src = op - offset;
+    if offset < 8 {
+        // Overlapping by less than a word: each byte may be one this very
+        // copy wrote.
+        for k in 0..len {
+            out[op + k] = out[src + k];
+        }
+    } else if len <= SLACK {
+        // Two words; with `offset >= 8` the second reads only bytes that
+        // are final, the first word's included.
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&out[src..src + 8]);
+        out[op..op + 8].copy_from_slice(&word);
+        word.copy_from_slice(&out[src + 8..src + 16]);
+        out[op + 8..op + 16].copy_from_slice(&word);
+    } else if offset >= len {
+        out.copy_within(src..src + len, op);
+    } else {
+        // Overlapping by a word or more: a word at a time, the same way.
+        let mut k = 0;
+        while k < len {
+            out.copy_within(src + k..src + k + 8, op + k);
+            k += 8;
+        }
     }
-    let start = out.len() - offset;
-    for k in 0..len {
-        let b = out[start + k];
-        out.push(b);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decoder by its definition: one byte at a time into a growing
+    /// vector, every check where the format needs it.
+    fn reference_decompress(buf: &[u8]) -> Result<Vec<u8>> {
+        let mut pos = 0usize;
+        let expect = varint::read_unsigned(buf, &mut pos)? as usize;
+        let mut out = Vec::new();
+        while pos < buf.len() {
+            let tag = buf[pos];
+            pos += 1;
+            let (len, offset) = match tag & 0b11 {
+                0b00 => {
+                    let mut n = (tag >> 2) as usize;
+                    if n >= 60 {
+                        if n > 61 {
+                            return Err(HiveError::Codec("bad literal tag".into()));
+                        }
+                        let extra = n - 59;
+                        let bytes = buf
+                            .get(pos..pos + extra)
+                            .ok_or_else(|| HiveError::Codec("literal length truncated".into()))?;
+                        n = bytes
+                            .iter()
+                            .enumerate()
+                            .fold(0, |n, (k, &b)| n | (b as usize) << (8 * k));
+                        pos += extra;
+                    }
+                    let lit = buf
+                        .get(pos..pos + n + 1)
+                        .ok_or_else(|| HiveError::Codec("literal run truncated".into()))?;
+                    out.extend_from_slice(lit);
+                    pos += n + 1;
+                    continue;
+                }
+                0b01 => {
+                    let b = *buf
+                        .get(pos)
+                        .ok_or_else(|| HiveError::Codec("copy tag truncated".into()))?;
+                    pos += 1;
+                    (
+                        ((tag >> 2) & 0x7) as usize + 4,
+                        ((tag >> 5) as usize) << 8 | b as usize,
+                    )
+                }
+                0b10 => {
+                    let b = buf
+                        .get(pos..pos + 2)
+                        .ok_or_else(|| HiveError::Codec("copy tag truncated".into()))?;
+                    pos += 2;
+                    (
+                        (tag >> 2) as usize + 1,
+                        b[0] as usize | (b[1] as usize) << 8,
+                    )
+                }
+                _ => return Err(HiveError::Codec("unsupported copy tag 0b11".into())),
+            };
+            if offset == 0 || offset > out.len() {
+                return Err(HiveError::Codec("copy offset out of range".into()));
+            }
+            for _ in 0..len {
+                out.push(out[out.len() - offset]);
+            }
+        }
+        if out.len() != expect {
+            return Err(HiveError::Codec("length mismatch".into()));
+        }
+        Ok(out)
+    }
+
+    fn xorshift_bytes(n: usize, mut x: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Compressible (a few words in varying order), random and RLE inputs.
+    fn corpus() -> Vec<Vec<u8>> {
+        let words: [&[u8]; 6] = [
+            b"DELIVER IN PERSON",
+            b"NONE",
+            b"AIR",
+            b"1996-03-13",
+            b"N",
+            b"O",
+        ];
+        let mut text = Vec::new();
+        for (i, r) in xorshift_bytes(4000, 7).into_iter().enumerate() {
+            text.extend_from_slice(words[r as usize % words.len()]);
+            text.push(b'|');
+            if i % 5 == 0 {
+                text.extend_from_slice(&(i as u32).to_le_bytes());
+            }
+        }
+        let mut rle = Vec::new();
+        for (i, r) in xorshift_bytes(300, 11).into_iter().enumerate() {
+            rle.extend(std::iter::repeat_n(i as u8, r as usize % 90 + 1));
+        }
+        vec![
+            Vec::new(),
+            vec![3],
+            text,
+            xorshift_bytes(70_000, 0x853c_49e6_748f_ea9b),
+            rle,
+            vec![0; 100_000],
+        ]
+    }
+
+    /// A unit of hand-made tags: a `lit`-byte literal, then one copy.
+    fn unit_with_copy(lit: usize, offset: usize, len: usize, two_byte: bool) -> Vec<u8> {
+        let literal: Vec<u8> = (0..lit as u32).map(|i| (i * 7 + 3) as u8).collect();
+        let mut buf = Vec::new();
+        varint::write_unsigned(&mut buf, (lit + len) as u64);
+        emit_literals(&mut buf, &literal);
+        if two_byte || !(4..=11).contains(&len) || offset >= 2048 {
+            buf.push(0b10 | (((len - 1) as u8) << 2));
+            buf.push(offset as u8);
+            buf.push((offset >> 8) as u8);
+        } else {
+            buf.push(0b01 | (((len - 4) as u8) << 2) | (((offset >> 8) as u8) << 5));
+            buf.push(offset as u8);
+        }
+        buf
+    }
 
     fn round_trip(data: &[u8]) {
         let c = snappy_compress(data);
@@ -254,5 +467,96 @@ mod tests {
         buf.push(0 << 2); // literal of 1 byte
         buf.push(b'z');
         assert!(snappy_decompress(&buf).is_err());
+    }
+
+    #[test]
+    fn decoder_equals_the_bytewise_reference() {
+        for data in corpus() {
+            let c = snappy_compress(&data);
+            assert_eq!(snappy_decompress(&c).unwrap(), data);
+            assert_eq!(reference_decompress(&c).unwrap(), data);
+        }
+        // Offsets 1..=16 take every copy path; the longer ones copy without
+        // overlap.
+        for offset in (1..=16).chain([17, 40, 64, 100]) {
+            for len in 1..=64 {
+                for two_byte in [false, true] {
+                    let unit = unit_with_copy(100, offset, len, two_byte);
+                    let want = reference_decompress(&unit).unwrap();
+                    assert_eq!(
+                        snappy_decompress(&unit).unwrap(),
+                        want,
+                        "offset {offset} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_byte_mutation_agrees_with_the_reference() {
+        let mut data = Vec::new();
+        for (i, r) in xorshift_bytes(120, 5).into_iter().enumerate() {
+            data.extend_from_slice(if r % 3 == 0 { b"ABCD" } else { b"xy" });
+            data.push((i % 7) as u8);
+            if r % 4 == 0 {
+                data.extend(std::iter::repeat_n(r, r as usize % 20));
+            }
+        }
+        let unit = snappy_compress(&data);
+        assert!(unit.len() < data.len());
+        let mut mutated = unit.clone();
+        for pos in 0..unit.len() {
+            for v in 0..=255u8 {
+                if v == unit[pos] {
+                    continue;
+                }
+                mutated[pos] = v;
+                let fast = std::panic::catch_unwind(|| snappy_decompress(&mutated))
+                    .unwrap_or_else(|_| panic!("decoder panicked: byte {pos} = {v}"));
+                match (fast, reference_decompress(&mutated)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "byte {pos} = {v}"),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!("byte {pos} = {v}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+                }
+            }
+            mutated[pos] = unit[pos];
+        }
+    }
+
+    #[test]
+    fn overrun_is_caught_at_its_tag() {
+        // Claims 21 bytes; a 20-byte literal then a 4-byte copy.
+        let mut unit = unit_with_copy(20, 4, 4, false);
+        unit[0] = 21;
+        let err = snappy_decompress(&unit).unwrap_err().to_string();
+        assert!(err.contains("overruns"), "{err}");
+        // A literal past the end.
+        let mut buf = Vec::new();
+        varint::write_unsigned(&mut buf, 2);
+        emit_literals(&mut buf, b"abc");
+        let err = snappy_decompress(&buf).unwrap_err().to_string();
+        assert!(err.contains("overruns"), "{err}");
+    }
+
+    #[test]
+    fn hostile_length_header_is_an_error_not_an_abort() {
+        // A 9-byte unit claiming 2^40 bytes: rejected before allocating.
+        let mut buf = Vec::new();
+        varint::write_unsigned(&mut buf, 1 << 40);
+        emit_literals(&mut buf, b"ab");
+        assert_eq!(buf.len(), 9);
+        assert!(matches!(snappy_decompress(&buf), Err(HiveError::Codec(_))));
+        // The bound is the body's: 22 x 3 bytes passes the header check
+        // (and fails later as a length mismatch), 67 does not.
+        let mut unit = Vec::new();
+        varint::write_unsigned(&mut unit, 66);
+        unit.extend_from_slice(&[0b10 | (63 << 2), 1, 0]);
+        let err = snappy_decompress(&unit).unwrap_err().to_string();
+        assert!(err.contains("copy offset"), "{err}");
+        unit[0] = 67;
+        let err = snappy_decompress(&unit).unwrap_err().to_string();
+        assert!(err.contains("header claims"), "{err}");
+        assert!(snappy_decompress(&[0xff; 11]).is_err());
     }
 }

@@ -189,7 +189,15 @@ pub fn decompress(buf: &[u8]) -> Result<Vec<u8>> {
         }
     }
     let mut pos = NSYM;
-    let n = crate::varint::read_unsigned(buf, &mut pos)? as usize;
+    let n = crate::varint::read_unsigned(buf, &mut pos)?;
+    // Every code is at least one bit, so the bitstream bounds the count.
+    let most = ((buf.len() - pos) as u64).saturating_mul(8);
+    if n > most {
+        return Err(HiveError::Codec(format!(
+            "huffman header claims {n} symbols, the bitstream holds at most {most}"
+        )));
+    }
+    let n = n as usize;
 
     // Canonical decode tables: first code and symbol offset per length.
     let mut count = [0u32; MAX_LEN + 1];
@@ -286,5 +294,20 @@ mod tests {
         let c = compress(b"hello world hello world");
         assert!(decompress(&c[..NSYM - 1]).is_err());
         assert!(decompress(&c[..c.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn hostile_length_header_is_an_error_not_an_abort() {
+        let mut buf = compress(b"abc");
+        buf.truncate(NSYM);
+        crate::varint::write_unsigned(&mut buf, 1 << 40);
+        buf.push(0);
+        assert!(matches!(decompress(&buf), Err(HiveError::Codec(_))));
+        // Eight one-bit codes fit in one byte; a ninth does not.
+        let mut one_bit = compress(&[5u8; 8]);
+        assert_eq!(decompress(&one_bit).unwrap(), vec![5u8; 8]);
+        one_bit[NSYM] = 9;
+        let err = decompress(&one_bit).unwrap_err().to_string();
+        assert!(err.contains("header claims"), "{err}");
     }
 }

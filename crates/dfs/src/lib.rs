@@ -1033,9 +1033,13 @@ impl DfsReader {
             }
             let raw = &self.entry.data[block.offset as usize..(block.offset + block.len) as usize];
             let crc = if let (true, Some((pos, mask))) = (flipped_here, wire_flip) {
-                let mut image = raw.to_vec();
-                image[(pos - block.offset) as usize] ^= mask;
-                crc::crc32(&image)
+                // The flipped image's CRC, in three pieces around the flip.
+                let i = (pos - block.offset) as usize;
+                let mut c = crc::Crc32::new();
+                c.update(&raw[..i]);
+                c.update(&[raw[i] ^ mask]);
+                c.update(&raw[i + 1..]);
+                c.finish()
             } else {
                 crc::crc32(raw)
             };

@@ -627,4 +627,26 @@ mod tests {
             data[..]
         );
     }
+
+    #[test]
+    fn hostile_length_header_is_an_error_not_an_abort() {
+        // One compressed unit whose frame and codec header both claim 2^40
+        // bytes: a codec error, not an allocation failure.
+        let mut snappy = Vec::new();
+        varint::write_unsigned(&mut snappy, 1 << 40);
+        snappy.extend_from_slice(&[0, b'a']);
+        let mut zlib = hive_codec::huffman::compress(b"a");
+        zlib.truncate(256);
+        varint::write_unsigned(&mut zlib, 1 << 40);
+        zlib.push(0);
+        for (comp, body) in [(Compression::Snappy, snappy), (Compression::Zlib, zlib)] {
+            let mut framed = Vec::new();
+            varint::write_unsigned(&mut framed, 1 << 40);
+            varint::write_unsigned(&mut framed, body.len() as u64);
+            framed.push(1);
+            framed.extend_from_slice(&body);
+            let err = deframe_chunk(&framed, comp).unwrap_err();
+            assert!(matches!(err, HiveError::Codec(_)), "{comp}: {err}");
+        }
+    }
 }
