@@ -31,11 +31,14 @@ cargo test -q --release --offline -p hive-vector expressions::
 cargo test -q --release --offline -p hive-formats --test orc_roundtrip deferred
 
 # The shuffle's byte encoding (sign flips, the DOUBLE bit twiddle, string
-# escapes) against the key rule, and the scratch lifecycle, once more in the
-# optimized build: byte order and escape arithmetic are where debug and
-# release builds part ways.
-echo "==> shuffle key encoding and query scratch lifecycle under --release"
+# escapes) against the key rule, its lane twins (keys, value rows, partition
+# hashes and SequenceFile parts encoded from batch columns) against the
+# `Value` encoders, and the scratch lifecycle, once more in the optimized
+# build: byte order and escape arithmetic are where debug and release builds
+# part ways.
+echo "==> shuffle key encoding, lane encoders and query scratch lifecycle under --release"
 cargo test -q --release --offline -p hive --test properties shuffle_key_encoding
+cargo test -q --release --offline -p hive --test properties lane_encoders
 cargo test -q --release --offline -p hive-core --test scratch
 
 # The cold read path's two kernels against their definitions, in the
@@ -49,12 +52,14 @@ cargo test -q --release --offline -p hive-dfs --lib crc::
 cargo test -q --release --offline -p hive-codec --lib -- block::lz:: hostile_length_header
 cargo test -q --release --offline -p hive-formats --lib hostile_length_header
 
-# The properties the scan's and vectorized GROUP BY's speed rest on, in the
-# optimized build: next_batch + the root filter over one stripe, and
-# process() once a batch's groups exist, allocate nothing (its own test
-# binary: it installs a counting global allocator).
-echo "==> scan loop and vectorized GROUP BY steady state allocate nothing"
+# The properties the scan's, vectorized GROUP BY's and the vector shuffle's
+# speed rest on, in the optimized build: next_batch + the root filter over
+# one stripe, process() once a batch's groups exist, and a sink's batch into
+# sized shuffle runs allocate nothing (each its own test binary: they
+# install a counting global allocator).
+echo "==> scan loop, vectorized GROUP BY and vector shuffle steady state allocate nothing"
 cargo test -q --release --offline -p hive-vector --test groupby_steady_state_allocs
+cargo test -q --release --offline -p hive-mapreduce --test shuffle_steady_state_allocs
 
 # The benchmark is a package of its own (outside the workspace) that
 # compiles against the engine's public API; build it so a signature change

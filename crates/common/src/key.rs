@@ -183,33 +183,81 @@ pub fn cmp(a: &[Value], b: &[Value]) -> Ordering {
 /// the reducer a key lands on — and with it every simulated "distributed"
 /// run — is reproducible. Keys equal under [`cmp`] hash alike.
 pub fn hash(key: &[Value]) -> u64 {
-    let mut state = 0xcbf29ce484222325;
-    key.iter().for_each(|v| hash_value(v, &mut state));
-    state
+    let mut h = KeyHasher::new();
+    key.iter().for_each(|v| hash_value(v, &mut h));
+    h.finish()
 }
 
-fn hash_value(v: &Value, state: &mut u64) {
-    let mut mix = |v: u64| *state = (*state ^ v).wrapping_mul(0x100000001b3);
+fn hash_value(v: &Value, h: &mut KeyHasher) {
     match v {
-        Value::Null => mix(0xdead),
-        Value::Boolean(b) => mix(0x10 + *b as u64),
-        Value::Int(v) | Value::Timestamp(v) => mix(*v as u64),
-        Value::Double(v) => mix(double_bits(*v)),
-        Value::String(s) => {
-            s.bytes().for_each(|b| mix(b as u64));
-            mix(0x517);
-        }
-        Value::Array(items) | Value::Struct(items) => {
-            items.iter().for_each(|it| hash_value(it, state))
-        }
+        Value::Null => h.null(),
+        Value::Boolean(b) => h.boolean(*b),
+        Value::Int(v) | Value::Timestamp(v) => h.int(*v),
+        Value::Double(v) => h.double(*v),
+        Value::String(s) => h.string(s),
+        Value::Array(items) | Value::Struct(items) => items.iter().for_each(|it| hash_value(it, h)),
         Value::Map(entries) => entries.iter().for_each(|(k, v)| {
-            hash_value(k, state);
-            hash_value(v, state);
+            hash_value(k, h);
+            hash_value(v, h);
         }),
         Value::Union(tag, v) => {
-            mix(*tag as u64);
-            hash_value(v, state);
+            h.mix(*tag as u64);
+            hash_value(v, h);
         }
+    }
+}
+
+/// [`hash`] fed one scalar key value at a time: what a caller hashes a key
+/// with when it holds the values in another form than `Value`s (the vector
+/// engine's column lanes).
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Default for KeyHasher {
+    fn default() -> KeyHasher {
+        KeyHasher::new()
+    }
+}
+
+impl KeyHasher {
+    pub fn new() -> KeyHasher {
+        KeyHasher(0xcbf29ce484222325)
+    }
+
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x100000001b3);
+    }
+
+    #[inline]
+    pub fn null(&mut self) {
+        self.mix(0xdead)
+    }
+
+    #[inline]
+    pub fn boolean(&mut self, b: bool) {
+        self.mix(0x10 + b as u64)
+    }
+
+    /// An INT or a TIMESTAMP.
+    #[inline]
+    pub fn int(&mut self, v: i64) {
+        self.mix(v as u64)
+    }
+
+    #[inline]
+    pub fn double(&mut self, x: f64) {
+        self.mix(double_bits(x))
+    }
+
+    #[inline]
+    pub fn string(&mut self, s: &str) {
+        s.bytes().for_each(|b| self.mix(b as u64));
+        self.mix(0x517);
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
     }
 }
 

@@ -7,7 +7,7 @@
 //! emit messages to their children. The graph is a DAG, not a tree: after
 //! the Correlation Optimizer runs, a MuxOperator can have several parents.
 
-use hive_common::{HiveError, Result, Row, Value};
+use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_obs::OpProfile;
 use hive_vector::VectorizedRowBatch;
 use std::collections::VecDeque;
@@ -51,13 +51,25 @@ impl Message {
     }
 }
 
-/// A record destined for the shuffle, produced by ReduceSinkOperators.
+/// A record destined for the shuffle, produced by the row engine's
+/// ReduceSinkOperator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleRecord {
     pub key: Vec<Value>,
     pub value: Row,
     pub tag: usize,
-    pub num_reducers: usize,
+}
+
+/// A batch's selected rows destined for the shuffle, produced by the vector
+/// engine's sinks: row `i`'s key is its cells of `keys`, its value row its
+/// cells of `values` (batch column, logical type) — the record the row
+/// engine would make of them, with no value built.
+#[derive(Debug)]
+pub struct ShuffleBatch {
+    pub batch: Arc<VectorizedRowBatch>,
+    pub keys: Arc<[(usize, DataType)]>,
+    pub values: Arc<[(usize, DataType)]>,
+    pub tag: usize,
 }
 
 /// What an operator emits in response to a message.
@@ -69,11 +81,35 @@ pub enum Emit {
     Broadcast(Message),
     /// Leave the task toward the shuffle.
     Shuffle(ShuffleRecord),
+    /// Leave the task toward the shuffle as a batch's selected rows; the
+    /// batch is spent then.
+    ShuffleBatch(ShuffleBatch),
     /// Leave the task toward the query output / file sink.
     Output(Row),
+    /// Leave the task toward its output as the selected rows of a batch,
+    /// these columns of it (batch column, logical type); the batch is spent
+    /// then.
+    OutputBatch {
+        batch: Arc<VectorizedRowBatch>,
+        columns: Arc<[(usize, DataType)]>,
+    },
     /// This operator consumed the batch and passes it nowhere: the driver
     /// that pushed it may refill it ([`OperatorGraph::take_spent`]).
     Spent(Arc<VectorizedRowBatch>),
+}
+
+/// Where what leaves a task's graph goes: the shuffle, or the task's output.
+/// Rows come from the row engine, batches from the vector engine's sinks;
+/// the task encodes both alike (DESIGN.md §20 "The lane encoders").
+pub trait TaskOutput {
+    fn shuffle(&mut self, rec: ShuffleRecord) -> Result<()>;
+    fn shuffle_batch(&mut self, rows: &ShuffleBatch) -> Result<()>;
+    fn output(&mut self, row: Row) -> Result<()>;
+    fn output_batch(
+        &mut self,
+        batch: &VectorizedRowBatch,
+        columns: &[(usize, DataType)],
+    ) -> Result<()>;
 }
 
 /// A push-based operator.
@@ -188,17 +224,11 @@ impl OperatorGraph {
     }
 
     /// Push one message into `root`, dispatching transitively.
-    pub fn push(
-        &mut self,
-        root: usize,
-        msg: Message,
-        shuffle: &mut dyn FnMut(ShuffleRecord),
-        output: &mut dyn FnMut(Row),
-    ) -> Result<()> {
+    pub fn push(&mut self, root: usize, msg: Message, out: &mut dyn TaskOutput) -> Result<()> {
         let mut queue: VecDeque<(usize, Message)> = VecDeque::new();
         self.spent = None;
         queue.push_back((root, msg));
-        self.run(&mut queue, shuffle, output)
+        self.run(&mut queue, out)
     }
 
     /// The batch of the last `push`, once the graph is done with it and if
@@ -210,15 +240,14 @@ impl OperatorGraph {
     fn run(
         &mut self,
         queue: &mut VecDeque<(usize, Message)>,
-        shuffle: &mut dyn FnMut(ShuffleRecord),
-        output: &mut dyn FnMut(Row),
+        out: &mut dyn TaskOutput,
     ) -> Result<()> {
         while let Some((op_id, msg)) = queue.pop_front() {
             self.rows_in[op_id] += msg.logical_rows();
             let start = Instant::now();
             let emits = self.ops[op_id].receive(msg)?;
             self.cpu_ns[op_id] += start.elapsed().as_nanos() as u64;
-            self.dispatch(op_id, emits, queue, shuffle, output)?;
+            self.dispatch(op_id, emits, queue, out)?;
         }
         Ok(())
     }
@@ -228,8 +257,7 @@ impl OperatorGraph {
         op_id: usize,
         emits: Vec<Emit>,
         queue: &mut VecDeque<(usize, Message)>,
-        shuffle: &mut dyn FnMut(ShuffleRecord),
-        output: &mut dyn FnMut(Row),
+        out: &mut dyn TaskOutput,
     ) -> Result<()> {
         for e in emits {
             match e {
@@ -259,11 +287,21 @@ impl OperatorGraph {
                 }
                 Emit::Shuffle(rec) => {
                     self.rows_out[op_id] += 1;
-                    shuffle(rec);
+                    out.shuffle(rec)?;
+                }
+                Emit::ShuffleBatch(rows) => {
+                    self.rows_out[op_id] += rows.batch.size as u64;
+                    out.shuffle_batch(&rows)?;
+                    self.spent.get_or_insert(rows.batch);
                 }
                 Emit::Output(row) => {
                     self.rows_out[op_id] += 1;
-                    output(row);
+                    out.output(row)?;
+                }
+                Emit::OutputBatch { batch, columns } => {
+                    self.rows_out[op_id] += batch.size as u64;
+                    out.output_batch(&batch, &columns)?;
+                    self.spent.get_or_insert(batch);
                 }
                 Emit::Spent(batch) => {
                     self.spent.get_or_insert(batch);
@@ -275,11 +313,7 @@ impl OperatorGraph {
 
     /// Close every operator in topological order so flushed rows still
     /// reach downstream operators before they close.
-    pub fn finish(
-        &mut self,
-        shuffle: &mut dyn FnMut(ShuffleRecord),
-        output: &mut dyn FnMut(Row),
-    ) -> Result<()> {
+    pub fn finish(&mut self, out: &mut dyn TaskOutput) -> Result<()> {
         for op_id in self.topo_order()? {
             if self.closed[op_id] {
                 continue;
@@ -289,8 +323,8 @@ impl OperatorGraph {
             let emits = self.ops[op_id].close()?;
             self.cpu_ns[op_id] += start.elapsed().as_nanos() as u64;
             let mut queue = VecDeque::new();
-            self.dispatch(op_id, emits, &mut queue, shuffle, output)?;
-            self.run(&mut queue, shuffle, output)?;
+            self.dispatch(op_id, emits, &mut queue, out)?;
+            self.run(&mut queue, out)?;
         }
         Ok(())
     }
@@ -363,6 +397,51 @@ impl Default for OperatorGraph {
     }
 }
 
+/// What left a graph, as rows: for tests, which look at records and rows.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Collected {
+    pub(crate) shuffled: Vec<ShuffleRecord>,
+    pub(crate) rows: Vec<Row>,
+}
+
+#[cfg(test)]
+impl TaskOutput for Collected {
+    fn shuffle(&mut self, rec: ShuffleRecord) -> Result<()> {
+        self.shuffled.push(rec);
+        Ok(())
+    }
+
+    fn shuffle_batch(&mut self, rows: &ShuffleBatch) -> Result<()> {
+        use hive_vector::row_convert::{batch_to_rows, get_value};
+        let values = batch_to_rows(&rows.batch, &rows.values);
+        for (i, value) in rows.batch.iter_selected().zip(values) {
+            let key = rows.keys.iter();
+            let key = key.map(|(c, dt)| {
+                hive_common::key::canonical(get_value(&rows.batch.columns[*c], i, dt))
+            });
+            let (key, tag) = (key.collect(), rows.tag);
+            self.shuffled.push(ShuffleRecord { key, value, tag });
+        }
+        Ok(())
+    }
+
+    fn output(&mut self, row: Row) -> Result<()> {
+        self.rows.push(row);
+        Ok(())
+    }
+
+    fn output_batch(
+        &mut self,
+        batch: &VectorizedRowBatch,
+        columns: &[(usize, DataType)],
+    ) -> Result<()> {
+        let rows = hive_vector::row_convert::batch_to_rows(batch, columns);
+        self.rows.extend(rows);
+        Ok(())
+    }
+}
+
 fn apply_tag(msg: Message, tag_override: Option<usize>) -> Message {
     match (msg, tag_override) {
         (Message::Row { row, .. }, Some(t)) => Message::Row { row, tag: t },
@@ -420,19 +499,18 @@ mod tests {
         let s = g.add(Box::new(Sink));
         g.connect(a, b, None);
         g.connect(b, s, None);
-        let mut out = Vec::new();
+        let mut out = Collected::default();
         g.push(
             a,
             Message::Row {
                 row: Row::new(vec![Value::Int(0)]),
                 tag: 0,
             },
-            &mut |_| {},
-            &mut |r| out.push(r),
+            &mut out,
         )
         .unwrap();
         assert_eq!(
-            out,
+            out.rows,
             vec![Row::new(vec![Value::Int(0), Value::Int(1), Value::Int(2)])]
         );
     }
@@ -465,11 +543,10 @@ mod tests {
                 row: Row::new(vec![]),
                 tag: 0,
             },
-            &mut |_| {},
-            &mut |_| {},
+            &mut Collected::default(),
         )
         .unwrap();
-        g.finish(&mut |_| {}, &mut |_| {}).unwrap();
+        g.finish(&mut Collected::default()).unwrap();
     }
 
     #[test]
@@ -478,7 +555,7 @@ mod tests {
         let a = g.add(Box::new(Tagger(1)));
         let s = g.add(Box::new(Sink));
         g.connect(a, s, None);
-        let mut out = Vec::new();
+        let mut out = Collected::default();
         for i in 0..3 {
             g.push(
                 a,
@@ -486,12 +563,11 @@ mod tests {
                     row: Row::new(vec![Value::Int(i)]),
                     tag: 0,
                 },
-                &mut |_| {},
-                &mut |r| out.push(r),
+                &mut out,
             )
             .unwrap();
         }
-        g.finish(&mut |_| {}, &mut |_| {}).unwrap();
+        g.finish(&mut Collected::default()).unwrap();
         let profiles = g.profiles();
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].name, "Tagger(1)");
@@ -499,7 +575,7 @@ mod tests {
         assert_eq!(profiles[0].rows_out, 3);
         assert_eq!(profiles[1].rows_in, 3);
         assert_eq!(profiles[1].rows_out, 3); // Sink emits Output rows
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.rows.len(), 3);
     }
 
     #[test]
@@ -549,8 +625,7 @@ mod tests {
                 batch: Arc::clone(&shared),
                 tag: 0,
             },
-            &mut |_| {},
-            &mut |_| {},
+            &mut Collected::default(),
         )
         .unwrap();
 
@@ -569,7 +644,7 @@ mod tests {
         let b = g.add(Box::new(Sink));
         g.connect(a, b, None);
         g.connect(b, a, None);
-        assert!(g.finish(&mut |_| {}, &mut |_| {}).is_err());
+        assert!(g.finish(&mut Collected::default()).is_err());
     }
 
     #[test]

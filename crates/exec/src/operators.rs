@@ -144,7 +144,6 @@ pub struct ReduceSinkOperator {
     pub key_exprs: Vec<ExprNode>,
     pub value_exprs: Vec<ExprNode>,
     pub tag: usize,
-    pub num_reducers: usize,
 }
 
 impl Operator for ReduceSinkOperator {
@@ -165,7 +164,6 @@ impl Operator for ReduceSinkOperator {
                     key,
                     value: Row::new(value),
                     tag: self.tag,
-                    num_reducers: self.num_reducers,
                 })])
             }
             // Group signals never cross the shuffle boundary.
@@ -628,7 +626,7 @@ impl Operator for MuxOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::OperatorGraph;
+    use crate::graph::{Collected, OperatorGraph};
 
     fn row(vals: &[i64]) -> Row {
         Row::new(vals.iter().map(|&v| Value::Int(v)).collect())
@@ -639,20 +637,13 @@ mod tests {
         root: usize,
         rows: Vec<Row>,
     ) -> (Vec<Row>, Vec<ShuffleRecord>) {
-        let mut out = Vec::new();
-        let mut shuffled = Vec::new();
+        let mut out = Collected::default();
         for r in rows {
-            g.push(
-                root,
-                Message::Row { row: r, tag: 0 },
-                &mut |s| shuffled.push(s),
-                &mut |r| out.push(r),
-            )
-            .unwrap();
+            g.push(root, Message::Row { row: r, tag: 0 }, &mut out)
+                .unwrap();
         }
-        g.finish(&mut |s| shuffled.push(s), &mut |r| out.push(r))
-            .unwrap();
-        (out, shuffled)
+        g.finish(&mut out).unwrap();
+        (out.rows, out.shuffled)
     }
 
     #[test]
@@ -797,9 +788,9 @@ mod tests {
         )));
         let fs = g.add(Box::new(FileSinkOperator));
         g.connect(gb, fs, None);
-        let mut out = Vec::new();
-        let push = |g: &mut OperatorGraph, m: Message, out: &mut Vec<Row>| {
-            g.push(gb, m, &mut |_| {}, &mut |r| out.push(r)).unwrap();
+        let mut out = Collected::default();
+        let push = |g: &mut OperatorGraph, m: Message, out: &mut Collected| {
+            g.push(gb, m, out).unwrap();
         };
         push(
             &mut g,
@@ -827,8 +818,8 @@ mod tests {
             &mut out,
         );
         push(&mut g, Message::EndGroup, &mut out);
-        g.finish(&mut |_| {}, &mut |r| out.push(r)).unwrap();
-        assert_eq!(out, vec![row(&[1, 11]), row(&[2, 7])]);
+        g.finish(&mut out).unwrap();
+        assert_eq!(out.rows, vec![row(&[1, 11]), row(&[2, 7])]);
     }
 
     #[test]
@@ -838,7 +829,6 @@ mod tests {
             key_exprs: vec![ExprNode::col(0)],
             value_exprs: vec![ExprNode::col(1)],
             tag: 3,
-            num_reducers: 4,
         }));
         let (_, shuffled) = run_rows(&mut g, rs, vec![row(&[7, 70])]);
         assert_eq!(shuffled.len(), 1);
@@ -859,9 +849,9 @@ mod tests {
         )));
         let fs = g.add(Box::new(FileSinkOperator));
         g.connect(j, fs, None);
-        let mut out = Vec::new();
-        let send = |g: &mut OperatorGraph, m: Message, out: &mut Vec<Row>| {
-            g.push(j, m, &mut |_| {}, &mut |r| out.push(r)).unwrap();
+        let mut out = Collected::default();
+        let send = |g: &mut OperatorGraph, m: Message, out: &mut Collected| {
+            g.push(j, m, out).unwrap();
         };
         send(
             &mut g,
@@ -896,6 +886,7 @@ mod tests {
             &mut out,
         );
         send(&mut g, Message::EndGroup, &mut out);
+        let out = out.rows;
         assert_eq!(out.len(), 4);
         assert!(out.contains(&row(&[1, 10, 100])));
         assert!(out.contains(&row(&[1, 11, 101])));
@@ -910,21 +901,19 @@ mod tests {
         )));
         let fs2 = g2.add(Box::new(FileSinkOperator));
         g2.connect(j2, fs2, None);
-        let mut out2 = Vec::new();
+        let mut out2 = Collected::default();
         g2.push(
             j2,
             Message::Row {
                 row: row(&[5, 50]),
                 tag: 0,
             },
-            &mut |_| {},
-            &mut |r| out2.push(r),
+            &mut out2,
         )
         .unwrap();
-        g2.push(j2, Message::EndGroup, &mut |_| {}, &mut |r| out2.push(r))
-            .unwrap();
+        g2.push(j2, Message::EndGroup, &mut out2).unwrap();
         assert_eq!(
-            out2,
+            out2.rows,
             vec![Row::new(vec![Value::Int(5), Value::Int(50), Value::Null])]
         );
     }
@@ -989,7 +978,7 @@ mod tests {
         let c1 = g.add(Box::new(Capture(Vec::new())));
         g.connect(d, c0, None);
         g.connect(d, c1, None);
-        let mut out = Vec::new();
+        let mut out = Collected::default();
         for (vals, tag) in [(vec![1], 0), (vec![2], 1), (vec![3], 2)] {
             g.push(
                 d,
@@ -997,12 +986,11 @@ mod tests {
                     row: Row::new(vals.into_iter().map(Value::Int).collect()),
                     tag,
                 },
-                &mut |_| {},
-                &mut |r| out.push(r),
+                &mut out,
             )
             .unwrap();
         }
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.rows.len(), 3);
     }
 
     #[test]
@@ -1077,18 +1065,21 @@ mod tests {
         let b = g.add(Box::new(FileSinkOperator));
         g.connect(tee, a, None);
         g.connect(tee, b, None);
-        let mut out = Vec::new();
+        let mut out = Collected::default();
         g.push(
             tee,
             Message::Row {
                 row: row(&[9]),
                 tag: 0,
             },
-            &mut |_| {},
-            &mut |r| out.push(r),
+            &mut out,
         )
         .unwrap();
-        assert_eq!(out.len(), 2, "one copy per child (shared-scan fan-out)");
+        assert_eq!(
+            out.rows.len(),
+            2,
+            "one copy per child (shared-scan fan-out)"
+        );
     }
 
     #[test]

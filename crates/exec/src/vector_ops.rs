@@ -3,28 +3,28 @@
 //! Vectorized operators from `hive-vector` run as ordinary nodes of the
 //! push-based operator graph, wrapped in [`VectorOpAdapter`], which handles
 //! `Arc` sharing (copy-on-write on mutation) and batch counting. A
-//! vectorized map stage runs batch-native from its scan to its sink, and
-//! ends in one of three sinks, the only places its rows come into existence:
+//! vectorized map stage runs batch-native from its scan (or intermediate) to
+//! its sink, and ends in one of three sinks, each of which hands batches to
+//! the task: no row comes into existence between two vector stages.
 //!
-//! * [`VectorFileSinkOperator`] — a map-only (or reduce) stage's output rows.
-//! * [`VectorReduceSinkOperator`] — emits shuffle records straight from
-//!   batches.
+//! * [`VectorFileSinkOperator`] — a map-only (or reduce) stage's output: a
+//!   batch and its output columns.
+//! * [`VectorReduceSinkOperator`] — a batch and its shuffle key and value
+//!   columns; the task encodes each selected row's record from them.
 //! * [`VectorGroupBySinkOperator`] — the fused map-side partial
 //!   aggregation + reduce sink: batches stream into a typed vectorized
-//!   hash aggregator, and the (small) per-group partial rows only come
-//!   into existence as shuffle records at close.
+//!   hash aggregator, whose groups leave at close as batches, through the
+//!   same path as a reduce sink's.
 //!
 //! A vectorized reduce stage runs from the driver's batches through the
 //! shared Demux / Mux, [`VectorJoinOperator`] and [`VectorGroupByOperator`]
 //! (which answer a window of key groups per `EndGroup`) and the same
 //! adapters, to a `VectorFileSinkOperator`.
 
-use crate::expr::ExprNode;
-use crate::graph::{Emit, Message, Operator, ShuffleRecord};
+use crate::graph::{Emit, Message, Operator, ShuffleBatch};
 use crate::operators::JoinType;
-use hive_common::{key, DataType, HiveError, Result, Row};
+use hive_common::{DataType, HiveError, Result};
 use hive_vector::aggregates::{VectorHashAggregator, VectorStreamAggregator};
-use hive_vector::row_convert::{batch_to_rows, get_value};
 use hive_vector::{VectorExpression, VectorOperator, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use std::sync::Arc;
 
@@ -111,18 +111,20 @@ impl Operator for VectorOpAdapter {
 }
 
 /// The output sink of a map-only or reduce vectorized stage (FileSink, or
-/// the intermediate a downstream job re-reads): each selected row of the
-/// projected columns leaves the task as an output row.
+/// the intermediate a downstream job re-reads): the batch leaves the task
+/// with its output columns, each selected row an output row. The task makes
+/// rows of it only for a collected output; an intermediate's SequenceFile
+/// records are encoded from the columns.
 pub struct VectorFileSinkOperator {
     /// Batch column index + logical type of each output column.
-    pub output_columns: Vec<(usize, DataType)>,
+    output_columns: Arc<[(usize, DataType)]>,
     batches: u64,
 }
 
 impl VectorFileSinkOperator {
     pub fn new(output_columns: Vec<(usize, DataType)>) -> VectorFileSinkOperator {
         VectorFileSinkOperator {
-            output_columns,
+            output_columns: output_columns.into(),
             batches: 0,
         }
     }
@@ -137,9 +139,8 @@ impl Operator for VectorFileSinkOperator {
         match msg {
             Message::Batch { batch, .. } => {
                 self.batches += 1;
-                let rows = batch_to_rows(&batch, &self.output_columns);
-                let rows = rows.into_iter().map(Emit::Output);
-                Ok(rows.chain([Emit::Spent(batch)]).collect())
+                let columns = Arc::clone(&self.output_columns);
+                Ok(vec![Emit::OutputBatch { batch, columns }])
             }
             Message::Row { .. } => Err(wiring_bug("VectorFileSink", "row")),
             _ => Ok(vec![]),
@@ -151,15 +152,31 @@ impl Operator for VectorFileSinkOperator {
     }
 }
 
-/// Batch-native reduce sink: evaluates key/value columns per selected row
-/// and emits shuffle records directly, with no intermediate row operator.
+/// The shuffle's key and value columns of a sink's batches, and its tag.
+struct ShuffleColumns {
+    keys: Arc<[(usize, DataType)]>,
+    values: Arc<[(usize, DataType)]>,
+    tag: usize,
+}
+
+impl ShuffleColumns {
+    fn emit(&self, batch: Arc<VectorizedRowBatch>) -> Emit {
+        Emit::ShuffleBatch(ShuffleBatch {
+            batch,
+            keys: Arc::clone(&self.keys),
+            values: Arc::clone(&self.values),
+            tag: self.tag,
+        })
+    }
+}
+
+/// Batch-native reduce sink: evaluates the key and value columns, then hands
+/// the batch to the task, which encodes each selected row's record from
+/// them (DESIGN.md §20 "The lane encoders").
 pub struct VectorReduceSinkOperator {
-    /// Scratch-column expressions run per batch before key/value extraction.
-    pub expressions: Vec<Box<dyn VectorExpression>>,
-    pub key_columns: Vec<(usize, DataType)>,
-    pub value_columns: Vec<(usize, DataType)>,
-    pub tag: usize,
-    pub num_reducers: usize,
+    /// Scratch-column expressions run per batch before the batch leaves.
+    expressions: Vec<Box<dyn VectorExpression>>,
+    shuffle: ShuffleColumns,
     batches: u64,
 }
 
@@ -169,14 +186,14 @@ impl VectorReduceSinkOperator {
         key_columns: Vec<(usize, DataType)>,
         value_columns: Vec<(usize, DataType)>,
         tag: usize,
-        num_reducers: usize,
     ) -> VectorReduceSinkOperator {
         VectorReduceSinkOperator {
             expressions,
-            key_columns,
-            value_columns,
-            tag,
-            num_reducers,
+            shuffle: ShuffleColumns {
+                keys: key_columns.into(),
+                values: value_columns.into(),
+                tag,
+            },
             batches: 0,
         }
     }
@@ -184,39 +201,18 @@ impl VectorReduceSinkOperator {
 
 impl Operator for VectorReduceSinkOperator {
     fn name(&self) -> String {
-        format!("VectorReduceSink(tag {})", self.tag)
+        format!("VectorReduceSink(tag {})", self.shuffle.tag)
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
-            Message::Batch { batch, tag: _ } => {
+            Message::Batch { mut batch, tag: _ } => {
                 self.batches += 1;
-                let mut shared = batch;
-                let b = Arc::make_mut(&mut shared);
-                for e in &self.expressions {
-                    e.evaluate(b)?;
+                if !self.expressions.is_empty() {
+                    let b = Arc::make_mut(&mut batch);
+                    self.expressions.iter().try_for_each(|e| e.evaluate(b))?;
                 }
-                let mut emits = Vec::with_capacity(b.size + 1);
-                for i in b.iter_selected() {
-                    let key = self
-                        .key_columns
-                        .iter()
-                        .map(|(c, dt)| key::canonical(get_value(&b.columns[*c], i, dt)))
-                        .collect();
-                    let value = self
-                        .value_columns
-                        .iter()
-                        .map(|(c, dt)| get_value(&b.columns[*c], i, dt))
-                        .collect();
-                    emits.push(Emit::Shuffle(ShuffleRecord {
-                        key,
-                        value: Row::new(value),
-                        tag: self.tag,
-                        num_reducers: self.num_reducers,
-                    }));
-                }
-                emits.push(Emit::Spent(shared));
-                Ok(emits)
+                Ok(vec![self.shuffle.emit(batch)])
             }
             Message::Row { .. } => Err(wiring_bug(&self.name(), "row")),
             // Group signals never cross the shuffle boundary.
@@ -230,38 +226,46 @@ impl Operator for VectorReduceSinkOperator {
 }
 
 /// Fused map-side partial group-by + reduce sink: the batch chain ends in a
-/// typed vectorized hash aggregation, and partial results surface only as
-/// shuffle records at close (per-group row counts are small).
+/// typed vectorized hash aggregation. At close its groups leave as batches
+/// of keys ++ partial aggregates (then the scratch columns the shuffle's key
+/// and value expressions fill), through the same path as a reduce sink's.
 pub struct VectorGroupBySinkOperator {
     /// Scratch-column expressions run per batch (group keys + agg inputs).
-    pub expressions: Vec<Box<dyn VectorExpression>>,
+    expressions: Vec<Box<dyn VectorExpression>>,
     aggregator: VectorHashAggregator,
-    /// Row-mode expressions over the partial row (keys ++ partial values).
-    pub key_exprs: Vec<ExprNode>,
-    pub value_exprs: Vec<ExprNode>,
-    pub tag: usize,
-    pub num_reducers: usize,
+    /// Scratch-column expressions run per result batch, and the scratch
+    /// columns' types: the shuffle's keys and values over the result.
+    finish_expressions: Vec<Box<dyn VectorExpression>>,
+    scratch: Vec<DataType>,
+    shuffle: ShuffleColumns,
     batches: u64,
     rows_seen: u64,
     groups_out: u64,
 }
 
 impl VectorGroupBySinkOperator {
+    /// `finish_expressions` fill the `scratch` columns that follow the
+    /// aggregator's result columns; `key_columns` and `value_columns` are
+    /// the shuffle's, over the two.
     pub fn new(
         expressions: Vec<Box<dyn VectorExpression>>,
         aggregator: VectorHashAggregator,
-        key_exprs: Vec<ExprNode>,
-        value_exprs: Vec<ExprNode>,
+        finish_expressions: Vec<Box<dyn VectorExpression>>,
+        scratch: Vec<DataType>,
+        key_columns: Vec<(usize, DataType)>,
+        value_columns: Vec<(usize, DataType)>,
         tag: usize,
-        num_reducers: usize,
     ) -> VectorGroupBySinkOperator {
         VectorGroupBySinkOperator {
             expressions,
             aggregator,
-            key_exprs,
-            value_exprs,
-            tag,
-            num_reducers,
+            finish_expressions,
+            scratch,
+            shuffle: ShuffleColumns {
+                keys: key_columns.into(),
+                values: value_columns.into(),
+                tag,
+            },
             batches: 0,
             rows_seen: 0,
             groups_out: 0,
@@ -271,7 +275,7 @@ impl VectorGroupBySinkOperator {
 
 impl Operator for VectorGroupBySinkOperator {
     fn name(&self) -> String {
-        format!("VectorGroupBySink(tag {})", self.tag)
+        format!("VectorGroupBySink(tag {})", self.shuffle.tag)
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
@@ -302,24 +306,16 @@ impl Operator for VectorGroupBySinkOperator {
             &mut self.aggregator,
             VectorHashAggregator::new(vec![], vec![]),
         );
-        let partials = agg.finish();
-        self.groups_out = partials.len() as u64;
-        let mut emits = Vec::with_capacity(partials.len());
-        for row in partials {
-            let mut key = Vec::with_capacity(self.key_exprs.len());
-            for e in &self.key_exprs {
-                key.push(e.eval(&row)?);
+        let mut emits = Vec::new();
+        for mut batch in agg.finish(DEFAULT_BATCH_SIZE)? {
+            for t in &self.scratch {
+                batch.add_scratch(t)?;
             }
-            let mut value = Vec::with_capacity(self.value_exprs.len());
-            for e in &self.value_exprs {
-                value.push(e.eval(&row)?);
+            for e in &self.finish_expressions {
+                e.evaluate(&mut batch)?;
             }
-            emits.push(Emit::Shuffle(ShuffleRecord {
-                key,
-                value: Row::new(value),
-                tag: self.tag,
-                num_reducers: self.num_reducers,
-            }));
+            self.groups_out += batch.size as u64;
+            emits.push(self.shuffle.emit(Arc::new(batch)));
         }
         Ok(emits)
     }
@@ -625,8 +621,8 @@ impl Operator for VectorJoinOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::OperatorGraph;
-    use hive_common::Value;
+    use crate::graph::{Collected, OperatorGraph, TaskOutput};
+    use hive_common::{Row, Value};
     use hive_vector::aggregates::{AggKind, AggSpec};
     use hive_vector::row_convert::rows_to_batch;
     use hive_vector::VectorFilterOperator;
@@ -658,21 +654,20 @@ mod tests {
         )])));
         g.connect(f, s, None);
 
-        let mut out = Vec::new();
+        let mut out = Collected::default();
         g.push(
             f,
             Message::Batch {
                 batch: Arc::new(int_batch(&[1, 2, 3, 4, 5])),
                 tag: 0,
             },
-            &mut |_| {},
-            &mut |r| out.push(r),
+            &mut out,
         )
         .unwrap();
-        g.finish(&mut |_| {}, &mut |_| {}).unwrap();
+        g.finish(&mut out).unwrap();
 
         assert_eq!(
-            out,
+            out.rows,
             vec![
                 Row::new(vec![Value::Int(3)]),
                 Row::new(vec![Value::Int(4)]),
@@ -689,34 +684,54 @@ mod tests {
     }
 
     #[test]
-    fn vector_reduce_sink_emits_shuffle_records() {
-        let mut op = VectorReduceSinkOperator::new(
-            vec![],
-            vec![(0, DataType::Int)],
-            vec![(0, DataType::Int)],
-            2,
-            4,
-        );
+    fn vector_reduce_sink_hands_its_batch_and_columns_to_the_task() {
+        let mut op = VectorReduceSinkOperator::new(vec![], vec![(0, DataType::Int)], vec![], 2);
         let emits = op
             .receive(Message::Batch {
                 batch: Arc::new(int_batch(&[7, 8])),
                 tag: 0,
             })
             .unwrap();
-        assert_eq!(emits.len(), 3);
-        assert!(
-            matches!(emits[2], Emit::Spent(_)),
-            "then hands the batch back"
-        );
-        match &emits[0] {
-            Emit::Shuffle(rec) => {
-                assert_eq!(rec.key, vec![Value::Int(7)]);
-                assert_eq!(rec.value, Row::new(vec![Value::Int(7)]));
-                assert_eq!(rec.tag, 2);
-                assert_eq!(rec.num_reducers, 4);
+        match &emits[..] {
+            [Emit::ShuffleBatch(rows)] => {
+                assert_eq!(rows.batch.size, 2);
+                assert_eq!(&rows.keys[..], [(0, DataType::Int)]);
+                assert!(rows.values.is_empty());
+                assert_eq!(rows.tag, 2);
             }
-            other => panic!("expected shuffle, got {other:?}"),
+            other => panic!("expected one shuffle batch, got {other:?}"),
         }
+    }
+
+    /// The task sees a reduce sink's rows as the records the row engine's
+    /// ReduceSink would make, and logical rows are counted.
+    #[test]
+    fn vector_reduce_sink_emits_shuffle_records() {
+        let mut g = OperatorGraph::new();
+        let rs = g.add(Box::new(VectorReduceSinkOperator::new(
+            vec![],
+            vec![(0, DataType::Int)],
+            vec![(0, DataType::Int)],
+            1,
+        )));
+        let mut batch = int_batch(&[7, 8, 9]);
+        batch.selected_in_use = true;
+        batch.selected[..2].copy_from_slice(&[0, 2]);
+        batch.size = 2;
+        let mut out = Collected::default();
+        let msg = Message::Batch {
+            batch: Arc::new(batch),
+            tag: 0,
+        };
+        g.push(rs, msg, &mut out).unwrap();
+        let keys: Vec<Vec<Value>> = out.shuffled.iter().map(|r| r.key.clone()).collect();
+        assert_eq!(keys, [[Value::Int(7)], [Value::Int(9)]]);
+        assert_eq!(out.shuffled[1].value, Row::new(vec![Value::Int(9)]));
+        assert_eq!((g.rows_in_of(rs), g.rows_out_of(rs)), (2, 2));
+        assert!(
+            g.take_spent().is_some(),
+            "the batch comes back to be refilled"
+        );
     }
 
     #[test]
@@ -730,10 +745,11 @@ mod tests {
                     input: None,
                 }],
             ),
-            vec![ExprNode::Column(0)],
-            vec![ExprNode::Column(1)],
+            vec![],
+            vec![],
+            vec![(0, DataType::Int)],
+            vec![(1, DataType::Int)],
             0,
-            1,
         );
         let emits = op
             .receive(Message::Batch {
@@ -745,15 +761,16 @@ mod tests {
             matches!(emits[..], [Emit::Spent(_)]),
             "partials only surface at close"
         );
-        let flushed = op.close().unwrap();
-        assert_eq!(flushed.len(), 2);
-        match &flushed[0] {
-            Emit::Shuffle(rec) => {
-                assert_eq!(rec.key, vec![Value::Int(1)]);
-                assert_eq!(rec.value, Row::new(vec![Value::Int(3)]));
-            }
-            other => panic!("expected shuffle, got {other:?}"),
+        let mut out = Collected::default();
+        for e in op.close().unwrap() {
+            let Emit::ShuffleBatch(rows) = e else {
+                panic!("expected a shuffle batch, got {e:?}");
+            };
+            out.shuffle_batch(&rows).unwrap();
         }
+        assert_eq!(out.shuffled.len(), 2);
+        assert_eq!(out.shuffled[0].key, vec![Value::Int(1)]);
+        assert_eq!(out.shuffled[0].value, Row::new(vec![Value::Int(3)]));
         assert!(op.profile_detail().contains(&("groups".to_string(), 2)));
     }
 
@@ -769,9 +786,10 @@ mod tests {
                 }],
             ),
             vec![],
-            vec![ExprNode::Column(0)],
+            vec![],
+            vec![],
+            vec![(0, DataType::Int)],
             0,
-            1,
         );
         assert!(op.close().unwrap().is_empty());
     }
@@ -784,7 +802,7 @@ mod tests {
         };
         let mut sink = VectorFileSinkOperator::new(vec![]);
         assert!(sink.receive(row.clone()).is_err());
-        let mut rs = VectorReduceSinkOperator::new(vec![], vec![], vec![], 0, 1);
+        let mut rs = VectorReduceSinkOperator::new(vec![], vec![], vec![], 0);
         assert!(rs.receive(row).is_err());
     }
 }

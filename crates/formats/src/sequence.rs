@@ -4,15 +4,18 @@
 
 use crate::serde;
 use crate::{TableReader, TableWriter};
-use hive_common::{HiveError, Result, Row, Schema};
+use hive_common::{DataType, HiveError, Result, Row, Schema};
 use hive_dfs::{Dfs, DfsReader, DfsWriter, NodeId};
+use hive_vector::VectorizedRowBatch;
 
 const MAGIC: &[u8; 4] = b"SEQ6";
 
 /// Writer of binary key/value records.
 pub struct SequenceWriter {
     writer: DfsWriter,
+    /// Scratch: the record being framed.
     buf: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl SequenceWriter {
@@ -22,21 +25,36 @@ impl SequenceWriter {
         SequenceWriter {
             writer,
             buf: Vec::new(),
+            frame: Vec::new(),
+        }
+    }
+
+    /// Append one record whose value `value` writes. Record frame: varint
+    /// key length (0, Hive leaves keys empty), varint value length, value
+    /// bytes.
+    fn append(&mut self, value: impl FnOnce(&mut Vec<u8>)) {
+        self.buf.clear();
+        value(&mut self.buf);
+        self.frame.clear();
+        hive_codec::varint::write_unsigned(&mut self.frame, 0);
+        hive_codec::varint::write_unsigned(&mut self.frame, self.buf.len() as u64);
+        self.writer.write(&self.frame);
+        self.writer.write(&self.buf);
+    }
+
+    /// One record per selected row of `batch`, its value the binary row of
+    /// the row's cells of `columns` (batch column, logical type): the bytes
+    /// [`write_row`](TableWriter::write_row) writes for the same rows.
+    pub fn write_cells(&mut self, batch: &VectorizedRowBatch, columns: &[(usize, DataType)]) {
+        for i in batch.iter_selected() {
+            self.append(|out| serde::binary_serialize_cells(&batch.columns, columns, i, out));
         }
     }
 }
 
 impl TableWriter for SequenceWriter {
     fn write_row(&mut self, row: &Row) -> Result<()> {
-        self.buf.clear();
-        serde::binary_serialize_row(row, &mut self.buf);
-        // Record frame: varint key length (0, Hive leaves keys empty),
-        // varint value length, value bytes.
-        let mut frame = Vec::with_capacity(self.buf.len() + 8);
-        hive_codec::varint::write_unsigned(&mut frame, 0);
-        hive_codec::varint::write_unsigned(&mut frame, self.buf.len() as u64);
-        self.writer.write(&frame);
-        self.writer.write(&self.buf);
+        self.append(|out| serde::binary_serialize_row(row, out));
         Ok(())
     }
 
@@ -48,6 +66,8 @@ impl TableWriter for SequenceWriter {
 /// Sequential reader of binary records.
 pub struct SequenceReader {
     reader: DfsReader,
+    /// Values per row.
+    width: usize,
     projection: Option<Vec<usize>>,
     offset: u64,
     buf: Vec<u8>,
@@ -60,7 +80,7 @@ impl SequenceReader {
     pub fn open(
         dfs: &Dfs,
         path: &str,
-        _schema: Schema,
+        schema: Schema,
         projection: Option<Vec<usize>>,
         node: Option<NodeId>,
     ) -> Result<SequenceReader> {
@@ -73,6 +93,7 @@ impl SequenceReader {
         }
         Ok(SequenceReader {
             reader,
+            width: schema.len(),
             projection,
             offset: 4,
             buf: Vec::new(),
@@ -94,10 +115,10 @@ impl SequenceReader {
         }
         Ok(())
     }
-}
 
-impl TableReader for SequenceReader {
-    fn next_row(&mut self) -> Result<Option<Row>> {
+    /// The next record's value: where it starts in `buf` and where it ends,
+    /// or `None` at the end of the file.
+    fn next_value(&mut self) -> Result<Option<(usize, usize)>> {
         self.ensure(10)?;
         if self.pos >= self.buf.len() {
             return Ok(None);
@@ -109,18 +130,56 @@ impl TableReader for SequenceReader {
             return Err(HiveError::Format("truncated SequenceFile record".into()));
         }
         self.pos += key_len; // keys are empty in Hive's usage
-        let mut vpos = self.pos;
-        let row = serde::binary_deserialize_row(&self.buf, &mut vpos)?;
+        let start = self.pos;
         self.pos += val_len;
-        if vpos != self.pos {
-            return Err(HiveError::Format(
-                "SequenceFile value length disagrees with row encoding".into(),
-            ));
+        Ok(Some((start, self.pos)))
+    }
+}
+
+fn disagrees() -> HiveError {
+    HiveError::Format("SequenceFile value length disagrees with row encoding".into())
+}
+
+impl TableReader for SequenceReader {
+    fn next_row(&mut self) -> Result<Option<Row>> {
+        let Some((mut at, end)) = self.next_value()? else {
+            return Ok(None);
+        };
+        let row = serde::binary_deserialize_row(&self.buf, &mut at)?;
+        if at != end {
+            return Err(disagrees());
         }
         Ok(Some(match &self.projection {
             Some(p) => row.project(p),
             None => row,
         }))
+    }
+
+    /// Rows decode straight into the batch's columns, building no value
+    /// (a projecting reader goes through rows).
+    fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
+        batch.reset();
+        let mut n = 0;
+        while n < batch.max_size {
+            if self.projection.is_some() {
+                let Some(row) = self.next_row()? else { break };
+                for (c, v) in row.values().iter().enumerate() {
+                    hive_vector::row_convert::set_value(&mut batch.columns[c], n, v)?;
+                }
+            } else {
+                let Some((mut at, end)) = self.next_value()? else {
+                    break;
+                };
+                let columns = &mut batch.columns[..self.width];
+                serde::binary_deserialize_into_columns(&self.buf, &mut at, columns, n)?;
+                if at != end {
+                    return Err(disagrees());
+                }
+            }
+            n += 1;
+        }
+        batch.size = n;
+        Ok(n > 0)
     }
 }
 
@@ -161,6 +220,46 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 500);
+    }
+
+    /// Batches read what rows read, batch after batch, and a part written
+    /// from a batch's columns is the part written from its rows.
+    #[test]
+    fn batches_read_as_rows_and_cells_write_as_rows() {
+        use hive_vector::row_convert::batch_to_rows;
+        let fs = dfs();
+        let schema = Schema::parse(&[("id", "bigint"), ("s", "string"), ("d", "double")]).unwrap();
+        let types: Vec<DataType> = schema
+            .fields()
+            .iter()
+            .map(|f| f.data_type.clone())
+            .collect();
+        let rows: Vec<Row> = (0..2500)
+            .map(|i| {
+                let s = match i % 7 {
+                    0 => Value::Null,
+                    _ => Value::String(format!("s{}", i % 13)),
+                };
+                Row::new(vec![Value::Int(i), s, Value::Double(i as f64 / 4.0)])
+            })
+            .collect();
+        let mut w: Box<dyn TableWriter> = Box::new(SequenceWriter::create(&fs, "/t/rows"));
+        rows.iter().for_each(|r| w.write_row(r).unwrap());
+        w.close().unwrap();
+
+        let mut r = SequenceReader::open(&fs, "/t/rows", schema.clone(), None, None).unwrap();
+        let mut cells = SequenceWriter::create(&fs, "/t/cells");
+        let columns: Vec<(usize, DataType)> = types.iter().cloned().enumerate().collect();
+        let mut b = VectorizedRowBatch::new(&types, 1024).unwrap();
+        let mut back = Vec::new();
+        while r.next_batch(&mut b).unwrap() {
+            back.extend(batch_to_rows(&b, &columns));
+            cells.write_cells(&b, &columns);
+        }
+        assert_eq!(back, rows);
+        Box::new(cells).close().unwrap();
+        let read = |p: &str| fs.open(p, None).unwrap().read_all().unwrap();
+        assert_eq!(read("/t/cells"), read("/t/rows"));
     }
 
     #[test]

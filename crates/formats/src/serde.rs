@@ -7,6 +7,7 @@
 //! the shortcoming ORC removes (paper Section 3, first shortcoming).
 
 use hive_common::{DataType, HiveError, Result, Row, Schema, Value};
+use hive_vector::row_convert::{cell, Cell};
 use hive_vector::ColumnVector;
 
 pub mod sortable;
@@ -196,29 +197,10 @@ fn parse_text_value(raw: &[u8], dt: &DataType, depth: u8) -> Result<Value> {
 
 /// Binary-serialize one value (self-describing tag + payload).
 pub fn binary_serialize_value(v: &Value, out: &mut Vec<u8>) {
+    if let Some(c) = Cell::of(v) {
+        return binary_serialize_cell(c, out);
+    }
     match v {
-        Value::Null => out.push(0),
-        Value::Boolean(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::Int(x) => {
-            out.push(2);
-            hive_codec::varint::write_signed(out, *x);
-        }
-        Value::Double(x) => {
-            out.push(3);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::String(s) => {
-            out.push(4);
-            hive_codec::varint::write_unsigned(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Timestamp(x) => {
-            out.push(5);
-            hive_codec::varint::write_signed(out, *x);
-        }
         Value::Array(items) => {
             out.push(6);
             hive_codec::varint::write_unsigned(out, items.len() as u64);
@@ -245,6 +227,35 @@ pub fn binary_serialize_value(v: &Value, out: &mut Vec<u8>) {
             out.push(9);
             out.push(*tag);
             binary_serialize_value(val, out);
+        }
+        _ => unreachable!("scalars are cells"),
+    }
+}
+
+/// The binary encoding of a scalar: what [`binary_serialize_value`] writes
+/// for the value the cell stands for.
+#[inline]
+pub fn binary_serialize_cell(c: Cell, out: &mut Vec<u8>) {
+    match c {
+        Cell::Null => out.push(0),
+        Cell::Boolean(b) => out.extend_from_slice(&[1, b as u8]),
+        Cell::Int(x) => {
+            out.push(2);
+            hive_codec::varint::write_signed(out, x);
+        }
+        Cell::Double(x) => {
+            out.push(3);
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        Cell::Bytes(b) => {
+            let s = Cell::text(b);
+            out.push(4);
+            hive_codec::varint::write_unsigned(out, s.len() as u64);
+            out.extend_from_slice(s.as_bytes());
+        }
+        Cell::Timestamp(x) => {
+            out.push(5);
+            hive_codec::varint::write_signed(out, x);
         }
     }
 }
@@ -348,6 +359,24 @@ pub fn binary_serialize_values(values: &[Value], out: &mut Vec<u8>) {
     hive_codec::varint::write_unsigned(out, values.len() as u64);
     for v in values {
         binary_serialize_value(v, out);
+    }
+}
+
+/// [`binary_serialize_values`] of row `i`'s cells of `columns` (batch column,
+/// logical type): the same bytes as the row [`get_value`] would build, with
+/// no value built. The lane twin of the row encoding, for a batch's rows on
+/// their way to a shuffle run or a SequenceFile.
+///
+/// [`get_value`]: hive_vector::row_convert::get_value
+pub fn binary_serialize_cells(
+    batch: &[ColumnVector],
+    columns: &[(usize, DataType)],
+    i: usize,
+    out: &mut Vec<u8>,
+) {
+    hive_codec::varint::write_unsigned(out, columns.len() as u64);
+    for (c, dt) in columns {
+        binary_serialize_cell(cell(&batch[*c], i, dt), out);
     }
 }
 

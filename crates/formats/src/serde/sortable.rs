@@ -15,7 +15,8 @@
 //!   its extension. Every value is self-delimiting, so the encoding is
 //!   prefix-free and whatever follows a key never takes part in its order.
 
-use hive_common::{key, HiveError, Result, Value};
+use hive_common::{key, DataType, HiveError, Result, Value};
+use hive_vector::row_convert::{cell, Cell};
 use hive_vector::ColumnVector;
 
 /// Closes a key, a string, a list, a struct and a map.
@@ -33,28 +34,11 @@ pub fn encode_key(key: &[Value], out: &mut Vec<u8>) {
 }
 
 fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    if let Some(c) = Cell::of(v) {
+        return encode_cell(c, out);
+    }
     out.push(key::rank(v) + 1);
     match v {
-        Value::Null => {}
-        Value::Boolean(b) => out.push(*b as u8),
-        Value::Int(x) | Value::Timestamp(x) => {
-            out.extend_from_slice(&(*x as u64 ^ SIGN).to_be_bytes())
-        }
-        Value::Double(x) => {
-            let bits = key::double_bits(*x);
-            let ordered = if bits & SIGN == 0 { bits | SIGN } else { !bits };
-            out.extend_from_slice(&ordered.to_be_bytes());
-        }
-        Value::String(s) => {
-            for &b in s.as_bytes() {
-                if b <= ESCAPE {
-                    out.extend_from_slice(&[ESCAPE, b + 1]);
-                } else {
-                    out.push(b);
-                }
-            }
-            out.push(END);
-        }
         Value::Array(items) | Value::Struct(items) => encode_key(items, out),
         Value::Map(entries) => {
             for (k, v) in entries {
@@ -67,7 +51,76 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.push(*tag);
             encode_value(v, out);
         }
+        _ => unreachable!("scalars are cells"),
     }
+}
+
+/// A scalar key value's encoding: its [`key::rank`] plus one, then its
+/// payload.
+#[inline]
+fn encode_cell(c: Cell, out: &mut Vec<u8>) {
+    let rank = match c {
+        Cell::Null => 0,
+        Cell::Boolean(_) => 1,
+        Cell::Int(_) => 2,
+        Cell::Double(_) => 3,
+        Cell::Bytes(_) => 4,
+        Cell::Timestamp(_) => 5,
+    };
+    out.push(rank + 1);
+    match c {
+        Cell::Null => {}
+        Cell::Boolean(b) => out.push(b as u8),
+        Cell::Int(x) | Cell::Timestamp(x) => {
+            out.extend_from_slice(&(x as u64 ^ SIGN).to_be_bytes())
+        }
+        Cell::Double(x) => {
+            let bits = key::double_bits(x);
+            let ordered = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+            out.extend_from_slice(&ordered.to_be_bytes());
+        }
+        Cell::Bytes(b) => {
+            for &b in Cell::text(b).as_bytes() {
+                if b <= ESCAPE {
+                    out.extend_from_slice(&[ESCAPE, b + 1]);
+                } else {
+                    out.push(b);
+                }
+            }
+            out.push(END);
+        }
+    }
+}
+
+/// [`encode_key`] of row `i`'s cells of `columns` (batch column, logical
+/// type): the bytes of the key the row engine would build from the same
+/// cells, with no value built.
+pub fn encode_key_cells(
+    batch: &[ColumnVector],
+    columns: &[(usize, DataType)],
+    i: usize,
+    out: &mut Vec<u8>,
+) {
+    for (c, dt) in columns {
+        encode_cell(cell(&batch[*c], i, dt), out);
+    }
+    out.push(END);
+}
+
+/// [`key::hash`] of the same key, hence the reducer the row engine would
+/// send it to.
+pub fn hash_key_cells(batch: &[ColumnVector], columns: &[(usize, DataType)], i: usize) -> u64 {
+    let mut h = key::KeyHasher::new();
+    for (c, dt) in columns {
+        match cell(&batch[*c], i, dt) {
+            Cell::Null => h.null(),
+            Cell::Boolean(b) => h.boolean(b),
+            Cell::Int(x) | Cell::Timestamp(x) => h.int(x),
+            Cell::Double(x) => h.double(x),
+            Cell::Bytes(b) => h.string(&Cell::text(b)),
+        }
+    }
+    h.finish()
 }
 
 /// Decode the key encoded at `*pos`, advancing past it. Malformed or

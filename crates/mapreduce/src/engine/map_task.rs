@@ -2,13 +2,14 @@
 //! shuffle run per reducer; and the distributed-cache load every map task
 //! shares.
 
-use super::shuffle::{self, Run, RunWriter};
+use super::output::TaskWriter;
+use super::shuffle::Run;
 use super::splits::Split;
 use super::MrEngine;
 use crate::job::{JobOutput, JobSpec, SideInput};
 use hive_common::{HiveError, Result, Row};
 use hive_dfs::{IoScope, IoSnapshot};
-use hive_exec::graph::{Message, ShuffleRecord};
+use hive_exec::graph::Message;
 use hive_formats::delta::{split_projection, LiveReader};
 use hive_formats::{open_reader, ReadOptions};
 use hive_obs::{OpProfile, ScanProfile};
@@ -86,25 +87,21 @@ impl MrEngine {
         )
         .with_virtual(&split.path, read_width, virtuals);
 
-        let mut partitions: Vec<RunWriter> =
-            (0..num_reducers).map(|_| RunWriter::default()).collect();
-        let mut task_out: Vec<Row> = Vec::new();
-        let mut shuffle_records = 0u64;
+        // A map-only job writes its intermediate's part as its graph's rows
+        // leave it; the part name is keyed by task index, so concurrent
+        // tasks never collide.
+        let part = match &spec.output {
+            JobOutput::Intermediate { path_prefix } if num_reducers == 0 => {
+                Some((&self.dfs, format!("{path_prefix}/part-m-{task_idx:05}")))
+            }
+            _ => None,
+        };
+        let mut out = TaskWriter::new(num_reducers, part);
         let mut rows_processed = 0u64;
         let mut batches_read = 0u64;
         let mut delta_rows_read = 0u64;
         {
             let graph = &mut pipeline.graph;
-            // A record is encoded into its reducer's run as it arrives;
-            // its `Value`s are dropped at once.
-            let mut on_shuffle = |rec: ShuffleRecord| {
-                shuffle_records += 1;
-                if num_reducers > 0 {
-                    partitions[shuffle::partition_of(&rec.key, num_reducers)].push(&rec);
-                }
-            };
-            let mut on_output = |row: Row| task_out.push(row);
-
             let in_delta = overlay.is_some_and(|o| o.is_delta(&split.path));
             match pipeline.vector.get(&split.input.alias) {
                 Some(stage) => {
@@ -137,15 +134,11 @@ impl MrEngine {
                             if in_delta {
                                 delta_rows_read += batch.size as u64;
                             }
-                            graph.push(
-                                stage.root,
-                                Message::Batch {
-                                    batch: Arc::new(batch),
-                                    tag: 0,
-                                },
-                                &mut on_shuffle,
-                                &mut on_output,
-                            )?;
+                            let batch_msg = Message::Batch {
+                                batch: Arc::new(batch),
+                                tag: 0,
+                            };
+                            graph.push(stage.root, batch_msg, &mut out)?;
                             let spent = graph.take_spent();
                             batch = match spent.filter(|b| b.has_layout(types, size)) {
                                 Some(spent) => spent,
@@ -169,29 +162,16 @@ impl MrEngine {
                         if in_delta {
                             delta_rows_read += 1;
                         }
-                        graph.push(
-                            root,
-                            Message::Row { row, tag: 0 },
-                            &mut on_shuffle,
-                            &mut on_output,
-                        )?;
+                        graph.push(root, Message::Row { row, tag: 0 }, &mut out)?;
                     }
                 }
             }
-            graph.finish(&mut on_shuffle, &mut on_output)?;
+            graph.finish(&mut out)?;
         }
-        let partitions: Vec<Run> = partitions.into_iter().map(RunWriter::finish).collect();
-
-        // Map-only output handling. The part name is keyed by task index,
-        // so concurrent tasks never collide.
-        let mut written = 0u64;
-        if num_reducers == 0 && !task_out.is_empty() {
-            if let JobOutput::Intermediate { path_prefix } = &spec.output {
-                written =
-                    self.write_part(&format!("{path_prefix}/part-m-{task_idx:05}"), &task_out)?;
-                task_out.clear();
-            }
-        } else {
+        let shuffle_records = out.shuffle_records;
+        let (partitions, mut task_out, written) = out.finish()?;
+        // A shuffle job's map side hands the client nothing.
+        if num_reducers > 0 {
             task_out.clear();
         }
 

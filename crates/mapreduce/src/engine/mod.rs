@@ -3,18 +3,19 @@
 //! This module is the scheduler: the DAG and job runners and the task
 //! attempt loop. The tasks themselves live beside it: [`splits`] plans the
 //! map side's input, [`map_task`] and [`reduce_task`] run one task each,
-//! and [`shuffle`] is what passes between them.
+//! [`output`] takes what leaves their operator graphs, and [`shuffle`] is
+//! what passes between them.
 
 mod map_task;
+mod output;
 mod reduce_task;
-mod shuffle;
+pub mod shuffle;
 mod splits;
 
 use crate::cost::{CostModel, TaskWork};
 use crate::job::{JobOutput, JobSpec};
 use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row};
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
-use hive_formats::TableWriter;
 use hive_obs::profile::merge_profiles;
 use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
 use map_task::MapTaskResult;
@@ -820,16 +821,6 @@ impl MrEngine {
         report.rows_out = collected.len() as u64;
         Ok((report, collected))
     }
-
-    pub(super) fn write_part(&self, path: &str, rows: &[Row]) -> Result<u64> {
-        let mut w: Box<dyn TableWriter> = Box::new(hive_formats::sequence::SequenceWriter::create(
-            &self.dfs, path,
-        ));
-        for r in rows {
-            w.write_row(r)?;
-        }
-        w.close()
-    }
 }
 
 #[cfg(test)]
@@ -881,7 +872,6 @@ mod tests {
                 key_exprs: vec![ExprNode::col(0)],
                 value_exprs: vec![ExprNode::col(1)],
                 tag: 0,
-                num_reducers: 2,
             }));
             let mut roots = HashMap::new();
             roots.insert("t".to_string(), rs);

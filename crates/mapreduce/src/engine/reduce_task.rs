@@ -2,12 +2,13 @@
 //! with rows and one group signal per key group, or with batches and one
 //! group signal per window of whole groups.
 
+use super::output::TaskWriter;
 use super::shuffle::{self, Run};
 use super::MrEngine;
 use crate::job::{JobOutput, JobSpec, ReducePipeline, ReducePipelineFactory};
 use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_dfs::{IoScope, IoSnapshot};
-use hive_exec::graph::{Message, OperatorGraph, ShuffleRecord};
+use hive_exec::graph::{Message, OperatorGraph};
 use hive_obs::OpProfile;
 use hive_vector::reduce::ReduceWindow;
 use hive_vector::DEFAULT_BATCH_SIZE;
@@ -25,19 +26,16 @@ pub(super) struct ReduceTaskResult {
     pub(super) op_profiles: Vec<OpProfile>,
 }
 
-/// Where the pushed messages lead: the graph, its root, and the task's
-/// shuffle and output callbacks.
-struct Sink<'a> {
+/// Where the pushed messages lead: the graph, its root, and what leaves it.
+struct Sink<'a, 'o> {
     graph: &'a mut OperatorGraph,
     root: usize,
-    on_shuffle: &'a mut dyn FnMut(ShuffleRecord),
-    on_output: &'a mut dyn FnMut(Row),
+    out: &'a mut TaskWriter<'o>,
 }
 
-impl Sink<'_> {
+impl Sink<'_, '_> {
     fn push(&mut self, msg: Message) -> Result<()> {
-        self.graph
-            .push(self.root, msg, self.on_shuffle, self.on_output)
+        self.graph.push(self.root, msg, self.out)
     }
 }
 
@@ -63,32 +61,28 @@ impl MrEngine {
             shuffled,
             batches,
         } = reduce_factory()?;
-        let mut task_out: Vec<Row> = Vec::new();
+        let part = match &spec.output {
+            JobOutput::Intermediate { path_prefix } => {
+                Some((&self.dfs, format!("{path_prefix}/part-r-{r:05}")))
+            }
+            JobOutput::Collect => None,
+        };
+        // Nested shuffles cannot happen in a single job: no runs.
+        let mut out = TaskWriter::new(0, part);
         let rows_processed = {
-            // Nested shuffles cannot happen in a single job.
-            let mut on_shuffle = |_rec: ShuffleRecord| {};
-            let mut on_output = |row: Row| task_out.push(row);
             let mut sink = Sink {
                 graph: &mut graph,
                 root,
-                on_shuffle: &mut on_shuffle,
-                on_output: &mut on_output,
+                out: &mut out,
             };
             let records = match batches {
                 Some(tags) => push_windows(&mut sink, runs, &shuffled, tags)?,
                 None => push_groups(&mut sink, runs)?,
             };
-            graph.finish(&mut on_shuffle, &mut on_output)?;
+            graph.finish(&mut out)?;
             records
         };
-
-        let mut written = 0u64;
-        if !task_out.is_empty() {
-            if let JobOutput::Intermediate { path_prefix } = &spec.output {
-                written = self.write_part(&format!("{path_prefix}/part-r-{r:05}"), &task_out)?;
-                task_out.clear();
-            }
-        }
+        let (_, task_out, written) = out.finish()?;
 
         let op_profiles = self.finalize_profiles(graph.profiles());
         let cpu_seconds = self.task_cpu(t0.elapsed().as_secs_f64(), rows_processed);

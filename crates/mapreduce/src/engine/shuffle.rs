@@ -10,9 +10,10 @@
 //! concatenation gives, which is what reducers have always read.
 
 use hive_common::{key, HiveError, Result, Value};
-use hive_exec::graph::ShuffleRecord;
+use hive_exec::graph::{ShuffleBatch, ShuffleRecord};
 use hive_formats::serde::{
-    binary_deserialize_into_columns, binary_deserialize_values_into, binary_serialize_row, sortable,
+    binary_deserialize_into_columns, binary_deserialize_values_into, binary_serialize_cells,
+    binary_serialize_row, sortable,
 };
 use hive_vector::ColumnVector;
 use std::cmp::Reverse;
@@ -20,11 +21,6 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Width of the tag between a record's key and its value.
 const TAG_BYTES: usize = 4;
-
-/// The reducer a shuffle key goes to.
-pub(super) fn partition_of(key: &[Value], num_reducers: usize) -> usize {
-    (key::hash(key) % num_reducers as u64) as usize
-}
 
 /// Where one record lies in its run's bytes.
 #[derive(Clone, Copy)]
@@ -35,28 +31,96 @@ struct Slot {
     end: usize,
 }
 
+/// One map task's shuffle output: one run per reducer, each record encoded
+/// into the run its key hashes to ([`key::hash`]) as it arrives. A row
+/// engine's record and a vector sink's row encode to the same bytes and go
+/// to the same reducer.
+pub struct ShuffleWriter {
+    runs: Vec<RunWriter>,
+}
+
+impl ShuffleWriter {
+    /// A writer with one run per reducer; with none, records go nowhere.
+    pub fn new(reducers: usize) -> ShuffleWriter {
+        ShuffleWriter {
+            runs: (0..reducers).map(|_| RunWriter::default()).collect(),
+        }
+    }
+
+    /// The run of the reducer a key with this [`key::hash`] goes to.
+    fn run(&mut self, hash: u64) -> Option<&mut RunWriter> {
+        let n = self.runs.len() as u64;
+        (n > 0).then(|| &mut self.runs[(hash % n) as usize])
+    }
+
+    /// A row engine's record.
+    pub fn push(&mut self, rec: &ShuffleRecord) {
+        if let Some(run) = self.run(key::hash(&rec.key)) {
+            let key = |out: &mut Vec<u8>| sortable::encode_key(&rec.key, out);
+            run.push(key, rec.tag, |out| binary_serialize_row(&rec.value, out));
+        }
+    }
+
+    /// Every selected row of a vector sink's batch, encoded from its cells
+    /// by the lane twins of the row encoders.
+    pub fn push_batch(&mut self, rows: &ShuffleBatch) {
+        let columns = &rows.batch.columns;
+        for i in rows.batch.iter_selected() {
+            if let Some(run) = self.run(sortable::hash_key_cells(columns, &rows.keys, i)) {
+                let key =
+                    |out: &mut Vec<u8>| sortable::encode_key_cells(columns, &rows.keys, i, out);
+                let value =
+                    |out: &mut Vec<u8>| binary_serialize_cells(columns, &rows.values, i, out);
+                run.push(key, rows.tag, value);
+            }
+        }
+    }
+
+    /// Forget every record, keeping the runs' room.
+    pub fn clear(&mut self) {
+        for run in &mut self.runs {
+            run.bytes.clear();
+            run.slots.clear();
+        }
+    }
+
+    /// One run per reducer, each stably sorted by key‖tag.
+    pub fn finish(self) -> Vec<Run> {
+        self.runs.into_iter().map(RunWriter::finish).collect()
+    }
+}
+
 /// One map task's records for one reducer, encoded as they arrive.
 #[derive(Default)]
-pub(super) struct RunWriter {
+struct RunWriter {
     bytes: Vec<u8>,
     slots: Vec<Slot>,
 }
 
 impl RunWriter {
-    pub(super) fn push(&mut self, rec: &ShuffleRecord) {
+    /// Append one record: key, then tag, then value.
+    fn push(
+        &mut self,
+        key: impl FnOnce(&mut Vec<u8>),
+        tag: usize,
+        value: impl FnOnce(&mut Vec<u8>),
+    ) {
         let start = self.bytes.len();
-        sortable::encode_key(&rec.key, &mut self.bytes);
+        key(&mut self.bytes);
         // Tags number a job's shuffle inputs.
-        self.bytes
-            .extend_from_slice(&(rec.tag as u32).to_be_bytes());
-        let value = self.bytes.len();
-        binary_serialize_row(&rec.value, &mut self.bytes);
+        self.bytes.extend_from_slice(&(tag as u32).to_be_bytes());
+        let value_at = self.bytes.len();
+        value(&mut self.bytes);
         let end = self.bytes.len();
-        self.slots.push(Slot { start, value, end });
+        self.slots.push(Slot {
+            start,
+            value: value_at,
+            end,
+        });
     }
 
     /// The records, stably sorted by key‖tag.
-    pub(super) fn finish(self) -> Run {
+    fn finish(self) -> Run {
         let RunWriter { bytes, mut slots } = self;
         slots.sort_by(|a, b| bytes[a.start..a.value].cmp(&bytes[b.start..b.value]));
         Run { bytes, slots }
@@ -65,7 +129,7 @@ impl RunWriter {
 
 /// One map task's sorted records for one reducer. Immutable: every attempt
 /// of the reducer reads it where it lies.
-pub(super) struct Run {
+pub struct Run {
     bytes: Vec<u8>,
     /// In key‖tag order.
     slots: Vec<Slot>,
@@ -73,7 +137,7 @@ pub(super) struct Run {
 
 impl Run {
     /// Encoded bytes: what this run moves through the shuffle.
-    pub(super) fn byte_len(&self) -> u64 {
+    pub fn byte_len(&self) -> u64 {
         self.bytes.len() as u64
     }
 
@@ -163,14 +227,13 @@ mod tests {
             key,
             value: Row::new(vec![Value::Int(v), Value::String(format!("v{v}"))]),
             tag,
-            num_reducers: 1,
         }
     }
 
     fn run(records: &[ShuffleRecord]) -> Run {
-        let mut w = RunWriter::default();
+        let mut w = ShuffleWriter::new(1);
         records.iter().for_each(|r| w.push(r));
-        w.finish()
+        w.finish().pop().unwrap()
     }
 
     /// Three map tasks' records, merged, come out as the stable sort of

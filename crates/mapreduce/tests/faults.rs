@@ -72,7 +72,6 @@ fn group_sum_job(schema: Schema, dir: &str, poison_first_reduce_calls: usize) ->
             key_exprs: vec![ExprNode::col(0)],
             value_exprs: vec![ExprNode::col(1)],
             tag: 0,
-            num_reducers: NUM_REDUCERS,
         }));
         let mut roots = HashMap::new();
         roots.insert("t".to_string(), rs);

@@ -310,7 +310,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         let map_spec = Arc::new(MapBuildSpec {
             nodes: g.nodes.clone(),
             inputs: map_inputs.clone(),
-            num_reducers,
             vectorize,
         });
         let map_factory: MapPipelineFactory = {
@@ -734,7 +733,6 @@ fn row_operator(
                 key_exprs: keys.clone(),
                 value_exprs: values.clone(),
                 tag: tag.copied().unwrap_or(0),
-                num_reducers: spec.num_reducers.max(1),
             })
         }
         // Sinks: FileSink collects; a Cut, or an RS leaving a reduce task,
@@ -796,7 +794,6 @@ fn row_operator(
 struct MapBuildSpec {
     nodes: Vec<PlanNode>,
     inputs: Vec<MapInput>,
-    num_reducers: usize,
     vectorize: bool,
 }
 
@@ -806,12 +803,19 @@ impl MapBuildSpec {
         let mut roots = HashMap::new();
         let mut vector = HashMap::new();
         for mi in &self.inputs {
-            // A stage that vectorizes does so whole, scan to sink. ACID
+            // A stage that vectorizes does so whole, input to sink. ACID
             // scans vectorize like any other: the engine unselects deleted
             // ordinals from each batch before it enters the pipeline.
-            let (stage, tags, reducers) = (&mi.nodes, &mi.rs_tags, self.num_reducers.max(1));
+            // Batches hold the scan's rows, or an intermediate's: the
+            // output of the plan node it was written from.
+            let input = match (mi.scan, &mi.intermediate) {
+                (Some(scan), _) => scan,
+                (None, Some((_, schema_node))) => *schema_node,
+                (None, None) => return Err(HiveError::Plan("map input without a source".into())),
+            };
+            let (stage, tags) = (&mi.nodes, &mi.rs_tags);
             let vectorized = self.vectorize.then(|| {
-                vectorize::try_vectorize(&self.nodes, mi.scan, stage, tags, side, reducers)
+                vectorize::try_vectorize(&self.nodes, (input, mi.source), stage, tags, side)
             });
             if let Some(c) = vectorized.transpose()?.flatten() {
                 // Display order: batches flow scan → ... → sink.

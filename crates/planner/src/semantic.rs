@@ -561,7 +561,9 @@ pub fn lower(
             let mut conditions = Vec::with_capacity(branches.len());
             let mut values = Vec::with_capacity(branches.len() + 1);
             for (c, v) in branches {
-                conditions.push(sub(c)?);
+                let c = sub(c)?;
+                boolean(&c, "CASE WHEN", input)?;
+                conditions.push(c);
                 values.push(sub(v)?);
             }
             if let Some(x) = else_value {
@@ -625,8 +627,8 @@ fn typed(arith: bool, operands: &mut [ExprNode], input: &[ColumnInfo]) -> Result
     Ok(())
 }
 
-/// A WHERE, HAVING or ON predicate, and an operand of NOT, AND or OR, is
-/// BOOLEAN or the NULL literal: anything else is a `[semantic]` error here,
+/// A WHERE, HAVING or ON predicate, a CASE WHEN condition, and an operand
+/// of NOT, AND or OR, is BOOLEAN or the NULL literal: anything else is a `[semantic]` error here,
 /// as in Hive, rather than a per-row decision of each engine.
 fn boolean(e: &ExprNode, what: &str, input: &[ColumnInfo]) -> Result<()> {
     if matches!(e, ExprNode::Literal(Value::Null)) {

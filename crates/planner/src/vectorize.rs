@@ -6,14 +6,14 @@
 //! replaces each expression tree with corresponding vectorized
 //! expressions."
 //!
-//! Here the pass decides once per map stage. A stage that reads a table
-//! through one linear chain of operators over scalar columns (scan and
-//! map-join build sides alike) is vectorized whole, from the batch the
-//! format's reader fills to its sink: the batch shuffle sink
-//! (`VectorReduceSink`, or the fused `VectorGroupBySink`) or, for a map-only
-//! stage, the output sink (`VectorFileSink`). Any other stage — an
-//! intermediate input, a complex column, a shared scan feeding several
-//! sinks — runs in row mode from end to end. A reduce stage is decided the
+//! Here the pass decides once per map stage. A stage that reads a table or
+//! an intermediate through one linear chain of operators over scalar
+//! columns (its input and map-join build sides alike) is vectorized whole,
+//! from the batch the format's reader fills to its sink: the batch shuffle
+//! sink (`VectorReduceSink`, or the fused `VectorGroupBySink`) or, for a
+//! map-only stage, the output sink (`VectorFileSink`). Any other stage — a
+//! complex column, a shared scan feeding several sinks — runs in row mode
+//! from end to end. A reduce stage is decided the
 //! same way ([`try_vectorize_reduce`]): batch-native from the merged runs
 //! to its sink when every shuffled column is scalar, row mode otherwise.
 //! Within a vectorizable stage every operator and expression has a kernel;
@@ -91,23 +91,20 @@ fn adapter(op: impl VectorOperator + 'static) -> Box<dyn Operator> {
     Box::new(VectorOpAdapter::new(Box::new(op)))
 }
 
-/// Validate a map stage — the plan nodes `stage`, read from the TableScan
-/// `scan` when it reads a table, with shuffle tags `rs_tags` — and vectorize
-/// it whole. `None` — the stage runs in row mode — in exactly three cases:
-/// its input is not a table scan, it touches a non-scalar column (on the
-/// scan or a map-join's build side), or it is not one linear chain (a
-/// shared scan feeding several sinks).
+/// Validate a map stage — the plan nodes `stage`, with shuffle tags
+/// `rs_tags` — and vectorize it whole. Its batches hold the rows of `input`:
+/// the TableScan the stage starts with (`source`), or the plan node whose
+/// output the intermediate `source` reads was written from (its types are
+/// the batch's). `None` — the stage runs in row mode — in exactly two cases:
+/// it touches a non-scalar column (on its input or a map-join's build side),
+/// or it is not one linear chain (a shared scan feeding several sinks).
 pub fn try_vectorize(
     nodes: &[PlanNode],
-    scan: Option<usize>,
+    (input, source): (usize, usize),
     stage: &[usize],
     rs_tags: &BTreeMap<usize, usize>,
     side: &HashMap<String, Vec<Row>>,
-    num_reducers: usize,
 ) -> Result<Option<VectorizedChain>> {
-    let Some(scan_id) = scan else {
-        return Ok(None);
-    };
     let in_stage = |n: &usize| stage.contains(n);
     let forks = |&n: &usize| nodes[n].children.iter().filter(|c| in_stage(c)).count() > 1;
     if stage.iter().any(forks) {
@@ -119,20 +116,25 @@ pub fn try_vectorize(
         _ => None,
     };
     let mut build_sides = stage.iter().filter_map(build_side);
-    if !scalar(&nodes[scan_id].schema) || !build_sides.all(scalar) {
+    if !scalar(&nodes[input].schema) || !build_sides.all(scalar) {
         return Ok(None);
     }
-    let types = nodes[scan_id].schema.iter().map(|c| c.data_type.clone());
-    let mut c = VecCompiler::over(types.collect(), &nodes[scan_id].schema);
+    let types = nodes[input].schema.iter().map(|c| c.data_type.clone());
+    let mut c = VecCompiler::over(types.collect(), &nodes[input].schema);
 
-    // The chain below the scan, compiled into batch-native graph operators
-    // up to and including the stage's sink.
+    // The chain from the input, compiled into batch-native graph operators
+    // up to and including the stage's sink: below the scan, or from the
+    // intermediate's first operator on.
     let next = |n: usize| {
         let child = nodes[n].children.iter().copied().find(in_stage);
         child.ok_or_else(|| HiveError::Plan("vectorized map stage ends without a sink".into()))
     };
     let mut operators: Vec<Option<Box<dyn Operator>>> = Vec::new();
-    let mut cur = scan_id;
+    let mut n = if input == source {
+        next(source)?
+    } else {
+        source
+    };
     // Types of the scan batch: frozen at the first re-batching operator
     // (map join); until then scratch columns keep extending it.
     let mut scan_types: Option<Vec<DataType>> = None;
@@ -140,8 +142,6 @@ pub fn try_vectorize(
     let mut first_columns: Option<Vec<usize>> = None;
 
     loop {
-        let n = next(cur)?;
-        cur = n;
         match &nodes[n].op {
             PlanOp::Filter { predicate } => {
                 let f = c.compile_filter(predicate)?;
@@ -190,14 +190,22 @@ pub fn try_vectorize(
                 let specs = aggs.iter().map(|a| c.compile_agg(a));
                 let specs = specs.collect::<Result<Vec<_>>>()?;
                 let expressions = c.drain_pending();
+                // The shuffle's keys and values over the aggregator's result
+                // batches, which hold the GroupBy's output columns.
+                let schema = &nodes[n].schema;
+                let mut r =
+                    VecCompiler::over(schema.iter().map(|c| c.data_type.clone()).collect(), schema);
+                let (key_columns, value_columns) =
+                    (r.typed_values(rs_keys)?, r.typed_values(rs_values)?);
                 let tag = rs_tags.get(&rs_n).copied().unwrap_or(0);
                 operators.push(Some(Box::new(VectorGroupBySinkOperator::new(
                     expressions,
                     VectorHashAggregator::new(key_cols, specs),
-                    rs_keys.clone(),
-                    rs_values.clone(),
+                    r.drain_pending(),
+                    r.types.split_off(schema.len()),
+                    key_columns,
+                    value_columns,
                     tag,
-                    num_reducers,
                 ))));
                 break;
             }
@@ -211,7 +219,6 @@ pub fn try_vectorize(
                     key_columns,
                     value_columns,
                     tag,
-                    num_reducers,
                 ))));
                 break;
             }
@@ -247,6 +254,7 @@ pub fn try_vectorize(
                 )))
             }
         }
+        n = next(n)?;
     }
 
     // The last segment's types are final: seal the trailing join (if any).

@@ -15,15 +15,16 @@
 //!    The loops are generic over `Groups`: without keys every row updates
 //!    group 0 and the same code compiles to a straight reduction.
 //! 3. **Finish**: one row per group in first-seen order — deterministic per
-//!    task, and the reducer sorts by key. Keys and long MIN/MAX render
-//!    through their logical type (`row_convert::long_value`), so a BOOLEAN
-//!    or TIMESTAMP shuffles exactly as the row engine's would.
+//!    task, and the reducer sorts by key — written straight into result
+//!    batches, keys then aggregates. Whoever reads them types the cells
+//!    (`row_convert::cell`), so a BOOLEAN or TIMESTAMP key or MIN/MAX
+//!    shuffles exactly as the row engine's would.
 
-use crate::batch::{PrimitiveColumnVector, Rows, VectorizedRowBatch};
+use crate::batch::{ColumnVector, PrimitiveColumnVector, Rows, VectorizedRowBatch};
 use crate::key_wrapper::KeyWrapper;
-use crate::row_convert::{bytes_value, long_value, set_value};
+use crate::row_convert::Cell;
 use hive_common::key::{self, greatest, least, KeyOrd};
-use hive_common::{DataType, HiveError, Result, Row, Value};
+use hive_common::{DataType, HiveError, Result};
 use std::sync::Arc;
 
 /// Which aggregate function to compute.
@@ -206,20 +207,51 @@ impl Acc {
         self.bytes.clear();
     }
 
-    /// Group `g`'s value: what the map side shuffles, and what the merge
-    /// answers.
-    fn value(&self, spec: &AggSpec, g: usize) -> Value {
+    /// Group `g`'s value, what the map side shuffles and what the merge
+    /// answers, into row `row` of `col`: a SUM, MIN or MAX that met no value
+    /// is NULL, a MIN / MAX over doubles canonical (`key::canonical`).
+    fn write(&self, spec: &AggSpec, g: usize, col: &mut ColumnVector, row: usize) -> Result<()> {
         use AggKind::*;
-        let if_seen = |v: Value| if self.seen[g] { v } else { Value::Null };
-        match (spec.kind, &spec.input) {
-            (CountStar | Count | MergeCount, _) => Value::Int(self.longs[g]),
-            (SumLong, _) => if_seen(Value::Int(self.longs[g])),
-            (MinLong | MaxLong, Some((_, dt))) => if_seen(long_value(self.longs[g], dt)),
-            (SumDouble, _) => if_seen(Value::Double(self.doubles[g])),
-            (MinDouble | MaxDouble, _) => if_seen(key::canonical(Value::Double(self.doubles[g]))),
-            (MinBytes | MaxBytes, _) => self.bytes[g].as_deref().map_or(Value::Null, bytes_value),
-            (MinLong | MaxLong, None) => Value::Null,
+        let seen = match spec.kind {
+            CountStar | Count | MergeCount => true,
+            MinBytes | MaxBytes => self.bytes[g].is_some(),
+            _ => self.seen[g],
+        };
+        if !seen {
+            col.set_null(row);
+            return Ok(());
         }
+        match (spec.kind, col) {
+            (
+                CountStar | Count | MergeCount | SumLong | MinLong | MaxLong,
+                ColumnVector::Long(v),
+            ) => v.vector[row] = self.longs[g],
+            (SumDouble, ColumnVector::Double(v)) => v.vector[row] = self.doubles[g],
+            (MinDouble | MaxDouble, ColumnVector::Double(v)) => {
+                v.vector[row] = f64::from_bits(key::double_bits(self.doubles[g]))
+            }
+            (MinBytes | MaxBytes, ColumnVector::Bytes(v)) => {
+                let bytes = self.bytes[g].as_deref().unwrap_or_default();
+                v.set(row, Cell::text(bytes).as_bytes())
+            }
+            (kind, _) => {
+                return Err(HiveError::Execution(format!(
+                    "{kind:?} result does not fit its column"
+                )))
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The logical type an aggregate's result has.
+fn result_type(spec: &AggSpec) -> DataType {
+    use AggKind::*;
+    match (spec.kind, &spec.input) {
+        (MinLong | MaxLong, Some((_, dt))) => dt.clone(),
+        (SumDouble | MinDouble | MaxDouble, _) => DataType::Double,
+        (MinBytes | MaxBytes, _) => DataType::String,
+        _ => DataType::Int,
     }
 }
 
@@ -262,17 +294,39 @@ impl VectorHashAggregator {
         Ok(())
     }
 
-    /// Finish: one row per group — key values then aggregate values — in
-    /// first-seen order.
-    pub fn finish(self) -> Vec<Row> {
+    /// The types of [`finish`](Self::finish)'s columns: the keys', then
+    /// each aggregate's result's.
+    pub fn output_types(&self) -> Vec<DataType> {
+        let keys = self
+            .keys
+            .iter()
+            .flat_map(|k| k.keys().iter().map(|(_, dt)| dt.clone()));
+        keys.chain(self.specs.iter().map(result_type)).collect()
+    }
+
+    /// Finish: one row per group — keys, then aggregates — in first-seen
+    /// order, as batches of up to `batch_size` rows of
+    /// [`output_types`](Self::output_types).
+    pub fn finish(self, batch_size: usize) -> Result<Vec<VectorizedRowBatch>> {
+        let types = self.output_types();
         let groups = self.keys.as_ref().map_or(1, KeyWrapper::num_groups);
-        let row = |g| {
-            let mut values: Vec<Value> = self.keys.iter().flat_map(|k| k.key_values(g)).collect();
-            let aggs = self.specs.iter().zip(&self.accs);
-            values.extend(aggs.map(|(spec, acc)| acc.value(spec, g)));
-            Row::new(values)
-        };
-        (0..groups).map(row).collect()
+        let nk = types.len() - self.specs.len();
+        let mut out = Vec::with_capacity(groups.div_ceil(batch_size));
+        for first in (0..groups).step_by(batch_size.max(1)) {
+            let mut batch = VectorizedRowBatch::new(&types, batch_size)?;
+            batch.size = batch_size.min(groups - first);
+            for row in 0..batch.size {
+                if let Some(keys) = &self.keys {
+                    keys.write_key(first + row, &mut batch.columns[..nk], row);
+                }
+                let aggs = self.specs.iter().zip(&self.accs);
+                for ((spec, acc), col) in aggs.zip(&mut batch.columns[nk..]) {
+                    acc.write(spec, first + row, col, row)?;
+                }
+            }
+            out.push(batch);
+        }
+        Ok(out)
     }
 }
 
@@ -388,7 +442,7 @@ impl VectorStreamAggregator {
         for (a, (spec, acc)) in self.specs.iter().zip(&mut self.accs).enumerate() {
             acc.grow(spec.kind, self.groups);
             for g in 0..self.groups {
-                set_value(&mut out.columns[nk + a], g, &acc.value(spec, g))?;
+                acc.write(spec, g, &mut out.columns[nk + a], g)?;
             }
             acc.clear();
         }
@@ -412,9 +466,21 @@ mod tests {
     use super::*;
     use crate::batch::ColumnVector;
     use crate::expressions::testutil::batch_with;
-    use crate::row_convert::{get_value, rows_to_batch};
+    use crate::row_convert::{batch_to_rows, get_value, rows_to_batch};
+    use hive_common::{Row, Value};
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
+
+    /// The result batches as rows (batches of 4 rows: a finish of more
+    /// groups than a batch holds splits them).
+    fn finish_rows(agg: VectorHashAggregator) -> Vec<Row> {
+        let columns: Vec<(usize, DataType)> = agg.output_types().into_iter().enumerate().collect();
+        let batches = agg.finish(4).unwrap();
+        batches
+            .iter()
+            .flat_map(|b| batch_to_rows(b, &columns))
+            .collect()
+    }
 
     fn spec(kind: AggKind, input: Option<(usize, DataType)>) -> AggSpec {
         AggSpec { kind, input }
@@ -435,7 +501,7 @@ mod tests {
         let b = batch_with(&[1, 2, 3, 4], &[]);
         agg.process(&b).unwrap();
         agg.process(&b).unwrap();
-        let rows = agg.finish();
+        let rows = finish_rows(agg);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values(), &[Value::Int(20), Value::Int(8)]);
     }
@@ -449,7 +515,7 @@ mod tests {
         b.size = 2;
         let mut agg = VectorHashAggregator::new(vec![], vec![spec(SumLong, long(0))]);
         agg.process(&b).unwrap();
-        assert_eq!(agg.finish()[0].values(), &[Value::Int(50)]);
+        assert_eq!(finish_rows(agg)[0].values(), &[Value::Int(50)]);
     }
 
     #[test]
@@ -460,7 +526,7 @@ mod tests {
             vec![spec(SumDouble, double(1)), spec(CountStar, None)],
         );
         agg.process(&b).unwrap();
-        let rows = agg.finish();
+        let rows = finish_rows(agg);
         assert_eq!(rows.len(), 2);
         // First-seen order: key 2 founded its group before key 1.
         assert_eq!(
@@ -490,7 +556,7 @@ mod tests {
             ],
         );
         agg.process(&b).unwrap();
-        let r = agg.finish();
+        let r = finish_rows(agg);
         assert_eq!(
             r[0].values(),
             &[Value::Int(4), Value::Int(2), Value::Int(3)]
@@ -521,7 +587,7 @@ mod tests {
             ],
         );
         agg.process(&b).unwrap();
-        let r = agg.finish();
+        let r = finish_rows(agg);
         assert_eq!(
             r[0].values(),
             &[
@@ -539,7 +605,7 @@ mod tests {
     fn empty_input_sums_are_null() {
         let agg =
             VectorHashAggregator::new(vec![], vec![spec(SumLong, long(0)), spec(CountStar, None)]);
-        let r = agg.finish();
+        let r = finish_rows(agg);
         assert_eq!(r[0].values(), &[Value::Null, Value::Int(0)]);
     }
 
@@ -554,7 +620,7 @@ mod tests {
         let mut agg =
             VectorHashAggregator::new(vec![(0, DataType::Int)], vec![spec(CountStar, None)]);
         agg.process(&b).unwrap();
-        let rows = agg.finish();
+        let rows = finish_rows(agg);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].values(), &[Value::Null, Value::Int(1)]);
     }
@@ -704,7 +770,7 @@ mod tests {
         for b in batches {
             agg.process(b).unwrap();
         }
-        let got = by_key(agg.finish(), keys.len());
+        let got = by_key(finish_rows(agg), keys.len());
         assert_eq!(got, reference(keys, &specs, batches), "{what}");
     }
 
@@ -801,7 +867,7 @@ mod tests {
             let keys: Vec<i64> = (b * 10..b * 10 + 20).collect();
             agg.process(&batch_with(&keys, &[])).unwrap();
         }
-        let rows = agg.finish();
+        let rows = finish_rows(agg);
         assert_eq!(rows.len(), 70);
         for (k, r) in rows.iter().enumerate() {
             let times = if (10..60).contains(&k) { 2 } else { 1 };
@@ -825,7 +891,7 @@ mod tests {
                 agg.process(&batch_with(&keys, &[])).unwrap();
             }
         }
-        let rows = agg.finish();
+        let rows = finish_rows(agg);
         assert_eq!(rows.len(), groups as usize);
         for (k, r) in rows.iter().enumerate() {
             let key = Value::Int(k as i64 * 7919);
@@ -842,8 +908,7 @@ mod tests {
         let mut agg =
             VectorHashAggregator::new(vec![(1, DataType::Double)], vec![spec(CountStar, None)]);
         agg.process(&b).unwrap();
-        let got: Vec<(u64, i64)> = agg
-            .finish()
+        let got: Vec<(u64, i64)> = finish_rows(agg)
             .iter()
             .map(|r| match r.values() {
                 [Value::Double(k), Value::Int(n)] => (k.to_bits(), *n),
@@ -863,7 +928,7 @@ mod tests {
             for salt in 0..3 {
                 agg.process(&batch(40, salt)).unwrap();
             }
-            agg.finish()
+            finish_rows(agg)
         };
         let first = run();
         // First-seen: the first row's key leads, whatever its sort position.
@@ -895,7 +960,7 @@ mod tests {
         );
         by_bool.process(&b).unwrap();
         assert_eq!(
-            by_bool.finish(),
+            finish_rows(by_bool),
             vec![
                 Row::new(vec![
                     Value::Boolean(true),
@@ -915,7 +980,7 @@ mod tests {
         );
         by_ts.process(&b).unwrap();
         assert_eq!(
-            by_ts.finish()[0].values(),
+            finish_rows(by_ts)[0].values(),
             &[Value::Timestamp(1000), Value::Boolean(true), Value::Int(1)]
         );
     }

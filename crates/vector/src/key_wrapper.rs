@@ -15,9 +15,8 @@
 //! key. [`KeyWrapper::resolve`] copies a key, once, when it is first seen;
 //! [`KeyWrapper::find`] only looks. A batch of known keys allocates nothing.
 
-use crate::batch::{ColumnVector, Dictionary, Lane, Rows, VectorizedRowBatch};
-use crate::row_convert::{bytes_value, long_value};
-use hive_common::{key, DataType, HiveError, Result, Value};
+use crate::batch::{BytesColumnVector, ColumnVector, Dictionary, Lane, Rows, VectorizedRowBatch};
+use hive_common::{key, DataType, HiveError, Result};
 
 /// A cheap multiplicative hash over 64-bit words (the FxHash step). The
 /// finishing fold-and-multiply makes every input bit reach the bits that
@@ -177,12 +176,13 @@ impl Interner {
         LONG | id as u64
     }
 
-    fn value(&self, code: u64) -> Value {
+    /// Row `row` of `v` set to the bytes `code` stands for.
+    fn write(&self, code: u64, v: &mut BytesColumnVector, row: usize) {
         if code < LONG {
-            return bytes_value(&code.to_le_bytes()[..(code >> 56) as usize]);
+            return v.set(row, &code.to_le_bytes()[..(code >> 56) as usize]);
         }
         let id = (code ^ LONG) as usize;
-        bytes_value(&self.arena[self.offsets[id]..self.offsets[id + 1]])
+        v.set(row, &self.arena[self.offsets[id]..self.offsets[id + 1]])
     }
 }
 
@@ -331,21 +331,19 @@ impl KeyWrapper {
         Ok(&self.gids)
     }
 
-    /// Group `g`'s key, as the values the row engine would shuffle.
-    pub(crate) fn key_values(&self, g: usize) -> impl Iterator<Item = Value> + '_ {
-        (0..self.keys.len()).map(move |k| self.key_value(g, k))
-    }
-
-    fn key_value(&self, g: usize, k: usize) -> Value {
+    /// Group `g`'s key into row `row` of `columns`, one per key column.
+    pub(crate) fn write_key(&self, g: usize, columns: &mut [ColumnVector], row: usize) {
         let tuple = &self.store[g * self.width..][..self.width];
-        if tuple[self.keys.len() + k / 64] >> (k % 64) & 1 == 1 {
-            return Value::Null;
-        }
-        let dt = &self.keys[k].1;
-        match Lane::of(dt) {
-            Some(Lane::Double) => Value::Double(f64::from_bits(tuple[k])),
-            Some(Lane::Bytes) => self.interners[k].value(tuple[k]),
-            _ => long_value(tuple[k] as i64, dt),
+        for (k, column) in columns.iter_mut().enumerate().take(self.keys.len()) {
+            if tuple[self.keys.len() + k / 64] >> (k % 64) & 1 == 1 {
+                column.set_null(row);
+                continue;
+            }
+            match column {
+                ColumnVector::Long(v) => v.vector[row] = tuple[k] as i64,
+                ColumnVector::Double(v) => v.vector[row] = f64::from_bits(tuple[k]),
+                ColumnVector::Bytes(v) => self.interners[k].write(tuple[k], v, row),
+            }
         }
     }
 }
@@ -353,6 +351,7 @@ impl KeyWrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hive_common::Value;
 
     #[test]
     fn keys_sharing_a_hash_value_stay_separate() {
@@ -608,7 +607,9 @@ mod tests {
             }
             assert_eq!(interner.code(a, true), *ca, "codes are stable");
             assert_eq!(interner.code(a, false), *ca, "looking finds the same code");
-            assert_eq!(interner.value(*ca), bytes_value(a));
+            let mut back = BytesColumnVector::with_capacity(1);
+            interner.write(*ca, &mut back, 0);
+            assert_eq!(back.value(0), &a[..]);
         }
         // Only the values of eight bytes and more were stored.
         assert_eq!(interner.index.len, 5);

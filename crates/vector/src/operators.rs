@@ -303,8 +303,10 @@ mod tests {
         let mut b = batch_with(&[1, 2, 3, 4, 5], &[]);
         filter.process(&mut b, &mut out).unwrap();
         agg.process(&b).unwrap();
-        let rows = agg.finish();
-        assert_eq!(rows.len(), 1);
+        let out = agg.finish(8).unwrap();
+        let columns = [(0, DataType::Int), (1, DataType::Int)];
+        let rows = crate::row_convert::batch_to_rows(&out[0], &columns);
+        assert_eq!((out.len(), rows.len()), (1, 1));
         assert_eq!(rows[0].values(), &[Value::Int(12), Value::Int(3)]);
     }
 }

@@ -49,29 +49,81 @@ pub fn set_value(col: &mut ColumnVector, i: usize, val: &Value) -> Result<()> {
 /// Read one cell of `batch` back into a row value, using `dt` to pick the
 /// logical type (long vectors carry ints, booleans and timestamps alike).
 pub fn get_value(col: &ColumnVector, i: usize, dt: &DataType) -> Value {
+    cell(col, i, dt).to_value()
+}
+
+/// One cell as the value [`get_value`] makes of it, borrowed. The lane
+/// encoders (shuffle keys and values, SequenceFile rows) read cells through
+/// this, and the `Value` encoders read scalars through [`Cell::of`], so a
+/// cell and its value encode to the same bytes by construction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    Null,
+    Boolean(bool),
+    Int(i64),
+    Timestamp(i64),
+    Double(f64),
+    /// A string's bytes, which SQL reads as UTF-8 with every invalid
+    /// sequence replaced ([`Cell::text`]).
+    Bytes(&'a [u8]),
+}
+
+/// Cell `i` of `col`, honouring nulls and `is_repeating`.
+#[inline]
+pub fn cell<'a>(col: &'a ColumnVector, i: usize, dt: &DataType) -> Cell<'a> {
     if col.is_null(i) {
-        return Value::Null;
+        return Cell::Null;
     }
     match col {
-        ColumnVector::Long(v) => long_value(v.value(i), dt),
-        ColumnVector::Double(v) => Value::Double(v.value(i)),
-        ColumnVector::Bytes(v) => bytes_value(v.value(i)),
+        ColumnVector::Long(v) => long_cell(v.value(i), dt),
+        ColumnVector::Double(v) => Cell::Double(v.value(i)),
+        ColumnVector::Bytes(v) => Cell::Bytes(v.value(i)),
     }
 }
 
 /// A long-lane value as the logical type it carries: the one place that
 /// knows long vectors hold ints, booleans and timestamps alike.
-pub fn long_value(v: i64, dt: &DataType) -> Value {
+#[inline]
+fn long_cell(v: i64, dt: &DataType) -> Cell<'static> {
     match dt {
-        DataType::Boolean => Value::Boolean(v != 0),
-        DataType::Timestamp => Value::Timestamp(v),
-        _ => Value::Int(v),
+        DataType::Boolean => Cell::Boolean(v != 0),
+        DataType::Timestamp => Cell::Timestamp(v),
+        _ => Cell::Int(v),
     }
 }
 
-/// A bytes-lane value as a SQL string.
-pub fn bytes_value(b: &[u8]) -> Value {
-    Value::String(String::from_utf8_lossy(b).into_owned())
+impl<'a> Cell<'a> {
+    /// A scalar value as a cell; `None` for a complex one.
+    #[inline]
+    pub fn of(v: &'a Value) -> Option<Cell<'a>> {
+        Some(match v {
+            Value::Null => Cell::Null,
+            Value::Boolean(b) => Cell::Boolean(*b),
+            Value::Int(x) => Cell::Int(*x),
+            Value::Timestamp(x) => Cell::Timestamp(*x),
+            Value::Double(x) => Cell::Double(*x),
+            Value::String(s) => Cell::Bytes(s.as_bytes()),
+            _ => return None,
+        })
+    }
+
+    /// A string cell's text: its bytes when they are UTF-8 (no copy), else
+    /// with each invalid sequence replaced by U+FFFD.
+    #[inline]
+    pub fn text(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(bytes)
+    }
+
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Boolean(b) => Value::Boolean(b),
+            Cell::Int(x) => Value::Int(x),
+            Cell::Timestamp(x) => Value::Timestamp(x),
+            Cell::Double(x) => Value::Double(x),
+            Cell::Bytes(b) => Value::String(Cell::text(b).into_owned()),
+        }
+    }
 }
 
 /// Materialize the valid rows of `batch`, projecting `columns` with their

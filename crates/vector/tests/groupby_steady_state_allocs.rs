@@ -142,9 +142,16 @@ fn known_groups_cost_no_allocation() {
         }
     });
     assert_eq!(allocations, 0, "steady-state process() must not allocate");
-    let groups = agg.finish();
-    assert!(groups.len() > 300, "only {} groups", groups.len());
-    let rows: i64 = groups.iter().map(|g| g.values()[4].as_int().unwrap()).sum();
+    let groups = agg.finish(ROWS).unwrap();
+    let counts = groups
+        .iter()
+        .flat_map(|b| &b.columns[4].as_long().unwrap().vector[..b.size]);
+    assert!(
+        counts.clone().count() > 300,
+        "only {} groups",
+        counts.count()
+    );
+    let rows: i64 = counts.sum();
     let replayed: usize = (0..100).map(|round| batches[round % 4].size).sum();
     let expected = batches[0].size + replayed;
     assert_eq!(rows as usize, expected, "COUNT(*) saw every selected row");

@@ -743,10 +743,28 @@ fn readme_knob_table_matches_registry() {
 /// drives them — and the rows scanned. The laziness of the scan is this
 /// count, not a time.
 fn values_materialized_by(hive: &HiveSession, sql: &str) -> (u64, u64) {
-    use hive::exec::graph::Message;
+    use hive::common::{DataType, Result};
+    use hive::exec::graph::{Message, ShuffleBatch, ShuffleRecord, TaskOutput};
     use hive::formats::{open_reader, ReadOptions};
     use hive::vector::{VectorizedRowBatch, DEFAULT_BATCH_SIZE};
     use std::sync::Arc;
+
+    /// What leaves the graph goes nowhere.
+    struct Discard;
+    impl TaskOutput for Discard {
+        fn shuffle(&mut self, _: ShuffleRecord) -> Result<()> {
+            Ok(())
+        }
+        fn shuffle_batch(&mut self, _: &ShuffleBatch) -> Result<()> {
+            Ok(())
+        }
+        fn output(&mut self, _: Row) -> Result<()> {
+            Ok(())
+        }
+        fn output_batch(&mut self, _: &VectorizedRowBatch, _: &[(usize, DataType)]) -> Result<()> {
+            Ok(())
+        }
+    }
 
     let Ok(hive::ql::Statement::Select(select)) = hive::ql::parse(sql) else {
         panic!("{sql} is a SELECT");
@@ -778,9 +796,7 @@ fn values_materialized_by(hive: &HiveSession, sql: &str) -> (u64, u64) {
                 tag: 0,
             };
             let graph = &mut pipeline.graph;
-            graph
-                .push(stage.root, message, &mut |_| {}, &mut |_| {})
-                .unwrap();
+            graph.push(stage.root, message, &mut Discard).unwrap();
             batch = graph.take_spent().expect("the scan batch comes back");
         }
         values += reader.read_stats().values_materialized;
