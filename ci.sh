@@ -35,11 +35,13 @@ cargo test -q --release --offline -p hive-formats --test orc_roundtrip deferred
 # hashes and SequenceFile parts encoded from batch columns) against the
 # `Value` encoders, and the scratch lifecycle, once more in the optimized
 # build: byte order and escape arithmetic are where debug and release builds
-# part ways.
-echo "==> shuffle key encoding, lane encoders and query scratch lifecycle under --release"
+# part ways. Beside them, the side load: every map task of a job probes the
+# one table its side load built, in both engines and after a retried load.
+echo "==> shuffle key encoding, lane encoders, query scratch and side tables under --release"
 cargo test -q --release --offline -p hive --test properties shuffle_key_encoding
 cargo test -q --release --offline -p hive --test properties lane_encoders
 cargo test -q --release --offline -p hive-core --test scratch
+cargo test -q --release --offline -p hive --test properties map_join_tables_are_built_once_per_job
 
 # The cold read path's two kernels against their definitions, in the
 # optimized build the benchmark measures: the slicing-by-16 CRC32 against a

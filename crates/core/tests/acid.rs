@@ -731,17 +731,22 @@ fn q6_shaped_scan_over_deltas_and_deletes_matches_row_mode() {
 
 /// A map-joined ACID table honours its delete set: the broadcast side is
 /// masked by file ordinal like any scan, so `big JOIN small_acid` returns
-/// the same rows whether the join converts or shuffles.
+/// the same rows whether the join converts or shuffles. The side is 1 500
+/// rows, read in two batches, and its deletes fall on both sides of the
+/// boundary between them (ordinals 1 023 and 1 024).
 #[test]
 fn map_joined_acid_table_masks_its_deletes() {
     let mut hive = acid_session();
     hive.execute("CREATE TABLE dim (k BIGINT, name STRING) STORED AS orc")
         .unwrap();
-    hive.execute("INSERT INTO dim VALUES (0, 'zero'), (1, 'one'), (2, 'two')")
+    let values: Vec<String> = (0..1500).map(|k| format!("({k}, 'n{k}')")).collect();
+    hive.execute(&format!("INSERT INTO dim VALUES {}", values.join(", ")))
         .unwrap();
-    hive.execute("DELETE FROM dim WHERE k = 1").unwrap();
+    hive.execute("DELETE FROM dim WHERE k = 1021 OR k = 1023 OR k = 1024")
+        .unwrap();
 
-    let sql = "SELECT t.v, dim.name FROM t JOIN dim ON (t.k = dim.k) WHERE t.v < 3";
+    // `t.k` is 0..5, so `t.k + 1020` probes ordinals 1 020..1 025.
+    let sql = "SELECT t.v, dim.name FROM t JOIN dim ON (t.k + 1020 = dim.k) WHERE t.v < 6";
     let plan = hive.execute(&format!("EXPLAIN {sql}")).unwrap();
     assert!(
         plan.explain.as_deref().unwrap_or("").contains("MapJoin"),
@@ -755,10 +760,10 @@ fn map_joined_acid_table_masks_its_deletes() {
     hive.set(keys::AUTO_CONVERT_JOIN, "false");
     let reduce_join = sorted(hive.execute(sql).unwrap().rows);
 
-    let live = vec![
-        Row::new(vec![Value::Int(0), Value::String("zero".into())]),
-        Row::new(vec![Value::Int(2), Value::String("two".into())]),
-    ];
+    let live: Vec<Row> = [(0, "n1020"), (2, "n1022"), (5, "n1025")]
+        .into_iter()
+        .map(|(v, name)| Row::new(vec![Value::Int(v), Value::String(name.into())]))
+        .collect();
     assert_eq!(reduce_join, live);
     assert_eq!(map_join, live, "map join resurrected a deleted row");
     assert_eq!(

@@ -13,6 +13,7 @@ use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
 use hive_common::{key, DataType, HiveError, Key, Result, Row, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A row sent to the operator's only child.
 fn forward(row: Row) -> Emit {
@@ -442,7 +443,8 @@ impl Operator for CommonJoinOperator {
     }
 }
 
-/// One small table of a Map Join: rows grouped by their join key.
+/// One small table of a Map Join: the stored rows grouped by their join
+/// key. Built once per job, then probed by every map task's operator.
 pub struct MapJoinTable {
     rows_by_key: HashMap<Key, Vec<Row>>,
     pub width: usize,
@@ -453,42 +455,40 @@ pub struct MapJoinTable {
 }
 
 impl MapJoinTable {
-    /// Build the hash table from the prepared small side: each row is its
-    /// `nk` key columns (none NULL — a NULL key never matches) followed by
-    /// the small table's columns, and is stored whole.
-    pub fn build(
-        rows: Vec<Row>,
-        nk: usize,
-        stream_keys: Vec<ExprNode>,
-        join_type: JoinType,
-        width: usize,
-    ) -> MapJoinTable {
-        let mut rows_by_key: HashMap<Key, Vec<Row>> = HashMap::new();
-        for row in rows {
-            let key = Key(row.values()[..nk].to_vec());
-            rows_by_key.entry(key).or_default().push(row);
-        }
+    /// An empty table of stored rows `width` wide, probed by `stream_keys`.
+    pub fn new(stream_keys: Vec<ExprNode>, join_type: JoinType, width: usize) -> MapJoinTable {
         MapJoinTable {
-            rows_by_key,
+            rows_by_key: HashMap::new(),
             width,
             join_type,
             key_exprs: stream_keys,
         }
     }
+
+    /// Store a small-side row under its join key `key`: the stored row is
+    /// the key's values, then the row's. A key with a NULL part is not
+    /// stored — it never matches.
+    pub fn insert(&mut self, key: Vec<Value>, row: &Row) {
+        if key.iter().any(Value::is_null) {
+            return;
+        }
+        let stored = Row::new(key.iter().chain(row.values()).cloned().collect());
+        self.rows_by_key.entry(Key(key)).or_default().push(stored);
+    }
 }
 
 /// Map Join: the big table streams through; the small table was built into
-/// a hash table at task setup. Several Map Joins merged into one Map phase
-/// (paper Section 5.1) are a chain of these, probed "in a pipelined
-/// fashion".
+/// a hash table before the map tasks started. Several Map Joins merged into
+/// one Map phase (paper Section 5.1) are a chain of these, probed "in a
+/// pipelined fashion".
 pub struct MapJoinOperator {
-    pub table: MapJoinTable,
+    pub table: Arc<MapJoinTable>,
     /// The probe key, reused from row to row.
     scratch: Key,
 }
 
 impl MapJoinOperator {
-    pub fn new(table: MapJoinTable) -> MapJoinOperator {
+    pub fn new(table: Arc<MapJoinTable>) -> MapJoinOperator {
         MapJoinOperator {
             table,
             scratch: Key::default(),
@@ -730,7 +730,7 @@ mod tests {
 
         // Map join: NaN finds NaN; an INT key never finds a DOUBLE key.
         let stored = vec![d(f64::NAN).concat(&row(&[7])), d(1.0).concat(&row(&[8]))];
-        let t = MapJoinTable::build(stored, 1, vec![ExprNode::col(0)], JoinType::Inner, 2);
+        let t = keyed_table(stored, ExprNode::col(0));
         let mut g = OperatorGraph::new();
         let mj = g.add(Box::new(MapJoinOperator::new(t)));
         let fs = g.add(Box::new(FileSinkOperator));
@@ -918,26 +918,24 @@ mod tests {
         );
     }
 
+    /// An inner-join table of two-column stored rows, each keyed by its
+    /// first column, probed by `stream_key`.
+    fn keyed_table(stored: Vec<Row>, stream_key: ExprNode) -> Arc<MapJoinTable> {
+        let mut t = MapJoinTable::new(vec![stream_key], JoinType::Inner, 2);
+        for r in stored {
+            t.insert(vec![r[0].clone()], &Row::new(r.values()[1..].to_vec()));
+        }
+        Arc::new(t)
+    }
+
     #[test]
     fn map_join_probes_pipelined_tables() {
         // Two small tables, like M-JoinOp-1 / M-JoinOp-2 in Figure 4(b).
         let small1 = vec![row(&[1, 100]), row(&[2, 200])];
         let small2 = vec![row(&[7, 700])];
         // Each stored row's first column is its key.
-        let t1 = MapJoinTable::build(
-            small1,
-            1,
-            vec![ExprNode::col(0)], // big1.skey1 is col 0
-            JoinType::Inner,
-            2,
-        );
-        let t2 = MapJoinTable::build(
-            small2,
-            1,
-            vec![ExprNode::col(1)], // big1.skey2 is col 1
-            JoinType::Inner,
-            2,
-        );
+        let t1 = keyed_table(small1, ExprNode::col(0)); // big1.skey1 is col 0
+        let t2 = keyed_table(small2, ExprNode::col(1)); // big1.skey2 is col 1
         let mut g = OperatorGraph::new();
         let mj1 = g.add(Box::new(MapJoinOperator::new(t1)));
         let mj2 = g.add(Box::new(MapJoinOperator::new(t2)));

@@ -19,6 +19,7 @@ use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_obs::profile::merge_profiles;
 use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
 use map_task::MapTaskResult;
+pub use map_task::SideReader;
 use shuffle::Run;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -614,9 +615,10 @@ impl MrEngine {
 
         // --- Side inputs (distributed cache), retried like a task ------
         // (a transient DFS fault while building the cache must not kill
-        // the query). Scoped attribution instead of global snapshot
-        // deltas: another job may be running concurrently on this DFS
-        // (`hive.exec.parallel`).
+        // the query). Each side's table is built here, once, and every map
+        // task below probes it. Scoped attribution instead of global
+        // snapshot deltas: another job may be running concurrently on this
+        // DFS (`hive.exec.parallel`).
         let side_outcome = self.run_attempts(0, map_attempts, &|_i, _attempt| {
             let scope = IoScope::new();
             let loaded = {
@@ -629,7 +631,8 @@ impl MrEngine {
         let side_delay_s = self.retry_overhead_seconds(&side_outcome);
         let ((side, side_rows_skipped), side_io) = side_outcome.result?;
         report.rows_skipped += side_rows_skipped;
-        // Every map task re-reads the cached hash-table input locally.
+        // The simulated clock charges every map task a local read of the
+        // cached side files, as Hadoop's tasks each load the cache.
         let side_load_s = side_io.bytes_read() as f64 / self.cost.local_read_bw;
         report.bytes_read += side_io.bytes_read();
 

@@ -1,6 +1,7 @@
 //! Job descriptions: what the query planner's task compiler produces.
 
-use hive_common::{DataType, Result, Row, Schema};
+pub use crate::engine::SideReader;
+use hive_common::{DataType, Result, Schema};
 use hive_exec::graph::OperatorGraph;
 use hive_formats::{AcidOverlay, FormatKind, SearchArgument};
 use std::collections::HashMap;
@@ -40,8 +41,9 @@ impl JobInput {
     }
 }
 
-/// A broadcast ("distributed cache") input: small tables of Map Joins.
-/// The engine materializes the rows once and every map task loads them.
+/// A broadcast ("distributed cache") input: the small table of a Map Join.
+/// The engine builds its hash table once per job, before the map tasks
+/// start, and every map task probes that one table.
 #[derive(Clone)]
 pub struct SideInput {
     pub alias: String,
@@ -52,7 +54,25 @@ pub struct SideInput {
     /// ACID merge-on-read overlay of the small table: masked rows never
     /// enter the hash table.
     pub overlay: Option<AcidOverlay>,
+    /// Builds the table from the side's rows; the planner supplies it.
+    pub build: SideBuild,
 }
+
+/// A Map Join's small table as its engine probes it, built once per job and
+/// shared by every map task.
+#[derive(Clone)]
+pub enum SideTable {
+    /// Probed a row at a time.
+    Rows(Arc<hive_exec::operators::MapJoinTable>),
+    /// Probed a batch at a time.
+    Batches(Arc<hive_vector::MapJoinTable>),
+}
+
+/// The built side tables of a job, by side-input alias.
+pub type SideTables = HashMap<String, SideTable>;
+
+/// Builds a side input's table from the reader over its files.
+pub type SideBuild = Arc<dyn Fn(&mut SideReader<'_>) -> Result<SideTable> + Send + Sync>;
 
 /// The batch-mode entry of the map pipeline for one input alias (paper
 /// Section 6): the engine wraps reader batches in `Message::Batch` and
@@ -83,10 +103,9 @@ pub struct MapPipeline {
     pub vector: HashMap<String, VectorStage>,
 }
 
-/// Builds a fresh map pipeline per task. Receives the materialized side
-/// inputs (alias → rows) so Map Join hash tables can be built.
-pub type MapPipelineFactory =
-    Arc<dyn Fn(&HashMap<String, Vec<Row>>) -> Result<MapPipeline> + Send + Sync>;
+/// Builds a fresh map pipeline per task around the job's side tables, which
+/// its Map Join operators probe.
+pub type MapPipelineFactory = Arc<dyn Fn(&SideTables) -> Result<MapPipeline> + Send + Sync>;
 
 /// The per-task reduce pipeline: the operator graph, the root the reducer
 /// driver pushes into, and what the shuffle hands it.
@@ -143,16 +162,15 @@ pub struct JobSpec {
     pub output: JobOutput,
 }
 
-// The worker-pool engine shares `&JobSpec` (and the side-input map) across
-// task workers and, under `hive.exec.parallel`, across job-runner threads.
-// These assertions pin the required auto-traits at compile time.
+// The worker-pool engine shares `&JobSpec` across task workers and, under
+// `hive.exec.parallel`, across job-runner threads. These assertions pin the
+// required auto-traits at compile time.
 const _: () = {
     const fn assert_send<T: Send + ?Sized>() {}
     const fn assert_sync<T: Sync + ?Sized>() {}
     assert_send::<MapPipeline>();
     assert_send::<JobSpec>();
     assert_sync::<JobSpec>();
-    assert_sync::<HashMap<String, Vec<Row>>>();
 };
 
 impl JobSpec {

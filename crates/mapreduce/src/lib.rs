@@ -25,5 +25,5 @@ pub use cost::{ClusterConfig, CostModel};
 pub use engine::{DagReport, JobReport, MrEngine};
 pub use job::{
     JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, ReducePipeline,
-    ReducePipelineFactory, SideInput, VectorStage,
+    ReducePipelineFactory, SideBuild, SideInput, SideReader, SideTable, SideTables, VectorStage,
 };

@@ -3,12 +3,11 @@
 //! boundary.
 
 use crate::catalog::TableMeta;
-use hive_common::{DataType, HiveError, Result, Row, Value};
+use hive_common::{DataType, HiveError, Result, Value};
 use hive_exec::agg::AggFunction;
 use hive_exec::expr::{BinaryOp, ExprNode};
 use hive_exec::operators::JoinType;
 use hive_formats::SearchArgument;
-use std::collections::HashMap;
 
 /// A named, typed output column of a plan operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,36 +65,6 @@ pub struct MapJoinSide {
     pub join_type: JoinType,
     /// Projected small-row width (appended to the stream on match).
     pub width: usize,
-}
-
-impl MapJoinSide {
-    /// The build side as both engines hash it: this side's broadcast rows
-    /// that pass `build_filter`, each prefixed with its evaluated build
-    /// keys (stored layout: keys ++ columns). A row with a NULL key is left
-    /// out: a NULL key never matches.
-    pub fn build_rows(&self, side: &HashMap<String, Vec<Row>>) -> Result<Vec<Row>> {
-        let rows = side
-            .get(&self.alias)
-            .ok_or_else(|| HiveError::Execution(format!("side input `{}` missing", self.alias)))?;
-        let mut built = Vec::with_capacity(rows.len());
-        for r in rows {
-            if let Some(f) = &self.build_filter {
-                if !f.eval_predicate(r)? {
-                    continue;
-                }
-            }
-            let mut vals: Vec<Value> = Vec::with_capacity(self.width);
-            for k in &self.build_keys {
-                vals.push(k.eval(r)?);
-            }
-            if vals.iter().any(Value::is_null) {
-                continue;
-            }
-            vals.extend(r.values().iter().cloned());
-            built.push(Row::new(vals));
-        }
-        Ok(built)
-    }
 }
 
 /// A plan operator.

@@ -6,9 +6,11 @@
 //! replaces each expression tree with corresponding vectorized
 //! expressions."
 //!
-//! Here the pass decides once per map stage. A stage that reads a table or
-//! an intermediate through one linear chain of operators over scalar
-//! columns (its input and map-join build sides alike) is vectorized whole,
+//! Here the pass decides once per map stage, at compile time
+//! ([`vectorizes`]), since the stage's map-join tables are built for the
+//! engine it runs on before any of its tasks starts. A stage that reads a
+//! table or an intermediate through one linear chain of operators over
+//! scalar columns (its input and map-join build sides alike) is vectorized whole,
 //! from the batch the format's reader fills to its sink: the batch shuffle
 //! sink (`VectorReduceSink`, or the fused `VectorGroupBySink`) or, for a
 //! map-only stage, the output sink (`VectorFileSink`). Any other stage — a
@@ -20,7 +22,7 @@
 //! one that has none is a plan error, not a row-mode tail.
 
 use crate::plan::{expr_type, ColumnInfo, GroupByPhase, PlanNode, PlanOp};
-use hive_common::{DataType, HiveError, Result, Row, Value};
+use hive_common::{DataType, HiveError, Result, Value};
 use hive_exec::agg::AggFunction;
 use hive_exec::expr::{cast_value, BinaryOp, ExprNode, UnaryOp};
 use hive_exec::graph::Operator;
@@ -29,13 +31,15 @@ use hive_exec::vector_ops::{
     VectorFileSinkOperator, VectorGroupByOperator, VectorGroupBySinkOperator, VectorJoinOperator,
     VectorOpAdapter, VectorReduceSinkOperator,
 };
+use hive_mapreduce::job::{SideReader, SideTable, SideTables};
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator, VectorStreamAggregator};
 use hive_vector::expressions as vx;
 use hive_vector::expressions::{Lane, Operand, VectorExpression};
-use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
+use hive_vector::mapjoin::{MapJoinBuilder, MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 use hive_vector::operators::{VectorFilterOperator, VectorLimitOperator, VectorSelectOperator};
-use hive_vector::{VectorOperator, DEFAULT_BATCH_SIZE};
+use hive_vector::{VectorOperator, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A compiled batch-native stage: exec-graph operators to run in order,
 /// from the scan batch to the stage's sink.
@@ -62,8 +66,7 @@ struct PendingJoin {
     key_expressions: Vec<Box<dyn VectorExpression>>,
     key_columns: Vec<(usize, DataType)>,
     stream_columns: Vec<(usize, DataType)>,
-    table: MapJoinTable,
-    build_width: usize,
+    table: Arc<MapJoinTable>,
 }
 
 fn seal_pending_join(
@@ -78,7 +81,6 @@ fn seal_pending_join(
             pj.key_columns,
             pj.stream_columns,
             pj.table,
-            pj.build_width,
             out_types,
             DEFAULT_BATCH_SIZE,
         )?;
@@ -91,34 +93,51 @@ fn adapter(op: impl VectorOperator + 'static) -> Box<dyn Operator> {
     Box::new(VectorOpAdapter::new(Box::new(op)))
 }
 
-/// Validate a map stage — the plan nodes `stage`, with shuffle tags
-/// `rs_tags` — and vectorize it whole. Its batches hold the rows of `input`:
-/// the TableScan the stage starts with (`source`), or the plan node whose
-/// output the intermediate `source` reads was written from (its types are
-/// the batch's). `None` — the stage runs in row mode — in exactly two cases:
-/// it touches a non-scalar column (on its input or a map-join's build side),
-/// or it is not one linear chain (a shared scan feeding several sinks).
+/// Whether every column is scalar: what a batch can hold.
+fn all_scalar(columns: &[ColumnInfo]) -> bool {
+    columns.iter().all(|c| Lane::of(&c.data_type).is_some())
+}
+
+/// The columns a map join appends to the stream: its build keys, then its
+/// side's projected columns.
+fn build_side(nodes: &[PlanNode], n: usize) -> &[ColumnInfo] {
+    &nodes[n].schema[nodes[nodes[n].parents[0]].schema.len()..]
+}
+
+/// The projected columns of map join `n`'s side, as its reader fills them.
+pub fn side_columns(nodes: &[PlanNode], n: usize) -> Result<&[ColumnInfo]> {
+    match &nodes[n].op {
+        PlanOp::MapJoin(s) => Ok(&build_side(nodes, n)[s.build_keys.len()..]),
+        op => Err(HiveError::Plan(format!("{} has no side", op.kind_name()))),
+    }
+}
+
+/// Whether the map stage `stage`, whose batches would hold the rows of plan
+/// node `input`, vectorizes: it does unless it touches a non-scalar column
+/// (on its input or a map-join's build side) or is not one linear chain (a
+/// shared scan feeding several sinks). The side tables of its map joins are
+/// built for the engine this answer names.
+pub fn vectorizes(nodes: &[PlanNode], input: usize, stage: &[usize]) -> bool {
+    let in_stage = |n: &usize| stage.contains(n);
+    let forks = |&n: &usize| nodes[n].children.iter().filter(|c| in_stage(c)).count() > 1;
+    let is_join = |n: &&usize| matches!(nodes[**n].op, PlanOp::MapJoin(_));
+    let mut build_sides = stage.iter().filter(is_join).map(|&n| build_side(nodes, n));
+    !stage.iter().any(forks) && all_scalar(&nodes[input].schema) && build_sides.all(all_scalar)
+}
+
+/// Vectorize a map stage that [`vectorizes`] — the plan nodes `stage`, with
+/// shuffle tags `rs_tags` — whole. Its batches hold the rows of `input`: the
+/// TableScan the stage starts with (`source`), or the plan node whose output
+/// the intermediate `source` reads was written from (its types are the
+/// batch's). Its map joins probe the job's prebuilt `side` tables.
 pub fn try_vectorize(
     nodes: &[PlanNode],
     (input, source): (usize, usize),
     stage: &[usize],
     rs_tags: &BTreeMap<usize, usize>,
-    side: &HashMap<String, Vec<Row>>,
-) -> Result<Option<VectorizedChain>> {
+    side: &SideTables,
+) -> Result<VectorizedChain> {
     let in_stage = |n: &usize| stage.contains(n);
-    let forks = |&n: &usize| nodes[n].children.iter().filter(|c| in_stage(c)).count() > 1;
-    if stage.iter().any(forks) {
-        return Ok(None);
-    }
-    let scalar = |cols: &[ColumnInfo]| cols.iter().all(|c| Lane::of(&c.data_type).is_some());
-    let build_side = |&n: &usize| match &nodes[n].op {
-        PlanOp::MapJoin(_) => Some(&nodes[n].schema[nodes[nodes[n].parents[0]].schema.len()..]),
-        _ => None,
-    };
-    let mut build_sides = stage.iter().filter_map(build_side);
-    if !scalar(&nodes[input].schema) || !build_sides.all(scalar) {
-        return Ok(None);
-    }
     let types = nodes[input].schema.iter().map(|c| c.data_type.clone());
     let mut c = VecCompiler::over(types.collect(), &nodes[input].schema);
 
@@ -228,7 +247,16 @@ pub fn try_vectorize(
                 break;
             }
             PlanOp::MapJoin(s) => {
-                let pj = prepare_mapjoin(nodes, side, &mut c, n, s)?;
+                let table = match side.get(&s.alias) {
+                    Some(SideTable::Batches(table)) => Arc::clone(table),
+                    _ => {
+                        return Err(HiveError::Execution(format!(
+                            "no batch table for side input `{}`",
+                            s.alias
+                        )))
+                    }
+                };
+                let pj = prepare_mapjoin(nodes, table, &mut c, n, s)?;
                 // This segment's types are final now (the new join's key
                 // scratch included): seal the previous join, freeze the
                 // scan batch types, and reseed the compiler against the
@@ -264,11 +292,11 @@ pub fn try_vectorize(
         .into_iter()
         .map(|o| o.ok_or_else(|| HiveError::Plan("unsealed vectorized join".into())))
         .collect::<Result<_>>()?;
-    Ok(Some(VectorizedChain {
+    Ok(VectorizedChain {
         operators,
         batch_types,
         first_columns,
-    }))
+    })
 }
 
 /// A reduce stage compiled batch-native (DESIGN.md §16 "The reduce side").
@@ -435,12 +463,12 @@ impl<'a> ReduceCompiler<'a> {
     }
 }
 
-/// Compile one MapJoin plan node. The compiler's scratch state then
-/// includes the probe-key columns; the operator itself is constructed
-/// later (see [`PendingJoin`]).
+/// Compile one MapJoin plan node to probe `table`. The compiler's scratch
+/// state then includes the probe-key columns; the operator itself is
+/// constructed later (see [`PendingJoin`]).
 fn prepare_mapjoin(
     nodes: &[PlanNode],
-    side: &HashMap<String, Vec<Row>>,
+    table: Arc<MapJoinTable>,
     c: &mut VecCompiler<'_>,
     n: usize,
     s: &crate::plan::MapJoinSide,
@@ -471,8 +499,6 @@ fn prepare_mapjoin(
         ));
     }
     let key_expressions = c.drain_pending();
-    let table = MapJoinTable::build(&key_types, s.build_rows(side)?)?;
-
     let stream_columns = c.layout_columns();
     Ok(PendingJoin {
         slot: 0, // assigned by the caller
@@ -481,8 +507,44 @@ fn prepare_mapjoin(
         key_columns,
         stream_columns,
         table,
-        build_width: s.width,
     })
+}
+
+/// Build map join `n`'s table from its side's batches, once per job: the
+/// build filter and keys run as vector expressions over the side's columns,
+/// and the table stores keys ++ columns, the layout the join appends.
+pub fn build_mapjoin_table(
+    nodes: &[PlanNode],
+    n: usize,
+    reader: &mut SideReader<'_>,
+) -> Result<MapJoinTable> {
+    let PlanOp::MapJoin(s) = &nodes[n].op else {
+        return Err(HiveError::Plan(
+            "a side table is built for a MapJoin".into(),
+        ));
+    };
+    let columns = side_columns(nodes, n)?;
+    let mut c = VecCompiler::over(
+        columns.iter().map(|c| c.data_type.clone()).collect(),
+        columns,
+    );
+    let mut expressions = Vec::new();
+    if let Some(predicate) = &s.build_filter {
+        let f = c.compile_filter(predicate)?;
+        let mut children = c.drain_pending();
+        children.push(f);
+        expressions.push(vx::filter_and(children));
+    }
+    let key_columns = c.typed_values(&s.build_keys)?;
+    expressions.extend(c.drain_pending());
+    let mut builder = MapJoinBuilder::new(expressions, key_columns, c.layout_columns())?;
+    loop {
+        let mut batch = VectorizedRowBatch::new(&c.types, DEFAULT_BATCH_SIZE)?;
+        if !reader.next_batch(&mut batch)? {
+            return builder.finish();
+        }
+        builder.add(batch)?;
+    }
 }
 
 /// A catalogue answer, or the plan error for a shape it has no kernel for.

@@ -300,7 +300,7 @@ impl VectorHashAggregator {
         let keys = self
             .keys
             .iter()
-            .flat_map(|k| k.keys().iter().map(|(_, dt)| dt.clone()));
+            .flat_map(|k| k.table().types().iter().cloned());
         keys.chain(self.specs.iter().map(result_type)).collect()
     }
 
@@ -309,7 +309,7 @@ impl VectorHashAggregator {
     /// [`output_types`](Self::output_types).
     pub fn finish(self, batch_size: usize) -> Result<Vec<VectorizedRowBatch>> {
         let types = self.output_types();
-        let groups = self.keys.as_ref().map_or(1, KeyWrapper::num_groups);
+        let groups = self.keys.as_ref().map_or(1, |k| k.table().num_groups());
         let nk = types.len() - self.specs.len();
         let mut out = Vec::with_capacity(groups.div_ceil(batch_size));
         for first in (0..groups).step_by(batch_size.max(1)) {
@@ -317,7 +317,8 @@ impl VectorHashAggregator {
             batch.size = batch_size.min(groups - first);
             for row in 0..batch.size {
                 if let Some(keys) = &self.keys {
-                    keys.write_key(first + row, &mut batch.columns[..nk], row);
+                    keys.table()
+                        .write_key(first + row, &mut batch.columns[..nk], row);
                 }
                 let aggs = self.specs.iter().zip(&self.accs);
                 for ((spec, acc), col) in aggs.zip(&mut batch.columns[nk..]) {

@@ -13,7 +13,13 @@
 //! is hashed in place and looked up in a [`HashIndex`], which confirms a
 //! candidate against the stored tuple: a hash match alone never identifies a
 //! key. [`KeyWrapper::resolve`] copies a key, once, when it is first seen;
-//! [`KeyWrapper::find`] only looks. A batch of known keys allocates nothing.
+//! [`KeyProbe::find`] only looks. A batch of known keys allocates nothing.
+//!
+//! What is stored and what is scratch are apart: a [`KeyTable`] (index,
+//! tuples, interned strings) is immutable once resolved and can be shared,
+//! and each of its users brings a [`KeyProbe`] (its key columns, the lanes
+//! and ids of the batch at hand, its dictionary memos). A map join builds
+//! one table per job and every task's operator probes it.
 
 use crate::batch::{BytesColumnVector, ColumnVector, Dictionary, Lane, Rows, VectorizedRowBatch};
 use hive_common::{key, DataType, HiveError, Result};
@@ -109,16 +115,23 @@ struct Interner {
     /// Value `id` is `arena[offsets[id]..offsets[id + 1]]`.
     offsets: Vec<usize>,
     index: HashIndex,
-    /// `(dictionary id, code per entry)` for the dictionary the column's
-    /// vectors last carried: an entry of eight bytes or more is hashed and
-    /// looked up once per dictionary, not once per row. 0 (the code of the
-    /// empty string, which is never long) marks an entry not coded yet.
-    entry_codes: (Option<u64>, Vec<u64>),
 }
 
 const LONG: u64 = 0xFF << 56;
 /// The code of a long value the interner does not hold: no stored key has it.
 const ABSENT: u64 = u64::MAX;
+
+/// The code of a value of up to seven bytes, which no interner stores.
+#[inline]
+fn short_code(b: &[u8]) -> Option<u64> {
+    (b.len() < 8).then(|| word(b) | (b.len() as u64) << 56)
+}
+
+/// The hash a value of eight bytes or more is interned under.
+#[inline]
+fn long_hash(b: &[u8]) -> u32 {
+    hash_words(b.chunks(8).map(word).chain([b.len() as u64]))
+}
 
 impl Interner {
     fn new() -> Interner {
@@ -126,54 +139,34 @@ impl Interner {
             arena: Vec::new(),
             offsets: vec![0],
             index: HashIndex::new(),
-            entry_codes: (None, Vec::new()),
         }
     }
 
-    /// The code of entry `e` of `dictionary`, as [`code`](Self::code) would
-    /// answer for its bytes.
+    /// The code of `b`, interning a long value not seen before.
     #[inline]
-    fn code_of_entry(&mut self, dictionary: &Dictionary, e: usize, intern: bool) -> u64 {
-        let b = dictionary.entry(e);
-        if b.len() < 8 {
-            return self.code(b, intern);
+    fn intern(&mut self, b: &[u8]) -> u64 {
+        if let Some(code) = short_code(b) {
+            return code;
         }
-        if self.entry_codes.0 != Some(dictionary.id()) {
-            self.entry_codes.0 = Some(dictionary.id());
-            self.entry_codes.1.clear();
-            self.entry_codes.1.resize(dictionary.len(), 0);
-        }
-        if self.entry_codes.1[e] == 0 {
-            let code = self.code(b, intern);
-            if code == ABSENT {
-                // Not a fact about the entry: a later `resolve` may store it.
-                return ABSENT;
-            }
-            self.entry_codes.1[e] = code;
-        }
-        self.entry_codes.1[e]
-    }
-
-    /// The code of `b`. A long value not seen before is interned when
-    /// `intern` is set and is [`ABSENT`] otherwise.
-    #[inline]
-    fn code(&mut self, b: &[u8], intern: bool) -> u64 {
-        if b.len() < 8 {
-            return word(b) | (b.len() as u64) << 56;
-        }
-        let hash = hash_words(b.chunks(8).map(word).chain([b.len() as u64]));
         let (arena, offsets) = (&self.arena, &self.offsets);
         let eq = |id: usize| arena[offsets[id]..offsets[id + 1]] == *b;
-        if !intern {
-            let found = self.index.probe(hash, eq);
-            return found.map_or(ABSENT, |id| LONG | id as u64);
-        }
-        let (id, new) = self.index.find_or_insert(hash, eq);
+        let (id, new) = self.index.find_or_insert(long_hash(b), eq);
         if new {
             self.arena.extend_from_slice(b);
             self.offsets.push(self.arena.len());
         }
         LONG | id as u64
+    }
+
+    /// The code of `b`, or [`ABSENT`] for a long value never interned.
+    #[inline]
+    fn find(&self, b: &[u8]) -> u64 {
+        if let Some(code) = short_code(b) {
+            return code;
+        }
+        let eq = |id: usize| self.arena[self.offsets[id]..self.offsets[id + 1]] == *b;
+        let found = self.index.probe(long_hash(b), eq);
+        found.map_or(ABSENT, |id| LONG | id as u64)
     }
 
     /// Row `row` of `v` set to the bytes `code` stands for.
@@ -186,73 +179,140 @@ impl Interner {
     }
 }
 
-/// The keys resolved so far. Key `g` is the `width`-lane tuple at
-/// `store[g * width..]`: one lane per key column, then one NULL bit per
-/// column in the trailing mask lanes (a NULL key's own lane is 0).
-pub(crate) struct KeyWrapper {
-    keys: Vec<(usize, DataType)>,
+/// One bytes key column's memo of the dictionary its vectors last carried:
+/// the code of each entry, so an entry of eight bytes or more is hashed and
+/// looked up once per dictionary, not once per row. 0 (the code of the empty
+/// string, which is never long) marks an entry not coded yet.
+#[derive(Default)]
+struct EntryCodes {
+    dictionary: Option<u64>,
+    codes: Vec<u64>,
+}
+
+impl EntryCodes {
+    /// The code of entry `e` of `dictionary`, as `code` answers for its
+    /// bytes. An [`ABSENT`] answer is not remembered: it is not a fact about
+    /// the entry, since a later `resolve` may store it.
+    #[inline]
+    fn code(&mut self, dictionary: &Dictionary, e: usize, code: impl FnOnce(&[u8]) -> u64) -> u64 {
+        let b = dictionary.entry(e);
+        if let Some(code) = short_code(b) {
+            return code;
+        }
+        if self.dictionary != Some(dictionary.id()) {
+            self.dictionary = Some(dictionary.id());
+            self.codes.clear();
+            self.codes.resize(dictionary.len(), 0);
+        }
+        if self.codes[e] == 0 {
+            let code = code(b);
+            if code == ABSENT {
+                return ABSENT;
+            }
+            self.codes[e] = code;
+        }
+        self.codes[e]
+    }
+}
+
+/// The keys resolved so far, typed by `types`: immutable once built, and
+/// shared by everything that looks keys up in it (a map join's tasks probe
+/// one). Key `g` is the `width`-lane tuple at `store[g * width..]`: one lane
+/// per key column, then one NULL bit per column in the trailing mask lanes
+/// (a NULL key's own lane is 0).
+pub(crate) struct KeyTable {
+    types: Vec<DataType>,
     width: usize,
     /// One per key column; only bytes columns use theirs.
     interners: Vec<Interner>,
     index: HashIndex,
     store: Vec<u64>,
-    /// This batch's tuples, row-major, and the ids they resolved to: both
-    /// reused from batch to batch.
-    lanes: Vec<u64>,
-    gids: Vec<u32>,
 }
 
-/// What [`KeyWrapper::find`] answers for a row whose key is not stored.
+/// What one user of a [`KeyTable`] needs to turn its batches into key
+/// tuples: the batch column of each key, and scratch reused from batch to
+/// batch — the tuples, the ids they found, and each bytes key's dictionary
+/// memo.
+pub(crate) struct KeyProbe {
+    columns: Vec<usize>,
+    lanes: Vec<u64>,
+    gids: Vec<u32>,
+    entry_codes: Vec<EntryCodes>,
+}
+
+/// A [`KeyTable`] with the [`KeyProbe`] that fills it: what keyed
+/// aggregation groups by, and what builds a map join's key table.
+pub(crate) struct KeyWrapper {
+    table: KeyTable,
+    probe: KeyProbe,
+}
+
+/// What [`KeyProbe::find`] answers for a row whose key is not stored.
 pub(crate) const MISS: u32 = u32::MAX;
 
-impl KeyWrapper {
-    /// `keys`: batch column and logical type of each key, at least one.
-    pub(crate) fn new(keys: Vec<(usize, DataType)>) -> KeyWrapper {
-        KeyWrapper {
-            width: keys.len() + keys.len().div_ceil(64),
-            interners: keys.iter().map(|_| Interner::new()).collect(),
-            keys,
-            index: HashIndex::new(),
-            store: Vec::new(),
+impl KeyTable {
+    pub(crate) fn num_groups(&self) -> usize {
+        self.index.len
+    }
+
+    /// The logical type of each key.
+    pub(crate) fn types(&self) -> &[DataType] {
+        &self.types
+    }
+
+    /// Group `g`'s key into row `row` of `columns`, one per key column.
+    pub(crate) fn write_key(&self, g: usize, columns: &mut [ColumnVector], row: usize) {
+        let nk = self.types.len();
+        let tuple = &self.store[g * self.width..][..self.width];
+        for (k, column) in columns.iter_mut().enumerate().take(nk) {
+            if tuple[nk + k / 64] >> (k % 64) & 1 == 1 {
+                column.set_null(row);
+                continue;
+            }
+            match column {
+                ColumnVector::Long(v) => v.vector[row] = tuple[k] as i64,
+                ColumnVector::Double(v) => v.vector[row] = f64::from_bits(tuple[k]),
+                ColumnVector::Bytes(v) => self.interners[k].write(tuple[k], v, row),
+            }
+        }
+    }
+}
+
+impl KeyProbe {
+    /// Keys read from these batch columns, one per key of the table probed.
+    pub(crate) fn new(columns: Vec<usize>) -> KeyProbe {
+        KeyProbe {
+            entry_codes: columns.iter().map(|_| EntryCodes::default()).collect(),
+            columns,
             lanes: Vec::new(),
             gids: Vec::new(),
         }
     }
 
-    pub(crate) fn num_groups(&self) -> usize {
-        self.index.len
-    }
-
-    /// Batch column and logical type of each key.
-    pub(crate) fn keys(&self) -> &[(usize, DataType)] {
-        &self.keys
-    }
-
-    /// Read the keys from these batch columns from now on (a map join's
-    /// build and probe batches place the same keys differently).
-    pub(crate) fn rebind(&mut self, columns: impl IntoIterator<Item = usize>) {
-        for ((c, _), column) in self.keys.iter_mut().zip(columns) {
-            *c = column;
-        }
-    }
-
     /// Whether every key column of `batch` repeats: the batch holds one key.
     pub(crate) fn one_key(&self, batch: &VectorizedRowBatch) -> bool {
-        let repeating = |(c, _): &(usize, DataType)| batch.columns[*c].is_repeating();
-        self.keys.iter().all(repeating)
+        self.columns
+            .iter()
+            .all(|&c| batch.columns[c].is_repeating())
     }
 
-    /// Write the key tuple of each selected row of `batch` into `lanes`
-    /// (one tuple for a batch of [one key](Self::one_key)). Unseen long
-    /// strings are interned only when `intern` is set.
-    fn fill(&mut self, batch: &VectorizedRowBatch, intern: bool) -> Result<()> {
-        let (w, nk) = (self.width, self.keys.len());
+    /// Write the `w`-lane key tuple of each selected row of `batch` into
+    /// `lanes` (one tuple for a batch of [one key](Self::one_key)), a bytes
+    /// value coded by `code(key column, bytes)`.
+    fn fill(
+        &mut self,
+        (types, w): (&[DataType], usize),
+        batch: &VectorizedRowBatch,
+        mut code: impl FnMut(usize, &[u8]) -> u64,
+    ) -> Result<()> {
+        let nk = types.len();
         let n = if self.one_key(batch) { 1 } else { batch.size };
         let lanes = &mut self.lanes;
         lanes.clear();
         lanes.resize(n * w, 0);
-        for (k, ((c, dt), interner)) in self.keys.iter().zip(&mut self.interners).enumerate() {
-            let col = &batch.columns[*c];
+        let columns = self.columns.iter().zip(types).zip(&mut self.entry_codes);
+        for (k, ((&c, dt), memo)) in columns.enumerate() {
+            let col = &batch.columns[c];
             let rows = Rows {
                 n,
                 ..Rows::of(batch, col)
@@ -267,9 +327,9 @@ impl KeyWrapper {
                 (ColumnVector::Bytes(v), Some(Lane::Bytes)) => match v.dictionary() {
                     Some((dictionary, ids)) => rows.each(|j, i| {
                         let e = ids[i] as usize;
-                        lanes[j * w + k] = interner.code_of_entry(dictionary, e, intern)
+                        lanes[j * w + k] = memo.code(dictionary, e, |b| code(k, b))
                     }),
-                    None => rows.each(|j, i| lanes[j * w + k] = interner.code(v.value(i), intern)),
+                    None => rows.each(|j, i| lanes[j * w + k] = code(k, v.value(i))),
                 },
                 _ => {
                     return Err(HiveError::Execution(format!(
@@ -289,36 +349,20 @@ impl KeyWrapper {
         Ok(())
     }
 
-    /// The id of each selected row's key (`batch` has at least one row), in
-    /// selection order, and the number of keys so far; ids are dense and
-    /// count up in first-seen order.
-    pub(crate) fn resolve(&mut self, batch: &VectorizedRowBatch) -> Result<(&[u32], usize)> {
-        self.fill(batch, true)?;
-        let (w, index, store) = (self.width, &mut self.index, &mut self.store);
-        self.gids.clear();
-        self.gids.extend(self.lanes.chunks_exact(w).map(|tuple| {
-            let stored = |g: usize| store[g * w..][..w] == *tuple;
-            let (g, new) = index.find_or_insert(hash_words(tuple.iter().copied()), stored);
-            if new {
-                store.extend_from_slice(tuple);
-            }
-            g as u32
-        }));
-        self.gids.resize(batch.size, self.gids[0]);
-        Ok((&self.gids, self.index.len))
-    }
-
-    /// The id of each selected row's key, in selection order, or [`MISS`]
-    /// where the key was never resolved or has a NULL part (a join key with
-    /// a NULL in it matches nothing). Looks only: no key and no string is
-    /// stored.
-    pub(crate) fn find(&mut self, batch: &VectorizedRowBatch) -> Result<&[u32]> {
+    /// The id in `table` of each selected row's key, in selection order, or
+    /// [`MISS`] where the key was never resolved or has a NULL part (a join
+    /// key with a NULL in it matches nothing). Looks only: the table is
+    /// never written.
+    pub(crate) fn find(&mut self, table: &KeyTable, batch: &VectorizedRowBatch) -> Result<&[u32]> {
         self.gids.clear();
         if batch.size == 0 {
             return Ok(&self.gids);
         }
-        self.fill(batch, false)?;
-        let (w, nk, index, store) = (self.width, self.keys.len(), &self.index, &self.store);
+        let interners = &table.interners;
+        self.fill((&table.types, table.width), batch, |k, b| {
+            interners[k].find(b)
+        })?;
+        let (w, nk, index, store) = (table.width, table.types.len(), &table.index, &table.store);
         self.gids.extend(self.lanes.chunks_exact(w).map(|tuple| {
             if tuple[nk..].iter().any(|&mask| mask != 0) {
                 return MISS;
@@ -330,21 +374,59 @@ impl KeyWrapper {
         self.gids.resize(batch.size, self.gids[0]);
         Ok(&self.gids)
     }
+}
 
-    /// Group `g`'s key into row `row` of `columns`, one per key column.
-    pub(crate) fn write_key(&self, g: usize, columns: &mut [ColumnVector], row: usize) {
-        let tuple = &self.store[g * self.width..][..self.width];
-        for (k, column) in columns.iter_mut().enumerate().take(self.keys.len()) {
-            if tuple[self.keys.len() + k / 64] >> (k % 64) & 1 == 1 {
-                column.set_null(row);
-                continue;
-            }
-            match column {
-                ColumnVector::Long(v) => v.vector[row] = tuple[k] as i64,
-                ColumnVector::Double(v) => v.vector[row] = f64::from_bits(tuple[k]),
-                ColumnVector::Bytes(v) => self.interners[k].write(tuple[k], v, row),
-            }
+impl KeyWrapper {
+    /// `keys`: batch column and logical type of each key, at least one.
+    pub(crate) fn new(keys: Vec<(usize, DataType)>) -> KeyWrapper {
+        let (columns, types): (Vec<usize>, Vec<DataType>) = keys.into_iter().unzip();
+        KeyWrapper {
+            table: KeyTable {
+                width: types.len() + types.len().div_ceil(64),
+                interners: types.iter().map(|_| Interner::new()).collect(),
+                types,
+                index: HashIndex::new(),
+                store: Vec::new(),
+            },
+            probe: KeyProbe::new(columns),
         }
+    }
+
+    /// The keys resolved so far.
+    pub(crate) fn table(&self) -> &KeyTable {
+        &self.table
+    }
+
+    /// The keys resolved so far, to look up from now on.
+    pub(crate) fn into_table(self) -> KeyTable {
+        self.table
+    }
+
+    /// The id of each selected row's key (`batch` has at least one row), in
+    /// selection order, and the number of keys so far; ids are dense and
+    /// count up in first-seen order.
+    pub(crate) fn resolve(&mut self, batch: &VectorizedRowBatch) -> Result<(&[u32], usize)> {
+        let KeyTable {
+            types,
+            width,
+            interners,
+            index,
+            store,
+        } = &mut self.table;
+        let probe = &mut self.probe;
+        let w = *width;
+        probe.fill((types, w), batch, |k, b| interners[k].intern(b))?;
+        probe.gids.clear();
+        probe.gids.extend(probe.lanes.chunks_exact(w).map(|tuple| {
+            let stored = |g: usize| store[g * w..][..w] == *tuple;
+            let (g, new) = index.find_or_insert(hash_words(tuple.iter().copied()), stored);
+            if new {
+                store.extend_from_slice(tuple);
+            }
+            g as u32
+        }));
+        probe.gids.resize(batch.size, probe.gids[0]);
+        Ok((&probe.gids, index.len))
     }
 }
 
@@ -484,6 +566,7 @@ mod tests {
         for columns in key_sets {
             let keys = columns.iter().map(|&c| (c, types[c].clone())).collect();
             let mut wrapper = KeyWrapper::new(keys);
+            let mut probe = KeyProbe::new(columns.clone());
             let key_of =
                 |r: &Row| -> Vec<Value> { columns.iter().map(|&c| r[c].clone()).collect() };
             // The oracle's store: distinct keys in first-seen order.
@@ -494,16 +577,17 @@ mod tests {
                 }
             }
             wrapper.resolve(&batch_of(&known)).unwrap();
-            assert_eq!(wrapper.num_groups(), stored.len(), "{columns:?}");
-            let sizes = |w: &KeyWrapper| {
+            let table = wrapper.into_table();
+            assert_eq!(table.num_groups(), stored.len(), "{columns:?}");
+            let sizes = |t: &KeyTable| {
                 let interned = |i: &Interner| (i.index.len, i.arena.len());
                 (
-                    w.num_groups(),
-                    w.store.len(),
-                    w.interners.iter().map(interned).collect::<Vec<_>>(),
+                    t.num_groups(),
+                    t.store.len(),
+                    t.interners.iter().map(interned).collect::<Vec<_>>(),
                 )
             };
-            let before = sizes(&wrapper);
+            let before = sizes(&table);
             for (what, rows, repeating, selection) in &scenarios {
                 let mut b = batch_of(rows);
                 let mut visited: Vec<usize> = (0..rows.len()).collect();
@@ -530,15 +614,19 @@ mod tests {
                         found.filter(|_| matchable).map_or(MISS, |g| g as u32)
                     })
                     .collect();
-                assert_eq!(wrapper.find(&b).unwrap(), expect, "{what} over {columns:?}");
                 assert_eq!(
-                    sizes(&wrapper),
+                    probe.find(&table, &b).unwrap(),
+                    expect,
+                    "{what} over {columns:?}"
+                );
+                assert_eq!(
+                    sizes(&table),
                     before,
                     "{what} over {columns:?} stored something"
                 );
             }
             let empty = VectorizedRowBatch::new(&types, 4).unwrap();
-            assert!(wrapper.find(&empty).unwrap().is_empty());
+            assert!(probe.find(&table, &empty).unwrap().is_empty());
         }
     }
 
@@ -557,18 +645,19 @@ mod tests {
         };
         let (first, second) = (dictionary([0, 1, 2, 3]), dictionary([3, 2, 1, 0]));
         let mut interner = Interner::new();
+        let (mut interning, mut looking) = (EntryCodes::default(), EntryCodes::default());
         // Looking only: a long entry nobody stored is ABSENT, and stays
         // codable — the miss is not remembered as the entry's code.
-        assert_eq!(interner.code_of_entry(&first, 1, false), ABSENT);
+        assert_eq!(looking.code(&first, 1, |b| interner.find(b)), ABSENT);
         for (d, order) in [
             (&first, [0, 1, 2, 3]),
             (&second, [3, 2, 1, 0]),
             (&first, [0, 1, 2, 3]),
         ] {
             for (e, o) in order.into_iter().enumerate() {
-                let by_bytes = interner.code(words[o], true);
-                assert_eq!(interner.code_of_entry(d, e, true), by_bytes);
-                assert_eq!(interner.code_of_entry(d, e, false), by_bytes);
+                let by_bytes = interner.intern(words[o]);
+                assert_eq!(interning.code(d, e, |b| interner.intern(b)), by_bytes);
+                assert_eq!(looking.code(d, e, |b| interner.find(b)), by_bytes);
             }
         }
         assert_eq!(
@@ -600,13 +689,13 @@ mod tests {
         .iter()
         .map(|s| s.as_bytes().to_vec())
         .collect();
-        let codes: Vec<u64> = values.iter().map(|v| interner.code(v, true)).collect();
+        let codes: Vec<u64> = values.iter().map(|v| interner.intern(v)).collect();
         for (a, ca) in values.iter().zip(&codes) {
             for (b, cb) in values.iter().zip(&codes) {
                 assert_eq!(a == b, ca == cb, "{a:?} vs {b:?}");
             }
-            assert_eq!(interner.code(a, true), *ca, "codes are stable");
-            assert_eq!(interner.code(a, false), *ca, "looking finds the same code");
+            assert_eq!(interner.intern(a), *ca, "codes are stable");
+            assert_eq!(interner.find(a), *ca, "looking finds the same code");
             let mut back = BytesColumnVector::with_capacity(1);
             interner.write(*ca, &mut back, 0);
             assert_eq!(back.value(0), &a[..]);

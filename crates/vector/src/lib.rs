@@ -27,7 +27,7 @@ pub use batch::{
     LongColumnVector, PrimitiveColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE,
 };
 pub use expressions::VectorExpression;
-pub use mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
+pub use mapjoin::{MapJoinBuilder, MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 pub use operators::{
     VectorFilterOperator, VectorLimitOperator, VectorOperator, VectorSelectOperator,
 };

@@ -1,24 +1,28 @@
 //! Vectorized Map Join (paper Section 6 meets Section 5.1): the hash table
-//! is built once from the broadcast small side; probe batches flow through
-//! without row materialization until the join output itself.
+//! is built once per job from the broadcast small side's batches and shared
+//! by every map task; probe batches flow through without row
+//! materialization until the join output itself.
 //!
-//! Build and probe keys go through the same [`KeyWrapper`] that resolves
-//! GROUP BY keys (`key_wrapper.rs`; the key rule is DESIGN.md "Keys"): the
-//! build side's key columns are resolved, a batch at a time, to dense ids
-//! that index the stored rows, and a probe batch is one `find` — typed `u64`
-//! lanes, no per-row key object, a NULL key part matching nothing, and one
-//! lookup for a batch whose key columns all repeat (the benefit
+//! Build and probe keys go through the key wrapper that resolves GROUP BY
+//! keys (`key_wrapper.rs`; the key rule is DESIGN.md "Keys"). A
+//! [`MapJoinBuilder`] runs the build filter and key expressions over each
+//! side batch and resolves the surviving rows' keys to dense ids; the
+//! [`MapJoinTable`] it finishes holds that key table and the stored rows as
+//! columns, grouped by key. Each [`VectorMapJoinOperator`] probes the shared
+//! table through scratch of its own: a probe batch is one `find` — typed
+//! `u64` lanes, no per-row key object, a NULL key part matching nothing, and
+//! one lookup for a batch whose key columns all repeat (the benefit
 //! run-length-encoded storage hands to execution). This is the one
 //! re-batching operator: it consumes probe batches and emits freshly
 //! assembled output batches (stream columns ++ build columns), so a join
 //! followed by vectorized filters/aggregates never leaves batch mode.
 
-use crate::batch::{ColumnVector, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
+use crate::batch::{ColumnVector, Lane, VectorizedRowBatch};
 use crate::expressions::VectorExpression;
-use crate::key_wrapper::{KeyWrapper, MISS};
+use crate::key_wrapper::{KeyProbe, KeyTable, KeyWrapper, MISS};
 use crate::operators::VectorOperator;
-use crate::row_convert::set_value;
-use hive_common::{DataType, HiveError, Result, Row, Value};
+use hive_common::{DataType, HiveError, Result};
+use std::sync::Arc;
 
 /// The join kinds a map join can be (the planner streams the preserved side
 /// of a LEFT OUTER join and converts no other outer join).
@@ -28,60 +32,131 @@ pub enum MapJoinKind {
     LeftOuter,
 }
 
-/// Copy one cell between same-shaped column vectors, honouring nulls and
-/// `is_repeating` on the source. The destination is written positionally.
-fn copy_cell(src: &ColumnVector, i: usize, dst: &mut ColumnVector, j: usize) -> Result<()> {
-    if src.is_null(i) {
-        return set_value(dst, j, &Value::Null);
-    }
-    match (src, dst) {
-        (ColumnVector::Long(s), ColumnVector::Long(d)) => d.vector[j] = s.value(i),
-        (ColumnVector::Double(s), ColumnVector::Double(d)) => d.vector[j] = s.value(i),
-        (ColumnVector::Bytes(s), ColumnVector::Bytes(d)) => d.set(j, s.value(i)),
-        _ => {
-            return Err(HiveError::Execution(
-                "mismatched column vector shapes in map-join output".into(),
-            ))
-        }
-    }
-    Ok(())
-}
-
-/// The small-side hash table: a key's dense id → its stored rows, laid out
-/// as build keys ++ projected build columns (the row engine's layout).
+/// The small-side hash table: the build keys resolved to dense ids, and the
+/// stored rows — build keys ++ projected build columns, the row engine's
+/// layout — as columns in key order. Key `g`'s rows are
+/// `starts[g]..starts[g + 1]`, in the order the side was read. Immutable
+/// once built: every map task of a job probes the one table.
 pub struct MapJoinTable {
-    keys: KeyWrapper,
-    rows_by_gid: Vec<Vec<Row>>,
-    build_rows: u64,
+    keys: KeyTable,
+    columns: Vec<ColumnVector>,
+    starts: Vec<usize>,
 }
 
 impl MapJoinTable {
-    /// Build the table from the prepared small side: each row starts with
-    /// its key columns (of `key_types`, none NULL — a NULL key never
-    /// matches) and is stored whole.
-    pub fn build(key_types: &[DataType], rows: Vec<Row>) -> Result<MapJoinTable> {
-        let mut keys = KeyWrapper::new(key_types.iter().cloned().enumerate().collect());
-        let mut batch = VectorizedRowBatch::new(key_types, DEFAULT_BATCH_SIZE)?;
-        let mut gids = Vec::with_capacity(rows.len());
-        for chunk in rows.chunks(batch.max_size) {
-            batch.reset();
-            for (r, row) in chunk.iter().enumerate() {
-                for (c, col) in batch.columns.iter_mut().enumerate() {
-                    set_value(col, r, &row[c])?;
-                }
-            }
-            batch.size = chunk.len();
-            gids.extend_from_slice(keys.resolve(&batch)?.0);
+    /// The rows stored: the side's rows that passed the build filter with
+    /// no NULL key part.
+    pub fn build_rows(&self) -> usize {
+        self.starts[self.starts.len() - 1]
+    }
+}
+
+/// Builds a [`MapJoinTable`] from the small side's batches as its reader
+/// fills them.
+pub struct MapJoinBuilder {
+    /// Run over each batch in order: the build filter, then what computes
+    /// the key columns.
+    expressions: Vec<Box<dyn VectorExpression>>,
+    /// Batch column and type of each stored column: the keys, then the
+    /// side's own.
+    stored: Vec<(usize, DataType)>,
+    keys: KeyWrapper,
+    /// The batches added, and per kept row, in the order read: its batch,
+    /// its row there and its key's id.
+    batches: Vec<VectorizedRowBatch>,
+    rows: Vec<(usize, usize, u32)>,
+}
+
+impl MapJoinBuilder {
+    /// `expressions` run over each side batch in order: a filter among them
+    /// unselects rows, the others fill scratch columns. `key_columns` are
+    /// the batch column and logical type of each build key, `columns` of
+    /// each column the table stores after them.
+    pub fn new(
+        expressions: Vec<Box<dyn VectorExpression>>,
+        key_columns: Vec<(usize, DataType)>,
+        columns: Vec<(usize, DataType)>,
+    ) -> Result<MapJoinBuilder> {
+        if let Some((_, dt)) = key_columns.iter().find(|(_, dt)| Lane::of(dt).is_none()) {
+            return Err(HiveError::Execution(format!(
+                "type {dt} cannot be a map-join key"
+            )));
         }
-        let build_rows = rows.len() as u64;
-        let mut rows_by_gid = vec![Vec::new(); keys.num_groups()];
-        for (g, row) in gids.into_iter().zip(rows) {
-            rows_by_gid[g as usize].push(row);
+        let stored = key_columns.iter().cloned().chain(columns).collect();
+        Ok(MapJoinBuilder {
+            expressions,
+            stored,
+            keys: KeyWrapper::new(key_columns),
+            batches: Vec::new(),
+            rows: Vec::new(),
+        })
+    }
+
+    /// Filter one side batch, compute its keys and keep its rows whose key
+    /// has no NULL part (a NULL key never matches). The table copies the
+    /// kept rows out of the batch when it is finished.
+    pub fn add(&mut self, mut batch: VectorizedRowBatch) -> Result<()> {
+        for e in &self.expressions {
+            e.evaluate(&mut batch)?;
+        }
+        let nk = self.keys.table().types().len();
+        let keys = &self.stored[..nk];
+        let mut kept = 0;
+        for j in 0..batch.size {
+            let i = if batch.selected_in_use {
+                batch.selected[j]
+            } else {
+                j
+            };
+            if keys.iter().all(|(c, _)| !batch.columns[*c].is_null(i)) {
+                batch.selected[kept] = i;
+                kept += 1;
+            }
+        }
+        (batch.selected_in_use, batch.size) = (true, kept);
+        if kept == 0 {
+            return Ok(());
+        }
+        let b = self.batches.len();
+        let (gids, _) = self.keys.resolve(&batch)?;
+        let rows = batch.iter_selected().zip(gids).map(|(i, &g)| (b, i, g));
+        self.rows.extend(rows);
+        self.batches.push(batch);
+        Ok(())
+    }
+
+    /// The table: the kept rows' stored columns, copied into key order.
+    pub fn finish(self) -> Result<MapJoinTable> {
+        let keys = self.keys.into_table();
+        let mut starts = vec![0; keys.num_groups() + 1];
+        for &(_, _, g) in &self.rows {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..keys.num_groups() {
+            starts[g + 1] += starts[g];
+        }
+        // Each kept row's position: after the rows of smaller ids, and
+        // after the earlier rows of its own.
+        let mut next = starts.clone();
+        let at: Vec<usize> = (self.rows.iter())
+            .map(|&(_, _, g)| {
+                next[g as usize] += 1;
+                next[g as usize] - 1
+            })
+            .collect();
+        let n = self.rows.len();
+        let mut columns = Vec::with_capacity(self.stored.len());
+        for (c, dt) in &self.stored {
+            let mut column = ColumnVector::for_type(dt, n)?;
+            for (&(b, i, _), &j) in self.rows.iter().zip(&at) {
+                column.copy_cell(j, &self.batches[b].columns[*c], i)?;
+            }
+            columns.push(column);
         }
         Ok(MapJoinTable {
             keys,
-            rows_by_gid,
-            build_rows,
+            columns,
+            starts,
         })
     }
 }
@@ -89,9 +164,9 @@ impl MapJoinTable {
 /// The output side of the join: assembles stream columns ++ build columns
 /// into fresh batches.
 struct JoinOutput {
-    /// Batch column index + logical type of each streamed output column.
-    stream_columns: Vec<(usize, DataType)>,
-    /// Width of a stored build row (for null padding on outer misses).
+    /// Batch column of each streamed output column.
+    stream_columns: Vec<usize>,
+    /// Width of a stored row (for null padding on outer misses).
     build_width: usize,
     types: Vec<DataType>,
     batch_size: usize,
@@ -99,31 +174,30 @@ struct JoinOutput {
 }
 
 impl JoinOutput {
-    /// Append one output row: stream columns from `probe[i]`, then the
-    /// build row (or nulls on a preserved-side miss). Flushes when full.
+    /// Append one output row: stream columns from `probe[i]`, then stored
+    /// row `r` of `build` (or NULLs on a preserved-side miss). Flushes when
+    /// full.
     fn emit(
         &mut self,
         probe: &VectorizedRowBatch,
         i: usize,
-        build: Option<&Row>,
+        build: Option<(&[ColumnVector], usize)>,
         out: &mut dyn FnMut(VectorizedRowBatch),
     ) -> Result<()> {
         let j = self.batch.size;
-        for (o, (c, _)) in self.stream_columns.iter().enumerate() {
-            copy_cell(&probe.columns[*c], i, &mut self.batch.columns[o], j)?;
+        let (stream, built) = self.batch.columns.split_at_mut(self.stream_columns.len());
+        for (dst, &c) in stream.iter_mut().zip(&self.stream_columns) {
+            dst.copy_cell(j, &probe.columns[c], i)?;
         }
-        let base = self.stream_columns.len();
         match build {
-            Some(row) => {
-                for (o, v) in row.values().iter().enumerate() {
-                    set_value(&mut self.batch.columns[base + o], j, v)?;
+            Some((columns, r)) => {
+                for (dst, src) in built.iter_mut().zip(columns) {
+                    dst.copy_cell(j, src, r)?;
                 }
             }
-            None => {
-                for o in 0..self.build_width {
-                    set_value(&mut self.batch.columns[base + o], j, &Value::Null)?;
-                }
-            }
+            None => built[..self.build_width]
+                .iter_mut()
+                .for_each(|dst| dst.set_null(j)),
         }
         self.batch.size = j + 1;
         if self.batch.size == self.batch.max_size {
@@ -148,7 +222,8 @@ pub struct VectorMapJoinOperator {
     pub kind: MapJoinKind,
     /// Expressions computing probe-key scratch columns (run per batch).
     pub key_expressions: Vec<Box<dyn VectorExpression>>,
-    table: MapJoinTable,
+    table: Arc<MapJoinTable>,
+    probe: KeyProbe,
     output: JoinOutput,
     probe_batches: u64,
     repeat_probes: u64,
@@ -157,35 +232,35 @@ pub struct VectorMapJoinOperator {
 impl VectorMapJoinOperator {
     /// `key_columns`: batch column index + logical type of each probe key;
     /// the types must be the build keys' (lanes are typed by them).
-    #[allow(clippy::too_many_arguments)]
+    /// `stream_columns`: the batch columns the output carries before the
+    /// stored row, with their types.
     pub fn new(
         kind: MapJoinKind,
         key_expressions: Vec<Box<dyn VectorExpression>>,
         key_columns: Vec<(usize, DataType)>,
         stream_columns: Vec<(usize, DataType)>,
-        mut table: MapJoinTable,
-        build_width: usize,
+        table: Arc<MapJoinTable>,
         out_batch_types: &[DataType],
         batch_size: usize,
     ) -> Result<VectorMapJoinOperator> {
-        let built = table.keys.keys().iter().map(|(_, dt)| dt);
-        if !key_columns.iter().map(|(_, dt)| dt).eq(built) {
+        if !key_columns.iter().map(|(_, dt)| dt).eq(table.keys.types()) {
             return Err(HiveError::Execution(
                 "map-join probe keys are not typed like the build keys".into(),
             ));
         }
-        table.keys.rebind(key_columns.iter().map(|(c, _)| *c));
+        let output = JoinOutput {
+            stream_columns: stream_columns.iter().map(|(c, _)| *c).collect(),
+            build_width: table.columns.len(),
+            types: out_batch_types.to_vec(),
+            batch_size,
+            batch: VectorizedRowBatch::new(out_batch_types, batch_size)?,
+        };
         Ok(VectorMapJoinOperator {
             kind,
             key_expressions,
+            probe: KeyProbe::new(key_columns.iter().map(|(c, _)| *c).collect()),
             table,
-            output: JoinOutput {
-                stream_columns,
-                build_width,
-                types: out_batch_types.to_vec(),
-                batch_size,
-                batch: VectorizedRowBatch::new(out_batch_types, batch_size)?,
-            },
+            output,
             probe_batches: 0,
             repeat_probes: 0,
         })
@@ -202,17 +277,15 @@ impl VectorOperator for VectorMapJoinOperator {
             e.evaluate(batch)?;
         }
         self.probe_batches += 1;
-        let MapJoinTable {
-            keys, rows_by_gid, ..
-        } = &mut self.table;
-        if batch.size > 0 && keys.one_key(batch) {
+        if batch.size > 0 && self.probe.one_key(batch) {
             self.repeat_probes += 1;
         }
-        let gids = keys.find(batch)?;
+        let table = &*self.table;
+        let gids = self.probe.find(&table.keys, batch)?;
         for (&g, i) in gids.iter().zip(batch.iter_selected()) {
             if g != MISS {
-                for row in &rows_by_gid[g as usize] {
-                    self.output.emit(batch, i, Some(row), out)?;
+                for r in table.starts[g as usize]..table.starts[g as usize + 1] {
+                    self.output.emit(batch, i, Some((&table.columns, r)), out)?;
                 }
             } else if self.kind == MapJoinKind::LeftOuter {
                 self.output.emit(batch, i, None, out)?;
@@ -234,7 +307,7 @@ impl VectorOperator for VectorMapJoinOperator {
     fn profile_detail(&self) -> Vec<(String, u64)> {
         vec![
             ("probe_batches".to_string(), self.probe_batches),
-            ("build_rows".to_string(), self.table.build_rows),
+            ("build_rows".to_string(), self.table.build_rows() as u64),
             ("repeat_probes".to_string(), self.repeat_probes),
         ]
     }
@@ -244,12 +317,32 @@ impl VectorOperator for VectorMapJoinOperator {
 mod tests {
     use super::*;
     use crate::row_convert::{batch_to_rows, rows_to_batch};
+    use hive_common::{Row, Value};
 
-    fn table_from(rows: &[(i64, &str)]) -> MapJoinTable {
+    /// A table over side rows of `types` whose first `nk` columns are the
+    /// key, read in batches of `batch_rows`.
+    fn build(
+        types: &[DataType],
+        nk: usize,
+        rows: &[Row],
+        batch_rows: usize,
+    ) -> Result<MapJoinTable> {
+        let columns = |r: std::ops::Range<usize>| r.map(|c| (c, types[c].clone())).collect();
+        let mut builder = MapJoinBuilder::new(vec![], columns(0..nk), columns(nk..types.len()))?;
+        for chunk in rows.chunks(batch_rows) {
+            let mut batch = VectorizedRowBatch::new(types, batch_rows)?;
+            rows_to_batch(chunk, &mut batch)?;
+            builder.add(batch)?;
+        }
+        builder.finish()
+    }
+
+    fn table_from(rows: &[(i64, &str)]) -> Arc<MapJoinTable> {
         let stored = |(k, name): &(i64, &str)| {
             Row::new(vec![Value::Int(*k), Value::String((*name).to_string())])
         };
-        MapJoinTable::build(&[DataType::Int], rows.iter().map(stored).collect()).unwrap()
+        let rows: Vec<Row> = rows.iter().map(stored).collect();
+        Arc::new(build(&[DataType::Int, DataType::String], 1, &rows, 4).unwrap())
     }
 
     const OUT_COLS: [(usize, DataType); 4] = [
@@ -272,7 +365,6 @@ mod tests {
             vec![(0, DataType::Int)],
             vec![(0, DataType::Int), (1, DataType::Int)],
             table_from(&[(1, "one"), (3, "three"), (3, "trois")]),
-            2,
             &out_types,
             batch_size,
         )
@@ -384,17 +476,17 @@ mod tests {
 
     /// A one-column DOUBLE probe against a DOUBLE-keyed table whose stored
     /// rows are just their key; returns the matched keys' bit patterns.
-    fn probe_doubles(build: &[f64], probe: &[f64]) -> Vec<u64> {
+    fn probe_doubles(keys: &[f64], probe: &[f64]) -> Vec<u64> {
         let row = |x: &f64| Row::new(vec![Value::Double(*x)]);
-        let table = MapJoinTable::build(&[DataType::Double], build.iter().map(row).collect());
+        let rows: Vec<Row> = keys.iter().map(row).collect();
+        let table = build(&[DataType::Double], 1, &rows, 8);
         let types = [DataType::Double, DataType::Double];
         let mut op = VectorMapJoinOperator::new(
             MapJoinKind::Inner,
             vec![],
             vec![(0, DataType::Double)],
             vec![(0, DataType::Double)],
-            table.unwrap(),
-            1,
+            Arc::new(table.unwrap()),
             &types,
             8,
         )
@@ -423,14 +515,13 @@ mod tests {
                 vec![(0, probe.clone())],
                 vec![(0, probe.clone())],
                 table_from(&[(1, "one")]),
-                2,
                 &[probe.clone(), DataType::Int, DataType::String],
                 4,
             );
             assert!(op.is_err(), "{probe} probe against an INT build key");
         }
         let arr = DataType::Array(Box::new(DataType::Int));
-        assert!(MapJoinTable::build(&[arr], vec![]).is_err());
+        assert!(MapJoinBuilder::new(vec![], vec![(0, arr)], vec![]).is_err());
         // NaN is one key, and -0.0 is 0.0 (the key rule).
         let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
         let zero = 0.0f64.to_bits();
@@ -443,5 +534,45 @@ mod tests {
             probe_doubles(&[-0.0], &[0.0, -0.0]),
             [minus_zero, minus_zero]
         );
+    }
+
+    #[test]
+    fn build_keeps_each_keys_rows_in_read_order_across_batches() {
+        // Batches of two rows: key 3's rows arrive in three of them, and the
+        // NULL-keyed rows are never stored.
+        let row = |k: Option<i64>, name: &str| {
+            let k = k.map_or(Value::Null, Value::Int);
+            Row::new(vec![k, Value::String(name.into())])
+        };
+        let side = [
+            row(Some(3), "a"),
+            row(None, "null-0"),
+            row(Some(1), "b"),
+            row(Some(3), "c"),
+            row(None, "null-1"),
+            row(None, "null-2"),
+            row(Some(3), "d"),
+        ];
+        let table = build(&[DataType::Int, DataType::String], 1, &side, 2).unwrap();
+        assert_eq!(table.build_rows(), 4);
+        let mut op = VectorMapJoinOperator::new(
+            MapJoinKind::Inner,
+            vec![],
+            vec![(0, DataType::Int)],
+            vec![(0, DataType::Int), (1, DataType::Int)],
+            Arc::new(table),
+            &[
+                DataType::Int,
+                DataType::Int,
+                DataType::Int,
+                DataType::String,
+            ],
+            8,
+        )
+        .unwrap();
+        let (out, _) = probe(&mut op, &[row2(3, 30), row2(1, 10)]);
+        let names: Vec<&Value> = out.iter().map(|r| &r[3]).collect();
+        let want = ["a", "c", "d", "b"].map(|n| Value::String(n.into()));
+        assert_eq!(names, want.iter().collect::<Vec<_>>());
     }
 }

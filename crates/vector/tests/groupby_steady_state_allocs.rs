@@ -11,12 +11,13 @@
 
 use hive_common::{DataType, Row, Value};
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator, VectorStreamAggregator};
-use hive_vector::mapjoin::{MapJoinKind, MapJoinTable, VectorMapJoinOperator};
+use hive_vector::mapjoin::{MapJoinBuilder, MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 use hive_vector::row_convert::rows_to_batch;
 use hive_vector::{VectorOperator, VectorizedRowBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own).
@@ -275,28 +276,41 @@ fn map_join_probes_that_miss_cost_no_allocation() {
         stored(1, 0.5, "f1", "a-key-nobody-probes-for"),
         stored(99, 0.5, "f1", "a-key-long-enough-1"),
     ];
-    let table = MapJoinTable::build(&TYPES[..4], build).unwrap();
+    let mut side_types = TYPES[..4].to_vec();
+    side_types.push(DataType::String);
+    let mut side = VectorizedRowBatch::new(&side_types, build.len()).unwrap();
+    rows_to_batch(&build, &mut side).unwrap();
+    let mut builder = MapJoinBuilder::new(vec![], keys(), vec![(4, DataType::String)]).unwrap();
+    builder.add(side).unwrap();
+    // One table, as a job's map tasks share it; each operator probes it
+    // through scratch of its own.
+    let table = Arc::new(builder.finish().unwrap());
     let mut out_types = vec![DataType::Int];
     out_types.extend_from_slice(&TYPES[..4]);
     out_types.push(DataType::String);
-    let mut join = VectorMapJoinOperator::new(
-        MapJoinKind::Inner,
-        vec![],
-        keys(),
-        vec![(4, DataType::Int)],
-        table,
-        5,
-        &out_types,
-        ROWS,
-    )
-    .unwrap();
+    let join = |table: &Arc<MapJoinTable>| {
+        VectorMapJoinOperator::new(
+            MapJoinKind::Inner,
+            vec![],
+            keys(),
+            vec![(4, DataType::Int)],
+            Arc::clone(table),
+            &out_types,
+            ROWS,
+        )
+        .unwrap()
+    };
+    let mut joins = [join(&table), join(&table)];
     let mut batches: Vec<VectorizedRowBatch> = (0..4).map(batch).collect();
     let mut emitted = 0usize;
     let mut count = |b: VectorizedRowBatch| emitted += b.size;
-    // Warm-up: the first probe sizes the wrapper's two scratch buffers.
-    join.process(&mut batches[0], &mut count).unwrap();
+    // Warm-up: the first probe sizes each operator's two scratch buffers.
+    for join in &mut joins {
+        join.process(&mut batches[0], &mut count).unwrap();
+    }
     let allocations = allocations_during(|| {
         for round in 0..100 {
+            let join = &mut joins[round % 2];
             join.process(&mut batches[round % 4], &mut count).unwrap();
         }
     });
