@@ -45,12 +45,18 @@ cargo test -q --release --offline -p hive --test properties map_join_tables_are_
 
 # The cold read path's two kernels against their definitions, in the
 # optimized build the benchmark measures: the slicing-by-16 CRC32 against a
-# bitwise CRC (every length and alignment, split updates), the overcopy
-# Snappy decoder against a bytewise reference (every single-byte mutation
-# of a unit agrees), and a hostile length header as an error, not an abort,
-# in both codecs and through an ORC compression unit.
+# bitwise CRC (every length and alignment, split updates), the chunk rule
+# against its model (a read fails exactly when it returns a byte of a
+# corrupt 512-byte chunk, over random block sizes, file lengths and reads;
+# a wire flip is caught where it happens) and a rename that keeps a corrupt
+# chunk corrupt, the overcopy Snappy decoder against a bytewise reference
+# (every single-byte mutation of a unit agrees), and a hostile length
+# header as an error, not an abort, in both codecs and through an ORC
+# compression unit.
 echo "==> CRC32 and Snappy kernels against their references under --release"
-cargo test -q --release --offline -p hive-dfs --lib crc::
+cargo test -q --release --offline -p hive-dfs --lib -- crc:: \
+    reads_fail_exactly_when_they_overlap_the_flipped_chunk \
+    rename_keeps_checksums_so_a_corrupt_chunk_stays_corrupt
 cargo test -q --release --offline -p hive-codec --lib -- block::lz:: hostile_length_header
 cargo test -q --release --offline -p hive-formats --lib hostile_length_header
 

@@ -297,8 +297,9 @@ knobs! {
     /// a healthy replica.
     DFS_FAULT_READ_ERROR_RATE: f64 = "dfs.fault.read.error.rate", "0.0", range(0.0, 1.0);
     /// Probability that the first read of a location silently flips a byte
-    /// on the wire. Per-block CRC32 verification catches the flip and turns
-    /// it into a retryable `Corrupt` error instead of garbage rows.
+    /// on the wire. Per-chunk CRC32 verification (one checksum per 512 bytes
+    /// of each block) catches the flip and turns it into a retryable
+    /// `Corrupt` error instead of garbage rows.
     DFS_FAULT_CORRUPT_RATE: f64 = "dfs.fault.corrupt.rate", "0.0", range(0.0, 1.0);
     /// Comma-separated node ids whose reads incur extra simulated latency
     /// (stragglers). Empty = none.

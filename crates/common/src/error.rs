@@ -46,7 +46,7 @@ pub enum HiveError {
     /// Retrying the same read — possibly against another replica — is
     /// expected to succeed; the task-attempt framework retries these.
     Transient(String),
-    /// Detected data corruption: a block failed its CRC32 check, or a
+    /// Detected data corruption: a checksum chunk failed its CRC32 check, or a
     /// decoded stream contradicted its own metadata. Retryable at the DFS
     /// layer (another replica may be clean) and skippable by the ORC
     /// reader's `hive.exec.orc.skip.corrupt.data` degradation mode.

@@ -9,6 +9,8 @@
 //! process death (`HiveError::Crashed`, non-retryable), so "kill -9
 //! anywhere" becomes an enumerable test matrix instead of a race.
 
+mod common;
+
 use hive_common::config::keys;
 use hive_common::{HiveError, Row, Value};
 use hive_core::{HiveServer, HiveSession, COMPACTOR_CRASH_POINTS, WRITER_CRASH_POINTS};
@@ -403,11 +405,11 @@ proptest! {
 }
 
 /// A session whose ORC files are many small stripes (100-row index
-/// stride) over 4 KB DFS blocks, so one corrupt block costs index groups
-/// mid-file, not the table, and ordinals span many groups — and the table
-/// `c(k, v, s)` with `v` = the row's position in the base file. Unique
-/// strings defeat dictionary encoding so the file is large and a corrupt
-/// mid-file block misses the footer tail.
+/// stride) over 4 KB DFS blocks, so one corrupt checksum chunk costs index
+/// groups mid-file, not the table, and ordinals span many groups — and the
+/// table `c(k, v, s)` with `v` = the row's position in the base file.
+/// Unique strings defeat dictionary encoding so the file is large and a
+/// corrupt mid-file chunk misses the footer tail.
 fn many_stripe_table(nrows: i64) -> HiveSession {
     let mut hive = HiveSession::with_dfs_config(hive_dfs::DfsConfig {
         block_size: 4 << 10,
@@ -450,7 +452,8 @@ fn salvaged_corrupt_stripes_keep_delete_masks_aligned() {
     let base = snap.base[0].clone();
     let len = hive.dfs().len(&base).unwrap();
     assert!(len > 64 << 10, "fixture file too small ({len} bytes)");
-    hive.dfs().corrupt_stored(&base, len / 2, 0x5a).unwrap();
+    let at = common::mid_stripe_data_byte(hive.dfs(), &base, "v");
+    hive.dfs().corrupt_stored(&base, at, 0x5a).unwrap();
 
     let server = hive.server().clone();
     let read = |knobs: &[(&str, &str)]| {
@@ -523,8 +526,8 @@ fn dml_after_a_salvaged_stripe_masks_exactly_the_rows_it_matched() {
     hive.server().execute("DELETE FROM c WHERE v = 0").unwrap();
     let snap = load_snapshot(hive.dfs(), "/warehouse/c/").unwrap().unwrap();
     let base = snap.base[0].clone();
-    let len = hive.dfs().len(&base).unwrap();
-    hive.dfs().corrupt_stored(&base, len / 2, 0x5a).unwrap();
+    let at = common::mid_stripe_data_byte(hive.dfs(), &base, "v");
+    hive.dfs().corrupt_stored(&base, at, 0x5a).unwrap();
 
     let salvage = [(keys::ORC_SKIP_CORRUPT, "true")];
     let mut model = salvaged_pairs(&hive);
@@ -606,7 +609,8 @@ fn minor_compaction_over_a_salvaged_delta_keeps_its_delete_keys_aligned() {
     let delta = snap.deltas[0].1.clone();
     let len = hive.dfs().len(&delta).unwrap();
     assert!(len > 64 << 10, "fixture delta too small ({len} bytes)");
-    hive.dfs().corrupt_stored(&delta, len / 2, 0x5a).unwrap();
+    let at = common::mid_stripe_data_byte(hive.dfs(), &delta, "v");
+    hive.dfs().corrupt_stored(&delta, at, 0x5a).unwrap();
 
     let model = salvaged_pairs(&hive);
     let lost = (BASE..BASE + DELTA)

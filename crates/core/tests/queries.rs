@@ -2,6 +2,8 @@
 //! running example (Figure 4) and every optimization's on/off equivalence:
 //! optimized and unoptimized plans must produce identical results.
 
+mod common;
+
 use hive_common::config::keys;
 use hive_common::{Row, Value};
 use hive_core::HiveSession;
@@ -727,9 +729,10 @@ fn faults_without_retries_surface_as_errors_not_panics() {
     );
 }
 
-/// End to end corrupt-data degradation: an at-rest corrupted block (stale
-/// checksums, so retries cannot heal it) fails a strict scan but degrades
-/// to a partial result with `hive.exec.orc.skip.corrupt.data`.
+/// End to end corrupt-data degradation: an at-rest corrupted chunk of a
+/// column the query reads (stale checksums, so retries cannot heal it)
+/// fails a strict scan but degrades to a partial result with
+/// `hive.exec.orc.skip.corrupt.data`.
 #[test]
 fn skip_corrupt_data_degrades_query_instead_of_failing() {
     const NROWS: i64 = 8000;
@@ -739,14 +742,14 @@ fn skip_corrupt_data_degrades_query_instead_of_failing() {
             replication: 2,
             nodes: 4,
         });
-        // Small stripes so one corrupt 4 KB block costs one stripe of
-        // rows, not the whole table.
+        // Small stripes so one corrupt checksum chunk costs part of one
+        // stripe's rows, not the whole table.
         hive.set(keys::ORC_STRIPE_SIZE, "16384")
             .set(keys::ORC_ROW_INDEX_STRIDE, "100");
         hive.execute("CREATE TABLE t (k BIGINT, v BIGINT, s STRING) STORED AS orc")
             .unwrap();
         // Unique strings defeat dictionary encoding, keeping the file well
-        // past the 16 KB tail that `open` reads: the corrupt mid-file block
+        // past the 16 KB tail that `open` reads: the corrupt mid-file chunk
         // must not overlap the postscript/footer read.
         hive.load_rows(
             "t",
@@ -762,7 +765,8 @@ fn skip_corrupt_data_degrades_query_instead_of_failing() {
         let part = hive.dfs().list("/warehouse/t/")[0].clone();
         let len = hive.dfs().len(&part).unwrap();
         assert!(len > 64 << 10, "fixture file too small ({len} bytes)");
-        hive.dfs().corrupt_stored(&part, len / 2, 0x5a).unwrap();
+        let at = common::mid_stripe_data_byte(hive.dfs(), &part, "v");
+        hive.dfs().corrupt_stored(&part, at, 0x5a).unwrap();
         hive
     };
     let sql = "SELECT k, v FROM t WHERE v >= 0";
@@ -770,7 +774,7 @@ fn skip_corrupt_data_degrades_query_instead_of_failing() {
     let mut strict = build();
     let err = strict
         .execute(sql)
-        .expect_err("stale-checksum block must fail the strict scan");
+        .expect_err("stale-checksum chunk must fail the strict scan");
     assert!(err.is_data_corruption(), "got {err:?}");
 
     let mut hive = build();

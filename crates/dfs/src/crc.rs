@@ -1,5 +1,5 @@
 //! CRC32 (IEEE 802.3 polynomial, the one HDFS's `ChecksumFileSystem` uses)
-//! with compile-time lookup tables. Per-block checksums computed at write
+//! with compile-time lookup tables. Per-chunk checksums computed at write
 //! time let the reader detect both at-rest tampering and simulated wire
 //! corruption instead of handing garbage bytes to a SerDe.
 //!

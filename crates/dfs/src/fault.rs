@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] decides — purely from `(seed, path, offset)` — whether a
 //! read fails with a retryable [`HiveError::Transient`], silently flips a
-//! byte on the wire (which the per-block CRC32 check then surfaces as
+//! byte on the wire (which the per-chunk CRC32 check then surfaces as
 //! [`HiveError::Corrupt`]), or pays extra simulated latency because the
 //! serving node is a designated straggler.
 //!

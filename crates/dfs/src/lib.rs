@@ -52,9 +52,10 @@ struct FileEntry {
     data: Vec<u8>,
     block_size: u64,
     blocks: Vec<BlockInfo>,
-    /// CRC32 of each block's bytes, computed when the file was published.
-    /// Readers verify blocks against these before serving data.
-    block_crcs: Vec<u32>,
+    /// CRC32 of each [`BYTES_PER_CHECKSUM`] chunk of each block, block by
+    /// block, computed when the file was published. Readers verify the
+    /// chunks a read returns against these before serving data.
+    chunk_crcs: Vec<u32>,
     /// Monotonic per-filesystem generation, bumped every time the path is
     /// (re)published or tampered with. Cache keys include it, so entries
     /// for an overwritten file are structurally unreachable.
@@ -68,6 +69,20 @@ struct FileEntry {
     /// generation, so block- and metadata-cache keys never collide across
     /// copies. Empty for ordinary files.
     variants: Vec<Arc<FileEntry>>,
+}
+
+/// Bytes covered by one stored checksum: HDFS's default
+/// `dfs.bytes-per-checksum`. Chunks start at each block's offset, so a
+/// block's last chunk may be short and any block size works.
+pub const BYTES_PER_CHECKSUM: u64 = 512;
+
+/// CRC32 of every checksum chunk of `data` stored in `block_size`-byte
+/// blocks, block by block.
+fn chunk_crcs(data: &[u8], block_size: u64) -> Vec<u32> {
+    data.chunks(block_size as usize)
+        .flat_map(|block| block.chunks(BYTES_PER_CHECKSUM as usize))
+        .map(crc::crc32)
+        .collect()
 }
 
 /// Cluster-level configuration of the simulated filesystem.
@@ -264,14 +279,12 @@ impl Dfs {
             .get(path)
             .cloned()
             .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        let verified = vec![false; entry.blocks.len()];
         Ok(DfsReader {
             dfs: self.clone(),
             path: path.to_string(),
             entry,
             reader_node,
             last_end: None,
-            verified,
         })
     }
 
@@ -300,14 +313,12 @@ impl Dfs {
                 base.variants.len() + 1
             ))
         })?;
-        let verified = vec![false; entry.blocks.len()];
         Ok(DfsReader {
             dfs: self.clone(),
             path: path.to_string(),
             entry,
             reader_node,
             last_end: None,
-            verified,
         })
     }
 
@@ -362,10 +373,7 @@ impl Dfs {
         let variant = Arc::new(FileEntry {
             data: tmp.data.clone(),
             block_size: tmp.block_size,
-            block_crcs: blocks
-                .iter()
-                .map(|b| crc::crc32(&tmp.data[b.offset as usize..(b.offset + b.len) as usize]))
-                .collect(),
+            chunk_crcs: chunk_crcs(&tmp.data, tmp.block_size),
             blocks,
             generation,
             sort_column: sort_column.to_string(),
@@ -379,7 +387,7 @@ impl Dfs {
                 data: base.data.clone(),
                 block_size: base.block_size,
                 blocks: base.blocks.clone(),
-                block_crcs: base.block_crcs.clone(),
+                chunk_crcs: base.chunk_crcs.clone(),
                 generation: base.generation,
                 sort_column: String::new(),
                 variants: Vec::new(),
@@ -390,7 +398,7 @@ impl Dfs {
             data: base.data.clone(),
             block_size: base.block_size,
             blocks: base.blocks.clone(),
-            block_crcs: base.block_crcs.clone(),
+            chunk_crcs: base.chunk_crcs.clone(),
             generation: base.generation,
             sort_column: base.sort_column.clone(),
             variants,
@@ -519,9 +527,9 @@ impl Dfs {
     }
 
     /// Flip `mask` into the stored byte at `pos` of `path` *without*
-    /// recomputing block checksums — simulating at-rest corruption of a
-    /// replica. The next read touching that block fails its CRC check.
-    /// Test/chaos hook.
+    /// recomputing checksums — simulating at-rest corruption of a replica.
+    /// Every later read returning a byte of that checksum chunk fails its
+    /// CRC check. Test/chaos hook.
     pub fn corrupt_stored(&self, path: &str, pos: u64, mask: u8) -> Result<()> {
         let mut files = self.inner.files.write();
         let entry = files
@@ -540,7 +548,7 @@ impl Dfs {
             data,
             block_size: entry.block_size,
             blocks: entry.blocks.clone(),
-            block_crcs: entry.block_crcs.clone(), // stale on purpose
+            chunk_crcs: entry.chunk_crcs.clone(), // stale on purpose
             generation,
             sort_column: entry.sort_column.clone(),
             variants: entry.variants.clone(),
@@ -555,7 +563,10 @@ impl Dfs {
     /// Atomically move `from` to `to` (namenode metadata operation: readers
     /// see either the old namespace or the new one, never a partial copy).
     /// The destination gets a fresh generation and path-keyed block
-    /// placement; an existing file at `to` is replaced. Consults the
+    /// placement but keeps the stored checksums: placement moves replicas,
+    /// never block boundaries, and a namenode operation never rehashes
+    /// data (so an at-rest corruption stays detectable after the move). An
+    /// existing file at `to` is replaced. Consults the
     /// handle's (statement-scoped) fault plan: a rename can fail without
     /// moving anything, or move the file and *then* report failure (lost
     /// ack) — callers with commit semantics must probe for the latter.
@@ -580,15 +591,11 @@ impl Dfs {
             entry.block_size,
             &self.inner.config,
         );
-        let block_crcs = blocks
-            .iter()
-            .map(|b| crc::crc32(&entry.data[b.offset as usize..(b.offset + b.len) as usize]))
-            .collect();
         let moved = Arc::new(FileEntry {
             data: entry.data.clone(),
             block_size: entry.block_size,
             blocks,
-            block_crcs,
+            chunk_crcs: entry.chunk_crcs.clone(),
             generation,
             sort_column: entry.sort_column.clone(),
             // Sorted variants do not follow a rename: the delta/compaction
@@ -612,17 +619,14 @@ impl Dfs {
 
     fn finish_file(&self, path: String, data: Vec<u8>, block_size: u64) {
         let blocks = placement(&path, data.len() as u64, block_size, &self.inner.config);
-        let block_crcs = blocks
-            .iter()
-            .map(|b| crc::crc32(&data[b.offset as usize..(b.offset + b.len) as usize]))
-            .collect();
+        let chunk_crcs = chunk_crcs(&data, block_size);
         self.inner.stats.add_bytes_written(data.len() as u64);
         let generation = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
         let blocks_entry = Arc::new(FileEntry {
             data,
             block_size,
             blocks,
-            block_crcs,
+            chunk_crcs,
             generation,
             sort_column: String::new(),
             variants: Vec::new(),
@@ -867,9 +871,6 @@ pub struct DfsReader {
     reader_node: Option<NodeId>,
     /// End offset of the previous read; a gap means a disk seek.
     last_end: Option<u64>,
-    /// Blocks this reader has already CRC-verified (once per reader, like
-    /// HDFS's per-stream checksum verification).
-    verified: Vec<bool>,
 }
 
 impl DfsReader {
@@ -1007,53 +1008,57 @@ impl DfsReader {
                 }
             }
         }
-        self.verify_blocks(offset, end, wire_flip)?;
+        self.verify_chunks(offset, end, wire_flip)?;
         Ok(data)
     }
 
-    /// CRC-check every block overlapping `[offset, end)`. Clean blocks are
-    /// verified once per reader and remembered; a wire flip forces the
-    /// overlapped block to be re-checked against the flipped image so the
-    /// corruption is caught on this very read. Verification models the
-    /// datanode checksumming its own disk — it performs no client I/O.
-    fn verify_blocks(&mut self, offset: u64, end: u64, wire_flip: Option<(u64, u8)>) -> Result<()> {
-        if self.entry.block_size == 0 || offset >= end {
-            return Ok(());
-        }
-        let first = (offset / self.entry.block_size) as usize;
-        for (idx, block) in self.entry.blocks.iter().enumerate().skip(first) {
-            if block.offset >= end {
+    /// CRC-check every checksum chunk overlapping `[offset, end)` — the
+    /// bytes the read returns, rounded out to chunk boundaries — and count
+    /// those bytes as verified. A wire flip is checked in its chunk's
+    /// flipped image, so the corruption is caught on this very read.
+    /// Verification models the datanode checksumming its own disk — it
+    /// performs no client I/O.
+    fn verify_chunks(&self, offset: u64, end: u64, wire_flip: Option<(u64, u8)>) -> Result<()> {
+        let entry = &self.entry;
+        let (block_size, total) = (entry.block_size, entry.data.len() as u64);
+        let per_block = block_size.div_ceil(BYTES_PER_CHECKSUM);
+        let mut cur = offset;
+        let mut verified = 0;
+        let mut result = Ok(());
+        while cur < end {
+            let (block, within) = (cur / block_size, cur % block_size);
+            let chunk = within / BYTES_PER_CHECKSUM;
+            let start = cur - within % BYTES_PER_CHECKSUM;
+            let stop = (start + BYTES_PER_CHECKSUM)
+                .min((block + 1) * block_size)
+                .min(total);
+            let raw = &entry.data[start as usize..stop as usize];
+            let crc = match wire_flip {
+                Some((pos, mask)) if (start..stop).contains(&pos) => {
+                    // The flipped image's CRC, in three pieces around the flip.
+                    let i = (pos - start) as usize;
+                    let mut c = crc::Crc32::new();
+                    c.update(&raw[..i]);
+                    c.update(&[raw[i] ^ mask]);
+                    c.update(&raw[i + 1..]);
+                    c.finish()
+                }
+                _ => crc::crc32(raw),
+            };
+            verified += stop - start;
+            let expected = entry.chunk_crcs[(block * per_block + chunk) as usize];
+            if crc != expected {
+                result = Err(HiveError::Corrupt(format!(
+                    "checksum mismatch in block {block}, chunk {chunk} of {} \
+                     (expected {expected:#010x}, got {crc:#010x})",
+                    self.path
+                )));
                 break;
             }
-            let flipped_here = wire_flip
-                .map(|(pos, _)| pos >= block.offset && pos < block.offset + block.len)
-                .unwrap_or(false);
-            if self.verified[idx] && !flipped_here {
-                continue;
-            }
-            let raw = &self.entry.data[block.offset as usize..(block.offset + block.len) as usize];
-            let crc = if let (true, Some((pos, mask))) = (flipped_here, wire_flip) {
-                // The flipped image's CRC, in three pieces around the flip.
-                let i = (pos - block.offset) as usize;
-                let mut c = crc::Crc32::new();
-                c.update(&raw[..i]);
-                c.update(&[raw[i] ^ mask]);
-                c.update(&raw[i + 1..]);
-                c.finish()
-            } else {
-                crc::crc32(raw)
-            };
-            if crc != self.entry.block_crcs[idx] {
-                return Err(HiveError::Corrupt(format!(
-                    "checksum mismatch in block {idx} of {} (expected {:#010x}, got {crc:#010x})",
-                    self.path, self.entry.block_crcs[idx]
-                )));
-            }
-            if !flipped_here {
-                self.verified[idx] = true;
-            }
+            cur = stop;
         }
-        Ok(())
+        self.dfs.stats().add_bytes_verified(verified);
+        result
     }
 
     /// Read the whole file into an owned vector (convenience for
@@ -1067,6 +1072,8 @@ impl DfsReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn small_fs() -> Dfs {
         Dfs::new(DfsConfig {
@@ -1220,16 +1227,138 @@ mod tests {
     }
 
     #[test]
-    fn clean_blocks_verify_once_per_reader() {
-        let fs = small_fs();
+    fn reads_verify_only_the_chunks_they_return() {
+        // 1300-byte blocks hold chunks of 512, 512 and 276 bytes.
+        let fs = Dfs::new(DfsConfig {
+            block_size: 1300,
+            replication: 1,
+            nodes: 2,
+        });
+        let data: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
         let mut w = fs.create("/t/v");
-        w.write(&[3u8; 150]);
+        w.write(&data);
         w.close();
         let mut r = fs.open("/t/v", None).unwrap();
-        for _ in 0..3 {
-            assert_eq!(r.read_at(0, 150).unwrap().len(), 150);
+        let mut verified = |offset: u64, len: usize| {
+            let before = fs.stats().snapshot();
+            let bytes = r.read_at(offset, len).unwrap();
+            assert_eq!(bytes, &data[offset as usize..offset as usize + len]);
+            fs.stats().snapshot().since(&before).bytes_verified
+        };
+        assert_eq!(verified(10, 10), 512, "inside one chunk");
+        assert_eq!(verified(500, 30), 1024, "across a chunk boundary");
+        assert_eq!(verified(1290, 20), 276 + 512, "across a block boundary");
+        assert_eq!(
+            verified(2500, 500),
+            276 + 400,
+            "to EOF in a short last block"
+        );
+        // No per-reader memo: the same range through the same reader is
+        // verified again, and no more than it returns.
+        assert_eq!(verified(10, 10), 512);
+        assert_eq!(verified(20, 0), 0, "an empty read returns no chunk");
+
+        // A cache hit verifies nothing: the fill was verified.
+        fs.set_cache_capacity(1 << 20);
+        let mut r = fs.open("/t/v", None).unwrap();
+        r.read_at(0, 700).unwrap();
+        let before = fs.stats().snapshot();
+        fs.open("/t/v", None).unwrap().read_at(0, 700).unwrap();
+        let hit = fs.stats().snapshot().since(&before);
+        assert_eq!((hit.cache_hits, hit.bytes_verified), (1, 0));
+    }
+
+    #[test]
+    fn rename_keeps_checksums_so_a_corrupt_chunk_stays_corrupt() {
+        let fs = small_fs();
+        let mut w = fs.create("/tmp/txn/delta.tmp");
+        w.write(&[0x22u8; 250]);
+        w.close();
+        fs.corrupt_stored("/tmp/txn/delta.tmp", 120, 0x40).unwrap();
+        fs.rename("/tmp/txn/delta.tmp", "/warehouse/t/delta_1")
+            .unwrap();
+        let mut r = fs.open("/warehouse/t/delta_1", None).unwrap();
+        match r.read_at(110, 20) {
+            Err(HiveError::Corrupt(msg)) => assert!(msg.contains("block 1, chunk 0"), "{msg}"),
+            other => panic!("rename laundered the corruption: {other:?}"),
         }
-        assert!(r.verified.iter().all(|&v| v));
+        assert_eq!(r.read_at(0, 100).unwrap(), vec![0x22u8; 100]);
+    }
+
+    // The chunk rule against its model: with one stored byte flipped, a read
+    // fails exactly when the flipped byte's checksum chunk (512 bytes from
+    // its block's offset, short at a block's end) overlaps the bytes it
+    // returns; every other read returns the exact bytes. A fault-plan wire
+    // flip is caught on the read it hits, and the retry reads clean.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn reads_fail_exactly_when_they_overlap_the_flipped_chunk(
+            block_size in prop_oneof![Just(512u64), Just(1024u64), 1u64..2000],
+            len in 1u64..6000,
+            flip in any::<u64>(),
+            reads in collection::vec((any::<u64>(), 0u64..3000), 1..16),
+        ) {
+            let fs = Dfs::new(DfsConfig { block_size, replication: 2, nodes: 4 });
+            let data: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
+            let mut w = fs.create("/p/f");
+            w.write(&data);
+            w.close();
+            let flip = flip % len;
+            fs.corrupt_stored("/p/f", flip, 0x10).unwrap();
+            let block_start = flip / block_size * block_size;
+            let block_end = (block_start + block_size).min(len);
+            let chunk_start = flip - (flip - block_start) % BYTES_PER_CHECKSUM;
+            let chunk_end = (chunk_start + BYTES_PER_CHECKSUM).min(block_end);
+            // Random reads, plus one on each side of the flipped block's
+            // boundaries.
+            let mut ranges: Vec<(u64, u64)> = reads.iter().map(|&(o, n)| (o % (len + 1), n)).collect();
+            ranges.push((block_start.saturating_sub(1), 2));
+            ranges.push((block_end.saturating_sub(1), 2));
+            let mut r = fs.open("/p/f", None).unwrap();
+            for (offset, n) in ranges {
+                let end = (offset + n).min(len);
+                let hits_chunk = offset < chunk_end && end > chunk_start;
+                match r.read_at(offset, n as usize) {
+                    Err(HiveError::Corrupt(msg)) => prop_assert!(
+                        hits_chunk,
+                        "[{offset}, {end}) misses chunk [{chunk_start}, {chunk_end}): {msg}"
+                    ),
+                    Ok(bytes) => {
+                        prop_assert!(!hits_chunk, "[{offset}, {end}) returned the flipped chunk");
+                        prop_assert_eq!(bytes, &data[offset as usize..end as usize]);
+                    }
+                    Err(e) => prop_assert!(false, "unexpected error {e:?}"),
+                }
+            }
+
+            // A wire flip on a clean file: caught where it happens, clean on
+            // the retry (the fault plan touches each location once).
+            let mut conf = hive_common::HiveConf::new();
+            conf.set("dfs.fault.corrupt.rate", "1.0");
+            let faulty = fs.for_statement(FaultPlan::from_conf(&conf).unwrap(), false);
+            let mut w = fs.create("/p/clean");
+            w.write(&data);
+            w.close();
+            let mut r = faulty.open("/p/clean", None).unwrap();
+            let mut touched = std::collections::HashSet::new();
+            for &(o, n) in &reads {
+                let offset = o % len;
+                if !touched.insert(offset) {
+                    continue;
+                }
+                let end = (offset + n.max(1)).min(len);
+                let first = r.read_at(offset, (end - offset) as usize);
+                prop_assert!(
+                    matches!(first, Err(HiveError::Corrupt(_))),
+                    "wire flip in [{offset}, {end}) missed: {:?}",
+                    first.map(|b| b.len())
+                );
+                let retry = r.read_at(offset, (end - offset) as usize).unwrap();
+                prop_assert_eq!(retry, &data[offset as usize..end as usize]);
+            }
+        }
     }
 
     /// A statement-scoped view of `fs` under the fault plan `set` configures.

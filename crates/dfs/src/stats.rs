@@ -25,6 +25,7 @@ pub struct IoStats {
     cache_misses: AtomicU64,
     cache_hit_bytes: AtomicU64,
     cache_evictions: AtomicU64,
+    bytes_verified: AtomicU64,
 }
 
 thread_local! {
@@ -75,6 +76,10 @@ impl IoStats {
         self.cache_evictions.fetch_add(n, Ordering::Relaxed);
     }
 
+    fn record_bytes_verified(&self, n: u64) {
+        self.bytes_verified.fetch_add(n, Ordering::Relaxed);
+    }
+
     pub fn add_bytes_local(&self, n: u64) {
         self.record_bytes_local(n);
         tee(|s| s.record_bytes_local(n));
@@ -122,6 +127,12 @@ impl IoStats {
         tee(|s| s.record_cache_evictions(n));
     }
 
+    /// `n` stored bytes CRC-checked by one uncached read.
+    pub fn add_bytes_verified(&self, n: u64) {
+        self.record_bytes_verified(n);
+        tee(|s| s.record_bytes_verified(n));
+    }
+
     /// A consistent-enough point-in-time copy of all counters.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
@@ -135,6 +146,7 @@ impl IoStats {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_hit_bytes: self.cache_hit_bytes.load(Ordering::Relaxed),
             cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
+            bytes_verified: self.bytes_verified.load(Ordering::Relaxed),
         }
     }
 
@@ -150,6 +162,7 @@ impl IoStats {
         self.cache_misses.store(0, Ordering::Relaxed);
         self.cache_hit_bytes.store(0, Ordering::Relaxed);
         self.cache_evictions.store(0, Ordering::Relaxed);
+        self.bytes_verified.store(0, Ordering::Relaxed);
     }
 }
 
@@ -171,6 +184,9 @@ pub struct IoSnapshot {
     pub cache_hit_bytes: u64,
     /// Entries evicted by the sharded LRU to admit insertions.
     pub cache_evictions: u64,
+    /// Stored bytes CRC-checked by uncached reads: each read's range
+    /// rounded out to checksum chunks. Cache hits verify nothing.
+    pub bytes_verified: u64,
 }
 
 impl IoSnapshot {
@@ -197,6 +213,7 @@ impl IoSnapshot {
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
             cache_hit_bytes: self.cache_hit_bytes.saturating_sub(earlier.cache_hit_bytes),
             cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
+            bytes_verified: self.bytes_verified.saturating_sub(earlier.bytes_verified),
         }
     }
 
@@ -213,6 +230,7 @@ impl IoSnapshot {
             cache_misses: self.cache_misses + other.cache_misses,
             cache_hit_bytes: self.cache_hit_bytes + other.cache_hit_bytes,
             cache_evictions: self.cache_evictions + other.cache_evictions,
+            bytes_verified: self.bytes_verified + other.bytes_verified,
         }
     }
 }

@@ -230,7 +230,8 @@ pub(crate) fn encode_stripe_footer(f: &StripeFooter, out: &mut Vec<u8>) {
     }
 }
 
-pub(crate) fn decode_stripe_footer(buf: &[u8]) -> Result<StripeFooter> {
+/// Decode a stripe footer (the stream directory) from its stored bytes.
+pub fn decode_stripe_footer(buf: &[u8]) -> Result<StripeFooter> {
     let mut pos = 0usize;
     let nrows = varint::read_unsigned(buf, &mut pos)?;
     let ncols = varint::read_unsigned(buf, &mut pos)? as usize;

@@ -182,7 +182,7 @@ fn rcfile_survives_corruption() {
 }
 
 /// Write an ORC file with small stripes/groups onto a small-block DFS so
-/// one corrupt block touches only part of the file.
+/// one corrupt checksum chunk touches only part of the file.
 fn write_orc(fs: &Dfs, path: &str, nrows: i64) {
     let mut w: Box<dyn TableWriter> = Box::new(OrcWriter::create(
         fs,
@@ -226,8 +226,9 @@ fn skip_corrupt_data_degrades_instead_of_failing() {
     let nrows = 4000i64;
     write_orc(&fs, "/c/skip", nrows);
     let len = fs.len("/c/skip").unwrap();
-    // Tamper with one stored byte mid-file, keeping the stale block CRCs:
-    // every read covering that block now fails checksum verification.
+    // Tamper with one stored byte mid-file, keeping the stale chunk CRCs:
+    // every read returning a byte of its 512-byte chunk now fails checksum
+    // verification.
     // Stay clear of the footer tail the reader fetches at open time.
     let pos = len / 4;
     assert!(pos + (16 << 10) < len, "file too small for the test layout");
@@ -260,7 +261,7 @@ fn skip_corrupt_data_degrades_instead_of_failing() {
         survived += 1;
     }
     let skipped = r.read_stats().rows_skipped;
-    assert!(skipped > 0, "the corrupt block must cost some rows");
+    assert!(skipped > 0, "the corrupt chunk must cost some rows");
     assert!(
         skipped < nrows as u64,
         "group-level salvage must save most of the file"

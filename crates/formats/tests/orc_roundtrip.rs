@@ -759,7 +759,7 @@ fn deferred_read_against_rows(seed: u64, nrows: usize, batch_size: usize) -> Met
     write_orc(&fs, "/orc/deferred", &schema, opts, rows.into_iter());
 
     // A projection in any order, sometimes a search argument that leaves
-    // gaps between the index groups read, sometimes a corrupt block.
+    // gaps between the index groups read, sometimes a corrupt chunk.
     let mut projection: Vec<usize> = (0..schema.len()).filter(|_| rng.below(4) > 0).collect();
     if projection.is_empty() {
         projection.push(rng.below(schema.len()));

@@ -853,3 +853,121 @@ fn a_selective_scan_materializes_little_more_than_its_first_column() {
     );
     assert_eq!(values, 3 * ROWS);
 }
+
+/// The bytes an uncached read of `[offset, end)` CRC-checks: the range
+/// rounded out to the checksum chunks it overlaps, which start at each
+/// block's offset and end at the block's end.
+fn chunk_rounded(offset: u64, end: u64, block_size: u64, file_len: u64) -> u64 {
+    const CHUNK: u64 = hive::dfs::BYTES_PER_CHECKSUM;
+    let mut sum = 0;
+    let mut block = offset / block_size * block_size;
+    while block < end {
+        let block_end = (block + block_size).min(file_len);
+        let lo = offset.max(block) - block;
+        let hi = end.min(block_end) - block;
+        sum += (block + hi.div_ceil(CHUNK) * CHUNK).min(block_end) - (block + lo / CHUNK * CHUNK);
+        block += block_size;
+    }
+    sum
+}
+
+/// The checksum layer shrinks with the projection: a q6-shaped scan of a
+/// Snappy ORC `lineitem` larger than the block cache CRC-checks exactly
+/// the byte ranges it reads, rounded out to 512-byte chunks — not the
+/// whole 1 MiB block each reader touches.
+#[test]
+fn a_projected_cold_scan_verifies_the_chunks_it_reads() {
+    use hive::formats::orc::decode_stripe_footer;
+    use hive::formats::orc::reader::{OrcReadOptions, OrcReader};
+
+    const BLOCK: u64 = 1 << 20;
+    let mut hive = HiveSession::builder()
+        .dfs_config(hive::dfs::DfsConfig {
+            block_size: BLOCK,
+            replication: 3,
+            nodes: 10,
+        })
+        .knob(knobs::ORC_COMPRESS, "snappy".to_string())
+        .knob(knobs::ORC_STRIPE_SIZE, 1 << 20)
+        .knob(knobs::IO_CACHE_BYTES, 64 << 10)
+        // Every index group is read whole: the scan's reads are the
+        // stripes' footers and the projected columns' streams.
+        .knob(knobs::OPT_PPD_STORAGE, false)
+        .build()
+        .unwrap();
+    let schema = hive::datagen::tpch::lineitem_schema();
+    hive.create_table("lineitem", schema.clone(), hive::formats::FormatKind::Orc)
+        .unwrap();
+    for seed in [42, 7] {
+        let rows = hive::datagen::tpch::lineitem_rows(0.005, seed);
+        hive.load_rows("lineitem", rows).unwrap();
+    }
+    let files = hive.dfs().list("/warehouse/lineitem/");
+    assert_eq!(files.len(), 2);
+
+    let before = hive.io_snapshot();
+    hive.execute(
+        "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem \
+         WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' \
+         AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
+    )
+    .unwrap();
+    let io = hive.io_snapshot().since(&before);
+
+    // The scan's reads, from each file's layout: the 16 KiB tail holding
+    // the footer, then per stripe its footer and every stream of the four
+    // projected columns.
+    let tree = schema.column_tree();
+    let projected: Vec<usize> = ["l_quantity", "l_extendedprice", "l_discount", "l_shipdate"]
+        .iter()
+        .map(|c| tree.top_level(schema.index_of(c).unwrap()))
+        .collect();
+    let (mut reads, mut bytes, mut verified) = (0u64, 0u64, 0u64);
+    let mut stored = 0u64;
+    for path in &files {
+        let len = hive.dfs().len(path).unwrap();
+        stored += len;
+        let mut read = |offset: u64, end: u64| {
+            reads += 1;
+            bytes += end - offset;
+            verified += chunk_rounded(offset, end, BLOCK, len);
+        };
+        read(len - len.min(16 << 10), len);
+        let orc = OrcReader::open(hive.dfs(), path, OrcReadOptions::default()).unwrap();
+        for si in orc.stripe_infos() {
+            let data = si.offset + si.index_len + si.bloom_len;
+            let footer_end = data + si.data_len + si.footer_len;
+            read(data + si.data_len, footer_end);
+            let footer = hive
+                .dfs()
+                .open(path, None)
+                .unwrap()
+                .read_at(data + si.data_len, si.footer_len as usize)
+                .unwrap();
+            let mut at = data;
+            for (id, col) in decode_stripe_footer(&footer)
+                .unwrap()
+                .columns
+                .iter()
+                .enumerate()
+            {
+                for s in &col.streams {
+                    if projected.contains(&id) {
+                        read(at, at + s.len);
+                    }
+                    at += s.len;
+                }
+            }
+        }
+    }
+    assert!(
+        stored > 8 * (64 << 10),
+        "lineitem ({stored} bytes) fits the cache"
+    );
+    assert_eq!(
+        (io.read_ops, io.bytes_read(), io.cache_hits),
+        (reads, bytes, 0),
+        "the scan's reads are not the layout's"
+    );
+    assert_eq!(io.bytes_verified, verified);
+}

@@ -2613,8 +2613,10 @@ proptest! {
                 );
                 (infos[0].offset, infos[0].nrows)
             };
-            // One flipped byte fails the whole block's CRC: every read of
-            // stripe 0 now errors and salvage drops the entire stripe.
+            // One flipped byte fails the CRC of the 512-byte chunk holding
+            // stripe 0's first byte, its index: every query shape here has
+            // a search argument, so loading stripe 0 reads that index first
+            // and errors, and salvage drops the entire stripe.
             s.dfs().corrupt_stored(&parts[0], first_byte, 0x5a).unwrap();
 
             let got = sorted_rows(s.execute(&sql).unwrap().rows);
