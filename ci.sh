@@ -25,10 +25,15 @@ cargo test -q --workspace --offline
 echo "==> vector vs row differentials under --release"
 cargo test -q --release --offline -p hive --test properties vectorized_
 cargo test -q --release --offline -p hive-vector expressions::
-# ... and the batch reader with deferred columns against the row reader
-# (slice arithmetic over stripe buffers: debug builds bounds-check and
-# overflow-check what release builds only bounds-check).
-cargo test -q --release --offline -p hive-formats --test orc_roundtrip deferred
+# ... and the batch reader with deferred columns against the row reader,
+# the row reader over nested types and NULLs, and over those types with a
+# byte flipped anywhere (slice and index arithmetic over stripe buffers:
+# debug builds overflow-check it, release builds wrap).
+cargo test -q --release --offline -p hive-formats --test orc_roundtrip -- deferred \
+    vectorized_reader_matches_row_reader figure_3_complex_types_round_trip \
+    nulls_round_trip_everywhere
+cargo test -q --release --offline -p hive-formats --test corruption \
+    orc_nested_types_survive_bit_flips_everywhere
 
 # The shuffle's byte encoding (sign flips, the DOUBLE bit twiddle, string
 # escapes) against the key rule, its lane twins (keys, value rows, partition

@@ -257,8 +257,6 @@ knobs! {
     ORC_DICT_THRESHOLD: f64 = "hive.exec.orc.dictionary.key.size.threshold", "0.8", range(0.0, 1.0);
     /// General-purpose codec: `none`, `snappy`, or `zlib`.
     ORC_COMPRESS: String = "hive.exec.orc.default.compress", "none", values("none", "snappy", "zlib");
-    /// Pad stripes so each fits in a single DFS block (Section 4.1).
-    ORC_BLOCK_PADDING: bool = "hive.exec.orc.default.block.padding", "true";
     /// Push predicates down to the storage reader (enables Fig. 10's PPD).
     OPT_PPD_STORAGE: bool = "hive.optimize.index.filter", "true";
     /// Enable the Correlation Optimizer (Section 5.2).

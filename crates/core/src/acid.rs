@@ -25,11 +25,12 @@
 //! a transaction at every step via `hive.txn.crash.point` and prove
 //! exactly that.
 //!
-//! Compaction reuses the same protocol: minor folds the delta/delete
-//! chain into one delta (+ one base-only delete file); major rewrites the
-//! table into a fresh `base_<txn>` by running a full merge-on-read scan
-//! through the MapReduce engine — task scheduling, workload-management
-//! preemption token and all.
+//! Compaction reuses the same protocol, and both modes read through one
+//! full merge-on-read scan in the MapReduce engine — task scheduling,
+//! workload-management preemption token and all. Major scans the snapshot
+//! into a fresh `base_<txn>`; minor scans the snapshot pinned without its
+//! base into one delta, and keeps the base-addressed delete keys in one
+//! delete file.
 //!
 //! A compaction commits, then cleans: still under the table lock, it
 //! deletes every file its snapshot does not name and every manifest below
@@ -45,8 +46,7 @@ use hive_dfs::Dfs;
 use hive_exec::expr::cast_value;
 use hive_formats::delta::{
     decode_delete_file, encode_delete_file, is_acid_path, manifest_path, DeleteKey, Fallback,
-    LiveReader, TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX,
-    VIRTUAL_COLUMNS,
+    TableSnapshot, BASE_PREFIX, DELETE_PREFIX, DELTA_PREFIX, MANIFEST_PREFIX, VIRTUAL_COLUMNS,
 };
 use hive_formats::{create_writer, open_reader, FormatKind, ReadOptions, WriteOptions};
 use hive_mapreduce::{DagReport, MrEngine};
@@ -777,79 +777,67 @@ fn compact_snapshot(
         ..successor(snap)?
     };
     let txn_id = next.last_txn;
-    let rows_out: u64;
-    match mode {
+    // Both modes run one engine query: a full merge-on-read scan, with real
+    // task scheduling and the statement's preemption token polled at every
+    // engine checkpoint. Major scans the whole snapshot into a fresh base.
+    // Minor scans the deltas alone, under the same delete set: it pins the
+    // snapshot with no base, so base-addressed keys match no row and mask
+    // nothing, and the live delta rows fold into one delta.
+    let deltas_only;
+    let source = match mode {
         CompactMode::Minor => {
-            // Fold every live delta row into one merged delta, applying the
-            // delta-addressed delete keys as we go. The one direct reader
-            // of table files left: a query cannot scan the deltas without
-            // the base.
-            let mut merged: Vec<Row> = Vec::new();
-            for (_, path) in &snap.deltas {
-                if let Some(c) = cancel {
-                    c.check()?;
-                }
-                let opts = ReadOptions {
-                    format: info.format,
-                    ..Default::default()
-                };
-                let reader = open_reader(dfs, path, &info.schema, conf, &opts)?;
-                let mut live = LiveReader::new(reader, Some((&*pinned.deletes, path)));
-                while let Some((_, row)) = live.next_row()? {
-                    merged.push(row);
-                }
-            }
-            if !merged.is_empty() {
-                let tmp_delta = format!("{tmp}{DELTA_PREFIX}{txn_id:010}");
-                write_rows_checked(dfs, conf, &tmp_delta, &info.schema, info.format, &merged)?;
-                let delta = format!("{}{DELTA_PREFIX}{txn_id:010}", info.location);
-                install(dfs, conf, &tmp_delta, &delta, "compactor", "output")?;
-                next.deltas.push((txn_id, delta));
-            }
-            // Keys masking *base* rows survive (base files are untouched);
-            // keys masking delta rows were applied by the merge and die
-            // with the old deltas.
-            let base_keys: Vec<DeleteKey> = pinned
-                .deletes
-                .iter()
-                .filter(|(p, _)| snap.base.iter().any(|b| b == p))
-                .map(|(p, o)| (p.to_string(), o))
-                .collect();
-            if !base_keys.is_empty() {
-                let del_path =
-                    install_delete_file(dfs, conf, info, &tmp, txn_id, &base_keys, "compactor")?;
-                next.deletes.push((txn_id, del_path));
-            }
-            rows_out = merged.len() as u64;
+            let snapshot = Arc::new(TableSnapshot {
+                base: Vec::new(),
+                ..TableSnapshot::clone(snap)
+            });
+            let deletes = Arc::clone(&pinned.deletes);
+            deltas_only = PinnedSnapshot { snapshot, deletes };
+            &deltas_only
         }
-        CompactMode::Major => {
-            // Rewrite the whole table into a fresh base by running a full
-            // merge-on-read scan through the MapReduce engine — real task
-            // scheduling, and the statement's preemption token polled at
-            // every engine checkpoint.
-            let query = select_from(info, table_columns(info), None);
-            let (_, rows) = select_pinned(&query, dfs, conf, metastore, info, pinned, cancel)?;
-            next.base = Vec::new();
-            if !rows.is_empty() {
-                let tmp_base = format!("{tmp}{BASE_PREFIX}{txn_id:010}");
-                write_rows_checked(dfs, conf, &tmp_base, &info.schema, info.format, &rows)?;
-                let base = format!("{}{BASE_PREFIX}{txn_id:010}", info.location);
-                install(dfs, conf, &tmp_base, &base, "compactor", "output")?;
-                next.base.push(base);
-            }
-            rows_out = rows.len() as u64;
+        CompactMode::Major => pinned,
+    };
+    let query = select_from(info, table_columns(info), None);
+    let (_, rows) = select_pinned(&query, dfs, conf, metastore, info, source, cancel)?;
+    let (prefix, label) = match mode {
+        CompactMode::Minor => (DELTA_PREFIX, "minor"),
+        CompactMode::Major => (BASE_PREFIX, "major"),
+    };
+    if mode == CompactMode::Major {
+        next.base.clear();
+    }
+    if !rows.is_empty() {
+        let tmp_out = format!("{tmp}{prefix}{txn_id:010}");
+        write_rows_checked(dfs, conf, &tmp_out, &info.schema, info.format, &rows)?;
+        let out = format!("{}{prefix}{txn_id:010}", info.location);
+        install(dfs, conf, &tmp_out, &out, "compactor", "output")?;
+        match mode {
+            CompactMode::Minor => next.deltas.push((txn_id, out)),
+            CompactMode::Major => next.base.push(out),
         }
     }
+    if mode == CompactMode::Minor {
+        // Keys masking *base* rows survive (base files are untouched);
+        // keys masking delta rows were applied by the fold and die with
+        // the old deltas.
+        let base_keys: Vec<DeleteKey> = pinned
+            .deletes
+            .iter()
+            .filter(|(p, _)| snap.base.iter().any(|b| b == p))
+            .map(|(p, o)| (p.to_string(), o))
+            .collect();
+        if !base_keys.is_empty() {
+            let del_path =
+                install_delete_file(dfs, conf, info, &tmp, txn_id, &base_keys, "compactor")?;
+            next.deletes.push((txn_id, del_path));
+        }
+    }
+    let rows_out = rows.len() as u64;
     publish_manifest(dfs, conf, &info.location, &tmp, &next, "compactor")?;
     txn.compaction_committed(&info.location, next.version);
     crash_point(conf, "compactor.before.clean")?;
     sweep(dfs, conf, info, &next, txn)?;
-    let mode_label = match mode {
-        CompactMode::Minor => "minor",
-        CompactMode::Major => "major",
-    };
     registry
-        .counter_with("compaction.runs", &[("mode", mode_label)])
+        .counter_with("compaction.runs", &[("mode", label)])
         .inc();
     registry.counter("compaction.rows_written").add(rows_out);
     Ok(rows_out)

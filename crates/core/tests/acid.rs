@@ -200,6 +200,42 @@ fn dml_and_stats_answers_reject_references_outside_their_one_table_scope() {
     assert_eq!(count(&mut hive), 25);
 }
 
+/// Minor compaction is an engine query, like major: with vectorization on
+/// or off it folds the same live delta rows, in the same order, into one
+/// delta file, and keeps the base-addressed keys in one delete file.
+#[test]
+fn minor_compaction_folds_the_same_delta_with_vectorization_on_and_off() {
+    let folds: Vec<_> = ["true", "false"]
+        .into_iter()
+        .map(|vectorized| {
+            let mut hive = acid_session();
+            hive.set(keys::VECTORIZED_ENABLED, vectorized);
+            for i in 0..3 {
+                hive.execute(&format!(
+                    "INSERT INTO t VALUES ({}, {i}), (7, {i})",
+                    100 + i
+                ))
+                .unwrap();
+            }
+            // Masks rows of the base and of every delta.
+            hive.execute("UPDATE t SET v = v + 1000 WHERE k = 7 OR k = 4")
+                .unwrap();
+            hive.execute("DELETE FROM t WHERE v = 1 OR k = 101 OR k = 5")
+                .unwrap();
+            let want = select_all(&mut hive);
+            hive.execute("ALTER TABLE t COMPACT 'minor'").unwrap();
+            assert_eq!(select_all(&mut hive), want, "vectorized={vectorized}");
+            let snap = load_snapshot(hive.dfs(), "/warehouse/t/").unwrap().unwrap();
+            assert_eq!(snap.deltas.len(), 1, "vectorized={vectorized}");
+            assert_eq!(snap.deletes.len(), 1, "vectorized={vectorized}");
+            let read = |path: &str| hive.dfs().open(path, None).unwrap().read_all().unwrap();
+            let files = [&snap.deltas[0].1, &snap.deletes[0].1].map(|p| (p.clone(), read(p)));
+            (want, files)
+        })
+        .collect();
+    assert_eq!(folds[0], folds[1], "the same rows, delta and delete file");
+}
+
 #[test]
 fn compaction_preserves_results_and_shrinks_the_chain() {
     let mut hive = acid_session();

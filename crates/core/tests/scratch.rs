@@ -168,13 +168,16 @@ fn a_compaction_leaves_no_scratch() {
     hive.execute("UPDATE acct SET bal = bal + 50 WHERE id = 2")
         .unwrap();
     hive.execute("DELETE FROM acct WHERE id = 1").unwrap();
+    hive.execute("ALTER TABLE acct COMPACT 'minor'").unwrap();
+    assert_eq!(scratch(hive.dfs()), Vec::<String>::new());
+    hive.execute("INSERT INTO acct VALUES (4, 400)").unwrap();
     hive.execute("ALTER TABLE acct COMPACT 'major'").unwrap();
     assert_eq!(scratch(hive.dfs()), Vec::<String>::new());
     let rows = hive
         .execute("SELECT id, bal FROM acct ORDER BY id")
         .unwrap()
         .rows;
-    assert_eq!(rows.len(), 2);
+    assert_eq!(rows.len(), 3);
 }
 
 /// A DELETE the workload manager preempts mid-scan commits nothing: it

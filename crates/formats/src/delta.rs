@@ -428,9 +428,8 @@ pub(crate) fn ordinals_in(ordinals: &[u64], start: u64, len: u64) -> &[u64] {
 
 /// The merge-on-read cursor: one file's reader with that file's delete
 /// mask applied, so a deleted row never escapes it. Queries (batch and row
-/// mode, DML's included), map-join side loads and minor compaction's delta
-/// fold all read through this type and nothing else consults a
-/// [`DeleteSet`].
+/// mode, DML's and compactions' included) and map-join side loads all read
+/// through this type and nothing else consults a [`DeleteSet`].
 ///
 /// **Ordinal contract.** A delete key addresses a row by its *physical*
 /// position in its file, masked rows included. Readers that skip data

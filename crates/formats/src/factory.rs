@@ -101,7 +101,6 @@ pub fn create_writer(
                 row_index_stride: conf.get_usize(keys::ORC_ROW_INDEX_STRIDE)?,
                 dictionary_threshold: conf.get_f64(keys::ORC_DICT_THRESHOLD)?,
                 compression,
-                block_padding: conf.get_bool(keys::ORC_BLOCK_PADDING)?,
                 bloom_columns: resolve_columns(
                     conf.get_raw(keys::ORC_BLOOM_FILTER_COLUMNS).unwrap_or(""),
                     schema,

@@ -18,9 +18,10 @@
 //!
 //! **Eager what can fail, lazy what cannot.** Loading a stripe reads and
 //! decodes everything that can go wrong — integer RLE, dictionary ids and
-//! lengths, PRESENT bits, the length of a double stream — so corruption
-//! surfaces there (or, for counts that disagree, in the `next_batch` that
-//! meets them) and salvage under `skip_corrupt` sees it. What is left is
+//! lengths, PRESENT bits, the length of a double stream, list and map
+//! lengths, union tags — so corruption surfaces there (or, for counts that
+//! disagree, in the `next_batch` or `next_row` that meets them) and salvage
+//! under `skip_corrupt` sees it. What is left is
 //! copying: the loaded stripe is immutable and `Arc`-shared
 //! ([`StripeData`]), one routine ([`Wanted::gather`]) writes a column's
 //! values for the rows that are wanted, doubles are decoded by it straight
@@ -28,7 +29,9 @@
 //! vector refers to the stripe's dictionary or string data. A reader told
 //! to ([`TableReader::defer_all_but`]) runs that routine only for the
 //! columns a filter reads first and leaves the rest of the batch deferred,
-//! to be filled through [`ColumnSource`] for the rows the filter keeps.
+//! to be filled through [`ColumnSource`] for the rows the filter keeps. The
+//! row reader reads the same decoded columns, a value at a time
+//! ([`StripeCursor::read_value`]).
 
 use crate::orc::sarg::{SearchArgument, TruthValue};
 use crate::orc::stats::ColumnStatistics;
@@ -175,11 +178,16 @@ enum DecodedData {
         /// decoded.
         bounds: Vec<u32>,
     },
+    /// Every length is in `0..=MAX_ENTRIES`: checked when decoded.
     Lengths(Vec<i64>),
+    /// Every tag names a variant: checked when decoded.
     Tags(Vec<u8>),
     /// Structural only (struct) or column not data-bearing.
     None,
 }
+
+/// The most entries one list or map may hold.
+const MAX_ENTRIES: i64 = 1 << 24;
 
 /// Presence bits of a column, and for each position the number of values
 /// before it: where a row's value is, without walking the rows before it.
@@ -248,6 +256,41 @@ impl DecodedColumn {
             ));
         }
         Ok(())
+    }
+
+    /// Value `k` of this column, as `dt` says, and how many values of its
+    /// child columns belong to it: a list or map comes back empty, a struct
+    /// with no fields and a union with a NULL payload, for the row reader to
+    /// fill. `None` when the column has no value `k` (corrupt counts).
+    fn value(&self, k: usize, dt: &DataType) -> Option<(Value, usize)> {
+        let string = |bytes: &[u8]| Value::String(String::from_utf8_lossy(bytes).into_owned());
+        Some(match (&self.data, dt) {
+            (DecodedData::Longs(v), DataType::Timestamp) => (Value::Timestamp(*v.get(k)?), 0),
+            (DecodedData::Longs(v), _) => (Value::Int(*v.get(k)?), 0),
+            (DecodedData::Bools(v), _) => (Value::Boolean(*v.get(k)?), 0),
+            (DecodedData::Doubles(v), _) => (Value::Double(v.get(k)?), 0),
+            (DecodedData::StringsDict { dictionary, ids }, _) => {
+                (string(dictionary.entry(*ids.get(k)? as usize)), 0)
+            }
+            (DecodedData::StringsDirect { data, bounds }, _) => {
+                let span = bounds.get(k..k + 2)?;
+                (string(&data[span[0] as usize..span[1] as usize]), 0)
+            }
+            (DecodedData::Lengths(v), DataType::Map(..)) => {
+                let n = *v.get(k)? as usize;
+                (Value::Map(Vec::with_capacity(n)), n)
+            }
+            (DecodedData::Lengths(v), _) => {
+                let n = *v.get(k)? as usize;
+                (Value::Array(Vec::with_capacity(n)), n)
+            }
+            (DecodedData::Tags(v), _) => (Value::Union(*v.get(k)?, Box::new(Value::Null)), 1),
+            (DecodedData::None, DataType::Struct(fields)) => (
+                Value::Struct(Vec::with_capacity(fields.len())),
+                fields.len(),
+            ),
+            (DecodedData::None, _) => return None,
+        })
     }
 }
 
@@ -455,10 +498,10 @@ fn bytes_parts(
 
 struct StripeCursor {
     data: Arc<StripeData>,
-    /// The row reader's place in each column: (presence bits, values) read.
-    at: Vec<(usize, usize)>,
-    /// The batch reader's place: rows handed out. (A cursor is read by rows
-    /// or by batches, never both.)
+    /// The row reader's place in each column: its rows read, the nested
+    /// ones included.
+    at: Vec<usize>,
+    /// Top-level rows handed out.
     row: usize,
     rows_remaining: u64,
     /// Contiguous `(start ordinal, rows)` runs covering the cursor's rows
@@ -467,6 +510,69 @@ struct StripeCursor {
     /// a gap where group 1's rows would be. Run lengths always sum to
     /// `rows_remaining`.
     segments: Vec<(u64, u64)>,
+}
+
+impl StripeCursor {
+    /// The next value of tree column `col`: its presence bit, then its place
+    /// among the column's values, then the value, then its children's.
+    fn read_value(&mut self, tree: &ColumnTree, col: usize) -> Result<Value> {
+        let dc = self.data.cols[col].as_ref();
+        let dc = dc.expect("a projected column is decoded");
+        let r = self.at[col];
+        self.at[col] += 1;
+        // Corrupt counts read as "present" past the end of the bits, and
+        // find no value there.
+        let k = match &dc.present {
+            Some(present) if !present.bit(r) => return Ok(Value::Null),
+            Some(present) => present.rank(r),
+            None => r,
+        };
+        let node = tree.node(col);
+        let (mut value, entries) = dc.value(k, &node.data_type).ok_or_else(|| {
+            HiveError::Format(format!("column {col} has no value {k} (corrupt counts)"))
+        })?;
+        let mut child = |i: usize| self.read_value(tree, node.children[i]);
+        match &mut value {
+            Value::Array(items) => {
+                for _ in 0..entries {
+                    items.push(child(0)?);
+                }
+            }
+            Value::Map(pairs) => {
+                for _ in 0..entries {
+                    pairs.push((child(0)?, child(1)?));
+                }
+            }
+            Value::Struct(fields) => {
+                for i in 0..entries {
+                    fields.push(child(i)?);
+                }
+            }
+            Value::Union(tag, payload) => **payload = child(*tag as usize)?,
+            _ => {}
+        }
+        Ok(value)
+    }
+
+    /// Hand out the next `n` rows, writing the ordinal runs they cover to
+    /// `runs`.
+    fn take(&mut self, n: usize, runs: &mut Vec<(u64, u64)>) {
+        self.row += n;
+        self.rows_remaining -= n as u64;
+        runs.clear();
+        let mut left = n as u64;
+        while left > 0 {
+            let seg = &mut self.segments[0];
+            let take = seg.1.min(left);
+            runs.push((seg.0, take));
+            seg.0 += take;
+            seg.1 -= take;
+            left -= take;
+            if seg.1 == 0 {
+                self.segments.remove(0);
+            }
+        }
+    }
 }
 
 /// The ORC file reader.
@@ -485,14 +591,13 @@ pub struct OrcReader {
     /// Cursors decoded ahead of `current`: group-level salvage under
     /// `skip_corrupt` splits one stripe into several per-group cursors.
     pending: std::collections::VecDeque<StripeCursor>,
-    /// Absolute ordinal of the first row of the next stripe `advance_stripe`
-    /// will consider. Every stripe advances it by its row count — read,
+    /// Absolute ordinal of the first row of the next stripe `ready` will
+    /// consider. Every stripe advances it by its row count — read,
     /// split-foreign, pruned, or corrupt alike — which is what keeps
     /// reported ordinals aligned with the file's physical row order.
     next_stripe_ord: u64,
-    /// Ordinal of the row most recently returned by `next_row`.
-    last_ord: Option<u64>,
-    /// Ordinal runs of the rows filled by the most recent `next_batch`.
+    /// Ordinal runs of the rows the last `next_batch` filled, or of the row
+    /// the last `next_row` returned.
     batch_runs: Vec<(u64, u64)>,
     /// The batch columns `next_batch` fills itself when told to leave the
     /// others deferred; `None`: it fills them all.
@@ -572,13 +677,11 @@ impl OrcReader {
             stripes_total: meta.footer.stripes.len() as u64,
             ..Default::default()
         };
-        if opts.cache_metadata {
-            if meta_hit {
-                counters.footer_cache_hits += 1;
-            } else {
-                counters.footer_cache_misses += 1;
-            }
-        }
+        let footer_counts = (
+            &mut counters.footer_cache_hits,
+            &mut counters.footer_cache_misses,
+        );
+        count_lookup(opts.cache_metadata, meta_hit, footer_counts);
         Ok(OrcReader {
             reader,
             schema,
@@ -591,7 +694,6 @@ impl OrcReader {
             current: None,
             pending: std::collections::VecDeque::new(),
             next_stripe_ord: 0,
-            last_ord: None,
             batch_runs: Vec::new(),
             fill_first: None,
             materialized: Arc::new(AtomicU64::new(0)),
@@ -628,13 +730,16 @@ impl OrcReader {
         }) != TruthValue::No
     }
 
-    /// Load the next cursor (a whole stripe, or one salvaged group of one);
-    /// returns false at EOF.
-    fn advance_stripe(&mut self) -> Result<bool> {
+    /// Make `current` a cursor with rows left, loading the next one (a whole
+    /// stripe, or one salvaged group of one) when it has none; false at EOF.
+    fn ready(&mut self) -> Result<bool> {
         loop {
+            if self.current.as_ref().is_some_and(|c| c.rows_remaining > 0) {
+                return Ok(true);
+            }
             if let Some(cur) = self.pending.pop_front() {
                 self.current = Some(cur);
-                return Ok(true);
+                continue;
             }
             if self.stripe_idx >= self.meta.footer.stripes.len() {
                 return Ok(false);
@@ -712,13 +817,7 @@ impl OrcReader {
             )?;
             decode_stripe_footer(&footer_buf)
         })?;
-        if self.opts.cache_metadata {
-            if sf_hit {
-                self.counters.index_cache_hits += 1;
-            } else {
-                self.counters.index_cache_misses += 1;
-            }
-        }
+        self.count_index_lookup(sf_hit);
         let sfooter: &StripeFooter = &sfooter;
 
         // Level 3: index-group statistics (only if PPD is on).
@@ -737,13 +836,7 @@ impl OrcReader {
                     let index_buf = self.reader.read_at(si.offset, si.index_len as usize)?;
                     decode_index(&index_buf, self.tree.len())
                 })?;
-                if self.opts.cache_metadata {
-                    if ix_hit {
-                        self.counters.index_cache_hits += 1;
-                    } else {
-                        self.counters.index_cache_misses += 1;
-                    }
-                }
+                self.count_index_lookup(ix_hit);
                 (0..ngroups)
                     .filter(|&g| {
                         let per_group: Vec<ColumnStatistics> = group_stats
@@ -774,7 +867,6 @@ impl OrcReader {
             return Ok(());
         }
         self.counters.groups_read += selected.len() as u64;
-        let all_groups = selected.len() == ngroups;
 
         // Stream start offsets, cumulative over the stripe's data section.
         let data_base = si.offset + si.index_len + si.bloom_len;
@@ -798,22 +890,14 @@ impl OrcReader {
             }
         }
 
-        match self.decode_cursor(
-            si,
-            stripe_ord,
-            sfooter,
-            &stream_offsets,
-            &selected,
-            all_groups,
-        ) {
+        match self.decode_cursor(si, stripe_ord, sfooter, &stream_offsets, &selected) {
             Ok(cursor) => {
                 self.pending.push_back(cursor);
                 Ok(())
             }
             Err(e) if self.opts.skip_corrupt && e.is_data_corruption() => {
                 for &g in &selected {
-                    match self.decode_cursor(si, stripe_ord, sfooter, &stream_offsets, &[g], false)
-                    {
+                    match self.decode_cursor(si, stripe_ord, sfooter, &stream_offsets, &[g]) {
                         Ok(cursor) => self.pending.push_back(cursor),
                         Err(e) if e.is_data_corruption() => {
                             self.counters.rows_skipped += self.group_rows(si, g);
@@ -825,6 +909,13 @@ impl OrcReader {
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Count a stripe-footer or row-index lookup in the metadata cache.
+    fn count_index_lookup(&mut self, hit: bool) {
+        let counts = &mut self.counters;
+        let counts = (&mut counts.index_cache_hits, &mut counts.index_cache_misses);
+        count_lookup(self.opts.cache_metadata, hit, counts);
     }
 
     /// Top-level rows of index group `g` in stripe `si`.
@@ -914,7 +1005,6 @@ impl OrcReader {
         sfooter: &StripeFooter,
         stream_offsets: &[Vec<u64>],
         selected: &[usize],
-        all_groups: bool,
     ) -> Result<StripeCursor> {
         let mut cols: Vec<Option<DecodedColumn>> = Vec::with_capacity(self.tree.len());
         for col_id in 0..self.tree.len() {
@@ -922,7 +1012,7 @@ impl OrcReader {
                 cols.push(None);
                 continue;
             }
-            let dc = self.decode_column(col_id, sfooter, stream_offsets, selected, all_groups)?;
+            let dc = self.decode_column(col_id, sfooter, stream_offsets, selected)?;
             cols.push(Some(dc));
         }
         let rows_selected = selected.iter().map(|&g| self.group_rows(si, g)).sum();
@@ -945,7 +1035,7 @@ impl OrcReader {
                 batch_cols: top_level.collect(),
                 materialized: Arc::clone(&self.materialized),
             }),
-            at: vec![(0, 0); self.tree.len()],
+            at: vec![0; self.tree.len()],
             row: 0,
             rows_remaining: rows_selected,
             segments,
@@ -959,68 +1049,48 @@ impl OrcReader {
         sfooter: &StripeFooter,
         stream_offsets: &[Vec<u64>],
         selected: &[usize],
-        all_groups: bool,
     ) -> Result<DecodedColumn> {
         let cs = &sfooter.columns[col_id];
         let dt = &self.tree.node(col_id).data_type;
         let compression = self.meta.ps.compression;
 
-        // Gather the raw (deframed) bytes of one stream for selected groups,
-        // returning per-chunk (raw bytes, value count).
+        // The deframed chunks of one stream for the selected groups, each
+        // with its value count; a stripe-global (dictionary) stream has one
+        // chunk, read whatever is selected. Chunks tile a stream back to
+        // back, so each run of adjacent groups is one read, as ORC's reader
+        // merges adjacent disk ranges: all groups read the whole stream.
         let mut read_stream = |kind: StreamKind| -> Result<Option<Vec<(Window, u64)>>> {
             let Some(idx) = cs.streams.iter().position(|s| s.kind == kind) else {
                 return Ok(None);
             };
             let info = &cs.streams[idx];
             let base = stream_offsets[col_id][idx];
-            let mut out = Vec::new();
-            let stripe_global = info.chunks.len() == 1
-                && matches!(
-                    kind,
-                    StreamKind::DictionaryData | StreamKind::DictionaryLength
-                );
-            if all_groups || stripe_global {
-                // One contiguous read for the whole stream.
-                let bytes = self.reader.read_at(base, info.len as usize)?.into_shared();
-                for c in &info.chunks {
-                    let framed = c.offset as usize..c.offset.saturating_add(c.len) as usize;
-                    out.push((Window::deframe(&bytes, framed, compression)?, c.values));
+            let global = matches!(
+                kind,
+                StreamKind::DictionaryData | StreamKind::DictionaryLength
+            );
+            let groups: &[usize] = if global { &[0] } else { selected };
+            let chunk = |g: usize| {
+                let missing = || HiveError::Format(format!("group {g} missing in stream"));
+                info.chunks.get(g).ok_or_else(missing)
+            };
+            let mut out = Vec::with_capacity(groups.len());
+            for run in groups.chunk_by(|&a, &b| b == a + 1) {
+                let (first, last) = (chunk(run[0])?, chunk(run[run.len() - 1])?);
+                let run_end = last.offset.saturating_add(last.len);
+                if run_end < first.offset || run_end > info.len {
+                    return Err(HiveError::Format(
+                        "chunk range out of order or past the stream (corrupt)".into(),
+                    ));
                 }
-            } else {
-                // Coalesce runs of adjacent selected groups into single
-                // reads (chunks are laid out back to back), as ORC's reader
-                // merges adjacent disk ranges.
-                let mut i = 0usize;
-                while i < selected.len() {
-                    let mut j = i;
-                    while j + 1 < selected.len() && selected[j + 1] == selected[j] + 1 {
-                        j += 1;
-                    }
-                    let first = info.chunks.get(selected[i]).ok_or_else(|| {
-                        HiveError::Format(format!("group {} missing in stream", selected[i]))
-                    })?;
-                    let last = info.chunks.get(selected[j]).ok_or_else(|| {
-                        HiveError::Format(format!("group {} missing in stream", selected[j]))
-                    })?;
-                    let run_end = last.offset.saturating_add(last.len);
-                    if run_end < first.offset {
-                        return Err(HiveError::Format("chunk offsets out of order".into()));
-                    }
-                    if run_end > info.len {
-                        return Err(HiveError::Format(
-                            "chunk range exceeds stream length (corrupt)".into(),
-                        ));
-                    }
-                    let run_len = (run_end - first.offset) as usize;
-                    let bytes = self.reader.read_at(base + first.offset, run_len)?;
-                    let bytes = bytes.into_shared();
-                    for &g in &selected[i..=j] {
-                        let c = &info.chunks[g];
-                        let rel = c.offset.wrapping_sub(first.offset) as usize;
-                        let framed = rel..rel.saturating_add(c.len as usize);
-                        out.push((Window::deframe(&bytes, framed, compression)?, c.values));
-                    }
-                    i = j + 1;
+                let run_len = (run_end - first.offset) as usize;
+                let bytes = self.reader.read_at(base + first.offset, run_len)?;
+                let bytes = bytes.into_shared();
+                for &g in run {
+                    let c = &info.chunks[g];
+                    let rel = c.offset.wrapping_sub(first.offset) as usize;
+                    let framed = rel..rel.saturating_add(c.len as usize);
+                    out.push((Window::deframe(&bytes, framed, compression)?, c.values));
                 }
             }
             Ok(Some(out))
@@ -1090,15 +1160,26 @@ impl OrcReader {
                 }
             },
             DataType::Array(_) | DataType::Map(_, _) => {
-                DecodedData::Lengths(decode_ints(read_stream(StreamKind::Length)?)?)
+                let lens: Vec<i64> = decode_ints(read_stream(StreamKind::Length)?)?;
+                // A corrupt length could be negative or absurdly large;
+                // either would size a collection unboundedly.
+                if let Some(n) = lens.iter().find(|n| !(0..=MAX_ENTRIES).contains(*n)) {
+                    return Err(HiveError::Format(format!(
+                        "implausible collection length {n} (corrupt stream)"
+                    )));
+                }
+                DecodedData::Lengths(lens)
             }
-            DataType::Union(_) => {
+            DataType::Union(variants) => {
                 let mut vals = Vec::new();
                 for (raw, n) in read_stream(StreamKind::Tags)?.iter().flatten() {
                     let mut d = byte_rle::ByteRleDecoder::new(raw);
                     for _ in 0..*n {
                         vals.push(d.next()?);
                     }
+                }
+                if vals.iter().any(|&tag| tag as usize >= variants.len()) {
+                    return Err(HiveError::Format("union tag out of range (corrupt)".into()));
                 }
                 DecodedData::Tags(vals)
             }
@@ -1108,154 +1189,6 @@ impl OrcReader {
         Ok(DecodedColumn { present, data })
     }
 
-    /// Recursively materialize the next value of column `col`.
-    fn read_value(&mut self, col: usize) -> Result<Value> {
-        // Corrupted counts read as "present"; the value accessors below
-        // report the structural error.
-        let (dc, at) = self.cursor(col)?;
-        let non_null = dc.present.as_ref().is_none_or(|p| p.bit(at.0));
-        at.0 += 1;
-        if !non_null {
-            return Ok(Value::Null);
-        }
-        let dt = self.tree.node(col).data_type.clone();
-        match dt {
-            DataType::Int => Ok(Value::Int(self.take_long(col)?)),
-            DataType::Timestamp => Ok(Value::Timestamp(self.take_long(col)?)),
-            DataType::Boolean => {
-                let (dc, at) = self.cursor(col)?;
-                let DecodedData::Bools(v) = &dc.data else {
-                    return Err(HiveError::Format("expected bool data".into()));
-                };
-                let x = *v.get(at.1).ok_or_else(|| {
-                    HiveError::Format("bool stream exhausted (corrupt counts)".into())
-                })?;
-                at.1 += 1;
-                Ok(Value::Boolean(x))
-            }
-            DataType::Double => {
-                let (dc, at) = self.cursor(col)?;
-                let DecodedData::Doubles(v) = &dc.data else {
-                    return Err(HiveError::Format("expected double data".into()));
-                };
-                let x = v.get(at.1).ok_or_else(|| {
-                    HiveError::Format("double stream exhausted (corrupt counts)".into())
-                })?;
-                at.1 += 1;
-                Ok(Value::Double(x))
-            }
-            DataType::String => {
-                let (dc, at) = self.cursor(col)?;
-                let corrupt =
-                    || HiveError::Format("string stream exhausted (corrupt counts)".into());
-                let s = match &dc.data {
-                    DecodedData::StringsDict { dictionary, ids } => {
-                        let id = *ids.get(at.1).ok_or_else(corrupt)? as usize;
-                        String::from_utf8_lossy(dictionary.entry(id)).into_owned()
-                    }
-                    DecodedData::StringsDirect { data, bounds } => {
-                        let span = bounds.get(at.1..at.1 + 2).ok_or_else(corrupt)?;
-                        let bytes = &data[span[0] as usize..span[1] as usize];
-                        String::from_utf8_lossy(bytes).into_owned()
-                    }
-                    _ => return Err(HiveError::Format("expected string data".into())),
-                };
-                at.1 += 1;
-                Ok(Value::String(s))
-            }
-            DataType::Array(_) => {
-                let n = self.take_length(col)?;
-                let child = self.tree.node(col).children[0];
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.read_value(child)?);
-                }
-                Ok(Value::Array(items))
-            }
-            DataType::Map(_, _) => {
-                let n = self.take_length(col)?;
-                let kcol = self.tree.node(col).children[0];
-                let vcol = self.tree.node(col).children[1];
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = self.read_value(kcol)?;
-                    let v = self.read_value(vcol)?;
-                    entries.push((k, v));
-                }
-                Ok(Value::Map(entries))
-            }
-            DataType::Struct(_) => {
-                let children = self.tree.node(col).children.clone();
-                let mut vals = Vec::with_capacity(children.len());
-                for c in children {
-                    vals.push(self.read_value(c)?);
-                }
-                Ok(Value::Struct(vals))
-            }
-            DataType::Union(_) => {
-                let tag = {
-                    let (dc, at) = self.cursor(col)?;
-                    let DecodedData::Tags(v) = &dc.data else {
-                        return Err(HiveError::Format("expected union tags".into()));
-                    };
-                    let t = *v.get(at.1).ok_or_else(|| {
-                        HiveError::Format("tag stream exhausted (corrupt counts)".into())
-                    })?;
-                    at.1 += 1;
-                    t
-                };
-                let child = *self
-                    .tree
-                    .node(col)
-                    .children
-                    .get(tag as usize)
-                    .ok_or_else(|| HiveError::Format("union tag out of range".into()))?;
-                Ok(Value::Union(tag, Box::new(self.read_value(child)?)))
-            }
-        }
-    }
-
-    /// Column `col` of the current cursor and the row reader's place in it.
-    fn cursor(&mut self, col: usize) -> Result<(&DecodedColumn, &mut (usize, usize))> {
-        let cur = self.current.as_mut().unwrap();
-        let dc = cur.data.cols[col].as_ref();
-        let dc = dc.ok_or_else(|| HiveError::Format("column not decoded".into()))?;
-        Ok((dc, &mut cur.at[col]))
-    }
-
-    fn take_long(&mut self, col: usize) -> Result<i64> {
-        let (dc, at) = self.cursor(col)?;
-        let DecodedData::Longs(v) = &dc.data else {
-            return Err(HiveError::Format("expected long data".into()));
-        };
-        let x = *v
-            .get(at.1)
-            .ok_or_else(|| HiveError::Format("long stream exhausted (corrupt counts)".into()))?;
-        at.1 += 1;
-        Ok(x)
-    }
-
-    fn take_length(&mut self, col: usize) -> Result<usize> {
-        let (dc, at) = self.cursor(col)?;
-        let DecodedData::Lengths(v) = &dc.data else {
-            return Err(HiveError::Format("expected length data".into()));
-        };
-        let x = *v
-            .get(at.1)
-            .ok_or_else(|| HiveError::Format("length stream exhausted (corrupt counts)".into()))?;
-        at.1 += 1;
-        // A corrupted length could be negative or absurdly large; either
-        // would make the collection loops allocate unboundedly.
-        if !(0..=(1 << 24)).contains(&x) {
-            return Err(HiveError::Format(format!(
-                "implausible collection length {x} (corrupt stream)"
-            )));
-        }
-        Ok(x as usize)
-    }
-}
-
-impl OrcReader {
     /// Corrupt-data degradation for errors found mid-decode: drop the rest
     /// of the current cursor (row alignment across columns is gone once a
     /// value stream lies about its counts) and count its rows as skipped.
@@ -1273,49 +1206,24 @@ impl OrcReader {
 
 impl TableReader for OrcReader {
     fn next_row(&mut self) -> Result<Option<Row>> {
-        loop {
-            let need_advance = match &self.current {
-                Some(c) => c.rows_remaining == 0,
-                None => true,
-            };
-            if need_advance {
-                if !self.advance_stripe()? {
-                    return Ok(None);
-                }
-                continue;
-            }
+        while self.ready()? {
+            let cur = self.current.as_mut().expect("a cursor with rows");
+            let tree = &self.tree;
             let mut vals = Vec::with_capacity(self.projection.len());
-            let mut failed = None;
-            for i in 0..self.projection.len() {
-                let col = self.tree.top_level(self.projection[i]);
-                match self.read_value(col) {
-                    Ok(v) => vals.push(v),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
+            let read = self.projection.iter().try_for_each(|&p| {
+                vals.push(cur.read_value(tree, tree.top_level(p))?);
+                Ok(())
+            });
+            match read {
+                Ok(()) => {
+                    cur.take(1, &mut self.batch_runs);
+                    return Ok(Some(Row::new(vals)));
                 }
+                Err(e) if self.absorb_corruption(&e) => {}
+                Err(e) => return Err(e),
             }
-            if let Some(e) = failed {
-                if self.absorb_corruption(&e) {
-                    continue;
-                }
-                return Err(e);
-            }
-            let cur = self.current.as_mut().unwrap();
-            cur.rows_remaining -= 1;
-            // Consume one ordinal from the front segment.
-            let ord = cur.segments.first().map(|&(s, _)| s);
-            if let Some(seg) = cur.segments.first_mut() {
-                seg.0 += 1;
-                seg.1 -= 1;
-                if seg.1 == 0 {
-                    cur.segments.remove(0);
-                }
-            }
-            self.last_ord = ord;
-            return Ok(Some(Row::new(vals)));
         }
+        Ok(None)
     }
 
     /// The native vectorized reader: fills column vectors directly from the
@@ -1323,36 +1231,22 @@ impl TableReader for OrcReader {
     /// After [`defer_all_but`](TableReader::defer_all_but) it fills the
     /// columns named there and hands the rest over deferred.
     fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
-        'refill: loop {
-            batch.reset();
-            loop {
-                let need_advance = match &self.current {
-                    Some(c) => c.rows_remaining == 0,
-                    None => true,
-                };
-                if need_advance {
-                    if !self.advance_stripe()? {
-                        return Ok(false);
-                    }
-                    continue;
-                }
-                break;
-            }
-            let cur = self.current.as_mut().unwrap();
+        batch.reset();
+        while self.ready()? {
+            let cur = self.current.as_mut().expect("a cursor with rows");
             let n = (cur.rows_remaining as usize).min(batch.max_size);
             let data = &cur.data;
             // Everything that can fail, for every column, before any is filled.
-            for (out_idx, &col_id) in data.batch_cols.iter().enumerate() {
-                let checked = match &data.cols[col_id] {
-                    Some(dc) => dc.check(cur.row, n, &batch.columns[out_idx]),
-                    None => Err(HiveError::Format("column not decoded".into())),
-                };
-                if let Err(e) = checked {
-                    if self.absorb_corruption(&e) {
-                        continue 'refill;
-                    }
-                    return Err(e);
+            let mut columns = data.batch_cols.iter().zip(&batch.columns);
+            let checked = columns.try_for_each(|(&col_id, out)| match &data.cols[col_id] {
+                Some(dc) => dc.check(cur.row, n, out),
+                None => Err(HiveError::Format("column not decoded".into())),
+            });
+            if let Err(e) = checked {
+                if self.absorb_corruption(&e) {
+                    continue;
                 }
+                return Err(e);
             }
             let columns = 0..data.batch_cols.len();
             match &self.fill_first {
@@ -1365,26 +1259,11 @@ impl TableReader for OrcReader {
                     batch.defer(source, cur.row, columns.filter(|c| !first.contains(c)));
                 }
             }
-            cur.row += n;
-            cur.rows_remaining -= n as u64;
-            // Record which ordinal runs these n physical rows cover.
-            let runs = &mut self.batch_runs;
-            runs.clear();
-            let mut left = n as u64;
-            while left > 0 {
-                let seg = &mut cur.segments[0];
-                let take = seg.1.min(left);
-                runs.push((seg.0, take));
-                seg.0 += take;
-                seg.1 -= take;
-                left -= take;
-                if seg.1 == 0 {
-                    cur.segments.remove(0);
-                }
-            }
+            cur.take(n, &mut self.batch_runs);
             batch.size = n;
             return Ok(n > 0);
         }
+        Ok(false)
     }
 
     fn defer_all_but(&mut self, first: &[usize]) {
@@ -1396,7 +1275,7 @@ impl TableReader for OrcReader {
     }
 
     fn last_row_ordinal(&self) -> Option<u64> {
-        self.last_ord
+        self.batch_runs.first().map(|&(ord, _)| ord)
     }
 
     fn batch_ordinal_runs(&self) -> Option<&[(u64, u64)]> {
@@ -1408,6 +1287,14 @@ impl TableReader for OrcReader {
             values_materialized: self.materialized.load(Ordering::Relaxed),
             ..self.counters
         }
+    }
+}
+
+/// Count a metadata-cache lookup in `(hits, misses)` when the cache is
+/// shared; a reader's private memo counts nothing.
+fn count_lookup(shared: bool, hit: bool, (hits, misses): (&mut u64, &mut u64)) {
+    if shared {
+        *if hit { hits } else { misses } += 1;
     }
 }
 

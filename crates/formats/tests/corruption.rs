@@ -125,6 +125,96 @@ fn orc_survives_bit_flips_everywhere() {
     }
 }
 
+/// The longest list or map the ORC reader hands out.
+const MAX_ENTRIES: usize = 1 << 24;
+
+/// Whether every list and map in `v`, at any depth, is within the cap.
+fn within_cap(v: &Value) -> bool {
+    match v {
+        Value::Array(items) | Value::Struct(items) => {
+            items.len() <= MAX_ENTRIES && items.iter().all(within_cap)
+        }
+        Value::Map(pairs) => {
+            pairs.len() <= MAX_ENTRIES && pairs.iter().all(|(k, v)| within_cap(k) && within_cap(v))
+        }
+        Value::Union(_, payload) => within_cap(payload),
+        _ => true,
+    }
+}
+
+/// The row reader builds nested values from length, tag and PRESENT
+/// streams a flipped byte can make lie: every read over a list, map,
+/// struct and union file with NULLs at each level, flipped anywhere, uncompressed
+/// (the decoders see the flip) and compressed, returns rows or a typed
+/// error — no panic, no loop, no collection past the cap.
+#[test]
+fn orc_nested_types_survive_bit_flips_everywhere() {
+    let fs = dfs();
+    let schema = Schema::parse(&[
+        ("l", "array<bigint>"),
+        ("m", "map<string,double>"),
+        ("s", "struct<x:bigint,y:string>"),
+        ("u", "uniontype<bigint,string>"),
+    ])
+    .unwrap();
+    let null_or = |i: i64, every: i64, v: Value| if i % every == 0 { Value::Null } else { v };
+    let make = |i: i64| {
+        let items = (0..i % 5).map(|j| null_or(j, 3, Value::Int(i * j)));
+        let entries = (0..i % 3).map(|j| {
+            let value = null_or(i + j, 4, Value::Double(j as f64 / 7.0));
+            (Value::String(format!("k{j}")), value)
+        });
+        let fields = vec![
+            null_or(i, 6, Value::Int(i)),
+            Value::String(format!("y{}", i % 11)),
+        ];
+        let alternative = match i % 2 {
+            0 => Value::Union(0, Box::new(Value::Int(i))),
+            _ => Value::Union(1, Box::new(null_or(i, 9, Value::String(format!("u{i}"))))),
+        };
+        Row::new(vec![
+            null_or(i, 7, Value::Array(items.collect())),
+            null_or(i, 5, Value::Map(entries.collect())),
+            null_or(i, 8, Value::Struct(fields)),
+            null_or(i, 10, alternative),
+        ])
+    };
+    for compression in [Compression::None, Compression::Snappy] {
+        let opts = OrcWriterOptions {
+            stripe_size: 16 << 10,
+            row_index_stride: 100,
+            compression,
+            compress_unit: 4 << 10,
+            ..Default::default()
+        };
+        let mut w: Box<dyn TableWriter> =
+            Box::new(OrcWriter::create(&fs, "/c/nested", &schema, opts, None));
+        for i in 0..1500 {
+            w.write_row(&make(i)).unwrap();
+        }
+        w.close().unwrap();
+        let len = fs.len("/c/nested").unwrap() as usize;
+        for k in 0..211 {
+            flip_byte(&fs, "/c/nested", "/c/nested-bad", k * len / 211);
+            for skip_corrupt in [false, true] {
+                let opts = OrcReadOptions {
+                    skip_corrupt,
+                    ..Default::default()
+                };
+                let Ok(mut r) = OrcReader::open(&fs, "/c/nested-bad", opts) else {
+                    continue;
+                };
+                let mut n = 0;
+                while let Ok(Some(row)) = r.next_row() {
+                    assert!(row.values().iter().all(within_cap), "flip {k}: row {n}");
+                    n += 1;
+                    assert!(n <= 1500, "flip {k}: the reader made up rows");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn orc_survives_truncation_everywhere() {
     let fs = dfs();

@@ -459,81 +459,67 @@ impl MrEngine {
     }
 
     /// Run a query's jobs in dependency order; returns the final job's
-    /// collected rows. With `hive.exec.parallel` off (Hive's default) jobs
-    /// run one after another and simulated times add up, exactly as before.
-    /// With it on, jobs are topologically staged by their intermediate
-    /// input/output paths and independent jobs of a stage run concurrently;
-    /// a stage's simulated time is the max over its jobs.
+    /// collected rows. Jobs run in groups, one group after another, and a
+    /// group's simulated time is the max over its jobs. With
+    /// `hive.exec.parallel` off (Hive's default) each job is a group of its
+    /// own, so simulated times add up. With it on, jobs are topologically
+    /// staged by their intermediate input/output paths and each stage is a
+    /// group whose jobs run concurrently.
     ///
     /// Intermediate outputs live only as long as the DAG needs them: each
     /// directory is deleted once the last job reading it is done, and none
     /// outlives the call, whatever way it ends ([`Scratch`]).
     pub fn run_dag(&self, jobs: &[JobSpec]) -> Result<(DagReport, Vec<Row>)> {
         let mut scratch = Scratch::new(&self.dfs, jobs);
-        let parallel = self.conf.get_bool(keys::EXEC_PARALLEL).unwrap_or(false);
-        if !parallel || jobs.len() <= 1 {
-            let mut report = DagReport::default();
-            let mut last_rows = Vec::new();
-            for (j, spec) in jobs.iter().enumerate() {
-                self.checkpoint()?; // between-jobs preemption checkpoint
-                let (jr, rows) = self.run_job_caught(spec)?;
-                scratch.done(j);
-                report.sim_total_s += jr.sim_total_s;
-                Self::accumulate_job(&mut report, &jr);
-                report.jobs.push(jr);
-                last_rows = rows;
-            }
-            report.blacklisted_nodes = self.blacklisted_nodes();
-            return Ok((report, last_rows));
-        }
-
-        let stage_of = Self::stage_jobs(jobs);
-        let max_stage = stage_of.iter().copied().max().unwrap_or(0);
-        let mut results: Vec<Option<(JobReport, Vec<Row>)>> =
-            (0..jobs.len()).map(|_| None).collect();
-        for stage in 0..=max_stage {
-            self.checkpoint()?; // between-stages preemption checkpoint
-            let idxs: Vec<usize> = (0..jobs.len()).filter(|&j| stage_of[j] == stage).collect();
-            if idxs.len() == 1 {
-                results[idxs[0]] = Some(self.run_job_caught(&jobs[idxs[0]])?);
-                scratch.done(idxs[0]);
-                continue;
-            }
-            let mut stage_results: Vec<(usize, Result<JobRun>)> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = idxs
-                    .iter()
-                    .map(|&j| (j, s.spawn(move || self.run_job_caught(&jobs[j]))))
-                    .collect();
-                for (j, h) in handles {
+        let groups: Vec<Vec<usize>> = if self.conf.get_bool(keys::EXEC_PARALLEL).unwrap_or(false) {
+            let stage_of = Self::stage_jobs(jobs);
+            let stages = stage_of.iter().max().map_or(0, |&last| last + 1);
+            let stage = |s| (0..jobs.len()).filter(|&j| stage_of[j] == s).collect();
+            (0..stages).map(stage).collect()
+        } else {
+            (0..jobs.len()).map(|j| vec![j]).collect()
+        };
+        let mut report = DagReport::default();
+        let mut runs: Vec<Option<JobRun>> = (0..jobs.len()).map(|_| None).collect();
+        for group in groups {
+            self.checkpoint()?; // between-groups preemption checkpoint
+            let ran: Vec<(usize, Result<JobRun>)> = match group[..] {
+                [j] => vec![(j, self.run_job_caught(&jobs[j]))],
+                _ => std::thread::scope(|s| {
+                    let handles: Vec<_> = group
+                        .iter()
+                        .map(|&j| (j, s.spawn(move || self.run_job_caught(&jobs[j]))))
+                        .collect();
                     // `run_job_caught` converts panics, so a join error
                     // means the runner thread itself died — report it as a
                     // failed job instead of aborting the process.
-                    let r = h.join().unwrap_or_else(|_| {
-                        Err(HiveError::TaskFailed("job runner thread died".into()))
-                    });
-                    stage_results.push((j, r));
-                }
-            });
-            // First failing job index wins, independent of thread timing.
-            stage_results.sort_by_key(|(j, _)| *j);
-            for (j, r) in stage_results {
-                results[j] = Some(r?);
+                    let died = || Err(HiveError::TaskFailed("job runner thread died".into()));
+                    let joined = handles.into_iter().map(|(j, h)| (j, h.join()));
+                    joined
+                        .map(|(j, r)| (j, r.unwrap_or_else(|_| died())))
+                        .collect()
+                }),
+            };
+            // In job order: the first failing job wins, independent of
+            // thread timing.
+            let mut group_s = 0.0f64;
+            for (j, run) in ran {
+                let run = run?;
                 scratch.done(j);
+                group_s = group_s.max(run.0.sim_total_s);
+                runs[j] = Some(run);
             }
+            report.sim_total_s += group_s;
         }
-
-        let mut report = DagReport::default();
-        let mut stage_sim = vec![0.0f64; max_stage + 1];
         let mut last_rows = Vec::new();
-        for (j, res) in results.into_iter().enumerate() {
-            let (jr, rows) = res.expect("every job ran in its stage");
-            stage_sim[stage_of[j]] = stage_sim[stage_of[j]].max(jr.sim_total_s);
+        for (jr, rows) in runs
+            .into_iter()
+            .map(|run| run.expect("every job ran in its group"))
+        {
             Self::accumulate_job(&mut report, &jr);
             report.jobs.push(jr);
             last_rows = rows;
         }
-        report.sim_total_s = stage_sim.iter().sum();
         report.blacklisted_nodes = self.blacklisted_nodes();
         Ok((report, last_rows))
     }

@@ -422,11 +422,8 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
     loop {
         let frag_of = fragments(g);
         let feeding = feeding_by_fragment(g, &frag_of);
-        let mut target = None;
-        for node in &g.nodes {
-            if !node.alive {
-                continue;
-            }
+        let offends = |id: usize| {
+            let node = g.node(id);
             let map_phase_only = matches!(
                 node.op,
                 PlanOp::MapJoin(_)
@@ -435,17 +432,28 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
                         ..
                     }
             );
-            if map_phase_only
-                && feeding.contains_key(&frag_of[&node.id])
+            node.alive
+                && map_phase_only
+                && feeding.contains_key(&frag_of[&id])
                 && !node
                     .parents
                     .iter()
                     .all(|&p| matches!(g.node(p).op, PlanOp::IntermediateCut))
-            {
-                target = Some(node.id);
-                break;
+        };
+        // Cut upstream first: a cut moves everything below it into the next
+        // job's map phase, where an offender downstream may no longer offend
+        // (q3's map-side GROUP BY after its map join needs no cut of its own).
+        let upstream_clear = |id: usize| {
+            let mut stack = g.node(id).parents.clone();
+            while let Some(p) = stack.pop() {
+                if offends(p) {
+                    return false;
+                }
+                stack.extend(&g.node(p).parents);
             }
-        }
+            true
+        };
+        let target = (0..g.nodes.len()).find(|&id| offends(id) && upstream_clear(id));
         let Some(n) = target else { break };
         let parent = g.node(n).parents[0];
         let schema = g.node(parent).schema.clone();

@@ -205,3 +205,21 @@ fn aggregate_of_nongrouped_column_is_rejected() {
     };
     assert!(plan_query(&stmt, &catalog(), &HiveConf::new()).is_err());
 }
+
+#[test]
+fn a_map_join_after_a_reduce_join_cuts_once() {
+    // TPC-H q3's shape: `fact2` (lineitem) joins `fact` (orders) reduce-side,
+    // `dim1` (customer) joins map-side after it, then the group-by shuffles.
+    // Rule (a) cuts before the map join, the offender with none upstream of
+    // it: the group-by's map half then runs in the same map phase, and the
+    // statement is the join job plus one job for the map join and group-by.
+    let q = compile_with(
+        "SELECT fact2.k, SUM(fact2.v), fact.v FROM fact2 \
+         JOIN fact ON (fact2.k = fact.k) \
+         JOIN dim1 ON (fact.d1 = dim1.k) \
+         WHERE dim1.name = 'BUILDING' \
+         GROUP BY fact2.k, fact.v",
+        |_| {},
+    );
+    assert_eq!(job_shape(&q), (0, 2), "{}", q.explain);
+}

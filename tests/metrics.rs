@@ -634,7 +634,7 @@ fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
 /// here instead of sitting in the README table.
 #[test]
 fn every_registered_knob_is_read_by_non_test_source() {
-    assert_eq!(knobs::ALL.len(), 44);
+    assert_eq!(knobs::ALL.len(), 43);
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     rust_sources(&root.join("src"), &mut files);
