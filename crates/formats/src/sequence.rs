@@ -125,9 +125,11 @@ impl SequenceReader {
         }
         let key_len = hive_codec::varint::read_unsigned(&self.buf, &mut self.pos)? as usize;
         let val_len = hive_codec::varint::read_unsigned(&self.buf, &mut self.pos)? as usize;
-        self.ensure(key_len + val_len)?;
-        if self.buf.len() - self.pos < key_len + val_len {
-            return Err(HiveError::Format("truncated SequenceFile record".into()));
+        let truncated = || HiveError::Format("truncated SequenceFile record".into());
+        let len = key_len.checked_add(val_len).ok_or_else(truncated)?;
+        self.ensure(len)?;
+        if self.buf.len() - self.pos < len {
+            return Err(truncated());
         }
         self.pos += key_len; // keys are empty in Hive's usage
         let start = self.pos;
@@ -148,6 +150,13 @@ impl TableReader for SequenceReader {
         let row = serde::binary_deserialize_row(&self.buf, &mut at)?;
         if at != end {
             return Err(disagrees());
+        }
+        if row.len() != self.width {
+            return Err(HiveError::Format(format!(
+                "SequenceFile record has {} values, schema expects {}",
+                row.len(),
+                self.width
+            )));
         }
         Ok(Some(match &self.projection {
             Some(p) => row.project(p),

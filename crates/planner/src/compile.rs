@@ -338,12 +338,15 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
             Arc::new(move |side| spec.build(side))
         };
 
+        // Batches hold scalar columns only: a complex shuffled column keeps
+        // the reduce stage in row mode.
+        let scalar = |&rs: &usize| vectorize::all_scalar(&g.node(rs).schema);
         let reduce_factory: Option<ReducePipelineFactory> = if is_reduce {
             let spec = Arc::new(ReduceBuildSpec {
                 nodes: g.nodes.clone(),
                 fragment: info.nodes.clone(),
                 feeding_rs: feeding_rs.to_vec(),
-                vectorize,
+                vectorize: vectorize && feeding_rs.iter().all(scalar),
             });
             Some(Arc::new(move || spec.build()))
         } else {
@@ -713,14 +716,23 @@ fn chain_nodes(g: &PlanGraph, source: usize, sink: usize) -> Vec<usize> {
 // Exec-graph construction
 // ---------------------------------------------------------------------------
 
-/// Where a plan node is about to run: a map task (which knows its side
-/// tables, shuffle tags and reducer count) or a reduce task.
-enum Phase<'a> {
+/// Where a plan node is about to run, in either engine: a map task (which
+/// knows its input's shuffle tags and the job's side tables) or a reduce task.
+pub(crate) enum Phase<'a> {
     Map {
-        spec: &'a MapBuildSpec,
+        rs_tags: &'a BTreeMap<usize, usize>,
         side: &'a SideTables,
     },
     Reduce,
+}
+
+impl Phase<'_> {
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Phase::Map { .. } => "Map",
+            Phase::Reduce => "Reduce",
+        }
+    }
 }
 
 /// How map join `n`'s side table is built, once per job, for the engine its
@@ -797,12 +809,11 @@ fn row_operator(
         ) => Box::new(ops::SelectOperator {
             exprs: keys.iter().chain(values).cloned().collect(),
         }),
-        (PlanOp::ReduceSink { keys, values, .. }, Phase::Map { spec, .. }) => {
-            let tag = spec.inputs.iter().find_map(|mi| mi.rs_tags.get(&n));
+        (PlanOp::ReduceSink { keys, values, .. }, Phase::Map { rs_tags, .. }) => {
             Box::new(ops::ReduceSinkOperator {
                 key_exprs: keys.clone(),
                 value_exprs: values.clone(),
-                tag: tag.copied().unwrap_or(0),
+                tag: rs_tags.get(&n).copied().unwrap_or(0),
             })
         }
         // Sinks: FileSink collects; a Cut, or an RS leaving a reduce task,
@@ -848,13 +859,10 @@ fn row_operator(
             | PlanOp::Join { .. }),
             _,
         ) => {
-            let phase = match phase {
-                Phase::Map { .. } => "Map",
-                Phase::Reduce => "Reduce",
-            };
             return Err(HiveError::Plan(format!(
-                "{} cannot run in a {phase} phase",
-                op.kind_name()
+                "{} cannot run in a {} phase",
+                op.kind_name(),
+                phase.name()
             )));
         }
     })
@@ -872,38 +880,31 @@ impl MapBuildSpec {
         let mut roots = HashMap::new();
         let mut vector = HashMap::new();
         for mi in &self.inputs {
+            let input = mi.input_node()?;
+            let phase = Phase::Map {
+                rs_tags: &mi.rs_tags,
+                side,
+            };
             // A stage that vectorizes does so whole, input to sink. ACID
             // scans vectorize like any other: the engine unselects deleted
             // ordinals from each batch before it enters the pipeline.
-            // Batches hold the scan's rows, or an intermediate's: the
-            // output of the plan node it was written from.
-            if mi.vectorized {
-                let (stage, tags) = (&mi.nodes, &mi.rs_tags);
-                let input = (mi.input_node()?, mi.source);
-                let c = vectorize::try_vectorize(&self.nodes, input, stage, tags, side)?;
-                // Display order: batches flow scan → ... → sink.
-                let ids: Vec<usize> = c.operators.into_iter().map(|op| graph.add(op)).collect();
-                for w in ids.windows(2) {
-                    graph.connect(w[0], w[1], None);
-                }
-                let stage = hive_mapreduce::job::VectorStage {
-                    batch_types: c.batch_types,
-                    root: ids[0],
-                    terminal: ids[ids.len() - 1],
-                    first_columns: c.first_columns,
-                };
-                vector.insert(mi.alias.clone(), stage);
-                continue; // batches enter at stage.root; no row root
-            }
-
-            // Build exec ops for the stage's nodes.
+            let stage = mi
+                .vectorized
+                .then(|| vectorize::vectorize_stage(&self.nodes, &mi.nodes, &[input], &phase));
+            let mut stage = stage.transpose()?;
+            // Operators, in topo order: a linear stage's is chain order. The
+            // scan is the task's reader, not an operator, and a ReduceSink
+            // fused into its map-side GroupBy has none of its own.
             let mut exec_of: HashMap<usize, usize> = HashMap::new();
             let order = topo(&self.nodes, &mi.nodes);
             for &n in &order {
-                // The scan is the task's reader, not an operator.
-                if !matches!(self.nodes[n].op, PlanOp::TableScan { .. }) {
-                    let phase = Phase::Map { spec: self, side };
-                    exec_of.insert(n, graph.add(row_operator(&self.nodes, n, &phase)?));
+                let op = match &mut stage {
+                    Some(stage) => stage.operators.remove(&n),
+                    None if matches!(self.nodes[n].op, PlanOp::TableScan { .. }) => None,
+                    None => Some(row_operator(&self.nodes, n, &phase)?),
+                };
+                if let Some(op) = op {
+                    exec_of.insert(n, graph.add(op));
                 }
             }
             // Edges.
@@ -918,17 +919,14 @@ impl MapBuildSpec {
                 }
             }
 
-            // Row-mode entry: the scan's exec children, or an intermediate
-            // input's first operator. A shared scan's several children are
-            // fed through a PassThrough fan-out.
-            let heads: Vec<usize> = match mi.scan {
-                Some(scan) => order
-                    .iter()
-                    .filter(|&&n| self.nodes[n].parents.contains(&scan))
-                    .filter_map(|n| exec_of.get(n).copied())
-                    .collect(),
-                None => exec_of.get(&mi.source).copied().into_iter().collect(),
-            };
+            // The entry: the input's children in the stage. A shared scan's
+            // several children (a row-mode stage) are fed through a
+            // PassThrough fan-out.
+            let heads: Vec<usize> = order
+                .iter()
+                .filter(|&&n| self.nodes[n].parents.contains(&input))
+                .filter_map(|n| exec_of.get(n).copied())
+                .collect();
             let root = match heads[..] {
                 [] => return Err(HiveError::Plan("map chain has no entry".into())),
                 [root] => root,
@@ -940,7 +938,19 @@ impl MapBuildSpec {
                     tee
                 }
             };
-            roots.insert(mi.alias.clone(), root);
+            let Some(mut stage) = stage else {
+                roots.insert(mi.alias.clone(), root);
+                continue;
+            };
+            // Batches hold the input's rows and enter at `root`.
+            let terminal = order.iter().rev().find_map(|n| exec_of.get(n).copied());
+            let stage = hive_mapreduce::job::VectorStage {
+                batch_types: stage.batch_types.pop().unwrap_or_default(),
+                root,
+                terminal: terminal.unwrap_or(root),
+                first_columns: stage.first_columns,
+            };
+            vector.insert(mi.alias.clone(), stage);
         }
         Ok(MapPipeline {
             graph,
@@ -955,6 +965,8 @@ struct ReduceBuildSpec {
     nodes: Vec<PlanNode>,
     fragment: Vec<usize>,
     feeding_rs: Vec<usize>,
+    /// Whether the stage runs batch-native: vectorization is on and every
+    /// shuffled column is scalar.
     vectorize: bool,
 }
 
@@ -972,16 +984,12 @@ impl ReduceBuildSpec {
 
         // 1. Operators: the stage vectorizes whole, or runs in row mode.
         let (nodes, fragment, feeding) = (&self.nodes, &self.fragment, &self.feeding_rs);
-        let vectorized = self
-            .vectorize
-            .then(|| vectorize::try_vectorize_reduce(nodes, fragment, feeding));
-        let (mut vector_ops, batches) = match vectorized.transpose()?.flatten() {
-            Some(v) => (v.operators, Some(v.batches)),
-            None => (HashMap::new(), None),
-        };
+        let stage = (self.vectorize)
+            .then(|| vectorize::vectorize_stage(nodes, fragment, feeding, &Phase::Reduce));
+        let mut stage = stage.transpose()?;
         for &n in &order {
-            let op = match batches {
-                Some(_) => vector_ops.remove(&n).ok_or_else(|| {
+            let op = match &mut stage {
+                Some(stage) => stage.operators.remove(&n).ok_or_else(|| {
                     HiveError::Plan(format!("vectorized reduce stage left plan node {n} out"))
                 })?,
                 None => row_operator(&self.nodes, n, &Phase::Reduce)?,
@@ -1052,6 +1060,12 @@ impl ReduceBuildSpec {
             }
         }
 
+        // Batch-native: per shuffle tag, its key width and batch types.
+        let key_width = |&rs: &usize| match &self.nodes[rs].op {
+            PlanOp::ReduceSink { keys, .. } => keys.len(),
+            _ => unreachable!("a reduce stage is fed by ReduceSinks"),
+        };
+        let batches = stage.map(|s| feeding.iter().map(key_width).zip(s.batch_types).collect());
         Ok(ReducePipeline {
             graph,
             root: demux,

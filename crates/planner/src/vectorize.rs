@@ -6,21 +6,23 @@
 //! replaces each expression tree with corresponding vectorized
 //! expressions."
 //!
-//! Here the pass decides once per map stage, at compile time
-//! ([`vectorizes`]), since the stage's map-join tables are built for the
-//! engine it runs on before any of its tasks starts. A stage that reads a
-//! table or an intermediate through one linear chain of operators over
-//! scalar columns (its input and map-join build sides alike) is vectorized whole,
+//! Here the pass decides once per stage, at compile time. A map stage is
+//! decided by [`vectorizes`], since its map-join tables are built for the
+//! engine it runs on before any of its tasks starts: one that reads a table
+//! or an intermediate through one linear chain of operators over scalar
+//! columns (its input and map-join build sides alike) is vectorized whole,
 //! from the batch the format's reader fills to its sink: the batch shuffle
 //! sink (`VectorReduceSink`, or the fused `VectorGroupBySink`) or, for a
 //! map-only stage, the output sink (`VectorFileSink`). Any other stage — a
 //! complex column, a shared scan feeding several sinks — runs in row mode
-//! from end to end. A reduce stage is decided the
-//! same way ([`try_vectorize_reduce`]): batch-native from the merged runs
-//! to its sink when every shuffled column is scalar, row mode otherwise.
-//! Within a vectorizable stage every operator and expression has a kernel;
-//! one that has none is a plan error, not a row-mode tail.
+//! from end to end. A reduce stage is batch-native from the merged runs to
+//! its sink when every shuffled column is scalar (`all_scalar`), row mode
+//! otherwise. Map and reduce stages compile through one segment compiler,
+//! `vectorize_stage`. Within a vectorized stage every operator and
+//! expression has a kernel; one that has none is a plan error, not a
+//! row-mode tail.
 
+use crate::compile::Phase;
 use crate::plan::{expr_type, ColumnInfo, GroupByPhase, PlanNode, PlanOp};
 use hive_common::{DataType, HiveError, Result, Value};
 use hive_exec::agg::AggFunction;
@@ -31,70 +33,22 @@ use hive_exec::vector_ops::{
     VectorFileSinkOperator, VectorGroupByOperator, VectorGroupBySinkOperator, VectorJoinOperator,
     VectorOpAdapter, VectorReduceSinkOperator,
 };
-use hive_mapreduce::job::{SideReader, SideTable, SideTables};
+use hive_mapreduce::job::{SideReader, SideTable};
 use hive_vector::aggregates::{AggKind, AggSpec, VectorHashAggregator, VectorStreamAggregator};
 use hive_vector::expressions as vx;
 use hive_vector::expressions::{Lane, Operand, VectorExpression};
 use hive_vector::mapjoin::{MapJoinBuilder, MapJoinKind, MapJoinTable, VectorMapJoinOperator};
 use hive_vector::operators::{VectorFilterOperator, VectorLimitOperator, VectorSelectOperator};
 use hive_vector::{VectorOperator, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A compiled batch-native stage: exec-graph operators to run in order,
-/// from the scan batch to the stage's sink.
-pub struct VectorizedChain {
-    /// Graph nodes in chain order (adapters, then one sink).
-    pub operators: Vec<Box<dyn Operator>>,
-    /// Column types of the scan batch the engine allocates.
-    pub batch_types: Vec<DataType>,
-    /// When the chain's first operator is a filter: the scan-batch columns
-    /// its predicate reads first. The reader fills those and defers the rest
-    /// to the filter (`VectorFilterOperator`), which fills them for the rows
-    /// it keeps. `None`: the reader fills every column.
-    pub first_columns: Option<Vec<usize>>,
-}
-
-/// A map-join whose output batch types aren't final yet: downstream
-/// operators may still allocate scratch columns in the join's output
-/// segment, so the operator is constructed only when the segment ends
-/// (at the next join, or at the end of the chain).
-struct PendingJoin {
-    /// Position reserved in the operator list.
-    slot: usize,
-    kind: MapJoinKind,
-    key_expressions: Vec<Box<dyn VectorExpression>>,
-    key_columns: Vec<(usize, DataType)>,
-    stream_columns: Vec<(usize, DataType)>,
-    table: Arc<MapJoinTable>,
-}
-
-fn seal_pending_join(
-    pending: &mut Option<PendingJoin>,
-    operators: &mut [Option<Box<dyn Operator>>],
-    out_types: &[DataType],
-) -> Result<()> {
-    if let Some(pj) = pending.take() {
-        let op = VectorMapJoinOperator::new(
-            pj.kind,
-            pj.key_expressions,
-            pj.key_columns,
-            pj.stream_columns,
-            pj.table,
-            out_types,
-            DEFAULT_BATCH_SIZE,
-        )?;
-        operators[pj.slot] = Some(adapter(op));
-    }
-    Ok(())
-}
 
 fn adapter(op: impl VectorOperator + 'static) -> Box<dyn Operator> {
     Box::new(VectorOpAdapter::new(Box::new(op)))
 }
 
 /// Whether every column is scalar: what a batch can hold.
-fn all_scalar(columns: &[ColumnInfo]) -> bool {
+pub(crate) fn all_scalar(columns: &[ColumnInfo]) -> bool {
     columns.iter().all(|c| Lane::of(&c.data_type).is_some())
 }
 
@@ -125,247 +79,73 @@ pub fn vectorizes(nodes: &[PlanNode], input: usize, stage: &[usize]) -> bool {
     !stage.iter().any(forks) && all_scalar(&nodes[input].schema) && build_sides.all(all_scalar)
 }
 
-/// Vectorize a map stage that [`vectorizes`] — the plan nodes `stage`, with
-/// shuffle tags `rs_tags` — whole. Its batches hold the rows of `input`: the
-/// TableScan the stage starts with (`source`), or the plan node whose output
-/// the intermediate `source` reads was written from (its types are the
-/// batch's). Its map joins probe the job's prebuilt `side` tables.
-pub fn try_vectorize(
+/// A stage compiled batch-native (DESIGN.md §16 "Chain compilation").
+pub(crate) struct VectorizedStage {
+    /// The operator of each plan node of the stage. A map stage's scan has
+    /// none (it is the task's reader), nor has the ReduceSink a map-side
+    /// GroupBy is fused with.
+    pub operators: HashMap<usize, Box<dyn Operator>>,
+    /// Per entry: the column types of the batches that enter there, its
+    /// columns and then the scratch columns the stage's expressions fill.
+    pub batch_types: Vec<Vec<DataType>>,
+    /// When a map stage's first operator is a filter: the batch columns its
+    /// predicate reads first. The reader fills those and defers the rest to
+    /// the filter (`VectorFilterOperator`), which fills them for the rows it
+    /// keeps. `None`: the reader fills every column.
+    pub first_columns: Option<Vec<usize>>,
+}
+
+/// Vectorize the plan nodes `stage`, running in `phase`, whole: from the
+/// batches that enter at `entries` to the stage's sinks. A map stage has one
+/// entry, the plan node whose rows its batches hold (the scan, or the node an
+/// intermediate was written from); a reduce stage's are its feeding
+/// ReduceSinks in shuffle-tag order. An operator or expression without a
+/// kernel is a plan error.
+///
+/// The stage is compiled in segments, each from where batches are made to
+/// where they end: from each entry, and from each map join, reduce join or
+/// streaming group-by (they make new batches), through filters, projections
+/// and limits, to the next one's input or a sink. A segment's scratch columns
+/// extend the batch its start makes, so each of those operators is built once
+/// the segment after it is compiled.
+pub(crate) fn vectorize_stage(
     nodes: &[PlanNode],
-    (input, source): (usize, usize),
     stage: &[usize],
-    rs_tags: &BTreeMap<usize, usize>,
-    side: &SideTables,
-) -> Result<VectorizedChain> {
-    let in_stage = |n: &usize| stage.contains(n);
-    let types = nodes[input].schema.iter().map(|c| c.data_type.clone());
-    let mut c = VecCompiler::over(types.collect(), &nodes[input].schema);
-
-    // The chain from the input, compiled into batch-native graph operators
-    // up to and including the stage's sink: below the scan, or from the
-    // intermediate's first operator on.
-    let next = |n: usize| {
-        let child = nodes[n].children.iter().copied().find(in_stage);
-        child.ok_or_else(|| HiveError::Plan("vectorized map stage ends without a sink".into()))
+    entries: &[usize],
+    phase: &Phase,
+) -> Result<VectorizedStage> {
+    let mut s = StageCompiler {
+        nodes,
+        stage,
+        entries,
+        phase,
+        operators: HashMap::new(),
+        joins: HashMap::new(),
+        first_columns: None,
     };
-    let mut operators: Vec<Option<Box<dyn Operator>>> = Vec::new();
-    let mut n = if input == source {
-        next(source)?
-    } else {
-        source
-    };
-    // Types of the scan batch: frozen at the first re-batching operator
-    // (map join); until then scratch columns keep extending it.
-    let mut scan_types: Option<Vec<DataType>> = None;
-    let mut pending_join: Option<PendingJoin> = None;
-    let mut first_columns: Option<Vec<usize>> = None;
-
-    loop {
-        match &nodes[n].op {
-            PlanOp::Filter { predicate } => {
-                let f = c.compile_filter(predicate)?;
-                let mut children: Vec<Box<dyn VectorExpression>> = c.drain_pending();
-                children.push(f);
-                let filter = VectorFilterOperator::new(vx::filter_and(children));
-                if operators.is_empty() {
-                    first_columns = Some(filter.first_columns().to_vec());
-                }
-                operators.push(Some(adapter(filter)));
-            }
-            PlanOp::Select { exprs } => {
-                operators.push(Some(c.project(exprs, &nodes[n].schema)?));
-            }
-            // A degenerate sink is a plain projection (keys ++ values).
-            PlanOp::ReduceSink {
-                keys,
-                values,
-                degenerate: true,
-                ..
-            } => {
-                let exprs: Vec<ExprNode> = keys.iter().chain(values).cloned().collect();
-                operators.push(Some(c.project(&exprs, &nodes[n].schema)?));
-            }
-            PlanOp::Limit(k) => operators.push(Some(adapter(VectorLimitOperator::new(*k)))),
-            PlanOp::GroupBy {
-                phase: GroupByPhase::MapHash,
-                keys,
-                aggs,
-            } => {
-                // Fused partial-aggregate + reduce-sink: the planner's
-                // invariant shape for map-side hash aggregation.
-                let rs_n = next(n)?;
-                let PlanOp::ReduceSink {
-                    keys: rs_keys,
-                    values: rs_values,
-                    degenerate: false,
-                    ..
-                } = &nodes[rs_n].op
-                else {
-                    return Err(HiveError::Plan(
-                        "a map-side GroupBy must feed a ReduceSink".into(),
-                    ));
-                };
-                let key_cols = c.typed_values(keys)?;
-                let specs = aggs.iter().map(|a| c.compile_agg(a));
-                let specs = specs.collect::<Result<Vec<_>>>()?;
-                let expressions = c.drain_pending();
-                // The shuffle's keys and values over the aggregator's result
-                // batches, which hold the GroupBy's output columns.
-                let schema = &nodes[n].schema;
-                let mut r =
-                    VecCompiler::over(schema.iter().map(|c| c.data_type.clone()).collect(), schema);
-                let (key_columns, value_columns) =
-                    (r.typed_values(rs_keys)?, r.typed_values(rs_values)?);
-                let tag = rs_tags.get(&rs_n).copied().unwrap_or(0);
-                operators.push(Some(Box::new(VectorGroupBySinkOperator::new(
-                    expressions,
-                    VectorHashAggregator::new(key_cols, specs),
-                    r.drain_pending(),
-                    r.types.split_off(schema.len()),
-                    key_columns,
-                    value_columns,
-                    tag,
-                ))));
-                break;
-            }
-            PlanOp::ReduceSink { keys, values, .. } => {
-                let key_columns = c.typed_values(keys)?;
-                let value_columns = c.typed_values(values)?;
-                let expressions = c.drain_pending();
-                let tag = rs_tags.get(&n).copied().unwrap_or(0);
-                operators.push(Some(Box::new(VectorReduceSinkOperator::new(
-                    expressions,
-                    key_columns,
-                    value_columns,
-                    tag,
-                ))));
-                break;
-            }
-            PlanOp::FileSink | PlanOp::IntermediateCut => {
-                let sink = VectorFileSinkOperator::new(c.layout_columns());
-                operators.push(Some(Box::new(sink)));
-                break;
-            }
-            PlanOp::MapJoin(s) => {
-                let table = match side.get(&s.alias) {
-                    Some(SideTable::Batches(table)) => Arc::clone(table),
-                    _ => {
-                        return Err(HiveError::Execution(format!(
-                            "no batch table for side input `{}`",
-                            s.alias
-                        )))
-                    }
-                };
-                let pj = prepare_mapjoin(nodes, table, &mut c, n, s)?;
-                // This segment's types are final now (the new join's key
-                // scratch included): seal the previous join, freeze the
-                // scan batch types, and reseed the compiler against the
-                // join's output batch.
-                seal_pending_join(&mut pending_join, &mut operators, &c.types)?;
-                if scan_types.is_none() {
-                    scan_types = Some(c.types.clone());
-                }
-                let out_types: Vec<DataType> = nodes[n]
-                    .schema
-                    .iter()
-                    .map(|ci| ci.data_type.clone())
-                    .collect();
-                let slot = operators.len();
-                operators.push(None);
-                pending_join = Some(PendingJoin { slot, ..pj });
-                c = VecCompiler::over(out_types, &nodes[n].schema);
-            }
-            op => {
-                return Err(HiveError::Plan(format!(
-                    "{} cannot run in a vectorized map stage",
-                    op.kind_name()
-                )))
-            }
-        }
-        n = next(n)?;
-    }
-
-    // The last segment's types are final: seal the trailing join (if any).
-    seal_pending_join(&mut pending_join, &mut operators, &c.types)?;
-    let batch_types = scan_types.unwrap_or(c.types);
-    let operators: Vec<Box<dyn Operator>> = operators
-        .into_iter()
-        .map(|o| o.ok_or_else(|| HiveError::Plan("unsealed vectorized join".into())))
-        .collect::<Result<_>>()?;
-    Ok(VectorizedChain {
-        operators,
+    let batch_types = entries.iter().map(|&e| s.batches_of(e));
+    let batch_types = batch_types.collect::<Result<_>>()?;
+    Ok(VectorizedStage {
+        operators: s.operators,
         batch_types,
-        first_columns,
+        first_columns: s.first_columns,
     })
 }
 
-/// A reduce stage compiled batch-native (DESIGN.md §16 "The reduce side").
-pub struct VectorizedReduce {
-    /// The operator of each plan node of the stage.
-    pub operators: HashMap<usize, Box<dyn Operator>>,
-    /// Per feeding ReduceSink, in shuffle-tag order: its key width and the
-    /// column types of the batches the driver decodes its records into.
-    pub batches: Vec<(usize, Vec<DataType>)>,
-}
-
-/// Validate a reduce stage — the plan nodes `fragment`, fed by the
-/// ReduceSinks `feeding_rs` in shuffle-tag order — and vectorize it whole,
-/// from the driver's batches to its sink. `None` — the stage runs in row
-/// mode — exactly when a shuffled column is complex. As on the map side, an
-/// operator or expression without a kernel is a plan error.
-///
-/// The stage is compiled in segments, each from where batches are made to
-/// where they end: from the driver's batch of each tag, and from each join
-/// or group-by (they make new batches), through filters, projections and
-/// limits, to a join or group-by input or the sink. A segment's scratch
-/// columns extend the batch its start makes, so a join or group-by is built
-/// once the segment after it is compiled.
-pub fn try_vectorize_reduce(
-    nodes: &[PlanNode],
-    fragment: &[usize],
-    feeding_rs: &[usize],
-) -> Result<Option<VectorizedReduce>> {
-    let scalar = |&rs: &usize| {
-        let columns = nodes[rs].schema.iter();
-        columns
-            .map(|c| Lane::of(&c.data_type))
-            .all(|lane| lane.is_some())
-    };
-    if !feeding_rs.iter().all(scalar) {
-        return Ok(None);
-    }
-    let mut r = ReduceCompiler {
-        nodes,
-        fragment,
-        operators: HashMap::new(),
-        joins: HashMap::new(),
-    };
-    let mut batches = Vec::new();
-    for &rs in feeding_rs {
-        let PlanOp::ReduceSink { keys, .. } = &nodes[rs].op else {
-            return Err(HiveError::Plan(
-                "a reduce stage is fed by ReduceSinks".into(),
-            ));
-        };
-        batches.push((keys.len(), r.batches_of(rs)?));
-    }
-    Ok(Some(VectorizedReduce {
-        operators: r.operators,
-        batches,
-    }))
-}
-
-/// The state of [`try_vectorize_reduce`].
-struct ReduceCompiler<'a> {
+/// The state of [`vectorize_stage`].
+struct StageCompiler<'a> {
     nodes: &'a [PlanNode],
-    fragment: &'a [usize],
+    stage: &'a [usize],
+    entries: &'a [usize],
+    phase: &'a Phase<'a>,
     operators: HashMap<usize, Box<dyn Operator>>,
     /// Per join: the batch columns of each input's row compiled so far, by
     /// input slot.
     joins: HashMap<usize, Vec<(usize, Vec<usize>)>>,
+    first_columns: Option<Vec<usize>>,
 }
 
-impl<'a> ReduceCompiler<'a> {
+impl<'a> StageCompiler<'a> {
     /// Compile the stage below `from`, whose batches hold its output
     /// columns; returns their types, scratch columns included.
     fn batches_of(&mut self, from: usize) -> Result<Vec<DataType>> {
@@ -380,7 +160,7 @@ impl<'a> ReduceCompiler<'a> {
     /// share the batch, each with scratch columns of its own.
     fn segment(&mut self, from: usize, c: &mut VecCompiler<'a>) -> Result<()> {
         let children = self.nodes[from].children.iter().copied();
-        let children: Vec<usize> = children.filter(|n| self.fragment.contains(n)).collect();
+        let children: Vec<usize> = children.filter(|n| self.stage.contains(n)).collect();
         let (layout, schema) = (c.layout.clone(), c.schema);
         for n in children {
             (c.layout, c.schema) = (layout.clone(), schema);
@@ -391,36 +171,160 @@ impl<'a> ReduceCompiler<'a> {
 
     fn node(&mut self, parent: usize, n: usize, c: &mut VecCompiler<'a>) -> Result<()> {
         let node = &self.nodes[n];
-        let op = match &node.op {
-            PlanOp::Filter { predicate } => {
+        let op = match (&node.op, self.phase) {
+            (PlanOp::Filter { predicate }, _) => {
                 let f = c.compile_filter(predicate)?;
                 let mut children = c.drain_pending();
                 children.push(f);
-                adapter(VectorFilterOperator::new(vx::filter_and(children)))
+                let filter = VectorFilterOperator::new(vx::filter_and(children));
+                // The entry is a map stage's scan: the reader fills what the
+                // filter reads first (the scan node is in the stage, so the
+                // test is on the entries).
+                if matches!(self.phase, Phase::Map { .. }) && self.entries.contains(&parent) {
+                    self.first_columns = Some(filter.first_columns().to_vec());
+                }
+                adapter(filter)
             }
-            PlanOp::Select { exprs } => c.project(exprs, &node.schema)?,
-            PlanOp::ReduceSink {
-                keys,
-                values,
-                degenerate: true,
-                ..
-            } => {
+            (PlanOp::Select { exprs }, _) => c.project(exprs, &node.schema)?,
+            // A degenerate sink is a plain projection (keys ++ values).
+            (
+                PlanOp::ReduceSink {
+                    keys,
+                    values,
+                    degenerate: true,
+                    ..
+                },
+                _,
+            ) => {
                 let exprs: Vec<ExprNode> = keys.iter().chain(values).cloned().collect();
                 c.project(&exprs, &node.schema)?
             }
-            PlanOp::Limit(k) => adapter(VectorLimitOperator::new(*k)),
-            // A reduce stage's output leaves as rows: collected, or written
-            // as the intermediate a later job reads.
-            PlanOp::FileSink | PlanOp::IntermediateCut | PlanOp::ReduceSink { .. } => {
+            (PlanOp::Limit(k), _) => adapter(VectorLimitOperator::new(*k)),
+            // Sinks. A reduce stage's output leaves as rows: collected, or
+            // written as the intermediate a later job reads.
+            (PlanOp::FileSink | PlanOp::IntermediateCut, _)
+            | (PlanOp::ReduceSink { .. }, Phase::Reduce) => {
                 let sink = VectorFileSinkOperator::new(c.layout_columns());
                 self.operators.insert(n, Box::new(sink));
                 return Ok(());
             }
-            PlanOp::Join {
-                kind,
-                input_widths,
-                nk,
-            } => {
+            (PlanOp::ReduceSink { keys, values, .. }, Phase::Map { rs_tags, .. }) => {
+                let key_columns = c.typed_values(keys)?;
+                let value_columns = c.typed_values(values)?;
+                let tag = rs_tags.get(&n).copied().unwrap_or(0);
+                let sink = VectorReduceSinkOperator::new(
+                    c.drain_pending(),
+                    key_columns,
+                    value_columns,
+                    tag,
+                );
+                self.operators.insert(n, Box::new(sink));
+                return Ok(());
+            }
+            (
+                PlanOp::GroupBy {
+                    phase: GroupByPhase::MapHash,
+                    keys,
+                    aggs,
+                },
+                Phase::Map { rs_tags, .. },
+            ) => {
+                // Fused partial-aggregate + reduce-sink: the planner's
+                // invariant shape for map-side hash aggregation.
+                let rs = node
+                    .children
+                    .iter()
+                    .copied()
+                    .find(|c| self.stage.contains(c));
+                let Some((
+                    rs,
+                    PlanOp::ReduceSink {
+                        keys: rs_keys,
+                        values: rs_values,
+                        ..
+                    },
+                )) = rs.map(|rs| (rs, &self.nodes[rs].op))
+                else {
+                    return Err(HiveError::Plan(
+                        "a map-side GroupBy must feed a ReduceSink".into(),
+                    ));
+                };
+                let key_cols = c.typed_values(keys)?;
+                let specs = aggs.iter().map(|a| c.compile_agg(a));
+                let specs = specs.collect::<Result<Vec<_>>>()?;
+                let expressions = c.drain_pending();
+                // The shuffle's keys and values over the aggregator's result
+                // batches, which hold the GroupBy's output columns.
+                let schema = &node.schema;
+                let mut r =
+                    VecCompiler::over(schema.iter().map(|c| c.data_type.clone()).collect(), schema);
+                let (key_columns, value_columns) =
+                    (r.typed_values(rs_keys)?, r.typed_values(rs_values)?);
+                let sink = VectorGroupBySinkOperator::new(
+                    expressions,
+                    VectorHashAggregator::new(key_cols, specs),
+                    r.drain_pending(),
+                    r.types.split_off(schema.len()),
+                    key_columns,
+                    value_columns,
+                    rs_tags.get(&rs).copied().unwrap_or(0),
+                );
+                self.operators.insert(n, Box::new(sink));
+                return Ok(());
+            }
+            (PlanOp::MapJoin(s), Phase::Map { side, .. }) => {
+                let Some(SideTable::Batches(table)) = side.get(&s.alias) else {
+                    return Err(HiveError::Execution(format!(
+                        "no batch table for side input `{}`",
+                        s.alias
+                    )));
+                };
+                // Map-join conversion (`mapjoin.rs`) streams only these two kinds.
+                let kind = match s.join_type {
+                    JoinType::Inner => MapJoinKind::Inner,
+                    JoinType::LeftOuter => MapJoinKind::LeftOuter,
+                    other => {
+                        return Err(HiveError::Plan(format!(
+                            "a {other:?} join cannot be a map join"
+                        )))
+                    }
+                };
+                // Probe keys over the current layout. Key lanes are typed, so
+                // each must have its build key's type; the binder unifies the
+                // two sides' key types (INT meets DOUBLE as DOUBLE), so
+                // BOOLEAN never meets INT through a shared long lane.
+                let key_columns = c.typed_values(&s.stream_keys)?;
+                let key_types = key_columns.iter().map(|(_, dt)| dt);
+                let build_key_types = build_side(self.nodes, n).iter().map(|ci| &ci.data_type);
+                if !key_types.eq(build_key_types.take(key_columns.len())) {
+                    return Err(HiveError::Plan(
+                        "map-join probe and build keys differ in type".into(),
+                    ));
+                }
+                let (key_expressions, stream_columns) = (c.drain_pending(), c.layout_columns());
+                // The join's output batch: the streamed layout followed by the
+                // stored build row (keys ++ projected columns).
+                let out_types = self.batches_of(n)?;
+                let join = VectorMapJoinOperator::new(
+                    kind,
+                    key_expressions,
+                    key_columns,
+                    stream_columns,
+                    Arc::clone(table),
+                    &out_types,
+                    DEFAULT_BATCH_SIZE,
+                )?;
+                self.operators.insert(n, adapter(join));
+                return Ok(());
+            }
+            (
+                PlanOp::Join {
+                    kind,
+                    input_widths,
+                    nk,
+                },
+                Phase::Reduce,
+            ) => {
                 let slot = node.parents.iter().position(|&p| p == parent).unwrap_or(0);
                 let inputs = self.joins.entry(n).or_default();
                 inputs.push((slot, c.layout.clone()));
@@ -435,11 +339,14 @@ impl<'a> ReduceCompiler<'a> {
                 self.operators.insert(n, Box::new(join));
                 return Ok(());
             }
-            PlanOp::GroupBy {
-                phase: GroupByPhase::ReduceMerge | GroupByPhase::ReduceComplete,
-                keys,
-                aggs,
-            } => {
+            (
+                PlanOp::GroupBy {
+                    phase: GroupByPhase::ReduceMerge | GroupByPhase::ReduceComplete,
+                    keys,
+                    aggs,
+                },
+                Phase::Reduce,
+            ) => {
                 let keys = c.typed_values(keys)?;
                 let specs = aggs.iter().map(|a| c.compile_agg(a));
                 let specs = specs.collect::<Result<Vec<_>>>()?;
@@ -451,63 +358,17 @@ impl<'a> ReduceCompiler<'a> {
                 self.operators.insert(n, Box::new(group_by));
                 return Ok(());
             }
-            op => {
+            (op, phase) => {
                 return Err(HiveError::Plan(format!(
-                    "{} cannot run in a vectorized reduce stage",
-                    op.kind_name()
+                    "{} cannot run in a vectorized {} stage",
+                    op.kind_name(),
+                    phase.name()
                 )))
             }
         };
         self.operators.insert(n, op);
         self.segment(n, c)
     }
-}
-
-/// Compile one MapJoin plan node to probe `table`. The compiler's scratch
-/// state then includes the probe-key columns; the operator itself is
-/// constructed later (see [`PendingJoin`]).
-fn prepare_mapjoin(
-    nodes: &[PlanNode],
-    table: Arc<MapJoinTable>,
-    c: &mut VecCompiler<'_>,
-    n: usize,
-    s: &crate::plan::MapJoinSide,
-) -> Result<PendingJoin> {
-    // Map-join conversion (`mapjoin.rs`) streams only these two kinds.
-    let kind = match s.join_type {
-        JoinType::Inner => MapJoinKind::Inner,
-        JoinType::LeftOuter => MapJoinKind::LeftOuter,
-        other => {
-            return Err(HiveError::Plan(format!(
-                "a {other:?} join cannot be a map join"
-            )))
-        }
-    };
-    // The join's output: the streamed layout followed by the stored build
-    // row (keys ++ projected columns).
-    let build = &nodes[n].schema[c.layout.len()..];
-    // Probe keys over the current layout. Key lanes are typed, so each must
-    // have its build key's type; the binder unifies the two sides' key
-    // types (INT meets DOUBLE as DOUBLE), so BOOLEAN never meets INT
-    // through a shared long lane.
-    let key_columns = c.typed_values(&s.stream_keys)?;
-    let key_types: Vec<DataType> = key_columns.iter().map(|(_, dt)| dt.clone()).collect();
-    let build_key_types = build[..key_types.len()].iter().map(|ci| &ci.data_type);
-    if !key_types.iter().eq(build_key_types) {
-        return Err(HiveError::Plan(
-            "map-join probe and build keys differ in type".into(),
-        ));
-    }
-    let key_expressions = c.drain_pending();
-    let stream_columns = c.layout_columns();
-    Ok(PendingJoin {
-        slot: 0, // assigned by the caller
-        kind,
-        key_expressions,
-        key_columns,
-        stream_columns,
-        table,
-    })
 }
 
 /// Build map join `n`'s table from its side's batches, once per job: the

@@ -2978,7 +2978,38 @@ fn stage_corpus() -> Vec<(hive::HiveSession, Vec<String>)> {
     ];
     corpus.push((nested, statements.map(String::from).to_vec()));
 
+    corpus.push((sealing_session(), vec![SEALING_SHAPE.to_string()]));
     corpus
+}
+
+/// A map stage with a leading filter, two map joins and the second join's
+/// probe key computed between them: a Select fills that key into a scratch
+/// column of the first join's output batch, so the first join can be built
+/// only once the segment after it is compiled.
+const SEALING_SHAPE: &str = "SELECT a.k, b.name, c.w FROM a JOIN b ON (a.k = b.k) \
+     JOIN c ON (a.v + b.k = c.k) WHERE a.v > 1";
+
+fn sealing_session() -> hive::HiveSession {
+    let mut hive = hive::HiveSession::in_memory();
+    for ddl in [
+        "CREATE TABLE a (k BIGINT, v BIGINT) STORED AS orc",
+        "CREATE TABLE b (k BIGINT, name STRING) STORED AS orc",
+        "CREATE TABLE c (k BIGINT, w DOUBLE) STORED AS orc",
+    ] {
+        hive.execute(ddl).unwrap();
+    }
+    // No key or value is 0: it stands for NULL.
+    let int = |v: i64| if v == 0 { Value::Null } else { Value::Int(v) };
+    let a = [(1, 1), (2, 2), (3, 3), (4, 0), (0, 5)];
+    hive.load_rows("a", a.map(|(k, v)| Row::new(vec![int(k), int(v)])))
+        .unwrap();
+    let b = [(1, "x"), (2, "y"), (3, "z"), (0, "n")];
+    let b = b.map(|(k, name)| Row::new(vec![int(k), Value::String(name.into())]));
+    hive.load_rows("b", b).unwrap();
+    let c = [(2, 1.5), (4, 2.5), (6, 5.5)];
+    let c = c.map(|(k, w)| Row::new(vec![Value::Int(k), Value::Double(w)]));
+    hive.load_rows("c", c).unwrap();
+    hive
 }
 
 #[test]
@@ -3026,6 +3057,34 @@ fn vectorized_map_stages_are_one_engine() {
     let full_queries = 3 * 17 * 11 * EDGE_LITERALS.len();
     assert!(vector > full_queries, "{vector} vectorized stages");
     assert!(intermediate > 0 && complex > 0, "{intermediate} {complex}");
+
+    // The sealing shape plans one map-only job with two batch-native map
+    // joins, and answers by the definition in every engine.
+    let mut hive = sealing_session();
+    let row = |k, name: &str, w| {
+        Row::new(vec![
+            Value::Int(k),
+            Value::String(name.into()),
+            Value::Double(w),
+        ])
+    };
+    let expected = sorted_rows(vec![row(2, "y", 2.5), row(3, "z", 5.5)]);
+    for (vectorize, map_join) in ALL_ENGINES {
+        hive.set("hive.vectorized.execution.enabled", vectorize.to_string());
+        hive.set("hive.auto.convert.join", map_join.to_string());
+        if vectorize && map_join {
+            let analyze = hive.execute(&format!("EXPLAIN ANALYZE {SEALING_SHAPE}"));
+            let analyze = analyze.unwrap().explain.unwrap();
+            assert_eq!(
+                analyze.matches("VectorMapJoin[Inner]").count(),
+                2,
+                "{analyze}"
+            );
+            assert!(!analyze.contains("job-1"), "{analyze}");
+        }
+        let rows = sorted_rows(hive.execute(SEALING_SHAPE).unwrap().rows);
+        assert_eq!(rows, expected, "vectorize={vectorize} map_join={map_join}");
+    }
 }
 
 // ---------------------------------------------------------------------------
