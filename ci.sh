@@ -142,10 +142,14 @@ cargo run -q --bin hive-cli --offline <tests/golden/value_rule_cli.sql 2>/dev/nu
 # Binder gate (hive_planner::scope), through the real binary on the demo
 # tables: a reference the scope cannot bind is `[semantic] unknown column`
 # in SELECT, DML and the stats-answered path (stderr is part of the
-# transcript), the DML it rejected changed nothing, and a WHERE conjunct on
-# the null-supplying side of an outer join filters the joined rows — under
-# vectorization on/off x map-join/reduce-join.
-echo "==> hive-cli binder gate (unbound references, outer-join WHERE placement)"
+# transcript), the DML it rejected changed nothing, a WHERE conjunct on the
+# null-supplying side of an outer join filters the joined rows, and the same
+# conjunct in the ON clause is tested per pair inside the join (a preserved
+# row no pair passes is padded, not lost), as are ON conjuncts over the
+# preserved side or both sides, same-key LEFT and FULL join chains, and a
+# GROUP BY on the null-supplied side of a FULL join (one NULL group) —
+# under vectorization on/off x map-join/reduce-join.
+echo "==> hive-cli binder gate (unbound references, outer-join WHERE and ON placement)"
 cargo run -q --bin hive-cli --offline -- --demo <tests/golden/binder_cli.sql 2>&1 |
     diff - tests/golden/binder_cli.txt
 

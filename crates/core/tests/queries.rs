@@ -795,22 +795,25 @@ fn skip_corrupt_data_degrades_query_instead_of_failing() {
 }
 
 #[test]
-fn multiway_outer_join_surfaces_binary_limit_as_error() {
-    // Consecutive LEFT JOINs on the same key merge into one n-ary Join
-    // operator, which the row engine rejects — as a typed HiveError from
-    // the failed job, never a panic.
-    let mut hive = session();
-    let err = hive
-        .execute(
-            "SELECT big1.key, small1.value1, small2.value1 FROM big1 \
-             LEFT JOIN small1 ON (big1.key = small1.key) \
-             LEFT JOIN small2 ON (big1.key = small2.key)",
-        )
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("outer joins must be binary"),
-        "unexpected error: {err}"
+fn multiway_outer_join_on_one_key_answers_as_a_chain() {
+    // Consecutive LEFT JOINs on the same key are a left-deep chain of
+    // binary joins (one reduce phase with correlation on): every big1 row
+    // once, each small table's value where its key exists.
+    let rows = assert_knob_equivalence(
+        "SELECT big1.key, small1.value1, small2.value1 FROM big1 \
+         LEFT JOIN small1 ON (big1.key = small1.key) \
+         LEFT JOIN small2 ON (big1.key = small2.key)",
     );
+    assert_eq!(rows.len(), 500);
+    for row in &rows {
+        let key = row[0].as_int().unwrap();
+        let value = |prefix: &str, keys: i64| match key < keys {
+            true => Value::String(format!("{prefix}-{key}")),
+            false => Value::Null,
+        };
+        assert_eq!(row[1], value("s1", 5), "{row:?}");
+        assert_eq!(row[2], value("s2", 7), "{row:?}");
+    }
 }
 
 #[test]

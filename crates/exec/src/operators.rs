@@ -334,96 +334,90 @@ pub enum JoinType {
     FullOuter,
 }
 
-/// Reduce-side join ("Reduce Join" / common join). Buffers the rows of
-/// each tag within a key group; on EndGroup emits the joined rows.
-///
-/// N-way inner joins are supported; outer joins for the binary case (which
-/// is what the planner generates — multiway joins are chains).
+/// Reduce-side binary join ("Reduce Join" / common join). Buffers each
+/// input's rows within a key group; on EndGroup emits the joined rows. A
+/// join of more tables is a left-deep chain of these.
 pub struct CommonJoinOperator {
-    pub n_inputs: usize,
     pub join_type: JoinType,
-    /// Row width per input (to build null sides for outer joins).
-    pub widths: Vec<usize>,
+    /// The left and right row widths (to pad the side an outer join
+    /// null-supplies).
+    widths: [usize; 2],
     /// Every input row starts with this many join-key columns.
     nk: usize,
-    buffers: Vec<Vec<Row>>,
+    /// An outer join's ON conjuncts beyond the keys, over the joined row.
+    residual: Option<ExprNode>,
+    buffers: [Vec<Row>; 2],
 }
 
 impl CommonJoinOperator {
     pub fn new(
-        n_inputs: usize,
         join_type: JoinType,
-        widths: Vec<usize>,
+        widths: [usize; 2],
         nk: usize,
+        residual: Option<ExprNode>,
     ) -> CommonJoinOperator {
-        assert_eq!(widths.len(), n_inputs);
         CommonJoinOperator {
-            n_inputs,
             join_type,
             widths,
             nk,
-            buffers: vec![Vec::new(); n_inputs],
+            residual,
+            buffers: [Vec::new(), Vec::new()],
         }
     }
 
+    /// The group's pairs that pass the residual, input 0 outermost, each
+    /// left row followed by its padded copy if no pair of it passed (LEFT,
+    /// FULL), then the right rows no pair passed, padded (RIGHT, FULL).
     fn emit_group(&mut self) -> Result<Vec<Emit>> {
-        let inner = self.join_type == JoinType::Inner;
-        if !inner && self.n_inputs != 2 {
-            return Err(HiveError::Execution(
-                "outer joins must be binary in this engine".into(),
-            ));
-        }
-        let buffers = &self.buffers;
+        use JoinType::*;
         // The shuffle groups NULL keys like any other key, but a join key
         // with a NULL in it matches nothing (the map joins neither store
-        // nor find one): such a group's rows join as if every other input
-        // were empty. A group has one key, so its first row tells.
-        let first = buffers.iter().flatten().next();
-        let null_key = first.is_some_and(|r| r.values()[..self.nk].iter().any(Value::is_null));
-        let matched = !null_key && !buffers.iter().any(Vec::is_empty);
-        // Cross product across all inputs.
+        // nor find one): such a row joins as if the other input were empty.
+        let nk = self.nk;
+        let matchable = |r: &Row| !r.values()[..nk].iter().any(Value::is_null);
+        let [left, right] = &self.buffers;
+        let right_can: Vec<bool> = right.iter().map(matchable).collect();
+        let mut right_hit = vec![false; right.len()];
         let mut joined: Vec<Row> = Vec::new();
-        if matched {
-            joined.push(Row::default());
-            for buf in buffers {
-                let mut wider = Vec::with_capacity(joined.len() * buf.len());
-                for a in &joined {
-                    wider.extend(buf.iter().map(|b| a.concat(b)));
+        let null_r = Row::new(vec![Value::Null; self.widths[1]]);
+        for a in left {
+            let (mut hit, can) = (false, matchable(a));
+            for (j, b) in right.iter().enumerate().filter(|p| can && right_can[p.0]) {
+                let pair = a.concat(b);
+                if let Some(residual) = &self.residual {
+                    if !residual.eval_predicate(&pair)? {
+                        continue;
+                    }
                 }
-                joined = wider;
+                (hit, right_hit[j]) = (true, true);
+                joined.push(pair);
             }
-        } else if !inner {
+            if !hit && matches!(self.join_type, LeftOuter | FullOuter) {
+                joined.push(a.concat(&null_r));
+            }
+        }
+        if matches!(self.join_type, RightOuter | FullOuter) {
             let null_l = Row::new(vec![Value::Null; self.widths[0]]);
-            let null_r = Row::new(vec![Value::Null; self.widths[1]]);
-            if matches!(self.join_type, JoinType::LeftOuter | JoinType::FullOuter) {
-                joined.extend(buffers[0].iter().map(|a| a.concat(&null_r)));
-            }
-            if matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter) {
-                joined.extend(buffers[1].iter().map(|b| null_l.concat(b)));
-            }
+            let missed = right.iter().zip(right_hit).filter(|(_, hit)| !hit);
+            joined.extend(missed.map(|(b, _)| null_l.concat(b)));
         }
-        for buf in &mut self.buffers {
-            buf.clear();
-        }
+        self.buffers.iter_mut().for_each(Vec::clear);
         Ok(joined.into_iter().map(forward).collect())
     }
 }
 
 impl Operator for CommonJoinOperator {
     fn name(&self) -> String {
-        format!("JoinOperator({:?}, {} way)", self.join_type, self.n_inputs)
+        format!("JoinOperator({:?}, 2 way)", self.join_type)
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
             Message::Row { row, tag } => {
-                if tag >= self.n_inputs {
-                    return Err(HiveError::Execution(format!(
-                        "join received tag {tag}, expected < {}",
-                        self.n_inputs
-                    )));
-                }
-                self.buffers[tag].push(row);
+                let buffer = self.buffers.get_mut(tag).ok_or_else(|| {
+                    HiveError::Execution(format!("join received tag {tag}, expected < 2"))
+                })?;
+                buffer.push(row);
                 Ok(vec![])
             }
             Message::Batch { .. } => Err(HiveError::Execution(
@@ -746,7 +740,7 @@ mod tests {
         // both inputs over as one group.
         let keyed = |k: Value, v: i64| Row::new(vec![k, Value::Int(v)]);
         let joined = |join_type: JoinType, key: Value| -> Vec<Row> {
-            let mut j = CommonJoinOperator::new(2, join_type, vec![2, 2], 1);
+            let mut j = CommonJoinOperator::new(join_type, [2, 2], 1, None);
             for (tag, v) in [(0, 10), (1, 20)] {
                 let row = keyed(key.clone(), v);
                 j.receive(Message::Row { row, tag }).unwrap();
@@ -842,10 +836,10 @@ mod tests {
         // Inner join of one group with 2 left rows and 2 right rows → 4.
         let mut g = OperatorGraph::new();
         let j = g.add(Box::new(CommonJoinOperator::new(
-            2,
             JoinType::Inner,
-            vec![2, 1],
+            [2, 1],
             0,
+            None,
         )));
         let fs = g.add(Box::new(FileSinkOperator));
         g.connect(j, fs, None);
@@ -894,10 +888,10 @@ mod tests {
         // Left outer with empty right side.
         let mut g2 = OperatorGraph::new();
         let j2 = g2.add(Box::new(CommonJoinOperator::new(
-            2,
             JoinType::LeftOuter,
-            vec![2, 1],
+            [2, 1],
             0,
+            None,
         )));
         let fs2 = g2.add(Box::new(FileSinkOperator));
         g2.connect(j2, fs2, None);
@@ -1082,7 +1076,7 @@ mod tests {
 
     #[test]
     fn join_clears_buffers_between_groups() {
-        let mut j = CommonJoinOperator::new(2, JoinType::Inner, vec![1, 1], 0);
+        let mut j = CommonJoinOperator::new(JoinType::Inner, [1, 1], 0, None);
         j.receive(Message::Row {
             row: row(&[1]),
             tag: 0,

@@ -21,10 +21,12 @@
 //! (which answer a window of key groups per `EndGroup`) and the same
 //! adapters, to a `VectorFileSinkOperator`.
 
+use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleBatch};
 use crate::operators::JoinType;
-use hive_common::{DataType, HiveError, Result};
+use hive_common::{DataType, HiveError, Result, Row};
 use hive_vector::aggregates::{VectorHashAggregator, VectorStreamAggregator};
+use hive_vector::row_convert::get_value;
 use hive_vector::{VectorExpression, VectorOperator, VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use std::sync::Arc;
 
@@ -396,23 +398,34 @@ impl Operator for VectorGroupByOperator {
     }
 }
 
-/// Reduce-side join on batches: buffers each input's batches for the
-/// window and, at its EndGroup, walks the groups by ordinal, writing each
-/// group's joined rows into output batches in the row engine's order. N-way
-/// inner joins and binary outer joins; a group with a NULL key matches
-/// nothing.
+/// One output row of a join: the (buffered batch, row) each input gives it,
+/// `None` where the input is NULL-padded.
+type Pick = [Option<(usize, usize)>; 2];
+
+/// Reduce-side binary join on batches: buffers each input's batches for
+/// the window and, at its EndGroup, walks the groups by ordinal, writing each
+/// group's joined rows into output batches by `CommonJoinOperator`'s rule
+/// and in its order: a row whose key has a NULL pairs with nothing, a pair
+/// joins if it passes the residual, and an outer join pads each preserved
+/// row no pair of it passed.
 pub struct VectorJoinOperator {
     join_type: JoinType,
     nk: usize,
     /// Per input: the batch columns of its row, in order.
-    inputs: Vec<Vec<usize>>,
+    inputs: [Vec<usize>; 2],
+    /// An outer join's ON conjuncts beyond the keys, over the joined row.
+    residual: Option<ExprNode>,
     out_types: Vec<DataType>,
-    buffers: Vec<Vec<Arc<VectorizedRowBatch>>>,
-    /// Per input: the group at hand's rows, as (buffered batch, row).
-    rows: Vec<Vec<(usize, usize)>>,
-    /// The output batch being assembled: per input, the row each output
-    /// row takes (`None`: NULL-padded), and each output row's ordinal.
-    picks: Vec<Vec<Option<(usize, usize)>>>,
+    buffers: [Vec<Arc<VectorizedRowBatch>>; 2],
+    /// Per input: the group at hand's rows, as (buffered batch, row), and
+    /// whether each can match (its key has no NULL).
+    rows: [Vec<((usize, usize), bool)>; 2],
+    /// Per right row of the group at hand: whether a pair of it joined.
+    right_hit: Vec<bool>,
+    /// The pair the residual is tested on, reused from pair to pair.
+    pair: Row,
+    /// The output batch being assembled: its rows' picks and ordinals.
+    picks: Vec<Pick>,
     ordinals: Vec<u32>,
     batches: u64,
 }
@@ -423,26 +436,24 @@ impl VectorJoinOperator {
     pub fn new(
         join_type: JoinType,
         nk: usize,
-        inputs: Vec<Vec<usize>>,
+        inputs: [Vec<usize>; 2],
+        residual: Option<ExprNode>,
         out_types: Vec<DataType>,
-    ) -> Result<VectorJoinOperator> {
-        if join_type != JoinType::Inner && inputs.len() != 2 {
-            return Err(HiveError::Plan(
-                "outer joins must be binary in this engine".into(),
-            ));
-        }
-        let n = inputs.len();
-        Ok(VectorJoinOperator {
+    ) -> VectorJoinOperator {
+        VectorJoinOperator {
             join_type,
             nk,
             inputs,
+            residual,
             out_types,
-            buffers: vec![Vec::new(); n],
-            rows: vec![Vec::new(); n],
-            picks: vec![Vec::new(); n],
+            buffers: Default::default(),
+            rows: Default::default(),
+            right_hit: Vec::new(),
+            pair: Row::default(),
+            picks: Vec::new(),
             ordinals: Vec::new(),
             batches: 0,
-        })
+        }
     }
 
     /// Input `t`'s row at `cursor` (buffered batch, position in its
@@ -463,10 +474,9 @@ impl VectorJoinOperator {
 
     /// Every group of the window, in ordinal order.
     fn join_window(&mut self, emits: &mut Vec<Emit>) -> Result<()> {
-        let n = self.inputs.len();
-        let mut cursors = vec![(0, 0); n];
+        let mut cursors = [(0, 0); 2];
         loop {
-            let heads = (0..n).filter_map(|t| Some(self.ordinal(t, self.at(t, cursors[t])?)));
+            let heads = (0..2).filter_map(|t| Some(self.ordinal(t, self.at(t, cursors[t])?)));
             let Some(group) = heads.min() else {
                 return self.flush(emits);
             };
@@ -484,7 +494,7 @@ impl VectorJoinOperator {
             .at(t, *cursor)
             .filter(|&at| self.ordinal(t, at) == group)
         {
-            self.rows[t].push(at);
+            self.rows[t].push((at, self.matchable(t, at)));
             let (b, p) = *cursor;
             *cursor = match p + 1 == self.buffers[t][b].size {
                 true => (b + 1, 0),
@@ -493,56 +503,66 @@ impl VectorJoinOperator {
         }
     }
 
-    /// One group's joined rows, as `CommonJoinOperator` orders them: the
-    /// cross product with input 0 outermost, or an outer join's padded rows.
-    fn join_group(&mut self, group: u32, emits: &mut Vec<Emit>) -> Result<()> {
-        let first = (0..self.inputs.len()).find_map(|t| Some((t, *self.rows[t].first()?)));
-        let null_key = first.is_some_and(|(t, (b, i))| {
-            let batch = &self.buffers[t][b];
-            self.inputs[t][..self.nk]
-                .iter()
-                .any(|&c| batch.columns[c].is_null(i))
-        });
-        if !null_key && self.rows.iter().all(|r| !r.is_empty()) {
-            let mut index = vec![0; self.inputs.len()];
-            loop {
-                for (t, &k) in index.iter().enumerate() {
-                    self.picks[t].push(Some(self.rows[t][k]));
-                }
-                self.push_row(group, emits)?;
-                // The last input turns fastest.
-                let mut t = index.len();
-                loop {
-                    if t == 0 {
-                        return Ok(());
-                    }
-                    t -= 1;
-                    index[t] += 1;
-                    if index[t] < self.rows[t].len() {
-                        break;
-                    }
-                    index[t] = 0;
-                }
+    /// Whether input `t`'s row can match: its key has no NULL.
+    fn matchable(&self, t: usize, (b, i): (usize, usize)) -> bool {
+        let batch = &self.buffers[t][b];
+        let keys = &self.inputs[t][..self.nk];
+        !keys.iter().any(|&c| batch.columns[c].is_null(i))
+    }
+
+    /// Whether the pair of left row `a` and right row `b` passes the
+    /// residual, evaluated on the pair's values.
+    fn passes(&mut self, a: (usize, usize), b: (usize, usize)) -> Result<bool> {
+        let Some(residual) = &self.residual else {
+            return Ok(true);
+        };
+        let values = self.pair.values_mut();
+        values.clear();
+        let mut types = self.out_types.iter();
+        for (t, (batch, i)) in [(0, a), (1, b)] {
+            let batch = &self.buffers[t][batch];
+            for (&c, dt) in self.inputs[t].iter().zip(&mut types) {
+                values.push(get_value(&batch.columns[c], i, dt));
             }
         }
+        residual.eval_predicate(&self.pair)
+    }
+
+    /// One group's joined rows, as `CommonJoinOperator` orders them: the
+    /// pairs that pass with input 0 outermost, a preserved left row no pair
+    /// of it passed right after its pairs, then the right rows no pair
+    /// passed.
+    fn join_group(&mut self, group: u32, emits: &mut Vec<Emit>) -> Result<()> {
         use JoinType::*;
-        let (left, right) = (
-            matches!(self.join_type, LeftOuter | FullOuter),
-            matches!(self.join_type, RightOuter | FullOuter),
-        );
-        for (side, keep) in [(0, left), (1, right)] {
-            for k in 0..if keep { self.rows[side].len() } else { 0 } {
-                let row = self.rows[side][k];
-                self.picks[side].push(Some(row));
-                self.picks[1 - side].push(None);
-                self.push_row(group, emits)?;
+        self.right_hit.clear();
+        self.right_hit.resize(self.rows[1].len(), false);
+        for k in 0..self.rows[0].len() {
+            let (a, a_can) = self.rows[0][k];
+            let mut hit = false;
+            for j in 0..self.rows[1].len() {
+                let (b, b_can) = self.rows[1][j];
+                if a_can && b_can && self.passes(a, b)? {
+                    (hit, self.right_hit[j]) = (true, true);
+                    self.push_row([Some(a), Some(b)], group, emits)?;
+                }
+            }
+            if !hit && matches!(self.join_type, LeftOuter | FullOuter) {
+                self.push_row([Some(a), None], group, emits)?;
+            }
+        }
+        if matches!(self.join_type, RightOuter | FullOuter) {
+            for j in 0..self.rows[1].len() {
+                if !self.right_hit[j] {
+                    self.push_row([None, Some(self.rows[1][j].0)], group, emits)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// Count the output row just picked; a full batch leaves.
-    fn push_row(&mut self, group: u32, emits: &mut Vec<Emit>) -> Result<()> {
+    /// One output row of `group`; a full batch leaves.
+    fn push_row(&mut self, pick: Pick, group: u32, emits: &mut Vec<Emit>) -> Result<()> {
+        self.picks.push(pick);
         self.ordinals.push(group);
         if self.ordinals.len() == DEFAULT_BATCH_SIZE {
             self.flush(emits)?;
@@ -560,16 +580,16 @@ impl VectorJoinOperator {
         for (t, cols) in self.inputs.iter().enumerate() {
             for &c in cols {
                 let dst = &mut out.columns[column];
-                for (j, pick) in self.picks[t].iter().enumerate() {
-                    match *pick {
+                for (j, pick) in self.picks.iter().enumerate() {
+                    match pick[t] {
                         Some((b, i)) => dst.copy_cell(j, &self.buffers[t][b].columns[c], i)?,
                         None => dst.set_null(j),
                     }
                 }
                 column += 1;
             }
-            self.picks[t].clear();
         }
+        self.picks.clear();
         out.size = self.ordinals.len();
         out.ordinals[..out.size].copy_from_slice(&self.ordinals);
         self.ordinals.clear();
@@ -580,11 +600,7 @@ impl VectorJoinOperator {
 
 impl Operator for VectorJoinOperator {
     fn name(&self) -> String {
-        format!(
-            "VectorJoin({:?}, {} way)",
-            self.join_type,
-            self.inputs.len()
-        )
+        format!("VectorJoin({:?}, 2 way)", self.join_type)
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
@@ -592,10 +608,7 @@ impl Operator for VectorJoinOperator {
             Message::Batch { batch, tag } => {
                 self.batches += 1;
                 let buffer = self.buffers.get_mut(tag).ok_or_else(|| {
-                    HiveError::Execution(format!(
-                        "join received tag {tag}, expected < {}",
-                        self.inputs.len()
-                    ))
+                    HiveError::Execution(format!("join received tag {tag}, expected < 2"))
                 })?;
                 if batch.size > 0 {
                     buffer.push(batch);

@@ -97,16 +97,21 @@ pub fn fresh_tmp_base() -> String {
     format!("/tmp/query-{qid}")
 }
 
+/// Where a map input's rows come from.
+#[derive(Clone, PartialEq)]
+enum Feed {
+    /// A plan TableScan.
+    Scan(usize),
+    /// A previous job's output under `prefix`, holding the rows of plan
+    /// node `node` (a cut, or the node above a reduce-side ReduceSink).
+    Intermediate { prefix: String, node: usize },
+}
+
 /// One map-side input of a job (compile-time form).
 #[derive(Clone)]
 struct MapInput {
     alias: String,
-    /// The node rows enter the exec graph at (scan or cut-child or RS).
-    source: usize,
-    /// Whether `source` is a plan TableScan (vs an intermediate read).
-    scan: Option<usize>,
-    /// Intermediate read: (path prefix, schema provider node).
-    intermediate: Option<(String, usize)>,
+    feed: Feed,
     /// Plan node ids executed in this input's chain.
     nodes: Vec<usize>,
     /// ReduceSink plan id → shuffle tag.
@@ -119,11 +124,9 @@ struct MapInput {
 impl MapInput {
     /// The plan node whose rows the input's batches hold: the scan, or the
     /// node an intermediate was written from.
-    fn input_node(&self) -> Result<usize> {
-        match (self.scan, &self.intermediate) {
-            (Some(scan), _) => Ok(scan),
-            (None, Some((_, schema_node))) => Ok(*schema_node),
-            (None, None) => Err(HiveError::Plan("map input without a source".into())),
+    fn input_node(&self) -> usize {
+        match self.feed {
+            Feed::Scan(node) | Feed::Intermediate { node, .. } => node,
         }
     }
 }
@@ -211,15 +214,8 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                 }
             }
             JobOutput::Intermediate {
-                path_prefix: format!("{prefix}/"),
+                path_prefix: prefix,
             }
-        };
-        // Trim the trailing slash for writes; reads use list(prefix + '/').
-        let output = match output {
-            JobOutput::Intermediate { path_prefix } => JobOutput::Intermediate {
-                path_prefix: path_prefix.trim_end_matches('/').to_string(),
-            },
-            o => o,
         };
 
         // ----- Map side. -------------------------------------------------
@@ -231,7 +227,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
             build_maponly_input(&g, &info.nodes, &intermediates)?
         };
         for mi in &mut map_inputs {
-            let input = mi.input_node()?;
+            let input = mi.input_node();
             mi.vectorized = vectorize && vectorize::vectorizes(&g.nodes, input, &mi.nodes);
         }
 
@@ -280,14 +276,14 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         // ----- JobSpec inputs and factories. ------------------------------
         let mut job_inputs = Vec::new();
         for mi in &map_inputs {
-            match (mi.scan, &mi.intermediate) {
-                (Some(scan_id), _) => {
+            match &mi.feed {
+                Feed::Scan(scan_id) => {
                     let PlanOp::TableScan {
                         table,
                         projection,
                         sarg,
                         ..
-                    } = &g.node(scan_id).op
+                    } = &g.node(*scan_id).op
                     else {
                         unreachable!()
                     };
@@ -307,8 +303,8 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                         overlay: table.acid.clone(),
                     });
                 }
-                (None, Some((prefix, schema_node))) => {
-                    let schema_cols = &g.node(*schema_node).schema;
+                Feed::Intermediate { prefix, node } => {
+                    let schema_cols = &g.node(*node).schema;
                     let schema = hive_common::Schema::new(
                         schema_cols
                             .iter()
@@ -325,7 +321,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                         overlay: None,
                     });
                 }
-                _ => return Err(HiveError::Plan("map input without a source".into())),
             }
         }
 
@@ -566,12 +561,12 @@ fn build_map_inputs(
             let prefix = intermediates.get(&rs).ok_or_else(|| {
                 HiveError::Plan("intermediate path missing for reduce-side RS".into())
             })?;
-            let parent = g.node(rs).parents[0];
             inputs.push(MapInput {
                 alias: format!("intermediate#{rs}"),
-                source: rs,
-                scan: None,
-                intermediate: Some((prefix.clone(), parent)),
+                feed: Feed::Intermediate {
+                    prefix: prefix.clone(),
+                    node: g.node(rs).parents[0],
+                },
                 nodes: vec![rs],
                 rs_tags: BTreeMap::from([(rs, tag)]),
                 vectorized: false,
@@ -579,25 +574,18 @@ fn build_map_inputs(
             continue;
         }
         // Walk up to the chain's source (scan or cut-child).
-        let mut cur = rs;
-        let source;
-        loop {
-            let parents = &g.node(cur).parents;
-            if parents.is_empty() {
-                source = cur;
-                break;
-            }
-            let p = parents[0];
+        let mut source = rs;
+        while let Some(&p) = g.node(source).parents.first() {
             if matches!(g.node(p).op, PlanOp::IntermediateCut) {
-                source = cur; // chain starts below the cut
-                break;
+                break; // chain starts below the cut
             }
-            cur = p;
+            source = p;
         }
+        let (feed, alias) = feed_of(g, source, intermediates)?;
+        let chain = chain_nodes(g, source, rs);
         // Shared source (merged scans): fold into the existing input.
-        if let Some(existing) = inputs.iter_mut().find(|i| i.source == source) {
+        if let Some(existing) = inputs.iter_mut().find(|i| i.feed == feed) {
             existing.rs_tags.insert(rs, tag);
-            let chain = chain_nodes(g, source, rs);
             for n in chain {
                 if !existing.nodes.contains(&n) {
                     existing.nodes.push(n);
@@ -605,24 +593,10 @@ fn build_map_inputs(
             }
             continue;
         }
-        let nodes = chain_nodes(g, source, rs);
-        let (scan, intermediate, alias) = match &g.node(source).op {
-            PlanOp::TableScan { alias, .. } => (Some(source), None, format!("{alias}#{source}")),
-            _ => {
-                // Source sits below a cut: read that cut's intermediate.
-                let cut = g.node(source).parents[0];
-                let prefix = intermediates
-                    .get(&cut)
-                    .ok_or_else(|| HiveError::Plan("intermediate path missing for cut".into()))?;
-                (None, Some((prefix.clone(), cut)), format!("cut#{cut}"))
-            }
-        };
         inputs.push(MapInput {
             alias,
-            source,
-            scan,
-            intermediate,
-            nodes,
+            feed,
+            nodes: chain,
             rs_tags: BTreeMap::from([(rs, tag)]),
             vectorized: false,
         });
@@ -641,32 +615,41 @@ fn build_maponly_input(
     let is_cut = |&p: &usize| matches!(g.node(p).op, PlanOp::IntermediateCut);
     let is_source = |&&n: &&usize| g.node(n).parents.iter().all(is_cut);
     let sources: Vec<usize> = nodes.iter().filter(is_source).copied().collect();
-    if sources.len() != 1 {
+    let [source] = sources[..] else {
         return Err(HiveError::Plan(format!(
             "map-only job must have exactly one source, found {}",
             sources.len()
         )));
-    }
-    let source = sources[0];
-    let (scan, intermediate, alias) = match &g.node(source).op {
-        PlanOp::TableScan { alias, .. } => (Some(source), None, format!("{alias}#{source}")),
-        _ => {
-            let cut = g.node(source).parents[0];
-            let prefix = intermediates
-                .get(&cut)
-                .ok_or_else(|| HiveError::Plan("intermediate path missing for cut".into()))?;
-            (None, Some((prefix.clone(), cut)), format!("cut#{cut}"))
-        }
     };
+    let (feed, alias) = feed_of(g, source, intermediates)?;
     Ok(vec![MapInput {
         alias,
-        source,
-        scan,
-        intermediate,
+        feed,
         nodes: nodes.to_vec(),
         rs_tags: BTreeMap::new(),
         vectorized: false,
     }])
+}
+
+/// The feed and alias of a map chain starting at `source`: its scan, or
+/// the intermediate of the cut above it.
+fn feed_of(
+    g: &PlanGraph,
+    source: usize,
+    intermediates: &HashMap<usize, String>,
+) -> Result<(Feed, String)> {
+    if let PlanOp::TableScan { alias, .. } = &g.node(source).op {
+        return Ok((Feed::Scan(source), format!("{alias}#{source}")));
+    }
+    let cut = g.node(source).parents[0];
+    let prefix = intermediates
+        .get(&cut)
+        .ok_or_else(|| HiveError::Plan("intermediate path missing for cut".into()))?;
+    let feed = Feed::Intermediate {
+        prefix: prefix.clone(),
+        node: cut,
+    };
+    Ok((feed, format!("cut#{cut}")))
 }
 
 /// Plan nodes on paths `source → sink` (inclusive).
@@ -844,13 +827,14 @@ fn row_operator(
                 kind,
                 input_widths,
                 nk,
+                residual,
             },
             Phase::Reduce,
         ) => Box::new(ops::CommonJoinOperator::new(
-            input_widths.len(),
             *kind,
-            input_widths.clone(),
+            *input_widths,
             *nk,
+            residual.clone(),
         )),
         (
             op @ (PlanOp::TableScan { .. }
@@ -880,7 +864,7 @@ impl MapBuildSpec {
         let mut roots = HashMap::new();
         let mut vector = HashMap::new();
         for mi in &self.inputs {
-            let input = mi.input_node()?;
+            let input = mi.input_node();
             let phase = Phase::Map {
                 rs_tags: &mi.rs_tags,
                 side,

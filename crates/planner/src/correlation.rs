@@ -19,6 +19,7 @@
 use crate::plan::{GroupByPhase, PlanGraph, PlanOp};
 use hive_common::Result;
 use hive_exec::expr::ExprNode;
+use hive_exec::operators::JoinType;
 use std::collections::BTreeMap;
 
 /// Apply both correlation rewrites until a fixpoint.
@@ -158,13 +159,29 @@ fn try_eliminate_reduce_sink(g: &mut PlanGraph, rs: usize) -> Result<bool> {
                 }
                 return apply_rewrite(g, rs, consumer, partial_gby);
             }
-            PlanOp::Join { input_widths, .. } => {
+            PlanOp::Join {
+                kind,
+                input_widths: [lw, _],
+                ..
+            } => {
                 // Join output layout: [k0..nk, left cols, k0..nk, right
-                // cols]; key ordinals appear at 0..nk and at input_widths[0]
-                // .. input_widths[0]+nk.
-                let Some(&lw) = input_widths.first() else {
+                // cols]; key ordinals appear at 0..nk and at lw..lw+nk.
+                let (kind, lw) = (*kind, *lw);
+                // An outer join's group holds the rows of one key, but a
+                // side it null-supplies may read NULL in some of them (a
+                // row padded next to its key's matches, or a NULL key).
+                // A join downstream tests each row's key; a GROUP BY takes
+                // its group's key from the first row, so it may only key
+                // on a side the join preserves.
+                use JoinType::*;
+                let preserved = [
+                    matches!(kind, Inner | LeftOuter),
+                    matches!(kind, Inner | RightOuter),
+                ];
+                let grouping = !matches!(g.node(consumer).op, PlanOp::Join { .. });
+                if grouping && cols.iter().any(|&c| !preserved[usize::from(c >= lw)]) {
                     return Ok(false);
-                };
+                }
                 // Number of join keys: recover from any RS parent.
                 let Some(jkeys) = g
                     .node(cur)
@@ -212,7 +229,27 @@ fn try_eliminate_reduce_sink(g: &mut PlanGraph, rs: usize) -> Result<bool> {
                 if ordinals != (0..nk).collect::<Vec<_>>() {
                     return Ok(false);
                 }
-                return apply_rewrite(g, rs, consumer, partial_gby);
+                // An inner join's rows all have the group's key. A preserved
+                // side's rows keep their input's key, which is the group's
+                // unless that input is a correlated join that null-supplies
+                // it: a GROUP BY follows the side up to its real shuffle.
+                let side = match kind {
+                    LeftOuter => rs_l,
+                    RightOuter => rs_r,
+                    _ => return apply_rewrite(g, rs, consumer, partial_gby),
+                };
+                let degenerate = matches!(
+                    g.node(side).op,
+                    PlanOp::ReduceSink {
+                        degenerate: true,
+                        ..
+                    }
+                );
+                if !grouping || !degenerate {
+                    return apply_rewrite(g, rs, consumer, partial_gby);
+                }
+                cols = ordinals;
+                cur = side;
             }
             _ => return Ok(false),
         }

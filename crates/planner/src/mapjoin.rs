@@ -38,14 +38,16 @@ fn try_convert(g: &mut PlanGraph, join_id: usize, threshold: u64) -> Result<()> 
     if !g.node(join_id).alive {
         return Ok(());
     }
-    let PlanOp::Join { kind, .. } = g.node(join_id).op.clone() else {
+    // A residual tests each pair inside the join: it stays a reduce join.
+    let PlanOp::Join {
+        kind,
+        residual: None,
+        ..
+    } = g.node(join_id).op
+    else {
         return Ok(());
     };
-    let parents = g.node(join_id).parents.clone();
-    if parents.len() != 2 {
-        return Ok(());
-    }
-    let (rs_l, rs_r) = (parents[0], parents[1]);
+    let (rs_l, rs_r) = (g.node(join_id).parents[0], g.node(join_id).parents[1]);
 
     // Outer joins can only stream the preserved side.
     let right_ok = matches!(kind, JoinType::Inner | JoinType::LeftOuter);

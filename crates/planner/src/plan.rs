@@ -99,13 +99,17 @@ pub enum PlanOp {
         keys: Vec<ExprNode>,
         aggs: Vec<AggCall>,
     },
-    /// Reduce-side join; parents are its ReduceSinks in tag order.
+    /// Reduce-side binary join; parents are its two ReduceSinks in tag
+    /// order.
     Join {
         kind: JoinType,
-        /// Input row widths (key + value), in tag order.
-        input_widths: Vec<usize>,
+        /// The left and right input rows' widths (key + value).
+        input_widths: [usize; 2],
         /// Join-key columns leading every input row.
         nk: usize,
+        /// An outer join's ON conjuncts beyond the keys, over the joined
+        /// row: a pair joins only if it passes.
+        residual: Option<ExprNode>,
     },
     /// Map-side join; the single parent is the big-table stream.
     MapJoin(MapJoinSide),
@@ -295,9 +299,17 @@ impl PlanGraph {
                 ));
             }
             PlanOp::Join {
-                kind, input_widths, ..
+                kind,
+                input_widths,
+                residual,
+                ..
             } => {
-                out.push_str(&format!(" {:?} {} inputs", kind, input_widths.len()));
+                out.push_str(&format!(
+                    " {:?} {} inputs{}",
+                    kind,
+                    input_widths.len(),
+                    if residual.is_some() { " +residual" } else { "" }
+                ));
             }
             PlanOp::MapJoin(small) => {
                 out.push_str(&format!(" small: [{:?}]", small.alias));

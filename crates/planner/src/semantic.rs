@@ -153,13 +153,6 @@ fn plan_select(
     let mut acc = build_rel(g, 0)?;
 
     // ------ 4. Joins (left-deep chain of binary reduce joins). ----------
-    //
-    // Consecutive *outer* joins over the same key collapse into one n-ary
-    // Join operator, like Hive's JoinOperator merge. The row engine only
-    // implements binary outer joins, so such plans surface its
-    // "outer joins must be binary" error as a typed HiveError at run time
-    // instead of silently producing a wrong left-deep answer.
-    let mut outer_merge: Option<OuterMerge> = None;
     let mut joined = BTreeSet::from([0]);
     for join in &bound.joins {
         let mut right = build_rel(g, join.entry)?;
@@ -184,68 +177,22 @@ fn plan_select(
         let (own_side, residual): (Vec<&Expr>, Vec<&Expr>) = residual
             .into_iter()
             .partition(|c| before && scope.entries_of(c).is_subset(&own));
-        // An ON conjunct beside the keys keeps this join and the next one
-        // binary, so the chain runs: an n-ary outer Join is an error in
-        // both engines.
-        let keys_only = own_side.is_empty() && residual.is_empty();
         for c in own_side {
             let pred = predicate(c, &right, "ON")?;
             right = right.filtered(g, pred);
         }
-        if let Some(state) = outer_merge.as_mut().filter(|s| {
-            kind != JoinType::Inner
-                && s.node == acc.node
-                && s.kind == kind
-                && s.nk == equi.len()
-                && keys_only
-                && equi
-                    .iter()
-                    .enumerate()
-                    .all(|(i, (l, _))| matches!(l, ExprNode::Column(c) if s.equiv[i].contains(c)))
-        }) {
-            merge_outer_join(g, state, &mut acc, right, &equi, REDUCE_TASKS)?;
-            continue;
-        }
-        let nk = equi.len();
-        let left_len = acc.cols.len();
-        let key_cols: Vec<(Option<usize>, Option<usize>)> = equi
-            .iter()
-            .map(|(l, r)| {
-                let col = |e: &ExprNode| match e {
-                    ExprNode::Column(c) => Some(*c),
-                    _ => None,
-                };
-                (col(l), col(r))
-            })
-            .collect();
-        acc = add_reduce_join(g, acc, right, &equi, kind, REDUCE_TASKS)?;
-        let mergeable = kind != JoinType::Inner && keys_only;
-        for r in residual {
-            let pred = predicate(r, &acc, "ON")?;
+        // The rest filters an inner join's rows; an outer join tests its
+        // pairs against it, so a row no pair passes is still padded.
+        let (after, on) = if kind == JoinType::Inner {
+            (residual, Vec::new())
+        } else {
+            (Vec::new(), residual)
+        };
+        acc = add_reduce_join(g, acc, right, &equi, kind, &on, REDUCE_TASKS)?;
+        for c in after {
+            let pred = predicate(c, &acc, "ON")?;
             acc = acc.filtered(g, pred);
         }
-        outer_merge = mergeable.then(|| {
-            // Columns of the joined layout [_lkeys, l_cols, _rkeys, r_cols]
-            // known equal to key i, so a later join keyed on any of them
-            // can merge in.
-            let mut equiv = vec![BTreeSet::new(); nk];
-            for (i, (lc, rc)) in key_cols.iter().enumerate() {
-                equiv[i].insert(i);
-                if let Some(c) = lc {
-                    equiv[i].insert(nk + c);
-                }
-                equiv[i].insert(nk + left_len + i);
-                if let Some(c) = rc {
-                    equiv[i].insert(nk + left_len + nk + c);
-                }
-            }
-            OuterMerge {
-                node: acc.node,
-                kind,
-                nk,
-                equiv,
-            }
-        });
     }
 
     // ------ 5. Post-join WHERE conjuncts. --------------------------------
@@ -899,80 +846,16 @@ fn split_join_condition<'a>(
     Ok((equi, residual))
 }
 
-/// Merge bookkeeping for consecutive same-key outer joins: the Join node
-/// they collapse into and, per key position, the set of output columns of
-/// the accumulated relation known equal to that key.
-struct OuterMerge {
-    node: usize,
-    kind: JoinType,
-    nk: usize,
-    equiv: Vec<BTreeSet<usize>>,
-}
-
-/// Fold another input into an existing n-ary outer Join node: add a
-/// ReduceSink over `right` keyed like the join, wire it in as one more
-/// parent, and extend the joined layout with `[_rkeys, r_cols]`.
-fn merge_outer_join(
-    g: &mut PlanGraph,
-    state: &mut OuterMerge,
-    acc: &mut Rel,
-    right: Rel,
-    equi: &[(ExprNode, ExprNode)],
-    num_reducers: usize,
-) -> Result<()> {
-    let nk = state.nk;
-    let rkeys: Vec<ExprNode> = equi.iter().map(|(_, r)| r.clone()).collect();
-    let rvals: Vec<ExprNode> = (0..right.cols.len()).map(ExprNode::col).collect();
-    let key_types: Vec<DataType> = acc.cols[..nk].iter().map(|(_, _, t)| t.clone()).collect();
-
-    let mut rs_schema: Vec<ColumnInfo> = key_types
-        .iter()
-        .enumerate()
-        .map(|(i, t)| ColumnInfo::new(format!("_key{i}"), t.clone()))
-        .collect();
-    rs_schema.extend(right.schema());
-    let rs = g.add(
-        PlanOp::ReduceSink {
-            keys: rkeys.clone(),
-            values: rvals,
-            num_reducers,
-            degenerate: false,
-        },
-        rs_schema,
-        vec![right.node],
-    );
-
-    let off = acc.cols.len();
-    g.nodes[state.node].parents.push(rs);
-    g.nodes[rs].children.push(state.node);
-    match &mut g.nodes[state.node].op {
-        PlanOp::Join { input_widths, .. } => input_widths.push(nk + right.cols.len()),
-        _ => unreachable!("outer-merge state always points at a Join node"),
-    }
-    for (i, t) in key_types.iter().enumerate() {
-        acc.cols.push((None, format!("_rkey{i}"), t.clone()));
-    }
-    acc.cols.extend(right.cols.iter().cloned());
-    g.nodes[state.node].schema = acc.schema();
-
-    for (i, key) in rkeys.iter().enumerate() {
-        state.equiv[i].insert(off + i);
-        if let ExprNode::Column(c) = key {
-            state.equiv[i].insert(off + nk + *c);
-        }
-    }
-    Ok(())
-}
-
 /// Insert RS + RS + Join for a binary reduce join. The joined row layout is
 /// `[l_keys, l_cols, r_keys, r_cols]` because reduce-side rows arrive as
-/// key ++ value.
+/// key ++ value; `on` (the Join's residual) is bound over it.
 fn add_reduce_join(
     g: &mut PlanGraph,
     left: Rel,
     right: Rel,
     equi: &[(ExprNode, ExprNode)],
     kind: JoinType,
+    on: &[&Expr],
     num_reducers: usize,
 ) -> Result<Rel> {
     let nk = equi.len();
@@ -1029,21 +912,26 @@ fn add_reduce_join(
         .chain(key_cols("r"))
         .chain(right.cols.iter().cloned())
         .collect();
-    let schema: Vec<ColumnInfo> = cols
-        .iter()
-        .map(|(_, n, t)| ColumnInfo::new(n.clone(), t.clone()))
-        .collect();
-
-    let join = g.add(
+    // The node is the Join, added once its residual is bound.
+    let mut joined = Rel {
+        node: usize::MAX,
+        cols,
+    };
+    let on = on.iter().map(|c| predicate(c, &joined, "ON"));
+    let residual = on.collect::<Result<Vec<_>>>()?;
+    joined.node = g.add(
         PlanOp::Join {
             kind,
-            input_widths: vec![nk + left.cols.len(), nk + right.cols.len()],
+            input_widths: [nk + left.cols.len(), nk + right.cols.len()],
             nk,
+            residual: residual
+                .into_iter()
+                .reduce(|a, b| ExprNode::binary(BinaryOp::And, a, b)),
         },
-        schema,
+        joined.schema(),
         vec![rs_l, rs_r],
     );
-    Ok(Rel { node: join, cols })
+    Ok(joined)
 }
 
 /// The substitution context built by aggregation planning: the bound

@@ -139,9 +139,8 @@ struct StageCompiler<'a> {
     entries: &'a [usize],
     phase: &'a Phase<'a>,
     operators: HashMap<usize, Box<dyn Operator>>,
-    /// Per join: the batch columns of each input's row compiled so far, by
-    /// input slot.
-    joins: HashMap<usize, Vec<(usize, Vec<usize>)>>,
+    /// Per join: the batch columns of each input's row, once compiled.
+    joins: HashMap<usize, [Option<Vec<usize>>; 2]>,
     first_columns: Option<Vec<usize>>,
 }
 
@@ -319,23 +318,20 @@ impl<'a> StageCompiler<'a> {
             }
             (
                 PlanOp::Join {
-                    kind,
-                    input_widths,
-                    nk,
+                    kind, nk, residual, ..
                 },
                 Phase::Reduce,
             ) => {
                 let slot = node.parents.iter().position(|&p| p == parent).unwrap_or(0);
                 let inputs = self.joins.entry(n).or_default();
-                inputs.push((slot, c.layout.clone()));
-                if inputs.len() < input_widths.len() {
+                inputs[slot] = Some(c.layout.clone());
+                let [Some(left), Some(right)] = inputs.clone() else {
                     return Ok(());
-                }
-                let mut inputs = self.joins.remove(&n).unwrap_or_default();
-                inputs.sort_by_key(|(slot, _)| *slot);
-                let columns = inputs.into_iter().map(|(_, columns)| columns).collect();
+                };
+                self.joins.remove(&n);
                 let out_types = self.batches_of(n)?;
-                let join = VectorJoinOperator::new(*kind, *nk, columns, out_types)?;
+                let join =
+                    VectorJoinOperator::new(*kind, *nk, [left, right], residual.clone(), out_types);
                 self.operators.insert(n, Box::new(join));
                 return Ok(());
             }

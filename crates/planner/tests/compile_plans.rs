@@ -110,6 +110,79 @@ fn correlation_collapses_group_by_on_join_key() {
 }
 
 #[test]
+fn a_same_key_outer_join_chain_is_binary_joins_in_one_job() {
+    let sql = "SELECT fact.v, dim1.name, dim2.name FROM fact \
+               LEFT JOIN dim1 ON (fact.k = dim1.k) \
+               LEFT JOIN dim2 ON (fact.k = dim2.k)";
+    for (correlation, jobs) in [("true", 1), ("false", 2)] {
+        let q = compile_with(sql, |c| {
+            c.set(keys::AUTO_CONVERT_JOIN, "false");
+            c.set(keys::OPT_CORRELATION, correlation);
+        });
+        assert_eq!(job_shape(&q), (0, jobs), "{}", q.explain);
+        let joins: Vec<&str> = q.explain.lines().filter(|l| l.contains(" Join ")).collect();
+        assert_eq!(joins.len(), 2, "{}", q.explain);
+        for join in joins {
+            assert!(join.ends_with("Join LeftOuter 2 inputs"), "{join}");
+        }
+    }
+}
+
+#[test]
+fn an_outer_join_residual_shows_in_explain_and_stays_a_reduce_join() {
+    let q = compile_with(
+        "SELECT fact.v, dim1.name FROM fact LEFT JOIN dim1 ON (fact.k = dim1.k AND fact.v > 1)",
+        |_| {},
+    );
+    assert_eq!(job_shape(&q), (0, 1), "{}", q.explain);
+    assert!(
+        q.explain.contains("Join LeftOuter 2 inputs +residual"),
+        "{}",
+        q.explain
+    );
+}
+
+#[test]
+fn a_group_by_correlates_with_an_outer_join_only_on_a_preserved_side() {
+    // A group of an outer join may hold NULL and non-NULL values of a
+    // side it null-supplies, so a GROUP BY keyed there keeps its shuffle.
+    for (sql, jobs) in [
+        (
+            "SELECT fact.k, COUNT(*) FROM fact LEFT JOIN dim1 ON (fact.k = dim1.k) GROUP BY fact.k",
+            1,
+        ),
+        (
+            "SELECT dim1.k, COUNT(*) FROM fact RIGHT JOIN dim1 ON (fact.k = dim1.k) GROUP BY dim1.k",
+            1,
+        ),
+        (
+            "SELECT dim1.k, COUNT(*) FROM fact LEFT JOIN dim1 \
+             ON (fact.k = dim1.k AND fact.v > 1) GROUP BY dim1.k",
+            2,
+        ),
+        (
+            "SELECT fact.k, COUNT(*) FROM fact FULL JOIN dim1 ON (fact.k = dim1.k) GROUP BY fact.k",
+            2,
+        ),
+        (
+            "SELECT fact.k, COUNT(*) FROM fact LEFT JOIN dim1 ON (fact.k = dim1.k) \
+             LEFT JOIN dim2 ON (fact.k = dim2.k) GROUP BY fact.k",
+            1,
+        ),
+        (
+            "SELECT fact.k, COUNT(*) FROM fact FULL JOIN dim1 ON (fact.k = dim1.k) \
+             LEFT JOIN dim2 ON (fact.k = dim2.k) GROUP BY fact.k",
+            2,
+        ),
+    ] {
+        let q = compile_with(sql, |c| {
+            c.set(keys::AUTO_CONVERT_JOIN, "false");
+        });
+        assert_eq!(job_shape(&q), (0, jobs), "{sql}\n{}", q.explain);
+    }
+}
+
+#[test]
 fn map_join_then_shuffle_in_same_job() {
     // MapJoin on the scan chain merges into the shuffle job's map phase.
     let q = compile_with(

@@ -718,11 +718,16 @@ fn a_map_join_build_side_with_complex_columns_answers_by_the_definition() {
     }
 }
 
-/// Two LEFT JOINs on one key where one ON also filters its joined table:
-/// the filter keeps the joins binary (an n-ary outer join is beyond both
-/// engines), and the left-deep chain over the filtered tables answers what
-/// the nested-loop definition answers, in every engine — the filter in the
-/// first ON or in the second, with duplicate, NULL and unmatched keys.
+/// Outer joins answer what the nested-loop definition answers, in every
+/// engine (row/vector x map/reduce join x correlation on/off), with
+/// duplicate, NULL and unmatched keys: an ON conjunct over the preserved
+/// side, the joined side or both, in LEFT, RIGHT and FULL joins (the join
+/// tests each pair, so a row no pair passes is padded, not lost); chains of
+/// joins on one key, which are binary joins in one reduce phase when
+/// correlated; a join keyed on the side an outer join null-supplies,
+/// where a key group holds padded NULL keys beside matched ones; and a
+/// GROUP BY over outer joins, which may share their reduce phase only when
+/// keyed on a preserved side.
 #[test]
 fn a_left_join_chain_with_an_on_filter_answers_by_the_definition() {
     let mut s = HiveSession::in_memory();
@@ -743,6 +748,7 @@ fn a_left_join_chain_with_an_on_filter_answers_by_the_definition() {
         "a",
         &[
             (Some(1), 10),
+            (Some(1), 12),
             (Some(2), 20),
             (Some(3), 30),
             (None, 40),
@@ -756,6 +762,7 @@ fn a_left_join_chain_with_an_on_filter_answers_by_the_definition() {
             (Some(1), 2),
             (Some(2), 1),
             (Some(3), 3),
+            (Some(4), 4),
             (None, 9),
         ],
     );
@@ -774,59 +781,164 @@ fn a_left_join_chain_with_an_on_filter_answers_by_the_definition() {
         rows.sort_by_key(|r| format!("{r:?}"));
         rows
     };
-    // `l LEFT JOIN r ON (l[0] = r.k [AND r.v > 0])` over rows of `l`,
-    // padding a row of `l` with no kept match by `NULL, NULL`.
-    let left_join = |l: Vec<Row>, r: &[Row], positive: bool| {
+    // `l <kind> JOIN r ON (on)` by definition: every pair `on` keeps, then,
+    // for a preserved side, each of its rows no kept pair includes, padded
+    // with NULLs.
+    let join = |l: &[Row], r: &[Row], kind: &str, on: &dyn Fn(&Row, &Row) -> bool| {
+        let pad = |width: usize| vec![Value::Null; width];
+        let concat = |x: &[Value], y: &[Value]| Row::new(x.iter().chain(y).cloned().collect());
         let mut out = Vec::new();
+        let mut r_hit = vec![false; r.len()];
         for lr in l {
-            let hits: Vec<&Row> = r
-                .iter()
-                .filter(|rr| {
-                    !lr[0].is_null()
-                        && rr[0] == lr[0]
-                        && (!positive || rr[1].as_int().is_some_and(|v| v > 0))
-                })
-                .collect();
-            for rr in &hits {
-                out.push(Row::new(
-                    lr.values().iter().chain(rr.values()).cloned().collect(),
-                ));
+            let mut hit = false;
+            for (rr, r_hit) in r.iter().zip(&mut r_hit) {
+                if on(lr, rr) {
+                    (hit, *r_hit) = (true, true);
+                    out.push(concat(lr.values(), rr.values()));
+                }
             }
-            if hits.is_empty() {
-                out.push(Row::new(
-                    lr.values()
-                        .iter()
-                        .cloned()
-                        .chain([Value::Null, Value::Null])
-                        .collect(),
-                ));
+            if !hit && matches!(kind, "LEFT" | "FULL") {
+                out.push(concat(lr.values(), &pad(r[0].len())));
+            }
+        }
+        for (rr, _) in r.iter().zip(r_hit).filter(|(_, hit)| !hit) {
+            if matches!(kind, "RIGHT" | "FULL") {
+                out.push(concat(&pad(l[0].len()), rr.values()));
             }
         }
         out
     };
-    // Which ON carries `AND <table>.v > 0`: the first or the second.
-    for (filter_b, filter_c) in [(true, false), (false, true)] {
+    // Column `i` of the left row equals the right row's key; NULL equals
+    // nothing.
+    let key_eq = |i: usize| move |l: &Row, r: &Row| !l[i].is_null() && l[i] == r[0];
+    fn v(row: &Row, i: usize) -> i64 {
+        row[i].as_int().unwrap_or(i64::MIN)
+    }
+
+    let mut cases: Vec<(String, Vec<Row>)> = Vec::new();
+    // One ON conjunct beside the key: over `a`, over `b`, over both.
+    type Conjunct = (&'static str, fn(&Row, &Row) -> bool);
+    let conjuncts: [Conjunct; 3] = [
+        ("a.v > 11", |l, _| v(l, 1) > 11),
+        ("b.v > 0", |_, r| v(r, 1) > 0),
+        ("a.v > b.v * 10", |l, r| v(l, 1) > v(r, 1) * 10),
+    ];
+    for kind in ["LEFT", "RIGHT", "FULL"] {
+        for (conjunct, keep) in &conjuncts {
+            cases.push((
+                format!(
+                    "SELECT a.k, a.v, b.k, b.v FROM a {kind} JOIN b \
+                     ON (a.k = b.k AND {conjunct})"
+                ),
+                join(&a, &b, kind, &|l, r| key_eq(0)(l, r) && keep(l, r)),
+            ));
+        }
+    }
+    // Chains on `a.k`: LEFT with `<table>.v > 0` in neither ON, the first or
+    // the second, and FULL.
+    let positive =
+        |filter: bool| move |l: &Row, r: &Row| key_eq(0)(l, r) && (!filter || v(r, 1) > 0);
+    for (kind, filter_b, filter_c) in [
+        ("LEFT", false, false),
+        ("LEFT", true, false),
+        ("LEFT", false, true),
+        ("FULL", false, false),
+    ] {
         let on = |t: &str, filter: bool| match filter {
             true => format!("a.k = {t}.k AND {t}.v > 0"),
             false => format!("a.k = {t}.k"),
         };
-        let (on_b, on_c) = (on("b", filter_b), on("c", filter_c));
-        let sql = format!(
-            "SELECT a.k, a.v, b.k, b.v, c.k, c.v FROM a \
-             LEFT JOIN b ON ({on_b}) LEFT JOIN c ON ({on_c})"
-        );
-        let expected = sorted(left_join(left_join(a.clone(), &b, filter_b), &c, filter_c));
-        for (vectorize, map_join) in [(true, true), (false, true), (true, false), (false, false)] {
-            s.set(keys::VECTORIZED_ENABLED, vectorize.to_string());
-            s.set(keys::AUTO_CONVERT_JOIN, map_join.to_string());
-            let rows = s
-                .execute(&sql)
-                .unwrap_or_else(|e| panic!("{sql}: {e}"))
-                .rows;
+        let ab = join(&a, &b, kind, &positive(filter_b));
+        cases.push((
+            format!(
+                "SELECT a.k, a.v, b.k, b.v, c.k, c.v FROM a \
+                 {kind} JOIN b ON ({}) {kind} JOIN c ON ({})",
+                on("b", filter_b),
+                on("c", filter_c)
+            ),
+            join(&ab, &c, kind, &positive(filter_c)),
+        ));
+    }
+    // A join keyed on the side an outer join null-supplies: `a.k` after a
+    // RIGHT or FULL join, `b.k` after a LEFT join whose residual pads the
+    // first of key 1's `a` rows but pairs the second.
+    for (first, on, second, key) in [
+        ("RIGHT", "a.k = b.k", "INNER", 0),
+        ("FULL", "a.k = b.k", "LEFT", 0),
+        ("LEFT", "a.k = b.k AND a.v > 11", "INNER", 2),
+        ("LEFT", "a.k = b.k AND a.v > 11", "FULL", 2),
+    ] {
+        let ab = join(&a, &b, first, &|l, r| {
+            key_eq(0)(l, r) && (first != "LEFT" || v(l, 1) > 11)
+        });
+        let side = ["a", "", "b"][key];
+        cases.push((
+            format!(
+                "SELECT a.k, a.v, b.k, b.v, c.k, c.v FROM a {first} JOIN b ON ({on}) \
+                 {second} JOIN c ON ({side}.k = c.k)"
+            ),
+            join(&ab, &c, second, &key_eq(key)),
+        ));
+    }
+    // A GROUP BY over an outer join: keyed on the side a LEFT join with a
+    // residual null-supplies (key 1's group holds a padded and a paired
+    // row), on either side of a FULL join, and on a LEFT join's preserved
+    // side.
+    let count_by = |rows: &[Row], col: usize| {
+        let mut counts: Vec<(Value, i64)> = Vec::new();
+        for row in rows {
+            match counts.iter_mut().find(|(k, _)| *k == row[col]) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((row[col].clone(), 1)),
+            }
+        }
+        let count = |(k, n)| Row::new(vec![k, Value::Int(n)]);
+        counts.into_iter().map(count).collect::<Vec<_>>()
+    };
+    let groupings: [(&str, Conjunct, usize); 4] = [
+        ("LEFT", conjuncts[0], 2),
+        ("FULL", ("TRUE", |_, _| true), 0),
+        ("FULL", ("TRUE", |_, _| true), 2),
+        ("LEFT", conjuncts[1], 0),
+    ];
+    for (kind, (conjunct, keep), key) in groupings {
+        let ab = join(&a, &b, kind, &|l, r| key_eq(0)(l, r) && keep(l, r));
+        let side = ["a", "", "b"][key];
+        cases.push((
+            format!(
+                "SELECT {side}.k, COUNT(*) FROM a {kind} JOIN b \
+                 ON (a.k = b.k AND {conjunct}) GROUP BY {side}.k"
+            ),
+            count_by(&ab, key),
+        ));
+    }
+    // The same over a chain: the LEFT join preserves `a.k`, but the FULL
+    // join below it null-supplies `a.k` inside `b`'s key groups.
+    let ab = join(&a, &b, "FULL", &key_eq(0));
+    cases.push((
+        "SELECT a.k, COUNT(*) FROM a FULL JOIN b ON (a.k = b.k) \
+         LEFT JOIN c ON (a.k = c.k) GROUP BY a.k"
+            .into(),
+        count_by(&join(&ab, &c, "LEFT", &key_eq(0)), 0),
+    ));
+
+    for (vectorize, map_join, correlation) in [
+        (true, true, true),
+        (false, true, true),
+        (true, false, true),
+        (false, false, true),
+        (true, false, false),
+        (false, false, false),
+    ] {
+        s.set(keys::VECTORIZED_ENABLED, vectorize.to_string());
+        s.set(keys::AUTO_CONVERT_JOIN, map_join.to_string());
+        s.set(keys::OPT_CORRELATION, correlation.to_string());
+        for (sql, expected) in &cases {
+            let rows = s.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows;
             assert_eq!(
                 sorted(rows),
-                expected,
-                "{sql} vectorize={vectorize} map_join={map_join}"
+                sorted(expected.clone()),
+                "{sql} vectorize={vectorize} map_join={map_join} correlation={correlation}"
             );
         }
     }

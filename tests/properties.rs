@@ -2207,11 +2207,17 @@ fn side_predicate(
 }
 
 /// `SELECT probe_t.id, probe_t.k0, build_t.name` over `probe_t <join>
-/// build_t` on every key column, by definition: all pairs whose keys are
-/// equal under the key rule (a NULL part equals nothing; the INT side of an
-/// INT = DOUBLE pair compares as DOUBLE), unmatched rows of a preserved
-/// side NULL-extended, and only then `keep`.
-fn join_oracle(tables: &JoinTables, join: &str, keep: &dyn Fn(&Value, &Value) -> bool) -> Vec<Key> {
+/// build_t` on every key column and `on`, by definition: all pairs whose
+/// keys are equal under the key rule (a NULL part equals nothing; the INT
+/// side of an INT = DOUBLE pair compares as DOUBLE) and whose `id` and
+/// `name` pass `on`, rows of a preserved side no such pair includes
+/// NULL-extended, and only then `keep`.
+fn join_oracle(
+    tables: &JoinTables,
+    join: &str,
+    on: &dyn Fn(&Value, &Value) -> bool,
+    keep: &dyn Fn(&Value, &Value) -> bool,
+) -> Vec<Key> {
     let (probe_types, build_types, build, probe) = tables;
     let widen = probe_types != build_types;
     let key_of = |k: &[Value], widen: bool| {
@@ -2232,7 +2238,7 @@ fn join_oracle(tables: &JoinTables, join: &str, keep: &dyn Fn(&Value, &Value) ->
         let id = Value::Int(i as i64);
         let pk = key_of(p, widen);
         let matches: Vec<usize> = (0..build.len())
-            .filter(|&j| pk.is_some() && pk == key_of(&build[j], false))
+            .filter(|&j| pk.is_some() && pk == key_of(&build[j], false) && on(&id, &name(j)))
             .collect();
         for &j in &matches {
             build_matched[j] = true;
@@ -2282,7 +2288,52 @@ proptest! {
                 );
                 prop_assert_eq!(
                     sorted_rows(s.execute(&sql).unwrap().rows),
-                    join_oracle(&tables, join, &keep),
+                    join_oracle(&tables, join, &|_, _| true, &keep),
+                    "{} over {:?} = {:?}, vectorize={} map_join={}",
+                    sql, tables.0, tables.1, vectorize, map_join
+                );
+            }
+        }
+    }
+
+    // The same oracle with the conjuncts in the ON clause: over the probe
+    // side, the build side and both. An outer join tests each pair against
+    // them, so a preserved row no pair passes is padded, not lost.
+    #[test]
+    fn outer_join_on_conjuncts_match_the_nested_loop_oracle(
+        tables in join_tables_strategy(),
+        (probe_op, build_op, both, c) in (0usize..4, 0usize..4, any::<bool>(), 0i64..12),
+    ) {
+        let probe_pred = side_predicate("probe_t.id", Value::Int(c), probe_op);
+        let build_pred = side_predicate("build_t.name", Value::String(format!("b{c}")), build_op);
+        // Over both sides: `id > c OR name = 'b<c>'` (no operand is NULL
+        // in a pair).
+        let both_sql = format!("(probe_t.id > {c} OR build_t.name = 'b{c}')");
+        let both_pred = |id: &Value, name: &Value| {
+            id.as_int().is_some_and(|id| id > c) || *name == Value::String(format!("b{c}"))
+        };
+        let conjuncts = [&probe_pred, &build_pred].into_iter().flatten();
+        let mut on: Vec<String> = (0..tables.0.len())
+            .map(|i| format!("probe_t.k{i} = build_t.k{i}"))
+            .collect();
+        on.extend(conjuncts.map(|(sql, _)| sql.clone()));
+        on.extend(both.then(|| both_sql.clone()));
+        let passes = |id: &Value, name: &Value| {
+            probe_pred.as_ref().is_none_or(|(_, p)| p(id))
+                && build_pred.as_ref().is_none_or(|(_, p)| p(name))
+                && (!both || both_pred(id, name))
+        };
+        for (vectorize, map_join) in ALL_ENGINES {
+            let mut s = join_session(&tables, vectorize, map_join);
+            for join in ["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"] {
+                let sql = format!(
+                    "SELECT probe_t.id, probe_t.k0, build_t.name FROM probe_t \
+                     {join} build_t ON ({})",
+                    on.join(" AND ")
+                );
+                prop_assert_eq!(
+                    sorted_rows(s.execute(&sql).unwrap().rows),
+                    join_oracle(&tables, join, &passes, &|_, _| true),
                     "{} over {:?} = {:?}, vectorize={} map_join={}",
                     sql, tables.0, tables.1, vectorize, map_join
                 );
