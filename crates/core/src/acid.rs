@@ -568,7 +568,6 @@ pub fn execute_insert(
     metastore: &Metastore,
     registry: &MetricsRegistry,
     txn: &TxnManager,
-    cancel: Option<&Arc<CancelToken>>,
 ) -> Result<u64> {
     let info = lookup(metastore, &ins.table)?;
     let rows = literal_rows(ins, &info.schema)?;
@@ -593,7 +592,7 @@ pub fn execute_insert(
     registry
         .counter_with("acid.rows_written", &[("op", "insert")])
         .add(rows.len() as u64);
-    maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next, cancel)?;
+    maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next)?;
     Ok(rows.len() as u64)
 }
 
@@ -704,7 +703,7 @@ pub fn execute_update(
     registry
         .counter_with("acid.rows_written", &[("op", "update")])
         .add(rewritten.len() as u64);
-    maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next, cancel)?;
+    maybe_auto_compact(dfs, conf, metastore, registry, txn, &info, &next)?;
     Ok((keys.len() as u64, report))
 }
 
@@ -846,8 +845,9 @@ fn compact_snapshot(
 /// After a committed DML: fold the delta chain when it crossed
 /// `hive.compactor.delta.threshold` and `hive.compactor.auto.enabled` is
 /// on. Runs inline under the same table lock — the DML's commit already
-/// happened, so a crash here loses only the compaction.
-#[allow(clippy::too_many_arguments)]
+/// happened, so a crash here loses only the compaction. Not preemptible for
+/// the same reason: a preempted statement is re-run from scratch, which
+/// would apply the committed DML twice.
 fn maybe_auto_compact(
     dfs: &Dfs,
     conf: &HiveConf,
@@ -856,7 +856,6 @@ fn maybe_auto_compact(
     txn: &TxnManager,
     info: &TableInfo,
     snap: &TableSnapshot,
-    cancel: Option<&Arc<CancelToken>>,
 ) -> Result<()> {
     if !conf.get_bool(keys::COMPACTOR_AUTO)? {
         return Ok(());
@@ -885,7 +884,7 @@ fn maybe_auto_compact(
         info,
         &pinned,
         CompactMode::Minor,
-        cancel,
+        None,
     )?;
     Ok(())
 }

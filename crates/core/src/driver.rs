@@ -1,6 +1,6 @@
 //! The Driver: parse → plan → execute → fetch (paper Section 2), now also
-//! the place where execution reports become observability artifacts: a
-//! structured trace, registry metrics, and `EXPLAIN ANALYZE` renderings.
+//! the place where execution reports become observability artifacts:
+//! registry metrics and `EXPLAIN ANALYZE` renderings.
 
 use crate::acid::TxnManager;
 use crate::metastore::Metastore;
@@ -9,7 +9,7 @@ use hive_common::config::keys;
 use hive_common::{key, CancelToken, HiveConf, HiveError, Result, Row};
 use hive_dfs::{Dfs, FaultPlan, IoScope};
 use hive_mapreduce::{DagReport, MrEngine};
-use hive_obs::{MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot, SpanKind, Trace};
+use hive_obs::{MetricKey, MetricValue, MetricsRegistry};
 use hive_planner::fingerprint::{knob_fingerprint, normalize_sql};
 use hive_planner::{plan_query, CompiledQuery};
 use hive_ql::{parse, SelectStmt, Statement};
@@ -38,17 +38,6 @@ pub struct StatementCtx<'a> {
     pub txn: Option<&'a crate::acid::TxnManager>,
 }
 
-/// Observability payload attached to every [`QueryResult`].
-#[derive(Debug, Clone, Default)]
-pub struct QueryMetrics {
-    /// Span tree for this statement (query → plan → jobs → tasks/operators).
-    pub trace: Trace,
-    /// Registry snapshot taken right after this statement recorded into it.
-    /// Cumulative over the session, sorted, and stable under the
-    /// deterministic clock.
-    pub snapshot: MetricsSnapshot,
-}
-
 /// The result of one statement.
 #[derive(Debug, Default)]
 pub struct QueryResult {
@@ -58,8 +47,6 @@ pub struct QueryResult {
     pub report: DagReport,
     /// Set for EXPLAIN statements.
     pub explain: Option<String>,
-    /// Trace + metrics handle for this statement.
-    pub metrics: QueryMetrics,
 }
 
 impl QueryResult {
@@ -183,16 +170,11 @@ pub fn run_statement(
             // statement's output is the report, like EXPLAIN ANALYZE in
             // PostgreSQL.
             let res = execute_select(sql, &stmt, dfs, conf, metastore, registry, ctx)?;
-            // A stats-answered query never ran the compiled jobs: reporting
-            // the (vectorized) plan's operator profile would attribute work
-            // that did not happen. Say where the answer came from instead.
-            let stats_answered = res
-                .metrics
-                .trace
-                .spans
-                .iter()
-                .any(|s| s.kind == SpanKind::Query && s.attr("stats_answered").is_some());
-            let text = if stats_answered {
+            // A stats-answered query ran no job (every compiled plan has
+            // one): reporting the (vectorized) plan's operator profile would
+            // attribute work that did not happen. Say where the answer came
+            // from instead.
+            let text = if res.report.jobs.is_empty() {
                 format!(
                     "{}\n\n== Runtime Profile ==\nanswered from table statistics \
                      (no jobs run, no operator profile)\nresult_rows={}\n",
@@ -205,14 +187,12 @@ pub fn run_statement(
             Ok(QueryResult {
                 report: res.report,
                 explain: Some(text),
-                metrics: res.metrics,
                 ..Default::default()
             })
         }
         Statement::Insert(ins) => {
             let txn = require_txn(ctx)?;
-            let n =
-                crate::acid::execute_insert(&ins, dfs, conf, metastore, registry, txn, ctx.cancel)?;
+            let n = crate::acid::execute_insert(&ins, dfs, conf, metastore, registry, txn)?;
             Ok(dml_result("rows_inserted", n, DagReport::default()))
         }
         Statement::Update(upd) => {
@@ -291,8 +271,7 @@ fn plan_with_cache(
     Ok(compiled)
 }
 
-/// Plan and execute one SELECT, then fold its report into the registry and
-/// build the statement trace.
+/// Plan and execute one SELECT and fold its report into the registry.
 fn execute_select(
     sql: &str,
     stmt: &SelectStmt,
@@ -314,18 +293,9 @@ fn execute_select(
         let io = stats_scope.snapshot();
         registry.counter("query.stats_answered").inc();
         registry.counter("dfs.bytes_read").add(io.bytes_read());
-        let mut trace = Trace::new();
-        let q = trace.span(None, SpanKind::Query, sql, 0.0);
-        trace.attr(q, "stats_answered", 1u64);
-        trace.attr(q, "bytes_read", io.bytes_read());
-        attach_admission_span(&mut trace, q, ctx);
         return Ok(QueryResult {
             columns,
             rows: vec![row],
-            metrics: QueryMetrics {
-                trace,
-                snapshot: registry.snapshot(),
-            },
             ..Default::default()
         });
     }
@@ -352,16 +322,11 @@ fn execute_select(
         }
     }
     record_report(registry, &report);
-    let trace = build_trace(sql, &report, ctx);
     Ok(QueryResult {
         columns: compiled.output_names,
         rows,
         report,
         explain: None,
-        metrics: QueryMetrics {
-            trace,
-            snapshot: registry.snapshot(),
-        },
     })
 }
 
@@ -394,8 +359,8 @@ fn record_report(registry: &MetricsRegistry, report: &DagReport) {
             .histogram("job.sim_total_s")
             .observe(jr.sim_total_s);
         let task_hist = registry.histogram_with("task.sim_s", &[("job", &jr.name)]);
-        for t in &jr.tasks {
-            task_hist.observe(t.sim_s);
+        for &sim_s in &jr.task_sim_s {
+            task_hist.observe(sim_s);
         }
         for (phase, ops) in [("map", &jr.map_operators), ("reduce", &jr.reduce_operators)] {
             for p in ops {
@@ -408,95 +373,9 @@ fn record_report(registry: &MetricsRegistry, report: &DagReport) {
     }
 }
 
-/// Attach the admission span — pool assignment and queue wait — under the
-/// query root, but only when the statement actually waited for a slot.
-/// Statements granted immediately (every statement on an idle server, and
-/// everything in the pre-workload-management world) trace byte-identically
-/// to before.
-fn attach_admission_span(t: &mut Trace, q: u32, ctx: &StatementCtx<'_>) {
-    if !ctx.queued {
-        return;
-    }
-    let a = t.span(Some(q), SpanKind::Admission, "admission", ctx.queue_wait_s);
-    t.attr(a, "pool", ctx.pool.unwrap_or("default"));
-    t.attr(a, "queue_wait_s", ctx.queue_wait_s);
-}
-
-/// Build the span tree for one executed statement:
-/// query → plan phase + DAG stage → job → task / operator.
-fn build_trace(sql: &str, report: &DagReport, ctx: &StatementCtx<'_>) -> Trace {
-    let mut t = Trace::new();
-    let q = t.span(None, SpanKind::Query, sql, report.sim_total_s);
-    t.attr(q, "jobs", report.jobs.len() as u64);
-    t.attr(q, "rows_out", report.counters.rows_out);
-    attach_admission_span(&mut t, q, ctx);
-    let plan = t.span(Some(q), SpanKind::PlanPhase, "plan", 0.0);
-    t.attr(plan, "jobs", report.jobs.len() as u64);
-    let stage = t.span(Some(q), SpanKind::Stage, "dag", report.sim_total_s);
-    if !report.blacklisted_nodes.is_empty() {
-        t.attr(
-            stage,
-            "blacklisted_nodes",
-            report.blacklisted_nodes.len() as u64,
-        );
-    }
-    for jr in &report.jobs {
-        let j = t.span(Some(stage), SpanKind::Job, &jr.name, jr.sim_total_s);
-        t.attr(j, "map_tasks", jr.map_tasks as u64);
-        t.attr(j, "reduce_tasks", jr.reduce_tasks as u64);
-        for (name, v) in jr.counters.entries() {
-            match v {
-                MetricValue::U64(n) => t.attr(j, name, n),
-                MetricValue::F64(x) => t.attr(j, name, x),
-            }
-        }
-        if jr.scan.rows_read > 0 {
-            t.attr(j, "scan_rows_read", jr.scan.rows_read);
-            t.attr(j, "scan_selected_density", jr.scan.selected_density());
-        }
-        if jr.scan.delta_rows_read > 0 || jr.scan.rows_masked > 0 {
-            t.attr(j, "scan_delta_rows", jr.scan.delta_rows_read);
-            t.attr(j, "scan_rows_masked", jr.scan.rows_masked);
-        }
-        if cache_activity(&jr.scan) > 0 {
-            let c = t.span(Some(j), SpanKind::Cache, "cache", 0.0);
-            t.attr(c, "footer_hits", jr.scan.footer_cache_hits);
-            t.attr(c, "footer_misses", jr.scan.footer_cache_misses);
-            t.attr(c, "index_hits", jr.scan.index_cache_hits);
-            t.attr(c, "index_misses", jr.scan.index_cache_misses);
-            t.attr(c, "data_hits", jr.scan.data_cache_hits);
-            t.attr(c, "data_misses", jr.scan.data_cache_misses);
-            t.attr(c, "data_hit_bytes", jr.scan.data_cache_hit_bytes);
-            t.attr(c, "data_evictions", jr.scan.data_cache_evictions);
-        }
-        for task in &jr.tasks {
-            let name = format!("{}-{}", task.phase.as_str(), task.index);
-            let ts = t.span(Some(j), SpanKind::Task, &name, task.sim_s);
-            t.attr(ts, "attempts", task.attempts as u64);
-            if let Some(n) = task.node {
-                t.attr(ts, "node", n as u64);
-            }
-        }
-        for (phase, ops) in [("map", &jr.map_operators), ("reduce", &jr.reduce_operators)] {
-            for p in ops {
-                let os = t.span(
-                    Some(j),
-                    SpanKind::Operator,
-                    &format!("{phase}:{}", p.name),
-                    0.0,
-                );
-                t.attr(os, "rows_in", p.rows_in);
-                t.attr(os, "rows_out", p.rows_out);
-                t.attr(os, "cpu_ns", p.cpu_ns);
-            }
-        }
-    }
-    t
-}
-
 /// Total cache touches (both tiers) a job's scans observed. Zero whenever
-/// the caches are disabled, which keeps pre-cache `EXPLAIN ANALYZE` and
-/// trace output byte-identical under `hive.io.cache.bytes=0`.
+/// the caches are disabled, which keeps pre-cache `EXPLAIN ANALYZE` output
+/// byte-identical under `hive.io.cache.bytes=0`.
 fn cache_activity(scan: &hive_obs::ScanProfile) -> u64 {
     scan.footer_cache_hits
         + scan.footer_cache_misses

@@ -12,7 +12,7 @@ pub mod stats_answer;
 pub mod wm;
 
 pub use acid::{crash_point, ReadLease, TxnManager, COMPACTOR_CRASH_POINTS, WRITER_CRASH_POINTS};
-pub use driver::{QueryMetrics, QueryResult, StatementCtx};
+pub use driver::{QueryResult, StatementCtx};
 pub use metastore::{Metastore, TableInfo};
 pub use plan_cache::{PlanCache, PlanCacheKey};
 pub use server::HiveServer;

@@ -440,6 +440,44 @@ fn auto_compaction_triggers_at_the_delta_threshold() {
     assert_eq!(snapshot.counter("compaction.auto_triggered", &[]), Some(1));
 }
 
+/// The compaction that follows a committed DML is not preemptible: a
+/// preempted statement is re-run from scratch, so a preemption after the
+/// commit would apply the DML twice. With the statement's token already
+/// fired, the INSERT commits once, its compaction runs, and it reports `Ok`.
+#[test]
+fn auto_compaction_after_a_commit_ignores_the_statements_preemption() {
+    let mut hive = acid_session();
+    let server = hive.server();
+    let conf = server
+        .defaults()
+        .clone()
+        .with(keys::COMPACTOR_AUTO, "true")
+        .with(keys::COMPACTOR_DELTA_THRESHOLD, "1");
+    let txn = hive_core::TxnManager::new();
+    let cancel = std::sync::Arc::new(hive_common::CancelToken::new());
+    cancel.cancel("yield slot to pool `interactive`");
+    let ctx = StatementCtx {
+        cancel: Some(&cancel),
+        txn: Some(&txn),
+        ..Default::default()
+    };
+    let res = hive_core::driver::run_statement(
+        "INSERT INTO t VALUES (99, 99)",
+        server.dfs(),
+        &conf,
+        server.metastore(),
+        server.metrics(),
+        &ctx,
+    );
+    assert!(res.is_ok(), "{:?}", res.err());
+    let runs = server.metrics().snapshot();
+    assert_eq!(
+        runs.counter("compaction.runs", &[("mode", "minor")]),
+        Some(1)
+    );
+    assert_eq!(count(&mut hive), 31);
+}
+
 /// The snapshot-isolation guarantee itself: a plan pinned before a commit
 /// keeps reading the generation it pinned, even when executed after the
 /// commit landed — old rows exactly, never a hybrid.

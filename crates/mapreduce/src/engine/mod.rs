@@ -17,7 +17,7 @@ use crate::job::{JobOutput, JobSpec};
 use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row};
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_obs::profile::merge_profiles;
-use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
+use hive_obs::{ExecCounters, OpProfile, ScanProfile};
 use map_task::MapTaskResult;
 pub use map_task::SideReader;
 use shuffle::Run;
@@ -41,7 +41,7 @@ const DETERMINISTIC_CPU_S_PER_ROW: f64 = 2.0e-6;
 /// [`DagReport::accumulate_job`] is a derived field-wise merge instead of
 /// a hand-maintained per-field sum. The report also carries the job's
 /// observability payload: merged per-operator profiles, the input-side
-/// scan profile, and one [`TaskTrace`] per task.
+/// scan profile, and each task's simulated duration.
 #[derive(Debug, Clone, Default)]
 pub struct JobReport {
     pub name: String,
@@ -61,9 +61,9 @@ pub struct JobReport {
     pub map_operators: Vec<OpProfile>,
     /// Reduce-side operator profiles, merged across tasks.
     pub reduce_operators: Vec<OpProfile>,
-    /// One record per task (map then reduce, by index): winning node,
-    /// attempts launched, simulated duration.
-    pub tasks: Vec<TaskTrace>,
+    /// Simulated duration of each task's winning attempt (map then
+    /// reduce, by index).
+    pub task_sim_s: Vec<f64>,
     /// Replica-aware split planning decisions: one
     /// `(path, variant, sort column)` per input file the planner steered
     /// to a sorted copy instead of the base replica.
@@ -733,7 +733,7 @@ impl MrEngine {
         // by run index. Map-only jobs have no runs at all.
         let mut partitions: Vec<Vec<Run>> = (0..num_reducers).map(|_| Vec::new()).collect();
         let mut collected: Vec<Row> = Vec::new();
-        for (i, (res, meta)) in winners.into_iter().enumerate() {
+        for (res, meta) in winners {
             for (p, run) in res.partitions.into_iter().enumerate() {
                 partitions[p].push(run);
             }
@@ -747,19 +747,13 @@ impl MrEngine {
             report.task_retries += meta.attempts.saturating_sub(1) as u64;
             merge_profiles(&mut report.map_operators, &res.op_profiles);
             report.scan.merge(&res.scan);
-            report.tasks.push(TaskTrace {
-                phase: TaskPhase::Map,
-                index: i,
-                node: Some(res.node),
-                attempts: meta.attempts,
-                sim_s: map_durations[i],
-            });
         }
         report.task_attempts += speculative_launched;
         report.speculative_tasks += speculative_launched;
         report.cpu_seconds += speculative_cpu_s;
         report.bytes_read += speculative_bytes;
         report.sim_map_s = self.cost.schedule(&map_durations) + side_delay_s;
+        report.task_sim_s = map_durations;
 
         // --- Reduce phase: partitions fan out to the pool the same way. -
         let reduce_attempts = self.max_attempts(keys::REDUCE_MAX_ATTEMPTS)?;
@@ -769,13 +763,12 @@ impl MrEngine {
             let reduce_outcomes = self.run_tasks(num_reducers, reduce_attempts, |r, _attempt| {
                 self.run_reduce_task(spec, reduce_factory, r, &partitions[r])
             });
-            for (r, outcome) in reduce_outcomes.into_iter().enumerate() {
+            for outcome in reduce_outcomes {
                 let overhead_s = self.retry_overhead_seconds(&outcome);
                 report.task_attempts += outcome.attempts as u64;
                 report.task_retries += outcome.attempts.saturating_sub(1) as u64;
                 report.cpu_seconds += self.task_cpu(outcome.failed_wall_s, 0);
                 report.bytes_read += outcome.failed_io.bytes_read();
-                let attempts = outcome.attempts;
                 let res = outcome.result?;
                 report.bytes_shuffled += res.shuffle_bytes;
                 collected.extend(res.task_out);
@@ -795,17 +788,11 @@ impl MrEngine {
                 let sim_s = self.cost.task_seconds(&work)
                     + self.cost.shuffle_seconds(res.shuffle_bytes)
                     + overhead_s;
-                report.tasks.push(TaskTrace {
-                    phase: TaskPhase::Reduce,
-                    index: r,
-                    node: None,
-                    attempts,
-                    sim_s,
-                });
                 reduce_durations.push(sim_s);
             }
         }
         report.sim_reduce_s = self.cost.schedule(&reduce_durations);
+        report.task_sim_s.extend(reduce_durations);
         report.sim_total_s = report.sim_map_s + report.sim_reduce_s;
         report.rows_out = collected.len() as u64;
         Ok((report, collected))

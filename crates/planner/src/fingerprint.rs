@@ -25,8 +25,6 @@ const NON_PLANNING_PREFIXES: &[&str] = &[
     "hive.query.plan.cache.", // the cache's own switches
     "dfs.fault.",             // fault injection perturbs execution, not plans
     "hive.io.cache.",         // block/ORC cache sizing
-    "hive.metrics.",          // observability
-    "hive.trace.",            // observability
 ];
 
 fn is_planning_key(key: &str) -> bool {

@@ -42,9 +42,7 @@
 //! ```
 
 pub use hive_common as common;
-pub use hive_core::{
-    HiveServer, HiveSession, Metastore, QueryMetrics, QueryResult, SessionBuilder, TableInfo,
-};
+pub use hive_core::{HiveServer, HiveSession, Metastore, QueryResult, SessionBuilder, TableInfo};
 pub use hive_datagen as datagen;
 pub use hive_dfs as dfs;
 pub use hive_exec as exec;

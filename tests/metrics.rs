@@ -444,30 +444,6 @@ fn cache_knob_off_restores_pre_cache_scan_stats() {
     assert_golden("explain_analyze_cache_off.txt", &text);
 }
 
-#[test]
-fn warm_queries_carry_a_cache_trace_span() {
-    let mut hive = session(2);
-    load_tpch_style(&mut hive);
-    hive.execute(SARG_PROBE).unwrap();
-    let r = hive.execute(SARG_PROBE).unwrap();
-    let span = r
-        .metrics
-        .trace
-        .spans
-        .iter()
-        .find(|s| s.kind == hive::obs::SpanKind::Cache)
-        .unwrap_or_else(|| panic!("no cache span:\n{}", r.metrics.trace.render()));
-    assert_eq!(
-        span.attr("footer_hits"),
-        Some(&hive::obs::AttrValue::U64(1)),
-        "{span:?}"
-    );
-    assert!(
-        matches!(span.attr("data_hit_bytes"), Some(&hive::obs::AttrValue::U64(n)) if n > 0),
-        "{span:?}"
-    );
-}
-
 /// 8 client threads × 32 mixed statements (sarg scans, vectorized
 /// map-joins, correlated group-bys) against ONE server: no deadlock, the
 /// admission high-water mark stays within the knob, every result is
