@@ -179,8 +179,11 @@ done | awk '
         printf "    %-22s %6d\n", "harness + shims", harness
     }'
 # Per crate, the parent commit -> this tree, for the crates that differ: what
-# a PR's "before -> after" in CHANGES.md quotes.
-if before=$(mktemp -d) && git archive HEAD~1 crates src 2>/dev/null | tar -x -C "$before"; then
+# a change's "before -> after" in CHANGES.md quotes. The parent is HEAD while the
+# change is still uncommitted, HEAD~1 once it is committed.
+base=HEAD~1
+git diff --quiet HEAD -- crates src || base=HEAD
+if before=$(mktemp -d) && git archive "$base" crates src 2>/dev/null | tar -x -C "$before"; then
     for d in crates/*/src src; do
         [[ -d "$before/$d" ]] || continue
         was=$(size_of "$before" "$d")

@@ -297,7 +297,7 @@ mod tests {
 
         let mut w = dfs.create("/warehouse/t1/part-0");
         w.write(&[0u8; 100]);
-        w.close();
+        w.try_close().unwrap();
         assert_eq!(ms.table_size("t1"), 100);
         assert_eq!(ms.table_files("t1").len(), 1);
 

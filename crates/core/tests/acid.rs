@@ -1508,7 +1508,7 @@ fn a_manifest_at_the_end_of_its_counters_fails_the_next_writer() {
         }
         let mut w = dfs.create(&manifest_path("/warehouse/t/", snap.version));
         w.write(&snap.encode());
-        w.close();
+        w.try_close().unwrap();
         for sql in [
             "INSERT INTO t VALUES (200, 2)",
             "UPDATE t SET v = 0 WHERE k = 1",

@@ -96,10 +96,9 @@ pub struct FaultPlan {
     slow_s_per_byte: f64,
     /// Locations (path-hash, offset) that have already been read once.
     touched: Mutex<HashSet<(u64, u64)>>,
-    /// Paths that have already been published once.
-    touched_writes: Mutex<HashSet<u64>>,
-    /// Source paths that have already been renamed once.
-    touched_renames: Mutex<HashSet<u64>>,
+    /// `(tag, path-hash)` pairs already drawn for: each path's first
+    /// publish ([`WRITE_TAG`]) and first rename ([`RENAME_TAG`]).
+    touched_paths: Mutex<HashSet<(u64, u64)>>,
 }
 
 /// Domain-separation tags so a path's write, rename, and read decisions
@@ -161,8 +160,7 @@ impl FaultPlan {
             fail_nodes,
             slow_s_per_byte: slow_ms_per_mb / 1e3 / (1u64 << 20) as f64,
             touched: Mutex::new(HashSet::new()),
-            touched_writes: Mutex::new(HashSet::new()),
-            touched_renames: Mutex::new(HashSet::new()),
+            touched_paths: Mutex::new(HashSet::new()),
         }))
     }
 
@@ -206,7 +204,7 @@ impl FaultPlan {
             return FaultOutcome::Success; // location already served once
         }
         let h = mix(self.seed ^ ph, offset);
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = unit(h);
         if u < self.read_error_rate {
             FaultOutcome::TransientError
         } else if u < self.read_error_rate + self.corrupt_rate {
@@ -225,48 +223,46 @@ impl FaultPlan {
     /// path: one publish of a given path can misbehave, its retry is clean
     /// (the client re-drives the pipeline). Thread-safe.
     pub fn decide_write(&self, path: &str, len: u64) -> WriteFaultOutcome {
-        if self.write_error_rate == 0.0 && self.write_torn_rate == 0.0 {
-            return WriteFaultOutcome::Success;
-        }
-        let ph = fnv1a(path.as_bytes());
-        if !self.touched_writes.lock().insert(ph) {
-            return WriteFaultOutcome::Success;
-        }
-        let h = mix(self.seed ^ ph, WRITE_TAG);
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        if u < self.write_error_rate {
-            WriteFaultOutcome::TransientError
-        } else if u < self.write_error_rate + self.write_torn_rate {
-            // Keep a strict prefix: at least 0, at most len-1 bytes.
-            let keep = if len == 0 {
-                0
-            } else {
-                mix(h, 0x9e3779b9) % len
-            };
-            WriteFaultOutcome::Torn { keep }
-        } else {
-            WriteFaultOutcome::Success
+        match self.draw(path, WRITE_TAG, self.write_error_rate, self.write_torn_rate) {
+            None => WriteFaultOutcome::Success,
+            Some((true, _)) => WriteFaultOutcome::TransientError,
+            // Keep a strict prefix: at most len-1 bytes (none of an empty file).
+            Some((false, h)) => WriteFaultOutcome::Torn {
+                keep: mix(h, 0x9e3779b9) % len.max(1),
+            },
         }
     }
 
     /// Decide the fate of renaming `from`. First-touch per source path.
     pub fn decide_rename(&self, from: &str) -> RenameFaultOutcome {
-        if self.rename_error_rate == 0.0 && self.rename_ack_lost_rate == 0.0 {
-            return RenameFaultOutcome::Success;
+        match self.draw(
+            from,
+            RENAME_TAG,
+            self.rename_error_rate,
+            self.rename_ack_lost_rate,
+        ) {
+            None => RenameFaultOutcome::Success,
+            Some((true, _)) => RenameFaultOutcome::TransientError,
+            Some((false, _)) => RenameFaultOutcome::AckLost,
         }
-        let ph = fnv1a(from.as_bytes());
-        if !self.touched_renames.lock().insert(ph) {
-            return RenameFaultOutcome::Success;
+    }
+
+    /// The seeded first-touch draw behind write and rename faults. `None`
+    /// when neither rate can fire, `(tag, path)` was drawn for before, or
+    /// the draw falls past both thresholds; otherwise whether it fell under
+    /// `first` (`true`) or the `second` rate stacked above it (`false`),
+    /// with the draw's hash.
+    fn draw(&self, path: &str, tag: u64, first: f64, second: f64) -> Option<(bool, u64)> {
+        if first == 0.0 && second == 0.0 {
+            return None;
         }
-        let h = mix(self.seed ^ ph, RENAME_TAG);
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        if u < self.rename_error_rate {
-            RenameFaultOutcome::TransientError
-        } else if u < self.rename_error_rate + self.rename_ack_lost_rate {
-            RenameFaultOutcome::AckLost
-        } else {
-            RenameFaultOutcome::Success
+        let ph = fnv1a(path.as_bytes());
+        if !self.touched_paths.lock().insert((tag, ph)) {
+            return None;
         }
+        let h = mix(self.seed ^ ph, tag);
+        let u = unit(h);
+        (u < first + second).then_some((u < first, h))
     }
 }
 
@@ -294,13 +290,20 @@ fn node_list(conf: &HiveConf, key: &str) -> Result<Vec<NodeId>> {
         .collect()
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`: the path hash behind fault draws and block
+/// placement.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// The top 53 bits of `h` as a uniform draw in `[0, 1)`.
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// SplitMix64 finalizer over two words — the same avalanche the in-tree

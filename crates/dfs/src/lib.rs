@@ -11,15 +11,20 @@
 //!   stripe lands in a single block (Section 4.1 of the paper).
 //!
 //! File contents are real bytes held in memory; only the "distribution" is
-//! simulated.
+//! simulated. This module is the namespace; [`reader`] and [`writer`] hold
+//! the read and publish paths.
 
 pub mod cache;
 pub mod crc;
 pub mod fault;
+pub mod reader;
 pub mod stats;
+pub mod writer;
 
 pub use fault::{FaultOutcome, FaultPlan, RenameFaultOutcome, WriteFaultOutcome};
+pub use reader::{DfsBuf, DfsReader};
 pub use stats::{IoScope, IoScopeGuard, IoSnapshot, IoStats};
+pub use writer::DfsWriter;
 
 use hive_common::{HiveError, Result};
 use parking_lot::RwLock;
@@ -47,43 +52,36 @@ pub struct BlockInfo {
     pub replicas: Vec<NodeId>,
 }
 
-#[derive(Debug)]
+/// One stored copy of a file. Immutable once published: a rename, a sorted
+/// copy's adoption or a tamper makes a new entry that shares the old one's
+/// bytes (only tampering copies them).
+#[derive(Debug, Clone)]
 struct FileEntry {
-    data: Vec<u8>,
-    block_size: u64,
+    data: Arc<Vec<u8>>,
     blocks: Vec<BlockInfo>,
     /// CRC32 of each [`BYTES_PER_CHECKSUM`] chunk of each block, block by
     /// block, computed when the file was published. Readers verify the
     /// chunks a read returns against these before serving data.
     chunk_crcs: Vec<u32>,
-    /// Monotonic per-filesystem generation, bumped every time the path is
+    /// Monotonic per-filesystem generation, bumped every time the copy is
     /// (re)published or tampered with. Cache keys include it, so entries
     /// for an overwritten file are structurally unreachable.
     generation: u64,
     /// Column this copy's rows are clustered on (HAIL-style per-replica
     /// sort orders); empty for insertion order.
     sort_column: String,
-    /// Alternative sorted copies of this file, one per extra replica slot
-    /// (variant `k` lives on replica slot `k`; the base entry is variant 0
-    /// and always keeps insertion order). Each variant carries its own
-    /// generation, so block- and metadata-cache keys never collide across
-    /// copies. Empty for ordinary files.
-    variants: Vec<Arc<FileEntry>>,
 }
+
+/// A path's copies. Copy 0 is the insertion-order base; copy `k` is the
+/// sorted copy hosted on replica slot `k` (see [`Dfs::adopt_variant`]).
+/// Each copy carries its own generation, so block- and metadata-cache keys
+/// never collide across copies. Ordinary files have one copy.
+type Copies = Vec<Arc<FileEntry>>;
 
 /// Bytes covered by one stored checksum: HDFS's default
 /// `dfs.bytes-per-checksum`. Chunks start at each block's offset, so a
 /// block's last chunk may be short and any block size works.
 pub const BYTES_PER_CHECKSUM: u64 = 512;
-
-/// CRC32 of every checksum chunk of `data` stored in `block_size`-byte
-/// blocks, block by block.
-fn chunk_crcs(data: &[u8], block_size: u64) -> Vec<u32> {
-    data.chunks(block_size as usize)
-        .flat_map(|block| block.chunks(BYTES_PER_CHECKSUM as usize))
-        .map(crc::crc32)
-        .collect()
-}
 
 /// Cluster-level configuration of the simulated filesystem.
 #[derive(Debug, Clone)]
@@ -127,7 +125,7 @@ struct StatementScope {
 
 struct DfsInner {
     config: DfsConfig,
-    files: RwLock<BTreeMap<String, Arc<FileEntry>>>,
+    files: RwLock<BTreeMap<String, Copies>>,
     stats: IoStats,
     /// Block-level byte cache (disabled until given a capacity).
     cache: cache::BlockCache,
@@ -140,6 +138,19 @@ struct DfsInner {
     data_gen: AtomicU64,
     /// Process-unique id of this filesystem instance.
     id: u64,
+}
+
+/// The copies of `path`: the one namespace lookup.
+fn copies<'a>(files: &'a BTreeMap<String, Copies>, path: &str) -> Result<&'a Copies> {
+    files
+        .get(path)
+        .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))
+}
+
+/// A cache floor above every generation `copies` carry: it drops their
+/// cached ranges and dooms fills still in flight for any of them.
+fn floor_above(copies: &[Arc<FileEntry>]) -> u64 {
+    copies.iter().map(|c| c.generation).max().unwrap_or(0) + 1
 }
 
 impl Dfs {
@@ -185,6 +196,11 @@ impl Dfs {
         &self.inner.config
     }
 
+    /// The block size every file is stored in.
+    fn block_size(&self) -> u64 {
+        self.inner.config.block_size.max(1)
+    }
+
     /// Shared I/O counters for the whole filesystem.
     pub fn stats(&self) -> &IoStats {
         &self.inner.stats
@@ -220,7 +236,7 @@ impl Dfs {
     /// Current generation of `path`, if it exists. Bumped on every publish
     /// or tamper of the path.
     pub fn generation(&self, path: &str) -> Option<u64> {
-        self.inner.files.read().get(path).map(|f| f.generation)
+        self.inner.files.read().get(path).map(|c| c[0].generation)
     }
 
     /// Filesystem-wide table-data watermark: bumped by every publish,
@@ -239,6 +255,17 @@ impl Dfs {
         }
     }
 
+    /// `path` changed: drop its cached ranges below `floor` and move the
+    /// data watermark.
+    fn invalidate(&self, path: &str, floor: u64) {
+        self.inner.cache.invalidate_path(path, floor);
+        self.bump_data_gen(path);
+    }
+
+    fn next_generation(&self) -> u64 {
+        self.inner.next_gen.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// The fault plan of this handle's statement scope. An unscoped handle
     /// sees a healthy cluster.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
@@ -250,85 +277,26 @@ impl Dfs {
         self.scope.as_ref().is_none_or(|s| s.cache_enabled)
     }
 
-    /// Create a file for writing. Overwrites any existing file at `path`
-    /// (HDFS semantics would forbid this; tests rely on replacement).
-    pub fn create(&self, path: &str) -> DfsWriter {
-        self.create_with_block_size(path, self.inner.config.block_size)
-    }
-
-    /// Create a file with a non-default block size (Hive sets per-file block
-    /// sizes for ORC when aligning stripes).
-    pub fn create_with_block_size(&self, path: &str, block_size: u64) -> DfsWriter {
-        DfsWriter {
-            dfs: self.clone(),
-            path: path.to_string(),
-            block_size: block_size.max(1),
-            data: Vec::new(),
-            closed: false,
-        }
-    }
-
-    /// Open a file for positional reads from the perspective of `reader_node`
-    /// (locality accounting uses it). Pass `None` for a client outside the
-    /// cluster (every read counts as remote).
-    pub fn open(&self, path: &str, reader_node: Option<NodeId>) -> Result<DfsReader> {
-        let entry = self
-            .inner
-            .files
-            .read()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        Ok(DfsReader {
-            dfs: self.clone(),
-            path: path.to_string(),
-            entry,
-            reader_node,
-            last_end: None,
-        })
-    }
-
-    /// Open a specific sorted copy of `path` for reading. Variant `0` is
-    /// the base file (identical to [`Dfs::open`]); variant `k > 0` is the
-    /// copy adopted into replica slot `k` via [`Dfs::adopt_variant`].
-    pub fn open_variant(
-        &self,
-        path: &str,
-        variant: usize,
-        reader_node: Option<NodeId>,
-    ) -> Result<DfsReader> {
-        if variant == 0 {
-            return self.open(path, reader_node);
-        }
-        let base = self
-            .inner
-            .files
-            .read()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        let entry = base.variants.get(variant - 1).cloned().ok_or_else(|| {
+    /// Copy `copy` of `path` (`0`: the base).
+    fn entry(&self, path: &str, copy: usize) -> Result<Arc<FileEntry>> {
+        let files = self.inner.files.read();
+        let all = copies(&files, path)?;
+        all.get(copy).cloned().ok_or_else(|| {
             HiveError::Dfs(format!(
-                "no variant {variant} of {path} ({} available)",
-                base.variants.len() + 1
+                "no variant {copy} of {path} ({} available)",
+                all.len()
             ))
-        })?;
-        Ok(DfsReader {
-            dfs: self.clone(),
-            path: path.to_string(),
-            entry,
-            reader_node,
-            last_end: None,
         })
     }
 
     /// Adopt the file at `tmp_path` as sorted variant `slot` (1-based) of
     /// `dest`, recording the column its rows are clustered on. The bytes
-    /// move out of the namespace at `tmp_path` and become reachable only
-    /// through `dest`'s variant list. Each variant block is hosted on a
-    /// single node — the `slot`-th replica of the base placement — so the
-    /// copy models HAIL's "each replica holds a different sort order" at
-    /// zero extra logical-storage cost.
+    /// and their checksums move out of the namespace at `tmp_path` and
+    /// become reachable only through `dest`'s copy `slot`; slots below it
+    /// that hold no sorted copy yet alias the base. Each variant block is
+    /// hosted on a single node — the `slot`-th replica of the base
+    /// placement — so the copy models HAIL's "each replica holds a
+    /// different sort order" at zero extra logical-storage cost.
     pub fn adopt_variant(
         &self,
         dest: &str,
@@ -342,101 +310,41 @@ impl Dfs {
             ));
         }
         let mut files = self.inner.files.write();
-        let tmp = files
-            .remove(tmp_path)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {tmp_path}")))?;
-        let base = files
-            .get(dest)
-            .cloned()
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {dest}")))?;
+        let staged = copies(&files, tmp_path)?;
+        let (tmp_floor, staged) = (floor_above(staged), Arc::clone(&staged[0]));
+        let mut dest_copies = copies(&files, dest)?.clone();
         // Same-path placement, reduced to the slot's replica: block i of
         // variant k sits on the node holding replica k of base block i.
-        let repl = self
-            .inner
-            .config
-            .replication
-            .clamp(1, self.inner.config.nodes.max(1));
-        let blocks: Vec<BlockInfo> = placement(
-            dest,
-            tmp.data.len() as u64,
-            tmp.block_size,
-            &self.inner.config,
-        )
-        .into_iter()
-        .map(|b| BlockInfo {
-            offset: b.offset,
-            len: b.len,
-            replicas: vec![b.replicas[slot % repl.max(1)]],
-        })
-        .collect();
-        let generation = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
-        let variant = Arc::new(FileEntry {
-            data: tmp.data.clone(),
-            block_size: tmp.block_size,
-            chunk_crcs: chunk_crcs(&tmp.data, tmp.block_size),
+        let blocks = self
+            .placement(dest, staged.data.len() as u64)
+            .into_iter()
+            .map(|mut b| {
+                b.replicas = vec![b.replicas[slot % b.replicas.len()]];
+                b
+            })
+            .collect();
+        let variant = FileEntry {
             blocks,
-            generation,
+            generation: self.next_generation(),
             sort_column: sort_column.to_string(),
-            variants: Vec::new(),
-        });
-        let mut variants = base.variants.clone();
-        while variants.len() < slot {
-            // Unfilled intermediate slots alias the base bytes: a reader
-            // landing there sees insertion order, never an error.
-            variants.push(Arc::new(FileEntry {
-                data: base.data.clone(),
-                block_size: base.block_size,
-                blocks: base.blocks.clone(),
-                chunk_crcs: base.chunk_crcs.clone(),
-                generation: base.generation,
-                sort_column: String::new(),
-                variants: Vec::new(),
-            }));
-        }
-        variants[slot - 1] = variant;
-        let updated = Arc::new(FileEntry {
-            data: base.data.clone(),
-            block_size: base.block_size,
-            blocks: base.blocks.clone(),
-            chunk_crcs: base.chunk_crcs.clone(),
-            generation: base.generation,
-            sort_column: base.sort_column.clone(),
-            variants,
-        });
-        files.insert(dest.to_string(), updated);
+            ..(*staged).clone()
+        };
+        // Unfilled intermediate slots alias the base: a reader landing
+        // there sees insertion order, never an error.
+        let base = Arc::clone(&dest_copies[0]);
+        dest_copies.resize(dest_copies.len().max(slot + 1), base);
+        dest_copies[slot] = Arc::new(variant);
+        files.remove(tmp_path);
+        files.insert(dest.to_string(), dest_copies);
         drop(files);
-        self.inner
-            .cache
-            .invalidate_path(tmp_path, tmp.generation + 1);
+        self.inner.cache.invalidate_path(tmp_path, tmp_floor);
         self.bump_data_gen(dest);
         Ok(())
     }
 
-    /// Sort columns of every copy of `path`, by variant index (entry 0 is
-    /// the base file and is always empty = insertion order).
-    pub fn variant_sort_columns(&self, path: &str) -> Result<Vec<String>> {
-        let files = self.inner.files.read();
-        let f = files
-            .get(path)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        let mut cols = vec![f.sort_column.clone()];
-        cols.extend(f.variants.iter().map(|v| v.sort_column.clone()));
-        Ok(cols)
-    }
-
     /// Block metadata of variant `v` of `path` (`0` = the base file).
     pub fn variant_blocks(&self, path: &str, variant: usize) -> Result<Vec<BlockInfo>> {
-        let files = self.inner.files.read();
-        let f = files
-            .get(path)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        if variant == 0 {
-            return Ok(f.blocks.clone());
-        }
-        f.variants
-            .get(variant - 1)
-            .map(|v| v.blocks.clone())
-            .ok_or_else(|| HiveError::Dfs(format!("no variant {variant} of {path}")))
+        Ok(self.entry(path, variant)?.blocks.clone())
     }
 
     /// Replica selection (HAIL): given the columns a pushed-down predicate
@@ -447,13 +355,13 @@ impl Dfs {
     /// base replicas.
     pub fn select_variant(&self, path: &str, pred_cols: &[String]) -> Option<(usize, String)> {
         let files = self.inner.files.read();
-        let f = files.get(path)?;
-        for (i, v) in f.variants.iter().enumerate() {
-            if !v.sort_column.is_empty() && pred_cols.iter().any(|c| *c == v.sort_column) {
-                return Some((i + 1, v.sort_column.clone()));
-            }
-        }
-        None
+        let (k, copy) = files
+            .get(path)?
+            .iter()
+            .enumerate()
+            .skip(1)
+            .find(|(_, c)| !c.sort_column.is_empty() && pred_cols.contains(&c.sort_column))?;
+        Some((k, copy.sort_column.clone()))
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -461,12 +369,7 @@ impl Dfs {
     }
 
     pub fn len(&self, path: &str) -> Result<u64> {
-        self.inner
-            .files
-            .read()
-            .get(path)
-            .map(|f| f.data.len() as u64)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))
+        Ok(self.entry(path, 0)?.data.len() as u64)
     }
 
     /// Whether the namespace holds no files.
@@ -474,21 +377,13 @@ impl Dfs {
         self.inner.files.read().is_empty()
     }
 
+    /// Remove `path` and every copy of it.
     pub fn delete(&self, path: &str) -> bool {
-        let removed = self.inner.files.write().remove(path);
-        if let Some(entry) = &removed {
-            // Floor above the highest generation any copy carries: a fill
-            // still in flight for the base *or a sorted variant* is
-            // dropped at completion instead of being parked.
-            let top = entry
-                .variants
-                .iter()
-                .map(|v| v.generation)
-                .fold(entry.generation, u64::max);
-            self.inner.cache.invalidate_path(path, top + 1);
-            self.bump_data_gen(path);
-        }
-        removed.is_some()
+        let Some(removed) = self.inner.files.write().remove(path) else {
+            return false;
+        };
+        self.invalidate(path, floor_above(&removed));
+        true
     }
 
     /// All paths with the given prefix, sorted (used to list a "directory").
@@ -501,27 +396,21 @@ impl Dfs {
     pub fn size_of(&self, prefix: &str) -> u64 {
         let files = self.inner.files.read();
         under(&files, prefix)
-            .map(|(_, f)| f.data.len() as u64)
+            .map(|(_, c)| c[0].data.len() as u64)
             .sum()
     }
 
     /// Block metadata for a file (what the JobTracker asks the NameNode).
     pub fn blocks(&self, path: &str) -> Result<Vec<BlockInfo>> {
-        self.inner
-            .files
-            .read()
-            .get(path)
-            .map(|f| f.blocks.clone())
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))
+        self.variant_blocks(path, 0)
     }
 
     /// Nodes holding the block containing `offset` of `path`.
     pub fn locations(&self, path: &str, offset: u64) -> Result<Vec<NodeId>> {
-        let files = self.inner.files.read();
-        let f = files
-            .get(path)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        Ok(block_for(f, offset)
+        let entry = self.entry(path, 0)?;
+        Ok(entry
+            .blocks
+            .get((offset / self.block_size()) as usize)
             .map(|b| b.replicas.clone())
             .unwrap_or_default())
     }
@@ -529,87 +418,68 @@ impl Dfs {
     /// Flip `mask` into the stored byte at `pos` of `path` *without*
     /// recomputing checksums — simulating at-rest corruption of a replica.
     /// Every later read returning a byte of that checksum chunk fails its
-    /// CRC check. Test/chaos hook.
+    /// CRC check. Sorted copies are left alone. Test/chaos hook.
     pub fn corrupt_stored(&self, path: &str, pos: u64, mask: u8) -> Result<()> {
         let mut files = self.inner.files.write();
-        let entry = files
-            .get(path)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {path}")))?;
-        if pos >= entry.data.len() as u64 {
+        let mut tampered = copies(&files, path)?.clone();
+        let base = &tampered[0];
+        if pos >= base.data.len() as u64 {
             return Err(HiveError::Dfs(format!(
                 "corrupt_stored at {pos} past end of {path} ({} bytes)",
-                entry.data.len()
+                base.data.len()
             )));
         }
-        let mut data = entry.data.clone();
+        let mut data = (*base.data).clone();
         data[pos as usize] ^= mask;
-        let generation = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
-        let tampered = Arc::new(FileEntry {
-            data,
-            block_size: entry.block_size,
-            blocks: entry.blocks.clone(),
-            chunk_crcs: entry.chunk_crcs.clone(), // stale on purpose
+        let generation = self.next_generation();
+        tampered[0] = Arc::new(FileEntry {
+            data: Arc::new(data),
             generation,
-            sort_column: entry.sort_column.clone(),
-            variants: entry.variants.clone(),
+            ..(**base).clone() // checksums stale on purpose
         });
         files.insert(path.to_string(), tampered);
         drop(files);
-        self.inner.cache.invalidate_path(path, generation);
-        self.bump_data_gen(path);
+        self.invalidate(path, generation);
         Ok(())
     }
 
     /// Atomically move `from` to `to` (namenode metadata operation: readers
     /// see either the old namespace or the new one, never a partial copy).
     /// The destination gets a fresh generation and path-keyed block
-    /// placement but keeps the stored checksums: placement moves replicas,
-    /// never block boundaries, and a namenode operation never rehashes
-    /// data (so an at-rest corruption stays detectable after the move). An
-    /// existing file at `to` is replaced. Consults the
-    /// handle's (statement-scoped) fault plan: a rename can fail without
-    /// moving anything, or move the file and *then* report failure (lost
-    /// ack) — callers with commit semantics must probe for the latter.
+    /// placement but keeps the stored bytes and checksums: placement moves
+    /// replicas, never block boundaries, and a namenode operation never
+    /// rehashes data (so an at-rest corruption stays detectable after the
+    /// move). Sorted copies do not follow a rename: the delta/compaction
+    /// paths that rename never write them. An existing file at `to` is
+    /// replaced. Consults the handle's (statement-scoped) fault plan: a
+    /// rename can fail without moving anything, or move the file and
+    /// *then* report failure (lost ack) — callers with commit semantics
+    /// must probe for the latter.
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let outcome = self
             .fault_plan()
             .map(|p| p.decide_rename(from))
-            .unwrap_or(fault::RenameFaultOutcome::Success);
-        if outcome == fault::RenameFaultOutcome::TransientError {
+            .unwrap_or(RenameFaultOutcome::Success);
+        if outcome == RenameFaultOutcome::TransientError {
             return Err(HiveError::Transient(format!(
                 "injected rename failure: {from} -> {to}"
             )));
         }
         let mut files = self.inner.files.write();
-        let entry = files
-            .remove(from)
-            .ok_or_else(|| HiveError::Dfs(format!("no such file: {from}")))?;
-        let generation = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
-        let blocks = placement(
-            to,
-            entry.data.len() as u64,
-            entry.block_size,
-            &self.inner.config,
-        );
-        let moved = Arc::new(FileEntry {
-            data: entry.data.clone(),
-            block_size: entry.block_size,
-            blocks,
-            chunk_crcs: entry.chunk_crcs.clone(),
+        let old = copies(&files, from)?;
+        let from_floor = floor_above(old);
+        let generation = self.next_generation();
+        let moved = FileEntry {
+            blocks: self.placement(to, old[0].data.len() as u64),
             generation,
-            sort_column: entry.sort_column.clone(),
-            // Sorted variants do not follow a rename: the delta/compaction
-            // paths that rename never write them, and a fresh destination
-            // generation keys the caches either way.
-            variants: Vec::new(),
-        });
-        files.insert(to.to_string(), moved);
+            ..(*old[0]).clone()
+        };
+        files.remove(from);
+        files.insert(to.to_string(), vec![Arc::new(moved)]);
         drop(files);
-        self.inner.cache.invalidate_path(from, entry.generation + 1);
-        self.inner.cache.invalidate_path(to, generation);
-        self.bump_data_gen(from);
-        self.bump_data_gen(to);
-        if outcome == fault::RenameFaultOutcome::AckLost {
+        self.invalidate(from, from_floor);
+        self.invalidate(to, generation);
+        if outcome == RenameFaultOutcome::AckLost {
             return Err(HiveError::Transient(format!(
                 "injected rename ack loss: {from} -> {to} (the move happened)"
             )));
@@ -617,27 +487,62 @@ impl Dfs {
         Ok(())
     }
 
-    fn finish_file(&self, path: String, data: Vec<u8>, block_size: u64) {
-        let blocks = placement(&path, data.len() as u64, block_size, &self.inner.config);
-        let chunk_crcs = chunk_crcs(&data, block_size);
+    /// Deterministic replica placement: hash of (path, block index) picks
+    /// the first replica, the rest go to consecutive nodes — stable across
+    /// runs so experiments are reproducible.
+    fn placement(&self, path: &str, len: u64) -> Vec<BlockInfo> {
+        let nodes = self.inner.config.nodes.max(1);
+        let repl = self.inner.config.replication.clamp(1, nodes);
+        let block_size = self.block_size();
+        let h = fault::fnv1a(path.as_bytes());
+        let mut blocks = Vec::new();
+        let mut offset = 0u64;
+        let mut idx = 0u64;
+        while offset < len || (len == 0 && idx == 0) {
+            let blen = (len - offset).min(block_size);
+            let first = ((h ^ idx.wrapping_mul(0x9e3779b97f4a7c15)) % nodes as u64) as usize;
+            let replicas = (0..repl).map(|r| (first + r) % nodes).collect();
+            blocks.push(BlockInfo {
+                offset,
+                len: blen,
+                replicas,
+            });
+            offset += blen;
+            idx += 1;
+            if len == 0 {
+                break;
+            }
+        }
+        blocks
+    }
+
+    /// Publish `data` at `path` as a new file, replacing whatever was there.
+    fn publish(&self, path: &str, data: Vec<u8>) {
+        let block_size = self.block_size();
+        let blocks = self.placement(path, data.len() as u64);
+        let chunk_crcs = data
+            .chunks(block_size as usize)
+            .flat_map(|block| block.chunks(BYTES_PER_CHECKSUM as usize))
+            .map(crc::crc32)
+            .collect();
         self.inner.stats.add_bytes_written(data.len() as u64);
-        let generation = self.inner.next_gen.fetch_add(1, Ordering::Relaxed);
-        let blocks_entry = Arc::new(FileEntry {
-            data,
-            block_size,
+        let generation = self.next_generation();
+        let entry = FileEntry {
+            data: Arc::new(data),
             blocks,
             chunk_crcs,
             generation,
             sort_column: String::new(),
-            variants: Vec::new(),
-        });
-        self.inner.files.write().insert(path.clone(), blocks_entry);
+        };
+        self.inner
+            .files
+            .write()
+            .insert(path.to_string(), vec![Arc::new(entry)]);
         // Overwrite invalidation: generations already make the old entries
         // unreachable; dropping them eagerly frees their bytes, and the
         // floor at the new generation dooms fills still in flight for the
         // old one.
-        self.inner.cache.invalidate_path(&path, generation);
-        self.bump_data_gen(&path);
+        self.invalidate(path, generation);
     }
 }
 
@@ -646,427 +551,12 @@ impl Dfs {
 /// and stops at the first that does not match: O(log n + matches), where
 /// filtering every key is O(n) in a namespace that only grows.
 fn under<'a>(
-    files: &'a BTreeMap<String, Arc<FileEntry>>,
+    files: &'a BTreeMap<String, Copies>,
     prefix: &'a str,
-) -> impl Iterator<Item = (&'a String, &'a Arc<FileEntry>)> {
+) -> impl Iterator<Item = (&'a String, &'a Copies)> {
     files
         .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
         .take_while(move |(k, _)| k.starts_with(prefix))
-}
-
-fn block_for(f: &FileEntry, offset: u64) -> Option<&BlockInfo> {
-    if f.block_size == 0 {
-        return None;
-    }
-    let idx = (offset / f.block_size) as usize;
-    f.blocks.get(idx)
-}
-
-/// Deterministic replica placement: hash of (path, block index) picks the
-/// first replica, the rest go to consecutive nodes — stable across runs so
-/// experiments are reproducible.
-fn placement(path: &str, len: u64, block_size: u64, cfg: &DfsConfig) -> Vec<BlockInfo> {
-    let nodes = cfg.nodes.max(1);
-    let repl = cfg.replication.clamp(1, nodes);
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in path.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    let mut blocks = Vec::new();
-    let mut offset = 0u64;
-    let mut idx = 0u64;
-    while offset < len || (len == 0 && idx == 0) {
-        let blen = (len - offset).min(block_size);
-        let first = ((h ^ idx.wrapping_mul(0x9e3779b97f4a7c15)) % nodes as u64) as usize;
-        let replicas = (0..repl).map(|r| (first + r) % nodes).collect();
-        blocks.push(BlockInfo {
-            offset,
-            len: blen,
-            replicas,
-        });
-        offset += blen;
-        idx += 1;
-        if len == 0 {
-            break;
-        }
-    }
-    blocks
-}
-
-/// Append-only writer. Bytes become visible (and placed) on [`close`].
-///
-/// [`close`]: DfsWriter::close
-pub struct DfsWriter {
-    dfs: Dfs,
-    path: String,
-    block_size: u64,
-    data: Vec<u8>,
-    closed: bool,
-}
-
-impl DfsWriter {
-    pub fn write(&mut self, bytes: &[u8]) {
-        debug_assert!(!self.closed, "write after close");
-        self.data.extend_from_slice(bytes);
-    }
-
-    /// Current write position (file length so far).
-    pub fn position(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// Bytes left before the current block boundary. ORC's writer consults
-    /// this to decide whether the next stripe would straddle a block and
-    /// should be preceded by padding (Section 4.1).
-    pub fn block_remaining(&self) -> u64 {
-        let pos = self.data.len() as u64;
-        let used = pos % self.block_size;
-        if used == 0 {
-            self.block_size
-        } else {
-            self.block_size - used
-        }
-    }
-
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Write `n` zero bytes (stripe padding).
-    pub fn pad(&mut self, n: u64) {
-        self.data.extend(std::iter::repeat_n(0u8, n as usize));
-    }
-
-    /// Finish the file: compute block placement and publish it.
-    ///
-    /// Infallible convenience over [`DfsWriter::try_close`] for the many
-    /// callers that never write under an injected fault plan; panics if a
-    /// write fault fires. Fault-aware paths (the ACID commit protocol)
-    /// must use `try_close`.
-    pub fn close(self) -> u64 {
-        let path = self.path.clone();
-        self.try_close().unwrap_or_else(|e| {
-            panic!("close({path}) hit an injected write fault ({e}); use try_close")
-        })
-    }
-
-    /// Finish the file, consulting the handle's (statement-scoped) fault
-    /// plan: the publish can fail cleanly (nothing lands) or land *torn* —
-    /// a strict byte prefix becomes visible and the writer still gets an
-    /// error, modeling a client death mid-write. Both surface as retryable
-    /// [`HiveError::Transient`]; first-touch semantics make the retry of
-    /// the same path clean.
-    pub fn try_close(mut self) -> Result<u64> {
-        self.closed = true;
-        let len = self.data.len() as u64;
-        let data = std::mem::take(&mut self.data);
-        if let Some(plan) = self.dfs.fault_plan() {
-            match plan.decide_write(&self.path, len) {
-                WriteFaultOutcome::Success => {}
-                WriteFaultOutcome::TransientError => {
-                    return Err(HiveError::Transient(format!(
-                        "injected write failure: {} ({len} bytes lost)",
-                        self.path
-                    )));
-                }
-                WriteFaultOutcome::Torn { keep } => {
-                    let mut torn = data;
-                    torn.truncate(keep as usize);
-                    self.dfs
-                        .clone()
-                        .finish_file(self.path.clone(), torn, self.block_size);
-                    return Err(HiveError::Transient(format!(
-                        "injected torn write: {} kept {keep}/{len} bytes",
-                        self.path
-                    )));
-                }
-            }
-        }
-        self.dfs
-            .clone()
-            .finish_file(self.path.clone(), data, self.block_size);
-        Ok(len)
-    }
-}
-
-/// Bytes returned by [`DfsReader::read_at`]: either freshly read (owned)
-/// or a zero-copy handle into the shared block cache. Derefs to `[u8]`,
-/// so slicing/indexing and `&buf` as `&[u8]` work directly; call
-/// [`DfsBuf::into_vec`] only when an owned `Vec<u8>` is genuinely needed.
-#[derive(Clone)]
-pub struct DfsBuf(BufRepr);
-
-#[derive(Clone)]
-enum BufRepr {
-    Owned(Vec<u8>),
-    Shared(Arc<Vec<u8>>),
-}
-
-impl DfsBuf {
-    fn owned(bytes: Vec<u8>) -> DfsBuf {
-        DfsBuf(BufRepr::Owned(bytes))
-    }
-
-    fn shared(bytes: Arc<Vec<u8>>) -> DfsBuf {
-        DfsBuf(BufRepr::Shared(bytes))
-    }
-
-    /// The bytes behind a shared handle a decoder can keep windows into:
-    /// the block cache's own allocation on a hit, this read's otherwise.
-    /// Never copies.
-    pub fn into_shared(self) -> Arc<Vec<u8>> {
-        match self.0 {
-            BufRepr::Owned(v) => Arc::new(v),
-            BufRepr::Shared(a) => a,
-        }
-    }
-
-    /// Extract an owned vector; copies only when the bytes are shared
-    /// with the block cache.
-    pub fn into_vec(self) -> Vec<u8> {
-        match self.0 {
-            BufRepr::Owned(v) => v,
-            BufRepr::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
-impl std::ops::Deref for DfsBuf {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        match &self.0 {
-            BufRepr::Owned(v) => v,
-            BufRepr::Shared(a) => a,
-        }
-    }
-}
-
-impl AsRef<[u8]> for DfsBuf {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl std::fmt::Debug for DfsBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for DfsBuf {
-    fn eq(&self, other: &T) -> bool {
-        **self == *other.as_ref()
-    }
-}
-
-impl Eq for DfsBuf {}
-
-/// Positional reader with locality and seek accounting, checksum
-/// verification, and fault injection.
-pub struct DfsReader {
-    dfs: Dfs,
-    path: String,
-    entry: Arc<FileEntry>,
-    reader_node: Option<NodeId>,
-    /// End offset of the previous read; a gap means a disk seek.
-    last_end: Option<u64>,
-}
-
-impl DfsReader {
-    pub fn len(&self) -> u64 {
-        self.entry.data.len() as u64
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entry.data.is_empty()
-    }
-
-    /// Generation of the file snapshot this reader holds.
-    pub fn generation(&self) -> u64 {
-        self.entry.generation
-    }
-
-    /// Read `len` bytes at `offset`. Short reads at EOF return fewer bytes.
-    ///
-    /// When the block cache is enabled (and the handle's statement scope
-    /// participates in it), the exact range `(path, generation, offset,
-    /// end)` is served from cache on a hit — no wire transfer, no fault
-    /// injection, no re-verification (the bytes were CRC-checked when
-    /// filled), and no copy: the returned [`DfsBuf`] shares the cached
-    /// allocation. Misses claim a single-flight fill slot: exactly one
-    /// reader performs the uncached read (and pays its accounting) per
-    /// distinct range, concurrent readers of the same range block and then
-    /// hit. A failed or panicking fill leaves no entry behind, so the
-    /// cache can never hold partial data from a faulted read.
-    pub fn read_at(&mut self, offset: u64, len: usize) -> Result<DfsBuf> {
-        let total = self.entry.data.len() as u64;
-        if offset > total {
-            return Err(HiveError::Dfs(format!(
-                "read at {offset} past end of file ({total} bytes)"
-            )));
-        }
-        let end = (offset + len as u64).min(total);
-        if end <= offset || !self.dfs.cache_enabled_here() {
-            // Empty reads carry no payload worth caching; a scoped-out
-            // statement takes the pre-cache path byte-for-byte.
-            return self.read_at_uncached(offset, end).map(DfsBuf::owned);
-        }
-        let key = (self.path.clone(), self.entry.generation, offset, end);
-        // Borrow the cache through a local handle so the fill guard's
-        // lifetime does not pin `self` (the fill path reads through
-        // `&mut self` while holding the guard).
-        let dfs = self.dfs.clone();
-        let result = match dfs.inner.cache.lookup_or_begin_fill(&key) {
-            cache::Lookup::Hit(bytes) => {
-                self.dfs.stats().add_cache_hit(bytes.len() as u64);
-                // Keep seek bookkeeping consistent for later misses.
-                self.last_end = Some(end);
-                Ok(DfsBuf::shared(bytes))
-            }
-            cache::Lookup::Fill(guard) => {
-                // On error the guard's drop aborts the fill and wakes
-                // waiters; nothing partial is ever published.
-                let data = Arc::new(self.read_at_uncached(offset, end)?);
-                self.dfs.stats().add_cache_miss();
-                let evicted = guard.complete(Arc::clone(&data));
-                if evicted > 0 {
-                    self.dfs.stats().add_cache_evictions(evicted);
-                }
-                Ok(DfsBuf::shared(data))
-            }
-            cache::Lookup::Bypass => self.read_at_uncached(offset, end).map(DfsBuf::owned),
-        };
-        result
-    }
-
-    /// The pre-cache read path: wire accounting, locality split, fault
-    /// injection, and CRC verification. `end` is already clamped to EOF.
-    fn read_at_uncached(&mut self, offset: u64, end: u64) -> Result<Vec<u8>> {
-        let len = (end - offset) as usize;
-        let slice = &self.entry.data[offset as usize..end as usize];
-
-        // Seek accounting: any non-contiguous read is one seek. The first
-        // read of a file is a seek too (open + position).
-        let seeks = match self.last_end {
-            Some(prev) if prev == offset => 0,
-            _ => 1,
-        };
-        self.last_end = Some(end);
-
-        // Locality: split the read across blocks, count each span local or
-        // remote depending on whether the reader node hosts a replica.
-        let stats = self.dfs.stats();
-        stats.add_read_op(seeks);
-        let mut cur = offset;
-        while cur < end {
-            let Some(block) = block_for(&self.entry, cur) else {
-                break;
-            };
-            let span_end = (block.offset + block.len).min(end);
-            let span = span_end - cur;
-            let local = match self.reader_node {
-                Some(node) => block.replicas.contains(&node),
-                None => false,
-            };
-            if local {
-                stats.add_bytes_local(span);
-            } else {
-                stats.add_bytes_remote(span);
-            }
-            cur = span_end;
-            if span == 0 {
-                break;
-            }
-        }
-
-        let plan = self.dfs.fault_plan();
-        let mut data = slice.to_vec();
-        let mut wire_flip: Option<(u64, u8)> = None;
-        if let Some(plan) = &plan {
-            // Straggler latency is simulated time, priced by the cost
-            // model; it never blocks the actual thread.
-            if let Some(node) = self.reader_node {
-                if plan.is_slow(node) && end > offset {
-                    stats.add_sim_penalty_us(plan.slow_penalty_us(end - offset));
-                }
-            }
-            match plan.decide_read(&self.path, self.reader_node, offset, (end - offset).max(1)) {
-                FaultOutcome::Success => {}
-                FaultOutcome::TransientError => {
-                    return Err(HiveError::Transient(format!(
-                        "injected read failure: {}@{offset}+{len}",
-                        self.path
-                    )));
-                }
-                FaultOutcome::CorruptByte { pos, mask } => {
-                    if !data.is_empty() {
-                        let i = (pos as usize).min(data.len() - 1);
-                        data[i] ^= mask;
-                        wire_flip = Some((offset + i as u64, mask));
-                    }
-                }
-            }
-        }
-        self.verify_chunks(offset, end, wire_flip)?;
-        Ok(data)
-    }
-
-    /// CRC-check every checksum chunk overlapping `[offset, end)` — the
-    /// bytes the read returns, rounded out to chunk boundaries — and count
-    /// those bytes as verified. A wire flip is checked in its chunk's
-    /// flipped image, so the corruption is caught on this very read.
-    /// Verification models the datanode checksumming its own disk — it
-    /// performs no client I/O.
-    fn verify_chunks(&self, offset: u64, end: u64, wire_flip: Option<(u64, u8)>) -> Result<()> {
-        let entry = &self.entry;
-        let (block_size, total) = (entry.block_size, entry.data.len() as u64);
-        let per_block = block_size.div_ceil(BYTES_PER_CHECKSUM);
-        let mut cur = offset;
-        let mut verified = 0;
-        let mut result = Ok(());
-        while cur < end {
-            let (block, within) = (cur / block_size, cur % block_size);
-            let chunk = within / BYTES_PER_CHECKSUM;
-            let start = cur - within % BYTES_PER_CHECKSUM;
-            let stop = (start + BYTES_PER_CHECKSUM)
-                .min((block + 1) * block_size)
-                .min(total);
-            let raw = &entry.data[start as usize..stop as usize];
-            let crc = match wire_flip {
-                Some((pos, mask)) if (start..stop).contains(&pos) => {
-                    // The flipped image's CRC, in three pieces around the flip.
-                    let i = (pos - start) as usize;
-                    let mut c = crc::Crc32::new();
-                    c.update(&raw[..i]);
-                    c.update(&[raw[i] ^ mask]);
-                    c.update(&raw[i + 1..]);
-                    c.finish()
-                }
-                _ => crc::crc32(raw),
-            };
-            verified += stop - start;
-            let expected = entry.chunk_crcs[(block * per_block + chunk) as usize];
-            if crc != expected {
-                result = Err(HiveError::Corrupt(format!(
-                    "checksum mismatch in block {block}, chunk {chunk} of {} \
-                     (expected {expected:#010x}, got {crc:#010x})",
-                    self.path
-                )));
-                break;
-            }
-            cur = stop;
-        }
-        self.dfs.stats().add_bytes_verified(verified);
-        result
-    }
-
-    /// Read the whole file into an owned vector (convenience for
-    /// footers/tests).
-    pub fn read_all(&mut self) -> Result<Vec<u8>> {
-        let len = self.len() as usize;
-        Ok(self.read_at(0, len)?.into_vec())
-    }
 }
 
 #[cfg(test)]
@@ -1088,13 +578,13 @@ mod tests {
         let fs = small_fs();
         let start = fs.generation_watermark();
         // Scratch traffic (shuffle intermediates) leaves the watermark alone.
-        fs.create("/tmp/query-1/part-m-00000").close();
+        fs.create("/tmp/query-1/part-m-00000").try_close().unwrap();
         fs.delete("/tmp/query-1/part-m-00000");
         assert_eq!(fs.generation_watermark(), start);
         // Table publishes, tampering, and deletes each move it.
         let mut w = fs.create("/warehouse/t/part-0");
         w.write(b"rows");
-        w.close();
+        w.try_close().unwrap();
         assert_eq!(fs.generation_watermark(), start + 1);
         fs.corrupt_stored("/warehouse/t/part-0", 0, 0xff).unwrap();
         assert_eq!(fs.generation_watermark(), start + 2);
@@ -1108,7 +598,7 @@ mod tests {
         let mut w = fs.create("/t/a");
         w.write(b"hello ");
         w.write(b"world");
-        assert_eq!(w.close(), 11);
+        assert_eq!(w.try_close().unwrap(), 11);
         let mut r = fs.open("/t/a", None).unwrap();
         assert_eq!(r.read_all().unwrap(), b"hello world");
         assert_eq!(fs.len("/t/a").unwrap(), 11);
@@ -1119,7 +609,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/b");
         w.write(&vec![7u8; 250]);
-        w.close();
+        w.try_close().unwrap();
         let blocks = fs.blocks("/t/b").unwrap();
         assert_eq!(blocks.len(), 3);
         assert_eq!(blocks[0].len, 100);
@@ -1136,7 +626,7 @@ mod tests {
         for fs in [&fs1, &fs2] {
             let mut w = fs.create("/same/path");
             w.write(&vec![1u8; 300]);
-            w.close();
+            w.try_close().unwrap();
         }
         assert_eq!(
             fs1.blocks("/same/path").unwrap(),
@@ -1149,7 +639,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/c");
         w.write(&[1u8; 200]);
-        w.close();
+        w.try_close().unwrap();
         let replicas0 = fs.locations("/t/c", 0).unwrap();
         let local_node = replicas0[0];
         // Find a node NOT hosting block 0.
@@ -1172,7 +662,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/d");
         w.write(&[1u8; 100]);
-        w.close();
+        w.try_close().unwrap();
         let before = fs.stats().snapshot();
         let mut r = fs.open("/t/d", None).unwrap();
         r.read_at(0, 10).unwrap(); // seek 1 (open)
@@ -1200,7 +690,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/f");
         w.write(b"abc");
-        w.close();
+        w.try_close().unwrap();
         let mut r = fs.open("/t/f", None).unwrap();
         assert_eq!(r.read_at(1, 10).unwrap(), b"bc");
         assert!(r.read_at(4, 1).is_err());
@@ -1211,7 +701,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/crc");
         w.write(&vec![0x11u8; 250]); // 3 blocks of 100/100/50
-        w.close();
+        w.try_close().unwrap();
         fs.corrupt_stored("/t/crc", 120, 0x40).unwrap();
 
         // Reading the tampered block errors instead of returning bad bytes.
@@ -1237,7 +727,7 @@ mod tests {
         let data: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
         let mut w = fs.create("/t/v");
         w.write(&data);
-        w.close();
+        w.try_close().unwrap();
         let mut r = fs.open("/t/v", None).unwrap();
         let mut verified = |offset: u64, len: usize| {
             let before = fs.stats().snapshot();
@@ -1273,7 +763,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/tmp/txn/delta.tmp");
         w.write(&[0x22u8; 250]);
-        w.close();
+        w.try_close().unwrap();
         fs.corrupt_stored("/tmp/txn/delta.tmp", 120, 0x40).unwrap();
         fs.rename("/tmp/txn/delta.tmp", "/warehouse/t/delta_1")
             .unwrap();
@@ -1304,7 +794,7 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
             let mut w = fs.create("/p/f");
             w.write(&data);
-            w.close();
+            w.try_close().unwrap();
             let flip = flip % len;
             fs.corrupt_stored("/p/f", flip, 0x10).unwrap();
             let block_start = flip / block_size * block_size;
@@ -1340,7 +830,7 @@ mod tests {
             let faulty = fs.for_statement(FaultPlan::from_conf(&conf).unwrap(), false);
             let mut w = fs.create("/p/clean");
             w.write(&data);
-            w.close();
+            w.try_close().unwrap();
             let mut r = faulty.open("/p/clean", None).unwrap();
             let mut touched = std::collections::HashSet::new();
             for &(o, n) in &reads {
@@ -1375,7 +865,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/fault");
         w.write(&[9u8; 100]);
-        w.close();
+        w.try_close().unwrap();
         let faulty = faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
         let mut r = faulty.open("/t/fault", None).unwrap();
         assert!(matches!(r.read_at(0, 100), Err(HiveError::Transient(_))));
@@ -1389,7 +879,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/wire");
         w.write(&[0xabu8; 100]);
-        w.close();
+        w.try_close().unwrap();
         let faulty = faulted_fs(&fs, &[("dfs.fault.corrupt.rate", "1.0")]);
         let mut r = faulty.open("/t/wire", None).unwrap();
         assert!(matches!(r.read_at(0, 100), Err(HiveError::Corrupt(_))));
@@ -1401,7 +891,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/slow");
         w.write(&[1u8; 100]);
-        w.close();
+        w.try_close().unwrap();
         let slow = fs.locations("/t/slow", 0).unwrap()[0];
         let faulty = faulted_fs(
             &fs,
@@ -1429,7 +919,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/dead");
         w.write(&[5u8; 100]);
-        w.close();
+        w.try_close().unwrap();
         let faulty = faulted_fs(&fs, &[("dfs.fault.fail.nodes", "2")]);
         let mut dead = faulty.open("/t/dead", Some(2)).unwrap();
         for _ in 0..3 {
@@ -1445,7 +935,7 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/t/cache");
         w.write(&[0x5au8; 150]);
-        w.close();
+        w.try_close().unwrap();
 
         let before = fs.stats().snapshot();
         let mut r = fs.open("/t/cache", None).unwrap();
@@ -1474,14 +964,14 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/t/gen");
         w.write(&[1u8; 80]);
-        w.close();
+        w.try_close().unwrap();
         let g1 = fs.generation("/t/gen").unwrap();
         let mut r = fs.open("/t/gen", None).unwrap();
         assert_eq!(r.read_at(0, 80).unwrap(), vec![1u8; 80]);
 
         let mut w = fs.create("/t/gen");
         w.write(&[2u8; 80]);
-        w.close();
+        w.try_close().unwrap();
         assert!(fs.generation("/t/gen").unwrap() > g1);
         // The overwrite freed the old entry's bytes eagerly.
         assert_eq!(fs.cache_resident_bytes(), 0);
@@ -1495,7 +985,7 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/t/fpoison");
         w.write(&[7u8; 100]);
-        w.close();
+        w.try_close().unwrap();
         let faulty = faulted_fs(&fs, &[("dfs.fault.read.error.rate", "1.0")]);
         let mut r = faulty.open("/t/fpoison", None).unwrap();
         assert!(matches!(r.read_at(0, 100), Err(HiveError::Transient(_))));
@@ -1515,7 +1005,7 @@ mod tests {
         fs.set_cache_capacity(4096);
         let mut w = fs.create("/t/off");
         w.write(&[3u8; 64]);
-        w.close();
+        w.try_close().unwrap();
         fs.open("/t/off", None).unwrap().read_at(0, 64).unwrap();
         assert_eq!(fs.cache_resident_bytes(), 64);
         fs.set_cache_capacity(0);
@@ -1534,7 +1024,7 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/t/scope");
         w.write(&[8u8; 100]);
-        w.close();
+        w.try_close().unwrap();
 
         let mut conf = hive_common::HiveConf::new();
         conf.set("dfs.fault.read.error.rate", "1.0");
@@ -1572,7 +1062,7 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/t/scopeclone");
         w.write(&[4u8; 50]);
-        w.close();
+        w.try_close().unwrap();
         // Warm the cache through an unscoped handle.
         fs.open("/t/scopeclone", None)
             .unwrap()
@@ -1598,14 +1088,14 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/t/late");
         w.write(&[1u8; 60]);
-        w.close();
+        w.try_close().unwrap();
         // Open a reader against generation 1, then overwrite the path
         // before the reader's first (filling) read completes. The fill
         // lands after invalidation and must be dropped, not parked.
         let mut r = fs.open("/t/late", None).unwrap();
         let mut w = fs.create("/t/late");
         w.write(&[2u8; 60]);
-        w.close();
+        w.try_close().unwrap();
         assert_eq!(r.read_at(0, 60).unwrap(), vec![1u8; 60]);
         assert_eq!(fs.cache_resident_bytes(), 0);
         // The live generation still caches normally.
@@ -1620,7 +1110,7 @@ mod tests {
         fs.set_cache_capacity(1 << 20);
         let mut w = fs.create("/tmp/txn/t/delta.tmp");
         w.write(&[6u8; 120]);
-        w.close();
+        w.try_close().unwrap();
         let data_gen_before = fs.generation_watermark();
         fs.rename("/tmp/txn/t/delta.tmp", "/warehouse/t/delta_1")
             .unwrap();
@@ -1667,7 +1157,7 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/t/src");
         w.write(&[2u8; 30]);
-        w.close();
+        w.try_close().unwrap();
         let faulty = faulted_fs(&fs, &[("dfs.fault.rename.ack.lost.rate", "1.0")]);
         assert!(matches!(
             faulty.rename("/t/src", "/t/dst"),
@@ -1729,7 +1219,7 @@ mod tests {
         {
             let mut w = fs.create(p);
             w.write(&vec![0u8; i + 1]);
-            w.close();
+            w.try_close().unwrap();
         }
         let all = fs.list("");
         assert_eq!(all.len(), 10);
@@ -1770,7 +1260,7 @@ mod tests {
         ] {
             let mut w = fs.create(p);
             w.write(&vec![0u8; n]);
-            w.close();
+            w.try_close().unwrap();
         }
         assert_eq!(fs.list("/w/t1/").len(), 2);
         assert_eq!(fs.size_of("/w/t1/"), 30);
@@ -1783,11 +1273,11 @@ mod tests {
         let fs = small_fs();
         let mut w = fs.create("/w/t/part-0");
         w.write(&[7u8; 250]);
-        w.close();
+        w.try_close().unwrap();
         // Stage a differently-ordered copy and adopt it as variant 1.
         let mut w = fs.create("/tmp/v1");
         w.write(&[9u8; 250]);
-        w.close();
+        w.try_close().unwrap();
         fs.adopt_variant("/w/t/part-0", "/tmp/v1", 1, "k").unwrap();
         // The staging path left the namespace; the base file is unchanged.
         assert!(!fs.exists("/tmp/v1"));
@@ -1813,10 +1303,8 @@ mod tests {
 
         // Selection matches the predicate column against variant sort
         // orders; unknown columns fall back to the base replicas.
-        assert_eq!(
-            fs.variant_sort_columns("/w/t/part-0").unwrap(),
-            vec![String::new(), "k".to_string()]
-        );
+        // The base keeps insertion order: no predicate selects copy 0.
+        assert_eq!(fs.select_variant("/w/t/part-0", &[String::new()]), None);
         assert_eq!(
             fs.select_variant("/w/t/part-0", &["v".into(), "k".into()]),
             Some((1, "k".to_string()))
@@ -1826,7 +1314,7 @@ mod tests {
         // Out-of-order adoption grows placeholder slots aliasing the base.
         let mut w = fs.create("/tmp/v3");
         w.write(&[3u8; 50]);
-        w.close();
+        w.try_close().unwrap();
         fs.adopt_variant("/w/t/part-0", "/tmp/v3", 3, "s").unwrap();
         let mut v2 = fs.open_variant("/w/t/part-0", 2, None).unwrap();
         assert_eq!(v2.read_all().unwrap(), vec![7u8; 250]);
@@ -1838,5 +1326,63 @@ mod tests {
         // Deleting the file takes every variant with it.
         assert!(fs.delete("/w/t/part-0"));
         assert!(fs.open_variant("/w/t/part-0", 1, None).is_err());
+    }
+
+    #[test]
+    fn read_at_an_overflowing_length_is_a_short_read() {
+        let fs = small_fs();
+        let mut w = fs.create("/t/huge");
+        w.write(b"hello world");
+        w.try_close().unwrap();
+        let mut r = fs.open("/t/huge", None).unwrap();
+        assert_eq!(r.read_at(1, usize::MAX).unwrap(), b"ello world");
+        assert_eq!(r.read_at(11, usize::MAX).unwrap(), b"");
+        // The cached path clamps the same way.
+        fs.set_cache_capacity(1 << 20);
+        assert_eq!(r.read_at(1, usize::MAX).unwrap(), b"ello world");
+    }
+
+    #[test]
+    fn renamed_and_adopted_copies_share_the_published_bytes() {
+        let fs = small_fs();
+        for (path, byte) in [("/tmp/t/base", 1u8), ("/tmp/t/sorted", 2)] {
+            let mut w = fs.create(path);
+            w.write(&[byte; 250]);
+            w.try_close().unwrap();
+        }
+        let published = fs.entry("/tmp/t/base", 0).unwrap();
+        fs.rename("/tmp/t/base", "/w/t/part-0").unwrap();
+        let moved = fs.entry("/w/t/part-0", 0).unwrap();
+        assert!(Arc::ptr_eq(&published.data, &moved.data));
+
+        // The staged copy is tampered at rest before adoption: it moves
+        // with the checksums it was published with, so the flip stays
+        // detectable instead of being rehashed into the copy.
+        fs.corrupt_stored("/tmp/t/sorted", 10, 0x40).unwrap();
+        let staged = fs.entry("/tmp/t/sorted", 0).unwrap();
+        fs.adopt_variant("/w/t/part-0", "/tmp/t/sorted", 2, "k")
+            .unwrap();
+        let adopted = fs.entry("/w/t/part-0", 2).unwrap();
+        assert!(Arc::ptr_eq(&staged.data, &adopted.data));
+        assert_eq!(staged.chunk_crcs, adopted.chunk_crcs);
+        let mut r = fs.open_variant("/w/t/part-0", 2, None).unwrap();
+        assert!(matches!(r.read_at(0, 20), Err(HiveError::Corrupt(_))));
+        assert_eq!(r.read_at(100, 100).unwrap(), vec![2u8; 100]);
+
+        // The unfilled slot below aliases the base entry itself.
+        let alias = fs.entry("/w/t/part-0", 1).unwrap();
+        assert!(Arc::ptr_eq(&alias, &moved));
+    }
+
+    #[test]
+    fn adopting_into_a_missing_file_keeps_the_staged_file() {
+        let fs = small_fs();
+        let mut w = fs.create("/tmp/t/sorted");
+        w.write(&[3u8; 40]);
+        w.try_close().unwrap();
+        assert!(fs
+            .adopt_variant("/w/none", "/tmp/t/sorted", 1, "k")
+            .is_err());
+        assert_eq!(fs.len("/tmp/t/sorted").unwrap(), 40);
     }
 }

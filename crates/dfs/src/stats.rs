@@ -8,24 +8,84 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared, thread-safe I/O counters.
-///
-/// Every `add_*` also tees into whatever [`IoScope`]s are entered on the
-/// current thread, so a task can attribute exactly its own I/O without
-/// racing on before/after snapshots of the global counters.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    bytes_local: AtomicU64,
-    bytes_remote: AtomicU64,
-    bytes_written: AtomicU64,
-    read_ops: AtomicU64,
-    seeks: AtomicU64,
-    sim_penalty_us: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_hit_bytes: AtomicU64,
-    cache_evictions: AtomicU64,
-    bytes_verified: AtomicU64,
+/// Declares the I/O counters once: the [`IoStats`] atomics, an `add_*`
+/// entry point for each counter that moves alone, [`IoStats::snapshot`],
+/// and [`IoSnapshot`] with its `since` and `plus`.
+macro_rules! io_counters {
+    ($( $(#[$doc:meta])* $field:ident $(=> $add:ident)? ),* $(,)?) => {
+        /// Shared, thread-safe I/O counters.
+        ///
+        /// Every `add_*` also tees into whatever [`IoScope`]s are entered on
+        /// the current thread, so a task can attribute exactly its own I/O
+        /// without racing on before/after snapshots of the global counters.
+        #[derive(Debug, Default)]
+        pub struct IoStats {
+            $( $field: AtomicU64, )*
+        }
+
+        /// Plain-value snapshot of [`IoStats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct IoSnapshot {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        impl IoStats {
+            $($(
+                #[doc = concat!("Add `n` to `", stringify!($field), "`.")]
+                pub fn $add(&self, n: u64) {
+                    self.tee(|s| {
+                        s.$field.fetch_add(n, Ordering::Relaxed);
+                    });
+                }
+            )?)*
+
+            /// A consistent-enough point-in-time copy of all counters.
+            pub fn snapshot(&self) -> IoSnapshot {
+                IoSnapshot {
+                    $( $field: self.$field.load(Ordering::Relaxed), )*
+                }
+            }
+        }
+
+        impl IoSnapshot {
+            /// Counter-wise difference `self - earlier` (saturating).
+            pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
+                IoSnapshot {
+                    $( $field: self.$field.saturating_sub(earlier.$field), )*
+                }
+            }
+
+            /// Counter-wise sum (accumulating the I/O of failed task attempts).
+            pub fn plus(&self, other: &IoSnapshot) -> IoSnapshot {
+                IoSnapshot {
+                    $( $field: self.$field + other.$field, )*
+                }
+            }
+        }
+    };
+}
+
+io_counters! {
+    bytes_local => add_bytes_local,
+    bytes_remote => add_bytes_remote,
+    bytes_written => add_bytes_written,
+    read_ops,
+    seeks,
+    /// Simulated straggler latency injected by the fault plan, in µs. Real
+    /// wall-clock is unaffected; the cost model prices this into task
+    /// durations.
+    sim_penalty_us => add_sim_penalty_us,
+    /// Block-cache lookups served without a DFS read.
+    cache_hits,
+    /// Block-cache lookups that went to the DFS and filled a slot.
+    cache_misses => add_cache_misses,
+    /// Bytes served from the block cache (not counted in `bytes_read`).
+    cache_hit_bytes,
+    /// Entries evicted by the sharded LRU to admit insertions.
+    cache_evictions => add_cache_evictions,
+    /// Stored bytes CRC-checked by uncached reads: each read's range
+    /// rounded out to checksum chunks. Cache hits verify nothing.
+    bytes_verified => add_bytes_verified,
 }
 
 thread_local! {
@@ -33,160 +93,33 @@ thread_local! {
     static ACTIVE_SCOPES: RefCell<Vec<Arc<IoStats>>> = const { RefCell::new(Vec::new()) };
 }
 
-fn tee(f: impl Fn(&IoStats)) {
-    ACTIVE_SCOPES.with(|scopes| {
-        for scope in scopes.borrow().iter() {
-            f(scope);
-        }
-    });
-}
-
 impl IoStats {
-    fn record_bytes_local(&self, n: u64) {
-        self.bytes_local.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn record_bytes_remote(&self, n: u64) {
-        self.bytes_remote.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn record_bytes_written(&self, n: u64) {
-        self.bytes_written.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn record_read_op(&self, seeks: u64) {
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
-        self.seeks.fetch_add(seeks, Ordering::Relaxed);
-    }
-
-    fn record_sim_penalty_us(&self, n: u64) {
-        self.sim_penalty_us.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn record_cache_hit(&self, bytes: u64) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache_hit_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_cache_evictions(&self, n: u64) {
-        self.cache_evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn record_bytes_verified(&self, n: u64) {
-        self.bytes_verified.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_bytes_local(&self, n: u64) {
-        self.record_bytes_local(n);
-        tee(|s| s.record_bytes_local(n));
-    }
-
-    pub fn add_bytes_remote(&self, n: u64) {
-        self.record_bytes_remote(n);
-        tee(|s| s.record_bytes_remote(n));
-    }
-
-    pub fn add_bytes_written(&self, n: u64) {
-        self.record_bytes_written(n);
-        tee(|s| s.record_bytes_written(n));
+    /// Apply `f` to these counters and to every scope entered on this
+    /// thread.
+    fn tee(&self, f: impl Fn(&IoStats)) {
+        f(self);
+        ACTIVE_SCOPES.with(|scopes| {
+            for scope in scopes.borrow().iter() {
+                f(scope);
+            }
+        });
     }
 
     /// One read op, carrying how many seeks it implied (0 if contiguous).
     pub fn add_read_op(&self, seeks: u64) {
-        self.record_read_op(seeks);
-        tee(|s| s.record_read_op(seeks));
-    }
-
-    /// Extra *simulated* latency (microseconds) injected by the fault plan
-    /// for reads served by straggler nodes. Real wall-clock is unaffected;
-    /// the cost model prices this into task durations.
-    pub fn add_sim_penalty_us(&self, n: u64) {
-        self.record_sim_penalty_us(n);
-        tee(|s| s.record_sim_penalty_us(n));
+        self.tee(|s| {
+            s.read_ops.fetch_add(1, Ordering::Relaxed);
+            s.seeks.fetch_add(seeks, Ordering::Relaxed);
+        });
     }
 
     /// One block-cache hit serving `bytes` without touching the wire.
     pub fn add_cache_hit(&self, bytes: u64) {
-        self.record_cache_hit(bytes);
-        tee(|s| s.record_cache_hit(bytes));
+        self.tee(|s| {
+            s.cache_hits.fetch_add(1, Ordering::Relaxed);
+            s.cache_hit_bytes.fetch_add(bytes, Ordering::Relaxed);
+        });
     }
-
-    /// One block-cache miss (the read went to the DFS and filled a slot).
-    pub fn add_cache_miss(&self) {
-        self.record_cache_miss();
-        tee(|s| s.record_cache_miss());
-    }
-
-    /// `n` entries evicted to make room for an insertion on this thread.
-    pub fn add_cache_evictions(&self, n: u64) {
-        self.record_cache_evictions(n);
-        tee(|s| s.record_cache_evictions(n));
-    }
-
-    /// `n` stored bytes CRC-checked by one uncached read.
-    pub fn add_bytes_verified(&self, n: u64) {
-        self.record_bytes_verified(n);
-        tee(|s| s.record_bytes_verified(n));
-    }
-
-    /// A consistent-enough point-in-time copy of all counters.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            bytes_local: self.bytes_local.load(Ordering::Relaxed),
-            bytes_remote: self.bytes_remote.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            read_ops: self.read_ops.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
-            sim_penalty_us: self.sim_penalty_us.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_hit_bytes: self.cache_hit_bytes.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            bytes_verified: self.bytes_verified.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero (between benchmark phases).
-    pub fn reset(&self) {
-        self.bytes_local.store(0, Ordering::Relaxed);
-        self.bytes_remote.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.read_ops.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
-        self.sim_penalty_us.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_hit_bytes.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-        self.bytes_verified.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Plain-value snapshot of [`IoStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    pub bytes_local: u64,
-    pub bytes_remote: u64,
-    pub bytes_written: u64,
-    pub read_ops: u64,
-    pub seeks: u64,
-    /// Simulated straggler latency injected by the fault plan, in µs.
-    pub sim_penalty_us: u64,
-    /// Block-cache lookups served without a DFS read.
-    pub cache_hits: u64,
-    /// Block-cache lookups that went to the DFS and filled a slot.
-    pub cache_misses: u64,
-    /// Bytes served from the block cache (not counted in `bytes_read`).
-    pub cache_hit_bytes: u64,
-    /// Entries evicted by the sharded LRU to admit insertions.
-    pub cache_evictions: u64,
-    /// Stored bytes CRC-checked by uncached reads: each read's range
-    /// rounded out to checksum chunks. Cache hits verify nothing.
-    pub bytes_verified: u64,
 }
 
 impl IoSnapshot {
@@ -198,40 +131,6 @@ impl IoSnapshot {
     /// Injected straggler latency in simulated seconds.
     pub fn sim_penalty_seconds(&self) -> f64 {
         self.sim_penalty_us as f64 / 1e6
-    }
-
-    /// Counter-wise difference `self - earlier` (saturating).
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            bytes_local: self.bytes_local.saturating_sub(earlier.bytes_local),
-            bytes_remote: self.bytes_remote.saturating_sub(earlier.bytes_remote),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            read_ops: self.read_ops.saturating_sub(earlier.read_ops),
-            seeks: self.seeks.saturating_sub(earlier.seeks),
-            sim_penalty_us: self.sim_penalty_us.saturating_sub(earlier.sim_penalty_us),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_hit_bytes: self.cache_hit_bytes.saturating_sub(earlier.cache_hit_bytes),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            bytes_verified: self.bytes_verified.saturating_sub(earlier.bytes_verified),
-        }
-    }
-
-    /// Counter-wise sum (accumulating the I/O of failed task attempts).
-    pub fn plus(&self, other: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            bytes_local: self.bytes_local + other.bytes_local,
-            bytes_remote: self.bytes_remote + other.bytes_remote,
-            bytes_written: self.bytes_written + other.bytes_written,
-            read_ops: self.read_ops + other.read_ops,
-            seeks: self.seeks + other.seeks,
-            sim_penalty_us: self.sim_penalty_us + other.sim_penalty_us,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_hit_bytes: self.cache_hit_bytes + other.cache_hit_bytes,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            bytes_verified: self.bytes_verified + other.bytes_verified,
-        }
     }
 }
 
@@ -307,15 +206,6 @@ mod tests {
         assert_eq!(d.read_ops, 1);
         assert_eq!(d.seeks, 1);
         assert_eq!(b.bytes_read(), 160);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = IoStats::default();
-        s.add_bytes_written(5);
-        s.add_read_op(0);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]

@@ -687,20 +687,20 @@ mod tests {
         old.version = 1;
         let mut w = dfs.create(&manifest_path("/w/t/", 1));
         w.write(&old.encode());
-        w.close();
+        w.try_close().unwrap();
         // Manifest 2 committed fully.
         let mut cur = snap();
         cur.version = 2;
         let mut w = dfs.create(&manifest_path("/w/t/", 2));
         w.write(&cur.encode());
-        w.close();
+        w.try_close().unwrap();
         // Manifest 3 is torn: a prefix of its bytes.
         let mut newer = snap();
         newer.version = 3;
         let bytes = newer.encode();
         let mut w = dfs.create(&manifest_path("/w/t/", 3));
         w.write(&bytes[..bytes.len() / 2]);
-        w.close();
+        w.try_close().unwrap();
 
         let loaded = load_snapshot(&dfs, "/w/t/").unwrap().unwrap();
         assert_eq!(loaded.version, 2, "torn manifest 3 must be invisible");
@@ -749,7 +749,7 @@ mod tests {
         let dfs = fs();
         let mut w = dfs.create("/w/t/delete_6");
         w.write(&encode_delete_file(&keys));
-        w.close();
+        w.try_close().unwrap();
         let mut set = DeleteSet::default();
         let stamps = load_delete_files(&dfs, &snap().deletes, &mut set).unwrap();
         assert_eq!(

@@ -403,19 +403,19 @@ mod tests {
         let fs = dfs();
         write_file(&fs, "/t/rc-proj", 5000, 16 << 10, Compression::None);
 
-        fs.stats().reset();
+        let before = fs.stats().snapshot();
         let mut r = RcFileReader::open(&fs, "/t/rc-proj", &schema(), None, None).unwrap();
         while r.next_row().unwrap().is_some() {}
-        let full = fs.stats().snapshot().bytes_read();
+        let full = fs.stats().snapshot().since(&before).bytes_read();
 
-        fs.stats().reset();
+        let before = fs.stats().snapshot();
         let mut r = RcFileReader::open(&fs, "/t/rc-proj", &schema(), Some(vec![0]), None).unwrap();
         let mut n = 0i64;
         while let Some(row) = r.next_row().unwrap() {
             assert_eq!(row.values(), &[Value::Int(n)]);
             n += 1;
         }
-        let projected = fs.stats().snapshot().bytes_read();
+        let projected = fs.stats().snapshot().since(&before).bytes_read();
         assert!(
             projected < full / 2,
             "lazy column skip should cut bytes: {projected} vs {full}"

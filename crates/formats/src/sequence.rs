@@ -276,7 +276,7 @@ mod tests {
         let fs = dfs();
         let mut w = fs.create("/t/notseq");
         w.write(b"nope, not a sequence file");
-        w.close();
+        w.try_close().unwrap();
         assert!(SequenceReader::open(&fs, "/t/notseq", schema(), None, None).is_err());
     }
 

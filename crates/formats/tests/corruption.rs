@@ -54,7 +54,7 @@ fn flip_byte(fs: &Dfs, path: &str, dst: &str, pos: usize) {
     data[idx] ^= 0x5A;
     let mut w = fs.create(dst);
     w.write(&data);
-    w.close();
+    w.try_close().unwrap();
 }
 
 /// Copy `path` into `dst` truncated to `len` bytes.
@@ -63,7 +63,7 @@ fn truncate(fs: &Dfs, path: &str, dst: &str, len: usize) {
     let data = r.read_all().unwrap();
     let mut w = fs.create(dst);
     w.write(&data[..len.min(data.len())]);
-    w.close();
+    w.try_close().unwrap();
 }
 
 /// Drain a reader batch by batch into batches of `types`; Ok(row count) or
@@ -571,7 +571,7 @@ fn tampered_bloom_section_degrades_to_stats_only() {
     for (i, v) in variants.into_iter().enumerate() {
         let mut w = fs.create("/c/bloom-bad");
         w.write(&v);
-        w.close();
+        w.try_close().unwrap();
         let mut r = OrcReader::open(&fs, "/c/bloom-bad", opts(&sarg)).unwrap();
         let mut got_total = 0usize;
         let mut got: Vec<i64> = Vec::new();

@@ -264,12 +264,12 @@ fn projection_reads_fewer_bytes_and_decomposed_children() {
     };
     write_orc(&fs, "/orc/proj", &schema, small_opts(), (0..3000).map(make));
 
-    fs.stats().reset();
+    let before = fs.stats().snapshot();
     let (rows, _) = read_all(&fs, "/orc/proj", OrcReadOptions::default());
     assert_eq!(rows.len(), 3000);
-    let full = fs.stats().snapshot().bytes_read();
+    let full = fs.stats().snapshot().since(&before).bytes_read();
 
-    fs.stats().reset();
+    let before = fs.stats().snapshot();
     let (rows, _) = read_all(
         &fs,
         "/orc/proj",
@@ -279,7 +279,7 @@ fn projection_reads_fewer_bytes_and_decomposed_children() {
         },
     );
     assert_eq!(rows[5].values(), &[Value::Int(5)]);
-    let narrow = fs.stats().snapshot().bytes_read();
+    let narrow = fs.stats().snapshot().since(&before).bytes_read();
     assert!(
         narrow * 5 < full,
         "projected read {narrow} should be far below full {full}"
@@ -301,14 +301,14 @@ fn predicate_pushdown_skips_stripes_and_groups() {
     )]);
 
     // No PPD: everything read.
-    fs.stats().reset();
+    let before = fs.stats().snapshot();
     let (rows_all, r_all) = read_all(&fs, "/orc/ppd", OrcReadOptions::default());
-    let bytes_all = fs.stats().snapshot().bytes_read();
+    let bytes_all = fs.stats().snapshot().since(&before).bytes_read();
     assert_eq!(rows_all.len(), 20000);
     assert_eq!(r_all.counters.groups_read, r_all.counters.groups_total);
 
     // PPD: only the overlapping groups read.
-    fs.stats().reset();
+    let before = fs.stats().snapshot();
     let (rows_sel, r_sel) = read_all(
         &fs,
         "/orc/ppd",
@@ -318,7 +318,7 @@ fn predicate_pushdown_skips_stripes_and_groups() {
             ..Default::default()
         },
     );
-    let bytes_sel = fs.stats().snapshot().bytes_read();
+    let bytes_sel = fs.stats().snapshot().since(&before).bytes_read();
     // Selected rows form a superset of the exact range (whole groups).
     assert!(
         rows_sel.len() >= 101 && rows_sel.len() <= 400,
@@ -540,7 +540,7 @@ fn corrupt_magic_is_rejected() {
     let fs = dfs();
     let mut w = fs.create("/orc/bogus");
     w.write(b"this is not an orc file at all, sorry!");
-    w.close();
+    w.try_close().unwrap();
     assert!(OrcReader::open(&fs, "/orc/bogus", OrcReadOptions::default()).is_err());
 }
 
@@ -619,7 +619,7 @@ fn block_padding_reduces_remote_reads() {
         write_orc(&fs, &path, &schema, opts, (0..20_000).map(make));
         // One "map task" per block, each reading its own stripes from the
         // block's replica node (data-local scheduling).
-        fs.stats().reset();
+        let before = fs.stats().snapshot();
         let len = fs.len(&path).unwrap();
         let mut total_rows = 0;
         for block in fs.blocks(&path).unwrap() {
@@ -640,7 +640,7 @@ fn block_padding_reduces_remote_reads() {
         }
         assert_eq!(total_rows, 20_000, "splits must cover every row once");
         let _ = len;
-        fs.stats().snapshot().bytes_remote
+        fs.stats().snapshot().since(&before).bytes_remote
     };
     let unpadded = remote_bytes(false);
     let padded = remote_bytes(true);

@@ -94,7 +94,7 @@ fn main() {
     );
 
     // Predicate pushdown: `col1 BETWEEN 600 AND 700` needs almost nothing.
-    dfs.stats().reset();
+    let before = dfs.stats().snapshot();
     let sarg = SearchArgument::new(vec![PredicateLeaf::between(
         0,
         Value::Int(600),
@@ -123,6 +123,6 @@ fn main() {
         selective.counters.groups_total,
         selective.counters.stripes_read,
         selective.counters.stripes_total,
-        dfs.stats().snapshot().bytes_read(),
+        dfs.stats().snapshot().since(&before).bytes_read(),
     );
 }
