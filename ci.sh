@@ -51,6 +51,15 @@ cargo test -q --release --offline -p hive --test properties lane_encoders
 cargo test -q --release --offline -p hive-core --test scratch
 cargo test -q --release --offline -p hive --test properties map_join_tables_are_built_once_per_job
 
+# Plans from the order the data has (DESIGN.md §21): q18c, q12j, q3j and a
+# GROUP BY on the order key over ordered, shuffled and order-breaking loads,
+# under vectorization x correlation x map-join conversion, once more in the
+# optimized build: the key-range boundary arithmetic (stripe bounds, the
+# leading rows a task skips, the stripes it reads on into) is where debug
+# and release builds part ways.
+echo "==> order-aware plans against the shuffled load under --release"
+cargo test -q --release --offline -p hive --test order
+
 # The cold read path's two kernels against their definitions, in the
 # optimized build the benchmark measures: the slicing-by-16 CRC32 against a
 # bitwise CRC (every length and alignment, split updates), the chunk rule

@@ -3,11 +3,12 @@
 //! in-memory map rather than an RDBMS; the planner-facing view is the
 //! [`Catalog`] trait.
 
-use hive_common::{HiveError, Result, Schema};
+use hive_common::{key, HiveError, Result, Schema};
 use hive_dfs::Dfs;
 use hive_formats::delta::{
     is_acid_path, list_manifests, load_delete_files, load_snapshot_stamped, Fallback, FileStamp,
 };
+use hive_formats::orc::reader::{OrcReadOptions, OrcReader};
 use hive_formats::{AcidOverlay, DeleteSet, FormatKind, TableSnapshot};
 use hive_obs::MetricsRegistry;
 use hive_planner::{Catalog, TableMeta};
@@ -252,6 +253,38 @@ impl Metastore {
 }
 
 impl Catalog for Metastore {
+    /// Read from the files' footers through the process-wide metadata
+    /// cache, which a scan of the table fills (DESIGN.md §21). An ACID
+    /// overlay, a file without the flag or with a NULL in the column, and
+    /// files whose value ranges overlap or come out of order all say no;
+    /// so does a footer that cannot be read.
+    fn order(&self, table: &TableMeta, column: usize) -> Option<usize> {
+        if table.format != FormatKind::Orc || table.acid.is_some() || table.paths.is_empty() {
+            return None;
+        }
+        let mut last_max: Option<hive_common::Value> = None;
+        for path in &table.paths {
+            let opts = OrcReadOptions {
+                cache_metadata: true,
+                ..Default::default()
+            };
+            let file = OrcReader::open(&self.dfs, path, opts).ok()?;
+            let stats = file.file_stats(column)?;
+            if !file.is_ordered(column) || stats.has_null() {
+                return None;
+            }
+            if stats.count() == 0 {
+                continue;
+            }
+            let (min, max) = (stats.min_value()?, stats.max_value()?);
+            if last_max.is_some_and(|last| key::cmp_value(&last, &min).is_ge()) {
+                return None;
+            }
+            last_max = Some(max);
+        }
+        Some(table.paths.len())
+    }
+
     fn table(&self, name: &str) -> Result<Option<TableMeta>> {
         let Some(info) = self.get(name) else {
             return Ok(None);

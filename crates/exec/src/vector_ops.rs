@@ -231,6 +231,8 @@ impl Operator for VectorReduceSinkOperator {
 /// typed vectorized hash aggregation. At close its groups leave as batches
 /// of keys ++ partial aggregates (then the scratch columns the shuffle's key
 /// and value expressions fill), through the same path as a reduce sink's.
+/// A map task whose groups are final (it owns its keys' every row) forwards
+/// them to its child instead ([`forwarding`](Self::forwarding)).
 pub struct VectorGroupBySinkOperator {
     /// Scratch-column expressions run per batch (group keys + agg inputs).
     expressions: Vec<Box<dyn VectorExpression>>,
@@ -239,7 +241,8 @@ pub struct VectorGroupBySinkOperator {
     /// columns' types: the shuffle's keys and values over the result.
     finish_expressions: Vec<Box<dyn VectorExpression>>,
     scratch: Vec<DataType>,
-    shuffle: ShuffleColumns,
+    /// Where the groups go: the shuffle, or (`None`) the child.
+    shuffle: Option<ShuffleColumns>,
     batches: u64,
     rows_seen: u64,
     groups_out: u64,
@@ -263,21 +266,45 @@ impl VectorGroupBySinkOperator {
             aggregator,
             finish_expressions,
             scratch,
-            shuffle: ShuffleColumns {
+            shuffle: Some(ShuffleColumns {
                 keys: key_columns.into(),
                 values: value_columns.into(),
                 tag,
-            },
+            }),
             batches: 0,
             rows_seen: 0,
             groups_out: 0,
+        }
+    }
+
+    /// A map-final hash GROUP BY: its groups leave at close as batches for
+    /// its child, with the `scratch` columns the child's stage fills.
+    pub fn forwarding(
+        expressions: Vec<Box<dyn VectorExpression>>,
+        aggregator: VectorHashAggregator,
+        scratch: Vec<DataType>,
+    ) -> VectorGroupBySinkOperator {
+        VectorGroupBySinkOperator {
+            shuffle: None,
+            ..VectorGroupBySinkOperator::new(
+                expressions,
+                aggregator,
+                vec![],
+                scratch,
+                vec![],
+                vec![],
+                0,
+            )
         }
     }
 }
 
 impl Operator for VectorGroupBySinkOperator {
     fn name(&self) -> String {
-        format!("VectorGroupBySink(tag {})", self.shuffle.tag)
+        match &self.shuffle {
+            Some(shuffle) => format!("VectorGroupBySink(tag {})", shuffle.tag),
+            None => "VectorGroupBy(hash)".into(),
+        }
     }
 
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
@@ -317,7 +344,11 @@ impl Operator for VectorGroupBySinkOperator {
                 e.evaluate(&mut batch)?;
             }
             self.groups_out += batch.size as u64;
-            emits.push(self.shuffle.emit(Arc::new(batch)));
+            let batch = Arc::new(batch);
+            emits.extend(match &self.shuffle {
+                Some(shuffle) => Some(shuffle.emit(batch)),
+                None => forward_batch(Some(batch)),
+            });
         }
         Ok(emits)
     }

@@ -17,9 +17,11 @@
 //! the commit point of every transaction.
 
 use crate::TableReader;
+use hive_common::key;
 use hive_common::{DataType, HiveError, Result, Row, Value};
 use hive_dfs::{crc, Dfs};
-use hive_vector::VectorizedRowBatch;
+use hive_vector::{ColumnVector, VectorizedRowBatch};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -450,6 +452,69 @@ pub struct LiveReader<'a> {
     drop: Vec<usize>,
     /// The virtual columns produced after the reader's, if any.
     virtuals: Option<Virtuals>,
+    /// The keys this cursor's task owns, in a file stored in key order.
+    range: Option<KeyRange>,
+    /// Set once a key past the range's top was read: every later row is
+    /// past it too.
+    past_range: bool,
+}
+
+/// The keys a map task owns in a file stored in key order: those in
+/// `(lo, hi]`, an absent bound being open. A task reads whole stripes and
+/// skips their leading rows equal to `lo`, which the task before it owns,
+/// and reads on into the next stripes while the key equals `hi` — the
+/// Hadoop line reader's rule for a line across a split boundary, applied to
+/// keys. A NULL key sorts first, so only the file's first task owns one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyRange {
+    /// The reader's output column holding the key.
+    pub column: usize,
+    pub lo: Option<Value>,
+    pub hi: Option<Value>,
+}
+
+impl KeyRange {
+    /// Where a key stands to the range: `Less` below or at `lo`, `Equal`
+    /// inside, `Greater` above `hi`.
+    fn place(&self, mut cmp: impl FnMut(&Value) -> Ordering) -> Ordering {
+        if self.lo.as_ref().is_some_and(|lo| cmp(lo).is_le()) {
+            Ordering::Less
+        } else if self.hi.as_ref().is_some_and(|hi| cmp(hi).is_gt()) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    }
+
+    fn place_value(&self, v: &Value) -> Ordering {
+        self.place(|bound| key::cmp_value(v, bound))
+    }
+
+    /// Row `i` of `column` against `bound`, by its lane.
+    fn place_cell(&self, column: &ColumnVector, i: usize) -> Result<Ordering> {
+        if column.is_null(i) {
+            return Ok(self.place_value(&Value::Null));
+        }
+        let mut mismatch = false;
+        let place = self.place(|bound| match (column, bound) {
+            (ColumnVector::Long(v), Value::Int(b) | Value::Timestamp(b)) => v.value(i).cmp(b),
+            (ColumnVector::Long(v), Value::Boolean(b)) => v.value(i).cmp(&(*b as i64)),
+            (ColumnVector::Double(v), Value::Double(_)) => {
+                key::cmp_value(&Value::Double(v.value(i)), bound)
+            }
+            (ColumnVector::Bytes(v), Value::String(b)) => v.value(i).cmp(b.as_bytes()),
+            _ => {
+                mismatch = true;
+                Ordering::Equal
+            }
+        });
+        if mismatch {
+            return Err(HiveError::Execution(
+                "a key range's bound and its column differ in type".into(),
+            ));
+        }
+        Ok(place)
+    }
 }
 
 /// Which [`VIRTUAL_COLUMNS`] a [`LiveReader`] produces, and for which file.
@@ -503,7 +568,16 @@ impl<'a> LiveReader<'a> {
             rows_masked: 0,
             drop: Vec::new(),
             virtuals: None,
+            range: None,
+            past_range: false,
         }
+    }
+
+    /// Return only the rows whose key `range` owns, and stop at the first
+    /// key past it.
+    pub fn with_key_range(mut self, range: Option<KeyRange>) -> Self {
+        self.range = range;
+        self
     }
 
     /// Also produce the virtual `columns` (indexes into
@@ -521,9 +595,22 @@ impl<'a> LiveReader<'a> {
 
     /// The next live row and its physical ordinal in the file.
     pub fn next_row(&mut self) -> Result<Option<(u64, Row)>> {
+        if self.past_range {
+            return Ok(None);
+        }
         while let Some(mut row) = self.reader.next_row()? {
             let ord = self.reader.last_row_ordinal().unwrap_or(self.seq_ord);
             self.seq_ord += 1;
+            if let Some(range) = &self.range {
+                match range.place_value(row.get(range.column)) {
+                    Ordering::Less => continue,
+                    Ordering::Greater => {
+                        self.past_range = true;
+                        return Ok(None);
+                    }
+                    Ordering::Equal => {}
+                }
+            }
             if self.masked.binary_search(&ord).is_ok() {
                 self.rows_masked += 1;
                 continue;
@@ -537,11 +624,24 @@ impl<'a> LiveReader<'a> {
         Ok(None)
     }
 
-    /// Fill `batch` from the reader and unselect its masked rows, which
-    /// stay in the column buffers but are never visited downstream. Returns
-    /// the reader's answer, so a batch whose every row was masked comes
-    /// back empty with `true`.
+    /// Fill `batch` from the reader and unselect its masked rows and those
+    /// outside the key range, which stay in the column buffers but are
+    /// never visited downstream. Returns the reader's answer, so a batch
+    /// whose every row was masked comes back empty with `true` (`false`
+    /// once the range is passed).
     pub fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
+        if self.past_range {
+            batch.reset();
+            return Ok(false);
+        }
+        let more = self.next_masked_batch(batch)?;
+        Ok(more && !self.apply_range(batch)?)
+    }
+
+    /// [`next_batch`](Self::next_batch) before the key range: the
+    /// reader's batch, its virtual columns filled and its masked rows
+    /// unselected.
+    fn next_masked_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
         let more = self.reader.next_batch(batch)?;
         let sequential = [(self.seq_ord, batch.size as u64)];
         self.seq_ord += batch.size as u64;
@@ -570,6 +670,33 @@ impl<'a> LiveReader<'a> {
         self.rows_masked += self.drop.len() as u64;
         batch.unselect_rows(&self.drop);
         Ok(more)
+    }
+
+    /// Unselect the batch's rows outside the key range; `true` once a key
+    /// past its top was read.
+    fn apply_range(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
+        let Some(range) = &self.range else {
+            return Ok(false);
+        };
+        if batch.size == 0 {
+            return Ok(false);
+        }
+        batch.materialize(&[range.column]);
+        let column = &batch.columns[range.column];
+        self.drop.clear();
+        for i in batch.iter_selected() {
+            match range.place_cell(column, i)? {
+                Ordering::Equal => {}
+                Ordering::Greater => {
+                    self.past_range = true;
+                    self.drop.push(i);
+                }
+                Ordering::Less => self.drop.push(i),
+            }
+        }
+        self.drop.sort_unstable();
+        batch.unselect_rows(&self.drop);
+        Ok(self.past_range)
     }
 
     /// See [`TableReader::defer_all_but`]. Unselecting masked rows touches no

@@ -243,6 +243,7 @@ mod tests {
                 stripe_stats: Vec::new(),
                 file_stats: Vec::new(),
                 sort_column: String::new(),
+                ordered: Vec::new(),
             },
         )
     }

@@ -184,11 +184,21 @@ pub struct FileFooter {
     /// per-replica sort orders record it per copy); empty = insertion
     /// order.
     pub sort_column: String,
+    /// Per column of the column tree, as `file_stats`: whether the writer
+    /// saw the file's non-NULL values arrive non-decreasing under
+    /// `hive_common::key`'s order. Empty when the footer carries no flags
+    /// (an older file) or they fail to decode: the file is then unordered.
+    pub ordered: Vec<bool>,
 }
 
 impl FileFooter {
     pub fn root_type(&self) -> Result<DataType> {
         DataType::parse(&self.type_string)
+    }
+
+    /// Whether the file says its column-tree column `col` is non-decreasing.
+    pub fn is_ordered(&self, col: usize) -> bool {
+        self.ordered.get(col).copied().unwrap_or(false)
     }
 }
 
@@ -234,7 +244,8 @@ pub(crate) fn encode_stripe_footer(f: &StripeFooter, out: &mut Vec<u8>) {
 pub fn decode_stripe_footer(buf: &[u8]) -> Result<StripeFooter> {
     let mut pos = 0usize;
     let nrows = varint::read_unsigned(buf, &mut pos)?;
-    let ncols = varint::read_unsigned(buf, &mut pos)? as usize;
+    // Every column takes at least its encoding tag and stream count.
+    let ncols = read_count(buf, &mut pos, 2)?;
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let enc_tag = read_byte(buf, &mut pos)?;
@@ -246,12 +257,12 @@ pub fn decode_stripe_footer(buf: &[u8]) -> Result<StripeFooter> {
             }),
             other => return Err(HiveError::Format(format!("bad encoding tag {other}"))),
         };
-        let nstreams = varint::read_unsigned(buf, &mut pos)? as usize;
+        let nstreams = read_count(buf, &mut pos, 3)?;
         let mut streams = Vec::with_capacity(nstreams);
         for _ in 0..nstreams {
             let kind = StreamKind::from_u8(read_byte(buf, &mut pos)?)?;
             let len = varint::read_unsigned(buf, &mut pos)?;
-            let nchunks = varint::read_unsigned(buf, &mut pos)? as usize;
+            let nchunks = read_count(buf, &mut pos, 3)?;
             let mut chunks = Vec::with_capacity(nchunks);
             for _ in 0..nchunks {
                 chunks.push(ChunkInfo {
@@ -294,19 +305,23 @@ pub(crate) fn encode_file_footer(f: &FileFooter, out: &mut Vec<u8>) {
     }
     varint::write_unsigned(out, f.sort_column.len() as u64);
     out.extend_from_slice(f.sort_column.as_bytes());
+    // The order flags trail everything older readers decode: a bit per
+    // column, packed eight to a byte.
+    varint::write_unsigned(out, f.ordered.len() as u64);
+    for byte in f.ordered.chunks(8) {
+        out.push(byte.iter().rev().fold(0u8, |b, &o| b << 1 | o as u8));
+    }
 }
 
 pub(crate) fn decode_file_footer(buf: &[u8]) -> Result<FileFooter> {
     let mut pos = 0usize;
     let nrows = varint::read_unsigned(buf, &mut pos)?;
-    let tlen = varint::read_unsigned(buf, &mut pos)? as usize;
-    if pos + tlen > buf.len() {
-        return Err(HiveError::Format("footer type string truncated".into()));
-    }
+    let tlen = read_count(buf, &mut pos, 1)?;
     let type_string = String::from_utf8_lossy(&buf[pos..pos + tlen]).into_owned();
     pos += tlen;
     let row_index_stride = varint::read_unsigned(buf, &mut pos)?;
-    let nstripes = varint::read_unsigned(buf, &mut pos)? as usize;
+    // A stripe entry is six varints; statistics take at least three bytes.
+    let nstripes = read_count(buf, &mut pos, 6)?;
     let mut stripes = Vec::with_capacity(nstripes);
     for _ in 0..nstripes {
         stripes.push(StripeInfo {
@@ -318,26 +333,26 @@ pub(crate) fn decode_file_footer(buf: &[u8]) -> Result<FileFooter> {
             nrows: varint::read_unsigned(buf, &mut pos)?,
         });
     }
-    let nss = varint::read_unsigned(buf, &mut pos)? as usize;
+    let nss = read_count(buf, &mut pos, 1)?;
     let mut stripe_stats = Vec::with_capacity(nss);
     for _ in 0..nss {
-        let ncols = varint::read_unsigned(buf, &mut pos)? as usize;
+        let ncols = read_count(buf, &mut pos, 3)?;
         let mut per = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             per.push(stats::ColumnStatistics::decode(buf, &mut pos)?);
         }
         stripe_stats.push(per);
     }
-    let nfs = varint::read_unsigned(buf, &mut pos)? as usize;
+    let nfs = read_count(buf, &mut pos, 3)?;
     let mut file_stats = Vec::with_capacity(nfs);
     for _ in 0..nfs {
         file_stats.push(stats::ColumnStatistics::decode(buf, &mut pos)?);
     }
-    let sclen = varint::read_unsigned(buf, &mut pos)? as usize;
-    if pos + sclen > buf.len() {
-        return Err(HiveError::Format("footer sort column truncated".into()));
-    }
+    let sclen = read_count(buf, &mut pos, 1)?;
     let sort_column = String::from_utf8_lossy(&buf[pos..pos + sclen]).into_owned();
+    pos += sclen;
+    // Absent (a file written before the flags) or undecodable: unordered.
+    let ordered = decode_order_flags(buf, &mut pos).unwrap_or_default();
     Ok(FileFooter {
         nrows,
         type_string,
@@ -346,7 +361,38 @@ pub(crate) fn decode_file_footer(buf: &[u8]) -> Result<FileFooter> {
         stripe_stats,
         file_stats,
         sort_column,
+        ordered,
     })
+}
+
+/// The footer's order flags, or `None` when they are absent, truncated, or
+/// followed by bytes nothing wrote.
+fn decode_order_flags(buf: &[u8], pos: &mut usize) -> Option<Vec<bool>> {
+    if *pos == buf.len() {
+        return None;
+    }
+    let n = varint::read_unsigned(buf, pos).ok()?;
+    let bytes = buf.get(*pos..)?;
+    if n > bytes.len() as u64 * 8 || bytes.len() as u64 != n.div_ceil(8) {
+        return None;
+    }
+    let bit = |i: usize| bytes[i / 8] >> (i % 8) & 1 == 1;
+    Some((0..n as usize).map(bit).collect())
+}
+
+/// Read a count of items each at least `min_item_bytes` long, refusing one
+/// the bytes left after it could not hold: every buffer sized from a count
+/// in the file is then bounded by the file's own length, so a flipped byte
+/// is a `Format` error rather than an allocation the process cannot make.
+pub(crate) fn read_count(buf: &[u8], pos: &mut usize, min_item_bytes: usize) -> Result<usize> {
+    let n = varint::read_unsigned(buf, pos)?;
+    let left = buf.len().saturating_sub(*pos) as u64;
+    if n.saturating_mul(min_item_bytes.max(1) as u64) > left {
+        return Err(HiveError::Format(format!(
+            "ORC metadata count {n} exceeds the {left} bytes left"
+        )));
+    }
+    Ok(n as usize)
 }
 
 pub(crate) fn encode_postscript(ps: &PostScript, out: &mut Vec<u8>) {
@@ -557,11 +603,36 @@ mod tests {
                 sum: Some(861),
             }],
             sort_column: "a".into(),
+            ordered: vec![false, true, false, false, true, true, false, false, true],
         };
         let mut buf = Vec::new();
         encode_file_footer(&f, &mut buf);
         assert_eq!(decode_file_footer(&buf).unwrap(), f);
         assert!(f.root_type().is_ok());
+
+        // A footer that ends before the flags, or whose flags are torn,
+        // decodes as unordered.
+        let flags_at = buf.len() - 3;
+        let older = decode_file_footer(&buf[..flags_at]).unwrap();
+        assert_eq!(older.ordered, Vec::<bool>::new());
+        let torn = decode_file_footer(&buf[..buf.len() - 1]).unwrap();
+        assert!(!torn.is_ordered(1));
+    }
+
+    #[test]
+    fn counts_beyond_the_bytes_left_are_errors() {
+        let mut buf = Vec::new();
+        varint::write_unsigned(&mut buf, 1 << 60);
+        buf.extend_from_slice(&[0; 16]);
+        let mut pos = 0;
+        assert!(read_count(&buf, &mut pos, 1).is_err());
+        let mut pos = 0;
+        let mut small = Vec::new();
+        varint::write_unsigned(&mut small, 4);
+        small.extend_from_slice(&[0; 8]);
+        assert_eq!(read_count(&small, &mut pos, 2).unwrap(), 4);
+        let mut pos = 0;
+        assert!(read_count(&small, &mut pos, 3).is_err());
     }
 
     #[test]

@@ -716,6 +716,32 @@ impl OrcReader {
         self.meta.footer.nrows
     }
 
+    /// Per stripe, in file order: where it starts, and top-level column
+    /// `i`'s least and greatest values in it (`None` where the stripe
+    /// statistics hold none).
+    pub fn stripe_bounds(&self, i: usize) -> Vec<(u64, Option<Value>, Option<Value>)> {
+        let col = self.tree.top_level(i);
+        let footer = &self.meta.footer;
+        let stats = |s: usize| footer.stripe_stats.get(s).and_then(|per| per.get(col));
+        let bounds = |s: usize| {
+            let st = stats(s);
+            (
+                st.and_then(|st| st.min_value()),
+                st.and_then(|st| st.max_value()),
+            )
+        };
+        let stripes = footer.stripes.iter().enumerate();
+        stripes
+            .map(|(s, si)| (si.offset, bounds(s).0, bounds(s).1))
+            .collect()
+    }
+
+    /// Whether the file says top-level column `i`'s non-NULL values are
+    /// non-decreasing (the footer's order flag).
+    pub fn is_ordered(&self, i: usize) -> bool {
+        i < self.schema.len() && self.meta.footer.is_ordered(self.tree.top_level(i))
+    }
+
     /// Evaluate the sarg against a span's per-column stats.
     fn sarg_allows(&self, stats: &[ColumnStatistics]) -> bool {
         let Some(sarg) = &self.opts.sarg else {
@@ -1050,7 +1076,10 @@ impl OrcReader {
         stream_offsets: &[Vec<u64>],
         selected: &[usize],
     ) -> Result<DecodedColumn> {
-        let cs = &sfooter.columns[col_id];
+        let cs = sfooter
+            .columns
+            .get(col_id)
+            .ok_or_else(|| HiveError::Format(format!("stripe footer lacks column {col_id}")))?;
         let dt = &self.tree.node(col_id).data_type;
         let compression = self.meta.ps.compression;
 
@@ -1339,7 +1368,8 @@ fn decode_index(buf: &[u8], ncols: usize) -> Result<Vec<Vec<ColumnStatistics>>> 
     let mut pos = 0usize;
     let mut out = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let ngroups = hive_codec::varint::read_unsigned(buf, &mut pos)? as usize;
+        // A group's statistics take at least three bytes.
+        let ngroups = crate::orc::read_count(buf, &mut pos, 3)?;
         let mut per = Vec::with_capacity(ngroups);
         for _ in 0..ngroups {
             per.push(ColumnStatistics::decode(buf, &mut pos)?);

@@ -4,7 +4,7 @@
 
 use hive_codec::varint;
 use hive_common::key::{self, KeyOrd};
-use hive_common::{HiveError, Result, Value};
+use hive_common::{DataType, HiveError, Result, Value};
 
 /// Statistics for one column over some span (group, stripe or file).
 #[derive(Debug, Clone, PartialEq)]
@@ -325,6 +325,102 @@ impl ColumnStatistics {
     }
 }
 
+/// Whether one column's non-NULL values arrive non-decreasing under
+/// `hive_common::key`'s order: one comparison per value, and none once a
+/// value has come out of order. What the writer records as the footer's
+/// order flag ([`FileFooter::ordered`](crate::orc::FileFooter::ordered)).
+#[derive(Debug, Clone, Default)]
+pub struct OrderTracker {
+    last: Option<Last>,
+    broken: bool,
+}
+
+#[derive(Debug, Clone)]
+enum Last {
+    Long(i64),
+    Double(f64),
+    Bytes(Vec<u8>),
+}
+
+impl OrderTracker {
+    /// Observe the next value of a column of type `dt`, as the writer
+    /// stores it. A value of a type with no scalar order (a complex value)
+    /// leaves the column unordered.
+    pub fn observe(&mut self, dt: &DataType, v: &Value) {
+        if self.broken || v.is_null() {
+            return;
+        }
+        let in_order = match (dt, v, &mut self.last) {
+            (DataType::Double, Value::Double(x), last) => step(
+                last,
+                *x,
+                Last::Double,
+                |l| matches!(l, Last::Double(p) if !x.key_lt(p)),
+            ),
+            (DataType::Double, Value::Int(x), last) => {
+                let x = *x as f64;
+                step(
+                    last,
+                    x,
+                    Last::Double,
+                    |l| matches!(l, Last::Double(p) if !x.key_lt(p)),
+                )
+            }
+            (
+                DataType::Int | DataType::Timestamp | DataType::Boolean,
+                Value::Int(x) | Value::Timestamp(x),
+                last,
+            ) => step(
+                last,
+                *x,
+                Last::Long,
+                |l| matches!(l, Last::Long(p) if x >= p),
+            ),
+            (DataType::Int | DataType::Boolean, Value::Boolean(b), last) => {
+                let x = *b as i64;
+                step(
+                    last,
+                    x,
+                    Last::Long,
+                    |l| matches!(l, Last::Long(p) if x >= *p),
+                )
+            }
+            (DataType::String, Value::String(s), Some(Last::Bytes(p))) => {
+                let ok = p.as_slice() <= s.as_bytes();
+                p.clear();
+                p.extend_from_slice(s.as_bytes());
+                ok
+            }
+            (DataType::String, Value::String(s), last @ None) => {
+                *last = Some(Last::Bytes(s.as_bytes().to_vec()));
+                true
+            }
+            _ => false,
+        };
+        self.broken = !in_order;
+    }
+
+    /// Whether every value observed so far came in order.
+    pub fn ordered(&self) -> bool {
+        !self.broken
+    }
+}
+
+/// Keep `x` as the last value when it follows `last` in order (or is the
+/// first); `false` when it comes before it.
+fn step<T: Copy>(
+    last: &mut Option<Last>,
+    x: T,
+    make: fn(T) -> Last,
+    follows: impl Fn(&Last) -> bool,
+) -> bool {
+    if last.as_ref().is_some_and(|l| !follows(l)) {
+        return false;
+    }
+    *last = Some(make(x));
+    true
+}
+
 fn merge_opt<T: Copy>(a: Option<T>, b: Option<T>, f: impl Fn(T, T) -> T) -> Option<T> {
     match (a, b) {
         (Some(a), Some(b)) => Some(f(a, b)),
@@ -397,10 +493,11 @@ fn decode_opt_bytes(buf: &[u8], pos: &mut usize) -> Result<Option<Vec<u8>>> {
     if read_byte(buf, pos)? == 0 {
         return Ok(None);
     }
-    let n = varint::read_unsigned(buf, pos)? as usize;
-    if *pos + n > buf.len() {
+    let n = varint::read_unsigned(buf, pos)?;
+    if n > buf.len().saturating_sub(*pos) as u64 {
         return Err(HiveError::Format("bytes statistic truncated".into()));
     }
+    let n = n as usize;
     let v = buf[*pos..*pos + n].to_vec();
     *pos += n;
     Ok(Some(v))
@@ -521,6 +618,36 @@ mod tests {
             true_count: 1,
         };
         assert!(a.merge(&b).is_err());
+    }
+
+    #[test]
+    fn order_tracker_follows_the_key_order() {
+        let ints = |vals: &[Value]| {
+            let mut t = OrderTracker::default();
+            vals.iter().for_each(|v| t.observe(&DataType::Int, v));
+            t.ordered()
+        };
+        assert!(ints(&[
+            Value::Int(1),
+            Value::Null,
+            Value::Int(1),
+            Value::Int(7)
+        ]));
+        assert!(!ints(&[Value::Int(2), Value::Int(1), Value::Int(3)]));
+        let mut d = OrderTracker::default();
+        for x in [-1.0, 0.0, f64::INFINITY, f64::NAN] {
+            d.observe(&DataType::Double, &Value::Double(x));
+        }
+        assert!(d.ordered(), "NaN sorts after +inf");
+        d.observe(&DataType::Double, &Value::Double(1.0));
+        assert!(!d.ordered());
+        let mut s = OrderTracker::default();
+        for x in ["a", "ab", "ab", "b"] {
+            s.observe(&DataType::String, &Value::String(x.into()));
+        }
+        assert!(s.ordered());
+        s.observe(&DataType::String, &Value::String("aa".into()));
+        assert!(!s.ordered());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::orc::bloom::{self, BloomFilter, ColumnBloom};
 use crate::orc::memory::{MemoryManager, Registration};
-use crate::orc::stats::ColumnStatistics;
+use crate::orc::stats::{ColumnStatistics, OrderTracker};
 use crate::orc::{
     encode_file_footer, encode_postscript, encode_stripe_footer, frame_chunk, ChunkInfo,
     ColumnEncoding, ColumnStreams, FileFooter, PostScript, StreamInfo, StreamKind, StripeFooter,
@@ -137,6 +137,8 @@ pub struct OrcWriter {
     total_rows: u64,
     stripes: Vec<StripeInfo>,
     stripe_stats: Vec<Vec<ColumnStatistics>>,
+    /// Per top-level column: whether its values have come in key order.
+    order: Vec<OrderTracker>,
     registration: Option<Registration>,
     /// Total padding bytes written (exposed for tests/diagnostics).
     pub padding_bytes: u64,
@@ -164,6 +166,7 @@ impl OrcWriter {
             total_rows: 0,
             stripes: Vec::new(),
             stripe_stats: Vec::new(),
+            order: vec![OrderTracker::default(); schema.len()],
             registration,
             padding_bytes: 0,
         }
@@ -455,6 +458,7 @@ impl TableWriter for OrcWriter {
         self.buffers[0].present.push(true);
         for (i, v) in row.values().iter().enumerate() {
             let col = self.tree.top_level(i);
+            self.order[i].observe(&self.tree.node(col).data_type, v);
             self.write_value(col, v)?;
         }
         self.rows_in_stripe += 1;
@@ -487,6 +491,10 @@ impl TableWriter for OrcWriter {
                 has_null: false,
             }));
         }
+        let mut ordered = vec![false; ncols];
+        for (i, tracker) in self.order.iter().enumerate() {
+            ordered[self.tree.top_level(i)] = tracker.ordered();
+        }
         let footer = FileFooter {
             nrows: self.total_rows,
             type_string: self.schema.as_struct_type().to_string(),
@@ -495,6 +503,7 @@ impl TableWriter for OrcWriter {
             stripe_stats: std::mem::take(&mut self.stripe_stats),
             file_stats,
             sort_column: self.options.sort_column.clone(),
+            ordered,
         };
         let mut footer_buf = Vec::new();
         encode_file_footer(&footer, &mut footer_buf);

@@ -251,8 +251,10 @@ impl RcFileReader {
             if let Some((start, _)) = self.split {
                 if group_start < start {
                     // Not our group: hop over its data without reading it.
-                    self.offset =
-                        data_off + lens.iter().map(|(k, c, _)| (*k + *c) as u64).sum::<u64>();
+                    let data_len = lens
+                        .iter()
+                        .map(|&(k, c, _)| (k as u64).saturating_add(c as u64));
+                    self.offset = data_len.fold(data_off, u64::saturating_add);
                     continue;
                 }
             }
@@ -267,14 +269,18 @@ impl RcFileReader {
                 if self.projection.contains(&c) {
                     let key = self.reader.read_at(data_off, key_len)?;
                     let cell_lens = hive_codec::int_rle::decode(&key)?;
-                    let blob = self.reader.read_at(data_off + key_len as u64, comp_len)?;
+                    let blob = self
+                        .reader
+                        .read_at(data_off.saturating_add(key_len as u64), comp_len)?;
                     let buf = match &codec {
                         Some(codec) => codec.decompress(&blob)?,
                         None => blob.into_vec(),
                     };
                     by_file_order.push((c, cell_lens, buf));
                 }
-                data_off += (key_len + comp_len) as u64;
+                data_off = data_off
+                    .saturating_add(key_len as u64)
+                    .saturating_add(comp_len as u64);
             }
             self.offset = data_off;
             for &p in &self.projection {
@@ -305,10 +311,16 @@ impl TableReader for RcFileReader {
                     {
                         let len = *lens.get(*row_idx).ok_or_else(|| {
                             HiveError::Format("RCFile length stream truncated".into())
-                        })? as usize;
-                        if *pos + len > buf.len() {
-                            return Err(HiveError::Format("RCFile cell truncated".into()));
-                        }
+                        })?;
+                        // A length from the file: negative, or past the
+                        // cell bytes left, is corrupt.
+                        let left = buf.len() - *pos;
+                        let len = usize::try_from(len)
+                            .ok()
+                            .filter(|&len| len <= left)
+                            .ok_or_else(|| {
+                                HiveError::Format(format!("RCFile cell length {len} is corrupt"))
+                            })?;
                         let raw = &buf[*pos..*pos + len];
                         *pos += len;
                         *row_idx += 1;
@@ -439,5 +451,36 @@ mod tests {
         write_file(&fs, "/t/rc-s", 10, 8 << 10, Compression::None);
         let narrow = Schema::parse(&[("only", "bigint")]).unwrap();
         assert!(RcFileReader::open(&fs, "/t/rc-s", &narrow, None, None).is_err());
+    }
+
+    /// Every byte of a small file, flipped with each mask, reads to rows or
+    /// an error: a length from the file never wraps a slice bound.
+    #[test]
+    fn flipped_bytes_never_panic() {
+        let fs = dfs();
+        for comp in [Compression::None, Compression::Snappy] {
+            write_file(&fs, "/t/rc-flip", 12, 256, comp);
+            let clean = fs.open("/t/rc-flip", None).unwrap().read_all().unwrap();
+            for at in 0..clean.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bytes = clean.to_vec();
+                    bytes[at] ^= mask;
+                    let mut w = fs.create("/t/rc-flipped");
+                    w.write(&bytes);
+                    w.try_close().unwrap();
+                    let read = || -> Result<usize> {
+                        let mut r =
+                            RcFileReader::open(&fs, "/t/rc-flipped", &schema(), None, None)?;
+                        let mut n = 0;
+                        while r.next_row()?.is_some() {
+                            n += 1;
+                        }
+                        Ok(n)
+                    };
+                    let outcome = std::panic::catch_unwind(read);
+                    assert!(outcome.is_ok(), "{comp}: byte {at} ^ {mask:#04x} panicked");
+                }
+            }
+        }
     }
 }

@@ -136,6 +136,73 @@ fn orc_survives_bit_flips_everywhere() {
     }
 }
 
+/// Every byte of a small file's footer and postscript, uncompressed and
+/// Snappy, XORed with 0x01, 0x80 and 0xFF: opening and draining the file
+/// gives rows or an error. A count decoded from a flipped byte never sizes
+/// an allocation (one such asked for 24 PB and aborted the process, which
+/// `catch_unwind` cannot contain).
+#[test]
+fn orc_footer_and_postscript_survive_every_flip() {
+    let fs = dfs();
+    for compression in [Compression::None, Compression::Snappy] {
+        let mut w: Box<dyn TableWriter> = Box::new(OrcWriter::create(
+            &fs,
+            "/c/tail",
+            &schema(),
+            OrcWriterOptions {
+                stripe_size: 4 << 10,
+                row_index_stride: 50,
+                compression,
+                compress_unit: 4 << 10,
+                ..Default::default()
+            },
+            None,
+        ));
+        for r in rows().into_iter().take(300) {
+            w.write_row(&r).unwrap();
+        }
+        w.close().unwrap();
+        let clean = OrcReader::open(&fs, "/c/tail", OrcReadOptions::default()).unwrap();
+        assert!(
+            clean.is_ordered(0) && !clean.is_ordered(1),
+            "the footer carries order flags"
+        );
+        let data = fs
+            .open("/c/tail", None)
+            .unwrap()
+            .read_all()
+            .unwrap()
+            .to_vec();
+        let n = data.len();
+        let ps_len = data[n - 1] as usize;
+        let mut pos = n - 1 - ps_len;
+        let footer_len = hive_codec::varint::read_unsigned(&data, &mut pos).unwrap() as usize;
+        for at in n - 1 - ps_len - footer_len..n {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bytes = data.clone();
+                bytes[at] ^= mask;
+                let mut w = fs.create("/c/tail-bad");
+                w.write(&bytes);
+                w.try_close().unwrap();
+                let read = || {
+                    let opts = OrcReadOptions::default();
+                    if let Ok(r) = OrcReader::open(&fs, "/c/tail-bad", opts.clone()) {
+                        let _ = drain(Box::new(r));
+                    }
+                    if let Ok(r) = OrcReader::open(&fs, "/c/tail-bad", opts) {
+                        let _ = drain_batches(Box::new(r), &types());
+                    }
+                };
+                let outcome = std::panic::catch_unwind(read);
+                assert!(
+                    outcome.is_ok(),
+                    "{compression}: byte {at} ^ {mask:#04x} panicked"
+                );
+            }
+        }
+    }
+}
+
 /// The longest list or map the ORC reader hands out.
 const MAX_ENTRIES: usize = 1 << 24;
 

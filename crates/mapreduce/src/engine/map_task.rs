@@ -6,12 +6,12 @@ use super::output::TaskWriter;
 use super::shuffle::Run;
 use super::splits::Split;
 use super::MrEngine;
-use crate::job::{JobOutput, JobSpec, SideInput, SideTables};
+use crate::job::{JobOutput, JobSpec, SideInput, SideTable, SideTables};
 use hive_common::{HiveError, Result, Row};
 use hive_dfs::{IoScope, IoSnapshot};
 use hive_exec::graph::Message;
-use hive_formats::delta::{split_projection, LiveReader};
-use hive_formats::{open_reader, ReadOptions};
+use hive_formats::delta::{split_projection, KeyRange, LiveReader};
+use hive_formats::{open_reader, PredicateLeaf, PredicateOp, ReadOptions, SearchArgument};
 use hive_obs::{OpProfile, ScanProfile};
 use hive_vector::{VectorizedRowBatch, DEFAULT_BATCH_SIZE};
 use std::collections::HashMap;
@@ -60,6 +60,23 @@ impl MrEngine {
         let io_guard = scope.enter();
         let t0 = Instant::now();
 
+        // A range map join's side is built here, from the side's rows in
+        // the keys this task owns; the job's broadcast sides are shared.
+        let mut side_rows_skipped = 0;
+        let task_sides = match spec.side_inputs.iter().any(|s| s.ranged.is_some()) {
+            true => {
+                let mut tables = side.clone();
+                for s in spec.side_inputs.iter().filter(|s| s.ranged.is_some()) {
+                    let sarg = range_sarg(s, split.range.as_ref());
+                    let (table, skipped) = self.load_side(s, sarg)?;
+                    tables.insert(s.alias.clone(), table);
+                    side_rows_skipped += skipped;
+                }
+                Some(tables)
+            }
+            false => None,
+        };
+        let side = task_sides.as_ref().unwrap_or(side);
         let mut pipeline = (spec.map_factory)(side)?;
         let width = split.input.schema.len();
         let (projection, virtuals) = split_projection(split.input.projection.as_deref(), width);
@@ -85,7 +102,8 @@ impl MrEngine {
             )?,
             overlay.map(|o| (&*o.deletes, split.path.as_str())),
         )
-        .with_virtual(&split.path, read_width, virtuals);
+        .with_virtual(&split.path, read_width, virtuals)
+        .with_key_range(split.range.clone());
 
         // A map-only job writes its intermediate's part as its graph's rows
         // leave it; the part name is keyed by task index, so concurrent
@@ -176,7 +194,7 @@ impl MrEngine {
         }
 
         let read_stats = reader.inner().read_stats();
-        let rows_skipped = read_stats.rows_skipped;
+        let rows_skipped = read_stats.rows_skipped + side_rows_skipped;
         // Selected-lane flow through this alias's vectorized chain: logical
         // rows into its first node vs. out of its last vectorized node.
         let (vector_rows_in, vector_rows_out) = pipeline
@@ -235,26 +253,58 @@ impl MrEngine {
         })
     }
 
-    /// Build the job's side tables, each once, from its files; also
-    /// returns rows skipped by corrupt-data degradation
-    /// (`hive.exec.orc.skip.corrupt.data`).
-    pub fn load_side_inputs(&self, sides: &[SideInput]) -> Result<(SideTables, u64)> {
+    /// Build side tables, each once, from its files (a ranged side's whole,
+    /// as a task owning every key would); also returns rows skipped by
+    /// corrupt-data degradation (`hive.exec.orc.skip.corrupt.data`).
+    pub fn load_side_inputs<'s>(
+        &self,
+        sides: impl IntoIterator<Item = &'s SideInput>,
+    ) -> Result<(SideTables, u64)> {
         let mut tables = HashMap::new();
         let mut rows_skipped = 0u64;
         for s in sides {
-            let mut reader = SideReader {
-                engine: self,
-                side: s,
-                paths: self.expand_paths(&s.paths).into_iter(),
-                current: None,
-                rows_skipped: 0,
-            };
-            tables.insert(s.alias.clone(), (s.build)(&mut reader)?);
-            reader.close();
-            rows_skipped += reader.rows_skipped;
+            let (table, skipped) = self.load_side(s, range_sarg(s, None))?;
+            tables.insert(s.alias.clone(), table);
+            rows_skipped += skipped;
         }
         Ok((tables, rows_skipped))
     }
+
+    /// Build one side's table from its files, read through `sarg`.
+    fn load_side(&self, s: &SideInput, sarg: Option<SearchArgument>) -> Result<(SideTable, u64)> {
+        let mut reader = SideReader {
+            engine: self,
+            side: s,
+            sarg,
+            paths: self.expand_paths(&s.paths).into_iter(),
+            current: None,
+            rows_skipped: 0,
+        };
+        let table = (s.build)(&mut reader)?;
+        reader.close();
+        Ok((table, reader.rows_skipped))
+    }
+}
+
+/// What a ranged side reads for a task owning `range`: the side scan's own
+/// predicates, and its key column within the range. Rows the SARG lets
+/// through outside the range (whole row groups are read) only enlarge the
+/// table: no row of the task carries their keys.
+fn range_sarg(side: &SideInput, range: Option<&KeyRange>) -> Option<SearchArgument> {
+    let ranged = side.ranged.as_ref()?;
+    let mut leaves = ranged
+        .sarg
+        .as_ref()
+        .map_or(Vec::new(), |s| s.leaves.clone());
+    if let Some(range) = range {
+        let leaf = |op, bound: &Option<_>| {
+            let bound = bound.clone()?;
+            Some(PredicateLeaf::new(ranged.column, op, Some(bound)))
+        };
+        leaves.extend(leaf(PredicateOp::GreaterThan, &range.lo));
+        leaves.extend(leaf(PredicateOp::LessThanEquals, &range.hi));
+    }
+    (!leaves.is_empty()).then(|| SearchArgument::new(leaves))
 }
 
 /// A side input's files, one after the other, each read whole from its base
@@ -264,6 +314,8 @@ impl MrEngine {
 pub struct SideReader<'a> {
     engine: &'a MrEngine,
     side: &'a SideInput,
+    /// Predicates pushed to each file's reader (a ranged side's).
+    sarg: Option<SearchArgument>,
     paths: std::vec::IntoIter<String>,
     current: Option<LiveReader<'a>>,
     rows_skipped: u64,
@@ -284,6 +336,7 @@ impl<'a> SideReader<'a> {
             let opts = ReadOptions {
                 format: s.format,
                 projection,
+                sarg: self.sarg.clone(),
                 ..Default::default()
             };
             let engine = self.engine;

@@ -609,7 +609,9 @@ impl MrEngine {
             let scope = IoScope::new();
             let loaded = {
                 let _g = scope.enter();
-                self.load_side_inputs(&spec.side_inputs)?
+                // A range map join's sides are built by each map task.
+                let broadcast = spec.side_inputs.iter().filter(|s| s.ranged.is_none());
+                self.load_side_inputs(broadcast)?
             };
             Ok((loaded, scope.snapshot()))
         });
@@ -882,6 +884,7 @@ mod tests {
                 projection: None,
                 sarg: None,
                 overlay: None,
+                key_order: None,
             }],
             side_inputs: vec![],
             map_factory,
@@ -957,6 +960,7 @@ mod tests {
                 projection: None,
                 sarg: None,
                 overlay: None,
+                key_order: None,
             }],
             side_inputs: vec![],
             map_factory,

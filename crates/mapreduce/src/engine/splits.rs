@@ -3,7 +3,10 @@
 
 use super::MrEngine;
 use crate::job::JobInput;
-use hive_common::{config::keys, Result};
+use hive_common::{config::keys, key, HiveError, Result};
+use hive_dfs::BlockInfo;
+use hive_formats::delta::{split_projection, KeyRange};
+use hive_formats::orc::reader::{OrcReadOptions, OrcReader};
 
 /// One input split: a byte range of one file, with its replica nodes.
 /// Attempt 0 runs data-local on the first replica; retries rotate through
@@ -17,6 +20,9 @@ pub(super) struct Split<'a> {
     /// Which stored copy of the file to read (`0` = base; higher values
     /// name per-replica sorted copies picked by replica-aware planning).
     pub(super) variant: usize,
+    /// The keys the task owns, for an input stored in key order
+    /// ([`JobInput::key_order`]); `None`: it owns its byte range.
+    pub(super) range: Option<KeyRange>,
 }
 
 impl MrEngine {
@@ -113,6 +119,10 @@ impl MrEngine {
                 if blocks.is_empty() || self.dfs.len(&path)? == 0 {
                     continue;
                 }
+                if let Some(column) = input.key_order {
+                    splits.extend(self.ranged_splits(input, &path, column, &blocks)?);
+                    continue;
+                }
                 if replica_selection
                     && input.format == hive_formats::FormatKind::Orc
                     && !by_ordinal
@@ -131,6 +141,7 @@ impl MrEngine {
                                 end: b.offset + b.len,
                                 replicas: b.replicas.clone(),
                                 variant,
+                                range: None,
                             });
                         }
                         choices.push((path.clone(), variant, sort_column));
@@ -151,6 +162,7 @@ impl MrEngine {
                         end: self.dfs.len(&path)?,
                         replicas: blocks[0].replicas.clone(),
                         variant: 0,
+                        range: None,
                     });
                     continue;
                 }
@@ -164,6 +176,7 @@ impl MrEngine {
                             end: self.dfs.len(&path)?,
                             replicas: blocks[0].replicas.clone(),
                             variant: 0,
+                            range: None,
                         });
                     }
                     _ => {
@@ -181,6 +194,7 @@ impl MrEngine {
                                 end: b.offset + b.len,
                                 replicas: b.replicas.clone(),
                                 variant: 0,
+                                range: None,
                             });
                         }
                     }
@@ -188,5 +202,80 @@ impl MrEngine {
             }
         }
         Ok((splits, choices))
+    }
+
+    /// The splits of one file of an input stored in key order on table
+    /// column `column`: a task per block in which stripes start, owning the
+    /// keys in (max of the stripe before its first, max of its last]. Its
+    /// byte range reaches on over the next stripes that start with its top
+    /// key, whose leading rows it reads; the next task skips them. The file
+    /// is read from its base copy, whose stripes the statistics describe.
+    fn ranged_splits<'a>(
+        &self,
+        input: &'a JobInput,
+        path: &str,
+        column: usize,
+        blocks: &[BlockInfo],
+    ) -> Result<Vec<Split<'a>>> {
+        let width = input.schema.len();
+        let (read, _) = split_projection(input.projection.as_deref(), width);
+        let key_column = match read {
+            Some(read) => read.iter().position(|&c| c == column),
+            None => (column < width).then_some(column),
+        };
+        let key_column = key_column.ok_or_else(|| {
+            HiveError::Plan(format!(
+                "the scan of `{path}` does not read its order column"
+            ))
+        })?;
+        let opts = OrcReadOptions {
+            cache_metadata: true,
+            ..Default::default()
+        };
+        let bounds = OrcReader::open(&self.dfs, path, opts)?.stripe_bounds(column);
+        let len = self.dfs.len(path)?;
+        let split = |start, end, replicas: &[usize], lo, hi| Split {
+            input,
+            path: path.to_string(),
+            start,
+            end,
+            replicas: replicas.to_vec(),
+            variant: 0,
+            range: Some(KeyRange {
+                column: key_column,
+                lo,
+                hi,
+            }),
+        };
+        // Without bounds for every stripe no boundary can be placed: one
+        // task owns the whole file.
+        if bounds
+            .iter()
+            .any(|(_, min, max)| min.is_none() || max.is_none())
+        {
+            return Ok(vec![split(0, len, &blocks[0].replicas, None, None)]);
+        }
+        let max = |s: usize| bounds[s].2.clone();
+        let mut splits = Vec::new();
+        for b in blocks {
+            let block = b.offset..b.offset + b.len;
+            let starts_here = |&s: &usize| block.contains(&bounds[s].0);
+            let owned: Vec<usize> = (0..bounds.len()).filter(starts_here).collect();
+            let (Some(&first), Some(&last)) = (owned.first(), owned.last()) else {
+                continue;
+            };
+            let lo = first.checked_sub(1).and_then(max);
+            let hi = (last + 1 < bounds.len()).then(|| max(last)).flatten();
+            let mut next = last + 1;
+            while let (Some(hi), Some((_, Some(min), _))) = (&hi, bounds.get(next)) {
+                if key::cmp_value(min, hi).is_ne() {
+                    break;
+                }
+                next += 1;
+            }
+            let end = bounds.get(next).map_or(len, |&(offset, ..)| offset);
+            splits.push(split(bounds[first].0, end, &b.replicas, lo, hi));
+        }
+        Ok(splits)
     }
 }

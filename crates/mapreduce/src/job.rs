@@ -26,6 +26,11 @@ pub struct JobInput {
     /// block-range splits and PPD), sequential for formats scanned
     /// whole-file (one split per file).
     pub overlay: Option<AcidOverlay>,
+    /// Set when every file of the input is stored in the order of this
+    /// table column and the plan relies on it: each map task then owns a
+    /// range of its keys (`KeyRange`) instead of a byte range, so every row
+    /// of one key reaches the same task.
+    pub key_order: Option<usize>,
 }
 
 impl JobInput {
@@ -54,8 +59,21 @@ pub struct SideInput {
     /// ACID merge-on-read overlay of the small table: masked rows never
     /// enter the hash table.
     pub overlay: Option<AcidOverlay>,
+    /// Set for a range map join's side: each map task builds its own table
+    /// from the side's rows in the task's key range, instead of the job
+    /// building one for all.
+    pub ranged: Option<RangedSide>,
     /// Builds the table from the side's rows; the planner supplies it.
     pub build: SideBuild,
+}
+
+/// How a range map join's side is read per task: its rows whose `column`
+/// (a table column, stored in key order) lies in the task's key range,
+/// through a SARG that adds the range to the side scan's own predicates.
+#[derive(Clone, Debug)]
+pub struct RangedSide {
+    pub column: usize,
+    pub sarg: Option<SearchArgument>,
 }
 
 /// A Map Join's small table as its engine probes it, built once per job and

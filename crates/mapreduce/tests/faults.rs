@@ -113,6 +113,7 @@ fn group_sum_job(schema: Schema, dir: &str, poison_first_reduce_calls: usize) ->
             projection: None,
             sarg: None,
             overlay: None,
+            key_order: None,
         }],
         side_inputs: vec![],
         map_factory,
@@ -216,6 +217,7 @@ fn panicking_map_task_returns_task_failed_error() {
             projection: None,
             sarg: None,
             overlay: None,
+            key_order: None,
         }],
         side_inputs: vec![],
         map_factory,

@@ -94,6 +94,7 @@ fn group_sum_job(schema: Schema, dir: &str) -> JobSpec {
             projection: None,
             sarg: None,
             overlay: None,
+            key_order: None,
         }],
         side_inputs: vec![],
         map_factory,
@@ -187,6 +188,7 @@ fn map_only_collect_has_no_shuffle_state() {
             projection: None,
             sarg: None,
             overlay: None,
+            key_order: None,
         }],
         side_inputs: vec![],
         map_factory,

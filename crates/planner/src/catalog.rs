@@ -26,6 +26,14 @@ pub struct TableMeta {
 /// (a corrupt manifest chain, a read fault).
 pub trait Catalog {
     fn table(&self, name: &str) -> Result<Option<TableMeta>>;
+
+    /// How many files say `table`'s rows are stored in the order of its
+    /// column `column` (see [`OrderedColumn`](crate::plan::OrderedColumn)),
+    /// or `None` when the table is not, or nothing says so. The files are
+    /// the ones `table` pinned, never a declaration.
+    fn order(&self, _table: &TableMeta, _column: usize) -> Option<usize> {
+        None
+    }
 }
 
 /// One statement's view of a catalog: each table name is resolved against
@@ -56,6 +64,10 @@ impl Catalog for PinnedCatalog<'_> {
         let meta = self.inner.table(name)?;
         self.pinned.borrow_mut().insert(key, meta.clone());
         Ok(meta)
+    }
+
+    fn order(&self, table: &TableMeta, column: usize) -> Option<usize> {
+        self.inner.order(table, column)
     }
 }
 

@@ -26,7 +26,7 @@ use hive_common::{HiveConf, HiveError, Result};
 use hive_exec::graph::OperatorGraph;
 use hive_exec::operators as ops;
 use hive_mapreduce::job::{
-    JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, ReducePipeline,
+    JobInput, JobOutput, JobSpec, MapPipeline, MapPipelineFactory, RangedSide, ReducePipeline,
     ReducePipelineFactory, SideBuild, SideInput, SideReader, SideTable, SideTables,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -135,6 +135,7 @@ impl MapInput {
 pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
     let mut g = t.graph.clone();
     insert_cuts(&mut g, conf)?;
+    crate::order::plan_ordered(&mut g, false)?;
     let tmp_base = fresh_tmp_base();
 
     let frag_of = fragments(&g);
@@ -235,9 +236,24 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         // for the engine its chain runs on.
         let nodes = Arc::new(g.nodes.clone());
         let mut side_inputs = Vec::new();
+        // The evidence behind each key range the job's tasks own.
+        let mut order = Vec::new();
+        let evidence = |table: &crate::catalog::TableMeta, o: &crate::plan::OrderedColumn| {
+            let name = &table.schema.fields()[o.column].name;
+            let s = if o.files == 1 { "" } else { "s" };
+            format!("{}.{name} ({} file{s})", table.name, o.files)
+        };
         for mi in &map_inputs {
+            if let Feed::Scan(scan) = mi.feed {
+                if let (Some(o), PlanOp::TableScan { table, .. }) =
+                    (g.ranged.get(&scan), &g.node(scan).op)
+                {
+                    order.push(evidence(table, o));
+                }
+            }
             for &n in &mi.nodes {
                 if let PlanOp::MapJoin(s) = &g.node(n).op {
+                    order.extend(s.range.as_ref().map(|o| evidence(&s.table, o)));
                     side_inputs.push(SideInput {
                         alias: s.alias.clone(),
                         paths: s.table.paths.clone(),
@@ -245,6 +261,10 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                         schema: s.table.schema.clone(),
                         projection: Some(s.projection.clone()),
                         overlay: s.table.acid.clone(),
+                        ranged: s.range.map(|o| RangedSide {
+                            column: o.column,
+                            sarg: s.build_sarg.clone(),
+                        }),
                         build: side_build(&nodes, n, mi.vectorized),
                     });
                 }
@@ -301,6 +321,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                         projection: Some(projection.clone()),
                         sarg: sarg.clone(),
                         overlay: table.acid.clone(),
+                        key_order: g.ranged.get(scan_id).map(|o| o.column),
                     });
                 }
                 Feed::Intermediate { prefix, node } => {
@@ -319,6 +340,7 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
                         projection: None,
                         sarg: None,
                         overlay: None,
+                        key_order: None,
                     });
                 }
             }
@@ -363,6 +385,9 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         };
         explain.push_str(&spec.describe());
         explain.push('\n');
+        if !order.is_empty() {
+            explain.push_str(&format!("  order: {}\n", order.join(", ")));
+        }
         jobs.push(spec);
     }
 
@@ -468,14 +493,17 @@ fn insert_cuts(g: &mut PlanGraph, conf: &HiveConf) -> Result<()> {
     // (b) The Section 5.1 merging rule.
     let merge = conf.get_bool(keys::MERGE_MAPONLY_JOBS)?;
     let frag_of = fragments(g);
-    // Total hash-table bytes per fragment.
+    // Total hash-table bytes per fragment. A range map join's tables are
+    // per task, each a slice of its side, and the chain above its stream
+    // relies on the task's key range, so it is never cut.
+    let broadcast = |n: &PlanNode| matches!(&n.op, PlanOp::MapJoin(s) if s.range.is_none());
     let mut side_bytes: BTreeMap<usize, u64> = BTreeMap::new();
-    for n in g.find(|n| matches!(n.op, PlanOp::MapJoin(_))) {
+    for n in g.find(broadcast) {
         if let PlanOp::MapJoin(s) = &g.node(n).op {
             *side_bytes.entry(frag_of[&n]).or_default() += s.table.size_bytes;
         }
     }
-    for mj in g.find(|n| matches!(n.op, PlanOp::MapJoin(_))) {
+    for mj in g.find(broadcast) {
         let cut_here = !merge || side_bytes[&frag_of[&mj]] > MERGE_MAPONLY_THRESHOLD;
         if !cut_here {
             continue;

@@ -364,7 +364,9 @@ fn scans_identical(g: &PlanGraph, a: usize, b: usize) -> bool {
     else {
         return false;
     };
-    ta.name == tb.name && pa == pb && sa == sb
+    // Scans whose tasks own different ranges do not read the same rows.
+    let ranged = g.ranged.get(&a) == g.ranged.get(&b);
+    ta.name == tb.name && pa == pb && sa == sb && ranged
 }
 
 /// Fragment ids of the reduce fragments this scan's downstream RSs feed.

@@ -20,6 +20,7 @@ pub mod compile;
 pub mod correlation;
 pub mod fingerprint;
 pub mod mapjoin;
+pub mod order;
 pub mod plan;
 pub mod scope;
 pub mod semantic;

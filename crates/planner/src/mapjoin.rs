@@ -15,8 +15,8 @@ use hive_exec::expr::ExprNode;
 use hive_exec::operators::JoinType;
 
 /// A join side that qualifies as a Map Join build side.
-struct SmallSide {
-    scan_id: usize,
+pub(crate) struct SmallSide {
+    pub(crate) scan_id: usize,
     filter: Option<ExprNode>,
     /// Nodes to delete when converting (scan + filter chain + its RS).
     chain: Vec<usize>,
@@ -74,7 +74,7 @@ fn try_convert(g: &mut PlanGraph, join_id: usize, threshold: u64) -> Result<()> 
 }
 
 /// Check whether the subtree above `rs` is a scan chain over a small table.
-fn small_side(g: &PlanGraph, rs: usize, threshold: u64) -> Option<SmallSide> {
+pub(crate) fn small_side(g: &PlanGraph, rs: usize, threshold: u64) -> Option<SmallSide> {
     let mut chain = vec![rs];
     let mut cur = *g.node(rs).parents.first()?;
     let mut filter = None;
@@ -110,7 +110,8 @@ fn small_side(g: &PlanGraph, rs: usize, threshold: u64) -> Option<SmallSide> {
 /// Perform the rewrite. `stream_rs` is the big side's ReduceSink,
 /// `build_rs` the small side's. `swapped` means the build side is the
 /// join's LEFT input (output needs a permutation to keep its layout).
-fn convert(
+/// Returns the MapJoin.
+pub(crate) fn convert(
     g: &mut PlanGraph,
     join_id: usize,
     stream_rs: usize,
@@ -118,12 +119,12 @@ fn convert(
     side: SmallSide,
     kind: JoinType,
     swapped: bool,
-) -> Result<()> {
+) -> Result<usize> {
     let PlanOp::TableScan {
         alias,
         table,
         projection,
-        ..
+        sarg,
     } = g.node(side.scan_id).op.clone()
     else {
         unreachable!()
@@ -176,6 +177,8 @@ fn convert(
         stream_keys: (0..nk).map(ExprNode::col).collect(),
         join_type: kind,
         width: nk + small_width,
+        range: None,
+        build_sarg: sarg,
     };
     // MapJoin raw output: [stream_keys, stream_cols, build_keys, build_cols].
     let mut mj_schema = sel_schema.clone();
@@ -229,5 +232,5 @@ fn convert(
     g.node_mut(stream_parent)
         .children
         .retain(|&c| c != stream_rs);
-    Ok(())
+    Ok(mj)
 }

@@ -8,6 +8,7 @@ use hive_exec::agg::AggFunction;
 use hive_exec::expr::{BinaryOp, ExprNode};
 use hive_exec::operators::JoinType;
 use hive_formats::SearchArgument;
+use std::collections::BTreeMap;
 
 /// A named, typed output column of a plan operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +66,25 @@ pub struct MapJoinSide {
     pub join_type: JoinType,
     /// Projected small-row width (appended to the stream on match).
     pub width: usize,
+    /// Set for a range map join: the side's table is stored in the order
+    /// of this build-key column, and each map task of the stream builds
+    /// its table from the side's rows in the keys the task owns.
+    pub range: Option<OrderedColumn>,
+    /// The predicates the side's scan pushed down: a ranged side's task
+    /// reads through them beside its key range.
+    pub build_sarg: Option<SearchArgument>,
+}
+
+/// Evidence that a table's rows are stored in the order of one of its
+/// columns: every file's footer says the column is non-decreasing, no file
+/// holds a NULL in it, and the files' value ranges follow one another
+/// without overlap, in listing order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OrderedColumn {
+    /// The table column.
+    pub column: usize,
+    /// How many files the evidence rests on.
+    pub files: usize,
 }
 
 /// A plan operator.
@@ -169,6 +189,13 @@ pub struct PlanNode {
 #[derive(Debug, Clone, Default)]
 pub struct PlanGraph {
     pub nodes: Vec<PlanNode>,
+    /// Per TableScan: the columns its table is stored in the order of,
+    /// among those the statement groups or joins on (recorded by
+    /// `semantic::translate`; empty when no table is).
+    pub order: BTreeMap<usize, Vec<OrderedColumn>>,
+    /// Per TableScan whose map tasks own key ranges rather than byte
+    /// ranges: the order column the plan above it relies on (`order.rs`).
+    pub ranged: BTreeMap<usize, OrderedColumn>,
 }
 
 impl PlanGraph {

@@ -8,7 +8,7 @@
 
 use crate::catalog::{Catalog, PinnedCatalog};
 use crate::plan::{
-    agg_output_type, expr_type, AggCall, ColumnInfo, GroupByPhase, PlanGraph, PlanOp,
+    agg_output_type, expr_type, AggCall, ColumnInfo, GroupByPhase, OrderedColumn, PlanGraph, PlanOp,
 };
 use crate::scope::{bind_select, has_star, output_name, Bound, BoundJoin, Scope, Source};
 use hive_common::config::keys;
@@ -65,11 +65,13 @@ impl Rel {
 /// catalog is pinned for the statement: however many FROM items name a
 /// table, it is resolved once and scanned at one snapshot.
 pub fn translate(stmt: &SelectStmt, catalog: &dyn Catalog, conf: &HiveConf) -> Result<Translation> {
-    let bound = bind_select(stmt, &PinnedCatalog::new(catalog))?;
+    let catalog = PinnedCatalog::new(catalog);
+    let bound = bind_select(stmt, &catalog)?;
     let mut g = PlanGraph::default();
-    let (rel, order_by, limit, names) = plan_select(&mut g, bound, conf)?;
+    let (rel, order_by, limit, names) = plan_select(&mut g, bound, &catalog, conf)?;
     let schema = rel.schema();
     g.add(PlanOp::FileSink, schema, vec![rel.node]);
+    crate::order::plan_ordered(&mut g, true)?;
     Ok(Translation {
         graph: g,
         order_by,
@@ -82,6 +84,7 @@ pub fn translate(stmt: &SelectStmt, catalog: &dyn Catalog, conf: &HiveConf) -> R
 fn plan_select(
     g: &mut PlanGraph,
     mut bound: Bound,
+    catalog: &dyn Catalog,
     conf: &HiveConf,
 ) -> Result<(Rel, Vec<(usize, bool)>, Option<u64>, Vec<String>)> {
     if conf.get_bool(keys::CBO_ENABLE)? {
@@ -129,10 +132,30 @@ fn plan_select(
     }
 
     // ------ 3. Base relations with pushed-down filters. -----------------
+    // The columns a table's stored order could serve: bare GROUP BY keys
+    // and operands of ON equalities.
+    let mut keyed = vec![BTreeSet::new(); bound.sources.len()];
+    let equalities = bound.joins.iter().flat_map(|j| j.on.conjuncts());
+    let operands = equalities.flat_map(|c| match c {
+        Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } => vec![&**left, &**right],
+        _ => Vec::new(),
+    });
+    for e in operands.chain(&bound.group_by) {
+        if let Expr::Column { .. } = e {
+            for (entry, column) in scope.refs(e) {
+                keyed[entry].insert(column);
+            }
+        }
+    }
     let mut sources: Vec<Option<Source>> = bound.sources.into_iter().map(Some).collect();
     let mut build_rel = |g: &mut PlanGraph, entry: usize| -> Result<Rel> {
         let source = sources[entry].take().expect("each entry is planned once");
-        let rel = plan_source(g, source, scope.binding(entry), &used[entry], conf)?;
+        let rel = plan_source(g, source, scope.binding(entry), &used[entry], catalog, conf)?;
+        record_order(g, rel.node, &keyed[entry], catalog);
         // Storage-level pushdown into the scan, then a residual Filter
         // (ORC may return whole index groups; the Filter stays correct).
         let Some(pred) = pushed[entry]
@@ -337,6 +360,7 @@ fn plan_source(
     source: Source,
     binding: &str,
     used: &BTreeSet<usize>,
+    catalog: &dyn Catalog,
     conf: &HiveConf,
 ) -> Result<Rel> {
     match source {
@@ -378,13 +402,32 @@ fn plan_source(
                     "ORDER BY in FROM-clause subqueries is not supported".into(),
                 ));
             }
-            let (mut rel, ..) = plan_select(g, *query, conf)?;
+            let (mut rel, ..) = plan_select(g, *query, catalog, conf)?;
             // Re-bind output columns under the subquery alias.
             for c in rel.cols.iter_mut() {
                 c.0 = Some(binding.to_string());
             }
             Ok(rel)
         }
+    }
+}
+
+/// Record, for the scan `node` (a derived table's plan has none), which of
+/// the `keyed` table columns its table is stored in the order of.
+fn record_order(g: &mut PlanGraph, node: usize, keyed: &BTreeSet<usize>, catalog: &dyn Catalog) {
+    let PlanOp::TableScan { table, .. } = &g.node(node).op else {
+        return;
+    };
+    let ordered: Vec<OrderedColumn> = keyed
+        .iter()
+        .filter(|&&column| column < table.schema.len())
+        .filter_map(|&column| {
+            let files = catalog.order(table, column)?;
+            Some(OrderedColumn { column, files })
+        })
+        .collect();
+    if !ordered.is_empty() {
+        g.order.insert(node, ordered);
     }
 }
 

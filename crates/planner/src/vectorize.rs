@@ -229,12 +229,17 @@ impl<'a> StageCompiler<'a> {
                 Phase::Map { rs_tags, .. },
             ) => {
                 // Fused partial-aggregate + reduce-sink: the planner's
-                // invariant shape for map-side hash aggregation.
+                // shape for map-side hash aggregation, unless the groups
+                // are final in the map task (`order.rs`).
                 let rs = node
                     .children
                     .iter()
                     .copied()
                     .find(|c| self.stage.contains(c));
+                let key_cols = c.typed_values(keys)?;
+                let specs = aggs.iter().map(|a| c.compile_agg(a));
+                let specs = specs.collect::<Result<Vec<_>>>()?;
+                let expressions = c.drain_pending();
                 let Some((
                     rs,
                     PlanOp::ReduceSink {
@@ -244,14 +249,14 @@ impl<'a> StageCompiler<'a> {
                     },
                 )) = rs.map(|rs| (rs, &self.nodes[rs].op))
                 else {
-                    return Err(HiveError::Plan(
-                        "a map-side GroupBy must feed a ReduceSink".into(),
-                    ));
+                    let mut out_types = self.batches_of(n)?;
+                    let scratch = out_types.split_off(node.schema.len());
+                    let aggregator = VectorHashAggregator::new(key_cols, specs);
+                    let group_by =
+                        VectorGroupBySinkOperator::forwarding(expressions, aggregator, scratch);
+                    self.operators.insert(n, Box::new(group_by));
+                    return Ok(());
                 };
-                let key_cols = c.typed_values(keys)?;
-                let specs = aggs.iter().map(|a| c.compile_agg(a));
-                let specs = specs.collect::<Result<Vec<_>>>()?;
-                let expressions = c.drain_pending();
                 // The shuffle's keys and values over the aggregator's result
                 // batches, which hold the GroupBy's output columns.
                 let schema = &node.schema;

@@ -3,7 +3,7 @@
 
 use hive_common::config::keys;
 use hive_common::{HiveConf, Schema};
-use hive_planner::catalog::{StaticCatalog, TableMeta};
+use hive_planner::catalog::{Catalog, StaticCatalog, TableMeta};
 use hive_planner::plan_query;
 use hive_ql::{parse, Statement};
 
@@ -295,4 +295,100 @@ fn a_map_join_after_a_reduce_join_cuts_once() {
         |_| {},
     );
     assert_eq!(job_shape(&q), (0, 2), "{}", q.explain);
+}
+
+/// The test catalog, with `fact.k` and `fact2.k` stored in key order (one
+/// file each) when `ordered`.
+struct OrderedCatalog {
+    tables: StaticCatalog,
+    ordered: bool,
+}
+
+impl Catalog for OrderedCatalog {
+    fn table(&self, name: &str) -> hive_common::Result<Option<TableMeta>> {
+        self.tables.table(name)
+    }
+
+    fn order(&self, table: &TableMeta, column: usize) -> Option<usize> {
+        let keyed = ["fact", "fact2"].contains(&table.name.as_str()) && column == 0;
+        (self.ordered && keyed).then_some(1)
+    }
+}
+
+fn compile_ordered(sql: &str, ordered: bool) -> hive_planner::CompiledQuery {
+    let Statement::Select(stmt) = parse(sql).unwrap() else {
+        panic!("expected select")
+    };
+    let catalog = OrderedCatalog {
+        tables: catalog(),
+        ordered,
+    };
+    plan_query(&stmt, &catalog, &HiveConf::new()).unwrap()
+}
+
+/// TPC-H q18c's, q12j's and q3j's shapes over `fact2` (lineitem) and
+/// `fact` (orders): one job each when both are stored in key order — q18c's
+/// and q3j's map-only, their GROUP BYs final in the map task — and today's
+/// shapes when they are not.
+#[test]
+fn ordered_tables_join_and_aggregate_inside_the_map_task() {
+    let q18c = "SELECT fact.k, fact.v, t.q FROM fact \
+                JOIN (SELECT k, SUM(v) AS q FROM fact2 GROUP BY k) t ON (fact.k = t.k) \
+                WHERE t.q > 150";
+    let q12j = "SELECT fact2.v, COUNT(*) FROM fact JOIN fact2 ON (fact.k = fact2.k) \
+                GROUP BY fact2.v";
+    let q3j = "SELECT fact2.k, SUM(fact2.v), fact.v FROM fact2 \
+               JOIN fact ON (fact2.k = fact.k) \
+               JOIN dim1 ON (fact.d1 = dim1.k) \
+               WHERE dim1.name = 'BUILDING' \
+               GROUP BY fact2.k, fact.v";
+    for (sql, ordered_shape, shuffled_shape) in [
+        (q18c, (1, 0), (0, 1)),
+        (q12j, (0, 1), (0, 2)),
+        (q3j, (1, 0), (0, 2)),
+    ] {
+        let q = compile_ordered(sql, true);
+        assert_eq!(job_shape(&q), ordered_shape, "{sql}\n{}", q.explain);
+        let job = &q.jobs[0];
+        assert_eq!(job.inputs[0].key_order, Some(0), "{}", q.explain);
+        assert!(
+            job.side_inputs.iter().any(|s| s.ranged.is_some()),
+            "{}",
+            q.explain
+        );
+        assert!(q.explain.contains("  order: "), "{}", q.explain);
+
+        let q = compile_ordered(sql, false);
+        assert_eq!(job_shape(&q), shuffled_shape, "{sql}\n{}", q.explain);
+        assert!(q
+            .jobs
+            .iter()
+            .all(|j| j.inputs.iter().all(|i| i.key_order.is_none())));
+        assert!(!q.explain.contains("order:"), "{}", q.explain);
+    }
+    // EXPLAIN names the evidence behind each key range.
+    let q = compile_ordered(q12j, true);
+    assert!(
+        q.explain
+            .contains("order: fact2.k (1 file), fact.k (1 file)")
+            || q.explain
+                .contains("order: fact.k (1 file), fact2.k (1 file)"),
+        "{}",
+        q.explain
+    );
+}
+
+/// A GROUP BY keyed on the order column finishes in the map task; one
+/// keyed elsewhere, or a global aggregate, keeps its shuffle.
+#[test]
+fn only_a_group_by_on_the_order_column_is_map_final() {
+    for (sql, shape) in [
+        ("SELECT k, SUM(v) FROM fact GROUP BY k", (1, 0)),
+        ("SELECT d1, k, COUNT(*) FROM fact GROUP BY d1, k", (1, 0)),
+        ("SELECT d1, SUM(v) FROM fact GROUP BY d1", (0, 1)),
+        ("SELECT SUM(v) FROM fact", (0, 1)),
+    ] {
+        let q = compile_ordered(sql, true);
+        assert_eq!(job_shape(&q), shape, "{sql}\n{}", q.explain);
+    }
 }

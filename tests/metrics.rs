@@ -420,8 +420,10 @@ fn analyze_cold_warm() -> (String, String) {
 #[test]
 fn explain_analyze_cache_cold_then_warm_goldens() {
     let (cold, warm) = analyze_cold_warm();
-    // Cold: one ORC file footer decoded and filled, nothing served.
-    assert!(cold.contains("cache: footer=0/1"), "{cold}");
+    // Cold: the planner decoded and filled the ORC file footer, asking
+    // whether `orders` is stored in `cust` order (DESIGN.md §21), so the
+    // scan finds it; no data is served.
+    assert!(cold.contains("cache: footer=1/0"), "{cold}");
     assert!(cold.contains("data=0/"), "{cold}");
     // Warm: the same footer (and stripe footer / row index) now hit, and
     // every data read is served from the block cache — no DFS bytes moved.
