@@ -27,16 +27,21 @@ cargo test -q --release --offline -p hive --test properties vectorized_
 cargo test -q --release --offline -p hive-vector expressions::
 # ... and the batch reader with deferred columns against the row reader,
 # the row reader over nested types and NULLs, and over those types with a
-# byte flipped anywhere, and the SequenceFile row and batch readers over a
-# file flipped and cut at every byte and over records narrower than their
-# schema (slice and index arithmetic over stripe and record buffers: debug
+# byte flipped anywhere, the SequenceFile row and batch readers over a file
+# flipped and cut at every byte and over records narrower than their
+# schema, and the exhaustive decoder flips: every ORC footer and postscript
+# byte, every RCFile byte, and metadata counts past the bytes left (slice
+# and index arithmetic over stripe, footer and record buffers: debug
 # builds overflow-check it, release builds wrap).
 cargo test -q --release --offline -p hive-formats --test orc_roundtrip -- deferred \
     vectorized_reader_matches_row_reader figure_3_complex_types_round_trip \
     nulls_round_trip_everywhere
 cargo test -q --release --offline -p hive-formats --test corruption -- \
     orc_nested_types_survive_bit_flips_everywhere sequencefile_survives_corruption \
-    sequencefile_record_narrower_than_its_schema_is_an_error
+    sequencefile_record_narrower_than_its_schema_is_an_error \
+    orc_footer_and_postscript_survive_every_flip
+cargo test -q --release --offline -p hive-formats --lib -- \
+    counts_beyond_the_bytes_left_are_errors rcfile::tests::flipped_bytes_never_panic
 
 # The shuffle's byte encoding (sign flips, the DOUBLE bit twiddle, string
 # escapes) against the key rule, its lane twins (keys, value rows, partition

@@ -389,12 +389,13 @@ knobs! {
     /// Comma-separated column names: replica k+1 of each ORC file is
     /// written with its rows sorted on the k-th name (HAIL-style
     /// per-replica sort orders; replica 1 always keeps insertion order).
-    /// Empty = all replicas byte-identical.
+    /// Each sorted copy's footer order flags say which column it is
+    /// ordered on. Empty = all replicas byte-identical.
     ORC_REPLICA_SORT_COLUMNS: String = "hive.orc.replica.sort.columns", "";
-    /// Let split planning hand the pushed-down predicate to the DFS and
-    /// read the replica whose sort order best matches it, falling back to
-    /// locality. Inert unless files were written with
-    /// `hive.orc.replica.sort.columns`.
+    /// Let split planning read, per file, the first sorted copy whose
+    /// footer says it is ordered on a pushed-down predicate column, falling
+    /// back to the base copy and locality. Inert unless files were written
+    /// with `hive.orc.replica.sort.columns`.
     ORC_REPLICA_SELECTION: bool = "hive.orc.replica.selection.enabled", "true";
 }
 

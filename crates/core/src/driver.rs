@@ -482,9 +482,9 @@ fn render_analyze(
                 jr.counters.bytes_read,
             ));
         }
-        for (path, variant, sort_column) in &jr.replica_choices {
+        for (path, variant, column) in &jr.replica_choices {
             out.push_str(&format!(
-                "  replica: path={path} variant={variant} sorted_by={sort_column}\n"
+                "  replica: path={path} variant={variant} sorted_by={column}\n"
             ));
         }
         if jr.scan.delta_rows_read > 0 || jr.scan.rows_masked > 0 {

@@ -253,19 +253,20 @@ impl Metastore {
 }
 
 impl Catalog for Metastore {
-    /// Read from the files' footers through the process-wide metadata
-    /// cache, which a scan of the table fills (DESIGN.md §21). An ACID
+    /// Read from the files' footers, through the process-wide metadata
+    /// cache (which a scan of the table fills, DESIGN.md §21) when the
+    /// statement's `cache_metadata` allows it. An ACID
     /// overlay, a file without the flag or with a NULL in the column, and
     /// files whose value ranges overlap or come out of order all say no;
     /// so does a footer that cannot be read.
-    fn order(&self, table: &TableMeta, column: usize) -> Option<usize> {
+    fn order(&self, table: &TableMeta, column: usize, cache_metadata: bool) -> Option<usize> {
         if table.format != FormatKind::Orc || table.acid.is_some() || table.paths.is_empty() {
             return None;
         }
         let mut last_max: Option<hive_common::Value> = None;
         for path in &table.paths {
             let opts = OrcReadOptions {
-                cache_metadata: true,
+                cache_metadata,
                 ..Default::default()
             };
             let file = OrcReader::open(&self.dfs, path, opts).ok()?;

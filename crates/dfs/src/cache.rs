@@ -5,9 +5,9 @@
 //! Entries are keyed by `(path, generation, offset, len)`. The generation
 //! is bumped every time a path is published or tampered with, so a cached
 //! range of an overwritten file is structurally unreachable: a stale read
-//! is impossible, not merely unlikely. Invalidation additionally records a
-//! per-path generation *floor*, so a fill that was already in flight for
-//! an older generation is dropped at completion instead of parking
+//! is impossible, not merely unlikely. Invalidation drops the path's ready
+//! entries eagerly and dooms its fills already in flight for an older
+//! generation, which are dropped at completion instead of parking
 //! unreachable bytes in an LRU slot.
 //!
 //! Fills are **single-flight**: when several readers miss on the same key
@@ -32,7 +32,9 @@ type Key = (String, u64, u64, u64);
 
 enum Slot {
     /// A fill is in flight on some thread; wait on the shard condvar.
-    Pending,
+    /// `doomed`: the path was invalidated above the fill's generation while
+    /// it was in flight, so its bytes are dropped at completion.
+    Pending { doomed: bool },
     /// Ready bytes plus the LRU stamp of the last touch.
     Ready(Arc<Vec<u8>>, u64),
 }
@@ -95,11 +97,6 @@ pub struct BlockCache {
     capacity: AtomicU64,
     /// Monotonic LRU clock.
     clock: AtomicU64,
-    /// Lowest admissible generation per invalidated path: a fill whose key
-    /// carries an older generation completed after the invalidation and is
-    /// dropped instead of inserted (bounded by the number of distinct
-    /// overwritten paths).
-    floors: Mutex<HashMap<String, u64>>,
 }
 
 impl BlockCache {
@@ -113,7 +110,6 @@ impl BlockCache {
                 .collect(),
             capacity: AtomicU64::new(0),
             clock: AtomicU64::new(0),
-            floors: Mutex::new(HashMap::new()),
         }
     }
 
@@ -170,11 +166,11 @@ impl BlockCache {
                     *stamp = self.clock.fetch_add(1, Ordering::Relaxed);
                     return Lookup::Hit(Arc::clone(bytes));
                 }
-                Some(Slot::Pending) => {
+                Some(Slot::Pending { .. }) => {
                     s = shard.cv.wait(s).unwrap_or_else(|e| e.into_inner());
                 }
                 None => {
-                    s.map.insert(key.clone(), Slot::Pending);
+                    s.map.insert(key.clone(), Slot::Pending { doomed: false });
                     return Lookup::Fill(FillGuard {
                         cache: self,
                         key: key.clone(),
@@ -186,26 +182,19 @@ impl BlockCache {
     }
 
     /// Publish the bytes for a claimed fill slot. Returns the number of
-    /// LRU evictions the insertion forced. Fills whose generation fell
-    /// below the path's invalidation floor while they were in flight are
-    /// dropped, not inserted.
+    /// LRU evictions the insertion forced. A fill doomed by an invalidation
+    /// while it was in flight is dropped, not inserted.
     fn complete_fill(&self, key: &Key, bytes: Arc<Vec<u8>>) -> u64 {
         let per_shard = self.capacity() / SHARDS as u64;
         let shard = self.shard_of(key);
         let mut s = shard.inner.lock().unwrap_or_else(|e| e.into_inner());
-        // Doom check under the shard lock: `invalidate_path` records the
-        // floor *before* pruning, so a fill that slips in ahead of the
-        // prune is removed by it and one that lands after sees the floor.
-        let doomed = {
-            let floors = self.floors.lock().unwrap_or_else(|e| e.into_inner());
-            floors.get(&key.0).is_some_and(|&floor| key.1 < floor)
-        };
+        let doomed = matches!(s.map.get(key), Some(Slot::Pending { doomed: true }));
         let len = bytes.len() as u64;
         if doomed || len > per_shard {
             // Stale generation, or too large to ever be resident: drop the
             // pending marker so the range stays uncached instead of
             // wasting capacity / thrashing the shard.
-            if matches!(s.map.get(key), Some(Slot::Pending)) {
+            if matches!(s.map.get(key), Some(Slot::Pending { .. })) {
                 s.map.remove(key);
             }
             shard.cv.notify_all();
@@ -224,34 +213,41 @@ impl BlockCache {
     fn abort_fill(&self, key: &Key) {
         let shard = self.shard_of(key);
         let mut s = shard.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(s.map.get(key), Some(Slot::Pending)) {
+        if matches!(s.map.get(key), Some(Slot::Pending { .. })) {
             s.map.remove(key);
         }
         shard.cv.notify_all();
     }
 
-    /// Invalidate `path`: entries with generation below `floor` become
-    /// inadmissible (covers fills still in flight), and every resident
-    /// Ready entry for the path is dropped eagerly to free its bytes.
+    /// Invalidate `path`: drop its resident Ready entries eagerly to free
+    /// their bytes, and doom its fills in flight for a generation below
+    /// `floor`, which are then dropped at completion. The cache remembers
+    /// nothing about the path afterwards: a fill that *begins* later on an
+    /// old generation (a reader that opened the file before the change)
+    /// would sit under a key no new reader asks for until the LRU aged it
+    /// out, so the DFS reader completes a fill only while the namespace
+    /// still holds its copy. It checks after claiming the slot, so an
+    /// invalidation either dooms the slot or fails that check.
     pub fn invalidate_path(&self, path: &str, floor: u64) {
-        {
-            let mut floors = self.floors.lock().unwrap_or_else(|e| e.into_inner());
-            let e = floors.entry(path.to_string()).or_insert(0);
-            *e = (*e).max(floor);
-        }
         for shard in &self.shards {
             let mut s = shard.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let doomed: Vec<Key> = s
-                .map
-                .iter()
-                .filter(|(k, slot)| k.0 == path && matches!(slot, Slot::Ready(..)))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for k in doomed {
-                if let Some(Slot::Ready(bytes, _)) = s.map.remove(&k) {
-                    s.bytes -= bytes.len() as u64;
+            let mut freed = 0;
+            s.map.retain(|k, slot| {
+                if k.0 != path {
+                    return true;
                 }
-            }
+                match slot {
+                    Slot::Ready(bytes, _) => {
+                        freed += bytes.len() as u64;
+                        false
+                    }
+                    Slot::Pending { doomed } => {
+                        *doomed |= k.1 < floor;
+                        true
+                    }
+                }
+            });
+            s.bytes -= freed;
         }
     }
 
@@ -280,7 +276,7 @@ fn evict_to(s: &mut Shard, budget: u64) -> u64 {
             .iter()
             .filter_map(|(k, slot)| match slot {
                 Slot::Ready(_, stamp) => Some((*stamp, k.clone())),
-                Slot::Pending => None,
+                Slot::Pending { .. } => None,
             })
             .min();
         let Some((_, key)) = victim else { break };

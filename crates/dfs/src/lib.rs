@@ -67,9 +67,6 @@ struct FileEntry {
     /// (re)published or tampered with. Cache keys include it, so entries
     /// for an overwritten file are structurally unreachable.
     generation: u64,
-    /// Column this copy's rows are clustered on (HAIL-style per-replica
-    /// sort orders); empty for insertion order.
-    sort_column: String,
 }
 
 /// A path's copies. Copy 0 is the insertion-order base; copy `k` is the
@@ -289,21 +286,24 @@ impl Dfs {
         })
     }
 
+    /// Whether `entry` is still one of `path`'s copies.
+    fn holds(&self, path: &str, entry: &Arc<FileEntry>) -> bool {
+        let files = self.inner.files.read();
+        files
+            .get(path)
+            .is_some_and(|all| all.iter().any(|c| Arc::ptr_eq(c, entry)))
+    }
+
     /// Adopt the file at `tmp_path` as sorted variant `slot` (1-based) of
-    /// `dest`, recording the column its rows are clustered on. The bytes
+    /// `dest`. Which column its rows are clustered on is the file's own
+    /// business (an ORC footer says it); the DFS stores bytes. The bytes
     /// and their checksums move out of the namespace at `tmp_path` and
     /// become reachable only through `dest`'s copy `slot`; slots below it
     /// that hold no sorted copy yet alias the base. Each variant block is
     /// hosted on a single node — the `slot`-th replica of the base
     /// placement — so the copy models HAIL's "each replica holds a
     /// different sort order" at zero extra logical-storage cost.
-    pub fn adopt_variant(
-        &self,
-        dest: &str,
-        tmp_path: &str,
-        slot: usize,
-        sort_column: &str,
-    ) -> Result<()> {
+    pub fn adopt_variant(&self, dest: &str, tmp_path: &str, slot: usize) -> Result<()> {
         if slot == 0 {
             return Err(HiveError::Dfs(
                 "variant slot 0 is the base file; sorted variants start at 1".into(),
@@ -326,7 +326,6 @@ impl Dfs {
         let variant = FileEntry {
             blocks,
             generation: self.next_generation(),
-            sort_column: sort_column.to_string(),
             ..(*staged).clone()
         };
         // Unfilled intermediate slots alias the base: a reader landing
@@ -347,21 +346,17 @@ impl Dfs {
         Ok(self.entry(path, variant)?.blocks.clone())
     }
 
-    /// Replica selection (HAIL): given the columns a pushed-down predicate
-    /// constrains, pick the copy of `path` whose clustered sort order
-    /// serves it best. Returns `Some((variant, sort_column))` for the
-    /// first sorted copy clustered on a predicate column; `None` means no
-    /// copy helps and the caller should fall back to locality over the
-    /// base replicas.
-    pub fn select_variant(&self, path: &str, pred_cols: &[String]) -> Option<(usize, String)> {
+    /// The replica slots `k >= 1` of `path` that hold a sorted copy of
+    /// their own, in slot order: empty for a file with one copy, and a slot
+    /// that aliases the base is left out.
+    pub fn sorted_copies(&self, path: &str) -> Vec<usize> {
         let files = self.inner.files.read();
-        let (k, copy) = files
-            .get(path)?
-            .iter()
-            .enumerate()
-            .skip(1)
-            .find(|(_, c)| !c.sort_column.is_empty() && pred_cols.contains(&c.sort_column))?;
-        Some((k, copy.sort_column.clone()))
+        let Some(all) = files.get(path) else {
+            return Vec::new();
+        };
+        (1..all.len())
+            .filter(|&k| !Arc::ptr_eq(&all[k], &all[0]))
+            .collect()
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -418,7 +413,8 @@ impl Dfs {
     /// Flip `mask` into the stored byte at `pos` of `path` *without*
     /// recomputing checksums — simulating at-rest corruption of a replica.
     /// Every later read returning a byte of that checksum chunk fails its
-    /// CRC check. Sorted copies are left alone. Test/chaos hook.
+    /// CRC check. Sorted copies are left alone; a slot aliasing the base
+    /// aliases the flipped base. Test/chaos hook.
     pub fn corrupt_stored(&self, path: &str, pos: u64, mask: u8) -> Result<()> {
         let mut files = self.inner.files.write();
         let mut tampered = copies(&files, path)?.clone();
@@ -432,11 +428,16 @@ impl Dfs {
         let mut data = (*base.data).clone();
         data[pos as usize] ^= mask;
         let generation = self.next_generation();
-        tampered[0] = Arc::new(FileEntry {
+        let flipped = Arc::new(FileEntry {
             data: Arc::new(data),
             generation,
             ..(**base).clone() // checksums stale on purpose
         });
+        // Slots holding no sorted copy keep aliasing the base.
+        let base = Arc::clone(base);
+        for copy in tampered.iter_mut().filter(|c| Arc::ptr_eq(c, &base)) {
+            *copy = Arc::clone(&flipped);
+        }
         files.insert(path.to_string(), tampered);
         drop(files);
         self.invalidate(path, generation);
@@ -532,7 +533,6 @@ impl Dfs {
             blocks,
             chunk_crcs,
             generation,
-            sort_column: String::new(),
         };
         self.inner
             .files
@@ -1269,7 +1269,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_variants_adopt_open_and_select() {
+    fn sorted_variants_adopt_and_open() {
         let fs = small_fs();
         let mut w = fs.create("/w/t/part-0");
         w.write(&[7u8; 250]);
@@ -1278,7 +1278,7 @@ mod tests {
         let mut w = fs.create("/tmp/v1");
         w.write(&[9u8; 250]);
         w.try_close().unwrap();
-        fs.adopt_variant("/w/t/part-0", "/tmp/v1", 1, "k").unwrap();
+        fs.adopt_variant("/w/t/part-0", "/tmp/v1", 1).unwrap();
         // The staging path left the namespace; the base file is unchanged.
         assert!(!fs.exists("/tmp/v1"));
         let mut base = fs.open("/w/t/part-0", None).unwrap();
@@ -1301,31 +1301,21 @@ mod tests {
             assert_eq!(vb.replicas[0], b.replicas[1 % b.replicas.len()]);
         }
 
-        // Selection matches the predicate column against variant sort
-        // orders; unknown columns fall back to the base replicas.
-        // The base keeps insertion order: no predicate selects copy 0.
-        assert_eq!(fs.select_variant("/w/t/part-0", &[String::new()]), None);
-        assert_eq!(
-            fs.select_variant("/w/t/part-0", &["v".into(), "k".into()]),
-            Some((1, "k".to_string()))
-        );
-        assert_eq!(fs.select_variant("/w/t/part-0", &["v".into()]), None);
+        assert_eq!(fs.sorted_copies("/w/t/part-0"), vec![1]);
 
         // Out-of-order adoption grows placeholder slots aliasing the base.
         let mut w = fs.create("/tmp/v3");
         w.write(&[3u8; 50]);
         w.try_close().unwrap();
-        fs.adopt_variant("/w/t/part-0", "/tmp/v3", 3, "s").unwrap();
+        fs.adopt_variant("/w/t/part-0", "/tmp/v3", 3).unwrap();
         let mut v2 = fs.open_variant("/w/t/part-0", 2, None).unwrap();
         assert_eq!(v2.read_all().unwrap(), vec![7u8; 250]);
-        assert_eq!(
-            fs.select_variant("/w/t/part-0", &["s".into()]),
-            Some((3, "s".to_string()))
-        );
+        assert_eq!(fs.sorted_copies("/w/t/part-0"), vec![1, 3]);
 
         // Deleting the file takes every variant with it.
         assert!(fs.delete("/w/t/part-0"));
         assert!(fs.open_variant("/w/t/part-0", 1, None).is_err());
+        assert!(fs.sorted_copies("/w/t/part-0").is_empty());
     }
 
     #[test]
@@ -1360,8 +1350,7 @@ mod tests {
         // detectable instead of being rehashed into the copy.
         fs.corrupt_stored("/tmp/t/sorted", 10, 0x40).unwrap();
         let staged = fs.entry("/tmp/t/sorted", 0).unwrap();
-        fs.adopt_variant("/w/t/part-0", "/tmp/t/sorted", 2, "k")
-            .unwrap();
+        fs.adopt_variant("/w/t/part-0", "/tmp/t/sorted", 2).unwrap();
         let adopted = fs.entry("/w/t/part-0", 2).unwrap();
         assert!(Arc::ptr_eq(&staged.data, &adopted.data));
         assert_eq!(staged.chunk_crcs, adopted.chunk_crcs);
@@ -1380,9 +1369,7 @@ mod tests {
         let mut w = fs.create("/tmp/t/sorted");
         w.write(&[3u8; 40]);
         w.try_close().unwrap();
-        assert!(fs
-            .adopt_variant("/w/none", "/tmp/t/sorted", 1, "k")
-            .is_err());
+        assert!(fs.adopt_variant("/w/none", "/tmp/t/sorted", 1).is_err());
         assert_eq!(fs.len("/tmp/t/sorted").unwrap(), 40);
     }
 }

@@ -172,9 +172,14 @@ impl DfsReader {
                 // waiters; nothing partial is ever published.
                 let data = Arc::new(self.read_at_uncached(offset, end)?);
                 self.dfs.stats().add_cache_misses(1);
-                let evicted = guard.complete(Arc::clone(&data));
-                if evicted > 0 {
-                    self.dfs.stats().add_cache_evictions(evicted);
+                // A copy overwritten, moved or deleted since this reader
+                // opened it is read, not cached: no later reader asks for
+                // its key, and the dropped guard frees the slot.
+                if self.dfs.holds(&self.path, &self.entry) {
+                    let evicted = guard.complete(Arc::clone(&data));
+                    if evicted > 0 {
+                        self.dfs.stats().add_cache_evictions(evicted);
+                    }
                 }
                 Ok(DfsBuf::shared(data))
             }

@@ -1,8 +1,8 @@
 //! The namespace against a model: random sequences of publishes, renames
 //! (some under a lost-ack fault plan), deletes, at-rest flips and sorted-copy
 //! adoptions, each followed by a check of every path's `exists`, `len`,
-//! listing, `size_of`, generation and bytes (every copy) against a
-//! `BTreeMap` of what each path should hold.
+//! listing, `size_of`, generation, bytes (every copy) and sorted slots
+//! against a `BTreeMap` of what each path should hold.
 //!
 //! The model keeps, per copy, the bytes stored and the bytes its checksums
 //! were computed over; a read fails with `Corrupt` exactly when a returned
@@ -29,7 +29,9 @@ struct ModelCopy {
     stored: Vec<u8>,
     /// What the copy's checksums cover.
     published: Vec<u8>,
-    sort: String,
+    /// Adopted into its slot; `false` for the base and the slots that
+    /// alias it.
+    sorted: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -115,13 +117,10 @@ fn check_all(fs: &Dfs, model: &BTreeMap<String, File>) -> Result<(), TestCaseErr
             }
         }
         prop_assert!(fs.open_variant(path, file.copies.len(), None).is_err());
-        for col in ["k", "s"] {
-            let want = file.copies[1..]
-                .iter()
-                .position(|c| c.sort == col)
-                .map(|i| (i + 1, col.to_string()));
-            prop_assert_eq!(fs.select_variant(path, &[col.to_string()]), want, "{path}");
-        }
+        let sorted: Vec<usize> = (1..file.copies.len())
+            .filter(|&k| file.copies[k].sorted)
+            .collect();
+        prop_assert_eq!(fs.sorted_copies(path), sorted, "{path}");
     }
     for prefix in ["", "/", "/w/", "/w/t/", "/w/t/a", "/tmp/s/e", "/tmp/", "/x"] {
         let under: Vec<(&String, &File)> = model
@@ -181,7 +180,7 @@ proptest! {
                     let mut w = fs.create(pa);
                     w.write(&data);
                     prop_assert_eq!(w.try_close().unwrap(), n as u64);
-                    let copy = ModelCopy { stored: data.clone(), published: data, sort: String::new() };
+                    let copy = ModelCopy { stored: data.clone(), published: data, sorted: false };
                     model.insert(pa.to_string(), File { copies: vec![copy], generation: 0 });
                     want_watermark += bumps(pa);
                     fresh.push(pa);
@@ -224,7 +223,10 @@ proptest! {
                     match model.get_mut(pa) {
                         Some(file) if pos < file.copies[0].stored.len() as u64 => {
                             prop_assert!(result.is_ok(), "corrupt_stored {pa}@{pos}: {result:?}");
-                            file.copies[0].stored[pos as usize] ^= mask;
+                            // The base, and every slot aliasing it.
+                            for copy in file.copies.iter_mut().filter(|c| !c.sorted) {
+                                copy.stored[pos as usize] ^= mask;
+                            }
                             want_watermark += bumps(pa);
                             fresh.push(pa);
                         }
@@ -239,29 +241,28 @@ proptest! {
                     // staging file is left to the crate's own tests, and so
                     // is a missing destination.
                     let slot = 1 + (x % 3) as usize;
-                    let col = if (x >> 2) % 2 == 0 { "k" } else { "s" };
                     let staged = model.get(pa).map(|f| f.copies[0].clone());
                     if a == b || !model.contains_key(pb) {
                         if staged.is_none() {
-                            prop_assert!(fs.adopt_variant(pb, pa, slot, col).is_err());
+                            prop_assert!(fs.adopt_variant(pb, pa, slot).is_err());
                         }
                         continue;
                     }
                     let Some(staged) = staged else {
-                        prop_assert!(fs.adopt_variant(pb, pa, slot, col).is_err());
+                        prop_assert!(fs.adopt_variant(pb, pa, slot).is_err());
                         continue;
                     };
                     if staged.stored != staged.published {
                         continue;
                     }
-                    fs.adopt_variant(pb, pa, slot, col).unwrap();
+                    fs.adopt_variant(pb, pa, slot).unwrap();
                     model.remove(pa);
                     let dest = model.get_mut(pb).unwrap();
-                    let alias = ModelCopy { sort: String::new(), ..dest.copies[0].clone() };
+                    let alias = dest.copies[0].clone();
                     while dest.copies.len() <= slot {
                         dest.copies.push(alias.clone());
                     }
-                    dest.copies[slot] = ModelCopy { sort: col.to_string(), ..staged };
+                    dest.copies[slot] = ModelCopy { sorted: true, ..staged };
                     want_watermark += bumps(pb);
                 }
             }

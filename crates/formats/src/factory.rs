@@ -104,10 +104,7 @@ pub fn create_writer(
                 bloom_columns: resolve_columns(
                     conf.get_raw(keys::ORC_BLOOM_FILTER_COLUMNS).unwrap_or(""),
                     schema,
-                )
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect(),
+                ),
                 ..OrcWriterOptions::default()
             };
             // Per-replica sort orders apply to table data only: scratch
@@ -143,20 +140,14 @@ pub fn create_writer(
     })
 }
 
-/// Resolve a comma-separated column-name list against a schema, keeping
-/// list order. Names the schema does not have are skipped: the knobs are
-/// session-global and tables legitimately differ.
-fn resolve_columns(raw: &str, schema: &Schema) -> Vec<(usize, String)> {
+/// Resolve a comma-separated column-name list against a schema to column
+/// indices, keeping list order. Names the schema does not have are
+/// skipped: the knobs are session-global and tables legitimately differ.
+fn resolve_columns(raw: &str, schema: &Schema) -> Vec<usize> {
     raw.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .filter_map(|name| {
-            schema
-                .fields()
-                .iter()
-                .position(|f| f.name == name)
-                .map(|i| (i, name.to_string()))
-        })
+        .filter_map(|name| schema.fields().iter().position(|f| f.name == name))
         .collect()
 }
 

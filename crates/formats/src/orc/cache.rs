@@ -242,7 +242,6 @@ mod tests {
                 stripes: Vec::new(),
                 stripe_stats: Vec::new(),
                 file_stats: Vec::new(),
-                sort_column: String::new(),
                 ordered: Vec::new(),
             },
         )

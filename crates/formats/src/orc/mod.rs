@@ -180,10 +180,6 @@ pub struct FileFooter {
     pub stripe_stats: Vec<Vec<stats::ColumnStatistics>>,
     /// File-level statistics per column of the column tree.
     pub file_stats: Vec<stats::ColumnStatistics>,
-    /// Top-level column this file's rows are clustered on (HAIL-style
-    /// per-replica sort orders record it per copy); empty = insertion
-    /// order.
-    pub sort_column: String,
     /// Per column of the column tree, as `file_stats`: whether the writer
     /// saw the file's non-NULL values arrive non-decreasing under
     /// `hive_common::key`'s order. Empty when the footer carries no flags
@@ -303,10 +299,8 @@ pub(crate) fn encode_file_footer(f: &FileFooter, out: &mut Vec<u8>) {
     for st in &f.file_stats {
         st.encode(out);
     }
-    varint::write_unsigned(out, f.sort_column.len() as u64);
-    out.extend_from_slice(f.sort_column.as_bytes());
-    // The order flags trail everything older readers decode: a bit per
-    // column, packed eight to a byte.
+    // The order flags trail the statistics: a bit per column, packed eight
+    // to a byte.
     varint::write_unsigned(out, f.ordered.len() as u64);
     for byte in f.ordered.chunks(8) {
         out.push(byte.iter().rev().fold(0u8, |b, &o| b << 1 | o as u8));
@@ -348,10 +342,8 @@ pub(crate) fn decode_file_footer(buf: &[u8]) -> Result<FileFooter> {
     for _ in 0..nfs {
         file_stats.push(stats::ColumnStatistics::decode(buf, &mut pos)?);
     }
-    let sclen = read_count(buf, &mut pos, 1)?;
-    let sort_column = String::from_utf8_lossy(&buf[pos..pos + sclen]).into_owned();
-    pos += sclen;
-    // Absent (a file written before the flags) or undecodable: unordered.
+    // Absent (a footer that ends at its statistics) or undecodable:
+    // unordered.
     let ordered = decode_order_flags(buf, &mut pos).unwrap_or_default();
     Ok(FileFooter {
         nrows,
@@ -360,7 +352,6 @@ pub(crate) fn decode_file_footer(buf: &[u8]) -> Result<FileFooter> {
         stripes,
         stripe_stats,
         file_stats,
-        sort_column,
         ordered,
     })
 }
@@ -602,7 +593,6 @@ mod tests {
                 max: Some(41),
                 sum: Some(861),
             }],
-            sort_column: "a".into(),
             ordered: vec![false, true, false, false, true, true, false, false, true],
         };
         let mut buf = Vec::new();
@@ -610,10 +600,13 @@ mod tests {
         assert_eq!(decode_file_footer(&buf).unwrap(), f);
         assert!(f.root_type().is_ok());
 
-        // A footer that ends before the flags, or whose flags are torn,
-        // decodes as unordered.
+        // The flags (a count, then nine bits in two bytes) end the footer
+        // right after the file statistics. A footer that ends before
+        // them, or whose flags are torn, decodes as unordered.
         let flags_at = buf.len() - 3;
+        assert_eq!(buf[flags_at], 9);
         let older = decode_file_footer(&buf[..flags_at]).unwrap();
+        assert_eq!(older.file_stats, f.file_stats);
         assert_eq!(older.ordered, Vec::<bool>::new());
         let torn = decode_file_footer(&buf[..buf.len() - 1]).unwrap();
         assert!(!torn.is_ordered(1));

@@ -6,10 +6,11 @@
 //! the base file in insertion order (variant 0 — byte-identical to a
 //! plain [`OrcWriter`], so every knob-off path is unchanged), then one
 //! extra copy per configured sort column, each clustered on that column
-//! and adopted into a DFS replica slot. A selective query later picks
-//! the copy whose sort order matches its predicate
-//! (`Dfs::select_variant`) and min/max pruning does the rest — an index
-//! per replica at zero extra logical-storage cost.
+//! and adopted into a DFS replica slot. Each copy's footer says which
+//! columns it is ordered on, and a selective query later reads the copy
+//! whose footer says it is ordered on a predicate column; min/max pruning
+//! does the rest — an index per replica at zero extra logical-storage
+//! cost.
 
 use crate::orc::memory::MemoryManager;
 use crate::orc::writer::{OrcWriter, OrcWriterOptions};
@@ -26,9 +27,8 @@ pub struct ReplicatedOrcWriter {
     schema: Schema,
     options: OrcWriterOptions,
     memory: Option<MemoryManager>,
-    /// `(top-level column index, column name)` per extra copy, in slot
-    /// order.
-    sort_columns: Vec<(usize, String)>,
+    /// Top-level column index per extra copy, in slot order.
+    sort_columns: Vec<usize>,
     rows: Vec<Row>,
 }
 
@@ -38,7 +38,7 @@ impl ReplicatedOrcWriter {
         path: &str,
         schema: &Schema,
         options: OrcWriterOptions,
-        sort_columns: Vec<(usize, String)>,
+        sort_columns: Vec<usize>,
         memory: Option<&MemoryManager>,
     ) -> ReplicatedOrcWriter {
         let slots = dfs.config().replication.saturating_sub(1);
@@ -79,25 +79,23 @@ impl TableWriter for ReplicatedOrcWriter {
 
         // One sorted copy per configured column, staged under scratch and
         // adopted into its replica slot.
-        for (slot0, (col, name)) in self.sort_columns.iter().enumerate() {
+        for (slot0, &col) in self.sort_columns.iter().enumerate() {
             let slot = slot0 + 1;
             let mut sorted: Vec<&Row> = self.rows.iter().collect();
-            sorted.sort_by(|a, b| key::cmp_value(&a[*col], &b[*col]));
+            sorted.sort_by(|a, b| key::cmp_value(&a[col], &b[col]));
             let tmp = format!("/tmp/orc-variant{}.v{slot}", self.path);
-            let mut opts = self.options.clone();
-            opts.sort_column = name.clone();
             let mut w = Box::new(OrcWriter::create(
                 &self.dfs,
                 &tmp,
                 &self.schema,
-                opts,
+                self.options.clone(),
                 self.memory.as_ref(),
             ));
             for row in &sorted {
                 w.write_row(row)?;
             }
             w.close()?;
-            self.dfs.adopt_variant(&self.path, &tmp, slot, name)?;
+            self.dfs.adopt_variant(&self.path, &tmp, slot)?;
         }
         Ok(len)
     }

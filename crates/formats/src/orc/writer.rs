@@ -42,9 +42,6 @@ pub struct OrcWriterOptions {
     pub bloom_columns: Vec<usize>,
     /// Target false-positive probability of those filters.
     pub bloom_fpp: f64,
-    /// Column this file's rows are clustered on, recorded in the footer
-    /// (per-replica sort orders); empty = insertion order.
-    pub sort_column: String,
 }
 
 impl Default for OrcWriterOptions {
@@ -58,7 +55,6 @@ impl Default for OrcWriterOptions {
             block_padding: true,
             bloom_columns: Vec::new(),
             bloom_fpp: DEFAULT_BLOOM_FPP,
-            sort_column: String::new(),
         }
     }
 }
@@ -502,7 +498,6 @@ impl TableWriter for OrcWriter {
             stripes: std::mem::take(&mut self.stripes),
             stripe_stats: std::mem::take(&mut self.stripe_stats),
             file_stats,
-            sort_column: self.options.sort_column.clone(),
             ordered,
         };
         let mut footer_buf = Vec::new();

@@ -64,9 +64,10 @@ pub struct JobReport {
     /// Simulated duration of each task's winning attempt (map then
     /// reduce, by index).
     pub task_sim_s: Vec<f64>,
-    /// Replica-aware split planning decisions: one
-    /// `(path, variant, sort column)` per input file the planner steered
-    /// to a sorted copy instead of the base replica.
+    /// Replica-aware split planning decisions: one `(path, variant,
+    /// column)` per input file the planner steered to a sorted copy instead
+    /// of the base replica, `column` the predicate column the copy's footer
+    /// says it is ordered on.
     pub replica_choices: Vec<(String, usize, String)>,
 }
 
@@ -625,7 +626,14 @@ impl MrEngine {
         report.bytes_read += side_io.bytes_read();
 
         // --- Plan splits. ----------------------------------------------
-        let (splits, replica_choices) = self.compute_splits(&spec.inputs)?;
+        // The footers planning reads (sorted copies, key-range bounds) are
+        // the job's reads too.
+        let plan_scope = IoScope::new();
+        let (splits, replica_choices) = {
+            let _g = plan_scope.enter();
+            self.compute_splits(&spec.inputs)?
+        };
+        report.bytes_read += plan_scope.snapshot().bytes_read();
         report.replica_choices = replica_choices;
         report.map_tasks = splits.len();
         let num_reducers = if spec.reduce_factory.is_some() {
@@ -809,7 +817,9 @@ mod tests {
     use hive_exec::expr::ExprNode;
     use hive_exec::graph::OperatorGraph;
     use hive_exec::operators::*;
-    use hive_formats::{create_writer, FormatKind, WriteOptions};
+    use hive_formats::{
+        create_writer, FormatKind, PredicateLeaf, PredicateOp, SearchArgument, WriteOptions,
+    };
     use std::sync::Arc;
 
     fn setup() -> (Dfs, HiveConf) {
@@ -1002,6 +1012,68 @@ mod tests {
         let total: i64 = rows.iter().map(|r| r[1].as_int().unwrap()).sum();
         assert_eq!(total, (0..100i64).sum::<i64>());
         assert!(dag.sim_total_s > dag.jobs[1].sim_total_s);
+    }
+
+    /// An ORC file of `(k, v)` rows at `path`, written under `conf`.
+    fn write_orc(dfs: &Dfs, conf: &HiveConf, path: &str, rows: &[(i64, i64)]) -> Schema {
+        let schema = Schema::parse(&[("k", "bigint"), ("v", "bigint")]).unwrap();
+        let opts = WriteOptions {
+            format: FormatKind::Orc,
+            ..Default::default()
+        };
+        let mut w = create_writer(dfs, path, &schema, conf, &opts).unwrap();
+        for &(k, v) in rows {
+            w.write_row(&Row::new(vec![Value::Int(k), Value::Int(v)]))
+                .unwrap();
+        }
+        w.close().unwrap();
+        schema
+    }
+
+    /// Split planning reads a sorted copy only when the copy's own footer
+    /// says it is ordered on a predicate column: `/w/sorted`'s copy 1 is
+    /// sorted on `v` and read for a predicate on `v` but not on `k`;
+    /// `/w/adopted`'s copy 1 is a file in insertion order and is never
+    /// read. The answers are the same whichever copy is read, and the
+    /// footers planning reads are in the job's `bytes_read`.
+    #[test]
+    fn replica_choice_follows_the_footer() {
+        let (dfs, mut conf) = setup();
+        let rows: Vec<(i64, i64)> = (0..500).map(|i| ((i * 7) % 13, (i * 37) % 101)).collect();
+        conf.set(keys::ORC_REPLICA_SORT_COLUMNS, "v");
+        let schema = write_orc(&dfs, &conf, "/w/sorted", &rows);
+        conf.set(keys::ORC_REPLICA_SORT_COLUMNS, "");
+        write_orc(&dfs, &conf, "/w/adopted", &rows);
+        write_orc(&dfs, &conf, "/tmp/stage", &rows);
+        dfs.adopt_variant("/w/adopted", "/tmp/stage", 1).unwrap();
+        let engine = MrEngine::new(dfs.clone(), conf);
+        let cases = [
+            ("/w/sorted", 1, Some("v")),
+            ("/w/sorted", 0, None),
+            ("/w/adopted", 1, None),
+        ];
+        for (path, column, chosen) in cases {
+            let leaf = PredicateLeaf::new(column, PredicateOp::LessThan, Some(Value::Int(100)));
+            let job = filter_job(schema.clone(), path, FormatKind::Orc, "/tmp/unused");
+            let job = JobSpec {
+                inputs: vec![JobInput {
+                    sarg: Some(SearchArgument::new(vec![leaf])),
+                    ..job.inputs[0].clone()
+                }],
+                output: JobOutput::Collect,
+                ..job
+            };
+            let before = dfs.stats().snapshot();
+            let (report, got) = engine.run_job(&job).unwrap();
+            let read = dfs.stats().snapshot().since(&before).bytes_read();
+            let want: Vec<(String, usize, String)> = chosen
+                .map(|c| (path.to_string(), 1, c.to_string()))
+                .into_iter()
+                .collect();
+            assert_eq!(report.replica_choices, want, "{path}, column {column}");
+            assert_eq!(got.len(), rows.iter().filter(|r| r.1 < 100).count());
+            assert_eq!(report.bytes_read, read, "{path}, column {column}");
+        }
     }
 
     /// Job 0's output is gone by the time job 2 runs (job 1, its only

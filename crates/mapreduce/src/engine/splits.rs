@@ -82,12 +82,12 @@ impl MrEngine {
 
     /// Plan input splits. Returns the splits plus one record per file the
     /// planner steered to a per-replica sorted copy (HAIL-style
-    /// replica-aware planning): among a file's stored variants, the first
-    /// whose sort column matches a pushed-down predicate column wins, so
-    /// min/max + bloom pruning see clustered data. An input addressed by
-    /// ordinal ([`JobInput::by_ordinal`]) reads the base copy — delete keys
-    /// and `ROW__ID` number the physical rows of variant 0 — and non-ORC
-    /// formats have no variants.
+    /// replica-aware planning): among a file's sorted copies, the first
+    /// whose own footer says it is ordered on a pushed-down predicate
+    /// column wins, so min/max + bloom pruning see clustered data. An
+    /// input addressed by ordinal ([`JobInput::by_ordinal`]) reads the base
+    /// copy — delete keys and `ROW__ID` number the physical rows of variant
+    /// 0 — and non-ORC formats have no variants.
     #[allow(clippy::type_complexity)]
     pub(super) fn compute_splits<'a>(
         &self,
@@ -98,19 +98,17 @@ impl MrEngine {
         let mut choices = Vec::new();
         for input in inputs {
             let by_ordinal = input.by_ordinal();
-            // Predicate columns by name; a replica sorted on one of them
-            // clusters the matching rows together.
-            let pred_cols: Vec<String> = input
+            // Predicate columns; a copy ordered on one of them clusters the
+            // matching rows together.
+            let pred_cols: Vec<usize> = input
                 .sarg
-                .as_ref()
-                .map(|s| {
-                    s.leaves
-                        .iter()
-                        .filter_map(|l| input.schema.fields().get(l.column))
-                        .map(|f| f.name.clone())
-                        .collect()
-                })
-                .unwrap_or_default();
+                .iter()
+                .flat_map(|s| &s.leaves)
+                .map(|l| l.column)
+                .filter(|&c| c < input.schema.len())
+                .collect();
+            let orc = input.format == hive_formats::FormatKind::Orc;
+            let choose = replica_selection && orc && !by_ordinal && !pred_cols.is_empty();
             for path in self.expand_paths(&input.paths) {
                 if !self.dfs.exists(&path) {
                     continue;
@@ -123,38 +121,13 @@ impl MrEngine {
                     splits.extend(self.ranged_splits(input, &path, column, &blocks)?);
                     continue;
                 }
-                if replica_selection
-                    && input.format == hive_formats::FormatKind::Orc
-                    && !by_ordinal
-                    && !pred_cols.is_empty()
-                {
-                    if let Some((variant, sort_column)) = self.dfs.select_variant(&path, &pred_cols)
-                    {
-                        for b in self.dfs.variant_blocks(&path, variant)? {
-                            if b.len == 0 {
-                                continue;
-                            }
-                            splits.push(Split {
-                                input,
-                                path: path.clone(),
-                                start: b.offset,
-                                end: b.offset + b.len,
-                                replicas: b.replicas.clone(),
-                                variant,
-                                range: None,
-                            });
-                        }
-                        choices.push((path.clone(), variant, sort_column));
-                        continue;
-                    }
-                }
-                if by_ordinal && input.format != hive_formats::FormatKind::Orc {
-                    // Rows addressed by ordinal within the whole file, over
-                    // a format whose reader cannot report one: the file
-                    // cannot be carved into block-range splits — one task
-                    // scans it start to end in physical row order. ORC files
-                    // skip this: their reader tracks skip-aware ordinals, so
-                    // they split (and prune) like any other input.
+                if input.format == hive_formats::FormatKind::Sequence || (by_ordinal && !orc) {
+                    // One task scans the file start to end: a SequenceFile
+                    // has no sync markers, and rows addressed by ordinal
+                    // within the whole file, over a format whose reader
+                    // cannot report one, cannot be carved into block-range
+                    // splits. ORC files split (and prune) like any other
+                    // input: their reader tracks skip-aware ordinals.
                     splits.push(Split {
                         input,
                         path: path.clone(),
@@ -166,42 +139,65 @@ impl MrEngine {
                     });
                     continue;
                 }
-                match input.format {
-                    hive_formats::FormatKind::Sequence => {
-                        // No sync markers in this SequenceFile: one split.
-                        splits.push(Split {
-                            input,
-                            path: path.clone(),
-                            start: 0,
-                            end: self.dfs.len(&path)?,
-                            replicas: blocks[0].replicas.clone(),
-                            variant: 0,
-                            range: None,
-                        });
+                let chosen = if choose {
+                    self.sorted_copy(&path, &pred_cols)?
+                } else {
+                    None
+                };
+                let (variant, blocks) = match chosen {
+                    Some((variant, column)) => {
+                        let name = input.schema.fields()[column].name.clone();
+                        choices.push((path.clone(), variant, name));
+                        (variant, self.dfs.variant_blocks(&path, variant)?)
                     }
-                    _ => {
-                        for b in blocks {
-                            if b.len == 0 {
-                                continue;
-                            }
-                            // Data-local scheduling: attempt 0 runs on the
-                            // first replica, as Hadoop usually manages to;
-                            // retries rotate through the rest.
-                            splits.push(Split {
-                                input,
-                                path: path.clone(),
-                                start: b.offset,
-                                end: b.offset + b.len,
-                                replicas: b.replicas.clone(),
-                                variant: 0,
-                                range: None,
-                            });
-                        }
-                    }
+                    None => (0, blocks),
+                };
+                // Data-local scheduling: attempt 0 runs on the first
+                // replica, as Hadoop usually manages to; retries rotate
+                // through the rest.
+                for b in blocks.into_iter().filter(|b| b.len > 0) {
+                    splits.push(Split {
+                        input,
+                        path: path.clone(),
+                        start: b.offset,
+                        end: b.offset + b.len,
+                        replicas: b.replicas,
+                        variant,
+                        range: None,
+                    });
                 }
             }
         }
         Ok((splits, choices))
+    }
+
+    /// The first sorted copy of `path` whose footer says it is ordered on
+    /// one of the table columns `columns`, with that column. A file with
+    /// one copy opens no footer, and a copy whose footer cannot be read is
+    /// passed over: the scan then reads the base copy.
+    fn sorted_copy(&self, path: &str, columns: &[usize]) -> Result<Option<(usize, usize)>> {
+        let cache_metadata = self.cache_metadata()?;
+        Ok(self
+            .dfs
+            .sorted_copies(path)
+            .into_iter()
+            .find_map(|variant| {
+                let opts = OrcReadOptions {
+                    cache_metadata,
+                    variant,
+                    ..Default::default()
+                };
+                let file = OrcReader::open(&self.dfs, path, opts).ok()?;
+                let column = columns.iter().copied().find(|&c| file.is_ordered(c))?;
+                Some((variant, column))
+            }))
+    }
+
+    /// Whether planning's footer reads go through the process-wide ORC
+    /// metadata cache: `hive.io.cache.bytes=0` switches both cache tiers
+    /// off, as it does for the scan.
+    fn cache_metadata(&self) -> Result<bool> {
+        Ok(self.conf.get_i64(keys::IO_CACHE_BYTES)? > 0)
     }
 
     /// The splits of one file of an input stored in key order on table
@@ -229,7 +225,7 @@ impl MrEngine {
             ))
         })?;
         let opts = OrcReadOptions {
-            cache_metadata: true,
+            cache_metadata: self.cache_metadata()?,
             ..Default::default()
         };
         let bounds = OrcReader::open(&self.dfs, path, opts)?.stripe_bounds(column);

@@ -30,8 +30,10 @@ pub trait Catalog {
     /// How many files say `table`'s rows are stored in the order of its
     /// column `column` (see [`OrderedColumn`](crate::plan::OrderedColumn)),
     /// or `None` when the table is not, or nothing says so. The files are
-    /// the ones `table` pinned, never a declaration.
-    fn order(&self, _table: &TableMeta, _column: usize) -> Option<usize> {
+    /// the ones `table` pinned, never a declaration. `cache_metadata`: the
+    /// statement lets footers go through the process-wide metadata cache
+    /// (`hive.io.cache.bytes` is not 0).
+    fn order(&self, _table: &TableMeta, _column: usize, _cache_metadata: bool) -> Option<usize> {
         None
     }
 }
@@ -66,8 +68,8 @@ impl Catalog for PinnedCatalog<'_> {
         Ok(meta)
     }
 
-    fn order(&self, table: &TableMeta, column: usize) -> Option<usize> {
-        self.inner.order(table, column)
+    fn order(&self, table: &TableMeta, column: usize, cache_metadata: bool) -> Option<usize> {
+        self.inner.order(table, column, cache_metadata)
     }
 }
 

@@ -151,11 +151,12 @@ fn plan_select(
             }
         }
     }
+    let cache_metadata = conf.get_i64(keys::IO_CACHE_BYTES)? > 0;
     let mut sources: Vec<Option<Source>> = bound.sources.into_iter().map(Some).collect();
     let mut build_rel = |g: &mut PlanGraph, entry: usize| -> Result<Rel> {
         let source = sources[entry].take().expect("each entry is planned once");
         let rel = plan_source(g, source, scope.binding(entry), &used[entry], catalog, conf)?;
-        record_order(g, rel.node, &keyed[entry], catalog);
+        record_order(g, rel.node, &keyed[entry], catalog, cache_metadata);
         // Storage-level pushdown into the scan, then a residual Filter
         // (ORC may return whole index groups; the Filter stays correct).
         let Some(pred) = pushed[entry]
@@ -414,7 +415,13 @@ fn plan_source(
 
 /// Record, for the scan `node` (a derived table's plan has none), which of
 /// the `keyed` table columns its table is stored in the order of.
-fn record_order(g: &mut PlanGraph, node: usize, keyed: &BTreeSet<usize>, catalog: &dyn Catalog) {
+fn record_order(
+    g: &mut PlanGraph,
+    node: usize,
+    keyed: &BTreeSet<usize>,
+    catalog: &dyn Catalog,
+    cache_metadata: bool,
+) {
     let PlanOp::TableScan { table, .. } = &g.node(node).op else {
         return;
     };
@@ -422,7 +429,7 @@ fn record_order(g: &mut PlanGraph, node: usize, keyed: &BTreeSet<usize>, catalog
         .iter()
         .filter(|&&column| column < table.schema.len())
         .filter_map(|&column| {
-            let files = catalog.order(table, column)?;
+            let files = catalog.order(table, column, cache_metadata)?;
             Some(OrderedColumn { column, files })
         })
         .collect();

@@ -309,7 +309,7 @@ impl Catalog for OrderedCatalog {
         self.tables.table(name)
     }
 
-    fn order(&self, table: &TableMeta, column: usize) -> Option<usize> {
+    fn order(&self, table: &TableMeta, column: usize, _cache_metadata: bool) -> Option<usize> {
         let keyed = ["fact", "fact2"].contains(&table.name.as_str()) && column == 0;
         (self.ordered && keyed).then_some(1)
     }

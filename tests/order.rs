@@ -252,3 +252,40 @@ fn keys_across_stripe_boundaries_stay_in_one_task() {
         );
     }
 }
+
+/// `hive.io.cache.bytes=0` switches the ORC metadata cache off for the
+/// planner's footer reads as for the scan's: a GROUP BY planned from the
+/// table's order leaves no footer in the cache for a later reader to hit.
+#[test]
+fn the_cache_knob_at_zero_keeps_planning_out_of_the_metadata_cache() {
+    use hive::formats::orc::reader::{OrcReadOptions, OrcReader};
+    let mut hive = HiveSession::with_dfs_config(DfsConfig {
+        block_size: 64 << 10,
+        replication: 2,
+        nodes: 4,
+    });
+    hive.set(keys::IO_CACHE_BYTES, "0");
+    hive.execute("CREATE TABLE kv (k BIGINT, v BIGINT) STORED AS orc")
+        .unwrap();
+    let rows = (0..400).map(|i| Row::new(vec![Value::Int(i / 4), Value::Int(i)]));
+    hive.load_rows("kv", rows).unwrap();
+    let sql = "SELECT k, COUNT(*) FROM kv GROUP BY k";
+    let explain = hive.execute(&format!("EXPLAIN {sql}")).unwrap();
+    let explain = explain.explain.unwrap();
+    assert!(explain.contains("order: kv.k (1 file)"), "{explain}");
+    assert_eq!(hive.execute(sql).unwrap().rows.len(), 100);
+    let files = hive.dfs().list("/warehouse/kv/");
+    assert_eq!(files.len(), 1);
+    let opts = OrcReadOptions {
+        cache_metadata: true,
+        ..Default::default()
+    };
+    let file = OrcReader::open(hive.dfs(), &files[0], opts).unwrap();
+    assert_eq!(
+        (
+            file.counters.footer_cache_hits,
+            file.counters.footer_cache_misses
+        ),
+        (0, 1)
+    );
+}
