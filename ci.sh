@@ -29,17 +29,18 @@ cargo test -q --release --offline -p hive-vector expressions::
 # the row reader over nested types and NULLs, and over those types with a
 # byte flipped anywhere, the SequenceFile row and batch readers over a file
 # flipped and cut at every byte and over records narrower than their
-# schema, and the exhaustive decoder flips: every ORC footer and postscript
-# byte, every RCFile byte, and metadata counts past the bytes left (slice
-# and index arithmetic over stripe, footer and record buffers: debug
-# builds overflow-check it, release builds wrap).
+# schema, and the exhaustive decoder flips: every byte of whole flat and
+# nested ORC files, uncompressed and Snappy, with all three masks (the debug
+# run rotates one mask a byte), every ORC footer and postscript byte, every
+# RCFile byte, and metadata counts past the bytes left (slice and index
+# arithmetic over stripe, footer and record buffers: debug builds
+# overflow-check it, release builds wrap).
 cargo test -q --release --offline -p hive-formats --test orc_roundtrip -- deferred \
     vectorized_reader_matches_row_reader figure_3_complex_types_round_trip \
     nulls_round_trip_everywhere
 cargo test -q --release --offline -p hive-formats --test corruption -- \
     orc_nested_types_survive_bit_flips_everywhere sequencefile_survives_corruption \
-    sequencefile_record_narrower_than_its_schema_is_an_error \
-    orc_footer_and_postscript_survive_every_flip
+    sequencefile_record_narrower_than_its_schema_is_an_error every_flip
 cargo test -q --release --offline -p hive-formats --lib -- \
     counts_beyond_the_bytes_left_are_errors rcfile::tests::flipped_bytes_never_panic
 
@@ -82,14 +83,17 @@ cargo test -q --release --offline -p hive-dfs --lib -- crc:: \
 cargo test -q --release --offline -p hive-codec --lib -- block::lz:: hostile_length_header
 cargo test -q --release --offline -p hive-formats --lib hostile_length_header
 
-# The properties the scan's, vectorized GROUP BY's and the vector shuffle's
-# speed rest on, in the optimized build: next_batch + the root filter over
-# one stripe, process() once a batch's groups exist, and a sink's batch into
-# sized shuffle runs allocate nothing (each its own test binary: they
-# install a counting global allocator).
-echo "==> scan loop, vectorized GROUP BY and vector shuffle steady state allocate nothing"
+# The properties the scan's, vectorized GROUP BY's, the vector shuffle's and
+# the ORC writer's speed rest on, in the optimized build: next_batch + the
+# root filter over one stripe, process() once a batch's groups exist, a
+# sink's batch into sized shuffle runs, and a dictionary value already seen
+# allocate nothing, and a written file's allocations follow its stripes, not
+# its rows (each its own test binary: they install a counting global
+# allocator).
+echo "==> scan loop, vectorized GROUP BY, vector shuffle and ORC writer allocate nothing"
 cargo test -q --release --offline -p hive-vector --test groupby_steady_state_allocs
 cargo test -q --release --offline -p hive-mapreduce --test shuffle_steady_state_allocs
+cargo test -q --release --offline -p hive-formats --test orc_write_allocs
 
 # The benchmark is a package of its own (outside the workspace) that
 # compiles against the engine's public API; build it so a signature change

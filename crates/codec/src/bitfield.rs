@@ -50,11 +50,26 @@ impl BitFieldEncoder {
 
     /// Finish: pad the last byte with zero bits and return encoded bytes.
     pub fn finish(mut self) -> Vec<u8> {
+        self.pad();
+        self.byte_rle.finish()
+    }
+
+    /// Finish the stream, append its bytes to `out`, and start the next
+    /// stream with this encoder's buffers.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        self.pad();
+        self.byte_rle.finish_into(out);
+        self.count = 0;
+    }
+
+    /// Write out the last, partly filled byte, padded with zero bits.
+    fn pad(&mut self) {
         if self.bits_used > 0 {
             self.current <<= 8 - self.bits_used;
             self.byte_rle.write(self.current);
+            self.current = 0;
+            self.bits_used = 0;
         }
-        self.byte_rle.finish()
     }
 
     pub fn estimated_size(&self) -> usize {

@@ -60,10 +60,8 @@ impl ByteRleEncoder {
     fn flush_split(&mut self) {
         let lit_len = self.pending.len() - self.tail_run;
         if lit_len > 0 {
-            let tail = self.pending.split_off(lit_len);
-            self.emit_literals();
-            self.tail_run = tail.len();
-            self.pending = tail;
+            emit_literals(&mut self.out, &self.pending[..lit_len]);
+            self.pending.drain(..lit_len);
         }
     }
 
@@ -78,32 +76,42 @@ impl ByteRleEncoder {
         self.tail_run = 0;
     }
 
-    fn emit_literals(&mut self) {
-        let mut start = 0;
-        while start < self.pending.len() {
-            let chunk = (self.pending.len() - start).min(MAX_LITERAL);
-            self.out.push((-(chunk as i64)) as u8);
-            self.out
-                .extend_from_slice(&self.pending[start..start + chunk]);
-            start += chunk;
+    /// Emit whatever is pending, leaving the encoder as new.
+    fn flush(&mut self) {
+        if self.tail_run >= MIN_RUN {
+            self.emit_run();
+        } else {
+            emit_literals(&mut self.out, &self.pending);
+            self.pending.clear();
+            self.tail_run = 0;
         }
-        self.pending.clear();
-        self.tail_run = 0;
     }
 
     /// Finish the stream and return the encoded bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.tail_run >= MIN_RUN {
-            self.emit_run();
-        } else if !self.pending.is_empty() {
-            self.emit_literals();
-        }
+        self.flush();
         self.out
+    }
+
+    /// Finish the stream, append its bytes to `out`, and start the next
+    /// stream with this encoder's buffers.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        self.flush();
+        out.extend_from_slice(&self.out);
+        self.out.clear();
     }
 
     /// Encoded size so far (pending bytes estimated pessimistically).
     pub fn estimated_size(&self) -> usize {
         self.out.len() + self.pending.len() + 2
+    }
+}
+
+/// Literal groups of at most [`MAX_LITERAL`] bytes each.
+fn emit_literals(out: &mut Vec<u8>, bytes: &[u8]) {
+    for chunk in bytes.chunks(MAX_LITERAL) {
+        out.push((-(chunk.len() as i64)) as u8);
+        out.extend_from_slice(chunk);
     }
 }
 

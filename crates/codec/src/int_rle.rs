@@ -85,9 +85,8 @@ impl IntRleEncoder {
         if lit_len == 0 {
             return;
         }
-        let tail = self.pending.split_off(lit_len);
-        let lits = std::mem::replace(&mut self.pending, tail);
-        self.emit_literals_of(&lits);
+        emit_literals(&mut self.out, &self.pending[..lit_len]);
+        self.pending.drain(..lit_len);
     }
 
     fn emit_run(&mut self) {
@@ -102,31 +101,43 @@ impl IntRleEncoder {
         self.tail_delta = 0;
     }
 
-    fn emit_literals_of(&mut self, vals: &[i64]) {
-        let mut start = 0;
-        while start < vals.len() {
-            let chunk = (vals.len() - start).min(MAX_LITERAL);
-            self.out.push((-(chunk as i64)) as u8);
-            for &v in &vals[start..start + chunk] {
-                varint::write_signed(&mut self.out, v);
-            }
-            start += chunk;
+    /// Emit whatever is pending, leaving the encoder as new.
+    fn flush(&mut self) {
+        if self.tail_run >= MIN_RUN {
+            self.emit_run();
+        } else {
+            emit_literals(&mut self.out, &self.pending);
+            self.pending.clear();
+            self.tail_run = 0;
         }
     }
 
     pub fn finish(mut self) -> Vec<u8> {
-        if self.tail_run >= MIN_RUN {
-            self.emit_run();
-        } else if !self.pending.is_empty() {
-            let vals = std::mem::take(&mut self.pending);
-            self.emit_literals_of(&vals);
-        }
+        self.flush();
         self.out
+    }
+
+    /// Finish the stream, append its bytes to `out`, and start the next
+    /// stream with this encoder's buffers.
+    pub fn finish_into(&mut self, out: &mut Vec<u8>) {
+        self.flush();
+        out.extend_from_slice(&self.out);
+        self.out.clear();
     }
 
     /// Rough encoded size so far (pending counted pessimistically).
     pub fn estimated_size(&self) -> usize {
         self.out.len() + self.pending.len() * 3 + 2
+    }
+}
+
+/// Literal groups of at most [`MAX_LITERAL`] values each.
+fn emit_literals(out: &mut Vec<u8>, vals: &[i64]) {
+    for chunk in vals.chunks(MAX_LITERAL) {
+        out.push((-(chunk.len() as i64)) as u8);
+        for &v in chunk {
+            varint::write_signed(out, v);
+        }
     }
 }
 

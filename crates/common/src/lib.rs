@@ -7,6 +7,7 @@
 pub mod cancel;
 pub mod config;
 pub mod error;
+pub mod hash_index;
 pub mod key;
 pub mod row;
 pub mod schema;

@@ -14,12 +14,17 @@ use hive_dfs::{Dfs, DfsConfig, IoSnapshot};
 use hive_formats::orc::MemoryManager;
 use hive_formats::{create_writer, FormatKind, WriteOptions};
 use hive_obs::{MetricsRegistry, MetricsSnapshot};
+use std::sync::mpsc::{self, Receiver, SendError, SyncSender};
 
 /// Memory available to one task in bytes (m1.xlarge-ish scaled down).
 const TASK_MEMORY: u64 = 1 << 30;
 /// Fraction of task memory available to concurrent ORC writers (paper
 /// Section 4.4: half the task memory).
 const ORC_MEMORY_POOL: f64 = 0.5;
+/// Rows per chunk a load hands its writer thread.
+const LOAD_CHUNK_ROWS: usize = 1024;
+/// Chunks queued for a load's writer thread beyond the one it is writing.
+const LOAD_CHUNKS_QUEUED: usize = 4;
 
 /// A Hive session over a simulated cluster.
 ///
@@ -250,6 +255,14 @@ impl HiveSession {
 
     /// Bulk-load rows into a table (one new file per call), applying the
     /// session's format options; the writer honours the ORC memory manager.
+    ///
+    /// The file is written on a thread of its own while this one goes on
+    /// pulling `rows`. Rows cross in chunks of [`LOAD_CHUNK_ROWS`], at most
+    /// [`LOAD_CHUNKS_QUEUED`] waiting, and each chunk comes back once
+    /// written, so its rows are freed on the thread that made them. The file
+    /// is published only after the last row: an error from the writer ends
+    /// the load with that error, and a panic in `rows` unwinds out of this
+    /// call once the writer thread has let the file go.
     pub fn load_rows(&mut self, table: &str, rows: impl IntoIterator<Item = Row>) -> Result<u64> {
         let info: TableInfo = self
             .metastore()
@@ -258,6 +271,9 @@ impl HiveSession {
         let part = self.metastore().table_files(table).len();
         let path = format!("{}part-{part:05}", info.location);
         let memory = MemoryManager::for_task_memory(TASK_MEMORY, ORC_MEMORY_POOL);
+        // Opened on this thread, not the writer's: the file's bytes outlive
+        // the writer thread and are born in this thread's allocator arena
+        // (see `Dfs::create`).
         let mut w = create_writer(
             self.dfs(),
             &path,
@@ -269,13 +285,32 @@ impl HiveSession {
                 memory: Some(memory),
             },
         )?;
-        let mut n = 0u64;
-        for r in rows {
-            w.write_row(&r)?;
-            n += 1;
-        }
-        w.close()?;
-        Ok(n)
+        std::thread::scope(|scope| {
+            // `None` marks the end of the input.
+            let (to_writer, queued) = mpsc::sync_channel::<Option<Vec<Row>>>(LOAD_CHUNKS_QUEUED);
+            let (to_loader, written) = mpsc::channel::<Vec<Row>>();
+            let writer = scope.spawn(move || loop {
+                match queued.recv() {
+                    Ok(Some(chunk)) => {
+                        for r in &chunk {
+                            w.write_row(r)?;
+                        }
+                        let _ = to_loader.send(chunk);
+                    }
+                    Ok(None) => return w.close(),
+                    // The input unwound before its end: publish nothing.
+                    Err(_) => return Err(HiveError::Execution("load input ended early".into())),
+                }
+            });
+            // A failed send means the writer stopped on an error, which its
+            // join returns.
+            let fed = feed(rows, &to_writer, &written);
+            let closed = writer
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            release_free_memory();
+            closed.map(|_| fed.expect("the writer closes only after the end mark"))
+        })
     }
 
     /// Create a table directly from Rust (no SQL round trip).
@@ -288,6 +323,53 @@ impl HiveSession {
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.dfs().stats().snapshot()
     }
+}
+
+/// Hand the allocator's free pages back to the system. The load's writer
+/// thread had an allocator arena of its own, and its stripe buffers, freed
+/// there, would otherwise stay resident with no thread left to reuse them.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: glibc's `malloc_trim` takes each arena's lock and releases
+    // only pages on its free lists; it may be called from any thread.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_memory() {}
+
+/// Send `rows` to a load's writer in chunks of [`LOAD_CHUNK_ROWS`], each
+/// new chunk a written one sent back (its rows dropped here), then the end
+/// mark; the row count, or the first send the writer did not take.
+fn feed(
+    rows: impl IntoIterator<Item = Row>,
+    to_writer: &SyncSender<Option<Vec<Row>>>,
+    written: &Receiver<Vec<Row>>,
+) -> std::result::Result<u64, SendError<Option<Vec<Row>>>> {
+    let mut n = 0u64;
+    let mut chunk = Vec::with_capacity(LOAD_CHUNK_ROWS);
+    for r in rows {
+        chunk.push(r);
+        n += 1;
+        if chunk.len() == LOAD_CHUNK_ROWS {
+            let next = match written.try_recv() {
+                Ok(mut drained) => {
+                    drained.clear();
+                    drained
+                }
+                Err(_) => Vec::with_capacity(LOAD_CHUNK_ROWS),
+            };
+            to_writer.send(Some(std::mem::replace(&mut chunk, next)))?;
+        }
+    }
+    to_writer.send(Some(chunk))?;
+    to_writer.send(None)?;
+    Ok(n)
 }
 
 #[cfg(test)]

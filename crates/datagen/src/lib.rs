@@ -56,7 +56,24 @@ pub fn date_from_index(idx: i64) -> String {
     let doy = idx % 365;
     let month = doy / 31 + 1;
     let day = doy % 31 + 1;
-    format!("{year:04}-{month:02}-{day:02}")
+    if !(0..10_000).contains(&year) || doy < 0 {
+        return format!("{year:04}-{month:02}-{day:02}");
+    }
+    // The same ten bytes, without the formatter: three dates a lineitem row.
+    let digit = |v: i64| b'0' + v as u8;
+    let bytes = [
+        digit(year / 1000),
+        digit(year / 100 % 10),
+        digit(year / 10 % 10),
+        digit(year % 10),
+        b'-',
+        digit(month / 10),
+        digit(month % 10),
+        b'-',
+        digit(day / 10),
+        digit(day % 10),
+    ];
+    String::from_utf8(bytes.to_vec()).expect("ASCII digits")
 }
 
 #[cfg(test)]
@@ -79,6 +96,12 @@ mod tests {
     #[test]
     fn dates_are_ordered_strings() {
         assert_eq!(date_from_index(0), "1992-01-01");
+        for idx in (-400..3000).chain([2_950_000, 3_000_000]) {
+            let (year, doy) = (1992 + idx / 365, idx % 365);
+            let (month, day) = (doy / 31 + 1, doy % 31 + 1);
+            let formatted = format!("{year:04}-{month:02}-{day:02}");
+            assert_eq!(date_from_index(idx), formatted, "{idx}");
+        }
         assert!(date_from_index(100) < date_from_index(1000));
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {

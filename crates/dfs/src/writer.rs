@@ -4,14 +4,27 @@
 use crate::{Dfs, WriteFaultOutcome};
 use hive_common::{HiveError, Result};
 
+/// The first allocation of a file's byte buffer, made when the file is
+/// created.
+const FIRST_BUFFER_BYTES: usize = 4096;
+
 impl Dfs {
     /// Create a file for writing. Overwrites any existing file at `path`
     /// (HDFS semantics would forbid this; tests rely on replacement).
+    ///
+    /// The byte buffer is allocated here, by the thread that creates the
+    /// file, and not at the first write. The allocator grows a buffer in the
+    /// arena it was born in, so a file that a helper thread writes (a load's
+    /// writer thread) still keeps its bytes in the creator's arena. Bytes
+    /// that outlive their writer thread would otherwise sit in that thread's
+    /// arena. Once freed, they would stay resident until some later thread
+    /// happened to pick the same arena, which made the process's resident
+    /// size vary from run to run.
     pub fn create(&self, path: &str) -> DfsWriter {
         DfsWriter {
             dfs: self.clone(),
             path: path.to_string(),
-            data: Vec::new(),
+            data: Vec::with_capacity(FIRST_BUFFER_BYTES),
         }
     }
 }
@@ -82,5 +95,30 @@ impl DfsWriter {
                 )))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The buffer exists before the first write, so whichever thread writes
+    /// the file, it grows in the arena of the thread that created it.
+    #[test]
+    fn a_file_buffer_is_allocated_when_the_file_is_created() {
+        let dfs = Dfs::with_defaults();
+        let w = dfs.create("/t/part-00000");
+        assert!(w.data.capacity() >= FIRST_BUFFER_BYTES);
+        assert_eq!(w.position(), 0);
+        let grown = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut w = w;
+                w.write(&[7; 3 * FIRST_BUFFER_BYTES]);
+                w.try_close()
+            })
+            .join()
+            .expect("writer thread")
+        });
+        assert_eq!(grown.expect("published"), 3 * FIRST_BUFFER_BYTES as u64);
     }
 }

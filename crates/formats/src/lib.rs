@@ -27,8 +27,9 @@ pub use orc::sarg::{PredicateLeaf, PredicateOp, SearchArgument, TruthValue};
 use hive_common::{Result, Row};
 use hive_vector::VectorizedRowBatch;
 
-/// A row-at-a-time writer for one file of a table.
-pub trait TableWriter {
+/// A row-at-a-time writer for one file of a table. A writer may be handed
+/// to another thread (a load writes on one of its own).
+pub trait TableWriter: Send {
     fn write_row(&mut self, row: &Row) -> Result<()>;
 
     /// Finish the file; returns its final length in bytes.

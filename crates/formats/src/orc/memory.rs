@@ -9,12 +9,21 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared memory manager for all ORC writers of one task.
 #[derive(Clone)]
 pub struct MemoryManager {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
+}
+
+struct Shared {
+    inner: Mutex<Inner>,
+    /// [`MemoryManager::scale`] as `f64` bits, stored under the lock each
+    /// time a writer registers or leaves. Writers consult it once per row,
+    /// so reading it takes no lock.
+    scale: AtomicU64,
 }
 
 struct Inner {
@@ -36,12 +45,15 @@ impl MemoryManager {
     /// paper's default is half the memory allocated to the task.
     pub fn new(threshold: u64) -> MemoryManager {
         MemoryManager {
-            inner: Arc::new(Mutex::new(Inner {
-                threshold: threshold.max(1),
-                next_id: 0,
-                registered: HashMap::new(),
-                total_registered: 0,
-            })),
+            shared: Arc::new(Shared {
+                inner: Mutex::new(Inner {
+                    threshold: threshold.max(1),
+                    next_id: 0,
+                    registered: HashMap::new(),
+                    total_registered: 0,
+                }),
+                scale: AtomicU64::new(1.0f64.to_bits()),
+            }),
         }
     }
 
@@ -52,11 +64,12 @@ impl MemoryManager {
 
     /// Register a new writer with its configured stripe size.
     pub fn register(&self, stripe_size: u64) -> Registration {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let id = inner.next_id;
         inner.next_id += 1;
         inner.registered.insert(id, stripe_size);
         inner.total_registered += stripe_size;
+        self.publish_scale(&inner);
         Registration {
             manager: self.clone(),
             id,
@@ -66,23 +79,29 @@ impl MemoryManager {
 
     /// The current scale-down ratio (1.0 when under the threshold).
     pub fn scale(&self) -> f64 {
-        let inner = self.inner.lock();
-        if inner.total_registered <= inner.threshold {
+        f64::from_bits(self.shared.scale.load(Ordering::Relaxed))
+    }
+
+    /// Store the ratio `inner` implies; called with the lock held.
+    fn publish_scale(&self, inner: &Inner) {
+        let scale = if inner.total_registered <= inner.threshold {
             1.0
         } else {
             inner.threshold as f64 / inner.total_registered as f64
-        }
+        };
+        self.shared.scale.store(scale.to_bits(), Ordering::Relaxed);
     }
 
     pub fn total_registered(&self) -> u64 {
-        self.inner.lock().total_registered
+        self.shared.inner.lock().total_registered
     }
 
     fn deregister(&self, id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         if let Some(sz) = inner.registered.remove(&id) {
             inner.total_registered -= sz;
         }
+        self.publish_scale(&inner);
     }
 }
 

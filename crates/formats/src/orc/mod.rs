@@ -450,35 +450,29 @@ fn read_byte(buf: &[u8], pos: &mut usize) -> Result<u8> {
 // ---------------------------------------------------------------------------
 
 /// Frame and (optionally) compress a chunk of raw stream bytes into
-/// compression units of at most `unit` bytes each:
+/// compression units of at most `unit` bytes each, appended to `out`:
 /// `[varint raw_len][varint body_len][flag][body]...`, flag 0 = stored.
-pub(crate) fn frame_chunk(raw: &[u8], compression: Compression, unit: usize) -> Vec<u8> {
+pub(crate) fn frame_chunk(raw: &[u8], compression: Compression, unit: usize, out: &mut Vec<u8>) {
     let codec = compression.codec();
     let unit = unit.max(1024);
-    let mut out = Vec::with_capacity(raw.len() / 2 + 16);
     let mut start = 0usize;
     loop {
         let end = (start + unit).min(raw.len());
         let piece = &raw[start..end];
-        match &codec {
-            Some(c) => {
-                let comp = c.compress(piece);
-                if comp.len() < piece.len() {
-                    varint::write_unsigned(&mut out, piece.len() as u64);
-                    varint::write_unsigned(&mut out, comp.len() as u64);
-                    out.push(1);
-                    out.extend_from_slice(&comp);
-                } else {
-                    // Incompressible unit: store raw, as ORC does.
-                    varint::write_unsigned(&mut out, piece.len() as u64);
-                    varint::write_unsigned(&mut out, piece.len() as u64);
-                    out.push(0);
-                    out.extend_from_slice(piece);
-                }
+        let compressed = codec
+            .as_ref()
+            .map(|c| c.compress(piece))
+            .filter(|comp| comp.len() < piece.len());
+        varint::write_unsigned(out, piece.len() as u64);
+        match compressed {
+            Some(comp) => {
+                varint::write_unsigned(out, comp.len() as u64);
+                out.push(1);
+                out.extend_from_slice(&comp);
             }
+            // No codec, or an incompressible unit: store raw, as ORC does.
             None => {
-                varint::write_unsigned(&mut out, piece.len() as u64);
-                varint::write_unsigned(&mut out, piece.len() as u64);
+                varint::write_unsigned(out, piece.len() as u64);
                 out.push(0);
                 out.extend_from_slice(piece);
             }
@@ -488,7 +482,6 @@ pub(crate) fn frame_chunk(raw: &[u8], compression: Compression, unit: usize) -> 
             break;
         }
     }
-    out
 }
 
 /// Inverse of [`frame_chunk`]. A chunk stored as one uncompressed unit — every
@@ -646,6 +639,12 @@ mod tests {
     fn bad_magic_rejected() {
         let buf = b"not orc at all\x05".to_vec();
         assert!(decode_postscript(&buf).is_err());
+    }
+
+    fn frame_chunk(raw: &[u8], compression: Compression, unit: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        super::frame_chunk(raw, compression, unit, &mut out);
+        out
     }
 
     #[test]

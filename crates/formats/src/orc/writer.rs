@@ -19,7 +19,7 @@ use crate::orc::{
 use crate::TableWriter;
 use hive_codec::block::Compression;
 use hive_codec::dictionary::{DictionaryBuilder, StringEncoding};
-use hive_codec::{bitfield, byte_rle, int_rle, varint};
+use hive_codec::{varint, BitFieldEncoder, ByteRleEncoder, IntRleEncoder};
 use hive_common::key::{self, KeyOrd};
 use hive_common::{ColumnTree, DataType, HiveError, Result, Row, Schema, Value};
 use hive_dfs::{Dfs, DfsWriter};
@@ -89,6 +89,26 @@ struct Mark {
 }
 
 impl ColumnBuffer {
+    /// Start and end marks of index group `g`.
+    fn span(&self, g: usize) -> (Mark, Mark) {
+        let start = g.checked_sub(1).map_or(Mark::default(), |p| self.marks[p]);
+        (start, self.marks[g])
+    }
+
+    /// Whether index group `g` holds a NULL.
+    fn group_has_null(&self, g: usize) -> bool {
+        let (m0, m1) = self.span(g);
+        self.present[m0.present..m1.present].iter().any(|p| !p)
+    }
+
+    /// Record one instance's presence bit; returns what `memory_size`
+    /// grew by (a byte per eight bits).
+    fn push_present(&mut self, present: bool) -> usize {
+        self.present.push(present);
+        self.any_null |= !present;
+        self.present.len().is_multiple_of(8) as usize
+    }
+
     fn mark(&self) -> Mark {
         Mark {
             present: self.present.len(),
@@ -100,6 +120,8 @@ impl ColumnBuffer {
         }
     }
 
+    /// This buffer's share of the writer's memory estimate, the figure that
+    /// ends a stripe. The writer keeps the sum up to date value by value.
     fn memory_size(&self) -> usize {
         self.present.len() / 8
             + self.longs.len() * 8
@@ -128,6 +150,8 @@ pub struct OrcWriter {
     tree: ColumnTree,
     options: OrcWriterOptions,
     buffers: Vec<ColumnBuffer>,
+    /// The sum of the buffers' `memory_size`, grown as each value arrives.
+    buffered: usize,
     rows_in_stripe: u64,
     rows_in_group: usize,
     total_rows: u64,
@@ -136,8 +160,23 @@ pub struct OrcWriter {
     /// Per top-level column: whether its values have come in key order.
     order: Vec<OrderTracker>,
     registration: Option<Registration>,
+    /// Encoding buffers, reused from stripe to stripe.
+    scratch: Scratch,
     /// Total padding bytes written (exposed for tests/diagnostics).
     pub padding_bytes: u64,
+}
+
+/// What a stripe flush encodes into. Every buffer keeps its capacity, so a
+/// flush allocates for the stripe's directory and statistics only.
+#[derive(Default)]
+struct Scratch {
+    /// The stripe's data section.
+    data: Vec<u8>,
+    /// One index group's stream bytes, before framing.
+    raw: Vec<u8>,
+    ints: IntRleEncoder,
+    bits: BitFieldEncoder,
+    bytes: ByteRleEncoder,
 }
 
 impl OrcWriter {
@@ -157,6 +196,7 @@ impl OrcWriter {
             tree,
             options,
             buffers,
+            buffered: 0,
             rows_in_stripe: 0,
             rows_in_group: 0,
             total_rows: 0,
@@ -164,6 +204,7 @@ impl OrcWriter {
             stripe_stats: Vec::new(),
             order: vec![OrderTracker::default(); schema.len()],
             registration,
+            scratch: Scratch::default(),
             padding_bytes: 0,
         }
     }
@@ -177,77 +218,14 @@ impl OrcWriter {
     }
 
     fn buffered_memory(&self) -> usize {
-        self.buffers.iter().map(ColumnBuffer::memory_size).sum()
-    }
-
-    /// Recursively append one value into the column subtree rooted at `col`.
-    fn write_value(&mut self, col: usize, value: &Value) -> Result<()> {
-        let dt = self.tree.node(col).data_type.clone();
-        let is_null = value.is_null();
-        {
-            let buf = &mut self.buffers[col];
-            buf.present.push(!is_null);
-            buf.any_null |= is_null;
-        }
-        if is_null {
-            return Ok(());
-        }
-        match (&dt, value) {
-            (DataType::Int, Value::Int(v)) | (DataType::Timestamp, Value::Timestamp(v)) => {
-                self.buffers[col].longs.push(*v);
-            }
-            (DataType::Int, Value::Timestamp(v)) | (DataType::Timestamp, Value::Int(v)) => {
-                self.buffers[col].longs.push(*v);
-            }
-            (DataType::Int, Value::Boolean(b)) => self.buffers[col].longs.push(*b as i64),
-            (DataType::Boolean, Value::Boolean(b)) => self.buffers[col].bools.push(*b),
-            (DataType::Double, Value::Double(v)) => self.buffers[col].doubles.push(*v),
-            (DataType::Double, Value::Int(v)) => self.buffers[col].doubles.push(*v as f64),
-            (DataType::String, Value::String(s)) => self.buffers[col].dict.add(s.as_bytes()),
-            (DataType::Array(_), Value::Array(items)) => {
-                self.buffers[col].longs.push(items.len() as i64);
-                let child = self.tree.node(col).children[0];
-                for it in items {
-                    self.write_value(child, it)?;
-                }
-            }
-            (DataType::Map(_, _), Value::Map(entries)) => {
-                self.buffers[col].longs.push(entries.len() as i64);
-                let kcol = self.tree.node(col).children[0];
-                let vcol = self.tree.node(col).children[1];
-                for (k, v) in entries {
-                    self.write_value(kcol, k)?;
-                    self.write_value(vcol, v)?;
-                }
-            }
-            (DataType::Struct(fields), Value::Struct(vals)) => {
-                if fields.len() != vals.len() {
-                    return Err(HiveError::SerDe(format!(
-                        "struct has {} values, type has {} fields",
-                        vals.len(),
-                        fields.len()
-                    )));
-                }
-                let children = self.tree.node(col).children.clone();
-                for (child, v) in children.iter().zip(vals.iter()) {
-                    self.write_value(*child, v)?;
-                }
-            }
-            (DataType::Union(alts), Value::Union(tag, v)) => {
-                if *tag as usize >= alts.len() {
-                    return Err(HiveError::SerDe(format!("union tag {tag} out of range")));
-                }
-                self.buffers[col].tags.push(*tag);
-                let child = self.tree.node(col).children[*tag as usize];
-                self.write_value(child, v)?;
-            }
-            (dt, v) => {
-                return Err(HiveError::SerDe(format!(
-                    "value {v} does not match column type {dt}"
-                )))
-            }
-        }
-        Ok(())
+        debug_assert_eq!(
+            self.buffered,
+            self.buffers
+                .iter()
+                .map(ColumnBuffer::memory_size)
+                .sum::<usize>()
+        );
+        self.buffered
     }
 
     fn end_group(&mut self) {
@@ -271,23 +249,22 @@ impl OrcWriter {
 
         let mut columns: Vec<ColumnStreams> = Vec::with_capacity(self.tree.len());
         let mut group_stats: Vec<Vec<ColumnStatistics>> = Vec::with_capacity(self.tree.len());
-        let mut data: Vec<u8> = Vec::new();
-
-        for col in 0..self.tree.len() {
-            let dt = self.tree.node(col).data_type.clone();
-            let is_root = col == 0;
+        let scratch = &mut self.scratch;
+        scratch.data.clear();
+        for (node, buf) in self.tree.nodes().iter().zip(&self.buffers) {
             let (streams, stats) = encode_column(
-                &self.buffers[col],
-                &dt,
-                is_root,
+                buf,
+                &node.data_type,
+                node.id == 0,
                 threshold,
                 compression,
                 unit,
-                &mut data,
+                scratch,
             )?;
             columns.push(streams);
             group_stats.push(stats);
         }
+        let data = &self.scratch.data;
 
         // Index section: per column, group count + per-group statistics.
         let mut index = Vec::new();
@@ -326,7 +303,7 @@ impl OrcWriter {
         let offset = self.writer.position();
         self.writer.write(&index);
         self.writer.write(&bloom_section);
-        self.writer.write(&data);
+        self.writer.write(data);
         self.writer.write(&footer_buf);
         self.stripes.push(StripeInfo {
             offset,
@@ -355,6 +332,7 @@ impl OrcWriter {
         for buf in &mut self.buffers {
             buf.clear();
         }
+        self.buffered = 0;
         self.rows_in_stripe = 0;
         self.rows_in_group = 0;
         Ok(())
@@ -378,16 +356,9 @@ impl OrcWriter {
             let dt = &self.tree.node(node).data_type;
             let buf = &self.buffers[node];
             let ngroups = buf.marks.len();
-            let mark_at = |g: usize| -> Mark {
-                if g == 0 {
-                    Mark::default()
-                } else {
-                    buf.marks[g - 1]
-                }
-            };
             let mut groups: Vec<BloomFilter> = Vec::with_capacity(ngroups);
             for g in 0..ngroups {
-                let (m0, m1) = (mark_at(g), buf.marks[g]);
+                let (m0, m1) = buf.span(g);
                 let filter = match dt {
                     DataType::Int | DataType::Timestamp => {
                         let vals = &buf.longs[m0.longs..m1.longs];
@@ -414,14 +385,13 @@ impl OrcWriter {
                         f
                     }
                     DataType::String => {
-                        let entries = buf.dict.entries();
                         let ids = &buf.dict.row_ids()[m0.strings..m1.strings];
                         let mut f = BloomFilter::with_expected(ids.len(), fpp);
                         for &id in ids {
                             // Dictionary entries are the strings' UTF-8
                             // bytes, so this matches `hash_str` on the
                             // predicate literal exactly.
-                            f.add_hash(bloom::hash_bytes(&entries[id as usize]));
+                            f.add_hash(bloom::hash_bytes(buf.dict.entry(id)));
                         }
                         f
                     }
@@ -451,11 +421,11 @@ impl TableWriter for OrcWriter {
             )));
         }
         // The root column is the row struct itself.
-        self.buffers[0].present.push(true);
+        self.buffered += self.buffers[0].push_present(true);
         for (i, v) in row.values().iter().enumerate() {
             let col = self.tree.top_level(i);
             self.order[i].observe(&self.tree.node(col).data_type, v);
-            self.write_value(col, v)?;
+            write_value(&self.tree, &mut self.buffers, &mut self.buffered, col, v)?;
         }
         self.rows_in_stripe += 1;
         self.rows_in_group += 1;
@@ -521,9 +491,97 @@ impl TableWriter for OrcWriter {
     }
 }
 
-/// Encode one column's stripe buffer into streams appended to `data`.
+/// Recursively append one value into the column subtree rooted at `col`,
+/// adding what each buffer's `memory_size` grows by to `memory`.
+fn write_value(
+    tree: &ColumnTree,
+    buffers: &mut [ColumnBuffer],
+    memory: &mut usize,
+    col: usize,
+    value: &Value,
+) -> Result<()> {
+    let node = tree.node(col);
+    let buf = &mut buffers[col];
+    let is_null = value.is_null();
+    *memory += buf.push_present(!is_null);
+    if is_null {
+        return Ok(());
+    }
+    match (&node.data_type, value) {
+        (DataType::Int, Value::Int(v))
+        | (DataType::Timestamp, Value::Timestamp(v))
+        | (DataType::Int, Value::Timestamp(v))
+        | (DataType::Timestamp, Value::Int(v)) => {
+            buf.longs.push(*v);
+            *memory += 8;
+        }
+        (DataType::Int, Value::Boolean(b)) => {
+            buf.longs.push(*b as i64);
+            *memory += 8;
+        }
+        (DataType::Boolean, Value::Boolean(b)) => {
+            buf.bools.push(*b);
+            *memory += 1;
+        }
+        (DataType::Double, Value::Double(v)) => {
+            buf.doubles.push(*v);
+            *memory += 8;
+        }
+        (DataType::Double, Value::Int(v)) => {
+            buf.doubles.push(*v as f64);
+            *memory += 8;
+        }
+        (DataType::String, Value::String(s)) => {
+            let before = buf.dict.memory_size();
+            buf.dict.add(s.as_bytes());
+            *memory += buf.dict.memory_size() - before;
+        }
+        (DataType::Array(_), Value::Array(items)) => {
+            buf.longs.push(items.len() as i64);
+            *memory += 8;
+            for it in items {
+                write_value(tree, buffers, memory, node.children[0], it)?;
+            }
+        }
+        (DataType::Map(_, _), Value::Map(entries)) => {
+            buf.longs.push(entries.len() as i64);
+            *memory += 8;
+            for (k, v) in entries {
+                write_value(tree, buffers, memory, node.children[0], k)?;
+                write_value(tree, buffers, memory, node.children[1], v)?;
+            }
+        }
+        (DataType::Struct(fields), Value::Struct(vals)) => {
+            if fields.len() != vals.len() {
+                return Err(HiveError::SerDe(format!(
+                    "struct has {} values, type has {} fields",
+                    vals.len(),
+                    fields.len()
+                )));
+            }
+            for (&child, v) in node.children.iter().zip(vals.iter()) {
+                write_value(tree, buffers, memory, child, v)?;
+            }
+        }
+        (DataType::Union(alts), Value::Union(tag, v)) => {
+            if *tag as usize >= alts.len() {
+                return Err(HiveError::SerDe(format!("union tag {tag} out of range")));
+            }
+            buf.tags.push(*tag);
+            *memory += 1;
+            write_value(tree, buffers, memory, node.children[*tag as usize], v)?;
+        }
+        (dt, v) => {
+            return Err(HiveError::SerDe(format!(
+                "value {v} does not match column type {dt}"
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// Encode one column's stripe buffer into streams appended to `scratch.data`.
 /// Returns the stream directory and per-group statistics.
-#[allow(clippy::too_many_arguments)]
 fn encode_column(
     buf: &ColumnBuffer,
     dt: &DataType,
@@ -531,241 +589,213 @@ fn encode_column(
     dict_threshold: f64,
     compression: Compression,
     unit: usize,
-    data: &mut Vec<u8>,
+    scratch: &mut Scratch,
 ) -> Result<(ColumnStreams, Vec<ColumnStatistics>)> {
     let ngroups = buf.marks.len();
     let mut streams: Vec<StreamInfo> = Vec::new();
     let mut encoding = None;
 
-    // Group boundary helper: start/end marks of group g.
-    let mark_at = |g: usize| -> Mark {
-        if g == 0 {
-            Mark::default()
-        } else {
-            buf.marks[g - 1]
+    // One stream of one chunk per index group: `encode(g, scratch)` writes
+    // group g's bytes to `scratch.raw` and returns its value count, and the
+    // chunk is framed straight onto the data section.
+    let emit_stream = |s: &mut Scratch,
+                       kind: StreamKind,
+                       encode: &mut dyn FnMut(usize, &mut Scratch) -> usize| {
+        let start = s.data.len();
+        let mut chunks = Vec::with_capacity(ngroups);
+        for g in 0..ngroups {
+            s.raw.clear();
+            let values = encode(g, s) as u64;
+            let offset = s.data.len();
+            frame_chunk(&s.raw, compression, unit, &mut s.data);
+            chunks.push(ChunkInfo {
+                offset: (offset - start) as u64,
+                len: (s.data.len() - offset) as u64,
+                values,
+            });
         }
+        StreamInfo {
+            kind,
+            len: (s.data.len() - start) as u64,
+            chunks,
+        }
+    };
+    // The integer stream of `vals`.
+    let ints = |s: &mut Scratch, vals: &mut dyn Iterator<Item = i64>| {
+        let mut n = 0;
+        for v in vals {
+            s.ints.write(v);
+            n += 1;
+        }
+        s.ints.finish_into(&mut s.raw);
+        n
     };
 
     // PRESENT stream, only when the stripe saw a null (root never does).
     if buf.any_null && !is_root {
-        let mut stream_bytes = Vec::new();
-        let mut chunks = Vec::with_capacity(ngroups);
-        for g in 0..ngroups {
-            let (s, e) = (mark_at(g).present, buf.marks[g].present);
-            let raw = bitfield::encode(&buf.present[s..e]);
-            let framed = frame_chunk(&raw, compression, unit);
-            chunks.push(ChunkInfo {
-                offset: stream_bytes.len() as u64,
-                len: framed.len() as u64,
-                values: (e - s) as u64,
-            });
-            stream_bytes.extend_from_slice(&framed);
-        }
-        streams.push(StreamInfo {
-            kind: StreamKind::Present,
-            len: stream_bytes.len() as u64,
-            chunks,
+        let info = emit_stream(scratch, StreamKind::Present, &mut |g, s| {
+            let (m0, m1) = buf.span(g);
+            s.bits.write_all(&buf.present[m0.present..m1.present]);
+            s.bits.finish_into(&mut s.raw);
+            m1.present - m0.present
         });
-        data.extend_from_slice(&stream_bytes);
+        streams.push(info);
     }
-
-    // Helper to emit a per-group stream from a closure producing raw bytes
-    // plus a value count per group.
-    let emit_stream = |kind: StreamKind,
-                       data: &mut Vec<u8>,
-                       per_group: &mut dyn FnMut(usize) -> (Vec<u8>, u64)| {
-        let mut stream_bytes = Vec::new();
-        let mut chunks = Vec::with_capacity(ngroups);
-        for g in 0..ngroups {
-            let (raw, values) = per_group(g);
-            let framed = frame_chunk(&raw, compression, unit);
-            chunks.push(ChunkInfo {
-                offset: stream_bytes.len() as u64,
-                len: framed.len() as u64,
-                values,
-            });
-            stream_bytes.extend_from_slice(&framed);
-        }
-        let info = StreamInfo {
-            kind,
-            len: stream_bytes.len() as u64,
-            chunks,
-        };
-        data.extend_from_slice(&stream_bytes);
-        info
-    };
 
     let mut stats: Vec<ColumnStatistics> = Vec::with_capacity(ngroups);
 
     match dt {
         DataType::Int | DataType::Timestamp => {
             encoding = Some(ColumnEncoding::Direct);
-            let info = emit_stream(StreamKind::Data, data, &mut |g| {
-                let (s, e) = (mark_at(g).longs, buf.marks[g].longs);
-                (int_rle::encode(&buf.longs[s..e]), (e - s) as u64)
+            let info = emit_stream(scratch, StreamKind::Data, &mut |g, s| {
+                let (m0, m1) = buf.span(g);
+                ints(s, &mut buf.longs[m0.longs..m1.longs].iter().copied())
             });
             streams.push(info);
             for g in 0..ngroups {
-                let m0 = mark_at(g);
-                let m1 = buf.marks[g];
+                let (m0, m1) = buf.span(g);
                 let vals = &buf.longs[m0.longs..m1.longs];
-                let has_null = buf.present[m0.present..m1.present].iter().any(|p| !p);
-                stats.push(int_stats(vals, has_null));
+                stats.push(int_stats(vals, buf.group_has_null(g)));
             }
         }
         DataType::Boolean => {
             encoding = Some(ColumnEncoding::Direct);
-            let info = emit_stream(StreamKind::Data, data, &mut |g| {
-                let (s, e) = (mark_at(g).bools, buf.marks[g].bools);
-                (bitfield::encode(&buf.bools[s..e]), (e - s) as u64)
+            let info = emit_stream(scratch, StreamKind::Data, &mut |g, s| {
+                let (m0, m1) = buf.span(g);
+                s.bits.write_all(&buf.bools[m0.bools..m1.bools]);
+                s.bits.finish_into(&mut s.raw);
+                m1.bools - m0.bools
             });
             streams.push(info);
             for g in 0..ngroups {
-                let m0 = mark_at(g);
-                let m1 = buf.marks[g];
+                let (m0, m1) = buf.span(g);
                 let vals = &buf.bools[m0.bools..m1.bools];
-                let has_null = buf.present[m0.present..m1.present].iter().any(|p| !p);
                 stats.push(ColumnStatistics::Boolean {
                     count: vals.len() as u64,
-                    has_null,
+                    has_null: buf.group_has_null(g),
                     true_count: vals.iter().filter(|b| **b).count() as u64,
                 });
             }
         }
         DataType::Double => {
             encoding = Some(ColumnEncoding::Direct);
-            let info = emit_stream(StreamKind::Data, data, &mut |g| {
-                let (s, e) = (mark_at(g).doubles, buf.marks[g].doubles);
-                let mut raw = Vec::with_capacity((e - s) * 8);
-                for v in &buf.doubles[s..e] {
-                    raw.extend_from_slice(&v.to_le_bytes());
+            let info = emit_stream(scratch, StreamKind::Data, &mut |g, s| {
+                let (m0, m1) = buf.span(g);
+                for v in &buf.doubles[m0.doubles..m1.doubles] {
+                    s.raw.extend_from_slice(&v.to_le_bytes());
                 }
-                (raw, (e - s) as u64)
+                m1.doubles - m0.doubles
             });
             streams.push(info);
             for g in 0..ngroups {
-                let m0 = mark_at(g);
-                let m1 = buf.marks[g];
+                let (m0, m1) = buf.span(g);
                 let vals = &buf.doubles[m0.doubles..m1.doubles];
-                let has_null = buf.present[m0.present..m1.present].iter().any(|p| !p);
-                stats.push(double_stats(vals, has_null));
+                stats.push(double_stats(vals, buf.group_has_null(g)));
             }
         }
         DataType::String => {
+            let dict = &buf.dict;
             // The paper's dictionary decision: dictionary-encode when
             // distinct/total ≤ threshold, else store directly.
-            let choice = buf.dict.choose(dict_threshold);
-            match choice {
+            match dict.choose(dict_threshold) {
                 StringEncoding::Dictionary => {
                     encoding = Some(ColumnEncoding::Dictionary {
-                        size: buf.dict.num_distinct() as u64,
+                        size: dict.num_distinct() as u64,
                     });
                     // Stripe-global dictionary streams (single chunk each).
-                    let mut dict_bytes = Vec::new();
-                    let mut dict_lens = int_rle::IntRleEncoder::new();
-                    for e in buf.dict.entries() {
-                        dict_bytes.extend_from_slice(e);
-                        dict_lens.write(e.len() as i64);
-                    }
-                    for (kind, raw, values) in [
-                        (
-                            StreamKind::DictionaryData,
-                            dict_bytes,
-                            buf.dict.num_distinct() as u64,
-                        ),
-                        (
-                            StreamKind::DictionaryLength,
-                            dict_lens.finish(),
-                            buf.dict.num_distinct() as u64,
-                        ),
-                    ] {
-                        let framed = frame_chunk(&raw, compression, unit);
+                    let values = dict.num_distinct() as u64;
+                    let mut single_chunk = |s: &mut Scratch, kind, raw: &[u8]| {
+                        let offset = s.data.len();
+                        frame_chunk(raw, compression, unit, &mut s.data);
+                        let len = (s.data.len() - offset) as u64;
                         streams.push(StreamInfo {
                             kind,
-                            len: framed.len() as u64,
+                            len,
                             chunks: vec![ChunkInfo {
                                 offset: 0,
-                                len: framed.len() as u64,
+                                len,
                                 values,
                             }],
                         });
-                        data.extend_from_slice(&framed);
+                    };
+                    single_chunk(scratch, StreamKind::DictionaryData, dict.entry_bytes());
+                    let mut lens = std::mem::take(&mut scratch.raw);
+                    lens.clear();
+                    for e in dict.entries() {
+                        scratch.ints.write(e.len() as i64);
                     }
+                    scratch.ints.finish_into(&mut lens);
+                    single_chunk(scratch, StreamKind::DictionaryLength, &lens);
+                    scratch.raw = lens;
                     // Row ids per group.
-                    let row_ids = buf.dict.row_ids();
-                    let info = emit_stream(StreamKind::Data, data, &mut |g| {
-                        let (s, e) = (mark_at(g).strings, buf.marks[g].strings);
-                        let ids: Vec<i64> = row_ids[s..e].iter().map(|&x| x as i64).collect();
-                        (int_rle::encode(&ids), (e - s) as u64)
+                    let info = emit_stream(scratch, StreamKind::Data, &mut |g, s| {
+                        let (m0, m1) = buf.span(g);
+                        let ids = &dict.row_ids()[m0.strings..m1.strings];
+                        ints(s, &mut ids.iter().map(|&id| id as i64))
                     });
                     streams.push(info);
                 }
                 StringEncoding::Direct => {
                     encoding = Some(ColumnEncoding::Direct);
-                    let entries = buf.dict.entries();
-                    let row_ids = buf.dict.row_ids();
-                    let info = emit_stream(StreamKind::Data, data, &mut |g| {
-                        let (s, e) = (mark_at(g).strings, buf.marks[g].strings);
-                        let mut raw = Vec::new();
-                        for &id in &row_ids[s..e] {
-                            raw.extend_from_slice(&entries[id as usize]);
+                    let info = emit_stream(scratch, StreamKind::Data, &mut |g, s| {
+                        let (m0, m1) = buf.span(g);
+                        let ids = &dict.row_ids()[m0.strings..m1.strings];
+                        for &id in ids {
+                            s.raw.extend_from_slice(dict.entry(id));
                         }
-                        (raw, (e - s) as u64)
+                        ids.len()
                     });
                     streams.push(info);
-                    let info = emit_stream(StreamKind::Length, data, &mut |g| {
-                        let (s, e) = (mark_at(g).strings, buf.marks[g].strings);
-                        let mut enc = int_rle::IntRleEncoder::new();
-                        for &id in &row_ids[s..e] {
-                            enc.write(entries[id as usize].len() as i64);
-                        }
-                        (enc.finish(), (e - s) as u64)
+                    let info = emit_stream(scratch, StreamKind::Length, &mut |g, s| {
+                        let (m0, m1) = buf.span(g);
+                        let ids = &dict.row_ids()[m0.strings..m1.strings];
+                        ints(s, &mut ids.iter().map(|&id| dict.entry(id).len() as i64))
                     });
                     streams.push(info);
                 }
             }
             for g in 0..ngroups {
-                let m0 = mark_at(g);
-                let m1 = buf.marks[g];
-                let has_null = buf.present[m0.present..m1.present].iter().any(|p| !p);
-                stats.push(string_stats(buf, m0.strings, m1.strings, has_null));
+                let (m0, m1) = buf.span(g);
+                stats.push(string_stats(
+                    dict,
+                    m0.strings,
+                    m1.strings,
+                    buf.group_has_null(g),
+                ));
             }
         }
         DataType::Array(_) | DataType::Map(_, _) => {
             encoding = Some(ColumnEncoding::Direct);
-            let info = emit_stream(StreamKind::Length, data, &mut |g| {
-                let (s, e) = (mark_at(g).longs, buf.marks[g].longs);
-                (int_rle::encode(&buf.longs[s..e]), (e - s) as u64)
+            let info = emit_stream(scratch, StreamKind::Length, &mut |g, s| {
+                let (m0, m1) = buf.span(g);
+                ints(s, &mut buf.longs[m0.longs..m1.longs].iter().copied())
             });
             streams.push(info);
-            generic_group_stats(buf, &mark_at, ngroups, &mut stats);
+            generic_group_stats(buf, ngroups, &mut stats);
         }
         DataType::Union(_) => {
             encoding = Some(ColumnEncoding::Direct);
-            let info = emit_stream(StreamKind::Tags, data, &mut |g| {
-                let (s, e) = (mark_at(g).tags, buf.marks[g].tags);
-                (byte_rle::encode(&buf.tags[s..e]), (e - s) as u64)
+            let info = emit_stream(scratch, StreamKind::Tags, &mut |g, s| {
+                let (m0, m1) = buf.span(g);
+                s.bytes.write_all(&buf.tags[m0.tags..m1.tags]);
+                s.bytes.finish_into(&mut s.raw);
+                m1.tags - m0.tags
             });
             streams.push(info);
-            generic_group_stats(buf, &mark_at, ngroups, &mut stats);
+            generic_group_stats(buf, ngroups, &mut stats);
         }
         DataType::Struct(_) => {
-            generic_group_stats(buf, &mark_at, ngroups, &mut stats);
+            generic_group_stats(buf, ngroups, &mut stats);
         }
     }
 
     Ok((ColumnStreams { encoding, streams }, stats))
 }
 
-fn generic_group_stats(
-    buf: &ColumnBuffer,
-    mark_at: &dyn Fn(usize) -> Mark,
-    ngroups: usize,
-    stats: &mut Vec<ColumnStatistics>,
-) {
+fn generic_group_stats(buf: &ColumnBuffer, ngroups: usize, stats: &mut Vec<ColumnStatistics>) {
     for g in 0..ngroups {
-        let (s, e) = (mark_at(g).present, buf.marks[g].present);
-        let slice = &buf.present[s..e];
+        let (m0, m1) = buf.span(g);
+        let slice = &buf.present[m0.present..m1.present];
         stats.push(ColumnStatistics::Generic {
             count: slice.iter().filter(|p| **p).count() as u64,
             has_null: slice.iter().any(|p| !p),
@@ -812,14 +842,13 @@ fn double_stats(vals: &[f64], has_null: bool) -> ColumnStatistics {
     }
 }
 
-fn string_stats(buf: &ColumnBuffer, s: usize, e: usize, has_null: bool) -> ColumnStatistics {
-    let entries = buf.dict.entries();
-    let ids = &buf.dict.row_ids()[s..e];
+fn string_stats(dict: &DictionaryBuilder, s: usize, e: usize, has_null: bool) -> ColumnStatistics {
+    let ids = &dict.row_ids()[s..e];
     let mut min: Option<&[u8]> = None;
     let mut max: Option<&[u8]> = None;
     let mut total = 0u64;
     for &id in ids {
-        let v: &[u8] = &entries[id as usize];
+        let v = dict.entry(id);
         if min.is_none_or(|m| v.key_lt(m)) {
             min = Some(v);
         }

@@ -220,6 +220,40 @@ fn within_cap(v: &Value) -> bool {
     }
 }
 
+fn nested_schema() -> Schema {
+    Schema::parse(&[
+        ("l", "array<bigint>"),
+        ("m", "map<string,double>"),
+        ("s", "struct<x:bigint,y:string>"),
+        ("u", "uniontype<bigint,string>"),
+    ])
+    .unwrap()
+}
+
+/// Row `i` of the nested file: NULLs at every level, every nested kind.
+fn nested_row(i: i64) -> Row {
+    let null_or = |i: i64, every: i64, v: Value| if i % every == 0 { Value::Null } else { v };
+    let items = (0..i % 5).map(|j| null_or(j, 3, Value::Int(i * j)));
+    let entries = (0..i % 3).map(|j| {
+        let value = null_or(i + j, 4, Value::Double(j as f64 / 7.0));
+        (Value::String(format!("k{j}")), value)
+    });
+    let fields = vec![
+        null_or(i, 6, Value::Int(i)),
+        Value::String(format!("y{}", i % 11)),
+    ];
+    let alternative = match i % 2 {
+        0 => Value::Union(0, Box::new(Value::Int(i))),
+        _ => Value::Union(1, Box::new(null_or(i, 9, Value::String(format!("u{i}"))))),
+    };
+    Row::new(vec![
+        null_or(i, 7, Value::Array(items.collect())),
+        null_or(i, 5, Value::Map(entries.collect())),
+        null_or(i, 8, Value::Struct(fields)),
+        null_or(i, 10, alternative),
+    ])
+}
+
 /// The row reader builds nested values from length, tag and PRESENT
 /// streams a flipped byte can make lie: every read over a list, map,
 /// struct and union file with NULLs at each level, flipped anywhere, uncompressed
@@ -228,35 +262,7 @@ fn within_cap(v: &Value) -> bool {
 #[test]
 fn orc_nested_types_survive_bit_flips_everywhere() {
     let fs = dfs();
-    let schema = Schema::parse(&[
-        ("l", "array<bigint>"),
-        ("m", "map<string,double>"),
-        ("s", "struct<x:bigint,y:string>"),
-        ("u", "uniontype<bigint,string>"),
-    ])
-    .unwrap();
-    let null_or = |i: i64, every: i64, v: Value| if i % every == 0 { Value::Null } else { v };
-    let make = |i: i64| {
-        let items = (0..i % 5).map(|j| null_or(j, 3, Value::Int(i * j)));
-        let entries = (0..i % 3).map(|j| {
-            let value = null_or(i + j, 4, Value::Double(j as f64 / 7.0));
-            (Value::String(format!("k{j}")), value)
-        });
-        let fields = vec![
-            null_or(i, 6, Value::Int(i)),
-            Value::String(format!("y{}", i % 11)),
-        ];
-        let alternative = match i % 2 {
-            0 => Value::Union(0, Box::new(Value::Int(i))),
-            _ => Value::Union(1, Box::new(null_or(i, 9, Value::String(format!("u{i}"))))),
-        };
-        Row::new(vec![
-            null_or(i, 7, Value::Array(items.collect())),
-            null_or(i, 5, Value::Map(entries.collect())),
-            null_or(i, 8, Value::Struct(fields)),
-            null_or(i, 10, alternative),
-        ])
-    };
+    let schema = nested_schema();
     for compression in [Compression::None, Compression::Snappy] {
         let opts = OrcWriterOptions {
             stripe_size: 16 << 10,
@@ -268,7 +274,7 @@ fn orc_nested_types_survive_bit_flips_everywhere() {
         let mut w: Box<dyn TableWriter> =
             Box::new(OrcWriter::create(&fs, "/c/nested", &schema, opts, None));
         for i in 0..1500 {
-            w.write_row(&make(i)).unwrap();
+            w.write_row(&nested_row(i)).unwrap();
         }
         w.close().unwrap();
         let len = fs.len("/c/nested").unwrap() as usize;
@@ -291,6 +297,110 @@ fn orc_nested_types_survive_bit_flips_everywhere() {
             }
         }
     }
+}
+
+/// Write `rows` as the small ORC file the every-byte sweeps flip: 4 KiB
+/// stripes, an index group every 50 rows, 4 KiB compression units.
+fn small_orc(fs: &Dfs, path: &str, schema: &Schema, compression: Compression, rows: Vec<Row>) {
+    let opts = OrcWriterOptions {
+        stripe_size: 4 << 10,
+        row_index_stride: 50,
+        compression,
+        compress_unit: 4 << 10,
+        ..Default::default()
+    };
+    let mut w: Box<dyn TableWriter> = Box::new(OrcWriter::create(fs, path, schema, opts, None));
+    for r in &rows {
+        w.write_row(r).unwrap();
+    }
+    w.close().unwrap();
+}
+
+/// Every byte of the file at `path`, XORed with 0x01, 0x80 and 0xFF in
+/// turn: `read` over the flipped copy returns, whatever it reads. An
+/// unoptimized build, several times slower, flips each byte with one of the
+/// masks in rotation; `ci.sh` reruns the sweep optimized with all three.
+fn flip_every_byte(fs: &Dfs, path: &str, read: impl Fn(&str)) {
+    const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
+    let data = fs.open(path, None).unwrap().read_all().unwrap().to_vec();
+    let bad = format!("{path}-bad");
+    for at in 0..data.len() {
+        let masks = match cfg!(debug_assertions) {
+            true => &MASKS[at % 3..at % 3 + 1],
+            false => &MASKS[..],
+        };
+        for &mask in masks {
+            let mut bytes = data.clone();
+            bytes[at] ^= mask;
+            let mut w = fs.create(&bad);
+            w.write(&bytes);
+            w.try_close().unwrap();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&bad)));
+            assert!(outcome.is_ok(), "{path}: byte {at} ^ {mask:#04x} panicked");
+        }
+    }
+}
+
+/// Every byte × 3 masks of a whole 600-row flat file, stream bodies
+/// included: the row and the batch reader give rows or an error.
+fn flat_file_survives_every_flip(compression: Compression) {
+    let fs = dfs();
+    let path = format!("/c/flat-{compression}");
+    small_orc(&fs, &path, &schema(), compression, rows()[..600].to_vec());
+    flip_every_byte(&fs, &path, |bad| {
+        if let Ok(r) = OrcReader::open(&fs, bad, OrcReadOptions::default()) {
+            let _ = drain(Box::new(r));
+        }
+        if let Ok(r) = OrcReader::open(&fs, bad, OrcReadOptions::default()) {
+            let _ = drain_batches(Box::new(r), &types());
+        }
+    });
+}
+
+/// Every byte × 3 masks of a whole 300-row nested file: the row reader,
+/// with and without `skip_corrupt`, gives rows within the caps or an error.
+fn nested_file_survives_every_flip(compression: Compression) {
+    let fs = dfs();
+    let path = format!("/c/nested-{compression}");
+    let rows = (0..300).map(nested_row).collect();
+    small_orc(&fs, &path, &nested_schema(), compression, rows);
+    flip_every_byte(&fs, &path, |bad| {
+        for skip_corrupt in [false, true] {
+            let opts = OrcReadOptions {
+                skip_corrupt,
+                ..Default::default()
+            };
+            let Ok(mut r) = OrcReader::open(&fs, bad, opts) else {
+                continue;
+            };
+            let mut n = 0;
+            while let Ok(Some(row)) = r.next_row() {
+                assert!(row.values().iter().all(within_cap), "row {n}");
+                n += 1;
+                assert!(n <= 300, "the reader made up rows");
+            }
+        }
+    });
+}
+
+#[test]
+fn orc_flat_file_survives_every_flip_uncompressed() {
+    flat_file_survives_every_flip(Compression::None);
+}
+
+#[test]
+fn orc_flat_file_survives_every_flip_snappy() {
+    flat_file_survives_every_flip(Compression::Snappy);
+}
+
+#[test]
+fn orc_nested_file_survives_every_flip_uncompressed() {
+    nested_file_survives_every_flip(Compression::None);
+}
+
+#[test]
+fn orc_nested_file_survives_every_flip_snappy() {
+    nested_file_survives_every_flip(Compression::Snappy);
 }
 
 #[test]

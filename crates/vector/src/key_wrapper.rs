@@ -22,88 +22,8 @@
 //! one table per job and every task's operator probes it.
 
 use crate::batch::{BytesColumnVector, ColumnVector, Dictionary, Lane, Rows, VectorizedRowBatch};
+use hive_common::hash_index::{hash_words, word, HashIndex};
 use hive_common::{key, DataType, HiveError, Result};
-
-/// A cheap multiplicative hash over 64-bit words (the FxHash step). The
-/// finishing fold-and-multiply makes every input bit reach the bits that
-/// index a table: doubles differ in their high bits only, small ints in
-/// their low ones.
-#[inline]
-fn hash_words(words: impl Iterator<Item = u64>) -> u32 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let h = words.fold(0u64, |h, w| (h.rotate_left(5) ^ w).wrapping_mul(K));
-    ((h ^ (h >> 32)).wrapping_mul(K) >> 32) as u32
-}
-
-/// Up to eight bytes as a little-endian word, zero-padded.
-#[inline]
-fn word(b: &[u8]) -> u64 {
-    b.iter().rev().fold(0, |w, &x| w << 8 | x as u64)
-}
-
-/// Open-addressing index from a hash to a dense id (0, 1, 2, … in insertion
-/// order). Keys live with the caller, once: a slot holds `(hash, id)` and
-/// `eq(id)` confirms a candidate against the caller's stored key.
-struct HashIndex {
-    slots: Vec<(u32, u32)>,
-    len: usize,
-}
-
-const EMPTY: u32 = u32::MAX;
-
-impl HashIndex {
-    fn new() -> HashIndex {
-        HashIndex {
-            slots: vec![(0, EMPTY); 64],
-            len: 0,
-        }
-    }
-
-    /// Linear probing for the key with this `hash` that `eq` confirms: its
-    /// id, or else the empty slot that ends its probe chain.
-    #[inline]
-    fn probe(
-        &self,
-        hash: u32,
-        mut eq: impl FnMut(usize) -> bool,
-    ) -> std::result::Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut at = hash as usize & mask;
-        loop {
-            match self.slots[at] {
-                (_, EMPTY) => return Err(at),
-                (h, id) if h == hash && eq(id as usize) => return Ok(id as usize),
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// The id of the key with this `hash` that `eq` confirms — or the next
-    /// dense id and `true`, upon which the caller appends the key to its
-    /// store. The load factor stays at or below one half, and only an
-    /// insertion ever allocates.
-    #[inline]
-    fn find_or_insert(&mut self, hash: u32, eq: impl FnMut(usize) -> bool) -> (usize, bool) {
-        let at = match self.probe(hash, eq) {
-            Ok(id) => return (id, false),
-            Err(at) => at,
-        };
-        self.slots[at] = (hash, self.len as u32);
-        self.len += 1;
-        if self.len * 2 > self.slots.len() {
-            let mask = self.slots.len() * 2 - 1;
-            let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); mask + 1]);
-            for slot in old.into_iter().filter(|s| s.1 != EMPTY) {
-                let mut at = slot.0 as usize & mask;
-                while self.slots[at].1 != EMPTY {
-                    at = (at + 1) & mask;
-                }
-                self.slots[at] = slot;
-            }
-        }
-        (self.len - 1, true)
-    }
-}
 
 /// One bytes key column's values as `u64` codes, equal bytes ⇔ equal code.
 /// A value of up to seven bytes is its own code (the bytes little-endian,
@@ -252,7 +172,7 @@ pub(crate) const MISS: u32 = u32::MAX;
 
 impl KeyTable {
     pub(crate) fn num_groups(&self) -> usize {
-        self.index.len
+        self.index.len()
     }
 
     /// The logical type of each key.
@@ -426,7 +346,7 @@ impl KeyWrapper {
             g as u32
         }));
         probe.gids.resize(batch.size, probe.gids[0]);
-        Ok((&probe.gids, index.len))
+        Ok((&probe.gids, index.len()))
     }
 }
 
@@ -580,7 +500,7 @@ mod tests {
             let table = wrapper.into_table();
             assert_eq!(table.num_groups(), stored.len(), "{columns:?}");
             let sizes = |t: &KeyTable| {
-                let interned = |i: &Interner| (i.index.len, i.arena.len());
+                let interned = |i: &Interner| (i.index.len(), i.arena.len());
                 (
                     t.num_groups(),
                     t.store.len(),
@@ -661,7 +581,8 @@ mod tests {
             }
         }
         assert_eq!(
-            interner.index.len, 2,
+            interner.index.len(),
+            2,
             "two long values, whatever their entry ids"
         );
     }
@@ -701,6 +622,6 @@ mod tests {
             assert_eq!(back.value(0), &a[..]);
         }
         // Only the values of eight bytes and more were stored.
-        assert_eq!(interner.index.len, 5);
+        assert_eq!(interner.index.len(), 5);
     }
 }
